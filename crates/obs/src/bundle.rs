@@ -1,8 +1,8 @@
 //! Postmortem flight-recorder bundles.
 //!
 //! A [`Bundle`] is a self-contained capture taken at the moment something
-//! went wrong — a sim mismatch, a crash-recovery fallback, a bench-gate
-//! failure. It packages the trace-ring lineage slice, a rendered metrics
+//! went wrong — a sim mismatch or a crash-recovery fallback. It packages
+//! the trace-ring lineage slice, a rendered metrics
 //! snapshot, a human-readable config description, and machine-readable
 //! replay parameters (seed, case index, shard counts, sabotage knobs,
 //! replay cursor) so the failure can be re-driven and rendered later with
@@ -26,7 +26,7 @@ pub const BUNDLE_VERSION: u32 = 1;
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Bundle {
     /// Why the capture was taken (e.g. `sim-mismatch`,
-    /// `recovery-fallback`, `bench-gate`).
+    /// `recovery-fallback`).
     pub reason: String,
     /// Human-readable description of the configuration under which the
     /// failure occurred (query texts, policy, backend).

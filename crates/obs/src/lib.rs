@@ -16,8 +16,8 @@
 //!    sharded output itself is (see `sequin-engine`).
 //! 2. **Zero overhead when off.** [`Recorder`] methods early-return behind a
 //!    single branch when the recorder is disabled; no allocation, no
-//!    formatting, no hashing happens on the hot path. The bench gate
-//!    (`sequin bench --ci`) enforces < 5% overhead when *on*.
+//!    formatting, no hashing happens on the hot path. The ledger
+//!    (`benchmark/`, `obs.overhead_pct`) prices the overhead when *on*.
 //! 3. **No locks, no new deps.** A [`Recorder`] is owned by the single
 //!    engine thread that mutates it (the server's engine loop already
 //!    serializes all ingestion), so plain `&mut` suffices — "lock-cheap"

@@ -10,7 +10,7 @@
 //!
 //! Every method early-returns when the recorder is disabled
 //! ([`ObsConfig::disabled`]), which is the "configured off ⇒ zero
-//! overhead" guarantee the bench gate checks.
+//! overhead" guarantee the ledger's `obs.overhead_pct` measures against.
 
 use crate::hist::FixedHistogram;
 use crate::trace::{Span, SpanKind, TraceRing, NO_QUERY};

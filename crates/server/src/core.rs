@@ -17,23 +17,23 @@
 //!   queries with a common SEQ prefix share pooled AIS stacks and one
 //!   partial-match walk, single-event predicates are pushed to insert
 //!   time, and an event-type routing index skips uninterested queries.
-//!   Used when `shared_plan` is set, the strategy is Native, and
-//!   evaluation is single-sharded.
-//! * **Independent** — a [`MultiEngine`] of per-query engines (any
-//!   strategy, sharded pools). Used when `shared_plan` is off or the
-//!   strategy is not Native.
-//! * **Hybrid** — both at once, used when `shared_plan` is set *and*
+//!   Used when the strategy is Native and evaluation is single-sharded.
+//! * **Hybrid** — both at once, used when the strategy is Native and
 //!   `shards > 1`: every partitionable query runs on its own routed
 //!   [`sequin_engine::ShardedEngine`] pool, while the queries sharding
 //!   cannot parallelize (no equality chain to hash on) share the
 //!   plan-compiled evaluator. Global query ids stay dense registration
 //!   indices; outputs from the two halves are interleaved back into
 //!   registration order per arrival.
+//! * **Independent** — a [`MultiEngine`] of per-query engines. Used by the
+//!   control strategies (`Buffered`, `InOrder`), which the plan compiler
+//!   does not cover.
 //!
-//! All produce byte-identical per-query output, and their snapshots use
-//! the same per-logical-query interchange format, so a durable restart may
-//! switch backends (or shard counts) freely — the hybrid backend splits
-//! and reassembles the envelope around its two halves.
+//! The backend follows from `(strategy, shards)` alone. The two Native
+//! backends produce byte-identical per-query output, and their snapshots
+//! use the same per-logical-query interchange format, so a durable restart
+//! may change the shard count freely — the hybrid backend splits and
+//! reassembles the envelope around its two halves.
 //!
 //! ## Durability model
 //!
@@ -97,17 +97,8 @@ pub struct CoreConfig {
     /// Observability: latency/deferral recording and the structured trace
     /// ring. [`ObsConfig::disabled`] turns all recording off (a single
     /// predicted branch per batch — the "configured off ⇒ zero overhead"
-    /// path the bench gate measures).
+    /// path the ledger's `obs.overhead_pct` measures).
     pub obs: ObsConfig,
-    /// Evaluate queries through the shared-plan compiler
-    /// ([`SharedMultiEngine`]) when eligible (Native strategy). With
-    /// `shards > 1` this composes rather than conflicts: partitionable
-    /// queries run on routed sharded pools and the rest share the plan
-    /// (the hybrid backend). Non-Native strategies fall back to
-    /// independent per-query engines regardless of this flag. Output is
-    /// byte-identical in every configuration; the shared plan amortizes
-    /// state and work across queries with common SEQ prefixes.
-    pub shared_plan: bool,
 }
 
 impl CoreConfig {
@@ -125,7 +116,6 @@ impl CoreConfig {
             checkpoint_every: None,
             shards: 1,
             obs: ObsConfig::default(),
-            shared_plan: true,
         }
     }
 }
@@ -251,7 +241,7 @@ enum Eval {
     /// Pooled stacks + common-prefix sharing ([`SharedMultiEngine`]).
     /// Boxed: the shared evaluator is much larger than a [`MultiEngine`].
     Shared(Box<SharedMultiEngine>),
-    /// Both at once — how `shared_plan` composes with `shards > 1`: each
+    /// Both at once — how the shared plan composes with `shards > 1`: each
     /// partitionable query gets its own routed
     /// [`sequin_engine::ShardedEngine`] pool, and the queries sharding
     /// cannot help (no equality chain to hash on) share the plan-compiled
@@ -266,18 +256,18 @@ enum Eval {
 
 impl Eval {
     fn new(cfg: &CoreConfig) -> Eval {
-        if cfg.shared_plan && cfg.strategy == Strategy::Native {
-            if cfg.shards <= 1 {
-                Eval::Shared(Box::new(SharedMultiEngine::new(cfg.engine)))
-            } else {
-                Eval::Hybrid {
-                    shared: Box::new(SharedMultiEngine::new(cfg.engine)),
-                    sharded: MultiEngine::new(),
-                    hosts: Vec::new(),
-                }
-            }
+        if cfg.strategy != Strategy::Native {
+            return Eval::Independent(MultiEngine::new());
+        }
+        let shared = Box::new(SharedMultiEngine::new(cfg.engine));
+        if cfg.shards <= 1 {
+            Eval::Shared(shared)
         } else {
-            Eval::Independent(MultiEngine::new())
+            Eval::Hybrid {
+                shared,
+                sharded: MultiEngine::new(),
+                hosts: Vec::new(),
+            }
         }
     }
 
@@ -1007,12 +997,6 @@ impl EngineCore {
         self.eval.plan_metrics()
     }
 
-    /// True when the shared-plan backend is active (including the hybrid
-    /// core, where it hosts the unpartitionable queries).
-    pub fn shared_plan_active(&self) -> bool {
-        matches!(self.eval, Eval::Shared(_) | Eval::Hybrid { .. })
-    }
-
     /// Aggregate operator counters across every query, plus this process's
     /// checkpoint/recovery counters.
     pub fn stats(&self) -> RuntimeStats {
@@ -1403,7 +1387,6 @@ mod tests {
             checkpoint_every: every,
             shards: 1,
             obs: ObsConfig::default(),
-            shared_plan: true,
         }
     }
 
@@ -1506,10 +1489,13 @@ mod tests {
         let q_aba = "PATTERN SEQ(A a, B b, A c) WITHIN 12";
 
         let run = |shared: bool| {
-            let mut c = cfg(&reg, None);
-            c.shared_plan = shared;
-            let mut core = EngineCore::new(c);
-            assert_eq!(core.shared_plan_active(), shared);
+            let mut core = EngineCore::new(cfg(&reg, None));
+            if !shared {
+                // configuration reaches per-query engines only through
+                // the control strategies; force them under Native as the
+                // reference the plan evaluator is checked against
+                core.eval = Eval::Independent(MultiEngine::new());
+            }
             for q in [Q_AB, Q_BA, q_abb, q_aba] {
                 core.subscribe(q).unwrap();
             }
@@ -1518,71 +1504,15 @@ mod tests {
                 out.extend(core.ingest(it));
             }
             out.extend(core.finish());
-            assert_eq!(core.plan_metrics().is_some(), shared);
             (net(&out), core)
         };
         let (with_plan, shared_core) = run(true);
-        let (without, _) = run(false);
+        let (without, independent_core) = run(false);
         assert_eq!(with_plan, without, "backends must agree byte-for-byte");
+        assert!(independent_core.plan_metrics().is_none());
         let pm = shared_core.plan_metrics().unwrap();
         assert!(pm.prefix_groups >= 1, "AB prefix should group: {pm:?}");
         assert!(pm.routed_events > 0);
-    }
-
-    #[test]
-    fn crash_resume_switches_backends_exactly_once() {
-        let reg = registry();
-        let items = stream(&reg);
-
-        let mut oracle = EngineCore::new(cfg(&reg, None));
-        oracle.subscribe(Q_AB).unwrap();
-        oracle.subscribe(Q_BA).unwrap();
-        let mut baseline = Vec::new();
-        for it in &items {
-            baseline.extend(oracle.ingest(it));
-        }
-        baseline.extend(oracle.finish());
-
-        // shared-plan core writes the checkpoints...
-        let mut core = EngineCore::new(cfg(&reg, Some(25)));
-        assert!(core.shared_plan_active());
-        core.subscribe(Q_AB).unwrap();
-        core.subscribe(Q_BA).unwrap();
-        let mut delivered = Vec::new();
-        delivered.extend(core.ingest_batch(&items[..40]));
-        let saved = core.store().clone();
-        drop(core); // crash
-
-        // ...and a sharded independent core resumes from them
-        let mut two = cfg(&reg, Some(25));
-        two.shards = 2;
-        two.shared_plan = false;
-        let (mut core, replay_from) = EngineCore::resume(two, saved);
-        assert!(replay_from > 0, "a checkpoint was accepted");
-        assert!(!core.shared_plan_active());
-        delivered.extend(core.ingest_batch(&items[replay_from as usize..]));
-        delivered.extend(core.finish());
-        assert_eq!(net(&delivered), net(&baseline));
-        assert_eq!(core.pending_suppressions(), 0);
-
-        // reverse direction: independent checkpoint, shared resume
-        let mut indep = cfg(&reg, Some(25));
-        indep.shared_plan = false;
-        let mut core = EngineCore::new(indep);
-        core.subscribe(Q_AB).unwrap();
-        core.subscribe(Q_BA).unwrap();
-        let mut delivered = Vec::new();
-        delivered.extend(core.ingest_batch(&items[..40]));
-        let saved = core.store().clone();
-        drop(core); // crash
-
-        let (mut core, replay_from) = EngineCore::resume(cfg(&reg, Some(25)), saved);
-        assert!(replay_from > 0);
-        assert!(core.shared_plan_active());
-        delivered.extend(core.ingest_batch(&items[replay_from as usize..]));
-        delivered.extend(core.finish());
-        assert_eq!(net(&delivered), net(&baseline));
-        assert_eq!(core.pending_suppressions(), 0);
     }
 
     #[test]
@@ -1778,10 +1708,9 @@ mod tests {
         // scheme) and two it cannot (no WHERE clause)
         let q_part = "PATTERN SEQ(A a, B b) WHERE a.x == b.x WITHIN 8";
 
-        let run = |shards: usize, shared_plan: bool| {
+        let run = |shards: usize| {
             let mut c = cfg(&reg, None);
             c.shards = shards;
-            c.shared_plan = shared_plan;
             let mut core = EngineCore::new(c);
             for q in [Q_AB, q_part, Q_BA] {
                 core.subscribe(q).unwrap();
@@ -1794,11 +1723,10 @@ mod tests {
             (net(&out), core)
         };
 
-        let (baseline, _) = run(1, false);
-        let (hybrid, core) = run(3, true);
+        let (baseline, _) = run(1);
+        let (hybrid, core) = run(3);
         assert_eq!(hybrid, baseline, "hybrid must be byte-identical");
-        assert!(core.shared_plan_active(), "shared half hosts Q_AB/Q_BA");
-        assert!(core.plan_metrics().is_some());
+        assert!(core.plan_metrics().is_some(), "shared half hosts Q_AB/Q_BA");
         // the partitionable query (global id 1) runs on a routed pool...
         let qids: Vec<QueryId> = (0..3).map(QueryId::from_index).collect();
         let rs = core.eval.route_stats(qids[1]).expect("sharded pool");
@@ -1828,7 +1756,7 @@ mod tests {
         let mut hy = cfg(&reg, Some(25));
         hy.shards = 2;
         let mut core = EngineCore::new(hy);
-        assert!(core.shared_plan_active());
+        assert!(matches!(core.eval, Eval::Hybrid { .. }));
         core.subscribe(Q_AB).unwrap();
         core.subscribe(q_part).unwrap();
         let mut delivered = Vec::new();

@@ -264,8 +264,8 @@ fn sharded_server_serves_shard_labelled_series() {
 
 /// Pins the disorder-policy metric names: `sequin_retraction_emitted`
 /// (per query, plus `sequin_retraction_emitted_total`) and
-/// `sequin_slack_bound`. Dashboards and the bench gate key on these
-/// exact strings — renaming one is a breaking change, not cosmetics.
+/// `sequin_slack_bound`. Dashboards key on these exact strings —
+/// renaming one is a breaking change, not cosmetics.
 #[test]
 fn retraction_and_slack_bound_series_are_pinned() {
     use sequin_engine::DisorderPolicy;

@@ -21,12 +21,12 @@
 //! * shared-plan item-by-item ingestion — **identical** output per
 //!   query, including emission bookkeeping and retractions;
 //! * shared-plan batched ingestion — identical output;
-//! * a durable shared-plan server core crashed mid-stream and resumed as
-//!   an *independent sharded* core (the checkpoint interchange contract)
-//!   — exactly-once deliveries per query, with every per-query policy
-//!   surviving the restart through the checkpoint envelope;
-//! * an independent sharded server core — identical output (ties the
-//!   two backends together end to end);
+//! * a durable shared-plan server core crashed mid-stream and resumed at
+//!   two shards as the *hybrid* core (the checkpoint interchange
+//!   contract) — exactly-once deliveries per query, with every per-query
+//!   policy surviving the restart through the checkpoint envelope;
+//! * a two-shard hybrid server core — identical output (ties the two
+//!   backends together end to end);
 //! * the networked loopback with the full query set, each query carrying
 //!   its policy request through SUBSCRIBE negotiation — byte-identical
 //!   frames, verified inside [`sequin_server::loopback_run_with_policies`].
@@ -283,9 +283,10 @@ pub fn check_multi_case(case: &MultiCase, sabotage: Sabotage) -> Vec<Mismatch> {
         Ok(())
     };
 
-    // durable shared-plan core, crash mid-stream, resumed as an
-    // independent *sharded* core: exactly-once deliveries per query
-    // across the backend switch (policies ride the checkpoint envelope)
+    // durable shared-plan core, crash mid-stream, resumed at two shards
+    // as the hybrid core (which splits the envelope between its shared
+    // and sharded halves): exactly-once deliveries per query across the
+    // backend switch (policies ride the checkpoint envelope)
     {
         let mut core_cfg = CoreConfig::new(Arc::clone(&registry), Strategy::Native, sut);
         core_cfg.checkpoint_every = Some(case.config.ckpt_every.max(1));
@@ -304,7 +305,6 @@ pub fn check_multi_case(case: &MultiCase, sabotage: Sabotage) -> Vec<Mismatch> {
                 let saved = core.store().clone();
                 drop(core); // crash: only the persisted store survives
                 let mut resumed_cfg = core_cfg;
-                resumed_cfg.shared_plan = false;
                 resumed_cfg.shards = 2;
                 let (mut core, replay_from) = EngineCore::resume(resumed_cfg, saved);
                 for (qx, (text, want)) in texts.iter().zip(&case.policies).enumerate() {
@@ -343,7 +343,7 @@ pub fn check_multi_case(case: &MultiCase, sabotage: Sabotage) -> Vec<Mismatch> {
         }
     }
 
-    // independent sharded core over the same query set: identical
+    // hybrid core (two shards) over the same query set: identical
     // per-query output (ties both server backends to the reference)
     {
         let mut two = CoreConfig::new(Arc::clone(&registry), Strategy::Native, sut);

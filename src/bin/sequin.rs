@@ -40,10 +40,6 @@ const USAGE: &str = "usage:
                   [--watch] [--interval SECS]
   sequin trace    (--addr HOST:PORT | --bundle FILE) [--query N]
                   [--pid HEX] [--format text|json]
-  sequin bench    [--ci] [--shards 1,4] [--json FILE] [--baseline FILE]
-                  [--refresh-baseline] [--min-speedup F] [options]
-                  [--queries 1,64,1024] [--min-multi-speedup F]
-                  [--policy-axis] [--policy-gate]
   sequin sim      [--ci] [--multi] [--seeds 1,2,3 | --seed S] [--cases N]
                   [--case N] [--time-budget SECS] [--shrink yes|no]
                   [--emit-repro DIR] [--purge-skew N] [--retraction-drop N]
@@ -79,15 +75,11 @@ options:
   --store FILE      serve: checkpoint-store path (with --checkpoint-every,
                     enables exactly-once restart; clients replay from the
                     HELLO_ACK resume cursor)
-  --shards N        Native-engine worker shards (default 1; bench and sim
-                    take a comma-separated list of counts — bench measures
-                    each, sim pins the routed-sharded differential paths,
-                    with crash+resume changing from the first count to
-                    the last)
-  --ci              bench: fixed CI preset (100k events, 30% ooo, shards
-                    1,2,4,8, BENCH_ci.json, gate vs bench/baseline.json)
-  --refresh-baseline  bench: rewrite the baseline from this run
-  --min-speedup F   bench: require max-shards throughput >= F x shards=1
+  --shards N        Native-engine worker shards (default 1; sim takes a
+                    comma-separated list of counts and pins the
+                    routed-sharded differential paths to them, with
+                    crash+resume changing from the first count to the
+                    last)
   --cases N         sim: cases generated per seed (default 100)
   --case N          sim: replay one case index and print the verdict
   --time-budget S   sim: stop cleanly after S seconds
@@ -110,98 +102,116 @@ options:
 
 schema DSL: 'TYPE(field:kind,...) ...' with kinds int|float|str|bool";
 
+type Flags = std::collections::HashMap<String, String>;
+
+/// Every flag of the usage text and whether it takes a value. Any other
+/// `--name` is an error, so a misspelt flag cannot run the defaults and
+/// exit 0.
+const FLAGS: &[(&str, bool)] = &[
+    ("adaptive", true),
+    ("addr", true),
+    ("batch", true),
+    ("bundle", true),
+    ("bundle-dir", true),
+    ("case", true),
+    ("cases", true),
+    ("checkpoint-every", true),
+    ("ci", false),
+    ("delay", true),
+    ("drain", true),
+    ("emit-repro", true),
+    ("events", true),
+    ("format", true),
+    ("interval", true),
+    ("json", true),
+    ("k", true),
+    ("multi", false),
+    ("no-loopback", false),
+    ("obs", true),
+    ("ooo", true),
+    ("pid", true),
+    ("policy", true),
+    ("punctuate", true),
+    ("purge-skew", true),
+    ("query", true),
+    ("resume-from", true),
+    ("retraction-drop", true),
+    ("seed", true),
+    ("seeds", true),
+    ("shards", true),
+    ("shrink", true),
+    ("store", true),
+    ("strategy", true),
+    ("time-budget", true),
+    ("trace", true),
+    ("types", true),
+    ("watch", false),
+    ("workload", true),
+];
+
+/// An integer flag, parsed as the unsigned type it feeds: negatives and
+/// fractions are errors, and a seed above 2^53 keeps every bit.
+fn get_int<T: std::str::FromStr>(flags: &Flags, name: &str) -> Result<Option<T>, String> {
+    flags
+        .get(name)
+        .map(|v| {
+            v.parse::<T>()
+                .map_err(|_| format!("--{name} expects a non-negative integer, got `{v}`"))
+        })
+        .transpose()
+}
+
+/// A comma-separated list of integers (`sim --seeds 1,2,3`); an empty
+/// element, and so an empty list, is an error.
+fn get_list<T: std::str::FromStr>(flags: &Flags, name: &str) -> Result<Option<Vec<T>>, String> {
+    flags
+        .get(name)
+        .map(|list| {
+            list.split(',')
+                .map(|p| {
+                    p.trim().parse::<T>().map_err(|_| {
+                        format!("--{name} expects integers like `1,2,3`, got `{list}`")
+                    })
+                })
+                .collect()
+        })
+        .transpose()
+}
+
+fn get_float(flags: &Flags, name: &str, default: f64) -> Result<f64, String> {
+    match flags.get(name) {
+        Some(v) => v
+            .parse::<f64>()
+            .map_err(|_| format!("--{name} expects a number")),
+        None => Ok(default),
+    }
+}
+
 fn run(args: &[String]) -> Result<String, String> {
     let mut it = args.iter();
     let command = it.next().ok_or("missing subcommand")?;
 
     // collect flags and positionals
-    let mut flags: std::collections::HashMap<String, String> = Default::default();
+    let mut flags = Flags::new();
     let mut positional: Vec<String> = Vec::new();
-    let rest: Vec<&String> = it.collect();
-    let mut ix = 0;
-    while ix < rest.len() {
-        let a = rest[ix];
-        if let Some(name) = a.strip_prefix("--") {
-            // boolean flags take no value
-            if matches!(
-                name,
-                "ci" | "refresh-baseline"
-                    | "no-loopback"
-                    | "watch"
-                    | "multi"
-                    | "policy-axis"
-                    | "policy-gate"
-            ) {
-                flags.insert(name.to_owned(), "true".to_owned());
-                ix += 1;
-                continue;
-            }
-            let value = rest
-                .get(ix + 1)
-                .ok_or_else(|| format!("flag --{name} needs a value"))?;
-            flags.insert(name.to_owned(), (*value).clone());
-            ix += 2;
-        } else {
+    while let Some(a) = it.next() {
+        let Some(name) = a.strip_prefix("--") else {
             positional.push(a.clone());
-            ix += 1;
-        }
-    }
-
-    let get_num = |flags: &std::collections::HashMap<String, String>,
-                   name: &str,
-                   default: f64|
-     -> Result<f64, String> {
-        match flags.get(name) {
-            Some(v) => v
-                .parse::<f64>()
-                .map_err(|_| format!("--{name} expects a number")),
-            None => Ok(default),
-        }
-    };
-
-    let opts = cli::RunOptions {
-        strategy: cli::parse_strategy(
-            flags
-                .get("strategy")
-                .map(String::as_str)
-                .unwrap_or("native"),
-        )?,
-        k: get_num(&flags, "k", 100.0)? as u64,
-        adaptive: flags
-            .get("adaptive")
-            .map(|v| {
-                v.parse::<f64>()
-                    .map_err(|_| "--adaptive expects a factor".to_owned())
-            })
-            .transpose()?,
-        punctuate_every: flags
-            .get("punctuate")
-            .map(|v| {
-                v.parse::<usize>()
-                    .map_err(|_| "--punctuate expects a count".to_owned())
-            })
-            .transpose()?,
-        checkpoint_every: flags
-            .get("checkpoint-every")
-            .map(|v| {
-                v.parse::<u64>()
-                    .map_err(|_| "--checkpoint-every expects a count".to_owned())
-            })
-            .transpose()?,
-        resume_from: flags.get("resume-from").cloned(),
-        policy: cli::parse_policy(
-            flags
-                .get("policy")
-                .map(String::as_str)
-                .unwrap_or("conservative"),
-        )?,
-        // bench and sim read --shards themselves (as comma-separated lists)
-        shards: if command == "bench" || command == "sim" {
-            1
+            continue;
+        };
+        let &(_, takes_value) = FLAGS
+            .iter()
+            .find(|(known, _)| *known == name)
+            .ok_or_else(|| format!("unknown flag --{name}"))?;
+        let value = if takes_value {
+            it.next()
+                .ok_or_else(|| format!("flag --{name} needs a value"))?
+                .clone()
         } else {
-            (get_num(&flags, "shards", 1.0)? as usize).max(1)
-        },
-    };
+            "true".to_owned()
+        };
+        flags.insert(name.to_owned(), value);
+    }
 
     match command.as_str() {
         "explain" => {
@@ -217,11 +227,11 @@ fn run(args: &[String]) -> Result<String, String> {
             cli::run_workload(
                 workload,
                 query,
-                get_num(&flags, "events", 50_000.0)? as usize,
-                get_num(&flags, "ooo", 0.2)?,
-                get_num(&flags, "delay", 100.0)? as u64,
-                get_num(&flags, "seed", 42.0)? as u64,
-                &opts,
+                get_int(&flags, "events")?.unwrap_or(50_000),
+                get_float(&flags, "ooo", 0.2)?,
+                get_int(&flags, "delay")?.unwrap_or(100),
+                get_int(&flags, "seed")?.unwrap_or(42),
+                &run_options(&flags)?,
             )
         }
         "replay" => {
@@ -232,7 +242,7 @@ fn run(args: &[String]) -> Result<String, String> {
             let query = positional.first().ok_or("replay needs a query argument")?;
             let text = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read trace `{path}`: {e}"))?;
-            cli::run_trace_text(schema, query, &text, &opts)
+            cli::run_trace_text(schema, query, &text, &run_options(&flags)?)
         }
         "serve" => {
             let registry = cli::serve_registry(
@@ -245,10 +255,10 @@ fn run(args: &[String]) -> Result<String, String> {
                     .cloned()
                     .ok_or("serve needs --addr <host:port>")?,
                 queries: positional.clone(),
-                checkpoint_every: opts.checkpoint_every,
+                checkpoint_every: get_int(&flags, "checkpoint-every")?,
                 store: flags.get("store").cloned(),
                 bundle_dir: flags.get("bundle-dir").cloned(),
-                net: net_options(&flags, &opts)?,
+                net: net_options(&flags)?,
             };
             let (_server, _addr, banner) = cli::start_server(registry, &serve_opts)?;
             print!("{banner}");
@@ -267,8 +277,8 @@ fn run(args: &[String]) -> Result<String, String> {
             };
             cli::send(
                 addr,
-                &stream_spec(&flags, &positional, &get_num)?,
-                &net_options(&flags, &opts)?,
+                &stream_spec(&flags, &positional)?,
+                &net_options(&flags)?,
                 drain,
             )
         }
@@ -278,7 +288,7 @@ fn run(args: &[String]) -> Result<String, String> {
                 flags.get("format").map(String::as_str).unwrap_or("prom"),
             )?;
             if flags.contains_key("watch") {
-                let interval = get_num(&flags, "interval", 2.0)?.max(0.1);
+                let interval = get_float(&flags, "interval", 2.0)?.max(0.1);
                 let curated = !flags.contains_key("format");
                 loop {
                     // the curated table always renders from the prom
@@ -300,107 +310,23 @@ fn run(args: &[String]) -> Result<String, String> {
             }
             cli::fetch_stats(addr, format)
         }
-        "netbench" => cli::run_netbench(
-            &stream_spec(&flags, &positional, &get_num)?,
-            &net_options(&flags, &opts)?,
-        ),
-        "bench" => {
-            let mut b = if flags.contains_key("ci") {
-                cli::BenchOptions::ci()
-            } else {
-                cli::BenchOptions::default()
-            };
-            b.events = get_num(&flags, "events", b.events as f64)? as usize;
-            b.ooo = get_num(&flags, "ooo", b.ooo)?;
-            b.max_delay = get_num(&flags, "delay", b.max_delay as f64)? as u64;
-            b.seed = get_num(&flags, "seed", b.seed as f64)? as u64;
-            b.k = get_num(&flags, "k", b.k as f64)? as u64;
-            b.batch = get_num(&flags, "batch", b.batch as f64)? as usize;
-            if let Some(list) = flags.get("shards") {
-                b.shard_counts = list
-                    .split(',')
-                    .map(|p| {
-                        p.trim().parse::<usize>().map_err(|_| {
-                            format!("--shards expects counts like `1,4`, got `{list}`")
-                        })
-                    })
-                    .collect::<Result<Vec<usize>, String>>()?;
-            }
-            if let Some(p) = flags.get("json") {
-                b.json_out = Some(p.clone());
-            }
-            if let Some(p) = flags.get("baseline") {
-                b.baseline = Some(p.clone());
-            }
-            b.refresh_baseline = flags.contains_key("refresh-baseline");
-            if b.refresh_baseline && b.baseline.is_none() {
-                b.baseline = Some("bench/baseline.json".to_owned());
-            }
-            b.min_speedup = flags
-                .get("min-speedup")
-                .map(|v| {
-                    v.parse::<f64>()
-                        .map_err(|_| "--min-speedup expects a factor".to_owned())
-                })
-                .transpose()?;
-            if let Some(list) = flags.get("queries") {
-                b.query_counts = list
-                    .split(',')
-                    .map(|p| {
-                        p.trim().parse::<usize>().map_err(|_| {
-                            format!("--queries expects counts like `1,64,1024`, got `{list}`")
-                        })
-                    })
-                    .collect::<Result<Vec<usize>, String>>()?;
-            }
-            b.min_multi_speedup = flags
-                .get("min-multi-speedup")
-                .map(|v| {
-                    v.parse::<f64>()
-                        .map_err(|_| "--min-multi-speedup expects a factor".to_owned())
-                })
-                .transpose()?;
-            if flags.contains_key("policy-axis") {
-                b.policy_axis = true;
-            }
-            if flags.contains_key("policy-gate") {
-                b.policy_gate = true;
-            }
-            cli::run_bench(&b)
-        }
+        "netbench" => cli::run_netbench(&stream_spec(&flags, &positional)?, &net_options(&flags)?),
         "sim" => {
             let mut s = if flags.contains_key("ci") {
                 cli::SimCliOptions::ci()
             } else {
                 cli::SimCliOptions::default()
             };
-            if let Some(list) = flags.get("seeds") {
-                s.opts.seeds = list
-                    .split(',')
-                    .map(|p| {
-                        p.trim().parse::<u64>().map_err(|_| {
-                            format!("--seeds expects numbers like `1,2,3`, got `{list}`")
-                        })
-                    })
-                    .collect::<Result<Vec<u64>, String>>()?;
+            if let Some(seeds) = get_list(&flags, "seeds")? {
+                s.opts.seeds = seeds;
             }
-            if let Some(seed) = flags.get("seed") {
-                s.opts.seeds = vec![seed
-                    .parse::<u64>()
-                    .map_err(|_| "--seed expects a number".to_owned())?];
+            if let Some(seed) = get_int(&flags, "seed")? {
+                s.opts.seeds = vec![seed];
             }
-            if let Some(n) = flags.get("cases") {
-                s.opts.cases_per_seed = n
-                    .parse::<u64>()
-                    .map_err(|_| "--cases expects a count".to_owned())?;
+            if let Some(n) = get_int(&flags, "cases")? {
+                s.opts.cases_per_seed = n;
             }
-            s.replay_case = flags
-                .get("case")
-                .map(|v| {
-                    v.parse::<u64>()
-                        .map_err(|_| "--case expects an index".to_owned())
-                })
-                .transpose()?;
+            s.replay_case = get_int(&flags, "case")?;
             if let Some(secs) = flags.get("time-budget") {
                 let secs = secs
                     .parse::<f64>()
@@ -412,15 +338,11 @@ fn run(args: &[String]) -> Result<String, String> {
                 Some("no") | Some("false") => s.opts.shrink = false,
                 Some(other) => return Err(format!("--shrink expects yes|no, got `{other}`")),
             }
-            if let Some(n) = flags.get("purge-skew") {
-                s.opts.purge_skew = n
-                    .parse::<u64>()
-                    .map_err(|_| "--purge-skew expects ticks".to_owned())?;
+            if let Some(n) = get_int(&flags, "purge-skew")? {
+                s.opts.purge_skew = n;
             }
-            if let Some(n) = flags.get("retraction-drop") {
-                s.opts.retraction_drop = n
-                    .parse::<u64>()
-                    .map_err(|_| "--retraction-drop expects a count".to_owned())?;
+            if let Some(n) = get_int(&flags, "retraction-drop")? {
+                s.opts.retraction_drop = n;
             }
             if let Some(name) = flags.get("policy") {
                 s.opts.policy = match name.as_str() {
@@ -429,18 +351,8 @@ fn run(args: &[String]) -> Result<String, String> {
                 };
             }
             s.opts.no_loopback = flags.contains_key("no-loopback");
-            if let Some(list) = flags.get("shards") {
-                s.opts.shard_counts = list
-                    .split(',')
-                    .map(|p| {
-                        p.trim().parse::<usize>().map_err(|_| {
-                            format!("--shards expects counts like `2,7`, got `{list}`")
-                        })
-                    })
-                    .collect::<Result<Vec<usize>, String>>()?;
-                if s.opts.shard_counts.is_empty() {
-                    return Err("--shards expects at least one count".to_owned());
-                }
+            if let Some(counts) = get_list(&flags, "shards")? {
+                s.opts.shard_counts = counts;
             }
             s.multi = flags.contains_key("multi");
             if let Some(p) = flags.get("json") {
@@ -458,13 +370,7 @@ fn run(args: &[String]) -> Result<String, String> {
             let t = cli::TraceOptions {
                 bundle: flags.get("bundle").cloned(),
                 addr: flags.get("addr").cloned(),
-                query: flags
-                    .get("query")
-                    .map(|v| {
-                        v.parse::<u64>()
-                            .map_err(|_| "--query expects a query id".to_owned())
-                    })
-                    .transpose()?,
+                query: get_int(&flags, "query")?,
                 pid: flags.get("pid").map(|v| cli::parse_pid(v)).transpose()?,
                 json: match flags.get("format").map(String::as_str) {
                     None | Some("text") => false,
@@ -481,26 +387,45 @@ fn run(args: &[String]) -> Result<String, String> {
     }
 }
 
-type Flags = std::collections::HashMap<String, String>;
-
-fn net_options(flags: &Flags, opts: &cli::RunOptions) -> Result<cli::NetOptions, String> {
-    Ok(cli::NetOptions {
-        k: opts.k,
-        strategy: opts.strategy,
+/// The evaluation flags `run`, `replay` and the networked subcommands
+/// share. Built only by the arms that use them: `sim` reads `--policy` and
+/// `--shards` itself, with values (`mixed`, `2,7`) these parsers reject.
+fn run_options(flags: &Flags) -> Result<cli::RunOptions, String> {
+    Ok(cli::RunOptions {
+        strategy: cli::parse_strategy(
+            flags
+                .get("strategy")
+                .map(String::as_str)
+                .unwrap_or("native"),
+        )?,
+        k: get_int(flags, "k")?.unwrap_or(100),
+        adaptive: flags
+            .get("adaptive")
+            .map(|v| {
+                v.parse::<f64>()
+                    .map_err(|_| "--adaptive expects a factor".to_owned())
+            })
+            .transpose()?,
+        punctuate_every: get_int(flags, "punctuate")?,
+        checkpoint_every: get_int(flags, "checkpoint-every")?,
+        resume_from: flags.get("resume-from").cloned(),
         policy: cli::parse_policy(
             flags
                 .get("policy")
                 .map(String::as_str)
                 .unwrap_or("conservative"),
         )?,
-        batch: flags
-            .get("batch")
-            .map(|v| {
-                v.parse::<usize>()
-                    .map_err(|_| "--batch expects a count".to_owned())
-            })
-            .transpose()?
-            .unwrap_or(64),
+        shards: get_int(flags, "shards")?.unwrap_or(1).max(1),
+    })
+}
+
+fn net_options(flags: &Flags) -> Result<cli::NetOptions, String> {
+    let opts = run_options(flags)?;
+    Ok(cli::NetOptions {
+        k: opts.k,
+        strategy: opts.strategy,
+        policy: opts.policy,
+        batch: get_int(flags, "batch")?.unwrap_or(64),
         punctuate_every: opts.punctuate_every,
         shards: opts.shards,
         obs: match flags.get("obs").map(String::as_str) {
@@ -511,20 +436,82 @@ fn net_options(flags: &Flags, opts: &cli::RunOptions) -> Result<cli::NetOptions,
     })
 }
 
-fn stream_spec(
-    flags: &Flags,
-    positional: &[String],
-    get_num: &impl Fn(&Flags, &str, f64) -> Result<f64, String>,
-) -> Result<cli::StreamSpec, String> {
+fn stream_spec(flags: &Flags, positional: &[String]) -> Result<cli::StreamSpec, String> {
     Ok(cli::StreamSpec {
         workload: flags
             .get("workload")
             .cloned()
             .unwrap_or_else(|| "synthetic".to_owned()),
         query: positional.first().cloned().unwrap_or_default(),
-        events: get_num(flags, "events", 10_000.0)? as usize,
-        ooo: get_num(flags, "ooo", 0.2)?,
-        max_delay: get_num(flags, "delay", 100.0)? as u64,
-        seed: get_num(flags, "seed", 42.0)? as u64,
+        events: get_int(flags, "events")?.unwrap_or(10_000),
+        ooo: get_float(flags, "ooo", 0.2)?,
+        max_delay: get_int(flags, "delay")?.unwrap_or(100),
+        seed: get_int(flags, "seed")?.unwrap_or(42),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::run;
+
+    fn sequin(args: &[&str]) -> Result<String, String> {
+        run(&args.iter().map(|a| (*a).to_owned()).collect::<Vec<_>>())
+    }
+
+    const SMALL_RUN: [&str; 5] = ["run", "--workload", "synthetic", "--events", "300"];
+
+    #[test]
+    fn misspelt_flags_are_rejected_by_name() {
+        assert!(sequin(&SMALL_RUN).is_ok());
+        let err = sequin(&[&SMALL_RUN[..], &["--shard", "4"]].concat()).unwrap_err();
+        assert_eq!(err, "unknown flag --shard");
+        let err = sequin(&["netbench", "--events", "300", "--polcy", "lazy"]).unwrap_err();
+        assert_eq!(err, "unknown flag --polcy");
+        // the deleted benchmark took its flags and its subcommand with it
+        let err = sequin(&[&SMALL_RUN[..], &["--refresh-baseline"]].concat()).unwrap_err();
+        assert_eq!(err, "unknown flag --refresh-baseline");
+        let err = sequin(&["bench", "--ci"]).unwrap_err();
+        assert_eq!(err, "unknown subcommand `bench`");
+        // boolean flags still take no value, valued flags still need one
+        assert!(sequin(&["sim", "--cases", "1", "--no-loopback"]).is_ok());
+        // sim's own readings of --policy and --shards are not pre-empted
+        // by the run/serve parsers
+        let mixed = [
+            "sim", "--cases", "1", "--policy", "mixed", "--shards", "2,3",
+        ];
+        assert!(sequin(&mixed).is_ok());
+        let err = sequin(&["run", "--workload"]).unwrap_err();
+        assert_eq!(err, "flag --workload needs a value");
+    }
+
+    #[test]
+    fn integer_flags_reject_negatives_and_fractions_and_keep_every_bit() {
+        for (flag, bad) in [
+            ("--events", "-5"),
+            ("--events", "1e3"),
+            ("--delay", "2.5"),
+            ("--seed", "-1"),
+            ("--k", "1.0"),
+            ("--shards", "-2"),
+            ("--punctuate", "0.5"),
+            ("--checkpoint-every", "-1"),
+        ] {
+            let err = sequin(&[&SMALL_RUN[..], &[flag, bad]].concat()).unwrap_err();
+            assert!(
+                err.starts_with(&format!("{flag} expects a non-negative integer")),
+                "{flag} {bad}: {err}"
+            );
+        }
+        let err = sequin(&["netbench", "--events", "300", "--batch", "-8"]).unwrap_err();
+        assert!(err.starts_with("--batch expects"), "{err}");
+
+        // through f64, 2^53 and 2^53 + 1 were the same seed
+        let stream = |seed: &str| {
+            let out = sequin(&[&SMALL_RUN[..], &["--seed", seed]].concat()).unwrap();
+            out.lines()
+                .find(|l| l.starts_with("stream"))
+                .map(str::to_owned)
+        };
+        assert_ne!(stream("9007199254740992"), stream("9007199254740993"));
+    }
 }

@@ -1,0 +1,304 @@
+//! Logic behind the `sequin` command-line tool (kept in the library so it
+//! is unit-testable; `src/bin/sequin.rs` is a thin wrapper). One file per
+//! subcommand family — `run` (`run`, `replay`), `net` (`serve`, `send`,
+//! `netbench`, `stats`), `trace`, `sim` — with the schema DSL, `explain`
+//! and the name parsers they share kept here.
+
+mod net;
+mod run;
+mod sim;
+mod trace;
+
+pub use net::{
+    fetch_stats, parse_metrics_format, run_netbench, send, serve_registry, start_server,
+    watch_table, NetOptions, ServeOptions, StreamSpec,
+};
+pub use run::{build_workload, run_trace_text, run_workload, RunOptions};
+pub use sim::{run_sim, SimCliOptions};
+pub use trace::{parse_pid, render_bundle, run_trace, TraceOptions};
+
+use sequin_engine::{DisorderPolicy, Strategy};
+use sequin_query::parse;
+use sequin_types::{TypeRegistry, ValueKind};
+
+/// Parses the schema DSL: whitespace-separated type declarations
+/// `Name(field:kind, ...)`, kinds `int|float|str|bool`, e.g.
+///
+/// ```text
+/// SHIPPED(tag:int,location:int) SCANNED(tag:int) PING()
+/// ```
+///
+/// # Errors
+///
+/// Returns a human-readable message for malformed declarations, unknown
+/// kinds, or duplicate names.
+pub fn parse_schema(text: &str) -> Result<TypeRegistry, String> {
+    let mut registry = TypeRegistry::new();
+    let mut rest = text.trim();
+    while !rest.is_empty() {
+        let open = rest
+            .find('(')
+            .ok_or_else(|| format!("expected `(` after type name in `{rest}`"))?;
+        let name = rest[..open].trim();
+        if name.is_empty() || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
+            return Err(format!("invalid type name `{name}`"));
+        }
+        let close = rest[open..]
+            .find(')')
+            .map(|ix| open + ix)
+            .ok_or_else(|| format!("missing `)` for type `{name}`"))?;
+        let body = rest[open + 1..close].trim();
+        let mut fields: Vec<(&str, ValueKind)> = Vec::new();
+        if !body.is_empty() {
+            for part in body.split(',') {
+                let (fname, fkind) = part
+                    .split_once(':')
+                    .ok_or_else(|| format!("expected `field:kind` in `{part}` of `{name}`"))?;
+                let kind = match fkind.trim() {
+                    "int" => ValueKind::Int,
+                    "float" => ValueKind::Float,
+                    "str" => ValueKind::Str,
+                    "bool" => ValueKind::Bool,
+                    other => return Err(format!("unknown kind `{other}` in `{name}`")),
+                };
+                fields.push((fname.trim(), kind));
+            }
+        }
+        registry.declare(name, &fields).map_err(|e| e.to_string())?;
+        rest = rest[close + 1..].trim_start();
+    }
+    if registry.is_empty() {
+        return Err("schema declared no types".into());
+    }
+    Ok(registry)
+}
+
+/// `sequin explain`: parses a query against a schema and describes the
+/// resolved plan.
+///
+/// # Errors
+///
+/// Returns schema or query compilation errors as display strings.
+pub fn explain(schema: &str, query_text: &str) -> Result<String, String> {
+    let registry = parse_schema(schema)?;
+    let query = parse(query_text, &registry).map_err(|e| e.to_string())?;
+    let mut out = String::new();
+    let pattern: Vec<String> = query
+        .components()
+        .iter()
+        .map(|c| {
+            let types: Vec<String> = c
+                .types
+                .iter()
+                .map(|&t| registry.schema(t).name().to_owned())
+                .collect();
+            format!(
+                "{}{} {}",
+                if c.negated { "!" } else { "" },
+                types.join("|"),
+                c.var
+            )
+        })
+        .collect();
+    out.push_str(&format!("pattern      : SEQ({})\n", pattern.join(", ")));
+    out.push_str(&format!("positives    : {}\n", query.positive_len()));
+    for p in 0..query.positive_len() {
+        let comp = &query.components()[query.positive_comp(p)];
+        let types: Vec<String> = comp
+            .types
+            .iter()
+            .map(|&t| registry.schema(t).name().to_owned())
+            .collect();
+        out.push_str(&format!(
+            "  slot {p}     : {} {} ({} insertion-time predicate(s))\n",
+            types.join("|"),
+            comp.var,
+            query.local_predicates(p).len()
+        ));
+    }
+    for neg in query.negations() {
+        let types: Vec<String> = neg
+            .types
+            .iter()
+            .map(|&t| registry.schema(t).name().to_owned())
+            .collect();
+        let place = match (neg.left, neg.right) {
+            (None, Some(_)) => "leading".to_owned(),
+            (Some(_), None) => "trailing (sealed emission required)".to_owned(),
+            (Some(l), Some(r)) => format!("between slots {l} and {r}"),
+            (None, None) => unreachable!("analysis guarantees a flank"),
+        };
+        out.push_str(&format!(
+            "negation     : !{} ({place}, {} predicate(s))\n",
+            types.join("|"),
+            neg.predicates.len()
+        ));
+    }
+    out.push_str(&format!("window       : {}\n", query.window()));
+    out.push_str(&format!(
+        "predicates   : {} total, {} cross-component\n",
+        query.predicates().len(),
+        query.join_predicates().len()
+    ));
+    match query.partition() {
+        Some(_) => out.push_str("partitioning : available (equality chain covers all slots)\n"),
+        None => out.push_str("partitioning : not available\n"),
+    }
+    out.push_str(&format!(
+        "projection   : {}\n",
+        if query.projections().is_empty() {
+            "event ids (default)"
+        } else {
+            "RETURN clause"
+        }
+    ));
+    Ok(out)
+}
+
+/// Parses a disorder-policy name: `conservative`, `speculative`
+/// (`aggressive` is accepted as a legacy alias), `lazy`, or
+/// `adaptive[:ACCURACY]` with accuracy in `0..=100` (default 90).
+///
+/// # Errors
+///
+/// Lists the accepted names when `name` matches none.
+pub fn parse_policy(name: &str) -> Result<DisorderPolicy, String> {
+    if let Some(rest) = name.strip_prefix("adaptive") {
+        let accuracy = match rest.strip_prefix(':') {
+            Some(n) => n
+                .parse::<u8>()
+                .ok()
+                .filter(|&a| a <= 100)
+                .ok_or_else(|| format!("adaptive accuracy must be 0..=100, got `{n}`"))?,
+            None if rest.is_empty() => 90,
+            None => {
+                return Err(format!(
+                    "unknown disorder policy `{name}` (try `adaptive` or `adaptive:90`)"
+                ))
+            }
+        };
+        return Ok(DisorderPolicy::AdaptiveSlack { accuracy });
+    }
+    match name {
+        "conservative" => Ok(DisorderPolicy::Conservative),
+        "speculative" | "aggressive" => Ok(DisorderPolicy::Speculative),
+        "lazy" => Ok(DisorderPolicy::Lazy),
+        other => Err(format!(
+            "unknown disorder policy `{other}` \
+             (conservative|speculative|lazy|adaptive[:N])"
+        )),
+    }
+}
+
+fn policy_name(policy: DisorderPolicy) -> String {
+    match policy {
+        DisorderPolicy::Conservative => "conservative".to_owned(),
+        DisorderPolicy::Speculative => "speculative".to_owned(),
+        DisorderPolicy::Lazy => "lazy".to_owned(),
+        DisorderPolicy::AdaptiveSlack { accuracy } => format!("adaptive:{accuracy}"),
+    }
+}
+
+/// Parses a strategy name.
+///
+/// # Errors
+///
+/// Lists the accepted names when `name` matches none.
+pub fn parse_strategy(name: &str) -> Result<Strategy, String> {
+    match name {
+        "native" | "native-ooo" => Ok(Strategy::Native),
+        "buffered" | "k-slack" | "k-slack-buffer" => Ok(Strategy::Buffered),
+        "inorder" | "in-order" => Ok(Strategy::InOrder),
+        other => Err(format!(
+            "unknown strategy `{other}` (native|buffered|inorder)"
+        )),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn schema_dsl_parses_all_kinds() {
+        let reg = parse_schema("A(x:int, s:str) B(f:float,ok:bool) PING()").unwrap();
+        assert_eq!(reg.len(), 3);
+        let a = reg.lookup("A").unwrap();
+        assert_eq!(reg.schema(a).field("s").unwrap().1, ValueKind::Str);
+        let ping = reg.lookup("PING").unwrap();
+        assert_eq!(reg.schema(ping).arity(), 0);
+    }
+
+    #[test]
+    fn schema_dsl_rejects_garbage() {
+        assert!(parse_schema("").is_err());
+        assert!(parse_schema("A").is_err());
+        assert!(parse_schema("A(x)").is_err());
+        assert!(parse_schema("A(x:void)").is_err());
+        assert!(parse_schema("A(x:int").is_err());
+        assert!(parse_schema("A(x:int) A(y:int)").is_err());
+        assert!(parse_schema("A-B(x:int)").is_err());
+    }
+
+    #[test]
+    fn explain_describes_the_plan() {
+        let out = explain(
+            "SHIPPED(tag:int) SCANNED(tag:int) RECEIVED(tag:int)",
+            "PATTERN SEQ(SHIPPED s, !SCANNED c, RECEIVED r) \
+             WHERE s.tag == r.tag AND c.tag == s.tag WITHIN 100",
+        )
+        .unwrap();
+        assert!(out.contains("positives    : 2"));
+        assert!(out.contains("negation"));
+        assert!(out.contains("partitioning : available"));
+    }
+
+    #[test]
+    fn explain_reports_query_errors() {
+        let err = explain("A(x:int)", "PATTERN SEQ(B b) WITHIN 5").unwrap_err();
+        assert!(err.contains("unknown event type"));
+    }
+
+    #[test]
+    fn strategy_names() {
+        assert_eq!(parse_strategy("native").unwrap(), Strategy::Native);
+        assert_eq!(parse_strategy("k-slack").unwrap(), Strategy::Buffered);
+        assert_eq!(parse_strategy("in-order").unwrap(), Strategy::InOrder);
+        assert!(parse_strategy("quantum").is_err());
+    }
+
+    #[test]
+    fn policy_names() {
+        assert_eq!(
+            parse_policy("conservative").unwrap(),
+            DisorderPolicy::Conservative
+        );
+        assert_eq!(
+            parse_policy("speculative").unwrap(),
+            DisorderPolicy::Speculative
+        );
+        // legacy alias kept for existing scripts and CI configs
+        assert_eq!(
+            parse_policy("aggressive").unwrap(),
+            DisorderPolicy::Speculative
+        );
+        assert_eq!(parse_policy("lazy").unwrap(), DisorderPolicy::Lazy);
+        assert_eq!(
+            parse_policy("adaptive").unwrap(),
+            DisorderPolicy::AdaptiveSlack { accuracy: 90 }
+        );
+        assert_eq!(
+            parse_policy("adaptive:50").unwrap(),
+            DisorderPolicy::AdaptiveSlack { accuracy: 50 }
+        );
+        assert!(parse_policy("adaptive:101").is_err());
+        assert!(parse_policy("adaptive:x").is_err());
+        assert!(parse_policy("eager").is_err());
+
+        assert_eq!(policy_name(DisorderPolicy::Conservative), "conservative");
+        assert_eq!(
+            policy_name(DisorderPolicy::AdaptiveSlack { accuracy: 75 }),
+            "adaptive:75"
+        );
+    }
+}

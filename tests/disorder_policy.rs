@@ -12,7 +12,11 @@
 //! 3. **Exactly-once across a policy change** — resuming a checkpoint
 //!    under a *different* disorder policy still delivers the oracle match
 //!    set exactly once, including retracting speculative matches the
-//!    pre-crash process emitted unsealed.
+//!    pre-crash process emitted unsealed;
+//! 4. **The latency-vs-quality axis** — on a disordered stream the
+//!    speculative policy detects a negation match strictly earlier (in
+//!    event-time ticks) than the conservative one, pays for it in
+//!    retractions, and settles on the same matches.
 
 mod common;
 
@@ -25,6 +29,7 @@ use sequin::engine::{
     OutputKind, Strategy,
 };
 use sequin::netsim::{delay_shuffle, measure_disorder, Crash};
+use sequin::server::{CoreConfig, EngineCore};
 use sequin::types::{Duration, StreamItem};
 use sequin::workload::{Synthetic, SyntheticConfig};
 
@@ -210,4 +215,79 @@ fn policy_change_across_checkpoint_resume_stays_exactly_once() {
             );
         }
     }
+}
+
+/// Every output of one negation query (sealing the negated interval is
+/// where conservative deferral costs latency and speculation risks
+/// retractions) over a fixed-seed synthetic stream, through the server's
+/// evaluation core under `policy`, K = 100.
+fn policy_axis_outputs(ooo: f64, policy: DisorderPolicy) -> Vec<OutputItem> {
+    let w = Synthetic::new(SyntheticConfig::default());
+    let stream = delay_shuffle(&w.generate(4_000, 42), ooo, 100, 42);
+    let mut engine = EngineConfig::with_k(Duration::new(100));
+    engine.policy = policy;
+    let mut core = EngineCore::new(CoreConfig::new(
+        Arc::clone(w.registry()),
+        Strategy::Native,
+        engine,
+    ));
+    core.subscribe("PATTERN SEQ(T0 a, !T1 b, T2 c) WITHIN 100")
+        .unwrap();
+    let mut out = Vec::new();
+    for chunk in stream.chunks(64) {
+        out.extend(core.ingest_batch(chunk).into_iter().map(|(_, o)| o));
+    }
+    out.extend(core.finish().into_iter().map(|(_, o)| o));
+    out
+}
+
+/// Median detection latency of the inserts, in event-time ticks
+/// (`emit_clock - last constituent ts`): logical, so exact for a seed.
+fn p50_detection_ticks(outputs: &[OutputItem]) -> u64 {
+    let ticks: Vec<u64> = outputs
+        .iter()
+        .filter(|o| o.kind == OutputKind::Insert)
+        .map(OutputItem::event_time_latency)
+        .collect();
+    empirical_quantile(&ticks, 0.5)
+}
+
+#[test]
+fn speculation_buys_detection_latency_with_retractions() {
+    let conservative = policy_axis_outputs(0.3, DisorderPolicy::Conservative);
+    let speculative = policy_axis_outputs(0.3, DisorderPolicy::Speculative);
+    assert!(!net_keys(&conservative).is_empty());
+    assert_eq!(
+        net_keys(&speculative),
+        net_keys(&conservative),
+        "speculation must settle on the conservative match set"
+    );
+    let (slow, fast) = (
+        p50_detection_ticks(&conservative),
+        p50_detection_ticks(&speculative),
+    );
+    assert!(
+        fast < slow,
+        "speculative p50 {fast} ticks must beat conservative p50 {slow} at 30% disorder"
+    );
+    let inserts = speculative
+        .iter()
+        .filter(|o| o.kind == OutputKind::Insert)
+        .count();
+    let retracts = speculative.len() - inserts;
+    assert!(
+        0 < retracts && retracts < inserts,
+        "retraction rate must lie strictly inside (0, 1): {retracts} of {inserts}"
+    );
+    assert!(conservative.iter().all(|o| o.kind == OutputKind::Insert));
+
+    // in order, speculation is free: every match is detected the tick it
+    // completes and nothing is taken back, while the conservative policy
+    // still waits out K before it may seal the negated interval
+    let calm = policy_axis_outputs(0.0, DisorderPolicy::Speculative);
+    assert!(calm.iter().all(|o| o.kind == OutputKind::Insert));
+    assert_eq!(p50_detection_ticks(&calm), 0);
+    let calm_conservative = policy_axis_outputs(0.0, DisorderPolicy::Conservative);
+    assert_eq!(net_keys(&calm), net_keys(&calm_conservative));
+    assert!(p50_detection_ticks(&calm_conservative) >= 100);
 }

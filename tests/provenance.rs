@@ -134,7 +134,7 @@ fn workload(n: usize, seed: u64) -> (Arc<TypeRegistry>, Vec<StreamItem>) {
     (synth.registry().clone(), stream)
 }
 
-fn lineage_at(shards: usize, shared_plan: bool) -> (String, String) {
+fn lineage_at(shards: usize) -> (String, String) {
     let (reg, stream) = workload(600, 11);
     let mut cfg = CoreConfig::new(
         reg,
@@ -142,7 +142,6 @@ fn lineage_at(shards: usize, shared_plan: bool) -> (String, String) {
         EngineConfig::with_k(Duration::new(40)),
     );
     cfg.shards = shards;
-    cfg.shared_plan = shared_plan;
     cfg.obs = ObsConfig {
         trace_capacity: 16 * 1024,
         ..ObsConfig::default()
@@ -162,23 +161,18 @@ fn lineage_at(shards: usize, shared_plan: bool) -> (String, String) {
 }
 
 /// The acceptance property: rendered lineage is byte-identical across
-/// shard counts {1, 2, 7} and across the shared-plan vs independent
-/// backends — causal provenance is a property of the *output*, not of
-/// the evaluation topology.
+/// shard counts {1, 2, 7} — the shared-plan backend at one shard, the
+/// hybrid backend (PART on a routed pool, NEG on the shared plan) above —
+/// so causal provenance is a property of the *output*, not of the
+/// evaluation topology.
 #[test]
 fn lineage_is_byte_identical_across_shards_and_backends() {
-    let (text1, json1) = lineage_at(1, false);
+    let (text1, json1) = lineage_at(1);
     assert!(text1.contains("pid="), "no outputs traced:\n{text1}");
-    for (shards, shared) in [(2, false), (7, false), (1, true), (2, true), (7, true)] {
-        let (text, json) = lineage_at(shards, shared);
-        assert_eq!(
-            text1, text,
-            "lineage diverged at shards={shards} shared_plan={shared}"
-        );
-        assert_eq!(
-            json1, json,
-            "json lineage diverged at shards={shards} shared_plan={shared}"
-        );
+    for shards in [2, 7] {
+        let (text, json) = lineage_at(shards);
+        assert_eq!(text1, text, "lineage diverged at shards={shards}");
+        assert_eq!(json1, json, "json lineage diverged at shards={shards}");
     }
 }
 
