@@ -16,6 +16,16 @@
 //!   watermark-safe purging. Emits each (negation-free) match the moment
 //!   its last constituent arrives, at bounded state.
 //!
+//! Many queries run as a [`MultiEngine`] of such engines or, natively,
+//! through the [`SharedMultiEngine`] plan, which pools stacks and prefix
+//! walks across queries. The native engine (alone, or as a worker of a
+//! [`ShardedEngine`] pool) and the plan are one algorithm: both walk
+//! stacks with `sequin_runtime::Constructor`, hand every match to the
+//! `settle` module — the one place that decides when a match is emitted,
+//! held, retracted or dropped under a [`DisorderPolicy`] — and write the
+//! same per-query checkpoint blob. They differ only in stack layout (a
+//! per-key map vs pooled stacks behind a key filter) and ingest loop.
+//!
 //! All strategies implement the [`Engine`] trait and emit
 //! [`OutputItem`]s; emission timing and the slack bound are governed by
 //! the per-query [`DisorderPolicy`] (conservative sealed emission,
@@ -53,6 +63,7 @@ mod inorder;
 mod multi;
 mod native;
 mod output;
+mod settle;
 mod sharded;
 mod shared;
 mod traits;

@@ -1,78 +1,34 @@
 //! Strategy 3: the paper's native out-of-order engine.
+//!
+//! [`NativeEngine`] keeps one set of AIS stacks per partition key and
+//! drives the pieces it shares with [`crate::SharedMultiEngine`]:
+//! [`sequin_runtime::Constructor`] enumerates the matches an arrival
+//! completes, [`crate::settle`] decides when each one is emitted, and
+//! [`QueryBlob`] is the checkpoint layout both evaluators write. What is
+//! specific to this file is the stack layout (a per-key map rather than
+//! pooled stacks behind a key filter) and the ingest loop, including the
+//! lockstep discipline of a [`crate::ShardedEngine`] worker.
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use sequin_query::{PartitionScheme, Query};
-use sequin_runtime::{
-    purge, regions, seal_deadline, AisStack, Constructor, Match, NegationIndex, PartitionKey,
-    PartitionMap, RuntimeStats,
-};
+use sequin_runtime::{purge, AisStack, Constructor, PartitionKey, PartitionMap, RuntimeStats};
 use sequin_types::codec::{fnv1a64, open_envelope, seal_envelope};
 use sequin_types::{
-    ArrivalSeq, CodecError, Decode, Encode, EventId, EventRef, Reader, StreamItem, Timestamp,
-    Writer,
+    ArrivalSeq, CodecError, Decode, Encode, EventRef, Reader, StreamItem, Timestamp, Writer,
 };
 
-use crate::config::{DisorderPolicy, EngineConfig};
-use crate::output::{OutputItem, OutputKind};
+use crate::config::EngineConfig;
+use crate::output::OutputItem;
+use crate::settle::{PhasedOutput, Settle, Stamp};
 use crate::traits::Engine;
 use crate::watermark::WatermarkTracker;
 
-/// A constructed match waiting for its negation regions to seal
-/// (conservative emission).
-#[derive(Debug, Clone)]
-pub(crate) struct Pending {
-    pub(crate) deadline: Timestamp,
-    pub(crate) events: Vec<EventRef>,
-}
-
-impl PartialEq for Pending {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for Pending {}
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Pending {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.deadline.cmp(&other.deadline).then_with(|| {
-            let a = self.events.iter().map(|e| e.id());
-            let b = other.events.iter().map(|e| e.id());
-            a.cmp(b)
-        })
-    }
-}
-
-/// A match already emitted whose negation regions were not yet sealed
-/// (speculative emission): a late negative may still retract it.
-#[derive(Debug, Clone)]
-pub(crate) struct EmittedUnsealed {
-    pub(crate) deadline: Timestamp,
-    pub(crate) events: Vec<EventRef>,
-}
-
 /// Per-partition positive state: one [`AisStack`] per positive slot.
-#[derive(Debug, Clone)]
-struct Shard {
-    stacks: Vec<AisStack>,
-}
+type Shard = Vec<AisStack>;
 
-impl Shard {
-    fn new(m: usize) -> Shard {
-        Shard {
-            stacks: vec![AisStack::new(); m],
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.stacks.iter().map(AisStack::len).sum()
-    }
+fn held(shard: &Shard) -> usize {
+    shard.iter().map(AisStack::len).sum()
 }
 
 #[derive(Debug)]
@@ -120,26 +76,6 @@ pub(crate) fn key_hash(key: &PartitionKey) -> u64 {
     fnv1a64(&w.into_bytes())
 }
 
-/// One arrival's outputs, separated by emission phase so a deterministic
-/// cross-shard merge can reproduce the single-threaded order exactly:
-/// retractions first, then construction-time emissions (by slot), then
-/// seal-time emissions (by deadline, then match identity).
-#[derive(Debug, Default)]
-pub(crate) struct PhasedOutput {
-    /// Speculative-mode retractions, keyed by the match's seal deadline.
-    pub(crate) retracts: Vec<(Timestamp, OutputItem)>,
-    /// Construction-time emissions, keyed by the arrival's positive slot.
-    pub(crate) constructed: Vec<(usize, OutputItem)>,
-    /// Seal-time emissions, keyed by the match's seal deadline.
-    pub(crate) sealed: Vec<(Timestamp, OutputItem)>,
-}
-
-fn match_order(a: &OutputItem, b: &OutputItem) -> Ordering {
-    let ka = a.m.events().iter().map(|e| e.id());
-    let kb = b.m.events().iter().map(|e| e.id());
-    ka.cmp(kb)
-}
-
 /// One pre-routed ingest message, as delivered to a sliced worker by the
 /// routing [`crate::ShardedEngine`]: the full event when this worker owns
 /// one of its slots (or the event is a negation flank, broadcast to every
@@ -167,38 +103,134 @@ pub(crate) enum RoutedMsg {
     Punctuation(Timestamp),
 }
 
-impl PhasedOutput {
-    pub(crate) fn len(&self) -> usize {
-        self.retracts.len() + self.constructed.len() + self.sealed.len()
+/// How a checkpoint blob lays out one query's positive stacks: one set
+/// per slot (tag `0`), or one such set per partition key, in key order
+/// (tag `1`).
+pub(crate) enum StackLayout<K, S> {
+    Single(S),
+    Keyed(Vec<(K, S)>),
+}
+
+/// One logical query's checkpoint state. Every evaluator writes this
+/// layout — fingerprint, watermark, arrival sequence, counters, stacks,
+/// settle tail — whatever its physical one, so a checkpoint restores
+/// into a lone engine, a pool of any worker count, or the shared plan.
+pub(crate) struct QueryBlob {
+    pub(crate) wm: WatermarkTracker,
+    pub(crate) seq: ArrivalSeq,
+    pub(crate) stats: RuntimeStats,
+    pub(crate) stacks: StackLayout<PartitionKey, Vec<AisStack>>,
+    pub(crate) settle: Settle,
+}
+
+/// A fingerprint of the query and the semantics-relevant configuration,
+/// embedded in blobs so state is never restored into an engine evaluating
+/// a different query (or the same query under incompatible settings). The
+/// disorder policy is deliberately *not* part of it: blobs are
+/// policy-portable, so a subscription can change policy across a
+/// checkpoint resume (the carried pending/unsealed records drain
+/// correctly under any policy).
+fn fingerprint(query: &Query, config: &EngineConfig) -> u64 {
+    let desc = format!("{}|{:?}|{}", query, config.watermark, config.partitioned);
+    fnv1a64(desc.as_bytes())
+}
+
+impl QueryBlob {
+    /// Seals one query's state. `settles` are the parts its settle state
+    /// is spread over (see [`Settle::encode`]); keyed stacks are written
+    /// in key order, so identical state always yields identical bytes.
+    pub(crate) fn encode(
+        query: &Query,
+        config: &EngineConfig,
+        wm: &WatermarkTracker,
+        seq: ArrivalSeq,
+        stats: &RuntimeStats,
+        stacks: StackLayout<&PartitionKey, &[AisStack]>,
+        settles: &[&Settle],
+    ) -> Vec<u8> {
+        let slot_stacks = |stacks: &[AisStack], w: &mut Writer| {
+            w.put_u64(stacks.len() as u64);
+            stacks.iter().for_each(|s| s.encode(w));
+        };
+        let mut w = Writer::new();
+        w.put_u64(fingerprint(query, config));
+        wm.snapshot_into(&mut w);
+        seq.encode(&mut w);
+        stats.encode(&mut w);
+        match stacks {
+            StackLayout::Single(stacks) => {
+                w.put_u8(0);
+                slot_stacks(stacks, &mut w);
+            }
+            StackLayout::Keyed(mut entries) => {
+                w.put_u8(1);
+                entries.sort_by(|a, b| a.0.cmp(b.0));
+                w.put_u64(entries.len() as u64);
+                for (key, stacks) in entries {
+                    key.encode(&mut w);
+                    slot_stacks(stacks, &mut w);
+                }
+            }
+        }
+        Settle::encode(settles, &mut w);
+        seal_envelope(&w.into_bytes())
     }
 
-    /// Merges per-shard phases for one arrival into the canonical output
-    /// order and appends to `out`; returns how many items were buffered
-    /// (the merge-buffer size for this arrival).
-    ///
-    /// Within a phase the order is fully determined by data, not by shard
-    /// count: retractions and sealed emissions sort by (deadline, event
-    /// ids) — exactly the order the single-threaded engine's seal heap
-    /// pops them — and construction-time emissions sort by slot, where
-    /// each slot's matches come from exactly one shard (the one owning
-    /// the arriving event's key for that slot) in DFS order.
-    pub(crate) fn merge_into(phases: Vec<PhasedOutput>, out: &mut Vec<OutputItem>) -> usize {
-        let buffered: usize = phases.iter().map(PhasedOutput::len).sum();
-        let mut retracts = Vec::new();
-        let mut constructed = Vec::new();
-        let mut sealed = Vec::new();
-        for mut p in phases {
-            retracts.append(&mut p.retracts);
-            constructed.append(&mut p.constructed);
-            sealed.append(&mut p.sealed);
+    /// Opens a blob written by [`QueryBlob::encode`] for `query` under
+    /// `config`; `settle` supplies the query's policy (see
+    /// [`Settle::decode`]). Fails without side effects.
+    pub(crate) fn decode(
+        query: &Query,
+        config: &EngineConfig,
+        settle: &Settle,
+        bytes: &[u8],
+    ) -> Result<QueryBlob, CodecError> {
+        let mut r = Reader::new(open_envelope(bytes)?);
+        if r.get_u64()? != fingerprint(query, config) {
+            return Err(CodecError::SnapshotMismatch(
+                "query/configuration fingerprint",
+            ));
         }
-        retracts.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| match_order(&a.1, &b.1)));
-        constructed.sort_by_key(|(slot, _)| *slot);
-        sealed.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| match_order(&a.1, &b.1)));
-        out.extend(retracts.into_iter().map(|(_, o)| o));
-        out.extend(constructed.into_iter().map(|(_, o)| o));
-        out.extend(sealed.into_iter().map(|(_, o)| o));
-        buffered
+        let wm = WatermarkTracker::restore_from(config, &mut r)?;
+        let seq = ArrivalSeq::decode(&mut r)?;
+        let stats = RuntimeStats::decode(&mut r)?;
+        let slot_stacks = |r: &mut Reader<'_>| {
+            let stacks = Vec::<AisStack>::decode(r)?;
+            if stacks.len() != query.positive_len() {
+                return Err(CodecError::SnapshotMismatch("positive slot count"));
+            }
+            Ok(stacks)
+        };
+        let stacks = match r.get_u8()? {
+            0 => StackLayout::Single(slot_stacks(&mut r)?),
+            1 => {
+                if !(config.partitioned && query.partition().is_some()) {
+                    return Err(CodecError::SnapshotMismatch("partitioning scheme"));
+                }
+                let n = r.get_u64()?;
+                if n > r.remaining() as u64 {
+                    return Err(CodecError::BadLength);
+                }
+                let entries =
+                    (0..n).map(|_| Ok((PartitionKey::decode(&mut r)?, slot_stacks(&mut r)?)));
+                StackLayout::Keyed(entries.collect::<Result<_, CodecError>>()?)
+            }
+            tag => {
+                return Err(CodecError::InvalidTag {
+                    what: "ShardSet",
+                    tag,
+                })
+            }
+        };
+        let settle = settle.decode(&mut r)?;
+        r.finish()?;
+        Ok(QueryBlob {
+            wm,
+            seq,
+            stats,
+            stacks,
+            settle,
+        })
     }
 }
 
@@ -208,9 +240,9 @@ impl PhasedOutput {
 ///
 /// * Negation-free matches are emitted the instant their last-arriving
 ///   constituent is ingested (zero arrival latency, exactly once) — except
-///   under [`DisorderPolicy::Lazy`], which defers every emission to the
+///   under [`crate::DisorderPolicy::Lazy`], which defers every emission to the
 ///   seal drain.
-/// * Negation is handled per [`DisorderPolicy`]: conservatively (held
+/// * Negation is handled per [`crate::DisorderPolicy`]: conservatively (held
 ///   until the negation regions seal, then re-validated), speculatively
 ///   (emitted immediately, retracted if a late negative lands), lazily,
 ///   or conservatively under an adaptive slack bound.
@@ -225,18 +257,14 @@ pub struct NativeEngine {
     config: EngineConfig,
     ctor: Constructor,
     shards: ShardSet,
-    negatives: NegationIndex,
-    pending: BinaryHeap<Reverse<Pending>>,
-    emitted_unsealed: Vec<EmittedUnsealed>,
+    settle: Settle,
     wm: WatermarkTracker,
     next_seq: ArrivalSeq,
     stats: RuntimeStats,
     scratch: Vec<Vec<EventRef>>,
     slice: Option<ShardSlice>,
-    /// Sabotage bookkeeping for [`EngineConfig::retraction_drop`]: how
-    /// many retractions this instance has already swallowed. Not part of
-    /// snapshots — the knob only exists for the differential simulator.
-    retractions_dropped: u64,
+    /// Unspent [`EngineConfig::retraction_drop`] sabotage; not snapshotted.
+    retraction_drop: u64,
 }
 
 impl NativeEngine {
@@ -248,22 +276,20 @@ impl NativeEngine {
                 scheme: scheme.clone(),
                 map: PartitionMap::new(),
             },
-            _ => ShardSet::Single(Shard::new(m)),
+            _ => ShardSet::Single(vec![AisStack::new(); m]),
         };
         NativeEngine {
             ctor: Constructor::new(Arc::clone(&query), config.construct),
-            negatives: NegationIndex::new(Arc::clone(&query)),
+            settle: Settle::new(Arc::clone(&query), config.policy),
+            retraction_drop: config.retraction_drop,
             shards,
             wm: WatermarkTracker::new(&config),
             query,
             config,
-            pending: BinaryHeap::new(),
-            emitted_unsealed: Vec::new(),
             next_seq: ArrivalSeq::default(),
             stats: RuntimeStats::default(),
             scratch: Vec::new(),
             slice: None,
-            retractions_dropped: 0,
         }
     }
 
@@ -314,7 +340,7 @@ impl NativeEngine {
     pub fn oldest_stack_ts(&self) -> Option<Timestamp> {
         let mut oldest: Option<Timestamp> = None;
         let mut visit = |shard: &Shard| {
-            for stack in &shard.stacks {
+            for stack in shard {
                 if let Some(e) = stack.events().first() {
                     let ts = e.ts();
                     oldest = Some(oldest.map_or(ts, |o| o.min(ts)));
@@ -332,18 +358,12 @@ impl NativeEngine {
         oldest
     }
 
-    fn make_output(
-        &self,
-        events: Vec<EventRef>,
-        kind: OutputKind,
-        cause: Option<EventId>,
-    ) -> OutputItem {
-        OutputItem {
-            kind,
-            m: Match::new(&self.query, events),
-            emit_seq: self.next_seq,
-            emit_clock: self.wm.clock(),
-            cause,
+    /// The position emissions are stamped with right now.
+    fn stamp(&self) -> Stamp {
+        Stamp {
+            seq: self.next_seq,
+            clock: self.wm.clock(),
+            watermark: self.wm.current(),
         }
     }
 
@@ -390,20 +410,18 @@ impl NativeEngine {
             .negations()
             .iter()
             .any(|n| n.matches_type(event.event_type()));
+        let stamp = self.stamp();
         if is_negated_type {
-            if self.primary() {
-                self.negatives.offer(event, &mut self.stats);
+            let mut lockstep = RuntimeStats::default();
+            let index_stats = if self.primary() {
+                &mut self.stats
             } else {
-                let mut lockstep = RuntimeStats::default();
-                self.negatives.offer(event, &mut lockstep);
-            }
-            // Speculative emission leaves unsealed matches standing that a
-            // late negative must retract. Other policies may still carry
-            // unsealed records inherited through a policy-changing restore,
-            // which they retract the same way rather than double-count.
-            if self.config.policy.speculates() || !self.emitted_unsealed.is_empty() {
-                self.retract_invalidated(event, out);
-            }
+                &mut lockstep
+            };
+            self.settle.offer_negative(event, index_stats);
+            let swallow = &mut self.retraction_drop;
+            self.settle
+                .retract_invalidated(stamp, event, swallow, &mut self.stats, out);
         }
 
         // positive slots: route, pre-filter, insert, compensate-construct
@@ -419,37 +437,22 @@ impl NativeEngine {
             }
             let mut raw = std::mem::take(&mut self.scratch);
             raw.clear();
-            match &mut self.shards {
-                ShardSet::Single(shard) => {
-                    Self::insert_and_construct(
-                        &self.ctor,
-                        shard,
-                        slot,
-                        event,
-                        &mut self.stats,
-                        &mut raw,
-                    );
-                }
-                ShardSet::Partitioned { scheme, map } => {
-                    let m = self.query.positive_len();
-                    if let Some(key) = event
-                        .field(scheme.fields[slot])
-                        .and_then(PartitionKey::from_value)
-                    {
-                        let shard = map.shard_mut(key, || Shard::new(m));
-                        Self::insert_and_construct(
-                            &self.ctor,
-                            shard,
-                            slot,
-                            event,
-                            &mut self.stats,
-                            &mut raw,
-                        );
-                    }
-                }
+            let m = self.query.positive_len();
+            let shard = match &mut self.shards {
+                ShardSet::Single(shard) => Some(shard),
+                // unkeyable (float) events have no shard to enter
+                ShardSet::Partitioned { scheme, map } => event
+                    .field(scheme.fields[slot])
+                    .and_then(PartitionKey::from_value)
+                    .map(|key| map.shard_mut(key, || vec![AisStack::new(); m])),
+            };
+            if let Some(shard) = shard {
+                let (ctor, stats) = (&self.ctor, &mut self.stats);
+                Self::insert_and_construct(ctor, shard, slot, event, stats, &mut raw);
             }
             for events in raw.drain(..) {
-                self.route_match(slot, events, event.id(), out);
+                self.settle
+                    .route(stamp, slot, events, event.id(), &mut self.stats, out);
             }
             self.scratch = raw;
         }
@@ -466,16 +469,16 @@ impl NativeEngine {
         stats: &mut RuntimeStats,
         raw: &mut Vec<Vec<EventRef>>,
     ) {
-        let pos = match shard.stacks[slot].insert(Arc::clone(event)) {
+        let pos = match shard[slot].insert(Arc::clone(event)) {
             Some(pos) => pos,
             None => return, // duplicate delivery
         };
         stats.insertions += 1;
-        if pos + 1 != shard.stacks[slot].len() {
+        if pos + 1 != shard[slot].len() {
             stats.ooo_insertions += 1;
         }
-        stats.max_stack_depth = stats.max_stack_depth.max(shard.stacks[slot].len() as u64);
-        ctor.matches_with(&shard.stacks, slot, event, stats, raw);
+        stats.max_stack_depth = stats.max_stack_depth.max(shard[slot].len() as u64);
+        ctor.matches_with(shard, slot, event, stats, raw);
     }
 
     fn passes_local(&mut self, slot: usize, event: &EventRef) -> bool {
@@ -488,269 +491,6 @@ impl NativeEngine {
             }
         }
         true
-    }
-
-    /// Decides what to do with a freshly constructed match (`slot` is the
-    /// arriving event's positive slot, the construction-phase merge key;
-    /// `trigger` is the arriving event whose ingestion constructed the
-    /// match — the causal link recorded on immediate emissions).
-    fn route_match(
-        &mut self,
-        slot: usize,
-        events: Vec<EventRef>,
-        trigger: EventId,
-        out: &mut PhasedOutput,
-    ) {
-        let policy = self.config.policy;
-        if !self.query.has_negation() {
-            if policy == DisorderPolicy::Lazy {
-                // Defer to the seal drain: the deadline is the match's own
-                // maximum timestamp, so it emits once the watermark passes
-                // the match (or a drain/finish seals the stream).
-                let deadline = events.last().expect("match has events").ts();
-                self.pending.push(Reverse(Pending { deadline, events }));
-            } else {
-                let o = self.make_output(events, OutputKind::Insert, Some(trigger));
-                out.constructed.push((slot, o));
-            }
-            return;
-        }
-        let deadline = seal_deadline(&self.query, &events).expect("query has negation");
-        let watermark = self.watermark();
-        match policy {
-            DisorderPolicy::Lazy => {
-                // Even already-sealed matches go through the pending heap,
-                // so every lazy emission leaves via the seal drain.
-                self.pending.push(Reverse(Pending { deadline, events }));
-            }
-            DisorderPolicy::Conservative | DisorderPolicy::AdaptiveSlack { .. } => {
-                if deadline <= watermark {
-                    if !self.negatives.violates(&events, &mut self.stats) {
-                        let o = self.make_output(events, OutputKind::Insert, Some(trigger));
-                        out.constructed.push((slot, o));
-                    }
-                } else {
-                    self.pending.push(Reverse(Pending { deadline, events }));
-                }
-            }
-            DisorderPolicy::Speculative => {
-                if self.negatives.violates(&events, &mut self.stats) {
-                    return;
-                }
-                if deadline > watermark {
-                    self.emitted_unsealed.push(EmittedUnsealed {
-                        deadline,
-                        events: events.clone(),
-                    });
-                }
-                let o = self.make_output(events, OutputKind::Insert, Some(trigger));
-                out.constructed.push((slot, o));
-            }
-        }
-    }
-
-    /// Speculative mode: a just-arrived negative retracts any emitted,
-    /// still-unsealed match it invalidates.
-    fn retract_invalidated(&mut self, negative: &EventRef, out: &mut PhasedOutput) {
-        let query = Arc::clone(&self.query);
-        let mut retracted: Vec<(Timestamp, Vec<EventRef>)> = Vec::new();
-        self.emitted_unsealed.retain(|rec| {
-            let rs = regions(&query, &rec.events);
-            for (ix, neg) in query.negations().iter().enumerate() {
-                if !neg.matches_type(negative.event_type()) {
-                    continue;
-                }
-                let region = rs[ix];
-                if region.is_empty() || negative.ts() < region.start || negative.ts() >= region.end
-                {
-                    continue;
-                }
-                let mut binding = query.binding_from_positives(&rec.events);
-                binding[neg.comp] = Some(negative);
-                if neg
-                    .predicates
-                    .iter()
-                    .all(|p| p.eval(&binding) == Some(true))
-                {
-                    retracted.push((rec.deadline, rec.events.clone()));
-                    return false;
-                }
-            }
-            true
-        });
-        for (deadline, events) in retracted {
-            self.stats.negated_matches += 1;
-            // sabotage knob: swallow the retraction (the unsealed record is
-            // already gone) so the settled output keeps a match the oracle
-            // rejects — the differential harness must flag this
-            if self.retractions_dropped < self.config.retraction_drop {
-                self.retractions_dropped += 1;
-                continue;
-            }
-            let o = self.make_output(events, OutputKind::Retract, Some(negative.id()));
-            out.retracts.push((deadline, o));
-        }
-    }
-
-    /// Emits pending matches whose regions sealed, and forgets sealed
-    /// speculative records.
-    fn drain_sealed(&mut self, out: &mut PhasedOutput) {
-        let watermark = self.watermark();
-        while let Some(Reverse(top)) = self.pending.peek() {
-            if top.deadline > watermark {
-                break;
-            }
-            let Reverse(p) = self.pending.pop().expect("peeked");
-            if !self.negatives.violates(&p.events, &mut self.stats) {
-                let o = self.make_output(p.events, OutputKind::Insert, None);
-                out.sealed.push((p.deadline, o));
-            }
-        }
-        self.emitted_unsealed.retain(|rec| rec.deadline > watermark);
-    }
-
-    /// A fingerprint of the query and the semantics-relevant configuration,
-    /// embedded in snapshots so state is never restored into an engine
-    /// evaluating a different query (or the same query under incompatible
-    /// settings). The disorder policy is deliberately *not* part of it:
-    /// snapshots are policy-portable, so a subscription can change policy
-    /// across a checkpoint resume (the carried pending/unsealed records
-    /// drain correctly under any policy).
-    fn fingerprint(&self) -> u64 {
-        let desc = format!(
-            "{}|{:?}|{}",
-            self.query, self.config.watermark, self.config.partitioned
-        );
-        fnv1a64(desc.as_bytes())
-    }
-
-    pub(crate) fn sort_match_records(records: &mut [(Timestamp, &Vec<EventRef>)]) {
-        records.sort_by(|a, b| {
-            a.0.cmp(&b.0).then_with(|| {
-                let ka = a.1.iter().map(|e| e.id());
-                let kb = b.1.iter().map(|e| e.id());
-                ka.cmp(kb)
-            })
-        });
-    }
-
-    pub(crate) fn encode_match_records(records: &[(Timestamp, &Vec<EventRef>)], w: &mut Writer) {
-        w.put_u64(records.len() as u64);
-        for (deadline, events) in records {
-            deadline.encode(w);
-            (*events).encode(w);
-        }
-    }
-
-    pub(crate) fn decode_match_records(
-        r: &mut Reader<'_>,
-    ) -> Result<Vec<(Timestamp, Vec<EventRef>)>, CodecError> {
-        let n = r.get_u64()?;
-        if n > r.remaining() as u64 {
-            return Err(CodecError::BadLength);
-        }
-        let mut records = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let deadline = Timestamp::decode(r)?;
-            let events = Vec::<EventRef>::decode(r)?;
-            records.push((deadline, events));
-        }
-        Ok(records)
-    }
-
-    fn snapshot_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u64(self.fingerprint());
-        self.wm.snapshot_into(&mut w);
-        self.next_seq.encode(&mut w);
-        self.stats.encode(&mut w);
-        match &self.shards {
-            ShardSet::Single(shard) => {
-                w.put_u8(0);
-                shard.stacks.encode(&mut w);
-            }
-            ShardSet::Partitioned { map, .. } => {
-                w.put_u8(1);
-                map.snapshot_into(&mut w, |shard, w| shard.stacks.encode(w));
-            }
-        }
-        self.negatives.snapshot_into(&mut w);
-        // heaps iterate in arbitrary order (and the unsealed log in
-        // arrival order); sort both so identical state always produces
-        // identical bytes regardless of history or worker count
-        let mut pend: Vec<(Timestamp, &Vec<EventRef>)> = self
-            .pending
-            .iter()
-            .map(|Reverse(p)| (p.deadline, &p.events))
-            .collect();
-        Self::sort_match_records(&mut pend);
-        Self::encode_match_records(&pend, &mut w);
-        let mut emitted: Vec<(Timestamp, &Vec<EventRef>)> = self
-            .emitted_unsealed
-            .iter()
-            .map(|rec| (rec.deadline, &rec.events))
-            .collect();
-        Self::sort_match_records(&mut emitted);
-        Self::encode_match_records(&emitted, &mut w);
-        seal_envelope(&w.into_bytes())
-    }
-
-    fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        let payload = open_envelope(bytes)?;
-        let mut r = Reader::new(payload);
-        if r.get_u64()? != self.fingerprint() {
-            return Err(CodecError::SnapshotMismatch(
-                "query/configuration fingerprint",
-            ));
-        }
-        let wm = WatermarkTracker::restore_from(&self.config, &mut r)?;
-        let next_seq = ArrivalSeq::decode(&mut r)?;
-        let stats = RuntimeStats::decode(&mut r)?;
-        let m = self.query.positive_len();
-        let decode_shard = |r: &mut Reader<'_>| -> Result<Shard, CodecError> {
-            let stacks = Vec::<AisStack>::decode(r)?;
-            if stacks.len() != m {
-                return Err(CodecError::SnapshotMismatch("positive slot count"));
-            }
-            Ok(Shard { stacks })
-        };
-        let shards = match r.get_u8()? {
-            0 => ShardSet::Single(decode_shard(&mut r)?),
-            1 => {
-                let scheme = match (self.config.partitioned, self.query.partition()) {
-                    (true, Some(scheme)) => scheme.clone(),
-                    _ => return Err(CodecError::SnapshotMismatch("partitioning scheme")),
-                };
-                let map = PartitionMap::restore(&mut r, decode_shard)?;
-                ShardSet::Partitioned { scheme, map }
-            }
-            tag => {
-                return Err(CodecError::InvalidTag {
-                    what: "ShardSet",
-                    tag,
-                })
-            }
-        };
-        let negatives = NegationIndex::restore(Arc::clone(&self.query), &mut r)?;
-        let pending: BinaryHeap<Reverse<Pending>> = Self::decode_match_records(&mut r)?
-            .into_iter()
-            .map(|(deadline, events)| Reverse(Pending { deadline, events }))
-            .collect();
-        let emitted_unsealed: Vec<EmittedUnsealed> = Self::decode_match_records(&mut r)?
-            .into_iter()
-            .map(|(deadline, events)| EmittedUnsealed { deadline, events })
-            .collect();
-        r.finish()?;
-        // everything decoded cleanly: commit (all-or-nothing — a failure
-        // above leaves the current state untouched)
-        self.wm = wm;
-        self.next_seq = next_seq;
-        self.stats = stats;
-        self.shards = shards;
-        self.negatives = negatives;
-        self.pending = pending;
-        self.emitted_unsealed = emitted_unsealed;
-        Ok(())
     }
 
     fn run_purge(&mut self) {
@@ -771,8 +511,8 @@ impl NativeEngine {
         let fin = purge::final_threshold(watermark).saturating_add(skew);
         let mut purged = 0u64;
         let purge_shard = |shard: &mut Shard, purged: &mut u64| {
-            let m = shard.stacks.len();
-            for (slot, stack) in shard.stacks.iter_mut().enumerate() {
+            let m = shard.len();
+            for (slot, stack) in shard.iter_mut().enumerate() {
                 let threshold = if slot + 1 == m { fin } else { prefix };
                 *purged += stack.purge_before(threshold) as u64;
             }
@@ -783,45 +523,23 @@ impl NativeEngine {
                 for (_, shard) in map.iter_mut() {
                     purge_shard(shard, &mut purged);
                 }
-                map.retain_live(|shard| shard.len() == 0);
+                map.retain_live(|shard| held(shard) == 0);
             }
         }
         self.stats.purged += purged;
-        let threshold = purge::negative_threshold(watermark, window).saturating_add(skew);
-        if self.primary() {
-            self.negatives.purge_before(threshold, &mut self.stats);
+        let mut lockstep = RuntimeStats::default();
+        let index_stats = if self.primary() {
+            &mut self.stats
         } else {
-            let mut lockstep = RuntimeStats::default();
-            self.negatives.purge_before(threshold, &mut lockstep);
-        }
+            &mut lockstep
+        };
+        self.settle.purge_negatives(watermark, skew, index_stats);
     }
 
-    /// Processes one stream item, keeping outputs separated by emission
-    /// phase (the merge-ready form [`crate::ShardedEngine`] consumes).
-    pub(crate) fn ingest_phased(&mut self, item: &StreamItem) -> PhasedOutput {
-        let mut out = PhasedOutput::default();
-        match item {
-            StreamItem::Event(event) => {
-                self.next_seq = self.next_seq.next();
-                let stamped = Arc::new(event.as_ref().clone().with_arrival(self.next_seq));
-                self.process_event(&stamped, &mut out);
-            }
-            StreamItem::Punctuation(t) => {
-                self.wm.observe_punctuation(*t);
-            }
-        }
-        self.drain_sealed(&mut out);
-        if self.config.purge.due(self.next_seq.get()) {
-            self.run_purge();
-        }
-        out
-    }
-
-    /// Applies one routed message, mirroring [`NativeEngine::ingest_phased`]
-    /// exactly: the sequence number, watermark, seal drain, and purge
-    /// cadence advance as if this worker had ingested the full stream.
-    /// [`RoutedMsg::Advance`] reproduces precisely what a non-owning
-    /// lockstep worker used to do with a full event — observe the
+    /// Applies one routed message: the sequence number, watermark, seal
+    /// drain, and purge cadence advance as if this engine had ingested
+    /// the full stream. [`RoutedMsg::Advance`] is precisely what a full
+    /// event does to a worker that owns none of its slots — observe the
     /// timestamp, attribute a late arrival on the primary, drain seals,
     /// check the purge cadence — without the event clone or the per-slot
     /// ownership probes.
@@ -842,7 +560,8 @@ impl NativeEngine {
                 self.wm.observe_punctuation(*t);
             }
         }
-        self.drain_sealed(&mut out);
+        self.settle
+            .drain_sealed(self.stamp(), &mut self.stats, &mut out);
         if self.config.purge.due(self.next_seq.get()) {
             self.run_purge();
         }
@@ -860,21 +579,22 @@ impl NativeEngine {
     /// stable API.
     #[doc(hidden)]
     pub fn negative_index_len(&self) -> usize {
-        self.negatives.len()
+        self.settle.negatives_len()
     }
 
     /// End-of-stream flush in merge-ready form.
     pub(crate) fn finish_phased(&mut self) -> PhasedOutput {
         let mut out = PhasedOutput::default();
         self.wm.seal();
-        self.drain_sealed(&mut out);
+        self.settle
+            .drain_sealed(self.stamp(), &mut self.stats, &mut out);
         out
     }
 
     /// State size excluding the negative index, which sharded pools
     /// replicate on every worker and must count once.
     pub(crate) fn owned_state_size(&self) -> usize {
-        self.state_size() - self.negatives.len()
+        self.state_size() - self.settle.negatives_len()
     }
 
     /// Zeroes the counters (a restored non-primary worker starts from a
@@ -884,68 +604,42 @@ impl NativeEngine {
         self.stats.reset();
     }
 
-    /// Serializes the union of a sharded pool's workers as one canonical
-    /// snapshot in the exact format [`NativeEngine::snapshot`] writes:
-    /// restoring it into a single engine — or a pool with a *different*
-    /// worker count — reproduces the same evaluation state. Lockstep
-    /// state (watermark, arrival sequence, negative index) comes from the
-    /// primary worker; partition maps are disjoint by construction and
-    /// written as one sorted map; pending/unsealed matches are the sorted
-    /// union.
+    /// Serializes the union of a sharded pool's workers (primary first;
+    /// a lone engine is a pool of one) as one [`QueryBlob`]: restoring it
+    /// into a single engine — or a pool with a *different* worker count —
+    /// reproduces the same evaluation state. Lockstep state (watermark,
+    /// arrival sequence, negative index) comes from the primary worker;
+    /// partition maps are disjoint by construction and written as one
+    /// sorted map; pending/unsealed matches are the sorted union.
     pub(crate) fn merged_snapshot(parts: &[&NativeEngine]) -> Vec<u8> {
-        let primary = parts
-            .iter()
-            .find(|p| p.primary())
-            .expect("pool has a primary worker");
-        let mut w = Writer::new();
-        w.put_u64(primary.fingerprint());
-        primary.wm.snapshot_into(&mut w);
-        primary.next_seq.encode(&mut w);
+        let primary = parts[0];
+        assert!(primary.primary(), "worker 0 is the pool's primary");
         let mut stats = RuntimeStats::default();
         for p in parts {
             stats += p.stats;
         }
-        stats.encode(&mut w);
-        match &primary.shards {
-            ShardSet::Single(shard) => {
-                // only the primary worker holds unpartitioned state
-                w.put_u8(0);
-                shard.stacks.encode(&mut w);
-            }
+        let stacks = match &primary.shards {
+            // only the primary worker holds unpartitioned state
+            ShardSet::Single(shard) => StackLayout::Single(shard.as_slice()),
             ShardSet::Partitioned { .. } => {
-                w.put_u8(1);
-                let mut entries: Vec<(&PartitionKey, &Shard)> = Vec::new();
-                for p in parts {
-                    if let ShardSet::Partitioned { map, .. } = &p.shards {
-                        entries.extend(map.iter());
-                    }
-                }
-                entries.sort_by(|a, b| a.0.cmp(b.0));
-                w.put_u64(entries.len() as u64);
-                for (key, shard) in entries {
-                    key.encode(&mut w);
-                    shard.stacks.encode(&mut w);
-                }
+                let maps = parts.iter().filter_map(|p| match &p.shards {
+                    ShardSet::Partitioned { map, .. } => Some(map.iter()),
+                    ShardSet::Single(_) => None,
+                });
+                let keyed = maps.flatten().map(|(k, s)| (k, s.as_slice()));
+                StackLayout::Keyed(keyed.collect())
             }
-        }
-        primary.negatives.snapshot_into(&mut w);
-        let mut pend: Vec<(Timestamp, &Vec<EventRef>)> = parts
-            .iter()
-            .flat_map(|p| p.pending.iter().map(|Reverse(x)| (x.deadline, &x.events)))
-            .collect();
-        Self::sort_match_records(&mut pend);
-        Self::encode_match_records(&pend, &mut w);
-        let mut emitted: Vec<(Timestamp, &Vec<EventRef>)> = parts
-            .iter()
-            .flat_map(|p| {
-                p.emitted_unsealed
-                    .iter()
-                    .map(|rec| (rec.deadline, &rec.events))
-            })
-            .collect();
-        Self::sort_match_records(&mut emitted);
-        Self::encode_match_records(&emitted, &mut w);
-        seal_envelope(&w.into_bytes())
+        };
+        let settles: Vec<&Settle> = parts.iter().map(|p| &p.settle).collect();
+        QueryBlob::encode(
+            &primary.query,
+            &primary.config,
+            &primary.wm,
+            primary.next_seq,
+            &stats,
+            stacks,
+            &settles,
+        )
     }
 
     /// After restoring a full snapshot into a sliced worker, drops the
@@ -957,26 +651,20 @@ impl NativeEngine {
         match &mut self.shards {
             ShardSet::Single(shard) => {
                 if !slice.primary() {
-                    *shard = Shard::new(shard.stacks.len());
-                    self.pending.clear();
-                    self.emitted_unsealed.clear();
+                    *shard = vec![AisStack::new(); shard.len()];
+                    self.settle.retain_matches(|_| false);
                 }
             }
             ShardSet::Partitioned { scheme, map } => {
                 map.retain_keys(|k| slice.owns(k));
                 let field = scheme.fields[0];
-                let owns_match = |events: &Vec<EventRef>| {
+                self.settle.retain_matches(|events| {
                     events
                         .first()
                         .and_then(|e| e.field(field))
                         .and_then(PartitionKey::from_value)
                         .map_or(slice.primary(), |k| slice.owns(&k))
-                };
-                self.pending = std::mem::take(&mut self.pending)
-                    .into_iter()
-                    .filter(|Reverse(p)| owns_match(&p.events))
-                    .collect();
-                self.emitted_unsealed.retain(|rec| owns_match(&rec.events));
+                });
             }
         }
     }
@@ -984,7 +672,15 @@ impl NativeEngine {
 
 impl Engine for NativeEngine {
     fn ingest(&mut self, item: &StreamItem) -> Vec<OutputItem> {
-        let phased = self.ingest_phased(item);
+        // a lone engine is its own router: stamp, then apply
+        let phased = match item {
+            StreamItem::Event(event) => {
+                let seq = self.next_seq.next();
+                let event = Arc::new(event.with_arrival(seq));
+                self.apply_routed(&RoutedMsg::Event { seq, event })
+            }
+            StreamItem::Punctuation(t) => self.apply_routed(&RoutedMsg::Punctuation(*t)),
+        };
         let mut out = Vec::new();
         PhasedOutput::merge_into(vec![phased], &mut out);
         out
@@ -1004,10 +700,10 @@ impl Engine for NativeEngine {
 
     fn state_size(&self) -> usize {
         let stacks = match &self.shards {
-            ShardSet::Single(shard) => shard.len(),
-            ShardSet::Partitioned { map, .. } => map.iter().map(|(_, s)| s.len()).sum(),
+            ShardSet::Single(shard) => held(shard),
+            ShardSet::Partitioned { map, .. } => map.iter().map(|(_, s)| held(s)).sum(),
         };
-        stacks + self.negatives.len() + self.pending.len() + self.emitted_unsealed.len()
+        stacks + self.settle.len()
     }
 
     fn query(&self) -> &Arc<Query> {
@@ -1027,18 +723,40 @@ impl Engine for NativeEngine {
     }
 
     fn snapshot(&self) -> Result<Vec<u8>, CodecError> {
-        Ok(self.snapshot_bytes())
+        Ok(NativeEngine::merged_snapshot(&[self]))
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        self.restore_bytes(bytes)
+        let blob = QueryBlob::decode(&self.query, &self.config, &self.settle, bytes)?;
+        // everything decoded cleanly: commit (all-or-nothing — a failure
+        // above leaves the current state untouched)
+        self.shards = match blob.stacks {
+            StackLayout::Single(stacks) => ShardSet::Single(stacks),
+            StackLayout::Keyed(entries) => {
+                let scheme = self.query.partition().expect("decode checked the scheme");
+                let mut map = PartitionMap::new();
+                for (key, stacks) in entries {
+                    map.shard_mut(key, move || stacks);
+                }
+                ShardSet::Partitioned {
+                    scheme: scheme.clone(),
+                    map,
+                }
+            }
+        };
+        self.wm = blob.wm;
+        self.next_seq = blob.seq;
+        self.stats = blob.stats;
+        self.settle = blob.settle;
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::WatermarkSource;
+    use crate::config::{DisorderPolicy, WatermarkSource};
+    use crate::output::OutputKind;
     use crate::traits::run_to_end;
     use sequin_query::parse;
     use sequin_runtime::purge::PurgePolicy;
@@ -1126,58 +844,6 @@ mod tests {
         out.extend(eng.ingest(&b));
         out.extend(eng.ingest(&b));
         assert_eq!(out.len(), 1);
-    }
-
-    #[test]
-    fn conservative_negation_waits_for_seal() {
-        let reg = registry();
-        let q = parse("PATTERN SEQ(A a, !N n, B b) WITHIN 100", &reg).unwrap();
-        let mut cfg = EngineConfig::with_k(Duration::new(10));
-        cfg.policy = DisorderPolicy::Conservative;
-        let mut eng = NativeEngine::new(q, cfg);
-        let mut out = Vec::new();
-        out.extend(eng.ingest(&item(&reg, "A", 1, 10, 0)));
-        out.extend(eng.ingest(&item(&reg, "B", 2, 20, 0)));
-        // match constructed but region (10,20) not sealed: watermark = 10
-        assert!(out.is_empty());
-        // late negative inside the region arrives
-        out.extend(eng.ingest(&item(&reg, "N", 3, 15, 0)));
-        assert!(out.is_empty());
-        // advance watermark past 20: the match is (correctly) suppressed
-        out.extend(eng.ingest(&item(&reg, "A", 4, 40, 0)));
-        assert!(out.is_empty());
-        assert!(eng.stats().negated_matches >= 1);
-    }
-
-    #[test]
-    fn conservative_negation_emits_clean_match_after_seal() {
-        let reg = registry();
-        let q = parse("PATTERN SEQ(A a, !N n, B b) WITHIN 100", &reg).unwrap();
-        let mut eng = NativeEngine::new(q, EngineConfig::with_k(Duration::new(10)));
-        let mut out = Vec::new();
-        out.extend(eng.ingest(&item(&reg, "A", 1, 10, 0)));
-        out.extend(eng.ingest(&item(&reg, "B", 2, 20, 0)));
-        assert!(out.is_empty());
-        out.extend(eng.ingest(&item(&reg, "A", 4, 40, 0))); // watermark 30 >= 20
-        assert_eq!(keys(&out), vec![(true, vec![1, 2])]);
-    }
-
-    #[test]
-    fn speculative_negation_emits_then_retracts() {
-        let reg = registry();
-        let q = parse("PATTERN SEQ(A a, !N n, B b) WITHIN 100", &reg).unwrap();
-        let mut cfg = EngineConfig::with_k(Duration::new(50));
-        cfg.policy = DisorderPolicy::Speculative;
-        let mut eng = NativeEngine::new(q, cfg);
-        let mut out = Vec::new();
-        out.extend(eng.ingest(&item(&reg, "A", 1, 10, 0)));
-        out.extend(eng.ingest(&item(&reg, "B", 2, 20, 0)));
-        assert_eq!(out.len(), 1, "emitted optimistically");
-        // a late negative inside (10,20) retracts it
-        let retractions = eng.ingest(&item(&reg, "N", 3, 15, 0));
-        assert_eq!(retractions.len(), 1);
-        assert_eq!(retractions[0].kind, OutputKind::Retract);
-        assert_eq!(keys(&retractions), vec![(false, vec![1, 2])]);
     }
 
     #[test]
@@ -1413,23 +1079,6 @@ mod tests {
                 assert_eq!(got, oracle, "{text} under {policy:?}");
             }
         }
-    }
-
-    #[test]
-    fn lazy_defers_negation_free_matches_to_the_seal_drain() {
-        let reg = registry();
-        let q = parse("PATTERN SEQ(A a, B b) WITHIN 100", &reg).unwrap();
-        let mut eng = NativeEngine::new(q, policy_cfg(10, DisorderPolicy::Lazy));
-        let mut out = Vec::new();
-        out.extend(eng.ingest(&item(&reg, "A", 1, 10, 0)));
-        out.extend(eng.ingest(&item(&reg, "B", 2, 20, 0)));
-        assert!(out.is_empty(), "lazy holds the match while it is unsealed");
-        assert_eq!(eng.state_size(), 3, "2 stack instances + 1 deferred");
-        // watermark passes the match's max timestamp: it emits coalesced
-        out.extend(eng.ingest(&item(&reg, "A", 3, 40, 0)));
-        assert_eq!(keys(&out), vec![(true, vec![1, 2])]);
-        // and never a retraction
-        assert!(out.iter().all(|o| o.kind == OutputKind::Insert));
     }
 
     #[test]

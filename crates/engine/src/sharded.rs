@@ -57,8 +57,9 @@ use sequin_runtime::{PartitionKey, RuntimeStats};
 use sequin_types::{ArrivalSeq, CodecError, EventRef, FieldId, StreamItem, Timestamp};
 
 use crate::config::EngineConfig;
-use crate::native::{key_hash, NativeEngine, PhasedOutput, RoutedMsg, ShardSlice};
+use crate::native::{key_hash, NativeEngine, RoutedMsg, ShardSlice};
 use crate::output::OutputItem;
+use crate::settle::PhasedOutput;
 use crate::traits::Engine;
 
 /// Bound of each worker's job queue, in batches. The engine API is

@@ -8,6 +8,14 @@
 //! event-type routing index (an arrival touches only the plan nodes of
 //! interested queries).
 //!
+//! What it shares with [`crate::NativeEngine`] is everything after the
+//! stacks: anchors outside a prefix group are walked by the same
+//! [`sequin_runtime::Constructor`] (through a slot→stack table and a
+//! partition-key filter), every constructed match goes to the query's
+//! [`crate::settle`] state, and checkpoints are the same per-query
+//! `QueryBlob`s. What is specific to this file is the pooled stack layout,
+//! the ingest loop over epochs, and the shared prefix walk.
+//!
 //! ## Equivalence contract
 //!
 //! Per query, the output sequence is **byte-identical** to an independent
@@ -40,25 +48,22 @@
 //! sketch and must never be shared with a fixed-bound query (the pooling
 //! compatibility rule).
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use sequin_plan::{compile, BindEntry, PrefixGroup, QuerySpec, SharedPlan, SlotSig};
 use sequin_query::Query;
-use sequin_runtime::{
-    purge, regions, seal_deadline, AisStack, Match, NegationIndex, PartitionKey, RuntimeStats,
-};
-use sequin_types::codec::{fnv1a64, open_envelope, seal_envelope};
+use sequin_runtime::{purge, AisStack, ConstructOpts, Constructor, PartitionKey, RuntimeStats};
+use sequin_types::codec::{open_envelope, seal_envelope};
 use sequin_types::{
-    ArrivalSeq, CodecError, Decode, Duration, Encode, EventId, EventRef, Reader, StreamItem,
-    Timestamp, Writer,
+    ArrivalSeq, CodecError, Duration, EventRef, Reader, StreamItem, Timestamp, Writer,
 };
 
 use crate::config::{DisorderPolicy, EngineConfig};
 use crate::multi::QueryId;
-use crate::native::{EmittedUnsealed, NativeEngine, Pending, PhasedOutput};
-use crate::output::{OutputItem, OutputKind};
+use crate::native::{QueryBlob, StackLayout};
+use crate::output::OutputItem;
+use crate::settle::{PhasedOutput, Settle, Stamp};
 use crate::watermark::WatermarkTracker;
 
 /// Plan-level evaluation metrics exposed for observability: structural
@@ -134,18 +139,27 @@ impl EpochState {
             queries: Vec::new(),
         }
     }
+
+    /// The position this epoch's emissions are stamped with right now.
+    fn stamp(&self) -> Stamp {
+        Stamp {
+            seq: self.seq,
+            clock: self.wm.clock(),
+            watermark: self.wm.current(),
+        }
+    }
 }
 
 /// Per-query evaluation state not shareable across queries.
 struct QueryState {
     query: Arc<Query>,
     epoch: usize,
-    /// This query's disorder-handling policy (emission timing; the
-    /// watermark side lives in the epoch's class).
-    policy: DisorderPolicy,
-    negatives: NegationIndex,
-    pending: BinaryHeap<Reverse<Pending>>,
-    emitted_unsealed: Vec<EmittedUnsealed>,
+    /// The walker for this query's anchors outside any shared prefix
+    /// walk, run over the pooled stacks.
+    ctor: Constructor,
+    /// Emission timing under this query's disorder policy (the watermark
+    /// side lives in the epoch's class).
+    settle: Settle,
     stats: RuntimeStats,
     phased: PhasedOutput,
     /// Scratch flag: this arrival routed to at least one of the query's
@@ -155,14 +169,17 @@ struct QueryState {
 }
 
 impl QueryState {
-    fn new(query: Arc<Query>, epoch: usize, policy: DisorderPolicy) -> QueryState {
+    fn new(
+        query: Arc<Query>,
+        epoch: usize,
+        policy: DisorderPolicy,
+        config: &EngineConfig,
+    ) -> QueryState {
         QueryState {
-            negatives: NegationIndex::new(Arc::clone(&query)),
+            ctor: Constructor::new(Arc::clone(&query), config.construct),
+            settle: Settle::new(Arc::clone(&query), policy),
             query,
             epoch,
-            policy,
-            pending: BinaryHeap::new(),
-            emitted_unsealed: Vec::new(),
             stats: RuntimeStats::default(),
             phased: PhasedOutput::default(),
             routed: false,
@@ -192,9 +209,9 @@ pub struct SharedMultiEngine {
     /// class (cleared once an item has been ingested since the last
     /// registration).
     open_epochs: Vec<(WmClass, usize)>,
-    /// Sabotage bookkeeping for [`EngineConfig::retraction_drop`]. Not
-    /// part of snapshots.
-    retractions_dropped: u64,
+    /// Unspent [`EngineConfig::retraction_drop`] sabotage, across all
+    /// queries; not snapshotted.
+    retraction_drop: u64,
     counters: PlanMetrics,
     scratch_marked: Vec<usize>,
 }
@@ -209,13 +226,6 @@ impl std::fmt::Debug for SharedMultiEngine {
     }
 }
 
-/// The native engine's snapshot fingerprint for `query` under `config`
-/// (shared-plan blobs must interchange with [`NativeEngine`] blobs).
-fn engine_fingerprint(query: &Query, config: &EngineConfig) -> u64 {
-    let desc = format!("{}|{:?}|{}", query, config.watermark, config.partitioned);
-    fnv1a64(desc.as_bytes())
-}
-
 impl SharedMultiEngine {
     /// Creates an empty shared evaluator; every registered query runs
     /// under `config`.
@@ -228,7 +238,7 @@ impl SharedMultiEngine {
             states: Vec::new(),
             epochs: Vec::new(),
             open_epochs: Vec::new(),
-            retractions_dropped: 0,
+            retraction_drop: config.retraction_drop,
             counters: PlanMetrics::default(),
             scratch_marked: Vec::new(),
         }
@@ -284,14 +294,15 @@ impl SharedMultiEngine {
             epoch,
             active: true,
         });
-        self.states.push(QueryState::new(query, epoch, policy));
+        self.states
+            .push(QueryState::new(query, epoch, policy, &self.config));
         self.recompile();
         QueryId::new(self.specs.len() - 1)
     }
 
     /// The policy a query was registered under.
     pub fn query_policy(&self, id: QueryId) -> DisorderPolicy {
-        self.states[id.index()].policy
+        self.states[id.index()].settle.policy()
     }
 
     /// One query's current disorder-bound estimate (`K`, or the adaptive
@@ -308,9 +319,7 @@ impl SharedMultiEngine {
         self.specs[qix].active = false;
         let st = &mut self.states[qix];
         st.active = false;
-        st.negatives = NegationIndex::new(Arc::clone(&st.query));
-        st.pending.clear();
-        st.emitted_unsealed.clear();
+        st.settle.clear();
         st.phased = PhasedOutput::default();
         self.recompile();
     }
@@ -369,11 +378,7 @@ impl SharedMultiEngine {
         for ep in &mut self.epochs {
             ep.wm.seal();
         }
-        for qix in 0..self.states.len() {
-            if self.states[qix].active {
-                self.drain_sealed(qix);
-            }
-        }
+        self.drain_seals();
         self.collect_outputs()
     }
 
@@ -399,11 +404,7 @@ impl SharedMultiEngine {
     /// unsealed state.
     pub fn state_size(&self) -> usize {
         let stacks: usize = self.stacks.iter().map(AisStack::len).sum();
-        let per_query: usize = self
-            .states
-            .iter()
-            .map(|s| s.negatives.len() + s.pending.len() + s.emitted_unsealed.len())
-            .sum();
+        let per_query: usize = self.states.iter().map(|s| s.settle.len()).sum();
         stacks + per_query
     }
 
@@ -417,7 +418,7 @@ impl SharedMultiEngine {
             .iter()
             .map(|&six| self.stacks[six].len())
             .sum();
-        stacks + st.negatives.len() + st.pending.len() + st.emitted_unsealed.len()
+        stacks + st.settle.len()
     }
 
     /// The minimum watermark across all (active) queries, mirroring
@@ -473,11 +474,7 @@ impl SharedMultiEngine {
                 }
             }
         }
-        for qix in 0..self.states.len() {
-            if self.states[qix].active {
-                self.drain_sealed(qix);
-            }
-        }
+        self.drain_seals();
         for eix in 0..self.epochs.len() {
             if self.config.purge.due(self.epochs[eix].seq.get()) {
                 self.run_purge(eix);
@@ -500,17 +497,12 @@ impl SharedMultiEngine {
         // negatives first: a negative at the same timestamp as a positive
         // arrival must be visible to validation during this call
         for &qix in &entry.neg_queries {
-            let ev = Arc::clone(&stamped[self.states[qix].epoch]);
-            let must_retract = {
-                let st = &mut self.states[qix];
-                st.negatives.offer(&ev, &mut st.stats);
-                // non-speculative queries can still inherit unsealed
-                // records from a speculative snapshot; those must retract
-                st.policy.speculates() || !st.emitted_unsealed.is_empty()
-            };
-            if must_retract {
-                self.retract_invalidated(qix, &ev);
-            }
+            let st = &mut self.states[qix];
+            let (ev, stamp) = (&stamped[st.epoch], self.epochs[st.epoch].stamp());
+            st.settle.offer_negative(ev, &mut st.stats);
+            let swallow = &mut self.retraction_drop;
+            st.settle
+                .retract_invalidated(stamp, ev, swallow, &mut st.stats, &mut st.phased);
         }
 
         let mut marked = std::mem::take(&mut self.scratch_marked);
@@ -584,8 +576,8 @@ impl SharedMultiEngine {
     }
 
     /// Per-query construction for anchors outside any shared prefix walk:
-    /// the native walker over pooled stacks, restricted to the anchor's
-    /// partition key when the query shards.
+    /// the query's own [`Constructor`] over the pooled stacks, restricted
+    /// to the anchor's partition key when the query shards.
     fn plain_construct(
         &mut self,
         plan: &SharedPlan,
@@ -593,37 +585,28 @@ impl SharedMultiEngine {
         anchor_slot: usize,
         anchor: &EventRef,
     ) {
-        let qnode = &plan.queries[qix];
-        let query = Arc::clone(&qnode.query);
-        let scheme = if self.config.partitioned {
-            query.partition()
-        } else {
-            None
-        };
-        let key = scheme.and_then(|s| {
-            anchor
-                .field(s.fields[anchor_slot])
-                .and_then(PartitionKey::from_value)
-        });
+        let st = &mut self.states[qix];
         let mut raw: Vec<Vec<EventRef>> = Vec::new();
-        {
-            let st = &mut self.states[qix];
-            let mut walker = PlainWalker {
-                query: &query,
-                slot_stack: &qnode.stack_of_slot,
-                stacks: &self.stacks,
-                cutoff: self.config.construct.window_cutoff,
-                window: query.window(),
-                anchor_slot,
-                scheme,
-                key,
-                stats: &mut st.stats,
-                out: &mut raw,
-            };
-            walker.run(anchor);
-        }
+        st.ctor.matches_pooled(
+            &self.stacks,
+            &plan.queries[qix].stack_of_slot,
+            self.config.partitioned,
+            anchor_slot,
+            anchor,
+            &mut st.stats,
+            &mut raw,
+        );
+        let stamp = self.epochs[st.epoch].stamp();
         for events in raw {
-            self.route_match(qix, anchor_slot, events, anchor.id());
+            let trigger = anchor.id();
+            st.settle.route(
+                stamp,
+                anchor_slot,
+                events,
+                trigger,
+                &mut st.stats,
+                &mut st.phased,
+            );
         }
     }
 
@@ -649,7 +632,7 @@ impl SharedMultiEngine {
             g,
             plan,
             stacks: &self.stacks,
-            cutoff: self.config.construct.window_cutoff,
+            opts: self.config.construct,
             anchor_pos,
             key,
             shared_dfs: 0,
@@ -660,169 +643,35 @@ impl SharedMultiEngine {
             forked: Vec::new(),
         };
         walker.run(anchor);
-        let GroupWalker {
-            shared_dfs,
-            member_evals,
-            member_dfs,
-            member_constructed,
-            partials,
-            forked,
-            ..
-        } = walker;
-        self.counters.shared_partials += partials;
-        self.counters.fanout_outputs += forked.len() as u64;
+        self.counters.shared_partials += walker.partials;
+        self.counters.fanout_outputs += walker.forked.len() as u64;
         for (mx, member) in g.members.iter().enumerate() {
             let st = &mut self.states[member.query].stats;
-            st.dfs_steps += shared_dfs + member_dfs[mx];
-            st.predicate_evals += member_evals[mx];
-            st.matches_constructed += member_constructed[mx];
+            st.dfs_steps += walker.shared_dfs + walker.member_dfs[mx];
+            st.predicate_evals += walker.member_evals[mx];
+            st.matches_constructed += walker.member_constructed[mx];
         }
-        for (mx, events) in forked {
-            self.route_match(g.members[mx].query, anchor_pos, events, anchor.id());
-        }
-    }
-
-    /// Native `route_match`: decide whether a freshly constructed match
-    /// emits now, waits for its negation regions to seal, is deferred
-    /// wholesale (lazy), or (speculative) emits optimistically.
-    fn route_match(&mut self, qix: usize, slot: usize, events: Vec<EventRef>, trigger: EventId) {
-        let eix = self.states[qix].epoch;
-        let (seq, clock, wm) = {
-            let ep = &self.epochs[eix];
-            (ep.seq, ep.wm.clock(), ep.wm.current())
-        };
-        let st = &mut self.states[qix];
-        let policy = st.policy;
-        let make = |st: &QueryState, events: Vec<EventRef>, kind: OutputKind| OutputItem {
-            kind,
-            m: Match::new(&st.query, events),
-            emit_seq: seq,
-            emit_clock: clock,
-            cause: Some(trigger),
-        };
-        if !st.query.has_negation() {
-            if policy == DisorderPolicy::Lazy {
-                // defer delivery until the match's newest constituent is
-                // below the watermark (identical to the native engine)
-                let deadline = events.last().expect("match has events").ts();
-                st.pending.push(Reverse(Pending { deadline, events }));
-            } else {
-                let o = make(st, events, OutputKind::Insert);
-                st.phased.constructed.push((slot, o));
-            }
-            return;
-        }
-        let deadline = seal_deadline(&st.query, &events).expect("query has negation");
-        match policy {
-            DisorderPolicy::Lazy => {
-                st.pending.push(Reverse(Pending { deadline, events }));
-            }
-            DisorderPolicy::Conservative | DisorderPolicy::AdaptiveSlack { .. } => {
-                if deadline <= wm {
-                    if !st.negatives.violates(&events, &mut st.stats) {
-                        let o = make(st, events, OutputKind::Insert);
-                        st.phased.constructed.push((slot, o));
-                    }
-                } else {
-                    st.pending.push(Reverse(Pending { deadline, events }));
-                }
-            }
-            DisorderPolicy::Speculative => {
-                if st.negatives.violates(&events, &mut st.stats) {
-                    return;
-                }
-                if deadline > wm {
-                    st.emitted_unsealed.push(EmittedUnsealed {
-                        deadline,
-                        events: events.clone(),
-                    });
-                }
-                let o = make(st, events, OutputKind::Insert);
-                st.phased.constructed.push((slot, o));
-            }
+        for (mx, events) in walker.forked {
+            let st = &mut self.states[g.members[mx].query];
+            let (stamp, trigger) = (self.epochs[st.epoch].stamp(), anchor.id());
+            st.settle.route(
+                stamp,
+                anchor_pos,
+                events,
+                trigger,
+                &mut st.stats,
+                &mut st.phased,
+            );
         }
     }
 
-    /// Speculative mode: a just-arrived negative retracts any emitted,
-    /// still-unsealed match of `qix` it invalidates.
-    fn retract_invalidated(&mut self, qix: usize, negative: &EventRef) {
-        let eix = self.states[qix].epoch;
-        let (seq, clock) = {
-            let ep = &self.epochs[eix];
-            (ep.seq, ep.wm.clock())
-        };
-        let st = &mut self.states[qix];
-        let query = Arc::clone(&st.query);
-        let mut retracted: Vec<(Timestamp, Vec<EventRef>)> = Vec::new();
-        st.emitted_unsealed.retain(|rec| {
-            let rs = regions(&query, &rec.events);
-            for (ix, neg) in query.negations().iter().enumerate() {
-                if !neg.matches_type(negative.event_type()) {
-                    continue;
-                }
-                let region = rs[ix];
-                if region.is_empty() || negative.ts() < region.start || negative.ts() >= region.end
-                {
-                    continue;
-                }
-                let mut binding = query.binding_from_positives(&rec.events);
-                binding[neg.comp] = Some(negative);
-                if neg
-                    .predicates
-                    .iter()
-                    .all(|p| p.eval(&binding) == Some(true))
-                {
-                    retracted.push((rec.deadline, rec.events.clone()));
-                    return false;
-                }
-            }
-            true
-        });
-        for (deadline, events) in retracted {
-            let st = &mut self.states[qix];
-            st.stats.negated_matches += 1;
-            if self.retractions_dropped < self.config.retraction_drop {
-                self.retractions_dropped += 1;
-                continue;
-            }
-            let st = &mut self.states[qix];
-            let o = OutputItem {
-                kind: OutputKind::Retract,
-                m: Match::new(&st.query, events),
-                emit_seq: seq,
-                emit_clock: clock,
-                cause: Some(negative.id()),
-            };
-            st.phased.retracts.push((deadline, o));
+    /// Emits every query's pending matches whose regions sealed; forgets
+    /// sealed speculative records.
+    fn drain_seals(&mut self) {
+        for st in self.states.iter_mut().filter(|st| st.active) {
+            let stamp = self.epochs[st.epoch].stamp();
+            st.settle.drain_sealed(stamp, &mut st.stats, &mut st.phased);
         }
-    }
-
-    /// Emits pending matches whose regions sealed; forgets sealed
-    /// speculative records.
-    fn drain_sealed(&mut self, qix: usize) {
-        let eix = self.states[qix].epoch;
-        let (seq, clock, wm) = {
-            let ep = &self.epochs[eix];
-            (ep.seq, ep.wm.clock(), ep.wm.current())
-        };
-        let st = &mut self.states[qix];
-        while let Some(Reverse(top)) = st.pending.peek() {
-            if top.deadline > wm {
-                break;
-            }
-            let Reverse(p) = st.pending.pop().expect("peeked");
-            if !st.negatives.violates(&p.events, &mut st.stats) {
-                let o = OutputItem {
-                    kind: OutputKind::Insert,
-                    m: Match::new(&st.query, p.events),
-                    emit_seq: seq,
-                    emit_clock: clock,
-                    cause: None,
-                };
-                st.phased.sealed.push((p.deadline, o));
-            }
-        }
-        st.emitted_unsealed.retain(|rec| rec.deadline > wm);
     }
 
     /// Purges one epoch's pooled stacks and its queries' negative
@@ -864,11 +713,8 @@ impl SharedMultiEngine {
         }
         self.plan = plan;
         for i in 0..self.epochs[eix].queries.len() {
-            let qix = self.epochs[eix].queries[i];
-            let window = self.states[qix].query.window();
-            let t = purge::negative_threshold(wm, window).saturating_add(skew);
-            let st = &mut self.states[qix];
-            st.negatives.purge_before(t, &mut st.stats);
+            let st = &mut self.states[self.epochs[eix].queries[i]];
+            st.settle.purge_negatives(wm, skew, &mut st.stats);
         }
     }
 
@@ -878,10 +724,7 @@ impl SharedMultiEngine {
         let mut out = Vec::new();
         for qix in 0..self.states.len() {
             let st = &mut self.states[qix];
-            if st.phased.retracts.is_empty()
-                && st.phased.constructed.is_empty()
-                && st.phased.sealed.is_empty()
-            {
+            if st.phased.len() == 0 {
                 continue;
             }
             let phased = std::mem::take(&mut st.phased);
@@ -899,7 +742,7 @@ impl SharedMultiEngine {
     // ------------------------------------------------------------------
 
     /// Serializes the evaluation as a [`crate::MultiEngine`] envelope of
-    /// per-query [`NativeEngine`]-format blobs: plan-shape-agnostic by
+    /// per-query [`crate::NativeEngine`]-format blobs: plan-shape-agnostic by
     /// construction (each blob describes one logical query, not the
     /// pooled layout), so it restores into independent engines — or into
     /// a shared evaluator compiled from a different registration history.
@@ -912,82 +755,52 @@ impl SharedMultiEngine {
         Ok(seal_envelope(&w.into_bytes()))
     }
 
+    /// One query's [`QueryBlob`]: its slots' events regrouped from the
+    /// pooled stacks into the per-key stacks its isolated engine would
+    /// hold (identical content, modulo the pooled purge superset).
     fn query_blob(&self, qix: usize) -> Vec<u8> {
         let st = &self.states[qix];
         let ep = &self.epochs[st.epoch];
         let q = &st.query;
         let m = q.positive_len();
-        let mut w = Writer::new();
-        w.put_u64(engine_fingerprint(q, &self.config));
-        ep.wm.snapshot_into(&mut w);
-        ep.seq.encode(&mut w);
-        st.stats.encode(&mut w);
-        // per-slot event lists from the pooled stacks (identical content
-        // to what the query's isolated engine would hold, modulo the
-        // pooled purge superset)
-        let slot_events: Vec<&[EventRef]> = if st.active {
-            self.plan.queries[qix]
-                .stack_of_slot
-                .iter()
-                .map(|&six| self.stacks[six].events())
-                .collect()
-        } else {
-            vec![&[] as &[EventRef]; m]
-        };
-        let build_stacks = |per_slot: &[Vec<EventRef>]| -> Vec<AisStack> {
-            per_slot
-                .iter()
-                .map(|events| {
-                    let mut s = AisStack::new();
-                    for ev in events {
-                        s.insert(Arc::clone(ev));
-                    }
-                    s
-                })
-                .collect()
-        };
-        match (self.config.partitioned, q.partition()) {
-            (true, Some(scheme)) => {
-                w.put_u8(1);
-                let mut shards: BTreeMap<PartitionKey, Vec<Vec<EventRef>>> = BTreeMap::new();
-                for (slot, events) in slot_events.iter().enumerate() {
-                    for ev in *events {
-                        let key = ev
-                            .field(scheme.fields[slot])
-                            .and_then(PartitionKey::from_value)
-                            .expect("keyed slots hold only keyable events");
-                        shards.entry(key).or_insert_with(|| vec![Vec::new(); m])[slot]
-                            .push(Arc::clone(ev));
-                    }
-                }
-                w.put_u64(shards.len() as u64);
-                for (key, per_slot) in &shards {
-                    key.encode(&mut w);
-                    build_stacks(per_slot).encode(&mut w);
-                }
-            }
-            _ => {
-                w.put_u8(0);
-                let per_slot: Vec<Vec<EventRef>> = slot_events.iter().map(|e| e.to_vec()).collect();
-                build_stacks(&per_slot).encode(&mut w);
+        let scheme = q.partition().filter(|_| self.config.partitioned);
+        // the whole query is one partition when it does not shard
+        let mut shards: BTreeMap<Option<PartitionKey>, Vec<AisStack>> = BTreeMap::new();
+        if scheme.is_none() {
+            shards.insert(None, vec![AisStack::new(); m]);
+        }
+        let slot_stacks = &self.plan.queries[qix].stack_of_slot;
+        for (slot, &six) in slot_stacks.iter().enumerate().filter(|_| st.active) {
+            for ev in self.stacks[six].events() {
+                let key = scheme.map(|s| {
+                    ev.field(s.fields[slot])
+                        .and_then(PartitionKey::from_value)
+                        .expect("keyed slots hold only keyable events")
+                });
+                shards
+                    .entry(key)
+                    .or_insert_with(|| vec![AisStack::new(); m])[slot]
+                    .insert(Arc::clone(ev));
             }
         }
-        st.negatives.snapshot_into(&mut w);
-        let mut pend: Vec<(Timestamp, &Vec<EventRef>)> = st
-            .pending
-            .iter()
-            .map(|Reverse(p)| (p.deadline, &p.events))
-            .collect();
-        NativeEngine::sort_match_records(&mut pend);
-        NativeEngine::encode_match_records(&pend, &mut w);
-        let mut emitted: Vec<(Timestamp, &Vec<EventRef>)> = st
-            .emitted_unsealed
-            .iter()
-            .map(|rec| (rec.deadline, &rec.events))
-            .collect();
-        NativeEngine::sort_match_records(&mut emitted);
-        NativeEngine::encode_match_records(&emitted, &mut w);
-        seal_envelope(&w.into_bytes())
+        let stacks = match scheme {
+            None => StackLayout::Single(shards[&None].as_slice()),
+            Some(_) => StackLayout::Keyed(
+                shards
+                    .iter()
+                    .map(|(k, s)| (k.as_ref().expect("keyed"), s.as_slice()))
+                    .collect(),
+            ),
+        };
+        QueryBlob::encode(
+            q,
+            &self.config,
+            &ep.wm,
+            ep.seq,
+            &st.stats,
+            stacks,
+            &[&st.settle],
+        )
     }
 
     /// Restores from a snapshot written by [`SharedMultiEngine::snapshot`]
@@ -997,119 +810,44 @@ impl SharedMultiEngine {
     /// untouched. Epochs are re-derived by grouping queries with
     /// identical restored (watermark, sequence) stream positions.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        struct RestoredQuery {
-            wm: WatermarkTracker,
-            wm_bytes: Vec<u8>,
-            seq: ArrivalSeq,
-            stats: RuntimeStats,
-            slot_events: Vec<Vec<EventRef>>,
-            negatives: NegationIndex,
-            pending: BinaryHeap<Reverse<Pending>>,
-            emitted_unsealed: Vec<EmittedUnsealed>,
-        }
-        let payload = open_envelope(bytes)?;
-        let mut r = Reader::new(payload);
+        let mut r = Reader::new(open_envelope(bytes)?);
         if r.get_u64()? != self.specs.len() as u64 {
             return Err(CodecError::SnapshotMismatch("registered query count"));
         }
-        let mut blobs = Vec::with_capacity(self.specs.len());
-        for _ in 0..self.specs.len() {
-            blobs.push(r.get_bytes()?);
-        }
-        r.finish()?;
-        let mut restored: Vec<RestoredQuery> = Vec::with_capacity(blobs.len());
-        for (qix, blob) in blobs.iter().enumerate() {
-            let q = Arc::clone(&self.states[qix].query);
-            let m = q.positive_len();
-            let payload = open_envelope(blob)?;
-            let mut r = Reader::new(payload);
-            if r.get_u64()? != engine_fingerprint(&q, &self.config) {
-                return Err(CodecError::SnapshotMismatch(
-                    "query/configuration fingerprint",
-                ));
-            }
+        let mut restored: Vec<QueryBlob> = Vec::with_capacity(self.specs.len());
+        for st in &self.states {
+            let len = r.get_len()?;
             // the tracker's slack parameters derive from the query's
             // *current* policy, not the snapshot (policy changes across a
             // checkpoint take effect on restore, as in the native engine)
             let mut qconfig = self.config;
-            qconfig.policy = self.states[qix].policy;
-            let wm = WatermarkTracker::restore_from(&qconfig, &mut r)?;
-            let mut wb = Writer::new();
-            wm.snapshot_into(&mut wb);
-            let seq = ArrivalSeq::decode(&mut r)?;
-            let stats = RuntimeStats::decode(&mut r)?;
-            let decode_stacks = |r: &mut Reader<'_>| -> Result<Vec<AisStack>, CodecError> {
-                let stacks = Vec::<AisStack>::decode(r)?;
-                if stacks.len() != m {
-                    return Err(CodecError::SnapshotMismatch("positive slot count"));
-                }
-                Ok(stacks)
-            };
-            let mut slot_events: Vec<Vec<EventRef>> = vec![Vec::new(); m];
-            match r.get_u8()? {
-                0 => {
-                    for (slot, stack) in decode_stacks(&mut r)?.into_iter().enumerate() {
-                        slot_events[slot] = stack.events().to_vec();
-                    }
-                }
-                1 => {
-                    if !(self.config.partitioned && q.partition().is_some()) {
-                        return Err(CodecError::SnapshotMismatch("partitioning scheme"));
-                    }
-                    let n = r.get_u64()?;
-                    if n > r.remaining() as u64 {
-                        return Err(CodecError::BadLength);
-                    }
-                    for _ in 0..n {
-                        let _key = PartitionKey::decode(&mut r)?;
-                        for (slot, stack) in decode_stacks(&mut r)?.into_iter().enumerate() {
-                            slot_events[slot].extend(stack.events().iter().cloned());
-                        }
-                    }
-                }
-                tag => {
-                    return Err(CodecError::InvalidTag {
-                        what: "ShardSet",
-                        tag,
-                    })
-                }
-            }
-            let negatives = NegationIndex::restore(Arc::clone(&q), &mut r)?;
-            let pending: BinaryHeap<Reverse<Pending>> = NativeEngine::decode_match_records(&mut r)?
-                .into_iter()
-                .map(|(deadline, events)| Reverse(Pending { deadline, events }))
-                .collect();
-            let emitted_unsealed: Vec<EmittedUnsealed> =
-                NativeEngine::decode_match_records(&mut r)?
-                    .into_iter()
-                    .map(|(deadline, events)| EmittedUnsealed { deadline, events })
-                    .collect();
-            r.finish()?;
-            restored.push(RestoredQuery {
-                wm,
-                wm_bytes: wb.into_bytes(),
-                seq,
-                stats,
-                slot_events,
-                negatives,
-                pending,
-                emitted_unsealed,
-            });
+            qconfig.policy = st.settle.policy();
+            let blob = QueryBlob::decode(&st.query, &qconfig, &st.settle, r.take(len)?)?;
+            restored.push(blob);
         }
+        r.finish()?;
         // regroup epochs: queries at identical stream positions with a
         // compatible watermark class share one
         let mut keys: Vec<(Vec<u8>, u64, WmClass)> = Vec::new();
+        let mut epochs: Vec<EpochState> = Vec::new();
         let mut epoch_of: Vec<usize> = Vec::with_capacity(restored.len());
-        for (qix, rq) in restored.iter().enumerate() {
-            let class = WmClass::of(self.states[qix].policy);
-            let key = (rq.wm_bytes.clone(), rq.seq.get(), class);
-            let eix = match keys.iter().position(|k| *k == key) {
-                Some(i) => i,
-                None => {
-                    keys.push(key);
-                    keys.len() - 1
-                }
-            };
+        for (rq, st) in restored.iter().zip(&self.states) {
+            let mut w = Writer::new();
+            rq.wm.snapshot_into(&mut w);
+            let key = (
+                w.into_bytes(),
+                rq.seq.get(),
+                WmClass::of(st.settle.policy()),
+            );
+            let eix = keys.iter().position(|k| *k == key).unwrap_or(keys.len());
+            if eix == keys.len() {
+                keys.push(key);
+                epochs.push(EpochState {
+                    wm: rq.wm.clone(),
+                    seq: rq.seq,
+                    queries: Vec::new(),
+                });
+            }
             epoch_of.push(eix);
         }
         let mut specs = self.specs.clone();
@@ -1118,27 +856,18 @@ impl SharedMultiEngine {
         }
         let plan = compile(&specs, self.config.partitioned);
         let mut stacks: Vec<AisStack> = plan.stacks.iter().map(|_| AisStack::new()).collect();
-        for (qix, rq) in restored.iter().enumerate() {
-            if !plan.queries[qix].active {
-                continue;
-            }
-            for (slot, &six) in plan.queries[qix].stack_of_slot.iter().enumerate() {
-                for ev in &rq.slot_events[slot] {
-                    stacks[six].insert(Arc::clone(ev));
+        for (rq, qnode) in restored.iter().zip(&plan.queries) {
+            let per_key: Vec<&Vec<AisStack>> = match &rq.stacks {
+                StackLayout::Single(slots) => vec![slots],
+                StackLayout::Keyed(entries) => entries.iter().map(|(_, slots)| slots).collect(),
+            };
+            for slots in per_key.into_iter().filter(|_| qnode.active) {
+                for (stack, &six) in slots.iter().zip(&qnode.stack_of_slot) {
+                    for ev in stack.events() {
+                        stacks[six].insert(Arc::clone(ev));
+                    }
                 }
             }
-        }
-        let mut epochs: Vec<EpochState> = Vec::with_capacity(keys.len());
-        for eix in 0..keys.len() {
-            let first = epoch_of
-                .iter()
-                .position(|&e| e == eix)
-                .expect("epoch has a member");
-            epochs.push(EpochState {
-                wm: restored[first].wm.clone(),
-                seq: restored[first].seq,
-                queries: Vec::new(),
-            });
         }
         for (qix, spec) in specs.iter().enumerate() {
             if spec.active {
@@ -1154,9 +883,7 @@ impl SharedMultiEngine {
         for (qix, rq) in restored.into_iter().enumerate() {
             let st = &mut self.states[qix];
             st.epoch = epoch_of[qix];
-            st.negatives = rq.negatives;
-            st.pending = rq.pending;
-            st.emitted_unsealed = rq.emitted_unsealed;
+            st.settle = rq.settle;
             st.stats = rq.stats;
             st.phased = PhasedOutput::default();
             st.routed = false;
@@ -1169,154 +896,6 @@ impl SharedMultiEngine {
 // walkers
 // ----------------------------------------------------------------------
 
-/// Replicates [`sequin_runtime::Constructor`]'s walk — same bounds, same
-/// newest-first prefix / ascending suffix order, same short-circuit
-/// accounting — over pooled stacks resolved per slot, restricted to the
-/// anchor's partition key when the query shards (a key-filtered pooled
-/// stack scans the same candidates, in the same order, as the key's
-/// dedicated shard stack).
-struct PlainWalker<'a> {
-    query: &'a Arc<Query>,
-    slot_stack: &'a [usize],
-    stacks: &'a [AisStack],
-    cutoff: bool,
-    window: Duration,
-    anchor_slot: usize,
-    scheme: Option<&'a sequin_query::PartitionScheme>,
-    key: Option<PartitionKey>,
-    stats: &'a mut RuntimeStats,
-    out: &'a mut Vec<Vec<EventRef>>,
-}
-
-impl PlainWalker<'_> {
-    fn run(&mut self, anchor: &EventRef) {
-        let m = self.query.positive_len();
-        let mut chosen: Vec<Option<EventRef>> = vec![None; m];
-        chosen[self.anchor_slot] = Some(Arc::clone(anchor));
-        if !check_bound_preds(self.query, &chosen, self.anchor_slot, self.stats) {
-            return;
-        }
-        self.extend_prefix(self.anchor_slot, &mut chosen);
-    }
-
-    fn key_match(&self, slot: usize, ev: &EventRef) -> bool {
-        match (self.scheme, &self.key) {
-            (Some(s), Some(k)) => {
-                ev.field(s.fields[slot])
-                    .and_then(PartitionKey::from_value)
-                    .as_ref()
-                    == Some(k)
-            }
-            _ => true,
-        }
-    }
-
-    fn extend_prefix(&mut self, filled_down_to: usize, chosen: &mut [Option<EventRef>]) {
-        if filled_down_to == 0 {
-            self.extend_suffix(self.anchor_slot, chosen);
-            return;
-        }
-        let slot = filled_down_to - 1;
-        let next_ts = chosen[slot + 1].as_ref().expect("slot above is bound").ts();
-        let anchor_ts = chosen[self.anchor_slot]
-            .as_ref()
-            .expect("anchor bound")
-            .ts();
-        let lo = anchor_ts.saturating_sub(self.window);
-        let stacks: &[AisStack] = self.stacks;
-        let stack = &stacks[self.slot_stack[slot]];
-        let candidates: &[EventRef] = if self.cutoff {
-            stack.range(lo, next_ts)
-        } else {
-            stack.events()
-        };
-        for ev in candidates.iter().rev() {
-            if !self.key_match(slot, ev) {
-                continue;
-            }
-            self.stats.dfs_steps += 1;
-            if !self.cutoff && (ev.ts() < lo || ev.ts() >= next_ts) {
-                continue;
-            }
-            let ev = Arc::clone(ev);
-            chosen[slot] = Some(ev);
-            if check_bound_preds(self.query, chosen, slot, self.stats) {
-                self.extend_prefix(slot, chosen);
-            }
-            chosen[slot] = None;
-        }
-    }
-
-    fn extend_suffix(&mut self, filled_up_to: usize, chosen: &mut [Option<EventRef>]) {
-        let m = self.query.positive_len();
-        if filled_up_to == m - 1 {
-            let events: Vec<EventRef> = chosen
-                .iter()
-                .map(|c| Arc::clone(c.as_ref().expect("complete")))
-                .collect();
-            self.stats.matches_constructed += 1;
-            self.out.push(events);
-            return;
-        }
-        let slot = filled_up_to + 1;
-        let prev_ts = chosen[slot - 1].as_ref().expect("slot below is bound").ts();
-        let first_ts = chosen[0].as_ref().expect("prefix complete").ts();
-        let lo = prev_ts.saturating_add(Duration::new(1));
-        let hi = first_ts
-            .saturating_add(self.window)
-            .saturating_add(Duration::new(1));
-        let stacks: &[AisStack] = self.stacks;
-        let stack = &stacks[self.slot_stack[slot]];
-        let candidates: &[EventRef] = if self.cutoff {
-            stack.range(lo, hi)
-        } else {
-            stack.events()
-        };
-        for ev in candidates.iter() {
-            if !self.key_match(slot, ev) {
-                continue;
-            }
-            self.stats.dfs_steps += 1;
-            if !self.cutoff && (ev.ts() < lo || ev.ts() >= hi) {
-                continue;
-            }
-            let ev = Arc::clone(ev);
-            chosen[slot] = Some(ev);
-            if check_bound_preds(self.query, chosen, slot, self.stats) {
-                self.extend_suffix(slot, chosen);
-            }
-            chosen[slot] = None;
-        }
-    }
-}
-
-/// The constructor's bind check: evaluate every positive predicate whose
-/// mask contains the just-bound slot's component; `Some(false)` prunes,
-/// `None` (still-unbound references) does not.
-fn check_bound_preds(
-    query: &Query,
-    chosen: &[Option<EventRef>],
-    slot: usize,
-    stats: &mut RuntimeStats,
-) -> bool {
-    let comp = query.positive_comp(slot);
-    let mut binding: Vec<Option<&EventRef>> = vec![None; query.components().len()];
-    for (p, c) in chosen.iter().enumerate() {
-        if let Some(ev) = c.as_ref() {
-            binding[query.positive_comp(p)] = Some(ev);
-        }
-    }
-    for pred in query.predicates() {
-        if pred.mask().contains(comp) {
-            stats.predicate_evals += 1;
-            if pred.eval(&binding) == Some(false) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 /// The shared prefix enumeration: the constructor's walk over the group's
 /// prefix positions (bounds and order identical for every member), with
 /// group-common predicates evaluated once on the representative binding
@@ -1327,7 +906,7 @@ struct GroupWalker<'a> {
     g: &'a PrefixGroup,
     plan: &'a SharedPlan,
     stacks: &'a [AisStack],
-    cutoff: bool,
+    opts: ConstructOpts,
     anchor_pos: usize,
     key: Option<PartitionKey>,
     shared_dfs: u64,
@@ -1402,20 +981,17 @@ impl GroupWalker<'_> {
         let pos = filled_down_to - 1;
         let next_ts = chosen[pos + 1].as_ref().expect("slot above is bound").ts();
         let anchor_ts = chosen[self.anchor_pos].as_ref().expect("anchor bound").ts();
-        let lo = anchor_ts.saturating_sub(self.g.window);
         let stacks: &[AisStack] = self.stacks;
         let stack = &stacks[self.g.prefix_stacks[pos]];
-        let candidates: &[EventRef] = if self.cutoff {
-            stack.range(lo, next_ts)
-        } else {
-            stack.events()
-        };
+        let (lo, hi, candidates) = self
+            .opts
+            .prefix_level(stack, self.g.window, anchor_ts, next_ts);
         for ev in candidates.iter().rev() {
             if !self.key_match_prefix(pos, ev) {
                 continue;
             }
             self.shared_dfs += 1;
-            if !self.cutoff && (ev.ts() < lo || ev.ts() >= next_ts) {
+            if !self.opts.window_cutoff && (ev.ts() < lo || ev.ts() >= hi) {
                 continue;
             }
             let ev = Arc::clone(ev);
@@ -1435,23 +1011,17 @@ impl GroupWalker<'_> {
         let pos = filled_up_to + 1;
         let prev_ts = chosen[pos - 1].as_ref().expect("slot below is bound").ts();
         let first_ts = chosen[0].as_ref().expect("prefix complete").ts();
-        let lo = prev_ts.saturating_add(Duration::new(1));
-        let hi = first_ts
-            .saturating_add(self.g.window)
-            .saturating_add(Duration::new(1));
         let stacks: &[AisStack] = self.stacks;
         let stack = &stacks[self.g.prefix_stacks[pos]];
-        let candidates: &[EventRef] = if self.cutoff {
-            stack.range(lo, hi)
-        } else {
-            stack.events()
-        };
+        let (lo, hi, candidates) = self
+            .opts
+            .suffix_level(stack, self.g.window, first_ts, prev_ts);
         for ev in candidates.iter() {
             if !self.key_match_prefix(pos, ev) {
                 continue;
             }
             self.shared_dfs += 1;
-            if !self.cutoff && (ev.ts() < lo || ev.ts() >= hi) {
+            if !self.opts.window_cutoff && (ev.ts() < lo || ev.ts() >= hi) {
                 continue;
             }
             let ev = Arc::clone(ev);
@@ -1473,20 +1043,14 @@ impl GroupWalker<'_> {
             .expect("prefix complete")
             .ts();
         let first_ts = chosen[0].as_ref().expect("prefix complete").ts();
-        let lo = prev_ts.saturating_add(Duration::new(1));
-        let hi = first_ts
-            .saturating_add(self.g.window)
-            .saturating_add(Duration::new(1));
         for (mx, member) in self.g.members.iter().enumerate() {
             let mq = &self.plan.queries[member.query].query;
             let final_comp = mq.positive_comp(prefix_len);
             let stacks: &[AisStack] = self.stacks;
             let stack = &stacks[member.final_stack];
-            let candidates: &[EventRef] = if self.cutoff {
-                stack.range(lo, hi)
-            } else {
-                stack.events()
-            };
+            let (lo, hi, candidates) =
+                self.opts
+                    .suffix_level(stack, self.g.window, first_ts, prev_ts);
             for ev in candidates.iter() {
                 if let (Some(field), Some(k)) = (member.final_partition_field, &self.key) {
                     if ev.field(field).and_then(PartitionKey::from_value).as_ref() != Some(k) {
@@ -1494,7 +1058,7 @@ impl GroupWalker<'_> {
                     }
                 }
                 self.member_dfs[mx] += 1;
-                if !self.cutoff && (ev.ts() < lo || ev.ts() >= hi) {
+                if !self.opts.window_cutoff && (ev.ts() < lo || ev.ts() >= hi) {
                     continue;
                 }
                 let mut binding: Vec<Option<&EventRef>> = vec![None; mq.components().len()];
@@ -1530,6 +1094,7 @@ impl GroupWalker<'_> {
 mod tests {
     use super::*;
     use crate::multi::MultiEngine;
+    use crate::native::NativeEngine;
     use crate::traits::Strategy;
     use sequin_prng::Rng;
     use sequin_query::parse;

@@ -3,8 +3,9 @@
 use std::sync::Arc;
 
 use sequin_query::Query;
-use sequin_types::{Duration, EventRef};
+use sequin_types::{Duration, EventRef, FieldId, Timestamp};
 
+use crate::partition::PartitionKey;
 use crate::stack::AisStack;
 use crate::stats::RuntimeStats;
 
@@ -26,6 +27,52 @@ impl Default for ConstructOpts {
     }
 }
 
+impl ConstructOpts {
+    /// One level of a walk's descent below the anchor: the half-open
+    /// timestamp range `lo..hi` an event bound just under `next_ts` must
+    /// fall in (span `<= W` and last `>= anchor` force `>= anchor − W`)
+    /// and the slice of `stack` to scan newest-first — all of it without
+    /// the cut-off, when the caller applies the range itself.
+    pub fn prefix_level(
+        self,
+        stack: &AisStack,
+        window: Duration,
+        anchor_ts: Timestamp,
+        next_ts: Timestamp,
+    ) -> (Timestamp, Timestamp, &[EventRef]) {
+        self.level(stack, anchor_ts.saturating_sub(window), next_ts)
+    }
+
+    /// One level of a walk's ascent above the anchor, once the prefix is
+    /// complete (oldest first): strict sequence order and span `<= W`
+    /// give `prev < ts <= first + W`.
+    pub fn suffix_level(
+        self,
+        stack: &AisStack,
+        window: Duration,
+        first_ts: Timestamp,
+        prev_ts: Timestamp,
+    ) -> (Timestamp, Timestamp, &[EventRef]) {
+        let tick = Duration::new(1);
+        let hi = first_ts.saturating_add(window).saturating_add(tick);
+        self.level(stack, prev_ts.saturating_add(tick), hi)
+    }
+
+    fn level(
+        self,
+        stack: &AisStack,
+        lo: Timestamp,
+        hi: Timestamp,
+    ) -> (Timestamp, Timestamp, &[EventRef]) {
+        let candidates = if self.window_cutoff {
+            stack.range(lo, hi)
+        } else {
+            stack.events()
+        };
+        (lo, hi, candidates)
+    }
+}
+
 /// Enumerates pattern matches from a set of active instance stacks.
 ///
 /// The key operation is [`Constructor::matches_with`]: all matches that
@@ -44,12 +91,19 @@ impl Default for ConstructOpts {
 pub struct Constructor {
     query: Arc<Query>,
     opts: ConstructOpts,
+    /// `0..m`: the slot→stack table of a caller with one stack per slot.
+    identity: Vec<usize>,
 }
 
 impl Constructor {
     /// Creates a constructor for `query`.
     pub fn new(query: Arc<Query>, opts: ConstructOpts) -> Constructor {
-        Constructor { query, opts }
+        let identity = (0..query.positive_len()).collect();
+        Constructor {
+            query,
+            opts,
+            identity,
+        }
     }
 
     /// The query this constructor evaluates.
@@ -79,14 +133,56 @@ impl Constructor {
     ) {
         let m = self.query.positive_len();
         assert_eq!(stacks.len(), m, "one stack per positive slot");
+        self.matches_pooled(
+            stacks,
+            &self.identity,
+            false,
+            anchor_slot,
+            anchor,
+            stats,
+            out,
+        );
+    }
+
+    /// [`Constructor::matches_with`] over a pool of stacks shared between
+    /// queries: slot `s` reads `pool[slot_stack[s]]`. With `keyed` (and a
+    /// query that partitions), a pooled stack holds every partition key,
+    /// so only candidates carrying the anchor's key are visited — the
+    /// same candidates, in the same order, as the key's own per-slot
+    /// stacks would hold, and only those count as DFS steps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot_stack.len()` differs from the query's positive
+    /// length or `anchor_slot` is out of range.
+    #[allow(clippy::too_many_arguments)]
+    pub fn matches_pooled(
+        &self,
+        pool: &[AisStack],
+        slot_stack: &[usize],
+        keyed: bool,
+        anchor_slot: usize,
+        anchor: &EventRef,
+        stats: &mut RuntimeStats,
+        out: &mut Vec<Vec<EventRef>>,
+    ) {
+        let m = self.query.positive_len();
+        assert_eq!(slot_stack.len(), m, "one stack per positive slot");
         assert!(anchor_slot < m, "anchor slot out of range");
 
         let mut chosen: Vec<Option<EventRef>> = vec![None; m];
         chosen[anchor_slot] = Some(Arc::clone(anchor));
 
+        let scheme = self.query.partition().filter(|_| keyed);
+        let key = scheme.and_then(|s| {
+            let key = anchor.field(s.fields[anchor_slot])?;
+            Some((s.fields.as_slice(), PartitionKey::from_value(key)?))
+        });
         let mut walker = Walker {
             query: &self.query,
-            stacks,
+            pool,
+            slot_stack,
+            key,
             opts: self.opts,
             anchor_slot,
             window: self.query.window(),
@@ -103,7 +199,11 @@ impl Constructor {
 
 struct Walker<'a> {
     query: &'a Query,
-    stacks: &'a [AisStack],
+    pool: &'a [AisStack],
+    slot_stack: &'a [usize],
+    /// The query's partition fields and the anchor's key, when the pool
+    /// mixes keys.
+    key: Option<(&'a [FieldId], PartitionKey)>,
     opts: ConstructOpts,
     anchor_slot: usize,
     window: Duration,
@@ -111,7 +211,23 @@ struct Walker<'a> {
     out: &'a mut Vec<Vec<EventRef>>,
 }
 
-impl Walker<'_> {
+impl<'a> Walker<'a> {
+    fn stack(&self, slot: usize) -> &'a AisStack {
+        &self.pool[self.slot_stack[slot]]
+    }
+
+    fn key_match(&self, slot: usize, ev: &EventRef) -> bool {
+        match &self.key {
+            Some((fields, key)) => {
+                ev.field(fields[slot])
+                    .and_then(PartitionKey::from_value)
+                    .as_ref()
+                    == Some(key)
+            }
+            None => true,
+        }
+    }
+
     /// Fills slots `anchor_slot-1 .. 0` (descending), then hands off to
     /// [`Walker::extend_suffix`].
     fn extend_prefix(&mut self, filled_down_to: usize, chosen: &mut [Option<EventRef>]) {
@@ -125,18 +241,17 @@ impl Walker<'_> {
             .as_ref()
             .expect("anchor bound")
             .ts();
-        // span <= W and last >= anchor force every prefix ts >= anchor - W
-        let lo = anchor_ts.saturating_sub(self.window);
-        let candidates: &[EventRef] = if self.opts.window_cutoff {
-            self.stacks[slot].range(lo, next_ts)
-        } else {
-            self.stacks[slot].events()
-        };
+        let (lo, hi, candidates) =
+            self.opts
+                .prefix_level(self.stack(slot), self.window, anchor_ts, next_ts);
         // Iterate newest-first: matches closest to the anchor come out
         // first, matching the classic engine's most-recent-first DFS.
         for ev in candidates.iter().rev() {
+            if !self.key_match(slot, ev) {
+                continue;
+            }
             self.stats.dfs_steps += 1;
-            if !self.opts.window_cutoff && (ev.ts() < lo || ev.ts() >= next_ts) {
+            if !self.opts.window_cutoff && (ev.ts() < lo || ev.ts() >= hi) {
                 continue;
             }
             let ev = Arc::clone(ev);
@@ -163,17 +278,13 @@ impl Walker<'_> {
         let slot = filled_up_to + 1;
         let prev_ts = chosen[slot - 1].as_ref().expect("slot below is bound").ts();
         let first_ts = chosen[0].as_ref().expect("prefix complete").ts();
-        // strict sequence order and span <= W: prev < ts <= first + W
-        let lo = prev_ts.saturating_add(Duration::new(1));
-        let hi = first_ts
-            .saturating_add(self.window)
-            .saturating_add(Duration::new(1));
-        let candidates: &[EventRef] = if self.opts.window_cutoff {
-            self.stacks[slot].range(lo, hi)
-        } else {
-            self.stacks[slot].events()
-        };
+        let (lo, hi, candidates) =
+            self.opts
+                .suffix_level(self.stack(slot), self.window, first_ts, prev_ts);
         for ev in candidates.iter() {
+            if !self.key_match(slot, ev) {
+                continue;
+            }
             self.stats.dfs_steps += 1;
             if !self.opts.window_cutoff && (ev.ts() < lo || ev.ts() >= hi) {
                 continue;

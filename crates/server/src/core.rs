@@ -1,46 +1,41 @@
 //! The server's single-threaded evaluation core.
 //!
-//! [`EngineCore`] owns everything the engine thread touches: an
-//! evaluation backend fanning the shared arrival stream out to every
-//! registered query, the text→id subscription table, and — when
-//! durability is configured — a multi-query adaptation of the
-//! checkpoint/exactly-once machinery from [`sequin_engine::Checkpointer`].
-//! Keeping it free of threads and sockets makes the recovery semantics
-//! testable in isolation; `server.rs` is then only plumbing.
+//! [`EngineCore`] owns everything the engine thread touches: the
+//! evaluation fanning the shared arrival stream out to every registered
+//! query, the text→id subscription table, and — when durability is
+//! configured — a multi-query adaptation of the checkpoint/exactly-once
+//! machinery from [`sequin_engine::Checkpointer`]. Keeping it free of
+//! threads and sockets makes the recovery semantics testable in
+//! isolation; `server.rs` is then only plumbing.
 //!
-//! ## Evaluation backends
+//! ## Where a query runs
 //!
-//! Three interchangeable backends sit behind the core (the private
-//! `Eval` enum):
+//! The core evaluates through one private `Eval`: a [`SharedMultiEngine`]
+//! (the plan `sequin-plan` compiles: pooled AIS stacks, one partial-match
+//! walk per common SEQ prefix, insert-time local predicates, an
+//! event-type routing index), a [`MultiEngine`] of queries that run an
+//! engine of their own, and a host table recording, per query in
+//! registration order, which of the two hosts it and under what local id.
+//! `host_for` is the only decision, and reads only configuration and the
+//! query: the control strategies (`Buffered`, `InOrder`) get their own
+//! engine because the plan compiler does not cover them; a Native query
+//! that sharding can parallelize (`shards > 1` and an equality chain to
+//! hash on) gets its own routed [`sequin_engine::ShardedEngine`] pool;
+//! every other Native query joins the plan. Outputs carry global ids and
+//! are interleaved back into registration order per arrival; when one
+//! side hosts nothing the other's outputs and snapshot pass through
+//! untouched.
 //!
-//! * **Shared** — a [`SharedMultiEngine`] compiled by `sequin-plan`:
-//!   queries with a common SEQ prefix share pooled AIS stacks and one
-//!   partial-match walk, single-event predicates are pushed to insert
-//!   time, and an event-type routing index skips uninterested queries.
-//!   Used when the strategy is Native and evaluation is single-sharded.
-//! * **Hybrid** — both at once, used when the strategy is Native and
-//!   `shards > 1`: every partitionable query runs on its own routed
-//!   [`sequin_engine::ShardedEngine`] pool, while the queries sharding
-//!   cannot parallelize (no equality chain to hash on) share the
-//!   plan-compiled evaluator. Global query ids stay dense registration
-//!   indices; outputs from the two halves are interleaved back into
-//!   registration order per arrival.
-//! * **Independent** — a [`MultiEngine`] of per-query engines. Used by the
-//!   control strategies (`Buffered`, `InOrder`), which the plan compiler
-//!   does not cover.
-//!
-//! The backend follows from `(strategy, shards)` alone. The two Native
-//! backends produce byte-identical per-query output, and their snapshots
-//! use the same per-logical-query interchange format, so a durable restart
-//! may change the shard count freely — the hybrid backend splits and
-//! reassembles the envelope around its two halves.
+//! Both hosts produce byte-identical per-query output and write the same
+//! per-logical-query checkpoint blob, so a durable restart may change the
+//! shard count — and with it a query's host — freely.
 //!
 //! ## Durability model
 //!
 //! A checkpoint is one sealed envelope holding the ingest position, the
 //! emission-log high-water mark, the registered query *texts*, and the
-//! backend's snapshot blob (a [`MultiEngine::snapshot`]-format envelope of
-//! per-query state, whichever backend wrote it). Persisting the texts
+//! evaluation's snapshot (a [`MultiEngine::snapshot`]-format envelope of
+//! per-query blobs, whichever host wrote each). Persisting the texts
 //! makes a restart self-contained: resume re-parses and re-registers the
 //! same queries in the same order (ids are dense registration indices, so
 //! they are stable) before restoring operator state. The emission log
@@ -157,19 +152,6 @@ impl std::fmt::Display for SubscribeError {
 
 impl std::error::Error for SubscribeError {}
 
-/// Builds one query engine per `cfg` with the query's negotiated disorder
-/// policy: a sharded pool when `cfg.shards > 1` asks for one (and the
-/// strategy supports it), a plain engine otherwise.
-fn build_engine(
-    cfg: &CoreConfig,
-    q: Arc<sequin_query::Query>,
-    policy: DisorderPolicy,
-) -> Box<dyn sequin_engine::Engine> {
-    let mut engine_cfg = cfg.engine;
-    engine_cfg.policy = policy;
-    sequin_engine::make_sharded_engine(cfg.strategy, q, engine_cfg, cfg.shards)
-}
-
 fn encode_log_record(qid: QueryId, kind_tag: u8, key: &MatchKey) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_u64(qid.index() as u64);
@@ -194,292 +176,223 @@ fn decode_log_record(bytes: &[u8]) -> Result<(u64, u8, MatchKey), CodecError> {
     Ok((qid, tag, key))
 }
 
-/// Which backend hosts one of the hybrid core's queries, and the query's
-/// dense id *within* that backend (global ids are registration order
-/// across both).
-#[derive(Debug, Clone, Copy)]
-enum HybridHost {
-    Shared(QueryId),
-    Sharded(QueryId),
+/// Which side of [`Eval`] hosts a query: the shared plan, or an engine
+/// of the query's own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Side {
+    Plan,
+    Own,
 }
 
-/// Splits a [`MultiEngine::snapshot`]-format envelope (`count` +
-/// length-prefixed per-query blobs) into its per-query blobs.
-fn split_multi_envelope(bytes: &[u8]) -> Result<Vec<Vec<u8>>, CodecError> {
-    let payload = open_envelope(bytes)?;
-    let mut r = Reader::new(payload);
-    let n = r.get_u64()?;
-    if n > r.remaining() as u64 {
-        return Err(CodecError::BadLength);
+/// The one backend decision. It depends only on configuration and the
+/// query, both persisted, so a resume rebuilds the same host table.
+fn host_for(cfg: &CoreConfig, q: &Query) -> Side {
+    // sharding can only parallelize a query with an equality chain to
+    // hash on; the rest share the plan instead of each paying for an
+    // engine, and the plan compiler does not cover the control strategies
+    let routed_pool = cfg.shards > 1 && cfg.engine.partitioned && q.partition().is_some();
+    if cfg.strategy != Strategy::Native || routed_pool {
+        Side::Own
+    } else {
+        Side::Plan
     }
-    let mut blobs = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        blobs.push(r.get_bytes()?);
-    }
+}
+
+/// The per-query blobs of a [`MultiEngine::snapshot`]-format envelope
+/// (`count` + length-prefixed blobs), borrowed from it.
+fn envelope_blobs(bytes: &[u8]) -> Result<Vec<&[u8]>, CodecError> {
+    let mut r = Reader::new(open_envelope(bytes)?);
+    let blobs = (0..r.get_len()?).map(|_| r.get_len().and_then(|len| r.take(len)));
+    let blobs = blobs.collect::<Result<Vec<_>, _>>()?;
     r.finish()?;
     Ok(blobs)
 }
 
-/// Reassembles per-query blobs into a [`MultiEngine::snapshot`]-format
-/// envelope (the inverse of [`split_multi_envelope`]).
-fn seal_multi_envelope<B: AsRef<[u8]>>(blobs: &[B]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u64(blobs.len() as u64);
-    for b in blobs {
-        w.put_bytes(b.as_ref());
-    }
-    seal_envelope(&w.into_bytes())
-}
-
-/// The evaluation backend behind the core (see the module docs):
-/// independent per-query engines, the shared-plan evaluator, or the hybrid
-/// composition of both. All produce byte-identical output and interchange
-/// snapshot blobs.
-enum Eval {
-    /// One engine per query ([`MultiEngine`]): any strategy, sharded pools.
-    Independent(MultiEngine),
-    /// Pooled stacks + common-prefix sharing ([`SharedMultiEngine`]).
-    /// Boxed: the shared evaluator is much larger than a [`MultiEngine`].
-    Shared(Box<SharedMultiEngine>),
-    /// Both at once — how the shared plan composes with `shards > 1`: each
-    /// partitionable query gets its own routed
-    /// [`sequin_engine::ShardedEngine`] pool, and the queries sharding
-    /// cannot help (no equality chain to hash on) share the plan-compiled
-    /// evaluator instead of each paying for a full engine.
-    Hybrid {
-        shared: Box<SharedMultiEngine>,
-        sharded: MultiEngine,
-        /// Host + backend-local id per global query, in registration order.
-        hosts: Vec<HybridHost>,
-    },
+/// The evaluation behind the core (see the module docs): the shared plan,
+/// the queries that run engines of their own, and the host table that
+/// says which is which. Global query ids are dense registration indices
+/// across both sides; each side numbers its own queries densely too.
+struct Eval {
+    plan: SharedMultiEngine,
+    own: MultiEngine,
+    /// Side and side-local id per global query, in registration order.
+    hosts: Vec<(Side, QueryId)>,
+    /// Global id per plan-local id.
+    plan_globals: Vec<QueryId>,
+    /// Global id per own-local id.
+    own_globals: Vec<QueryId>,
 }
 
 impl Eval {
     fn new(cfg: &CoreConfig) -> Eval {
-        if cfg.strategy != Strategy::Native {
-            return Eval::Independent(MultiEngine::new());
-        }
-        let shared = Box::new(SharedMultiEngine::new(cfg.engine));
-        if cfg.shards <= 1 {
-            Eval::Shared(shared)
-        } else {
-            Eval::Hybrid {
-                shared,
-                sharded: MultiEngine::new(),
-                hosts: Vec::new(),
-            }
+        Eval {
+            plan: SharedMultiEngine::new(cfg.engine),
+            own: MultiEngine::new(),
+            hosts: Vec::new(),
+            plan_globals: Vec::new(),
+            own_globals: Vec::new(),
         }
     }
 
     fn register(&mut self, cfg: &CoreConfig, q: Arc<Query>, policy: DisorderPolicy) -> QueryId {
-        match self {
-            Eval::Independent(m) => m.register_engine(build_engine(cfg, q, policy)),
-            Eval::Shared(s) => s.register_with_policy(q, policy),
-            Eval::Hybrid {
-                shared,
-                sharded,
-                hosts,
-            } => {
-                // the routing decision must depend only on config + query
-                // (both persisted), so a resume rebuilds the same split
-                let partitionable = cfg.engine.partitioned && q.partition().is_some();
-                let host = if partitionable {
-                    HybridHost::Sharded(sharded.register_engine(build_engine(cfg, q, policy)))
-                } else {
-                    HybridHost::Shared(shared.register_with_policy(q, policy))
-                };
-                hosts.push(host);
-                QueryId::from_index(hosts.len() - 1)
-            }
-        }
+        self.register_on(host_for(cfg, &q), cfg, q, policy)
     }
 
-    /// Maps each backend's dense local ids back to global ids, in local
-    /// registration order: `(shared_to_global, sharded_to_global)`.
-    fn hybrid_globals(hosts: &[HybridHost]) -> (Vec<QueryId>, Vec<QueryId>) {
-        let mut to_shared = Vec::new();
-        let mut to_sharded = Vec::new();
-        for (global, host) in hosts.iter().enumerate() {
-            match host {
-                HybridHost::Shared(_) => to_shared.push(QueryId::from_index(global)),
-                HybridHost::Sharded(_) => to_sharded.push(QueryId::from_index(global)),
+    fn register_on(
+        &mut self,
+        side: Side,
+        cfg: &CoreConfig,
+        q: Arc<Query>,
+        policy: DisorderPolicy,
+    ) -> QueryId {
+        let global = QueryId::from_index(self.hosts.len());
+        let local = match side {
+            Side::Plan => {
+                self.plan_globals.push(global);
+                self.plan.register_with_policy(q, policy)
             }
-        }
-        (to_shared, to_sharded)
+            Side::Own => {
+                self.own_globals.push(global);
+                // a routed pool when `shards > 1` asks for one (and the
+                // strategy supports it), a plain engine otherwise
+                let mut engine = cfg.engine;
+                engine.policy = policy;
+                let engine =
+                    sequin_engine::make_sharded_engine(cfg.strategy, q, engine, cfg.shards);
+                self.own.register_engine(engine)
+            }
+        };
+        self.hosts.push((side, local));
+        global
     }
 
-    /// Remaps both backends' outputs for one arrival to global ids and
-    /// interleaves them in global registration order (each backend already
-    /// emits its queries in local registration order, and a stable sort
-    /// preserves emission order within a query).
-    fn hybrid_merge(
-        hosts: &[HybridHost],
-        shared: Vec<(QueryId, OutputItem)>,
-        sharded: Vec<(QueryId, OutputItem)>,
+    /// Both sides' outputs for one arrival under global ids, in global
+    /// registration order (each side already emits in its local
+    /// registration order, and a stable sort preserves emission order
+    /// within a query).
+    fn merge(
+        &self,
+        plan: Vec<(QueryId, OutputItem)>,
+        own: Vec<(QueryId, OutputItem)>,
     ) -> Vec<(QueryId, OutputItem)> {
-        let (to_shared, to_sharded) = Self::hybrid_globals(hosts);
-        let mut out = Vec::with_capacity(shared.len() + sharded.len());
-        out.extend(shared.into_iter().map(|(l, o)| (to_shared[l.index()], o)));
-        out.extend(sharded.into_iter().map(|(l, o)| (to_sharded[l.index()], o)));
-        out.sort_by_key(|(q, _)| q.index());
+        let interleave = !plan.is_empty() && !own.is_empty();
+        let plan = plan
+            .into_iter()
+            .map(|(l, o)| (self.plan_globals[l.index()], o));
+        let own = own
+            .into_iter()
+            .map(|(l, o)| (self.own_globals[l.index()], o));
+        let mut out: Vec<_> = plan.chain(own).collect();
+        if interleave {
+            out.sort_by_key(|(q, _)| q.index());
+        }
         out
     }
 
+    // A side that hosts everything numbers its queries as the core does,
+    // so its outputs and its snapshot envelope pass through untouched.
+
     fn ingest_batch(&mut self, items: &[StreamItem]) -> Vec<Vec<(QueryId, OutputItem)>> {
-        match self {
-            Eval::Independent(m) => m.ingest_batch(items),
-            Eval::Shared(s) => s.ingest_batch(items),
-            Eval::Hybrid {
-                shared,
-                sharded,
-                hosts,
-            } => {
-                let sh = shared.ingest_batch(items);
-                let sd = sharded.ingest_batch(items);
-                sh.into_iter()
-                    .zip(sd)
-                    .map(|(a, b)| Self::hybrid_merge(hosts, a, b))
-                    .collect()
-            }
+        if self.own.is_empty() {
+            return self.plan.ingest_batch(items);
         }
+        if self.plan.is_empty() {
+            return self.own.ingest_batch(items);
+        }
+        let plan = self.plan.ingest_batch(items);
+        let own = self.own.ingest_batch(items);
+        plan.into_iter()
+            .zip(own)
+            .map(|(p, o)| self.merge(p, o))
+            .collect()
     }
 
     fn finish(&mut self) -> Vec<(QueryId, OutputItem)> {
-        match self {
-            Eval::Independent(m) => m.finish(),
-            Eval::Shared(s) => s.finish(),
-            Eval::Hybrid {
-                shared,
-                sharded,
-                hosts,
-            } => {
-                let sh = shared.finish();
-                let sd = sharded.finish();
-                Self::hybrid_merge(hosts, sh, sd)
-            }
-        }
+        let (plan, own) = (self.plan.finish(), self.own.finish());
+        self.merge(plan, own)
     }
 
     fn stats(&self) -> Vec<RuntimeStats> {
-        match self {
-            Eval::Independent(m) => m.stats(),
-            Eval::Shared(s) => s.stats(),
-            Eval::Hybrid {
-                shared,
-                sharded,
-                hosts,
-            } => {
-                let sh = shared.stats();
-                let sd = sharded.stats();
-                hosts
-                    .iter()
-                    .map(|h| match h {
-                        HybridHost::Shared(l) => sh[l.index()],
-                        HybridHost::Sharded(l) => sd[l.index()],
-                    })
-                    .collect()
-            }
-        }
+        let (plan, own) = (self.plan.stats(), self.own.stats());
+        let of = |&(side, l): &(Side, QueryId)| match side {
+            Side::Plan => plan[l.index()],
+            Side::Own => own[l.index()],
+        };
+        self.hosts.iter().map(of).collect()
     }
 
     fn watermark(&self) -> Option<Timestamp> {
-        match self {
-            Eval::Independent(m) => m.watermark(),
-            Eval::Shared(s) => s.watermark(),
-            Eval::Hybrid {
-                shared, sharded, ..
-            } => match (shared.watermark(), sharded.watermark()) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            },
-        }
+        let sides = [self.plan.watermark(), self.own.watermark()];
+        sides.into_iter().flatten().min()
     }
 
     fn snapshot(&self) -> Result<Vec<u8>, CodecError> {
-        match self {
-            Eval::Independent(m) => m.snapshot(),
-            Eval::Shared(s) => s.snapshot(),
-            Eval::Hybrid {
-                shared,
-                sharded,
-                hosts,
-            } => {
-                // both backends write the same `count + per-query blobs`
-                // interchange envelope; reassemble in global order so the
-                // blob is indistinguishable from a single-backend snapshot
-                let sh = split_multi_envelope(&shared.snapshot()?)?;
-                let sd = split_multi_envelope(&sharded.snapshot()?)?;
-                let blobs: Vec<&[u8]> = hosts
-                    .iter()
-                    .map(|h| match h {
-                        HybridHost::Shared(l) => sh[l.index()].as_slice(),
-                        HybridHost::Sharded(l) => sd[l.index()].as_slice(),
-                    })
-                    .collect();
-                Ok(seal_multi_envelope(&blobs))
+        if self.own.is_empty() {
+            return self.plan.snapshot();
+        }
+        if self.plan.is_empty() {
+            return self.own.snapshot();
+        }
+        // every side writes the same per-logical-query blob; in global
+        // order the envelope is indistinguishable from a one-sided one
+        let plan = self.plan.snapshot()?;
+        let plan = envelope_blobs(&plan)?;
+        let mut w = Writer::new();
+        w.put_u64(self.hosts.len() as u64);
+        for &(side, l) in &self.hosts {
+            match side {
+                Side::Plan => w.put_bytes(plan[l.index()]),
+                Side::Own => w.put_bytes(&self.own.engine(l).snapshot()?),
             }
         }
+        Ok(seal_envelope(&w.into_bytes()))
     }
 
     fn restore(&mut self, blob: &[u8]) -> Result<(), CodecError> {
-        match self {
-            Eval::Independent(m) => m.restore(blob),
-            Eval::Shared(s) => s.restore(blob),
-            Eval::Hybrid {
-                shared,
-                sharded,
-                hosts,
-            } => {
-                let blobs = split_multi_envelope(blob)?;
-                if blobs.len() != hosts.len() {
-                    return Err(CodecError::SnapshotMismatch("hybrid query count"));
-                }
-                let mut sh = Vec::new();
-                let mut sd = Vec::new();
-                for (h, b) in hosts.iter().zip(blobs) {
-                    match h {
-                        HybridHost::Shared(_) => sh.push(b),
-                        HybridHost::Sharded(_) => sd.push(b),
-                    }
-                }
-                shared.restore(&seal_multi_envelope(&sh))?;
-                sharded.restore(&seal_multi_envelope(&sd))
-            }
+        if self.own.is_empty() {
+            return self.plan.restore(blob);
         }
+        if self.plan.is_empty() {
+            return self.own.restore(blob);
+        }
+        let blobs = envelope_blobs(blob)?;
+        if blobs.len() != self.hosts.len() {
+            return Err(CodecError::SnapshotMismatch("hybrid query count"));
+        }
+        let envelope_of = |side: Side, count: usize| {
+            let mut w = Writer::new();
+            w.put_u64(count as u64);
+            for (_, b) in self.hosts.iter().zip(&blobs).filter(|(h, _)| h.0 == side) {
+                w.put_bytes(b);
+            }
+            seal_envelope(&w.into_bytes())
+        };
+        let plan = envelope_of(Side::Plan, self.plan_globals.len());
+        let own = envelope_of(Side::Own, self.own_globals.len());
+        self.plan.restore(&plan)?;
+        self.own.restore(&own)
     }
 
-    fn hybrid_host(hosts: &[HybridHost], qid: QueryId) -> HybridHost {
-        hosts[qid.index()]
+    /// Asks the query's host: the plan's per-query attribution, or the
+    /// query's own engine.
+    fn host<T>(
+        &self,
+        qid: QueryId,
+        plan: impl FnOnce(&SharedMultiEngine, QueryId) -> T,
+        own: impl FnOnce(&dyn sequin_engine::Engine) -> T,
+    ) -> T {
+        match self.hosts[qid.index()] {
+            (Side::Plan, l) => plan(&self.plan, l),
+            (Side::Own, l) => own(self.own.engine(l)),
+        }
     }
 
     fn query_clock(&self, qid: QueryId) -> Option<Timestamp> {
-        match self {
-            Eval::Independent(m) => m.engine(qid).clock(),
-            Eval::Shared(s) => Some(s.query_clock(qid)),
-            Eval::Hybrid {
-                shared,
-                sharded,
-                hosts,
-            } => match Self::hybrid_host(hosts, qid) {
-                HybridHost::Shared(l) => Some(shared.query_clock(l)),
-                HybridHost::Sharded(l) => sharded.engine(l).clock(),
-            },
-        }
+        self.host(qid, |p, l| Some(p.query_clock(l)), |e| e.clock())
     }
 
     fn query_watermark(&self, qid: QueryId) -> Option<Timestamp> {
-        match self {
-            Eval::Independent(m) => m.engine(qid).watermark(),
-            Eval::Shared(s) => Some(s.query_watermark(qid)),
-            Eval::Hybrid {
-                shared,
-                sharded,
-                hosts,
-            } => match Self::hybrid_host(hosts, qid) {
-                HybridHost::Shared(l) => Some(shared.query_watermark(l)),
-                HybridHost::Sharded(l) => sharded.engine(l).watermark(),
-            },
-        }
+        self.host(qid, |p, l| Some(p.query_watermark(l)), |e| e.watermark())
     }
 
     /// One query's live disorder slack bound `k̂` — fixed for the
@@ -487,74 +400,23 @@ impl Eval {
     /// estimate under adaptive slack. `None` when the hosting engine does
     /// not expose one.
     fn query_slack(&self, qid: QueryId) -> Option<sequin_types::Duration> {
-        match self {
-            Eval::Independent(m) => m.engine(qid).slack_bound(),
-            Eval::Shared(s) => Some(s.query_slack(qid)),
-            Eval::Hybrid {
-                shared,
-                sharded,
-                hosts,
-            } => match Self::hybrid_host(hosts, qid) {
-                HybridHost::Shared(l) => Some(shared.query_slack(l)),
-                HybridHost::Sharded(l) => sharded.engine(l).slack_bound(),
-            },
-        }
+        self.host(qid, |p, l| Some(p.query_slack(l)), |e| e.slack_bound())
     }
 
-    /// One query's logical state size — what its isolated engine reports,
-    /// or the shared plan's per-query attribution.
+    /// One query's logical state size — what its isolated engine reports.
     fn query_state_size(&self, qid: QueryId) -> usize {
-        match self {
-            Eval::Independent(m) => m.engine(qid).state_size(),
-            Eval::Shared(s) => s.query_state_size(qid),
-            Eval::Hybrid {
-                shared,
-                sharded,
-                hosts,
-            } => match Self::hybrid_host(hosts, qid) {
-                HybridHost::Shared(l) => shared.query_state_size(l),
-                HybridHost::Sharded(l) => sharded.engine(l).state_size(),
-            },
-        }
+        self.host(qid, |p, l| p.query_state_size(l), |e| e.state_size())
     }
 
     fn per_shard_stats(&self, qid: QueryId) -> Vec<RuntimeStats> {
-        match self {
-            Eval::Independent(m) => m.engine(qid).per_shard_stats(),
-            Eval::Shared(s) => vec![s.stats()[qid.index()]],
-            Eval::Hybrid {
-                shared,
-                sharded,
-                hosts,
-            } => match Self::hybrid_host(hosts, qid) {
-                HybridHost::Shared(l) => vec![shared.stats()[l.index()]],
-                HybridHost::Sharded(l) => sharded.engine(l).per_shard_stats(),
-            },
-        }
+        let plan = |p: &SharedMultiEngine, l: QueryId| vec![p.stats()[l.index()]];
+        self.host(qid, plan, |e| e.per_shard_stats())
     }
 
     /// Ingest-edge routing counters for one query's sharded pool (`None`
-    /// for single-threaded evaluation, including shared-plan-hosted
-    /// queries).
+    /// for single-threaded evaluation, including plan-hosted queries).
     fn route_stats(&self, qid: QueryId) -> Option<sequin_engine::RouteStats> {
-        match self {
-            Eval::Independent(m) => m.engine(qid).route_stats(),
-            Eval::Shared(_) => None,
-            Eval::Hybrid { sharded, hosts, .. } => match Self::hybrid_host(hosts, qid) {
-                HybridHost::Shared(_) => None,
-                HybridHost::Sharded(l) => sharded.engine(l).route_stats(),
-            },
-        }
-    }
-
-    /// Shared-plan structural gauges and sharing counters (`None` on the
-    /// independent backend — there is no plan to describe).
-    fn plan_metrics(&self) -> Option<PlanMetrics> {
-        match self {
-            Eval::Independent(_) => None,
-            Eval::Shared(s) => Some(s.plan_metrics()),
-            Eval::Hybrid { shared, .. } => Some(shared.plan_metrics()),
-        }
+        self.host(qid, |_, _| None, |e| e.route_stats())
     }
 }
 
@@ -724,10 +586,10 @@ impl EngineCore {
         }
         let blob = r.get_bytes()?;
         r.finish()?;
-        // The blob is backend-agnostic (a per-logical-query envelope), so
-        // the resuming core builds whatever backend *its* config asks for
-        // and restores into it — a shared-plan checkpoint restores into
-        // independent engines and vice versa.
+        // The blob is host-agnostic (an envelope of per-logical-query
+        // blobs), so the resuming core hosts each query where *its* config
+        // says and restores into that — a blob the plan wrote restores
+        // into a query's own engine and vice versa.
         let mut eval = Eval::new(cfg);
         let mut queries = Vec::with_capacity(texts.len());
         let mut parsed = Vec::with_capacity(texts.len());
@@ -757,8 +619,8 @@ impl EngineCore {
     /// — same pattern, predicates, window, and projection, however the
     /// text was spelled — the existing logical query's id is returned and
     /// the new spelling is remembered as an alias. Only genuinely new
-    /// queries reach the evaluation backend (and, on the shared-plan
-    /// backend, trigger an incremental recompile).
+    /// queries reach the evaluation (and, when the plan hosts them,
+    /// trigger an incremental recompile).
     ///
     /// # Errors
     ///
@@ -991,10 +853,10 @@ impl EngineCore {
         self.eval.watermark()
     }
 
-    /// Shared-plan structural gauges and sharing counters; `None` when the
-    /// core evaluates queries independently.
+    /// Shared-plan structural gauges and sharing counters; `None` under
+    /// the control strategies, whose queries the plan never hosts.
     pub fn plan_metrics(&self) -> Option<PlanMetrics> {
-        self.eval.plan_metrics()
+        (self.cfg.strategy == Strategy::Native).then(|| self.eval.plan.plan_metrics())
     }
 
     /// Aggregate operator counters across every query, plus this process's
@@ -1310,7 +1172,7 @@ impl EngineCore {
                 b.counter(&full, &[], v);
             }
         }
-        if let Some(pm) = self.eval.plan_metrics() {
+        if let Some(pm) = self.plan_metrics() {
             b.gauge("sequin_plan_pooled_stacks", &[], pm.pooled_stacks);
             b.gauge("sequin_plan_stack_refs", &[], pm.stack_refs);
             b.gauge("sequin_plan_prefix_groups", &[], pm.prefix_groups);
@@ -1490,14 +1352,22 @@ mod tests {
 
         let run = |shared: bool| {
             let mut core = EngineCore::new(cfg(&reg, None));
-            if !shared {
-                // configuration reaches per-query engines only through
-                // the control strategies; force them under Native as the
-                // reference the plan evaluator is checked against
-                core.eval = Eval::Independent(MultiEngine::new());
-            }
-            for q in [Q_AB, Q_BA, q_abb, q_aba] {
-                core.subscribe(q).unwrap();
+            for text in [Q_AB, Q_BA, q_abb, q_aba] {
+                if shared {
+                    core.subscribe(text).unwrap();
+                    continue;
+                }
+                // configuration hosts a Native query on an engine of its
+                // own only when it shards; host these there by hand, as
+                // the reference the plan evaluator is checked against
+                let q = parse(text, &reg).unwrap();
+                let policy = core.cfg.engine.policy;
+                let id = core
+                    .eval
+                    .register_on(Side::Own, &core.cfg, q.clone(), policy);
+                core.queries.push((text.to_owned(), id));
+                core.parsed.push(q);
+                core.policies.push(policy);
             }
             let mut out = Vec::new();
             for it in &items {
@@ -1509,7 +1379,11 @@ mod tests {
         let (with_plan, shared_core) = run(true);
         let (without, independent_core) = run(false);
         assert_eq!(with_plan, without, "backends must agree byte-for-byte");
-        assert!(independent_core.plan_metrics().is_none());
+        let pm = independent_core.plan_metrics().unwrap();
+        assert_eq!(
+            pm.pooled_stacks, 0,
+            "the reference hosts nothing on the plan"
+        );
         let pm = shared_core.plan_metrics().unwrap();
         assert!(pm.prefix_groups >= 1, "AB prefix should group: {pm:?}");
         assert!(pm.routed_events > 0);
@@ -1756,9 +1630,10 @@ mod tests {
         let mut hy = cfg(&reg, Some(25));
         hy.shards = 2;
         let mut core = EngineCore::new(hy);
-        assert!(matches!(core.eval, Eval::Hybrid { .. }));
         core.subscribe(Q_AB).unwrap();
         core.subscribe(q_part).unwrap();
+        assert_eq!(core.eval.hosts[0].0, Side::Plan);
+        assert_eq!(core.eval.hosts[1].0, Side::Own);
         let mut delivered = Vec::new();
         delivered.extend(core.ingest_batch(&items[..40]));
         let saved = core.store().clone();
@@ -1767,7 +1642,7 @@ mod tests {
         // ...and a single-shard shared core resumes them exactly-once
         let (mut core, replay_from) = EngineCore::resume(cfg(&reg, Some(25)), saved);
         assert!(replay_from > 0, "a checkpoint was accepted");
-        assert!(matches!(core.eval, Eval::Shared(_)));
+        assert!(core.eval.own.is_empty(), "one shard: the plan hosts both");
         delivered.extend(core.ingest_batch(&items[replay_from as usize..]));
         delivered.extend(core.finish());
         assert_eq!(net(&delivered), net(&baseline));
@@ -1786,7 +1661,7 @@ mod tests {
         four.shards = 4;
         let (mut core, replay_from) = EngineCore::resume(four, saved);
         assert!(replay_from > 0);
-        assert!(matches!(core.eval, Eval::Hybrid { .. }));
+        assert!(!core.eval.own.is_empty() && !core.eval.plan.is_empty());
         delivered.extend(core.ingest_batch(&items[replay_from as usize..]));
         delivered.extend(core.finish());
         assert_eq!(net(&delivered), net(&baseline));

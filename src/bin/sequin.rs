@@ -187,6 +187,27 @@ fn get_float(flags: &Flags, name: &str, default: f64) -> Result<f64, String> {
     }
 }
 
+/// `--ooo`: the share of events delivered late, so a probability.
+fn get_ooo(flags: &Flags) -> Result<f64, String> {
+    let v = get_float(flags, "ooo", 0.2)?;
+    if (0.0..=1.0).contains(&v) {
+        Ok(v)
+    } else {
+        Err(format!(
+            "--ooo expects a fraction in 0..=1, got `{}`",
+            flags["ooo"]
+        ))
+    }
+}
+
+/// `--checkpoint-every`: a period in events, so at least 1.
+fn get_checkpoint_every(flags: &Flags) -> Result<Option<u64>, String> {
+    match get_int(flags, "checkpoint-every")? {
+        Some(0) => Err("--checkpoint-every expects an integer >= 1, got `0`".to_owned()),
+        every => Ok(every),
+    }
+}
+
 fn run(args: &[String]) -> Result<String, String> {
     let mut it = args.iter();
     let command = it.next().ok_or("missing subcommand")?;
@@ -228,7 +249,7 @@ fn run(args: &[String]) -> Result<String, String> {
                 workload,
                 query,
                 get_int(&flags, "events")?.unwrap_or(50_000),
-                get_float(&flags, "ooo", 0.2)?,
+                get_ooo(&flags)?,
                 get_int(&flags, "delay")?.unwrap_or(100),
                 get_int(&flags, "seed")?.unwrap_or(42),
                 &run_options(&flags)?,
@@ -240,9 +261,10 @@ fn run(args: &[String]) -> Result<String, String> {
                 .ok_or("replay needs --types '<schema>'")?;
             let path = flags.get("trace").ok_or("replay needs --trace <file>")?;
             let query = positional.first().ok_or("replay needs a query argument")?;
+            let opts = run_options(&flags)?;
             let text = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read trace `{path}`: {e}"))?;
-            cli::run_trace_text(schema, query, &text, &run_options(&flags)?)
+            cli::run_trace_text(schema, query, &text, &opts)
         }
         "serve" => {
             let registry = cli::serve_registry(
@@ -255,7 +277,7 @@ fn run(args: &[String]) -> Result<String, String> {
                     .cloned()
                     .ok_or("serve needs --addr <host:port>")?,
                 queries: positional.clone(),
-                checkpoint_every: get_int(&flags, "checkpoint-every")?,
+                checkpoint_every: get_checkpoint_every(&flags)?,
                 store: flags.get("store").cloned(),
                 bundle_dir: flags.get("bundle-dir").cloned(),
                 net: net_options(&flags)?,
@@ -401,13 +423,15 @@ fn run_options(flags: &Flags) -> Result<cli::RunOptions, String> {
         k: get_int(flags, "k")?.unwrap_or(100),
         adaptive: flags
             .get("adaptive")
-            .map(|v| {
-                v.parse::<f64>()
-                    .map_err(|_| "--adaptive expects a factor".to_owned())
+            .map(|v| match v.parse::<f64>() {
+                Ok(f) if f.is_finite() && f >= 0.0 => Ok(f),
+                _ => Err(format!(
+                    "--adaptive expects a finite factor >= 0, got `{v}`"
+                )),
             })
             .transpose()?,
         punctuate_every: get_int(flags, "punctuate")?,
-        checkpoint_every: get_int(flags, "checkpoint-every")?,
+        checkpoint_every: get_checkpoint_every(flags)?,
         resume_from: flags.get("resume-from").cloned(),
         policy: cli::parse_policy(
             flags
@@ -444,7 +468,7 @@ fn stream_spec(flags: &Flags, positional: &[String]) -> Result<cli::StreamSpec, 
             .unwrap_or_else(|| "synthetic".to_owned()),
         query: positional.first().cloned().unwrap_or_default(),
         events: get_int(flags, "events")?.unwrap_or(10_000),
-        ooo: get_float(flags, "ooo", 0.2)?,
+        ooo: get_ooo(flags)?,
         max_delay: get_int(flags, "delay")?.unwrap_or(100),
         seed: get_int(flags, "seed")?.unwrap_or(42),
     })
@@ -513,5 +537,53 @@ mod tests {
                 .map(str::to_owned)
         };
         assert_ne!(stream("9007199254740992"), stream("9007199254740993"));
+    }
+
+    #[test]
+    fn out_of_range_values_are_errors_not_panics_or_unbounded_runs() {
+        // each of these used to reach the run: --ooo outside 0..=1
+        // panicked in the disorder generator, a negative or non-finite
+        // --adaptive disabled purging, --checkpoint-every 0 wrote a
+        // checkpoint per event
+        let replay = ["replay", "--types", "A(x:int)", "--trace", "/nonexistent"];
+        let cases: [(&[&str], &str, &[&str]); 5] = [
+            (&SMALL_RUN, "--ooo", &["2", "nan", "-0.5", "inf"]),
+            (&["netbench", "--events", "300"], "--ooo", &["-0.5", "1.01"]),
+            (&SMALL_RUN, "--adaptive", &["-1", "nan", "inf", "x"]),
+            (&SMALL_RUN, "--checkpoint-every", &["0"]),
+            (&replay, "--checkpoint-every", &["0"]),
+        ];
+        for (base, flag, values) in cases {
+            for bad in values {
+                let err = sequin(&[base, &[flag, bad, "PATTERN SEQ(A a) WITHIN 1"]].concat())
+                    .unwrap_err();
+                assert!(
+                    err.starts_with(&format!("{flag} expects")) && err.contains(bad),
+                    "{flag} {bad}: {err}"
+                );
+            }
+        }
+        // the networked subcommands validate before they open a socket
+        for command in ["serve", "send"] {
+            for (flag, bad) in [
+                ("--ooo", "2"),
+                ("--adaptive", "-1"),
+                ("--checkpoint-every", "0"),
+            ] {
+                if (command, flag) == ("serve", "--ooo") {
+                    continue; // serve generates no stream
+                }
+                let args = [command, "--addr", "127.0.0.1:1", "--workload", "synthetic"];
+                let err = sequin(&[&args[..], &[flag, bad]].concat()).unwrap_err();
+                assert!(
+                    err.starts_with(&format!("{flag} expects")),
+                    "{command} {flag}: {err}"
+                );
+            }
+        }
+        // the bounds themselves are valid
+        let edge = ["--ooo", "1", "--adaptive", "0", "--checkpoint-every", "1"];
+        assert!(sequin(&[&SMALL_RUN[..], &edge].concat()).is_ok());
+        assert!(sequin(&[&SMALL_RUN[..], &["--ooo", "0"]].concat()).is_ok());
     }
 }

@@ -258,3 +258,223 @@ fn checkpoint_file_survives_a_process_boundary() {
     assert!(CheckpointStore::load(&path).is_err());
     std::fs::remove_file(&path).ok();
 }
+
+// ---------------------------------------------------------------------
+// Pinned checkpoint layout
+// ---------------------------------------------------------------------
+
+use sequin::engine::NativeEngine;
+use sequin::query::parse;
+use sequin::server::{CoreConfig, EngineCore};
+use sequin::types::codec::{fnv1a64, open_envelope, seal_envelope};
+use sequin::types::{Reader, Writer};
+
+const PIN_QUERY: &str = "PATTERN SEQ(T0 a, !T1 b, T2 c) WHERE a.tag == c.tag WITHIN 100";
+const PIN_SEED: u64 = 50;
+const PIN_CUT: usize = 242;
+
+/// `fnv1a64` of the snapshots [`pinned_snapshots`] takes, computed at the
+/// commit before the per-query blob codec was unified. A change here is a
+/// checkpoint-format change: bump `CODEC_VERSION` so old stores fail with
+/// a coded version error instead of being misread.
+const PIN_NATIVE_SPECULATIVE: u64 = 0xce52_c27c_e986_09b9;
+const PIN_NATIVE_CONSERVATIVE: u64 = 0x336e_0835_5cef_85bc;
+const PIN_CORE_ONE_SHARD: u64 = 0x55c0_4955_cf4e_dfa3;
+const PIN_CORE_TWO_SHARDS: u64 = 0xe438_5a3f_4b52_5021;
+
+struct Pinned {
+    registry: Arc<sequin::types::TypeRegistry>,
+    stream: Vec<StreamItem>,
+    oracle: std::collections::BTreeSet<Vec<u64>>,
+    config: EngineConfig,
+    query: Arc<Query>,
+    /// What every configuration delivered before the cut (identical by
+    /// the byte-identity contract; asserted below).
+    delivered: Vec<OutputItem>,
+    native: Vec<u8>,
+    core: [CheckpointStore; 2],
+}
+
+fn pin_core_cfg(
+    registry: &Arc<sequin::types::TypeRegistry>,
+    config: EngineConfig,
+    shards: usize,
+) -> CoreConfig {
+    let mut cfg = CoreConfig::new(Arc::clone(registry), Strategy::Native, config);
+    cfg.checkpoint_every = Some(1 << 40);
+    cfg.shards = shards;
+    cfg
+}
+
+/// One fixed-seed 30 %-late stream of the partitioned negation query, cut
+/// mid-stream so stacks, the negative index and the unsealed-emission log
+/// (speculative) or the pending heap (conservative) are all non-empty.
+fn pinned_snapshots(policy: DisorderPolicy) -> Pinned {
+    let w = Synthetic::new(SyntheticConfig {
+        num_types: 3,
+        tag_cardinality: 4,
+        value_range: 10,
+        mean_gap: 3,
+    });
+    let events = w.generate(300, PIN_SEED);
+    let query = parse(PIN_QUERY, w.registry()).unwrap();
+    assert!(query.partition().is_some() && query.has_negation());
+    let oracle = reference_matches(&query, &events);
+    let stream = delay_shuffle(&events, 0.3, 30, PIN_SEED ^ 0x5A5A);
+    let disorder = measure_disorder(&stream);
+    let mut config = EngineConfig::with_k(Duration::new(disorder.max_lateness.ticks().max(1)));
+    config.policy = policy;
+
+    let mut eng = NativeEngine::new(Arc::clone(&query), config);
+    let mut delivered = Vec::new();
+    for item in &stream[..PIN_CUT] {
+        delivered.extend(eng.ingest(item));
+    }
+    let native = eng.snapshot().unwrap();
+
+    let core = [1usize, 2].map(|shards| {
+        let mut core = EngineCore::new(pin_core_cfg(w.registry(), config, shards));
+        core.subscribe(PIN_QUERY).unwrap();
+        let out = core.ingest_batch(&stream[..PIN_CUT]);
+        let out: Vec<OutputItem> = out.into_iter().map(|(_, o)| o).collect();
+        assert_eq!(out, delivered, "shards = {shards} pre-cut output");
+        core.checkpoint_now();
+        core.store().clone()
+    });
+    Pinned {
+        registry: Arc::clone(w.registry()),
+        stream,
+        oracle,
+        config,
+        query,
+        delivered,
+        native,
+        core,
+    }
+}
+
+/// The per-query engine blob inside a core store's newest checkpoint
+/// (position, log mark, query texts + policies, then a one-blob
+/// `MultiEngine` envelope), and the checkpoint's bytes before the blob.
+fn core_checkpoint_blob(store: &CheckpointStore) -> (Vec<u8>, Vec<u8>) {
+    let ckpt = store.checkpoints_newest_first().next().unwrap();
+    let payload = open_envelope(ckpt).unwrap();
+    let mut r = Reader::new(payload);
+    r.get_u64().unwrap(); // position
+    r.get_u64().unwrap(); // log mark
+    assert_eq!(r.get_u64().unwrap(), 1, "one query");
+    r.get_str().unwrap();
+    r.get_u8().unwrap(); // policy mode
+    r.get_u8().unwrap(); // policy knob
+    let head = payload[..payload.len() - r.remaining()].to_vec();
+    let multi = r.get_bytes().unwrap();
+    r.finish().unwrap();
+    let mut r = Reader::new(open_envelope(&multi).unwrap());
+    assert_eq!(r.get_u64().unwrap(), 1);
+    let blob = r.get_bytes().unwrap();
+    r.finish().unwrap();
+    (head, blob)
+}
+
+/// `store` with the engine blob of its newest checkpoint replaced.
+fn core_store_with_blob(store: &CheckpointStore, blob: &[u8]) -> CheckpointStore {
+    let (head, _) = core_checkpoint_blob(store);
+    let mut multi = Writer::new();
+    multi.put_u64(1);
+    multi.put_bytes(blob);
+    let mut w = Writer::new();
+    w.put_bytes(&seal_envelope(&multi.into_bytes()));
+    let mut payload = head;
+    payload.extend(w.into_bytes());
+    let mut out = store.clone();
+    *out.checkpoint_mut(0).unwrap() = seal_envelope(&payload);
+    out
+}
+
+#[test]
+fn checkpoint_bytes_are_pinned() {
+    let spec = pinned_snapshots(DisorderPolicy::Speculative);
+    let cons = pinned_snapshots(DisorderPolicy::Conservative);
+    let got = [
+        fnv1a64(&spec.native),
+        fnv1a64(&cons.native),
+        fnv1a64(&spec.core[0].to_bytes()),
+        fnv1a64(&spec.core[1].to_bytes()),
+    ];
+    assert_eq!(
+        got,
+        [
+            PIN_NATIVE_SPECULATIVE,
+            PIN_NATIVE_CONSERVATIVE,
+            PIN_CORE_ONE_SHARD,
+            PIN_CORE_TWO_SHARDS
+        ]
+    );
+}
+
+#[test]
+fn pinned_snapshots_interchange_and_settle_on_the_oracle() {
+    for policy in [DisorderPolicy::Speculative, DisorderPolicy::Conservative] {
+        let p = pinned_snapshots(policy);
+        let tail = &p.stream[PIN_CUT..];
+        let blobs = [
+            p.native.clone(),
+            core_checkpoint_blob(&p.core[0]).1,
+            core_checkpoint_blob(&p.core[1]).1,
+        ];
+        let before_cut: Vec<_> = p.stream[..PIN_CUT]
+            .iter()
+            .filter_map(|it| match it {
+                StreamItem::Event(e) => Some(e.id()),
+                StreamItem::Punctuation(_) => None,
+            })
+            .collect();
+        let mut held_across_the_cut = false;
+        for (from, blob) in blobs.iter().enumerate() {
+            // into a plain native engine
+            let mut eng = NativeEngine::new(Arc::clone(&p.query), p.config);
+            eng.restore(blob).unwrap();
+            let mut out = p.delivered.clone();
+            for item in tail {
+                out.extend(eng.ingest(item));
+            }
+            out.extend(eng.finish());
+            assert_eq!(
+                net_keys(&out),
+                p.oracle,
+                "{policy:?}: blob {from} -> native"
+            );
+            // into the core at one and two shards
+            for shards in [1usize, 2] {
+                let store = core_store_with_blob(&p.core[shards - 1], blob);
+                let cfg = pin_core_cfg(&p.registry, p.config, shards);
+                let (mut core, from_item) = EngineCore::resume(cfg, store);
+                assert_eq!(from_item as usize, PIN_CUT, "checkpoint accepted");
+                let mut out = p.delivered.clone();
+                let mut post = core.ingest_batch(tail);
+                post.extend(core.finish());
+                // the cut really split held state: a match complete before
+                // it is retracted (speculative) or sealed (conservative)
+                // after it
+                held_across_the_cut |= post.iter().any(|(_, o)| {
+                    let held = match policy {
+                        DisorderPolicy::Speculative => o.kind == OutputKind::Retract,
+                        _ => o.cause.is_none(),
+                    };
+                    held && o.m.events().iter().all(|e| before_cut.contains(&e.id()))
+                });
+                out.extend(post.into_iter().map(|(_, o)| o));
+                assert_no_duplicate_deliveries(&out, "pinned interchange");
+                assert_eq!(
+                    net_keys(&out),
+                    p.oracle,
+                    "{policy:?}: blob {from} -> core at {shards} shard(s)"
+                );
+            }
+        }
+        assert!(
+            held_across_the_cut,
+            "{policy:?}: cut {PIN_CUT} held nothing"
+        );
+    }
+}
