@@ -1,33 +1,40 @@
-//! Checkpoint/restore with exactly-once replay.
+//! Checkpoint/restore with exactly-once replay — the one implementation.
 //!
-//! A [`Checkpointer`] wraps any [`Engine`] and periodically serializes its
-//! complete state (via [`Engine::snapshot`]) into a [`CheckpointStore`],
-//! alongside an append-only **emission log** recording every output the
-//! wrapper has delivered downstream. After a crash, [`Checkpointer::resume`]
-//! restores the most recent intact checkpoint (falling back to older ones,
-//! then to a cold start, when corruption is detected) and returns the
-//! stream position to replay from. During replay the emission log is used
-//! as a dedup filter: outputs the pre-crash process already delivered are
-//! suppressed exactly once each, so the union of pre- and post-crash output
-//! is the exactly-once match set — including paired `Insert`/`Retract`
-//! items under [`crate::DisorderPolicy::Speculative`].
+//! A [`Checkpointer`] wraps a [`MultiEngine`] host and, under a durable
+//! [`CheckpointPolicy`], periodically serializes the host's complete state
+//! (via [`MultiEngine::snapshot`]) into a [`CheckpointStore`], alongside an
+//! append-only **emission log** recording `(query, kind, match key)` for
+//! every output the wrapper has delivered downstream. After a crash,
+//! [`Checkpointer::resume`] walks the fallback ladder — newest intact
+//! checkpoint, then older ones, then a cold start — and returns the stream
+//! position to replay from. During replay the log is a dedup filter:
+//! outputs the pre-crash process already delivered are suppressed exactly
+//! once each, so the union of pre- and post-crash output is the
+//! exactly-once match set — including paired `Insert`/`Retract` items
+//! under [`crate::DisorderPolicy::Speculative`].
+//!
+//! A checkpoint is one sealed envelope: the ingest position, the log's
+//! high-water mark, an opaque caller-defined **header**, and the host
+//! snapshot. The header is whatever the caller needs to rebuild a fresh
+//! host with the same queries registered before the snapshot restores
+//! into it (the server persists its query texts and policies there; a
+//! caller with a fixed query set leaves it empty).
 //!
 //! Every artifact (checkpoints, log records, the store file) is wrapped in
 //! the checksummed envelope from [`sequin_types::codec`]; a corrupted or
 //! version-skewed artifact is *detected and rejected*, never silently
-//! restored.
+//! restored. Under [`CheckpointPolicy::never`] the wrapper is a
+//! pass-through: no match key is built and no record encoded.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use sequin_query::Query;
 use sequin_runtime::{MatchKey, RuntimeStats};
 use sequin_types::codec::{open_envelope, seal_envelope};
 use sequin_types::{CodecError, Decode, Encode, Reader, StreamItem, Timestamp, Writer};
-use std::sync::Arc;
 
+use crate::multi::{MultiEngine, QueryId};
 use crate::output::{OutputItem, OutputKind};
-use crate::traits::Engine;
 
 /// When a [`Checkpointer`] takes a checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,8 +42,8 @@ pub struct CheckpointPolicy {
     /// Checkpoint whenever this many events have been ingested since the
     /// last checkpoint.
     pub every_n_events: Option<u64>,
-    /// Checkpoint whenever the wrapped engine's low-watermark advances
-    /// (engines that expose no watermark never trigger this).
+    /// Checkpoint whenever the host's low-watermark advances (a host whose
+    /// queries expose no watermark never triggers this).
     pub on_watermark_advance: bool,
 }
 
@@ -57,25 +64,44 @@ impl CheckpointPolicy {
             on_watermark_advance: false,
         }
     }
-}
 
-fn kind_tag(kind: OutputKind) -> u8 {
-    match kind {
-        OutputKind::Insert => 0,
-        OutputKind::Retract => 1,
+    /// No cadence at all: a volatile wrapper that keeps no emission log
+    /// and suppresses nothing.
+    pub fn never() -> CheckpointPolicy {
+        CheckpointPolicy {
+            every_n_events: None,
+            on_watermark_advance: false,
+        }
+    }
+
+    fn durable(self) -> bool {
+        self.every_n_events.is_some() || self.on_watermark_advance
     }
 }
 
-fn encode_log_record(kind: OutputKind, key: &MatchKey) -> Vec<u8> {
+/// What the emission log remembers of a delivered output.
+type LogKey = (u64, u8, MatchKey);
+
+fn log_key(qid: QueryId, o: &OutputItem) -> LogKey {
+    let tag = match o.kind {
+        OutputKind::Insert => 0,
+        OutputKind::Retract => 1,
+    };
+    (qid.index() as u64, tag, o.m.key())
+}
+
+fn encode_log_record((qid, tag, key): &LogKey) -> Vec<u8> {
     let mut w = Writer::new();
-    w.put_u8(kind_tag(kind));
+    w.put_u64(*qid);
+    w.put_u8(*tag);
     key.encode(&mut w);
     seal_envelope(&w.into_bytes())
 }
 
-fn decode_log_record(bytes: &[u8]) -> Result<(u8, MatchKey), CodecError> {
+fn decode_log_record(bytes: &[u8]) -> Result<LogKey, CodecError> {
     let payload = open_envelope(bytes)?;
     let mut r = Reader::new(payload);
+    let qid = r.get_u64()?;
     let tag = r.get_u8()?;
     if tag > 1 {
         return Err(CodecError::InvalidTag {
@@ -85,7 +111,7 @@ fn decode_log_record(bytes: &[u8]) -> Result<(u8, MatchKey), CodecError> {
     }
     let key = MatchKey::decode(&mut r)?;
     r.finish()?;
-    Ok((tag, key))
+    Ok((qid, tag, key))
 }
 
 /// Durable checkpoint artifacts: up to `keep` engine checkpoints (oldest
@@ -134,9 +160,9 @@ impl CheckpointStore {
         self.log.len()
     }
 
-    /// Appends an emission-log record (a sealed envelope; the caller
-    /// defines the payload). Exposed so wrappers outside this module — the
-    /// server's multi-query checkpointer — can reuse the store's dedup log.
+    /// Appends an emission-log record (a sealed envelope). Public, like
+    /// [`CheckpointStore::push_checkpoint`], so tests can assemble stores
+    /// in formats this version no longer writes.
     pub fn append_log(&mut self, record: Vec<u8>) {
         self.log.push(record);
     }
@@ -219,22 +245,27 @@ impl CheckpointStore {
     }
 }
 
-/// Engine wrapper providing crash-consistent checkpoints and exactly-once
-/// replay (see the module docs for the recovery model).
+/// Crash-consistent checkpoints and exactly-once replay around a
+/// [`MultiEngine`] (see the module docs for the recovery model).
 pub struct Checkpointer {
-    inner: Box<dyn Engine>,
+    host: MultiEngine,
     policy: CheckpointPolicy,
     store: CheckpointStore,
+    /// Written into every checkpoint between the log mark and the
+    /// snapshot; [`Checkpointer::resume`] lets the caller read it back.
+    header: Vec<u8>,
     /// Stream items ingested so far (the replay cursor).
     position: u64,
     last_ckpt_position: u64,
     last_ckpt_wm: Option<Timestamp>,
     /// Multiset of outputs the pre-crash process already delivered that
     /// deterministic replay will regenerate; each is dropped once.
-    suppress: BTreeMap<(u8, MatchKey), u64>,
-    /// Checkpoint counters, kept outside the wrapped engine so they
-    /// describe *this* process rather than the restored snapshot.
+    suppress: BTreeMap<LogKey, u64>,
+    /// Checkpoint counters, kept outside the host so they describe *this*
+    /// process rather than the restored snapshot.
     extra: RuntimeStats,
+    /// The log or the checkpoints changed since [`Checkpointer::take_dirty`].
+    dirty: bool,
 }
 
 impl std::fmt::Debug for Checkpointer {
@@ -249,112 +280,122 @@ impl std::fmt::Debug for Checkpointer {
 }
 
 impl Checkpointer {
-    /// Wraps `inner` with a fresh (empty) store.
-    pub fn new(inner: Box<dyn Engine>, policy: CheckpointPolicy) -> Checkpointer {
-        let last_ckpt_wm = inner.watermark();
+    /// Wraps `host` with a fresh (empty) store and an empty header.
+    pub fn new(host: MultiEngine, policy: CheckpointPolicy) -> Checkpointer {
         Checkpointer {
-            inner,
+            last_ckpt_wm: host.watermark(),
+            host,
             policy,
             store: CheckpointStore::new(),
+            header: Vec::new(),
             position: 0,
             last_ckpt_position: 0,
-            last_ckpt_wm,
             suppress: BTreeMap::new(),
             extra: RuntimeStats::default(),
+            dirty: false,
         }
     }
 
-    /// Recovers from `store` into a *freshly constructed* `inner` engine
-    /// (same query, same configuration). Returns the wrapper plus the
-    /// stream position to replay from: the caller must re-feed the input
-    /// suffix starting at that item index.
+    /// Recovers from `store`. Returns the wrapper plus the stream position
+    /// to replay from: the caller must re-feed the input suffix starting
+    /// at that item index.
     ///
-    /// The fallback ladder: the newest checkpoint whose envelope,
-    /// fingerprint, and internal structure all validate wins; corrupted or
-    /// mismatched ones are counted in
+    /// The fallback ladder: for each checkpoint, newest first, `fresh`
+    /// reads the checkpoint's header and builds a *new* host with the
+    /// checkpointed queries registered ([`MultiEngine::restore`] is not
+    /// all-or-nothing, so a failed candidate's host is dropped whole). The
+    /// first candidate whose envelope, log mark, header and snapshot all
+    /// validate wins; the others are counted in
     /// [`RuntimeStats::checkpoints_rejected`] and skipped; if none
-    /// survive, recovery degrades to a cold start (replay from item 0).
-    /// The emission log then seeds the replay-suppression multiset, so
-    /// already-delivered outputs are not delivered twice.
+    /// survives, `fresh(None)` builds the cold-start host (replay from
+    /// item 0). The emission-log suffix past the accepted checkpoint's
+    /// mark then seeds the replay-suppression multiset — a corrupt record
+    /// cannot dedup anything and is counted as rejected too. The caller
+    /// sets the header for later checkpoints ([`Checkpointer::set_header`]).
+    ///
+    /// # Panics
+    ///
+    /// If `fresh(None)` fails: a cold host depends on nothing persisted.
     pub fn resume(
-        mut inner: Box<dyn Engine>,
         policy: CheckpointPolicy,
         store: CheckpointStore,
+        mut fresh: impl FnMut(Option<&mut Reader<'_>>) -> Result<MultiEngine, CodecError>,
     ) -> (Checkpointer, u64) {
         let mut rejected = 0u64;
-        let mut position = 0u64;
-        let mut log_mark = 0usize;
-        for ckpt in store.checkpoints.iter().rev() {
-            let attempt = Self::open_checkpoint(ckpt).and_then(|(pos, mark, engine_bytes)| {
-                if mark as usize > store.log.len() {
-                    return Err(CodecError::SnapshotMismatch("emission log length"));
-                }
-                // all-or-nothing: a failed restore leaves `inner` as-is
-                inner.restore(engine_bytes)?;
-                Ok((pos, mark as usize))
-            });
-            match attempt {
-                Ok((pos, mark)) => {
-                    position = pos;
-                    log_mark = mark;
+        let mut accepted = None;
+        for ckpt in store.checkpoints_newest_first() {
+            match Self::open_checkpoint(ckpt, store.log_len(), &mut fresh) {
+                Ok(ok) => {
+                    accepted = Some(ok);
                     break;
                 }
                 Err(_) => rejected += 1,
             }
         }
-        let mut suppress: BTreeMap<(u8, MatchKey), u64> = BTreeMap::new();
-        for rec in store.log.iter().skip(log_mark) {
+        let (position, log_mark, host) =
+            accepted.unwrap_or_else(|| (0, 0, fresh(None).expect("cold-start host")));
+        let mut suppress: BTreeMap<LogKey, u64> = BTreeMap::new();
+        for rec in store.log_records().skip(log_mark) {
             match decode_log_record(rec) {
                 Ok(key) => *suppress.entry(key).or_insert(0) += 1,
-                Err(_) => rejected += 1, // corrupt log record: cannot dedup it
+                Err(_) => rejected += 1,
             }
         }
-        let last_ckpt_wm = inner.watermark();
-        let ckptr = Checkpointer {
-            inner,
-            policy,
-            store,
-            position,
-            last_ckpt_position: position,
-            last_ckpt_wm,
-            suppress,
-            extra: RuntimeStats {
-                checkpoints_rejected: rejected,
-                ..RuntimeStats::default()
-            },
-        };
+        let mut ckptr = Checkpointer::new(host, policy);
+        ckptr.store = store;
+        ckptr.position = position;
+        ckptr.last_ckpt_position = position;
+        ckptr.suppress = suppress;
+        ckptr.extra.checkpoints_rejected = rejected;
         (ckptr, position)
     }
 
-    fn open_checkpoint(bytes: &[u8]) -> Result<(u64, u64, &[u8]), CodecError> {
-        let payload = open_envelope(bytes)?;
-        let mut r = Reader::new(payload);
+    fn open_checkpoint(
+        bytes: &[u8],
+        log_len: usize,
+        fresh: &mut impl FnMut(Option<&mut Reader<'_>>) -> Result<MultiEngine, CodecError>,
+    ) -> Result<(u64, usize, MultiEngine), CodecError> {
+        let mut r = Reader::new(open_envelope(bytes)?);
         let position = r.get_u64()?;
-        let log_mark = r.get_u64()?;
+        let log_mark = r.get_u64()? as usize;
+        if log_mark > log_len {
+            return Err(CodecError::SnapshotMismatch("emission log length"));
+        }
+        let mut host = fresh(Some(&mut r))?;
         let len = r.get_len()?;
-        let engine_bytes = r.take(len)?;
+        let snapshot = r.take(len)?;
         r.finish()?;
-        Ok((position, log_mark, engine_bytes))
+        host.restore(snapshot)?;
+        Ok((position, log_mark, host))
+    }
+
+    /// Sets the opaque header later checkpoints carry (see the module
+    /// docs); it changes when the registered query set does.
+    pub fn set_header(&mut self, header: Vec<u8>) {
+        self.header = header;
     }
 
     /// Takes a checkpoint immediately (also used by the policy triggers).
-    /// Engines without snapshot support make this a no-op.
+    /// A host with an engine lacking snapshot support makes this a no-op.
     pub fn checkpoint_now(&mut self) {
-        if let Ok(engine_bytes) = self.inner.snapshot() {
-            let mut w = Writer::new();
-            w.put_u64(self.position);
-            w.put_u64(self.store.log_len() as u64);
-            w.put_bytes(&engine_bytes);
-            self.store.push_checkpoint(seal_envelope(&w.into_bytes()));
-            self.extra.checkpoints_written += 1;
-            self.last_ckpt_position = self.position;
-            self.last_ckpt_wm = self.inner.watermark();
-        }
+        let Ok(snapshot) = self.host.snapshot() else {
+            return;
+        };
+        let (mut head, mut tail) = (Writer::new(), Writer::new());
+        head.put_u64(self.position);
+        head.put_u64(self.store.log_len() as u64);
+        tail.put_bytes(&snapshot);
+        let payload = [head.into_bytes(), self.header.clone(), tail.into_bytes()].concat();
+        self.store.push_checkpoint(seal_envelope(&payload));
+        self.extra.checkpoints_written += 1;
+        self.last_ckpt_position = self.position;
+        self.last_ckpt_wm = self.host.watermark();
+        self.dirty = true;
     }
 
     fn maybe_checkpoint(&mut self) {
         let wm_advanced = self.policy.on_watermark_advance
-            && match (self.inner.watermark(), self.last_ckpt_wm) {
+            && match (self.host.watermark(), self.last_ckpt_wm) {
                 (Some(wm), Some(prev)) => wm > prev,
                 (Some(_), None) => true,
                 (None, _) => false,
@@ -368,11 +409,19 @@ impl Checkpointer {
         }
     }
 
-    /// Logs newly delivered outputs and drops replay duplicates.
-    fn filter_and_log(&mut self, raw: Vec<OutputItem>) -> Vec<OutputItem> {
-        let mut out = Vec::with_capacity(raw.len());
-        for o in raw {
-            let key = (kind_tag(o.kind), o.m.key());
+    /// Appends `raw` to `out`, logging newly delivered outputs and
+    /// dropping replay duplicates.
+    fn filter_and_log(
+        &mut self,
+        raw: Vec<(QueryId, OutputItem)>,
+        out: &mut Vec<(QueryId, OutputItem)>,
+    ) {
+        if !self.policy.durable() {
+            out.extend(raw);
+            return;
+        }
+        for (qid, o) in raw {
+            let key = log_key(qid, &o);
             if let Some(n) = self.suppress.get_mut(&key) {
                 *n -= 1;
                 if *n == 0 {
@@ -383,10 +432,77 @@ impl Checkpointer {
                 self.extra.replayed_suppressed += 1;
                 continue;
             }
-            self.store.append_log(encode_log_record(o.kind, &key.1));
-            out.push(o);
+            self.store.append_log(encode_log_record(&key));
+            self.dirty = true;
+            out.push((qid, o));
+        }
+    }
+
+    /// Ingests one arrival into every query; returns the outputs to
+    /// deliver (replay duplicates already swallowed).
+    pub fn ingest(&mut self, item: &StreamItem) -> Vec<(QueryId, OutputItem)> {
+        self.ingest_batch(std::slice::from_ref(item))
+    }
+
+    /// Ingests a run of arrivals through [`MultiEngine::ingest_batch`] —
+    /// the entry point that lets sharded pools use their worker threads.
+    ///
+    /// Outputs, log records, and checkpoints are identical to item-by-item
+    /// [`Checkpointer::ingest`] calls: the run is split at checkpoint
+    /// boundaries so every checkpoint captures the host state at exactly
+    /// the position it records, never mid-cadence. The watermark-advance
+    /// cadence can fall after any item, so it ingests one at a time.
+    pub fn ingest_batch(&mut self, items: &[StreamItem]) -> Vec<(QueryId, OutputItem)> {
+        let mut out = Vec::new();
+        let mut rest = items;
+        while !rest.is_empty() {
+            let until_due = |n: u64| {
+                let since = self.position.saturating_sub(self.last_ckpt_position);
+                n.saturating_sub(since).max(1) as usize
+            };
+            let take = match self.policy.every_n_events {
+                _ if self.policy.on_watermark_advance => 1,
+                Some(n) => until_due(n).min(rest.len()),
+                None => rest.len(),
+            };
+            let (chunk, tail) = rest.split_at(take);
+            rest = tail;
+            for raw in self.host.ingest_batch(chunk) {
+                self.position += 1;
+                self.filter_and_log(raw, &mut out);
+            }
+            self.maybe_checkpoint();
         }
         out
+    }
+
+    /// Flushes every query's held state (end-of-stream) through the same
+    /// filter.
+    pub fn finish(&mut self) -> Vec<(QueryId, OutputItem)> {
+        let mut out = Vec::new();
+        let raw = self.host.finish();
+        self.filter_and_log(raw, &mut out);
+        out
+    }
+
+    /// The wrapped host, for per-query inspection.
+    pub fn host(&self) -> &MultiEngine {
+        &self.host
+    }
+
+    /// The wrapped host, for registering queries.
+    pub fn host_mut(&mut self) -> &mut MultiEngine {
+        &mut self.host
+    }
+
+    /// Aggregate operator counters across every query, plus this process's
+    /// checkpoint/recovery counters.
+    pub fn stats(&self) -> RuntimeStats {
+        let mut total = self.extra;
+        for s in self.host.stats() {
+            total += s;
+        }
+        total
     }
 
     /// The durable artifacts (clone these to simulate a crash surviving
@@ -395,9 +511,10 @@ impl Checkpointer {
         &self.store
     }
 
-    /// Mutable store access, for fault injection.
-    pub fn store_mut(&mut self) -> &mut CheckpointStore {
-        &mut self.store
+    /// Returns whether the store changed since the last call, clearing the
+    /// flag — the owner's cue to persist it.
+    pub fn take_dirty(&mut self) -> bool {
+        std::mem::replace(&mut self.dirty, false)
     }
 
     /// Stream items ingested so far.
@@ -411,67 +528,15 @@ impl Checkpointer {
     }
 }
 
-impl Engine for Checkpointer {
-    fn ingest(&mut self, item: &StreamItem) -> Vec<OutputItem> {
-        let raw = self.inner.ingest(item);
-        self.position += 1;
-        let out = self.filter_and_log(raw);
-        self.maybe_checkpoint();
-        out
-    }
-
-    fn finish(&mut self) -> Vec<OutputItem> {
-        let raw = self.inner.finish();
-        self.filter_and_log(raw)
-    }
-
-    fn stats(&self) -> RuntimeStats {
-        let mut s = self.inner.stats();
-        s += self.extra;
-        s
-    }
-
-    fn state_size(&self) -> usize {
-        self.inner.state_size()
-    }
-
-    fn query(&self) -> &Arc<Query> {
-        self.inner.query()
-    }
-
-    fn watermark(&self) -> Option<Timestamp> {
-        self.inner.watermark()
-    }
-
-    fn clock(&self) -> Option<Timestamp> {
-        self.inner.clock()
-    }
-
-    fn slack_bound(&self) -> Option<sequin_types::Duration> {
-        self.inner.slack_bound()
-    }
-
-    fn per_shard_stats(&self) -> Vec<RuntimeStats> {
-        self.inner.per_shard_stats()
-    }
-
-    fn snapshot(&self) -> Result<Vec<u8>, CodecError> {
-        self.inner.snapshot()
-    }
-
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        self.inner.restore(bytes)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
-    use crate::native::NativeEngine;
-    use crate::traits::run_to_end;
+    use crate::multi::{read_envelope, write_envelope};
+    use crate::traits::Strategy;
     use sequin_query::parse;
     use sequin_types::{Duration, Event, EventId, TypeRegistry, Value, ValueKind};
+    use std::sync::Arc;
 
     fn registry() -> TypeRegistry {
         let mut reg = TypeRegistry::new();
@@ -502,19 +567,32 @@ mod tests {
         items
     }
 
-    fn fresh(reg: &TypeRegistry) -> Box<dyn Engine> {
-        let q = parse("PATTERN SEQ(A a, B b) WITHIN 8", reg).unwrap();
-        Box::new(NativeEngine::new(
-            q,
-            EngineConfig::with_k(Duration::new(10)),
-        ))
+    const Q_AB: &str = "PATTERN SEQ(A a, B b) WITHIN 8";
+    /// Partitionable, so a two-shard host gives it a routed pool of its own.
+    const Q_PART: &str = "PATTERN SEQ(A a, B b) WHERE a.x == b.x WITHIN 8";
+
+    /// A two-shard host: `Q_AB` on the plan, `Q_PART` on its own pool.
+    fn host_of(reg: &TypeRegistry, texts: &[&str]) -> MultiEngine {
+        let config = EngineConfig::with_k(Duration::new(10));
+        let mut host = MultiEngine::new(Strategy::Native, config, 2);
+        for text in texts {
+            host.register(parse(text, reg).unwrap(), config.policy);
+        }
+        host
     }
 
-    fn net(out: &[OutputItem]) -> Vec<(bool, Vec<u64>)> {
-        let mut v: Vec<(bool, Vec<u64>)> = out
+    fn fresh(reg: &TypeRegistry) -> MultiEngine {
+        host_of(reg, &[Q_AB, Q_PART])
+    }
+
+    type Delivery = (usize, bool, Vec<u64>);
+
+    fn net(out: &[(QueryId, OutputItem)]) -> Vec<Delivery> {
+        let mut v: Vec<Delivery> = out
             .iter()
-            .map(|o| {
+            .map(|(q, o)| {
                 (
+                    q.index(),
                     o.kind == OutputKind::Insert,
                     o.m.events().iter().map(|e| e.id().get()).collect(),
                 )
@@ -524,48 +602,83 @@ mod tests {
         v
     }
 
+    fn baseline(reg: &TypeRegistry, items: &[StreamItem]) -> Vec<Delivery> {
+        let mut ck = Checkpointer::new(fresh(reg), CheckpointPolicy::never());
+        let mut out = ck.ingest_batch(items);
+        out.extend(ck.finish());
+        assert_eq!(ck.store().log_len(), 0, "a volatile wrapper keeps no log");
+        assert_eq!(ck.stats().checkpoints_written, 0);
+        net(&out)
+    }
+
     #[test]
     fn checkpoints_are_written_on_watermark_advance() {
         let reg = registry();
         let mut ck = Checkpointer::new(fresh(&reg), CheckpointPolicy::default());
-        let items = stream(&reg);
-        let _ = run_to_end(&mut ck, &items);
+        ck.ingest_batch(&stream(&reg));
         assert!(ck.stats().checkpoints_written > 0);
         assert!(ck.store().checkpoint_count() >= 1);
         assert!(ck.store().checkpoint_count() <= 2, "keep bound respected");
     }
 
     #[test]
-    fn every_n_policy_counts_events() {
+    fn batches_split_at_checkpoint_boundaries_and_reach_the_pool() {
         let reg = registry();
-        let mut ck = Checkpointer::new(fresh(&reg), CheckpointPolicy::every(10));
         let items = stream(&reg);
-        let _ = run_to_end(&mut ck, &items);
-        assert_eq!(ck.stats().checkpoints_written, 6);
+        let mut per_item = Checkpointer::new(fresh(&reg), CheckpointPolicy::every(10));
+        let mut want = Vec::new();
+        for item in &items {
+            want.extend(per_item.ingest(item));
+        }
+        want.extend(per_item.finish());
+        assert_eq!(per_item.stats().checkpoints_written, 6);
+
+        // ragged batch sizes that straddle the checkpoint cadence
+        let mut batched = Checkpointer::new(fresh(&reg), CheckpointPolicy::every(10));
+        let mut got = Vec::new();
+        let mut rest = &items[..];
+        for size in [1usize, 10, 3, 17, 9].iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (chunk, tail) = rest.split_at((*size).min(rest.len()));
+            got.extend(batched.ingest_batch(chunk));
+            rest = tail;
+        }
+        got.extend(batched.finish());
+        assert_eq!(got, want, "same outputs in the same order");
+        assert_eq!(batched.position(), per_item.position());
+        assert_eq!(batched.stats().checkpoints_written, 6, "same cadence");
+        assert_eq!(
+            batched.store().to_bytes(),
+            per_item.store().to_bytes(),
+            "every checkpoint sits at the position it records"
+        );
+        // the pool was handed whole runs, not one item at a time
+        let pool = QueryId::new(1);
+        let peak = |ck: &Checkpointer| ck.host().route_stats(pool).unwrap().queue_depth_peak;
+        assert!(peak(&per_item) <= 1);
+        assert!(peak(&batched) > 1, "peak {}", peak(&batched));
     }
 
     #[test]
     fn crash_and_resume_is_exactly_once() {
         let reg = registry();
         let items = stream(&reg);
-        let baseline = net(&run_to_end(fresh(&reg).as_mut(), &items));
+        let baseline = baseline(&reg, &items);
 
         // sparse checkpoints guarantee the replay suffix overlaps output
         // that was already delivered before the crash
         let policy = CheckpointPolicy::every(25);
         let mut ck = Checkpointer::new(fresh(&reg), policy);
-        let mut delivered = Vec::new();
-        for item in &items[..40] {
-            delivered.extend(ck.ingest(item));
-        }
+        let mut delivered = ck.ingest_batch(&items[..40]);
+        assert!(ck.take_dirty() && !ck.take_dirty());
         let saved = ck.store().clone();
         drop(ck); // crash
 
-        let (mut ck, replay_from) = Checkpointer::resume(fresh(&reg), policy, saved);
+        let (mut ck, replay_from) = Checkpointer::resume(policy, saved, |_| Ok(fresh(&reg)));
         assert_eq!(replay_from, 25);
-        for item in &items[replay_from as usize..] {
-            delivered.extend(ck.ingest(item));
-        }
+        delivered.extend(ck.ingest_batch(&items[replay_from as usize..]));
         delivered.extend(ck.finish());
         assert_eq!(net(&delivered), baseline);
         assert!(
@@ -579,71 +692,167 @@ mod tests {
         );
     }
 
-    #[test]
-    fn corrupted_latest_checkpoint_falls_back_to_previous() {
-        let reg = registry();
-        let items = stream(&reg);
-        let baseline = net(&run_to_end(fresh(&reg).as_mut(), &items));
-
-        let mut ck = Checkpointer::new(fresh(&reg), CheckpointPolicy::default());
-        let mut delivered = Vec::new();
-        for item in &items[..40] {
-            delivered.extend(ck.ingest(item));
-        }
-        let mut saved = ck.store().clone();
-        assert!(saved.checkpoint_count() >= 2);
-        saved.checkpoint_mut(0).unwrap()[20] ^= 0x40; // bit-flip the latest
-        drop(ck);
-
-        let (mut ck, replay_from) =
-            Checkpointer::resume(fresh(&reg), CheckpointPolicy::default(), saved);
-        assert_eq!(ck.stats().checkpoints_rejected, 1);
-        for item in &items[replay_from as usize..] {
-            delivered.extend(ck.ingest(item));
-        }
-        delivered.extend(ck.finish());
-        assert_eq!(net(&delivered), baseline);
+    /// `ckpt` with the last query's blob truncated: the envelope and every
+    /// earlier blob still validate, so a restore fails partway.
+    fn half_restorable(ckpt: &[u8]) -> Vec<u8> {
+        let mut r = Reader::new(open_envelope(ckpt).unwrap());
+        let (position, mark) = (r.get_u64().unwrap(), r.get_u64().unwrap());
+        let snapshot = r.get_bytes().unwrap();
+        let mut blobs: Vec<Vec<u8>> = read_envelope(&snapshot, 2)
+            .unwrap()
+            .into_iter()
+            .map(<[u8]>::to_vec)
+            .collect();
+        let keep = blobs[1].len() / 2;
+        blobs[1].truncate(keep);
+        let mut w = Writer::new();
+        w.put_u64(position);
+        w.put_u64(mark);
+        w.put_bytes(&write_envelope(blobs.into_iter().map(Ok)).unwrap());
+        seal_envelope(&w.into_bytes())
     }
 
+    /// The recovery ladder, one row per way a store can be damaged.
     #[test]
-    fn all_checkpoints_corrupt_degrades_to_cold_start() {
+    fn the_ladder() {
         let reg = registry();
         let items = stream(&reg);
-        let baseline = net(&run_to_end(fresh(&reg).as_mut(), &items));
-
-        let mut ck = Checkpointer::new(fresh(&reg), CheckpointPolicy::default());
-        let mut delivered = Vec::new();
-        for item in &items[..40] {
-            delivered.extend(ck.ingest(item));
-        }
-        let mut saved = ck.store().clone();
-        let count = saved.checkpoint_count();
-        for ix in 0..count {
-            let bytes = saved.checkpoint_mut(ix).unwrap();
-            let keep = bytes.len() / 2;
-            bytes.truncate(keep); // truncation, not just bit rot
-        }
+        let baseline = baseline(&reg, &items);
+        let policy = CheckpointPolicy::every(15);
+        let mut ck = Checkpointer::new(fresh(&reg), policy);
+        let pre_crash = ck.ingest_batch(&items[..40]);
+        let intact = ck.store().clone();
+        assert_eq!(intact.checkpoint_count(), 2, "at items 15 and 30");
+        let suffix = intact.log_len() - 30_usize.min(intact.log_len());
         drop(ck);
 
-        let (mut ck, replay_from) =
-            Checkpointer::resume(fresh(&reg), CheckpointPolicy::default(), saved);
-        assert_eq!(replay_from, 0, "cold start");
-        assert_eq!(ck.stats().checkpoints_rejected, count as u64);
-        for item in &items[replay_from as usize..] {
-            delivered.extend(ck.ingest(item));
+        struct Row {
+            name: &'static str,
+            damage: fn(&mut CheckpointStore),
+            replay_from: u64,
+            rejected: u64,
+            /// Whether the log could still dedup everything replayed.
+            exactly_once: bool,
+            /// Hosts built on the way: one per candidate whose envelope
+            /// and log mark validated, plus the cold one if none won.
+            built: usize,
         }
-        delivered.extend(ck.finish());
-        assert_eq!(net(&delivered), baseline);
+        let rows = [
+            Row {
+                name: "intact",
+                damage: |_| {},
+                replay_from: 30,
+                rejected: 0,
+                exactly_once: true,
+                built: 1,
+            },
+            Row {
+                name: "empty store",
+                damage: |s| *s = CheckpointStore::new(),
+                replay_from: 0,
+                rejected: 0,
+                exactly_once: false, // nothing remembers the deliveries
+                built: 1,
+            },
+            Row {
+                name: "newest corrupt: older wins",
+                damage: |s| s.checkpoint_mut(0).unwrap()[20] ^= 0x40,
+                replay_from: 15,
+                rejected: 1,
+                exactly_once: true,
+                built: 1,
+            },
+            Row {
+                name: "all corrupt: cold start",
+                damage: |s| {
+                    for ix in 0..s.checkpoint_count() {
+                        let bytes = s.checkpoint_mut(ix).unwrap();
+                        bytes.truncate(bytes.len() / 2); // truncation, not just bit rot
+                    }
+                },
+                replay_from: 0,
+                rejected: 2,
+                exactly_once: true,
+                built: 1,
+            },
+            Row {
+                name: "log mark past the log: rejected",
+                damage: |s| {
+                    // keep exactly the records the older checkpoint had seen
+                    let mut r = Reader::new(open_envelope(&s.checkpoints[0]).unwrap());
+                    r.get_u64().unwrap();
+                    s.log.truncate(r.get_u64().unwrap() as usize);
+                },
+                replay_from: 15,
+                rejected: 1,
+                exactly_once: false, // the lost records cannot dedup
+                built: 1,
+            },
+            Row {
+                name: "corrupt log record: counted, not fatal",
+                damage: |s| s.log.last_mut().unwrap()[9] ^= 0x01,
+                replay_from: 30,
+                rejected: 1,
+                exactly_once: false, // that one output is delivered twice
+                built: 1,
+            },
+            Row {
+                name: "restore fails partway: nothing of it survives",
+                damage: |s| {
+                    for ix in 0..s.checkpoint_count() {
+                        let bytes = s.checkpoint_mut(ix).unwrap();
+                        *bytes = half_restorable(bytes);
+                    }
+                },
+                replay_from: 0,
+                rejected: 2,
+                exactly_once: true,
+                built: 3,
+            },
+        ];
+        assert!(suffix > 0, "the crash left deliveries past the last mark");
+        for row in rows {
+            let mut saved = intact.clone();
+            (row.damage)(&mut saved);
+            let (mut built, log_len) = (0, saved.log_len());
+            let (mut ck, replay_from) = Checkpointer::resume(policy, saved, |_| {
+                built += 1;
+                Ok(fresh(&reg))
+            });
+            assert_eq!(replay_from, row.replay_from, "{}", row.name);
+            assert_eq!(ck.position(), replay_from, "{}", row.name);
+            assert_eq!(
+                ck.stats().checkpoints_rejected,
+                row.rejected,
+                "{}",
+                row.name
+            );
+            assert_eq!(built, row.built, "{}", row.name);
+            assert!(ck.pending_suppressions() <= log_len, "{}", row.name);
+            if replay_from == 0 {
+                // the cold host holds nothing a failed candidate restored
+                assert_eq!(ck.host().state_size(), 0, "{}", row.name);
+            }
+            let mut delivered = pre_crash.clone();
+            delivered.extend(ck.ingest_batch(&items[replay_from as usize..]));
+            delivered.extend(ck.finish());
+            assert_eq!(
+                net(&delivered) == baseline,
+                row.exactly_once,
+                "{}",
+                row.name
+            );
+            if row.exactly_once {
+                assert_eq!(ck.pending_suppressions(), 0, "{}", row.name);
+            }
+        }
     }
 
     #[test]
     fn store_file_round_trip_and_corruption_detection() {
         let reg = registry();
         let mut ck = Checkpointer::new(fresh(&reg), CheckpointPolicy::default());
-        let items = stream(&reg);
-        for item in &items[..30] {
-            ck.ingest(item);
-        }
+        ck.ingest_batch(&stream(&reg)[..30]);
         let bytes = ck.store().to_bytes();
         let parsed = CheckpointStore::from_bytes(&bytes).unwrap();
         assert_eq!(parsed.checkpoint_count(), ck.store().checkpoint_count());
@@ -656,35 +865,17 @@ mod tests {
     }
 
     #[test]
-    fn resume_from_empty_store_is_a_cold_start() {
-        let reg = registry();
-        let (ck, replay_from) = Checkpointer::resume(
-            fresh(&reg),
-            CheckpointPolicy::default(),
-            CheckpointStore::new(),
-        );
-        assert_eq!(replay_from, 0);
-        assert_eq!(ck.stats().checkpoints_rejected, 0);
-        assert_eq!(ck.pending_suppressions(), 0);
-    }
-
-    #[test]
     fn fingerprint_mismatch_is_rejected() {
         let reg = registry();
         let mut ck = Checkpointer::new(fresh(&reg), CheckpointPolicy::default());
-        let items = stream(&reg);
-        for item in &items[..30] {
-            ck.ingest(item);
-        }
+        ck.ingest_batch(&stream(&reg)[..30]);
         let saved = ck.store().clone();
         let rejected_all = saved.checkpoint_count() as u64;
-        // resume into an engine evaluating a *different* query
-        let other = parse("PATTERN SEQ(B b, A a) WITHIN 8", &reg).unwrap();
-        let inner: Box<dyn Engine> = Box::new(NativeEngine::new(
-            other,
-            EngineConfig::with_k(Duration::new(10)),
-        ));
-        let (ck2, replay_from) = Checkpointer::resume(inner, CheckpointPolicy::default(), saved);
+        // resume into a host evaluating *different* queries
+        let other = ["PATTERN SEQ(B b, A a) WITHIN 8", Q_PART];
+        let (ck2, replay_from) = Checkpointer::resume(CheckpointPolicy::default(), saved, |_| {
+            Ok(host_of(&reg, &other))
+        });
         assert_eq!(replay_from, 0, "no checkpoint accepted");
         assert!(ck2.stats().checkpoints_rejected >= rejected_all);
     }

@@ -16,9 +16,13 @@
 //!   watermark-safe purging. Emits each (negation-free) match the moment
 //!   its last constituent arrives, at bounded state.
 //!
-//! Many queries run as a [`MultiEngine`] of such engines or, natively,
-//! through the [`SharedMultiEngine`] plan, which pools stacks and prefix
-//! walks across queries. The native engine (alone, or as a worker of a
+//! Many queries run in a [`MultiEngine`], the one multi-query host: it
+//! puts each query on the [`SharedMultiEngine`] plan (which pools stacks
+//! and prefix walks across queries), on a [`ShardedEngine`] pool of its
+//! own, or on any engine handed to it. A [`Checkpointer`] around that
+//! host is the one exactly-once layer — position, emission log,
+//! checkpoint cadence, recovery ladder — used by `sequin run` and the
+//! server alike. The native engine (alone, or as a worker of a
 //! [`ShardedEngine`] pool) and the plan are one algorithm: both walk
 //! stacks with `sequin_runtime::Constructor`, hand every match to the
 //! `settle` module — the one place that decides when a match is emitted,

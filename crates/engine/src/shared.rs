@@ -18,10 +18,10 @@
 //!
 //! ## Equivalence contract
 //!
-//! Per query, the output sequence is **byte-identical** to an independent
-//! [`crate::MultiEngine`] of native engines evaluating the same queries
-//! under the same configuration, for streams whose lateness stays within
-//! the disorder bound. Beyond-`K` arrivals are best-effort in both
+//! Per query, the output sequence is **byte-identical** to a
+//! [`crate::MultiEngine`] hosting the same queries on native engines of
+//! their own (`register_engine`) under the same configuration, for
+//! streams whose lateness stays within the disorder bound. Beyond-`K` arrivals are best-effort in both
 //! evaluators; the shared evaluator's pooled purge threshold (the `min`
 //! over referencing queries) retains a superset of each query's state, so
 //! it can only *recover* strictly more of those out-of-contract matches.
@@ -54,13 +54,10 @@ use std::sync::Arc;
 use sequin_plan::{compile, BindEntry, PrefixGroup, QuerySpec, SharedPlan, SlotSig};
 use sequin_query::Query;
 use sequin_runtime::{purge, AisStack, ConstructOpts, Constructor, PartitionKey, RuntimeStats};
-use sequin_types::codec::{open_envelope, seal_envelope};
-use sequin_types::{
-    ArrivalSeq, CodecError, Duration, EventRef, Reader, StreamItem, Timestamp, Writer,
-};
+use sequin_types::{ArrivalSeq, CodecError, Duration, EventRef, StreamItem, Timestamp, Writer};
 
 use crate::config::{DisorderPolicy, EngineConfig};
-use crate::multi::QueryId;
+use crate::multi::{read_envelope, write_envelope, QueryId};
 use crate::native::{QueryBlob, StackLayout};
 use crate::output::OutputItem;
 use crate::settle::{PhasedOutput, Settle, Stamp};
@@ -190,13 +187,14 @@ impl QueryState {
 
 /// Multi-query evaluation over one shared plan (see module docs).
 ///
-/// Drop-in for [`crate::MultiEngine`] when every query runs the native
-/// strategy under one shared [`EngineConfig`] (with an optional per-query
-/// [`DisorderPolicy`] override): registration returns
-/// [`QueryId`]s compatible with `MultiEngine`'s, outputs carry the same
-/// tags in the same order, and snapshots use the `MultiEngine` envelope
+/// The plan side of a [`crate::MultiEngine`], which hosts here every
+/// native query that a routed pool of its own would not speed up, and
+/// usable on its own when every query runs the native strategy under one
+/// shared [`EngineConfig`] (with an optional per-query [`DisorderPolicy`]
+/// override): outputs carry the same tags in the same order as the same
+/// queries on engines of their own, and snapshots are the same envelope
 /// of per-query native-engine blobs — a checkpoint taken by either
-/// evaluator restores into the other.
+/// restores into the other.
 pub struct SharedMultiEngine {
     config: EngineConfig,
     specs: Vec<QuerySpec>,
@@ -747,18 +745,13 @@ impl SharedMultiEngine {
     /// pooled layout), so it restores into independent engines — or into
     /// a shared evaluator compiled from a different registration history.
     pub fn snapshot(&self) -> Result<Vec<u8>, CodecError> {
-        let mut w = Writer::new();
-        w.put_u64(self.specs.len() as u64);
-        for qix in 0..self.specs.len() {
-            w.put_bytes(&self.query_blob(qix));
-        }
-        Ok(seal_envelope(&w.into_bytes()))
+        write_envelope((0..self.specs.len()).map(|qix| Ok(self.query_blob(qix))))
     }
 
     /// One query's [`QueryBlob`]: its slots' events regrouped from the
     /// pooled stacks into the per-key stacks its isolated engine would
     /// hold (identical content, modulo the pooled purge superset).
-    fn query_blob(&self, qix: usize) -> Vec<u8> {
+    pub(crate) fn query_blob(&self, qix: usize) -> Vec<u8> {
         let st = &self.states[qix];
         let ep = &self.epochs[st.epoch];
         let q = &st.query;
@@ -810,22 +803,21 @@ impl SharedMultiEngine {
     /// untouched. Epochs are re-derived by grouping queries with
     /// identical restored (watermark, sequence) stream positions.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        let mut r = Reader::new(open_envelope(bytes)?);
-        if r.get_u64()? != self.specs.len() as u64 {
-            return Err(CodecError::SnapshotMismatch("registered query count"));
-        }
+        self.restore_blobs(&read_envelope(bytes, self.specs.len())?)
+    }
+
+    /// [`SharedMultiEngine::restore`] from the envelope's per-query blobs,
+    /// one per registered query in registration order.
+    pub(crate) fn restore_blobs(&mut self, blobs: &[&[u8]]) -> Result<(), CodecError> {
         let mut restored: Vec<QueryBlob> = Vec::with_capacity(self.specs.len());
-        for st in &self.states {
-            let len = r.get_len()?;
+        for (st, blob) in self.states.iter().zip(blobs) {
             // the tracker's slack parameters derive from the query's
             // *current* policy, not the snapshot (policy changes across a
             // checkpoint take effect on restore, as in the native engine)
             let mut qconfig = self.config;
             qconfig.policy = st.settle.policy();
-            let blob = QueryBlob::decode(&st.query, &qconfig, &st.settle, r.take(len)?)?;
-            restored.push(blob);
+            restored.push(QueryBlob::decode(&st.query, &qconfig, &st.settle, blob)?);
         }
-        r.finish()?;
         // regroup epochs: queries at identical stream positions with a
         // compatible watermark class share one
         let mut keys: Vec<(Vec<u8>, u64, WmClass)> = Vec::new();
@@ -1169,10 +1161,10 @@ mod tests {
         let reg = registry();
         let queries = query_set(&reg);
         let mut shared = SharedMultiEngine::new(config);
-        let mut multi = MultiEngine::new();
+        let mut multi = MultiEngine::new(Strategy::Native, EngineConfig::default(), 1);
         for q in &queries {
             shared.register(Arc::clone(q));
-            multi.register(Arc::clone(q), Strategy::Native, config);
+            multi.register_engine(crate::make_engine(Strategy::Native, Arc::clone(q), config));
         }
         // K = 100 (default) covers max_delay = 90: in-bound stream
         let items = gen_stream(&reg, seed, 400, 90);
@@ -1257,12 +1249,12 @@ mod tests {
             DisorderPolicy::AdaptiveSlack { accuracy: 90 },
         ];
         let mut shared = SharedMultiEngine::new(base);
-        let mut multi = MultiEngine::new();
+        let mut multi = MultiEngine::new(Strategy::Native, EngineConfig::default(), 1);
         for (ix, q) in queries.iter().enumerate() {
             let policy = policies[ix % policies.len()];
             shared.register_with_policy(Arc::clone(q), policy);
             let cfg = EngineConfig { policy, ..base };
-            multi.register(Arc::clone(q), Strategy::Native, cfg);
+            multi.register_engine(crate::make_engine(Strategy::Native, Arc::clone(q), cfg));
         }
         assert_eq!(
             shared.plan_metrics().epochs,
@@ -1326,10 +1318,10 @@ mod tests {
         let queries = query_set(&reg);
         let config = EngineConfig::default();
         let mut shared = SharedMultiEngine::new(config);
-        let mut multi = MultiEngine::new();
+        let mut multi = MultiEngine::new(Strategy::Native, EngineConfig::default(), 1);
         for q in &queries {
             shared.register(Arc::clone(q));
-            multi.register(Arc::clone(q), Strategy::Native, config);
+            multi.register_engine(crate::make_engine(Strategy::Native, Arc::clone(q), config));
         }
         let items = gen_stream(&reg, 10, 300, 90);
         let (head, tail) = items.split_at(200);
@@ -1339,9 +1331,9 @@ mod tests {
 
         // shared -> independent
         let snap = shared.snapshot().unwrap();
-        let mut multi2 = MultiEngine::new();
+        let mut multi2 = MultiEngine::new(Strategy::Native, EngineConfig::default(), 1);
         for q in &queries {
-            multi2.register(Arc::clone(q), Strategy::Native, config);
+            multi2.register_engine(crate::make_engine(Strategy::Native, Arc::clone(q), config));
         }
         multi2.restore(&snap).unwrap();
         // independent -> shared

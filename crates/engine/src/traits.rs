@@ -78,8 +78,9 @@ pub trait Engine: Send {
     /// The query under evaluation.
     fn query(&self) -> &Arc<Query>;
 
-    /// The engine's current low-watermark, when it tracks one. Used by
-    /// [`crate::Checkpointer`] to checkpoint on watermark advance.
+    /// The engine's current low-watermark, when it tracks one. The
+    /// minimum over a host's queries is what [`crate::Checkpointer`]'s
+    /// watermark-advance cadence watches.
     fn watermark(&self) -> Option<Timestamp> {
         None
     }

@@ -2,7 +2,7 @@
 
 use std::time::Instant;
 
-use sequin_engine::{Engine, OutputItem};
+use sequin_engine::{Checkpointer, Engine, OutputItem};
 use sequin_runtime::RuntimeStats;
 use sequin_types::StreamItem;
 
@@ -40,6 +40,61 @@ impl RunReport {
     }
 }
 
+/// State-size samples taken during a run.
+#[derive(Default)]
+struct StateSamples {
+    peak: usize,
+    sum: u128,
+    count: u64,
+}
+
+impl StateSamples {
+    fn record(&mut self, size: usize) {
+        self.peak = self.peak.max(size);
+        self.sum += size as u128;
+        self.count += 1;
+    }
+}
+
+fn report(
+    events: usize,
+    elapsed_secs: f64,
+    outputs: Vec<OutputItem>,
+    state: StateSamples,
+    stats: RuntimeStats,
+) -> RunReport {
+    let mut arrival_latency = Histogram::new();
+    let mut event_time_latency = Histogram::new();
+    for o in &outputs {
+        arrival_latency.record(o.arrival_latency());
+        event_time_latency.record(o.event_time_latency());
+    }
+    RunReport {
+        events,
+        elapsed_secs,
+        throughput_eps: if elapsed_secs > 0.0 {
+            events as f64 / elapsed_secs
+        } else {
+            0.0
+        },
+        outputs,
+        arrival_latency,
+        event_time_latency,
+        peak_state: state.peak,
+        mean_state: if state.count == 0 {
+            0.0
+        } else {
+            state.sum as f64 / state.count as f64
+        },
+        stats,
+    }
+}
+
+fn count_events(stream: &[StreamItem]) -> usize {
+    let is_event = |i: &&StreamItem| matches!(i, StreamItem::Event(_));
+    stream.iter().filter(is_event).count()
+}
+
 /// Runs `engine` over `stream` (then finishes it), sampling state size
 /// every `sample_every` items.
 ///
@@ -53,119 +108,57 @@ pub fn run_engine(
 ) -> RunReport {
     assert!(sample_every > 0, "sampling cadence must be positive");
     let mut outputs = Vec::new();
-    let mut peak_state = 0usize;
-    let mut state_sum = 0u128;
-    let mut state_samples = 0u64;
-    let mut events = 0usize;
-
+    let mut state = StateSamples::default();
     let start = Instant::now();
     for (i, item) in stream.iter().enumerate() {
-        if matches!(item, StreamItem::Event(_)) {
-            events += 1;
-        }
         outputs.extend(engine.ingest(item));
         if i % sample_every == 0 {
-            let s = engine.state_size();
-            peak_state = peak_state.max(s);
-            state_sum += s as u128;
-            state_samples += 1;
+            state.record(engine.state_size());
         }
     }
     outputs.extend(engine.finish());
     let elapsed_secs = start.elapsed().as_secs_f64();
-
-    let s = engine.state_size();
-    peak_state = peak_state.max(s);
-
-    let mut arrival_latency = Histogram::new();
-    let mut event_time_latency = Histogram::new();
-    for o in &outputs {
-        arrival_latency.record(o.arrival_latency());
-        event_time_latency.record(o.event_time_latency());
-    }
-
-    RunReport {
-        events,
+    state.peak = state.peak.max(engine.state_size());
+    report(
+        count_events(stream),
         elapsed_secs,
-        throughput_eps: if elapsed_secs > 0.0 {
-            events as f64 / elapsed_secs
-        } else {
-            0.0
-        },
         outputs,
-        arrival_latency,
-        event_time_latency,
-        peak_state,
-        mean_state: if state_samples == 0 {
-            0.0
-        } else {
-            state_sum as f64 / state_samples as f64
-        },
-        stats: engine.stats(),
-    }
+        state,
+        engine.stats(),
+    )
 }
 
-/// Like [`run_engine`], but feeds the stream in chunks of `batch` items
-/// through [`Engine::ingest_batch`], sampling state once per chunk.
-/// Outputs are identical to [`run_engine`]'s; throughput differs because
-/// batched ingestion is what lets a sharded engine use its worker
-/// threads.
+/// Like [`run_engine`], for the stack `sequin run` evaluates through — a
+/// [`Checkpointer`] around its [`sequin_engine::MultiEngine`] host — fed
+/// in chunks of `batch` items, sampling state once per chunk. Outputs are
+/// identical to an item-by-item run; throughput differs because batched
+/// ingestion is what lets a sharded pool use its worker threads.
 ///
 /// # Panics
 ///
 /// Panics if `batch` is zero.
 pub fn run_engine_batched(
-    engine: &mut dyn Engine,
+    stack: &mut Checkpointer,
     stream: &[StreamItem],
     batch: usize,
 ) -> RunReport {
     assert!(batch > 0, "batch size must be positive");
     let mut outputs = Vec::new();
-    let mut peak_state = 0usize;
-    let mut state_sum = 0u128;
-    let mut state_samples = 0u64;
-    let events = stream
-        .iter()
-        .filter(|i| matches!(i, StreamItem::Event(_)))
-        .count();
-
+    let mut state = StateSamples::default();
     let start = Instant::now();
     for chunk in stream.chunks(batch) {
-        outputs.extend(engine.ingest_batch(chunk).into_iter().map(|(_, o)| o));
-        let s = engine.state_size();
-        peak_state = peak_state.max(s);
-        state_sum += s as u128;
-        state_samples += 1;
+        outputs.extend(stack.ingest_batch(chunk).into_iter().map(|(_, o)| o));
+        state.record(stack.host().state_size());
     }
-    outputs.extend(engine.finish());
+    outputs.extend(stack.finish().into_iter().map(|(_, o)| o));
     let elapsed_secs = start.elapsed().as_secs_f64();
-
-    let mut arrival_latency = Histogram::new();
-    let mut event_time_latency = Histogram::new();
-    for o in &outputs {
-        arrival_latency.record(o.arrival_latency());
-        event_time_latency.record(o.event_time_latency());
-    }
-
-    RunReport {
-        events,
+    report(
+        count_events(stream),
         elapsed_secs,
-        throughput_eps: if elapsed_secs > 0.0 {
-            events as f64 / elapsed_secs
-        } else {
-            0.0
-        },
         outputs,
-        arrival_latency,
-        event_time_latency,
-        peak_state,
-        mean_state: if state_samples == 0 {
-            0.0
-        } else {
-            state_sum as f64 / state_samples as f64
-        },
-        stats: engine.stats(),
-    }
+        state,
+        stack.stats(),
+    )
 }
 
 #[cfg(test)]
@@ -199,6 +192,7 @@ mod tests {
 
     #[test]
     fn batched_run_produces_identical_outputs() {
+        use sequin_engine::{CheckpointPolicy, MultiEngine, Strategy};
         let w = Synthetic::new(SyntheticConfig::default());
         let events = w.generate(1500, 3);
         let stream = delay_shuffle(&events, 0.25, 40, 11);
@@ -206,10 +200,15 @@ mod tests {
         let cfg = EngineConfig::with_k(Duration::new(60));
         let mut seq = NativeEngine::new(std::sync::Arc::clone(&q), cfg);
         let per_item = run_engine(&mut seq, &stream, 16);
-        let mut bat = NativeEngine::new(q, cfg);
-        let batched = run_engine_batched(&mut bat, &stream, 64);
-        assert_eq!(batched.outputs, per_item.outputs);
-        assert_eq!(batched.events, per_item.events);
+        for shards in [1, 2] {
+            let mut host = MultiEngine::new(Strategy::Native, cfg, shards);
+            host.register(std::sync::Arc::clone(&q), cfg.policy);
+            let mut stack = Checkpointer::new(host, CheckpointPolicy::every(100));
+            let batched = run_engine_batched(&mut stack, &stream, 64);
+            assert_eq!(batched.outputs, per_item.outputs);
+            assert_eq!(batched.events, per_item.events);
+            assert_eq!(batched.stats.checkpoints_written, stream.len() as u64 / 100);
+        }
     }
 
     #[test]

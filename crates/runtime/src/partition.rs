@@ -144,50 +144,6 @@ impl sequin_types::Decode for PartitionKey {
     }
 }
 
-impl<T> PartitionMap<T> {
-    /// Serializes the map with `encode_shard` for the per-shard state.
-    ///
-    /// Shards are written in sorted key order so the same state always
-    /// yields the same bytes regardless of hash-map iteration order.
-    pub fn snapshot_into(
-        &self,
-        w: &mut sequin_types::Writer,
-        mut encode_shard: impl FnMut(&T, &mut sequin_types::Writer),
-    ) {
-        use sequin_types::Encode as _;
-        let mut keys: Vec<&PartitionKey> = self.shards.keys().collect();
-        keys.sort();
-        w.put_u64(keys.len() as u64);
-        for k in keys {
-            k.encode(w);
-            encode_shard(&self.shards[k], w);
-        }
-    }
-
-    /// Rebuilds a map from bytes written by
-    /// [`PartitionMap::snapshot_into`], using `decode_shard` for the
-    /// per-shard state.
-    pub fn restore(
-        r: &mut sequin_types::Reader<'_>,
-        mut decode_shard: impl FnMut(
-            &mut sequin_types::Reader<'_>,
-        ) -> Result<T, sequin_types::CodecError>,
-    ) -> Result<PartitionMap<T>, sequin_types::CodecError> {
-        use sequin_types::Decode as _;
-        let n = r.get_u64()?;
-        if n > r.remaining() as u64 {
-            return Err(sequin_types::CodecError::BadLength);
-        }
-        let mut map = PartitionMap::new();
-        for _ in 0..n {
-            let key = PartitionKey::decode(r)?;
-            let shard = decode_shard(r)?;
-            map.shards.insert(key, shard);
-        }
-        Ok(map)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,49 +1,26 @@
 //! The server's single-threaded evaluation core.
 //!
-//! [`EngineCore`] owns everything the engine thread touches: the
-//! evaluation fanning the shared arrival stream out to every registered
-//! query, the text→id subscription table, and — when durability is
-//! configured — a multi-query adaptation of the checkpoint/exactly-once
-//! machinery from [`sequin_engine::Checkpointer`]. Keeping it free of
-//! threads and sockets makes the recovery semantics testable in
-//! isolation; `server.rs` is then only plumbing.
+//! [`EngineCore`] owns everything the engine thread touches, in three
+//! layers of which only the outermost is the server's own. Evaluation is a
+//! [`MultiEngine`] — the multi-query host that decides where each query
+//! runs. Durability is a [`Checkpointer`] around that host: position,
+//! emission log, the checkpoint cadence, the recovery ladder and replay
+//! suppression. The core adds what only a server has: the text→id
+//! subscription table with its aliases and per-query disorder policies,
+//! per-query retraction counts, the observability recorder and the
+//! metrics snapshot. Keeping all of it free of threads and sockets makes
+//! the recovery semantics testable in isolation; `server.rs` is then only
+//! plumbing.
 //!
-//! ## Where a query runs
+//! ## What the core persists
 //!
-//! The core evaluates through one private `Eval`: a [`SharedMultiEngine`]
-//! (the plan `sequin-plan` compiles: pooled AIS stacks, one partial-match
-//! walk per common SEQ prefix, insert-time local predicates, an
-//! event-type routing index), a [`MultiEngine`] of queries that run an
-//! engine of their own, and a host table recording, per query in
-//! registration order, which of the two hosts it and under what local id.
-//! `host_for` is the only decision, and reads only configuration and the
-//! query: the control strategies (`Buffered`, `InOrder`) get their own
-//! engine because the plan compiler does not cover them; a Native query
-//! that sharding can parallelize (`shards > 1` and an equality chain to
-//! hash on) gets its own routed [`sequin_engine::ShardedEngine`] pool;
-//! every other Native query joins the plan. Outputs carry global ids and
-//! are interleaved back into registration order per arrival; when one
-//! side hosts nothing the other's outputs and snapshot pass through
-//! untouched.
-//!
-//! Both hosts produce byte-identical per-query output and write the same
-//! per-logical-query checkpoint blob, so a durable restart may change the
-//! shard count — and with it a query's host — freely.
-//!
-//! ## Durability model
-//!
-//! A checkpoint is one sealed envelope holding the ingest position, the
-//! emission-log high-water mark, the registered query *texts*, and the
-//! evaluation's snapshot (a [`MultiEngine::snapshot`]-format envelope of
-//! per-query blobs, whichever host wrote each). Persisting the texts
-//! makes a restart self-contained: resume re-parses and re-registers the
-//! same queries in the same order (ids are dense registration indices, so
-//! they are stable) before restoring operator state. The emission log
-//! records `(query id, output kind, match key)` per delivered output; on
-//! resume the suffix past the checkpoint's mark seeds a suppression
-//! multiset that swallows replayed duplicates — the same exactly-once
-//! construction the single-engine `Checkpointer` uses, extended with the
-//! query id.
+//! Each checkpoint's header (see [`sequin_engine::Checkpointer`]) holds
+//! the registered query *texts* and their effective policies. Persisting
+//! the texts makes a restart self-contained: resume re-parses and
+//! re-registers the same queries in the same order (ids are dense
+//! registration indices, so they are stable) before the host snapshot
+//! restores into them — under whatever shard count the restarted server
+//! is configured with.
 //!
 //! Only canonical texts are persisted: a text that deduplicated onto an
 //! existing logical query (see [`EngineCore::subscribe`]) is an alias and
@@ -52,22 +29,18 @@
 //! Subscribing a *new* query immediately takes a checkpoint (when durable)
 //! so registrations survive a crash even if no event has arrived since.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sequin_engine::{
-    stable_query_id, CheckpointStore, DisorderPolicy, EngineConfig, MultiEngine, OutputItem,
-    OutputKind, PlanMetrics, QueryId, SharedMultiEngine, Strategy,
+    stable_query_id, CheckpointPolicy, CheckpointStore, Checkpointer, DisorderPolicy, EngineConfig,
+    MultiEngine, OutputItem, OutputKind, PlanMetrics, QueryId, Strategy,
 };
 use sequin_obs::{Bundle, MetricsSnapshot, ObsConfig, Recorder, Span, SpanKind};
-use sequin_query::{parse, Query, QueryError};
-use sequin_runtime::{seal_deadline, MatchKey, RuntimeStats};
-use sequin_types::codec::{open_envelope, seal_envelope};
-use sequin_types::{
-    CodecError, Decode, Encode, Reader, StreamItem, Timestamp, TypeRegistry, Writer,
-};
+use sequin_query::{parse, QueryError};
+use sequin_runtime::{seal_deadline, RuntimeStats};
+use sequin_types::{CodecError, Reader, StreamItem, Timestamp, TypeRegistry, Writer};
 
-use crate::frame::{kind_tag, policy_from_wire, policy_to_wire, ErrorCode};
+use crate::frame::{policy_from_wire, policy_to_wire, ErrorCode};
 use crate::stats::ServerStats;
 
 /// Evaluation settings shared by every query the core registers.
@@ -151,307 +124,76 @@ impl std::fmt::Display for SubscribeError {
 }
 
 impl std::error::Error for SubscribeError {}
-
-fn encode_log_record(qid: QueryId, kind_tag: u8, key: &MatchKey) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u64(qid.index() as u64);
-    w.put_u8(kind_tag);
-    key.encode(&mut w);
-    seal_envelope(&w.into_bytes())
+/// One logical query of the subscription table.
+struct Subscription {
+    /// The text it was first subscribed as (the persisted spelling).
+    text: String,
+    id: QueryId,
+    /// Whatever the first subscriber negotiated, persisted in checkpoint
+    /// headers so a resume rebuilds identical engines.
+    policy: DisorderPolicy,
+    /// Retractions delivered by *this* process (replayed duplicates
+    /// excluded) — the `sequin_retraction_emitted` series.
+    retractions: u64,
 }
 
-fn decode_log_record(bytes: &[u8]) -> Result<(u64, u8, MatchKey), CodecError> {
-    let payload = open_envelope(bytes)?;
-    let mut r = Reader::new(payload);
-    let qid = r.get_u64()?;
-    let tag = r.get_u8()?;
-    if tag > 1 {
-        return Err(CodecError::InvalidTag {
-            what: "OutputKind",
-            tag,
+/// The checkpoint header: every subscription's text and policy, the
+/// policy as the same (mode, knob) pair SUBSCRIBE carries.
+fn write_header(subs: &[Subscription]) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.put_u64(subs.len() as u64);
+    for s in subs {
+        w.put_str(&s.text);
+        let (mode, knob) = policy_to_wire(Some(s.policy));
+        w.put_u8(mode);
+        w.put_u8(knob);
+    }
+    w.into_bytes()
+}
+
+/// Reads a [`write_header`] header, registering its queries on `host` in
+/// the persisted order.
+fn read_header(
+    cfg: &CoreConfig,
+    r: &mut Reader<'_>,
+    host: &mut MultiEngine,
+) -> Result<Vec<Subscription>, CodecError> {
+    let n = r.get_u64()?;
+    if n > r.remaining() as u64 {
+        return Err(CodecError::BadLength);
+    }
+    let mut subs = Vec::with_capacity(n as usize);
+    for _ in 0..n {
+        let text = r.get_str()?;
+        // mode 0 ("server default") never reaches a checkpoint
+        let policy = policy_from_wire(r.get_u8()?, r.get_u8()?)?
+            .ok_or(CodecError::SnapshotMismatch("persisted query policy"))?;
+        let q = parse(&text, &cfg.registry)
+            .map_err(|_| CodecError::SnapshotMismatch("persisted query text"))?;
+        let id = host.register(q, policy);
+        subs.push(Subscription {
+            text,
+            id,
+            policy,
+            retractions: 0,
         });
     }
-    let key = MatchKey::decode(&mut r)?;
-    r.finish()?;
-    Ok((qid, tag, key))
+    Ok(subs)
 }
 
-/// Which side of [`Eval`] hosts a query: the shared plan, or an engine
-/// of the query's own.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Side {
-    Plan,
-    Own,
-}
-
-/// The one backend decision. It depends only on configuration and the
-/// query, both persisted, so a resume rebuilds the same host table.
-fn host_for(cfg: &CoreConfig, q: &Query) -> Side {
-    // sharding can only parallelize a query with an equality chain to
-    // hash on; the rest share the plan instead of each paying for an
-    // engine, and the plan compiler does not cover the control strategies
-    let routed_pool = cfg.shards > 1 && cfg.engine.partitioned && q.partition().is_some();
-    if cfg.strategy != Strategy::Native || routed_pool {
-        Side::Own
-    } else {
-        Side::Plan
-    }
-}
-
-/// The per-query blobs of a [`MultiEngine::snapshot`]-format envelope
-/// (`count` + length-prefixed blobs), borrowed from it.
-fn envelope_blobs(bytes: &[u8]) -> Result<Vec<&[u8]>, CodecError> {
-    let mut r = Reader::new(open_envelope(bytes)?);
-    let blobs = (0..r.get_len()?).map(|_| r.get_len().and_then(|len| r.take(len)));
-    let blobs = blobs.collect::<Result<Vec<_>, _>>()?;
-    r.finish()?;
-    Ok(blobs)
-}
-
-/// The evaluation behind the core (see the module docs): the shared plan,
-/// the queries that run engines of their own, and the host table that
-/// says which is which. Global query ids are dense registration indices
-/// across both sides; each side numbers its own queries densely too.
-struct Eval {
-    plan: SharedMultiEngine,
-    own: MultiEngine,
-    /// Side and side-local id per global query, in registration order.
-    hosts: Vec<(Side, QueryId)>,
-    /// Global id per plan-local id.
-    plan_globals: Vec<QueryId>,
-    /// Global id per own-local id.
-    own_globals: Vec<QueryId>,
-}
-
-impl Eval {
-    fn new(cfg: &CoreConfig) -> Eval {
-        Eval {
-            plan: SharedMultiEngine::new(cfg.engine),
-            own: MultiEngine::new(),
-            hosts: Vec::new(),
-            plan_globals: Vec::new(),
-            own_globals: Vec::new(),
-        }
-    }
-
-    fn register(&mut self, cfg: &CoreConfig, q: Arc<Query>, policy: DisorderPolicy) -> QueryId {
-        self.register_on(host_for(cfg, &q), cfg, q, policy)
-    }
-
-    fn register_on(
-        &mut self,
-        side: Side,
-        cfg: &CoreConfig,
-        q: Arc<Query>,
-        policy: DisorderPolicy,
-    ) -> QueryId {
-        let global = QueryId::from_index(self.hosts.len());
-        let local = match side {
-            Side::Plan => {
-                self.plan_globals.push(global);
-                self.plan.register_with_policy(q, policy)
-            }
-            Side::Own => {
-                self.own_globals.push(global);
-                // a routed pool when `shards > 1` asks for one (and the
-                // strategy supports it), a plain engine otherwise
-                let mut engine = cfg.engine;
-                engine.policy = policy;
-                let engine =
-                    sequin_engine::make_sharded_engine(cfg.strategy, q, engine, cfg.shards);
-                self.own.register_engine(engine)
-            }
-        };
-        self.hosts.push((side, local));
-        global
-    }
-
-    /// Both sides' outputs for one arrival under global ids, in global
-    /// registration order (each side already emits in its local
-    /// registration order, and a stable sort preserves emission order
-    /// within a query).
-    fn merge(
-        &self,
-        plan: Vec<(QueryId, OutputItem)>,
-        own: Vec<(QueryId, OutputItem)>,
-    ) -> Vec<(QueryId, OutputItem)> {
-        let interleave = !plan.is_empty() && !own.is_empty();
-        let plan = plan
-            .into_iter()
-            .map(|(l, o)| (self.plan_globals[l.index()], o));
-        let own = own
-            .into_iter()
-            .map(|(l, o)| (self.own_globals[l.index()], o));
-        let mut out: Vec<_> = plan.chain(own).collect();
-        if interleave {
-            out.sort_by_key(|(q, _)| q.index());
-        }
-        out
-    }
-
-    // A side that hosts everything numbers its queries as the core does,
-    // so its outputs and its snapshot envelope pass through untouched.
-
-    fn ingest_batch(&mut self, items: &[StreamItem]) -> Vec<Vec<(QueryId, OutputItem)>> {
-        if self.own.is_empty() {
-            return self.plan.ingest_batch(items);
-        }
-        if self.plan.is_empty() {
-            return self.own.ingest_batch(items);
-        }
-        let plan = self.plan.ingest_batch(items);
-        let own = self.own.ingest_batch(items);
-        plan.into_iter()
-            .zip(own)
-            .map(|(p, o)| self.merge(p, o))
-            .collect()
-    }
-
-    fn finish(&mut self) -> Vec<(QueryId, OutputItem)> {
-        let (plan, own) = (self.plan.finish(), self.own.finish());
-        self.merge(plan, own)
-    }
-
-    fn stats(&self) -> Vec<RuntimeStats> {
-        let (plan, own) = (self.plan.stats(), self.own.stats());
-        let of = |&(side, l): &(Side, QueryId)| match side {
-            Side::Plan => plan[l.index()],
-            Side::Own => own[l.index()],
-        };
-        self.hosts.iter().map(of).collect()
-    }
-
-    fn watermark(&self) -> Option<Timestamp> {
-        let sides = [self.plan.watermark(), self.own.watermark()];
-        sides.into_iter().flatten().min()
-    }
-
-    fn snapshot(&self) -> Result<Vec<u8>, CodecError> {
-        if self.own.is_empty() {
-            return self.plan.snapshot();
-        }
-        if self.plan.is_empty() {
-            return self.own.snapshot();
-        }
-        // every side writes the same per-logical-query blob; in global
-        // order the envelope is indistinguishable from a one-sided one
-        let plan = self.plan.snapshot()?;
-        let plan = envelope_blobs(&plan)?;
-        let mut w = Writer::new();
-        w.put_u64(self.hosts.len() as u64);
-        for &(side, l) in &self.hosts {
-            match side {
-                Side::Plan => w.put_bytes(plan[l.index()]),
-                Side::Own => w.put_bytes(&self.own.engine(l).snapshot()?),
-            }
-        }
-        Ok(seal_envelope(&w.into_bytes()))
-    }
-
-    fn restore(&mut self, blob: &[u8]) -> Result<(), CodecError> {
-        if self.own.is_empty() {
-            return self.plan.restore(blob);
-        }
-        if self.plan.is_empty() {
-            return self.own.restore(blob);
-        }
-        let blobs = envelope_blobs(blob)?;
-        if blobs.len() != self.hosts.len() {
-            return Err(CodecError::SnapshotMismatch("hybrid query count"));
-        }
-        let envelope_of = |side: Side, count: usize| {
-            let mut w = Writer::new();
-            w.put_u64(count as u64);
-            for (_, b) in self.hosts.iter().zip(&blobs).filter(|(h, _)| h.0 == side) {
-                w.put_bytes(b);
-            }
-            seal_envelope(&w.into_bytes())
-        };
-        let plan = envelope_of(Side::Plan, self.plan_globals.len());
-        let own = envelope_of(Side::Own, self.own_globals.len());
-        self.plan.restore(&plan)?;
-        self.own.restore(&own)
-    }
-
-    /// Asks the query's host: the plan's per-query attribution, or the
-    /// query's own engine.
-    fn host<T>(
-        &self,
-        qid: QueryId,
-        plan: impl FnOnce(&SharedMultiEngine, QueryId) -> T,
-        own: impl FnOnce(&dyn sequin_engine::Engine) -> T,
-    ) -> T {
-        match self.hosts[qid.index()] {
-            (Side::Plan, l) => plan(&self.plan, l),
-            (Side::Own, l) => own(self.own.engine(l)),
-        }
-    }
-
-    fn query_clock(&self, qid: QueryId) -> Option<Timestamp> {
-        self.host(qid, |p, l| Some(p.query_clock(l)), |e| e.clock())
-    }
-
-    fn query_watermark(&self, qid: QueryId) -> Option<Timestamp> {
-        self.host(qid, |p, l| Some(p.query_watermark(l)), |e| e.watermark())
-    }
-
-    /// One query's live disorder slack bound `k̂` — fixed for the
-    /// conservative/speculative/lazy policies, the control loop's current
-    /// estimate under adaptive slack. `None` when the hosting engine does
-    /// not expose one.
-    fn query_slack(&self, qid: QueryId) -> Option<sequin_types::Duration> {
-        self.host(qid, |p, l| Some(p.query_slack(l)), |e| e.slack_bound())
-    }
-
-    /// One query's logical state size — what its isolated engine reports.
-    fn query_state_size(&self, qid: QueryId) -> usize {
-        self.host(qid, |p, l| p.query_state_size(l), |e| e.state_size())
-    }
-
-    fn per_shard_stats(&self, qid: QueryId) -> Vec<RuntimeStats> {
-        let plan = |p: &SharedMultiEngine, l: QueryId| vec![p.stats()[l.index()]];
-        self.host(qid, plan, |e| e.per_shard_stats())
-    }
-
-    /// Ingest-edge routing counters for one query's sharded pool (`None`
-    /// for single-threaded evaluation, including plan-hosted queries).
-    fn route_stats(&self, qid: QueryId) -> Option<sequin_engine::RouteStats> {
-        self.host(qid, |_, _| None, |e| e.route_stats())
-    }
-}
-
-/// The engine thread's state: subscriptions, evaluation, durability.
+/// The engine thread's state: the subscription table and telemetry around
+/// one exactly-once evaluation stack.
 pub struct EngineCore {
     cfg: CoreConfig,
-    eval: Eval,
-    /// `(query text, id)` in registration order: one entry per *logical*
-    /// query, `queries[i].1.index() == i`.
-    queries: Vec<(String, QueryId)>,
-    /// Analyzed form of each logical query (same indexing as `queries`) —
-    /// the structural-dedup comparison key and the stable-id source.
-    parsed: Vec<Arc<Query>>,
-    /// Effective disorder policy per logical query (same indexing as
-    /// `queries`) — whatever the first subscriber negotiated, persisted in
-    /// checkpoints so a resume rebuilds identical engines.
-    policies: Vec<DisorderPolicy>,
-    /// Retractions delivered per query by *this* process (replayed
-    /// duplicates excluded) — the `sequin_retraction_emitted` series.
-    retractions: Vec<u64>,
+    /// The multi-query host inside its exactly-once wrapper (volatile —
+    /// no log, no suppression — without [`CoreConfig::checkpoint_every`]).
+    ck: Checkpointer,
+    /// One entry per *logical* query in registration order:
+    /// `subs[i].id.index() == i`.
+    subs: Vec<Subscription>,
     /// Texts that deduplicated onto an existing logical query. Not
     /// persisted in checkpoints; rebuilt lazily as clients re-subscribe.
     aliases: Vec<(String, QueryId)>,
-    store: CheckpointStore,
-    /// Stream items ingested so far (the clients' replay cursor).
-    position: u64,
-    last_ckpt_position: u64,
-    /// Replay-dedup multiset: outputs the pre-crash process delivered that
-    /// deterministic replay will regenerate.
-    suppress: BTreeMap<(u64, u8, MatchKey), u64>,
-    /// Checkpoint counters describing *this* process (not the snapshot).
-    extra: RuntimeStats,
-    /// Set when the log or checkpoints changed since the last
-    /// [`EngineCore::take_dirty`] — the server's cue to persist the store.
-    dirty: bool,
     drained: bool,
     /// Observability recorder: per-query latency/deferral distributions
     /// and the structured trace ring.
@@ -461,149 +203,57 @@ pub struct EngineCore {
 impl std::fmt::Debug for EngineCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineCore")
-            .field("queries", &self.queries.len())
-            .field("position", &self.position)
-            .field("checkpoints", &self.store.checkpoint_count())
-            .field("log_len", &self.store.log_len())
+            .field("queries", &self.subs.len())
+            .field("exactly_once", &self.ck)
             .field("drained", &self.drained)
             .finish()
     }
 }
 
 impl EngineCore {
+    fn host(cfg: &CoreConfig) -> MultiEngine {
+        MultiEngine::new(cfg.strategy, cfg.engine, cfg.shards)
+    }
+
+    fn policy(cfg: &CoreConfig) -> CheckpointPolicy {
+        cfg.checkpoint_every
+            .map_or(CheckpointPolicy::never(), CheckpointPolicy::every)
+    }
+
+    fn around(cfg: CoreConfig, mut ck: Checkpointer, subs: Vec<Subscription>) -> EngineCore {
+        ck.set_header(write_header(&subs));
+        EngineCore {
+            obs: Recorder::new(cfg.obs),
+            cfg,
+            ck,
+            subs,
+            aliases: Vec::new(),
+            drained: false,
+        }
+    }
+
     /// A fresh core with no queries and an empty store.
     pub fn new(cfg: CoreConfig) -> EngineCore {
-        let obs = Recorder::new(cfg.obs);
-        let eval = Eval::new(&cfg);
-        EngineCore {
-            cfg,
-            eval,
-            queries: Vec::new(),
-            parsed: Vec::new(),
-            policies: Vec::new(),
-            retractions: Vec::new(),
-            aliases: Vec::new(),
-            store: CheckpointStore::new(),
-            position: 0,
-            last_ckpt_position: 0,
-            suppress: BTreeMap::new(),
-            extra: RuntimeStats::default(),
-            dirty: false,
-            drained: false,
-            obs,
-        }
+        let ck = Checkpointer::new(Self::host(&cfg), Self::policy(&cfg));
+        EngineCore::around(cfg, ck, Vec::new())
     }
 
-    /// Recovers from persisted artifacts. Returns the core plus the stream
-    /// position clients must replay from (0 on a cold start).
-    ///
-    /// The fallback ladder mirrors [`sequin_engine::Checkpointer::resume`]:
-    /// newest intact checkpoint wins; corrupted, version-skewed, or
-    /// unparsable ones are counted in
-    /// [`RuntimeStats::checkpoints_rejected`] and skipped; if none survive,
-    /// recovery degrades to a cold start. The emission-log suffix past the
-    /// accepted checkpoint's mark then seeds replay suppression.
+    /// Recovers from persisted artifacts through
+    /// [`Checkpointer::resume`]'s fallback ladder, rebuilding the
+    /// subscription table from the accepted checkpoint's header. Returns
+    /// the core plus the stream position clients must replay from (0 on a
+    /// cold start, which also has no queries yet).
     pub fn resume(cfg: CoreConfig, store: CheckpointStore) -> (EngineCore, u64) {
-        let mut rejected = 0u64;
-        let mut accepted = None;
-        for ckpt in store.checkpoints_newest_first() {
-            match Self::open_checkpoint(&cfg, ckpt, store.log_len()) {
-                Ok(ok) => {
-                    accepted = Some(ok);
-                    break;
-                }
-                Err(_) => rejected += 1,
-            }
-        }
-        let (position, log_mark, eval, queries, parsed, policies) =
-            accepted.unwrap_or_else(|| (0, 0, Eval::new(&cfg), Vec::new(), Vec::new(), Vec::new()));
-        let mut suppress: BTreeMap<(u64, u8, MatchKey), u64> = BTreeMap::new();
-        for rec in store.log_records().skip(log_mark) {
-            match decode_log_record(rec) {
-                Ok((qid, tag, key)) => *suppress.entry((qid, tag, key)).or_insert(0) += 1,
-                Err(_) => rejected += 1, // corrupt log record: cannot dedup it
-            }
-        }
-        let obs = Recorder::new(cfg.obs);
-        let core = EngineCore {
-            cfg,
-            eval,
-            queries,
-            parsed,
-            policies,
-            retractions: Vec::new(),
-            aliases: Vec::new(),
-            store,
-            position,
-            last_ckpt_position: position,
-            suppress,
-            extra: RuntimeStats {
-                checkpoints_rejected: rejected,
-                ..RuntimeStats::default()
-            },
-            dirty: false,
-            drained: false,
-            obs,
-        };
-        (core, position)
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn open_checkpoint(
-        cfg: &CoreConfig,
-        bytes: &[u8],
-        log_len: usize,
-    ) -> Result<
-        (
-            u64,
-            usize,
-            Eval,
-            Vec<(String, QueryId)>,
-            Vec<Arc<Query>>,
-            Vec<DisorderPolicy>,
-        ),
-        CodecError,
-    > {
-        let payload = open_envelope(bytes)?;
-        let mut r = Reader::new(payload);
-        let position = r.get_u64()?;
-        let log_mark = r.get_u64()? as usize;
-        if log_mark > log_len {
-            return Err(CodecError::SnapshotMismatch("emission log length"));
-        }
-        let n = r.get_u64()?;
-        if n > r.remaining() as u64 {
-            return Err(CodecError::BadLength);
-        }
-        let mut texts = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let text = r.get_str()?;
-            // the effective policy rides along as the same (mode, knob)
-            // pair SUBSCRIBE carries; mode 0 never reaches a checkpoint
-            let policy = policy_from_wire(r.get_u8()?, r.get_u8()?)?
-                .ok_or(CodecError::SnapshotMismatch("persisted query policy"))?;
-            texts.push((text, policy));
-        }
-        let blob = r.get_bytes()?;
-        r.finish()?;
-        // The blob is host-agnostic (an envelope of per-logical-query
-        // blobs), so the resuming core hosts each query where *its* config
-        // says and restores into that — a blob the plan wrote restores
-        // into a query's own engine and vice versa.
-        let mut eval = Eval::new(cfg);
-        let mut queries = Vec::with_capacity(texts.len());
-        let mut parsed = Vec::with_capacity(texts.len());
-        let mut policies = Vec::with_capacity(texts.len());
-        for (text, policy) in texts {
-            let q = parse(&text, &cfg.registry)
-                .map_err(|_| CodecError::SnapshotMismatch("persisted query text"))?;
-            let id = eval.register(cfg, q.clone(), policy);
-            queries.push((text, id));
-            parsed.push(q);
-            policies.push(policy);
-        }
-        eval.restore(&blob)?;
-        Ok((position, log_mark, eval, queries, parsed, policies))
+        let mut subs = Vec::new();
+        let (ck, position) = Checkpointer::resume(Self::policy(&cfg), store, |header| {
+            let mut host = Self::host(&cfg);
+            subs = match header {
+                Some(r) => read_header(&cfg, r, &mut host)?,
+                None => Vec::new(),
+            };
+            Ok(host)
+        });
+        (EngineCore::around(cfg, ck, subs), position)
     }
 
     fn durable(&self) -> bool {
@@ -643,33 +293,37 @@ impl EngineCore {
         text: &str,
         policy: Option<DisorderPolicy>,
     ) -> Result<(QueryId, DisorderPolicy), SubscribeError> {
-        if let Some((_, id)) = self.queries.iter().find(|(t, _)| t == text) {
-            return Ok((*id, self.policies[id.index()]));
+        if let Some(s) = self.subs.iter().find(|s| s.text == text) {
+            return Ok((s.id, s.policy));
         }
         if let Some((_, id)) = self.aliases.iter().find(|(t, _)| t == text) {
-            return Ok((*id, self.policies[id.index()]));
+            return Ok((*id, self.query_policy(*id)));
         }
         let q = parse(text, &self.cfg.registry)?;
-        if let Some(ix) = self.parsed.iter().position(|p| **p == *q) {
-            let id = self.queries[ix].1;
-            self.aliases.push((text.to_owned(), id));
-            return Ok((id, self.policies[ix]));
+        let host = self.ck.host();
+        if let Some(s) = self.subs.iter().find(|s| **host.query(s.id) == *q) {
+            self.aliases.push((text.to_owned(), s.id));
+            return Ok((s.id, s.policy));
         }
         let policy = policy.unwrap_or(self.cfg.engine.policy);
-        let id = self.eval.register(&self.cfg, q.clone(), policy);
-        self.queries.push((text.to_owned(), id));
-        self.parsed.push(q);
-        self.policies.push(policy);
+        let id = self.ck.host_mut().register(q, policy);
+        self.subs.push(Subscription {
+            text: text.to_owned(),
+            id,
+            policy,
+            retractions: 0,
+        });
+        self.ck.set_header(write_header(&self.subs));
         if self.durable() {
             // make the registration itself crash-safe
-            self.checkpoint_now();
+            self.ck.checkpoint_now();
         }
         Ok((id, policy))
     }
 
     /// The effective disorder policy of a registered query.
     pub fn query_policy(&self, id: QueryId) -> DisorderPolicy {
-        self.policies[id.index()]
+        self.subs[id.index()].policy
     }
 
     /// Ingests one arrival into every query; returns the outputs to
@@ -679,50 +333,16 @@ impl EngineCore {
         self.ingest_batch(std::slice::from_ref(item))
     }
 
-    /// Ingests a run of arrivals through [`MultiEngine::ingest_batch`] —
-    /// the entry point that lets sharded pools use their worker threads.
-    ///
-    /// Outputs, log records, and checkpoints are identical to item-by-item
-    /// [`EngineCore::ingest`] calls: the run is split at checkpoint
-    /// boundaries so every checkpoint captures the engine state at exactly
-    /// the position it records, never mid-cadence.
+    /// Ingests a run of arrivals through [`Checkpointer::ingest_batch`]:
+    /// outputs, log records, and checkpoints are identical to item-by-item
+    /// [`EngineCore::ingest`] calls, and sharded pools get whole batches.
     pub fn ingest_batch(&mut self, items: &[StreamItem]) -> Vec<(QueryId, OutputItem)> {
         if self.drained {
             return Vec::new();
         }
-        let mut out = Vec::new();
-        let mut rest = items;
-        while !rest.is_empty() {
-            let take = match self.cfg.checkpoint_every {
-                Some(n) => {
-                    let since = self.position.saturating_sub(self.last_ckpt_position);
-                    (n.saturating_sub(since).max(1) as usize).min(rest.len())
-                }
-                None => rest.len(),
-            };
-            let (chunk, tail) = rest.split_at(take);
-            rest = tail;
-            let obs_on = self.obs.enabled();
-            let before = if obs_on {
-                self.eval.stats()
-            } else {
-                Vec::new()
-            };
-            let chunk_start = out.len();
-            for raw in self.eval.ingest_batch(chunk) {
-                self.position += 1;
-                let filtered = self.filter_and_log(raw);
-                out.extend(filtered);
-            }
-            if obs_on {
-                self.record_chunk_spans(chunk.len() as u64, &before, &out[chunk_start..]);
-            }
-            if let Some(n) = self.cfg.checkpoint_every {
-                if self.position.saturating_sub(self.last_ckpt_position) >= n {
-                    self.checkpoint_now();
-                }
-            }
-        }
+        let before = self.obs.enabled().then(|| self.ck.host().stats());
+        let out = self.ck.ingest_batch(items);
+        self.account(items.len() as u64, before, &out);
         out
     }
 
@@ -732,100 +352,54 @@ impl EngineCore {
         if self.drained {
             return Vec::new();
         }
-        let obs_on = self.obs.enabled();
-        let before = if obs_on {
-            self.eval.stats()
-        } else {
-            Vec::new()
-        };
-        let raw = self.eval.finish();
-        let out = self.filter_and_log(raw);
-        if obs_on {
-            self.record_chunk_spans(0, &before, &out);
-        }
+        let before = self.obs.enabled().then(|| self.ck.host().stats());
+        let out = self.ck.finish();
+        self.account(0, before, &out);
         self.drained = true;
         if self.durable() {
-            self.checkpoint_now();
+            self.ck.checkpoint_now();
         }
         out
     }
 
-    fn filter_and_log(&mut self, raw: Vec<(QueryId, OutputItem)>) -> Vec<(QueryId, OutputItem)> {
-        if !self.durable() {
-            for (qid, o) in &raw {
-                if o.kind == OutputKind::Retract {
-                    self.bump_retraction(*qid);
-                }
-            }
-            return raw;
-        }
-        let mut out = Vec::with_capacity(raw.len());
-        for (qid, o) in raw {
-            let tag = kind_tag(o.kind);
-            let key = (qid.index() as u64, tag, o.m.key());
-            if let Some(n) = self.suppress.get_mut(&key) {
-                *n -= 1;
-                if *n == 0 {
-                    self.suppress.remove(&key);
-                }
-                self.extra.replayed_suppressed += 1;
-                continue;
-            }
+    /// Counts delivered retractions and, when recording (`before` is the
+    /// per-query counters from before the call), traces the call.
+    fn account(
+        &mut self,
+        ingested: u64,
+        before: Option<Vec<RuntimeStats>>,
+        out: &[(QueryId, OutputItem)],
+    ) {
+        for (qid, o) in out {
             if o.kind == OutputKind::Retract {
-                self.bump_retraction(qid);
+                self.subs[qid.index()].retractions += 1;
             }
-            self.store.append_log(encode_log_record(qid, tag, &key.2));
-            self.dirty = true;
-            out.push((qid, o));
         }
-        out
-    }
-
-    fn bump_retraction(&mut self, qid: QueryId) {
-        let ix = qid.index();
-        if self.retractions.len() <= ix {
-            self.retractions.resize(ix + 1, 0);
+        if let Some(before) = before {
+            self.record_chunk_spans(ingested, &before, out);
         }
-        self.retractions[ix] += 1;
     }
 
     /// Takes a checkpoint immediately (no-op when any engine lacks
     /// snapshot support).
     pub fn checkpoint_now(&mut self) {
-        let Ok(blob) = self.eval.snapshot() else {
-            return;
-        };
-        let mut w = Writer::new();
-        w.put_u64(self.position);
-        w.put_u64(self.store.log_len() as u64);
-        w.put_u64(self.queries.len() as u64);
-        for ((text, _), policy) in self.queries.iter().zip(&self.policies) {
-            w.put_str(text);
-            let (mode, knob) = policy_to_wire(Some(*policy));
-            w.put_u8(mode);
-            w.put_u8(knob);
-        }
-        w.put_bytes(&blob);
-        self.store.push_checkpoint(seal_envelope(&w.into_bytes()));
-        self.extra.checkpoints_written += 1;
-        self.last_ckpt_position = self.position;
-        self.dirty = true;
+        self.ck.checkpoint_now();
     }
 
     /// The durable artifacts (what a crash survives).
     pub fn store(&self) -> &CheckpointStore {
-        &self.store
+        self.ck.store()
     }
 
     /// Returns whether the store changed since the last call, clearing the
     /// flag — the engine thread's cue to persist to disk.
     pub fn take_dirty(&mut self) -> bool {
-        std::mem::replace(&mut self.dirty, false)
+        self.ck.take_dirty()
     }
 
-    /// Stream items ingested so far.
+    /// Stream items ingested so far (the clients' replay cursor).
     pub fn position(&self) -> u64 {
-        self.position
+        self.ck.position()
     }
 
     /// Worker shards each Native query engine evaluates on.
@@ -835,7 +409,7 @@ impl EngineCore {
 
     /// Number of registered queries.
     pub fn query_count(&self) -> u64 {
-        self.queries.len() as u64
+        self.subs.len() as u64
     }
 
     /// True once [`EngineCore::finish`] has run.
@@ -850,36 +424,32 @@ impl EngineCore {
 
     /// The minimum low-watermark across registered queries.
     pub fn watermark(&self) -> Option<Timestamp> {
-        self.eval.watermark()
+        self.ck.host().watermark()
     }
 
     /// Shared-plan structural gauges and sharing counters; `None` under
     /// the control strategies, whose queries the plan never hosts.
     pub fn plan_metrics(&self) -> Option<PlanMetrics> {
-        (self.cfg.strategy == Strategy::Native).then(|| self.eval.plan.plan_metrics())
+        (self.cfg.strategy == Strategy::Native).then(|| self.ck.host().plan_metrics())
     }
 
     /// Aggregate operator counters across every query, plus this process's
     /// checkpoint/recovery counters.
     pub fn stats(&self) -> RuntimeStats {
-        let mut total = self.extra;
-        for s in self.eval.stats() {
-            total += s;
-        }
-        total
+        self.ck.stats()
     }
 
     /// Replayed-but-not-yet-seen suppressions still outstanding.
     pub fn pending_suppressions(&self) -> usize {
-        self.suppress.values().map(|n| *n as usize).sum()
+        self.ck.pending_suppressions()
     }
 
     /// The stream clock: maximum occurrence timestamp any query engine has
     /// observed, in ticks (0 before the first event).
     fn core_clock(&self) -> u64 {
-        self.queries
+        self.subs
             .iter()
-            .filter_map(|(_, qid)| self.eval.query_clock(*qid))
+            .filter_map(|s| self.ck.host().query_clock(s.id))
             .map(|t| t.ticks())
             .max()
             .unwrap_or(0)
@@ -898,25 +468,18 @@ impl EngineCore {
         before: &[RuntimeStats],
         outputs: &[(QueryId, OutputItem)],
     ) {
-        let after = self.eval.stats();
+        let host = self.ck.host();
+        let after = host.stats();
         let core_clock = self.core_clock();
-        let core_wm = self.eval.watermark().map(|t| t.ticks()).unwrap_or(0);
+        let core_wm = host.watermark().map(|t| t.ticks()).unwrap_or(0);
         if ingested > 0 {
             self.obs.ingest_span(ingested, core_clock, core_wm);
         }
-        for (i, (_, qid)) in self.queries.iter().enumerate() {
+        for (i, qid) in self.subs.iter().map(|s| s.id).enumerate() {
             let prev = before.get(i).copied().unwrap_or_default();
             let Some(now) = after.get(i) else { continue };
-            let clock = self
-                .eval
-                .query_clock(*qid)
-                .map(|t| t.ticks())
-                .unwrap_or(core_clock);
-            let wm = self
-                .eval
-                .query_watermark(*qid)
-                .map(|t| t.ticks())
-                .unwrap_or(core_wm);
+            let clock = host.query_clock(qid).map_or(core_clock, |t| t.ticks());
+            let wm = host.query_watermark(qid).map_or(core_wm, |t| t.ticks());
             let steps = [
                 (SpanKind::Route, now.events_routed - prev.events_routed),
                 (SpanKind::StackInsert, now.insertions - prev.insertions),
@@ -937,11 +500,7 @@ impl EngineCore {
             self.obs
                 .record_output(i, insert, o.arrival_latency(), o.event_time_latency());
             let events: Vec<u64> = o.m.events().iter().map(|e| e.id().get()).collect();
-            let wm = self
-                .eval
-                .query_watermark(*qid)
-                .map(|t| t.ticks())
-                .unwrap_or(core_wm);
+            let wm = host.query_watermark(*qid).map_or(core_wm, |t| t.ticks());
             if !self.obs.provenance() {
                 self.obs.emit_span(
                     i as u64,
@@ -957,7 +516,7 @@ impl EngineCore {
             // span is byte-identical across backends and shard counts —
             // only the ring-global `seq` may differ, and the lineage
             // renderers drop it.
-            let pid = o.provenance_id(stable_query_id(&self.parsed[i]));
+            let pid = o.provenance_id(stable_query_id(host.query(*qid)));
             let arrivals: Vec<u64> = o.m.events().iter().map(|e| e.arrival().get()).collect();
             let (kind, cause, bound) = match (o.kind, o.cause) {
                 (OutputKind::Retract, c) => {
@@ -969,7 +528,7 @@ impl EngineCore {
                     // adaptive slack bound) had to pass — the negation
                     // region's seal for guarded queries, the match's own
                     // span otherwise.
-                    let deadline = seal_deadline(&self.parsed[i], o.m.events())
+                    let deadline = seal_deadline(host.query(*qid), o.m.events())
                         .unwrap_or_else(|| o.m.last_ts());
                     (SpanKind::Seal, 0, deadline.ticks())
                 }
@@ -1019,15 +578,16 @@ impl EngineCore {
     /// case index, sabotage knobs, …).
     pub fn postmortem_bundle(&self, reason: &str, params: Vec<(String, u64)>) -> Bundle {
         let mut config = String::new();
-        for ((text, qid), policy) in self.queries.iter().zip(&self.policies) {
-            config.push_str(&format!("q{}: {} policy={:?}\n", qid.index(), text, policy));
+        for s in &self.subs {
+            let (i, text, policy) = (s.id.index(), &s.text, s.policy);
+            config.push_str(&format!("q{i}: {text} policy={policy:?}\n"));
         }
         config.push_str(&format!(
             "strategy={:?} shards={} checkpoint_every={:?}",
             self.cfg.strategy, self.cfg.shards, self.cfg.checkpoint_every
         ));
         let mut all_params = vec![
-            ("cursor".to_string(), self.position),
+            ("cursor".to_string(), self.position()),
             ("shards".to_string(), self.shards()),
             ("queries".to_string(), self.query_count()),
         ];
@@ -1066,9 +626,10 @@ impl EngineCore {
         const SERVER_GAUGES: [&str; 3] = ["subscriptions", "engine_shards", "max_engine_batch"];
         let mut b = MetricsSnapshot::builder();
 
-        let per_query = self.eval.stats();
+        let host = self.ck.host();
+        let per_query = host.stats();
         let empty = sequin_obs::QueryObs::default();
-        for (i, (_, qid)) in self.queries.iter().enumerate() {
+        for (i, qid) in self.subs.iter().map(|s| s.id).enumerate() {
             let labels = [("query", i.to_string())];
             let Some(stats) = per_query.get(i) else {
                 continue;
@@ -1083,15 +644,13 @@ impl EngineCore {
             }
             // a registration-order-independent identity for dashboards
             // that survive restarts with a different subscription order
-            let stable = format!("{:016x}", stable_query_id(&self.parsed[i]));
+            let stable = format!("{:016x}", stable_query_id(host.query(qid)));
             b.gauge(
                 "sequin_query_info",
                 &[("query", i.to_string()), ("qid", stable.clone())],
                 1,
             );
-            if let (Some(clock), Some(wm)) =
-                (self.eval.query_clock(*qid), self.eval.query_watermark(*qid))
-            {
+            if let (Some(clock), Some(wm)) = (host.query_clock(qid), host.query_watermark(qid)) {
                 let (c, w) = (clock.ticks(), wm.ticks());
                 b.gauge("sequin_stream_clock", &labels, c);
                 b.gauge("sequin_watermark", &labels, w);
@@ -1100,7 +659,7 @@ impl EngineCore {
             b.gauge(
                 "sequin_engine_state_size",
                 &labels,
-                self.eval.query_state_size(*qid) as u64,
+                host.query_state_size(qid) as u64,
             );
             b.counter(
                 "sequin_purge_reclaimed_bytes",
@@ -1114,12 +673,12 @@ impl EngineCore {
             b.counter(
                 "sequin_retraction_emitted",
                 &labels,
-                self.retractions.get(i).copied().unwrap_or(0),
+                self.subs[i].retractions,
             );
-            if let Some(k) = self.eval.query_slack(*qid) {
+            if let Some(k) = host.query_slack(qid) {
                 b.gauge("sequin_slack_bound", &labels, k.ticks());
             }
-            let shards = self.eval.per_shard_stats(*qid);
+            let shards = host.per_shard_stats(qid);
             if shards.len() > 1 {
                 for (s_ix, s) in shards.iter().enumerate() {
                     let labels = [("query", i.to_string()), ("shard", s_ix.to_string())];
@@ -1136,7 +695,7 @@ impl EngineCore {
             // ingest-edge routing: full deliveries vs watermark-only
             // advances per shard, plus the pool-wide broadcast counters
             // and the per-shard queue's high-water mark
-            if let Some(rs) = self.eval.route_stats(*qid) {
+            if let Some(rs) = host.route_stats(qid) {
                 for (s_ix, (full, adv)) in rs.full_events.iter().zip(&rs.advances).enumerate() {
                     let labels = [("query", i.to_string()), ("shard", s_ix.to_string())];
                     b.counter("sequin_route_full_events", &labels, *full);
@@ -1186,9 +745,9 @@ impl EngineCore {
         b.counter(
             "sequin_retraction_emitted_total",
             &[],
-            self.retractions.iter().sum(),
+            self.subs.iter().map(|s| s.retractions).sum(),
         );
-        b.counter("sequin_ingest_position", &[], self.position);
+        b.counter("sequin_ingest_position", &[], self.position());
         b.gauge("sequin_queries", &[], self.query_count());
         b.gauge(
             "sequin_pending_suppressions",
@@ -1226,7 +785,6 @@ impl EngineCore {
         b.finish()
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1338,55 +896,6 @@ mod tests {
             "analyzer span missing from {e}"
         );
         assert_eq!(core.query_count(), 0, "failed analysis registers nothing");
-    }
-
-    #[test]
-    fn shared_and_independent_backends_agree() {
-        let reg = registry();
-        let items = stream(&reg);
-        // two queries with the same (A, B) prefix and window but different
-        // final components force actual prefix sharing on the shared
-        // backend
-        let q_abb = "PATTERN SEQ(A a, B b, B c) WITHIN 12";
-        let q_aba = "PATTERN SEQ(A a, B b, A c) WITHIN 12";
-
-        let run = |shared: bool| {
-            let mut core = EngineCore::new(cfg(&reg, None));
-            for text in [Q_AB, Q_BA, q_abb, q_aba] {
-                if shared {
-                    core.subscribe(text).unwrap();
-                    continue;
-                }
-                // configuration hosts a Native query on an engine of its
-                // own only when it shards; host these there by hand, as
-                // the reference the plan evaluator is checked against
-                let q = parse(text, &reg).unwrap();
-                let policy = core.cfg.engine.policy;
-                let id = core
-                    .eval
-                    .register_on(Side::Own, &core.cfg, q.clone(), policy);
-                core.queries.push((text.to_owned(), id));
-                core.parsed.push(q);
-                core.policies.push(policy);
-            }
-            let mut out = Vec::new();
-            for it in &items {
-                out.extend(core.ingest(it));
-            }
-            out.extend(core.finish());
-            (net(&out), core)
-        };
-        let (with_plan, shared_core) = run(true);
-        let (without, independent_core) = run(false);
-        assert_eq!(with_plan, without, "backends must agree byte-for-byte");
-        let pm = independent_core.plan_metrics().unwrap();
-        assert_eq!(
-            pm.pooled_stacks, 0,
-            "the reference hosts nothing on the plan"
-        );
-        let pm = shared_core.plan_metrics().unwrap();
-        assert!(pm.prefix_groups >= 1, "AB prefix should group: {pm:?}");
-        assert!(pm.routed_events > 0);
     }
 
     #[test]
@@ -1575,43 +1084,6 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_backend_composes_shared_and_sharded() {
-        let reg = registry();
-        let items = stream(&reg);
-        // one query sharding can parallelize (equality chain → partition
-        // scheme) and two it cannot (no WHERE clause)
-        let q_part = "PATTERN SEQ(A a, B b) WHERE a.x == b.x WITHIN 8";
-
-        let run = |shards: usize| {
-            let mut c = cfg(&reg, None);
-            c.shards = shards;
-            let mut core = EngineCore::new(c);
-            for q in [Q_AB, q_part, Q_BA] {
-                core.subscribe(q).unwrap();
-            }
-            let mut out = Vec::new();
-            for chunk in items.chunks(13) {
-                out.extend(core.ingest_batch(chunk));
-            }
-            out.extend(core.finish());
-            (net(&out), core)
-        };
-
-        let (baseline, _) = run(1);
-        let (hybrid, core) = run(3);
-        assert_eq!(hybrid, baseline, "hybrid must be byte-identical");
-        assert!(core.plan_metrics().is_some(), "shared half hosts Q_AB/Q_BA");
-        // the partitionable query (global id 1) runs on a routed pool...
-        let qids: Vec<QueryId> = (0..3).map(QueryId::from_index).collect();
-        let rs = core.eval.route_stats(qids[1]).expect("sharded pool");
-        assert_eq!(rs.full_events.len(), 3);
-        assert_eq!(core.eval.per_shard_stats(qids[1]).len(), 3);
-        // ...and the unpartitionable ones stay on the shared plan
-        assert!(core.eval.route_stats(qids[0]).is_none());
-        assert!(core.eval.route_stats(qids[2]).is_none());
-    }
-
-    #[test]
     fn hybrid_checkpoint_interchanges_with_single_shard_backends() {
         let reg = registry();
         let items = stream(&reg);
@@ -1632,8 +1104,16 @@ mod tests {
         let mut core = EngineCore::new(hy);
         core.subscribe(Q_AB).unwrap();
         core.subscribe(q_part).unwrap();
-        assert_eq!(core.eval.hosts[0].0, Side::Plan);
-        assert_eq!(core.eval.hosts[1].0, Side::Own);
+        let hosts = |core: &EngineCore| {
+            let series = core.metrics_snapshot(None).to_prometheus();
+            // only a query on a routed pool of its own has routing counters
+            [0, 1].map(|q| series.contains(&format!("sequin_route_punctuations{{query=\"{q}\"}}")))
+        };
+        assert_eq!(
+            hosts(&core),
+            [false, true],
+            "plan hosts Q_AB, a pool q_part"
+        );
         let mut delivered = Vec::new();
         delivered.extend(core.ingest_batch(&items[..40]));
         let saved = core.store().clone();
@@ -1642,7 +1122,11 @@ mod tests {
         // ...and a single-shard shared core resumes them exactly-once
         let (mut core, replay_from) = EngineCore::resume(cfg(&reg, Some(25)), saved);
         assert!(replay_from > 0, "a checkpoint was accepted");
-        assert!(core.eval.own.is_empty(), "one shard: the plan hosts both");
+        assert_eq!(
+            hosts(&core),
+            [false, false],
+            "one shard: the plan hosts both"
+        );
         delivered.extend(core.ingest_batch(&items[replay_from as usize..]));
         delivered.extend(core.finish());
         assert_eq!(net(&delivered), net(&baseline));
@@ -1661,7 +1145,7 @@ mod tests {
         four.shards = 4;
         let (mut core, replay_from) = EngineCore::resume(four, saved);
         assert!(replay_from > 0);
-        assert!(!core.eval.own.is_empty() && !core.eval.plan.is_empty());
+        assert_eq!(hosts(&core), [false, true]);
         delivered.extend(core.ingest_batch(&items[replay_from as usize..]));
         delivered.extend(core.finish());
         assert_eq!(net(&delivered), net(&baseline));

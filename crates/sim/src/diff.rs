@@ -26,8 +26,8 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use sequin_engine::{
-    make_engine, CheckpointPolicy, Checkpointer, Engine, EngineConfig, NativeEngine, OutputItem,
-    OutputKind, ShardedEngine, Strategy, WatermarkSource,
+    make_engine, CheckpointPolicy, Checkpointer, Engine, EngineConfig, MultiEngine, NativeEngine,
+    OutputItem, OutputKind, ShardedEngine, Strategy, WatermarkSource,
 };
 use sequin_query::parse;
 use sequin_server::{loopback_run, CoreConfig};
@@ -327,11 +327,18 @@ pub fn check_case_sharded(
         }
     }
 
-    // crash + checkpoint resume: exactly-once deliveries
-    {
+    // crash + checkpoint resume: the engine `before()` builds writes the
+    // checkpoints, the one `after()` builds resumes them; returns every
+    // delivery, the crash point and the resume point
+    let crash_resume = |before: &dyn Fn() -> Box<dyn Engine>,
+                        after: &dyn Fn() -> Box<dyn Engine>| {
+        let host = |engine: Box<dyn Engine>| {
+            let mut host = MultiEngine::new(Strategy::Native, cfg, 1);
+            host.register_engine(engine);
+            host
+        };
         let policy = CheckpointPolicy::every(case.config.ckpt_every.max(1));
-        let fresh = || make_engine(Strategy::Native, Arc::clone(&query), cfg);
-        let mut ck = Checkpointer::new(fresh(), policy);
+        let mut ck = Checkpointer::new(host(before()), policy);
         let crash_at = (case.config.crash_at as usize).min(items.len());
         let mut delivered = Vec::new();
         for item in &items[..crash_at] {
@@ -339,11 +346,19 @@ pub fn check_case_sharded(
         }
         let saved = ck.store().clone();
         drop(ck); // crash: only the persisted store survives
-        let (mut ck, replay_from) = Checkpointer::resume(fresh(), policy, saved);
+        let (mut ck, replay_from) = Checkpointer::resume(policy, saved, |_| Ok(host(after())));
         for item in &items[replay_from as usize..] {
             delivered.extend(ck.ingest(item));
         }
         delivered.extend(ck.finish());
+        let delivered: Vec<OutputItem> = delivered.into_iter().map(|(_, o)| o).collect();
+        (delivered, crash_at, replay_from)
+    };
+
+    // exactly-once deliveries across a crash
+    {
+        let fresh = || make_engine(Strategy::Native, Arc::clone(&query), cfg);
+        let (delivered, crash_at, replay_from) = crash_resume(&fresh, &fresh);
         if delivery_multiset(&delivered) != delivery_multiset(&canonical) {
             mismatches.push(Mismatch {
                 path: Path::CrashResume,
@@ -365,23 +380,10 @@ pub fn check_case_sharded(
         if to == from {
             to = from + 3; // always actually change the count
         }
-        let policy = CheckpointPolicy::every(case.config.ckpt_every.max(1));
         let pool = |n: usize| -> Box<dyn Engine> {
             Box::new(ShardedEngine::new(Arc::clone(&query), cfg, n))
         };
-        let mut ck = Checkpointer::new(pool(from), policy);
-        let crash_at = (case.config.crash_at as usize).min(items.len());
-        let mut delivered = Vec::new();
-        for item in &items[..crash_at] {
-            delivered.extend(ck.ingest(item));
-        }
-        let saved = ck.store().clone();
-        drop(ck); // crash: only the persisted store survives
-        let (mut ck, replay_from) = Checkpointer::resume(pool(to), policy, saved);
-        for item in &items[replay_from as usize..] {
-            delivered.extend(ck.ingest(item));
-        }
-        delivered.extend(ck.finish());
+        let (delivered, crash_at, replay_from) = crash_resume(&|| pool(from), &|| pool(to));
         if delivery_multiset(&delivered) != delivery_multiset(&canonical) {
             mismatches.push(Mismatch {
                 path: Path::ShardedResume(from, to),

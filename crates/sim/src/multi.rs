@@ -308,8 +308,9 @@ pub fn check_multi_case(case: &MultiCase, sabotage: Sabotage) -> Vec<Mismatch> {
                 resumed_cfg.shards = 2;
                 let (mut core, replay_from) = EngineCore::resume(resumed_cfg, saved);
                 for (qx, (text, want)) in texts.iter().zip(&case.policies).enumerate() {
-                    let restored = core.query_policy(QueryId::from_index(qx));
-                    if restored != *want {
+                    // a restored text is a table hit: nothing is registered
+                    let restored = core.subscribe_with_policy(text, None).map(|(_, p)| p);
+                    if restored != Ok(*want) {
                         mismatches.push(Mismatch {
                             path: Path::SharedCrashResume,
                             detail: format!(

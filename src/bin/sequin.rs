@@ -70,10 +70,10 @@ options:
                     (default 2)
   --checkpoint-every N  checkpoint engine state every N events
   --resume-from FILE    resume from (and save to) a checkpoint store;
-                        rerun with the same workload/seed for
-                        exactly-once continuation
-  --store FILE      serve: checkpoint-store path (with --checkpoint-every,
-                    enables exactly-once restart; clients replay from the
+                        needs --checkpoint-every; rerun with the same
+                        workload/seed for exactly-once continuation
+  --store FILE      serve: checkpoint-store path; needs --checkpoint-every
+                    (exactly-once restart: clients replay from the
                     HELLO_ACK resume cursor)
   --shards N        Native-engine worker shards (default 1; sim takes a
                     comma-separated list of counts and pins the
@@ -200,11 +200,17 @@ fn get_ooo(flags: &Flags) -> Result<f64, String> {
     }
 }
 
-/// `--checkpoint-every`: a period in events, so at least 1.
+/// `--checkpoint-every`: a period in events, so at least 1. A store path
+/// (`--resume-from`, `--store`) needs one: without a period nothing would
+/// ever be written to it, or everything on every event.
 fn get_checkpoint_every(flags: &Flags) -> Result<Option<u64>, String> {
-    match get_int(flags, "checkpoint-every")? {
-        Some(0) => Err("--checkpoint-every expects an integer >= 1, got `0`".to_owned()),
-        every => Ok(every),
+    let store = ["resume-from", "store"]
+        .into_iter()
+        .find(|path| flags.contains_key(*path));
+    match (get_int(flags, "checkpoint-every")?, store) {
+        (Some(0), _) => Err("--checkpoint-every expects an integer >= 1, got `0`".to_owned()),
+        (None, Some(path)) => Err(format!("--{path} needs --checkpoint-every")),
+        (every, _) => Ok(every),
     }
 }
 
@@ -580,6 +586,21 @@ mod tests {
                     "{command} {flag}: {err}"
                 );
             }
+        }
+        // a store path without a period: `run`/`replay` used to checkpoint
+        // on every watermark advance, `serve` never wrote the file
+        let replay = ["replay", "--types", "A(x:int)", "--trace", "/nonexistent"];
+        let serve = ["serve", "--addr", "127.0.0.1:1", "--workload", "synthetic"];
+        let cases: [(&[&str], &str); 3] = [
+            (&SMALL_RUN, "--resume-from"),
+            (&replay, "--resume-from"),
+            (&serve, "--store"),
+        ];
+        for (base, flag) in cases {
+            let path = [flag, "target/never-written.ckpt"];
+            let err = sequin(&[base, &path, &["PATTERN SEQ(A a) WITHIN 1"]].concat()).unwrap_err();
+            assert_eq!(err, format!("{flag} needs --checkpoint-every"), "{base:?}");
+            assert!(!std::path::Path::new(path[1]).exists());
         }
         // the bounds themselves are valid
         let edge = ["--ooo", "1", "--adaptive", "0", "--checkpoint-every", "1"];

@@ -163,7 +163,8 @@ pub struct ServeOptions {
     /// when `store` is also set).
     pub checkpoint_every: Option<u64>,
     /// Checkpoint-store file: loaded at startup to resume a previous
-    /// incarnation, saved on every dirty message.
+    /// incarnation, saved on every dirty message. Needs
+    /// `checkpoint_every` (the CLI rejects the path alone).
     pub store: Option<String>,
     /// Flight recorder directory (`--bundle-dir`): where a
     /// `recovery-fallback.sqpm` postmortem bundle lands when a startup

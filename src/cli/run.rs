@@ -5,10 +5,10 @@ use std::path::Path;
 use std::sync::Arc;
 
 use sequin_engine::{
-    make_sharded_engine, CheckpointPolicy, CheckpointStore, Checkpointer, DisorderPolicy,
-    EngineConfig, ShardedEngine, Strategy,
+    CheckpointPolicy, CheckpointStore, Checkpointer, DisorderPolicy, EngineConfig, MultiEngine,
+    Strategy,
 };
-use sequin_metrics::{run_engine, run_engine_batched, shard_table};
+use sequin_metrics::{run_engine_batched, shard_table};
 use sequin_netsim::{delay_shuffle, measure_disorder, punctuate};
 use sequin_query::parse;
 use sequin_types::{Duration, EventRef, StreamItem, TypeRegistry};
@@ -27,12 +27,13 @@ pub struct RunOptions {
     pub adaptive: Option<f64>,
     /// Inject a punctuation every `n` events (simulator-omniscient).
     pub punctuate_every: Option<usize>,
-    /// Checkpoint the engine every `n` events (implies wrapping the engine
-    /// in a [`Checkpointer`]).
+    /// Checkpoint the evaluation every `n` events and keep the emission
+    /// log (a durable [`Checkpointer`]; volatile without it).
     pub checkpoint_every: Option<u64>,
     /// Path of a checkpoint-store file to resume from and to save new
-    /// checkpoints into. Resuming replays the regenerated stream suffix
-    /// with exactly-once dedup, so the same seed/workload must be used.
+    /// checkpoints into; needs `checkpoint_every` (the CLI rejects the
+    /// path alone). Resuming replays the regenerated stream suffix with
+    /// exactly-once dedup, so the same seed/workload must be used.
     pub resume_from: Option<String>,
     /// Per-query disorder policy (latency vs retraction-noise knob).
     pub policy: DisorderPolicy,
@@ -193,49 +194,48 @@ fn run_stream(
     if opts.punctuate_every.is_some() {
         config.watermark = sequin_engine::WatermarkSource::Both;
     }
-    let use_checkpoints = opts.checkpoint_every.is_some() || opts.resume_from.is_some();
-    let sharded = opts.shards > 1 && opts.strategy == Strategy::Native;
-    let mut resume_note = None;
-    let mut shard_note = None;
-    let report = if use_checkpoints {
-        let engine = make_sharded_engine(opts.strategy, query, config, opts.shards);
-        let policy = match opts.checkpoint_every {
-            Some(n) => CheckpointPolicy::every(n.max(1)),
-            None => CheckpointPolicy::default(),
-        };
-        let (mut ck, replay_from) = match opts.resume_from.as_deref().map(Path::new) {
-            Some(path) if path.exists() => match CheckpointStore::load(path) {
-                Ok(store) => Checkpointer::resume(engine, policy, store),
-                Err(e) => {
-                    // graceful degradation: a rotted store file means cold
-                    // start, never a crash or silently wrong state
-                    resume_note = Some(format!("checkpoint file unreadable ({e}): cold start"));
-                    (Checkpointer::new(engine, policy), 0)
-                }
-            },
-            _ => (Checkpointer::new(engine, policy), 0),
-        };
-        let suffix = &stream[(replay_from as usize).min(stream.len())..];
-        let report = run_engine(&mut ck, suffix, 64);
-        if replay_from > 0 {
-            resume_note = Some(format!("resumed at item {replay_from}"));
-        }
-        if let Some(path) = opts.resume_from.as_deref() {
-            ck.store()
-                .save(Path::new(path))
-                .map_err(|e| format!("cannot save checkpoint `{path}`: {e}"))?;
-        }
-        report
-    } else if sharded {
-        // batched ingestion is what lets the pool use its worker threads
-        let mut pool = ShardedEngine::new(query, config, opts.shards);
-        let report = run_engine_batched(&mut pool, stream, 256);
-        shard_note = Some(shard_table(&pool.per_shard_stats()).to_string());
-        report
-    } else {
-        let mut engine = make_sharded_engine(opts.strategy, query, config, opts.shards);
-        run_engine(engine.as_mut(), stream, 64)
+    // one stack whatever the flags: the host decides where the query runs
+    // (`--shards`), the exactly-once wrapper around it is volatile without
+    // `--checkpoint-every`, and batches let a sharded pool use its threads
+    let mut query_id = None;
+    let mut host = || {
+        let mut host = MultiEngine::new(opts.strategy, config, opts.shards);
+        query_id = Some(host.register(Arc::clone(&query), opts.policy));
+        host
     };
+    let policy = opts
+        .checkpoint_every
+        .map_or(CheckpointPolicy::never(), CheckpointPolicy::every);
+    let mut resume_note = None;
+    let (mut stack, replay_from) = match opts.resume_from.as_deref().map(Path::new) {
+        Some(path) if path.exists() => match CheckpointStore::load(path) {
+            Ok(store) => Checkpointer::resume(policy, store, |_| Ok(host())),
+            Err(e) => {
+                // graceful degradation: a rotted store file means cold
+                // start, never a crash or silently wrong state
+                resume_note = Some(format!("checkpoint file unreadable ({e}): cold start"));
+                (Checkpointer::new(host(), policy), 0)
+            }
+        },
+        _ => (Checkpointer::new(host(), policy), 0),
+    };
+    let suffix = &stream[(replay_from as usize).min(stream.len())..];
+    let report = run_engine_batched(&mut stack, suffix, 256);
+    if replay_from > 0 {
+        resume_note = Some(format!("resumed at item {replay_from}"));
+    } else if report.stats.checkpoints_rejected > 0 {
+        // readable file, unusable contents (another query, another
+        // version's format): say so rather than look like a first run
+        let n = report.stats.checkpoints_rejected;
+        resume_note = Some(format!("{n} stored artifacts rejected: cold start"));
+    }
+    if let Some(path) = opts.resume_from.as_deref() {
+        stack
+            .store()
+            .save(Path::new(path))
+            .map_err(|e| format!("cannot save checkpoint `{path}`: {e}"))?;
+    }
+    let per_shard = query_id.map_or(Vec::new(), |id| stack.host().per_shard_stats(id));
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -266,7 +266,7 @@ fn run_stream(
         report.stats.purged,
         report.stats.late_drops
     ));
-    if use_checkpoints {
+    if opts.checkpoint_every.is_some() {
         out.push_str(&format!(
             "checkpoints  : {} written, {} rejected, {} replay-suppressed\n",
             report.stats.checkpoints_written,
@@ -277,14 +277,14 @@ fn run_stream(
             out.push_str(&format!("recovery     : {note}\n"));
         }
     }
-    if sharded {
+    if per_shard.len() > 1 {
         out.push_str(&format!(
             "shards       : {} workers, {} events routed, merge buffer peak {}\n",
-            opts.shards, report.stats.events_routed, report.stats.merge_buffer_peak
+            per_shard.len(),
+            report.stats.events_routed,
+            report.stats.merge_buffer_peak
         ));
-        if let Some(table) = shard_note {
-            out.push_str(&table);
-        }
+        out.push_str(&shard_table(&per_shard).to_string());
     }
     Ok(out)
 }
@@ -376,6 +376,18 @@ mod tests {
                 .map(str::to_owned)
         };
         assert_eq!(matches_line(&out), matches_line(&single));
+
+        // checkpointing changes neither: the pool still gets batches and
+        // the report still has its per-shard table
+        let checkpointed = RunOptions {
+            checkpoint_every: Some(500),
+            ..opts
+        };
+        let out = run_workload("synthetic", "", 2000, 0.2, 50, 11, &checkpointed).unwrap();
+        assert!(out.contains("checkpoints  : 4 written"), "{out}");
+        assert!(out.contains("shards       : 3 workers"), "{out}");
+        assert!(out.contains("events_routed"), "{out}");
+        assert_eq!(matches_line(&out), matches_line(&single));
     }
 
     #[test]
@@ -383,6 +395,7 @@ mod tests {
         let path = "target/test-cli-corrupt.ckpt";
         std::fs::write(path, b"not a checkpoint store").unwrap();
         let opts = RunOptions {
+            checkpoint_every: Some(500),
             resume_from: Some(path.to_owned()),
             ..RunOptions::default()
         };
@@ -392,6 +405,15 @@ mod tests {
             out.contains("matches"),
             "the run itself still completes: {out}"
         );
+        // the run saved a good store over the bad one; a different query
+        // can read the file but must use nothing in it
+        let other = "PATTERN SEQ(T0 a, T1 b) WHERE a.tag == b.tag WITHIN 50";
+        let out = run_workload("synthetic", other, 1000, 0.2, 50, 5, &opts).unwrap();
+        assert!(
+            out.contains("stored artifacts rejected: cold start"),
+            "{out}"
+        );
+        assert!(!out.contains("matches      : 0 (net)"), "{out}");
         std::fs::remove_file(path).ok();
     }
 }

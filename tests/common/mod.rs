@@ -11,7 +11,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use sequin::engine::{Engine, OutputItem};
+use sequin::engine::{Engine, EngineConfig, MultiEngine, OutputItem, QueryId, Strategy};
 use sequin::query::Query;
 use sequin::runtime::{regions, Region};
 use sequin::types::{Event, EventId, EventRef, StreamItem, Timestamp, TypeRegistry, Value};
@@ -132,4 +132,17 @@ pub fn ev(reg: &TypeRegistry, ty: &str, id: u64, ts: u64, attrs: &[i64]) -> Even
 /// Wraps events as an arrival stream in the given order.
 pub fn stream_of(events: &[EventRef]) -> Vec<StreamItem> {
     events.iter().cloned().map(StreamItem::Event).collect()
+}
+
+/// A one-query host around a pre-built engine — what a
+/// `sequin::engine::Checkpointer` wraps.
+pub fn host_of(engine: Box<dyn Engine>) -> MultiEngine {
+    let mut host = MultiEngine::new(Strategy::Native, EngineConfig::default(), 1);
+    host.register_engine(engine);
+    host
+}
+
+/// A one-query host's outputs without their query tags.
+pub fn untag(out: Vec<(QueryId, OutputItem)>) -> impl Iterator<Item = OutputItem> {
+    out.into_iter().map(|(_, o)| o)
 }

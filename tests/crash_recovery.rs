@@ -9,7 +9,7 @@
 
 mod common;
 
-use common::{net_keys, reference_matches};
+use common::{host_of, net_keys, reference_matches, untag};
 use sequin::engine::{
     make_engine, CheckpointPolicy, CheckpointStore, Checkpointer, DisorderPolicy, Engine,
     EngineConfig, OutputItem, OutputKind, Strategy,
@@ -90,7 +90,7 @@ fn assert_no_duplicate_deliveries(delivered: &[OutputItem], ctx: &str) {
 /// The checkpoints a full run writes, as crash points: the stream index
 /// right after each watermark advance the policy checkpointed on.
 fn watermark_advance_points(s: &Scenario) -> Vec<u64> {
-    let mut probe = Checkpointer::new(fresh(s), CheckpointPolicy::default());
+    let mut probe = Checkpointer::new(host_of(fresh(s)), CheckpointPolicy::default());
     let mut points = Vec::new();
     let mut written = 0;
     for (ix, item) in s.stream.iter().enumerate() {
@@ -112,21 +112,23 @@ fn crash_and_recover(
     sabotage: impl FnOnce(&mut CheckpointStore),
 ) -> (Vec<OutputItem>, sequin::runtime::RuntimeStats) {
     let (pre_items, crash_ix) = crash.split(&s.stream);
-    let mut ck = Checkpointer::new(fresh(s), CheckpointPolicy::default());
+    let mut ck = Checkpointer::new(host_of(fresh(s)), CheckpointPolicy::default());
     let mut delivered = Vec::new();
     for item in pre_items {
-        delivered.extend(ck.ingest(item));
+        delivered.extend(untag(ck.ingest(item)));
     }
     let mut saved = ck.store().clone();
     drop(ck); // the crash: only `saved` survives
     sabotage(&mut saved);
 
-    let (mut ck, replay_from) = Checkpointer::resume(fresh(s), CheckpointPolicy::default(), saved);
+    let (mut ck, replay_from) = Checkpointer::resume(CheckpointPolicy::default(), saved, |_| {
+        Ok(host_of(fresh(s)))
+    });
     assert!(replay_from <= crash_ix, "resume cannot skip unseen input");
     for item in &s.stream[replay_from as usize..] {
-        delivered.extend(ck.ingest(item));
+        delivered.extend(untag(ck.ingest(item)));
     }
-    delivered.extend(ck.finish());
+    delivered.extend(untag(ck.finish()));
     (delivered, ck.stats())
 }
 
@@ -232,22 +234,23 @@ fn checkpoint_file_survives_a_process_boundary() {
     let s = scenario(DisorderPolicy::Conservative, 48);
     let crash = Crash::AfterEvents(80);
     let (pre_items, _) = crash.split(&s.stream);
-    let mut ck = Checkpointer::new(fresh(&s), CheckpointPolicy::default());
+    let mut ck = Checkpointer::new(host_of(fresh(&s)), CheckpointPolicy::default());
     let mut delivered = Vec::new();
     for item in pre_items {
-        delivered.extend(ck.ingest(item));
+        delivered.extend(untag(ck.ingest(item)));
     }
     let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("crash_recovery.ckpt");
     ck.store().save(&path).unwrap();
     drop(ck);
 
     let loaded = CheckpointStore::load(&path).unwrap();
-    let (mut ck, replay_from) =
-        Checkpointer::resume(fresh(&s), CheckpointPolicy::default(), loaded);
+    let (mut ck, replay_from) = Checkpointer::resume(CheckpointPolicy::default(), loaded, |_| {
+        Ok(host_of(fresh(&s)))
+    });
     for item in &s.stream[replay_from as usize..] {
-        delivered.extend(ck.ingest(item));
+        delivered.extend(untag(ck.ingest(item)));
     }
-    delivered.extend(ck.finish());
+    delivered.extend(untag(ck.finish()));
     assert_no_duplicate_deliveries(&delivered, "file round trip");
     assert_eq!(net_keys(&delivered), s.oracle);
 
@@ -476,5 +479,105 @@ fn pinned_snapshots_interchange_and_settle_on_the_oracle() {
             held_across_the_cut,
             "{policy:?}: cut {PIN_CUT} held nothing"
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Pinned `run` store layout
+// ---------------------------------------------------------------------
+
+use sequin::types::Encode;
+
+/// `fnv1a64` of the store the 0.10 single-engine `Checkpointer` — what
+/// `sequin run --resume-from` saved — held for the pin stream at the cut
+/// under `CheckpointPolicy::every(64)` (conservative, speculative),
+/// computed at the last commit that had that writer.
+const PIN_RUN_STORE_0_10: [u64; 2] = [0x4fe3_b276_4701_534c, 0xbd67_39e5_974c_8cc7];
+/// The same run's store as the one exactly-once wrapper writes it now:
+/// a one-blob host envelope per checkpoint, query-tagged log records.
+const PIN_RUN_STORE: [u64; 2] = [0x5f7b_817d_7a01_c70e, 0x4cb1_4146_ded7_8c71];
+
+fn run_policy() -> CheckpointPolicy {
+    CheckpointPolicy::every(64)
+}
+
+/// Rebuilds, from the documented 0.10 layout, the store that version's
+/// writer produced: checkpoints of `position, log mark, bytes(engine
+/// snapshot)` and untagged `(kind, match key)` log records.
+fn run_store_0_10(p: &Pinned) -> CheckpointStore {
+    let mut eng = make_engine(Strategy::Native, Arc::clone(&p.query), p.config);
+    let mut store = CheckpointStore::new();
+    for (ix, item) in p.stream[..PIN_CUT].iter().enumerate() {
+        for o in eng.ingest(item) {
+            let mut w = Writer::new();
+            w.put_u8(u8::from(o.kind == OutputKind::Retract));
+            o.m.key().encode(&mut w);
+            store.append_log(seal_envelope(&w.into_bytes()));
+        }
+        if (ix + 1) % 64 == 0 {
+            let mut w = Writer::new();
+            w.put_u64(ix as u64 + 1);
+            w.put_u64(store.log_len() as u64);
+            w.put_bytes(&eng.snapshot().unwrap());
+            store.push_checkpoint(seal_envelope(&w.into_bytes()));
+        }
+    }
+    store
+}
+
+#[test]
+fn a_0_10_run_store_is_rejected_whole_and_todays_resumes_exactly_once() {
+    let policies = [DisorderPolicy::Conservative, DisorderPolicy::Speculative];
+    for (px, policy) in policies.into_iter().enumerate() {
+        let p = pinned_snapshots(policy);
+        let host = || {
+            host_of(make_engine(
+                Strategy::Native,
+                Arc::clone(&p.query),
+                p.config,
+            ))
+        };
+
+        // the old format: every artifact fails its decode and is counted,
+        // nothing is half-read, and the run is a cold start
+        let old = run_store_0_10(&p);
+        assert_eq!(
+            fnv1a64(&old.to_bytes()),
+            PIN_RUN_STORE_0_10[px],
+            "{policy:?}: not the bytes 0.10 wrote"
+        );
+        let artifacts = (old.checkpoint_count() + old.log_len()) as u64;
+        let (mut ck, replay_from) = Checkpointer::resume(run_policy(), old, |_| Ok(host()));
+        assert_eq!(replay_from, 0, "{policy:?}: cold start");
+        assert_eq!(ck.stats().checkpoints_rejected, artifacts, "{policy:?}");
+        assert_eq!(
+            ck.pending_suppressions(),
+            0,
+            "{policy:?}: a record was half-read"
+        );
+        assert_eq!(
+            ck.host().state_size(),
+            0,
+            "{policy:?}: a snapshot was half-read"
+        );
+        let mut out = ck.ingest_batch(&p.stream);
+        out.extend(ck.finish());
+        assert_eq!(net_keys(&untag(out).collect::<Vec<_>>()), p.oracle);
+
+        // today's format: pinned, and resumed exactly-once
+        let mut ck = Checkpointer::new(host(), run_policy());
+        let mut delivered = ck.ingest_batch(&p.stream[..PIN_CUT]);
+        let saved = ck.store().clone();
+        drop(ck); // crash
+        assert_eq!(fnv1a64(&saved.to_bytes()), PIN_RUN_STORE[px], "{policy:?}");
+        let (mut ck, replay_from) = Checkpointer::resume(run_policy(), saved, |_| Ok(host()));
+        assert_eq!(replay_from, 192, "{policy:?}: the newest checkpoint");
+        assert_eq!(ck.stats().checkpoints_rejected, 0, "{policy:?}");
+        delivered.extend(ck.ingest_batch(&p.stream[replay_from as usize..]));
+        delivered.extend(ck.finish());
+        let delivered: Vec<OutputItem> = untag(delivered).collect();
+        assert_no_duplicate_deliveries(&delivered, "today's run store");
+        assert_eq!(net_keys(&delivered), p.oracle, "{policy:?}");
+        assert_eq!(ck.pending_suppressions(), 0, "{policy:?}");
     }
 }

@@ -23,7 +23,7 @@ mod common;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use common::{net_keys, reference_matches};
+use common::{host_of, net_keys, reference_matches, untag};
 use sequin::engine::{
     make_engine, CheckpointPolicy, Checkpointer, DisorderPolicy, Engine, EngineConfig, OutputItem,
     OutputKind, Strategy,
@@ -190,22 +190,25 @@ fn policy_change_across_checkpoint_resume_stays_exactly_once() {
             let crash = Crash::AfterEvents(stream.len() as u64 / frac);
             let (pre_items, crash_ix) = crash.split(&stream);
 
-            let mut ck = Checkpointer::new(engine_with(before), CheckpointPolicy::default());
+            let mut ck =
+                Checkpointer::new(host_of(engine_with(before)), CheckpointPolicy::default());
             let mut delivered = Vec::new();
             for item in pre_items {
-                delivered.extend(ck.ingest(item));
+                delivered.extend(untag(ck.ingest(item)));
             }
             let saved = ck.store().clone();
             drop(ck); // the crash: only `saved` survives
 
             // resume the persisted state under the *other* policy
             let (mut ck, replay_from) =
-                Checkpointer::resume(engine_with(after), CheckpointPolicy::default(), saved);
+                Checkpointer::resume(CheckpointPolicy::default(), saved, |_| {
+                    Ok(host_of(engine_with(after)))
+                });
             assert!(replay_from <= crash_ix, "{ctx}: resume skipped input");
             for item in &stream[replay_from as usize..] {
-                delivered.extend(ck.ingest(item));
+                delivered.extend(untag(ck.ingest(item)));
             }
-            delivered.extend(ck.finish());
+            delivered.extend(untag(ck.finish()));
 
             assert_no_duplicate_deliveries(&delivered, &ctx);
             assert_eq!(

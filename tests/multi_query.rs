@@ -32,10 +32,10 @@ fn shared_stream_matches_standalone_evaluation() {
     assert!(standalone.iter().all(|s| !s.is_empty()));
 
     // multi-engine run
-    let mut multi = MultiEngine::new();
+    let mut multi = MultiEngine::new(Strategy::Native, EngineConfig::default(), 1);
     let ids: Vec<_> = queries
         .iter()
-        .map(|q| multi.register(Arc::clone(q), Strategy::Native, cfg))
+        .map(|q| multi.register_engine(make_engine(Strategy::Native, Arc::clone(q), cfg)))
         .collect();
     let mut tagged = Vec::new();
     for item in &stream {
@@ -64,22 +64,26 @@ fn mixed_strategies_and_policies_coexist() {
     let stream = delay_shuffle(&history, 0.2, 30, 3);
     let k = measure_disorder(&stream).max_lateness.ticks().max(1);
 
-    let mut multi = MultiEngine::new();
-    let conservative = multi.register(
-        rfid.skipped_scan_query(100),
+    let mut multi = MultiEngine::new(Strategy::Native, EngineConfig::default(), 1);
+    let conservative = multi.register_engine(make_engine(
         Strategy::Native,
+        rfid.skipped_scan_query(100),
         EngineConfig::with_k(Duration::new(k)),
-    );
-    let speculative = multi.register(rfid.skipped_scan_query(100), Strategy::Native, {
-        let mut c = EngineConfig::with_k(Duration::new(k));
-        c.policy = DisorderPolicy::Speculative;
-        c
-    });
-    let buffered = multi.register(
-        rfid.lifecycle_query(100),
+    ));
+    let speculative = multi.register_engine(make_engine(
+        Strategy::Native,
+        rfid.skipped_scan_query(100),
+        {
+            let mut c = EngineConfig::with_k(Duration::new(k));
+            c.policy = DisorderPolicy::Speculative;
+            c
+        },
+    ));
+    let buffered = multi.register_engine(make_engine(
         Strategy::Buffered,
+        rfid.lifecycle_query(100),
         EngineConfig::with_k(Duration::new(k)),
-    );
+    ));
 
     let mut tagged = Vec::new();
     for item in &stream {
