@@ -27,8 +27,9 @@
 //! stacks with `sequin_runtime::Constructor`, hand every match to the
 //! `settle` module — the one place that decides when a match is emitted,
 //! held, retracted or dropped under a [`DisorderPolicy`] — and write the
-//! same per-query checkpoint blob. They differ only in stack layout (a
-//! per-key map vs pooled stacks behind a key filter) and ingest loop.
+//! same per-query checkpoint blob. They differ only in whose
+//! `sequin_runtime::KeyedStack`s they walk (one per slot vs the plan's
+//! pooled ones) and in their ingest loops.
 //!
 //! All strategies implement the [`Engine`] trait and emit
 //! [`OutputItem`]s; emission timing and the slack bound are governed by

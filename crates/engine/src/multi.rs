@@ -321,6 +321,12 @@ impl MultiEngine {
         self.host(id, |p, l| p.query_state_size(l), |e| e.state_size())
     }
 
+    /// One query's live partition-key index entries, summed over its
+    /// slots (0 for an unpartitioned query).
+    pub fn query_partition_keys(&self, id: QueryId) -> usize {
+        self.host(id, |p, l| p.query_partition_keys(l), |e| e.partition_keys())
+    }
+
     /// One query's counters per parallel worker (one entry unless a pool
     /// of its own hosts it).
     pub fn per_shard_stats(&self, id: QueryId) -> Vec<RuntimeStats> {

@@ -1,18 +1,18 @@
 //! Strategy 3: the paper's native out-of-order engine.
 //!
-//! [`NativeEngine`] keeps one set of AIS stacks per partition key and
-//! drives the pieces it shares with [`crate::SharedMultiEngine`]:
+//! [`NativeEngine`] keeps one [`KeyedStack`] per positive slot and drives
+//! the pieces it shares with [`crate::SharedMultiEngine`]:
 //! [`sequin_runtime::Constructor`] enumerates the matches an arrival
 //! completes, [`crate::settle`] decides when each one is emitted, and
 //! [`QueryBlob`] is the checkpoint layout both evaluators write. What is
-//! specific to this file is the stack layout (a per-key map rather than
-//! pooled stacks behind a key filter) and the ingest loop, including the
-//! lockstep discipline of a [`crate::ShardedEngine`] worker.
+//! specific to this file is the ingest loop, including the lockstep
+//! discipline of a [`crate::ShardedEngine`] worker.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use sequin_query::{PartitionScheme, Query};
-use sequin_runtime::{purge, AisStack, Constructor, PartitionKey, PartitionMap, RuntimeStats};
+use sequin_query::Query;
+use sequin_runtime::{purge, AisStack, Constructor, KeyedStack, PartitionKey, RuntimeStats};
 use sequin_types::codec::{fnv1a64, open_envelope, seal_envelope};
 use sequin_types::{
     ArrivalSeq, CodecError, Decode, Encode, EventRef, Reader, StreamItem, Timestamp, Writer,
@@ -24,20 +24,12 @@ use crate::settle::{PhasedOutput, Settle, Stamp};
 use crate::traits::Engine;
 use crate::watermark::WatermarkTracker;
 
-/// Per-partition positive state: one [`AisStack`] per positive slot.
-type Shard = Vec<AisStack>;
-
-fn held(shard: &Shard) -> usize {
-    shard.iter().map(AisStack::len).sum()
-}
-
-#[derive(Debug)]
-enum ShardSet {
-    Single(Shard),
-    Partitioned {
-        scheme: PartitionScheme,
-        map: PartitionMap<Shard>,
-    },
+/// One empty stack per positive slot of `query`, indexed by the slot's
+/// partition field when the query shards under `config`.
+fn slot_stacks(query: &Query, config: &EngineConfig) -> Vec<KeyedStack> {
+    let scheme = query.partition().filter(|_| config.partitioned);
+    let stack = |slot: usize| KeyedStack::new(scheme.map(|s| s.fields[slot]));
+    (0..query.positive_len()).map(stack).collect()
 }
 
 /// Which slice of the partition-key space this engine owns when it runs
@@ -55,6 +47,15 @@ impl ShardSlice {
     /// True when `key` routes to this worker.
     pub(crate) fn owns(&self, key: &PartitionKey) -> bool {
         key_hash(key) % u64::from(self.of) == u64::from(self.index)
+    }
+
+    /// True when this worker holds `event` in `stack`: its key hashes
+    /// here, or there is no key — the slot is unkeyed, or the event is
+    /// unkeyable and every engine drops it — and this is the primary,
+    /// which performs (and accounts) that work for the pool.
+    fn owns_event(&self, stack: &KeyedStack, event: &EventRef) -> bool {
+        let key = stack.key_of(event);
+        key.map_or(self.primary(), |key| self.owns(&key))
     }
 
     /// The primary worker (index 0) owns everything that cannot be
@@ -103,14 +104,6 @@ pub(crate) enum RoutedMsg {
     Punctuation(Timestamp),
 }
 
-/// How a checkpoint blob lays out one query's positive stacks: one set
-/// per slot (tag `0`), or one such set per partition key, in key order
-/// (tag `1`).
-pub(crate) enum StackLayout<K, S> {
-    Single(S),
-    Keyed(Vec<(K, S)>),
-}
-
 /// One logical query's checkpoint state. Every evaluator writes this
 /// layout — fingerprint, watermark, arrival sequence, counters, stacks,
 /// settle tail — whatever its physical one, so a checkpoint restores
@@ -119,7 +112,9 @@ pub(crate) struct QueryBlob {
     pub(crate) wm: WatermarkTracker,
     pub(crate) seq: ArrivalSeq,
     pub(crate) stats: RuntimeStats,
-    pub(crate) stacks: StackLayout<PartitionKey, Vec<AisStack>>,
+    /// Per positive slot, every stored instance, whatever key it was
+    /// stored under.
+    pub(crate) stacks: Vec<Vec<EventRef>>,
     pub(crate) settle: Settle,
 }
 
@@ -136,40 +131,50 @@ fn fingerprint(query: &Query, config: &EngineConfig) -> u64 {
 }
 
 impl QueryBlob {
-    /// Seals one query's state. `settles` are the parts its settle state
-    /// is spread over (see [`Settle::encode`]); keyed stacks are written
-    /// in key order, so identical state always yields identical bytes.
+    /// Seals one query's state. `stacks` names, per positive slot, the
+    /// physical stacks holding that slot's instances (a pool's workers
+    /// own disjoint keys, and only its primary holds unkeyed state; none
+    /// for a query that holds nothing); `settles` are the parts its settle
+    /// state is spread over (see [`Settle::encode`]). The stacks are
+    /// written one set per slot (tag `0`), or, when the query shards, one
+    /// such set per partition key in key order (tag `1`), so identical
+    /// state always yields identical bytes.
     pub(crate) fn encode(
         query: &Query,
         config: &EngineConfig,
         wm: &WatermarkTracker,
         seq: ArrivalSeq,
         stats: &RuntimeStats,
-        stacks: StackLayout<&PartitionKey, &[AisStack]>,
+        stacks: &[Vec<&KeyedStack>],
         settles: &[&Settle],
     ) -> Vec<u8> {
-        let slot_stacks = |stacks: &[AisStack], w: &mut Writer| {
-            w.put_u64(stacks.len() as u64);
-            stacks.iter().for_each(|s| s.encode(w));
-        };
+        let m = query.positive_len();
+        assert_eq!(stacks.len(), m, "one list of stacks per positive slot");
+        let empty = AisStack::new();
         let mut w = Writer::new();
         w.put_u64(fingerprint(query, config));
         wm.snapshot_into(&mut w);
         seq.encode(&mut w);
         stats.encode(&mut w);
-        match stacks {
-            StackLayout::Single(stacks) => {
-                w.put_u8(0);
-                slot_stacks(stacks, &mut w);
-            }
-            StackLayout::Keyed(mut entries) => {
-                w.put_u8(1);
-                entries.sort_by(|a, b| a.0.cmp(b.0));
-                w.put_u64(entries.len() as u64);
-                for (key, stacks) in entries {
-                    key.encode(&mut w);
-                    slot_stacks(stacks, &mut w);
+        if config.partitioned && query.partition().is_some() {
+            let mut by_key: BTreeMap<&PartitionKey, Vec<&AisStack>> = BTreeMap::new();
+            for (slot, parts) in stacks.iter().enumerate() {
+                for (key, stack) in parts.iter().flat_map(|p| p.iter_keys()) {
+                    by_key.entry(key).or_insert_with(|| vec![&empty; m])[slot] = stack;
                 }
+            }
+            w.put_u8(1);
+            w.put_u64(by_key.len() as u64);
+            for (key, slots) in by_key {
+                key.encode(&mut w);
+                w.put_u64(m as u64);
+                slots.iter().for_each(|s| s.encode(&mut w));
+            }
+        } else {
+            w.put_u8(0);
+            w.put_u64(m as u64);
+            for parts in stacks {
+                parts.first().map_or(&empty, |p| p.all()).encode(&mut w);
             }
         }
         Settle::encode(settles, &mut w);
@@ -194,15 +199,18 @@ impl QueryBlob {
         let wm = WatermarkTracker::restore_from(config, &mut r)?;
         let seq = ArrivalSeq::decode(&mut r)?;
         let stats = RuntimeStats::decode(&mut r)?;
-        let slot_stacks = |r: &mut Reader<'_>| {
-            let stacks = Vec::<AisStack>::decode(r)?;
-            if stacks.len() != query.positive_len() {
+        let mut stacks: Vec<Vec<EventRef>> = vec![Vec::new(); query.positive_len()];
+        let mut read_slots = |r: &mut Reader<'_>| {
+            if r.get_u64()? != stacks.len() as u64 {
                 return Err(CodecError::SnapshotMismatch("positive slot count"));
             }
-            Ok(stacks)
+            for slot in &mut stacks {
+                slot.extend(Vec::<EventRef>::decode(r)?);
+            }
+            Ok(())
         };
-        let stacks = match r.get_u8()? {
-            0 => StackLayout::Single(slot_stacks(&mut r)?),
+        match r.get_u8()? {
+            0 => read_slots(&mut r)?,
             1 => {
                 if !(config.partitioned && query.partition().is_some()) {
                     return Err(CodecError::SnapshotMismatch("partitioning scheme"));
@@ -211,17 +219,18 @@ impl QueryBlob {
                 if n > r.remaining() as u64 {
                     return Err(CodecError::BadLength);
                 }
-                let entries =
-                    (0..n).map(|_| Ok((PartitionKey::decode(&mut r)?, slot_stacks(&mut r)?)));
-                StackLayout::Keyed(entries.collect::<Result<_, CodecError>>()?)
+                for _ in 0..n {
+                    PartitionKey::decode(&mut r)?;
+                    read_slots(&mut r)?;
+                }
             }
             tag => {
                 return Err(CodecError::InvalidTag {
-                    what: "ShardSet",
+                    what: "stack layout",
                     tag,
                 })
             }
-        };
+        }
         let settle = settle.decode(&mut r)?;
         r.finish()?;
         Ok(QueryBlob {
@@ -249,14 +258,15 @@ impl QueryBlob {
 /// * State is purged against the watermark (`clock − K`, punctuation, or
 ///   both) using the thresholds derived in [`sequin_runtime::purge`].
 /// * With [`EngineConfig::partitioned`] and a query-level equality chain,
-///   positive stacks are sharded by the join key; the negative index stays
+///   positive stacks are indexed by the join key; the negative index stays
 ///   global (negatives filter by predicate at check time).
 #[derive(Debug)]
 pub struct NativeEngine {
     query: Arc<Query>,
     config: EngineConfig,
     ctor: Constructor,
-    shards: ShardSet,
+    /// One per positive slot.
+    stacks: Vec<KeyedStack>,
     settle: Settle,
     wm: WatermarkTracker,
     next_seq: ArrivalSeq,
@@ -270,19 +280,11 @@ pub struct NativeEngine {
 impl NativeEngine {
     /// Creates the engine.
     pub fn new(query: Arc<Query>, config: EngineConfig) -> NativeEngine {
-        let m = query.positive_len();
-        let shards = match (config.partitioned, query.partition()) {
-            (true, Some(scheme)) => ShardSet::Partitioned {
-                scheme: scheme.clone(),
-                map: PartitionMap::new(),
-            },
-            _ => ShardSet::Single(vec![AisStack::new(); m]),
-        };
         NativeEngine {
             ctor: Constructor::new(Arc::clone(&query), config.construct),
             settle: Settle::new(Arc::clone(&query), config.policy),
             retraction_drop: config.retraction_drop,
-            shards,
+            stacks: slot_stacks(&query, &config),
             wm: WatermarkTracker::new(&config),
             query,
             config,
@@ -338,24 +340,8 @@ impl NativeEngine {
     /// purge-invariant property tests; not part of the stable API.
     #[doc(hidden)]
     pub fn oldest_stack_ts(&self) -> Option<Timestamp> {
-        let mut oldest: Option<Timestamp> = None;
-        let mut visit = |shard: &Shard| {
-            for stack in shard {
-                if let Some(e) = stack.events().first() {
-                    let ts = e.ts();
-                    oldest = Some(oldest.map_or(ts, |o| o.min(ts)));
-                }
-            }
-        };
-        match &self.shards {
-            ShardSet::Single(shard) => visit(shard),
-            ShardSet::Partitioned { map, .. } => {
-                for (_, shard) in map.iter() {
-                    visit(shard);
-                }
-            }
-        }
-        oldest
+        let firsts = self.stacks.iter().filter_map(|s| s.all().events().first());
+        firsts.map(|e| e.ts()).min()
     }
 
     /// The position emissions are stamped with right now.
@@ -367,27 +353,10 @@ impl NativeEngine {
         }
     }
 
-    /// True when this worker owns the arriving event for `slot` — i.e.
-    /// the (slot, partition-key) pair hashes to this slice, or the state
-    /// is unpartitioned and this is the primary (overflow) worker.
+    /// True when this worker owns the arriving event for `slot`.
     fn owns_slot(&self, slot: usize, event: &EventRef) -> bool {
-        let Some(slice) = self.slice else { return true };
-        match &self.shards {
-            ShardSet::Single(_) => slice.primary(),
-            ShardSet::Partitioned { scheme, .. } => {
-                match event
-                    .field(scheme.fields[slot])
-                    .and_then(PartitionKey::from_value)
-                {
-                    Some(key) => slice.owns(&key),
-                    // unkeyable (float) events are dropped by every
-                    // worker exactly as the single-threaded engine drops
-                    // them; let the primary account for the predicate
-                    // work so counter totals line up
-                    None => slice.primary(),
-                }
-            }
-        }
+        self.slice
+            .is_none_or(|slice| slice.owns_event(&self.stacks[slot], event))
     }
 
     fn process_event(&mut self, event: &EventRef, out: &mut PhasedOutput) {
@@ -437,18 +406,18 @@ impl NativeEngine {
             }
             let mut raw = std::mem::take(&mut self.scratch);
             raw.clear();
-            let m = self.query.positive_len();
-            let shard = match &mut self.shards {
-                ShardSet::Single(shard) => Some(shard),
-                // unkeyable (float) events have no shard to enter
-                ShardSet::Partitioned { scheme, map } => event
-                    .field(scheme.fields[slot])
-                    .and_then(PartitionKey::from_value)
-                    .map(|key| map.shard_mut(key, || vec![AisStack::new(); m])),
-            };
-            if let Some(shard) = shard {
-                let (ctor, stats) = (&self.ctor, &mut self.stats);
-                Self::insert_and_construct(ctor, shard, slot, event, stats, &mut raw);
+            // a duplicate delivery, or an event the slot cannot key,
+            // enters no stack and completes nothing
+            if let Some(at) = self.stacks[slot].insert(Arc::clone(event)) {
+                let (pos, depth) = at.keyed;
+                let stats = &mut self.stats;
+                stats.insertions += 1;
+                if pos + 1 != depth {
+                    stats.ooo_insertions += 1;
+                }
+                stats.max_stack_depth = stats.max_stack_depth.max(depth as u64);
+                self.ctor
+                    .matches_keyed(&self.stacks, slot, event, stats, &mut raw);
             }
             for events in raw.drain(..) {
                 self.settle
@@ -459,26 +428,6 @@ impl NativeEngine {
         if routed {
             self.stats.events_routed += 1;
         }
-    }
-
-    fn insert_and_construct(
-        ctor: &Constructor,
-        shard: &mut Shard,
-        slot: usize,
-        event: &EventRef,
-        stats: &mut RuntimeStats,
-        raw: &mut Vec<Vec<EventRef>>,
-    ) {
-        let pos = match shard[slot].insert(Arc::clone(event)) {
-            Some(pos) => pos,
-            None => return, // duplicate delivery
-        };
-        stats.insertions += 1;
-        if pos + 1 != shard[slot].len() {
-            stats.ooo_insertions += 1;
-        }
-        stats.max_stack_depth = stats.max_stack_depth.max(shard[slot].len() as u64);
-        ctor.matches_with(shard, slot, event, stats, raw);
     }
 
     fn passes_local(&mut self, slot: usize, event: &EventRef) -> bool {
@@ -509,24 +458,11 @@ impl NativeEngine {
         let skew = sequin_types::Duration::new(self.config.purge_horizon_skew);
         let prefix = purge::prefix_threshold(watermark, window).saturating_add(skew);
         let fin = purge::final_threshold(watermark).saturating_add(skew);
-        let mut purged = 0u64;
-        let purge_shard = |shard: &mut Shard, purged: &mut u64| {
-            let m = shard.len();
-            for (slot, stack) in shard.iter_mut().enumerate() {
-                let threshold = if slot + 1 == m { fin } else { prefix };
-                *purged += stack.purge_before(threshold) as u64;
-            }
-        };
-        match &mut self.shards {
-            ShardSet::Single(shard) => purge_shard(shard, &mut purged),
-            ShardSet::Partitioned { map, .. } => {
-                for (_, shard) in map.iter_mut() {
-                    purge_shard(shard, &mut purged);
-                }
-                map.retain_live(|shard| held(shard) == 0);
-            }
+        let m = self.stacks.len();
+        for (slot, stack) in self.stacks.iter_mut().enumerate() {
+            let threshold = if slot + 1 == m { fin } else { prefix };
+            self.stats.purged += stack.purge_before(threshold) as u64;
         }
-        self.stats.purged += purged;
         let mut lockstep = RuntimeStats::default();
         let index_stats = if self.primary() {
             &mut self.stats
@@ -609,7 +545,7 @@ impl NativeEngine {
     /// into a single engine — or a pool with a *different* worker count —
     /// reproduces the same evaluation state. Lockstep state (watermark,
     /// arrival sequence, negative index) comes from the primary worker;
-    /// partition maps are disjoint by construction and written as one
+    /// the workers' keys are disjoint by construction and written as one
     /// sorted map; pending/unsealed matches are the sorted union.
     pub(crate) fn merged_snapshot(parts: &[&NativeEngine]) -> Vec<u8> {
         let primary = parts[0];
@@ -618,18 +554,8 @@ impl NativeEngine {
         for p in parts {
             stats += p.stats;
         }
-        let stacks = match &primary.shards {
-            // only the primary worker holds unpartitioned state
-            ShardSet::Single(shard) => StackLayout::Single(shard.as_slice()),
-            ShardSet::Partitioned { .. } => {
-                let maps = parts.iter().filter_map(|p| match &p.shards {
-                    ShardSet::Partitioned { map, .. } => Some(map.iter()),
-                    ShardSet::Single(_) => None,
-                });
-                let keyed = maps.flatten().map(|(k, s)| (k, s.as_slice()));
-                StackLayout::Keyed(keyed.collect())
-            }
-        };
+        let of_slot = |slot: usize| parts.iter().map(|p| &p.stacks[slot]).collect();
+        let stacks: Vec<Vec<&KeyedStack>> = (0..primary.stacks.len()).map(of_slot).collect();
         let settles: Vec<&Settle> = parts.iter().map(|p| &p.settle).collect();
         QueryBlob::encode(
             &primary.query,
@@ -637,36 +563,9 @@ impl NativeEngine {
             &primary.wm,
             primary.next_seq,
             &stats,
-            stacks,
+            &stacks,
             &settles,
         )
-    }
-
-    /// After restoring a full snapshot into a sliced worker, drops the
-    /// state other workers own: foreign partition shards, and pending /
-    /// unsealed matches keyed to foreign partitions. Lockstep state
-    /// (watermark, sequence, negatives) is kept everywhere.
-    pub(crate) fn prune_to_slice(&mut self) {
-        let Some(slice) = self.slice else { return };
-        match &mut self.shards {
-            ShardSet::Single(shard) => {
-                if !slice.primary() {
-                    *shard = vec![AisStack::new(); shard.len()];
-                    self.settle.retain_matches(|_| false);
-                }
-            }
-            ShardSet::Partitioned { scheme, map } => {
-                map.retain_keys(|k| slice.owns(k));
-                let field = scheme.fields[0];
-                self.settle.retain_matches(|events| {
-                    events
-                        .first()
-                        .and_then(|e| e.field(field))
-                        .and_then(PartitionKey::from_value)
-                        .map_or(slice.primary(), |k| slice.owns(&k))
-                });
-            }
-        }
     }
 }
 
@@ -699,15 +598,16 @@ impl Engine for NativeEngine {
     }
 
     fn state_size(&self) -> usize {
-        let stacks = match &self.shards {
-            ShardSet::Single(shard) => held(shard),
-            ShardSet::Partitioned { map, .. } => map.iter().map(|(_, s)| held(s)).sum(),
-        };
+        let stacks: usize = self.stacks.iter().map(KeyedStack::len).sum();
         stacks + self.settle.len()
     }
 
     fn query(&self) -> &Arc<Query> {
         &self.query
+    }
+
+    fn partition_keys(&self) -> usize {
+        self.stacks.iter().map(KeyedStack::keys).sum()
     }
 
     fn watermark(&self) -> Option<Timestamp> {
@@ -730,24 +630,29 @@ impl Engine for NativeEngine {
         let blob = QueryBlob::decode(&self.query, &self.config, &self.settle, bytes)?;
         // everything decoded cleanly: commit (all-or-nothing — a failure
         // above leaves the current state untouched)
-        self.shards = match blob.stacks {
-            StackLayout::Single(stacks) => ShardSet::Single(stacks),
-            StackLayout::Keyed(entries) => {
-                let scheme = self.query.partition().expect("decode checked the scheme");
-                let mut map = PartitionMap::new();
-                for (key, stacks) in entries {
-                    map.shard_mut(key, move || stacks);
-                }
-                ShardSet::Partitioned {
-                    scheme: scheme.clone(),
-                    map,
-                }
+        self.stacks = slot_stacks(&self.query, &self.config);
+        self.settle = blob.settle;
+        let mut stored = blob.stacks;
+        if let Some(slice) = self.slice {
+            // a pool's worker keeps what it owns of the positive state —
+            // stack instances, and pending / unsealed matches by their
+            // first event — and all of the lockstep state (watermark,
+            // sequence, negatives)
+            for (stack, events) in self.stacks.iter().zip(&mut stored) {
+                events.retain(|e| slice.owns_event(stack, e));
             }
-        };
+            let first = &self.stacks[0];
+            self.settle.retain_matches(|events| {
+                let owned = events.first().map(|e| slice.owns_event(first, e));
+                owned.unwrap_or(slice.primary())
+            });
+        }
+        for (stack, events) in self.stacks.iter_mut().zip(stored) {
+            stack.insert_all(events);
+        }
         self.wm = blob.wm;
         self.next_seq = blob.seq;
         self.stats = blob.stats;
-        self.settle = blob.settle;
         Ok(())
     }
 }

@@ -44,8 +44,8 @@
 //! [`ShardedEngine::snapshot`] seals the union of the workers' state as
 //! one canonical envelope in the exact single-engine format, so a
 //! checkpoint written with `--shards 2` restores into `--shards 4` (or
-//! into a plain [`NativeEngine`]) unchanged: every worker restores the
-//! full snapshot, then prunes to the slice it owns. The router
+//! into a plain [`NativeEngine`]) unchanged: every worker restores, of
+//! the full snapshot, the slice it owns. The router
 //! resynchronizes its global sequence from the restored primary.
 
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -471,6 +471,12 @@ impl Engine for ShardedEngine {
         &self.query
     }
 
+    fn partition_keys(&self) -> usize {
+        // workers own disjoint keys
+        let of = |w: &Worker| w.lock().partition_keys();
+        self.workers.iter().map(of).sum()
+    }
+
     fn watermark(&self) -> Option<Timestamp> {
         self.workers.first().map(|w| w.lock().watermark())
     }
@@ -508,7 +514,6 @@ impl Engine for ShardedEngine {
         let mut fresh = Self::make_engines(&self.query, self.config, self.workers.len());
         for (i, eng) in fresh.iter_mut().enumerate() {
             eng.restore(bytes)?;
-            eng.prune_to_slice();
             // the snapshot's aggregate history stays with the primary; the
             // other workers restart their disjoint counters from zero
             if i > 0 {

@@ -10,8 +10,8 @@
 //!
 //! What it shares with [`crate::NativeEngine`] is everything after the
 //! stacks: anchors outside a prefix group are walked by the same
-//! [`sequin_runtime::Constructor`] (through a slot→stack table and a
-//! partition-key filter), every constructed match goes to the query's
+//! [`sequin_runtime::Constructor`] (through a slot→stack table), every
+//! constructed match goes to the query's
 //! [`crate::settle`] state, and checkpoints are the same per-query
 //! `QueryBlob`s. What is specific to this file is the pooled stack layout,
 //! the ingest loop over epochs, and the shared prefix walk.
@@ -29,9 +29,10 @@
 //! emission, and lateness counters; pure cost counters (`purged`,
 //! `max_stack_depth`, and on partitioned queries `ooo_insertions`)
 //! describe the shared physical layout — the pooled purge threshold
-//! retains more state than any single query needs, and a pooled stack
-//! holds every partition key where the isolated engine keeps per-key
-//! shard stacks.
+//! retains more state than any single query needs, and a pooled stack's
+//! position and depth are those of its time-ordered side, across every
+//! partition key, where the isolated engine reports the arrival's own
+//! key stack.
 //!
 //! ## Epochs
 //!
@@ -48,17 +49,17 @@
 //! sketch and must never be shared with a fixed-bound query (the pooling
 //! compatibility rule).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use sequin_plan::{compile, BindEntry, PrefixGroup, QuerySpec, SharedPlan, SlotSig};
 use sequin_query::Query;
-use sequin_runtime::{purge, AisStack, ConstructOpts, Constructor, PartitionKey, RuntimeStats};
+use sequin_runtime::{purge, ConstructOpts, Constructor, KeyedStack, PartitionKey, RuntimeStats};
 use sequin_types::{ArrivalSeq, CodecError, Duration, EventRef, StreamItem, Timestamp, Writer};
 
 use crate::config::{DisorderPolicy, EngineConfig};
 use crate::multi::{read_envelope, write_envelope, QueryId};
-use crate::native::{QueryBlob, StackLayout};
+use crate::native::QueryBlob;
 use crate::output::OutputItem;
 use crate::settle::{PhasedOutput, Settle, Stamp};
 use crate::watermark::WatermarkTracker;
@@ -199,8 +200,9 @@ pub struct SharedMultiEngine {
     config: EngineConfig,
     specs: Vec<QuerySpec>,
     plan: SharedPlan,
-    /// Physical stacks, parallel to `plan.stacks`.
-    stacks: Vec<AisStack>,
+    /// Physical stacks, parallel to `plan.stacks`, each indexed by its
+    /// signature's partition field.
+    stacks: Vec<KeyedStack>,
     states: Vec<QueryState>,
     epochs: Vec<EpochState>,
     /// Epochs accepting same-position registrations, one per watermark
@@ -328,7 +330,7 @@ impl SharedMultiEngine {
     fn recompile(&mut self) {
         let plan = compile(&self.specs, self.config.partitioned);
         let old_plan = std::mem::take(&mut self.plan);
-        let mut old_stacks: Vec<Option<AisStack>> = std::mem::take(&mut self.stacks)
+        let mut old_stacks: Vec<Option<KeyedStack>> = std::mem::take(&mut self.stacks)
             .into_iter()
             .map(Some)
             .collect();
@@ -342,7 +344,7 @@ impl SharedMultiEngine {
         for node in &plan.stacks {
             match old_ix.get(&node.sig) {
                 Some(&i) => stacks.push(old_stacks[i].take().expect("signatures are unique")),
-                None => stacks.push(AisStack::new()),
+                None => stacks.push(KeyedStack::new(node.sig.partition)),
             }
         }
         self.plan = plan;
@@ -401,7 +403,7 @@ impl SharedMultiEngine {
     /// however many queries they serve) plus per-query negative/pending/
     /// unsealed state.
     pub fn state_size(&self) -> usize {
-        let stacks: usize = self.stacks.iter().map(AisStack::len).sum();
+        let stacks: usize = self.stacks.iter().map(KeyedStack::len).sum();
         let per_query: usize = self.states.iter().map(|s| s.settle.len()).sum();
         stacks + per_query
     }
@@ -417,6 +419,13 @@ impl SharedMultiEngine {
             .map(|&six| self.stacks[six].len())
             .sum();
         stacks + st.settle.len()
+    }
+
+    /// One query's live partition-key index entries, summed over its
+    /// slots' pooled stacks (see [`crate::Engine::partition_keys`]).
+    pub fn query_partition_keys(&self, id: QueryId) -> usize {
+        let pooled = &self.plan.queries[id.index()].stack_of_slot;
+        pooled.iter().map(|&six| self.stacks[six].keys()).sum()
     }
 
     /// The minimum watermark across all (active) queries, mirroring
@@ -539,18 +548,13 @@ impl SharedMultiEngine {
             if !pass {
                 continue;
             }
-            // keyed slots drop unkeyable (float) events, as the native
-            // partitioned engine does
-            if let Some(field) = node.sig.partition {
-                if ev.field(field).and_then(PartitionKey::from_value).is_none() {
-                    continue;
-                }
-            }
-            let pos = match self.stacks[six].insert(Arc::clone(ev)) {
-                Some(pos) => pos,
-                None => continue, // duplicate delivery: idempotent everywhere
+            // a duplicate delivery is idempotent everywhere, and a keyed
+            // slot drops an unkeyable (float) event, as the native engine
+            // does
+            let Some(at) = self.stacks[six].insert(Arc::clone(ev)) else {
+                continue;
             };
-            let depth = self.stacks[six].len();
+            let (pos, depth) = at.all;
             for r in &node.refs {
                 let st = &mut self.states[r.query].stats;
                 st.insertions += 1;
@@ -574,8 +578,7 @@ impl SharedMultiEngine {
     }
 
     /// Per-query construction for anchors outside any shared prefix walk:
-    /// the query's own [`Constructor`] over the pooled stacks, restricted
-    /// to the anchor's partition key when the query shards.
+    /// the query's own [`Constructor`] over the pooled stacks.
     fn plain_construct(
         &mut self,
         plan: &SharedPlan,
@@ -588,7 +591,6 @@ impl SharedMultiEngine {
         st.ctor.matches_pooled(
             &self.stacks,
             &plan.queries[qix].stack_of_slot,
-            self.config.partitioned,
             anchor_slot,
             anchor,
             &mut st.stats,
@@ -620,11 +622,7 @@ impl SharedMultiEngine {
         anchor: &EventRef,
     ) {
         let g = &plan.groups[gix];
-        let key = g.partition_fields.as_ref().and_then(|fields| {
-            anchor
-                .field(fields[anchor_pos])
-                .and_then(PartitionKey::from_value)
-        });
+        let key = self.stacks[g.prefix_stacks[anchor_pos]].key_of(anchor);
         let n_members = g.members.len();
         let mut walker = GroupWalker {
             g,
@@ -748,50 +746,25 @@ impl SharedMultiEngine {
         write_envelope((0..self.specs.len()).map(|qix| Ok(self.query_blob(qix))))
     }
 
-    /// One query's [`QueryBlob`]: its slots' events regrouped from the
-    /// pooled stacks into the per-key stacks its isolated engine would
-    /// hold (identical content, modulo the pooled purge superset).
+    /// One query's [`QueryBlob`]: its slots' pooled stacks, written as
+    /// the stacks its isolated engine would hold (identical content,
+    /// modulo the pooled purge superset).
     pub(crate) fn query_blob(&self, qix: usize) -> Vec<u8> {
         let st = &self.states[qix];
         let ep = &self.epochs[st.epoch];
-        let q = &st.query;
-        let m = q.positive_len();
-        let scheme = q.partition().filter(|_| self.config.partitioned);
-        // the whole query is one partition when it does not shard
-        let mut shards: BTreeMap<Option<PartitionKey>, Vec<AisStack>> = BTreeMap::new();
-        if scheme.is_none() {
-            shards.insert(None, vec![AisStack::new(); m]);
+        // an unregistered query owns no plan nodes and holds nothing
+        let mut stacks: Vec<Vec<&KeyedStack>> = vec![Vec::new(); st.query.positive_len()];
+        let pooled = &self.plan.queries[qix].stack_of_slot;
+        for (slot, &six) in stacks.iter_mut().zip(pooled) {
+            slot.push(&self.stacks[six]);
         }
-        let slot_stacks = &self.plan.queries[qix].stack_of_slot;
-        for (slot, &six) in slot_stacks.iter().enumerate().filter(|_| st.active) {
-            for ev in self.stacks[six].events() {
-                let key = scheme.map(|s| {
-                    ev.field(s.fields[slot])
-                        .and_then(PartitionKey::from_value)
-                        .expect("keyed slots hold only keyable events")
-                });
-                shards
-                    .entry(key)
-                    .or_insert_with(|| vec![AisStack::new(); m])[slot]
-                    .insert(Arc::clone(ev));
-            }
-        }
-        let stacks = match scheme {
-            None => StackLayout::Single(shards[&None].as_slice()),
-            Some(_) => StackLayout::Keyed(
-                shards
-                    .iter()
-                    .map(|(k, s)| (k.as_ref().expect("keyed"), s.as_slice()))
-                    .collect(),
-            ),
-        };
         QueryBlob::encode(
-            q,
+            &st.query,
             &self.config,
             &ep.wm,
             ep.seq,
             &st.stats,
-            stacks,
+            &stacks,
             &[&st.settle],
         )
     }
@@ -847,19 +820,18 @@ impl SharedMultiEngine {
             spec.epoch = epoch_of[qix];
         }
         let plan = compile(&specs, self.config.partitioned);
-        let mut stacks: Vec<AisStack> = plan.stacks.iter().map(|_| AisStack::new()).collect();
-        for (rq, qnode) in restored.iter().zip(&plan.queries) {
-            let per_key: Vec<&Vec<AisStack>> = match &rq.stacks {
-                StackLayout::Single(slots) => vec![slots],
-                StackLayout::Keyed(entries) => entries.iter().map(|(_, slots)| slots).collect(),
-            };
-            for slots in per_key.into_iter().filter(|_| qnode.active) {
-                for (stack, &six) in slots.iter().zip(&qnode.stack_of_slot) {
-                    for ev in stack.events() {
-                        stacks[six].insert(Arc::clone(ev));
-                    }
-                }
+        // a pooled stack holds the union of what its queries stored
+        let mut stored: Vec<Vec<EventRef>> = vec![Vec::new(); plan.stacks.len()];
+        for (rq, qnode) in restored.iter_mut().zip(&plan.queries) {
+            for (events, &six) in rq.stacks.iter_mut().zip(&qnode.stack_of_slot) {
+                stored[six].append(events);
             }
+        }
+        let mut stacks = Vec::with_capacity(plan.stacks.len());
+        for (node, events) in plan.stacks.iter().zip(stored) {
+            let mut stack = KeyedStack::new(node.sig.partition);
+            stack.insert_all(events);
+            stacks.push(stack);
         }
         for (qix, spec) in specs.iter().enumerate() {
             if spec.active {
@@ -897,7 +869,7 @@ impl SharedMultiEngine {
 struct GroupWalker<'a> {
     g: &'a PrefixGroup,
     plan: &'a SharedPlan,
-    stacks: &'a [AisStack],
+    stacks: &'a [KeyedStack],
     opts: ConstructOpts,
     anchor_pos: usize,
     key: Option<PartitionKey>,
@@ -919,18 +891,6 @@ impl GroupWalker<'_> {
             return;
         }
         self.descend(self.anchor_pos, &mut chosen);
-    }
-
-    fn key_match_prefix(&self, pos: usize, ev: &EventRef) -> bool {
-        match (&self.g.partition_fields, &self.key) {
-            (Some(fields), Some(k)) => {
-                ev.field(fields[pos])
-                    .and_then(PartitionKey::from_value)
-                    .as_ref()
-                    == Some(k)
-            }
-            _ => true,
-        }
     }
 
     /// Evaluates the common predicates referencing the just-bound
@@ -973,15 +933,12 @@ impl GroupWalker<'_> {
         let pos = filled_down_to - 1;
         let next_ts = chosen[pos + 1].as_ref().expect("slot above is bound").ts();
         let anchor_ts = chosen[self.anchor_pos].as_ref().expect("anchor bound").ts();
-        let stacks: &[AisStack] = self.stacks;
-        let stack = &stacks[self.g.prefix_stacks[pos]];
+        let stacks: &[KeyedStack] = self.stacks;
+        let stack = stacks[self.g.prefix_stacks[pos]].scan(self.key.as_ref());
         let (lo, hi, candidates) = self
             .opts
             .prefix_level(stack, self.g.window, anchor_ts, next_ts);
         for ev in candidates.iter().rev() {
-            if !self.key_match_prefix(pos, ev) {
-                continue;
-            }
             self.shared_dfs += 1;
             if !self.opts.window_cutoff && (ev.ts() < lo || ev.ts() >= hi) {
                 continue;
@@ -1003,15 +960,12 @@ impl GroupWalker<'_> {
         let pos = filled_up_to + 1;
         let prev_ts = chosen[pos - 1].as_ref().expect("slot below is bound").ts();
         let first_ts = chosen[0].as_ref().expect("prefix complete").ts();
-        let stacks: &[AisStack] = self.stacks;
-        let stack = &stacks[self.g.prefix_stacks[pos]];
+        let stacks: &[KeyedStack] = self.stacks;
+        let stack = stacks[self.g.prefix_stacks[pos]].scan(self.key.as_ref());
         let (lo, hi, candidates) = self
             .opts
             .suffix_level(stack, self.g.window, first_ts, prev_ts);
         for ev in candidates.iter() {
-            if !self.key_match_prefix(pos, ev) {
-                continue;
-            }
             self.shared_dfs += 1;
             if !self.opts.window_cutoff && (ev.ts() < lo || ev.ts() >= hi) {
                 continue;
@@ -1038,17 +992,12 @@ impl GroupWalker<'_> {
         for (mx, member) in self.g.members.iter().enumerate() {
             let mq = &self.plan.queries[member.query].query;
             let final_comp = mq.positive_comp(prefix_len);
-            let stacks: &[AisStack] = self.stacks;
-            let stack = &stacks[member.final_stack];
+            let stacks: &[KeyedStack] = self.stacks;
+            let stack = stacks[member.final_stack].scan(self.key.as_ref());
             let (lo, hi, candidates) =
                 self.opts
                     .suffix_level(stack, self.g.window, first_ts, prev_ts);
             for ev in candidates.iter() {
-                if let (Some(field), Some(k)) = (member.final_partition_field, &self.key) {
-                    if ev.field(field).and_then(PartitionKey::from_value).as_ref() != Some(k) {
-                        continue;
-                    }
-                }
                 self.member_dfs[mx] += 1;
                 if !self.opts.window_cutoff && (ev.ts() < lo || ev.ts() >= hi) {
                     continue;
@@ -1181,8 +1130,8 @@ mod tests {
             if queries[qx].partition().is_none() || !config.partitioned {
                 assert_eq!(s.ooo_insertions, m.ooo_insertions, "ooo_insertions q{qx}");
             } else {
-                // per-key shard stacks see fewer inversions than the
-                // pooled stack holding every key
+                // a key's own stack sees fewer inversions than the
+                // time-ordered stack holding every key
                 assert!(s.ooo_insertions >= m.ooo_insertions, "ooo_insertions q{qx}");
             }
             assert_eq!(

@@ -101,6 +101,14 @@ pub trait Engine: Send {
         None
     }
 
+    /// Live partition-key index entries, summed over the query's positive
+    /// slots: how many per-key stacks the engine holds right now (0 for an
+    /// unpartitioned query, and for engines that keep none). Exposed as
+    /// the `sequin_partition_keys` gauge.
+    fn partition_keys(&self) -> usize {
+        0
+    }
+
     /// Operator cost counters broken out per parallel worker, for
     /// per-shard metrics exposition. Single-threaded engines (the default)
     /// report one entry equal to [`Engine::stats`].

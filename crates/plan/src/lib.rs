@@ -152,8 +152,6 @@ pub struct GroupMember {
     pub query: usize,
     /// Pooled stack holding the member's final slot.
     pub final_stack: usize,
-    /// Partition-key field of the member's final slot, if sharded.
-    pub final_partition_field: Option<FieldId>,
 }
 
 /// Queries sharing a common prefix: one shared partial-match enumeration
@@ -176,9 +174,6 @@ pub struct PrefixGroup {
     pub rep_comp_of_pos: Vec<usize>,
     /// Per prefix position: predicate bookkeeping for the bind.
     pub binds: Vec<BindPlan>,
-    /// Partition-key fields of the prefix positions, if sharded
-    /// (signature equality makes these member-independent).
-    pub partition_fields: Option<Vec<FieldId>>,
     /// The members, ascending by query index.
     pub members: Vec<GroupMember>,
 }
@@ -462,11 +457,6 @@ pub fn compile(specs: &[QuerySpec], partitioned: bool) -> SharedPlan {
                 per_member,
             });
         }
-        let partition_fields = if partitioned {
-            rep.partition().map(|s| s.fields[..prefix_len].to_vec())
-        } else {
-            None
-        };
         let group_ix = groups.len();
         for (pos, &six) in key.0.iter().enumerate() {
             stacks[six].shared_anchors.push((group_ix, pos));
@@ -479,11 +469,6 @@ pub fn compile(specs: &[QuerySpec], partitioned: bool) -> SharedPlan {
                 GroupMember {
                     query: mix,
                     final_stack: queries[mix].stack_of_slot[final_slot],
-                    final_partition_field: if partitioned {
-                        mq.partition().map(|s| s.fields[final_slot])
-                    } else {
-                        None
-                    },
                 }
             })
             .collect();
@@ -494,7 +479,6 @@ pub fn compile(specs: &[QuerySpec], partitioned: bool) -> SharedPlan {
             rep,
             rep_comp_of_pos,
             binds,
-            partition_fields,
             members: group_members_built,
         });
     }

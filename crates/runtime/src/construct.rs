@@ -3,9 +3,9 @@
 use std::sync::Arc;
 
 use sequin_query::Query;
-use sequin_types::{Duration, EventRef, FieldId, Timestamp};
+use sequin_types::{Duration, EventRef, Timestamp};
 
-use crate::partition::PartitionKey;
+use crate::keyed::KeyedStack;
 use crate::stack::AisStack;
 use crate::stats::RuntimeStats;
 
@@ -133,34 +133,43 @@ impl Constructor {
     ) {
         let m = self.query.positive_len();
         assert_eq!(stacks.len(), m, "one stack per positive slot");
-        self.matches_pooled(
-            stacks,
-            &self.identity,
-            false,
-            anchor_slot,
-            anchor,
-            stats,
-            out,
-        );
+        self.walk(|slot| &stacks[slot], anchor_slot, anchor, stats, out);
+    }
+
+    /// [`Constructor::matches_with`] over one [`KeyedStack`] per positive
+    /// slot: every other slot draws its candidates from the stack of the
+    /// anchor's key (see [`Constructor::matches_pooled`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stacks.len()` differs from the query's positive length or
+    /// `anchor_slot` is out of range.
+    pub fn matches_keyed(
+        &self,
+        stacks: &[KeyedStack],
+        anchor_slot: usize,
+        anchor: &EventRef,
+        stats: &mut RuntimeStats,
+        out: &mut Vec<Vec<EventRef>>,
+    ) {
+        self.matches_pooled(stacks, &self.identity, anchor_slot, anchor, stats, out);
     }
 
     /// [`Constructor::matches_with`] over a pool of stacks shared between
-    /// queries: slot `s` reads `pool[slot_stack[s]]`. With `keyed` (and a
-    /// query that partitions), a pooled stack holds every partition key,
-    /// so only candidates carrying the anchor's key are visited — the
-    /// same candidates, in the same order, as the key's own per-slot
-    /// stacks would hold, and only those count as DFS steps.
+    /// queries: slot `s` reads `pool[slot_stack[s]]`. The anchor's key is
+    /// read once, through its own slot's key field, and each level of the
+    /// walk scans that key's stack of the level's slot — the candidates a
+    /// per-key set of stacks would hold, in the same order, and only those
+    /// count as DFS steps. Slots without a key field are scanned whole.
     ///
     /// # Panics
     ///
     /// Panics if `slot_stack.len()` differs from the query's positive
     /// length or `anchor_slot` is out of range.
-    #[allow(clippy::too_many_arguments)]
     pub fn matches_pooled(
         &self,
-        pool: &[AisStack],
+        pool: &[KeyedStack],
         slot_stack: &[usize],
-        keyed: bool,
         anchor_slot: usize,
         anchor: &EventRef,
         stats: &mut RuntimeStats,
@@ -168,164 +177,133 @@ impl Constructor {
     ) {
         let m = self.query.positive_len();
         assert_eq!(slot_stack.len(), m, "one stack per positive slot");
+        let key = pool[slot_stack[anchor_slot]].key_of(anchor);
+        let stack_of = |slot: usize| pool[slot_stack[slot]].scan(key.as_ref());
+        self.walk(stack_of, anchor_slot, anchor, stats, out);
+    }
+
+    fn walk<'a>(
+        &'a self,
+        stack_of: impl Fn(usize) -> &'a AisStack,
+        anchor_slot: usize,
+        anchor: &'a EventRef,
+        stats: &'a mut RuntimeStats,
+        out: &'a mut Vec<Vec<EventRef>>,
+    ) {
+        let m = self.query.positive_len();
         assert!(anchor_slot < m, "anchor slot out of range");
-
-        let mut chosen: Vec<Option<EventRef>> = vec![None; m];
-        chosen[anchor_slot] = Some(Arc::clone(anchor));
-
-        let scheme = self.query.partition().filter(|_| keyed);
-        let key = scheme.and_then(|s| {
-            let key = anchor.field(s.fields[anchor_slot])?;
-            Some((s.fields.as_slice(), PartitionKey::from_value(key)?))
-        });
         let mut walker = Walker {
             query: &self.query,
-            pool,
-            slot_stack,
-            key,
+            stack_of,
             opts: self.opts,
             anchor_slot,
             window: self.query.window(),
+            binding: vec![None; self.query.components().len()],
             stats,
             out,
         };
         // Check the anchor's already-decidable predicates before descending.
-        if !check_new_binding(&self.query, &chosen, anchor_slot, walker.stats) {
-            return;
+        if walker.bind(anchor_slot, anchor) {
+            walker.extend_prefix(anchor_slot);
         }
-        walker.extend_prefix(anchor_slot, &mut chosen);
     }
 }
 
-struct Walker<'a> {
+/// One walk. `stack_of(slot)` is the stack that slot's candidates come
+/// from, fetched once per visit of the slot's level.
+struct Walker<'a, F> {
     query: &'a Query,
-    pool: &'a [AisStack],
-    slot_stack: &'a [usize],
-    /// The query's partition fields and the anchor's key, when the pool
-    /// mixes keys.
-    key: Option<(&'a [FieldId], PartitionKey)>,
+    stack_of: F,
     opts: ConstructOpts,
     anchor_slot: usize,
     window: Duration,
+    /// The partial assignment, by component, borrowed from the stacks.
+    binding: Vec<Option<&'a EventRef>>,
     stats: &'a mut RuntimeStats,
     out: &'a mut Vec<Vec<EventRef>>,
 }
 
-impl<'a> Walker<'a> {
-    fn stack(&self, slot: usize) -> &'a AisStack {
-        &self.pool[self.slot_stack[slot]]
+impl<'a, F: Fn(usize) -> &'a AisStack> Walker<'a, F> {
+    fn bound(&self, slot: usize) -> &'a EventRef {
+        self.binding[self.query.positive_comp(slot)].expect("slot is bound")
     }
 
-    fn key_match(&self, slot: usize, ev: &EventRef) -> bool {
-        match &self.key {
-            Some((fields, key)) => {
-                ev.field(fields[slot])
-                    .and_then(PartitionKey::from_value)
-                    .as_ref()
-                    == Some(key)
+    /// Binds `slot` to `ev` and evaluates every positive predicate that
+    /// references it. A predicate whose other references are still unbound
+    /// reports `None` (undecided) and does not prune; each predicate
+    /// therefore fires exactly once per complete path — when its last
+    /// referenced slot binds.
+    fn bind(&mut self, slot: usize, ev: &'a EventRef) -> bool {
+        let comp = self.query.positive_comp(slot);
+        self.binding[comp] = Some(ev);
+        for pred in self.query.predicates() {
+            if pred.mask().contains(comp) {
+                self.stats.predicate_evals += 1;
+                if pred.eval(&self.binding) == Some(false) {
+                    return false;
+                }
             }
-            None => true,
         }
+        true
+    }
+
+    fn unbind(&mut self, slot: usize) {
+        self.binding[self.query.positive_comp(slot)] = None;
     }
 
     /// Fills slots `anchor_slot-1 .. 0` (descending), then hands off to
     /// [`Walker::extend_suffix`].
-    fn extend_prefix(&mut self, filled_down_to: usize, chosen: &mut [Option<EventRef>]) {
+    fn extend_prefix(&mut self, filled_down_to: usize) {
         if filled_down_to == 0 {
-            self.extend_suffix(self.anchor_slot, chosen);
+            self.extend_suffix(self.anchor_slot);
             return;
         }
         let slot = filled_down_to - 1;
-        let next_ts = chosen[slot + 1].as_ref().expect("slot above is bound").ts();
-        let anchor_ts = chosen[self.anchor_slot]
-            .as_ref()
-            .expect("anchor bound")
-            .ts();
+        let next_ts = self.bound(slot + 1).ts();
+        let anchor_ts = self.bound(self.anchor_slot).ts();
         let (lo, hi, candidates) =
             self.opts
-                .prefix_level(self.stack(slot), self.window, anchor_ts, next_ts);
+                .prefix_level((self.stack_of)(slot), self.window, anchor_ts, next_ts);
         // Iterate newest-first: matches closest to the anchor come out
         // first, matching the classic engine's most-recent-first DFS.
         for ev in candidates.iter().rev() {
-            if !self.key_match(slot, ev) {
-                continue;
-            }
             self.stats.dfs_steps += 1;
             if !self.opts.window_cutoff && (ev.ts() < lo || ev.ts() >= hi) {
                 continue;
             }
-            let ev = Arc::clone(ev);
-            chosen[slot] = Some(ev);
-            if check_new_binding(self.query, chosen, slot, self.stats) {
-                self.extend_prefix(slot, chosen);
+            if self.bind(slot, ev) {
+                self.extend_prefix(slot);
             }
-            chosen[slot] = None;
         }
+        self.unbind(slot);
     }
 
     /// Fills slots `anchor_slot+1 .. m-1` (ascending); emits on completion.
-    fn extend_suffix(&mut self, filled_up_to: usize, chosen: &mut [Option<EventRef>]) {
+    fn extend_suffix(&mut self, filled_up_to: usize) {
         let m = self.query.positive_len();
         if filled_up_to == m - 1 {
-            let events: Vec<EventRef> = chosen
-                .iter()
-                .map(|c| Arc::clone(c.as_ref().expect("complete")))
-                .collect();
+            let events = (0..m).map(|p| Arc::clone(self.bound(p))).collect();
             self.stats.matches_constructed += 1;
             self.out.push(events);
             return;
         }
         let slot = filled_up_to + 1;
-        let prev_ts = chosen[slot - 1].as_ref().expect("slot below is bound").ts();
-        let first_ts = chosen[0].as_ref().expect("prefix complete").ts();
+        let prev_ts = self.bound(slot - 1).ts();
+        let first_ts = self.bound(0).ts();
         let (lo, hi, candidates) =
             self.opts
-                .suffix_level(self.stack(slot), self.window, first_ts, prev_ts);
+                .suffix_level((self.stack_of)(slot), self.window, first_ts, prev_ts);
         for ev in candidates.iter() {
-            if !self.key_match(slot, ev) {
-                continue;
-            }
             self.stats.dfs_steps += 1;
             if !self.opts.window_cutoff && (ev.ts() < lo || ev.ts() >= hi) {
                 continue;
             }
-            let ev = Arc::clone(ev);
-            chosen[slot] = Some(ev);
-            if check_new_binding(self.query, chosen, slot, self.stats) {
-                self.extend_suffix(slot, chosen);
-            }
-            chosen[slot] = None;
-        }
-    }
-}
-
-/// Evaluates, against the current partial assignment, every positive
-/// predicate that references the just-bound slot. A predicate whose other
-/// references are still unbound reports `None` (undecided) and does not
-/// prune; each predicate therefore fires exactly once per complete path —
-/// when its last referenced slot binds.
-fn check_new_binding(
-    query: &Query,
-    chosen: &[Option<EventRef>],
-    slot: usize,
-    stats: &mut RuntimeStats,
-) -> bool {
-    let comp = query.positive_comp(slot);
-    let mut binding: Vec<Option<&EventRef>> = vec![None; query.components().len()];
-    for (p, c) in chosen.iter().enumerate() {
-        if let Some(ev) = c.as_ref() {
-            binding[query.positive_comp(p)] = Some(ev);
-        }
-    }
-    for pred in query.predicates() {
-        if pred.mask().contains(comp) {
-            stats.predicate_evals += 1;
-            if pred.eval(&binding) == Some(false) {
-                return false;
+            if self.bind(slot, ev) {
+                self.extend_suffix(slot);
             }
         }
+        self.unbind(slot);
     }
-    true
 }
 
 #[cfg(test)]

@@ -9,7 +9,9 @@
 //!   the baseline engine and to reproduce the paper's failure analysis.
 //! * the **order-insensitive** operators of Li et al. (ICDCS 2007):
 //!   [`AisStack`] keeps instances sorted by occurrence timestamp so a late
-//!   event is a sorted insertion; [`Constructor`] enumerates, at *every*
+//!   event is a sorted insertion; [`KeyedStack`] is one slot's `AisStack`
+//!   plus, when the slot has a partition field, the same instances indexed
+//!   by key; [`Constructor`] enumerates, at *every*
 //!   insertion, the matches whose last-arriving constituent is the new
 //!   event (exactly-once output without retraction for negation-free
 //!   queries); [`purge`] computes the K-slack/punctuation-safe purge
@@ -25,6 +27,7 @@
 
 pub mod classic;
 mod construct;
+mod keyed;
 mod r#match;
 mod negation;
 mod partition;
@@ -33,6 +36,7 @@ mod stack;
 mod stats;
 
 pub use construct::{ConstructOpts, Constructor};
+pub use keyed::{Inserted, KeyedStack};
 pub use negation::{regions, seal_deadline, NegationIndex, Region};
 pub use partition::{PartitionKey, PartitionMap};
 pub use r#match::{Match, MatchKey};

@@ -1,10 +1,18 @@
-//! Hash-partitioned operator state.
+//! Partition keys, and a key → state map.
 //!
 //! When analysis finds an equality-join chain covering every positive
-//! component (e.g. correlation on an RFID tag id), all operator state can
-//! be sharded by that key: stacks stay short, construction touches only
-//! the relevant shard, and purge walks shards round-robin. This is the
+//! component (e.g. correlation on an RFID tag id), a match's events all
+//! carry one value of the chained attribute, so construction only has to
+//! look at instances carrying the anchor's. [`PartitionKey`] is that value
+//! in hashable form. Analysis never chains through a float field, so an
+//! event whose value cannot key does not match its declared schema; every
+//! evaluator drops it. The evaluators keep their instances in
+//! [`crate::KeyedStack`]s, one per slot, indexed by this key — the
 //! partitioning optimization evaluated in experiment E11.
+//!
+//! [`PartitionMap`], one set of stacks per key swept whole on every purge
+//! round, is what they used before; it is now only the reference loop the
+//! benchmark's operator probe is built from.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -14,9 +22,9 @@ use sequin_types::Value;
 
 /// A hashable partition key derived from an attribute [`Value`].
 ///
-/// Floats are rejected (no sane hash/equality), which analysis tolerates:
-/// an equality chain on float attributes simply disables partitioning for
-/// that event at runtime (routed to the unpartitionable overflow shard).
+/// Floats are rejected (no sane hash/equality): analysis builds no chain
+/// through a float field, and an event that carries one where its schema
+/// declares a keyable kind has no key and enters no stack.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PartitionKey {
     /// Integer key.

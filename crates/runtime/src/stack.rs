@@ -20,8 +20,8 @@ pub struct AisStack {
 
 impl AisStack {
     /// Creates an empty stack.
-    pub fn new() -> AisStack {
-        AisStack::default()
+    pub const fn new() -> AisStack {
+        AisStack { events: Vec::new() }
     }
 
     /// Number of live instances.

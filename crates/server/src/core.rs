@@ -661,6 +661,11 @@ impl EngineCore {
                 &labels,
                 host.query_state_size(qid) as u64,
             );
+            b.gauge(
+                "sequin_partition_keys",
+                &labels,
+                host.query_partition_keys(qid) as u64,
+            );
             b.counter(
                 "sequin_purge_reclaimed_bytes",
                 &labels,

@@ -100,6 +100,7 @@ fn loopback_metrics_expose_histograms_gauges_and_traces() {
         "sequin_engine_insertions{",
         "sequin_engine_purged_total",
         "sequin_engine_state_size{",
+        "sequin_partition_keys{",
         "sequin_purge_reclaimed_bytes{",
         "sequin_ingest_position",
         "sequin_trace_spans_recorded",

@@ -100,7 +100,8 @@ options:
   --query N         trace: restrict lineage to one query id
   --pid HEX         trace: restrict lineage to one provenance id
 
-schema DSL: 'TYPE(field:kind,...) ...' with kinds int|float|str|bool";
+schema DSL: 'TYPE(field:kind,...) ...' with kinds int|float|str|bool;
+declarations are separated by whitespace, `,` or `;`";
 
 type Flags = std::collections::HashMap<String, String>;
 

@@ -21,11 +21,12 @@ use sequin_engine::{DisorderPolicy, Strategy};
 use sequin_query::parse;
 use sequin_types::{TypeRegistry, ValueKind};
 
-/// Parses the schema DSL: whitespace-separated type declarations
-/// `Name(field:kind, ...)`, kinds `int|float|str|bool`, e.g.
+/// Parses the schema DSL: type declarations `Name(field:kind, ...)`, kinds
+/// `int|float|str|bool`, separated by whitespace and at most one `,` or
+/// `;` after each `)`, e.g.
 ///
 /// ```text
-/// SHIPPED(tag:int,location:int) SCANNED(tag:int) PING()
+/// SHIPPED(tag:int,location:int) SCANNED(tag:int), PING()
 /// ```
 ///
 /// # Errors
@@ -36,12 +37,12 @@ pub fn parse_schema(text: &str) -> Result<TypeRegistry, String> {
     let mut registry = TypeRegistry::new();
     let mut rest = text.trim();
     while !rest.is_empty() {
-        let open = rest
-            .find('(')
-            .ok_or_else(|| format!("expected `(` after type name in `{rest}`"))?;
+        let malformed =
+            || format!("expected a type declaration like Name(field:kind, …) at `{rest}`");
+        let open = rest.find('(').ok_or_else(malformed)?;
         let name = rest[..open].trim();
         if name.is_empty() || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-            return Err(format!("invalid type name `{name}`"));
+            return Err(malformed());
         }
         let close = rest[open..]
             .find(')')
@@ -66,6 +67,7 @@ pub fn parse_schema(text: &str) -> Result<TypeRegistry, String> {
         }
         registry.declare(name, &fields).map_err(|e| e.to_string())?;
         rest = rest[close + 1..].trim_start();
+        rest = rest.strip_prefix([',', ';']).unwrap_or(rest).trim_start();
     }
     if registry.is_empty() {
         return Err("schema declared no types".into());
@@ -141,7 +143,19 @@ pub fn explain(schema: &str, query_text: &str) -> Result<String, String> {
         query.join_predicates().len()
     ));
     match query.partition() {
-        Some(_) => out.push_str("partitioning : available (equality chain covers all slots)\n"),
+        Some(scheme) => {
+            let key = |p: usize| {
+                let comp = &query.components()[query.positive_comp(p)];
+                let schema = registry.schema(comp.types[0]);
+                let field = schema.field_name(scheme.fields[p]).unwrap_or("?");
+                format!("{}.{field}", comp.var)
+            };
+            let keys: Vec<String> = (0..query.positive_len()).map(key).collect();
+            out.push_str(&format!(
+                "partitioning : available (equality chain covers all slots), by {}\n",
+                keys.join(", ")
+            ));
+        }
         None => out.push_str("partitioning : not available\n"),
     }
     out.push_str(&format!(
@@ -230,6 +244,24 @@ mod tests {
     }
 
     #[test]
+    fn schema_dsl_accepts_one_separator_between_declarations() {
+        for text in [
+            "A(x:int,tag:int) B(x:int,tag:int)",
+            "A(x:int,tag:int), B(x:int,tag:int)",
+            "A(x:int,tag:int);B(x:int,tag:int) ;",
+        ] {
+            let reg = parse_schema(text).unwrap_or_else(|e| panic!("`{text}`: {e}"));
+            assert_eq!(reg.len(), 2, "`{text}`");
+            assert!(reg.lookup("B").is_some(), "`{text}`");
+        }
+        for text in ["A(x:int),, B(x:int)", "A(x:int) , ; B(x:int)"] {
+            let err = parse_schema(text).unwrap_err();
+            let want = "expected a type declaration like Name(field:kind, …)";
+            assert!(err.contains(want), "`{text}`: {err}");
+        }
+    }
+
+    #[test]
     fn schema_dsl_rejects_garbage() {
         assert!(parse_schema("").is_err());
         assert!(parse_schema("A").is_err());
@@ -251,6 +283,7 @@ mod tests {
         assert!(out.contains("positives    : 2"));
         assert!(out.contains("negation"));
         assert!(out.contains("partitioning : available"));
+        assert!(out.contains("by s.tag, r.tag"), "{out}");
     }
 
     #[test]
