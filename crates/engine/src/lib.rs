@@ -16,20 +16,22 @@
 //!   watermark-safe purging. Emits each (negation-free) match the moment
 //!   its last constituent arrives, at bounded state.
 //!
-//! Many queries run in a [`MultiEngine`], the one multi-query host: it
-//! puts each query on the [`SharedMultiEngine`] plan (which pools stacks
-//! and prefix walks across queries), on a [`ShardedEngine`] pool of its
-//! own, or on any engine handed to it. A [`Checkpointer`] around that
-//! host is the one exactly-once layer — position, emission log,
-//! checkpoint cadence, recovery ladder — used by `sequin run` and the
-//! server alike. The native engine (alone, or as a worker of a
-//! [`ShardedEngine`] pool) and the plan are one algorithm: both walk
-//! stacks with `sequin_runtime::Constructor`, hand every match to the
-//! `settle` module — the one place that decides when a match is emitted,
-//! held, retracted or dropped under a [`DisorderPolicy`] — and write the
-//! same per-query checkpoint blob. They differ only in whose
-//! `sequin_runtime::KeyedStack`s they walk (one per slot vs the plan's
-//! pooled ones) and in their ingest loops.
+//! The paper's algorithm is written once: [`SharedMultiEngine`], the
+//! evaluator of a `sequin-plan` plan, holds the only ingest loop in this
+//! crate, and every way of hosting a native query is an instance of it.
+//! Many queries run in a [`MultiEngine`], the one multi-query host, which
+//! puts each on the shared plan (pooling stacks and prefix walks across
+//! queries), on a [`ShardedEngine`] pool of its own, or on any engine
+//! handed to it. [`NativeEngine`] is a plan of one registration; each
+//! worker of a [`ShardedEngine`] pool is a plan of one restricted to a
+//! slice of the partition-key space. All of them walk stacks with
+//! `sequin_runtime::Constructor`, hand every match to the `settle`
+//! module — the one place that decides when a match is emitted, held,
+//! retracted or dropped under a [`DisorderPolicy`] — and write the same
+//! per-query checkpoint blob, byte for byte. A [`Checkpointer`] around a
+//! [`MultiEngine`] is the one exactly-once layer — position, emission
+//! log, checkpoint cadence, recovery ladder — used by `sequin run` and
+//! the server alike.
 //!
 //! All strategies implement the [`Engine`] trait and emit
 //! [`OutputItem`]s; emission timing and the slack bound are governed by
@@ -61,6 +63,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod blob;
 mod buffer;
 mod checkpoint;
 mod config;

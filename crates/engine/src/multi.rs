@@ -15,9 +15,11 @@
 //! [`MultiEngine::register_engine`] hosts an opaque, pre-built engine.
 //!
 //! Outputs carry global [`QueryId`]s in registration order per arrival.
-//! Both hosts produce byte-identical per-query output and write the same
-//! per-logical-query checkpoint blob, so a snapshot taken under one shard
-//! count — and so one host per query — restores under any other.
+//! The plan and a routed pool are the same evaluator — a pool's workers
+//! each run a plan of one over a slice of the key space — so they produce
+//! byte-identical per-query output and write the same per-logical-query
+//! checkpoint blob, and a snapshot taken under one shard count — and so
+//! one host per query — restores under any other.
 
 use std::sync::Arc;
 
@@ -37,7 +39,7 @@ use crate::traits::{Engine, Strategy};
 pub struct QueryId(usize);
 
 impl QueryId {
-    pub(crate) fn new(ix: usize) -> QueryId {
+    pub(crate) const fn new(ix: usize) -> QueryId {
         QueryId(ix)
     }
 
@@ -168,7 +170,8 @@ impl MultiEngine {
     }
 
     /// Hosts a pre-built engine, whatever its strategy or configuration
-    /// (the independent reference the plan is checked against).
+    /// (tests host plans of one this way: the independent reference a
+    /// plan of many is checked against).
     pub fn register_engine(&mut self, engine: Box<dyn Engine>) -> QueryId {
         let id = QueryId(self.hosts.len());
         self.hosts.push((Side::Own, self.own.len()));
@@ -330,7 +333,7 @@ impl MultiEngine {
     /// One query's counters per parallel worker (one entry unless a pool
     /// of its own hosts it).
     pub fn per_shard_stats(&self, id: QueryId) -> Vec<RuntimeStats> {
-        let plan = |p: &SharedMultiEngine, l: QueryId| vec![p.stats()[l.index()]];
+        let plan = |p: &SharedMultiEngine, l: QueryId| vec![p.query_stats(l)];
         self.host(id, plan, |e| e.per_shard_stats())
     }
 
@@ -404,7 +407,7 @@ mod tests {
         multi
     }
 
-    /// The independent reference: every query on a native engine of its own.
+    /// The independent reference: every query on a plan of one of its own.
     fn independent(reg: &TypeRegistry, texts: &[&str]) -> MultiEngine {
         let mut multi = MultiEngine::new(Strategy::Native, config(), 1);
         for text in texts {
@@ -541,6 +544,39 @@ mod tests {
         for plan_hosted in [0, 2, 3, 4] {
             assert!(hybrid.route_stats(QueryId(plan_hosted)).is_none());
             assert_eq!(hybrid.per_shard_stats(QueryId(plan_hosted)).len(), 1);
+        }
+
+        // the facade is exactly a plan of one: each query alone — behind
+        // `NativeEngine`, registered by the one rule, or on a pool of 1, 2
+        // or 3 workers — gives the same outputs *and* the same counters,
+        // `ooo_insertions` and `max_stack_depth` included (an insert
+        // reports its position in the arrival's key stack everywhere).
+        // Only `merge_buffer_peak` describes the hosting, not the query:
+        // it gauges a pool's cross-worker merge.
+        for (qx, text) in texts.iter().enumerate() {
+            let q = parse(text, &reg).unwrap();
+            let mut lone = crate::NativeEngine::new(Arc::clone(&q), config());
+            let mut want: Vec<_> = items.iter().flat_map(|it| lone.ingest(it)).collect();
+            want.extend(lone.finish());
+            let of_query = |(id, o): &(QueryId, OutputItem)| (id.0 == qx).then(|| o.clone());
+            let from_plan_of_five: Vec<_> = per_item.iter().filter_map(of_query).collect();
+            assert_eq!(want, from_plan_of_five, "{text}");
+            assert!(lone.stats().insertions > 0, "{text}");
+
+            let mut registered = host(&reg, 1, &[text]);
+            let got = run(&mut registered, &items).into_iter().map(|(_, o)| o);
+            assert_eq!(got.collect::<Vec<_>>(), want, "{text} registered");
+            assert_eq!(registered.stats()[0], lone.stats(), "{text} registered");
+
+            for shards in 1..=3 {
+                let mut pool = crate::ShardedEngine::new(Arc::clone(&q), config(), shards);
+                let mut got: Vec<_> = items.iter().flat_map(|it| pool.ingest(it)).collect();
+                got.extend(pool.finish());
+                assert_eq!(got, want, "{text} on {shards} worker(s)");
+                let mut stats = pool.stats();
+                stats.merge_buffer_peak = 0;
+                assert_eq!(stats, lone.stats(), "{text} on {shards} worker(s)");
+            }
         }
     }
 

@@ -1,247 +1,25 @@
-//! Strategy 3: the paper's native out-of-order engine.
+//! Strategy 3: the paper's native out-of-order engine, for one query.
 //!
-//! [`NativeEngine`] keeps one [`KeyedStack`] per positive slot and drives
-//! the pieces it shares with [`crate::SharedMultiEngine`]:
-//! [`sequin_runtime::Constructor`] enumerates the matches an arrival
-//! completes, [`crate::settle`] decides when each one is emitted, and
-//! [`QueryBlob`] is the checkpoint layout both evaluators write. What is
-//! specific to this file is the ingest loop, including the lockstep
-//! discipline of a [`crate::ShardedEngine`] worker.
+//! [`NativeEngine`] is a [`SharedMultiEngine`] with exactly one query
+//! registered: a single query is a plan of one. Everything the paper
+//! describes — positional insert into sorted stacks, construction anchored
+//! at the arrival, negation settled against the watermark, purge behind
+//! it — happens in that evaluator's one ingest loop; this type only gives
+//! the one query the [`Engine`] trait and untagged outputs.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sequin_query::Query;
-use sequin_runtime::{purge, AisStack, Constructor, KeyedStack, PartitionKey, RuntimeStats};
-use sequin_types::codec::{fnv1a64, open_envelope, seal_envelope};
-use sequin_types::{
-    ArrivalSeq, CodecError, Decode, Encode, EventRef, Reader, StreamItem, Timestamp, Writer,
-};
+use sequin_runtime::RuntimeStats;
+use sequin_types::{CodecError, StreamItem, Timestamp};
 
 use crate::config::EngineConfig;
+use crate::multi::QueryId;
 use crate::output::OutputItem;
-use crate::settle::{PhasedOutput, Settle, Stamp};
+use crate::shared::SharedMultiEngine;
 use crate::traits::Engine;
-use crate::watermark::WatermarkTracker;
 
-/// One empty stack per positive slot of `query`, indexed by the slot's
-/// partition field when the query shards under `config`.
-fn slot_stacks(query: &Query, config: &EngineConfig) -> Vec<KeyedStack> {
-    let scheme = query.partition().filter(|_| config.partitioned);
-    let stack = |slot: usize| KeyedStack::new(scheme.map(|s| s.fields[slot]));
-    (0..query.positive_len()).map(stack).collect()
-}
-
-/// Which slice of the partition-key space this engine owns when it runs
-/// as one worker of a [`crate::ShardedEngine`]. `None` means the engine
-/// owns everything (the ordinary single-threaded configuration).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ShardSlice {
-    /// This worker's index in `0..of`.
-    pub(crate) index: u32,
-    /// Total number of workers.
-    pub(crate) of: u32,
-}
-
-impl ShardSlice {
-    /// True when `key` routes to this worker.
-    pub(crate) fn owns(&self, key: &PartitionKey) -> bool {
-        key_hash(key) % u64::from(self.of) == u64::from(self.index)
-    }
-
-    /// True when this worker holds `event` in `stack`: its key hashes
-    /// here, or there is no key — the slot is unkeyed, or the event is
-    /// unkeyable and every engine drops it — and this is the primary,
-    /// which performs (and accounts) that work for the pool.
-    fn owns_event(&self, stack: &KeyedStack, event: &EventRef) -> bool {
-        let key = stack.key_of(event);
-        key.map_or(self.primary(), |key| self.owns(&key))
-    }
-
-    /// The primary worker (index 0) owns everything that cannot be
-    /// keyed — the overflow shard — and is the one that accounts for
-    /// work every worker performs in lockstep (watermarks, negatives).
-    fn primary(&self) -> bool {
-        self.index == 0
-    }
-}
-
-/// Routing hash: FNV-1a over the key's wire encoding, so placement is
-/// stable across processes, platforms, and hash-map seeds (the same
-/// fingerprint-stable construction snapshots use). The ingest-edge router
-/// in [`crate::ShardedEngine`] uses the same function, so the worker's
-/// ownership check and the router's owner computation can never disagree.
-pub(crate) fn key_hash(key: &PartitionKey) -> u64 {
-    let mut w = Writer::new();
-    key.encode(&mut w);
-    fnv1a64(&w.into_bytes())
-}
-
-/// One pre-routed ingest message, as delivered to a sliced worker by the
-/// routing [`crate::ShardedEngine`]: the full event when this worker owns
-/// one of its slots (or the event is a negation flank, broadcast to every
-/// worker), otherwise a watermark-only advance mirroring the arrival so
-/// the worker's sequence number, clock, disorder estimate, and purge
-/// cadence stay lockstep with the single-threaded engine.
-#[derive(Debug, Clone)]
-pub(crate) enum RoutedMsg {
-    /// Full event, already stamped with its global arrival sequence.
-    Event {
-        /// The router's global arrival sequence for this event.
-        seq: ArrivalSeq,
-        /// The stamped event (one clone at the ingest edge, shared by
-        /// every owner).
-        event: EventRef,
-    },
-    /// Arrival metadata only: the event's state belongs to other workers.
-    Advance {
-        /// The router's global arrival sequence for this event.
-        seq: ArrivalSeq,
-        /// The event's occurrence timestamp (watermark/clock input).
-        ts: Timestamp,
-    },
-    /// Stream punctuation, broadcast to every worker.
-    Punctuation(Timestamp),
-}
-
-/// One logical query's checkpoint state. Every evaluator writes this
-/// layout — fingerprint, watermark, arrival sequence, counters, stacks,
-/// settle tail — whatever its physical one, so a checkpoint restores
-/// into a lone engine, a pool of any worker count, or the shared plan.
-pub(crate) struct QueryBlob {
-    pub(crate) wm: WatermarkTracker,
-    pub(crate) seq: ArrivalSeq,
-    pub(crate) stats: RuntimeStats,
-    /// Per positive slot, every stored instance, whatever key it was
-    /// stored under.
-    pub(crate) stacks: Vec<Vec<EventRef>>,
-    pub(crate) settle: Settle,
-}
-
-/// A fingerprint of the query and the semantics-relevant configuration,
-/// embedded in blobs so state is never restored into an engine evaluating
-/// a different query (or the same query under incompatible settings). The
-/// disorder policy is deliberately *not* part of it: blobs are
-/// policy-portable, so a subscription can change policy across a
-/// checkpoint resume (the carried pending/unsealed records drain
-/// correctly under any policy).
-fn fingerprint(query: &Query, config: &EngineConfig) -> u64 {
-    let desc = format!("{}|{:?}|{}", query, config.watermark, config.partitioned);
-    fnv1a64(desc.as_bytes())
-}
-
-impl QueryBlob {
-    /// Seals one query's state. `stacks` names, per positive slot, the
-    /// physical stacks holding that slot's instances (a pool's workers
-    /// own disjoint keys, and only its primary holds unkeyed state; none
-    /// for a query that holds nothing); `settles` are the parts its settle
-    /// state is spread over (see [`Settle::encode`]). The stacks are
-    /// written one set per slot (tag `0`), or, when the query shards, one
-    /// such set per partition key in key order (tag `1`), so identical
-    /// state always yields identical bytes.
-    pub(crate) fn encode(
-        query: &Query,
-        config: &EngineConfig,
-        wm: &WatermarkTracker,
-        seq: ArrivalSeq,
-        stats: &RuntimeStats,
-        stacks: &[Vec<&KeyedStack>],
-        settles: &[&Settle],
-    ) -> Vec<u8> {
-        let m = query.positive_len();
-        assert_eq!(stacks.len(), m, "one list of stacks per positive slot");
-        let empty = AisStack::new();
-        let mut w = Writer::new();
-        w.put_u64(fingerprint(query, config));
-        wm.snapshot_into(&mut w);
-        seq.encode(&mut w);
-        stats.encode(&mut w);
-        if config.partitioned && query.partition().is_some() {
-            let mut by_key: BTreeMap<&PartitionKey, Vec<&AisStack>> = BTreeMap::new();
-            for (slot, parts) in stacks.iter().enumerate() {
-                for (key, stack) in parts.iter().flat_map(|p| p.iter_keys()) {
-                    by_key.entry(key).or_insert_with(|| vec![&empty; m])[slot] = stack;
-                }
-            }
-            w.put_u8(1);
-            w.put_u64(by_key.len() as u64);
-            for (key, slots) in by_key {
-                key.encode(&mut w);
-                w.put_u64(m as u64);
-                slots.iter().for_each(|s| s.encode(&mut w));
-            }
-        } else {
-            w.put_u8(0);
-            w.put_u64(m as u64);
-            for parts in stacks {
-                parts.first().map_or(&empty, |p| p.all()).encode(&mut w);
-            }
-        }
-        Settle::encode(settles, &mut w);
-        seal_envelope(&w.into_bytes())
-    }
-
-    /// Opens a blob written by [`QueryBlob::encode`] for `query` under
-    /// `config`; `settle` supplies the query's policy (see
-    /// [`Settle::decode`]). Fails without side effects.
-    pub(crate) fn decode(
-        query: &Query,
-        config: &EngineConfig,
-        settle: &Settle,
-        bytes: &[u8],
-    ) -> Result<QueryBlob, CodecError> {
-        let mut r = Reader::new(open_envelope(bytes)?);
-        if r.get_u64()? != fingerprint(query, config) {
-            return Err(CodecError::SnapshotMismatch(
-                "query/configuration fingerprint",
-            ));
-        }
-        let wm = WatermarkTracker::restore_from(config, &mut r)?;
-        let seq = ArrivalSeq::decode(&mut r)?;
-        let stats = RuntimeStats::decode(&mut r)?;
-        let mut stacks: Vec<Vec<EventRef>> = vec![Vec::new(); query.positive_len()];
-        let mut read_slots = |r: &mut Reader<'_>| {
-            if r.get_u64()? != stacks.len() as u64 {
-                return Err(CodecError::SnapshotMismatch("positive slot count"));
-            }
-            for slot in &mut stacks {
-                slot.extend(Vec::<EventRef>::decode(r)?);
-            }
-            Ok(())
-        };
-        match r.get_u8()? {
-            0 => read_slots(&mut r)?,
-            1 => {
-                if !(config.partitioned && query.partition().is_some()) {
-                    return Err(CodecError::SnapshotMismatch("partitioning scheme"));
-                }
-                let n = r.get_u64()?;
-                if n > r.remaining() as u64 {
-                    return Err(CodecError::BadLength);
-                }
-                for _ in 0..n {
-                    PartitionKey::decode(&mut r)?;
-                    read_slots(&mut r)?;
-                }
-            }
-            tag => {
-                return Err(CodecError::InvalidTag {
-                    what: "stack layout",
-                    tag,
-                })
-            }
-        }
-        let settle = settle.decode(&mut r)?;
-        r.finish()?;
-        Ok(QueryBlob {
-            wm,
-            seq,
-            stats,
-            stacks,
-            settle,
-        })
-    }
-}
+const Q: QueryId = SharedMultiEngine::ONLY;
 
 /// The paper's engine: order-insensitive active instance stacks,
 /// arrival-driven construction with out-of-order compensation, and
@@ -262,77 +40,40 @@ impl QueryBlob {
 ///   global (negatives filter by predicate at check time).
 #[derive(Debug)]
 pub struct NativeEngine {
-    query: Arc<Query>,
-    config: EngineConfig,
-    ctor: Constructor,
-    /// One per positive slot.
-    stacks: Vec<KeyedStack>,
-    settle: Settle,
-    wm: WatermarkTracker,
-    next_seq: ArrivalSeq,
-    stats: RuntimeStats,
-    scratch: Vec<Vec<EventRef>>,
-    slice: Option<ShardSlice>,
-    /// Unspent [`EngineConfig::retraction_drop`] sabotage; not snapshotted.
-    retraction_drop: u64,
+    plan: SharedMultiEngine,
+}
+
+fn untagged(out: Vec<(QueryId, OutputItem)>) -> Vec<OutputItem> {
+    out.into_iter().map(|(_, o)| o).collect()
 }
 
 impl NativeEngine {
     /// Creates the engine.
     pub fn new(query: Arc<Query>, config: EngineConfig) -> NativeEngine {
-        NativeEngine {
-            ctor: Constructor::new(Arc::clone(&query), config.construct),
-            settle: Settle::new(Arc::clone(&query), config.policy),
-            retraction_drop: config.retraction_drop,
-            stacks: slot_stacks(&query, &config),
-            wm: WatermarkTracker::new(&config),
-            query,
-            config,
-            next_seq: ArrivalSeq::default(),
-            stats: RuntimeStats::default(),
-            scratch: Vec::new(),
-            slice: None,
-        }
-    }
-
-    /// Creates one worker of a sharded pool, owning only the partition
-    /// keys that hash to `slice`. The worker still observes every stream
-    /// item (watermarks, sequence numbers, and the negative index advance
-    /// in lockstep with the single-threaded engine) but inserts and
-    /// constructs only for its own keys.
-    pub(crate) fn sliced(
-        query: Arc<Query>,
-        config: EngineConfig,
-        slice: ShardSlice,
-    ) -> NativeEngine {
-        let mut eng = NativeEngine::new(query, config);
-        eng.slice = Some(slice);
-        eng
-    }
-
-    fn primary(&self) -> bool {
-        self.slice.is_none_or(|s| s.primary())
+        let mut plan = SharedMultiEngine::new(config);
+        plan.register(query);
+        NativeEngine { plan }
     }
 
     /// The current (monotone) low-watermark.
     pub fn watermark(&self) -> Timestamp {
-        self.wm.current()
+        self.plan.query_watermark(Q)
     }
 
     /// The current disorder-bound estimate (`K`, or the adaptive `K̂`).
     pub fn k_hat(&self) -> sequin_types::Duration {
-        self.wm.k_hat()
+        self.plan.query_slack(Q)
     }
 
     /// The stream clock: maximum occurrence timestamp observed so far.
     pub fn clock(&self) -> Timestamp {
-        self.wm.clock()
+        self.plan.query_clock(Q)
     }
 
     /// Watermark lag: how far the published watermark trails the stream
     /// clock (see [`Engine::clock`]).
     pub fn watermark_lag(&self) -> sequin_types::Duration {
-        self.wm.lag()
+        self.plan.query_watermark_lag(Q)
     }
 
     /// Minimum occurrence timestamp across every live positive-stack
@@ -340,320 +81,60 @@ impl NativeEngine {
     /// purge-invariant property tests; not part of the stable API.
     #[doc(hidden)]
     pub fn oldest_stack_ts(&self) -> Option<Timestamp> {
-        let firsts = self.stacks.iter().filter_map(|s| s.all().events().first());
-        firsts.map(|e| e.ts()).min()
+        self.plan.oldest_stack_ts()
     }
 
-    /// The position emissions are stamped with right now.
-    fn stamp(&self) -> Stamp {
-        Stamp {
-            seq: self.next_seq,
-            clock: self.wm.clock(),
-            watermark: self.wm.current(),
-        }
-    }
-
-    /// True when this worker owns the arriving event for `slot`.
-    fn owns_slot(&self, slot: usize, event: &EventRef) -> bool {
-        self.slice
-            .is_none_or(|slice| slice.owns_event(&self.stacks[slot], event))
-    }
-
-    fn process_event(&mut self, event: &EventRef, out: &mut PhasedOutput) {
-        if self.wm.observe_event(event.ts()) {
-            // disorder bound violated: state this event needed may already
-            // be purged; process best-effort and record the violation.
-            // Every worker of a sharded pool sees this in lockstep, so
-            // only the primary attributes it.
-            if self.primary() {
-                self.stats.late_drops += 1;
-            }
-        }
-
-        // negatives first: a negative at the same timestamp as a positive
-        // arrival must be visible to validation in this call. Every worker
-        // keeps the full negative index (negatives filter at check time);
-        // only the primary attributes the duplicated indexing cost.
-        let is_negated_type = self
-            .query
-            .negations()
-            .iter()
-            .any(|n| n.matches_type(event.event_type()));
-        let stamp = self.stamp();
-        if is_negated_type {
-            let mut lockstep = RuntimeStats::default();
-            let index_stats = if self.primary() {
-                &mut self.stats
-            } else {
-                &mut lockstep
-            };
-            self.settle.offer_negative(event, index_stats);
-            let swallow = &mut self.retraction_drop;
-            self.settle
-                .retract_invalidated(stamp, event, swallow, &mut self.stats, out);
-        }
-
-        // positive slots: route, pre-filter, insert, compensate-construct
-        let slots = self.query.slots_for_type(event.event_type());
-        let mut routed = false;
-        for slot in slots {
-            if !self.owns_slot(slot, event) {
-                continue;
-            }
-            routed = true;
-            if !self.passes_local(slot, event) {
-                continue;
-            }
-            let mut raw = std::mem::take(&mut self.scratch);
-            raw.clear();
-            // a duplicate delivery, or an event the slot cannot key,
-            // enters no stack and completes nothing
-            if let Some(at) = self.stacks[slot].insert(Arc::clone(event)) {
-                let (pos, depth) = at.keyed;
-                let stats = &mut self.stats;
-                stats.insertions += 1;
-                if pos + 1 != depth {
-                    stats.ooo_insertions += 1;
-                }
-                stats.max_stack_depth = stats.max_stack_depth.max(depth as u64);
-                self.ctor
-                    .matches_keyed(&self.stacks, slot, event, stats, &mut raw);
-            }
-            for events in raw.drain(..) {
-                self.settle
-                    .route(stamp, slot, events, event.id(), &mut self.stats, out);
-            }
-            self.scratch = raw;
-        }
-        if routed {
-            self.stats.events_routed += 1;
-        }
-    }
-
-    fn passes_local(&mut self, slot: usize, event: &EventRef) -> bool {
-        let mut binding: Vec<Option<&EventRef>> = vec![None; self.query.components().len()];
-        binding[self.query.positive_comp(slot)] = Some(event);
-        for pred in self.query.local_predicates(slot) {
-            self.stats.predicate_evals += 1;
-            if pred.eval(&binding) != Some(true) {
-                return false;
-            }
-        }
-        true
-    }
-
-    fn run_purge(&mut self) {
-        // every worker of a sharded pool purges on the same cadence; the
-        // pass itself and the (replicated) negative-index purge are
-        // attributed by the primary only, while per-stack purges are
-        // disjoint and counted locally
-        if self.primary() {
-            self.stats.purge_runs += 1;
-        }
-        let watermark = self.watermark();
-        let window = self.query.window();
-        // purge_horizon_skew is the simulator's sabotage knob: widening the
-        // thresholds deletes state that is still needed, which the
-        // differential harness must detect. Zero in any real configuration.
-        let skew = sequin_types::Duration::new(self.config.purge_horizon_skew);
-        let prefix = purge::prefix_threshold(watermark, window).saturating_add(skew);
-        let fin = purge::final_threshold(watermark).saturating_add(skew);
-        let m = self.stacks.len();
-        for (slot, stack) in self.stacks.iter_mut().enumerate() {
-            let threshold = if slot + 1 == m { fin } else { prefix };
-            self.stats.purged += stack.purge_before(threshold) as u64;
-        }
-        let mut lockstep = RuntimeStats::default();
-        let index_stats = if self.primary() {
-            &mut self.stats
-        } else {
-            &mut lockstep
-        };
-        self.settle.purge_negatives(watermark, skew, index_stats);
-    }
-
-    /// Applies one routed message: the sequence number, watermark, seal
-    /// drain, and purge cadence advance as if this engine had ingested
-    /// the full stream. [`RoutedMsg::Advance`] is precisely what a full
-    /// event does to a worker that owns none of its slots — observe the
-    /// timestamp, attribute a late arrival on the primary, drain seals,
-    /// check the purge cadence — without the event clone or the per-slot
-    /// ownership probes.
-    pub(crate) fn apply_routed(&mut self, msg: &RoutedMsg) -> PhasedOutput {
-        let mut out = PhasedOutput::default();
-        match msg {
-            RoutedMsg::Event { seq, event } => {
-                self.next_seq = *seq;
-                self.process_event(event, &mut out);
-            }
-            RoutedMsg::Advance { seq, ts } => {
-                self.next_seq = *seq;
-                if self.wm.observe_event(*ts) && self.primary() {
-                    self.stats.late_drops += 1;
-                }
-            }
-            RoutedMsg::Punctuation(t) => {
-                self.wm.observe_punctuation(*t);
-            }
-        }
-        self.settle
-            .drain_sealed(self.stamp(), &mut self.stats, &mut out);
-        if self.config.purge.due(self.next_seq.get()) {
-            self.run_purge();
-        }
-        out
-    }
-
-    /// The last arrival sequence this engine stamped (or mirrored). The
-    /// router resynchronizes from this after a restore.
-    pub(crate) fn seq(&self) -> ArrivalSeq {
-        self.next_seq
-    }
-
-    /// Number of entries in the (worker-replicated) negative index.
-    /// Inspection hook for the broadcast property tests; not part of the
-    /// stable API.
+    /// Number of entries in the negative index. Inspection hook for the
+    /// broadcast property tests; not part of the stable API.
     #[doc(hidden)]
     pub fn negative_index_len(&self) -> usize {
-        self.settle.negatives_len()
-    }
-
-    /// End-of-stream flush in merge-ready form.
-    pub(crate) fn finish_phased(&mut self) -> PhasedOutput {
-        let mut out = PhasedOutput::default();
-        self.wm.seal();
-        self.settle
-            .drain_sealed(self.stamp(), &mut self.stats, &mut out);
-        out
-    }
-
-    /// State size excluding the negative index, which sharded pools
-    /// replicate on every worker and must count once.
-    pub(crate) fn owned_state_size(&self) -> usize {
-        self.state_size() - self.settle.negatives_len()
-    }
-
-    /// Zeroes the counters (a restored non-primary worker starts from a
-    /// clean slate so pool-wide aggregation does not double-count the
-    /// snapshot's history).
-    pub(crate) fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-
-    /// Serializes the union of a sharded pool's workers (primary first;
-    /// a lone engine is a pool of one) as one [`QueryBlob`]: restoring it
-    /// into a single engine — or a pool with a *different* worker count —
-    /// reproduces the same evaluation state. Lockstep state (watermark,
-    /// arrival sequence, negative index) comes from the primary worker;
-    /// the workers' keys are disjoint by construction and written as one
-    /// sorted map; pending/unsealed matches are the sorted union.
-    pub(crate) fn merged_snapshot(parts: &[&NativeEngine]) -> Vec<u8> {
-        let primary = parts[0];
-        assert!(primary.primary(), "worker 0 is the pool's primary");
-        let mut stats = RuntimeStats::default();
-        for p in parts {
-            stats += p.stats;
-        }
-        let of_slot = |slot: usize| parts.iter().map(|p| &p.stacks[slot]).collect();
-        let stacks: Vec<Vec<&KeyedStack>> = (0..primary.stacks.len()).map(of_slot).collect();
-        let settles: Vec<&Settle> = parts.iter().map(|p| &p.settle).collect();
-        QueryBlob::encode(
-            &primary.query,
-            &primary.config,
-            &primary.wm,
-            primary.next_seq,
-            &stats,
-            &stacks,
-            &settles,
-        )
+        self.plan.query_negatives_len(Q)
     }
 }
 
 impl Engine for NativeEngine {
     fn ingest(&mut self, item: &StreamItem) -> Vec<OutputItem> {
-        // a lone engine is its own router: stamp, then apply
-        let phased = match item {
-            StreamItem::Event(event) => {
-                let seq = self.next_seq.next();
-                let event = Arc::new(event.with_arrival(seq));
-                self.apply_routed(&RoutedMsg::Event { seq, event })
-            }
-            StreamItem::Punctuation(t) => self.apply_routed(&RoutedMsg::Punctuation(*t)),
-        };
-        let mut out = Vec::new();
-        PhasedOutput::merge_into(vec![phased], &mut out);
-        out
+        untagged(self.plan.ingest(item))
     }
 
     fn finish(&mut self) -> Vec<OutputItem> {
-        // end-of-stream seals every region
-        let phased = self.finish_phased();
-        let mut out = Vec::new();
-        PhasedOutput::merge_into(vec![phased], &mut out);
-        out
+        untagged(self.plan.finish())
     }
 
     fn stats(&self) -> RuntimeStats {
-        self.stats
+        self.plan.query_stats(Q)
     }
 
     fn state_size(&self) -> usize {
-        let stacks: usize = self.stacks.iter().map(KeyedStack::len).sum();
-        stacks + self.settle.len()
+        self.plan.query_state_size(Q)
     }
 
     fn query(&self) -> &Arc<Query> {
-        &self.query
+        self.plan.query(Q)
     }
 
     fn partition_keys(&self) -> usize {
-        self.stacks.iter().map(KeyedStack::keys).sum()
+        self.plan.query_partition_keys(Q)
     }
 
     fn watermark(&self) -> Option<Timestamp> {
-        Some(self.wm.current())
+        Some(NativeEngine::watermark(self))
     }
 
     fn clock(&self) -> Option<Timestamp> {
-        Some(self.wm.clock())
+        Some(NativeEngine::clock(self))
     }
 
     fn slack_bound(&self) -> Option<sequin_types::Duration> {
-        Some(self.wm.k_hat())
+        Some(self.k_hat())
     }
 
     fn snapshot(&self) -> Result<Vec<u8>, CodecError> {
-        Ok(NativeEngine::merged_snapshot(&[self]))
+        Ok(self.plan.query_blob(Q.index()))
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        let blob = QueryBlob::decode(&self.query, &self.config, &self.settle, bytes)?;
-        // everything decoded cleanly: commit (all-or-nothing — a failure
-        // above leaves the current state untouched)
-        self.stacks = slot_stacks(&self.query, &self.config);
-        self.settle = blob.settle;
-        let mut stored = blob.stacks;
-        if let Some(slice) = self.slice {
-            // a pool's worker keeps what it owns of the positive state —
-            // stack instances, and pending / unsealed matches by their
-            // first event — and all of the lockstep state (watermark,
-            // sequence, negatives)
-            for (stack, events) in self.stacks.iter().zip(&mut stored) {
-                events.retain(|e| slice.owns_event(stack, e));
-            }
-            let first = &self.stacks[0];
-            self.settle.retain_matches(|events| {
-                let owned = events.first().map(|e| slice.owns_event(first, e));
-                owned.unwrap_or(slice.primary())
-            });
-        }
-        for (stack, events) in self.stacks.iter_mut().zip(stored) {
-            stack.insert_all(events);
-        }
-        self.wm = blob.wm;
-        self.next_seq = blob.seq;
-        self.stats = blob.stats;
-        Ok(())
+        self.plan.restore_blobs(&[bytes])
     }
 }
 

@@ -1,9 +1,9 @@
 //! The settle path: what happens to a match between construction and
 //! delivery.
 //!
-//! Both evaluators — [`crate::NativeEngine`] over per-key stacks and
-//! [`crate::SharedMultiEngine`] over pooled ones — construct matches and
-//! hand them to one [`Settle`] per query. This module alone decides
+//! The evaluator ([`crate::SharedMultiEngine`], whatever it hosts)
+//! constructs matches and hands them to one [`Settle`] per query. This
+//! module alone decides
 //! *when* a match leaves: immediately, after its negation regions seal,
 //! at the seal drain (lazy), or immediately with a later retraction
 //! (speculative). It owns everything that decision needs — the negative
@@ -132,9 +132,10 @@ impl Ord for Pending {
 }
 
 /// One query's settle state (see the module docs). The caller supplies
-/// the [`Stamp`], the [`RuntimeStats`] to charge and the [`PhasedOutput`]
-/// to write into, because those differ between a lone engine, a lockstep
-/// pool worker and a query of the shared plan; the rules do not.
+/// the [`Stamp`] (the query's epoch has it), the [`RuntimeStats`] to
+/// charge (a pool's non-primary worker charges lockstep work to nobody)
+/// and the [`PhasedOutput`] to write into; the rules depend on none of
+/// them.
 #[derive(Debug)]
 pub(crate) struct Settle {
     query: Arc<Query>,

@@ -1,5 +1,6 @@
-//! Partition-parallel evaluation: routed ingestion into N sliced
-//! [`NativeEngine`] workers with a deterministic, watermark-aligned
+//! Partition-parallel evaluation: routed ingestion into N workers — each
+//! the plan evaluator ([`SharedMultiEngine`]) holding this one query over
+//! its slice of the key space — with a deterministic, watermark-aligned
 //! output merge.
 //!
 //! ## Routing
@@ -8,7 +9,7 @@
 //! the event with its global arrival sequence and computes the owner set
 //! from the partition key of every positive slot the event can fill
 //! (fingerprint-stable FNV-1a of the key's wire encoding — the same
-//! function the worker's own `owns_slot` check uses, so router and worker
+//! function the worker's own ownership check uses, so router and worker
 //! can never disagree). Owners receive the full event over their bounded
 //! per-shard queue; every other worker receives only a lightweight
 //! [`RoutedMsg::Advance`] carrying the sequence number and timestamp, so
@@ -44,7 +45,7 @@
 //! [`ShardedEngine::snapshot`] seals the union of the workers' state as
 //! one canonical envelope in the exact single-engine format, so a
 //! checkpoint written with `--shards 2` restores into `--shards 4` (or
-//! into a plain [`NativeEngine`]) unchanged: every worker restores, of
+//! into a plain [`crate::NativeEngine`]) unchanged: every worker restores, of
 //! the full snapshot, the slice it owns. The router
 //! resynchronizes its global sequence from the restored primary.
 
@@ -57,10 +58,13 @@ use sequin_runtime::{PartitionKey, RuntimeStats};
 use sequin_types::{ArrivalSeq, CodecError, EventRef, FieldId, StreamItem, Timestamp};
 
 use crate::config::EngineConfig;
-use crate::native::{key_hash, NativeEngine, RoutedMsg, ShardSlice};
+use crate::multi::QueryId;
 use crate::output::OutputItem;
 use crate::settle::PhasedOutput;
+use crate::shared::{key_hash, RoutedMsg, ShardSlice, SharedMultiEngine};
 use crate::traits::Engine;
+
+const Q: QueryId = SharedMultiEngine::ONLY;
 
 /// Bound of each worker's job queue, in batches. The engine API is
 /// synchronous (a batch's outputs are returned before the next batch is
@@ -99,13 +103,13 @@ impl RouteStats {
     }
 }
 
-/// One worker of the pool: the sliced engine, shared with (and normally
+/// One worker of the pool: the sliced evaluator, shared with (and normally
 /// driven by) a persistent thread over a bounded job queue. The control
 /// plane (snapshot, restore, stats, finish, single-item ingest) locks the
 /// engine directly — safe because the engine API is synchronous, so the
 /// worker thread is idle between batches.
 struct Worker {
-    engine: Arc<Mutex<NativeEngine>>,
+    engine: Arc<Mutex<SharedMultiEngine>>,
     /// `None` for single-shard pools, which never spawn threads.
     job_tx: Option<SyncSender<Vec<RoutedMsg>>>,
     res_rx: Option<Receiver<Vec<(u32, PhasedOutput)>>>,
@@ -113,13 +117,13 @@ struct Worker {
 }
 
 impl Worker {
-    fn lock(&self) -> MutexGuard<'_, NativeEngine> {
+    fn lock(&self) -> MutexGuard<'_, SharedMultiEngine> {
         self.engine.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
-/// N partition-sliced [`NativeEngine`] workers behind an ingest-edge
-/// router and a deterministic merge; byte-identical to the
+/// N partition-sliced workers behind an ingest-edge router and a
+/// deterministic merge; byte-identical to the
 /// single-threaded engine, faster on multi-core hardware when fed
 /// batches.
 pub struct ShardedEngine {
@@ -148,7 +152,7 @@ impl std::fmt::Debug for ShardedEngine {
     }
 }
 
-fn spawn_worker(index: usize, engine: Arc<Mutex<NativeEngine>>) -> Worker {
+fn spawn_worker(index: usize, engine: Arc<Mutex<SharedMultiEngine>>) -> Worker {
     let (job_tx, job_rx) = sync_channel::<Vec<RoutedMsg>>(JOB_QUEUE_BOUND);
     let (res_tx, res_rx) = sync_channel::<Vec<(u32, PhasedOutput)>>(JOB_QUEUE_BOUND);
     let thread_engine = Arc::clone(&engine);
@@ -200,10 +204,10 @@ impl ShardedEngine {
         }
     }
 
-    fn make_engines(query: &Arc<Query>, config: EngineConfig, n: usize) -> Vec<NativeEngine> {
+    fn make_engines(query: &Arc<Query>, config: EngineConfig, n: usize) -> Vec<SharedMultiEngine> {
         (0..n)
             .map(|i| {
-                NativeEngine::sliced(
+                SharedMultiEngine::sliced(
                     Arc::clone(query),
                     config,
                     ShardSlice {
@@ -243,7 +247,10 @@ impl ShardedEngine {
     /// Per-worker counters, in shard order (shard 0 additionally carries
     /// the costs every worker pays in lockstep: watermarks, negatives).
     pub fn per_shard_stats(&self) -> Vec<RuntimeStats> {
-        self.workers.iter().map(|w| w.lock().stats()).collect()
+        self.workers
+            .iter()
+            .map(|w| w.lock().query_stats(Q))
+            .collect()
     }
 
     /// The ingest-edge routing counters (full deliveries vs watermark-only
@@ -252,7 +259,7 @@ impl ShardedEngine {
         self.route.clone()
     }
 
-    /// Per-worker [`NativeEngine::oldest_stack_ts`], in shard order.
+    /// Per-worker [`SharedMultiEngine::oldest_stack_ts`], in shard order.
     /// Inspection hook for the purge-invariant property tests; not part of
     /// the stable API.
     #[doc(hidden)]
@@ -270,7 +277,7 @@ impl ShardedEngine {
     pub fn worker_negative_lens(&self) -> Vec<usize> {
         self.workers
             .iter()
-            .map(|w| w.lock().negative_index_len())
+            .map(|w| w.lock().query_negatives_len(Q))
             .collect()
     }
 
@@ -299,10 +306,7 @@ impl ShardedEngine {
                     }
                     for (i, lane) in lanes.iter_mut().enumerate() {
                         self.route.full_events[i] += 1;
-                        lane.push(RoutedMsg::Event {
-                            seq,
-                            event: Arc::clone(&stamped),
-                        });
+                        lane.push(RoutedMsg::Event(Arc::clone(&stamped)));
                     }
                     return;
                 }
@@ -333,10 +337,7 @@ impl ShardedEngine {
                 for (i, lane) in lanes.iter_mut().enumerate() {
                     if owners[i] {
                         self.route.full_events[i] += 1;
-                        lane.push(RoutedMsg::Event {
-                            seq,
-                            event: Arc::clone(&stamped),
-                        });
+                        lane.push(RoutedMsg::Event(Arc::clone(&stamped)));
                     } else {
                         self.route.advances[i] += 1;
                         lane.push(RoutedMsg::Advance { seq, ts });
@@ -450,7 +451,7 @@ impl Engine for ShardedEngine {
     fn stats(&self) -> RuntimeStats {
         let mut agg = RuntimeStats::default();
         for w in &self.workers {
-            agg += w.lock().stats();
+            agg += w.lock().query_stats(Q);
         }
         agg.merge_buffer_peak = agg.merge_buffer_peak.max(self.merge_peak);
         agg
@@ -458,13 +459,12 @@ impl Engine for ShardedEngine {
 
     fn state_size(&self) -> usize {
         // the negative index is replicated on every worker; count it once
-        self.workers.first().map_or(0, |w| w.lock().state_size())
-            + self
-                .workers
-                .iter()
-                .skip(1)
-                .map(|w| w.lock().owned_state_size())
-                .sum::<usize>()
+        let held = |(i, w): (usize, &Worker)| {
+            let eng = w.lock();
+            let replica = if i > 0 { eng.query_negatives_len(Q) } else { 0 };
+            eng.query_state_size(Q) - replica
+        };
+        self.workers.iter().enumerate().map(held).sum()
     }
 
     fn query(&self) -> &Arc<Query> {
@@ -473,24 +473,24 @@ impl Engine for ShardedEngine {
 
     fn partition_keys(&self) -> usize {
         // workers own disjoint keys
-        let of = |w: &Worker| w.lock().partition_keys();
+        let of = |w: &Worker| w.lock().query_partition_keys(Q);
         self.workers.iter().map(of).sum()
     }
 
     fn watermark(&self) -> Option<Timestamp> {
-        self.workers.first().map(|w| w.lock().watermark())
+        self.workers.first().map(|w| w.lock().query_watermark(Q))
     }
 
     fn clock(&self) -> Option<Timestamp> {
         // every worker observes every arrival (via full events or
         // advances), so any worker's clock is the pool's clock
-        self.workers.first().map(|w| w.lock().clock())
+        self.workers.first().map(|w| w.lock().query_clock(Q))
     }
 
     fn slack_bound(&self) -> Option<sequin_types::Duration> {
         // watermark state is lockstep across workers, so any worker's
         // disorder-bound estimate is the pool's
-        self.workers.first().map(|w| w.lock().k_hat())
+        self.workers.first().map(|w| w.lock().query_slack(Q))
     }
 
     fn per_shard_stats(&self) -> Vec<RuntimeStats> {
@@ -502,27 +502,23 @@ impl Engine for ShardedEngine {
     }
 
     fn snapshot(&self) -> Result<Vec<u8>, CodecError> {
-        let guards: Vec<MutexGuard<'_, NativeEngine>> =
+        let guards: Vec<MutexGuard<'_, SharedMultiEngine>> =
             self.workers.iter().map(Worker::lock).collect();
-        let parts: Vec<&NativeEngine> = guards.iter().map(|g| &**g).collect();
-        Ok(NativeEngine::merged_snapshot(&parts))
+        let parts: Vec<&SharedMultiEngine> = guards.iter().map(|g| &**g).collect();
+        Ok(SharedMultiEngine::merged_blob(&parts, Q.index()))
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        // restore into fresh engines first so a bad snapshot leaves the
-        // pool untouched (all-or-nothing, like the single engine)
+        // restore into fresh workers first so a bad snapshot leaves the
+        // pool untouched (all-or-nothing, like the single engine); each
+        // keeps the slice of the blob it owns
         let mut fresh = Self::make_engines(&self.query, self.config, self.workers.len());
-        for (i, eng) in fresh.iter_mut().enumerate() {
-            eng.restore(bytes)?;
-            // the snapshot's aggregate history stays with the primary; the
-            // other workers restart their disjoint counters from zero
-            if i > 0 {
-                eng.reset_stats();
-            }
+        for eng in &mut fresh {
+            eng.restore_blobs(&[bytes])?;
         }
         // the router mirrors the restored primary's sequence so stamping
         // continues exactly where the checkpoint left off
-        self.next_seq = fresh[0].seq();
+        self.next_seq = fresh[0].query_seq(Q);
         for (w, eng) in self.workers.iter().zip(fresh) {
             *w.lock() = eng;
         }
@@ -549,6 +545,7 @@ impl Drop for ShardedEngine {
 mod tests {
     use super::*;
     use crate::config::DisorderPolicy;
+    use crate::native::NativeEngine;
     use crate::traits::run_to_end;
     use sequin_query::parse;
     use sequin_types::{Duration, Event, EventId, TypeRegistry, Value, ValueKind};

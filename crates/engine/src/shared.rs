@@ -1,46 +1,56 @@
-//! Shared-plan multi-query evaluation.
+//! The evaluator: one ingest loop over a compiled plan.
 //!
-//! [`SharedMultiEngine`] evaluates many registered queries over one
-//! arrival stream through a [`sequin_plan::SharedPlan`]: pooled AIS
-//! stacks (slots with identical signatures share one physical stack and
-//! one insert-time predicate evaluation), common-prefix groups (one
-//! partial-match enumeration forked to every member's final slot), and an
-//! event-type routing index (an arrival touches only the plan nodes of
-//! interested queries).
+//! [`SharedMultiEngine`] is the only place in this crate that ingests an
+//! arrival. Per arrival it does what the paper describes, once: number
+//! the arrival and observe its timestamp, offer it to the negative index
+//! of every query that negates its type, insert it at its sorted position
+//! in every stack that accepts it, construct the matches it completes
+//! anchored at the new instance, hand each to the query's
+//! [`crate::settle`] state, drain what the advanced watermark sealed, and
+//! purge behind the watermark on the configured cadence.
 //!
-//! What it shares with [`crate::NativeEngine`] is everything after the
-//! stacks: anchors outside a prefix group are walked by the same
-//! [`sequin_runtime::Constructor`] (through a slot→stack table), every
-//! constructed match goes to the query's
-//! [`crate::settle`] state, and checkpoints are the same per-query
-//! `QueryBlob`s. What is specific to this file is the pooled stack layout,
-//! the ingest loop over epochs, and the shared prefix walk.
+//! The stacks it inserts into are those of a [`sequin_plan::SharedPlan`]:
+//! slots with identical signatures share one physical stack and one
+//! insert-time predicate evaluation, queries with a common prefix share
+//! one partial-match enumeration forked to every member's final slot, and
+//! an event-type routing index means an arrival touches only the plan
+//! nodes of interested queries. Every hosting is an instance of it:
+//!
+//! * many queries — the plan side of a [`crate::MultiEngine`];
+//! * one query — [`crate::NativeEngine`] is a plan of one registration,
+//!   where pooling and prefix sharing have nothing to share;
+//! * one key range of one query — each worker of a
+//!   [`crate::ShardedEngine`] pool is a plan of one restricted to a
+//!   [`ShardSlice`] (see "Key slices" below).
 //!
 //! ## Equivalence contract
 //!
-//! Per query, the output sequence is **byte-identical** to a
-//! [`crate::MultiEngine`] hosting the same queries on native engines of
-//! their own (`register_engine`) under the same configuration, for
-//! streams whose lateness stays within the disorder bound. Beyond-`K` arrivals are best-effort in both
-//! evaluators; the shared evaluator's pooled purge threshold (the `min`
-//! over referencing queries) retains a superset of each query's state, so
-//! it can only *recover* strictly more of those out-of-contract matches.
-//! Per-query [`RuntimeStats`] are faithful for the routing, insertion,
-//! emission, and lateness counters; pure cost counters (`purged`,
-//! `max_stack_depth`, and on partitioned queries `ooo_insertions`)
-//! describe the shared physical layout — the pooled purge threshold
-//! retains more state than any single query needs, and a pooled stack's
-//! position and depth are those of its time-ordered side, across every
-//! partition key, where the isolated engine reports the arrival's own
-//! key stack.
+//! Per query, the output sequence of a plan of N queries is
+//! **byte-identical** to that of N plans of one (the same queries on
+//! [`crate::NativeEngine`]s of their own) under the same configuration,
+//! for streams whose lateness stays within the disorder bound: pooling
+//! and prefix sharing are invisible per query. That is what this file's
+//! differential tests, `tests/multi_query.rs` and `sequin sim --multi`
+//! check; that the algorithm itself is right is anchored elsewhere, on
+//! the brute-force `sequin_sim::reference_matches` oracle, which shares
+//! no code with any engine. Beyond-`K` arrivals are best-effort; a pooled
+//! stack's purge threshold (the `min` over referencing queries) retains a
+//! superset of each query's state, so a larger plan can only *recover*
+//! strictly more of those out-of-contract matches. Per-query
+//! [`RuntimeStats`] are faithful for the routing, insertion, emission,
+//! and lateness counters — an insert reports its position and depth in
+//! the arrival's own key stack, which pooling and sharding do not move;
+//! the pure cost counters `purged` and `max_stack_depth` describe the
+//! shared physical layout, since the pooled purge threshold retains more
+//! state than any single query needs.
 //!
 //! ## Epochs
 //!
 //! Queries registered at the same stream position share an *epoch*: one
 //! watermark tracker and one arrival sequence. A query subscribed
 //! mid-stream starts a fresh epoch, so it observes exactly the arrivals
-//! a newly constructed independent engine would — stacks never pool
-//! across epochs (the epoch is part of the plan's slot signature).
+//! a newly constructed evaluator would — stacks never pool across epochs
+//! (the epoch is part of the plan's slot signature).
 //!
 //! Epochs are additionally split by *watermark class*: queries under a
 //! fixed disorder bound (conservative, speculative, lazy) pool freely,
@@ -48,18 +58,34 @@
 //! own epoch — an adaptive query's watermark is driven by its lateness
 //! sketch and must never be shared with a fixed-bound query (the pooling
 //! compatibility rule).
+//!
+//! ## Key slices
+//!
+//! A pool worker runs the same loop with four differences, which are all
+//! of the slice-aware code: it inserts (and so constructs) only for the
+//! partition keys that hash to its [`ShardSlice`]; work every worker
+//! performs in lockstep — late-arrival accounting, negative indexing,
+//! purge rounds — is attributed by the primary worker alone; the arrival
+//! sequence comes from the pool's router ([`RoutedMsg`]) instead of the
+//! epoch's own counter; and outputs leave unmerged, as a
+//! [`PhasedOutput`] the pool merges across workers. Restore keeps the
+//! slice of a blob the worker owns, and a pool's blob is the union of its
+//! workers' ([`SharedMultiEngine::merged_blob`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use sequin_plan::{compile, BindEntry, PrefixGroup, QuerySpec, SharedPlan, SlotSig};
+use sequin_plan::{compile, BindEntry, PrefixGroup, QuerySpec, RouteEntry, SharedPlan, SlotSig};
 use sequin_query::Query;
 use sequin_runtime::{purge, ConstructOpts, Constructor, KeyedStack, PartitionKey, RuntimeStats};
-use sequin_types::{ArrivalSeq, CodecError, Duration, EventRef, StreamItem, Timestamp, Writer};
+use sequin_types::codec::fnv1a64;
+use sequin_types::{
+    ArrivalSeq, CodecError, Duration, Encode, EventRef, StreamItem, Timestamp, Writer,
+};
 
+use crate::blob::QueryBlob;
 use crate::config::{DisorderPolicy, EngineConfig};
 use crate::multi::{read_envelope, write_envelope, QueryId};
-use crate::native::QueryBlob;
 use crate::output::OutputItem;
 use crate::settle::{PhasedOutput, Settle, Stamp};
 use crate::watermark::WatermarkTracker;
@@ -115,6 +141,70 @@ impl WmClass {
             WmClass::Adaptive(accuracy) => DisorderPolicy::AdaptiveSlack { accuracy },
         }
     }
+}
+
+/// Which slice of the partition-key space an evaluator owns when it runs
+/// as one worker of a [`crate::ShardedEngine`]. Without one it owns
+/// everything (the ordinary single-threaded configuration).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ShardSlice {
+    /// This worker's index in `0..of`.
+    pub(crate) index: u32,
+    /// Total number of workers.
+    pub(crate) of: u32,
+}
+
+impl ShardSlice {
+    /// True when this worker holds `event` in `stack`: its key hashes
+    /// here, or there is no key — the slot is unkeyed, or the event is
+    /// unkeyable and every engine drops it — and this is the primary,
+    /// which performs (and accounts) that work for the pool.
+    fn owns_event(&self, stack: &KeyedStack, event: &EventRef) -> bool {
+        let key = stack.key_of(event);
+        key.map_or(self.primary(), |key| {
+            key_hash(&key) % u64::from(self.of) == u64::from(self.index)
+        })
+    }
+
+    /// The primary worker (index 0) owns everything that cannot be
+    /// keyed — the overflow shard — and is the one that accounts for
+    /// work every worker performs in lockstep (watermarks, negatives).
+    fn primary(&self) -> bool {
+        self.index == 0
+    }
+}
+
+/// Routing hash: FNV-1a over the key's wire encoding, so placement is
+/// stable across processes, platforms, and hash-map seeds (the same
+/// fingerprint-stable construction snapshots use). The ingest-edge router
+/// in [`crate::ShardedEngine`] uses the same function, so the worker's
+/// ownership check and the router's owner computation can never disagree.
+pub(crate) fn key_hash(key: &PartitionKey) -> u64 {
+    let mut w = Writer::new();
+    key.encode(&mut w);
+    fnv1a64(&w.into_bytes())
+}
+
+/// One pre-routed ingest message, as delivered to a sliced worker by the
+/// routing [`crate::ShardedEngine`]: the full event when this worker owns
+/// one of its slots (or the event is a negation flank, broadcast to every
+/// worker), otherwise a watermark-only advance mirroring the arrival so
+/// the worker's sequence number, clock, disorder estimate, and purge
+/// cadence stay lockstep with the single-threaded engine.
+#[derive(Debug, Clone)]
+pub(crate) enum RoutedMsg {
+    /// Full event, already stamped with the router's global arrival
+    /// sequence (one clone at the ingest edge, shared by every owner).
+    Event(EventRef),
+    /// Arrival metadata only: the event's state belongs to other workers.
+    Advance {
+        /// The router's global arrival sequence for this event.
+        seq: ArrivalSeq,
+        /// The event's occurrence timestamp (watermark/clock input).
+        ts: Timestamp,
+    },
+    /// Stream punctuation, broadcast to every worker.
+    Punctuation(Timestamp),
 }
 
 /// Per-registration-epoch stream state: one watermark tracker and one
@@ -186,16 +276,17 @@ impl QueryState {
     }
 }
 
-/// Multi-query evaluation over one shared plan (see module docs).
+/// The evaluator of one shared plan (see module docs).
 ///
 /// The plan side of a [`crate::MultiEngine`], which hosts here every
-/// native query that a routed pool of its own would not speed up, and
-/// usable on its own when every query runs the native strategy under one
-/// shared [`EngineConfig`] (with an optional per-query [`DisorderPolicy`]
-/// override): outputs carry the same tags in the same order as the same
-/// queries on engines of their own, and snapshots are the same envelope
-/// of per-query native-engine blobs — a checkpoint taken by either
-/// restores into the other.
+/// native query that a routed pool of its own would not speed up; the
+/// whole of a [`crate::NativeEngine`]; each worker of a
+/// [`crate::ShardedEngine`]; and usable on its own when every query runs
+/// the native strategy under one shared [`EngineConfig`] (with an
+/// optional per-query [`DisorderPolicy`] override). Outputs carry the
+/// same tags in the same order as the same queries on plans of their own,
+/// and snapshots are the same envelope of per-query blobs — a checkpoint
+/// taken by any hosting restores into any other.
 pub struct SharedMultiEngine {
     config: EngineConfig,
     specs: Vec<QuerySpec>,
@@ -214,6 +305,11 @@ pub struct SharedMultiEngine {
     retraction_drop: u64,
     counters: PlanMetrics,
     scratch_marked: Vec<usize>,
+    scratch_stamped: Vec<EventRef>,
+    scratch_raw: Vec<Vec<EventRef>>,
+    /// The key range this evaluator holds as one worker of a pool; `None`
+    /// everywhere else.
+    slice: Option<ShardSlice>,
 }
 
 impl std::fmt::Debug for SharedMultiEngine {
@@ -227,6 +323,10 @@ impl std::fmt::Debug for SharedMultiEngine {
 }
 
 impl SharedMultiEngine {
+    /// The only query of a plan of one: how [`crate::NativeEngine`] and a
+    /// pool's workers address theirs.
+    pub(crate) const ONLY: QueryId = QueryId::new(0);
+
     /// Creates an empty shared evaluator; every registered query runs
     /// under `config`.
     pub fn new(config: EngineConfig) -> SharedMultiEngine {
@@ -241,7 +341,32 @@ impl SharedMultiEngine {
             retraction_drop: config.retraction_drop,
             counters: PlanMetrics::default(),
             scratch_marked: Vec::new(),
+            scratch_stamped: Vec::new(),
+            scratch_raw: Vec::new(),
+            slice: None,
         }
+    }
+
+    /// One worker of a sharded pool: a plan of one holding only the
+    /// partition keys that hash to `slice`. The worker still observes
+    /// every stream item (watermarks, sequence numbers, and the negative
+    /// index advance in lockstep with the single-threaded evaluator) but
+    /// inserts and constructs only for its own keys.
+    pub(crate) fn sliced(
+        query: Arc<Query>,
+        config: EngineConfig,
+        slice: ShardSlice,
+    ) -> SharedMultiEngine {
+        let mut eng = SharedMultiEngine::new(config);
+        eng.slice = Some(slice);
+        eng.register(query);
+        eng
+    }
+
+    /// True unless this is a pool's non-primary worker: the evaluator
+    /// that attributes the work a pool performs in lockstep.
+    fn primary(&self) -> bool {
+        self.slice.is_none_or(|s| s.primary())
     }
 
     /// The shared configuration.
@@ -362,7 +487,10 @@ impl SharedMultiEngine {
     /// Ingests one arrival; outputs are tagged per query in registration
     /// order, exactly as [`crate::MultiEngine::ingest`] tags them.
     pub fn ingest(&mut self, item: &StreamItem) -> Vec<(QueryId, OutputItem)> {
-        self.ingest_one(item);
+        match item {
+            StreamItem::Event(event) => self.on_event(None, event.ts(), Some(event)),
+            StreamItem::Punctuation(t) => self.on_punctuation(*t),
+        }
         self.collect_outputs()
     }
 
@@ -372,19 +500,50 @@ impl SharedMultiEngine {
         items.iter().map(|it| self.ingest(it)).collect()
     }
 
+    /// Applies one message from a pool's router to this worker: the same
+    /// arrival under the router's sequence number, its outputs left
+    /// unmerged for the pool. [`RoutedMsg::Advance`] is precisely what a
+    /// full event does to a worker that owns none of its slots.
+    pub(crate) fn apply_routed(&mut self, msg: &RoutedMsg) -> PhasedOutput {
+        match msg {
+            RoutedMsg::Event(event) => {
+                self.on_event(Some(event.arrival()), event.ts(), Some(event))
+            }
+            RoutedMsg::Advance { seq, ts } => self.on_event(Some(*seq), *ts, None),
+            RoutedMsg::Punctuation(t) => self.on_punctuation(*t),
+        }
+        std::mem::take(&mut self.states[Self::ONLY.index()].phased)
+    }
+
     /// End-of-stream: seals every epoch's watermark and flushes pending
     /// matches.
     pub fn finish(&mut self) -> Vec<(QueryId, OutputItem)> {
+        self.seal();
+        self.collect_outputs()
+    }
+
+    /// [`SharedMultiEngine::finish`] for a pool's worker, in merge-ready
+    /// form.
+    pub(crate) fn finish_phased(&mut self) -> PhasedOutput {
+        self.seal();
+        std::mem::take(&mut self.states[Self::ONLY.index()].phased)
+    }
+
+    fn seal(&mut self) {
         for ep in &mut self.epochs {
             ep.wm.seal();
         }
         self.drain_seals();
-        self.collect_outputs()
     }
 
     /// Per-query operator statistics, in registration order.
     pub fn stats(&self) -> Vec<RuntimeStats> {
         self.states.iter().map(|s| s.stats).collect()
+    }
+
+    /// One query's operator statistics.
+    pub fn query_stats(&self, id: QueryId) -> RuntimeStats {
+        self.states[id.index()].stats
     }
 
     /// Plan metrics (see [`PlanMetrics`]).
@@ -408,8 +567,9 @@ impl SharedMultiEngine {
         stacks + per_query
     }
 
-    /// One query's logical state size — what its isolated engine would
-    /// report (its slots' stack entries plus its private state).
+    /// One query's logical state size: its slots' stack entries plus its
+    /// private state — what it holds as a plan of one, up to the pooled
+    /// purge superset.
     pub fn query_state_size(&self, id: QueryId) -> usize {
         let qix = id.index();
         let st = &self.states[qix];
@@ -449,38 +609,79 @@ impl SharedMultiEngine {
         self.epochs[self.states[id.index()].epoch].wm.clock()
     }
 
+    /// How far one query's watermark trails its stream clock.
+    pub fn query_watermark_lag(&self, id: QueryId) -> Duration {
+        self.epochs[self.states[id.index()].epoch].wm.lag()
+    }
+
+    /// The last arrival sequence one query's epoch stamped (or, in a pool
+    /// worker, mirrored). A pool's router resynchronizes from this after
+    /// a restore.
+    pub(crate) fn query_seq(&self, id: QueryId) -> ArrivalSeq {
+        self.epochs[self.states[id.index()].epoch].seq
+    }
+
+    /// Entries in one query's negative index (which a pool replicates on
+    /// every worker and must count once).
+    pub(crate) fn query_negatives_len(&self, id: QueryId) -> usize {
+        self.states[id.index()].settle.negatives_len()
+    }
+
+    /// Minimum occurrence timestamp across every live stack entry, or
+    /// `None` when all stacks are empty. Inspection hook for the
+    /// purge-invariant property tests; not part of the stable API.
+    #[doc(hidden)]
+    pub fn oldest_stack_ts(&self) -> Option<Timestamp> {
+        let firsts = self.stacks.iter().filter_map(|s| s.all().events().first());
+        firsts.map(|e| e.ts()).min()
+    }
+
     // ------------------------------------------------------------------
     // ingestion
     // ------------------------------------------------------------------
 
-    fn ingest_one(&mut self, item: &StreamItem) {
+    /// The one ingest loop, for an event arrival at `ts`. `routed` is the
+    /// pool router's sequence number when this evaluator is a worker (the
+    /// event then already carries it); otherwise every epoch numbers the
+    /// arrival itself, counting only items since its registration moment.
+    /// `event` is `None` for a [`RoutedMsg::Advance`]: the arrival belongs
+    /// to other workers and only moves this one's sequence and watermark.
+    fn on_event(&mut self, routed: Option<ArrivalSeq>, ts: Timestamp, event: Option<&EventRef>) {
         self.open_epochs.clear();
-        match item {
-            StreamItem::Event(event) => {
-                // one stamped arrival per epoch: each epoch's sequence
-                // counts only items since its registration moment
-                let mut stamped: Vec<EventRef> = Vec::with_capacity(self.epochs.len());
-                for ep in &mut self.epochs {
-                    ep.seq = ep.seq.next();
-                    stamped.push(Arc::new(event.as_ref().clone().with_arrival(ep.seq)));
-                }
-                for ep in self.epochs.iter_mut() {
-                    if ep.wm.observe_event(event.ts()) {
-                        for &qix in &ep.queries {
-                            self.states[qix].stats.late_drops += 1;
-                        }
-                    }
-                }
-                let plan = std::mem::take(&mut self.plan);
-                self.route_event(&plan, &stamped, event.event_type());
-                self.plan = plan;
-            }
-            StreamItem::Punctuation(t) => {
-                for ep in &mut self.epochs {
-                    ep.wm.observe_punctuation(*t);
+        // a disorder-bound violation — state the event needed may already
+        // be purged, so it is processed best-effort and recorded — is seen
+        // by every worker of a pool; the primary records it
+        let primary = self.primary();
+        for ep in &mut self.epochs {
+            ep.seq = routed.unwrap_or_else(|| ep.seq.next());
+            if ep.wm.observe_event(ts) && primary {
+                for &qix in &ep.queries {
+                    self.states[qix].stats.late_drops += 1;
                 }
             }
         }
+        if let Some(event) = event {
+            let plan = std::mem::take(&mut self.plan);
+            match plan.routing.get(&event.event_type()) {
+                Some(entry) => self.route_event(&plan, entry, event, routed.is_some()),
+                None => self.counters.routing_misses += 1,
+            }
+            self.plan = plan;
+        }
+        self.settle_and_purge();
+    }
+
+    fn on_punctuation(&mut self, t: Timestamp) {
+        self.open_epochs.clear();
+        for ep in &mut self.epochs {
+            ep.wm.observe_punctuation(t);
+        }
+        self.settle_and_purge();
+    }
+
+    /// What every arrival ends with: emit what the watermark it advanced
+    /// has sealed, and purge each epoch whose cadence is due.
+    fn settle_and_purge(&mut self) {
         self.drain_seals();
         for eix in 0..self.epochs.len() {
             if self.config.purge.due(self.epochs[eix].seq.get()) {
@@ -489,24 +690,42 @@ impl SharedMultiEngine {
         }
     }
 
+    /// Offers `event`, whose type `entry` says some plan node listens to,
+    /// to those nodes: negative indexes first, then each accepting stack —
+    /// pre-filter, positional insert, construction anchored at the new
+    /// instance.
     fn route_event(
         &mut self,
         plan: &SharedPlan,
-        stamped: &[EventRef],
-        ty: sequin_types::EventTypeId,
+        entry: &RouteEntry,
+        event: &EventRef,
+        already_stamped: bool,
     ) {
-        let Some(entry) = plan.routing.get(&ty) else {
-            self.counters.routing_misses += 1;
-            return;
-        };
         self.counters.routed_events += 1;
+        // one stamped copy per epoch, made only now that the type is
+        // routed; a pool's router has stamped the one its workers share
+        let mut stamped = std::mem::take(&mut self.scratch_stamped);
+        stamped.extend(self.epochs.iter().map(|ep| {
+            if already_stamped {
+                Arc::clone(event)
+            } else {
+                Arc::new(event.with_arrival(ep.seq))
+            }
+        }));
 
         // negatives first: a negative at the same timestamp as a positive
-        // arrival must be visible to validation during this call
+        // arrival must be visible to validation during this call. Every
+        // worker of a pool keeps the full negative index (negatives filter
+        // at check time); the primary accounts for indexing it.
+        let primary = self.primary();
         for &qix in &entry.neg_queries {
             let st = &mut self.states[qix];
             let (ev, stamp) = (&stamped[st.epoch], self.epochs[st.epoch].stamp());
-            st.settle.offer_negative(ev, &mut st.stats);
+            if primary {
+                st.settle.offer_negative(ev, &mut st.stats);
+            } else {
+                st.settle.offer_negative(ev, &mut RuntimeStats::default());
+            }
             let swallow = &mut self.retraction_drop;
             st.settle
                 .retract_invalidated(stamp, ev, swallow, &mut st.stats, &mut st.phased);
@@ -516,8 +735,14 @@ impl SharedMultiEngine {
         for &six in &entry.stacks {
             let node = &plan.stacks[six];
             let ev = &stamped[node.sig.epoch];
+            if self
+                .slice
+                .is_some_and(|slice| !slice.owns_event(&self.stacks[six], ev))
+            {
+                continue;
+            }
             // an arrival that reaches a query's stack counts as routed for
-            // that query even if pre-filters reject it (native parity)
+            // that query even if pre-filters reject it
             for r in &node.refs {
                 if !self.states[r.query].routed {
                     self.states[r.query].routed = true;
@@ -527,34 +752,26 @@ impl SharedMultiEngine {
             // predicate pushdown: the slot's local predicates run once,
             // short-circuit accounting attributed to every referencing
             // (query, slot)
-            let mut evals = 0u64;
-            let mut pass = true;
-            {
+            if !node.local_preds.is_empty() {
                 let mut binding: Vec<Option<&EventRef>> = vec![None; node.local_components];
                 binding[node.local_comp] = Some(ev);
-                for pred in &node.local_preds {
-                    evals += 1;
-                    if pred.eval(&binding) != Some(true) {
-                        pass = false;
-                        break;
-                    }
-                }
-            }
-            if evals > 0 {
+                let failed = node
+                    .local_preds
+                    .iter()
+                    .position(|pred| pred.eval(&binding) != Some(true));
+                let evals = failed.map_or(node.local_preds.len(), |ix| ix + 1) as u64;
                 for r in &node.refs {
                     self.states[r.query].stats.predicate_evals += evals;
                 }
+                if failed.is_some() {
+                    continue;
+                }
             }
-            if !pass {
-                continue;
-            }
-            // a duplicate delivery is idempotent everywhere, and a keyed
-            // slot drops an unkeyable (float) event, as the native engine
-            // does
-            let Some(at) = self.stacks[six].insert(Arc::clone(ev)) else {
+            // a duplicate delivery, or an event a keyed slot cannot key (a
+            // float), enters no stack and completes nothing
+            let Some((pos, depth)) = self.stacks[six].insert(Arc::clone(ev)) else {
                 continue;
             };
-            let (pos, depth) = at.all;
             for r in &node.refs {
                 let st = &mut self.states[r.query].stats;
                 st.insertions += 1;
@@ -575,6 +792,8 @@ impl SharedMultiEngine {
             self.states[qix].stats.events_routed += 1;
         }
         self.scratch_marked = marked;
+        stamped.clear();
+        self.scratch_stamped = stamped;
     }
 
     /// Per-query construction for anchors outside any shared prefix walk:
@@ -587,7 +806,7 @@ impl SharedMultiEngine {
         anchor: &EventRef,
     ) {
         let st = &mut self.states[qix];
-        let mut raw: Vec<Vec<EventRef>> = Vec::new();
+        let mut raw = std::mem::take(&mut self.scratch_raw);
         st.ctor.matches_pooled(
             &self.stacks,
             &plan.queries[qix].stack_of_slot,
@@ -597,7 +816,7 @@ impl SharedMultiEngine {
             &mut raw,
         );
         let stamp = self.epochs[st.epoch].stamp();
-        for events in raw {
+        for events in raw.drain(..) {
             let trigger = anchor.id();
             st.settle.route(
                 stamp,
@@ -608,12 +827,13 @@ impl SharedMultiEngine {
                 &mut st.phased,
             );
         }
+        self.scratch_raw = raw;
     }
 
     /// One shared enumeration of a group's prefix partials, forked to
     /// every member's final-slot scan. Per member, the emitted matches —
-    /// and their order — are exactly what the member's own native walker
-    /// anchored at `anchor_pos` would produce.
+    /// and their order — are exactly what the member's own
+    /// [`Constructor`] anchored at `anchor_pos` would produce.
     fn group_construct(
         &mut self,
         plan: &SharedPlan,
@@ -675,10 +895,18 @@ impl SharedMultiEngine {
     /// referencing (query, slot) anchors, so it retains a superset of
     /// each query's own state — output-inert for in-bound streams, since
     /// every query's scan ranges stay above its own threshold.
+    ///
+    /// Every worker of a pool purges on the same cadence: the round itself
+    /// and the (replicated) negative-index purge are attributed by the
+    /// primary only, while the stacks' purges are disjoint and counted
+    /// where they happen.
     fn run_purge(&mut self, eix: usize) {
-        for i in 0..self.epochs[eix].queries.len() {
-            let qix = self.epochs[eix].queries[i];
-            self.states[qix].stats.purge_runs += 1;
+        let primary = self.primary();
+        if primary {
+            for i in 0..self.epochs[eix].queries.len() {
+                let qix = self.epochs[eix].queries[i];
+                self.states[qix].stats.purge_runs += 1;
+            }
         }
         let wm = self.epochs[eix].wm.current();
         let skew = Duration::new(self.config.purge_horizon_skew);
@@ -710,7 +938,12 @@ impl SharedMultiEngine {
         self.plan = plan;
         for i in 0..self.epochs[eix].queries.len() {
             let st = &mut self.states[self.epochs[eix].queries[i]];
-            st.settle.purge_negatives(wm, skew, &mut st.stats);
+            match primary {
+                true => st.settle.purge_negatives(wm, skew, &mut st.stats),
+                false => st
+                    .settle
+                    .purge_negatives(wm, skew, &mut RuntimeStats::default()),
+            }
         }
     }
 
@@ -738,41 +971,60 @@ impl SharedMultiEngine {
     // ------------------------------------------------------------------
 
     /// Serializes the evaluation as a [`crate::MultiEngine`] envelope of
-    /// per-query [`crate::NativeEngine`]-format blobs: plan-shape-agnostic by
-    /// construction (each blob describes one logical query, not the
-    /// pooled layout), so it restores into independent engines — or into
-    /// a shared evaluator compiled from a different registration history.
+    /// per-query blobs: plan-shape-agnostic by construction (each blob
+    /// describes one logical query, not the pooled layout), so it restores
+    /// into plans of one, into pools — or into an evaluator compiled from
+    /// a different registration history.
     pub fn snapshot(&self) -> Result<Vec<u8>, CodecError> {
         write_envelope((0..self.specs.len()).map(|qix| Ok(self.query_blob(qix))))
     }
 
     /// One query's [`QueryBlob`]: its slots' pooled stacks, written as
-    /// the stacks its isolated engine would hold (identical content,
+    /// the stacks it would hold as a plan of one (identical content,
     /// modulo the pooled purge superset).
     pub(crate) fn query_blob(&self, qix: usize) -> Vec<u8> {
-        let st = &self.states[qix];
-        let ep = &self.epochs[st.epoch];
+        SharedMultiEngine::merged_blob(&[self], qix)
+    }
+
+    /// One query's [`QueryBlob`] when its state is spread over the
+    /// workers of a pool (`parts`, primary first; a lone evaluator is a
+    /// pool of one): restoring it into a single evaluator — or a pool with
+    /// a *different* worker count — reproduces the same evaluation state.
+    /// Lockstep state (watermark, arrival sequence, negative index) comes
+    /// from the primary; the workers' keys are disjoint by construction
+    /// and written as one sorted map; counters are summed; pending and
+    /// unsealed matches are the sorted union.
+    pub(crate) fn merged_blob(parts: &[&SharedMultiEngine], qix: usize) -> Vec<u8> {
+        let primary = parts[0];
+        assert!(primary.primary(), "worker 0 is the pool's primary");
+        let st = &primary.states[qix];
+        let ep = &primary.epochs[st.epoch];
+        let mut stats = RuntimeStats::default();
         // an unregistered query owns no plan nodes and holds nothing
         let mut stacks: Vec<Vec<&KeyedStack>> = vec![Vec::new(); st.query.positive_len()];
-        let pooled = &self.plan.queries[qix].stack_of_slot;
-        for (slot, &six) in stacks.iter_mut().zip(pooled) {
-            slot.push(&self.stacks[six]);
+        for p in parts {
+            stats += p.states[qix].stats;
+            let pooled = &p.plan.queries[qix].stack_of_slot;
+            for (slot, &six) in stacks.iter_mut().zip(pooled) {
+                slot.push(&p.stacks[six]);
+            }
         }
+        let settles: Vec<&Settle> = parts.iter().map(|p| &p.states[qix].settle).collect();
         QueryBlob::encode(
             &st.query,
-            &self.config,
+            &primary.config,
             &ep.wm,
             ep.seq,
-            &st.stats,
+            &stats,
             &stacks,
-            &[&st.settle],
+            &settles,
         )
     }
 
     /// Restores from a snapshot written by [`SharedMultiEngine::snapshot`]
-    /// **or** by a [`crate::MultiEngine`] of native engines evaluating the
-    /// same queries in the same registration order under this
-    /// configuration. All-or-nothing: on error the current state is
+    /// **or** by a [`crate::MultiEngine`] hosting the same queries in the
+    /// same registration order under this configuration, wherever it
+    /// hosted them. All-or-nothing: on error the current state is
     /// untouched. Epochs are re-derived by grouping queries with
     /// identical restored (watermark, sequence) stream positions.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
@@ -786,7 +1038,7 @@ impl SharedMultiEngine {
         for (st, blob) in self.states.iter().zip(blobs) {
             // the tracker's slack parameters derive from the query's
             // *current* policy, not the snapshot (policy changes across a
-            // checkpoint take effect on restore, as in the native engine)
+            // checkpoint take effect on restore)
             let mut qconfig = self.config;
             qconfig.policy = st.settle.policy();
             restored.push(QueryBlob::decode(&st.query, &qconfig, &st.settle, blob)?);
@@ -815,36 +1067,42 @@ impl SharedMultiEngine {
             }
             epoch_of.push(eix);
         }
-        let mut specs = self.specs.clone();
-        for (qix, spec) in specs.iter_mut().enumerate() {
-            spec.epoch = epoch_of[qix];
+        // everything decoded cleanly: commit. No stack survives a restore,
+        // so the recompile starts every pooled stack empty, and each then
+        // takes the union of what its queries stored
+        for (spec, &eix) in self.specs.iter_mut().zip(&epoch_of) {
+            spec.epoch = eix;
         }
-        let plan = compile(&specs, self.config.partitioned);
-        // a pooled stack holds the union of what its queries stored
-        let mut stored: Vec<Vec<EventRef>> = vec![Vec::new(); plan.stacks.len()];
-        for (rq, qnode) in restored.iter_mut().zip(&plan.queries) {
-            for (events, &six) in rq.stacks.iter_mut().zip(&qnode.stack_of_slot) {
-                stored[six].append(events);
-            }
-        }
-        let mut stacks = Vec::with_capacity(plan.stacks.len());
-        for (node, events) in plan.stacks.iter().zip(stored) {
-            let mut stack = KeyedStack::new(node.sig.partition);
-            stack.insert_all(events);
-            stacks.push(stack);
-        }
-        for (qix, spec) in specs.iter().enumerate() {
-            if spec.active {
-                epochs[spec.epoch].queries.push(qix);
-            }
-        }
-        // commit
-        self.specs = specs;
-        self.plan = plan;
-        self.stacks = stacks;
         self.epochs = epochs;
         self.open_epochs.clear();
-        for (qix, rq) in restored.into_iter().enumerate() {
+        self.plan = SharedPlan::default();
+        self.recompile();
+        for (qix, mut rq) in restored.into_iter().enumerate() {
+            let pooled = &self.plan.queries[qix].stack_of_slot;
+            if let Some(slice) = self.slice {
+                // a pool's worker keeps what it owns of the positive state
+                // — stack instances below, pending / unsealed matches by
+                // their first event — and all of the lockstep state
+                // (watermark, sequence, negatives). The snapshot's aggregate
+                // counters stay with the primary; the other workers restart
+                // their disjoint ones from zero so the pool's sum does not
+                // double-count.
+                let first = pooled.first().map(|&six| &self.stacks[six]);
+                rq.settle.retain_matches(|events| {
+                    let owned = first.zip(events.first());
+                    owned.map_or(slice.primary(), |(stack, e)| slice.owns_event(stack, e))
+                });
+                if !slice.primary() {
+                    rq.stats.reset();
+                }
+            }
+            for (mut events, &six) in rq.stacks.into_iter().zip(pooled) {
+                let stack = &mut self.stacks[six];
+                if let Some(slice) = self.slice {
+                    events.retain(|e| slice.owns_event(stack, e));
+                }
+                stack.insert_all(events);
+            }
             let st = &mut self.states[qix];
             st.epoch = epoch_of[qix];
             st.settle = rq.settle;
@@ -1127,21 +1385,15 @@ mod tests {
         for (qx, (s, m)) in shared.stats().iter().zip(multi.stats()).enumerate() {
             assert_eq!(s.events_routed, m.events_routed, "events_routed q{qx}");
             assert_eq!(s.insertions, m.insertions, "insertions q{qx}");
-            if queries[qx].partition().is_none() || !config.partitioned {
-                assert_eq!(s.ooo_insertions, m.ooo_insertions, "ooo_insertions q{qx}");
-            } else {
-                // a key's own stack sees fewer inversions than the
-                // time-ordered stack holding every key
-                assert!(s.ooo_insertions >= m.ooo_insertions, "ooo_insertions q{qx}");
-            }
+            assert_eq!(s.ooo_insertions, m.ooo_insertions, "ooo_insertions q{qx}");
             assert_eq!(
                 s.matches_constructed, m.matches_constructed,
                 "constructed q{qx}"
             );
             assert_eq!(s.negated_matches, m.negated_matches, "negated q{qx}");
             assert_eq!(s.late_drops, m.late_drops, "late_drops q{qx}");
-            // max_stack_depth may exceed the isolated engine's after a
-            // purge: the pooled threshold (min over refs) retains more
+            // max_stack_depth may exceed a plan of one's after a purge:
+            // the pooled threshold (min over refs) retains more
             assert!(s.max_stack_depth >= m.max_stack_depth, "max_stack_depth");
         }
     }

@@ -91,19 +91,12 @@ impl ConstructOpts {
 pub struct Constructor {
     query: Arc<Query>,
     opts: ConstructOpts,
-    /// `0..m`: the slot→stack table of a caller with one stack per slot.
-    identity: Vec<usize>,
 }
 
 impl Constructor {
     /// Creates a constructor for `query`.
     pub fn new(query: Arc<Query>, opts: ConstructOpts) -> Constructor {
-        let identity = (0..query.positive_len()).collect();
-        Constructor {
-            query,
-            opts,
-            identity,
-        }
+        Constructor { query, opts }
     }
 
     /// The query this constructor evaluates.
@@ -134,25 +127,6 @@ impl Constructor {
         let m = self.query.positive_len();
         assert_eq!(stacks.len(), m, "one stack per positive slot");
         self.walk(|slot| &stacks[slot], anchor_slot, anchor, stats, out);
-    }
-
-    /// [`Constructor::matches_with`] over one [`KeyedStack`] per positive
-    /// slot: every other slot draws its candidates from the stack of the
-    /// anchor's key (see [`Constructor::matches_pooled`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stacks.len()` differs from the query's positive length or
-    /// `anchor_slot` is out of range.
-    pub fn matches_keyed(
-        &self,
-        stacks: &[KeyedStack],
-        anchor_slot: usize,
-        anchor: &EventRef,
-        stats: &mut RuntimeStats,
-        out: &mut Vec<Vec<EventRef>>,
-    ) {
-        self.matches_pooled(stacks, &self.identity, anchor_slot, anchor, stats, out);
     }
 
     /// [`Constructor::matches_with`] over a pool of stacks shared between

@@ -42,17 +42,6 @@ struct KeyIndex {
     spare: Vec<AisStack>,
 }
 
-/// Where [`KeyedStack::insert`] put an instance: `(position, depth after
-/// the insert)` in the time-ordered stack and in the instance's key stack
-/// (the same pair when the stack has no key field).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Inserted {
-    /// In the time-ordered stack.
-    pub all: (usize, usize),
-    /// In the instance's key stack.
-    pub keyed: (usize, usize),
-}
-
 impl KeyIndex {
     fn key_of(&self, event: &EventRef) -> Option<PartitionKey> {
         event.field(self.field).and_then(PartitionKey::from_value)
@@ -126,26 +115,27 @@ impl KeyedStack {
     }
 
     /// Inserts an instance at its sorted position in the time-ordered
-    /// stack and in its key's stack. `None` when nothing was inserted: a
-    /// duplicate `(ts, id)`, or an instance a keyed slot cannot key.
-    pub fn insert(&mut self, event: EventRef) -> Option<Inserted> {
+    /// stack and in its key's stack, and returns `(position, depth after
+    /// the insert)` in *the stack a walk anchored on it scans* — its key's,
+    /// or the time-ordered one without a key field. That pair is the same
+    /// whether the slot's keys share this stack with every other key, with
+    /// other queries, or with only the keys one worker of a pool owns.
+    /// `None` when nothing was inserted: a duplicate `(ts, id)`, or an
+    /// instance a keyed slot cannot key.
+    pub fn insert(&mut self, event: EventRef) -> Option<(usize, usize)> {
         let Some(ix) = &mut self.index else {
             let pos = self.all.insert(event)?;
-            let at = (pos, self.all.len());
-            return Some(Inserted { all: at, keyed: at });
+            return Some((pos, self.all.len()));
         };
         let key = ix.key_of(&event)?;
-        let pos = self.all.insert(EventRef::clone(&event))?;
+        self.all.insert(EventRef::clone(&event))?;
         let spare = &mut ix.spare;
         let stack = ix
             .by_key
             .entry(key)
             .or_insert_with(|| spare.pop().unwrap_or_default());
-        let key_pos = stack.insert(event).expect("the stacks hold the same ids");
-        Some(Inserted {
-            all: (pos, self.all.len()),
-            keyed: (key_pos, stack.len()),
-        })
+        let pos = stack.insert(event).expect("the stacks hold the same ids");
+        Some((pos, stack.len()))
     }
 
     /// Inserts a batch in `(ts, id)` order, so that loading a snapshot is
@@ -328,12 +318,12 @@ mod tests {
                     };
                     let e = ev(next_id, ts, tag);
                     next_id += 1;
-                    let at = s.insert(Arc::clone(&e)).expect("a fresh keyable instance");
-                    assert!(Arc::ptr_eq(s.all().get(at.all.0), &e));
-                    assert_eq!(at.all.1, s.len());
+                    let before = s.len();
+                    let (pos, depth) = s.insert(Arc::clone(&e)).expect("a fresh keyable instance");
+                    assert_eq!(s.len(), before + 1);
                     let key = s.key_of(&e).unwrap();
-                    assert!(Arc::ptr_eq(s.for_key(&key).get(at.keyed.0), &e));
-                    assert_eq!(at.keyed.1, s.for_key(&key).len());
+                    assert!(Arc::ptr_eq(s.for_key(&key).get(pos), &e));
+                    assert_eq!(depth, s.for_key(&key).len());
                     inserted.push(e);
                 } else if op < 87 {
                     // a duplicate delivery changes nothing
@@ -364,9 +354,8 @@ mod tests {
     #[test]
     fn a_stack_without_a_key_field_is_the_flat_case() {
         let mut s = KeyedStack::new(None);
-        let at = s.insert(ev(1, 10, Value::Float(0.5))).unwrap();
-        assert_eq!(at.all, at.keyed);
-        s.insert(ev(2, 5, Value::Int(7))).unwrap();
+        assert_eq!(s.insert(ev(1, 10, Value::Float(0.5))), Some((0, 1)));
+        assert_eq!(s.insert(ev(2, 5, Value::Int(7))), Some((0, 2)));
         assert_eq!((s.len(), s.keys()), (2, 0));
         assert!(std::ptr::eq(s.scan(Some(&PartitionKey::Int(7))), s.all()));
         assert!(s.for_key(&PartitionKey::Int(7)).is_empty());

@@ -36,7 +36,7 @@ mod stack;
 mod stats;
 
 pub use construct::{ConstructOpts, Constructor};
-pub use keyed::{Inserted, KeyedStack};
+pub use keyed::KeyedStack;
 pub use negation::{regions, seal_deadline, NegationIndex, Region};
 pub use partition::{PartitionKey, PartitionMap};
 pub use r#match::{Match, MatchKey};

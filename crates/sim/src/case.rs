@@ -264,17 +264,7 @@ impl CaseData {
     /// The distinct events of the stream (duplicates removed), sorted by
     /// `(ts, id)` — the oracle's input.
     pub fn unique_events(&self, registry: &TypeRegistry) -> Vec<EventRef> {
-        let mut seen = std::collections::BTreeSet::new();
-        let mut out = Vec::new();
-        for it in &self.items {
-            if let SimItem::Event(e) = it {
-                if seen.insert((e.ts, e.id)) {
-                    out.push(e.to_event(registry));
-                }
-            }
-        }
-        out.sort_by_key(|e| (e.ts(), e.id()));
-        out
+        unique_events(&self.items, registry)
     }
 
     /// Generates the case for `(seed, case_ix)`. Deterministic: the same
@@ -345,6 +335,22 @@ pub(crate) fn gen_policy(rng: &mut Rng) -> DisorderPolicy {
 /// Mixes `(seed, case_ix)` into one SplitMix64 seed.
 pub fn case_seed(seed: u64, case_ix: u64) -> u64 {
     seed ^ case_ix.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// The distinct events among `items` (duplicates removed), sorted by
+/// `(ts, id)` — the oracle's input.
+pub fn unique_events(items: &[SimItem], registry: &TypeRegistry) -> Vec<EventRef> {
+    let mut seen = std::collections::BTreeSet::new();
+    let mut out = Vec::new();
+    for it in items {
+        if let SimItem::Event(e) = it {
+            if seen.insert((e.ts, e.id)) {
+                out.push(e.to_event(registry));
+            }
+        }
+    }
+    out.sort_by_key(|e| (e.ts(), e.id()));
+    out
 }
 
 /// Materializes a plain-data item list against the simulation schema.

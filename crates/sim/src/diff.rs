@@ -1,8 +1,10 @@
 //! Differential execution of one case across every production path.
 //!
-//! The canonical run is the single-threaded [`NativeEngine`] fed one item
-//! at a time. It is checked against the naive oracle (exact match set),
-//! and every other production path is checked against *it*:
+//! The canonical run is the single-threaded [`NativeEngine`] — the
+//! evaluator holding a plan of one — fed one item at a time. It is checked
+//! against the naive oracle (exact match set; the one reference that
+//! shares no code with the engines), and every other production path is
+//! checked against *it*:
 //!
 //! * routed sharded pools (2 and 7 workers by default; pinnable via
 //!   [`check_case_sharded`]) — output must be **identical**, including
@@ -29,9 +31,9 @@ use sequin_engine::{
     make_engine, CheckpointPolicy, Checkpointer, Engine, EngineConfig, MultiEngine, NativeEngine,
     OutputItem, OutputKind, ShardedEngine, Strategy, WatermarkSource,
 };
-use sequin_query::parse;
+use sequin_query::{parse, Query};
 use sequin_server::{loopback_run, CoreConfig};
-use sequin_types::{Duration, StreamItem};
+use sequin_types::{Duration, EventRef, StreamItem};
 
 use crate::case::{sim_registry, CaseData};
 use crate::oracle::reference_matches;
@@ -66,6 +68,9 @@ pub enum Path {
     SharedSharded(usize),
     /// Multi-query networked loopback != its in-process oracle.
     SharedLoopback,
+    /// A query's net settled set from the shared plan != naive oracle
+    /// match set.
+    SharedOracle,
 }
 
 impl std::fmt::Display for Path {
@@ -83,6 +88,7 @@ impl std::fmt::Display for Path {
             Path::SharedCrashResume => write!(f, "shared-crash-resume"),
             Path::SharedSharded(n) => write!(f, "shared-vs-sharded({n})"),
             Path::SharedLoopback => write!(f, "shared-loopback"),
+            Path::SharedOracle => write!(f, "shared-oracle"),
         }
     }
 }
@@ -187,6 +193,32 @@ pub(crate) fn delivery_multiset(out: &[OutputItem]) -> Vec<(u8, Vec<u64>)> {
     v
 }
 
+/// How `out`'s net settled match set differs from the naive oracle's over
+/// `events` (the deduplicated, sorted history), if it does. The oracle
+/// shares no code with any engine: this is where "the algorithm is right"
+/// is anchored, in both modes.
+pub(crate) fn oracle_diff(
+    query: &Query,
+    events: &[EventRef],
+    out: &[OutputItem],
+) -> Option<String> {
+    let expected = reference_matches(query, events);
+    let got: BTreeSet<Vec<u64>> = sequin_metrics::net_inserts(out)
+        .into_iter()
+        .map(|k| k.event_ids().iter().map(|id| id.get()).collect())
+        .collect();
+    if got == expected {
+        return None;
+    }
+    let missing: Vec<_> = expected.difference(&got).take(3).collect();
+    let spurious: Vec<_> = got.difference(&expected).take(3).collect();
+    Some(format!(
+        "{} matches vs oracle {} (missing e.g. {missing:?}, spurious e.g. {spurious:?})",
+        got.len(),
+        expected.len()
+    ))
+}
+
 fn drive(engine: &mut dyn Engine, items: &[StreamItem]) -> Vec<OutputItem> {
     let mut out = Vec::new();
     for item in items {
@@ -277,22 +309,9 @@ pub fn check_case_sharded(
 
     // oracle: exact match set over the deduplicated sorted history
     let events = case.unique_events(&registry);
-    let expected = reference_matches(&query, &events);
-    let got: BTreeSet<Vec<u64>> = sequin_metrics::net_inserts(&canonical)
-        .into_iter()
-        .map(|k| k.event_ids().iter().map(|id| id.get()).collect())
-        .collect();
-    if got != expected {
-        let missing: Vec<_> = expected.difference(&got).take(3).collect();
-        let spurious: Vec<_> = got.difference(&expected).take(3).collect();
-        mismatches.push(Mismatch {
-            path: Path::Oracle,
-            detail: format!(
-                "{} matches vs oracle {} (missing e.g. {missing:?}, spurious e.g. {spurious:?})",
-                got.len(),
-                expected.len()
-            ),
-        });
+    if let Some(detail) = oracle_diff(&query, &events, &canonical) {
+        let path = Path::Oracle;
+        mismatches.push(Mismatch { path, detail });
     }
 
     // routed sharded pools: identical output, including emission

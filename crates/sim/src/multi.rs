@@ -1,12 +1,19 @@
 //! Multi-query differential mode: seed-generated query *sets* with
-//! overlapping prefixes, checked shared-plan against independent
-//! evaluation.
+//! overlapping prefixes, checked as a plan of N queries against N plans
+//! of one.
 //!
 //! Where the single-query mode pins each production path against one
 //! canonical engine, this mode pins the shared multi-query compiler
 //! (`sequin_engine::SharedMultiEngine` and the server core built on it)
 //! against the reference that defines its correctness contract: every
-//! query evaluated **independently** on its own single-threaded engine.
+//! query evaluated **independently**, alone on its own single-threaded
+//! engine. That engine (`NativeEngine`) is the same evaluator holding a
+//! plan of one, so what this comparison establishes is exactly that
+//! pooling and prefix sharing are invisible per query — and nothing about
+//! whether the evaluator's loop is right, which both sides share. That is
+//! anchored separately: each query's net settled set from the shared plan
+//! is also compared with the brute-force [`crate::reference_matches`]
+//! oracle, which shares no code with any engine ([`Path::SharedOracle`]).
 //! Query sets are generated with deliberate prefix overlap — most
 //! queries are siblings of an earlier one, differing only in their final
 //! component, a local predicate, or the projection — so the shared plan
@@ -19,7 +26,8 @@
 //! Checked paths, all against the per-query independent reference:
 //!
 //! * shared-plan item-by-item ingestion — **identical** output per
-//!   query, including emission bookkeeping and retractions;
+//!   query, including emission bookkeeping and retractions (and, per
+//!   query, the oracle's match set);
 //! * shared-plan batched ingestion — identical output;
 //! * a durable shared-plan server core crashed mid-stream and resumed at
 //!   two shards as the *hybrid* core (the checkpoint interchange
@@ -51,10 +59,10 @@ use std::sync::Arc;
 
 use crate::case::{
     case_seed, gen_config, gen_items, gen_policy, gen_query, items_to_stream, sim_registry,
-    CaseConfig, LocalPred, PredOp, QueryPlan, SimItem, TYPE_NAMES,
+    unique_events, CaseConfig, LocalPred, PredOp, QueryPlan, SimItem, TYPE_NAMES,
 };
 use crate::diff::{
-    delivery_multiset, engine_config_from, first_diff, repr, Mismatch, Path, Sabotage,
+    delivery_multiset, engine_config_from, first_diff, oracle_diff, repr, Mismatch, Path, Sabotage,
 };
 use crate::runner::SimOptions;
 
@@ -194,8 +202,8 @@ pub fn check_multi_case(case: &MultiCase, sabotage: Sabotage) -> Vec<Mismatch> {
     };
     let nq = queries.len();
 
-    // the reference: each query alone on an independent single-threaded
-    // engine with the honest configuration and its own policy
+    // the reference: each query alone on a plan of one with the honest
+    // configuration and its own policy
     let mut reference: Vec<Vec<OutputItem>> = Vec::with_capacity(nq);
     for (qx, q) in queries.iter().enumerate() {
         let cfg = EngineConfig {
@@ -238,7 +246,9 @@ pub fn check_multi_case(case: &MultiCase, sabotage: Sabotage) -> Vec<Mismatch> {
         }
     };
 
-    // shared plan, item by item: identical per-query output
+    // shared plan, item by item: identical per-query output — and, since
+    // the reference above is the same evaluator holding one query, each
+    // query's net settled set against the oracle that shares no code with it
     {
         let mut shared = SharedMultiEngine::new(sut);
         register_shared(&mut shared);
@@ -249,6 +259,19 @@ pub fn check_multi_case(case: &MultiCase, sabotage: Sabotage) -> Vec<Mismatch> {
         out.extend(shared.finish());
         let per = split_outputs(nq, out);
         compare_exact(&mut mismatches, Path::SharedPlan, &per);
+        let events = unique_events(&case.items, &registry);
+        for (qx, got) in per.iter().enumerate() {
+            if let Some(diff) = oracle_diff(&queries[qx], &events, got) {
+                mismatches.push(Mismatch {
+                    path: Path::SharedOracle,
+                    detail: format!(
+                        "query {qx} (`{}`, {:?}): {diff}",
+                        case.queries[qx].text(),
+                        case.policies[qx]
+                    ),
+                });
+            }
+        }
     }
 
     // shared plan, batched ingestion: identical per-query output

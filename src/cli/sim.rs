@@ -262,9 +262,10 @@ pub fn run_sim(o: &SimCliOptions) -> Result<String, String> {
 }
 
 /// `sequin sim --multi`: the multi-query differential mode — generated
-/// query sets with overlapping prefixes, shared-plan evaluation checked
-/// per query against independent engines, across item-by-item, batched,
-/// crash/resume-with-backend-switch, sharded, and loopback paths.
+/// query sets with overlapping prefixes, a plan of N queries checked per
+/// query against N plans of one across item-by-item, batched,
+/// crash/resume-with-backend-switch, sharded, and loopback paths, and
+/// against the naive oracle.
 fn run_sim_multi(o: &SimCliOptions) -> Result<String, String> {
     // single-case replay: regenerate, check, and show the verdict
     if let Some(case_ix) = o.replay_case {
@@ -317,7 +318,7 @@ fn run_sim_multi(o: &SimCliOptions) -> Result<String, String> {
         }
     ));
     out.push_str(
-        "paths        : shared-plan, shared-batched, shared-crash-resume, \
+        "paths        : shared-plan, shared-oracle, shared-batched, shared-crash-resume, \
          shared-vs-sharded(2), shared-loopback\n",
     );
     push_knobs(&mut out, &o.opts);

@@ -282,8 +282,16 @@ const PIN_CUT: usize = 242;
 /// a coded version error instead of being misread.
 const PIN_NATIVE_SPECULATIVE: u64 = 0xce52_c27c_e986_09b9;
 const PIN_NATIVE_CONSERVATIVE: u64 = 0x336e_0835_5cef_85bc;
-const PIN_CORE_ONE_SHARD: u64 = 0x55c0_4955_cf4e_dfa3;
 const PIN_CORE_TWO_SHARDS: u64 = 0xe438_5a3f_4b52_5021;
+/// Re-pinned when a single query became a plan of one, with no layout
+/// change: two counter bytes moved. Until then the one-shard core (the
+/// plan) counted `ooo_insertions` / `max_stack_depth` in a pooled stack's
+/// time-ordered side, and a lone engine and a pool's workers in the
+/// arrival's key stack; now every hosting counts the latter, so this
+/// store is the two-shard one, byte for byte — which
+/// `checkpoint_bytes_are_pinned` asserts blob by blob rather than
+/// trusting the constant.
+const PIN_CORE_ONE_SHARD: u64 = 0xe438_5a3f_4b52_5021;
 
 struct Pinned {
     registry: Arc<sequin::types::TypeRegistry>,
@@ -398,6 +406,20 @@ fn core_store_with_blob(store: &CheckpointStore, blob: &[u8]) -> CheckpointStore
 fn checkpoint_bytes_are_pinned() {
     let spec = pinned_snapshots(DisorderPolicy::Speculative);
     let cons = pinned_snapshots(DisorderPolicy::Conservative);
+    // three hostings, one blob: the plan (one shard), a routed pool (two
+    // shards) and a lone engine write the same bytes for the same query at
+    // the same stream position
+    for p in [&spec, &cons] {
+        for (shards, store) in p.core.iter().enumerate() {
+            let blob = core_checkpoint_blob(store).1;
+            assert!(
+                blob == p.native,
+                "{:?}: the core's blob at {} shard(s) is not `NativeEngine::snapshot()`",
+                p.config.policy,
+                shards + 1
+            );
+        }
+    }
     let got = [
         fnv1a64(&spec.native),
         fnv1a64(&cons.native),

@@ -3,7 +3,7 @@
 
 mod common;
 
-use common::{drive, net_keys};
+use common::{drive, net_keys, reference_matches};
 use sequin::engine::{make_engine, DisorderPolicy, EngineConfig, MultiEngine, Strategy};
 use sequin::netsim::{delay_shuffle, measure_disorder};
 use sequin::types::Duration;
@@ -14,7 +14,8 @@ use std::sync::Arc;
 #[test]
 fn shared_stream_matches_standalone_evaluation() {
     let rfid = Rfid::new();
-    let (history, _) = rfid.generate(500, 0.1, 41);
+    // sized for the brute-force oracle below
+    let (history, _) = rfid.generate(150, 0.1, 41);
     let stream = delay_shuffle(&history, 0.25, 40, 2);
     let k = measure_disorder(&stream).max_lateness.ticks().max(1);
     let cfg = EngineConfig::with_k(Duration::new(k));
@@ -30,12 +31,22 @@ fn shared_stream_matches_standalone_evaluation() {
         })
         .collect();
     assert!(standalone.iter().all(|s| !s.is_empty()));
+    // a standalone engine is the evaluator under test holding one query;
+    // what anchors it is the oracle, which shares no code with it
+    for (q, alone) in queries.iter().zip(&standalone) {
+        assert_eq!(
+            alone,
+            &reference_matches(q, &history),
+            "standalone vs oracle"
+        );
+    }
 
-    // multi-engine run
-    let mut multi = MultiEngine::new(Strategy::Native, EngineConfig::default(), 1);
+    // multi-engine run: both queries on one plan — a plan of two against
+    // two plans of one
+    let mut multi = MultiEngine::new(Strategy::Native, cfg, 1);
     let ids: Vec<_> = queries
         .iter()
-        .map(|q| multi.register_engine(make_engine(Strategy::Native, Arc::clone(q), cfg)))
+        .map(|q| multi.register(Arc::clone(q), cfg.policy))
         .collect();
     let mut tagged = Vec::new();
     for item in &stream {
