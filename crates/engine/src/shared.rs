@@ -30,8 +30,8 @@
 //! [`crate::NativeEngine`]s of their own) under the same configuration,
 //! for streams whose lateness stays within the disorder bound: pooling
 //! and prefix sharing are invisible per query. That is what this file's
-//! differential tests, `tests/multi_query.rs` and `sequin sim --multi`
-//! check; that the algorithm itself is right is anchored elsewhere, on
+//! differential tests, `tests/multi_query.rs` and `sequin sim`'s `plan`
+//! path check; that the algorithm itself is right is anchored elsewhere, on
 //! the brute-force `sequin_sim::reference_matches` oracle, which shares
 //! no code with any engine. Beyond-`K` arrivals are best-effort; a pooled
 //! stack's purge threshold (the `min` over referencing queries) retains a
@@ -842,29 +842,38 @@ impl SharedMultiEngine {
         anchor: &EventRef,
     ) {
         let g = &plan.groups[gix];
-        let key = self.stacks[g.prefix_stacks[anchor_pos]].key_of(anchor);
+        let stacks: &[KeyedStack] = &self.stacks;
+        let key = stacks[g.prefix_stacks[anchor_pos]].key_of(anchor);
         let n_members = g.members.len();
         let mut walker = GroupWalker {
             g,
             plan,
-            stacks: &self.stacks,
+            stacks,
             opts: self.config.construct,
-            anchor_pos,
-            key,
-            shared_dfs: 0,
+            key: key.as_ref(),
             member_evals: vec![0; n_members],
             member_dfs: vec![0; n_members],
             member_constructed: vec![0; n_members],
             partials: 0,
             forked: Vec::new(),
         };
-        walker.run(anchor);
+        let (mut shared_dfs, mut bind_evals) = (0, vec![0; n_members]);
+        self.config.construct.walk_levels(
+            &g.rep,
+            g.prefix_len(),
+            anchor_pos,
+            anchor,
+            |pos| stacks[g.prefix_stacks[pos]].scan(key.as_ref()),
+            |binding, pos| bind_check(g, binding, pos, &mut bind_evals),
+            |binding| walker.fork(binding),
+            &mut shared_dfs,
+        );
         self.counters.shared_partials += walker.partials;
         self.counters.fanout_outputs += walker.forked.len() as u64;
         for (mx, member) in g.members.iter().enumerate() {
             let st = &mut self.states[member.query].stats;
-            st.dfs_steps += walker.shared_dfs + walker.member_dfs[mx];
-            st.predicate_evals += walker.member_evals[mx];
+            st.dfs_steps += shared_dfs + walker.member_dfs[mx];
+            st.predicate_evals += bind_evals[mx] + walker.member_evals[mx];
             st.matches_constructed += walker.member_constructed[mx];
         }
         for (mx, events) in walker.forked {
@@ -1118,20 +1127,43 @@ impl SharedMultiEngine {
 // walkers
 // ----------------------------------------------------------------------
 
-/// The shared prefix enumeration: the constructor's walk over the group's
-/// prefix positions (bounds and order identical for every member), with
-/// group-common predicates evaluated once on the representative binding
-/// and per-member short-circuit accounting reconstructed from the
-/// compiled [`sequin_plan::BindPlan`]. Each complete partial is forked to
-/// every member's final-slot scan.
+/// The bind check of a group's shared prefix walk — the constructor's
+/// level walk over the prefix positions, whose bounds and order are
+/// identical for every member: evaluates the common predicates
+/// referencing the just-bound position once, on the representative's
+/// binding, then replays each member's declaration-order short-circuit
+/// from the compiled [`sequin_plan::BindPlan`] against the observed first
+/// failure, into `member_evals`.
+fn bind_check(
+    g: &PrefixGroup,
+    binding: &[Option<&EventRef>],
+    pos: usize,
+    member_evals: &mut [u64],
+) -> bool {
+    let bp = &g.binds[pos];
+    let touching = bp.common_touching.iter();
+    let failed = touching
+        .copied()
+        .find(|&ci| g.common[ci].eval(binding) == Some(false));
+    for (mx, entries) in bp.per_member.iter().enumerate() {
+        for e in entries {
+            member_evals[mx] += 1;
+            if matches!(e, BindEntry::Common(ci) if failed == Some(*ci)) {
+                break;
+            }
+        }
+    }
+    failed.is_none()
+}
+
+/// Where a group's complete prefix partials go: each is forked to every
+/// member's final-slot scan.
 struct GroupWalker<'a> {
     g: &'a PrefixGroup,
     plan: &'a SharedPlan,
     stacks: &'a [KeyedStack],
     opts: ConstructOpts,
-    anchor_pos: usize,
-    key: Option<PartitionKey>,
-    shared_dfs: u64,
+    key: Option<&'a PartitionKey>,
     member_evals: Vec<u64>,
     member_dfs: Vec<u64>,
     member_constructed: Vec<u64>,
@@ -1141,128 +1173,32 @@ struct GroupWalker<'a> {
 }
 
 impl GroupWalker<'_> {
-    fn run(&mut self, anchor: &EventRef) {
-        let prefix_len = self.g.prefix_len();
-        let mut chosen: Vec<Option<EventRef>> = vec![None; prefix_len];
-        chosen[self.anchor_pos] = Some(Arc::clone(anchor));
-        if !self.bind_check(&chosen, self.anchor_pos) {
-            return;
-        }
-        self.descend(self.anchor_pos, &mut chosen);
-    }
-
-    /// Evaluates the common predicates referencing the just-bound
-    /// position once, then replays each member's declaration-order
-    /// short-circuit against the observed first failure.
-    fn bind_check(&mut self, chosen: &[Option<EventRef>], pos: usize) -> bool {
-        let rep = &self.g.rep;
-        let mut binding: Vec<Option<&EventRef>> = vec![None; rep.components().len()];
-        for (p, c) in chosen.iter().enumerate() {
-            if let Some(ev) = c.as_ref() {
-                binding[self.g.rep_comp_of_pos[p]] = Some(ev);
-            }
-        }
-        let bp = &self.g.binds[pos];
-        let mut failed: Option<usize> = None;
-        for &ci in &bp.common_touching {
-            if self.g.common[ci].eval(&binding) == Some(false) {
-                failed = Some(ci);
-                break;
-            }
-        }
-        for (mx, entries) in bp.per_member.iter().enumerate() {
-            for e in entries {
-                self.member_evals[mx] += 1;
-                if let BindEntry::Common(ci) = e {
-                    if failed == Some(*ci) {
-                        break;
-                    }
-                }
-            }
-        }
-        failed.is_none()
-    }
-
-    fn descend(&mut self, filled_down_to: usize, chosen: &mut Vec<Option<EventRef>>) {
-        if filled_down_to == 0 {
-            self.ascend(self.anchor_pos, chosen);
-            return;
-        }
-        let pos = filled_down_to - 1;
-        let next_ts = chosen[pos + 1].as_ref().expect("slot above is bound").ts();
-        let anchor_ts = chosen[self.anchor_pos].as_ref().expect("anchor bound").ts();
-        let stacks: &[KeyedStack] = self.stacks;
-        let stack = stacks[self.g.prefix_stacks[pos]].scan(self.key.as_ref());
-        let (lo, hi, candidates) = self
-            .opts
-            .prefix_level(stack, self.g.window, anchor_ts, next_ts);
-        for ev in candidates.iter().rev() {
-            self.shared_dfs += 1;
-            if !self.opts.window_cutoff && (ev.ts() < lo || ev.ts() >= hi) {
-                continue;
-            }
-            let ev = Arc::clone(ev);
-            chosen[pos] = Some(ev);
-            if self.bind_check(chosen, pos) {
-                self.descend(pos, chosen);
-            }
-            chosen[pos] = None;
-        }
-    }
-
-    fn ascend(&mut self, filled_up_to: usize, chosen: &mut Vec<Option<EventRef>>) {
-        if filled_up_to + 1 == self.g.prefix_len() {
-            self.fork(chosen);
-            return;
-        }
-        let pos = filled_up_to + 1;
-        let prev_ts = chosen[pos - 1].as_ref().expect("slot below is bound").ts();
-        let first_ts = chosen[0].as_ref().expect("prefix complete").ts();
-        let stacks: &[KeyedStack] = self.stacks;
-        let stack = stacks[self.g.prefix_stacks[pos]].scan(self.key.as_ref());
-        let (lo, hi, candidates) = self
-            .opts
-            .suffix_level(stack, self.g.window, first_ts, prev_ts);
-        for ev in candidates.iter() {
-            self.shared_dfs += 1;
-            if !self.opts.window_cutoff && (ev.ts() < lo || ev.ts() >= hi) {
-                continue;
-            }
-            let ev = Arc::clone(ev);
-            chosen[pos] = Some(ev);
-            if self.bind_check(chosen, pos) {
-                self.ascend(pos, chosen);
-            }
-            chosen[pos] = None;
-        }
-    }
-
-    /// A complete prefix partial: scan each member's final-slot stack
-    /// (the innermost level of the member's own walk).
-    fn fork(&mut self, chosen: &[Option<EventRef>]) {
+    /// A complete prefix partial, bound by the representative's
+    /// components: scan each member's final-slot stack (the innermost
+    /// level of the member's own walk).
+    fn fork(&mut self, partial: &[Option<&EventRef>]) {
         self.partials += 1;
         let prefix_len = self.g.prefix_len();
-        let prev_ts = chosen[prefix_len - 1]
-            .as_ref()
-            .expect("prefix complete")
-            .ts();
-        let first_ts = chosen[0].as_ref().expect("prefix complete").ts();
+        let chosen = |p: usize| partial[self.g.rep_comp_of_pos[p]].expect("prefix complete");
+        let (first_ts, prev_ts) = (chosen(0).ts(), chosen(prefix_len - 1).ts());
         for (mx, member) in self.g.members.iter().enumerate() {
             let mq = &self.plan.queries[member.query].query;
             let final_comp = mq.positive_comp(prefix_len);
-            let stacks: &[KeyedStack] = self.stacks;
-            let stack = stacks[member.final_stack].scan(self.key.as_ref());
+            let stack = self.stacks[member.final_stack].scan(self.key);
             let (lo, hi, candidates) =
                 self.opts
                     .suffix_level(stack, self.g.window, first_ts, prev_ts);
+            if candidates.is_empty() {
+                continue;
+            }
+            let mut binding: Vec<Option<&EventRef>> = vec![None; mq.components().len()];
+            for p in 0..prefix_len {
+                binding[mq.positive_comp(p)] = Some(chosen(p));
+            }
             for ev in candidates.iter() {
                 self.member_dfs[mx] += 1;
                 if !self.opts.window_cutoff && (ev.ts() < lo || ev.ts() >= hi) {
                     continue;
-                }
-                let mut binding: Vec<Option<&EventRef>> = vec![None; mq.components().len()];
-                for (p, c) in chosen.iter().enumerate() {
-                    binding[mq.positive_comp(p)] = Some(c.as_ref().expect("prefix complete"));
                 }
                 binding[final_comp] = Some(ev);
                 let mut pass = true;
@@ -1277,10 +1213,8 @@ impl GroupWalker<'_> {
                 }
                 if pass {
                     self.member_constructed[mx] += 1;
-                    let mut events: Vec<EventRef> = chosen
-                        .iter()
-                        .map(|c| Arc::clone(c.as_ref().expect("prefix complete")))
-                        .collect();
+                    let mut events: Vec<EventRef> =
+                        (0..prefix_len).map(|p| Arc::clone(chosen(p))).collect();
                     events.push(Arc::clone(ev));
                     self.forked.push((mx, events));
                 }

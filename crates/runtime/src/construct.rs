@@ -33,7 +33,7 @@ impl ConstructOpts {
     /// fall in (span `<= W` and last `>= anchor` force `>= anchor − W`)
     /// and the slice of `stack` to scan newest-first — all of it without
     /// the cut-off, when the caller applies the range itself.
-    pub fn prefix_level(
+    fn prefix_level(
         self,
         stack: &AisStack,
         window: Duration,
@@ -70,6 +70,47 @@ impl ConstructOpts {
             stack.events()
         };
         (lo, hi, candidates)
+    }
+
+    /// The level walk, written once: every assignment of `query`'s
+    /// positive slots `0..len` that holds `anchor` at `anchor_slot`,
+    /// drawing slot `s` from `stack_of(s)` (fetched once per visit of the
+    /// slot's level). Slots below the anchor bind in descending order,
+    /// newest candidate first — matches closest to the anchor come out
+    /// first, as in the classic engine's most-recent-first DFS — then the
+    /// slots above it ascending, oldest first. `bind(binding, slot)`
+    /// judges each event just bound (the anchor included) and prunes on
+    /// `false`; `complete(binding)` sees each full assignment. `binding`
+    /// is indexed by component of `query` and borrows from the stacks.
+    /// Every candidate visited adds one to `dfs_steps`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn walk_levels<'a>(
+        self,
+        query: &'a Query,
+        len: usize,
+        anchor_slot: usize,
+        anchor: &'a EventRef,
+        stack_of: impl Fn(usize) -> &'a AisStack,
+        bind: impl FnMut(&[Option<&'a EventRef>], usize) -> bool,
+        complete: impl FnMut(&[Option<&'a EventRef>]),
+        dfs_steps: &mut u64,
+    ) {
+        assert!(anchor_slot < len, "anchor slot out of range");
+        let mut walk = LevelWalk {
+            query,
+            opts: self,
+            len,
+            anchor_slot,
+            stack_of,
+            bind,
+            complete,
+            binding: vec![None; query.components().len()],
+            dfs_steps,
+        };
+        // Judge the anchor before descending.
+        if walk.bind(anchor_slot, anchor) {
+            walk.extend_prefix(anchor_slot);
+        }
     }
 }
 
@@ -161,64 +202,74 @@ impl Constructor {
         stack_of: impl Fn(usize) -> &'a AisStack,
         anchor_slot: usize,
         anchor: &'a EventRef,
-        stats: &'a mut RuntimeStats,
-        out: &'a mut Vec<Vec<EventRef>>,
+        stats: &mut RuntimeStats,
+        out: &mut Vec<Vec<EventRef>>,
     ) {
-        let m = self.query.positive_len();
-        assert!(anchor_slot < m, "anchor slot out of range");
-        let mut walker = Walker {
-            query: &self.query,
-            stack_of,
-            opts: self.opts,
-            anchor_slot,
-            window: self.query.window(),
-            binding: vec![None; self.query.components().len()],
-            stats,
-            out,
+        let query: &Query = &self.query;
+        let m = query.positive_len();
+        let RuntimeStats {
+            dfs_steps,
+            predicate_evals,
+            matches_constructed,
+            ..
+        } = stats;
+        // A predicate whose other references are still unbound reports
+        // `None` (undecided) and does not prune; each predicate therefore
+        // fires exactly once per complete path — when its last referenced
+        // slot binds.
+        let bind = |binding: &[Option<&EventRef>], slot: usize| {
+            let comp = query.positive_comp(slot);
+            let preds = query.predicates().iter();
+            preds.filter(|p| p.mask().contains(comp)).all(|pred| {
+                *predicate_evals += 1;
+                pred.eval(binding) != Some(false)
+            })
         };
-        // Check the anchor's already-decidable predicates before descending.
-        if walker.bind(anchor_slot, anchor) {
-            walker.extend_prefix(anchor_slot);
-        }
+        let complete = |binding: &[Option<&EventRef>]| {
+            let bound = |p| binding[query.positive_comp(p)].expect("slot is bound");
+            out.push((0..m).map(|p| Arc::clone(bound(p))).collect());
+            *matches_constructed += 1;
+        };
+        self.opts.walk_levels(
+            query,
+            m,
+            anchor_slot,
+            anchor,
+            stack_of,
+            bind,
+            complete,
+            dfs_steps,
+        );
     }
 }
 
-/// One walk. `stack_of(slot)` is the stack that slot's candidates come
-/// from, fetched once per visit of the slot's level.
-struct Walker<'a, F> {
+/// The state of one [`ConstructOpts::walk_levels`].
+struct LevelWalk<'a, 'c, S, B, C> {
     query: &'a Query,
-    stack_of: F,
     opts: ConstructOpts,
+    len: usize,
     anchor_slot: usize,
-    window: Duration,
+    stack_of: S,
+    bind: B,
+    complete: C,
     /// The partial assignment, by component, borrowed from the stacks.
     binding: Vec<Option<&'a EventRef>>,
-    stats: &'a mut RuntimeStats,
-    out: &'a mut Vec<Vec<EventRef>>,
+    dfs_steps: &'c mut u64,
 }
 
-impl<'a, F: Fn(usize) -> &'a AisStack> Walker<'a, F> {
+impl<'a, S, B, C> LevelWalk<'a, '_, S, B, C>
+where
+    S: Fn(usize) -> &'a AisStack,
+    B: FnMut(&[Option<&'a EventRef>], usize) -> bool,
+    C: FnMut(&[Option<&'a EventRef>]),
+{
     fn bound(&self, slot: usize) -> &'a EventRef {
         self.binding[self.query.positive_comp(slot)].expect("slot is bound")
     }
 
-    /// Binds `slot` to `ev` and evaluates every positive predicate that
-    /// references it. A predicate whose other references are still unbound
-    /// reports `None` (undecided) and does not prune; each predicate
-    /// therefore fires exactly once per complete path — when its last
-    /// referenced slot binds.
     fn bind(&mut self, slot: usize, ev: &'a EventRef) -> bool {
-        let comp = self.query.positive_comp(slot);
-        self.binding[comp] = Some(ev);
-        for pred in self.query.predicates() {
-            if pred.mask().contains(comp) {
-                self.stats.predicate_evals += 1;
-                if pred.eval(&self.binding) == Some(false) {
-                    return false;
-                }
-            }
-        }
-        true
+        self.binding[self.query.positive_comp(slot)] = Some(ev);
+        (self.bind)(&self.binding, slot)
     }
 
     fn unbind(&mut self, slot: usize) {
@@ -226,7 +277,7 @@ impl<'a, F: Fn(usize) -> &'a AisStack> Walker<'a, F> {
     }
 
     /// Fills slots `anchor_slot-1 .. 0` (descending), then hands off to
-    /// [`Walker::extend_suffix`].
+    /// [`LevelWalk::extend_suffix`].
     fn extend_prefix(&mut self, filled_down_to: usize) {
         if filled_down_to == 0 {
             self.extend_suffix(self.anchor_slot);
@@ -235,13 +286,12 @@ impl<'a, F: Fn(usize) -> &'a AisStack> Walker<'a, F> {
         let slot = filled_down_to - 1;
         let next_ts = self.bound(slot + 1).ts();
         let anchor_ts = self.bound(self.anchor_slot).ts();
+        let window = self.query.window();
         let (lo, hi, candidates) =
             self.opts
-                .prefix_level((self.stack_of)(slot), self.window, anchor_ts, next_ts);
-        // Iterate newest-first: matches closest to the anchor come out
-        // first, matching the classic engine's most-recent-first DFS.
+                .prefix_level((self.stack_of)(slot), window, anchor_ts, next_ts);
         for ev in candidates.iter().rev() {
-            self.stats.dfs_steps += 1;
+            *self.dfs_steps += 1;
             if !self.opts.window_cutoff && (ev.ts() < lo || ev.ts() >= hi) {
                 continue;
             }
@@ -252,23 +302,21 @@ impl<'a, F: Fn(usize) -> &'a AisStack> Walker<'a, F> {
         self.unbind(slot);
     }
 
-    /// Fills slots `anchor_slot+1 .. m-1` (ascending); emits on completion.
+    /// Fills slots `anchor_slot+1 .. len-1` (ascending); completes at the top.
     fn extend_suffix(&mut self, filled_up_to: usize) {
-        let m = self.query.positive_len();
-        if filled_up_to == m - 1 {
-            let events = (0..m).map(|p| Arc::clone(self.bound(p))).collect();
-            self.stats.matches_constructed += 1;
-            self.out.push(events);
+        if filled_up_to == self.len - 1 {
+            (self.complete)(&self.binding);
             return;
         }
         let slot = filled_up_to + 1;
         let prev_ts = self.bound(slot - 1).ts();
         let first_ts = self.bound(0).ts();
+        let window = self.query.window();
         let (lo, hi, candidates) =
             self.opts
-                .suffix_level((self.stack_of)(slot), self.window, first_ts, prev_ts);
+                .suffix_level((self.stack_of)(slot), window, first_ts, prev_ts);
         for ev in candidates.iter() {
-            self.stats.dfs_steps += 1;
+            *self.dfs_steps += 1;
             if !self.opts.window_cutoff && (ev.ts() < lo || ev.ts() >= hi) {
                 continue;
             }

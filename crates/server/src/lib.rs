@@ -51,7 +51,7 @@ pub use frame::{
     decode_frame, encode_frame, ErrorCode, Frame, MetricsFormat, OutputFrame, TraceFormat,
     MAX_FRAME_LEN, TRACE_ALL_OUTPUTS, TRACE_ALL_QUERIES,
 };
-pub use loadgen::{loopback_run, loopback_run_with_policies, NetBenchReport};
+pub use loadgen::{loopback_run, NetBenchReport};
 pub use server::{Server, ServerConfig};
 pub use stats::ServerStats;
 pub use transport::{mem_pair, FrameSink, MemTransport, TcpTransport, Transport};

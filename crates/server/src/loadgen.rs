@@ -73,20 +73,6 @@ fn oracle_frames(
 }
 
 /// Replays `stream` through a loopback TCP server evaluating `queries`
-/// under the server's default disorder policy. See
-/// [`loopback_run_with_policies`] for the full-fat entry point.
-pub fn loopback_run(
-    core: CoreConfig,
-    queries: &[String],
-    stream: &[StreamItem],
-    batch: usize,
-) -> Result<NetBenchReport, String> {
-    let with_policies: Vec<(String, Option<DisorderPolicy>)> =
-        queries.iter().map(|q| (q.clone(), None)).collect();
-    loopback_run_with_policies(core, &with_policies, stream, batch)
-}
-
-/// Replays `stream` through a loopback TCP server evaluating `queries`
 /// (each with an optional per-query [`DisorderPolicy`] request, `None`
 /// meaning the server default) and verifies the streamed outputs
 /// byte-for-byte against the in-process oracle. Every SUB_ACK's effective
@@ -94,7 +80,7 @@ pub fn loopback_run(
 /// itself is under test. Consecutive events are shipped in EVENT_BATCH
 /// frames of up to `batch` events (`batch <= 1` sends singletons);
 /// punctuations flush.
-pub fn loopback_run_with_policies(
+pub fn loopback_run(
     core: CoreConfig,
     queries: &[(String, Option<DisorderPolicy>)],
     stream: &[StreamItem],

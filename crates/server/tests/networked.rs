@@ -93,7 +93,7 @@ fn tcp_loopback_is_byte_identical_under_every_disorder_policy() {
     ] {
         let (reg, stream) = workload(400, 11);
         let stream = punctuate(&stream, 50);
-        let queries = vec![Q01.to_owned(), Q12.to_owned()];
+        let queries = [(Q01.to_owned(), None), (Q12.to_owned(), None)];
         let report = loopback_run(core_config(&reg, policy), &queries, &stream, 16)
             .unwrap_or_else(|e| panic!("{policy:?}: {e}"));
         assert!(
@@ -405,7 +405,7 @@ fn mixed_per_query_policies_negotiate_and_verify_over_loopback() {
             Some(DisorderPolicy::AdaptiveSlack { accuracy: 90 }),
         ),
     ];
-    let report = sequin_server::loopback_run_with_policies(
+    let report = loopback_run(
         core_config(&reg, DisorderPolicy::Conservative),
         &queries,
         &stream,

@@ -1,13 +1,19 @@
 //! Seed-driven generation of (query, stream, configuration) cases.
 //!
 //! A [`CaseData`] is a plain-data description of one differential test
-//! case: a [`QueryPlan`] (rendered through both [`QueryBuilder`]
-//! and the text parser), an arrival-ordered item list with disorder,
-//! duplicates and punctuations already baked in, and a [`CaseConfig`]
-//! choosing the engine knobs the case exercises. Everything derives from
-//! a single `u64` seed through [`sequin_prng::Rng`], so any case can be
-//! regenerated from its `--seed`/`--case` pair, and the shrinker can
-//! mutate the plain data directly while preserving replayability.
+//! case: a set of N ≥ 1 [`SimQuery`]s (each a [`QueryPlan`], rendered
+//! through both [`QueryBuilder`] and the text parser, plus the
+//! [`DisorderPolicy`] it runs under), an arrival-ordered item list with
+//! disorder, duplicates and punctuations already baked in, and a
+//! [`CaseConfig`] choosing the engine knobs the case exercises. Most
+//! cases hold one query; the rest hold two to four, mostly prefix
+//! siblings of an earlier one — differing only in the final component, a
+//! local predicate or the projection — so the plan actually pools stacks
+//! and forms prefix groups, and each draws its own policy, so one plan
+//! mixes policy classes. Everything derives from a single `u64` seed
+//! through [`sequin_prng::Rng`], so any case can be regenerated from its
+//! `--seed`/`--case` pair, and the shrinker can mutate the plain data
+//! directly while preserving replayability.
 
 use std::sync::Arc;
 
@@ -225,8 +231,6 @@ pub struct CaseConfig {
     /// Disorder bound `K` (always at least the stream's measured maximum
     /// lateness, so the run is K-slack valid).
     pub k: u64,
-    /// Disorder-handling policy the case runs under.
-    pub policy: DisorderPolicy,
     /// Purge cadence (`None` = never purge).
     pub purge_every: Option<u32>,
     /// Watermark source: 0 = K-slack, 1 = punctuation, 2 = both.
@@ -243,13 +247,23 @@ pub struct CaseConfig {
     pub loopback_shards: usize,
 }
 
+/// One query of a case: its plan and the disorder policy it runs under.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SimQuery {
+    /// The generated query.
+    pub plan: QueryPlan,
+    /// Its disorder-handling policy. The first query's is also the
+    /// host's default, which that query subscribes under without naming it.
+    pub policy: DisorderPolicy,
+}
+
 /// A fully described differential test case.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CaseData {
-    /// The generated query.
-    pub query: QueryPlan,
+    /// The query set, textually distinct and never empty.
+    pub queries: Vec<SimQuery>,
     /// The arrival-ordered stream (disorder, duplicates and punctuations
-    /// already applied).
+    /// already applied), shared by every query.
     pub items: Vec<SimItem>,
     /// Engine knobs.
     pub config: CaseConfig,
@@ -264,27 +278,63 @@ impl CaseData {
     /// The distinct events of the stream (duplicates removed), sorted by
     /// `(ts, id)` — the oracle's input.
     pub fn unique_events(&self, registry: &TypeRegistry) -> Vec<EventRef> {
-        unique_events(&self.items, registry)
+        let mut seen = std::collections::BTreeSet::new();
+        let mut out = Vec::new();
+        for it in &self.items {
+            if let SimItem::Event(e) = it {
+                if seen.insert((e.ts, e.id)) {
+                    out.push(e.to_event(registry));
+                }
+            }
+        }
+        out.sort_by_key(|e| (e.ts(), e.id()));
+        out
     }
 
     /// Generates the case for `(seed, case_ix)`. Deterministic: the same
     /// pair always yields the same case.
     pub fn generate(seed: u64, case_ix: u64) -> CaseData {
         let mut rng = Rng::seed_from_u64(case_seed(seed, case_ix));
-        let query = gen_query(&mut rng);
+        let plan = gen_query(&mut rng);
         let (items, measured_lateness) = gen_items(&mut rng);
-        let config = gen_config(&mut rng, &items, measured_lateness);
+        let (config, policy) = gen_config(&mut rng, &items, measured_lateness);
+        let mut queries = vec![SimQuery { plan, policy }];
+        // the further queries draw last, so the first query, the stream and
+        // the knobs of a `(seed, case)` pair do not depend on how many follow
+        let want = if rng.gen_bool(0.4) {
+            rng.gen_range(2..=4usize)
+        } else {
+            1
+        };
+        let mut attempts = 0;
+        while queries.len() < want && attempts < 32 {
+            attempts += 1;
+            let plan = if rng.gen_bool(0.7) {
+                let base = queries[rng.gen_range(0..queries.len())].plan.clone();
+                derive_sibling(&mut rng, base)
+            } else {
+                gen_query(&mut rng)
+            };
+            if queries.iter().all(|q| q.plan.text() != plan.text()) {
+                let policy = gen_policy(&mut rng);
+                queries.push(SimQuery { plan, policy });
+            }
+        }
         CaseData {
-            query,
+            queries,
             items,
             config,
         }
     }
 }
 
-/// Draws the engine/runtime knobs for a generated item list (shared by
-/// the single-query and multi-query generators).
-pub(crate) fn gen_config(rng: &mut Rng, items: &[SimItem], measured_lateness: u64) -> CaseConfig {
+/// Draws the engine/runtime knobs for a generated item list, and the
+/// first query's policy.
+fn gen_config(
+    rng: &mut Rng,
+    items: &[SimItem],
+    measured_lateness: u64,
+) -> (CaseConfig, DisorderPolicy) {
     let has_punct = items.iter().any(|i| matches!(i, SimItem::Punct(_)));
     let watermark = if has_punct {
         if rng.gen_bool(0.5) {
@@ -302,9 +352,10 @@ pub(crate) fn gen_config(rng: &mut Rng, items: &[SimItem], measured_lateness: u6
         _ => Some(64),                          // the default cadence
     };
     let crash_at = gen_crash_point(rng, items);
-    CaseConfig {
-        k: measured_lateness + rng.gen_range(0..=3u64),
-        policy: gen_policy(rng),
+    let k = measured_lateness + rng.gen_range(0..=3u64);
+    let policy = gen_policy(rng);
+    let config = CaseConfig {
+        k,
         purge_every,
         watermark,
         batch: *[1usize, 2, 3, 5, 8, 64]
@@ -314,12 +365,13 @@ pub(crate) fn gen_config(rng: &mut Rng, items: &[SimItem], measured_lateness: u6
         crash_at,
         loopback: rng.gen_bool(0.25),
         loopback_shards: if rng.gen_bool(0.5) { 1 } else { 2 },
-    }
+    };
+    (config, policy)
 }
 
 /// Draws a [`DisorderPolicy`], covering all four modes (a few adaptive
 /// accuracy levels included) with conservative as the most common.
-pub(crate) fn gen_policy(rng: &mut Rng) -> DisorderPolicy {
+fn gen_policy(rng: &mut Rng) -> DisorderPolicy {
     match rng.gen_range(0..8u32) {
         0..=2 => DisorderPolicy::Conservative,
         3 | 4 => DisorderPolicy::Speculative,
@@ -337,22 +389,6 @@ pub fn case_seed(seed: u64, case_ix: u64) -> u64 {
     seed ^ case_ix.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// The distinct events among `items` (duplicates removed), sorted by
-/// `(ts, id)` — the oracle's input.
-pub fn unique_events(items: &[SimItem], registry: &TypeRegistry) -> Vec<EventRef> {
-    let mut seen = std::collections::BTreeSet::new();
-    let mut out = Vec::new();
-    for it in items {
-        if let SimItem::Event(e) = it {
-            if seen.insert((e.ts, e.id)) {
-                out.push(e.to_event(registry));
-            }
-        }
-    }
-    out.sort_by_key(|e| (e.ts(), e.id()));
-    out
-}
-
 /// Materializes a plain-data item list against the simulation schema.
 pub fn items_to_stream(items: &[SimItem], registry: &TypeRegistry) -> Vec<StreamItem> {
     items
@@ -364,7 +400,7 @@ pub fn items_to_stream(items: &[SimItem], registry: &TypeRegistry) -> Vec<Stream
         .collect()
 }
 
-pub(crate) fn gen_query(rng: &mut Rng) -> QueryPlan {
+fn gen_query(rng: &mut Rng) -> QueryPlan {
     let m = rng.gen_range(1..=3usize);
     let pos_vars = ["a", "b", "c"];
     let mut comps: Vec<CompPlan> = (0..m)
@@ -415,16 +451,7 @@ pub(crate) fn gen_query(rng: &mut Rng) -> QueryPlan {
     for (ix, _) in comps.iter().enumerate() {
         let p = if comps[ix].negated { 0.4 } else { 0.3 };
         if rng.gen_bool(p) {
-            let (op, value) = if rng.gen_bool(0.5) {
-                (PredOp::Lt, rng.gen_range(5..=18i64))
-            } else {
-                (PredOp::Ge, rng.gen_range(2..=10i64))
-            };
-            preds.push(LocalPred {
-                comp: ix,
-                op,
-                value,
-            });
+            preds.push(gen_pred(rng, ix));
         }
     }
 
@@ -438,9 +465,40 @@ pub(crate) fn gen_query(rng: &mut Rng) -> QueryPlan {
     }
 }
 
+/// Derives a sibling that shares `q`'s leading components and window (so
+/// the plan can pool its prefix) but differs in its tail.
+fn derive_sibling(rng: &mut Rng, mut q: QueryPlan) -> QueryPlan {
+    let last = q.comps.len() - 1;
+    match rng.gen_range(0..3u32) {
+        0 => {
+            // re-point the final component at a different type
+            let cur = q.comps[last].types[0];
+            let next = (cur + rng.gen_range(1..TYPE_NAMES.len())) % TYPE_NAMES.len();
+            q.comps[last].types = vec![next];
+        }
+        1 => {
+            // replace the final component's local predicate
+            q.preds.retain(|p| p.comp != last);
+            q.preds.push(gen_pred(rng, last));
+        }
+        // same pattern, different projection — pools every stack
+        _ => q.project_first = !q.project_first,
+    }
+    q
+}
+
+fn gen_pred(rng: &mut Rng, comp: usize) -> LocalPred {
+    let (op, value) = if rng.gen_bool(0.5) {
+        (PredOp::Lt, rng.gen_range(5..=18i64))
+    } else {
+        (PredOp::Ge, rng.gen_range(2..=10i64))
+    };
+    LocalPred { comp, op, value }
+}
+
 /// Generates the arrival-ordered item list; returns it together with its
 /// measured maximum lateness (the minimal valid `K`).
-pub(crate) fn gen_items(rng: &mut Rng) -> (Vec<SimItem>, u64) {
+fn gen_items(rng: &mut Rng) -> (Vec<SimItem>, u64) {
     let n = rng.gen_range(12..=40usize);
     let mut ts = 0u64;
     let events: Vec<SimEvent> = (0..n)

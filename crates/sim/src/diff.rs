@@ -1,39 +1,42 @@
 //! Differential execution of one case across every production path.
 //!
-//! The canonical run is the single-threaded [`NativeEngine`] — the
-//! evaluator holding a plan of one — fed one item at a time. It is checked
-//! against the naive oracle (exact match set; the one reference that
-//! shares no code with the engines), and every other production path is
-//! checked against *it*:
+//! The reference is each query of the case **alone** on a single-threaded
+//! [`NativeEngine`] — the evaluator holding a plan of one — under the
+//! *honest* configuration and the query's own policy, fed one item at a
+//! time. Every path under test runs the configuration with the
+//! [`Sabotage`] knobs applied (all-zero for honest runs) and is compared
+//! with that reference per query:
 //!
-//! * routed sharded pools (2 and 7 workers by default; pinnable via
-//!   [`check_case_sharded`]) — output must be **identical**, including
-//!   kinds, order, and emission bookkeeping;
-//! * batched ingestion — identical output;
-//! * crash at the configured point + checkpoint resume — the union of
-//!   pre- and post-crash deliveries must equal the canonical output
-//!   exactly once (as a multiset of `(kind, ids)`);
-//! * sharded crash + resume **with a shard-count change** — a pool of
-//!   `from` workers writes the checkpoints and a pool of `to` workers
-//!   resumes them, exercising the shard-count-agnostic snapshot
-//!   guarantee end to end;
-//! * the networked server loopback — byte-identical frames, verified by
+//! * builder vs parser — the same plan rendered both ways must produce
+//!   equal [`sequin_query::Query`] values;
+//! * the plan of N, item by item — output **identical** per query,
+//!   including kinds, order and emission bookkeeping; its net settled set
+//!   per query is also held against the brute-force oracle, the one
+//!   reference that shares no code with the engines, which is where "the
+//!   algorithm is right" is anchored (comparing a plan of N with N plans
+//!   of one only shows pooling and prefix sharing are invisible);
+//! * the plan, batched ingestion — identical output;
+//! * the host at every pinned shard count ([`MultiEngine::register`]:
+//!   partitionable queries land on routed pools, the rest share the
+//!   plan) — identical output;
+//! * a durable [`EngineCore`] crashed at the configured point and resumed
+//!   at a *different* shard count — the union of pre- and post-crash
+//!   deliveries equals the reference exactly once per query (a multiset
+//!   of `(kind, ids)`), and every query's policy survives the restart;
+//! * the networked server loopback with each query's policy requested at
+//!   SUBSCRIBE — byte-identical frames, verified by
 //!   [`sequin_server::loopback_run`] itself.
-//!
-//! The builder and parser front ends are also cross-checked: the same
-//! plan rendered both ways must produce equal [`sequin_query::Query`]
-//! values.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use sequin_engine::{
-    make_engine, CheckpointPolicy, Checkpointer, Engine, EngineConfig, MultiEngine, NativeEngine,
-    OutputItem, OutputKind, ShardedEngine, Strategy, WatermarkSource,
+    DisorderPolicy, Engine, EngineConfig, MultiEngine, NativeEngine, OutputItem, OutputKind,
+    QueryId, Strategy, WatermarkSource,
 };
 use sequin_query::{parse, Query};
-use sequin_server::{loopback_run, CoreConfig};
-use sequin_types::{Duration, EventRef, StreamItem};
+use sequin_server::{loopback_run, CoreConfig, EngineCore};
+use sequin_types::{Duration, EventRef};
 
 use crate::case::{sim_registry, CaseData};
 use crate::oracle::reference_matches;
@@ -43,34 +46,19 @@ use crate::oracle::reference_matches;
 pub enum Path {
     /// Builder-built query != parser-built query.
     BuilderParser,
-    /// Canonical engine output != naive oracle match set.
+    /// The plan's net settled set for a query != naive oracle match set.
     Oracle,
-    /// Sharded pool (worker count) output != canonical output.
-    Sharded(usize),
-    /// Batched ingestion output != canonical output.
+    /// The plan of N, item by item, != the per-query reference.
+    Plan,
+    /// Batched ingestion output != reference.
     Batched,
-    /// Crash + resume deliveries != canonical output (exactly-once).
-    CrashResume,
-    /// Sharded crash + resume with a shard-count change (`from` → `to`
-    /// workers) != canonical output (exactly-once).
-    ShardedResume(usize, usize),
+    /// The host at this worker count != reference.
+    Sharded(usize),
+    /// Durable crash + resume with a shard-count change (`from` → `to`
+    /// workers) != reference (exactly-once, policies restored).
+    CrashResume(usize, usize),
     /// Networked loopback frames != in-process frames.
     Loopback,
-    /// Shared-plan evaluation != independent per-query evaluation.
-    SharedPlan,
-    /// Shared-plan batched ingestion != independent evaluation.
-    SharedBatched,
-    /// Shared-plan durable crash + resume != independent evaluation
-    /// (exactly-once, including a backend switch on restart).
-    SharedCrashResume,
-    /// Sharded independent evaluation (worker count) != shared-plan
-    /// evaluation of the same query set.
-    SharedSharded(usize),
-    /// Multi-query networked loopback != its in-process oracle.
-    SharedLoopback,
-    /// A query's net settled set from the shared plan != naive oracle
-    /// match set.
-    SharedOracle,
 }
 
 impl std::fmt::Display for Path {
@@ -78,17 +66,11 @@ impl std::fmt::Display for Path {
         match self {
             Path::BuilderParser => write!(f, "builder-vs-parser"),
             Path::Oracle => write!(f, "oracle"),
-            Path::Sharded(n) => write!(f, "sharded({n})"),
+            Path::Plan => write!(f, "plan"),
             Path::Batched => write!(f, "batched"),
-            Path::CrashResume => write!(f, "crash-resume"),
-            Path::ShardedResume(a, b) => write!(f, "sharded-resume({a}->{b})"),
+            Path::Sharded(n) => write!(f, "sharded({n})"),
+            Path::CrashResume(a, b) => write!(f, "crash-resume({a}->{b})"),
             Path::Loopback => write!(f, "loopback"),
-            Path::SharedPlan => write!(f, "shared-plan"),
-            Path::SharedBatched => write!(f, "shared-batched"),
-            Path::SharedCrashResume => write!(f, "shared-crash-resume"),
-            Path::SharedSharded(n) => write!(f, "shared-vs-sharded({n})"),
-            Path::SharedLoopback => write!(f, "shared-loopback"),
-            Path::SharedOracle => write!(f, "shared-oracle"),
         }
     }
 }
@@ -100,6 +82,14 @@ pub struct Mismatch {
     pub path: Path,
     /// Human-readable discrepancy summary.
     pub detail: String,
+}
+
+/// The distinct path names among `mismatches`, in the order they ran (a
+/// path that disagrees on several queries is named once).
+pub fn path_names(mismatches: &[Mismatch]) -> Vec<String> {
+    let mut names: Vec<String> = mismatches.iter().map(|m| m.path.to_string()).collect();
+    names.dedup();
+    names
 }
 
 /// Deliberate engine defects injected into the paths under test (never
@@ -124,21 +114,17 @@ impl Sabotage {
 }
 
 /// The engine configuration a case prescribes, with the sabotage knobs
-/// applied (all-zero for honest runs).
+/// applied (all-zero for honest runs). Its policy — the host's default —
+/// is the first query's.
 pub fn engine_config(case: &CaseData, sabotage: Sabotage) -> EngineConfig {
-    engine_config_from(&case.config, sabotage)
-}
-
-/// [`engine_config`] from the bare knobs (the multi-query mode has no
-/// single [`CaseData`]).
-pub fn engine_config_from(config: &crate::case::CaseConfig, sabotage: Sabotage) -> EngineConfig {
+    let config = &case.config;
     EngineConfig {
         k_slack: Duration::new(config.k),
         purge: match config.purge_every {
             Some(n) => sequin_runtime::purge::PurgePolicy::batched(n),
             None => sequin_runtime::purge::PurgePolicy::NEVER,
         },
-        policy: config.policy,
+        policy: case.queries[0].policy,
         watermark: match config.watermark {
             1 => WatermarkSource::Punctuation,
             2 => WatermarkSource::Both,
@@ -152,9 +138,9 @@ pub fn engine_config_from(config: &crate::case::CaseConfig, sabotage: Sabotage) 
 
 /// A stable, comparable rendering of one output item (kind, constituent
 /// `(ts, id)` pairs, emission sequence number, emission clock).
-pub(crate) type OutputRepr = (u8, Vec<(u64, u64)>, u64, u64);
+type OutputRepr = (u8, Vec<(u64, u64)>, u64, u64);
 
-pub(crate) fn repr(o: &OutputItem) -> OutputRepr {
+fn repr(o: &OutputItem) -> OutputRepr {
     (
         match o.kind {
             OutputKind::Insert => 0,
@@ -169,39 +155,39 @@ pub(crate) fn repr(o: &OutputItem) -> OutputRepr {
     )
 }
 
-fn reprs(out: &[OutputItem]) -> Vec<OutputRepr> {
-    out.iter().map(repr).collect()
+/// How `got` differs from `want` as an exact output sequence — kinds,
+/// order and emission bookkeeping — if it does.
+fn exact_diff(want: &[OutputItem], got: &[OutputItem]) -> Option<String> {
+    if want.len() != got.len() {
+        return Some(format!("{} outputs vs {} reference", got.len(), want.len()));
+    }
+    let pairs = want.iter().map(repr).zip(got.iter().map(repr));
+    pairs
+        .enumerate()
+        .find(|(_, (w, g))| w != g)
+        .map(|(ix, (w, g))| format!("output {ix}: {g:?} vs reference {w:?}"))
 }
 
-/// Net deliveries as a sorted multiset of `(kind, ids)` — the
-/// exactly-once identity used for the crash/resume path, where emission
-/// sequence numbers legitimately differ across the restart.
-pub(crate) fn delivery_multiset(out: &[OutputItem]) -> Vec<(u8, Vec<u64>)> {
-    let mut v: Vec<(u8, Vec<u64>)> = out
-        .iter()
-        .map(|o| {
-            (
-                match o.kind {
-                    OutputKind::Insert => 0,
-                    OutputKind::Retract => 1,
-                },
-                o.m.events().iter().map(|e| e.id().get()).collect(),
-            )
-        })
-        .collect();
-    v.sort();
-    v
+/// How `got` differs from `want` as net deliveries — a sorted multiset of
+/// `(kind, ids)`, the exactly-once identity of the crash/resume path,
+/// where emission sequence numbers legitimately differ across the restart.
+fn delivery_diff(want: &[OutputItem], got: &[OutputItem]) -> Option<String> {
+    let multiset = |out: &[OutputItem]| {
+        let mut v: Vec<(u8, Vec<u64>)> = out
+            .iter()
+            .map(repr)
+            .map(|(kind, events, ..)| (kind, events.into_iter().map(|(_, id)| id).collect()))
+            .collect();
+        v.sort();
+        v
+    };
+    (multiset(want) != multiset(got))
+        .then(|| format!("{} deliveries vs {} reference", got.len(), want.len()))
 }
 
 /// How `out`'s net settled match set differs from the naive oracle's over
-/// `events` (the deduplicated, sorted history), if it does. The oracle
-/// shares no code with any engine: this is where "the algorithm is right"
-/// is anchored, in both modes.
-pub(crate) fn oracle_diff(
-    query: &Query,
-    events: &[EventRef],
-    out: &[OutputItem],
-) -> Option<String> {
+/// `events` (the deduplicated, sorted history), if it does.
+fn oracle_diff(query: &Query, events: &[EventRef], out: &[OutputItem]) -> Option<String> {
     let expected = reference_matches(query, events);
     let got: BTreeSet<Vec<u64>> = sequin_metrics::net_inserts(out)
         .into_iter()
@@ -219,27 +205,6 @@ pub(crate) fn oracle_diff(
     ))
 }
 
-fn drive(engine: &mut dyn Engine, items: &[StreamItem]) -> Vec<OutputItem> {
-    let mut out = Vec::new();
-    for item in items {
-        out.extend(engine.ingest(item));
-    }
-    out.extend(engine.finish());
-    out
-}
-
-pub(crate) fn first_diff(a: &[OutputRepr], b: &[OutputRepr]) -> String {
-    if a.len() != b.len() {
-        return format!("{} outputs vs {} canonical", b.len(), a.len());
-    }
-    for (ix, (x, y)) in a.iter().zip(b).enumerate() {
-        if x != y {
-            return format!("output {ix}: {y:?} vs canonical {x:?}");
-        }
-    }
-    "identical".to_owned()
-}
-
 /// Worker counts the sharded paths run at when none are pinned: one even
 /// and one prime count, so slicing artifacts that depend on divisibility
 /// surface.
@@ -248,183 +213,193 @@ pub const DEFAULT_SHARD_COUNTS: &[usize] = &[2, 7];
 /// Runs every production path for `case` at the default shard counts,
 /// returning all disagreements (empty = the case is clean).
 /// `purge_skew > 0` sabotages purge in every engine under test (but never
-/// the oracle), which a correct harness must report as mismatches.
+/// the reference or the oracle), which a correct harness must report as
+/// mismatches.
 pub fn check_case(case: &CaseData, purge_skew: u64) -> Vec<Mismatch> {
     check_case_sharded(case, Sabotage::purge_skew(purge_skew), DEFAULT_SHARD_COUNTS)
 }
 
-/// [`check_case`] with the full [`Sabotage`] bundle and the sharded paths
-/// pinned to `shard_counts` worker pools (the `sequin sim --shards`
-/// knob). The sharded crash+resume path checkpoints at the first count
-/// and resumes at the last (bumped when they coincide, so the shard count
-/// always *changes* across the crash).
+/// [`check_case`] with the full [`Sabotage`] bundle and the host pinned
+/// to `shard_counts` workers (the `sequin sim --shards` knob). The
+/// crash+resume path checkpoints at the first count and resumes at the
+/// last (bumped when they coincide, so the shard count always *changes*
+/// across the crash).
 pub fn check_case_sharded(
     case: &CaseData,
     sabotage: Sabotage,
     shard_counts: &[usize],
 ) -> Vec<Mismatch> {
-    let mut mismatches = Vec::new();
     let registry = sim_registry();
-    let cfg = engine_config(case, sabotage);
+    let honest = engine_config(case, Sabotage::default());
+    let sut = engine_config(case, sabotage);
+    let items = case.stream(&registry);
+    let nq = case.queries.len();
+    let texts: Vec<String> = case.queries.iter().map(|q| q.plan.text()).collect();
+    let mut mismatches = Vec::new();
+    let at = |path: Path, qx: usize, detail: String| {
+        let policy = case.queries[qx].policy;
+        let detail = format!("query {qx} (`{}`, {policy:?}): {detail}", texts[qx]);
+        Mismatch { path, detail }
+    };
 
     // front-end cross-check: builder and parser must agree
-    let text = case.query.text();
-    let built = match case.query.build(&registry) {
-        Ok(q) => q,
-        Err(e) => {
-            mismatches.push(Mismatch {
-                path: Path::BuilderParser,
-                detail: format!("builder rejected generated query `{text}`: {e}"),
-            });
-            return mismatches;
-        }
-    };
-    match parse(&text, &registry) {
-        Ok(parsed) => {
-            if *parsed != *built {
-                mismatches.push(Mismatch {
-                    path: Path::BuilderParser,
-                    detail: format!("`{text}`: builder and parser queries differ"),
-                });
+    let mut queries: Vec<Arc<Query>> = Vec::with_capacity(nq);
+    for (qx, q) in case.queries.iter().enumerate() {
+        let built = q.plan.build(&registry).map_err(|e| e.to_string());
+        let parsed = parse(&texts[qx], &registry).map_err(|e| e.to_string());
+        match (built, parsed) {
+            (Ok(built), Ok(parsed)) => {
+                if *parsed != *built {
+                    let detail = "builder and parser queries differ".to_owned();
+                    mismatches.push(at(Path::BuilderParser, qx, detail));
+                }
+                queries.push(built);
+            }
+            (Err(e), _) | (_, Err(e)) => {
+                mismatches.push(at(Path::BuilderParser, qx, format!("rejected: {e}")));
             }
         }
-        Err(e) => {
-            mismatches.push(Mismatch {
-                path: Path::BuilderParser,
-                detail: format!("parser rejected generated query `{text}`: {e}"),
-            });
-        }
     }
-    let query = built;
-    let items = case.stream(&registry);
-
-    // canonical: single-threaded NativeEngine, one item at a time
-    let mut canon_engine = NativeEngine::new(Arc::clone(&query), cfg);
-    let mut canonical = Vec::new();
-    for item in &items {
-        canonical.extend(canon_engine.ingest(item));
-    }
-    canonical.extend(canon_engine.finish());
-    let canon_repr = reprs(&canonical);
-
-    // oracle: exact match set over the deduplicated sorted history
-    let events = case.unique_events(&registry);
-    if let Some(detail) = oracle_diff(&query, &events, &canonical) {
-        let path = Path::Oracle;
-        mismatches.push(Mismatch { path, detail });
+    if queries.len() < nq {
+        return mismatches;
     }
 
-    // routed sharded pools: identical output, including emission
-    // bookkeeping
-    for &shards in shard_counts {
-        let shards = shards.max(1);
-        let mut eng = ShardedEngine::new(Arc::clone(&query), cfg, shards);
-        let out = drive(&mut eng, &items);
-        let r = reprs(&out);
-        if r != canon_repr {
-            mismatches.push(Mismatch {
-                path: Path::Sharded(shards),
-                detail: first_diff(&canon_repr, &r),
-            });
+    // the reference: each query alone on a plan of one, honest
+    // configuration, its own policy, one item at a time
+    let reference: Vec<Vec<OutputItem>> = (0..nq)
+        .map(|qx| {
+            let policy = case.queries[qx].policy;
+            let cfg = EngineConfig { policy, ..honest };
+            let mut engine = NativeEngine::new(Arc::clone(&queries[qx]), cfg);
+            let mut out = Vec::new();
+            for item in &items {
+                out.extend(engine.ingest(item));
+            }
+            out.extend(engine.finish());
+            out
+        })
+        .collect();
+    // splits `out` per query and reports each query `diff` tells apart
+    // from its reference
+    type Diff = fn(&[OutputItem], &[OutputItem]) -> Option<String>;
+    let compare = |mismatches: &mut Vec<Mismatch>,
+                   path: Path,
+                   out: Vec<(QueryId, OutputItem)>,
+                   diff: Diff,
+                   context: &str| {
+        let mut per: Vec<Vec<OutputItem>> = (0..nq).map(|_| Vec::new()).collect();
+        for (qid, o) in out {
+            per[qid.index()].push(o);
         }
-    }
-
-    // batched ingestion: identical output
-    {
-        let mut eng = make_engine(Strategy::Native, Arc::clone(&query), cfg);
-        let mut out = Vec::new();
-        for chunk in items.chunks(case.config.batch.max(1)) {
-            out.extend(eng.ingest_batch(chunk).into_iter().map(|(_, o)| o));
+        for qx in 0..nq {
+            if let Some(detail) = diff(&reference[qx], &per[qx]) {
+                mismatches.push(at(path, qx, detail + context));
+            }
         }
-        out.extend(eng.finish());
-        let r = reprs(&out);
-        if r != canon_repr {
-            mismatches.push(Mismatch {
-                path: Path::Batched,
-                detail: first_diff(&canon_repr, &r),
-            });
-        }
-    }
-
-    // crash + checkpoint resume: the engine `before()` builds writes the
-    // checkpoints, the one `after()` builds resumes them; returns every
-    // delivery, the crash point and the resume point
-    let crash_resume = |before: &dyn Fn() -> Box<dyn Engine>,
-                        after: &dyn Fn() -> Box<dyn Engine>| {
-        let host = |engine: Box<dyn Engine>| {
-            let mut host = MultiEngine::new(Strategy::Native, cfg, 1);
-            host.register_engine(engine);
-            host
-        };
-        let policy = CheckpointPolicy::every(case.config.ckpt_every.max(1));
-        let mut ck = Checkpointer::new(host(before()), policy);
-        let crash_at = (case.config.crash_at as usize).min(items.len());
-        let mut delivered = Vec::new();
-        for item in &items[..crash_at] {
-            delivered.extend(ck.ingest(item));
-        }
-        let saved = ck.store().clone();
-        drop(ck); // crash: only the persisted store survives
-        let (mut ck, replay_from) = Checkpointer::resume(policy, saved, |_| Ok(host(after())));
-        for item in &items[replay_from as usize..] {
-            delivered.extend(ck.ingest(item));
-        }
-        delivered.extend(ck.finish());
-        let delivered: Vec<OutputItem> = delivered.into_iter().map(|(_, o)| o).collect();
-        (delivered, crash_at, replay_from)
+        per
     };
 
-    // exactly-once deliveries across a crash
-    {
-        let fresh = || make_engine(Strategy::Native, Arc::clone(&query), cfg);
-        let (delivered, crash_at, replay_from) = crash_resume(&fresh, &fresh);
-        if delivery_multiset(&delivered) != delivery_multiset(&canonical) {
-            mismatches.push(Mismatch {
-                path: Path::CrashResume,
-                detail: format!(
-                    "crash at item {crash_at} (resume from {replay_from}): {} deliveries vs {} canonical",
-                    delivered.len(),
-                    canonical.len()
-                ),
-            });
+    // the host under test: `MultiEngine::register` decides per query
+    // between the plan and a routed pool, as the server does; fed in
+    // chunks of `batch` items (1 = item by item)
+    let host = |shards: usize, batch: usize| {
+        let mut host = MultiEngine::new(Strategy::Native, sut, shards);
+        for (q, spec) in queries.iter().zip(&case.queries) {
+            host.register(Arc::clone(q), spec.policy);
+        }
+        let mut out = Vec::new();
+        for chunk in items.chunks(batch) {
+            out.extend(host.ingest_batch(chunk).into_iter().flatten());
+        }
+        out.extend(host.finish());
+        out
+    };
+
+    // the plan of N, item by item: identical per-query output — and each
+    // query's net settled set against the oracle
+    let found = &mut mismatches;
+    let plan = compare(found, Path::Plan, host(1, 1), exact_diff, "");
+    let events = case.unique_events(&registry);
+    for qx in 0..nq {
+        if let Some(detail) = oracle_diff(&queries[qx], &events, &plan[qx]) {
+            found.push(at(Path::Oracle, qx, detail));
         }
     }
+    let batched = host(1, case.config.batch.max(1));
+    compare(found, Path::Batched, batched, exact_diff, "");
+    for &shards in shard_counts {
+        let shards = shards.max(1);
+        compare(
+            found,
+            Path::Sharded(shards),
+            host(shards, 1),
+            exact_diff,
+            "",
+        );
+    }
 
-    // sharded crash + resume with a shard-count change: a `from`-worker
-    // pool writes the checkpoints and a `to`-worker pool resumes them —
-    // the shard-count-agnostic snapshot guarantee, end to end
+    // subscribe order == query order, so ids line up with the reference;
+    // the first query takes the host default instead of naming its policy
+    let subs: Vec<(String, Option<DisorderPolicy>)> = (0..nq)
+        .map(|qx| (qx > 0).then_some(case.queries[qx].policy))
+        .zip(&texts)
+        .map(|(request, text)| (text.clone(), request))
+        .collect();
+
+    // durable core, crashed mid-stream, resumed at another shard count:
+    // exactly-once deliveries per query, and each query's policy back
+    // (policies ride the checkpoint envelope)
     {
         let from = shard_counts.first().copied().unwrap_or(2).max(1);
         let mut to = shard_counts.last().copied().unwrap_or(7).max(1);
         if to == from {
             to = from + 3; // always actually change the count
         }
-        let pool = |n: usize| -> Box<dyn Engine> {
-            Box::new(ShardedEngine::new(Arc::clone(&query), cfg, n))
-        };
-        let (delivered, crash_at, replay_from) = crash_resume(&|| pool(from), &|| pool(to));
-        if delivery_multiset(&delivered) != delivery_multiset(&canonical) {
-            mismatches.push(Mismatch {
-                path: Path::ShardedResume(from, to),
-                detail: format!(
-                    "crash at item {crash_at} on {from} shards (resume from {replay_from} on {to}): {} deliveries vs {} canonical",
-                    delivered.len(),
-                    canonical.len()
-                ),
-            });
+        let path = Path::CrashResume(from, to);
+        let mut cfg = CoreConfig::new(Arc::clone(&registry), Strategy::Native, sut);
+        cfg.checkpoint_every = Some(case.config.ckpt_every.max(1));
+        cfg.shards = from;
+        let mut core = EngineCore::new(cfg.clone());
+        for (qx, (text, request)) in subs.iter().enumerate() {
+            let want = Ok(case.queries[qx].policy);
+            let got = core.subscribe_with_policy(text, *request).map(|(_, p)| p);
+            if got != want {
+                mismatches.push(at(path, qx, format!("subscribed {got:?}, not {want:?}")));
+            }
         }
+        let crash_at = (case.config.crash_at as usize).min(items.len());
+        let mut delivered = Vec::new();
+        for item in &items[..crash_at] {
+            delivered.extend(core.ingest(item));
+        }
+        let saved = core.store().clone();
+        drop(core); // crash: only the persisted store survives
+        cfg.shards = to;
+        let (mut core, replay_from) = EngineCore::resume(cfg, saved);
+        for (qx, (text, _)) in subs.iter().enumerate() {
+            // a restored text is a table hit: nothing is registered
+            let want = Ok(case.queries[qx].policy);
+            let got = core.subscribe_with_policy(text, None).map(|(_, p)| p);
+            if got != want {
+                mismatches.push(at(path, qx, format!("resumed with {got:?}, not {want:?}")));
+            }
+        }
+        for item in &items[(replay_from as usize).min(items.len())..] {
+            delivered.extend(core.ingest(item));
+        }
+        delivered.extend(core.finish());
+        let context = format!(" (crash at item {crash_at}, resumed from {replay_from})");
+        compare(&mut mismatches, path, delivered, delivery_diff, &context);
     }
 
     // networked loopback: byte-identical frames (verified inside
     // loopback_run); gated per case because it boots a real TCP server
     if case.config.loopback {
-        let mut core = CoreConfig::new(Arc::clone(&registry), Strategy::Native, cfg);
+        let mut core = CoreConfig::new(Arc::clone(&registry), Strategy::Native, sut);
         core.shards = case.config.loopback_shards;
-        if let Err(e) = loopback_run(core, std::slice::from_ref(&text), &items, case.config.batch) {
-            mismatches.push(Mismatch {
-                path: Path::Loopback,
-                detail: e,
-            });
+        if let Err(detail) = loopback_run(core, &subs, &items, case.config.batch) {
+            let path = Path::Loopback;
+            mismatches.push(Mismatch { path, detail });
         }
     }
 

@@ -1,36 +1,38 @@
 //! Deterministic differential simulation harness for sequin.
 //!
-//! One `u64` seed drives everything: a random-but-valid SEQ query (built
-//! through [`sequin_query::QueryBuilder`] *and* re-parsed from text), an event
-//! stream with a parameterized disorder schedule (lateness, duplicates,
-//! reversed bursts, punctuation placement), and an engine configuration.
-//! Each case is evaluated on a naive `O(n^k)` reference oracle and then
-//! differentially on every production path — single-shard, sharded
-//! pools, batched ingestion, crash-at-checkpoint + resume, and the
-//! networked server loopback — asserting identical output.
+//! One `u64` seed drives everything: a set of N ≥ 1 random-but-valid SEQ
+//! queries (each built through [`sequin_query::QueryBuilder`] *and*
+//! re-parsed from text, each with its own disorder policy; N = 1 is the
+//! common case, the rest are mostly prefix siblings the plan can pool),
+//! an event stream with a parameterized disorder schedule (lateness,
+//! duplicates, reversed bursts, punctuation placement), and an engine
+//! configuration. The reference is each query alone on an honest
+//! single-threaded engine; every production path is compared with it per
+//! query — the plan of N item by item (also held against a naive
+//! `O(n^k)` oracle), batched ingestion, the host at each pinned shard
+//! count, a durable crash + resume across a shard-count change, and the
+//! networked server loopback ([`diff`] has the table).
 //!
-//! On mismatch the case is shrunk to a minimal repro and rendered as a
+//! On mismatch the case is shrunk to a minimal repro — fewer queries,
+//! fewer items, simpler terms and knobs — and rendered as a
 //! self-contained `#[test]` snippet plus a replayable `--seed`/`--case`
-//! pair. The `sequin sim` CLI subcommand fronts this crate for both CI
-//! and interactive debugging.
+//! pair and a postmortem bundle. The `sequin sim` CLI subcommand fronts
+//! this crate for both CI and interactive debugging.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod case;
 pub mod diff;
-pub mod multi;
 pub mod oracle;
 pub mod postmortem;
 pub mod repro;
 pub mod runner;
 pub mod shrink;
 
-pub use case::{CaseConfig, CaseData, QueryPlan, SimEvent, SimItem};
-pub use diff::{check_case, check_case_sharded, Mismatch, Path, Sabotage, DEFAULT_SHARD_COUNTS};
-pub use multi::{
-    check_multi_case, materialize_multi, replay_multi, run_multi, MultiCase, MultiFailure,
-    MultiReport,
+pub use case::{CaseConfig, CaseData, QueryPlan, SimEvent, SimItem, SimQuery};
+pub use diff::{
+    check_case, check_case_sharded, path_names, Mismatch, Path, Sabotage, DEFAULT_SHARD_COUNTS,
 };
 pub use oracle::reference_matches;
 pub use postmortem::{capture_bundle, read_bundle, replay_bundle, write_bundle};

@@ -1,7 +1,7 @@
 //! The sim flight recorder.
 //!
-//! When a differential case mismatches, [`capture_bundle`] re-drives the
-//! canonical path through an observability-enabled
+//! When a differential case mismatches, [`capture_bundle`] re-drives its
+//! whole query set through an observability-enabled
 //! [`sequin_server::EngineCore`] and freezes everything a postmortem
 //! needs into one self-contained [`Bundle`]: the causal lineage of every
 //! output the case produced, a metrics snapshot, the configuration under
@@ -52,7 +52,7 @@ fn policy_from_code(code: u64) -> Option<DisorderPolicy> {
 
 /// Captures a postmortem bundle for a mismatching `(seed, case)` pair.
 ///
-/// The case is re-driven through the canonical path (Native strategy,
+/// Every query of the case is re-driven on one core (Native strategy,
 /// one shard) with provenance tracing on and a ring large enough to hold
 /// every output span, so the bundle's lineage covers the whole run, not
 /// just its tail. The sabotage knobs from `opts` are applied exactly as
@@ -76,13 +76,12 @@ pub fn capture_bundle(
         ..ObsConfig::default()
     };
     let mut core = EngineCore::new(core_cfg);
-    let text = case.query.text();
-    if core
-        .subscribe_with_policy(&text, Some(case.config.policy))
-        .is_ok()
-    {
-        let items = case.stream(&registry);
-        for item in &items {
+    let subscribed = case.queries.iter().all(|q| {
+        core.subscribe_with_policy(&q.plan.text(), Some(q.policy))
+            .is_ok()
+    });
+    if subscribed {
+        for item in &case.stream(&registry) {
             core.ingest(item);
         }
         core.finish();
@@ -202,9 +201,9 @@ mod tests {
 
     #[test]
     fn sabotaged_bundle_replays_to_the_same_mismatch() {
-        // Inject a fault, find a case it breaks, and check its bundle
-        // reproduces the same mismatching paths from the decoded bytes
-        // alone.
+        // Inject a fault, find a multi-query case it breaks, and check its
+        // bundle reproduces the same mismatches — per query — from the
+        // decoded bytes alone.
         let opts = SimOptions {
             purge_skew: 40,
             no_loopback: true,
@@ -215,16 +214,16 @@ mod tests {
         for case_ix in 0..60 {
             let case = materialize(0xC0FFEE, case_ix, &opts);
             let mismatches = check_case_sharded(&case, opts.sabotage(), &opts.shard_counts);
-            if !mismatches.is_empty() {
+            if case.queries.len() > 1 && !mismatches.is_empty() {
                 found = Some((case_ix, mismatches));
                 break;
             }
         }
-        let (case_ix, mismatches) = found.expect("purge sabotage must break some case");
+        let (case_ix, mismatches) = found.expect("purge sabotage must break some query set");
         let bundle = capture_bundle(0xC0FFEE, case_ix, &opts, &mismatches);
         let decoded = Bundle::decode(&bundle.encode()).expect("round trip");
         let replayed = replay_bundle(&decoded).expect("sim bundle has replay params");
         assert_eq!(replayed, mismatches);
-        assert!(decoded.config.contains("mismatch"));
+        assert!(decoded.config.contains("mismatch plan: query "));
     }
 }

@@ -32,30 +32,38 @@ pub fn emit_test(
     s.push_str(&format!("#[test]\nfn {name}() {{\n"));
     s.push_str("    use sequin::sim::case::*;\n");
     s.push_str("    let case = CaseData {\n");
-    s.push_str("        query: QueryPlan {\n");
-    s.push_str("            comps: vec![\n");
-    for c in &case.query.comps {
+    s.push_str("        queries: vec![\n");
+    for q in &case.queries {
+        s.push_str("            SimQuery {\n");
+        s.push_str("                plan: QueryPlan {\n");
+        s.push_str("                    comps: vec![\n");
+        for c in &q.plan.comps {
+            s.push_str(&format!(
+                "                        CompPlan {{ negated: {}, types: vec!{:?}, var: {:?}.into() }},\n",
+                c.negated, c.types, c.var
+            ));
+        }
+        s.push_str("                    ],\n");
+        s.push_str(&format!("                    window: {},\n", q.plan.window));
+        s.push_str("                    preds: vec![\n");
+        for p in &q.plan.preds {
+            s.push_str(&format!(
+                "                        LocalPred {{ comp: {}, op: PredOp::{:?}, value: {} }},\n",
+                p.comp, p.op, p.value
+            ));
+        }
+        s.push_str("                    ],\n");
         s.push_str(&format!(
-            "                CompPlan {{ negated: {}, types: vec!{:?}, var: {:?}.into() }},\n",
-            c.negated, c.types, c.var
+            "                    tag_join: {},\n                    project_first: {},\n",
+            q.plan.tag_join, q.plan.project_first
+        ));
+        s.push_str("                },\n");
+        s.push_str(&format!(
+            "                policy: DisorderPolicy::{:?},\n            }},\n",
+            q.policy
         ));
     }
-    s.push_str("            ],\n");
-    s.push_str(&format!("            window: {},\n", case.query.window));
-    s.push_str("            preds: vec![\n");
-    for p in &case.query.preds {
-        s.push_str(&format!(
-            "                LocalPred {{ comp: {}, op: PredOp::{:?}, value: {} }},\n",
-            p.comp, p.op, p.value
-        ));
-    }
-    s.push_str("            ],\n");
-    s.push_str(&format!("            tag_join: {},\n", case.query.tag_join));
-    s.push_str(&format!(
-        "            project_first: {},\n",
-        case.query.project_first
-    ));
-    s.push_str("        },\n");
+    s.push_str("        ],\n");
     s.push_str("        items: vec![\n");
     for it in &case.items {
         match it {
@@ -70,10 +78,6 @@ pub fn emit_test(
     let c = &case.config;
     s.push_str("        config: CaseConfig {\n");
     s.push_str(&format!("            k: {},\n", c.k));
-    s.push_str(&format!(
-        "            policy: DisorderPolicy::{:?},\n",
-        c.policy
-    ));
     s.push_str(&format!("            purge_every: {:?},\n", c.purge_every));
     s.push_str(&format!("            watermark: {},\n", c.watermark));
     s.push_str(&format!("            batch: {},\n", c.batch));

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use sequin_obs::Bundle;
 
 use crate::case::{CaseData, DisorderPolicy};
-use crate::diff::{check_case_sharded, Mismatch, Sabotage};
+use crate::diff::{check_case_sharded, path_names, Mismatch, Sabotage};
 use crate::postmortem::{bundle_filename, capture_bundle, write_bundle};
 use crate::repro::emit_test;
 use crate::shrink::{describe, shrink};
@@ -32,17 +32,16 @@ pub struct SimOptions {
     /// in every engine under test (never the oracle or the reference);
     /// a healthy harness must then report mismatches.
     pub retraction_drop: u64,
-    /// Pin every case to one [`DisorderPolicy`] (the `--policy` knob);
-    /// `None` lets each case draw its own (the `--policy all` sweep).
+    /// Pin every query to one [`DisorderPolicy`] (the `--policy` knob);
+    /// `None` lets each query draw its own (`--policy mixed`, the default).
     pub policy: Option<DisorderPolicy>,
     /// Skip the networked loopback path (debug builds, sandboxes
     /// without TCP).
     pub no_loopback: bool,
     /// Stop after this many failures (shrinking is expensive).
     pub max_failures: usize,
-    /// Worker counts the routed-sharded paths run at (the `--shards`
-    /// knob); the sharded crash+resume path checkpoints at the first and
-    /// resumes at the last.
+    /// Worker counts the host runs at (the `--shards` knob); the
+    /// crash+resume path checkpoints at the first and resumes at the last.
     pub shard_counts: Vec<usize>,
     /// Flight recorder: write each failure's postmortem bundle under
     /// this directory (`--bundle-dir`). `None` still captures bundles
@@ -69,12 +68,13 @@ impl Default for SimOptions {
 }
 
 impl SimOptions {
-    /// The fixed per-PR CI preset: four pinned seeds, 560 cases, an
-    /// ~80 second ceiling well under the job timeout.
+    /// The fixed per-PR CI preset: four pinned seeds, 800 cases (about
+    /// two in five hold several queries), an ~80 second ceiling well
+    /// under the job timeout.
     pub fn ci() -> Self {
         SimOptions {
             seeds: vec![1, 2, 3, 4],
-            cases_per_seed: 140,
+            cases_per_seed: 200,
             time_budget: Some(Duration::from_secs(80)),
             ..SimOptions::default()
         }
@@ -118,6 +118,8 @@ pub struct Failure {
 pub struct SimReport {
     /// Cases generated and checked.
     pub cases_run: u64,
+    /// How many of them held more than one query.
+    pub multi_query_cases: u64,
     /// Cases in which at least one production path disagreed.
     pub failures: Vec<Failure>,
     /// Wall-clock time spent.
@@ -142,7 +144,9 @@ pub fn materialize(seed: u64, case_ix: u64, opts: &SimOptions) -> CaseData {
         case.config.loopback = false;
     }
     if let Some(policy) = opts.policy {
-        case.config.policy = policy;
+        for q in &mut case.queries {
+            q.policy = policy;
+        }
     }
     case
 }
@@ -150,7 +154,10 @@ pub fn materialize(seed: u64, case_ix: u64, opts: &SimOptions) -> CaseData {
 /// Checks one `(seed, case)` pair and, on failure, shrinks and renders
 /// it. Returns `None` when the case is clean.
 pub fn replay(seed: u64, case_ix: u64, opts: &SimOptions) -> Option<Failure> {
-    let case = materialize(seed, case_ix, opts);
+    check_generated(seed, case_ix, materialize(seed, case_ix, opts), opts)
+}
+
+fn check_generated(seed: u64, case_ix: u64, case: CaseData, opts: &SimOptions) -> Option<Failure> {
     let original = check_case_sharded(&case, opts.sabotage(), &opts.shard_counts);
     if original.is_empty() {
         return None;
@@ -194,15 +201,14 @@ pub fn run(opts: &SimOptions, mut progress: impl FnMut(&str)) -> SimReport {
                 }
             }
             report.cases_run += 1;
-            if let Some(failure) = replay(seed, case_ix, opts) {
+            let case = materialize(seed, case_ix, opts);
+            let queries = case.queries.len();
+            report.multi_query_cases += u64::from(queries > 1);
+            if let Some(failure) = check_generated(seed, case_ix, case, opts) {
                 progress(&format!(
-                    "MISMATCH seed={seed} case={case_ix}: {} (shrunk to: {})",
-                    failure
-                        .original
-                        .iter()
-                        .map(|m| m.path.to_string())
-                        .collect::<Vec<_>>()
-                        .join(", "),
+                    "MISMATCH seed={seed} case={case_ix} ({queries} quer{}): {} (shrunk to: {})",
+                    if queries == 1 { "y" } else { "ies" },
+                    path_names(&failure.original).join(", "),
                     failure.summary
                 ));
                 if let Some(dir) = &opts.bundle_dir {

@@ -1,13 +1,13 @@
 //! Failing-case minimization.
 //!
 //! Given a case on which [`check_case`](crate::check_case) reports mismatches, the shrinker
-//! searches for a smaller case that *still* mismatches: it drops stream
-//! items (ddmin-style chunk removal, then singles), strips query terms
-//! (predicates, projections, tag joins, negations, alternation arms),
-//! shrinks the window, and simplifies the configuration — keeping each
-//! mutation only if the failure survives. Every candidate is validated
-//! through the analyzer first, so shrinking never "fails" by producing
-//! an ill-formed query.
+//! searches for a smaller case that *still* mismatches: it drops whole
+//! queries, drops stream items (ddmin-style chunk removal, then singles),
+//! strips each query's terms (predicates, projections, tag joins,
+//! negations, alternation arms), shrinks the window, and simplifies the
+//! configuration — keeping each mutation only if the failure survives.
+//! Every candidate is validated through the analyzer first, so shrinking
+//! never "fails" by producing an ill-formed query.
 //!
 //! All mutations preserve replay validity by construction: removing
 //! events only raises the true suffix-minimum, so existing punctuations
@@ -15,7 +15,9 @@
 //! stored `K` stays sufficient. The shrunk case therefore replays
 //! through exactly the same [`check_case`](crate::check_case) entry point as the original.
 
-use crate::case::{CaseData, QueryPlan, SimItem};
+use std::collections::BTreeSet;
+
+use crate::case::{sim_registry, CaseData, DisorderPolicy, QueryPlan, SimItem, SimQuery};
 use crate::diff::{check_case_sharded, Mismatch, Sabotage};
 
 /// Hard ceiling on [`check_case`](crate::check_case) invocations per shrink, so shrinking a
@@ -33,30 +35,51 @@ pub struct Shrunk {
     pub checks: usize,
 }
 
-struct Shrinker {
+/// The search state: the smallest failing case so far and what it fails.
+struct Shrinker<'a> {
     sabotage: Sabotage,
-    shard_counts: Vec<usize>,
+    shard_counts: &'a [usize],
     checks: usize,
+    best: CaseData,
+    mismatches: Vec<Mismatch>,
 }
 
-impl Shrinker {
-    /// Returns the candidate's mismatches if it is valid, still failing,
-    /// and the check budget is not exhausted.
-    fn still_fails(&mut self, candidate: &CaseData) -> Option<Vec<Mismatch>> {
-        if self.checks >= MAX_CHECKS {
-            return None;
+impl Shrinker<'_> {
+    /// Applies `mutate` to a copy of the best case and keeps the copy if
+    /// it changed, is well formed (every query passes the analyzer, texts
+    /// stay distinct — the server core would fold equal ones into one
+    /// subscription), still fails, and the check budget is not exhausted.
+    fn attempt(&mut self, mutate: impl FnOnce(&mut CaseData)) -> bool {
+        let mut candidate = self.best.clone();
+        mutate(&mut candidate);
+        if candidate == self.best || self.checks >= MAX_CHECKS {
+            return false;
         }
-        let registry = crate::case::sim_registry();
-        if candidate.query.build(&registry).is_err() {
-            return None; // ill-formed candidate; not a real reduction
+        let registry = sim_registry();
+        let plans = candidate.queries.iter().map(|q| &q.plan);
+        let texts: BTreeSet<String> = plans.clone().map(QueryPlan::text).collect();
+        if texts.len() < candidate.queries.len()
+            || plans.clone().any(|p| p.build(&registry).is_err())
+        {
+            return false; // ill-formed candidate; not a real reduction
         }
         self.checks += 1;
-        let m = check_case_sharded(candidate, self.sabotage, &self.shard_counts);
+        let m = check_case_sharded(&candidate, self.sabotage, self.shard_counts);
         if m.is_empty() {
-            None
-        } else {
-            Some(m)
+            return false;
         }
+        self.best = candidate;
+        self.mismatches = m;
+        true
+    }
+
+    /// The measure the outer loop must keep lowering to go round again.
+    fn size(&self) -> (usize, usize) {
+        let comps = |q: &SimQuery| q.plan.comps.len();
+        (
+            self.best.items.len(),
+            self.best.queries.iter().map(comps).sum(),
+        )
     }
 }
 
@@ -67,168 +90,109 @@ impl Shrinker {
 pub fn shrink(case: &CaseData, sabotage: Sabotage, shard_counts: &[usize]) -> Shrunk {
     let mut sh = Shrinker {
         sabotage,
-        shard_counts: shard_counts.to_vec(),
+        shard_counts,
         checks: 1,
+        best: case.clone(),
+        mismatches: check_case_sharded(case, sabotage, shard_counts),
     };
-    let mut best = case.clone();
-    let mut mismatches = check_case_sharded(&best, sabotage, shard_counts);
-    if mismatches.is_empty() {
-        return Shrunk {
-            case: best,
-            mismatches,
-            checks: sh.checks,
-        };
-    }
-
-    loop {
-        let before = (best.items.len(), best.query.comps.len());
-
-        shrink_items(&mut sh, &mut best, &mut mismatches);
-        shrink_query(&mut sh, &mut best, &mut mismatches);
-        shrink_config(&mut sh, &mut best, &mut mismatches);
-
-        let after = (best.items.len(), best.query.comps.len());
-        if after == before || sh.checks >= MAX_CHECKS {
+    while !sh.mismatches.is_empty() {
+        let before = sh.size();
+        shrink_queries(&mut sh);
+        shrink_items(&mut sh);
+        for qx in 0..sh.best.queries.len() {
+            shrink_query(&mut sh, qx);
+        }
+        shrink_config(&mut sh);
+        if sh.size() == before || sh.checks >= MAX_CHECKS {
             break;
         }
     }
-
     Shrunk {
-        case: best,
-        mismatches,
+        case: sh.best,
+        mismatches: sh.mismatches,
         checks: sh.checks,
     }
 }
 
+/// Drops whole queries while at least one remains.
+fn shrink_queries(sh: &mut Shrinker) {
+    let mut qx = 0;
+    while qx < sh.best.queries.len() && sh.best.queries.len() > 1 {
+        let removed = sh.attempt(|c| {
+            c.queries.remove(qx);
+        });
+        if !removed {
+            qx += 1;
+        }
+    }
+}
+
 /// ddmin-lite: try removing halves, then quarters, …, then single items.
-fn shrink_items(sh: &mut Shrinker, best: &mut CaseData, mismatches: &mut Vec<Mismatch>) {
-    let mut chunk = (best.items.len() / 2).max(1);
+fn shrink_items(sh: &mut Shrinker) {
+    let mut chunk = (sh.best.items.len() / 2).max(1);
     loop {
         let mut start = 0;
-        while start < best.items.len() {
-            let end = (start + chunk).min(best.items.len());
-            let mut candidate = best.clone();
-            candidate.items.drain(start..end);
-            if let Some(m) = sh.still_fails(&candidate) {
-                *best = candidate;
-                *mismatches = m;
-                // keep `start` — the next chunk has shifted into place
-            } else {
+        while start < sh.best.items.len() {
+            let end = (start + chunk).min(sh.best.items.len());
+            // on success keep `start` — the next chunk has shifted into place
+            let removed = sh.attempt(|c| {
+                c.items.drain(start..end);
+            });
+            if !removed {
                 start = end;
             }
         }
         if chunk == 1 {
             break;
         }
-        chunk = (chunk / 2).max(1);
+        chunk /= 2;
     }
 }
 
-/// Strips query terms one at a time: predicates, projection, tag join,
-/// whole negated components, alternation arms, then window halving.
-fn shrink_query(sh: &mut Shrinker, best: &mut CaseData, mismatches: &mut Vec<Mismatch>) {
-    // drop predicates
+/// Strips query `qx`'s terms one at a time: predicates, projection, tag
+/// join, whole components, alternation arms, then window halving.
+fn shrink_query(sh: &mut Shrinker, qx: usize) {
     let mut ix = 0;
-    while ix < best.query.preds.len() {
-        let mut candidate = best.clone();
-        candidate.query.preds.remove(ix);
-        if let Some(m) = sh.still_fails(&candidate) {
-            *best = candidate;
-            *mismatches = m;
-        } else {
+    while ix < sh.best.queries[qx].plan.preds.len() {
+        let removed = sh.attempt(|c| {
+            c.queries[qx].plan.preds.remove(ix);
+        });
+        if !removed {
             ix += 1;
         }
     }
-
-    for flag in [true, false] {
-        let mut candidate = best.clone();
-        if flag {
-            candidate.query.project_first = false;
-        } else {
-            candidate.query.tag_join = false;
-        }
-        if candidate != *best {
-            if let Some(m) = sh.still_fails(&candidate) {
-                *best = candidate;
-                *mismatches = m;
-            }
-        }
-    }
+    sh.attempt(|c| c.queries[qx].plan.project_first = false);
+    sh.attempt(|c| c.queries[qx].plan.tag_join = false);
 
     // drop whole components (negations are free; positives only while at
     // least one remains — the analyzer check rejects the rest)
     let mut ix = 0;
-    while ix < best.query.comps.len() {
-        let mut candidate = best.clone();
-        remove_comp(&mut candidate.query, ix);
-        if let Some(m) = sh.still_fails(&candidate) {
-            *best = candidate;
-            *mismatches = m;
-        } else {
+    while ix < sh.best.queries[qx].plan.comps.len() {
+        if !sh.attempt(|c| remove_comp(&mut c.queries[qx].plan, ix)) {
             ix += 1;
         }
     }
 
     // collapse alternations to their first arm
-    for ix in 0..best.query.comps.len() {
-        if best.query.comps[ix].types.len() > 1 {
-            let mut candidate = best.clone();
-            candidate.query.comps[ix].types.truncate(1);
-            if let Some(m) = sh.still_fails(&candidate) {
-                *best = candidate;
-                *mismatches = m;
-            }
-        }
+    for ix in 0..sh.best.queries[qx].plan.comps.len() {
+        sh.attempt(|c| c.queries[qx].plan.comps[ix].types.truncate(1));
     }
 
     // halve the window toward 1
-    while best.query.window > 1 {
-        let mut candidate = best.clone();
-        candidate.query.window = (candidate.query.window / 2).max(1);
-        if let Some(m) = sh.still_fails(&candidate) {
-            *best = candidate;
-            *mismatches = m;
-        } else {
-            break;
-        }
-    }
+    while sh.attempt(|c| c.queries[qx].plan.window = (c.queries[qx].plan.window / 2).max(1)) {}
 }
 
-/// Simplifies the configuration: single-item batches, no loopback, the
-/// conservative policy, a smaller `K`, eager checkpoints.
-fn shrink_config(sh: &mut Shrinker, best: &mut CaseData, mismatches: &mut Vec<Mismatch>) {
-    let try_cfg = |sh: &mut Shrinker,
-                   best: &mut CaseData,
-                   mismatches: &mut Vec<Mismatch>,
-                   mutate: &dyn Fn(&mut CaseData)| {
-        let mut candidate = best.clone();
-        mutate(&mut candidate);
-        if candidate != *best {
-            if let Some(m) = sh.still_fails(&candidate) {
-                *best = candidate;
-                *mismatches = m;
-            }
-        }
-    };
-    try_cfg(sh, best, mismatches, &|c| c.config.loopback = false);
-    try_cfg(sh, best, mismatches, &|c| {
-        c.config.policy = crate::case::DisorderPolicy::Conservative;
-    });
-    try_cfg(sh, best, mismatches, &|c| c.config.batch = 1);
-    try_cfg(sh, best, mismatches, &|c| c.config.ckpt_every = 1);
-    try_cfg(sh, best, mismatches, &|c| {
-        c.config.crash_at = c.items.len() as u64;
-    });
-    while best.config.k > 0 {
-        let mut candidate = best.clone();
-        candidate.config.k /= 2;
-        if let Some(m) = sh.still_fails(&candidate) {
-            *best = candidate;
-            *mismatches = m;
-        } else {
-            break;
-        }
+/// Simplifies the configuration: no loopback, conservative policies,
+/// single-item batches, eager checkpoints, no crash, a smaller `K`.
+fn shrink_config(sh: &mut Shrinker) {
+    sh.attempt(|c| c.config.loopback = false);
+    for qx in 0..sh.best.queries.len() {
+        sh.attempt(|c| c.queries[qx].policy = DisorderPolicy::Conservative);
     }
+    sh.attempt(|c| c.config.batch = 1);
+    sh.attempt(|c| c.config.ckpt_every = 1);
+    sh.attempt(|c| c.config.crash_at = c.items.len() as u64);
+    while sh.best.config.k > 0 && sh.attempt(|c| c.config.k /= 2) {}
 }
 
 /// Removes component `ix`, dropping its predicates and re-pointing the
@@ -251,12 +215,16 @@ pub fn describe(case: &CaseData) -> String {
         .iter()
         .filter(|i| matches!(i, SimItem::Event(_)))
         .count();
-    let puncts = case.items.len() - events;
+    let queries: Vec<String> = case
+        .queries
+        .iter()
+        .map(|q| format!("{} [{:?}]", q.plan.text(), q.policy))
+        .collect();
     format!(
         "{} ({} events, {} punctuations, K={}, purge={:?})",
-        case.query.text(),
+        queries.join(" ; "),
         events,
-        puncts,
+        case.items.len() - events,
         case.config.k,
         case.config.purge_every
     )

@@ -40,7 +40,7 @@ const USAGE: &str = "usage:
                   [--watch] [--interval SECS]
   sequin trace    (--addr HOST:PORT | --bundle FILE) [--query N]
                   [--pid HEX] [--format text|json]
-  sequin sim      [--ci] [--multi] [--seeds 1,2,3 | --seed S] [--cases N]
+  sequin sim      [--ci] [--seeds 1,2,3 | --seed S] [--cases N]
                   [--case N] [--time-budget SECS] [--shrink yes|no]
                   [--emit-repro DIR] [--purge-skew N] [--retraction-drop N]
                   [--policy NAME|mixed] [--no-loopback]
@@ -76,10 +76,9 @@ options:
                     (exactly-once restart: clients replay from the
                     HELLO_ACK resume cursor)
   --shards N        Native-engine worker shards (default 1; sim takes a
-                    comma-separated list of counts and pins the
-                    routed-sharded differential paths to them, with
-                    crash+resume changing from the first count to the
-                    last)
+                    comma-separated list of counts and runs every
+                    case's host at each, with crash+resume changing
+                    from the first count to the last)
   --cases N         sim: cases generated per seed (default 100)
   --case N          sim: replay one case index and print the verdict
   --time-budget S   sim: stop cleanly after S seconds
@@ -93,7 +92,7 @@ options:
   --bundle-dir DIR  sim: write each mismatch's postmortem bundle here;
                     serve: where recovery-fallback bundles land (default:
                     the store file's directory)
-  --ci              sim: fixed CI preset (seeds 1-4, 560 cases, 80s
+  --ci              sim: fixed CI preset (seeds 1-4, 800 cases, 80s
                     budget, SIM_ci.json, repros into sim-repros/,
                     bundles into sim-bundles/)
   --bundle FILE     trace: render an on-disk postmortem bundle (.sqpm)
@@ -126,7 +125,6 @@ const FLAGS: &[(&str, bool)] = &[
     ("interval", true),
     ("json", true),
     ("k", true),
-    ("multi", false),
     ("no-loopback", false),
     ("obs", true),
     ("ooo", true),
@@ -383,7 +381,6 @@ fn run(args: &[String]) -> Result<String, String> {
             if let Some(counts) = get_list(&flags, "shards")? {
                 s.opts.shard_counts = counts;
             }
-            s.multi = flags.contains_key("multi");
             if let Some(p) = flags.get("json") {
                 s.json_out = Some(p.clone());
             }
@@ -503,6 +500,9 @@ mod tests {
         assert_eq!(err, "unknown flag --refresh-baseline");
         let err = sequin(&["bench", "--ci"]).unwrap_err();
         assert_eq!(err, "unknown subcommand `bench`");
+        // so did the second sim mode: every case is a query set now
+        let err = sequin(&["sim", "--multi", "--cases", "1"]).unwrap_err();
+        assert_eq!(err, "unknown flag --multi");
         // boolean flags still take no value, valued flags still need one
         assert!(sequin(&["sim", "--cases", "1", "--no-loopback"]).is_ok());
         // sim's own readings of --policy and --shards are not pre-empted
@@ -513,6 +513,30 @@ mod tests {
         assert!(sequin(&mixed).is_ok());
         let err = sequin(&["run", "--workload"]).unwrap_err();
         assert_eq!(err, "flag --workload needs a value");
+    }
+
+    #[test]
+    fn sim_runs_every_case_at_the_pinned_shard_counts() {
+        // seed 1 case 10 holds three queries; query sets used to run at
+        // two workers whatever --shards said
+        let three = [
+            "sim",
+            "--seed",
+            "1",
+            "--case",
+            "10",
+            "--shards",
+            "3",
+            "--purge-skew",
+            "50",
+        ];
+        let report = sequin(&[&three[..], &["--no-loopback", "--shrink", "no"]].concat())
+            .expect_err("a 50-tick purge skew must be reported");
+        assert!(report.contains("query 2      : "), "{report}");
+        for path in ["sharded(3) — query 1", "crash-resume(3->6) — query 1"] {
+            assert!(report.contains(path), "no `{path}` in {report}");
+        }
+        assert!(!report.contains("sharded(2)"), "{report}");
     }
 
     #[test]

@@ -121,7 +121,7 @@ fn net_core(registry: Arc<TypeRegistry>, net: &NetOptions) -> CoreConfig {
 pub fn run_netbench(spec: &StreamSpec, net: &NetOptions) -> Result<String, String> {
     let (registry, stream, text) = prepared_stream(spec, net)?;
     let core = net_core(registry, net);
-    let report = loopback_run(core, std::slice::from_ref(&text), &stream, net.batch.max(1))?;
+    let report = loopback_run(core, &[(text, None)], &stream, net.batch.max(1))?;
     let mut out = String::new();
     out.push_str(&format!(
         "stream       : {} items over loopback TCP, batches of {}\n",

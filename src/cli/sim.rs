@@ -1,5 +1,4 @@
-//! `sequin sim`: the differential simulation harness, single- and
-//! multi-query.
+//! `sequin sim`: the differential simulation harness.
 
 use std::path::PathBuf;
 
@@ -18,15 +17,10 @@ pub struct SimCliOptions {
     /// Write each failure's self-contained `#[test]` repro into this
     /// directory (one `.rs` file per failure).
     pub emit_repro: Option<String>,
-    /// Run the multi-query mode instead: generated query *sets* with
-    /// overlapping prefixes, shared-plan evaluation checked against the
-    /// independent per-query reference (no shrinking; failures replay
-    /// via `--multi --seed S --case N`).
-    pub multi: bool,
 }
 
 impl SimCliOptions {
-    /// The CI preset: pinned seeds 1–4, 560 cases, 80 s budget,
+    /// The CI preset: pinned seeds 1–4, 800 cases, 80 s budget,
     /// `SIM_ci.json` artifact, repros into `sim-repros/`, postmortem
     /// bundles into `sim-bundles/`.
     pub fn ci() -> SimCliOptions {
@@ -37,34 +31,15 @@ impl SimCliOptions {
             replay_case: None,
             json_out: Some("SIM_ci.json".to_owned()),
             emit_repro: Some("sim-repros".to_owned()),
-            multi: false,
         }
     }
 }
 
-/// One failing case as the reports show it: seed, case index, the paths
-/// that disagreed, one-line summary.
-type FailureRow<'a> = (u64, u64, Vec<String>, &'a str);
-
-fn paths_of(mismatches: &[sequin_sim::Mismatch]) -> Vec<String> {
-    mismatches.iter().map(|m| m.path.to_string()).collect()
-}
-
-/// The machine-readable report, the same shape in both modes (`--multi`
-/// adds a `"mode"` line).
-fn sim_json(
-    o: &SimCliOptions,
-    cases_run: u64,
-    elapsed: std::time::Duration,
-    budget_exhausted: bool,
-    failures: &[FailureRow],
-) -> String {
+/// The machine-readable report.
+fn sim_json(o: &SimCliOptions, report: &sequin_sim::SimReport) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"sim\": \"sequin\",\n");
-    if o.multi {
-        s.push_str("  \"mode\": \"multi\",\n");
-    }
     s.push_str(&format!(
         "  \"seeds\": [{}],\n",
         o.opts
@@ -89,25 +64,39 @@ fn sim_json(
             .policy
             .map_or_else(|| "mixed".to_owned(), policy_name)
     ));
-    s.push_str(&format!("  \"cases_run\": {cases_run},\n"));
+    s.push_str(&format!("  \"cases_run\": {},\n", report.cases_run));
+    s.push_str(&format!(
+        "  \"multi_query_cases\": {},\n",
+        report.multi_query_cases
+    ));
     s.push_str(&format!(
         "  \"elapsed_secs\": {:.1},\n",
-        elapsed.as_secs_f64()
+        report.elapsed.as_secs_f64()
     ));
-    s.push_str(&format!("  \"budget_exhausted\": {budget_exhausted},\n"));
+    s.push_str(&format!(
+        "  \"budget_exhausted\": {},\n",
+        report.budget_exhausted
+    ));
     s.push_str("  \"failures\": [\n");
-    for (ix, (seed, case_ix, paths, summary)) in failures.iter().enumerate() {
+    for (ix, f) in report.failures.iter().enumerate() {
         s.push_str(&format!(
-            "    {{ \"seed\": {seed}, \"case\": {case_ix}, \"paths\": {paths:?}, \
-             \"summary\": {summary:?} }}{}\n",
-            if ix + 1 < failures.len() { "," } else { "" }
+            "    {{ \"seed\": {}, \"case\": {}, \"paths\": {:?}, \"summary\": {:?} }}{}\n",
+            f.seed,
+            f.case_ix,
+            sequin_sim::path_names(&f.original),
+            f.summary,
+            if ix + 1 < report.failures.len() {
+                ","
+            } else {
+                ""
+            }
         ));
     }
     s.push_str("  ]\n}\n");
     s
 }
 
-/// The sabotage and policy lines both modes print after their path list.
+/// The sabotage and policy lines printed after the path list.
 fn push_knobs(out: &mut String, opts: &sequin_sim::SimOptions) {
     if opts.purge_skew > 0 {
         out.push_str(&format!(
@@ -132,10 +121,13 @@ fn push_knobs(out: &mut String, opts: &sequin_sim::SimOptions) {
 }
 
 /// `sequin sim`: runs the deterministic differential simulation harness —
-/// generated queries and disorder schedules, each checked against the
-/// naive oracle and across every production path (sharded, batched,
-/// crash/resume, networked loopback). Failures are shrunk to minimal
-/// repros and reported with their replayable `--seed`/`--case` pair.
+/// generated query sets (one query, or a few prefix siblings with a
+/// policy each) and disorder schedules, each query alone on an honest
+/// engine as the reference, and every production path checked against it
+/// (the plan of N item by item — also against the naive oracle — batched,
+/// the host at each shard count, crash/resume across a shard-count
+/// change, networked loopback). Failures are shrunk to minimal repros and
+/// reported with their replayable `--seed`/`--case` pair.
 ///
 /// # Errors
 ///
@@ -143,16 +135,16 @@ fn push_knobs(out: &mut String, opts: &sequin_sim::SimOptions) {
 /// case mismatches, so CI fails loudly; file I/O problems are also
 /// reported as display strings.
 pub fn run_sim(o: &SimCliOptions) -> Result<String, String> {
-    if o.multi {
-        return run_sim_multi(o);
-    }
     // single-case replay: regenerate, check, and show the verdict
     if let Some(case_ix) = o.replay_case {
         let seed = o.opts.seeds.first().copied().unwrap_or(0);
         let case = sequin_sim::runner::materialize(seed, case_ix, &o.opts);
         let mut out = String::new();
         out.push_str(&format!("case         : seed {seed}, index {case_ix}\n"));
-        out.push_str(&format!("query        : {}\n", case.query.text()));
+        for (qx, q) in case.queries.iter().enumerate() {
+            let (text, policy) = (q.plan.text(), policy_name(q.policy));
+            out.push_str(&format!("query {qx}      : {text} [{policy}]\n"));
+        }
         out.push_str(&format!(
             "stream       : {} items, K={}, purge={:?}, watermark={}\n",
             case.items.len(),
@@ -203,28 +195,22 @@ pub fn run_sim(o: &SimCliOptions) -> Result<String, String> {
         .collect::<Vec<_>>()
         .join(",");
     out.push_str(&format!(
-        "paths        : oracle, builder-vs-parser, routed-sharded{{{counts}}}, batched, \
-         crash-resume, sharded-resume, loopback\n"
+        "queries      : {} case(s) held one query, {} held two to four\n",
+        report.cases_run - report.multi_query_cases,
+        report.multi_query_cases
+    ));
+    out.push_str(&format!(
+        "paths        : builder-vs-parser, plan, oracle, batched, sharded{{{counts}}}, \
+         crash-resume, loopback\n"
     ));
     push_knobs(&mut out, &o.opts);
     if !progress.is_empty() {
         out.push_str(&progress);
     }
 
-    let rows: Vec<FailureRow> = report
-        .failures
-        .iter()
-        .map(|f| (f.seed, f.case_ix, paths_of(&f.original), f.summary.as_str()))
-        .collect();
     if let Some(path) = &o.json_out {
-        let json = sim_json(
-            o,
-            report.cases_run,
-            report.elapsed,
-            report.budget_exhausted,
-            &rows,
-        );
-        std::fs::write(path, json).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        std::fs::write(path, sim_json(o, &report))
+            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
         out.push_str(&format!("report       : wrote {path}\n"));
     }
     if let Some(dir) = &o.emit_repro {
@@ -248,124 +234,13 @@ pub fn run_sim(o: &SimCliOptions) -> Result<String, String> {
                 "failure      : seed {} case {} ({}); replay: sequin sim --seed {} --case {}\n",
                 f.seed,
                 f.case_ix,
-                paths_of(&f.mismatches).join(", "),
+                sequin_sim::path_names(&f.mismatches).join(", "),
                 f.seed,
                 f.case_ix
             ));
         }
         Err(format!(
             "{out}{} of {} cases mismatched",
-            report.failures.len(),
-            report.cases_run
-        ))
-    }
-}
-
-/// `sequin sim --multi`: the multi-query differential mode — generated
-/// query sets with overlapping prefixes, a plan of N queries checked per
-/// query against N plans of one across item-by-item, batched,
-/// crash/resume-with-backend-switch, sharded, and loopback paths, and
-/// against the naive oracle.
-fn run_sim_multi(o: &SimCliOptions) -> Result<String, String> {
-    // single-case replay: regenerate, check, and show the verdict
-    if let Some(case_ix) = o.replay_case {
-        let seed = o.opts.seeds.first().copied().unwrap_or(0);
-        let case = sequin_sim::materialize_multi(seed, case_ix, &o.opts);
-        let mut out = String::new();
-        out.push_str(&format!(
-            "case         : seed {seed}, index {case_ix} (multi-query)\n"
-        ));
-        for (qx, q) in case.queries.iter().enumerate() {
-            out.push_str(&format!("query {qx}      : {}\n", q.text()));
-        }
-        out.push_str(&format!(
-            "stream       : {} items, K={}, purge={:?}, watermark={}\n",
-            case.items.len(),
-            case.config.k,
-            case.config.purge_every,
-            case.config.watermark
-        ));
-        return match sequin_sim::replay_multi(seed, case_ix, &o.opts) {
-            None => {
-                out.push_str("verdict      : clean (shared plan matches independent evaluation)\n");
-                Ok(out)
-            }
-            Some(f) => {
-                for m in &f.mismatches {
-                    out.push_str(&format!("mismatch     : {} — {}\n", m.path, m.detail));
-                }
-                Err(out)
-            }
-        };
-    }
-
-    let mut progress = String::new();
-    let report = sequin_sim::run_multi(&o.opts, |line| {
-        progress.push_str(&format!("  {line}\n"));
-    });
-
-    let mut out = String::new();
-    out.push_str(&format!(
-        "sim          : {} multi-query cases over {} seed(s), {} checked in {:.1}s{}\n",
-        o.opts.seeds.len() as u64 * o.opts.cases_per_seed,
-        o.opts.seeds.len(),
-        report.cases_run,
-        report.elapsed.as_secs_f64(),
-        if report.budget_exhausted {
-            " (budget exhausted)"
-        } else {
-            ""
-        }
-    ));
-    out.push_str(
-        "paths        : shared-plan, shared-oracle, shared-batched, shared-crash-resume, \
-         shared-vs-sharded(2), shared-loopback\n",
-    );
-    push_knobs(&mut out, &o.opts);
-    if !progress.is_empty() {
-        out.push_str(&progress);
-    }
-
-    let rows: Vec<FailureRow> = report
-        .failures
-        .iter()
-        .map(|f| {
-            (
-                f.seed,
-                f.case_ix,
-                paths_of(&f.mismatches),
-                f.summary.as_str(),
-            )
-        })
-        .collect();
-    if let Some(path) = &o.json_out {
-        let json = sim_json(
-            o,
-            report.cases_run,
-            report.elapsed,
-            report.budget_exhausted,
-            &rows,
-        );
-        std::fs::write(path, json).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        out.push_str(&format!("report       : wrote {path}\n"));
-    }
-
-    if report.clean() {
-        out.push_str("verdict      : clean (shared plan matches independent evaluation)\n");
-        Ok(out)
-    } else {
-        for f in &report.failures {
-            out.push_str(&format!(
-                "failure      : seed {} case {} ({}); replay: sequin sim --multi --seed {} --case {}\n",
-                f.seed,
-                f.case_ix,
-                paths_of(&f.mismatches).join(", "),
-                f.seed,
-                f.case_ix
-            ));
-        }
-        Err(format!(
-            "{out}{} of {} multi-query cases mismatched",
             report.failures.len(),
             report.cases_run
         ))

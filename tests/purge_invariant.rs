@@ -30,8 +30,8 @@ fn native_engine_never_holds_state_past_the_horizon() {
     for seed in 0..60u64 {
         let mut case = CaseData::generate(0xBEEF, seed);
         case.config.purge_every = Some(1); // eager: the bound must hold per item
-        let query = case
-            .query
+        let query = case.queries[0]
+            .plan
             .build(&registry)
             .expect("generated queries are valid");
         let mut cfg = engine_config(&case, Sabotage::default());
@@ -67,8 +67,8 @@ fn every_sharded_worker_honors_the_horizon() {
     for seed in 0..30u64 {
         let mut case = CaseData::generate(0xFACE, seed);
         case.config.purge_every = Some(1);
-        let query = case
-            .query
+        let query = case.queries[0]
+            .plan
             .build(&registry)
             .expect("generated queries are valid");
         let mut cfg = engine_config(&case, Sabotage::default());
@@ -110,8 +110,8 @@ fn skewed_purge_horizon_changes_behavior() {
     for seed in 0..80u64 {
         let mut case = CaseData::generate(0xD00F, seed);
         case.config.purge_every = Some(1);
-        let query = case
-            .query
+        let query = case.queries[0]
+            .plan
             .build(&registry)
             .expect("generated queries are valid");
         let honest_cfg = {

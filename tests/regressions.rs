@@ -8,7 +8,8 @@
 //!
 //! The harness has not caught a live engine bug yet, so the corpus holds
 //! boundary cases promoted from sabotage runs: cases a one-tick purge
-//! skew flips, i.e. the tightest inputs the purge rules must survive.
+//! skew flips, i.e. the tightest inputs the purge rules must survive —
+//! one with a single query, one with two queries pooling a stack.
 
 use sequin::engine::DisorderPolicy;
 use sequin::sim::case::*;
@@ -21,24 +22,27 @@ use sequin::sim::case::*;
 #[test]
 fn sim_seed_1_case_173_purge_boundary() {
     let case = CaseData {
-        query: QueryPlan {
-            comps: vec![
-                CompPlan {
-                    negated: false,
-                    types: vec![0, 2],
-                    var: "a".into(),
-                },
-                CompPlan {
-                    negated: false,
-                    types: vec![4],
-                    var: "c".into(),
-                },
-            ],
-            window: 25,
-            preds: vec![],
-            tag_join: false,
-            project_first: false,
-        },
+        queries: vec![SimQuery {
+            plan: QueryPlan {
+                comps: vec![
+                    CompPlan {
+                        negated: false,
+                        types: vec![0, 2],
+                        var: "a".into(),
+                    },
+                    CompPlan {
+                        negated: false,
+                        types: vec![4],
+                        var: "c".into(),
+                    },
+                ],
+                window: 25,
+                preds: vec![],
+                tag_join: false,
+                project_first: false,
+            },
+            policy: DisorderPolicy::Conservative,
+        }],
         items: vec![
             SimItem::Event(SimEvent {
                 ty: 2,
@@ -58,7 +62,79 @@ fn sim_seed_1_case_173_purge_boundary() {
         ],
         config: CaseConfig {
             k: 0,
-            policy: DisorderPolicy::Conservative,
+            purge_every: Some(1),
+            watermark: 1,
+            batch: 1,
+            ckpt_every: 1,
+            crash_at: 3,
+            loopback: false,
+            loopback_shards: 2,
+        },
+    };
+    let mismatches = sequin::sim::diff::check_case(&case, 0);
+    assert!(mismatches.is_empty(), "{mismatches:?}");
+}
+
+/// Shrunk from `sequin sim --seed 1 --cases 388` (case 387, four prefix
+/// siblings), run with `--purge-skew 1` and the shrinker's query-drop step
+/// held at two — a purge skew never needs a second query to show, so the
+/// shrinker otherwise ends on one. Two queries with different windows pool
+/// one stack, purged at the lower of their thresholds: the event at
+/// `ts 28` is re-delivered right after a punctuation puts the watermark
+/// *at* 28, and only the stacked original tells the duplicate from a new
+/// match. A horizon off by one tick purges it and both queries emit twice.
+#[test]
+fn sim_seed_1_case_387_pooled_duplicate_boundary() {
+    let case = CaseData {
+        queries: vec![
+            SimQuery {
+                plan: QueryPlan {
+                    comps: vec![CompPlan {
+                        negated: false,
+                        types: vec![2],
+                        var: "b".into(),
+                    }],
+                    window: 1,
+                    preds: vec![],
+                    tag_join: false,
+                    project_first: false,
+                },
+                policy: DisorderPolicy::Conservative,
+            },
+            SimQuery {
+                plan: QueryPlan {
+                    comps: vec![CompPlan {
+                        negated: false,
+                        types: vec![2],
+                        var: "b".into(),
+                    }],
+                    window: 2,
+                    preds: vec![],
+                    tag_join: false,
+                    project_first: false,
+                },
+                policy: DisorderPolicy::Conservative,
+            },
+        ],
+        items: vec![
+            SimItem::Event(SimEvent {
+                ty: 2,
+                id: 17,
+                ts: 28,
+                x: 19,
+                tag: 0,
+            }),
+            SimItem::Punct(28),
+            SimItem::Event(SimEvent {
+                ty: 2,
+                id: 17,
+                ts: 28,
+                x: 19,
+                tag: 0,
+            }),
+        ],
+        config: CaseConfig {
+            k: 0,
             purge_every: Some(1),
             watermark: 1,
             batch: 1,

@@ -7,8 +7,11 @@
 //! The loopback path is exercised sparsely here (debug builds); the CI
 //! `sim-smoke` job runs the full release-mode matrix via `sequin sim --ci`.
 
-use sequin::engine::DisorderPolicy;
-use sequin::sim::case::CaseData;
+use std::collections::BTreeSet;
+
+use sequin::engine::{DisorderPolicy, MultiEngine, Strategy};
+use sequin::sim::case::{sim_registry, CaseData};
+use sequin::sim::diff::engine_config;
 use sequin::sim::{
     check_case, check_case_sharded, replay, run, Sabotage, SimOptions, DEFAULT_SHARD_COUNTS,
 };
@@ -55,6 +58,70 @@ fn generation_is_deterministic() {
     }
     // distinct indexes actually vary the case
     assert_ne!(CaseData::generate(5, 0), CaseData::generate(5, 1));
+
+    // both shapes appear — one query, the common one, and sets of two to
+    // four — and the sets are what makes a plan of N worth checking:
+    // textually distinct (the server core folds equal queries into one
+    // subscription), prefix siblings the plan can pool, policies mixed
+    let registry = sim_registry();
+    let (mut single, mut mixed, mut grouped) = (0u32, 0u32, 0u32);
+    for case_ix in 0..100 {
+        let case = CaseData::generate(9, case_ix);
+        let n = case.queries.len();
+        assert!((1..=4).contains(&n), "case {case_ix} holds {n} queries");
+        single += u32::from(n == 1);
+        let texts: BTreeSet<String> = case.queries.iter().map(|q| q.plan.text()).collect();
+        assert_eq!(texts.len(), n, "duplicate text in case {case_ix}");
+        let policies: BTreeSet<String> = case
+            .queries
+            .iter()
+            .map(|q| format!("{:?}", q.policy))
+            .collect();
+        mixed += u32::from(policies.len() >= 2);
+        let cfg = engine_config(&case, Sabotage::default());
+        let mut host = MultiEngine::new(Strategy::Native, cfg, 1);
+        for q in &case.queries {
+            let query = q
+                .plan
+                .build(&registry)
+                .expect("generated queries are valid");
+            host.register(query, q.policy);
+        }
+        grouped += u32::from(host.plan_metrics().prefix_groups >= 1);
+    }
+    assert!(
+        (45..=75).contains(&single),
+        "{single}/100 single-query cases"
+    );
+    assert!(mixed >= 20, "only {mixed}/100 cases mixed policies");
+    assert!(
+        grouped >= 8,
+        "only {grouped}/100 cases formed a prefix group"
+    );
+}
+
+/// The shrinker drops whole queries: a three-query case under a grossly
+/// skewed purge horizon comes back with fewer queries, still failing a
+/// path the original failed, and honest engines pass what is left.
+#[test]
+fn shrinker_drops_queries() {
+    let opts = SimOptions {
+        purge_skew: 50,
+        no_loopback: true,
+        ..SimOptions::default()
+    };
+    let (seed, case_ix) = (1, 10);
+    let original = CaseData::generate(seed, case_ix);
+    assert_eq!(original.queries.len(), 3, "generator drifted");
+    let f = replay(seed, case_ix, &opts).expect("a 50-tick purge skew is caught");
+    assert!(f.shrunk.queries.len() < original.queries.len());
+    let survived = f
+        .mismatches
+        .iter()
+        .any(|m| f.original.iter().any(|o| o.path == m.path));
+    assert!(survived, "{:?} vs {:?}", f.mismatches, f.original);
+    assert!(f.repro.contains("SimQuery {"), "{}", f.repro);
+    assert!(check_case(&f.shrunk, 0).is_empty());
 }
 
 /// The acceptance check from the issue: widening the purge horizon by one
