@@ -3,8 +3,8 @@
 //! One layout — fingerprint, watermark, arrival sequence, counters,
 //! stacks, settle tail — for one logical query, whatever physically holds
 //! it: the plan's pooled stacks, a plan of one behind
-//! [`crate::NativeEngine`], or the workers of a [`crate::ShardedEngine`]
-//! pool. The one evaluator ([`crate::SharedMultiEngine`]) is its only
+//! [`crate::NativeEngine`], or the key-sliced workers of a pool of
+//! several. The one evaluator ([`crate::SharedMultiEngine`]) is its only
 //! writer and reader.
 
 use std::collections::BTreeMap;
@@ -20,7 +20,7 @@ use crate::watermark::WatermarkTracker;
 
 /// One logical query's decoded checkpoint state. Every hosting writes
 /// the one layout, whatever its physical one, so a checkpoint restores
-/// into a lone engine, a pool of any worker count, or the shared plan.
+/// into a lone engine or the shared plan on a pool of any worker count.
 pub(crate) struct QueryBlob {
     pub(crate) wm: WatermarkTracker,
     pub(crate) seq: ArrivalSeq,

@@ -560,7 +560,11 @@ mod tests {
         let mut id = 0;
         for t in 0..60u64 {
             id += 1;
-            let ty = if t % 3 == 0 { "B" } else { "A" };
+            let ty = match t % 13 {
+                5 => "N",
+                _ if t % 3 == 0 => "B",
+                _ => "A",
+            };
             let ts = if t % 5 == 2 { t.saturating_sub(3) } else { t };
             items.push(item(reg, ty, id, ts * 2));
         }
@@ -568,17 +572,23 @@ mod tests {
     }
 
     const Q_AB: &str = "PATTERN SEQ(A a, B b) WITHIN 8";
-    /// Partitionable, so a two-shard host gives it a routed pool of its own.
-    const Q_PART: &str = "PATTERN SEQ(A a, B b) WHERE a.x == b.x WITHIN 8";
+    /// With a key to spread over a pool's workers, and negating `N`...
+    const Q_PART: &str = "PATTERN SEQ(A a, !N n, B b) WHERE a.x == b.x WITHIN 8";
+    /// ...which is this one's keyed positive slot.
+    const Q_NB: &str = "PATTERN SEQ(N n, B b) WHERE n.x == b.x WITHIN 8";
 
-    /// A two-shard host: `Q_AB` on the plan, `Q_PART` on its own pool.
-    fn host_of(reg: &TypeRegistry, texts: &[&str]) -> MultiEngine {
+    fn host_at(reg: &TypeRegistry, shards: usize, texts: &[&str]) -> MultiEngine {
         let config = EngineConfig::with_k(Duration::new(10));
-        let mut host = MultiEngine::new(Strategy::Native, config, 2);
+        let mut host = MultiEngine::new(Strategy::Native, config, shards);
         for text in texts {
             host.register(parse(text, reg).unwrap(), config.policy);
         }
         host
+    }
+
+    /// A two-worker host.
+    fn host_of(reg: &TypeRegistry, texts: &[&str]) -> MultiEngine {
+        host_at(reg, 2, texts)
     }
 
     fn fresh(reg: &TypeRegistry) -> MultiEngine {
@@ -625,40 +635,54 @@ mod tests {
     fn batches_split_at_checkpoint_boundaries_and_reach_the_pool() {
         let reg = registry();
         let items = stream(&reg);
-        let mut per_item = Checkpointer::new(fresh(&reg), CheckpointPolicy::every(10));
-        let mut want = Vec::new();
-        for item in &items {
-            want.extend(per_item.ingest(item));
-        }
-        want.extend(per_item.finish());
-        assert_eq!(per_item.stats().checkpoints_written, 6);
-
-        // ragged batch sizes that straddle the checkpoint cadence
-        let mut batched = Checkpointer::new(fresh(&reg), CheckpointPolicy::every(10));
-        let mut got = Vec::new();
-        let mut rest = &items[..];
-        for size in [1usize, 10, 3, 17, 9].iter().cycle() {
-            if rest.is_empty() {
-                break;
+        let mut stores = Vec::new();
+        for shards in 1..=3 {
+            let fresh = || host_at(&reg, shards, &[Q_AB, Q_PART, Q_NB]);
+            let mut per_item = Checkpointer::new(fresh(), CheckpointPolicy::every(10));
+            let mut want = Vec::new();
+            for item in &items {
+                want.extend(per_item.ingest(item));
             }
-            let (chunk, tail) = rest.split_at((*size).min(rest.len()));
-            got.extend(batched.ingest_batch(chunk));
-            rest = tail;
+            want.extend(per_item.finish());
+            assert_eq!(per_item.stats().checkpoints_written, 6);
+
+            // ragged batch sizes that straddle the checkpoint cadence
+            let mut batched = Checkpointer::new(fresh(), CheckpointPolicy::every(10));
+            let mut got = Vec::new();
+            let mut rest = &items[..];
+            for size in [1usize, 10, 3, 17, 9].iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (chunk, tail) = rest.split_at((*size).min(rest.len()));
+                got.extend(batched.ingest_batch(chunk));
+                rest = tail;
+            }
+            got.extend(batched.finish());
+            assert_eq!(got, want, "same outputs in the same order");
+            assert_eq!(batched.position(), per_item.position());
+            assert_eq!(batched.stats().checkpoints_written, 6, "same cadence");
+            assert_eq!(
+                batched.store().to_bytes(),
+                per_item.store().to_bytes(),
+                "every checkpoint sits at the position it records"
+            );
+            // a pool of several was handed whole runs, not one item at a
+            // time; a pool of one has no queue to hand them over
+            let peak = |ck: &Checkpointer| ck.host().route_stats().map(|rs| rs.queue_depth_peak);
+            match shards {
+                1 => assert_eq!((peak(&per_item), peak(&batched)), (None, None)),
+                _ => {
+                    assert_eq!(peak(&per_item), Some(1));
+                    assert!(peak(&batched) > Some(1), "peak {:?}", peak(&batched));
+                }
+            }
+            stores.push(batched.store().to_bytes());
         }
-        got.extend(batched.finish());
-        assert_eq!(got, want, "same outputs in the same order");
-        assert_eq!(batched.position(), per_item.position());
-        assert_eq!(batched.stats().checkpoints_written, 6, "same cadence");
-        assert_eq!(
-            batched.store().to_bytes(),
-            per_item.store().to_bytes(),
-            "every checkpoint sits at the position it records"
+        assert!(
+            stores.iter().all(|s| *s == stores[0]),
+            "whatever the shards"
         );
-        // the pool was handed whole runs, not one item at a time
-        let pool = QueryId::new(1);
-        let peak = |ck: &Checkpointer| ck.host().route_stats(pool).unwrap().queue_depth_peak;
-        assert!(peak(&per_item) <= 1);
-        assert!(peak(&batched) > 1, "peak {}", peak(&batched));
     }
 
     #[test]

@@ -20,11 +20,12 @@
 //! evaluator of a `sequin-plan` plan, holds the only ingest loop in this
 //! crate, and every way of hosting a native query is an instance of it.
 //! Many queries run in a [`MultiEngine`], the one multi-query host, which
-//! puts each on the shared plan (pooling stacks and prefix walks across
-//! queries), on a [`ShardedEngine`] pool of its own, or on any engine
-//! handed to it. [`NativeEngine`] is a plan of one registration; each
-//! worker of a [`ShardedEngine`] pool is a plan of one restricted to a
-//! slice of the partition-key space. All of them walk stacks with
+//! runs all of them on one plan (pooling stacks and prefix walks across
+//! queries) evaluated by a pool of `shards ≥ 1` workers, each holding the
+//! whole plan over a slice of the partition-key space. A plan is a pool of
+//! one: a single worker owns every key and runs inline. [`NativeEngine`]
+//! is a plan of one registration and [`ShardedEngine`] a pool with one
+//! registration. All of them walk stacks with
 //! `sequin_runtime::Constructor`, hand every match to the `settle`
 //! module — the one place that decides when a match is emitted, held,
 //! retracted or dropped under a [`DisorderPolicy`] — and write the same
@@ -100,21 +101,5 @@ pub fn make_engine(strategy: Strategy, query: Arc<Query>, config: EngineConfig) 
         Strategy::InOrder => Box::new(InOrderEngine::new(query, config)),
         Strategy::Buffered => Box::new(BufferedEngine::new(query, config)),
         Strategy::Native => Box::new(NativeEngine::new(query, config)),
-    }
-}
-
-/// Like [`make_engine`], with a worker count: the native strategy becomes
-/// a [`ShardedEngine`] pool when `shards > 1` (the other strategies are
-/// inherently sequential and ignore the knob).
-pub fn make_sharded_engine(
-    strategy: Strategy,
-    query: Arc<Query>,
-    config: EngineConfig,
-    shards: usize,
-) -> Box<dyn Engine> {
-    if strategy == Strategy::Native && shards > 1 {
-        Box::new(ShardedEngine::new(query, config, shards))
-    } else {
-        make_engine(strategy, query, config)
     }
 }

@@ -1,25 +1,24 @@
 //! The multi-query host: many queries over one shared arrival stream.
 //!
 //! A [`MultiEngine`] is the one container every multi-query caller uses —
-//! the server core, `sequin run`, the simulator's references. It holds a
-//! [`SharedMultiEngine`] (the plan `sequin-plan` compiles: pooled AIS
-//! stacks, one partial-match walk per common SEQ prefix, an event-type
-//! routing index), the engines of queries that run one of their own, and a
-//! host table recording, per query in registration order, which of the two
-//! hosts it. [`MultiEngine::register`] applies the one rule, which reads
-//! only the host's configuration and the query: the control strategies
-//! (`Buffered`, `InOrder`) get their own engine because the plan compiler
-//! does not cover them; a Native query that sharding can parallelize
-//! (`shards > 1` and an equality chain to hash on) gets its own routed
-//! [`crate::ShardedEngine`] pool; every other Native query joins the plan.
-//! [`MultiEngine::register_engine`] hosts an opaque, pre-built engine.
+//! the server core, `sequin run`, the simulator's references. It holds
+//! *either* the pool — `shards ≥ 1` workers, each a [`SharedMultiEngine`]
+//! evaluating the plan `sequin-plan` compiles from *every* registered
+//! query (pooled AIS stacks, one partial-match walk per common SEQ prefix,
+//! an event-type routing index) over its slice of the partition-key space
+//! — *or* a list of engines, one per query: what the control strategies
+//! (`Buffered`, `InOrder`) get, because the plan compiler does not cover
+//! them, and what tests build as the independent reference a plan of many
+//! is checked against ([`MultiEngine::from_engines`]). Never both: where a
+//! query runs depends on the strategy alone, and `shards` only sets how
+//! many workers run the plan. A plan is a pool of one — a single worker
+//! runs inline, with no thread and no router.
 //!
-//! Outputs carry global [`QueryId`]s in registration order per arrival.
-//! The plan and a routed pool are the same evaluator — a pool's workers
-//! each run a plan of one over a slice of the key space — so they produce
+//! Outputs carry [`QueryId`]s in registration order per arrival. Every
+//! hosting of a native query is the same evaluator, so they produce
 //! byte-identical per-query output and write the same per-logical-query
-//! checkpoint blob, and a snapshot taken under one shard count — and so
-//! one host per query — restores under any other.
+//! checkpoint blob, and a snapshot taken under one shard count — or by a
+//! list of [`crate::NativeEngine`]s — restores under any other.
 
 use std::sync::Arc;
 
@@ -30,8 +29,8 @@ use sequin_types::{CodecError, Duration, Reader, StreamItem, Timestamp, Writer};
 
 use crate::config::{DisorderPolicy, EngineConfig};
 use crate::output::OutputItem;
-use crate::sharded::RouteStats;
-use crate::shared::{PlanMetrics, SharedMultiEngine};
+use crate::sharded::{Pool, RouteStats};
+use crate::shared::PlanMetrics;
 use crate::traits::{Engine, Strategy};
 
 /// A registered query's handle within a [`MultiEngine`].
@@ -75,11 +74,12 @@ pub(crate) fn read_envelope(bytes: &[u8], queries: usize) -> Result<Vec<&[u8]>, 
     Ok(blobs)
 }
 
-/// Which side of a [`MultiEngine`] hosts a query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Side {
-    Plan,
-    Own,
+/// Where a [`MultiEngine`]'s queries run.
+enum Host {
+    /// Every query on the plan, on `shards ≥ 1` workers.
+    Pool(Pool),
+    /// Every query on an engine of its own, in registration order.
+    Engines(Vec<Box<dyn Engine>>),
 }
 
 /// Fans one arrival stream out to many queries and tags outputs with the
@@ -109,107 +109,72 @@ enum Side {
 pub struct MultiEngine {
     strategy: Strategy,
     config: EngineConfig,
-    shards: usize,
-    plan: SharedMultiEngine,
-    own: Vec<Box<dyn Engine>>,
-    /// Side and side-local index per query, in registration order. A side
-    /// that hosts everything numbers its queries as the host does, so its
-    /// outputs and its snapshot blobs pass through untouched.
-    hosts: Vec<(Side, usize)>,
-    /// Global id per plan-local id.
-    plan_globals: Vec<QueryId>,
-    /// Global id per own-engine index.
-    own_globals: Vec<QueryId>,
+    host: Host,
 }
 
 impl std::fmt::Debug for MultiEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MultiEngine")
-            .field("queries", &self.hosts.len())
-            .field("on_plan", &self.plan_globals.len())
+            .field("queries", &self.len())
+            .field("strategy", &self.strategy)
             .finish()
     }
 }
 
 impl MultiEngine {
     /// An empty host: queries registered later run `strategy` under
-    /// `config`, Native ones on `shards` workers where that can help.
+    /// `config` — Native ones on the plan, evaluated by `shards` workers;
+    /// the control strategies on an engine each, which `shards` does not
+    /// reach (they are inherently sequential).
     pub fn new(strategy: Strategy, config: EngineConfig, shards: usize) -> MultiEngine {
+        let host = match strategy {
+            Strategy::Native => Host::Pool(Pool::new(config, shards)),
+            Strategy::Buffered | Strategy::InOrder => Host::Engines(Vec::new()),
+        };
         MultiEngine {
             strategy,
             config,
-            shards,
-            plan: SharedMultiEngine::new(config),
-            own: Vec::new(),
-            hosts: Vec::new(),
-            plan_globals: Vec::new(),
-            own_globals: Vec::new(),
+            host,
         }
     }
 
-    /// Registers a query under `policy`, hosted where the configuration
-    /// says — a decision that depends only on the configuration and the
-    /// query, so a restart re-registering the same queries rebuilds the
-    /// same host table.
+    /// Hosts pre-built engines, whatever their strategy or configuration,
+    /// one query each in the order given (tests host plans of one this
+    /// way: the independent reference a plan of many is checked against).
+    /// A query registered later gets a [`crate::NativeEngine`] of its own
+    /// under the default configuration.
+    pub fn from_engines(engines: Vec<Box<dyn Engine>>) -> MultiEngine {
+        MultiEngine {
+            strategy: Strategy::Native,
+            config: EngineConfig::default(),
+            host: Host::Engines(engines),
+        }
+    }
+
+    /// Registers a query under `policy`.
     pub fn register(&mut self, query: Arc<Query>, policy: DisorderPolicy) -> QueryId {
-        // sharding can only parallelize a query with an equality chain to
-        // hash on; the rest share the plan instead of each paying for an
-        // engine, and the plan compiler does not cover the control strategies
-        let routed_pool = self.shards > 1 && self.config.partitioned && query.partition().is_some();
-        if self.strategy != Strategy::Native || routed_pool {
-            let mut config = self.config;
-            config.policy = policy;
-            let engine = crate::make_sharded_engine(self.strategy, query, config, self.shards);
-            return self.register_engine(engine);
+        match &mut self.host {
+            Host::Pool(pool) => pool.register(query, policy),
+            Host::Engines(engines) => {
+                let mut config = self.config;
+                config.policy = policy;
+                engines.push(crate::make_engine(self.strategy, query, config));
+                QueryId(engines.len() - 1)
+            }
         }
-        let id = QueryId(self.hosts.len());
-        let local = self.plan.register_with_policy(query, policy);
-        self.hosts.push((Side::Plan, local.index()));
-        self.plan_globals.push(id);
-        id
-    }
-
-    /// Hosts a pre-built engine, whatever its strategy or configuration
-    /// (tests host plans of one this way: the independent reference a
-    /// plan of many is checked against).
-    pub fn register_engine(&mut self, engine: Box<dyn Engine>) -> QueryId {
-        let id = QueryId(self.hosts.len());
-        self.hosts.push((Side::Own, self.own.len()));
-        self.own.push(engine);
-        self.own_globals.push(id);
-        id
     }
 
     /// Number of registered queries.
     pub fn len(&self) -> usize {
-        self.hosts.len()
+        match &self.host {
+            Host::Pool(pool) => pool.len(),
+            Host::Engines(engines) => engines.len(),
+        }
     }
 
     /// True when no queries are registered.
     pub fn is_empty(&self) -> bool {
-        self.hosts.is_empty()
-    }
-
-    /// One arrival's plan outputs under global ids, interleaved with the
-    /// own engines' into registration order (each side already emits in
-    /// its local registration order, and a stable sort preserves emission
-    /// order within a query).
-    fn interleave(
-        &self,
-        mut plan: Vec<(QueryId, OutputItem)>,
-        own: Vec<(QueryId, OutputItem)>,
-    ) -> Vec<(QueryId, OutputItem)> {
-        if plan.is_empty() {
-            return own;
-        }
-        for (q, _) in &mut plan {
-            *q = self.plan_globals[q.index()];
-        }
-        if !own.is_empty() {
-            plan.extend(own);
-            plan.sort_by_key(|(q, _)| q.index());
-        }
-        plan
+        self.len() == 0
     }
 
     /// Ingests one arrival into every query; outputs are tagged with the
@@ -221,94 +186,100 @@ impl MultiEngine {
 
     /// Ingests a run of arrivals, returning one output vector per input
     /// item with the same tagging and order as item-by-item
-    /// [`MultiEngine::ingest`] calls. Engines that fan batches out across
-    /// threads (sharded pools) get their parallelism from this entry
-    /// point.
+    /// [`MultiEngine::ingest`] calls. A pool of several workers gets its
+    /// parallelism from this entry point.
     pub fn ingest_batch(&mut self, items: &[StreamItem]) -> Vec<Vec<(QueryId, OutputItem)>> {
-        if self.own.is_empty() {
-            return self.plan.ingest_batch(items);
-        }
+        let engines = match &mut self.host {
+            Host::Pool(pool) => return pool.ingest_batch(items),
+            Host::Engines(engines) => engines,
+        };
         // an engine's outputs arrive grouped by item already; engines are
         // visited in registration order, so each item's vector is too
-        let mut own: Vec<Vec<(QueryId, OutputItem)>> = items.iter().map(|_| Vec::new()).collect();
-        for (engine, &id) in self.own.iter_mut().zip(&self.own_globals) {
+        let mut out: Vec<Vec<(QueryId, OutputItem)>> = items.iter().map(|_| Vec::new()).collect();
+        for (qix, engine) in engines.iter_mut().enumerate() {
             for (item_ix, o) in engine.ingest_batch(items) {
-                own[item_ix].push((id, o));
+                out[item_ix].push((QueryId(qix), o));
             }
         }
-        if self.plan.is_empty() {
-            return own;
-        }
-        let plan = self.plan.ingest_batch(items);
-        let both = plan.into_iter().zip(own);
-        both.map(|(p, o)| self.interleave(p, o)).collect()
+        out
     }
 
     /// Finishes every query (see [`Engine::finish`]).
     pub fn finish(&mut self) -> Vec<(QueryId, OutputItem)> {
-        let plan = self.plan.finish();
-        let mut own = Vec::new();
-        for (engine, &id) in self.own.iter_mut().zip(&self.own_globals) {
-            own.extend(engine.finish().into_iter().map(|o| (id, o)));
+        match &mut self.host {
+            Host::Pool(pool) => pool.finish(),
+            Host::Engines(engines) => {
+                let of = |(qix, e): (usize, &mut Box<dyn Engine>)| {
+                    e.finish().into_iter().map(move |o| (QueryId(qix), o))
+                };
+                engines.iter_mut().enumerate().flat_map(of).collect()
+            }
         }
-        self.interleave(plan, own)
     }
 
     /// Per-query operator statistics, in registration order.
     pub fn stats(&self) -> Vec<RuntimeStats> {
-        let plan = self.plan.stats();
-        let of = |&(side, l): &(Side, usize)| match side {
-            Side::Plan => plan[l],
-            Side::Own => self.own[l].stats(),
-        };
-        self.hosts.iter().map(of).collect()
+        match &self.host {
+            Host::Pool(pool) => pool.stats(),
+            Host::Engines(engines) => engines.iter().map(|e| e.stats()).collect(),
+        }
     }
 
     /// Total state held across all queries (pooled stacks counted once).
     pub fn state_size(&self) -> usize {
-        self.plan.state_size() + self.own.iter().map(|e| e.state_size()).sum::<usize>()
+        match &self.host {
+            Host::Pool(pool) => pool.state_size(),
+            Host::Engines(engines) => engines.iter().map(|e| e.state_size()).sum(),
+        }
     }
 
     /// The low-watermark the *whole* multi-query evaluation has reached:
     /// the minimum over queries that track one (`None` when none does).
     /// [`crate::Checkpointer`]'s watermark-advance cadence triggers on it.
     pub fn watermark(&self) -> Option<Timestamp> {
-        let own = self.own.iter().filter_map(|e| e.watermark());
-        own.chain(self.plan.watermark()).min()
+        match &self.host {
+            Host::Pool(pool) => pool.primary().watermark(),
+            Host::Engines(engines) => engines.iter().filter_map(|e| e.watermark()).min(),
+        }
     }
 
-    /// Shared-plan structural gauges and sharing counters.
+    /// Shared-plan structural gauges and sharing counters: the same
+    /// gauges at every shard count, all zero for a list of engines.
     pub fn plan_metrics(&self) -> PlanMetrics {
-        self.plan.plan_metrics()
+        match &self.host {
+            Host::Pool(pool) => pool.plan_metrics(),
+            Host::Engines(_) => PlanMetrics::default(),
+        }
     }
 
-    /// Asks the query's host: the plan's per-query attribution, or the
+    /// Asks about one query: the pool's per-query attribution, or the
     /// query's own engine.
-    fn host<'a, T>(
+    fn ask<'a, T>(
         &'a self,
         id: QueryId,
-        plan: impl FnOnce(&'a SharedMultiEngine, QueryId) -> T,
+        pool: impl FnOnce(&'a Pool) -> T,
         own: impl FnOnce(&'a dyn Engine) -> T,
     ) -> T {
-        match self.hosts[id.0] {
-            (Side::Plan, l) => plan(&self.plan, QueryId(l)),
-            (Side::Own, l) => own(self.own[l].as_ref()),
+        match &self.host {
+            Host::Pool(p) => pool(p),
+            Host::Engines(engines) => own(engines[id.0].as_ref()),
         }
     }
 
     /// The query registered under `id`.
     pub fn query(&self, id: QueryId) -> &Arc<Query> {
-        self.host(id, |p, l| p.query(l), |e| e.query())
+        self.ask(id, |p| p.query(id), |e| e.query())
     }
 
     /// One query's stream clock, when its host tracks one.
     pub fn query_clock(&self, id: QueryId) -> Option<Timestamp> {
-        self.host(id, |p, l| Some(p.query_clock(l)), |e| e.clock())
+        self.ask(id, |p| Some(p.primary().query_clock(id)), |e| e.clock())
     }
 
     /// One query's low-watermark, when its host tracks one.
     pub fn query_watermark(&self, id: QueryId) -> Option<Timestamp> {
-        self.host(id, |p, l| Some(p.query_watermark(l)), |e| e.watermark())
+        let pool = |p: &Pool| Some(p.primary().query_watermark(id));
+        self.ask(id, pool, |e| e.watermark())
     }
 
     /// One query's live disorder slack bound `k̂` — fixed for the
@@ -316,62 +287,65 @@ impl MultiEngine {
     /// estimate under adaptive slack. `None` when the hosting engine does
     /// not expose one.
     pub fn query_slack(&self, id: QueryId) -> Option<Duration> {
-        self.host(id, |p, l| Some(p.query_slack(l)), |e| e.slack_bound())
+        let pool = |p: &Pool| Some(p.primary().query_slack(id));
+        self.ask(id, pool, |e| e.slack_bound())
     }
 
     /// One query's logical state size — what its isolated engine reports.
     pub fn query_state_size(&self, id: QueryId) -> usize {
-        self.host(id, |p, l| p.query_state_size(l), |e| e.state_size())
+        self.ask(id, |p| p.query_state_size(id), |e| e.state_size())
     }
 
     /// One query's live partition-key index entries, summed over its
     /// slots (0 for an unpartitioned query).
     pub fn query_partition_keys(&self, id: QueryId) -> usize {
-        self.host(id, |p, l| p.query_partition_keys(l), |e| e.partition_keys())
+        self.ask(id, |p| p.query_partition_keys(id), |e| e.partition_keys())
     }
 
-    /// One query's counters per parallel worker (one entry unless a pool
-    /// of its own hosts it).
+    /// One query's counters per pool worker — `shards` entries, whether or
+    /// not the query has a key to spread (without one its work sits on
+    /// worker 0) — or the one entry of its own engine.
     pub fn per_shard_stats(&self, id: QueryId) -> Vec<RuntimeStats> {
-        let plan = |p: &SharedMultiEngine, l: QueryId| vec![p.query_stats(l)];
-        self.host(id, plan, |e| e.per_shard_stats())
+        self.ask(id, |p| p.per_shard_stats(id), |e| vec![e.stats()])
     }
 
-    /// Ingest-edge routing counters for one query's sharded pool (`None`
-    /// for single-threaded evaluation, including plan-hosted queries).
-    pub fn route_stats(&self, id: QueryId) -> Option<RouteStats> {
-        self.host(id, |_, _| None, |e| e.route_stats())
+    /// The host's ingest-edge routing counters: one router serves every
+    /// query. `None` when nothing routes — a list of engines, or a pool of
+    /// one.
+    pub fn route_stats(&self) -> Option<RouteStats> {
+        match &self.host {
+            Host::Pool(pool) => pool.route_stats(),
+            Host::Engines(_) => None,
+        }
     }
 
     /// Serializes every query's state as one checksummed envelope of
-    /// per-logical-query blobs, whichever side hosts each (fails if an
-    /// engine lacks snapshot support).
+    /// per-logical-query blobs (fails if an engine lacks snapshot support).
     pub fn snapshot(&self) -> Result<Vec<u8>, CodecError> {
-        write_envelope(self.hosts.iter().map(|&(side, l)| match side {
-            Side::Plan => Ok(self.plan.query_blob(l)),
-            Side::Own => self.own[l].snapshot(),
-        }))
+        match &self.host {
+            Host::Pool(pool) => {
+                write_envelope((0..pool.len()).map(|q| Ok(pool.query_blob(QueryId(q)))))
+            }
+            Host::Engines(engines) => write_envelope(engines.iter().map(|e| e.snapshot())),
+        }
     }
 
     /// Restores every query from a [`MultiEngine::snapshot`] taken with
     /// the same queries registered in the same order, under any shard
-    /// count or strategy mix that writes the native blob.
+    /// count or by any list of engines that write the native blob.
     ///
-    /// Not all-or-nothing: queries restored before a failure keep their
-    /// restored state, so the caller discards the whole host on error.
+    /// Not all-or-nothing for a list of engines: those restored before a
+    /// failure keep their restored state, so the caller discards the
+    /// whole host on error.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        let blobs = read_envelope(bytes, self.hosts.len())?;
-        let hosts = &self.hosts;
-        let of = |side| {
-            let mine = hosts.iter().zip(&blobs).filter(move |(h, _)| h.0 == side);
-            mine.map(|(_, blob)| *blob)
-        };
-        self.plan
-            .restore_blobs(&of(Side::Plan).collect::<Vec<_>>())?;
-        for (engine, blob) in self.own.iter_mut().zip(of(Side::Own)) {
-            engine.restore(blob)?;
+        let blobs = read_envelope(bytes, self.len())?;
+        match &mut self.host {
+            Host::Pool(pool) => pool.restore_blobs(&blobs),
+            Host::Engines(engines) => {
+                let mut both = engines.iter_mut().zip(blobs);
+                both.try_for_each(|(engine, blob)| engine.restore(blob))
+            }
         }
-        Ok(())
     }
 }
 
@@ -383,12 +357,15 @@ mod tests {
 
     const Q_AB: &str = "PATTERN SEQ(A a, B b) WITHIN 100";
     const Q_BA: &str = "PATTERN SEQ(B b, A a) WITHIN 100";
-    /// The one query here sharding can parallelize (an equality chain).
-    const Q_PART: &str = "PATTERN SEQ(A a, B b) WHERE a.x == b.x WITHIN 100";
+    /// A query with a key to spread over a pool's workers (an equality
+    /// chain), negating `N`...
+    const Q_PART: &str = "PATTERN SEQ(A a, !N n, B b) WHERE a.x == b.x WITHIN 100";
+    /// ...and one where `N` is a keyed positive slot.
+    const Q_NB: &str = "PATTERN SEQ(N n, B b) WHERE n.x == b.x WITHIN 100";
 
     fn registry() -> TypeRegistry {
         let mut reg = TypeRegistry::new();
-        for name in ["A", "B"] {
+        for name in ["A", "B", "N"] {
             reg.declare(name, &[("x", ValueKind::Int)]).unwrap();
         }
         reg
@@ -398,7 +375,7 @@ mod tests {
         EngineConfig::with_k(Duration::new(50))
     }
 
-    /// A host at `shards` with `texts` registered by the one rule.
+    /// A host at `shards` with `texts` registered.
     fn host(reg: &TypeRegistry, shards: usize, texts: &[&str]) -> MultiEngine {
         let mut multi = MultiEngine::new(Strategy::Native, config(), shards);
         for text in texts {
@@ -409,12 +386,9 @@ mod tests {
 
     /// The independent reference: every query on a plan of one of its own.
     fn independent(reg: &TypeRegistry, texts: &[&str]) -> MultiEngine {
-        let mut multi = MultiEngine::new(Strategy::Native, config(), 1);
-        for text in texts {
-            let q = parse(text, reg).unwrap();
-            multi.register_engine(crate::make_engine(Strategy::Native, q, config()));
-        }
-        multi
+        let alone =
+            |text: &&str| crate::make_engine(Strategy::Native, parse(text, reg).unwrap(), config());
+        MultiEngine::from_engines(texts.iter().map(alone).collect())
     }
 
     fn item(reg: &TypeRegistry, ty: &str, id: u64, ts: u64) -> StreamItem {
@@ -429,7 +403,11 @@ mod tests {
     fn stream(reg: &TypeRegistry) -> Vec<StreamItem> {
         (0..60u64)
             .map(|t| {
-                let ty = if t % 3 == 0 { "B" } else { "A" };
+                let ty = match t % 11 {
+                    7 => "N",
+                    m if m % 3 == 0 => "B",
+                    _ => "A",
+                };
                 let ts = if t % 5 == 2 { t.saturating_sub(3) } else { t };
                 item(reg, ty, t + 1, ts * 2)
             })
@@ -476,27 +454,28 @@ mod tests {
     }
 
     #[test]
-    fn register_engine_hosts_any_strategy_beside_the_plan() {
+    fn a_control_strategy_gets_an_engine_per_query_whatever_the_shards() {
         let reg = registry();
-        let mut multi = host(&reg, 1, &[Q_AB, Q_BA]);
+        let mut multi = MultiEngine::new(Strategy::InOrder, EngineConfig::default(), 3);
         let q = parse("PATTERN SEQ(A a) WITHIN 5", &reg).unwrap();
-        let id = multi.register_engine(crate::make_engine(
-            Strategy::InOrder,
-            q,
-            EngineConfig::default(),
-        ));
-        assert_eq!(id.index(), 2);
+        let id = multi.register(q, DisorderPolicy::Conservative);
         let out = multi.ingest(&item(&reg, "A", 9, 5));
         assert!(out.iter().any(|(qid, _)| *qid == id));
+        assert_eq!(multi.per_shard_stats(id).len(), 1);
+        assert!(multi.route_stats().is_none());
+        assert_eq!(multi.plan_metrics(), PlanMetrics::default());
     }
 
     #[test]
     fn empty_multi_engine_is_harmless() {
-        let mut multi = host(&registry(), 1, &[]);
-        assert!(multi.is_empty());
-        assert!(multi.finish().is_empty());
-        assert_eq!(multi.state_size(), 0);
-        assert_eq!(multi.watermark(), None);
+        for shards in 1..=2 {
+            let mut multi = host(&registry(), shards, &[]);
+            assert!(multi.is_empty());
+            assert!(multi.ingest(&item(&registry(), "A", 1, 1)).is_empty());
+            assert!(multi.finish().is_empty());
+            assert_eq!(multi.state_size(), 0);
+            assert_eq!(multi.watermark(), None);
+        }
     }
 
     #[test]
@@ -507,60 +486,70 @@ mod tests {
         // final components force actual prefix sharing on the plan
         let q_abb = "PATTERN SEQ(A a, B b, B c) WITHIN 12";
         let q_aba = "PATTERN SEQ(A a, B b, A c) WITHIN 12";
-        let texts = [Q_AB, Q_PART, Q_BA, q_abb, q_aba];
+        let texts = [Q_AB, Q_PART, Q_BA, q_abb, q_aba, Q_NB];
 
         let mut reference = independent(&reg, &texts);
         let want = run(&mut reference, &items);
-        assert!(!want.is_empty());
-        assert_eq!(
-            reference.plan_metrics().pooled_stacks,
-            0,
-            "nothing on the plan"
-        );
+        for (qx, text) in texts.iter().enumerate() {
+            assert!(want.iter().any(|(q, _)| q.0 == qx), "{text} is idle");
+        }
+        assert_eq!(reference.plan_metrics(), PlanMetrics::default());
         // item by item is the same as batched
         let mut seq = independent(&reg, &texts);
         let mut per_item: Vec<_> = items.iter().flat_map(|it| seq.ingest(it)).collect();
         per_item.extend(seq.finish());
         assert_eq!(per_item, want);
 
-        let mut plan = host(&reg, 1, &texts);
-        assert_eq!(run(&mut plan, &items), want, "plan hosts everything");
-        let pm = plan.plan_metrics();
+        // one plan on 1, 2 and 3 workers: the same bytes, the same plan
+        // shape and the same per-query counters, whether or not a query
+        // has a key to spread — only `merge_buffer_peak` describes the
+        // hosting, not the query: it gauges the cross-worker merge
+        let mut one = host(&reg, 1, &texts);
+        assert_eq!(run(&mut one, &items), want, "a pool of one");
+        let pm = one.plan_metrics();
         assert!(pm.prefix_groups >= 1, "AB prefix should group: {pm:?}");
-        assert!(pm.routed_events > 0);
-
-        // three shards: the partitionable query (id 1) moves to a routed
-        // pool of its own, the unpartitionable ones stay on the plan, and
-        // outputs interleave back into registration order
-        let mut hybrid = host(&reg, 3, &texts);
-        assert_eq!(
-            run(&mut hybrid, &items),
-            want,
-            "hybrid must be byte-identical"
-        );
-        let rs = hybrid.route_stats(QueryId(1)).expect("sharded pool");
-        assert_eq!(rs.full_events.len(), 3);
-        assert_eq!(hybrid.per_shard_stats(QueryId(1)).len(), 3);
-        for plan_hosted in [0, 2, 3, 4] {
-            assert!(hybrid.route_stats(QueryId(plan_hosted)).is_none());
-            assert_eq!(hybrid.per_shard_stats(QueryId(plan_hosted)).len(), 1);
+        assert!(pm.routed_events > 0 && pm.routing_misses == 0, "{pm:?}");
+        assert!(one.route_stats().is_none(), "a pool of one has no router");
+        for shards in 2..=3 {
+            let mut pool = host(&reg, shards, &texts);
+            assert_eq!(run(&mut pool, &items), want, "{shards} workers");
+            assert_eq!(pool.plan_metrics(), pm, "{shards} workers");
+            let mut stats = pool.stats();
+            stats.iter_mut().for_each(|s| s.merge_buffer_peak = 0);
+            assert_eq!(stats, one.stats(), "{shards} workers");
+            let events = items.len() as u64;
+            let rs = pool.route_stats().expect("one router for the host");
+            assert_eq!(rs.broadcast_events, 5, "Q_PART negates N: {rs:?}");
+            for shard in 0..shards {
+                assert_eq!(rs.full_events[shard] + rs.advances[shard], events);
+            }
+            for (qx, text) in texts.iter().enumerate() {
+                let per = pool.per_shard_stats(QueryId(qx));
+                assert_eq!(per.len(), shards);
+                let elsewhere: u64 = per[1..].iter().map(|s| s.insertions).sum();
+                let keyed = [Q_PART, Q_NB].contains(text);
+                assert_eq!(
+                    elsewhere > 0,
+                    keyed,
+                    "{text}: unkeyed work sits on worker 0"
+                );
+            }
         }
 
-        // the facade is exactly a plan of one: each query alone — behind
-        // `NativeEngine`, registered by the one rule, or on a pool of 1, 2
-        // or 3 workers — gives the same outputs *and* the same counters,
-        // `ooo_insertions` and `max_stack_depth` included (an insert
-        // reports its position in the arrival's key stack everywhere).
-        // Only `merge_buffer_peak` describes the hosting, not the query:
-        // it gauges a pool's cross-worker merge.
+        // the facades are exactly a plan of one: each query alone — behind
+        // `NativeEngine`, registered on a host, or behind `ShardedEngine`
+        // on 1, 2 or 3 workers — gives the same outputs *and* the same
+        // counters, `ooo_insertions` and `max_stack_depth` included (an
+        // insert reports its position in the arrival's key stack
+        // everywhere)
         for (qx, text) in texts.iter().enumerate() {
             let q = parse(text, &reg).unwrap();
             let mut lone = crate::NativeEngine::new(Arc::clone(&q), config());
             let mut want: Vec<_> = items.iter().flat_map(|it| lone.ingest(it)).collect();
             want.extend(lone.finish());
             let of_query = |(id, o): &(QueryId, OutputItem)| (id.0 == qx).then(|| o.clone());
-            let from_plan_of_five: Vec<_> = per_item.iter().filter_map(of_query).collect();
-            assert_eq!(want, from_plan_of_five, "{text}");
+            let from_plan_of_six: Vec<_> = per_item.iter().filter_map(of_query).collect();
+            assert_eq!(want, from_plan_of_six, "{text}");
             assert!(lone.stats().insertions > 0, "{text}");
 
             let mut registered = host(&reg, 1, &[text]);
@@ -584,11 +573,16 @@ mod tests {
     fn snapshots_interchange_between_hostings() {
         let reg = registry();
         let items = stream(&reg);
-        let texts = [Q_AB, Q_PART, Q_BA];
+        let texts = [Q_AB, Q_PART, Q_BA, Q_NB];
         let want = run(&mut independent(&reg, &texts), &items);
 
         type Build = fn(&TypeRegistry, &[&str]) -> MultiEngine;
-        let builds: [Build; 3] = [independent, |r, t| host(r, 1, t), |r, t| host(r, 2, t)];
+        let builds: [Build; 4] = [
+            independent,
+            |r, t| host(r, 1, t),
+            |r, t| host(r, 2, t),
+            |r, t| host(r, 3, t),
+        ];
         let mut envelopes = Vec::new();
         for (fx, from) in builds.into_iter().enumerate() {
             let mut writer = from(&reg, &texts);
@@ -608,6 +602,8 @@ mod tests {
             }
             envelopes.push(snap);
         }
+        // the envelope is the same bytes whoever wrote it
+        assert!(envelopes.iter().all(|e| *e == envelopes[0]));
         // a different query count is rejected before anything restores
         let err = host(&reg, 2, &texts[..2])
             .restore(&envelopes[2])

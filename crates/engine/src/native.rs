@@ -43,7 +43,8 @@ pub struct NativeEngine {
     plan: SharedMultiEngine,
 }
 
-fn untagged(out: Vec<(QueryId, OutputItem)>) -> Vec<OutputItem> {
+/// The outputs of a host of one query, without its tag.
+pub(crate) fn untagged(out: Vec<(QueryId, OutputItem)>) -> Vec<OutputItem> {
     out.into_iter().map(|(_, o)| o).collect()
 }
 

@@ -1,67 +1,62 @@
-//! Partition-parallel evaluation: routed ingestion into N workers — each
-//! the plan evaluator ([`SharedMultiEngine`]) holding this one query over
-//! its slice of the key space — with a deterministic, watermark-aligned
-//! output merge.
+//! The pool: routed ingestion into `shards ≥ 1` workers — each the plan
+//! evaluator ([`SharedMultiEngine`]) holding *every* registered query over
+//! its slice of the partition-key space — with a deterministic,
+//! watermark-aligned output merge. A plan is a pool of one: a single
+//! worker owns every key and runs inline, with no thread, lane or router.
 //!
 //! ## Routing
 //!
-//! Each event is hashed **once**, at the ingest edge: the router stamps
-//! the event with its global arrival sequence and computes the owner set
-//! from the partition key of every positive slot the event can fill
-//! (fingerprint-stable FNV-1a of the key's wire encoding — the same
-//! function the worker's own ownership check uses, so router and worker
-//! can never disagree). Owners receive the full event over their bounded
-//! per-shard queue; every other worker receives only a lightweight
-//! [`RoutedMsg::Advance`] carrying the sequence number and timestamp, so
-//! watermarks, arrival sequence numbers, the adaptive disorder estimate,
-//! and the purge cadence still advance in lockstep with the
-//! single-threaded engine. Two message classes are broadcast in full:
+//! The router reads an arrival's owner set from the plan's own routing
+//! index — the event's type names the stacks it can enter, and each
+//! stack's key field places it ([`owner_of`], the same function a
+//! worker's ownership test uses, so the two can never disagree). Owners
+//! receive the full event over their bounded queue; every other worker
+//! receives only a [`RoutedMsg::Advance`] carrying the timestamp, so every
+//! worker sees every arrival exactly once and their arrival sequences,
+//! watermarks, adaptive disorder estimates and purge cadences advance in
+//! lockstep with a pool of one. Two message classes are broadcast in full:
 //!
 //! * **negation flanks** — every worker replicates the negative index
-//!   (negatives filter at check time), so a negated-type event must reach
-//!   all workers exactly once;
+//!   (negatives filter at check time), so an event of a type *any* query
+//!   negates must reach all workers exactly once;
 //! * **punctuation** — watermark control, by definition global.
 //!
-//! Unpartitionable work (queries with no equality chain, or unkeyable
-//! float attributes) routes to worker 0, the overflow shard. This
-//! replaces the previous lockstep design in which every worker ingested
-//! the *full* stream and discarded foreign events at insert time — N
-//! workers doing N× the stream work, which benchmarked slower than one.
+//! Unpartitionable work (stacks with no key field, or unkeyable float
+//! attributes) routes to worker 0, the overflow shard.
 //!
 //! ## Merge determinism
 //!
 //! Because a match's constituents all share the partition key of the slot
 //! they bind, a match is constructed by exactly one worker, and the
 //! per-arrival outputs of all workers are disjoint. Each worker returns
-//! its outputs separated by emission phase (retractions, construction,
-//! seal) and the merge orders them by data-determined keys — seal
-//! deadline and event ids, or the arriving event's slot — reproducing the
-//! single-threaded engine's order byte-for-byte under both emission
-//! policies. The merge aligns phases of the *same* arrival and never
-//! reorders across arrivals. See `DESIGN.md` §12 and §16.
+//! its outputs per query, separated by emission phase (retractions,
+//! construction, seal), and the merge orders them by data-determined keys
+//! — seal deadline and event ids, or the arriving event's slot —
+//! reproducing a pool of one's order byte-for-byte under every emission
+//! policy. The merge aligns phases of the *same* (arrival, query) and
+//! never reorders across either. See `DESIGN.md` §12.
 //!
 //! ## Checkpoints
 //!
-//! [`ShardedEngine::snapshot`] seals the union of the workers' state as
-//! one canonical envelope in the exact single-engine format, so a
-//! checkpoint written with `--shards 2` restores into `--shards 4` (or
-//! into a plain [`crate::NativeEngine`]) unchanged: every worker restores, of
-//! the full snapshot, the slice it owns. The router
-//! resynchronizes its global sequence from the restored primary.
+//! A query's blob is the union of the workers' state for it, in the exact
+//! format a pool of one writes, so a checkpoint written with `--shards 2`
+//! restores into `--shards 4` (or into a plain [`crate::NativeEngine`])
+//! unchanged: every worker restores, of each blob, the slice it owns.
 
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use sequin_query::Query;
-use sequin_runtime::{PartitionKey, RuntimeStats};
-use sequin_types::{ArrivalSeq, CodecError, EventRef, FieldId, StreamItem, Timestamp};
+use sequin_runtime::RuntimeStats;
+use sequin_types::{CodecError, StreamItem, Timestamp};
 
-use crate::config::EngineConfig;
+use crate::config::{DisorderPolicy, EngineConfig};
 use crate::multi::QueryId;
+use crate::native::untagged;
 use crate::output::OutputItem;
 use crate::settle::PhasedOutput;
-use crate::shared::{key_hash, RoutedMsg, ShardSlice, SharedMultiEngine};
+use crate::shared::{owner_of, Phases, PlanMetrics, RoutedMsg, ShardSlice, SharedMultiEngine};
 use crate::traits::Engine;
 
 const Q: QueryId = SharedMultiEngine::ONLY;
@@ -72,7 +67,7 @@ const Q: QueryId = SharedMultiEngine::ONLY;
 /// send/recv rendezvous without ever blocking the router.
 const JOB_QUEUE_BOUND: usize = 2;
 
-/// Ingest-edge routing counters for one [`ShardedEngine`] pool.
+/// Ingest-edge routing counters of a pool of several workers.
 ///
 /// `full_events[i] + advances[i]` equals the number of events routed so
 /// far for every shard `i`: each event reaches each worker exactly once,
@@ -93,170 +88,422 @@ pub struct RouteStats {
     pub queue_depth_peak: u64,
 }
 
-impl RouteStats {
-    fn new(shards: usize) -> RouteStats {
-        RouteStats {
-            full_events: vec![0; shards],
-            advances: vec![0; shards],
-            ..RouteStats::default()
-        }
-    }
-}
-
-/// One worker of the pool: the sliced evaluator, shared with (and normally
-/// driven by) a persistent thread over a bounded job queue. The control
-/// plane (snapshot, restore, stats, finish, single-item ingest) locks the
-/// engine directly — safe because the engine API is synchronous, so the
-/// worker thread is idle between batches.
+/// One worker of the pool: the evaluator, and — in a pool of several — the
+/// persistent thread that normally drives it over a bounded job queue. The
+/// control plane (snapshot, restore, stats, finish, single-item ingest)
+/// locks the evaluator directly — safe because the engine API is
+/// synchronous, so the thread is idle between batches.
 struct Worker {
     engine: Arc<Mutex<SharedMultiEngine>>,
-    /// `None` for single-shard pools, which never spawn threads.
-    job_tx: Option<SyncSender<Vec<RoutedMsg>>>,
-    res_rx: Option<Receiver<Vec<(u32, PhasedOutput)>>>,
-    join: Option<JoinHandle<()>>,
+    /// `None` in a pool of one, which runs inline.
+    thread: Option<WorkerThread>,
+}
+
+struct WorkerThread {
+    job_tx: SyncSender<Vec<RoutedMsg>>,
+    res_rx: Receiver<Vec<Phases>>,
+    join: JoinHandle<()>,
 }
 
 impl Worker {
     fn lock(&self) -> MutexGuard<'_, SharedMultiEngine> {
         self.engine.lock().unwrap_or_else(|e| e.into_inner())
     }
-}
 
-/// N partition-sliced workers behind an ingest-edge router and a
-/// deterministic merge; byte-identical to the
-/// single-threaded engine, faster on multi-core hardware when fed
-/// batches.
-pub struct ShardedEngine {
-    query: Arc<Query>,
-    config: EngineConfig,
-    workers: Vec<Worker>,
-    /// The router's global arrival sequence — the single point where
-    /// events are stamped.
-    next_seq: ArrivalSeq,
-    /// Per positive slot, the partition field the router keys on;
-    /// `None` when evaluation is unpartitioned (everything routes to the
-    /// overflow shard 0).
-    partition_fields: Option<Vec<FieldId>>,
-    route: RouteStats,
-    merge_peak: u64,
-    /// Reusable owner-set scratch (one flag per shard).
-    owner_scratch: Vec<bool>,
-}
-
-impl std::fmt::Debug for ShardedEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedEngine")
-            .field("shards", &self.workers.len())
-            .field("next_seq", &self.next_seq)
-            .finish()
+    fn thread(&self) -> &WorkerThread {
+        self.thread.as_ref().expect("a pool of several has threads")
     }
 }
 
-fn spawn_worker(index: usize, engine: Arc<Mutex<SharedMultiEngine>>) -> Worker {
+fn spawn(index: usize, engine: Arc<Mutex<SharedMultiEngine>>) -> WorkerThread {
     let (job_tx, job_rx) = sync_channel::<Vec<RoutedMsg>>(JOB_QUEUE_BOUND);
-    let (res_tx, res_rx) = sync_channel::<Vec<(u32, PhasedOutput)>>(JOB_QUEUE_BOUND);
-    let thread_engine = Arc::clone(&engine);
+    let (res_tx, res_rx) = sync_channel::<Vec<Phases>>(JOB_QUEUE_BOUND);
     let join = std::thread::Builder::new()
         .name(format!("sequin-shard-{index}"))
         .spawn(move || {
-            while let Ok(batch) = job_rx.recv() {
-                let mut eng = thread_engine.lock().unwrap_or_else(|e| e.into_inner());
-                let mut outs = Vec::new();
-                for (ix, msg) in batch.iter().enumerate() {
-                    let phased = eng.apply_routed(msg);
-                    if phased.len() > 0 {
-                        outs.push((ix as u32, phased));
-                    }
-                }
-                drop(eng);
+            while let Ok(lane) = job_rx.recv() {
+                let outs = engine
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .apply_routed(&lane);
                 if res_tx.send(outs).is_err() {
                     break;
                 }
             }
         })
         .expect("spawn shard worker");
-    Worker {
-        engine,
-        job_tx: Some(job_tx),
-        res_rx: Some(res_rx),
-        join: Some(join),
+    WorkerThread {
+        job_tx,
+        res_rx,
+        join,
     }
+}
+
+/// The pool's ingest edge: one per host, whatever the query count.
+struct Router {
+    stats: RouteStats,
+    /// Events the routing index had a plan node for, and had none for: the
+    /// pool reports these two [`PlanMetrics`] counters from its router,
+    /// which sees each event once (a worker counts its deliveries).
+    heard: u64,
+    unheard: u64,
+    /// Reusable owner-set scratch (one flag per shard).
+    owners: Vec<bool>,
+}
+
+impl Router {
+    /// Routes one stream item: pushes exactly one [`RoutedMsg`] onto every
+    /// lane (one lane per shard), reading the owner set off the primary
+    /// worker's routing index.
+    fn route(
+        &mut self,
+        primary: &SharedMultiEngine,
+        item: &StreamItem,
+        lanes: &mut [Vec<RoutedMsg>],
+    ) {
+        let event = match item {
+            StreamItem::Punctuation(t) => {
+                self.stats.punctuations += 1;
+                for lane in lanes.iter_mut() {
+                    lane.push(RoutedMsg::Punctuation(*t));
+                }
+                return;
+            }
+            StreamItem::Event(event) => event,
+        };
+        let owners = &mut self.owners;
+        match primary.routing(event) {
+            None => {
+                self.unheard += 1;
+                owners.fill(false);
+            }
+            // a negation flank: any worker may hold a match it invalidates
+            Some((entry, _)) if !entry.neg_queries.is_empty() => {
+                self.heard += 1;
+                self.stats.broadcast_events += 1;
+                owners.fill(true);
+            }
+            Some((entry, stacks)) => {
+                self.heard += 1;
+                owners.fill(false);
+                for &six in &entry.stacks {
+                    owners[owner_of(&stacks[six], event, lanes.len() as u32) as usize] = true;
+                }
+            }
+        }
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            if owners[i] {
+                self.stats.full_events[i] += 1;
+                lane.push(RoutedMsg::Event(Arc::clone(event)));
+            } else {
+                self.stats.advances[i] += 1;
+                lane.push(RoutedMsg::Advance(event.ts()));
+            }
+        }
+    }
+}
+
+/// Every registered query on `shards ≥ 1` key-sliced workers behind one
+/// ingest-edge router and one deterministic merge (see the module docs);
+/// byte-identical to a pool of one at any worker count.
+pub(crate) struct Pool {
+    workers: Vec<Worker>,
+    /// The registered queries, in registration order (every worker holds
+    /// the same list behind its lock).
+    queries: Vec<Arc<Query>>,
+    router: Router,
+    /// Per query, the most phase items one arrival's merge buffered.
+    merge_peak: Vec<u64>,
+}
+
+impl Pool {
+    /// An empty pool of `shards` workers (0 is taken as 1) evaluating
+    /// under `config`.
+    pub(crate) fn new(config: EngineConfig, shards: usize) -> Pool {
+        let n = shards.max(1);
+        let worker = |index: usize| {
+            let slice = (n > 1).then_some(ShardSlice {
+                index: index as u32,
+                of: n as u32,
+            });
+            let engine = Arc::new(Mutex::new(SharedMultiEngine::sliced(config, slice)));
+            let thread = slice.map(|_| spawn(index, Arc::clone(&engine)));
+            Worker { engine, thread }
+        };
+        Pool {
+            workers: (0..n).map(worker).collect(),
+            queries: Vec::new(),
+            router: Router {
+                stats: RouteStats {
+                    full_events: vec![0; n],
+                    advances: vec![0; n],
+                    ..RouteStats::default()
+                },
+                heard: 0,
+                unheard: 0,
+                owners: vec![false; n],
+            },
+            merge_peak: Vec::new(),
+        }
+    }
+
+    /// Registers a query under `policy` with every worker; mid-stream, each
+    /// opens the same epoch at the same position.
+    pub(crate) fn register(&mut self, query: Arc<Query>, policy: DisorderPolicy) -> QueryId {
+        for w in &self.workers {
+            w.lock().register_with_policy(Arc::clone(&query), policy);
+        }
+        self.queries.push(query);
+        self.merge_peak.push(0);
+        QueryId::new(self.queries.len() - 1)
+    }
+
+    /// Number of registered queries.
+    pub(crate) fn len(&self) -> usize {
+        self.queries.len()
+    }
+
+    /// The query registered under `id`.
+    pub(crate) fn query(&self, id: QueryId) -> &Arc<Query> {
+        &self.queries[id.index()]
+    }
+
+    /// The primary worker: where the state every worker advances in
+    /// lockstep (clocks, watermarks, slack bounds, the plan's shape) is
+    /// read.
+    pub(crate) fn primary(&self) -> MutexGuard<'_, SharedMultiEngine> {
+        self.workers[0].lock()
+    }
+
+    /// `f` of every worker, in shard order.
+    pub(crate) fn per_worker<T>(&self, f: impl Fn(&SharedMultiEngine) -> T) -> Vec<T> {
+        self.workers.iter().map(|w| f(&w.lock())).collect()
+    }
+
+    /// The router's counters; `None` for a pool of one, which has no
+    /// router.
+    pub(crate) fn route_stats(&self) -> Option<RouteStats> {
+        (self.workers.len() > 1).then(|| self.router.stats.clone())
+    }
+
+    /// Merges the workers' (sparse, ordered) phase sets into one output
+    /// vector per item, tagged in registration order: phases of the *same*
+    /// (arrival, query) combine, and nothing reorders across either.
+    fn merge(&mut self, parts: Vec<Vec<Phases>>, items: usize) -> Vec<Vec<(QueryId, OutputItem)>> {
+        let mut out: Vec<Vec<(QueryId, OutputItem)>> = (0..items).map(|_| Vec::new()).collect();
+        let mut cursors: Vec<_> = parts
+            .into_iter()
+            .map(|v| v.into_iter().peekable())
+            .collect();
+        let mut merged = Vec::new();
+        loop {
+            let heads = cursors.iter_mut().filter_map(|c| c.peek());
+            let Some(next) = heads.map(|&(item, query, _)| (item, query)).min() else {
+                return out;
+            };
+            let phases: Vec<PhasedOutput> = cursors
+                .iter_mut()
+                .filter_map(|c| c.next_if(|&(item, query, _)| (item, query) == next))
+                .map(|(_, _, phased)| phased)
+                .collect();
+            let (item, query) = (next.0 as usize, next.1 as usize);
+            let buffered = PhasedOutput::merge_into(phases, &mut merged) as u64;
+            self.merge_peak[query] = self.merge_peak[query].max(buffered);
+            out[item].extend(merged.drain(..).map(|o| (QueryId::new(query), o)));
+        }
+    }
+
+    /// Ingests a run of arrivals, returning one output vector per item,
+    /// each tagged in registration order. A run of several items is where
+    /// a pool of several gets its parallelism.
+    pub(crate) fn ingest_batch(&mut self, items: &[StreamItem]) -> Vec<Vec<(QueryId, OutputItem)>> {
+        if let [only] = &self.workers[..] {
+            return only.lock().ingest_batch(items);
+        }
+        // route the whole run at the edge, then hand each worker its lane
+        let lane = || Vec::with_capacity(items.len());
+        let mut lanes: Vec<Vec<RoutedMsg>> = self.workers.iter().map(|_| lane()).collect();
+        let primary = self.workers[0].lock();
+        for item in items {
+            self.router.route(&primary, item, &mut lanes);
+        }
+        drop(primary);
+        let peak = &mut self.router.stats.queue_depth_peak;
+        *peak = (*peak).max(items.len() as u64);
+        let parts: Vec<Vec<Phases>> = if items.len() == 1 {
+            // one arrival: apply inline under each worker's lock — a thread
+            // hand-off would only add latency, and the result is identical
+            let run = |(w, lane): (&Worker, &Vec<RoutedMsg>)| w.lock().apply_routed(lane);
+            self.workers.iter().zip(&lanes).map(run).collect()
+        } else {
+            for (w, lane) in self.workers.iter().zip(lanes) {
+                w.thread().job_tx.send(lane).expect("shard worker alive");
+            }
+            let done = |w: &Worker| w.thread().res_rx.recv().expect("shard worker alive");
+            self.workers.iter().map(done).collect()
+        };
+        self.merge(parts, items.len())
+    }
+
+    /// End-of-stream for every query (see [`Engine::finish`]).
+    pub(crate) fn finish(&mut self) -> Vec<(QueryId, OutputItem)> {
+        if let [only] = &self.workers[..] {
+            return only.lock().finish();
+        }
+        let parts = self.workers.iter().map(|w| w.lock().finish_phased());
+        let parts = parts.collect();
+        self.merge(parts, 1).pop().unwrap_or_default()
+    }
+
+    /// One query's counters per worker, in shard order (shard 0
+    /// additionally carries the costs every worker pays in lockstep:
+    /// watermarks, negatives).
+    pub(crate) fn per_shard_stats(&self, id: QueryId) -> Vec<RuntimeStats> {
+        self.per_worker(|w| w.query_stats(id))
+    }
+
+    /// Per-query counters, in registration order, summed over the workers
+    /// (one lock each: a recording server reads these around every batch).
+    pub(crate) fn stats(&self) -> Vec<RuntimeStats> {
+        let mut parts = self.workers.iter().map(|w| w.lock().stats());
+        let mut agg = parts.next().expect("a pool has a worker");
+        for part in parts {
+            agg.iter_mut().zip(part).for_each(|(a, s)| *a += s);
+        }
+        for (a, peak) in agg.iter_mut().zip(&self.merge_peak) {
+            a.merge_buffer_peak = a.merge_buffer_peak.max(*peak);
+        }
+        agg
+    }
+
+    /// `held` summed over the workers, less what the workers past the
+    /// primary replicate of it (`replica`: negatives, counted once).
+    fn held(
+        &self,
+        held: impl Fn(&SharedMultiEngine) -> usize,
+        replica: impl Fn(&SharedMultiEngine) -> usize,
+    ) -> usize {
+        let of = |(i, w): (usize, &Worker)| {
+            let w = w.lock();
+            held(&w) - if i > 0 { replica(&w) } else { 0 }
+        };
+        self.workers.iter().enumerate().map(of).sum()
+    }
+
+    /// Total state held (pooled stacks and replicated negatives counted
+    /// once).
+    pub(crate) fn state_size(&self) -> usize {
+        let negatives = |w: &SharedMultiEngine| {
+            let of = |q| w.query_negatives_len(QueryId::new(q));
+            (0..w.len()).map(of).sum()
+        };
+        self.held(|w| w.state_size(), negatives)
+    }
+
+    /// One query's logical state size (see
+    /// [`SharedMultiEngine::query_state_size`]).
+    pub(crate) fn query_state_size(&self, id: QueryId) -> usize {
+        self.held(|w| w.query_state_size(id), |w| w.query_negatives_len(id))
+    }
+
+    /// One query's live partition-key index entries: workers own disjoint
+    /// keys.
+    pub(crate) fn query_partition_keys(&self, id: QueryId) -> usize {
+        let keys = self.per_worker(|w| w.query_partition_keys(id));
+        keys.into_iter().sum()
+    }
+
+    /// The plan's metrics: every worker compiles the same plan, so the
+    /// structural gauges are the primary's — those of a pool of one — and
+    /// the sharing counters, whose work is disjoint across workers, sum.
+    pub(crate) fn plan_metrics(&self) -> PlanMetrics {
+        let mut pm = self.primary().plan_metrics();
+        if self.workers.len() > 1 {
+            pm.routed_events = self.router.heard;
+            pm.routing_misses = self.router.unheard;
+        }
+        for w in &self.workers[1..] {
+            let part = w.lock().plan_metrics();
+            pm.shared_partials += part.shared_partials;
+            pm.fanout_outputs += part.fanout_outputs;
+        }
+        pm
+    }
+
+    /// One query's checkpoint blob: the union of the workers' state for
+    /// it, in the format a pool of one writes.
+    pub(crate) fn query_blob(&self, id: QueryId) -> Vec<u8> {
+        let guards: Vec<MutexGuard<'_, SharedMultiEngine>> =
+            self.workers.iter().map(Worker::lock).collect();
+        let parts: Vec<&SharedMultiEngine> = guards.iter().map(|g| &**g).collect();
+        SharedMultiEngine::merged_blob(&parts, id.index())
+    }
+
+    /// Restores every query from its blob, in registration order; each
+    /// worker keeps the slice it owns. All-or-nothing: every worker decodes
+    /// the same blobs before it commits anything, so a bad one fails at the
+    /// first worker and leaves the pool untouched.
+    pub(crate) fn restore_blobs(&mut self, blobs: &[&[u8]]) -> Result<(), CodecError> {
+        self.workers
+            .iter()
+            .try_for_each(|w| w.lock().restore_blobs(blobs))
+    }
+}
+
+impl Drop for Pool {
+    fn drop(&mut self) {
+        for w in &mut self.workers {
+            // hang up the job queue; the worker loop exits on recv error
+            if let Some(WorkerThread { job_tx, join, .. }) = w.thread.take() {
+                drop(job_tx);
+                let _ = join.join();
+            }
+        }
+    }
+}
+
+impl std::fmt::Debug for Pool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Pool")
+            .field("shards", &self.workers.len())
+            .field("queries", &self.queries.len())
+            .finish()
+    }
+}
+
+/// One query on `shards ≥ 1` partition-sliced workers: the pool with
+/// exactly one registration, as [`crate::NativeEngine`] is a plan of one.
+/// Byte-identical to the single-threaded engine at any worker count; this
+/// type only gives the one query the [`Engine`] trait and untagged outputs.
+#[derive(Debug)]
+pub struct ShardedEngine {
+    pool: Pool,
 }
 
 impl ShardedEngine {
     /// Creates a pool of `shards` workers (clamped to at least 1).
     pub fn new(query: Arc<Query>, config: EngineConfig, shards: usize) -> ShardedEngine {
-        let n = shards.max(1);
-        let workers = Self::make_workers(&query, config, n);
-        let partition_fields = match (config.partitioned, query.partition()) {
-            (true, Some(scheme)) => Some(scheme.fields.clone()),
-            _ => None,
-        };
-        ShardedEngine {
-            query,
-            config,
-            workers,
-            next_seq: ArrivalSeq::default(),
-            partition_fields,
-            route: RouteStats::new(n),
-            merge_peak: 0,
-            owner_scratch: vec![false; n],
-        }
-    }
-
-    fn make_engines(query: &Arc<Query>, config: EngineConfig, n: usize) -> Vec<SharedMultiEngine> {
-        (0..n)
-            .map(|i| {
-                SharedMultiEngine::sliced(
-                    Arc::clone(query),
-                    config,
-                    ShardSlice {
-                        index: i as u32,
-                        of: n as u32,
-                    },
-                )
-            })
-            .collect()
-    }
-
-    fn make_workers(query: &Arc<Query>, config: EngineConfig, n: usize) -> Vec<Worker> {
-        Self::make_engines(query, config, n)
-            .into_iter()
-            .enumerate()
-            .map(|(i, eng)| {
-                let engine = Arc::new(Mutex::new(eng));
-                if n > 1 {
-                    spawn_worker(i, engine)
-                } else {
-                    Worker {
-                        engine,
-                        job_tx: None,
-                        res_rx: None,
-                        join: None,
-                    }
-                }
-            })
-            .collect()
+        let mut pool = Pool::new(config, shards);
+        pool.register(query, config.policy);
+        ShardedEngine { pool }
     }
 
     /// Number of workers in the pool.
     pub fn shard_count(&self) -> usize {
-        self.workers.len()
+        self.pool.workers.len()
     }
 
     /// Per-worker counters, in shard order (shard 0 additionally carries
     /// the costs every worker pays in lockstep: watermarks, negatives).
     pub fn per_shard_stats(&self) -> Vec<RuntimeStats> {
-        self.workers
-            .iter()
-            .map(|w| w.lock().query_stats(Q))
-            .collect()
+        self.pool.per_shard_stats(Q)
     }
 
     /// The ingest-edge routing counters (full deliveries vs watermark-only
-    /// advances per shard, broadcasts, queue high-water mark).
+    /// advances per shard, broadcasts, queue high-water mark); all zero in
+    /// a pool of one, which does not route.
     pub fn route_stats(&self) -> RouteStats {
-        self.route.clone()
+        self.pool.router.stats.clone()
     }
 
     /// Per-worker [`SharedMultiEngine::oldest_stack_ts`], in shard order.
@@ -264,10 +511,7 @@ impl ShardedEngine {
     /// the stable API.
     #[doc(hidden)]
     pub fn worker_oldest_stack_ts(&self) -> Vec<Option<Timestamp>> {
-        self.workers
-            .iter()
-            .map(|w| w.lock().oldest_stack_ts())
-            .collect()
+        self.pool.per_worker(|w| w.oldest_stack_ts())
     }
 
     /// Per-worker negative-index sizes, in shard order. Inspection hook
@@ -275,269 +519,65 @@ impl ShardedEngine {
     /// stable API.
     #[doc(hidden)]
     pub fn worker_negative_lens(&self) -> Vec<usize> {
-        self.workers
-            .iter()
-            .map(|w| w.lock().query_negatives_len(Q))
-            .collect()
-    }
-
-    /// Routes one stream item: pushes exactly one [`RoutedMsg`] onto every
-    /// lane (one lane per shard). Events are stamped here — once — with
-    /// the global arrival sequence; the stamped event is shared by every
-    /// owner via its `Arc`.
-    fn route_item(&mut self, item: &StreamItem, lanes: &mut [Vec<RoutedMsg>]) {
-        let n = lanes.len();
-        match item {
-            StreamItem::Punctuation(t) => {
-                self.route.punctuations += 1;
-                for lane in lanes.iter_mut() {
-                    lane.push(RoutedMsg::Punctuation(*t));
-                }
-            }
-            StreamItem::Event(event) => {
-                self.next_seq = self.next_seq.next();
-                let seq = self.next_seq;
-                let stamped: EventRef = Arc::new(event.with_arrival(seq));
-                let ty = stamped.event_type();
-                let flank = self.query.negations().iter().any(|ng| ng.matches_type(ty));
-                if flank || n == 1 {
-                    if flank {
-                        self.route.broadcast_events += 1;
-                    }
-                    for (i, lane) in lanes.iter_mut().enumerate() {
-                        self.route.full_events[i] += 1;
-                        lane.push(RoutedMsg::Event(Arc::clone(&stamped)));
-                    }
-                    return;
-                }
-                let owners = &mut self.owner_scratch;
-                owners.iter_mut().for_each(|o| *o = false);
-                for slot in self.query.slots_for_type(ty) {
-                    match &self.partition_fields {
-                        // unpartitioned evaluation: all positive state
-                        // lives on the overflow shard
-                        None => owners[0] = true,
-                        Some(fields) => {
-                            match stamped
-                                .field(fields[slot])
-                                .and_then(PartitionKey::from_value)
-                            {
-                                Some(key) => {
-                                    owners[key_hash(&key) as usize % n] = true;
-                                }
-                                // unkeyable (float) attribute: the primary
-                                // performs (and accounts) the doomed probe,
-                                // exactly as the single-threaded engine does
-                                None => owners[0] = true,
-                            }
-                        }
-                    }
-                }
-                let ts = stamped.ts();
-                for (i, lane) in lanes.iter_mut().enumerate() {
-                    if owners[i] {
-                        self.route.full_events[i] += 1;
-                        lane.push(RoutedMsg::Event(Arc::clone(&stamped)));
-                    } else {
-                        self.route.advances[i] += 1;
-                        lane.push(RoutedMsg::Advance { seq, ts });
-                    }
-                }
-            }
-        }
-    }
-
-    fn fresh_lanes(&self, capacity: usize) -> Vec<Vec<RoutedMsg>> {
-        (0..self.workers.len())
-            .map(|_| Vec::with_capacity(capacity))
-            .collect()
-    }
-
-    fn merge(&mut self, phases: Vec<PhasedOutput>, out: &mut Vec<OutputItem>) {
-        let buffered = PhasedOutput::merge_into(phases, out);
-        self.merge_peak = self.merge_peak.max(buffered as u64);
+        self.pool.per_worker(|w| w.query_negatives_len(Q))
     }
 }
 
 impl Engine for ShardedEngine {
     fn ingest(&mut self, item: &StreamItem) -> Vec<OutputItem> {
-        // single-item path: route, then apply inline under each worker's
-        // lock — thread handoff would only add latency for one arrival,
-        // and the result is identical by construction
-        let mut lanes = self.fresh_lanes(1);
-        self.route_item(item, &mut lanes);
-        let phases: Vec<PhasedOutput> = self
-            .workers
-            .iter()
-            .zip(&lanes)
-            .map(|(w, lane)| w.lock().apply_routed(&lane[0]))
-            .collect();
-        let mut out = Vec::new();
-        self.merge(phases, &mut out);
-        out
+        let mut per_item = self.pool.ingest_batch(std::slice::from_ref(item));
+        untagged(per_item.pop().unwrap_or_default())
     }
 
     fn ingest_batch(&mut self, items: &[StreamItem]) -> Vec<(usize, OutputItem)> {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        if self.workers.len() == 1 || items.len() == 1 {
-            let mut out = Vec::new();
-            for (ix, item) in items.iter().enumerate() {
-                out.extend(self.ingest(item).into_iter().map(|o| (ix, o)));
-            }
-            return out;
-        }
-        // route the whole batch at the edge, hand each worker its lane,
-        // then align the (sparse) per-item phase sets: the merge combines
-        // phases of the *same* arrival, never across arrivals
-        let mut lanes = self.fresh_lanes(items.len());
-        for item in items {
-            self.route_item(item, &mut lanes);
-        }
-        self.route.queue_depth_peak = self.route.queue_depth_peak.max(items.len() as u64);
-        for (w, lane) in self.workers.iter().zip(lanes) {
-            w.job_tx
-                .as_ref()
-                .expect("multi-shard pool has worker threads")
-                .send(lane)
-                .expect("shard worker alive");
-        }
-        let results: Vec<Vec<(u32, PhasedOutput)>> = self
-            .workers
-            .iter()
-            .map(|w| {
-                w.res_rx
-                    .as_ref()
-                    .expect("multi-shard pool has worker threads")
-                    .recv()
-                    .expect("shard worker alive")
-            })
-            .collect();
-        let mut cursors: Vec<_> = results
-            .into_iter()
-            .map(|v| v.into_iter().peekable())
-            .collect();
-        let mut out = Vec::new();
-        let mut merged = Vec::new();
-        for ix in 0..items.len() as u32 {
-            let mut phases = Vec::new();
-            for c in cursors.iter_mut() {
-                if c.peek().is_some_and(|(i, _)| *i == ix) {
-                    phases.push(c.next().expect("peeked").1);
-                }
-            }
-            if phases.is_empty() {
-                continue;
-            }
-            merged.clear();
-            self.merge(phases, &mut merged);
-            out.extend(merged.drain(..).map(|o| (ix as usize, o)));
-        }
-        out
+        let per_item = self.pool.ingest_batch(items).into_iter().enumerate();
+        per_item
+            .flat_map(|(ix, out)| out.into_iter().map(move |(_, o)| (ix, o)))
+            .collect()
     }
 
     fn finish(&mut self) -> Vec<OutputItem> {
-        let phases: Vec<PhasedOutput> = self
-            .workers
-            .iter()
-            .map(|w| w.lock().finish_phased())
-            .collect();
-        let mut out = Vec::new();
-        self.merge(phases, &mut out);
-        out
+        untagged(self.pool.finish())
     }
 
     fn stats(&self) -> RuntimeStats {
-        let mut agg = RuntimeStats::default();
-        for w in &self.workers {
-            agg += w.lock().query_stats(Q);
-        }
-        agg.merge_buffer_peak = agg.merge_buffer_peak.max(self.merge_peak);
-        agg
+        self.pool.stats()[Q.index()]
     }
 
     fn state_size(&self) -> usize {
-        // the negative index is replicated on every worker; count it once
-        let held = |(i, w): (usize, &Worker)| {
-            let eng = w.lock();
-            let replica = if i > 0 { eng.query_negatives_len(Q) } else { 0 };
-            eng.query_state_size(Q) - replica
-        };
-        self.workers.iter().enumerate().map(held).sum()
+        self.pool.query_state_size(Q)
     }
 
     fn query(&self) -> &Arc<Query> {
-        &self.query
+        self.pool.query(Q)
     }
 
     fn partition_keys(&self) -> usize {
-        // workers own disjoint keys
-        let of = |w: &Worker| w.lock().query_partition_keys(Q);
-        self.workers.iter().map(of).sum()
+        self.pool.query_partition_keys(Q)
     }
 
+    // every worker observes every arrival (in full or as an advance), so
+    // the primary's clock, watermark and disorder-bound estimate are the
+    // pool's
+
     fn watermark(&self) -> Option<Timestamp> {
-        self.workers.first().map(|w| w.lock().query_watermark(Q))
+        Some(self.pool.primary().query_watermark(Q))
     }
 
     fn clock(&self) -> Option<Timestamp> {
-        // every worker observes every arrival (via full events or
-        // advances), so any worker's clock is the pool's clock
-        self.workers.first().map(|w| w.lock().query_clock(Q))
+        Some(self.pool.primary().query_clock(Q))
     }
 
     fn slack_bound(&self) -> Option<sequin_types::Duration> {
-        // watermark state is lockstep across workers, so any worker's
-        // disorder-bound estimate is the pool's
-        self.workers.first().map(|w| w.lock().query_slack(Q))
-    }
-
-    fn per_shard_stats(&self) -> Vec<RuntimeStats> {
-        ShardedEngine::per_shard_stats(self)
-    }
-
-    fn route_stats(&self) -> Option<RouteStats> {
-        Some(ShardedEngine::route_stats(self))
+        Some(self.pool.primary().query_slack(Q))
     }
 
     fn snapshot(&self) -> Result<Vec<u8>, CodecError> {
-        let guards: Vec<MutexGuard<'_, SharedMultiEngine>> =
-            self.workers.iter().map(Worker::lock).collect();
-        let parts: Vec<&SharedMultiEngine> = guards.iter().map(|g| &**g).collect();
-        Ok(SharedMultiEngine::merged_blob(&parts, Q.index()))
+        Ok(self.pool.query_blob(Q))
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        // restore into fresh workers first so a bad snapshot leaves the
-        // pool untouched (all-or-nothing, like the single engine); each
-        // keeps the slice of the blob it owns
-        let mut fresh = Self::make_engines(&self.query, self.config, self.workers.len());
-        for eng in &mut fresh {
-            eng.restore_blobs(&[bytes])?;
-        }
-        // the router mirrors the restored primary's sequence so stamping
-        // continues exactly where the checkpoint left off
-        self.next_seq = fresh[0].query_seq(Q);
-        for (w, eng) in self.workers.iter().zip(fresh) {
-            *w.lock() = eng;
-        }
-        self.merge_peak = 0;
-        self.route = RouteStats::new(self.workers.len());
-        Ok(())
-    }
-}
-
-impl Drop for ShardedEngine {
-    fn drop(&mut self) {
-        for w in &mut self.workers {
-            // hang up the job queue; the worker loop exits on recv error
-            w.job_tx = None;
-            w.res_rx = None;
-            if let Some(join) = w.join.take() {
-                let _ = join.join();
-            }
-        }
+        self.pool.restore_blobs(&[bytes])
     }
 }
 

@@ -14,14 +14,16 @@
 //! insert-time predicate evaluation, queries with a common prefix share
 //! one partial-match enumeration forked to every member's final slot, and
 //! an event-type routing index means an arrival touches only the plan
-//! nodes of interested queries. Every hosting is an instance of it:
+//! nodes of interested queries. Every hosting is an instance of it, and a
+//! plan is a pool of one:
 //!
-//! * many queries — the plan side of a [`crate::MultiEngine`];
+//! * a [`crate::MultiEngine`]'s queries run on `shards ≥ 1` of these, each
+//!   holding *every* registered query over its [`ShardSlice`] of the
+//!   partition-key space (see "Key slices" below); at one shard the slice
+//!   is everything and the evaluator runs inline;
 //! * one query — [`crate::NativeEngine`] is a plan of one registration,
-//!   where pooling and prefix sharing have nothing to share;
-//! * one key range of one query — each worker of a
-//!   [`crate::ShardedEngine`] pool is a plan of one restricted to a
-//!   [`ShardSlice`] (see "Key slices" below).
+//!   where pooling and prefix sharing have nothing to share, and
+//!   [`crate::ShardedEngine`] is a pool with one registration.
 //!
 //! ## Equivalence contract
 //!
@@ -61,16 +63,20 @@
 //!
 //! ## Key slices
 //!
-//! A pool worker runs the same loop with four differences, which are all
-//! of the slice-aware code: it inserts (and so constructs) only for the
-//! partition keys that hash to its [`ShardSlice`]; work every worker
-//! performs in lockstep — late-arrival accounting, negative indexing,
-//! purge rounds — is attributed by the primary worker alone; the arrival
-//! sequence comes from the pool's router ([`RoutedMsg`]) instead of the
-//! epoch's own counter; and outputs leave unmerged, as a
-//! [`PhasedOutput`] the pool merges across workers. Restore keeps the
-//! slice of a blob the worker owns, and a pool's blob is the union of its
-//! workers' ([`SharedMultiEngine::merged_blob`]).
+//! A worker of a pool of several runs the same loop over the same plan
+//! with three differences, which are all of the slice-aware code: it
+//! inserts (and so constructs) only for the partition keys that hash to
+//! its [`ShardSlice`] ([`owner_of`], which the pool's router reads the
+//! same way); work every worker performs in lockstep — late-arrival
+//! accounting, negative indexing, purge rounds — is attributed by the
+//! primary worker alone; and outputs leave unmerged, as per-query
+//! [`PhasedOutput`]s the pool merges across workers. Every worker sees
+//! every arrival exactly once — in full, or as a [`RoutedMsg::Advance`] —
+//! so each numbers arrivals itself and their per-epoch sequences agree,
+//! which is also what lets a mid-stream subscription open the same epoch
+//! in every worker. Restore keeps the slice of a blob the worker owns, and
+//! a pool's blob is the union of its workers'
+//! ([`SharedMultiEngine::merged_blob`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -143,9 +149,8 @@ impl WmClass {
     }
 }
 
-/// Which slice of the partition-key space an evaluator owns when it runs
-/// as one worker of a [`crate::ShardedEngine`]. Without one it owns
-/// everything (the ordinary single-threaded configuration).
+/// Which slice of the partition-key space an evaluator owns as one worker
+/// of a pool of several. Without one it owns everything (a pool of one).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ShardSlice {
     /// This worker's index in `0..of`.
@@ -155,15 +160,8 @@ pub(crate) struct ShardSlice {
 }
 
 impl ShardSlice {
-    /// True when this worker holds `event` in `stack`: its key hashes
-    /// here, or there is no key — the slot is unkeyed, or the event is
-    /// unkeyable and every engine drops it — and this is the primary,
-    /// which performs (and accounts) that work for the pool.
     fn owns_event(&self, stack: &KeyedStack, event: &EventRef) -> bool {
-        let key = stack.key_of(event);
-        key.map_or(self.primary(), |key| {
-            key_hash(&key) % u64::from(self.of) == u64::from(self.index)
-        })
+        owner_of(stack, event, self.of) == self.index
     }
 
     /// The primary worker (index 0) owns everything that cannot be
@@ -174,38 +172,44 @@ impl ShardSlice {
     }
 }
 
-/// Routing hash: FNV-1a over the key's wire encoding, so placement is
-/// stable across processes, platforms, and hash-map seeds (the same
-/// fingerprint-stable construction snapshots use). The ingest-edge router
-/// in [`crate::ShardedEngine`] uses the same function, so the worker's
-/// ownership check and the router's owner computation can never disagree.
-pub(crate) fn key_hash(key: &PartitionKey) -> u64 {
-    let mut w = Writer::new();
-    key.encode(&mut w);
-    fnv1a64(&w.into_bytes())
+/// The worker, of a pool of `of`, that holds `event` in `stack`: the one
+/// its key hashes to, or the primary when there is no key — the slot is
+/// unkeyed, or the event is unkeyable and every engine drops it — which
+/// performs (and accounts) that work for the pool. The pool's router and
+/// the worker's ownership test are both this function, so they can never
+/// disagree.
+///
+/// The hash is FNV-1a over the key's wire encoding, so placement is stable
+/// across processes, platforms, and hash-map seeds (the same
+/// fingerprint-stable construction snapshots use).
+pub(crate) fn owner_of(stack: &KeyedStack, event: &EventRef, of: u32) -> u32 {
+    stack.key_of(event).map_or(0, |key| {
+        let mut w = Writer::new();
+        key.encode(&mut w);
+        (fnv1a64(&w.into_bytes()) % u64::from(of)) as u32
+    })
 }
 
-/// One pre-routed ingest message, as delivered to a sliced worker by the
-/// routing [`crate::ShardedEngine`]: the full event when this worker owns
-/// one of its slots (or the event is a negation flank, broadcast to every
-/// worker), otherwise a watermark-only advance mirroring the arrival so
-/// the worker's sequence number, clock, disorder estimate, and purge
-/// cadence stay lockstep with the single-threaded engine.
+/// One pre-routed ingest message, as a pool's router delivers it to a
+/// sliced worker: the full event when the worker owns one of its slots (or
+/// some query negates its type, which broadcasts it), otherwise a
+/// watermark-only advance mirroring the arrival so the worker's sequence
+/// numbers, clock, disorder estimate, and purge cadence stay lockstep with
+/// a pool of one.
 #[derive(Debug, Clone)]
 pub(crate) enum RoutedMsg {
-    /// Full event, already stamped with the router's global arrival
-    /// sequence (one clone at the ingest edge, shared by every owner).
+    /// Full event (one `Arc` shared by every owner).
     Event(EventRef),
-    /// Arrival metadata only: the event's state belongs to other workers.
-    Advance {
-        /// The router's global arrival sequence for this event.
-        seq: ArrivalSeq,
-        /// The event's occurrence timestamp (watermark/clock input).
-        ts: Timestamp,
-    },
+    /// An event whose state belongs to other workers: its occurrence
+    /// timestamp, the watermark and clock input.
+    Advance(Timestamp),
     /// Stream punctuation, broadcast to every worker.
     Punctuation(Timestamp),
 }
+
+/// One query's unmerged output for one arrival of a routed run: `(item
+/// index, query index, phases)`. A worker returns them in that order.
+pub(crate) type Phases = (u32, u32, PhasedOutput);
 
 /// Per-registration-epoch stream state: one watermark tracker and one
 /// arrival sequence shared by every query registered at that position
@@ -278,10 +282,9 @@ impl QueryState {
 
 /// The evaluator of one shared plan (see module docs).
 ///
-/// The plan side of a [`crate::MultiEngine`], which hosts here every
-/// native query that a routed pool of its own would not speed up; the
-/// whole of a [`crate::NativeEngine`]; each worker of a
-/// [`crate::ShardedEngine`]; and usable on its own when every query runs
+/// Each worker of the pool a [`crate::MultiEngine`] runs its native
+/// queries on (a plan is a pool of one); the whole of a
+/// [`crate::NativeEngine`]; and usable on its own when every query runs
 /// the native strategy under one shared [`EngineConfig`] (with an
 /// optional per-query [`DisorderPolicy`] override). Outputs carry the
 /// same tags in the same order as the same queries on plans of their own,
@@ -307,8 +310,8 @@ pub struct SharedMultiEngine {
     scratch_marked: Vec<usize>,
     scratch_stamped: Vec<EventRef>,
     scratch_raw: Vec<Vec<EventRef>>,
-    /// The key range this evaluator holds as one worker of a pool; `None`
-    /// everywhere else.
+    /// The key range this evaluator holds as one worker of a pool of
+    /// several; `None` everywhere else.
     slice: Option<ShardSlice>,
 }
 
@@ -323,13 +326,23 @@ impl std::fmt::Debug for SharedMultiEngine {
 }
 
 impl SharedMultiEngine {
-    /// The only query of a plan of one: how [`crate::NativeEngine`] and a
-    /// pool's workers address theirs.
+    /// The only query of a plan of one: how [`crate::NativeEngine`] and
+    /// [`crate::ShardedEngine`] address theirs.
     pub(crate) const ONLY: QueryId = QueryId::new(0);
 
     /// Creates an empty shared evaluator; every registered query runs
     /// under `config`.
     pub fn new(config: EngineConfig) -> SharedMultiEngine {
+        SharedMultiEngine::sliced(config, None)
+    }
+
+    /// One worker of a pool: an empty evaluator that will hold, of every
+    /// query registered with it, only the partition keys that hash to
+    /// `slice` (everything without one). A sliced worker still observes
+    /// every stream item (watermarks, sequence numbers, and the negative
+    /// index advance in lockstep with a pool of one) but inserts and
+    /// constructs only for its own keys.
+    pub(crate) fn sliced(config: EngineConfig, slice: Option<ShardSlice>) -> SharedMultiEngine {
         SharedMultiEngine {
             config,
             specs: Vec::new(),
@@ -343,24 +356,8 @@ impl SharedMultiEngine {
             scratch_marked: Vec::new(),
             scratch_stamped: Vec::new(),
             scratch_raw: Vec::new(),
-            slice: None,
+            slice,
         }
-    }
-
-    /// One worker of a sharded pool: a plan of one holding only the
-    /// partition keys that hash to `slice`. The worker still observes
-    /// every stream item (watermarks, sequence numbers, and the negative
-    /// index advance in lockstep with the single-threaded evaluator) but
-    /// inserts and constructs only for its own keys.
-    pub(crate) fn sliced(
-        query: Arc<Query>,
-        config: EngineConfig,
-        slice: ShardSlice,
-    ) -> SharedMultiEngine {
-        let mut eng = SharedMultiEngine::new(config);
-        eng.slice = Some(slice);
-        eng.register(query);
-        eng
     }
 
     /// True unless this is a pool's non-primary worker: the evaluator
@@ -488,7 +485,7 @@ impl SharedMultiEngine {
     /// order, exactly as [`crate::MultiEngine::ingest`] tags them.
     pub fn ingest(&mut self, item: &StreamItem) -> Vec<(QueryId, OutputItem)> {
         match item {
-            StreamItem::Event(event) => self.on_event(None, event.ts(), Some(event)),
+            StreamItem::Event(event) => self.on_event(event.ts(), Some(event)),
             StreamItem::Punctuation(t) => self.on_punctuation(*t),
         }
         self.collect_outputs()
@@ -500,19 +497,31 @@ impl SharedMultiEngine {
         items.iter().map(|it| self.ingest(it)).collect()
     }
 
-    /// Applies one message from a pool's router to this worker: the same
-    /// arrival under the router's sequence number, its outputs left
-    /// unmerged for the pool. [`RoutedMsg::Advance`] is precisely what a
-    /// full event does to a worker that owns none of its slots.
-    pub(crate) fn apply_routed(&mut self, msg: &RoutedMsg) -> PhasedOutput {
-        match msg {
-            RoutedMsg::Event(event) => {
-                self.on_event(Some(event.arrival()), event.ts(), Some(event))
+    /// Applies a run of messages from a pool's router to this worker: the
+    /// same arrivals, their outputs left unmerged for the pool.
+    /// [`RoutedMsg::Advance`] is precisely what a full event does to a
+    /// worker that owns none of its slots.
+    pub(crate) fn apply_routed(&mut self, lane: &[RoutedMsg]) -> Vec<Phases> {
+        let mut out = Vec::new();
+        for (ix, msg) in lane.iter().enumerate() {
+            match msg {
+                RoutedMsg::Event(event) => self.on_event(event.ts(), Some(event)),
+                RoutedMsg::Advance(ts) => self.on_event(*ts, None),
+                RoutedMsg::Punctuation(t) => self.on_punctuation(*t),
             }
-            RoutedMsg::Advance { seq, ts } => self.on_event(Some(*seq), *ts, None),
-            RoutedMsg::Punctuation(t) => self.on_punctuation(*t),
+            self.take_phased(ix as u32, &mut out);
         }
-        std::mem::take(&mut self.states[Self::ONLY.index()].phased)
+        out
+    }
+
+    /// Moves every query's unmerged output for arrival `item` into `out`,
+    /// in registration order.
+    fn take_phased(&mut self, item: u32, out: &mut Vec<Phases>) {
+        for (qix, st) in self.states.iter_mut().enumerate() {
+            if st.phased.len() > 0 {
+                out.push((item, qix as u32, std::mem::take(&mut st.phased)));
+            }
+        }
     }
 
     /// End-of-stream: seals every epoch's watermark and flushes pending
@@ -524,9 +533,11 @@ impl SharedMultiEngine {
 
     /// [`SharedMultiEngine::finish`] for a pool's worker, in merge-ready
     /// form.
-    pub(crate) fn finish_phased(&mut self) -> PhasedOutput {
+    pub(crate) fn finish_phased(&mut self) -> Vec<Phases> {
         self.seal();
-        std::mem::take(&mut self.states[Self::ONLY.index()].phased)
+        let mut out = Vec::new();
+        self.take_phased(0, &mut out);
+        out
     }
 
     fn seal(&mut self) {
@@ -614,17 +625,19 @@ impl SharedMultiEngine {
         self.epochs[self.states[id.index()].epoch].wm.lag()
     }
 
-    /// The last arrival sequence one query's epoch stamped (or, in a pool
-    /// worker, mirrored). A pool's router resynchronizes from this after
-    /// a restore.
-    pub(crate) fn query_seq(&self, id: QueryId) -> ArrivalSeq {
-        self.epochs[self.states[id.index()].epoch].seq
-    }
-
     /// Entries in one query's negative index (which a pool replicates on
     /// every worker and must count once).
     pub(crate) fn query_negatives_len(&self, id: QueryId) -> usize {
         self.states[id.index()].settle.negatives_len()
+    }
+
+    /// What the plan's routing index holds for `event`'s type — the
+    /// queries negating it, the stacks it can enter — and the stacks those
+    /// indices name: what a pool's router reads an arrival's owner set
+    /// from. `None` when no registered query listens to the type.
+    pub(crate) fn routing(&self, event: &EventRef) -> Option<(&RouteEntry, &[KeyedStack])> {
+        let entry = self.plan.routing.get(&event.event_type())?;
+        Some((entry, &self.stacks))
     }
 
     /// Minimum occurrence timestamp across every live stack entry, or
@@ -640,20 +653,19 @@ impl SharedMultiEngine {
     // ingestion
     // ------------------------------------------------------------------
 
-    /// The one ingest loop, for an event arrival at `ts`. `routed` is the
-    /// pool router's sequence number when this evaluator is a worker (the
-    /// event then already carries it); otherwise every epoch numbers the
-    /// arrival itself, counting only items since its registration moment.
-    /// `event` is `None` for a [`RoutedMsg::Advance`]: the arrival belongs
-    /// to other workers and only moves this one's sequence and watermark.
-    fn on_event(&mut self, routed: Option<ArrivalSeq>, ts: Timestamp, event: Option<&EventRef>) {
+    /// The one ingest loop, for an event arrival at `ts`. Every epoch
+    /// numbers the arrival itself, counting only items since its
+    /// registration moment. `event` is `None` for a [`RoutedMsg::Advance`]:
+    /// the arrival belongs to other workers and only moves this one's
+    /// sequences and watermarks.
+    fn on_event(&mut self, ts: Timestamp, event: Option<&EventRef>) {
         self.open_epochs.clear();
         // a disorder-bound violation — state the event needed may already
         // be purged, so it is processed best-effort and recorded — is seen
         // by every worker of a pool; the primary records it
         let primary = self.primary();
         for ep in &mut self.epochs {
-            ep.seq = routed.unwrap_or_else(|| ep.seq.next());
+            ep.seq = ep.seq.next();
             if ep.wm.observe_event(ts) && primary {
                 for &qix in &ep.queries {
                     self.states[qix].stats.late_drops += 1;
@@ -663,7 +675,7 @@ impl SharedMultiEngine {
         if let Some(event) = event {
             let plan = std::mem::take(&mut self.plan);
             match plan.routing.get(&event.event_type()) {
-                Some(entry) => self.route_event(&plan, entry, event, routed.is_some()),
+                Some(entry) => self.route_event(&plan, entry, event),
                 None => self.counters.routing_misses += 1,
             }
             self.plan = plan;
@@ -694,24 +706,12 @@ impl SharedMultiEngine {
     /// to those nodes: negative indexes first, then each accepting stack —
     /// pre-filter, positional insert, construction anchored at the new
     /// instance.
-    fn route_event(
-        &mut self,
-        plan: &SharedPlan,
-        entry: &RouteEntry,
-        event: &EventRef,
-        already_stamped: bool,
-    ) {
+    fn route_event(&mut self, plan: &SharedPlan, entry: &RouteEntry, event: &EventRef) {
         self.counters.routed_events += 1;
-        // one stamped copy per epoch, made only now that the type is
-        // routed; a pool's router has stamped the one its workers share
+        // one stamped copy per epoch, made only now that the type is routed
         let mut stamped = std::mem::take(&mut self.scratch_stamped);
-        stamped.extend(self.epochs.iter().map(|ep| {
-            if already_stamped {
-                Arc::clone(event)
-            } else {
-                Arc::new(event.with_arrival(ep.seq))
-            }
-        }));
+        let stamp = |ep: &EpochState| Arc::new(event.with_arrival(ep.seq));
+        stamped.extend(self.epochs.iter().map(stamp));
 
         // negatives first: a negative at the same timestamp as a positive
         // arrival must be visible to validation during this call. Every
@@ -1227,7 +1227,6 @@ impl GroupWalker<'_> {
 mod tests {
     use super::*;
     use crate::multi::MultiEngine;
-    use crate::native::NativeEngine;
     use crate::traits::Strategy;
     use sequin_prng::Rng;
     use sequin_query::parse;
@@ -1252,8 +1251,16 @@ mod tests {
         ))
     }
 
+    /// The independent reference: every query on a plan of one of its
+    /// own, each under its own configuration.
+    fn independent(queries: &[Arc<Query>], config: impl Fn(usize) -> EngineConfig) -> MultiEngine {
+        let alone = |(ix, q)| crate::make_engine(Strategy::Native, Arc::clone(q), config(ix));
+        MultiEngine::from_engines(queries.iter().enumerate().map(alone).collect())
+    }
+
     /// A mixed query set exercising prefix sharing, stack pooling, local
-    /// predicates, negation, and partitioning.
+    /// predicates, negation, and partitioning — with `N` one query's
+    /// negation and another's (keyed) positive slot.
     fn query_set(reg: &TypeRegistry) -> Vec<Arc<Query>> {
         [
             "PATTERN SEQ(A a, B b, C c) WITHIN 60",
@@ -1265,6 +1272,7 @@ mod tests {
             "PATTERN SEQ(A a, B b) WHERE a.x > 400 WITHIN 60",
             "PATTERN SEQ(A p, B q, C r) WITHIN 60",
             "PATTERN SEQ(D d, E e) WHERE d.x < e.x WITHIN 80",
+            "PATTERN SEQ(N m, C c) WHERE m.tag == c.tag WITHIN 60",
         ]
         .iter()
         .map(|t| parse(t, reg).unwrap())
@@ -1302,10 +1310,9 @@ mod tests {
         let reg = registry();
         let queries = query_set(&reg);
         let mut shared = SharedMultiEngine::new(config);
-        let mut multi = MultiEngine::new(Strategy::Native, EngineConfig::default(), 1);
+        let mut multi = independent(&queries, |_| config);
         for q in &queries {
             shared.register(Arc::clone(q));
-            multi.register_engine(crate::make_engine(Strategy::Native, Arc::clone(q), config));
         }
         // K = 100 (default) covers max_delay = 90: in-bound stream
         let items = gen_stream(&reg, seed, 400, 90);
@@ -1368,10 +1375,10 @@ mod tests {
         run_differential(cfg, 5);
     }
 
-    /// Per-query policies in one shared plan: every query's output stays
-    /// byte-identical to its own independent engine running the same
-    /// policy, and fixed-bound queries still pool while adaptive ones get
-    /// their own watermark epoch.
+    /// Per-query policies in one shared plan, on 1, 2 and 3 workers: every
+    /// query's output stays byte-identical to its own independent engine
+    /// running the same policy, and fixed-bound queries still pool while
+    /// adaptive ones get their own watermark epoch.
     #[test]
     fn mixed_policies_match_independent_evaluation() {
         let reg = registry();
@@ -1383,27 +1390,28 @@ mod tests {
             DisorderPolicy::Lazy,
             DisorderPolicy::AdaptiveSlack { accuracy: 90 },
         ];
-        let mut shared = SharedMultiEngine::new(base);
-        let mut multi = MultiEngine::new(Strategy::Native, EngineConfig::default(), 1);
-        for (ix, q) in queries.iter().enumerate() {
-            let policy = policies[ix % policies.len()];
-            shared.register_with_policy(Arc::clone(q), policy);
-            let cfg = EngineConfig { policy, ..base };
-            multi.register_engine(crate::make_engine(Strategy::Native, Arc::clone(q), cfg));
-        }
-        assert_eq!(
-            shared.plan_metrics().epochs,
-            2,
-            "one fixed-bound epoch, one adaptive epoch"
-        );
+        let policy = |ix: usize| policies[ix % policies.len()];
         let items = gen_stream(&reg, 12, 400, 90);
-        for (ix, it) in items.iter().enumerate() {
-            outputs_eq(&shared.ingest(it), &multi.ingest(it), &format!("item {ix}"));
-        }
-        outputs_eq(&shared.finish(), &multi.finish(), "finish");
-        for (ix, _) in queries.iter().enumerate() {
-            let id = QueryId::new(ix);
-            assert_eq!(shared.query_policy(id), policies[ix % policies.len()]);
+        for shards in 1..=3 {
+            let mut shared = MultiEngine::new(Strategy::Native, base, shards);
+            for (ix, q) in queries.iter().enumerate() {
+                shared.register(Arc::clone(q), policy(ix));
+            }
+            let alone = |ix| EngineConfig {
+                policy: policy(ix),
+                ..base
+            };
+            let mut multi = independent(&queries, alone);
+            assert_eq!(
+                shared.plan_metrics().epochs,
+                2,
+                "one fixed-bound epoch, one adaptive epoch"
+            );
+            for (ix, it) in items.iter().enumerate() {
+                let context = format!("item {ix} on {shards} worker(s)");
+                outputs_eq(&shared.ingest(it), &multi.ingest(it), &context);
+            }
+            outputs_eq(&shared.finish(), &multi.finish(), "finish");
         }
     }
 
@@ -1453,10 +1461,9 @@ mod tests {
         let queries = query_set(&reg);
         let config = EngineConfig::default();
         let mut shared = SharedMultiEngine::new(config);
-        let mut multi = MultiEngine::new(Strategy::Native, EngineConfig::default(), 1);
+        let mut multi = independent(&queries, |_| config);
         for q in &queries {
             shared.register(Arc::clone(q));
-            multi.register_engine(crate::make_engine(Strategy::Native, Arc::clone(q), config));
         }
         let items = gen_stream(&reg, 10, 300, 90);
         let (head, tail) = items.split_at(200);
@@ -1466,10 +1473,7 @@ mod tests {
 
         // shared -> independent
         let snap = shared.snapshot().unwrap();
-        let mut multi2 = MultiEngine::new(Strategy::Native, EngineConfig::default(), 1);
-        for q in &queries {
-            multi2.register_engine(crate::make_engine(Strategy::Native, Arc::clone(q), config));
-        }
+        let mut multi2 = independent(&queries, |_| config);
         multi2.restore(&snap).unwrap();
         // independent -> shared
         let msnap = multi.snapshot().unwrap();
@@ -1503,47 +1507,40 @@ mod tests {
     fn mid_stream_registration_is_exact() {
         let reg = registry();
         let config = EngineConfig::default();
-        let q1 = parse("PATTERN SEQ(A a, B b, C c) WITHIN 60", &reg).unwrap();
-        let q2 = parse("PATTERN SEQ(A a, B b, D d) WITHIN 60", &reg).unwrap();
-        let mut shared = SharedMultiEngine::new(config);
-        let id1 = shared.register(Arc::clone(&q1));
-        let mut eng1 = NativeEngine::new(Arc::clone(&q1), config);
-
+        // an unpartitionable query, a partitionable one and a negation...
+        let early = [
+            "PATTERN SEQ(A a, B b, C c) WITHIN 60",
+            "PATTERN SEQ(A a, B b, C c) WHERE a.tag == b.tag AND b.tag == c.tag WITHIN 60",
+            "PATTERN SEQ(A a, !N n, B b) WITHIN 50",
+        ];
+        // ...then a prefix sibling, and the negated type as a keyed slot
+        let late = [
+            "PATTERN SEQ(A a, B b, D d) WITHIN 60",
+            "PATTERN SEQ(N m, D d) WHERE m.tag == d.tag WITHIN 60",
+        ];
         let items = gen_stream(&reg, 11, 300, 60);
         let (head, tail) = items.split_at(150);
-        for it in head {
-            let got = shared.ingest(it);
-            let want: Vec<(QueryId, OutputItem)> = crate::traits::Engine::ingest(&mut eng1, it)
-                .into_iter()
-                .map(|o| (id1, o))
-                .collect();
-            outputs_eq(&got, &want, "head");
-        }
-        // q2 subscribes mid-stream: a fresh independent engine sees only
-        // the suffix, and the shared evaluator must agree byte-for-byte
-        let id2 = shared.register(Arc::clone(&q2));
-        let mut eng2 = NativeEngine::new(Arc::clone(&q2), config);
-        for (ix, it) in tail.iter().enumerate() {
-            let got = shared.ingest(it);
-            let mut want: Vec<(QueryId, OutputItem)> = Vec::new();
-            for o in crate::traits::Engine::ingest(&mut eng1, it) {
-                want.push((id1, o));
+        for shards in 1..=3 {
+            // a fresh independent engine per query sees only the arrivals
+            // after its subscription; the host, on any number of workers,
+            // must agree byte-for-byte
+            let mut host = MultiEngine::new(Strategy::Native, config, shards);
+            let mut alone = MultiEngine::from_engines(Vec::new());
+            for (texts, items) in [(&early[..], head), (&late[..], tail)] {
+                for text in texts {
+                    let q = parse(text, &reg).unwrap();
+                    host.register(Arc::clone(&q), config.policy);
+                    alone.register(q, config.policy);
+                }
+                for (ix, it) in items.iter().enumerate() {
+                    let context = format!("item {ix} on {shards} worker(s)");
+                    outputs_eq(&host.ingest(it), &alone.ingest(it), &context);
+                }
             }
-            for o in crate::traits::Engine::ingest(&mut eng2, it) {
-                want.push((id2, o));
-            }
-            outputs_eq(&got, &want, &format!("tail {ix}"));
+            outputs_eq(&host.finish(), &alone.finish(), "finish");
+            assert_eq!(host.plan_metrics().epochs, 2, "mid-stream epoch split");
+            assert_eq!(host.stats().len(), 5);
         }
-        let got = shared.finish();
-        let mut want: Vec<(QueryId, OutputItem)> = Vec::new();
-        for o in crate::traits::Engine::finish(&mut eng1) {
-            want.push((id1, o));
-        }
-        for o in crate::traits::Engine::finish(&mut eng2) {
-            want.push((id2, o));
-        }
-        outputs_eq(&got, &want, "finish");
-        assert_eq!(shared.plan_metrics().epochs, 2, "mid-stream epoch split");
     }
 
     #[test]
@@ -1553,7 +1550,9 @@ mod tests {
         let q2 = parse("PATTERN SEQ(A a, C c) WITHIN 40", &reg).unwrap();
         let mut shared = SharedMultiEngine::new(EngineConfig::default());
         let id1 = shared.register(q1);
-        let id2 = shared.register(q2);
+        let id2 = shared.register_with_policy(q2, DisorderPolicy::Speculative);
+        assert_eq!(shared.query_policy(id1), EngineConfig::default().policy);
+        assert_eq!(shared.query_policy(id2), DisorderPolicy::Speculative);
         shared.ingest(&item(&reg, "A", 1, 10, 0, 0));
         shared.unregister(id1);
         let out = shared.ingest(&item(&reg, "B", 2, 20, 0, 0));

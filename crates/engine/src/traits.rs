@@ -52,9 +52,9 @@ pub trait Engine: Send {
 
     /// Ingests a run of arrivals, returning `(item_index, output)` pairs
     /// in emission order. Semantically identical to calling
-    /// [`Engine::ingest`] per item (the default does exactly that);
-    /// parallel engines override it to fan one batch out across worker
-    /// threads, which is where sharded throughput comes from.
+    /// [`Engine::ingest`] per item (the default does exactly that); a
+    /// pool of several workers overrides it to fan one batch out across
+    /// its threads.
     fn ingest_batch(&mut self, items: &[StreamItem]) -> Vec<(usize, OutputItem)> {
         let mut out = Vec::new();
         for (ix, item) in items.iter().enumerate() {
@@ -107,20 +107,6 @@ pub trait Engine: Send {
     /// the `sequin_partition_keys` gauge.
     fn partition_keys(&self) -> usize {
         0
-    }
-
-    /// Operator cost counters broken out per parallel worker, for
-    /// per-shard metrics exposition. Single-threaded engines (the default)
-    /// report one entry equal to [`Engine::stats`].
-    fn per_shard_stats(&self) -> Vec<RuntimeStats> {
-        vec![self.stats()]
-    }
-
-    /// Ingest-edge routing counters, when the engine routes events to
-    /// parallel workers. Single-threaded engines (the default) report
-    /// `None`.
-    fn route_stats(&self) -> Option<crate::sharded::RouteStats> {
-        None
     }
 
     /// Serializes the engine's complete mutable state into a checksummed

@@ -57,10 +57,10 @@ pub struct CoreConfig {
     /// the emission log for exactly-once restarts; `None` disables
     /// durability entirely (no log, no suppression).
     pub checkpoint_every: Option<u64>,
-    /// Worker shards per Native query engine (1 = plain single-threaded
-    /// evaluation; >1 builds a [`sequin_engine::ShardedEngine`] pool).
-    /// Snapshots are shard-count-agnostic, so a restart may resume with a
-    /// different value.
+    /// How many workers run the plan of Native queries, each over a slice
+    /// of the partition-key space (1 = inline, single-threaded). Snapshots
+    /// are shard-count-agnostic, so a restart may resume with a different
+    /// value.
     pub shards: usize,
     /// Observability: latency/deferral recording and the structured trace
     /// ring. [`ObsConfig::disabled`] turns all recording off (a single
@@ -269,8 +269,8 @@ impl EngineCore {
     /// — same pattern, predicates, window, and projection, however the
     /// text was spelled — the existing logical query's id is returned and
     /// the new spelling is remembered as an alias. Only genuinely new
-    /// queries reach the evaluation (and, when the plan hosts them,
-    /// trigger an incremental recompile).
+    /// queries reach the evaluation (and, under the native strategy,
+    /// trigger an incremental recompile of the plan).
     ///
     /// # Errors
     ///
@@ -428,7 +428,7 @@ impl EngineCore {
     }
 
     /// Shared-plan structural gauges and sharing counters; `None` under
-    /// the control strategies, whose queries the plan never hosts.
+    /// the control strategies, which have no plan.
     pub fn plan_metrics(&self) -> Option<PlanMetrics> {
         (self.cfg.strategy == Strategy::Native).then(|| self.ck.host().plan_metrics())
     }
@@ -611,7 +611,8 @@ impl EngineCore {
     /// Assembles the full telemetry snapshot: per-query operator counters,
     /// watermark/clock/lag and state-size gauges, purge reclamation, the
     /// recorder's detection-latency and deferral-time histograms, per-shard
-    /// worker counters (sharded pools only), engine-wide totals, and — when
+    /// worker counters and the router's (`shards > 1` only), engine-wide
+    /// totals, and — when
     /// the caller passes them — server counters plus the live ingest-queue
     /// depth.
     ///
@@ -697,27 +698,6 @@ impl EngineCore {
                     }
                 }
             }
-            // ingest-edge routing: full deliveries vs watermark-only
-            // advances per shard, plus the pool-wide broadcast counters
-            // and the per-shard queue's high-water mark
-            if let Some(rs) = host.route_stats(qid) {
-                for (s_ix, (full, adv)) in rs.full_events.iter().zip(&rs.advances).enumerate() {
-                    let labels = [("query", i.to_string()), ("shard", s_ix.to_string())];
-                    b.counter("sequin_route_full_events", &labels, *full);
-                    b.counter("sequin_route_advances", &labels, *adv);
-                }
-                b.counter(
-                    "sequin_route_broadcast_events",
-                    &labels,
-                    rs.broadcast_events,
-                );
-                b.counter("sequin_route_punctuations", &labels, rs.punctuations);
-                b.gauge(
-                    "sequin_route_queue_depth_peak",
-                    &labels,
-                    rs.queue_depth_peak,
-                );
-            }
             if self.obs.enabled() {
                 let qo = self.obs.query_obs().get(i).unwrap_or(&empty);
                 let keyed = [("qid", stable), ("query", i.to_string())];
@@ -728,6 +708,20 @@ impl EngineCore {
             }
         }
 
+        // ingest-edge routing, once per host (one router serves every
+        // query): full deliveries vs watermark-only advances per shard,
+        // plus the pool-wide broadcast counters and the per-shard queue's
+        // high-water mark
+        if let Some(rs) = host.route_stats() {
+            for (s_ix, (full, adv)) in rs.full_events.iter().zip(&rs.advances).enumerate() {
+                let labels = [("shard", s_ix.to_string())];
+                b.counter("sequin_route_full_events", &labels, *full);
+                b.counter("sequin_route_advances", &labels, *adv);
+            }
+            b.counter("sequin_route_broadcast_events", &[], rs.broadcast_events);
+            b.counter("sequin_route_punctuations", &[], rs.punctuations);
+            b.gauge("sequin_route_queue_depth_peak", &[], rs.queue_depth_peak);
+        }
         for (name, v) in self.stats().as_pairs() {
             let full = format!("sequin_engine_{name}_total");
             if STAT_GAUGES.contains(&name) {
@@ -1089,7 +1083,7 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_checkpoint_interchanges_with_single_shard_backends() {
+    fn checkpoints_interchange_across_shard_counts() {
         let reg = registry();
         let items = stream(&reg);
         let q_part = "PATTERN SEQ(A a, B b) WHERE a.x == b.x WITHIN 8";
@@ -1103,41 +1097,36 @@ mod tests {
         }
         baseline.extend(oracle.finish());
 
-        // hybrid core (shared + sharded halves) writes the checkpoints...
-        let mut hy = cfg(&reg, Some(25));
-        hy.shards = 2;
-        let mut core = EngineCore::new(hy);
+        // a two-worker core writes the checkpoints...
+        let mut two = cfg(&reg, Some(25));
+        two.shards = 2;
+        let mut core = EngineCore::new(two);
         core.subscribe(Q_AB).unwrap();
         core.subscribe(q_part).unwrap();
-        let hosts = |core: &EngineCore| {
+        // (workers running both queries, and the one router, by their series)
+        let shape = |core: &EngineCore| {
             let series = core.metrics_snapshot(None).to_prometheus();
-            // only a query on a routed pool of its own has routing counters
-            [0, 1].map(|q| series.contains(&format!("sequin_route_punctuations{{query=\"{q}\"}}")))
+            let shard = |q| format!("sequin_shard_insertions{{query=\"{q}\",shard=\"");
+            let workers = |q| series.matches(&shard(q)).count();
+            let routers = series.matches("\nsequin_route_punctuations ").count();
+            (workers(0), workers(1), routers)
         };
-        assert_eq!(
-            hosts(&core),
-            [false, true],
-            "plan hosts Q_AB, a pool q_part"
-        );
+        assert_eq!(shape(&core), (2, 2, 1), "both queries on both workers");
         let mut delivered = Vec::new();
         delivered.extend(core.ingest_batch(&items[..40]));
         let saved = core.store().clone();
         drop(core); // crash
 
-        // ...and a single-shard shared core resumes them exactly-once
+        // ...and a single-worker core resumes them exactly-once
         let (mut core, replay_from) = EngineCore::resume(cfg(&reg, Some(25)), saved);
         assert!(replay_from > 0, "a checkpoint was accepted");
-        assert_eq!(
-            hosts(&core),
-            [false, false],
-            "one shard: the plan hosts both"
-        );
+        assert_eq!(shape(&core), (0, 0, 0), "a pool of one does not route");
         delivered.extend(core.ingest_batch(&items[replay_from as usize..]));
         delivered.extend(core.finish());
         assert_eq!(net(&delivered), net(&baseline));
         assert_eq!(core.pending_suppressions(), 0);
 
-        // reverse: shared checkpoint resumes on a wider hybrid core
+        // reverse: a single-worker checkpoint resumes on a wider core
         let mut core = EngineCore::new(cfg(&reg, Some(25)));
         core.subscribe(Q_AB).unwrap();
         core.subscribe(q_part).unwrap();
@@ -1150,7 +1139,7 @@ mod tests {
         four.shards = 4;
         let (mut core, replay_from) = EngineCore::resume(four, saved);
         assert!(replay_from > 0);
-        assert_eq!(hosts(&core), [false, true]);
+        assert_eq!(shape(&core), (4, 4, 1));
         delivered.extend(core.ingest_batch(&items[replay_from as usize..]));
         delivered.extend(core.finish());
         assert_eq!(net(&delivered), net(&baseline));

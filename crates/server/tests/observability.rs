@@ -238,26 +238,43 @@ fn sharded_server_serves_shard_labelled_series() {
 
     let mut client = Client::connect(&addr).unwrap();
     client.hello(reg.fingerprint(), "shard-feeder").unwrap();
-    // partitionable (tag equality chain): the hybrid backend gives this
-    // query a routed 3-worker pool rather than hosting it on the shared
-    // plan
+    // one with a key to spread (tag equality chain) and one without: the
+    // plan holding both runs on all three workers, behind one router
     client
         .subscribe("PATTERN SEQ(T0 a, T1 b) WHERE a.tag == b.tag WITHIN 20")
+        .unwrap();
+    client
+        .subscribe("PATTERN SEQ(T0 a, T2 c) WITHIN 20")
         .unwrap();
     for item in &stream {
         client.send_item(item).unwrap();
     }
     client.drain().unwrap();
     let prom = client.metrics(MetricsFormat::Prometheus).unwrap();
+    let count = |needle: &str| prom.lines().filter(|l| l.starts_with(needle)).count();
     for shard in 0..3 {
-        let needle = format!("shard=\"{shard}\"");
-        assert!(prom.contains(&needle), "missing `{needle}` in:\n{prom}");
+        // worker counters stay per (query, shard) — an unkeyed query's
+        // work visibly sits on worker 0...
+        for query in 0..2 {
+            let series = format!("sequin_shard_insertions{{query=\"{query}\",shard=\"{shard}\"}}");
+            assert_eq!(count(&series), 1, "`{series}` in:\n{prom}");
+        }
+        let idle = format!("sequin_shard_insertions{{query=\"1\",shard=\"{shard}\"}} 0");
+        assert_eq!(count(&idle), usize::from(shard > 0), "`{idle}` in:\n{prom}");
+        // ...and ingest-edge routing telemetry is per shard, once for the
+        // host whatever the query count
+        for name in ["sequin_route_full_events", "sequin_route_advances"] {
+            let series = format!("{name}{{shard=\"{shard}\"}}");
+            assert_eq!(count(&series), 1, "`{series}` in:\n{prom}");
+        }
     }
-    assert!(prom.contains("sequin_shard_insertions{"), "{prom}");
-    // ingest-edge routing telemetry is exposed per shard as well
-    assert!(prom.contains("sequin_route_full_events{"), "{prom}");
-    assert!(prom.contains("sequin_route_advances{"), "{prom}");
-    assert!(prom.contains("sequin_route_queue_depth_peak{"), "{prom}");
+    for name in [
+        "sequin_route_broadcast_events",
+        "sequin_route_punctuations",
+        "sequin_route_queue_depth_peak",
+    ] {
+        assert_eq!(count(&format!("{name} ")), 1, "`{name}` in:\n{prom}");
+    }
     assert_prometheus_parses(&prom);
     client.bye();
     server.shutdown();

@@ -16,9 +16,9 @@
 //!   algorithm is right" is anchored (comparing a plan of N with N plans
 //!   of one only shows pooling and prefix sharing are invisible);
 //! * the plan, batched ingestion — identical output;
-//! * the host at every pinned shard count ([`MultiEngine::register`]:
-//!   partitionable queries land on routed pools, the rest share the
-//!   plan) — identical output;
+//! * the host at every pinned shard count (every query of the case in
+//!   one pool: prefix sharing under key slicing, unpartitionable queries
+//!   on worker 0, negated types broadcast) — identical output;
 //! * a durable [`EngineCore`] crashed at the configured point and resumed
 //!   at a *different* shard count — the union of pre- and post-crash
 //!   deliveries equals the reference exactly once per query (a multiset
@@ -299,9 +299,9 @@ pub fn check_case_sharded(
         per
     };
 
-    // the host under test: `MultiEngine::register` decides per query
-    // between the plan and a routed pool, as the server does; fed in
-    // chunks of `batch` items (1 = item by item)
+    // the host under test, as the server builds it: every query of the
+    // case on one plan, run by a pool of `shards` workers; fed in chunks
+    // of `batch` items (1 = item by item)
     let host = |shards: usize, batch: usize| {
         let mut host = MultiEngine::new(Strategy::Native, sut, shards);
         for (q, spec) in queries.iter().zip(&case.queries) {

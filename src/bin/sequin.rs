@@ -75,7 +75,8 @@ options:
   --store FILE      serve: checkpoint-store path; needs --checkpoint-every
                     (exactly-once restart: clients replay from the
                     HELLO_ACK resume cursor)
-  --shards N        Native-engine worker shards (default 1; sim takes a
+  --shards N        workers running the native plan, N >= 1 (default 1;
+                    1 only under --strategy buffered|inorder; sim takes a
                     comma-separated list of counts and runs every
                     case's host at each, with crash+resume changing
                     from the first count to the last)
@@ -210,6 +211,19 @@ fn get_checkpoint_every(flags: &Flags) -> Result<Option<u64>, String> {
         (Some(0), _) => Err("--checkpoint-every expects an integer >= 1, got `0`".to_owned()),
         (None, Some(path)) => Err(format!("--{path} needs --checkpoint-every")),
         (every, _) => Ok(every),
+    }
+}
+
+/// `--shards` for everything but `sim`: how many workers run the plan, so
+/// at least one, and more than one only where there is a plan to run.
+fn get_shards(flags: &Flags, strategy: sequin::engine::Strategy) -> Result<usize, String> {
+    match get_int(flags, "shards")?.unwrap_or(1) {
+        0 => Err("--shards expects an integer >= 1, got `0`".to_owned()),
+        n if n > 1 && strategy != sequin::engine::Strategy::Native => Err(format!(
+            "--shards expects 1 under --strategy buffered|inorder \
+             (only the native plan runs on a pool), got `{n}`"
+        )),
+        n => Ok(n),
     }
 }
 
@@ -417,13 +431,14 @@ fn run(args: &[String]) -> Result<String, String> {
 /// share. Built only by the arms that use them: `sim` reads `--policy` and
 /// `--shards` itself, with values (`mixed`, `2,7`) these parsers reject.
 fn run_options(flags: &Flags) -> Result<cli::RunOptions, String> {
+    let strategy = cli::parse_strategy(
+        flags
+            .get("strategy")
+            .map(String::as_str)
+            .unwrap_or("native"),
+    )?;
     Ok(cli::RunOptions {
-        strategy: cli::parse_strategy(
-            flags
-                .get("strategy")
-                .map(String::as_str)
-                .unwrap_or("native"),
-        )?,
+        strategy,
         k: get_int(flags, "k")?.unwrap_or(100),
         adaptive: flags
             .get("adaptive")
@@ -443,7 +458,7 @@ fn run_options(flags: &Flags) -> Result<cli::RunOptions, String> {
                 .map(String::as_str)
                 .unwrap_or("conservative"),
         )?,
-        shards: get_int(flags, "shards")?.unwrap_or(1).max(1),
+        shards: get_shards(flags, strategy)?,
     })
 }
 
@@ -575,14 +590,21 @@ mod tests {
         // each of these used to reach the run: --ooo outside 0..=1
         // panicked in the disorder generator, a negative or non-finite
         // --adaptive disabled purging, --checkpoint-every 0 wrote a
-        // checkpoint per event
+        // checkpoint per event, --shards 0 ran single-threaded, --shards 2
+        // under a control strategy ran as if it had not been given
         let replay = ["replay", "--types", "A(x:int)", "--trace", "/nonexistent"];
-        let cases: [(&[&str], &str, &[&str]); 5] = [
+        let buffered = [&SMALL_RUN[..], &["--strategy", "buffered"]].concat();
+        let inorder = ["netbench", "--events", "300", "--strategy", "inorder"];
+        let cases: [(&[&str], &str, &[&str]); 9] = [
             (&SMALL_RUN, "--ooo", &["2", "nan", "-0.5", "inf"]),
             (&["netbench", "--events", "300"], "--ooo", &["-0.5", "1.01"]),
             (&SMALL_RUN, "--adaptive", &["-1", "nan", "inf", "x"]),
             (&SMALL_RUN, "--checkpoint-every", &["0"]),
             (&replay, "--checkpoint-every", &["0"]),
+            (&SMALL_RUN, "--shards", &["0"]),
+            (&["netbench", "--events", "300"], "--shards", &["0"]),
+            (&buffered, "--shards", &["2"]),
+            (&inorder, "--shards", &["3"]),
         ];
         for (base, flag, values) in cases {
             for bad in values {
@@ -600,6 +622,7 @@ mod tests {
                 ("--ooo", "2"),
                 ("--adaptive", "-1"),
                 ("--checkpoint-every", "0"),
+                ("--shards", "0"),
             ] {
                 if (command, flag) == ("serve", "--ooo") {
                     continue; // serve generates no stream
@@ -630,6 +653,7 @@ mod tests {
         // the bounds themselves are valid
         let edge = ["--ooo", "1", "--adaptive", "0", "--checkpoint-every", "1"];
         assert!(sequin(&[&SMALL_RUN[..], &edge].concat()).is_ok());
+        assert!(sequin(&[&buffered[..], &["--shards", "1"]].concat()).is_ok());
         assert!(sequin(&[&SMALL_RUN[..], &["--ooo", "0"]].concat()).is_ok());
     }
 }

@@ -56,7 +56,8 @@ pub struct NetOptions {
     pub batch: usize,
     /// Inject a punctuation every `n` events before shipping.
     pub punctuate_every: Option<usize>,
-    /// Worker shards per Native query engine on the server side.
+    /// Workers running the plan of Native queries on the server side
+    /// (the CLI rejects 0, and more than 1 under a control strategy).
     pub shards: usize,
     /// Observability recorder settings for the server-side engine core
     /// (`ObsConfig::disabled()` removes all instrumentation overhead).
@@ -104,7 +105,7 @@ fn net_core(registry: Arc<TypeRegistry>, net: &NetOptions) -> CoreConfig {
         engine.watermark = sequin_engine::WatermarkSource::Both;
     }
     let mut core = CoreConfig::new(registry, net.strategy, engine);
-    core.shards = net.shards.max(1);
+    core.shards = net.shards;
     core.obs = net.obs;
     core
 }
@@ -133,7 +134,7 @@ pub fn run_netbench(spec: &StreamSpec, net: &NetOptions) -> Result<String, Strin
         net.strategy,
         policy_name(net.policy),
         net.k,
-        net.shards.max(1)
+        net.shards
     ));
     out.push_str(&format!(
         "outputs      : {} frames, byte-identical to the in-process oracle\n",

@@ -37,8 +37,8 @@ pub struct RunOptions {
     pub resume_from: Option<String>,
     /// Per-query disorder policy (latency vs retraction-noise knob).
     pub policy: DisorderPolicy,
-    /// Worker shards for Native evaluation (1 = single-threaded; other
-    /// strategies ignore the setting).
+    /// How many workers run the native plan (1 = inline, single-threaded;
+    /// the CLI rejects 0, and more than 1 under a control strategy).
     pub shards: usize,
 }
 
@@ -194,9 +194,9 @@ fn run_stream(
     if opts.punctuate_every.is_some() {
         config.watermark = sequin_engine::WatermarkSource::Both;
     }
-    // one stack whatever the flags: the host decides where the query runs
-    // (`--shards`), the exactly-once wrapper around it is volatile without
-    // `--checkpoint-every`, and batches let a sharded pool use its threads
+    // one stack whatever the flags: the host runs the query's plan on
+    // `--shards` workers, the exactly-once wrapper around it is volatile
+    // without `--checkpoint-every`, and batches let the workers' threads run
     let mut query_id = None;
     let mut host = || {
         let mut host = MultiEngine::new(opts.strategy, config, opts.shards);
@@ -381,13 +381,36 @@ mod tests {
         // the report still has its per-shard table
         let checkpointed = RunOptions {
             checkpoint_every: Some(500),
-            ..opts
+            ..opts.clone()
         };
         let out = run_workload("synthetic", "", 2000, 0.2, 50, 11, &checkpointed).unwrap();
         assert!(out.contains("checkpoints  : 4 written"), "{out}");
         assert!(out.contains("shards       : 3 workers"), "{out}");
         assert!(out.contains("events_routed"), "{out}");
         assert_eq!(matches_line(&out), matches_line(&single));
+
+        // a query with no key to spread runs on the same pool: the table
+        // shows its work sitting on worker 0
+        let unkeyed = "PATTERN SEQ(T0 a, T1 b) WITHIN 20";
+        let out = run_workload("synthetic", unkeyed, 2000, 0.2, 50, 11, &opts).unwrap();
+        assert!(out.contains("shards       : 3 workers"), "{out}");
+        let idle = |l: &&&str| l.split_whitespace().nth(2) == Some("0");
+        let rows: Vec<&str> = out
+            .lines()
+            .skip_while(|l| !l.starts_with("shard "))
+            .collect();
+        assert_eq!(rows.len(), 2 + 3, "header, rule, workers: {out}");
+        assert_eq!(rows[2..].iter().filter(idle).count(), 2, "{out}");
+        let single = run_workload(
+            "synthetic",
+            unkeyed,
+            2000,
+            0.2,
+            50,
+            11,
+            &RunOptions::default(),
+        );
+        assert_eq!(matches_line(&out), matches_line(&single.unwrap()));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use sequin::engine::{Engine, EngineConfig, MultiEngine, OutputItem, QueryId, Strategy};
+use sequin::engine::{Engine, MultiEngine, OutputItem, QueryId};
 use sequin::query::Query;
 use sequin::runtime::{regions, Region};
 use sequin::types::{Event, EventId, EventRef, StreamItem, Timestamp, TypeRegistry, Value};
@@ -137,9 +137,7 @@ pub fn stream_of(events: &[EventRef]) -> Vec<StreamItem> {
 /// A one-query host around a pre-built engine — what a
 /// `sequin::engine::Checkpointer` wraps.
 pub fn host_of(engine: Box<dyn Engine>) -> MultiEngine {
-    let mut host = MultiEngine::new(Strategy::Native, EngineConfig::default(), 1);
-    host.register_engine(engine);
-    host
+    MultiEngine::from_engines(vec![engine])
 }
 
 /// A one-query host's outputs without their query tags.

@@ -8,7 +8,9 @@ mod common;
 
 use std::sync::Arc;
 
-use sequin::engine::{EngineConfig, MultiEngine, NativeEngine, OutputItem, QueryId, Strategy};
+use sequin::engine::{
+    Engine, EngineConfig, MultiEngine, NativeEngine, OutputItem, QueryId, Strategy,
+};
 use sequin::netsim::{delay_shuffle, measure_disorder};
 use sequin::obs::SeriesValue;
 use sequin::query::parse;
@@ -57,12 +59,12 @@ fn two_thousand_keys_survive_a_crash_that_swaps_the_shard_count() {
     let engine = EngineConfig::with_k(Duration::new(disorder.max_lateness.ticks()));
 
     // the independent reference: every query on a native engine of its own
-    let mut reference = MultiEngine::new(Strategy::Native, engine, 1);
-    for text in texts {
+    let alone = |text| -> Box<dyn Engine> {
         let query = parse(text, w.registry()).unwrap();
         assert!(query.partition().is_some());
-        reference.register_engine(Box::new(NativeEngine::new(query, engine)));
-    }
+        Box::new(NativeEngine::new(query, engine))
+    };
+    let mut reference = MultiEngine::from_engines(texts.map(alone).into());
     let mut want: Vec<(QueryId, OutputItem)> = reference
         .ingest_batch(&stream)
         .into_iter()
