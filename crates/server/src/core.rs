@@ -36,7 +36,7 @@ use sequin_engine::{
     MultiEngine, OutputItem, OutputKind, PlanMetrics, QueryId, Strategy,
 };
 use sequin_obs::{Bundle, MetricsSnapshot, ObsConfig, Recorder, Span, SpanKind};
-use sequin_query::{parse, QueryError};
+use sequin_query::{parse, Query, QueryError};
 use sequin_runtime::{seal_deadline, RuntimeStats};
 use sequin_types::{CodecError, Reader, StreamItem, Timestamp, TypeRegistry, Writer};
 
@@ -132,9 +132,33 @@ struct Subscription {
     /// Whatever the first subscriber negotiated, persisted in checkpoint
     /// headers so a resume rebuilds identical engines.
     policy: DisorderPolicy,
+    /// The query's [`stable_query_id`]: what every output's provenance id
+    /// is hashed from and what `sequin_query_info` shows. The same for
+    /// every spelling and registration order, so an alias shares it and a
+    /// resume rederives it.
+    stable: u64,
     /// Retractions delivered by *this* process (replayed duplicates
     /// excluded) — the `sequin_retraction_emitted` series.
     retractions: u64,
+}
+
+impl Subscription {
+    /// Registers `query` on `host` under `policy`, as the text it came in.
+    fn register(
+        host: &mut MultiEngine,
+        text: String,
+        query: Arc<Query>,
+        policy: DisorderPolicy,
+    ) -> Subscription {
+        let stable = stable_query_id(&query);
+        Subscription {
+            text,
+            id: host.register(query, policy),
+            policy,
+            stable,
+            retractions: 0,
+        }
+    }
 }
 
 /// The checkpoint header: every subscription's text and policy, the
@@ -170,13 +194,7 @@ fn read_header(
             .ok_or(CodecError::SnapshotMismatch("persisted query policy"))?;
         let q = parse(&text, &cfg.registry)
             .map_err(|_| CodecError::SnapshotMismatch("persisted query text"))?;
-        let id = host.register(q, policy);
-        subs.push(Subscription {
-            text,
-            id,
-            policy,
-            retractions: 0,
-        });
+        subs.push(Subscription::register(host, text, q, policy));
     }
     Ok(subs)
 }
@@ -306,13 +324,9 @@ impl EngineCore {
             return Ok((s.id, s.policy));
         }
         let policy = policy.unwrap_or(self.cfg.engine.policy);
-        let id = self.ck.host_mut().register(q, policy);
-        self.subs.push(Subscription {
-            text: text.to_owned(),
-            id,
-            policy,
-            retractions: 0,
-        });
+        let sub = Subscription::register(self.ck.host_mut(), text.to_owned(), q, policy);
+        let id = sub.id;
+        self.subs.push(sub);
         self.ck.set_header(write_header(&self.subs));
         if self.durable() {
             // make the registration itself crash-safe
@@ -475,11 +489,16 @@ impl EngineCore {
         if ingested > 0 {
             self.obs.ingest_span(ingested, core_clock, core_wm);
         }
+        // a query's watermark stands for the whole call: read (the pool's
+        // lock taken) at most once, and only for a query that did something
+        let mut watermarks: Vec<Option<u64>> = vec![None; self.subs.len()];
+        let mut watermark = |qid: QueryId| {
+            *watermarks[qid.index()]
+                .get_or_insert_with(|| host.query_watermark(qid).map_or(core_wm, |t| t.ticks()))
+        };
         for (i, qid) in self.subs.iter().map(|s| s.id).enumerate() {
             let prev = before.get(i).copied().unwrap_or_default();
             let Some(now) = after.get(i) else { continue };
-            let clock = host.query_clock(qid).map_or(core_clock, |t| t.ticks());
-            let wm = host.query_watermark(qid).map_or(core_wm, |t| t.ticks());
             let steps = [
                 (SpanKind::Route, now.events_routed - prev.events_routed),
                 (SpanKind::StackInsert, now.insertions - prev.insertions),
@@ -490,6 +509,11 @@ impl EngineCore {
                 (SpanKind::Negate, now.negated_matches - prev.negated_matches),
                 (SpanKind::Purge, now.purged - prev.purged),
             ];
+            if steps.iter().all(|(_, delta)| *delta == 0) {
+                continue;
+            }
+            let clock = host.query_clock(qid).map_or(core_clock, |t| t.ticks());
+            let wm = watermark(qid);
             for (kind, delta) in steps {
                 self.obs.span(kind, i as u64, delta, clock, wm);
             }
@@ -500,7 +524,7 @@ impl EngineCore {
             self.obs
                 .record_output(i, insert, o.arrival_latency(), o.event_time_latency());
             let events: Vec<u64> = o.m.events().iter().map(|e| e.id().get()).collect();
-            let wm = host.query_watermark(*qid).map_or(core_wm, |t| t.ticks());
+            let wm = watermark(*qid);
             if !self.obs.provenance() {
                 self.obs.emit_span(
                     i as u64,
@@ -516,7 +540,7 @@ impl EngineCore {
             // span is byte-identical across backends and shard counts —
             // only the ring-global `seq` may differ, and the lineage
             // renderers drop it.
-            let pid = o.provenance_id(stable_query_id(host.query(*qid)));
+            let pid = o.provenance_id(self.subs[i].stable);
             let arrivals: Vec<u64> = o.m.events().iter().map(|e| e.arrival().get()).collect();
             let (kind, cause, bound) = match (o.kind, o.cause) {
                 (OutputKind::Retract, c) => {
@@ -645,7 +669,7 @@ impl EngineCore {
             }
             // a registration-order-independent identity for dashboards
             // that survive restarts with a different subscription order
-            let stable = format!("{:016x}", stable_query_id(host.query(qid)));
+            let stable = format!("{:016x}", self.subs[i].stable);
             b.gauge(
                 "sequin_query_info",
                 &[("query", i.to_string()), ("qid", stable.clone())],
@@ -785,12 +809,12 @@ impl EngineCore {
     }
 }
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use sequin_engine::OutputKind;
     use sequin_types::{Duration, Event, EventId, Value, ValueKind};
 
-    fn registry() -> Arc<TypeRegistry> {
+    pub(crate) fn registry() -> Arc<TypeRegistry> {
         let mut reg = TypeRegistry::new();
         for name in ["A", "B"] {
             reg.declare(name, &[("x", ValueKind::Int)]).unwrap();
@@ -798,7 +822,7 @@ mod tests {
         Arc::new(reg)
     }
 
-    fn cfg(reg: &Arc<TypeRegistry>, every: Option<u64>) -> CoreConfig {
+    pub(crate) fn cfg(reg: &Arc<TypeRegistry>, every: Option<u64>) -> CoreConfig {
         CoreConfig {
             registry: reg.clone(),
             strategy: Strategy::Native,
@@ -818,7 +842,7 @@ mod tests {
         ))
     }
 
-    fn stream(reg: &TypeRegistry) -> Vec<StreamItem> {
+    pub(crate) fn stream(reg: &TypeRegistry) -> Vec<StreamItem> {
         let mut items = Vec::new();
         let mut id = 0;
         for t in 0..60u64 {
@@ -830,8 +854,8 @@ mod tests {
         items
     }
 
-    const Q_AB: &str = "PATTERN SEQ(A a, B b) WITHIN 8";
-    const Q_BA: &str = "PATTERN SEQ(B b, A a) WITHIN 8";
+    pub(crate) const Q_AB: &str = "PATTERN SEQ(A a, B b) WITHIN 8";
+    pub(crate) const Q_BA: &str = "PATTERN SEQ(B b, A a) WITHIN 8";
 
     fn net(out: &[(QueryId, OutputItem)]) -> Vec<(usize, bool, Vec<u64>)> {
         let mut v: Vec<(usize, bool, Vec<u64>)> = out
@@ -1144,6 +1168,81 @@ mod tests {
         delivered.extend(core.finish());
         assert_eq!(net(&delivered), net(&baseline));
         assert_eq!(core.pending_suppressions(), 0);
+    }
+
+    /// A subscription's cached stable id is what the query's own
+    /// `stable_query_id` is, whichever way the subscription came to be:
+    /// every output's span carries the provenance id hashed from it, and
+    /// `sequin_query_info` shows it.
+    #[test]
+    fn provenance_ids_and_the_info_label_use_the_querys_stable_id_on_every_path() {
+        let reg = registry();
+        let items = stream(&reg);
+        let traced = |every| CoreConfig {
+            obs: ObsConfig {
+                trace_capacity: 4096,
+                ..ObsConfig::default()
+            },
+            ..cfg(&reg, every)
+        };
+        let check = |core: &EngineCore, out: &[(QueryId, OutputItem)], path: &str| {
+            assert!(!out.is_empty(), "{path}: no outputs");
+            let pids: Vec<u64> = core
+                .obs
+                .trace()
+                .spans()
+                .filter(|s| s.pid != 0)
+                .map(|s| s.pid)
+                .collect();
+            let stable = |qid: QueryId| stable_query_id(core.ck.host().query(qid));
+            let want: Vec<u64> = out
+                .iter()
+                .map(|(qid, o)| o.provenance_id(stable(*qid)))
+                .collect();
+            assert_eq!(pids, want, "{path}: recorded pids");
+            let series = core.metrics_snapshot(None).to_prometheus();
+            for s in &core.subs {
+                let info = series
+                    .lines()
+                    .find(|l| {
+                        l.starts_with("sequin_query_info{")
+                            && l.contains(&format!("query=\"{}\"", s.id.index()))
+                    })
+                    .unwrap_or_else(|| panic!("{path}: no info series for {}", s.text));
+                let label = format!("qid=\"{:016x}\"", stable(s.id));
+                assert!(info.contains(&label), "{path}: {info} lacks {label}");
+            }
+        };
+
+        // fresh subscribes
+        let mut core = EngineCore::new(traced(None));
+        core.subscribe(Q_AB).unwrap();
+        core.subscribe(Q_BA).unwrap();
+        let out = core.ingest_batch(&items);
+        check(&core, &out, "fresh");
+
+        // the same query under another spelling lands on the first's entry
+        let mut core = EngineCore::new(traced(None));
+        let id = core.subscribe(Q_AB).unwrap();
+        assert_eq!(
+            core.subscribe("PATTERN  SEQ( A a ,  B b )  WITHIN 8")
+                .unwrap(),
+            id
+        );
+        let out = core.ingest_batch(&items);
+        check(&core, &out, "alias");
+
+        // subscriptions rebuilt from a store's header
+        let mut core = EngineCore::new(traced(Some(25)));
+        core.subscribe(Q_AB).unwrap();
+        core.subscribe(Q_BA).unwrap();
+        core.ingest_batch(&items[..40]);
+        let saved = core.store().clone();
+        drop(core); // crash
+        let (mut core, replay_from) = EngineCore::resume(traced(Some(25)), saved);
+        assert!(replay_from > 0, "a checkpoint was accepted");
+        let out = core.ingest_batch(&items[replay_from as usize..]);
+        check(&core, &out, "resumed");
     }
 
     #[test]

@@ -37,7 +37,7 @@
 
 use std::io::{self, Read, Write};
 
-use sequin_engine::{DisorderPolicy, OutputKind};
+use sequin_engine::{DisorderPolicy, OutputItem, OutputKind};
 use sequin_runtime::RuntimeStats;
 use sequin_types::codec::{open_envelope, seal_envelope};
 use sequin_types::{ArrivalSeq, CodecError, Decode, Encode, EventRef, Reader, Timestamp, Writer};
@@ -227,6 +227,19 @@ pub struct OutputFrame {
     pub emit_clock: Timestamp,
 }
 
+impl OutputFrame {
+    /// The frame a subscriber of query `query_id` is sent for `item`.
+    pub fn of(query_id: u64, item: &OutputItem) -> OutputFrame {
+        OutputFrame {
+            query_id,
+            kind: item.kind,
+            events: item.m.events().to_vec(),
+            emit_seq: item.emit_seq,
+            emit_clock: item.emit_clock,
+        }
+    }
+}
+
 /// Every message of the wire protocol.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
@@ -399,6 +412,63 @@ pub(crate) fn policy_from_wire(mode: u8, knob: u8) -> Result<Option<DisorderPoli
     })
 }
 
+/// The OUTPUT payload: tag 7, query id, kind byte, the matched events,
+/// emit sequence, emit clock.
+fn put_output(
+    w: &mut Writer,
+    query_id: u64,
+    kind: OutputKind,
+    events: &[EventRef],
+    emit_seq: ArrivalSeq,
+    emit_clock: Timestamp,
+) {
+    w.put_u8(7);
+    w.put_u64(query_id);
+    w.put_u8(kind_tag(kind));
+    events.encode(w);
+    emit_seq.encode(w);
+    emit_clock.encode(w);
+}
+
+/// Appends one OUTPUT frame to `buf` as it goes on the wire — `u32` length
+/// prefix, then the sealed envelope — encoded in place from the engine's
+/// own output: the match's events are borrowed, and the prefix, the
+/// envelope's payload length and its checksum are patched in once the
+/// payload is written. The appended bytes equal
+/// `write_frame(buf, &encode_frame(&Frame::Output(..)))` of the same
+/// output.
+///
+/// # Errors
+///
+/// A frame over [`MAX_FRAME_LEN`] is refused as [`write_frame`] refuses
+/// it, and `buf` is left as it was: the frames before it stand.
+pub fn append_output_frame(buf: &mut Vec<u8>, query_id: u64, item: &OutputItem) -> io::Result<()> {
+    let start = buf.len();
+    let mut w = Writer::appending(std::mem::take(buf));
+    w.put_u32(0);
+    let envelope = w.begin_envelope();
+    put_output(
+        &mut w,
+        query_id,
+        item.kind,
+        item.m.events(),
+        item.emit_seq,
+        item.emit_clock,
+    );
+    w.finish_envelope(envelope);
+    *buf = w.into_bytes();
+    match frame_len(buf.len() - envelope) {
+        Ok(len) => {
+            buf[start..envelope].copy_from_slice(&len.to_le_bytes());
+            Ok(())
+        }
+        Err(e) => {
+            buf.truncate(start);
+            Err(e)
+        }
+    }
+}
+
 /// Encodes a frame into its sealed envelope (the bytes a transport
 /// carries, *without* the `u32` length prefix).
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
@@ -448,14 +518,14 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             w.put_u8(mode);
             w.put_u8(knob);
         }
-        Frame::Output(o) => {
-            w.put_u8(7);
-            w.put_u64(o.query_id);
-            w.put_u8(kind_tag(o.kind));
-            o.events.encode(&mut w);
-            o.emit_seq.encode(&mut w);
-            o.emit_clock.encode(&mut w);
-        }
+        Frame::Output(o) => put_output(
+            &mut w,
+            o.query_id,
+            o.kind,
+            &o.events,
+            o.emit_seq,
+            o.emit_clock,
+        ),
         Frame::StatsReq => {
             w.put_u8(8);
         }
@@ -582,15 +652,18 @@ pub fn decode_frame(sealed: &[u8]) -> Result<Frame, CodecError> {
     Ok(frame)
 }
 
+/// The length prefix of a sealed envelope of `sealed_len` bytes.
+fn frame_len(sealed_len: usize) -> io::Result<u32> {
+    u32::try_from(sealed_len)
+        .ok()
+        .filter(|l| *l <= MAX_FRAME_LEN)
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame exceeds MAX_FRAME_LEN"))
+}
+
 /// Writes one length-prefixed frame (`u32` LE length, then the sealed
 /// envelope) and flushes.
 pub fn write_frame(w: &mut impl Write, sealed: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(sealed.len())
-        .ok()
-        .filter(|l| *l <= MAX_FRAME_LEN)
-        .ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidInput, "frame exceeds MAX_FRAME_LEN")
-        })?;
+    let len = frame_len(sealed.len())?;
     w.write_all(&len.to_le_bytes())?;
     w.write_all(sealed)?;
     w.flush()
@@ -1015,6 +1088,76 @@ mod tests {
             emit_clock: Timestamp::new(65),
         }));
         assert_eq!(open_envelope(&sealed).unwrap()[9], 0, "insert kind tag");
+    }
+
+    /// The in-place OUTPUT encoder against the one every other frame
+    /// goes through: same bytes, appended behind whatever the buffer
+    /// holds; and a frame too long for the wire costs only itself.
+    #[test]
+    fn output_encoded_in_place_equals_encode_frame_plus_write_frame() {
+        use sequin_runtime::Match;
+        use sequin_types::{TypeRegistry, ValueKind};
+
+        let mut reg = TypeRegistry::new();
+        let kinds = [
+            ("i", ValueKind::Int),
+            ("f", ValueKind::Float),
+            ("s", ValueKind::Str),
+            ("b", ValueKind::Bool),
+        ];
+        let ty = reg.declare("E", &kinds).unwrap();
+        let event = |id: u64, text: &str| -> EventRef {
+            Arc::new(
+                Event::builder(ty, Timestamp::new(10 * id))
+                    .id(EventId::new(id))
+                    .attr(Value::Int(-(id as i64)))
+                    .attr(Value::Float(id as f64 / 4.0))
+                    .attr(Value::str(text))
+                    .attr(Value::Bool(id % 2 == 0))
+                    .build()
+                    .with_arrival(ArrivalSeq::new(100 - id)),
+            )
+        };
+        let output = |kind: OutputKind, events: Vec<EventRef>| {
+            let slots: Vec<String> = (0..events.len()).map(|i| format!("E e{i}")).collect();
+            let text = format!("PATTERN SEQ({}) WITHIN 1000", slots.join(", "));
+            let query = sequin_query::parse(&text, &reg).unwrap();
+            OutputItem {
+                kind,
+                m: Match::new(&query, events),
+                emit_seq: ArrivalSeq::new(77),
+                emit_clock: Timestamp::new(1234),
+                cause: None,
+            }
+        };
+        let by_frame = |query_id: u64, o: &OutputItem| {
+            let mut wire = Vec::new();
+            let frame = Frame::Output(OutputFrame::of(query_id, o));
+            write_frame(&mut wire, &encode_frame(&frame)).unwrap();
+            wire
+        };
+
+        let mut buf = Vec::new();
+        let mut want = Vec::new();
+        for kind in [OutputKind::Insert, OutputKind::Retract] {
+            for n in 1..=3u64 {
+                let o = output(kind, (1..=n).map(|id| event(id, "wire")).collect());
+                append_output_frame(&mut buf, n, &o).unwrap();
+                want.extend(by_frame(n, &o));
+                assert_eq!(buf, want, "{kind:?} of {n} events");
+            }
+        }
+
+        // one string attribute longer than a frame may be
+        let huge = "x".repeat(MAX_FRAME_LEN as usize + 1);
+        let too_long = output(OutputKind::Insert, vec![event(1, &huge)]);
+        let err = append_output_frame(&mut buf, 0, &too_long).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(buf, want, "the frames before it stand");
+        let o = output(OutputKind::Retract, vec![event(9, "after")]);
+        append_output_frame(&mut buf, 5, &o).unwrap();
+        want.extend(by_frame(5, &o));
+        assert_eq!(buf, want, "and the buffer takes the next one");
     }
 
     /// Pins the TRACE_REQ/TRACE_REPLY wire layout: tag 17 is a format

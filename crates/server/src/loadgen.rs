@@ -60,15 +60,7 @@ fn oracle_frames(
     out.extend(oracle.finish());
     Ok(out
         .into_iter()
-        .map(|(qid, item)| {
-            encode_frame(&Frame::Output(OutputFrame {
-                query_id: qid.index() as u64,
-                kind: item.kind,
-                events: item.m.events().to_vec(),
-                emit_seq: item.emit_seq,
-                emit_clock: item.emit_clock,
-            }))
-        })
+        .map(|(qid, item)| encode_frame(&Frame::Output(OutputFrame::of(qid.index() as u64, &item))))
         .collect())
 }
 

@@ -11,6 +11,18 @@
 //! them, and a `DRAIN_ACK` is written only after every output the drain
 //! triggered.
 //!
+//! ## Egress
+//!
+//! The engine produces outputs per ingest batch, and they leave per batch:
+//! each OUTPUT frame is encoded once, and a subscriber gets all of one
+//! engine call's frames for its queries in one write, under one hold of
+//! its sink's lock — a session thread's BUSY or ERROR lands between two
+//! batches, never between two frames of one. The bytes are those of
+//! frame-by-frame sends. [`ServerStats::frames_sent`] counts the frames of
+//! every batch whose write succeeded; a subscriber whose write failed is
+//! dropped on the spot. The write blocks the engine thread: a subscriber
+//! that stops reading still stalls evaluation for everyone.
+//!
 //! ## Backpressure
 //!
 //! The queue is bounded. A reader first `try_send`s; on a full queue it
@@ -31,7 +43,6 @@
 //! exactly-once, and [`Server::crash`] (the fault-injection kill) lands on
 //! a message boundary where no such window is open.
 
-use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -44,7 +55,7 @@ use sequin_types::StreamItem;
 
 use crate::core::{CoreConfig, EngineCore};
 use crate::frame::{
-    decode_frame, encode_frame, ErrorCode, Frame, MetricsFormat, OutputFrame, TraceFormat,
+    append_output_frame, decode_frame, encode_frame, ErrorCode, Frame, MetricsFormat, TraceFormat,
     TRACE_ALL_OUTPUTS, TRACE_ALL_QUERIES,
 };
 use crate::stats::ServerStats;
@@ -322,34 +333,125 @@ fn persist_if_dirty(core: &mut EngineCore, store_path: &Option<PathBuf>) {
 /// the checkpoint-persist cadence bounded even under a saturated queue.
 const MAX_ENGINE_BATCH: usize = 256;
 
+/// One subscribed connection, as the engine thread sees it.
+struct Subscriber {
+    conn: u64,
+    sink: Arc<dyn FrameSink>,
+    /// Ids of the queries whose outputs it receives.
+    queries: Vec<usize>,
+    /// The current batch's OUTPUT frames for it, as they go on the wire;
+    /// emptied by every [`Egress::deliver`] and kept for its capacity.
+    wire: Vec<u8>,
+    /// Frames in `wire`.
+    frames: u64,
+}
+
+/// The engine thread's outbound side: who receives which query's outputs,
+/// and one batch of OUTPUT frames on its way to them.
+#[derive(Default)]
+struct Egress {
+    subscribers: Vec<Subscriber>,
+    /// Query id → positions in `subscribers` of the connections
+    /// subscribed to it.
+    by_query: Vec<Vec<usize>>,
+    /// One output's frame, encoded once for however many receive it.
+    scratch: Vec<u8>,
+}
+
+impl Egress {
+    fn subscribe(&mut self, conn: u64, sink: &Arc<dyn FrameSink>, query: usize) {
+        let at = match self.subscribers.iter().position(|s| s.conn == conn) {
+            Some(at) => at,
+            None => {
+                self.subscribers.push(Subscriber {
+                    conn,
+                    sink: sink.clone(),
+                    queries: Vec::new(),
+                    wire: Vec::new(),
+                    frames: 0,
+                });
+                self.subscribers.len() - 1
+            }
+        };
+        if self.by_query.len() <= query {
+            self.by_query.resize_with(query + 1, Vec::new);
+        }
+        if !self.subscribers[at].queries.contains(&query) {
+            self.subscribers[at].queries.push(query);
+            self.by_query[query].push(at);
+        }
+    }
+
+    /// Drops the subscribers `gone` names and renumbers the index.
+    fn remove_where(&mut self, gone: impl Fn(&Subscriber) -> bool) {
+        self.subscribers.retain(|s| !gone(s));
+        self.by_query.iter_mut().for_each(Vec::clear);
+        for (at, s) in self.subscribers.iter().enumerate() {
+            for query in &s.queries {
+                self.by_query[*query].push(at);
+            }
+        }
+    }
+
+    fn remove(&mut self, conn: u64) {
+        self.remove_where(|s| s.conn == conn);
+    }
+
+    /// Sends one engine call's outputs: each is encoded once and appended
+    /// to the batch of every connection subscribed to its query, then
+    /// every connection gets its batch in one [`FrameSink::send_frames`],
+    /// in engine order. Returns the frames that went out. A connection
+    /// whose write fails is gone: it is dropped here and now — not when
+    /// its session's `Disconnect` comes up behind a full queue of ingests
+    /// — and none of its batch counts.
+    fn deliver(&mut self, outputs: &[(sequin_engine::QueryId, sequin_engine::OutputItem)]) -> u64 {
+        for (qid, item) in outputs {
+            let receivers = self
+                .by_query
+                .get(qid.index())
+                .map_or(&[][..], Vec::as_slice);
+            if receivers.is_empty() {
+                continue;
+            }
+            self.scratch.clear();
+            // an output over MAX_FRAME_LEN cannot go on the wire: the one
+            // frame is left out, as a lone `send_frame` of it always was
+            if append_output_frame(&mut self.scratch, qid.index() as u64, item).is_err() {
+                continue;
+            }
+            for at in receivers {
+                let to = &mut self.subscribers[*at];
+                to.wire.extend_from_slice(&self.scratch);
+                to.frames += 1;
+            }
+        }
+        let mut sent = 0;
+        let mut gone = Vec::new();
+        for to in &mut self.subscribers {
+            if to.frames == 0 {
+                continue;
+            }
+            match to.sink.send_frames(&to.wire) {
+                Ok(()) => sent += to.frames,
+                Err(_) => gone.push(to.conn),
+            }
+            to.wire.clear();
+            to.frames = 0;
+        }
+        if !gone.is_empty() {
+            self.remove_where(|s| gone.contains(&s.conn));
+        }
+        sent
+    }
+}
+
 fn engine_loop(
     mut core: EngineCore,
     rx: mpsc::Receiver<EngineMsg>,
     shared: Arc<Shared>,
     store_path: Option<PathBuf>,
 ) {
-    // conn id → (reply sink, queries that conn subscribed to)
-    let mut subscribers: HashMap<u64, (Arc<dyn FrameSink>, Vec<usize>)> = HashMap::new();
-
-    let deliver =
-        |subscribers: &HashMap<u64, (Arc<dyn FrameSink>, Vec<usize>)>,
-         shared: &Shared,
-         outputs: Vec<(sequin_engine::QueryId, sequin_engine::OutputItem)>| {
-            for (qid, item) in outputs {
-                let frame = Frame::Output(OutputFrame {
-                    query_id: qid.index() as u64,
-                    kind: item.kind,
-                    events: item.m.events().to_vec(),
-                    emit_seq: item.emit_seq,
-                    emit_clock: item.emit_clock,
-                });
-                for (sink, queries) in subscribers.values() {
-                    if queries.contains(&qid.index()) {
-                        shared.send(sink, &frame);
-                    }
-                }
-            }
-        };
+    let mut egress = Egress::default();
 
     // A non-Ingest message pulled off the queue while coalescing a batch;
     // handled on the next loop turn so ordering is preserved.
@@ -381,11 +483,12 @@ fn engine_loop(
                 shared.depth.fetch_sub(batch.len(), Ordering::SeqCst);
                 let outputs = core.ingest_batch(&batch);
                 shared.resume_from.store(core.position(), Ordering::SeqCst);
+                let sent = egress.deliver(&outputs);
                 shared.with_stats(|s| {
                     s.engine_batches += 1;
                     s.max_engine_batch = s.max_engine_batch.max(batch.len() as u64);
+                    s.frames_sent += sent;
                 });
-                deliver(&subscribers, &shared, outputs);
                 persist_if_dirty(&mut core, &store_path);
             }
             EngineMsg::Subscribe {
@@ -398,12 +501,7 @@ fn engine_loop(
                     shared
                         .query_count
                         .store(core.query_count(), Ordering::SeqCst);
-                    let entry = subscribers
-                        .entry(conn)
-                        .or_insert_with(|| (sink.clone(), Vec::new()));
-                    if !entry.1.contains(&qid.index()) {
-                        entry.1.push(qid.index());
-                    }
+                    egress.subscribe(conn, &sink, qid.index());
                     shared.with_stats(|s| s.subscriptions += 1);
                     shared.send(
                         &sink,
@@ -472,15 +570,15 @@ fn engine_loop(
                     );
                     continue;
                 }
-                let outputs = core.finish();
-                deliver(&subscribers, &shared, outputs);
+                let sent = egress.deliver(&core.finish());
                 persist_if_dirty(&mut core, &store_path);
-                shared.with_stats(|s| s.drains += 1);
+                shared.with_stats(|s| {
+                    s.frames_sent += sent;
+                    s.drains += 1;
+                });
                 shared.send(&sink, &Frame::DrainAck);
             }
-            EngineMsg::Disconnect { conn } => {
-                subscribers.remove(&conn);
-            }
+            EngineMsg::Disconnect { conn } => egress.remove(conn),
             EngineMsg::Crash => return,
             EngineMsg::Shutdown => {
                 persist_if_dirty(&mut core, &store_path);
@@ -721,4 +819,140 @@ fn run_session(shared: Arc<Shared>, conn: u64, mut transport: Box<dyn Transport>
     let _ = shared.tx.send(EngineMsg::Disconnect { conn });
     sink.close();
     shared.with_stats(|s| s.connections_closed += 1);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::core::tests::{cfg, registry, stream, Q_AB, Q_BA};
+    use crate::frame::{write_frame, OutputFrame};
+    use sequin_engine::{OutputItem, QueryId};
+
+    /// Records what reaches it; refuses everything once `broken`.
+    #[derive(Default)]
+    struct CountingSink {
+        runs: Mutex<Vec<Vec<u8>>>,
+        singles: AtomicU64,
+        broken: AtomicBool,
+    }
+
+    impl CountingSink {
+        fn runs(&self) -> Vec<Vec<u8>> {
+            self.runs.lock().unwrap().clone()
+        }
+    }
+
+    impl FrameSink for CountingSink {
+        fn send_frame(&self, _sealed: &[u8]) -> std::io::Result<()> {
+            self.singles.fetch_add(1, Ordering::SeqCst);
+            Ok(())
+        }
+
+        fn send_frames(&self, wire: &[u8]) -> std::io::Result<()> {
+            self.runs.lock().unwrap().push(wire.to_vec());
+            if self.broken.load(Ordering::SeqCst) {
+                return Err(std::io::ErrorKind::BrokenPipe.into());
+            }
+            Ok(())
+        }
+
+        fn close(&self) {}
+    }
+
+    /// Two engine calls' outputs of a core with `Q_AB` as query 0 and
+    /// `Q_BA` as query 1.
+    fn two_calls() -> [Vec<(QueryId, OutputItem)>; 2] {
+        let reg = registry();
+        let mut core = EngineCore::new(cfg(&reg, None));
+        core.subscribe(Q_AB).unwrap();
+        core.subscribe(Q_BA).unwrap();
+        let items = stream(&reg);
+        let calls = [
+            core.ingest_batch(&items[..30]),
+            core.ingest_batch(&items[30..]),
+        ];
+        for query in 0..2 {
+            for call in &calls {
+                let of_query = call.iter().filter(|(q, _)| q.index() == query).count();
+                assert!(of_query > 1, "every call needs several outputs per query");
+            }
+        }
+        calls
+    }
+
+    /// What frame-by-frame sends of `outputs`' frames for `queries` put on
+    /// the wire.
+    fn frame_by_frame(outputs: &[(QueryId, OutputItem)], queries: &[usize]) -> (Vec<u8>, u64) {
+        let (mut wire, mut frames) = (Vec::new(), 0);
+        for (qid, o) in outputs {
+            if queries.contains(&qid.index()) {
+                let frame = Frame::Output(OutputFrame::of(qid.index() as u64, o));
+                write_frame(&mut wire, &encode_frame(&frame)).unwrap();
+                frames += 1;
+            }
+        }
+        (wire, frames)
+    }
+
+    #[test]
+    fn one_engine_call_reaches_each_subscriber_as_one_run_of_its_frames() {
+        let calls = two_calls();
+        let (both, one) = (
+            Arc::new(CountingSink::default()),
+            Arc::new(CountingSink::default()),
+        );
+        let mut egress = Egress::default();
+        let sink: Arc<dyn FrameSink> = both.clone();
+        egress.subscribe(7, &sink, 0);
+        egress.subscribe(7, &sink, 1);
+        egress.subscribe(7, &sink, 1); // a repeated SUBSCRIBE adds nothing
+        let sink: Arc<dyn FrameSink> = one.clone();
+        egress.subscribe(9, &sink, 1);
+
+        for (n, call) in calls.iter().enumerate() {
+            let sent = egress.deliver(call);
+            let (want_both, frames_both) = frame_by_frame(call, &[0, 1]);
+            let (want_one, frames_one) = frame_by_frame(call, &[1]);
+            assert_eq!(sent, frames_both + frames_one);
+            assert_eq!(both.runs().len(), n + 1, "one run per engine call");
+            assert_eq!(both.runs()[n], want_both);
+            assert_eq!(one.runs()[n], want_one);
+        }
+        // a call with nothing for anybody writes nothing
+        assert_eq!(egress.deliver(&[]), 0);
+        assert_eq!(both.runs().len(), 2);
+        assert_eq!(both.singles.load(Ordering::SeqCst), 0);
+        assert_eq!(one.singles.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn a_failed_write_drops_that_subscriber_at_once_and_counts_nothing_for_it() {
+        let calls = two_calls();
+        let (dead, live) = (
+            Arc::new(CountingSink::default()),
+            Arc::new(CountingSink::default()),
+        );
+        dead.broken.store(true, Ordering::SeqCst);
+        let mut egress = Egress::default();
+        let sink: Arc<dyn FrameSink> = dead.clone();
+        egress.subscribe(1, &sink, 0);
+        egress.subscribe(1, &sink, 1);
+        let sink: Arc<dyn FrameSink> = live.clone();
+        egress.subscribe(2, &sink, 1);
+
+        let (want, frames) = frame_by_frame(&calls[0], &[1]);
+        assert_eq!(egress.deliver(&calls[0]), frames, "only the live one's");
+        assert_eq!(live.runs(), [want]);
+        let left: Vec<u64> = egress.subscribers.iter().map(|s| s.conn).collect();
+        assert_eq!(left, [2], "gone after its first failed write");
+        assert_eq!(egress.by_query, [vec![], vec![0]], "and out of the index");
+
+        let (want, frames) = frame_by_frame(&calls[1], &[1]);
+        assert_eq!(egress.deliver(&calls[1]), frames);
+        assert_eq!(live.runs()[1], want);
+        assert_eq!(dead.runs().len(), 1, "nothing more is written to it");
+        // its session's Disconnect, when it is finally dequeued, finds nothing
+        egress.remove(1);
+        assert_eq!(egress.subscribers.len(), 1);
+    }
 }

@@ -15,7 +15,7 @@
 //! the encoder and the decoder exactly where a flaky network would.
 
 use std::collections::VecDeque;
-use std::io::{self, BufReader};
+use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
@@ -30,6 +30,13 @@ use crate::frame::read_frame;
 pub trait FrameSink: Send + Sync {
     /// Writes one sealed frame (length-prefixing is the sink's job).
     fn send_frame(&self, sealed: &[u8]) -> io::Result<()>;
+
+    /// Writes a run of frames as one unit. `wire` is the frames as they
+    /// go on the wire, each already behind its `u32` length prefix (what
+    /// [`crate::frame::append_output_frame`] builds); the peer reads them
+    /// exactly as if each had gone through [`FrameSink::send_frame`] in
+    /// turn, and no other sender's frame lands between two of them.
+    fn send_frames(&self, wire: &[u8]) -> io::Result<()>;
 
     /// Tears the connection down; subsequent sends fail and the peer's
     /// receive side observes end-of-stream.
@@ -65,6 +72,12 @@ impl FrameSink for TcpSink {
     fn send_frame(&self, sealed: &[u8]) -> io::Result<()> {
         let mut s = lock_ignoring_poison(&self.stream);
         crate::frame::write_frame(&mut *s, sealed)
+    }
+
+    fn send_frames(&self, wire: &[u8]) -> io::Result<()> {
+        // one write under one hold of the lock; a `TcpStream` has no
+        // buffer of its own to flush
+        lock_ignoring_poison(&self.stream).write_all(wire)
     }
 
     fn close(&self) {
@@ -167,9 +180,9 @@ struct MemSink {
     plan: FramePlan,
 }
 
-impl FrameSink for MemSink {
-    fn send_frame(&self, sealed: &[u8]) -> io::Result<()> {
-        let mut state = lock_ignoring_poison(&self.peer.state);
+impl MemSink {
+    /// Puts frame number `state.sent` on the link, through the fault plan.
+    fn push(&self, state: &mut ChanState, mut bytes: Vec<u8>) -> io::Result<()> {
         if state.closed {
             return Err(io::Error::new(
                 io::ErrorKind::BrokenPipe,
@@ -178,7 +191,6 @@ impl FrameSink for MemSink {
         }
         let ix = state.sent;
         state.sent += 1;
-        let mut bytes = sealed.to_vec();
         self.plan.corrupt(ix, &mut bytes);
         let hold = self.plan.hold_for(ix);
         if hold > 0 {
@@ -187,10 +199,32 @@ impl FrameSink for MemSink {
         } else {
             state.ready.push_back(bytes);
         }
-        release_due(&mut state);
+        release_due(state);
+        Ok(())
+    }
+}
+
+impl FrameSink for MemSink {
+    fn send_frame(&self, sealed: &[u8]) -> io::Result<()> {
+        let pushed = self.push(&mut lock_ignoring_poison(&self.peer.state), sealed.to_vec());
+        self.peer.cv.notify_all();
+        pushed
+    }
+
+    fn send_frames(&self, wire: &[u8]) -> io::Result<()> {
+        // the plan names frames by index, so the run is split back into
+        // its frames and each takes the index a lone send would have had
+        let mut state = lock_ignoring_poison(&self.peer.state);
+        let mut rest = wire;
+        let pushed = (|| {
+            while let Some(sealed) = read_frame(&mut rest)? {
+                self.push(&mut state, sealed)?;
+            }
+            Ok(())
+        })();
         drop(state);
         self.peer.cv.notify_all();
-        Ok(())
+        pushed
     }
 
     fn close(&self) {
@@ -287,6 +321,22 @@ mod tests {
         vec![n; 4]
     }
 
+    /// Sends frames 0..4 one `send_frame` each, or as one `send_frames`
+    /// run: the fault plan and the peer must not be able to tell.
+    fn send_four(sink: &dyn FrameSink, as_one_run: bool) {
+        if as_one_run {
+            let mut wire = Vec::new();
+            for n in 0..4 {
+                crate::frame::write_frame(&mut wire, &frame(n)).unwrap();
+            }
+            sink.send_frames(&wire).unwrap();
+        } else {
+            for n in 0..4 {
+                sink.send_frame(&frame(n)).unwrap();
+            }
+        }
+    }
+
     #[test]
     fn clean_pair_delivers_in_order_and_eofs_on_close() {
         let (a, mut b) = mem_pair(FramePlan::clean(), FramePlan::clean());
@@ -298,37 +348,38 @@ mod tests {
         sink.close();
         assert_eq!(b.recv_frame().unwrap(), None);
         assert!(sink.send_frame(&frame(3)).is_err(), "send after close");
+        let mut wire = Vec::new();
+        crate::frame::write_frame(&mut wire, &frame(3)).unwrap();
+        assert!(sink.send_frames(&wire).is_err(), "run sent after close");
     }
 
     #[test]
     fn bit_flip_and_truncation_hit_only_named_frames() {
-        let plan = FramePlan::clean().flip_frame(1, 0).truncate_frame(2, 1);
-        let (a, mut b) = mem_pair(plan, FramePlan::clean());
-        let sink = a.sink();
-        for n in 0..4 {
-            sink.send_frame(&frame(n)).unwrap();
+        for as_one_run in [false, true] {
+            let plan = FramePlan::clean().flip_frame(1, 0).truncate_frame(2, 1);
+            let (a, mut b) = mem_pair(plan, FramePlan::clean());
+            send_four(&*a.sink(), as_one_run);
+            assert_eq!(b.recv_frame().unwrap(), Some(frame(0)));
+            let flipped = b.recv_frame().unwrap().unwrap();
+            assert_ne!(flipped, frame(1));
+            assert_eq!(flipped.len(), 4);
+            assert_eq!(b.recv_frame().unwrap(), Some(vec![2u8]));
+            assert_eq!(b.recv_frame().unwrap(), Some(frame(3)));
         }
-        assert_eq!(b.recv_frame().unwrap(), Some(frame(0)));
-        let flipped = b.recv_frame().unwrap().unwrap();
-        assert_ne!(flipped, frame(1));
-        assert_eq!(flipped.len(), 4);
-        assert_eq!(b.recv_frame().unwrap(), Some(vec![2u8]));
-        assert_eq!(b.recv_frame().unwrap(), Some(frame(3)));
     }
 
     #[test]
     fn delay_reorders_and_close_flushes_held_frames() {
         // frame 0 held for 2 subsequent sends: delivery order 1, 2, 0, 3
-        let plan = FramePlan::clean().delay_frame(0, 2);
-        let (a, mut b) = mem_pair(plan, FramePlan::clean());
-        let sink = a.sink();
-        for n in 0..4 {
-            sink.send_frame(&frame(n)).unwrap();
+        for as_one_run in [false, true] {
+            let plan = FramePlan::clean().delay_frame(0, 2);
+            let (a, mut b) = mem_pair(plan, FramePlan::clean());
+            send_four(&*a.sink(), as_one_run);
+            assert_eq!(b.recv_frame().unwrap(), Some(frame(1)));
+            assert_eq!(b.recv_frame().unwrap(), Some(frame(2)));
+            assert_eq!(b.recv_frame().unwrap(), Some(frame(0)));
+            assert_eq!(b.recv_frame().unwrap(), Some(frame(3)));
         }
-        assert_eq!(b.recv_frame().unwrap(), Some(frame(1)));
-        assert_eq!(b.recv_frame().unwrap(), Some(frame(2)));
-        assert_eq!(b.recv_frame().unwrap(), Some(frame(0)));
-        assert_eq!(b.recv_frame().unwrap(), Some(frame(3)));
 
         // a frame still held at close time must be flushed, not dropped
         let plan = FramePlan::clean().delay_frame(0, 100);

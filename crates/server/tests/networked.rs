@@ -1,20 +1,25 @@
 //! End-to-end protocol tests: real sockets, faulty links, crashed servers.
 
+use std::io::{BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration as StdDuration, Instant};
 
 use sequin_engine::{DisorderPolicy, EngineConfig, Strategy};
 use sequin_netsim::{delay_shuffle, punctuate, FramePlan};
+use sequin_server::frame::{read_frame, write_frame};
 use sequin_server::{
-    loopback_run, mem_pair, Client, ClientError, CoreConfig, EngineCore, ErrorCode, Server,
-    ServerConfig,
+    decode_frame, encode_frame, loopback_run, mem_pair, Client, ClientError, CoreConfig,
+    EngineCore, ErrorCode, Frame, OutputFrame, Server, ServerConfig,
 };
 use sequin_types::{Duration, StreamItem, TypeRegistry};
 use sequin_workload::{Synthetic, SyntheticConfig};
 
 const Q01: &str = "PATTERN SEQ(T0 a, T1 b) WITHIN 20";
 const Q12: &str = "PATTERN SEQ(T1 a, T2 b) WITHIN 20";
+const Q02: &str = "PATTERN SEQ(T0 a, T2 b) WITHIN 20";
 
 fn workload(n: usize, seed: u64) -> (Arc<TypeRegistry>, Vec<StreamItem>) {
     let synth = Synthetic::new(SyntheticConfig::default());
@@ -444,4 +449,186 @@ fn resubscribing_a_query_keeps_its_original_policy() {
     // and a default-policy request on a fresh text binds the server's
     let (_, effective) = client.subscribe_with_policy(Q12, None).unwrap();
     assert_eq!(effective, DisorderPolicy::Conservative);
+}
+
+/// The in-process run of `queries` over `stream`: every output as the
+/// OUTPUT frame a subscriber of its query must receive, in engine order.
+fn oracle_frames(core: CoreConfig, queries: &[&str], stream: &[StreamItem]) -> Vec<OutputFrame> {
+    let mut oracle = EngineCore::new(core);
+    for q in queries {
+        oracle.subscribe(q).unwrap();
+    }
+    let mut out = Vec::new();
+    for item in stream {
+        out.extend(oracle.ingest(item));
+    }
+    out.extend(oracle.finish());
+    out.into_iter()
+        .map(|(qid, o)| OutputFrame::of(qid.index() as u64, &o))
+        .collect()
+}
+
+/// A client that keeps the bytes: frames go out and come back as sealed
+/// envelopes, so what a subscriber was sent can be compared byte for byte.
+struct RawClient {
+    writer: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
+impl RawClient {
+    fn connect(addr: &str, fingerprint: u64) -> RawClient {
+        let writer = TcpStream::connect(addr).unwrap();
+        writer.set_nodelay(true).unwrap();
+        let reader = BufReader::new(writer.try_clone().unwrap());
+        let mut c = RawClient { writer, reader };
+        let hello = Frame::Hello {
+            fingerprint,
+            client: "raw".to_owned(),
+        };
+        assert!(matches!(c.request(&hello), Frame::HelloAck { .. }));
+        c
+    }
+
+    fn send(&mut self, frame: &Frame) {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &encode_frame(frame)).unwrap();
+        self.writer.write_all(&wire).unwrap();
+    }
+
+    /// One request and its reply, before any output is on its way.
+    fn request(&mut self, frame: &Frame) -> Frame {
+        self.send(frame);
+        decode_frame(&read_frame(&mut self.reader).unwrap().unwrap()).unwrap()
+    }
+
+    fn subscribe(&mut self, query: &str) -> u64 {
+        let subscribe = Frame::Subscribe {
+            query: query.to_owned(),
+            policy: None,
+        };
+        match self.request(&subscribe) {
+            Frame::SubAck { query_id, .. } => query_id,
+            other => panic!("SUBSCRIBE answered by {other:?}"),
+        }
+    }
+
+    /// Reads on a thread of its own, so the server never waits for this
+    /// client: every sealed frame up to and including the first `last`
+    /// accepts.
+    fn receive_until(&self, last: fn(&Frame) -> bool) -> JoinHandle<Vec<Vec<u8>>> {
+        let mut reader = BufReader::new(self.writer.try_clone().unwrap());
+        std::thread::spawn(move || {
+            let mut sealed = Vec::new();
+            while let Some(frame) = read_frame(&mut reader).unwrap() {
+                let done = last(&decode_frame(&frame).unwrap());
+                sealed.push(frame);
+                if done {
+                    break;
+                }
+            }
+            sealed
+        })
+    }
+}
+
+/// The egress contract: a subscriber is sent exactly its queries' OUTPUT
+/// frames, in engine order, each the bytes `encode_frame` gives for the
+/// in-process run's output — whatever else shares the server, and however
+/// the engine's batches fell.
+#[test]
+fn overlapping_subscribers_each_get_exactly_their_frames_byte_for_byte() {
+    let (reg, stream) = workload(3000, 71);
+    let core = core_config(&reg, DisorderPolicy::Speculative);
+    let expected = oracle_frames(core.clone(), &[Q01, Q12, Q02], &stream);
+    let sealed_for = |queries: &[u64]| -> Vec<Vec<u8>> {
+        expected
+            .iter()
+            .filter(|o| queries.contains(&o.query_id))
+            .map(|o| encode_frame(&Frame::Output(o.clone())))
+            .collect()
+    };
+    assert!(
+        expected.len() > stream.len(),
+        "output-heavy: more frames than events"
+    );
+
+    let mut server = Server::start(ServerConfig::new(core)).unwrap();
+    let addr = server.listen("127.0.0.1:0").unwrap().to_string();
+    // one shared query, one private each
+    let mut a = RawClient::connect(&addr, reg.fingerprint());
+    assert_eq!((a.subscribe(Q01), a.subscribe(Q12)), (0, 1));
+    let mut b = RawClient::connect(&addr, reg.fingerprint());
+    assert_eq!((b.subscribe(Q01), b.subscribe(Q02)), (0, 2));
+
+    let a_frames = a.receive_until(|f| matches!(f, Frame::DrainAck));
+    let b_frames = b.receive_until(|f| matches!(f, Frame::StatsReply { .. }));
+    for chunk in stream.chunks(64) {
+        let events = chunk
+            .iter()
+            .filter_map(StreamItem::as_event)
+            .cloned()
+            .collect();
+        a.send(&Frame::EventBatch(events));
+    }
+    a.send(&Frame::Drain);
+    let mut a_frames = a_frames.join().unwrap();
+    // BUSY is the sender's session thread's: it may land between two
+    // batches, never inside one (every frame above decoded)
+    let with_busy = a_frames.len();
+    a_frames.retain(|f| !matches!(decode_frame(f), Ok(Frame::Busy { .. })));
+    let busy = (with_busy - a_frames.len()) as u64;
+    // the ack follows every output the drain released, B's included
+    b.send(&Frame::StatsReq);
+    let mut b_frames = b_frames.join().unwrap();
+
+    let ack = a_frames.pop().expect("A's stream ends");
+    assert_eq!(decode_frame(&ack).unwrap(), Frame::DrainAck, "ack last");
+    assert!(a_frames == sealed_for(&[0, 1]), "A: its frames, in order");
+    let Frame::StatsReply { server: stats, .. } = decode_frame(&b_frames.pop().unwrap()).unwrap()
+    else {
+        panic!("B's stream ends with its STATS_REPLY");
+    };
+    assert!(b_frames == sealed_for(&[0, 2]), "B: its frames, in order");
+    // 2 HELLO_ACKs, 4 SUB_ACKs, every OUTPUT, the BUSYs, the DRAIN_ACK
+    let outputs = (a_frames.len() + b_frames.len()) as u64;
+    assert_eq!(stats.frames_sent, 2 + 4 + outputs + busy + 1);
+    server.shutdown();
+}
+
+/// A subscriber that goes away while outputs are streaming costs the
+/// others nothing: their stream stays complete, in order, and acked.
+#[test]
+fn a_subscriber_closing_mid_flood_leaves_the_others_stream_whole() {
+    let (reg, stream) = workload(3000, 73);
+    let core = core_config(&reg, DisorderPolicy::Conservative);
+    let expected = oracle_frames(core.clone(), &[Q01], &stream);
+
+    let mut server = Server::start(ServerConfig::new(core)).unwrap();
+    let addr = server.listen("127.0.0.1:0").unwrap().to_string();
+    let mut a = Client::connect(&addr).unwrap();
+    a.hello(reg.fingerprint(), "leaver").unwrap();
+    a.subscribe(Q01).unwrap();
+    let mut b = Client::connect(&addr).unwrap();
+    b.hello(reg.fingerprint(), "stayer").unwrap();
+    b.subscribe(Q01).unwrap();
+
+    let (before, after) = stream.split_at(stream.len() / 2);
+    for item in before {
+        b.send_item(item).unwrap();
+    }
+    // a round trip through the engine's queue: the first half is delivered
+    b.stats().unwrap();
+    a.stats().unwrap();
+    assert!(!a.take_outputs().is_empty(), "A was receiving");
+    drop(a); // closes its socket with the flood half-way
+    for item in after {
+        b.send_item(item).unwrap();
+    }
+    b.drain().unwrap();
+    let got = b.take_outputs();
+    assert!(got == expected, "B: every frame, in engine order");
+    b.stats().unwrap();
+    assert!(b.take_outputs().is_empty(), "nothing follows the DRAIN_ACK");
+    b.bye();
+    server.shutdown();
 }

@@ -36,6 +36,9 @@ pub const CODEC_VERSION: u16 = 1;
 /// Envelope magic: "SQCK" (sequin checkpoint).
 pub const MAGIC: [u8; 4] = *b"SQCK";
 
+/// Envelope bytes before the payload: magic, version, payload length.
+const ENVELOPE_HEADER: usize = 4 + 2 + 8;
+
 /// A decoding or envelope-validation failure.
 ///
 /// Every variant is a *rejection*: the bytes are not trusted and no
@@ -125,6 +128,12 @@ impl Writer {
         Writer::default()
     }
 
+    /// A writer that appends to `buf`, keeping what it holds and its
+    /// capacity; [`Writer::into_bytes`] hands the buffer back.
+    pub fn appending(buf: Vec<u8>) -> Writer {
+        Writer { buf }
+    }
+
     /// Consumes the writer, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -185,6 +194,29 @@ impl Writer {
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.put_u64(bytes.len() as u64);
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Opens an envelope in place: appends its header with the payload
+    /// length still to come. Everything written between this call and
+    /// [`Writer::finish_envelope`] (which takes the returned mark) is the
+    /// payload; the bytes from the mark on are then exactly
+    /// [`seal_envelope`] of it.
+    pub fn begin_envelope(&mut self) -> usize {
+        let mark = self.buf.len();
+        self.buf.extend_from_slice(&MAGIC);
+        self.buf.extend_from_slice(&CODEC_VERSION.to_le_bytes());
+        self.buf.extend_from_slice(&[0u8; 8]);
+        mark
+    }
+
+    /// Closes the envelope opened at `mark`: patches the payload length
+    /// into the header and appends the checksum.
+    pub fn finish_envelope(&mut self, mark: usize) {
+        let payload = mark + ENVELOPE_HEADER;
+        let len = (self.buf.len() - payload) as u64;
+        self.buf[mark + 6..payload].copy_from_slice(&len.to_le_bytes());
+        let sum = fnv1a64(&self.buf[mark..]);
+        self.buf.extend_from_slice(&sum.to_le_bytes());
     }
 }
 
@@ -456,12 +488,18 @@ impl<T: Decode> Decode for Option<T> {
     }
 }
 
-impl<T: Encode> Encode for Vec<T> {
+impl<T: Encode> Encode for [T] {
     fn encode(&self, w: &mut Writer) {
         w.put_u64(self.len() as u64);
         for v in self {
             v.encode(w);
         }
+    }
+}
+
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, w: &mut Writer) {
+        self.as_slice().encode(w);
     }
 }
 
@@ -526,14 +564,11 @@ impl Decode for EventRef {
 
 /// Wraps an encoded payload in the checksummed, versioned envelope.
 pub fn seal_envelope(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 22);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&CODEC_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    let sum = fnv1a64(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
-    out
+    let mut w = Writer::appending(Vec::with_capacity(ENVELOPE_HEADER + payload.len() + 8));
+    let mark = w.begin_envelope();
+    w.buf.extend_from_slice(payload);
+    w.finish_envelope(mark);
+    w.buf
 }
 
 /// Validates an envelope and returns its payload slice.
@@ -542,8 +577,7 @@ pub fn seal_envelope(payload: &[u8]) -> Vec<u8> {
 /// truncated payload, and checksum mismatch. Only after all five checks
 /// pass is a single payload byte handed to a decoder.
 pub fn open_envelope(bytes: &[u8]) -> Result<&[u8], CodecError> {
-    const HEADER: usize = 4 + 2 + 8;
-    if bytes.len() < HEADER + 8 {
+    if bytes.len() < ENVELOPE_HEADER + 8 {
         return Err(CodecError::UnexpectedEof);
     }
     if bytes[..4] != MAGIC {
@@ -553,18 +587,18 @@ pub fn open_envelope(bytes: &[u8]) -> Result<&[u8], CodecError> {
     if version != CODEC_VERSION {
         return Err(CodecError::UnsupportedVersion(version));
     }
-    let len = u64::from_le_bytes(bytes[6..HEADER].try_into().expect("len 8"));
-    let expected_total = HEADER as u64 + len + 8;
+    let len = u64::from_le_bytes(bytes[6..ENVELOPE_HEADER].try_into().expect("len 8"));
+    let expected_total = ENVELOPE_HEADER as u64 + len + 8;
     if bytes.len() as u64 != expected_total {
         return Err(CodecError::BadLength);
     }
-    let body_end = HEADER + len as usize;
+    let body_end = ENVELOPE_HEADER + len as usize;
     let stored = u64::from_le_bytes(bytes[body_end..].try_into().expect("len 8"));
     let computed = fnv1a64(&bytes[..body_end]);
     if stored != computed {
         return Err(CodecError::ChecksumMismatch { stored, computed });
     }
-    Ok(&bytes[HEADER..body_end])
+    Ok(&bytes[ENVELOPE_HEADER..body_end])
 }
 
 /// Encodes a value and seals it in the envelope in one step.
@@ -667,6 +701,22 @@ mod tests {
     fn envelope_accepts_intact_bytes() {
         let sealed = seal_envelope(b"payload");
         assert_eq!(open_envelope(&sealed).unwrap(), b"payload");
+    }
+
+    #[test]
+    fn envelope_sealed_in_place_equals_seal_envelope() {
+        // behind bytes the buffer already holds, and for an empty payload
+        for payload in [&b"payload"[..], &[]] {
+            let mut w = Writer::appending(b"earlier".to_vec());
+            let mark = w.begin_envelope();
+            for b in payload {
+                w.put_u8(*b);
+            }
+            w.finish_envelope(mark);
+            let bytes = w.into_bytes();
+            assert_eq!(&bytes[..mark], b"earlier");
+            assert_eq!(&bytes[mark..], &seal_envelope(payload)[..]);
+        }
     }
 
     #[test]

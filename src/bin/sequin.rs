@@ -252,6 +252,15 @@ fn run(args: &[String]) -> Result<String, String> {
         };
         flags.insert(name.to_owned(), value);
     }
+    // the flag table is one for every subcommand, and this one name reads
+    // like the way to pass a query: the text was dropped and the default
+    // query ran
+    if command != "trace" && flags.contains_key("query") {
+        return Err(format!(
+            "--query is `trace`'s query-id filter; `{command}` takes the query \
+             text as an argument: sequin {command} [options] '<query>'"
+        ));
+    }
 
     match command.as_str() {
         "explain" => {
@@ -528,6 +537,14 @@ mod tests {
         assert!(sequin(&mixed).is_ok());
         let err = sequin(&["run", "--workload"]).unwrap_err();
         assert_eq!(err, "flag --workload needs a value");
+        // a query is positional; --query (trace's integer filter) used to
+        // be swallowed and the flagship query run in its place
+        let query = ["--query", "PATTERN SEQ(T0 a, T1 b) WITHIN 5"];
+        let err = sequin(&[&["netbench", "--events", "300"], &query[..]].concat()).unwrap_err();
+        assert!(
+            err.starts_with("--query ") && err.contains("netbench [options] '<query>'"),
+            "{err}"
+        );
     }
 
     #[test]
