@@ -15,7 +15,7 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use sequin_query::Query;
-use sequin_runtime::{purge, regions, seal_deadline, Match, NegationIndex, RuntimeStats};
+use sequin_runtime::{purge, region_of, seal_deadline, Match, NegationIndex, RuntimeStats};
 use sequin_types::{
     ArrivalSeq, CodecError, Decode, Duration, Encode, EventId, EventRef, Reader, Timestamp, Writer,
 };
@@ -57,8 +57,9 @@ impl PhasedOutput {
     }
 
     /// Merges per-shard phases for one arrival into the canonical output
-    /// order and appends to `out`; returns how many items were buffered
-    /// (the merge-buffer size for this arrival).
+    /// order, handing each item to `emit`; returns how many items were
+    /// buffered (the merge-buffer size for this arrival). One worker's
+    /// phases — a pool of one — are ordered where they lie.
     ///
     /// Within a phase the order is fully determined by data, not by shard
     /// count: retractions and sealed emissions sort by (deadline, event
@@ -66,25 +67,30 @@ impl PhasedOutput {
     /// pops them — and construction-time emissions sort by slot, where
     /// each slot's matches come from exactly one shard (the one owning
     /// the arriving event's key for that slot) in DFS order.
-    pub(crate) fn merge_into(phases: Vec<PhasedOutput>, out: &mut Vec<OutputItem>) -> usize {
-        let buffered: usize = phases.iter().map(PhasedOutput::len).sum();
-        let mut retracts = Vec::new();
-        let mut constructed = Vec::new();
-        let mut sealed = Vec::new();
+    pub(crate) fn merge_into(
+        phases: impl IntoIterator<Item = PhasedOutput>,
+        emit: impl FnMut(OutputItem),
+    ) -> usize {
+        let mut phases = phases.into_iter();
+        let Some(mut all) = phases.next() else {
+            return 0;
+        };
         for mut p in phases {
-            retracts.append(&mut p.retracts);
-            constructed.append(&mut p.constructed);
-            sealed.append(&mut p.sealed);
+            all.retracts.append(&mut p.retracts);
+            all.constructed.append(&mut p.constructed);
+            all.sealed.append(&mut p.sealed);
         }
+        let buffered = all.len();
         let by_deadline = |a: &(Timestamp, OutputItem), b: &(Timestamp, OutputItem)| {
             (a.0.cmp(&b.0)).then_with(|| id_order(a.1.m.events(), b.1.m.events()))
         };
-        retracts.sort_by(by_deadline);
-        constructed.sort_by_key(|(slot, _)| *slot);
-        sealed.sort_by(by_deadline);
-        out.extend(retracts.into_iter().map(|(_, o)| o));
-        out.extend(constructed.into_iter().map(|(_, o)| o));
-        out.extend(sealed.into_iter().map(|(_, o)| o));
+        all.retracts.sort_by(by_deadline);
+        all.constructed.sort_by_key(|(slot, _)| *slot);
+        all.sealed.sort_by(by_deadline);
+        let retracts = all.retracts.into_iter().map(|(_, o)| o);
+        let constructed = all.constructed.into_iter().map(|(_, o)| o);
+        let sealed = all.sealed.into_iter().map(|(_, o)| o);
+        retracts.chain(constructed).chain(sealed).for_each(emit);
         buffered
     }
 }
@@ -271,23 +277,20 @@ impl Settle {
         let query = &*self.query;
         let mut retracted: Vec<Pending> = Vec::new();
         self.emitted_unsealed.retain(|rec| {
-            let rs = regions(query, &rec.events);
-            for (ix, neg) in query.negations().iter().enumerate() {
+            for neg in query.negations() {
                 if !neg.matches_type(negative.event_type()) {
                     continue;
                 }
-                let region = rs[ix];
+                let region = region_of(query, neg, &rec.events);
                 if region.is_empty() || negative.ts() < region.start || negative.ts() >= region.end
                 {
                     continue;
                 }
-                let mut binding = query.binding_from_positives(&rec.events);
-                binding[neg.comp] = Some(negative);
-                if neg
-                    .predicates
-                    .iter()
-                    .all(|p| p.eval(&binding) == Some(true))
-                {
+                let invalidated = query.with_positives(&rec.events, |binding| {
+                    binding[neg.comp] = Some(negative);
+                    neg.predicates.iter().all(|p| p.eval(binding) == Some(true))
+                });
+                if invalidated {
                     retracted.push(rec.clone());
                     return false;
                 }

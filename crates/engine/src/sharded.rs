@@ -295,21 +295,19 @@ impl Pool {
             .into_iter()
             .map(|v| v.into_iter().peekable())
             .collect();
-        let mut merged = Vec::new();
         loop {
             let heads = cursors.iter_mut().filter_map(|c| c.peek());
             let Some(next) = heads.map(|&(item, query, _)| (item, query)).min() else {
                 return out;
             };
-            let phases: Vec<PhasedOutput> = cursors
+            let phases = cursors
                 .iter_mut()
                 .filter_map(|c| c.next_if(|&(item, query, _)| (item, query) == next))
-                .map(|(_, _, phased)| phased)
-                .collect();
+                .map(|(_, _, phased)| phased);
             let (item, query) = (next.0 as usize, next.1 as usize);
-            let buffered = PhasedOutput::merge_into(phases, &mut merged) as u64;
+            let tagged = |o| out[item].push((QueryId::new(query), o));
+            let buffered = PhasedOutput::merge_into(phases, tagged) as u64;
             self.merge_peak[query] = self.merge_peak[query].max(buffered);
-            out[item].extend(merged.drain(..).map(|o| (QueryId::new(query), o)));
         }
     }
 

@@ -82,7 +82,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use sequin_plan::{compile, BindEntry, PrefixGroup, QuerySpec, RouteEntry, SharedPlan, SlotSig};
-use sequin_query::Query;
+use sequin_query::{with_binding, Query};
 use sequin_runtime::{purge, ConstructOpts, Constructor, KeyedStack, PartitionKey, RuntimeStats};
 use sequin_types::codec::fnv1a64;
 use sequin_types::{
@@ -310,6 +310,9 @@ pub struct SharedMultiEngine {
     scratch_marked: Vec<usize>,
     scratch_stamped: Vec<EventRef>,
     scratch_raw: Vec<Vec<EventRef>>,
+    /// A group walk's four per-member tallies (see `group_construct`).
+    scratch_tallies: [Vec<u64>; 4],
+    scratch_forked: Vec<(usize, Vec<EventRef>)>,
     /// The key range this evaluator holds as one worker of a pool of
     /// several; `None` everywhere else.
     slice: Option<ShardSlice>,
@@ -356,6 +359,8 @@ impl SharedMultiEngine {
             scratch_marked: Vec::new(),
             scratch_stamped: Vec::new(),
             scratch_raw: Vec::new(),
+            scratch_tallies: Default::default(),
+            scratch_forked: Vec::new(),
             slice,
         }
     }
@@ -753,12 +758,11 @@ impl SharedMultiEngine {
             // short-circuit accounting attributed to every referencing
             // (query, slot)
             if !node.local_preds.is_empty() {
-                let mut binding: Vec<Option<&EventRef>> = vec![None; node.local_components];
-                binding[node.local_comp] = Some(ev);
-                let failed = node
-                    .local_preds
-                    .iter()
-                    .position(|pred| pred.eval(&binding) != Some(true));
+                let failed = with_binding(node.local_components, |binding| {
+                    binding[node.local_comp] = Some(ev);
+                    let mut preds = node.local_preds.iter();
+                    preds.position(|pred| pred.eval(binding) != Some(true))
+                });
                 let evals = failed.map_or(node.local_preds.len(), |ix| ix + 1) as u64;
                 for r in &node.refs {
                     self.states[r.query].stats.predicate_evals += evals;
@@ -844,20 +848,28 @@ impl SharedMultiEngine {
         let g = &plan.groups[gix];
         let stacks: &[KeyedStack] = &self.stacks;
         let key = stacks[g.prefix_stacks[anchor_pos]].key_of(anchor);
-        let n_members = g.members.len();
+        // per-member tallies and the forked matches live in the engine's
+        // scratch, so an anchor allocates nothing the matches do not
+        let zeroed = |mut tally: Vec<u64>| {
+            tally.clear();
+            tally.resize(g.members.len(), 0);
+            tally
+        };
+        let [bind_evals, evals, dfs, constructed] = std::mem::take(&mut self.scratch_tallies);
+        let mut bind_evals = zeroed(bind_evals);
         let mut walker = GroupWalker {
             g,
             plan,
             stacks,
             opts: self.config.construct,
             key: key.as_ref(),
-            member_evals: vec![0; n_members],
-            member_dfs: vec![0; n_members],
-            member_constructed: vec![0; n_members],
+            member_evals: zeroed(evals),
+            member_dfs: zeroed(dfs),
+            member_constructed: zeroed(constructed),
             partials: 0,
-            forked: Vec::new(),
+            forked: std::mem::take(&mut self.scratch_forked),
         };
-        let (mut shared_dfs, mut bind_evals) = (0, vec![0; n_members]);
+        let mut shared_dfs = 0;
         self.config.construct.walk_levels(
             &g.rep,
             g.prefix_len(),
@@ -876,7 +888,7 @@ impl SharedMultiEngine {
             st.predicate_evals += bind_evals[mx] + walker.member_evals[mx];
             st.matches_constructed += walker.member_constructed[mx];
         }
-        for (mx, events) in walker.forked {
+        for (mx, events) in walker.forked.drain(..) {
             let st = &mut self.states[g.members[mx].query];
             let (stamp, trigger) = (self.epochs[st.epoch].stamp(), anchor.id());
             st.settle.route(
@@ -888,6 +900,13 @@ impl SharedMultiEngine {
                 &mut st.phased,
             );
         }
+        self.scratch_forked = walker.forked;
+        self.scratch_tallies = [
+            bind_evals,
+            walker.member_evals,
+            walker.member_dfs,
+            walker.member_constructed,
+        ];
     }
 
     /// Emits every query's pending matches whose regions sealed; forgets
@@ -960,16 +979,10 @@ impl SharedMultiEngine {
     /// tagged in registration order (the `MultiEngine` contract).
     fn collect_outputs(&mut self) -> Vec<(QueryId, OutputItem)> {
         let mut out = Vec::new();
-        for qix in 0..self.states.len() {
-            let st = &mut self.states[qix];
-            if st.phased.len() == 0 {
-                continue;
-            }
-            let phased = std::mem::take(&mut st.phased);
-            let mut items = Vec::new();
-            PhasedOutput::merge_into(vec![phased], &mut items);
-            for o in items {
-                out.push((QueryId::new(qix), o));
+        for (qix, st) in self.states.iter_mut().enumerate() {
+            if st.phased.len() > 0 {
+                let tagged = |o| out.push((QueryId::new(qix), o));
+                PhasedOutput::merge_into([std::mem::take(&mut st.phased)], tagged);
             }
         }
         out
@@ -1191,34 +1204,35 @@ impl GroupWalker<'_> {
             if candidates.is_empty() {
                 continue;
             }
-            let mut binding: Vec<Option<&EventRef>> = vec![None; mq.components().len()];
-            for p in 0..prefix_len {
-                binding[mq.positive_comp(p)] = Some(chosen(p));
-            }
-            for ev in candidates.iter() {
-                self.member_dfs[mx] += 1;
-                if !self.opts.window_cutoff && (ev.ts() < lo || ev.ts() >= hi) {
-                    continue;
+            with_binding(mq.components().len(), |binding| {
+                for p in 0..prefix_len {
+                    binding[mq.positive_comp(p)] = Some(chosen(p));
                 }
-                binding[final_comp] = Some(ev);
-                let mut pass = true;
-                for pred in mq.predicates() {
-                    if pred.mask().contains(final_comp) {
-                        self.member_evals[mx] += 1;
-                        if pred.eval(&binding) == Some(false) {
-                            pass = false;
-                            break;
+                for ev in candidates.iter() {
+                    self.member_dfs[mx] += 1;
+                    if !self.opts.window_cutoff && (ev.ts() < lo || ev.ts() >= hi) {
+                        continue;
+                    }
+                    binding[final_comp] = Some(ev);
+                    let mut pass = true;
+                    for pred in mq.predicates() {
+                        if pred.mask().contains(final_comp) {
+                            self.member_evals[mx] += 1;
+                            if pred.eval(binding) == Some(false) {
+                                pass = false;
+                                break;
+                            }
                         }
                     }
+                    if pass {
+                        self.member_constructed[mx] += 1;
+                        let mut events: Vec<EventRef> =
+                            (0..prefix_len).map(|p| Arc::clone(chosen(p))).collect();
+                        events.push(Arc::clone(ev));
+                        self.forked.push((mx, events));
+                    }
                 }
-                if pass {
-                    self.member_constructed[mx] += 1;
-                    let mut events: Vec<EventRef> =
-                        (0..prefix_len).map(|p| Arc::clone(chosen(p))).collect();
-                    events.push(Arc::clone(ev));
-                    self.forked.push((mx, events));
-                }
-            }
+            });
         }
     }
 }

@@ -1,5 +1,7 @@
 //! Compiled (name-resolved) expressions and their evaluation.
 
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::fmt;
 
 use sequin_types::{EventRef, FieldId, Value};
@@ -12,6 +14,18 @@ use sequin_types::{EventRef, FieldId, Value};
 /// expression referencing an unbound slot evaluates to `None` (and the
 /// enclosing predicate is treated as *not yet decidable*).
 pub type Binding<'a> = [Option<&'a EventRef>];
+
+/// Runs `f` over an all-unbound binding of `components` slots. The slots
+/// live on the stack for the common short pattern, so a walk or a
+/// pre-filter that needs a binding allocates nothing for it.
+pub fn with_binding<'a, R>(components: usize, f: impl FnOnce(&mut Binding<'a>) -> R) -> R {
+    const INLINE: usize = 8;
+    if components <= INLINE {
+        f(&mut [None; INLINE][..components])
+    } else {
+        f(&mut vec![None; components])
+    }
+}
 
 /// Unary operators of the compiled expression language.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,86 +123,80 @@ pub enum Expr {
 }
 
 impl Expr {
-    /// Evaluates against a (possibly partial) binding.
+    /// Evaluates against a (possibly partial) binding — the one evaluation
+    /// routine of the product crates: [`crate::Predicate::eval`] and
+    /// [`crate::Query::project`] both end here.
+    ///
+    /// Operands are borrowed: an `Attr` leaf is the event's own value and a
+    /// `Const` leaf the expression's, so a comparison of two attributes
+    /// touches no reference count; only arithmetic, `Ts`/`Id` and the
+    /// boolean results produce an owned (scalar) value.
     ///
     /// Returns `None` when a referenced component is unbound, a referenced
     /// field is absent, or an operation is undefined for its operand kinds
     /// (e.g. `"a" + 1`, division by integer zero, comparing `Str` with
     /// `Int`). Predicates treat `None` as *failed* at final evaluation time
     /// and as *undecided* during incremental evaluation.
-    pub fn eval(&self, binding: &Binding<'_>) -> Option<Value> {
+    pub fn eval<'a>(&'a self, binding: &Binding<'a>) -> Option<Cow<'a, Value>> {
+        let owned = |v: Value| Some(Cow::Owned(v));
         match self {
-            Expr::Const(v) => Some(v.clone()),
-            Expr::Attr { comp, field } => {
-                let ev = binding.get(*comp).copied().flatten()?;
-                ev.field(*field).cloned()
-            }
-            Expr::Ts(comp) => {
-                let ev = binding.get(*comp).copied().flatten()?;
-                i64::try_from(ev.ts().ticks()).ok().map(Value::Int)
-            }
-            Expr::Id(comp) => {
-                let ev = binding.get(*comp).copied().flatten()?;
-                i64::try_from(ev.id().get()).ok().map(Value::Int)
-            }
+            Expr::Const(_) | Expr::Attr { .. } | Expr::Ts(_) | Expr::Id(_) => self.operand(binding),
             Expr::Unary { op, expr } => {
-                let v = expr.eval(binding)?;
-                match op {
-                    UnaryOp::Not => v.as_bool().map(|b| Value::Bool(!b)),
-                    UnaryOp::Neg => match v {
-                        Value::Int(i) => i.checked_neg().map(Value::Int),
-                        Value::Float(x) => Some(Value::Float(-x)),
-                        _ => None,
-                    },
+                let v = expr.operand(binding)?;
+                match (op, &*v) {
+                    (UnaryOp::Not, Value::Bool(b)) => owned(Value::Bool(!b)),
+                    (UnaryOp::Neg, Value::Int(i)) => owned(Value::Int(i.checked_neg()?)),
+                    (UnaryOp::Neg, Value::Float(x)) => owned(Value::Float(-x)),
+                    _ => None,
                 }
             }
             Expr::Binary { op, lhs, rhs } => {
-                let a = lhs.eval(binding)?;
-                let b = rhs.eval(binding)?;
-                match op {
-                    BinaryOp::Add => a.add(&b),
-                    BinaryOp::Sub => a.sub(&b),
-                    BinaryOp::Mul => a.mul(&b),
-                    BinaryOp::Div => a.div(&b),
-                    BinaryOp::Eq => Some(Value::Bool(a.loose_eq(&b))),
-                    BinaryOp::Ne => {
-                        // distinguish "comparable but unequal" from "incomparable"
-                        match a.compare(&b) {
-                            Some(ord) => Some(Value::Bool(ord != std::cmp::Ordering::Equal)),
-                            None => Some(Value::Bool(a.kind() != b.kind() || a != b)),
-                        }
-                    }
-                    BinaryOp::Lt | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge => {
-                        let ord = a.compare(&b)?;
-                        let holds = match op {
-                            BinaryOp::Lt => ord == std::cmp::Ordering::Less,
-                            BinaryOp::Le => ord != std::cmp::Ordering::Greater,
-                            BinaryOp::Gt => ord == std::cmp::Ordering::Greater,
-                            BinaryOp::Ge => ord != std::cmp::Ordering::Less,
-                            _ => unreachable!(),
-                        };
-                        Some(Value::Bool(holds))
-                    }
-                    BinaryOp::And => Some(Value::Bool(a.as_bool()? && b.as_bool()?)),
-                    BinaryOp::Or => Some(Value::Bool(a.as_bool()? || b.as_bool()?)),
-                }
+                // both sides are evaluated before the operator looks at
+                // either: a failing side fails an `AND`/`OR` whatever the
+                // other holds
+                let a = lhs.operand(binding)?;
+                let b = rhs.operand(binding)?;
+                let (a, b): (&Value, &Value) = (&a, &b);
+                let holds = match op {
+                    BinaryOp::Add => return a.add(b).map(Cow::Owned),
+                    BinaryOp::Sub => return a.sub(b).map(Cow::Owned),
+                    BinaryOp::Mul => return a.mul(b).map(Cow::Owned),
+                    BinaryOp::Div => return a.div(b).map(Cow::Owned),
+                    BinaryOp::Eq => a.loose_eq(b),
+                    // "comparable but unequal" or, when incomparable,
+                    // structurally different (so NaN != NaN holds)
+                    BinaryOp::Ne => match a.compare(b) {
+                        Some(ord) => ord != Ordering::Equal,
+                        None => a != b,
+                    },
+                    BinaryOp::Lt => a.compare(b)? == Ordering::Less,
+                    BinaryOp::Le => a.compare(b)? != Ordering::Greater,
+                    BinaryOp::Gt => a.compare(b)? == Ordering::Greater,
+                    BinaryOp::Ge => a.compare(b)? != Ordering::Less,
+                    // the right side's kind is only looked at when the
+                    // left does not already decide
+                    BinaryOp::And => a.as_bool()? && b.as_bool()?,
+                    BinaryOp::Or => a.as_bool()? || b.as_bool()?,
+                };
+                owned(Value::Bool(holds))
             }
         }
     }
 
-    /// Evaluates as a boolean predicate: `Some(true)` iff the expression
-    /// evaluates to `Bool(true)`; `Some(false)` for `Bool(false)` or any
-    /// evaluation failure on a *fully bound* expression; `None` when a
-    /// referenced component is still unbound (undecided).
-    pub fn eval_predicate(&self, binding: &Binding<'_>) -> Option<bool> {
-        if !self
-            .components()
-            .iter_ones()
-            .all(|c| binding.get(c).copied().flatten().is_some())
-        {
-            return None;
+    /// [`Expr::eval`] as an operator sees its operand: a leaf — what most
+    /// operands are — is resolved where it stands, so it costs the reads
+    /// it makes and not a call; anything deeper recurses.
+    #[inline(always)]
+    fn operand<'a>(&'a self, binding: &Binding<'a>) -> Option<Cow<'a, Value>> {
+        let bound = |comp: usize| binding.get(comp).copied().flatten();
+        let int = |n: u64| Some(Cow::Owned(Value::Int(i64::try_from(n).ok()?)));
+        match self {
+            Expr::Const(v) => Some(Cow::Borrowed(v)),
+            Expr::Attr { comp, field } => bound(*comp)?.field(*field).map(Cow::Borrowed),
+            Expr::Ts(comp) => int(bound(*comp)?.ts().ticks()),
+            Expr::Id(comp) => int(bound(*comp)?.id().get()),
+            Expr::Unary { .. } | Expr::Binary { .. } => self.eval(binding),
         }
-        Some(matches!(self.eval(binding), Some(Value::Bool(true))))
     }
 
     /// Returns the set of component indices this expression references,
@@ -245,9 +253,17 @@ impl ComponentMask {
         self.0 == 0
     }
 
-    /// Iterates set indices in ascending order.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..Self::CAPACITY).filter(move |ix| self.contains(*ix))
+    /// Iterates set indices in ascending order, one step per set bit.
+    pub fn iter_ones(&self) -> impl Iterator<Item = usize> {
+        let mut rest = self.0;
+        std::iter::from_fn(move || {
+            if rest == 0 {
+                return None;
+            }
+            let ix = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            Some(ix)
+        })
     }
 
     /// Largest set index, if any.
@@ -263,6 +279,7 @@ impl ComponentMask {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Predicate;
     use sequin_types::{Event, EventId, EventTypeId, Timestamp, TypeRegistry, ValueKind};
     use std::sync::Arc;
 
@@ -305,7 +322,7 @@ mod tests {
         let e = ev(a, 5, 10);
         let binding = [Some(&e)];
         let expr = bin(BinaryOp::Add, attr(0, 0), Expr::Const(Value::Int(1)));
-        assert_eq!(expr.eval(&binding), Some(Value::Int(11)));
+        assert_eq!(expr.eval(&binding).as_deref(), Some(&Value::Int(11)));
     }
 
     #[test]
@@ -313,7 +330,7 @@ mod tests {
         let expr = attr(0, 0);
         let binding: [Option<&EventRef>; 1] = [None];
         assert_eq!(expr.eval(&binding), None);
-        assert_eq!(expr.eval_predicate(&binding), None);
+        assert_eq!(Predicate::new(expr).eval(&binding), None);
     }
 
     #[test]
@@ -321,8 +338,8 @@ mod tests {
         let (_, a) = setup();
         let e = ev(a, 42, 0);
         let binding = [Some(&e)];
-        assert_eq!(Expr::Ts(0).eval(&binding), Some(Value::Int(42)));
-        assert_eq!(Expr::Id(0).eval(&binding), Some(Value::Int(42)));
+        assert_eq!(Expr::Ts(0).eval(&binding).as_deref(), Some(&Value::Int(42)));
+        assert_eq!(Expr::Id(0).eval(&binding).as_deref(), Some(&Value::Int(42)));
     }
 
     #[test]
@@ -332,9 +349,9 @@ mod tests {
         let e2 = ev(a, 2, 9);
         let binding = [Some(&e1), Some(&e2)];
         let lt = bin(BinaryOp::Lt, attr(0, 0), attr(1, 0));
-        assert_eq!(lt.eval_predicate(&binding), Some(true));
+        assert_eq!(Predicate::new(lt).eval(&binding), Some(true));
         let ge = bin(BinaryOp::Ge, attr(0, 0), attr(1, 0));
-        assert_eq!(ge.eval_predicate(&binding), Some(false));
+        assert_eq!(Predicate::new(ge).eval(&binding), Some(false));
     }
 
     #[test]
@@ -343,9 +360,9 @@ mod tests {
         let e = ev(a, 1, 5);
         let binding = [Some(&e)];
         let eq = bin(BinaryOp::Eq, attr(0, 1), Expr::Const(Value::Int(1)));
-        assert_eq!(eq.eval_predicate(&binding), Some(false));
+        assert_eq!(Predicate::new(eq).eval(&binding), Some(false));
         let ne = bin(BinaryOp::Ne, attr(0, 1), Expr::Const(Value::Int(1)));
-        assert_eq!(ne.eval_predicate(&binding), Some(true));
+        assert_eq!(Predicate::new(ne).eval(&binding), Some(true));
     }
 
     #[test]
@@ -355,7 +372,7 @@ mod tests {
         let binding = [Some(&e)];
         let lt = bin(BinaryOp::Lt, attr(0, 1), Expr::Const(Value::Int(1)));
         // fully bound but not evaluable -> failed, not undecided
-        assert_eq!(lt.eval_predicate(&binding), Some(false));
+        assert_eq!(Predicate::new(lt).eval(&binding), Some(false));
     }
 
     #[test]
@@ -364,20 +381,25 @@ mod tests {
         let f = Expr::Const(Value::Bool(false));
         let binding: [Option<&EventRef>; 0] = [];
         assert_eq!(
-            bin(BinaryOp::And, t.clone(), f.clone()).eval(&binding),
-            Some(Value::Bool(false))
+            bin(BinaryOp::And, t.clone(), f.clone())
+                .eval(&binding)
+                .as_deref(),
+            Some(&Value::Bool(false))
         );
         assert_eq!(
-            bin(BinaryOp::Or, t.clone(), f.clone()).eval(&binding),
-            Some(Value::Bool(true))
+            bin(BinaryOp::Or, t.clone(), f.clone())
+                .eval(&binding)
+                .as_deref(),
+            Some(&Value::Bool(true))
         );
         assert_eq!(
             Expr::Unary {
                 op: UnaryOp::Not,
                 expr: Box::new(f)
             }
-            .eval(&binding),
-            Some(Value::Bool(true))
+            .eval(&binding)
+            .as_deref(),
+            Some(&Value::Bool(true))
         );
     }
 

@@ -49,6 +49,8 @@ mod analyze;
 pub mod ast;
 mod builder;
 mod error;
+#[cfg(test)]
+mod eval_property;
 mod expr;
 mod lexer;
 mod parser;
@@ -57,8 +59,8 @@ mod query;
 pub use analyze::analyze;
 pub use builder::{pred, QueryBuilder};
 pub use error::{AnalyzeError, AnalyzeErrorKind, ParseError, QueryError};
-pub use expr::{BinaryOp, Binding, Expr, UnaryOp};
-pub use query::{Component, PartitionScheme, Predicate, Projection, Query};
+pub use expr::{with_binding, BinaryOp, Binding, Expr, UnaryOp};
+pub use query::{Component, Negation, PartitionScheme, Predicate, Projection, Query};
 
 use sequin_types::TypeRegistry;
 

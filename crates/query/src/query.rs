@@ -1,11 +1,12 @@
 //! The analyzed, executable query representation.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
 use sequin_types::{Duration, EventRef, EventTypeId, FieldId, Value};
 
-use crate::expr::{Binding, ComponentMask, Expr};
+use crate::expr::{with_binding, Binding, ComponentMask, Expr};
 
 /// One resolved `SEQ(...)` component.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,8 +53,20 @@ impl Predicate {
     ///
     /// `Some(true)`/`Some(false)` once all referenced components are bound;
     /// `None` while undecided.
+    ///
+    /// Whether it is decidable is read off the cached mask, one step per
+    /// referenced component; the expression is walked once, only when it
+    /// is. A fully bound expression that fails to evaluate (a missing
+    /// field, `Str < Int`, division by zero) is `Some(false)`.
     pub fn eval(&self, binding: &Binding<'_>) -> Option<bool> {
-        self.expr.eval_predicate(binding)
+        let bound = |c: usize| binding.get(c).is_some_and(Option::is_some);
+        if !self.mask.iter_ones().all(bound) {
+            return None;
+        }
+        Some(matches!(
+            self.expr.eval(binding).as_deref(),
+            Some(Value::Bool(true))
+        ))
     }
 
     /// True if the predicate references only `comp` (usable as an
@@ -268,7 +281,8 @@ impl Query {
                     Projection::Ts(comp) => Expr::Ts(comp),
                     Projection::Id(comp) => Expr::Id(comp),
                 };
-                expr.eval(binding).unwrap_or(Value::Bool(false))
+                let value = expr.eval(binding).map(Cow::into_owned);
+                value.unwrap_or(Value::Bool(false))
             })
             .collect()
     }
@@ -304,6 +318,23 @@ impl Query {
             binding[self.positives[p]] = Some(ev);
         }
         binding
+    }
+
+    /// Runs `f` over the full-component binding of positive-order `events`
+    /// — [`Query::binding_from_positives`] on the stack (see
+    /// [`with_binding`]), for the paths that build one per match or per
+    /// candidate; `f` may bind further slots (a negated component).
+    pub fn with_positives<'a, R>(
+        &self,
+        events: &'a [EventRef],
+        f: impl FnOnce(&mut Binding<'a>) -> R,
+    ) -> R {
+        with_binding(self.components.len(), |binding| {
+            for (&comp, ev) in self.positives.iter().zip(events) {
+                binding[comp] = Some(ev);
+            }
+            f(binding)
+        })
     }
 }
 

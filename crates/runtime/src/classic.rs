@@ -28,7 +28,7 @@
 
 use std::sync::Arc;
 
-use sequin_query::Query;
+use sequin_query::{with_binding, Query};
 use sequin_types::{EventRef, Timestamp};
 
 use crate::negation::NegationIndex;
@@ -134,15 +134,16 @@ impl ClassicSase {
     }
 
     fn passes_local_predicates(&mut self, slot: usize, event: &EventRef) -> bool {
-        let mut binding: Vec<Option<&EventRef>> = vec![None; self.query.components().len()];
-        binding[self.query.positive_comp(slot)] = Some(event);
-        for pred in self.query.local_predicates(slot) {
-            self.stats.predicate_evals += 1;
-            if pred.eval(&binding) != Some(true) {
-                return false;
+        with_binding(self.query.components().len(), |binding| {
+            binding[self.query.positive_comp(slot)] = Some(event);
+            for pred in self.query.local_predicates(slot) {
+                self.stats.predicate_evals += 1;
+                if pred.eval(binding) != Some(true) {
+                    return false;
+                }
             }
-        }
-        true
+            true
+        })
     }
 
     /// DFS down the RIP pointers from a terminator arrival. `heights` are
@@ -207,21 +208,22 @@ impl ClassicSase {
 
     fn check_slot(&mut self, chosen: &[Option<EventRef>], slot: usize) -> bool {
         let comp = self.query.positive_comp(slot);
-        let mut binding: Vec<Option<&EventRef>> = vec![None; self.query.components().len()];
-        for (p, c) in chosen.iter().enumerate() {
-            if let Some(ev) = c.as_ref() {
-                binding[self.query.positive_comp(p)] = Some(ev);
-            }
-        }
-        for pred in self.query.predicates() {
-            if pred.mask().contains(comp) {
-                self.stats.predicate_evals += 1;
-                if pred.eval(&binding) == Some(false) {
-                    return false;
+        with_binding(self.query.components().len(), |binding| {
+            for (p, c) in chosen.iter().enumerate() {
+                if let Some(ev) = c.as_ref() {
+                    binding[self.query.positive_comp(p)] = Some(ev);
                 }
             }
-        }
-        true
+            for pred in self.query.predicates() {
+                if pred.mask().contains(comp) {
+                    self.stats.predicate_evals += 1;
+                    if pred.eval(binding) == Some(false) {
+                        return false;
+                    }
+                }
+            }
+            true
+        })
     }
 
     fn emit(&mut self, chosen: &[Option<EventRef>], out: &mut Vec<Vec<EventRef>>) {

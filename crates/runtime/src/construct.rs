@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use sequin_query::Query;
+use sequin_query::{with_binding, Binding, Query};
 use sequin_types::{Duration, EventRef, Timestamp};
 
 use crate::keyed::KeyedStack;
@@ -96,21 +96,23 @@ impl ConstructOpts {
         dfs_steps: &mut u64,
     ) {
         assert!(anchor_slot < len, "anchor slot out of range");
-        let mut walk = LevelWalk {
-            query,
-            opts: self,
-            len,
-            anchor_slot,
-            stack_of,
-            bind,
-            complete,
-            binding: vec![None; query.components().len()],
-            dfs_steps,
-        };
-        // Judge the anchor before descending.
-        if walk.bind(anchor_slot, anchor) {
-            walk.extend_prefix(anchor_slot);
-        }
+        with_binding(query.components().len(), |binding| {
+            let mut walk = LevelWalk {
+                query,
+                opts: self,
+                len,
+                anchor_slot,
+                stack_of,
+                bind,
+                complete,
+                binding,
+                dfs_steps,
+            };
+            // Judge the anchor before descending.
+            if walk.bind(anchor_slot, anchor) {
+                walk.extend_prefix(anchor_slot);
+            }
+        });
     }
 }
 
@@ -253,7 +255,7 @@ struct LevelWalk<'a, 'c, S, B, C> {
     bind: B,
     complete: C,
     /// The partial assignment, by component, borrowed from the stacks.
-    binding: Vec<Option<&'a EventRef>>,
+    binding: &'c mut Binding<'a>,
     dfs_steps: &'c mut u64,
 }
 
@@ -269,7 +271,7 @@ where
 
     fn bind(&mut self, slot: usize, ev: &'a EventRef) -> bool {
         self.binding[self.query.positive_comp(slot)] = Some(ev);
-        (self.bind)(&self.binding, slot)
+        (self.bind)(self.binding, slot)
     }
 
     fn unbind(&mut self, slot: usize) {
@@ -305,7 +307,7 @@ where
     /// Fills slots `anchor_slot+1 .. len-1` (ascending); completes at the top.
     fn extend_suffix(&mut self, filled_up_to: usize) {
         if filled_up_to == self.len - 1 {
-            (self.complete)(&self.binding);
+            (self.complete)(self.binding);
             return;
         }
         let slot = filled_up_to + 1;

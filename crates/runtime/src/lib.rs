@@ -37,7 +37,7 @@ mod stats;
 
 pub use construct::{ConstructOpts, Constructor};
 pub use keyed::KeyedStack;
-pub use negation::{regions, seal_deadline, NegationIndex, Region};
+pub use negation::{region_of, regions, seal_deadline, NegationIndex, Region};
 pub use partition::{PartitionKey, PartitionMap};
 pub use r#match::{Match, MatchKey};
 pub use stack::AisStack;

@@ -49,8 +49,7 @@ impl Match {
     /// Builds a match from positive-order events, evaluating the query's
     /// projections.
     pub fn new(query: &Query, events: Vec<EventRef>) -> Match {
-        let binding = query.binding_from_positives(&events);
-        let output = query.project(&binding);
+        let output = query.with_positives(&events, |binding| query.project(binding));
         Match { events, output }
     }
 

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use sequin_query::Query;
+use sequin_query::{with_binding, Negation, Query};
 use sequin_types::{Duration, EventRef, Timestamp};
 
 use crate::stack::AisStack;
@@ -45,42 +45,46 @@ impl Region {
 /// Computes the negation regions of a match (positive-order `events`),
 /// in [`Query::negations`] order.
 pub fn regions(query: &Query, events: &[EventRef]) -> Vec<Region> {
+    let region = |n| region_of(query, n, events);
+    query.negations().iter().map(region).collect()
+}
+
+/// The region negation `n` of `query` guards for the match `events`
+/// (positive order): one entry of [`regions`], without the vector.
+pub fn region_of(query: &Query, n: &Negation, events: &[EventRef]) -> Region {
     let window = query.window();
     let first = events
         .first()
         .expect("match has at least one positive")
         .ts();
     let last = events.last().expect("match has at least one positive").ts();
-    query
-        .negations()
-        .iter()
-        .map(|n| match (n.left, n.right) {
-            (Some(l), Some(r)) => Region {
-                start: events[l].ts().saturating_add(Duration::new(1)),
+    match (n.left, n.right) {
+        (Some(l), Some(r)) => Region {
+            start: events[l].ts().saturating_add(Duration::new(1)),
+            end: events[r].ts(),
+        },
+        (None, Some(r)) => {
+            debug_assert_eq!(r, 0);
+            Region {
+                start: first.saturating_sub(window),
                 end: events[r].ts(),
-            },
-            (None, Some(r)) => {
-                debug_assert_eq!(r, 0);
-                Region {
-                    start: first.saturating_sub(window),
-                    end: events[r].ts(),
-                }
             }
-            (Some(_), None) => Region {
-                start: last.saturating_add(Duration::new(1)),
-                end: first
-                    .saturating_add(window)
-                    .saturating_add(Duration::new(1)),
-            },
-            (None, None) => unreachable!("negation with no positive flank"),
-        })
-        .collect()
+        }
+        (Some(_), None) => Region {
+            start: last.saturating_add(Duration::new(1)),
+            end: first
+                .saturating_add(window)
+                .saturating_add(Duration::new(1)),
+        },
+        (None, None) => unreachable!("negation with no positive flank"),
+    }
 }
 
 /// The latest region end across all negations of a match — the watermark a
 /// conservative engine must wait for before emitting the match.
 pub fn seal_deadline(query: &Query, events: &[EventRef]) -> Option<Timestamp> {
-    regions(query, events).iter().map(|r| r.end).max()
+    let end = |n| region_of(query, n, events).end;
+    query.negations().iter().map(end).max()
 }
 
 /// Index of candidate *negative* events, one [`AisStack`] per negated
@@ -108,17 +112,18 @@ impl NegationIndex {
             if !neg.matches_type(event.event_type()) {
                 continue;
             }
-            let mut binding: Vec<Option<&EventRef>> = vec![None; self.query.components().len()];
-            binding[neg.comp] = Some(event);
-            let locally_ok = neg.predicates.iter().all(|p| {
-                // only local predicates are decidable with just the negative
-                match p.eval(&binding) {
-                    Some(ok) => {
-                        stats.predicate_evals += 1;
-                        ok
+            let locally_ok = with_binding(self.query.components().len(), |binding| {
+                binding[neg.comp] = Some(event);
+                neg.predicates.iter().all(|p| {
+                    // only local predicates are decidable with just the negative
+                    match p.eval(binding) {
+                        Some(ok) => {
+                            stats.predicate_evals += 1;
+                            ok
+                        }
+                        None => true, // involves positives: decide at check time
                     }
-                    None => true, // involves positives: decide at check time
-                }
+                })
             });
             if locally_ok && self.stacks[ix].insert(Arc::clone(event)).is_some() {
                 stored = true;
@@ -132,26 +137,28 @@ impl NegationIndex {
     /// `events` (positive order): it falls in the negation's region and
     /// satisfies the negation's predicates under the full binding.
     pub fn violates(&self, events: &[EventRef], stats: &mut RuntimeStats) -> bool {
-        let regions = regions(&self.query, events);
-        for (ix, neg) in self.query.negations().iter().enumerate() {
-            let region = regions[ix];
-            if region.is_empty() {
-                continue;
-            }
-            let mut binding = self.query.binding_from_positives(events);
-            for candidate in self.stacks[ix].range(region.start, region.end) {
-                binding[neg.comp] = Some(candidate);
-                let all_hold = neg.predicates.iter().all(|p| {
-                    stats.predicate_evals += 1;
-                    p.eval(&binding) == Some(true)
-                });
-                if all_hold {
-                    stats.negated_matches += 1;
-                    return true;
+        let query: &Query = &self.query;
+        query.with_positives(events, |binding| {
+            for (neg, stack) in query.negations().iter().zip(&self.stacks) {
+                let region = region_of(query, neg, events);
+                if region.is_empty() {
+                    continue;
                 }
+                for candidate in stack.range(region.start, region.end) {
+                    binding[neg.comp] = Some(candidate);
+                    let all_hold = neg.predicates.iter().all(|p| {
+                        stats.predicate_evals += 1;
+                        p.eval(binding) == Some(true)
+                    });
+                    if all_hold {
+                        stats.negated_matches += 1;
+                        return true;
+                    }
+                }
+                binding[neg.comp] = None;
             }
-        }
-        false
+            false
+        })
     }
 
     /// Purges negative events below `threshold` from every stack.

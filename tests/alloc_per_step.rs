@@ -1,0 +1,195 @@
+//! Allocation guard: what `ingest_batch` allocates follows the matches it
+//! produces, not the work it rejects. Each scenario runs the same measured
+//! batch twice — once behind `n` units of rejected work, once behind `2n`
+//! — at an equal match count, and the two allocation counts must be equal:
+//! no binding, region list or tally may be allocated per stack
+//! pre-filtered, per candidate visited or per unsealed record checked.
+
+mod common;
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use common::ev;
+use sequin::engine::{DisorderPolicy, EngineConfig, MultiEngine, OutputKind, Strategy};
+use sequin::query::parse;
+use sequin::types::{Duration, StreamItem, TypeRegistry, ValueKind};
+
+/// Counts the calling thread's allocations (the evaluator of a one-shard
+/// host runs on the caller's thread; other tests' threads do not count).
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // a thread past its teardown has nothing left to measure
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a plain thread-local
+// `Cell<u64>` with constant initialisation, so touching it allocates
+// nothing and cannot re-enter the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's obligations for `alloc` are passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: `ptr` came from `System` through this allocator; the
+        // caller's obligations for `realloc` are passed through.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn registry() -> TypeRegistry {
+    let mut reg = TypeRegistry::new();
+    for name in ["T0", "T1", "T2", "T3"] {
+        reg.declare(name, &[("x", ValueKind::Int), ("tag", ValueKind::Int)])
+            .unwrap();
+    }
+    reg
+}
+
+/// Registers `queries`, ingests `preload` unmeasured, then returns the
+/// allocations of, and the (inserts, retractions) out of, one
+/// `ingest_batch(measured)`.
+fn measure(
+    reg: &TypeRegistry,
+    policy: DisorderPolicy,
+    queries: &[String],
+    preload: &[StreamItem],
+    measured: &[StreamItem],
+) -> (u64, (usize, usize)) {
+    let config = EngineConfig {
+        policy,
+        ..EngineConfig::with_k(Duration::new(50_000))
+    };
+    let mut engine = MultiEngine::new(Strategy::Native, config, 1);
+    for text in queries {
+        engine.register(parse(text, reg).unwrap(), policy);
+    }
+    engine.ingest_batch(preload);
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = engine.ingest_batch(measured);
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    let of_kind = |kind| {
+        let items = out.iter().flatten();
+        items.filter(|(_, o)| o.kind == kind).count()
+    };
+    (
+        allocations,
+        (of_kind(OutputKind::Insert), of_kind(OutputKind::Retract)),
+    )
+}
+
+fn events(reg: &TypeRegistry, ty: &str, ids: std::ops::Range<u64>, tag: i64) -> Vec<StreamItem> {
+    ids.map(|i| StreamItem::Event(ev(reg, ty, i, i, &[0, tag])))
+        .collect()
+}
+
+/// Sibling queries whose insert-time pre-filter rejects the arrival: each
+/// adds a pooled stack to visit per `T2`, and nothing to allocate.
+#[test]
+fn rejecting_siblings_allocate_nothing() {
+    let reg = registry();
+    let run = |siblings: usize| {
+        let band = |b: usize| {
+            format!(
+                "PATTERN SEQ(T0 a, T1 b, T2 c) WHERE c.x >= {b} AND c.x < {} WITHIN 1000",
+                b + 1
+            )
+        };
+        let queries: Vec<String> = (0..siblings).map(band).collect();
+        // every `x` is 0: band 0 accepts, every other band rejects
+        let mut preload = events(&reg, "T0", 1..3, 0);
+        preload.extend(events(&reg, "T1", 3..5, 0));
+        preload.extend(events(&reg, "T2", 5..69, 0));
+        let measured = events(&reg, "T2", 100..164, 0);
+        measure(
+            &reg,
+            DisorderPolicy::Conservative,
+            &queries,
+            &preload,
+            &measured,
+        )
+    };
+    let (few, many) = (run(8), run(16));
+    assert_eq!(few.1, (64 * 4, 0), "every T2 completes the four prefixes");
+    assert_eq!(few.1, many.1, "equal match count");
+    assert_eq!(few.0, many.0, "allocations grew with rejecting siblings");
+}
+
+/// A late prefix event walks every stored `T0`, and every complete partial
+/// is forked to both members' final slots, where the spanning predicate
+/// rejects all but one: the rejected partials allocate nothing.
+#[test]
+fn rejected_candidates_allocate_nothing() {
+    let reg = registry();
+    let run = |candidates: u64| {
+        let member = |ty: &str| {
+            format!("PATTERN SEQ(T0 a, T1 b, {ty} c) WHERE a.tag + 0 == c.tag WITHIN 40000")
+        };
+        let queries = [member("T2"), member("T3")];
+        // the final slots first (tag 9), then the candidates: one T0 that
+        // matches them and `candidates` that do not
+        let mut preload = events(&reg, "T2", 30_000..30_001, 9);
+        preload.extend(events(&reg, "T3", 30_001..30_002, 9));
+        preload.extend(events(&reg, "T0", 1..2, 9));
+        preload.extend(events(&reg, "T0", 2..2 + candidates, 1));
+        preload.extend(events(&reg, "T1", 10_000..10_016, 0));
+        let measured = events(&reg, "T1", 20_000..20_032, 0);
+        measure(
+            &reg,
+            DisorderPolicy::Conservative,
+            &queries,
+            &preload,
+            &measured,
+        )
+    };
+    let (few, many) = (run(200), run(400));
+    assert_eq!(few.1, (32 * 2, 0), "one match per member per T1");
+    assert_eq!(few.1, many.1, "equal match count");
+    assert_eq!(few.0, many.0, "allocations grew with rejected candidates");
+}
+
+/// A negative checks every emitted, still unsealed match; the ones it does
+/// not invalidate allocate nothing.
+#[test]
+fn unsealed_records_a_negative_spares_allocate_nothing() {
+    let reg = registry();
+    let run = |spared: u64| {
+        let queries =
+            ["PATTERN SEQ(T0 a, !T1 n, T2 c) WHERE n.tag == a.tag WITHIN 40000".to_owned()];
+        // `spared` + 1 matches emitted speculatively, all unsealed (K is
+        // far away); the negatives carry the one tag that is not spared
+        let mut preload = events(&reg, "T0", 1..2, 9);
+        preload.extend(events(&reg, "T0", 2..2 + spared, 1));
+        preload.extend(events(&reg, "T2", 30_000..30_001, 0));
+        let measured = events(&reg, "T1", 10_000..10_008, 9);
+        measure(
+            &reg,
+            DisorderPolicy::Speculative,
+            &queries,
+            &preload,
+            &measured,
+        )
+    };
+    let (few, many) = (run(100), run(200));
+    assert_eq!(few.1, (0, 1), "the first negative retracts the tag-9 match");
+    assert_eq!(few.1, many.1, "equal retraction count");
+    assert_eq!(few.0, many.0, "allocations grew with spared records");
+}

@@ -1,0 +1,110 @@
+//! The logical work counters are part of the engine's contract: a change
+//! that claims to be "time only" must leave every one of them where it
+//! was. One fixed-seed stream per construction shape, each pinned to the
+//! counts the evaluator produced when the pins were taken (PR 20's parent
+//! commit) — a moved `predicate_evals` or `dfs_steps` is a changed
+//! algorithm, not a faster one.
+
+use std::sync::Arc;
+
+use sequin::engine::{DisorderPolicy, EngineConfig, MultiEngine, Strategy};
+use sequin::netsim::delay_shuffle;
+use sequin::query::{parse, Query};
+use sequin::runtime::RuntimeStats;
+use sequin::types::Duration;
+use sequin::workload::{Synthetic, SyntheticConfig};
+
+/// `[insertions, ooo_insertions, dfs_steps, predicate_evals,
+/// matches_constructed, negated_matches, purged]`, summed over queries.
+type Counts = [u64; 7];
+
+fn counts(
+    types: usize,
+    events: usize,
+    (ooo, max_delay): (f64, u64),
+    policy: DisorderPolicy,
+    queries: impl Fn(&Synthetic) -> Vec<Arc<Query>>,
+) -> Counts {
+    let w = Synthetic::new(SyntheticConfig {
+        num_types: types,
+        ..SyntheticConfig::default()
+    });
+    let stream = delay_shuffle(&w.generate(events, 42), ooo, max_delay, 43);
+    let config = EngineConfig {
+        policy,
+        ..EngineConfig::with_k(Duration::new(max_delay))
+    };
+    let mut engine = MultiEngine::new(Strategy::Native, config, 1);
+    for q in queries(&w) {
+        engine.register(q, policy);
+    }
+    for chunk in stream.chunks(256) {
+        engine.ingest_batch(chunk);
+    }
+    engine.finish();
+    let mut sum = RuntimeStats::default();
+    for s in engine.stats() {
+        sum += s;
+    }
+    [
+        sum.insertions,
+        sum.ooo_insertions,
+        sum.dfs_steps,
+        sum.predicate_evals,
+        sum.matches_constructed,
+        sum.negated_matches,
+        sum.purged,
+    ]
+}
+
+/// One deep unpartitioned stack: `a.tag + 0` defeats the equality chain,
+/// so every `T1` walks the whole window of `T0`s.
+#[test]
+fn deep_unpartitioned_join() {
+    let got = counts(2, 3000, (0.6, 1000), DisorderPolicy::Conservative, |w| {
+        let text = "PATTERN SEQ(T0 a, T1 b) WHERE a.tag + 0 == b.tag WITHIN 2000";
+        vec![parse(text, w.registry()).unwrap()]
+    });
+    assert_eq!(got, DEEP);
+}
+
+#[test]
+fn keyed_seq3() {
+    let got = counts(4, 20_000, (0.3, 100), DisorderPolicy::Conservative, |w| {
+        vec![w.partitioned_query(3, 100)]
+    });
+    assert_eq!(got, SEQ3);
+}
+
+/// 64 queries sharing the `T0, T1` prefix, each with a unit-wide band on
+/// its own final slot: pooled pre-filters, one shared prefix walk, a fork
+/// per member.
+#[test]
+fn prefix_family_of_64() {
+    let got = counts(16, 6000, (0.3, 100), DisorderPolicy::Conservative, |w| {
+        let member = |i: usize| {
+            let (ty, band) = (2 + i % 14, (i / 14) * 20);
+            let text = format!(
+                "PATTERN SEQ(T0 a, T1 b, T{ty} c) WHERE c.x >= {band} AND c.x < {} WITHIN 100",
+                band + 20
+            );
+            parse(&text, w.registry()).unwrap()
+        };
+        (0..64).map(member).collect()
+    });
+    assert_eq!(got, FAMILY);
+}
+
+#[test]
+fn speculative_negation() {
+    let got = counts(4, 20_000, (0.3, 100), DisorderPolicy::Speculative, |w| {
+        let text = "PATTERN SEQ(T0 a, !T1 n, T2 c) WHERE n.tag == a.tag WITHIN 100";
+        vec![parse(text, w.registry()).unwrap()]
+    });
+    assert_eq!(got, NEGATION);
+}
+
+const DEEP: Counts = [3000, 1825, 634_543, 637_543, 12_497, 0, 2031];
+const SEQ3: Counts = [15_064, 384, 2552, 23_951, 158, 0, 14_972];
+const FAMILY: Counts = [52_690, 9033, 107_720, 58_019, 22_283, 0, 51_469];
+const NEGATION: Counts = [15_064, 2720, 62_802, 305_101, 62_802, 7282, 14_960];
