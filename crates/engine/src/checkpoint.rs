@@ -311,7 +311,7 @@ impl Checkpointer {
     /// item 0). The emission-log suffix past the accepted checkpoint's
     /// mark then seeds the replay-suppression multiset — a corrupt record
     /// cannot dedup anything and is counted as rejected too. The caller
-    /// sets the header for later checkpoints ([`Checkpointer::set_header`]).
+    /// sets the header for later checkpoints ([`Checkpointer::header_mut`]).
     ///
     /// # Panics
     ///
@@ -369,10 +369,11 @@ impl Checkpointer {
         Ok((position, log_mark, host))
     }
 
-    /// Sets the opaque header later checkpoints carry (see the module
-    /// docs); it changes when the registered query set does.
-    pub fn set_header(&mut self, header: Vec<u8>) {
-        self.header = header;
+    /// The opaque header later checkpoints carry (see the module docs),
+    /// for the caller to set, or to extend in place when the registered
+    /// query set grows.
+    pub fn header_mut(&mut self) -> &mut Vec<u8> {
+        &mut self.header
     }
 
     /// Takes a checkpoint immediately (also used by the policy triggers).

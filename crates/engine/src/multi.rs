@@ -282,6 +282,29 @@ impl MultiEngine {
         self.ask(id, pool, |e| e.watermark())
     }
 
+    /// Every query's `(stream clock, low-watermark)`, in registration
+    /// order: what [`MultiEngine::query_clock`] and
+    /// [`MultiEngine::query_watermark`] answer one query at a time, read
+    /// under one hold of the pool's lock — for a caller that wants them of
+    /// many queries after every batch.
+    pub fn query_positions(&self) -> Vec<(Option<Timestamp>, Option<Timestamp>)> {
+        match &self.host {
+            Host::Pool(pool) => {
+                let primary = pool.primary();
+                let of = |q| {
+                    let id = QueryId(q);
+                    let (clock, wm) = (primary.query_clock(id), primary.query_watermark(id));
+                    (Some(clock), Some(wm))
+                };
+                (0..pool.len()).map(of).collect()
+            }
+            Host::Engines(engines) => {
+                let positions = engines.iter().map(|e| (e.clock(), e.watermark()));
+                positions.collect()
+            }
+        }
+    }
+
     /// One query's live disorder slack bound `k̂` — fixed for the
     /// conservative/speculative/lazy policies, the control loop's current
     /// estimate under adaptive slack. `None` when the hosting engine does

@@ -218,6 +218,9 @@ impl Settle {
     /// emit optimistically (speculative). `slot` is the arriving event's
     /// positive slot, the construction-phase merge key; `trigger` is the
     /// arriving event, recorded as the cause of an immediate emission.
+    /// Returns the match's seal deadline when a record of it is *held* —
+    /// pending, or emitted but still retractable — which is when
+    /// [`Settle::drain_sealed`] has something to do for it.
     pub(crate) fn route(
         &mut self,
         stamp: Stamp,
@@ -226,7 +229,7 @@ impl Settle {
         trigger: EventId,
         stats: &mut RuntimeStats,
         out: &mut PhasedOutput,
-    ) {
+    ) -> Option<Timestamp> {
         // without negation the match is final the moment it exists; its
         // lazy deadline is its own newest timestamp
         let guarded = self.query.has_negation();
@@ -244,10 +247,10 @@ impl Settle {
         };
         if !emit_now {
             self.pending.push(Reverse(Pending { deadline, events }));
-            return;
+            return Some(deadline);
         }
         if guarded && self.negatives.violates(&events, stats) {
-            return;
+            return None;
         }
         if !sealed {
             // speculative: a late negative may still retract this
@@ -256,6 +259,16 @@ impl Settle {
         }
         let o = self.output(stamp, OutputKind::Insert, events, Some(trigger));
         out.constructed.push((slot, o));
+        (!sealed).then_some(deadline)
+    }
+
+    /// The earliest seal deadline among the held records, pending and
+    /// unsealed: the watermark at which [`Settle::drain_sealed`] next has
+    /// something to do. `None` when nothing is held.
+    pub(crate) fn earliest_held(&self) -> Option<Timestamp> {
+        let pending = self.pending.peek().map(|Reverse(p)| p.deadline);
+        let unsealed = self.emitted_unsealed.iter().map(|rec| rec.deadline);
+        pending.into_iter().chain(unsealed).min()
     }
 
     /// A just-arrived negative retracts every emitted, still-unsealed
@@ -313,13 +326,15 @@ impl Settle {
 
     /// Emits pending matches whose deadline the watermark has reached
     /// (re-validated against the now-final negatives), and forgets sealed
-    /// speculative records.
+    /// speculative records. Returns [`Settle::earliest_held`] of what is
+    /// left — above the watermark, so a call before the watermark reaches
+    /// it would find nothing.
     pub(crate) fn drain_sealed(
         &mut self,
         stamp: Stamp,
         stats: &mut RuntimeStats,
         out: &mut PhasedOutput,
-    ) {
+    ) -> Option<Timestamp> {
         while let Some(Reverse(top)) = self.pending.peek() {
             if top.deadline > stamp.watermark {
                 break;
@@ -330,8 +345,16 @@ impl Settle {
                 out.sealed.push((p.deadline, o));
             }
         }
-        self.emitted_unsealed
-            .retain(|rec| rec.deadline > stamp.watermark);
+        // one pass forgets the sealed records and finds the earliest left
+        let mut earliest = self.pending.peek().map(|Reverse(p)| p.deadline);
+        self.emitted_unsealed.retain(|rec| {
+            let open = rec.deadline > stamp.watermark;
+            if open && earliest.is_none_or(|e| rec.deadline < e) {
+                earliest = Some(rec.deadline);
+            }
+            open
+        });
+        earliest
     }
 
     /// Purges negatives no open or future match can still need. `skew` is
@@ -439,6 +462,8 @@ mod tests {
         stats: RuntimeStats,
         out: PhasedOutput,
         negative: EventRef,
+        /// What [`Settle::route`] reported holding.
+        held: Option<Timestamp>,
     }
 
     fn stamp(watermark: u64) -> Stamp {
@@ -473,6 +498,7 @@ mod tests {
             stats: RuntimeStats::default(),
             out: PhasedOutput::default(),
             negative: ev("N", 3, 15),
+            held: None,
         };
         if violated {
             c.settle.offer_negative(&c.negative, &mut c.stats);
@@ -480,7 +506,8 @@ mod tests {
         let at = stamp(if region == Region::Sealed { 30 } else { 5 });
         let events = vec![ev("A", 1, 10), ev("B", 2, 20)];
         let trigger = EventId::new(2);
-        c.settle
+        c.held = c
+            .settle
             .route(at, 1, events, trigger, &mut c.stats, &mut c.out);
         c
     }
@@ -516,8 +543,10 @@ mod tests {
 
         /// The watermark passes every deadline.
         fn advance(&mut self) {
-            self.settle
+            let left = self
+                .settle
                 .drain_sealed(stamp(1000), &mut self.stats, &mut self.out);
+            assert_eq!(left, None);
             assert_eq!(self.settle.len(), self.settle.negatives_len());
         }
 
@@ -535,6 +564,10 @@ mod tests {
                 let ctx = format!("{policy:?}, region {region:?}, violated {violated}");
                 let mut c = cell(policy, region, violated);
                 assert_eq!(c.lands(), want, "{ctx}");
+                // a held record, and only one, reports its deadline: the
+                // seal-deadline index's one source
+                let held = matches!(want, Pending | NowUnsealed).then_some(Timestamp::new(20));
+                assert_eq!((c.held, c.settle.earliest_held()), (held, held), "{ctx}");
                 assert!(c.out.retracts.is_empty() && c.out.sealed.is_empty());
                 if let Some((slot, o)) = c.out.constructed.first() {
                     assert_eq!((*slot, o.kind), (1, OutputKind::Insert), "{ctx}");

@@ -61,6 +61,16 @@
 //! sketch and must never be shared with a fixed-bound query (the pooling
 //! compatibility rule).
 //!
+//! ## The tail
+//!
+//! What ends an arrival — releasing what its watermark sealed, handing
+//! back its outputs in registration order — visits the queries the arrival
+//! concerns, not the queries registered: each epoch keeps a min-heap of
+//! `(seal deadline, query)` over the queries holding a record
+//! ([`EpochState::due`]), and a query is listed the first time an arrival
+//! gives it output ([`writing`]). After every arrival no query holds a
+//! record at or below its watermark, exactly as if each had been asked.
+//!
 //! ## Key slices
 //!
 //! A worker of a pool of several runs the same loop over the same plan
@@ -78,7 +88,8 @@
 //! a pool's blob is the union of its workers'
 //! ([`SharedMultiEngine::merged_blob`]).
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 use sequin_plan::{compile, BindEntry, PrefixGroup, QuerySpec, RouteEntry, SharedPlan, SlotSig};
@@ -217,18 +228,43 @@ pub(crate) type Phases = (u32, u32, PhasedOutput);
 struct EpochState {
     wm: WatermarkTracker,
     seq: ArrivalSeq,
-    /// Active query indices in this epoch (rebuilt on recompile).
+    /// Active query indices in this epoch, ascending (a registration
+    /// appends, a recompile rebuilds).
     queries: Vec<usize>,
+    /// The seal-deadline index: a min-heap of `(deadline, query)`, in which
+    /// every query of this epoch that holds a record — a pending match, or
+    /// an emitted one still open to retraction — has one *live* entry, at
+    /// or before its earliest held deadline ([`QueryState::due`] says
+    /// which). Entries that were superseded by an earlier one, or whose
+    /// query was unregistered, stay behind and are skipped when popped.
+    due: BinaryHeap<Reverse<(Timestamp, usize)>>,
 }
 
 impl EpochState {
     fn new(config: &EngineConfig, class: WmClass) -> EpochState {
         let mut c = *config;
         c.policy = class.tracker_policy();
+        EpochState::at(WatermarkTracker::new(&c), ArrivalSeq::default())
+    }
+
+    /// An epoch at a given stream position, with no query in it yet.
+    fn at(wm: WatermarkTracker, seq: ArrivalSeq) -> EpochState {
         EpochState {
-            wm: WatermarkTracker::new(&c),
-            seq: ArrivalSeq::default(),
+            wm,
+            seq,
             queries: Vec::new(),
+            due: BinaryHeap::new(),
+        }
+    }
+
+    /// Query `qix` (state `st`) now holds a record sealing at `deadline`:
+    /// enters it in the index unless its live entry is already that early,
+    /// so a query costs the heap one push per *decrease* of its earliest
+    /// deadline, not one per record.
+    fn hold(&mut self, qix: usize, st: &mut QueryState, deadline: Timestamp) {
+        if st.due.is_none_or(|due| deadline < due) {
+            st.due = Some(deadline);
+            self.due.push(Reverse((deadline, qix)));
         }
     }
 
@@ -253,7 +289,11 @@ struct QueryState {
     /// side lives in the epoch's class).
     settle: Settle,
     stats: RuntimeStats,
+    /// This arrival's outputs so far; written only through [`writing`].
     phased: PhasedOutput,
+    /// The deadline of this query's live entry in its epoch's
+    /// [`EpochState::due`]; `None` while it holds nothing.
+    due: Option<Timestamp>,
     /// Scratch flag: this arrival routed to at least one of the query's
     /// stacks (cleared at the end of every arrival).
     routed: bool,
@@ -274,10 +314,29 @@ impl QueryState {
             epoch,
             stats: RuntimeStats::default(),
             phased: PhasedOutput::default(),
+            due: None,
             routed: false,
             active: true,
         }
     }
+}
+
+/// Runs `write`, one of the writers of `st.phased` (query `qix`'s), and
+/// lists the query in `dirty` if that gave it its first output of this
+/// arrival: the outputs are then collected from the listed queries, not
+/// looked for in every registered one.
+fn writing<T>(
+    st: &mut QueryState,
+    qix: usize,
+    dirty: &mut Vec<usize>,
+    write: impl FnOnce(&mut QueryState) -> T,
+) -> T {
+    let was_empty = st.phased.len() == 0;
+    let result = write(st);
+    if was_empty && st.phased.len() > 0 {
+        dirty.push(qix);
+    }
+    result
 }
 
 /// The evaluator of one shared plan (see module docs).
@@ -313,6 +372,9 @@ pub struct SharedMultiEngine {
     /// A group walk's four per-member tallies (see `group_construct`).
     scratch_tallies: [Vec<u64>; 4],
     scratch_forked: Vec<(usize, Vec<EventRef>)>,
+    /// The queries this arrival gave output, in the order it first did
+    /// (see [`writing`]); drained, sorted, when the outputs are collected.
+    dirty: Vec<usize>,
     /// The key range this evaluator holds as one worker of a pool of
     /// several; `None` everywhere else.
     slice: Option<ShardSlice>,
@@ -349,7 +411,7 @@ impl SharedMultiEngine {
         SharedMultiEngine {
             config,
             specs: Vec::new(),
-            plan: SharedPlan::default(),
+            plan: SharedPlan::new(config.partitioned),
             stacks: Vec::new(),
             states: Vec::new(),
             epochs: Vec::new(),
@@ -361,6 +423,7 @@ impl SharedMultiEngine {
             scratch_raw: Vec::new(),
             scratch_tallies: Default::default(),
             scratch_forked: Vec::new(),
+            dirty: Vec::new(),
             slice,
         }
     }
@@ -392,9 +455,10 @@ impl SharedMultiEngine {
         &self.states[id.index()].query
     }
 
-    /// Registers a query under the shared configuration's policy;
-    /// incremental recompile carries all pooled stack contents over by
-    /// signature equality. Queries registered at the same stream position
+    /// Registers a query under the shared configuration's policy, at a cost
+    /// independent of how many are registered: its nodes are attached to
+    /// the plan ([`SharedPlan::attach`]), which moves no existing stack.
+    /// Queries registered at the same stream position
     /// with a compatible watermark class share an epoch; a query
     /// registered after any ingestion starts a fresh one (it must not see
     /// earlier arrivals).
@@ -416,14 +480,20 @@ impl SharedMultiEngine {
                 e
             }
         };
-        self.specs.push(QuerySpec {
+        let spec = QuerySpec {
             query: Arc::clone(&query),
             epoch,
             active: true,
-        });
+        };
+        let pooled = self.plan.stacks.len();
+        self.plan.attach(&spec);
+        let fresh = self.plan.stacks[pooled..].iter();
+        self.stacks
+            .extend(fresh.map(|node| KeyedStack::new(node.sig.partition)));
+        self.epochs[epoch].queries.push(self.specs.len());
+        self.specs.push(spec);
         self.states
             .push(QueryState::new(query, epoch, policy, &self.config));
-        self.recompile();
         QueryId::new(self.specs.len() - 1)
     }
 
@@ -447,13 +517,16 @@ impl SharedMultiEngine {
         let st = &mut self.states[qix];
         st.active = false;
         st.settle.clear();
+        st.due = None;
         st.phased = PhasedOutput::default();
         self.recompile();
     }
 
-    /// Recompiles the plan from `specs` and reconciles physical stacks by
-    /// slot-signature equality (contents survive; new signatures start
-    /// empty; orphaned signatures are dropped).
+    /// Recompiles the plan from `specs` — what an unregistration or a
+    /// restore needs, since a query's nodes leave or every epoch changes —
+    /// and reconciles physical stacks by slot-signature equality (contents
+    /// survive; new signatures start empty; orphaned signatures are
+    /// dropped).
     fn recompile(&mut self) {
         let plan = compile(&self.specs, self.config.partitioned);
         let old_plan = std::mem::take(&mut self.plan);
@@ -522,10 +595,15 @@ impl SharedMultiEngine {
     /// Moves every query's unmerged output for arrival `item` into `out`,
     /// in registration order.
     fn take_phased(&mut self, item: u32, out: &mut Vec<Phases>) {
-        for (qix, st) in self.states.iter_mut().enumerate() {
-            if st.phased.len() > 0 {
-                out.push((item, qix as u32, std::mem::take(&mut st.phased)));
-            }
+        self.drain_dirty(|qix, phased| out.push((item, qix as u32, phased)));
+    }
+
+    /// Hands `take` this arrival's output, query by query in registration
+    /// order: the [`SharedMultiEngine::dirty`] list, sorted.
+    fn drain_dirty(&mut self, mut take: impl FnMut(usize, PhasedOutput)) {
+        self.dirty.sort_unstable();
+        for qix in self.dirty.drain(..) {
+            take(qix, std::mem::take(&mut self.states[qix].phased));
         }
     }
 
@@ -607,11 +685,8 @@ impl SharedMultiEngine {
     /// The minimum watermark across all (active) queries, mirroring
     /// [`crate::MultiEngine::watermark`].
     pub fn watermark(&self) -> Option<Timestamp> {
-        self.states
-            .iter()
-            .filter(|s| s.active)
-            .map(|s| self.epochs[s.epoch].wm.current())
-            .min()
+        let live = self.epochs.iter().filter(|ep| !ep.queries.is_empty());
+        live.map(|ep| ep.wm.current()).min()
     }
 
     /// One query's watermark.
@@ -732,8 +807,10 @@ impl SharedMultiEngine {
                 st.settle.offer_negative(ev, &mut RuntimeStats::default());
             }
             let swallow = &mut self.retraction_drop;
-            st.settle
-                .retract_invalidated(stamp, ev, swallow, &mut st.stats, &mut st.phased);
+            writing(st, qix, &mut self.dirty, |st| {
+                st.settle
+                    .retract_invalidated(stamp, ev, swallow, &mut st.stats, &mut st.phased)
+            });
         }
 
         let mut marked = std::mem::take(&mut self.scratch_marked);
@@ -819,17 +896,21 @@ impl SharedMultiEngine {
             &mut st.stats,
             &mut raw,
         );
-        let stamp = self.epochs[st.epoch].stamp();
-        for events in raw.drain(..) {
-            let trigger = anchor.id();
-            st.settle.route(
-                stamp,
-                anchor_slot,
-                events,
-                trigger,
-                &mut st.stats,
-                &mut st.phased,
-            );
+        // most anchors complete nothing, and then nothing is left to do
+        if !raw.is_empty() {
+            let ep = &mut self.epochs[st.epoch];
+            let (stamp, trigger) = (ep.stamp(), anchor.id());
+            let held = writing(st, qix, &mut self.dirty, |st| {
+                let route = |events| {
+                    let (stats, out) = (&mut st.stats, &mut st.phased);
+                    st.settle
+                        .route(stamp, anchor_slot, events, trigger, stats, out)
+                };
+                raw.drain(..).filter_map(route).min()
+            });
+            if let Some(deadline) = held {
+                ep.hold(qix, st, deadline);
+            }
         }
         self.scratch_raw = raw;
     }
@@ -889,16 +970,18 @@ impl SharedMultiEngine {
             st.matches_constructed += walker.member_constructed[mx];
         }
         for (mx, events) in walker.forked.drain(..) {
-            let st = &mut self.states[g.members[mx].query];
-            let (stamp, trigger) = (self.epochs[st.epoch].stamp(), anchor.id());
-            st.settle.route(
-                stamp,
-                anchor_pos,
-                events,
-                trigger,
-                &mut st.stats,
-                &mut st.phased,
-            );
+            let qix = g.members[mx].query;
+            let st = &mut self.states[qix];
+            let ep = &mut self.epochs[st.epoch];
+            let (stamp, trigger) = (ep.stamp(), anchor.id());
+            let held = writing(st, qix, &mut self.dirty, |st| {
+                let (stats, out) = (&mut st.stats, &mut st.phased);
+                st.settle
+                    .route(stamp, anchor_pos, events, trigger, stats, out)
+            });
+            if let Some(deadline) = held {
+                ep.hold(qix, st, deadline);
+            }
         }
         self.scratch_forked = walker.forked;
         self.scratch_tallies = [
@@ -909,12 +992,30 @@ impl SharedMultiEngine {
         ];
     }
 
-    /// Emits every query's pending matches whose regions sealed; forgets
-    /// sealed speculative records.
+    /// Emits the pending matches whose regions sealed and forgets sealed
+    /// speculative records, for the queries whose earliest held deadline
+    /// their epoch's watermark has reached — read off the seal-deadline
+    /// index, so a query holding nothing, or nothing due, is not visited.
     fn drain_seals(&mut self) {
-        for st in self.states.iter_mut().filter(|st| st.active) {
-            let stamp = self.epochs[st.epoch].stamp();
-            st.settle.drain_sealed(stamp, &mut st.stats, &mut st.phased);
+        for ep in &mut self.epochs {
+            let watermark = ep.wm.current();
+            while let Some(&Reverse((deadline, qix))) = ep.due.peek() {
+                if deadline > watermark {
+                    break;
+                }
+                ep.due.pop();
+                let st = &mut self.states[qix];
+                if st.due != Some(deadline) {
+                    continue; // superseded, or the query was unregistered
+                }
+                // what is left is due after this watermark: pushed back, it
+                // is not popped again by this loop
+                let stamp = ep.stamp();
+                st.due = writing(st, qix, &mut self.dirty, |st| {
+                    st.settle.drain_sealed(stamp, &mut st.stats, &mut st.phased)
+                });
+                ep.due.extend(st.due.map(|next| Reverse((next, qix))));
+            }
         }
     }
 
@@ -940,7 +1041,7 @@ impl SharedMultiEngine {
         let skew = Duration::new(self.config.purge_horizon_skew);
         let plan = std::mem::take(&mut self.plan);
         for (six, node) in plan.stacks.iter().enumerate() {
-            if node.sig.epoch != eix {
+            if node.sig.epoch != eix || self.stacks[six].is_empty() {
                 continue;
             }
             let mut threshold: Option<Timestamp> = None;
@@ -979,12 +1080,9 @@ impl SharedMultiEngine {
     /// tagged in registration order (the `MultiEngine` contract).
     fn collect_outputs(&mut self) -> Vec<(QueryId, OutputItem)> {
         let mut out = Vec::new();
-        for (qix, st) in self.states.iter_mut().enumerate() {
-            if st.phased.len() > 0 {
-                let tagged = |o| out.push((QueryId::new(qix), o));
-                PhasedOutput::merge_into([std::mem::take(&mut st.phased)], tagged);
-            }
-        }
+        self.drain_dirty(|qix, phased| {
+            PhasedOutput::merge_into([phased], |o| out.push((QueryId::new(qix), o)));
+        });
         out
     }
 
@@ -1081,11 +1179,7 @@ impl SharedMultiEngine {
             let eix = keys.iter().position(|k| *k == key).unwrap_or(keys.len());
             if eix == keys.len() {
                 keys.push(key);
-                epochs.push(EpochState {
-                    wm: rq.wm.clone(),
-                    seq: rq.seq,
-                    queries: Vec::new(),
-                });
+                epochs.push(EpochState::at(rq.wm.clone(), rq.seq));
             }
             epoch_of.push(eix);
         }
@@ -1131,6 +1225,10 @@ impl SharedMultiEngine {
             st.stats = rq.stats;
             st.phased = PhasedOutput::default();
             st.routed = false;
+            // the seal-deadline index is rebuilt from what each query holds
+            st.due = st.settle.earliest_held().filter(|_| st.active);
+            let due = &mut self.epochs[st.epoch].due;
+            due.extend(st.due.map(|deadline| Reverse((deadline, qix))));
         }
         Ok(())
     }
@@ -1195,15 +1293,20 @@ impl GroupWalker<'_> {
         let chosen = |p: usize| partial[self.g.rep_comp_of_pos[p]].expect("prefix complete");
         let (first_ts, prev_ts) = (chosen(0).ts(), chosen(prefix_len - 1).ts());
         for (mx, member) in self.g.members.iter().enumerate() {
-            let mq = &self.plan.queries[member.query].query;
-            let final_comp = mq.positive_comp(prefix_len);
+            // most members have no candidate for most partials: decide that
+            // from the stack alone, before the member's query is touched
             let stack = self.stacks[member.final_stack].scan(self.key);
+            if stack.is_empty() {
+                continue;
+            }
             let (lo, hi, candidates) =
                 self.opts
                     .suffix_level(stack, self.g.window, first_ts, prev_ts);
             if candidates.is_empty() {
                 continue;
             }
+            let mq = &self.plan.queries[member.query].query;
+            let final_comp = mq.positive_comp(prefix_len);
             with_binding(mq.components().len(), |binding| {
                 for p in 0..prefix_len {
                     binding[mq.positive_comp(p)] = Some(chosen(p));
@@ -1555,6 +1658,106 @@ mod tests {
             assert_eq!(host.plan_metrics().epochs, 2, "mid-stream epoch split");
             assert_eq!(host.stats().len(), 5);
         }
+    }
+
+    /// 64 prefix siblings `SEQ(A a, !N n, B b, C|D|E c)`, each with a floor
+    /// of its own under `c.x`. Every match is guarded, so under the
+    /// [`HOLDING`] policies each leaves a record behind: a lazy or an
+    /// adaptive one waits in the pending heap until its region seals, a
+    /// speculative one is emitted and held as retractable.
+    fn negated_family(reg: &TypeRegistry) -> Vec<Arc<Query>> {
+        let sibling = |i: usize| {
+            let (ty, floor) = (["C", "D", "E"][i % 3], 45 * (i / 3));
+            let text =
+                format!("PATTERN SEQ(A a, !N n, B b, {ty} c) WHERE c.x >= {floor} WITHIN 60");
+            parse(&text, reg).unwrap()
+        };
+        (0..64).map(sibling).collect()
+    }
+
+    const HOLDING: [DisorderPolicy; 3] = [
+        DisorderPolicy::Lazy,
+        DisorderPolicy::Speculative,
+        DisorderPolicy::AdaptiveSlack { accuracy: 90 },
+    ];
+
+    /// The seal-deadline index and the dirty list where they can go wrong:
+    /// queries that hold records under three policies, a second batch of
+    /// registrations mid-stream (new epochs with watermarks of their own),
+    /// the unregistration of a query that holds records (its index entries
+    /// go stale), and a restore into a fresh engine (the index is rebuilt
+    /// from what the queries hold). Item by item, `emit_seq` and
+    /// `emit_clock` included, the outputs are those of each query alone on
+    /// an engine of its own.
+    #[test]
+    fn held_records_release_as_on_independent_engines() {
+        let reg = registry();
+        let base = EngineConfig::default();
+        let queries = negated_family(&reg);
+        let policy = |ix: usize| HOLDING[(ix / 3) % 3];
+        let items = gen_stream(&reg, 21, 700, 90);
+        let (restore_at, unregister_at) = (items.len() * 3 / 4, items.len() * 5 / 8);
+        let second_batch = (40, items.len() / 2);
+
+        let mut shared = SharedMultiEngine::new(base);
+        let mut alone = MultiEngine::from_engines(Vec::new());
+        let mut gone: Option<QueryId> = None;
+        let mut kinds = [0usize; 3]; // construction-time, sealed, retracted
+        for (ix, it) in items.iter().enumerate() {
+            let batch = match ix {
+                0 => 0..second_batch.0,
+                _ if ix == second_batch.1 => second_batch.0..queries.len(),
+                _ => 0..0,
+            };
+            for qx in batch {
+                shared.register_with_policy(Arc::clone(&queries[qx]), policy(qx));
+                alone.register(Arc::clone(&queries[qx]), policy(qx));
+            }
+            if ix == unregister_at {
+                let holding = |st: &QueryState| st.due.is_some() && st.settle.len() > 0;
+                let qx = shared.states.iter().position(holding).expect("a holder");
+                gone = Some(QueryId::new(qx));
+                shared.unregister(QueryId::new(qx));
+            }
+            if ix == restore_at {
+                // every query registered at one position, then regrouped
+                // into the snapshot's epochs by the restore
+                let snap = shared.snapshot().unwrap();
+                shared = SharedMultiEngine::new(base);
+                for (qx, q) in queries.iter().enumerate() {
+                    shared.register_with_policy(Arc::clone(q), policy(qx));
+                }
+                shared.unregister(gone.expect("unregistered before the restore"));
+                shared.restore(&snap).unwrap();
+                assert_eq!(shared.plan_metrics().epochs, 4, "two batches, two classes");
+            }
+            let mut want = alone.ingest(it);
+            want.retain(|(q, _)| Some(*q) != gone);
+            let got = shared.ingest(it);
+            outputs_eq(&got, &want, &format!("item {ix}"));
+            // the reference engines are plans of one with an index of their
+            // own, so what an arrival must leave behind is also checked
+            // outright: nothing the watermark has sealed is still held
+            for st in shared.states.iter().filter(|st| st.active) {
+                let wm = shared.epochs[st.epoch].wm.current();
+                let left = st.settle.earliest_held();
+                assert!(left.is_none_or(|d| d > wm), "item {ix}: {left:?} <= {wm:?}");
+            }
+            for (_, o) in &got {
+                let kind = match (o.kind, o.cause) {
+                    (crate::OutputKind::Retract, _) => 2,
+                    (crate::OutputKind::Insert, None) => 1,
+                    (crate::OutputKind::Insert, Some(_)) => 0,
+                };
+                kinds[kind] += 1;
+            }
+        }
+        let mut want = alone.finish();
+        want.retain(|(q, _)| Some(*q) != gone);
+        outputs_eq(&shared.finish(), &want, "finish");
+        assert!(kinds.iter().all(|&n| n > 20), "every phase ran: {kinds:?}");
+        let idle = |ep: &EpochState| ep.due.is_empty();
+        assert!(shared.epochs.iter().all(idle), "the end drains the index");
     }
 
     #[test]

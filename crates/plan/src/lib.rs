@@ -30,9 +30,12 @@
 //!   care about it, so an arrival touches plan nodes proportional to the
 //!   *interested* queries, not the registered ones.
 //!
-//! The compiler is pure: it never holds event state. The evaluator owns
-//! the stacks and reconciles them across incremental recompiles by
-//! signature equality, which is what makes `SUBSCRIBE` cheap at runtime.
+//! The compiler is pure: it never holds event state. A plan grows one
+//! query at a time ([`SharedPlan::attach`], which appends and never moves
+//! an existing stack index — that is what makes `SUBSCRIBE` cheap at
+//! runtime), and [`compile`] is that step folded over a query set; after
+//! an unregistration or a restore the evaluator compiles afresh and
+//! carries its stacks over by signature equality.
 //!
 //! ## Epochs
 //!
@@ -218,6 +221,27 @@ pub struct SharedPlan {
     pub groups: Vec<PrefixGroup>,
     /// Event-type → interested plan nodes.
     pub routing: HashMap<EventTypeId, RouteEntry>,
+    /// Whether keyed slots carry their partition field (see
+    /// [`SharedPlan::new`]).
+    partitioned: bool,
+    /// The pooled stack of every signature interned so far.
+    stack_of_sig: HashMap<SlotSig, usize>,
+    /// Who shares each prefix so far.
+    sharers: HashMap<PrefixKey, Sharers>,
+}
+
+/// What queries must have in common to share a prefix walk: the pooled
+/// stacks of their prefix slots, the window, and the canonicalized
+/// intra-prefix predicates.
+type PrefixKey = (Vec<usize>, u64, Vec<String>);
+
+/// The active queries with one [`PrefixKey`].
+#[derive(Debug, Clone, Copy)]
+enum Sharers {
+    /// One query so far (its index): nothing to share, every anchor plain.
+    Lone(usize),
+    /// Two or more: the [`PrefixGroup`] they formed (its index).
+    Group(usize),
 }
 
 impl SharedPlan {
@@ -335,198 +359,203 @@ fn slot_sig(query: &Query, slot: usize, epoch: usize, partitioned: bool) -> Slot
     }
 }
 
-/// Compiles `specs` into a [`SharedPlan`].
-///
-/// `partitioned` mirrors the engine configuration flag: when false, no
-/// slot carries a partition key (matching unpartitioned evaluation).
-///
-/// Compilation is deterministic in the order of `specs`; the evaluator
-/// carries stack contents across recompiles by [`SlotSig`] equality.
-pub fn compile(specs: &[QuerySpec], partitioned: bool) -> SharedPlan {
-    let mut stacks: Vec<StackNode> = Vec::new();
-    let mut sig_ix: HashMap<SlotSig, usize> = HashMap::new();
-    let mut queries: Vec<QueryNode> = Vec::new();
+/// The predicates of `q` decidable inside its prefix (every positive slot
+/// but the last), in declaration order: what a [`PrefixGroup`]'s members
+/// must agree on.
+fn prefix_predicates(q: &Query) -> impl Iterator<Item = &Predicate> {
+    let final_comp = q.positive_comp(q.positive_len() - 1);
+    let inside = move |p: &&Predicate| !p.mask().contains(final_comp);
+    q.predicates().iter().filter(inside)
+}
 
-    // 1. intern pooled stacks
-    for (qix, spec) in specs.iter().enumerate() {
+impl SharedPlan {
+    /// An empty plan. `partitioned` mirrors the engine configuration flag:
+    /// when false, no slot carries a partition key (matching unpartitioned
+    /// evaluation).
+    pub fn new(partitioned: bool) -> SharedPlan {
+        SharedPlan {
+            partitioned,
+            ..SharedPlan::default()
+        }
+    }
+
+    /// Adds one query's nodes to the plan, under the next dense query
+    /// index, at a cost that does not grow with the queries already there:
+    /// each slot is served by the pooled stack of its signature (a new
+    /// signature appends a stack, so existing stack indices never move),
+    /// the query joins the [`PrefixGroup`] of its prefix or waits as the
+    /// prefix's lone query, and the routing index learns its types. The
+    /// sibling that makes a lone query's prefix shared forms the group and
+    /// *promotes* the lone query into it: its prefix anchors leave
+    /// `plain_refs` for the group's `shared_anchors`.
+    ///
+    /// Every plan is built this way ([`compile`] folds it over the specs),
+    /// so a plan grown by one `SUBSCRIBE` at a time is the plan compiled
+    /// from the same specs at once. Groups are numbered in the order they
+    /// form — by their *second* member's position, not their first's.
+    pub fn attach(&mut self, spec: &QuerySpec) {
+        let qix = self.queries.len();
+        let q = &spec.query;
         let mut stack_of_slot = Vec::new();
         if spec.active {
-            let q = &spec.query;
             for slot in 0..q.positive_len() {
-                let sig = slot_sig(q, slot, spec.epoch, partitioned);
-                let six = *sig_ix.entry(sig.clone()).or_insert_with(|| {
-                    stacks.push(StackNode {
-                        sig,
-                        refs: Vec::new(),
-                        local_preds: q.local_predicates(slot).into_iter().cloned().collect(),
-                        local_comp: q.positive_comp(slot),
-                        local_components: q.components().len(),
-                        shared_anchors: Vec::new(),
-                        plain_refs: Vec::new(),
-                    });
-                    stacks.len() - 1
-                });
-                stacks[six].refs.push(StackRef { query: qix, slot });
+                let six = self.stack_for(slot_sig(q, slot, spec.epoch, self.partitioned), q, slot);
+                self.stacks[six].refs.push(StackRef { query: qix, slot });
                 stack_of_slot.push(six);
             }
         }
-        queries.push(QueryNode {
-            query: Arc::clone(&spec.query),
+        self.queries.push(QueryNode {
+            query: Arc::clone(q),
             epoch: spec.epoch,
             stack_of_slot,
             active: spec.active,
         });
-    }
-
-    // 2. group queries by (prefix stacks, window, intra-prefix predicates)
-    type GroupKey = (Vec<usize>, u64, Vec<String>);
-    let mut group_members: HashMap<GroupKey, Vec<usize>> = HashMap::new();
-    let mut key_order: Vec<GroupKey> = Vec::new();
-    for (qix, node) in queries.iter().enumerate() {
-        if !node.active || node.query.positive_len() < 2 {
-            continue;
+        if !spec.active {
+            return;
         }
-        let q = &node.query;
-        let m = q.positive_len();
-        let prefix_stacks: Vec<usize> = node.stack_of_slot[..m - 1].to_vec();
-        let final_comp = q.positive_comp(m - 1);
-        let intra: Vec<String> = q
-            .predicates()
-            .iter()
-            .filter(|p| !p.mask().contains(final_comp))
-            .map(|p| canon_pred(q, p))
-            .collect();
-        let key = (prefix_stacks, q.window().ticks(), intra);
-        let members = group_members.entry(key.clone()).or_insert_with(|| {
-            key_order.push(key);
-            Vec::new()
-        });
-        members.push(qix);
-    }
-
-    let mut groups: Vec<PrefixGroup> = Vec::new();
-    for key in key_order {
-        let members = &group_members[&key];
-        if members.len() < 2 {
-            continue;
-        }
-        let rep_ix = members[0];
-        let rep = Arc::clone(&queries[rep_ix].query);
-        let m = rep.positive_len();
-        let prefix_len = m - 1;
-        let rep_final_comp = rep.positive_comp(prefix_len);
-        let common: Vec<Predicate> = rep
-            .predicates()
-            .iter()
-            .filter(|p| !p.mask().contains(rep_final_comp))
-            .cloned()
-            .collect();
-        let rep_comp_of_pos: Vec<usize> = (0..prefix_len).map(|p| rep.positive_comp(p)).collect();
-        let mut binds: Vec<BindPlan> = Vec::new();
-        for (pos, &rep_comp) in rep_comp_of_pos.iter().enumerate() {
-            let common_touching: Vec<usize> = common
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.mask().contains(rep_comp))
-                .map(|(i, _)| i)
-                .collect();
-            let mut per_member = Vec::new();
-            for &mix in members.iter() {
-                let mq = &queries[mix].query;
-                let m_final = mq.positive_comp(mq.positive_len() - 1);
-                let m_comp = mq.positive_comp(pos);
-                let mut entries = Vec::new();
-                let mut common_counter = 0usize;
-                for p in mq.predicates() {
-                    let is_common = !p.mask().contains(m_final);
-                    if p.mask().contains(m_comp) {
-                        entries.push(if is_common {
-                            BindEntry::Common(common_counter)
-                        } else {
-                            BindEntry::Spanning
-                        });
-                    }
-                    if is_common {
-                        common_counter += 1;
-                    }
-                }
-                per_member.push(entries);
+        for &ty in q.negations().iter().flat_map(|neg| &neg.types) {
+            let negating = &mut self.routing.entry(ty).or_default().neg_queries;
+            if negating.last() != Some(&qix) {
+                negating.push(qix);
             }
-            binds.push(BindPlan {
-                common_touching,
-                per_member,
-            });
         }
-        let group_ix = groups.len();
-        for (pos, &six) in key.0.iter().enumerate() {
-            stacks[six].shared_anchors.push((group_ix, pos));
+        // construction anchors: a grouped query's prefix slots are walked
+        // by its group, everything else by the query's own constructor
+        let last = q.positive_len() - 1;
+        let grouped = last > 0 && self.join_prefix(qix);
+        for slot in 0..=last {
+            if !grouped || slot == last {
+                let six = self.queries[qix].stack_of_slot[slot];
+                let anchor = StackRef { query: qix, slot };
+                self.stacks[six].plain_refs.push(anchor);
+            }
         }
-        let group_members_built: Vec<GroupMember> = members
-            .iter()
-            .map(|&mix| {
-                let mq = &queries[mix].query;
-                let final_slot = mq.positive_len() - 1;
-                GroupMember {
-                    query: mix,
-                    final_stack: queries[mix].stack_of_slot[final_slot],
-                }
-            })
-            .collect();
-        groups.push(PrefixGroup {
+    }
+
+    /// The pooled stack with signature `sig`, appended — and entered in
+    /// the routing index — when `q`'s `slot` is the first to carry it.
+    fn stack_for(&mut self, sig: SlotSig, q: &Query, slot: usize) -> usize {
+        if let Some(&six) = self.stack_of_sig.get(&sig) {
+            return six;
+        }
+        let six = self.stacks.len();
+        for &ty in &sig.types {
+            self.routing.entry(ty).or_default().stacks.push(six);
+        }
+        self.stack_of_sig.insert(sig.clone(), six);
+        self.stacks.push(StackNode {
+            sig,
+            refs: Vec::new(),
+            local_preds: q.local_predicates(slot).into_iter().cloned().collect(),
+            local_comp: q.positive_comp(slot),
+            local_components: q.components().len(),
+            shared_anchors: Vec::new(),
+            plain_refs: Vec::new(),
+        });
+        six
+    }
+
+    /// Files query `qix` (two or more positive slots) under its prefix —
+    /// prefix stacks, window, canonical intra-prefix predicates. True when
+    /// it now shares a group's walk; false when it is the prefix's first.
+    fn join_prefix(&mut self, qix: usize) -> bool {
+        let node = &self.queries[qix];
+        let q = &node.query;
+        let prefix_stacks = node.stack_of_slot[..q.positive_len() - 1].to_vec();
+        let intra = prefix_predicates(q).map(|p| canon_pred(q, p)).collect();
+        let key = (prefix_stacks, q.window().ticks(), intra);
+        let gix = match self.sharers.get(&key) {
+            None => {
+                self.sharers.insert(key, Sharers::Lone(qix));
+                return false;
+            }
+            Some(&Sharers::Group(gix)) => gix,
+            Some(&Sharers::Lone(first)) => {
+                let gix = self.form_group(first);
+                self.sharers.insert(key, Sharers::Group(gix));
+                gix
+            }
+        };
+        self.add_member(gix, qix);
+        true
+    }
+
+    /// Forms the group of `first`'s prefix, with `first` its representative
+    /// and first member, promoted out of its prefix stacks' `plain_refs`.
+    fn form_group(&mut self, first: usize) -> usize {
+        let gix = self.groups.len();
+        let rep = Arc::clone(&self.queries[first].query);
+        let prefix_len = rep.positive_len() - 1;
+        let prefix_stacks = self.queries[first].stack_of_slot[..prefix_len].to_vec();
+        let common: Vec<Predicate> = prefix_predicates(&rep).cloned().collect();
+        let rep_comp_of_pos: Vec<usize> = (0..prefix_len).map(|p| rep.positive_comp(p)).collect();
+        let touching = |&rep_comp: &usize| BindPlan {
+            common_touching: (0..common.len())
+                .filter(|&ci| common[ci].mask().contains(rep_comp))
+                .collect(),
+            per_member: Vec::new(),
+        };
+        let binds = rep_comp_of_pos.iter().map(touching).collect();
+        for (pos, &six) in prefix_stacks.iter().enumerate() {
+            let node = &mut self.stacks[six];
+            node.shared_anchors.push((gix, pos));
+            node.plain_refs
+                .retain(|r| r.query != first || r.slot >= prefix_len);
+        }
+        self.groups.push(PrefixGroup {
             window: rep.window(),
-            prefix_stacks: key.0,
+            prefix_stacks,
             common,
             rep,
             rep_comp_of_pos,
             binds,
-            members: group_members_built,
+            members: Vec::new(),
         });
+        self.add_member(gix, first);
+        gix
     }
 
-    // 3. plain refs: anchors not covered by a group's shared prefix walk
-    let grouped: HashMap<usize, usize> = groups
-        .iter()
-        .enumerate()
-        .flat_map(|(gix, g)| g.members.iter().map(move |m| (m.query, gix)))
-        .collect();
-    for node in stacks.iter_mut() {
-        let refs = node.refs.clone();
-        for r in refs {
-            let covered = grouped.contains_key(&r.query)
-                && r.slot + 1 < queries[r.query].query.positive_len();
-            if !covered {
-                node.plain_refs.push(r);
-            }
-        }
-    }
-
-    // 4. event-type routing index
-    let mut routing: HashMap<EventTypeId, RouteEntry> = HashMap::new();
-    for (six, node) in stacks.iter().enumerate() {
-        for &ty in &node.sig.types {
-            routing.entry(ty).or_default().stacks.push(six);
-        }
-    }
-    for (qix, node) in queries.iter().enumerate() {
-        if !node.active {
-            continue;
-        }
-        for neg in node.query.negations() {
-            for &ty in &neg.types {
-                let entry = routing.entry(ty).or_default();
-                if entry.neg_queries.last() != Some(&qix) && !entry.neg_queries.contains(&qix) {
-                    entry.neg_queries.push(qix);
+    /// Appends query `mix` to group `gix`: its final stack, and per prefix
+    /// position the short-circuit accounting of its own predicate order.
+    fn add_member(&mut self, gix: usize, mix: usize) {
+        let (g, node) = (&mut self.groups[gix], &self.queries[mix]);
+        let mq = &node.query;
+        let prefix_len = g.prefix_stacks.len();
+        let m_final = mq.positive_comp(prefix_len);
+        for (pos, bind) in g.binds.iter_mut().enumerate() {
+            let m_comp = mq.positive_comp(pos);
+            let mut entries = Vec::new();
+            let mut common_counter = 0usize;
+            for p in mq.predicates() {
+                let is_common = !p.mask().contains(m_final);
+                if p.mask().contains(m_comp) {
+                    entries.push(if is_common {
+                        BindEntry::Common(common_counter)
+                    } else {
+                        BindEntry::Spanning
+                    });
+                }
+                if is_common {
+                    common_counter += 1;
                 }
             }
+            bind.per_member.push(entries);
         }
+        g.members.push(GroupMember {
+            query: mix,
+            final_stack: node.stack_of_slot[prefix_len],
+        });
     }
+}
 
-    SharedPlan {
-        queries,
-        stacks,
-        groups,
-        routing,
-    }
+/// Compiles `specs` into a [`SharedPlan`]: the fold of
+/// [`SharedPlan::attach`] over them, so it is deterministic in their order
+/// and the evaluator can carry stack contents from one plan to another by
+/// [`SlotSig`] equality.
+pub fn compile(specs: &[QuerySpec], partitioned: bool) -> SharedPlan {
+    let mut plan = SharedPlan::new(partitioned);
+    specs.iter().for_each(|spec| plan.attach(spec));
+    plan
 }
 
 #[cfg(test)]
@@ -702,5 +731,323 @@ mod tests {
             vec![BindEntry::Common(0), BindEntry::Spanning]
         );
         assert_eq!(g.binds[0].per_member[1], vec![BindEntry::Common(0)]);
+    }
+
+    /// The reference [`compile`] is checked against: the whole-plan
+    /// compiler this crate had before [`SharedPlan::attach`], four passes
+    /// over the full query set (intern stacks, group, plain refs, routing).
+    fn compile_whole(specs: &[QuerySpec], partitioned: bool) -> SharedPlan {
+        let mut stacks: Vec<StackNode> = Vec::new();
+        let mut sig_ix: HashMap<SlotSig, usize> = HashMap::new();
+        let mut queries: Vec<QueryNode> = Vec::new();
+
+        // 1. intern pooled stacks
+        for (qix, spec) in specs.iter().enumerate() {
+            let mut stack_of_slot = Vec::new();
+            if spec.active {
+                let q = &spec.query;
+                for slot in 0..q.positive_len() {
+                    let sig = slot_sig(q, slot, spec.epoch, partitioned);
+                    let six = *sig_ix.entry(sig.clone()).or_insert_with(|| {
+                        stacks.push(StackNode {
+                            sig,
+                            refs: Vec::new(),
+                            local_preds: q.local_predicates(slot).into_iter().cloned().collect(),
+                            local_comp: q.positive_comp(slot),
+                            local_components: q.components().len(),
+                            shared_anchors: Vec::new(),
+                            plain_refs: Vec::new(),
+                        });
+                        stacks.len() - 1
+                    });
+                    stacks[six].refs.push(StackRef { query: qix, slot });
+                    stack_of_slot.push(six);
+                }
+            }
+            queries.push(QueryNode {
+                query: Arc::clone(&spec.query),
+                epoch: spec.epoch,
+                stack_of_slot,
+                active: spec.active,
+            });
+        }
+
+        // 2. group queries by (prefix stacks, window, intra-prefix predicates)
+        type GroupKey = (Vec<usize>, u64, Vec<String>);
+        let mut group_members: HashMap<GroupKey, Vec<usize>> = HashMap::new();
+        let mut key_order: Vec<GroupKey> = Vec::new();
+        for (qix, node) in queries.iter().enumerate() {
+            if !node.active || node.query.positive_len() < 2 {
+                continue;
+            }
+            let q = &node.query;
+            let m = q.positive_len();
+            let prefix_stacks: Vec<usize> = node.stack_of_slot[..m - 1].to_vec();
+            let final_comp = q.positive_comp(m - 1);
+            let intra: Vec<String> = q
+                .predicates()
+                .iter()
+                .filter(|p| !p.mask().contains(final_comp))
+                .map(|p| canon_pred(q, p))
+                .collect();
+            let key = (prefix_stacks, q.window().ticks(), intra);
+            let members = group_members.entry(key.clone()).or_insert_with(|| {
+                key_order.push(key);
+                Vec::new()
+            });
+            members.push(qix);
+        }
+
+        let mut groups: Vec<PrefixGroup> = Vec::new();
+        for key in key_order {
+            let members = &group_members[&key];
+            if members.len() < 2 {
+                continue;
+            }
+            let rep_ix = members[0];
+            let rep = Arc::clone(&queries[rep_ix].query);
+            let m = rep.positive_len();
+            let prefix_len = m - 1;
+            let rep_final_comp = rep.positive_comp(prefix_len);
+            let common: Vec<Predicate> = rep
+                .predicates()
+                .iter()
+                .filter(|p| !p.mask().contains(rep_final_comp))
+                .cloned()
+                .collect();
+            let rep_comp_of_pos: Vec<usize> =
+                (0..prefix_len).map(|p| rep.positive_comp(p)).collect();
+            let mut binds: Vec<BindPlan> = Vec::new();
+            for (pos, &rep_comp) in rep_comp_of_pos.iter().enumerate() {
+                let common_touching: Vec<usize> = common
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, p)| p.mask().contains(rep_comp))
+                    .map(|(i, _)| i)
+                    .collect();
+                let mut per_member = Vec::new();
+                for &mix in members.iter() {
+                    let mq = &queries[mix].query;
+                    let m_final = mq.positive_comp(mq.positive_len() - 1);
+                    let m_comp = mq.positive_comp(pos);
+                    let mut entries = Vec::new();
+                    let mut common_counter = 0usize;
+                    for p in mq.predicates() {
+                        let is_common = !p.mask().contains(m_final);
+                        if p.mask().contains(m_comp) {
+                            entries.push(if is_common {
+                                BindEntry::Common(common_counter)
+                            } else {
+                                BindEntry::Spanning
+                            });
+                        }
+                        if is_common {
+                            common_counter += 1;
+                        }
+                    }
+                    per_member.push(entries);
+                }
+                binds.push(BindPlan {
+                    common_touching,
+                    per_member,
+                });
+            }
+            let group_ix = groups.len();
+            for (pos, &six) in key.0.iter().enumerate() {
+                stacks[six].shared_anchors.push((group_ix, pos));
+            }
+            let group_members_built: Vec<GroupMember> = members
+                .iter()
+                .map(|&mix| {
+                    let mq = &queries[mix].query;
+                    let final_slot = mq.positive_len() - 1;
+                    GroupMember {
+                        query: mix,
+                        final_stack: queries[mix].stack_of_slot[final_slot],
+                    }
+                })
+                .collect();
+            groups.push(PrefixGroup {
+                window: rep.window(),
+                prefix_stacks: key.0,
+                common,
+                rep,
+                rep_comp_of_pos,
+                binds,
+                members: group_members_built,
+            });
+        }
+
+        // 3. plain refs: anchors not covered by a group's shared prefix walk
+        let grouped: HashMap<usize, usize> = groups
+            .iter()
+            .enumerate()
+            .flat_map(|(gix, g)| g.members.iter().map(move |m| (m.query, gix)))
+            .collect();
+        for node in stacks.iter_mut() {
+            let refs = node.refs.clone();
+            for r in refs {
+                let covered = grouped.contains_key(&r.query)
+                    && r.slot + 1 < queries[r.query].query.positive_len();
+                if !covered {
+                    node.plain_refs.push(r);
+                }
+            }
+        }
+
+        // 4. event-type routing index
+        let mut routing: HashMap<EventTypeId, RouteEntry> = HashMap::new();
+        for (six, node) in stacks.iter().enumerate() {
+            for &ty in &node.sig.types {
+                routing.entry(ty).or_default().stacks.push(six);
+            }
+        }
+        for (qix, node) in queries.iter().enumerate() {
+            if !node.active {
+                continue;
+            }
+            for neg in node.query.negations() {
+                for &ty in &neg.types {
+                    let entry = routing.entry(ty).or_default();
+                    if entry.neg_queries.last() != Some(&qix) && !entry.neg_queries.contains(&qix) {
+                        entry.neg_queries.push(qix);
+                    }
+                }
+            }
+        }
+
+        SharedPlan {
+            queries,
+            stacks,
+            groups,
+            routing,
+            ..SharedPlan::default()
+        }
+    }
+
+    /// What the evaluator reads of a plan, with every group named by its
+    /// first member instead of its index: `attach` numbers groups in the
+    /// order they form (by second member), the whole-plan compiler by first
+    /// member, so the indices — and with them the order of a stack's
+    /// `shared_anchors` — may differ while the groups do not.
+    fn shape(plan: &SharedPlan) -> String {
+        let first = |gix: usize| plan.groups[gix].members[0].query;
+        let mut out = String::new();
+        for q in &plan.queries {
+            let _ = writeln!(out, "q {:?} {} {}", q.stack_of_slot, q.epoch, q.active);
+        }
+        for n in &plan.stacks {
+            let mut anchors: Vec<_> = n
+                .shared_anchors
+                .iter()
+                .map(|&(g, p)| (first(g), p))
+                .collect();
+            anchors.sort();
+            let _ = writeln!(
+                out,
+                "s {:?} refs {:?} plain {:?} anchors {anchors:?} local {} {} {}",
+                n.sig,
+                n.refs,
+                n.plain_refs,
+                n.local_preds.len(),
+                n.local_comp,
+                n.local_components
+            );
+        }
+        let mut groups: Vec<&PrefixGroup> = plan.groups.iter().collect();
+        groups.sort_by_key(|g| g.members[0].query);
+        for g in groups {
+            let members: Vec<_> = g.members.iter().map(|m| (m.query, m.final_stack)).collect();
+            let rep = plan
+                .queries
+                .iter()
+                .position(|q| Arc::ptr_eq(&q.query, &g.rep));
+            let binds: Vec<_> = g
+                .binds
+                .iter()
+                .map(|b| (&b.common_touching, &b.per_member))
+                .collect();
+            let _ = writeln!(
+                out,
+                "g {members:?} rep {rep:?} {:?} {:?} {:?} common {} binds {binds:?}",
+                g.prefix_stacks,
+                g.window,
+                g.rep_comp_of_pos,
+                g.common.len()
+            );
+        }
+        let mut routing: Vec<_> = plan.routing.iter().collect();
+        routing.sort_by_key(|(ty, _)| **ty);
+        for (ty, entry) in routing {
+            let _ = writeln!(out, "r {ty:?} {:?} {:?}", entry.stacks, entry.neg_queries);
+        }
+        out
+    }
+
+    /// Random registration histories — subscribe, unsubscribe, a new epoch
+    /// — replayed the way the evaluator replays them (`attach` per
+    /// registration, a fresh `compile` after an unregistration): after
+    /// every step the grown plan, the folded plan and the whole-plan
+    /// reference have the same shape.
+    #[test]
+    fn attach_grows_the_plan_the_whole_compiler_builds() {
+        let reg = registry();
+        let texts = [
+            "PATTERN SEQ(A a, B b, C c) WITHIN 50",
+            "PATTERN SEQ(A a, B b, D d) WITHIN 50",
+            "PATTERN SEQ(A a, B b, D d) WHERE d.x > 3 WITHIN 50",
+            "PATTERN SEQ(A a, B b, C c) WITHIN 60",
+            "PATTERN SEQ(A a, B b, D d) WITHIN 60",
+            "PATTERN SEQ(A a, B b) WITHIN 50",
+            "PATTERN SEQ(A a, A b, C c) WITHIN 50",
+            "PATTERN SEQ(A a, A b, D d) WITHIN 50",
+            "PATTERN SEQ(A a, !N n, B b, C c) WITHIN 50",
+            "PATTERN SEQ(A a, !N n, B b, D d) WHERE a.x < d.x WITHIN 50",
+            "PATTERN SEQ(A a, B b, C c) WHERE a.tag == b.tag AND b.tag == c.tag WITHIN 50",
+            "PATTERN SEQ(A a, B b, D d) WHERE a.tag == b.tag AND b.tag == d.tag WITHIN 50",
+            "PATTERN SEQ(A a, B b, C c) WHERE a.x == b.x AND a.x < c.x WITHIN 50",
+            "PATTERN SEQ(A a, B b, D d) WHERE a.x == b.x WITHIN 50",
+            "PATTERN SEQ(A a, B b, D d) WHERE a.x > 5 WITHIN 50",
+            "PATTERN SEQ(N m, C c) WHERE m.tag == c.tag WITHIN 50",
+            "PATTERN SEQ(C c) WITHIN 5",
+        ];
+        let queries: Vec<Arc<Query>> = texts.iter().map(|t| parse(t, &reg).unwrap()).collect();
+        let mut groups_seen = 0;
+        for seed in 1..=40 {
+            let mut rng = sequin_prng::Rng::seed_from_u64(seed);
+            let partitioned = rng.gen_bool(0.7);
+            let mut specs: Vec<QuerySpec> = Vec::new();
+            let mut grown = SharedPlan::new(partitioned);
+            let mut epoch = 0;
+            for step in 0..60 {
+                match rng.gen_range(0..10u32) {
+                    0 => epoch += 1,
+                    1 | 2 if !specs.is_empty() => {
+                        let qix = rng.gen_range(0..specs.len());
+                        specs[qix].active = false;
+                        grown = compile(&specs, partitioned);
+                    }
+                    _ => {
+                        let query = Arc::clone(&queries[rng.gen_range(0..queries.len())]);
+                        specs.push(QuerySpec {
+                            query,
+                            epoch,
+                            active: true,
+                        });
+                        grown.attach(specs.last().unwrap());
+                    }
+                }
+                let want = shape(&compile_whole(&specs, partitioned));
+                let context = format!("seed {seed} step {step}");
+                assert_eq!(shape(&grown), want, "grown plan, {context}");
+                assert_eq!(
+                    shape(&compile(&specs, partitioned)),
+                    want,
+                    "folded plan, {context}"
+                );
+            }
+            groups_seen += grown.groups.len();
+        }
+        assert!(groups_seen > 40, "the histories form groups: {groups_seen}");
     }
 }

@@ -161,18 +161,28 @@ impl Subscription {
     }
 }
 
-/// The checkpoint header: every subscription's text and policy, the
-/// policy as the same (mode, knob) pair SUBSCRIBE carries.
+/// The checkpoint header: how many subscriptions, then each one's text
+/// and policy, the policy as the same (mode, knob) pair SUBSCRIBE carries.
 fn write_header(subs: &[Subscription]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u64(subs.len() as u64);
-    for s in subs {
-        w.put_str(&s.text);
-        let (mode, knob) = policy_to_wire(Some(s.policy));
-        w.put_u8(mode);
-        w.put_u8(knob);
-    }
-    w.into_bytes()
+    let mut header = 0u64.to_le_bytes().to_vec();
+    subs.iter().for_each(|s| append_to_header(&mut header, s));
+    header
+}
+
+/// Adds `s` to a [`write_header`] header in place — the leading count (a
+/// fixed-width `u64`) goes up by one and the entry is appended — so a
+/// SUBSCRIBE encodes its own entry, not every one before it again.
+fn append_to_header(header: &mut Vec<u8>, s: &Subscription) {
+    let (count, _) = header
+        .split_first_chunk_mut::<8>()
+        .expect("a header starts with its count");
+    *count = (u64::from_le_bytes(*count) + 1).to_le_bytes();
+    let mut w = Writer::appending(std::mem::take(header));
+    w.put_str(&s.text);
+    let (mode, knob) = policy_to_wire(Some(s.policy));
+    w.put_u8(mode);
+    w.put_u8(knob);
+    *header = w.into_bytes();
 }
 
 /// Reads a [`write_header`] header, registering its queries on `host` in
@@ -239,7 +249,7 @@ impl EngineCore {
     }
 
     fn around(cfg: CoreConfig, mut ck: Checkpointer, subs: Vec<Subscription>) -> EngineCore {
-        ck.set_header(write_header(&subs));
+        *ck.header_mut() = write_header(&subs);
         EngineCore {
             obs: Recorder::new(cfg.obs),
             cfg,
@@ -326,8 +336,8 @@ impl EngineCore {
         let policy = policy.unwrap_or(self.cfg.engine.policy);
         let sub = Subscription::register(self.ck.host_mut(), text.to_owned(), q, policy);
         let id = sub.id;
+        append_to_header(self.ck.header_mut(), &sub);
         self.subs.push(sub);
-        self.ck.set_header(write_header(&self.subs));
         if self.durable() {
             // make the registration itself crash-safe
             self.ck.checkpoint_now();
@@ -458,17 +468,6 @@ impl EngineCore {
         self.ck.pending_suppressions()
     }
 
-    /// The stream clock: maximum occurrence timestamp any query engine has
-    /// observed, in ticks (0 before the first event).
-    fn core_clock(&self) -> u64 {
-        self.subs
-            .iter()
-            .filter_map(|s| self.ck.host().query_clock(s.id))
-            .map(|t| t.ticks())
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Records trace spans for one ingested chunk: an `Ingest` span, then
     /// per-query `Route`/`StackInsert`/`Construct`/`Negate`/`Purge` spans
     /// derived from operator-counter deltas (`before` → now), then one
@@ -484,18 +483,19 @@ impl EngineCore {
     ) {
         let host = self.ck.host();
         let after = host.stats();
-        let core_clock = self.core_clock();
-        let core_wm = host.watermark().map(|t| t.ticks()).unwrap_or(0);
+        // every query's clock and watermark stand for the whole call: read
+        // together, under one hold of the pool's lock. The stream clock is
+        // the maximum occurrence timestamp any query has observed (0 before
+        // the first event), the core's watermark the minimum over queries
+        let positions = host.query_positions();
+        let ticks = |t: Option<Timestamp>| t.map(|t| t.ticks());
+        let clocks = positions.iter().filter_map(|p| ticks(p.0));
+        let watermarks = positions.iter().filter_map(|p| ticks(p.1));
+        let (core_clock, core_wm) = (clocks.max().unwrap_or(0), watermarks.min().unwrap_or(0));
         if ingested > 0 {
             self.obs.ingest_span(ingested, core_clock, core_wm);
         }
-        // a query's watermark stands for the whole call: read (the pool's
-        // lock taken) at most once, and only for a query that did something
-        let mut watermarks: Vec<Option<u64>> = vec![None; self.subs.len()];
-        let mut watermark = |qid: QueryId| {
-            *watermarks[qid.index()]
-                .get_or_insert_with(|| host.query_watermark(qid).map_or(core_wm, |t| t.ticks()))
-        };
+        let watermark = |qid: QueryId| ticks(positions[qid.index()].1).unwrap_or(core_wm);
         for (i, qid) in self.subs.iter().map(|s| s.id).enumerate() {
             let prev = before.get(i).copied().unwrap_or_default();
             let Some(now) = after.get(i) else { continue };
@@ -512,7 +512,7 @@ impl EngineCore {
             if steps.iter().all(|(_, delta)| *delta == 0) {
                 continue;
             }
-            let clock = host.query_clock(qid).map_or(core_clock, |t| t.ticks());
+            let clock = ticks(positions[qid.index()].0).unwrap_or(core_clock);
             let wm = watermark(qid);
             for (kind, delta) in steps {
                 self.obs.span(kind, i as u64, delta, clock, wm);
@@ -1249,13 +1249,35 @@ pub(crate) mod tests {
     fn subscription_is_durable_immediately() {
         let reg = registry();
         let mut core = EngineCore::new(cfg(&reg, Some(1000)));
-        core.subscribe(Q_AB).unwrap();
+        // each SUBSCRIBE appends its entry to the header the checkpointer
+        // holds: the bytes are those of encoding the whole table at once
+        let whole_table = |subs: &[Subscription]| {
+            let mut w = Writer::new();
+            w.put_u64(subs.len() as u64);
+            for s in subs {
+                w.put_str(&s.text);
+                let (mode, knob) = policy_to_wire(Some(s.policy));
+                w.put_u8(mode);
+                w.put_u8(knob);
+            }
+            w.into_bytes()
+        };
+        assert_eq!(*core.ck.header_mut(), whole_table(&[]));
+        let speculative = Some(DisorderPolicy::Speculative);
+        for (text, policy) in [(Q_AB, None), (Q_BA, speculative), (Q_AB, None)] {
+            core.subscribe_with_policy(text, policy).unwrap();
+            assert_eq!(*core.ck.header_mut(), whole_table(&core.subs), "{text}");
+        }
         assert!(core.take_dirty());
         let saved = core.store().clone();
         drop(core); // crash before any event
 
         let (core, replay_from) = EngineCore::resume(cfg(&reg, Some(1000)), saved);
         assert_eq!(replay_from, 0);
-        assert_eq!(core.query_count(), 1, "registration survived the crash");
+        assert_eq!(core.query_count(), 2, "registrations survived the crash");
+        assert_eq!(
+            core.query_policy(core.subs[1].id),
+            DisorderPolicy::Speculative
+        );
     }
 }

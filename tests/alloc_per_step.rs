@@ -4,15 +4,23 @@
 //! — at an equal match count, and the two allocation counts must be equal:
 //! no binding, region list or tally may be allocated per stack
 //! pre-filtered, per candidate visited or per unsealed record checked.
+//!
+//! Beside it, the scaling guard: what an arrival costs follows the queries
+//! it touches, not the queries registered. Siblings whose event types the
+//! stream never carries add no allocation to an arrival (exact, any build)
+//! and next to no time (release builds: the time is only meaningful there),
+//! and registering them costs each the same.
 
 mod common;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration as Wall, Instant};
 
 use common::ev;
 use sequin::engine::{DisorderPolicy, EngineConfig, MultiEngine, OutputKind, Strategy};
-use sequin::query::parse;
+use sequin::query::{parse, Query};
 use sequin::types::{Duration, StreamItem, TypeRegistry, ValueKind};
 
 /// Counts the calling thread's allocations (the evaluator of a one-shard
@@ -57,7 +65,7 @@ static GLOBAL: Counting = Counting;
 
 fn registry() -> TypeRegistry {
     let mut reg = TypeRegistry::new();
-    for name in ["T0", "T1", "T2", "T3"] {
+    for name in ["T0", "T1", "T2", "T3", "U0", "U1", "U2"] {
         reg.declare(name, &[("x", ValueKind::Int), ("tag", ValueKind::Int)])
             .unwrap();
     }
@@ -192,4 +200,131 @@ fn unsealed_records_a_negative_spares_allocate_nothing() {
     assert_eq!(few.1, (0, 1), "the first negative retracts the tag-9 match");
     assert_eq!(few.1, many.1, "equal retraction count");
     assert_eq!(few.0, many.0, "allocations grew with spared records");
+}
+
+/// The one query the scaling guard's stream reaches, and `n` prefix
+/// siblings over types it never carries (each a pooled final stack, a
+/// group member and a registered query more).
+fn with_idle_siblings(n: usize) -> Vec<String> {
+    let reached =
+        "PATTERN SEQ(T0 a, T1 b, T2 c) WHERE a.tag == b.tag AND b.tag == c.tag WITHIN 100";
+    let idle = |i: usize| {
+        format!(
+            "PATTERN SEQ(U0 a, U1 b, U2 c) WHERE c.x >= {i} AND c.x < {} WITHIN 100",
+            i + 1
+        )
+    };
+    let siblings = (0..n).map(idle);
+    std::iter::once(reached.to_owned())
+        .chain(siblings)
+        .collect()
+}
+
+/// `n` in-order `T0`/`T1`/`T2` events over 50 tags, from id and tick `from`.
+fn keyed_stream(reg: &TypeRegistry, from: u64, n: u64) -> Vec<StreamItem> {
+    let event = |i: u64| {
+        let ty = ["T0", "T1", "T2"][(i % 3) as usize];
+        StreamItem::Event(ev(reg, ty, i, i, &[0, (i / 3 % 50) as i64]))
+    };
+    (from..from + n).map(event).collect()
+}
+
+/// Queries an arrival does not touch add nothing to what it allocates.
+#[test]
+fn idle_siblings_allocate_nothing_per_arrival() {
+    let reg = registry();
+    let run = |siblings: usize| {
+        let (preload, measured) = (
+            keyed_stream(&reg, 1, 3_000),
+            keyed_stream(&reg, 3_001, 3_000),
+        );
+        let queries = with_idle_siblings(siblings);
+        measure(
+            &reg,
+            DisorderPolicy::Conservative,
+            &queries,
+            &preload,
+            &measured,
+        )
+    };
+    let (few, many) = (run(64), run(1_024));
+    assert!(
+        few.1 .0 > 500 && few.1 .1 == 0,
+        "the reached query fires: {:?}",
+        few.1
+    );
+    assert_eq!(few.1, many.1, "equal match count");
+    assert_eq!(few.0, many.0, "allocations grew with idle siblings");
+}
+
+fn parsed(reg: &TypeRegistry, texts: &[String]) -> Vec<Arc<Query>> {
+    texts.iter().map(|t| parse(t, reg).unwrap()).collect()
+}
+
+/// A one-worker host with `queries` registered, and how long that took.
+fn registered(queries: &[Arc<Query>]) -> (MultiEngine, Wall) {
+    let config = EngineConfig::with_k(Duration::new(100));
+    let mut engine = MultiEngine::new(Strategy::Native, config, 1);
+    let started = Instant::now();
+    for q in queries {
+        engine.register(Arc::clone(q), config.policy);
+    }
+    (engine, started.elapsed())
+}
+
+/// Held by a timing while it measures, so that the two do not measure
+/// each other (the harness runs tests on parallel threads).
+static TIMING: Mutex<()> = Mutex::new(());
+
+/// The least of five timings of `run(few)` and of `run(many)`, taken in
+/// turns, the larger first: whatever the process pays once (a heap grown
+/// to size, caches) is then paid before either side's best run.
+fn least_of_five(few: usize, many: usize, mut run: impl FnMut(usize) -> Wall) -> (Wall, Wall) {
+    let _alone = TIMING.lock().unwrap_or_else(|e| e.into_inner());
+    let mut least = (Wall::MAX, Wall::MAX);
+    for _ in 0..5 {
+        least.1 = least.1.min(run(many));
+        least.0 = least.0.min(run(few));
+    }
+    least
+}
+
+/// Queries an arrival does not touch add next to nothing to its time: the
+/// tail of an arrival visits the queries that hold a sealed record or got
+/// an output, not every registered one.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "a timing: release builds only")]
+fn idle_siblings_cost_an_arrival_next_to_nothing() {
+    let reg = registry();
+    let stream = keyed_stream(&reg, 1, 50_000);
+    let queries = parsed(&reg, &with_idle_siblings(1_024));
+    let (few, many) = least_of_five(64, 1_024, |siblings| {
+        let (mut engine, _) = registered(&queries[..=siblings]);
+        let started = Instant::now();
+        let outputs = stream.chunks(256).map(|chunk| {
+            let per_item = engine.ingest_batch(chunk);
+            per_item.iter().map(Vec::len).sum::<usize>()
+        });
+        assert!(outputs.sum::<usize>() > 10_000, "the reached query fires");
+        started.elapsed()
+    });
+    assert!(
+        many <= 2 * few,
+        "50k arrivals took {few:?} beside 64 siblings, {many:?} beside 1,024"
+    );
+}
+
+/// Registering costs each query the same: twice the siblings take about
+/// twice as long, where recompiling the plan per registration made it four
+/// times.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "a timing: release builds only")]
+fn registration_time_is_linear_in_the_siblings() {
+    let reg = registry();
+    let queries = parsed(&reg, &with_idle_siblings(1_024));
+    let (half, all) = least_of_five(512, 1_024, |siblings| registered(&queries[..=siblings]).1);
+    assert!(
+        all <= 3 * half,
+        "512 siblings registered in {half:?}, 1,024 in {all:?}"
+    );
 }

@@ -15,7 +15,7 @@ mod common;
 
 use common::drive;
 use sequin::engine::{
-    DisorderPolicy, EngineConfig, NativeEngine, OutputItem, ShardedEngine,
+    DisorderPolicy, EngineConfig, MultiEngine, NativeEngine, OutputItem, ShardedEngine,
     Strategy as EngineStrategy,
 };
 use sequin::netsim::{delay_shuffle, measure_disorder};
@@ -148,6 +148,75 @@ fn sharded_batched_ingestion_is_byte_identical_too() {
         }
         got.extend(sequin::engine::Engine::finish(&mut pool));
         assert_eq!(got, want, "case {case}: batch={batch} query {query}");
+    }
+}
+
+/// A family of 64 prefix siblings with a negated middle slot — half keyed
+/// by an equality chain, so their work spreads over the workers, half not,
+/// so it sits on worker 0; the negated type is broadcast — under all four
+/// policies, a third of them registered mid-stream. Two workers hand their
+/// outputs back per (arrival, query) for the pool to merge: item by item,
+/// per-item and batched, they are the outputs of one worker.
+#[test]
+fn a_holding_family_on_two_workers_equals_one_item_by_item() {
+    let reg = registry();
+    let policies = [
+        DisorderPolicy::Conservative,
+        DisorderPolicy::Speculative,
+        DisorderPolicy::Lazy,
+        DisorderPolicy::AdaptiveSlack { accuracy: 90 },
+    ];
+    let sibling = |i: usize| {
+        let chain = ["", "a.tag == b.tag AND b.tag == c.tag AND "][i % 2];
+        let (floor, window) = (i % 5, 30 + 5 * (i / 10));
+        let text = format!(
+            "PATTERN SEQ(T0 a, !T3 n, T1 b, T2 c) WHERE {chain}c.x >= {floor} WITHIN {window}"
+        );
+        (parse(&text, &reg).unwrap(), policies[(i / 2) % 4])
+    };
+    let family: Vec<_> = (0..64).map(sibling).collect();
+
+    let mut rng = Rng::seed_from_u64(0x5EED_0015);
+    let raw: Vec<(u8, u8, u8, u8)> = (0..600)
+        .map(|_| {
+            (
+                rng.gen_range(0u8..4),
+                rng.gen_range(1u8..4),
+                rng.gen_range(0u8..5),
+                rng.gen_range(0u8..3),
+            )
+        })
+        .collect();
+    let stream = delay_shuffle(&build_events(&reg, &raw), 0.35, 40, 7);
+    let k = measure_disorder(&stream).max_lateness.ticks().max(1);
+    let cfg = EngineConfig::with_k(Duration::new(k));
+
+    for batch in [1usize, 17] {
+        let host = |shards| MultiEngine::new(EngineStrategy::Native, cfg, shards);
+        let (mut one, mut two) = (host(1), host(2));
+        let (mut outputs, mut ids) = (0, Vec::new());
+        for (ix, chunk) in stream.chunks(batch).enumerate() {
+            let joining = match ix * batch {
+                0 => &family[..40],
+                at if (300..300 + batch).contains(&at) => &family[40..],
+                _ => &[],
+            };
+            for (q, policy) in joining {
+                one.register(Arc::clone(q), *policy);
+                ids.push(two.register(Arc::clone(q), *policy));
+            }
+            let want = one.ingest_batch(chunk);
+            outputs += want.iter().map(Vec::len).sum::<usize>();
+            assert_eq!(two.ingest_batch(chunk), want, "batch {ix} of {batch}");
+        }
+        assert_eq!(two.finish(), one.finish(), "finish, batches of {batch}");
+        assert_eq!(one.plan_metrics().epochs, 4, "two batches, two classes");
+        assert!(outputs > 1000, "the family fires: {outputs}");
+        let spread = two.per_shard_stats(ids[1]);
+        assert!(
+            spread.iter().all(|s| s.insertions > 0),
+            "keyed work spreads"
+        );
     }
 }
 
