@@ -71,6 +71,21 @@
 //! gives it output ([`writing`]). After every arrival no query holds a
 //! record at or below its watermark, exactly as if each had been asked.
 //!
+//! ## Owed counters
+//!
+//! A per-query counter of work a plan node does once for all the queries
+//! sharing it is counted once, by the node, and *owed* to them: a pooled
+//! stack owes each (query, slot) reading it its offers, pre-filter
+//! evaluations, insertions and purges; a prefix group owes each member the
+//! steps of its shared walk; an epoch owes each of its queries its purge
+//! rounds and late arrivals. [`SharedMultiEngine::fold`] is the one place
+//! they meet a query's own [`RuntimeStats`]. What a group walk counts per
+//! member — bind checks, a fork's candidates — is tallied for the members
+//! it touched and added once per walk. So an arrival costs the nodes it
+//! changes, not the queries that share them: a partial is forked only to
+//! the group's *live* members, whose final stack holds an instance, and a
+//! purge round visits only its epoch's non-empty stacks.
+//!
 //! ## Key slices
 //!
 //! A worker of a pool of several runs the same loop over the same plan
@@ -92,7 +107,9 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
-use sequin_plan::{compile, BindEntry, PrefixGroup, QuerySpec, RouteEntry, SharedPlan, SlotSig};
+use sequin_plan::{
+    compile, BindEntry, GroupMember, PrefixGroup, QuerySpec, RouteEntry, SharedPlan, SlotSig,
+};
 use sequin_query::{with_binding, Query};
 use sequin_runtime::{purge, ConstructOpts, Constructor, KeyedStack, PartitionKey, RuntimeStats};
 use sequin_types::codec::fnv1a64;
@@ -231,6 +248,17 @@ struct EpochState {
     /// Active query indices in this epoch, ascending (a registration
     /// appends, a recompile rebuilds).
     queries: Vec<usize>,
+    /// Those of [`EpochState::queries`] that negate a type: whose negative
+    /// indexes a purge round purges.
+    negating: Vec<usize>,
+    /// This epoch's pooled stacks that hold an instance, in no particular
+    /// order: what a purge round visits.
+    nonempty: Vec<usize>,
+    /// Purge rounds, owed to every query of the epoch.
+    purge_runs: u64,
+    /// Arrivals beyond the disorder bound, owed to every query of the
+    /// epoch.
+    late_drops: u64,
     /// The seal-deadline index: a min-heap of `(deadline, query)`, in which
     /// every query of this epoch that holds a record — a pending match, or
     /// an emitted one still open to retraction — has one *live* entry, at
@@ -253,7 +281,19 @@ impl EpochState {
             wm,
             seq,
             queries: Vec::new(),
+            negating: Vec::new(),
+            nonempty: Vec::new(),
+            purge_runs: 0,
+            late_drops: 0,
             due: BinaryHeap::new(),
+        }
+    }
+
+    /// Lists active query `qix` in this epoch.
+    fn enter(&mut self, qix: usize, query: &Query) {
+        self.queries.push(qix);
+        if query.has_negation() {
+            self.negating.push(qix);
         }
     }
 
@@ -294,9 +334,10 @@ struct QueryState {
     /// The deadline of this query's live entry in its epoch's
     /// [`EpochState::due`]; `None` while it holds nothing.
     due: Option<Timestamp>,
-    /// Scratch flag: this arrival routed to at least one of the query's
-    /// stacks (cleared at the end of every arrival).
-    routed: bool,
+    /// Offers of one arrival to a second (third, …) of this query's slots.
+    /// Each slot's pooled stack owes the query its offers, so the fold
+    /// subtracts these to keep `events_routed` once per arrival.
+    repeat_offers: u64,
     active: bool,
 }
 
@@ -315,8 +356,106 @@ impl QueryState {
             stats: RuntimeStats::default(),
             phased: PhasedOutput::default(),
             due: None,
-            routed: false,
+            repeat_offers: 0,
             active: true,
+        }
+    }
+}
+
+/// What a pooled stack counts once for every (query, slot) reading it.
+#[derive(Debug, Default, Clone, Copy)]
+struct StackOwed {
+    /// Arrivals offered to the stack (past a worker's slice check), each
+    /// an `events_routed` of the readers.
+    offered: u64,
+    /// The pre-filter's `predicate_evals`.
+    predicate_evals: u64,
+    insertions: u64,
+    ooo_insertions: u64,
+    max_stack_depth: u64,
+    purged: u64,
+}
+
+/// A prefix group's run-time state beside its plan node.
+#[derive(Debug, Default)]
+struct GroupState {
+    /// The members whose final stack holds an instance: the only ones a
+    /// partial can complete, so the only ones it is forked to.
+    live: MemberSet,
+    /// The shared walk's `dfs_steps`, owed to every member.
+    dfs_steps: u64,
+}
+
+/// A set of group member indices, one bit each, iterated ascending.
+#[derive(Debug, Default)]
+struct MemberSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl MemberSet {
+    /// Room for `members` members, without allocating once an arrival
+    /// sets one.
+    fn fit(&mut self, members: usize) {
+        self.words.resize(members.div_ceil(64), 0);
+    }
+
+    fn insert(&mut self, mx: usize) {
+        let (word, bit) = (&mut self.words[mx / 64], 1 << (mx % 64));
+        self.len += usize::from(*word & bit == 0);
+        *word |= bit;
+    }
+
+    fn remove(&mut self, mx: usize) {
+        let (word, bit) = (&mut self.words[mx / 64], 1 << (mx % 64));
+        self.len -= usize::from(*word & bit != 0);
+        *word &= !bit;
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                let bit = (rest != 0).then(|| rest.trailing_zeros() as usize)?;
+                rest &= rest - 1;
+                Some(w * 64 + bit)
+            })
+        })
+    }
+}
+
+/// One group walk's per-member counts — `[predicate_evals, dfs_steps,
+/// matches_constructed]` — and the members that have any. The walk's end
+/// adds those members' counts to their counters and re-zeroes only them.
+#[derive(Debug, Default)]
+struct Tally {
+    counts: Vec<[u64; 3]>,
+    touched: Vec<usize>,
+}
+
+impl Tally {
+    /// Member `mx`'s counts, which the caller then adds to.
+    fn of(&mut self, mx: usize) -> &mut [u64; 3] {
+        if self.counts.len() <= mx {
+            self.counts.resize(mx + 1, [0; 3]);
+        }
+        if self.counts[mx] == [0; 3] {
+            self.touched.push(mx);
+        }
+        &mut self.counts[mx]
+    }
+
+    fn drain_into(&mut self, members: &[GroupMember], states: &mut [QueryState]) {
+        for mx in self.touched.drain(..) {
+            let [evals, dfs, constructed] = std::mem::take(&mut self.counts[mx]);
+            let stats = &mut states[members[mx].query].stats;
+            stats.predicate_evals += evals;
+            stats.dfs_steps += dfs;
+            stats.matches_constructed += constructed;
         }
     }
 }
@@ -356,21 +495,25 @@ pub struct SharedMultiEngine {
     /// Physical stacks, parallel to `plan.stacks`, each indexed by its
     /// signature's partition field.
     stacks: Vec<KeyedStack>,
+    /// What each of `stacks` owes every (query, slot) reading it.
+    owed: Vec<StackOwed>,
+    /// Parallel to `plan.groups`.
+    groups: Vec<GroupState>,
     states: Vec<QueryState>,
     epochs: Vec<EpochState>,
     /// Epochs accepting same-position registrations, one per watermark
     /// class (cleared once an item has been ingested since the last
-    /// registration).
+    /// registration). Nothing has been inserted into, or owed by, their
+    /// stacks and groups yet.
     open_epochs: Vec<(WmClass, usize)>,
     /// Unspent [`EngineConfig::retraction_drop`] sabotage, across all
     /// queries; not snapshotted.
     retraction_drop: u64,
     counters: PlanMetrics,
-    scratch_marked: Vec<usize>,
     scratch_stamped: Vec<EventRef>,
     scratch_raw: Vec<Vec<EventRef>>,
-    /// A group walk's four per-member tallies (see `group_construct`).
-    scratch_tallies: [Vec<u64>; 4],
+    /// A group walk's bind-check and fork tallies (see `group_construct`).
+    scratch_tallies: [Tally; 2],
     scratch_forked: Vec<(usize, Vec<EventRef>)>,
     /// The queries this arrival gave output, in the order it first did
     /// (see [`writing`]); drained, sorted, when the outputs are collected.
@@ -413,12 +556,13 @@ impl SharedMultiEngine {
             specs: Vec::new(),
             plan: SharedPlan::new(config.partitioned),
             stacks: Vec::new(),
+            owed: Vec::new(),
+            groups: Vec::new(),
             states: Vec::new(),
             epochs: Vec::new(),
             open_epochs: Vec::new(),
             retraction_drop: config.retraction_drop,
             counters: PlanMetrics::default(),
-            scratch_marked: Vec::new(),
             scratch_stamped: Vec::new(),
             scratch_raw: Vec::new(),
             scratch_tallies: Default::default(),
@@ -485,16 +629,27 @@ impl SharedMultiEngine {
             epoch,
             active: true,
         };
-        let pooled = self.plan.stacks.len();
+        let (qix, pooled) = (self.specs.len(), self.plan.stacks.len());
         self.plan.attach(&spec);
         let fresh = self.plan.stacks[pooled..].iter();
         self.stacks
             .extend(fresh.map(|node| KeyedStack::new(node.sig.partition)));
-        self.epochs[epoch].queries.push(self.specs.len());
+        self.owed
+            .resize(self.plan.stacks.len(), StackOwed::default());
+        self.groups
+            .resize_with(self.plan.groups.len(), GroupState::default);
+        // the epoch is open, so its stacks are empty and the member joins
+        // its group dead
+        if let Some(gix) = self.plan.queries[qix].group {
+            self.groups[gix]
+                .live
+                .fit(self.plan.groups[gix].members.len());
+        }
+        self.epochs[epoch].enter(qix, &query);
         self.specs.push(spec);
         self.states
             .push(QueryState::new(query, epoch, policy, &self.config));
-        QueryId::new(self.specs.len() - 1)
+        QueryId::new(qix)
     }
 
     /// The policy a query was registered under.
@@ -528,6 +683,11 @@ impl SharedMultiEngine {
     /// survive; new signatures start empty; orphaned signatures are
     /// dropped).
     fn recompile(&mut self) {
+        // what the old plan's nodes owe is paid into each query's own
+        // counters first: the nodes, and who reads them, change
+        for qix in 0..self.plan.queries.len() {
+            self.states[qix].stats = self.fold(qix);
+        }
         let plan = compile(&self.specs, self.config.partitioned);
         let old_plan = std::mem::take(&mut self.plan);
         let mut old_stacks: Vec<Option<KeyedStack>> = std::mem::take(&mut self.stacks)
@@ -551,12 +711,71 @@ impl SharedMultiEngine {
         self.stacks = stacks;
         for ep in &mut self.epochs {
             ep.queries.clear();
+            ep.negating.clear();
         }
         for (qix, spec) in self.specs.iter().enumerate() {
             if spec.active {
-                self.epochs[spec.epoch].queries.push(qix);
+                self.epochs[spec.epoch].enter(qix, &spec.query);
             }
         }
+        self.sync_nodes();
+    }
+
+    /// Derives from the stacks as they stand what the evaluator keeps
+    /// beside the plan's nodes — each epoch's non-empty stacks, each
+    /// group's live members — with nothing owed by any node.
+    fn sync_nodes(&mut self) {
+        self.owed = vec![StackOwed::default(); self.plan.stacks.len()];
+        let fresh = |g: &PrefixGroup| {
+            let mut state = GroupState::default();
+            state.live.fit(g.members.len());
+            state
+        };
+        self.groups = self.plan.groups.iter().map(fresh).collect();
+        for st in &mut self.states {
+            st.repeat_offers = 0;
+        }
+        for ep in &mut self.epochs {
+            ep.nonempty.clear();
+            (ep.purge_runs, ep.late_drops) = (0, 0);
+        }
+        for (six, node) in self.plan.stacks.iter().enumerate() {
+            if !self.stacks[six].is_empty() {
+                self.epochs[node.sig.epoch].nonempty.push(six);
+                for &(gix, mx) in &node.finals {
+                    self.groups[gix].live.insert(mx);
+                }
+            }
+        }
+    }
+
+    /// Query `qix`'s operator counters: what it counts itself, plus what
+    /// the plan nodes it reads owe it — each slot's pooled stack, its
+    /// group's shared walk, its epoch — less its repeat offers. The one
+    /// function owed counters are read through.
+    fn fold(&self, qix: usize) -> RuntimeStats {
+        let (st, node) = (&self.states[qix], &self.plan.queries[qix]);
+        let mut stats = st.stats;
+        if !node.active {
+            return stats;
+        }
+        for &six in &node.stack_of_slot {
+            let owed = &self.owed[six];
+            stats.events_routed += owed.offered;
+            stats.predicate_evals += owed.predicate_evals;
+            stats.insertions += owed.insertions;
+            stats.ooo_insertions += owed.ooo_insertions;
+            stats.max_stack_depth = stats.max_stack_depth.max(owed.max_stack_depth);
+            stats.purged += owed.purged;
+        }
+        stats.events_routed -= st.repeat_offers;
+        if let Some(gix) = node.group {
+            stats.dfs_steps += self.groups[gix].dfs_steps;
+        }
+        let ep = &self.epochs[st.epoch];
+        stats.purge_runs += ep.purge_runs;
+        stats.late_drops += ep.late_drops;
+        stats
     }
 
     /// Ingests one arrival; outputs are tagged per query in registration
@@ -632,12 +851,12 @@ impl SharedMultiEngine {
 
     /// Per-query operator statistics, in registration order.
     pub fn stats(&self) -> Vec<RuntimeStats> {
-        self.states.iter().map(|s| s.stats).collect()
+        (0..self.states.len()).map(|qix| self.fold(qix)).collect()
     }
 
     /// One query's operator statistics.
     pub fn query_stats(&self, id: QueryId) -> RuntimeStats {
-        self.states[id.index()].stats
+        self.fold(id.index())
     }
 
     /// Plan metrics (see [`PlanMetrics`]).
@@ -747,9 +966,7 @@ impl SharedMultiEngine {
         for ep in &mut self.epochs {
             ep.seq = ep.seq.next();
             if ep.wm.observe_event(ts) && primary {
-                for &qix in &ep.queries {
-                    self.states[qix].stats.late_drops += 1;
-                }
+                ep.late_drops += 1;
             }
         }
         if let Some(event) = event {
@@ -813,53 +1030,40 @@ impl SharedMultiEngine {
             });
         }
 
-        let mut marked = std::mem::take(&mut self.scratch_marked);
         for &six in &entry.stacks {
             let node = &plan.stacks[six];
             let ev = &stamped[node.sig.epoch];
-            if self
-                .slice
-                .is_some_and(|slice| !slice.owns_event(&self.stacks[six], ev))
-            {
+            if !self.offered(six, ev) {
                 continue;
             }
             // an arrival that reaches a query's stack counts as routed for
-            // that query even if pre-filters reject it
-            for r in &node.refs {
-                if !self.states[r.query].routed {
-                    self.states[r.query].routed = true;
-                    marked.push(r.query);
-                }
-            }
-            // predicate pushdown: the slot's local predicates run once,
-            // short-circuit accounting attributed to every referencing
-            // (query, slot)
+            // that query even if pre-filters reject it. The stack counts
+            // for every (query, slot) reading it, and so does predicate
+            // pushdown: the slot's local predicates run once
+            let owed = &mut self.owed[six];
+            owed.offered += 1;
             if !node.local_preds.is_empty() {
-                let failed = with_binding(node.local_components, |binding| {
-                    binding[node.local_comp] = Some(ev);
-                    let mut preds = node.local_preds.iter();
-                    preds.position(|pred| pred.eval(binding) != Some(true))
-                });
-                let evals = failed.map_or(node.local_preds.len(), |ix| ix + 1) as u64;
-                for r in &node.refs {
-                    self.states[r.query].stats.predicate_evals += evals;
-                }
+                let failed = node.first_failing(ev);
+                owed.predicate_evals += failed.map_or(node.local_preds.len(), |ix| ix + 1) as u64;
                 if failed.is_some() {
                     continue;
                 }
             }
             // a duplicate delivery, or an event a keyed slot cannot key (a
             // float), enters no stack and completes nothing
-            let Some((pos, depth)) = self.stacks[six].insert(Arc::clone(ev)) else {
+            let stack = &mut self.stacks[six];
+            let was_empty = stack.is_empty();
+            let Some((pos, depth)) = stack.insert(Arc::clone(ev)) else {
                 continue;
             };
-            for r in &node.refs {
-                let st = &mut self.states[r.query].stats;
-                st.insertions += 1;
-                if pos + 1 != depth {
-                    st.ooo_insertions += 1;
+            owed.insertions += 1;
+            owed.ooo_insertions += u64::from(pos + 1 != depth);
+            owed.max_stack_depth = owed.max_stack_depth.max(depth as u64);
+            if was_empty {
+                self.epochs[node.sig.epoch].nonempty.push(six);
+                for &(gix, mx) in &node.finals {
+                    self.groups[gix].live.insert(mx);
                 }
-                st.max_stack_depth = st.max_stack_depth.max(depth as u64);
             }
             for &(gix, pos) in &node.shared_anchors {
                 self.group_construct(plan, gix, pos, ev);
@@ -868,13 +1072,20 @@ impl SharedMultiEngine {
                 self.plain_construct(plan, r.query, r.slot, ev);
             }
         }
-        for qix in marked.drain(..) {
-            self.states[qix].routed = false;
-            self.states[qix].stats.events_routed += 1;
+        for (qix, stacks) in &entry.multi_slot {
+            let offers = stacks.iter().filter(|&&six| self.offered(six, event));
+            self.states[*qix].repeat_offers += (offers.count() as u64).saturating_sub(1);
         }
-        self.scratch_marked = marked;
         stamped.clear();
         self.scratch_stamped = stamped;
+    }
+
+    /// Whether this evaluator is offered `event` for pooled stack `six`:
+    /// always, unless it is a pool's worker and another owns the event's
+    /// key there.
+    fn offered(&self, six: usize, event: &EventRef) -> bool {
+        self.slice
+            .is_none_or(|slice| slice.owns_event(&self.stacks[six], event))
     }
 
     /// Per-query construction for anchors outside any shared prefix walk:
@@ -929,24 +1140,17 @@ impl SharedMultiEngine {
         let g = &plan.groups[gix];
         let stacks: &[KeyedStack] = &self.stacks;
         let key = stacks[g.prefix_stacks[anchor_pos]].key_of(anchor);
-        // per-member tallies and the forked matches live in the engine's
-        // scratch, so an anchor allocates nothing the matches do not
-        let zeroed = |mut tally: Vec<u64>| {
-            tally.clear();
-            tally.resize(g.members.len(), 0);
-            tally
-        };
-        let [bind_evals, evals, dfs, constructed] = std::mem::take(&mut self.scratch_tallies);
-        let mut bind_evals = zeroed(bind_evals);
+        // the tallies and the forked matches live in the engine's scratch,
+        // so an anchor allocates nothing the matches do not
+        let [mut bind_tally, tally] = std::mem::take(&mut self.scratch_tallies);
         let mut walker = GroupWalker {
             g,
             plan,
             stacks,
+            live: &self.groups[gix].live,
             opts: self.config.construct,
             key: key.as_ref(),
-            member_evals: zeroed(evals),
-            member_dfs: zeroed(dfs),
-            member_constructed: zeroed(constructed),
+            tally,
             partials: 0,
             forked: std::mem::take(&mut self.scratch_forked),
         };
@@ -957,19 +1161,22 @@ impl SharedMultiEngine {
             anchor_pos,
             anchor,
             |pos| stacks[g.prefix_stacks[pos]].scan(key.as_ref()),
-            |binding, pos| bind_check(g, binding, pos, &mut bind_evals),
+            |binding, pos| bind_check(g, binding, pos, &mut bind_tally),
             |binding| walker.fork(binding),
             &mut shared_dfs,
         );
-        self.counters.shared_partials += walker.partials;
-        self.counters.fanout_outputs += walker.forked.len() as u64;
-        for (mx, member) in g.members.iter().enumerate() {
-            let st = &mut self.states[member.query].stats;
-            st.dfs_steps += shared_dfs + walker.member_dfs[mx];
-            st.predicate_evals += bind_evals[mx] + walker.member_evals[mx];
-            st.matches_constructed += walker.member_constructed[mx];
-        }
-        for (mx, events) in walker.forked.drain(..) {
+        let GroupWalker {
+            mut tally,
+            partials,
+            mut forked,
+            ..
+        } = walker;
+        self.counters.shared_partials += partials;
+        self.counters.fanout_outputs += forked.len() as u64;
+        self.groups[gix].dfs_steps += shared_dfs;
+        bind_tally.drain_into(&g.members, &mut self.states);
+        tally.drain_into(&g.members, &mut self.states);
+        for (mx, events) in forked.drain(..) {
             let qix = g.members[mx].query;
             let st = &mut self.states[qix];
             let ep = &mut self.epochs[st.epoch];
@@ -983,13 +1190,8 @@ impl SharedMultiEngine {
                 ep.hold(qix, st, deadline);
             }
         }
-        self.scratch_forked = walker.forked;
-        self.scratch_tallies = [
-            bind_evals,
-            walker.member_evals,
-            walker.member_dfs,
-            walker.member_constructed,
-        ];
+        self.scratch_forked = forked;
+        self.scratch_tallies = [bind_tally, tally];
     }
 
     /// Emits the pending matches whose regions sealed and forgets sealed
@@ -1019,11 +1221,14 @@ impl SharedMultiEngine {
         }
     }
 
-    /// Purges one epoch's pooled stacks and its queries' negative
-    /// indexes. A pooled stack's threshold is the minimum over its
-    /// referencing (query, slot) anchors, so it retains a superset of
-    /// each query's own state — output-inert for in-bound streams, since
-    /// every query's scan ranges stay above its own threshold.
+    /// Purges one epoch's non-empty pooled stacks and its negating
+    /// queries' negative indexes. A pooled stack's threshold is the
+    /// minimum over its referencing (query, slot) anchors — its
+    /// [`sequin_plan::StackNode::prefix_window`] says which — so it
+    /// retains a superset of each query's own state: output-inert for
+    /// in-bound streams, since every query's scan ranges stay above its
+    /// own threshold. A stack the purge empties leaves the epoch's list
+    /// and its final-slot members' groups' live sets.
     ///
     /// Every worker of a pool purges on the same cadence: the round itself
     /// and the (replicated) negative-index purge are attributed by the
@@ -1031,42 +1236,35 @@ impl SharedMultiEngine {
     /// where they happen.
     fn run_purge(&mut self, eix: usize) {
         let primary = self.primary();
+        let ep = &mut self.epochs[eix];
         if primary {
-            for i in 0..self.epochs[eix].queries.len() {
-                let qix = self.epochs[eix].queries[i];
-                self.states[qix].stats.purge_runs += 1;
-            }
+            ep.purge_runs += 1;
         }
-        let wm = self.epochs[eix].wm.current();
+        let wm = ep.wm.current();
         let skew = Duration::new(self.config.purge_horizon_skew);
-        let plan = std::mem::take(&mut self.plan);
-        for (six, node) in plan.stacks.iter().enumerate() {
-            if node.sig.epoch != eix || self.stacks[six].is_empty() {
-                continue;
-            }
-            let mut threshold: Option<Timestamp> = None;
-            for r in &node.refs {
-                let q = &plan.queries[r.query].query;
-                let t = if r.slot + 1 == q.positive_len() {
-                    purge::final_threshold(wm)
-                } else {
-                    purge::prefix_threshold(wm, q.window())
-                }
-                .saturating_add(skew);
-                threshold = Some(threshold.map_or(t, |prev| prev.min(t)));
-            }
-            if let Some(t) = threshold {
-                let removed = self.stacks[six].purge_before(t) as u64;
-                if removed > 0 {
-                    for r in &node.refs {
-                        self.states[r.query].stats.purged += removed;
-                    }
+        let (plan, stacks, owed, groups) = (
+            &self.plan,
+            &mut self.stacks,
+            &mut self.owed,
+            &mut self.groups,
+        );
+        ep.nonempty.retain(|&six| {
+            let node = &plan.stacks[six];
+            let threshold = match node.prefix_window {
+                Some(window) => purge::prefix_threshold(wm, window),
+                None => purge::final_threshold(wm),
+            };
+            let stack = &mut stacks[six];
+            owed[six].purged += stack.purge_before(threshold.saturating_add(skew)) as u64;
+            if stack.is_empty() {
+                for &(gix, mx) in &node.finals {
+                    groups[gix].live.remove(mx);
                 }
             }
-        }
-        self.plan = plan;
-        for i in 0..self.epochs[eix].queries.len() {
-            let st = &mut self.states[self.epochs[eix].queries[i]];
+            !stack.is_empty()
+        });
+        for &qix in &ep.negating {
+            let st = &mut self.states[qix];
             match primary {
                 true => st.settle.purge_negatives(wm, skew, &mut st.stats),
                 false => st
@@ -1123,7 +1321,7 @@ impl SharedMultiEngine {
         // an unregistered query owns no plan nodes and holds nothing
         let mut stacks: Vec<Vec<&KeyedStack>> = vec![Vec::new(); st.query.positive_len()];
         for p in parts {
-            stats += p.states[qix].stats;
+            stats += p.fold(qix);
             let pooled = &p.plan.queries[qix].stack_of_slot;
             for (slot, &six) in stacks.iter_mut().zip(pooled) {
                 slot.push(&p.stacks[six]);
@@ -1224,12 +1422,12 @@ impl SharedMultiEngine {
             st.settle = rq.settle;
             st.stats = rq.stats;
             st.phased = PhasedOutput::default();
-            st.routed = false;
             // the seal-deadline index is rebuilt from what each query holds
             st.due = st.settle.earliest_held().filter(|_| st.active);
             let due = &mut self.epochs[st.epoch].due;
             due.extend(st.due.map(|deadline| Reverse((deadline, qix))));
         }
+        self.sync_nodes();
         Ok(())
     }
 }
@@ -1242,42 +1440,42 @@ impl SharedMultiEngine {
 /// level walk over the prefix positions, whose bounds and order are
 /// identical for every member: evaluates the common predicates
 /// referencing the just-bound position once, on the representative's
-/// binding, then replays each member's declaration-order short-circuit
-/// from the compiled [`sequin_plan::BindPlan`] against the observed first
-/// failure, into `member_evals`.
+/// binding, then replays the declaration-order short-circuit of each
+/// member with predicates there, from the compiled
+/// [`sequin_plan::BindPlan`], against the observed first failure, into
+/// `tally`.
 fn bind_check(
     g: &PrefixGroup,
     binding: &[Option<&EventRef>],
     pos: usize,
-    member_evals: &mut [u64],
+    tally: &mut Tally,
 ) -> bool {
     let bp = &g.binds[pos];
     let touching = bp.common_touching.iter();
     let failed = touching
         .copied()
         .find(|&ci| g.common[ci].eval(binding) == Some(false));
-    for (mx, entries) in bp.per_member.iter().enumerate() {
-        for e in entries {
-            member_evals[mx] += 1;
-            if matches!(e, BindEntry::Common(ci) if failed == Some(*ci)) {
-                break;
-            }
-        }
+    for (mx, entries) in &bp.per_member {
+        let stop = |e: &BindEntry| matches!(e, BindEntry::Common(ci) if failed == Some(*ci));
+        let evals = entries
+            .iter()
+            .position(stop)
+            .map_or(entries.len(), |ix| ix + 1);
+        tally.of(*mx)[0] += evals as u64;
     }
     failed.is_none()
 }
 
 /// Where a group's complete prefix partials go: each is forked to every
-/// member's final-slot scan.
+/// live member's final-slot scan.
 struct GroupWalker<'a> {
     g: &'a PrefixGroup,
     plan: &'a SharedPlan,
     stacks: &'a [KeyedStack],
+    live: &'a MemberSet,
     opts: ConstructOpts,
     key: Option<&'a PartitionKey>,
-    member_evals: Vec<u64>,
-    member_dfs: Vec<u64>,
-    member_constructed: Vec<u64>,
+    tally: Tally,
     partials: u64,
     /// `(member index, positive-order events)` in enumeration order.
     forked: Vec<(usize, Vec<EventRef>)>,
@@ -1285,34 +1483,35 @@ struct GroupWalker<'a> {
 
 impl GroupWalker<'_> {
     /// A complete prefix partial, bound by the representative's
-    /// components: scan each member's final-slot stack (the innermost
-    /// level of the member's own walk).
+    /// components: scan each live member's final-slot stack (the
+    /// innermost level of the member's own walk), in member order.
     fn fork(&mut self, partial: &[Option<&EventRef>]) {
         self.partials += 1;
-        let prefix_len = self.g.prefix_len();
-        let chosen = |p: usize| partial[self.g.rep_comp_of_pos[p]].expect("prefix complete");
+        if self.live.is_empty() {
+            return;
+        }
+        let (g, live) = (self.g, self.live);
+        let prefix_len = g.prefix_len();
+        let chosen = |p: usize| partial[g.rep_comp_of_pos[p]].expect("prefix complete");
         let (first_ts, prev_ts) = (chosen(0).ts(), chosen(prefix_len - 1).ts());
-        for (mx, member) in self.g.members.iter().enumerate() {
-            // most members have no candidate for most partials: decide that
-            // from the stack alone, before the member's query is touched
+        for mx in live.iter() {
+            // a live member's stack may still hold nothing under this key:
+            // decide that before the member's query is touched
+            let member = &g.members[mx];
             let stack = self.stacks[member.final_stack].scan(self.key);
-            if stack.is_empty() {
-                continue;
-            }
-            let (lo, hi, candidates) =
-                self.opts
-                    .suffix_level(stack, self.g.window, first_ts, prev_ts);
+            let (lo, hi, candidates) = self.opts.suffix_level(stack, g.window, first_ts, prev_ts);
             if candidates.is_empty() {
                 continue;
             }
             let mq = &self.plan.queries[member.query].query;
             let final_comp = mq.positive_comp(prefix_len);
+            let [evals, dfs, constructed] = self.tally.of(mx);
             with_binding(mq.components().len(), |binding| {
                 for p in 0..prefix_len {
                     binding[mq.positive_comp(p)] = Some(chosen(p));
                 }
                 for ev in candidates.iter() {
-                    self.member_dfs[mx] += 1;
+                    *dfs += 1;
                     if !self.opts.window_cutoff && (ev.ts() < lo || ev.ts() >= hi) {
                         continue;
                     }
@@ -1320,7 +1519,7 @@ impl GroupWalker<'_> {
                     let mut pass = true;
                     for pred in mq.predicates() {
                         if pred.mask().contains(final_comp) {
-                            self.member_evals[mx] += 1;
+                            *evals += 1;
                             if pred.eval(binding) == Some(false) {
                                 pass = false;
                                 break;
@@ -1328,7 +1527,7 @@ impl GroupWalker<'_> {
                         }
                     }
                     if pass {
-                        self.member_constructed[mx] += 1;
+                        *constructed += 1;
                         let mut events: Vec<EventRef> =
                             (0..prefix_len).map(|p| Arc::clone(chosen(p))).collect();
                         events.push(Arc::clone(ev));
@@ -1377,7 +1576,8 @@ mod tests {
 
     /// A mixed query set exercising prefix sharing, stack pooling, local
     /// predicates, negation, and partitioning — with `N` one query's
-    /// negation and another's (keyed) positive slot.
+    /// negation and another's (keyed) positive slot — and an arrival
+    /// offered to two slots of one query: on one pooled stack, and on two.
     fn query_set(reg: &TypeRegistry) -> Vec<Arc<Query>> {
         [
             "PATTERN SEQ(A a, B b, C c) WITHIN 60",
@@ -1390,6 +1590,8 @@ mod tests {
             "PATTERN SEQ(A p, B q, C r) WITHIN 60",
             "PATTERN SEQ(D d, E e) WHERE d.x < e.x WITHIN 80",
             "PATTERN SEQ(N m, C c) WHERE m.tag == c.tag WITHIN 60",
+            "PATTERN SEQ(A a, A b, D d) WITHIN 60",
+            "PATTERN SEQ(B|C b, C c) WHERE c.x < 500 WITHIN 40",
         ]
         .iter()
         .map(|t| parse(t, reg).unwrap())
@@ -1423,7 +1625,9 @@ mod tests {
         }
     }
 
-    fn run_differential(config: EngineConfig, seed: u64) {
+    /// The plan's per-query counters, after checking outputs and counters
+    /// against each query alone.
+    fn run_differential(config: EngineConfig, seed: u64) -> Vec<RuntimeStats> {
         let reg = registry();
         let queries = query_set(&reg);
         let mut shared = SharedMultiEngine::new(config);
@@ -1450,10 +1654,19 @@ mod tests {
             );
             assert_eq!(s.negated_matches, m.negated_matches, "negated q{qx}");
             assert_eq!(s.late_drops, m.late_drops, "late_drops q{qx}");
-            // max_stack_depth may exceed a plan of one's after a purge:
-            // the pooled threshold (min over refs) retains more
+            assert_eq!(s.predicate_evals, m.predicate_evals, "evals q{qx}");
+            assert_eq!(s.purge_runs, m.purge_runs, "purge_runs q{qx}");
+            // without the window cutoff a walk visits every instance a
+            // stack retains, and the pooled threshold (min over refs)
+            // retains more: the caller pins `dfs_steps` then
+            if config.construct.window_cutoff {
+                assert_eq!(s.dfs_steps, m.dfs_steps, "dfs_steps q{qx}");
+            }
+            // max_stack_depth may exceed a plan of one's after a purge,
+            // for the same reason
             assert!(s.max_stack_depth >= m.max_stack_depth, "max_stack_depth");
         }
+        shared.stats()
     }
 
     #[test]
@@ -1545,7 +1758,17 @@ mod tests {
     fn matches_independent_evaluation_without_cutoff() {
         let mut cfg = EngineConfig::default();
         cfg.construct.window_cutoff = false;
-        run_differential(cfg, 8);
+        let dfs: Vec<u64> = run_differential(cfg, 8)
+            .iter()
+            .map(|s| s.dfs_steps)
+            .collect();
+        // the plan's own values, taken on the evaluator that counted per
+        // query (PR 22); those of queries 1, 2, 3, 6 and 10 exceed a plan
+        // of one's, which walks only what its own threshold retained
+        let pinned = [
+            6617, 6006, 1643, 1643, 818, 696, 957, 6617, 1154, 409, 6013, 1605,
+        ];
+        assert_eq!(dfs, pinned);
     }
 
     #[test]

@@ -134,6 +134,16 @@ impl Recorder {
         q.deferral.record(deferral);
     }
 
+    /// For a caller about to record `n` spans in a row: how many of the
+    /// leading ones the ring would not keep — all of them when it keeps
+    /// none — already accounted for ([`TraceRing::skip`]). The caller
+    /// builds and records only the rest.
+    pub fn skip_spans(&mut self, n: u64) -> u64 {
+        let skip = n.saturating_sub(self.ring.capacity() as u64);
+        self.ring.skip(skip);
+        skip
+    }
+
     /// Records a pipeline-step span attributed to `query` (or
     /// [`NO_QUERY`]). No-op when disabled or `count == 0`.
     #[inline]

@@ -189,6 +189,24 @@ impl TraceRing {
         self.buf.push_back(span);
     }
 
+    /// Accounts for `n` spans that would be pushed and then evicted before
+    /// anything reads the ring: their `seq` numbers are spent and they
+    /// count as dropped, but nothing is built or stored. A caller about to
+    /// push more spans than the capacity skips the leading ones this way,
+    /// and the ring ends byte-identical to pushing them all.
+    pub fn skip(&mut self, n: u64) {
+        if self.capacity == 0 {
+            return;
+        }
+        self.next_seq += n;
+        self.dropped += n;
+    }
+
+    /// The most spans the ring holds.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     /// Number of spans currently held.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -268,10 +286,37 @@ mod tests {
         assert_eq!(seqs, vec![2, 3, 4]);
     }
 
+    /// Skipping the spans a run of pushes would evict leaves the ring as
+    /// pushing them all does, whatever it held before the run.
+    #[test]
+    fn skipping_what_would_be_evicted_is_pushing_it() {
+        for (held, run) in [(0u64, 5u64), (2, 3), (3, 4), (1, 9)] {
+            let (mut pushed, mut skipped) = (TraceRing::new(3), TraceRing::new(3));
+            for i in 0..held {
+                pushed.push(span(SpanKind::Route, i));
+                skipped.push(span(SpanKind::Route, i));
+            }
+            let skip = run.saturating_sub(3);
+            skipped.skip(skip);
+            for i in held..held + run {
+                pushed.push(span(SpanKind::Route, i));
+                if i >= held + skip {
+                    skipped.push(span(SpanKind::Route, i));
+                }
+            }
+            assert_eq!(
+                skipped.to_json(),
+                pushed.to_json(),
+                "{held} held, {run} pushed"
+            );
+        }
+    }
+
     #[test]
     fn zero_capacity_records_nothing() {
         let mut ring = TraceRing::new(0);
         ring.push(span(SpanKind::Ingest, 1));
+        ring.skip(4);
         assert!(ring.is_empty());
         assert_eq!(ring.recorded(), 0);
         assert_eq!(

@@ -53,9 +53,9 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use sequin_query::{Expr, Predicate, Query};
+use sequin_query::{with_binding, BinaryOp, Expr, Predicate, Query};
 use sequin_types::codec::fnv1a64;
-use sequin_types::{Duration, EventTypeId, FieldId};
+use sequin_types::{Duration, EventRef, EventTypeId, FieldId, Value};
 
 /// One query as seen by the compiler.
 #[derive(Debug, Clone)]
@@ -107,6 +107,8 @@ pub struct StackNode {
     /// evaluated once per arriving candidate (predicate pushdown). All
     /// refs agree on these by signature equality.
     pub local_preds: Vec<Predicate>,
+    /// The local predicates as one [`Band`], when they have its shape.
+    pub band: Option<Band>,
     /// Representative full-list component index for the local-predicate
     /// binding.
     pub local_comp: usize,
@@ -119,6 +121,109 @@ pub struct StackNode {
     /// Per-query construction anchors not covered by a group (final
     /// slots, ungrouped queries).
     pub plain_refs: Vec<StackRef>,
+    /// `(group index, member index)` of every group member whose final
+    /// slot this stack is.
+    pub finals: Vec<(usize, usize)>,
+    /// The purge shape: the widest window of a ref at a prefix slot, or
+    /// `None` when every ref is a final slot. The stack purges to the
+    /// minimum threshold over its refs, and a prefix threshold never
+    /// exceeds a final one and falls as the window grows, so that minimum
+    /// is this window's prefix threshold when there is one and the final
+    /// threshold otherwise.
+    pub prefix_window: Option<Duration>,
+}
+
+impl StackNode {
+    /// Runs the slot's local predicates on `event` in order, stopping at
+    /// the first that does not hold: its index, or `None` when all hold.
+    /// The evaluations made are that index plus one, or all of them. A
+    /// [`Band`] decides from the one `Int` it reads; any other value is
+    /// evaluated predicate by predicate.
+    pub fn first_failing(&self, event: &EventRef) -> Option<usize> {
+        if let Some(band) = &self.band {
+            if let Some(&Value::Int(v)) = event.field(band.field) {
+                return band.first_failing(v);
+            }
+        }
+        with_binding(self.local_components, |binding| {
+            binding[self.local_comp] = Some(event);
+            let mut preds = self.local_preds.iter();
+            preds.position(|pred| pred.eval(binding) != Some(true))
+        })
+    }
+}
+
+/// A slot's local predicates when every one compares the same field of
+/// the slot's event with an `Int` constant (`c.x >= 3 AND c.x < 4`,
+/// `7 != c.x`). On an `Int` value each is one integer comparison — what
+/// [`Predicate::eval`] computes for two `Int`s — so a band finds the same
+/// first failing predicate, and with it the same evaluation count, from
+/// one read of the field.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Band {
+    /// The field every test reads.
+    field: FieldId,
+    /// Per predicate, in order: `(op, c)` for `value op c`.
+    tests: Vec<(BinaryOp, i64)>,
+}
+
+impl Band {
+    /// The band `preds` form, if they have its shape: each a comparison
+    /// (`== != < <= > >=`) of an attribute with an `Int` constant, on
+    /// either side, all reading one field of one component.
+    pub(crate) fn of(preds: &[Predicate]) -> Option<Band> {
+        let mut read: Option<(usize, FieldId)> = None;
+        let mut tests = Vec::with_capacity(preds.len());
+        for pred in preds {
+            let Expr::Binary { op, lhs, rhs } = pred.expr() else {
+                return None;
+            };
+            let (attr, op, c) = match (&**lhs, &**rhs) {
+                (attr, Expr::Const(Value::Int(c))) => (attr, *op, *c),
+                (Expr::Const(Value::Int(c)), attr) => (attr, mirrored(*op), *c),
+                _ => return None,
+            };
+            let Expr::Attr { comp, field } = *attr else {
+                return None;
+            };
+            if !is_comparison(op) || read.is_some_and(|r| r != (comp, field)) {
+                return None;
+            }
+            read = Some((comp, field));
+            tests.push((op, c));
+        }
+        let (_, field) = read?;
+        Some(Band { field, tests })
+    }
+
+    /// The index of the first test `v` fails, or `None` when it passes
+    /// them all.
+    pub(crate) fn first_failing(&self, v: i64) -> Option<usize> {
+        self.tests.iter().position(|&(op, c)| !match op {
+            BinaryOp::Eq => v == c,
+            BinaryOp::Ne => v != c,
+            BinaryOp::Lt => v < c,
+            BinaryOp::Le => v <= c,
+            BinaryOp::Gt => v > c,
+            _ => v >= c,
+        })
+    }
+}
+
+fn is_comparison(op: BinaryOp) -> bool {
+    use BinaryOp::*;
+    matches!(op, Eq | Ne | Lt | Le | Gt | Ge)
+}
+
+/// `c op x` as `x op' c`.
+fn mirrored(op: BinaryOp) -> BinaryOp {
+    match op {
+        BinaryOp::Lt => BinaryOp::Gt,
+        BinaryOp::Le => BinaryOp::Ge,
+        BinaryOp::Gt => BinaryOp::Lt,
+        BinaryOp::Ge => BinaryOp::Le,
+        other => other,
+    }
 }
 
 /// How one bind step inside a shared prefix walk is accounted for one
@@ -142,10 +247,11 @@ pub struct BindPlan {
     /// Indices into [`PrefixGroup::common`] of predicates referencing the
     /// bound component (evaluated once, on the representative binding).
     pub common_touching: Vec<usize>,
-    /// Per member (in [`PrefixGroup::members`] order): the member's
-    /// predicates referencing the bound component, in the member's own
-    /// declaration order.
-    pub per_member: Vec<Vec<BindEntry>>,
+    /// The members with predicates referencing the bound component,
+    /// ascending by [`PrefixGroup::members`] index: `(member index, those
+    /// predicates in the member's own declaration order)`. A member not
+    /// listed evaluates nothing at this position.
+    pub per_member: Vec<(usize, Vec<BindEntry>)>,
 }
 
 /// One member of a prefix group.
@@ -195,6 +301,11 @@ pub struct RouteEntry {
     pub stacks: Vec<usize>,
     /// Queries with a negation matching this type.
     pub neg_queries: Vec<usize>,
+    /// Queries with more than one positive slot accepting this type, each
+    /// with those slots' pooled stacks (one entry per slot, so a stack
+    /// serving two of them appears twice): one arrival reaching several
+    /// is still one routed event for the query.
+    pub multi_slot: Vec<(usize, Vec<usize>)>,
 }
 
 /// Per-query node of the lowered plan.
@@ -206,6 +317,8 @@ pub struct QueryNode {
     pub epoch: usize,
     /// Pooled stack index per positive slot (empty when inactive).
     pub stack_of_slot: Vec<usize>,
+    /// The [`PrefixGroup`] that walks the query's prefix, if any.
+    pub group: Option<usize>,
     /// False once unregistered.
     pub active: bool,
 }
@@ -396,11 +509,16 @@ impl SharedPlan {
     pub fn attach(&mut self, spec: &QuerySpec) {
         let qix = self.queries.len();
         let q = &spec.query;
+        let last = q.positive_len() - 1;
         let mut stack_of_slot = Vec::new();
         if spec.active {
-            for slot in 0..q.positive_len() {
+            for slot in 0..=last {
                 let six = self.stack_for(slot_sig(q, slot, spec.epoch, self.partitioned), q, slot);
-                self.stacks[six].refs.push(StackRef { query: qix, slot });
+                let node = &mut self.stacks[six];
+                node.refs.push(StackRef { query: qix, slot });
+                if slot < last {
+                    node.prefix_window = node.prefix_window.max(Some(q.window()));
+                }
                 stack_of_slot.push(six);
             }
         }
@@ -408,6 +526,7 @@ impl SharedPlan {
             query: Arc::clone(q),
             epoch: spec.epoch,
             stack_of_slot,
+            group: None,
             active: spec.active,
         });
         if !spec.active {
@@ -419,9 +538,17 @@ impl SharedPlan {
                 negating.push(qix);
             }
         }
+        for ty in q.relevant_types() {
+            let slots = q.slots_for_type(ty);
+            if slots.len() > 1 {
+                let stack_of_slot = &self.queries[qix].stack_of_slot;
+                let stacks = slots.iter().map(|&slot| stack_of_slot[slot]).collect();
+                let entry = self.routing.entry(ty).or_default();
+                entry.multi_slot.push((qix, stacks));
+            }
+        }
         // construction anchors: a grouped query's prefix slots are walked
         // by its group, everything else by the query's own constructor
-        let last = q.positive_len() - 1;
         let grouped = last > 0 && self.join_prefix(qix);
         for slot in 0..=last {
             if !grouped || slot == last {
@@ -443,15 +570,7 @@ impl SharedPlan {
             self.routing.entry(ty).or_default().stacks.push(six);
         }
         self.stack_of_sig.insert(sig.clone(), six);
-        self.stacks.push(StackNode {
-            sig,
-            refs: Vec::new(),
-            local_preds: q.local_predicates(slot).into_iter().cloned().collect(),
-            local_comp: q.positive_comp(slot),
-            local_components: q.components().len(),
-            shared_anchors: Vec::new(),
-            plain_refs: Vec::new(),
-        });
+        self.stacks.push(StackNode::new(sig, q, slot));
         six
     }
 
@@ -518,9 +637,9 @@ impl SharedPlan {
     /// Appends query `mix` to group `gix`: its final stack, and per prefix
     /// position the short-circuit accounting of its own predicate order.
     fn add_member(&mut self, gix: usize, mix: usize) {
-        let (g, node) = (&mut self.groups[gix], &self.queries[mix]);
+        let (g, node) = (&mut self.groups[gix], &mut self.queries[mix]);
         let mq = &node.query;
-        let prefix_len = g.prefix_stacks.len();
+        let (prefix_len, mx) = (g.prefix_stacks.len(), g.members.len());
         let m_final = mq.positive_comp(prefix_len);
         for (pos, bind) in g.binds.iter_mut().enumerate() {
             let m_comp = mq.positive_comp(pos);
@@ -539,12 +658,36 @@ impl SharedPlan {
                     common_counter += 1;
                 }
             }
-            bind.per_member.push(entries);
+            if !entries.is_empty() {
+                bind.per_member.push((mx, entries));
+            }
         }
+        let final_stack = node.stack_of_slot[prefix_len];
         g.members.push(GroupMember {
             query: mix,
-            final_stack: node.stack_of_slot[prefix_len],
+            final_stack,
         });
+        node.group = Some(gix);
+        self.stacks[final_stack].finals.push((gix, mx));
+    }
+}
+
+impl StackNode {
+    /// The node of a new pooled stack, first carried by `q`'s `slot`.
+    fn new(sig: SlotSig, q: &Query, slot: usize) -> StackNode {
+        let local_preds: Vec<Predicate> = q.local_predicates(slot).into_iter().cloned().collect();
+        StackNode {
+            sig,
+            refs: Vec::new(),
+            band: Band::of(&local_preds),
+            local_preds,
+            local_comp: q.positive_comp(slot),
+            local_components: q.components().len(),
+            shared_anchors: Vec::new(),
+            plain_refs: Vec::new(),
+            finals: Vec::new(),
+            prefix_window: None,
+        }
     }
 }
 
@@ -727,10 +870,12 @@ mod tests {
         // at position 0 (binding a): member 0 sees both predicates, the
         // second one spanning; member 1 sees only the common one
         assert_eq!(
-            g.binds[0].per_member[0],
-            vec![BindEntry::Common(0), BindEntry::Spanning]
+            g.binds[0].per_member,
+            vec![
+                (0, vec![BindEntry::Common(0), BindEntry::Spanning]),
+                (1, vec![BindEntry::Common(0)])
+            ]
         );
-        assert_eq!(g.binds[0].per_member[1], vec![BindEntry::Common(0)]);
     }
 
     /// The reference [`compile`] is checked against: the whole-plan
@@ -749,14 +894,19 @@ mod tests {
                 for slot in 0..q.positive_len() {
                     let sig = slot_sig(q, slot, spec.epoch, partitioned);
                     let six = *sig_ix.entry(sig.clone()).or_insert_with(|| {
+                        let local_preds: Vec<Predicate> =
+                            q.local_predicates(slot).into_iter().cloned().collect();
                         stacks.push(StackNode {
                             sig,
                             refs: Vec::new(),
-                            local_preds: q.local_predicates(slot).into_iter().cloned().collect(),
+                            band: Band::of(&local_preds),
+                            local_preds,
                             local_comp: q.positive_comp(slot),
                             local_components: q.components().len(),
                             shared_anchors: Vec::new(),
                             plain_refs: Vec::new(),
+                            finals: Vec::new(),
+                            prefix_window: None,
                         });
                         stacks.len() - 1
                     });
@@ -768,8 +918,17 @@ mod tests {
                 query: Arc::clone(&spec.query),
                 epoch: spec.epoch,
                 stack_of_slot,
+                group: None,
                 active: spec.active,
             });
+        }
+        for node in stacks.iter_mut() {
+            let q = |r: &StackRef| &queries[r.query].query;
+            let prefix = node
+                .refs
+                .iter()
+                .filter(|r| r.slot + 1 < q(r).positive_len());
+            node.prefix_window = prefix.map(|r| q(r).window()).max();
         }
 
         // 2. group queries by (prefix stacks, window, intra-prefix predicates)
@@ -826,7 +985,7 @@ mod tests {
                     .map(|(i, _)| i)
                     .collect();
                 let mut per_member = Vec::new();
-                for &mix in members.iter() {
+                for (mx, &mix) in members.iter().enumerate() {
                     let mq = &queries[mix].query;
                     let m_final = mq.positive_comp(mq.positive_len() - 1);
                     let m_comp = mq.positive_comp(pos);
@@ -845,7 +1004,9 @@ mod tests {
                             common_counter += 1;
                         }
                     }
-                    per_member.push(entries);
+                    if !entries.is_empty() {
+                        per_member.push((mx, entries));
+                    }
                 }
                 binds.push(BindPlan {
                     common_touching,
@@ -858,12 +1019,16 @@ mod tests {
             }
             let group_members_built: Vec<GroupMember> = members
                 .iter()
-                .map(|&mix| {
+                .enumerate()
+                .map(|(mx, &mix)| {
                     let mq = &queries[mix].query;
                     let final_slot = mq.positive_len() - 1;
+                    let final_stack = queries[mix].stack_of_slot[final_slot];
+                    stacks[final_stack].finals.push((group_ix, mx));
+                    queries[mix].group = Some(group_ix);
                     GroupMember {
                         query: mix,
-                        final_stack: queries[mix].stack_of_slot[final_slot],
+                        final_stack,
                     }
                 })
                 .collect();
@@ -914,6 +1079,18 @@ mod tests {
                     }
                 }
             }
+            let q = &node.query;
+            for ty in q.relevant_types() {
+                let slots = q.slots_for_type(ty);
+                if slots.len() > 1 {
+                    let stacks = slots.iter().map(|&s| node.stack_of_slot[s]).collect();
+                    routing
+                        .entry(ty)
+                        .or_default()
+                        .multi_slot
+                        .push((qix, stacks));
+                }
+            }
         }
 
         SharedPlan {
@@ -934,7 +1111,12 @@ mod tests {
         let first = |gix: usize| plan.groups[gix].members[0].query;
         let mut out = String::new();
         for q in &plan.queries {
-            let _ = writeln!(out, "q {:?} {} {}", q.stack_of_slot, q.epoch, q.active);
+            let group = q.group.map(first);
+            let _ = writeln!(
+                out,
+                "q {:?} {} {} group {group:?}",
+                q.stack_of_slot, q.epoch, q.active
+            );
         }
         for n in &plan.stacks {
             let mut anchors: Vec<_> = n
@@ -943,15 +1125,24 @@ mod tests {
                 .map(|&(g, p)| (first(g), p))
                 .collect();
             anchors.sort();
+            let mut finals: Vec<_> = n
+                .finals
+                .iter()
+                .map(|&(g, m)| plan.groups[g].members[m].query)
+                .collect();
+            finals.sort();
             let _ = writeln!(
                 out,
-                "s {:?} refs {:?} plain {:?} anchors {anchors:?} local {} {} {}",
+                "s {:?} refs {:?} plain {:?} anchors {anchors:?} local {} {} {} band {:?} \
+                 finals {finals:?} purge {:?}",
                 n.sig,
                 n.refs,
                 n.plain_refs,
                 n.local_preds.len(),
                 n.local_comp,
-                n.local_components
+                n.local_components,
+                n.band,
+                n.prefix_window
             );
         }
         let mut groups: Vec<&PrefixGroup> = plan.groups.iter().collect();
@@ -979,7 +1170,11 @@ mod tests {
         let mut routing: Vec<_> = plan.routing.iter().collect();
         routing.sort_by_key(|(ty, _)| **ty);
         for (ty, entry) in routing {
-            let _ = writeln!(out, "r {ty:?} {:?} {:?}", entry.stacks, entry.neg_queries);
+            let _ = writeln!(
+                out,
+                "r {ty:?} {:?} {:?} {:?}",
+                entry.stacks, entry.neg_queries, entry.multi_slot
+            );
         }
         out
     }
@@ -1010,6 +1205,9 @@ mod tests {
             "PATTERN SEQ(A a, B b, D d) WHERE a.x > 5 WITHIN 50",
             "PATTERN SEQ(N m, C c) WHERE m.tag == c.tag WITHIN 50",
             "PATTERN SEQ(C c) WITHIN 5",
+            "PATTERN SEQ(A a, B b, C c) WHERE c.x >= 2 AND c.x < 3 WITHIN 50",
+            "PATTERN SEQ(A a, A b, D d) WHERE b.x > 3 WITHIN 50",
+            "PATTERN SEQ(A|B a, B b, C c) WHERE 4 <= a.x WITHIN 70",
         ];
         let queries: Vec<Arc<Query>> = texts.iter().map(|t| parse(t, &reg).unwrap()).collect();
         let mut groups_seen = 0;
@@ -1049,5 +1247,99 @@ mod tests {
             groups_seen += grown.groups.len();
         }
         assert!(groups_seen > 40, "the histories form groups: {groups_seen}");
+    }
+
+    /// Random slot predicates — every comparison, `Int` constants out to
+    /// `i64::MIN` / `MAX`, `Float` constants, the constant on either side,
+    /// one field or two — against random values of every kind, a missing
+    /// field included: a [`Band`] forms exactly for the shapes it decides,
+    /// and the first failing predicate (so the evaluation count) that the
+    /// band and [`StackNode::first_failing`] report is the one
+    /// [`Predicate::eval`]'s short-circuit finds.
+    #[test]
+    fn a_band_decides_exactly_what_the_predicates_do() {
+        use sequin_query::{pred, QueryBuilder};
+        use sequin_types::{Event, Timestamp};
+
+        let reg = registry();
+        let a = reg.lookup("A").unwrap();
+        let int = |rng: &mut sequin_prng::Rng| match rng.gen_range(0..8u32) {
+            0 => i64::MIN,
+            1 => i64::MAX,
+            2 => i64::MIN + 1,
+            3 => i64::MAX - 1,
+            _ => rng.gen_range(-3..4i64),
+        };
+        let (mut formed, mut decided) = (0, 0);
+        for seed in 1..=400 {
+            let mut rng = sequin_prng::Rng::seed_from_u64(seed);
+            let mut builder = QueryBuilder::new().component("A", "a").component("B", "b");
+            let (mut fields, mut all_int) = (Vec::new(), true);
+            for _ in 0..rng.gen_range(1..=3usize) {
+                let field = if rng.gen_bool(0.85) { "x" } else { "tag" };
+                fields.push(field);
+                let constant = if rng.gen_bool(0.15) {
+                    all_int = false;
+                    pred::float([0.5, -2.0, 1e300, f64::NAN][rng.gen_range(0..4usize)])
+                } else {
+                    pred::int(int(&mut rng))
+                };
+                let (l, r) = match rng.gen_bool(0.3) {
+                    true => (constant, pred::attr("a", field)),
+                    false => (pred::attr("a", field), constant),
+                };
+                builder = builder.filter(match rng.gen_range(0..6u32) {
+                    0 => l.lt(r),
+                    1 => l.le(r),
+                    2 => l.gt(r),
+                    3 => l.ge(r),
+                    4 => l.eq(r),
+                    _ => l.ne(r),
+                });
+            }
+            let query = builder.within(10).build(&reg).unwrap();
+            let preds = query.local_predicates(0);
+            let plan = compile(
+                &[QuerySpec {
+                    query: Arc::clone(&query),
+                    epoch: 0,
+                    active: true,
+                }],
+                true,
+            );
+            let node = &plan.stacks[plan.queries[0].stack_of_slot[0]];
+            let one_field = fields.iter().all(|f| *f == fields[0]);
+            assert_eq!(node.band.is_some(), all_int && one_field, "seed {seed}");
+            formed += usize::from(node.band.is_some());
+            let value = |rng: &mut sequin_prng::Rng| match rng.gen_range(0..6u32) {
+                0 => Value::Float([0.5, -0.0, f64::NAN, f64::INFINITY][rng.gen_range(0..4usize)]),
+                1 => Value::str("s"),
+                2 => Value::Bool(rng.gen_bool(0.5)),
+                _ => Value::Int(int(rng)),
+            };
+            for _ in 0..50 {
+                let mut attrs = vec![value(&mut rng), value(&mut rng)];
+                // now and then a field is missing: `tag`, or both
+                if rng.gen_bool(0.1) {
+                    attrs.truncate(rng.gen_range(0..2usize));
+                }
+                let event: EventRef = Arc::new(Event::new(a, Timestamp::new(1), attrs));
+                let want = with_binding(query.components().len(), |binding| {
+                    binding[query.positive_comp(0)] = Some(&event);
+                    preds.iter().position(|p| p.eval(binding) != Some(true))
+                });
+                assert_eq!(node.first_failing(&event), want, "seed {seed}: {event:?}");
+                if let Some(band) = &node.band {
+                    if let Some(&Value::Int(v)) = event.field(band.field) {
+                        assert_eq!(band.first_failing(v), want, "seed {seed}: {v}");
+                        decided += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            formed > 150 && decided > 5_000,
+            "{formed} bands, {decided} decided"
+        );
     }
 }

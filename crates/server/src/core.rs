@@ -474,7 +474,8 @@ impl EngineCore {
     /// `Emit` span per delivered output with its event-id provenance and
     /// disorder hold time. Spans are chunk-granular by design: the trace
     /// shows what each batch *did*, not a per-event firehose, which keeps
-    /// recording cost a handful of counter reads per batch.
+    /// recording cost a handful of counter reads per batch. The spans the
+    /// ring would evict before the call ends are counted, not built.
     fn record_chunk_spans(
         &mut self,
         ingested: u64,
@@ -492,14 +493,10 @@ impl EngineCore {
         let clocks = positions.iter().filter_map(|p| ticks(p.0));
         let watermarks = positions.iter().filter_map(|p| ticks(p.1));
         let (core_clock, core_wm) = (clocks.max().unwrap_or(0), watermarks.min().unwrap_or(0));
-        if ingested > 0 {
-            self.obs.ingest_span(ingested, core_clock, core_wm);
-        }
-        let watermark = |qid: QueryId| ticks(positions[qid.index()].1).unwrap_or(core_wm);
-        for (i, qid) in self.subs.iter().map(|s| s.id).enumerate() {
+        let steps = |i: usize| {
             let prev = before.get(i).copied().unwrap_or_default();
-            let Some(now) = after.get(i) else { continue };
-            let steps = [
+            let now = after.get(i)?;
+            Some([
                 (SpanKind::Route, now.events_routed - prev.events_routed),
                 (SpanKind::StackInsert, now.insertions - prev.insertions),
                 (
@@ -508,14 +505,32 @@ impl EngineCore {
                 ),
                 (SpanKind::Negate, now.negated_matches - prev.negated_matches),
                 (SpanKind::Purge, now.purged - prev.purged),
-            ];
-            if steps.iter().all(|(_, delta)| *delta == 0) {
-                continue;
-            }
+            ])
+        };
+        // what this call records, in order: the ingest span, every
+        // non-zero step, one span per output
+        let deltas = (0..self.subs.len()).filter_map(steps).flatten();
+        let recorded = u64::from(ingested > 0)
+            + deltas.filter(|(_, delta)| *delta > 0).count() as u64
+            + outputs.len() as u64;
+        let mut skip = self.obs.skip_spans(recorded);
+        let mut kept = || {
+            let kept = skip == 0;
+            skip = skip.saturating_sub(1);
+            kept
+        };
+        if ingested > 0 && kept() {
+            self.obs.ingest_span(ingested, core_clock, core_wm);
+        }
+        let watermark = |qid: QueryId| ticks(positions[qid.index()].1).unwrap_or(core_wm);
+        for (i, qid) in self.subs.iter().map(|s| s.id).enumerate() {
+            let Some(steps) = steps(i) else { continue };
             let clock = ticks(positions[qid.index()].0).unwrap_or(core_clock);
             let wm = watermark(qid);
             for (kind, delta) in steps {
-                self.obs.span(kind, i as u64, delta, clock, wm);
+                if delta > 0 && kept() {
+                    self.obs.span(kind, i as u64, delta, clock, wm);
+                }
             }
         }
         for (qid, o) in outputs {
@@ -523,6 +538,9 @@ impl EngineCore {
             let insert = o.kind == OutputKind::Insert;
             self.obs
                 .record_output(i, insert, o.arrival_latency(), o.event_time_latency());
+            if !kept() {
+                continue;
+            }
             let events: Vec<u64> = o.m.events().iter().map(|e| e.id().get()).collect();
             let wm = watermark(*qid);
             if !self.obs.provenance() {
@@ -1243,6 +1261,54 @@ pub(crate) mod tests {
         assert!(replay_from > 0, "a checkpoint was accepted");
         let out = core.ingest_batch(&items[replay_from as usize..]);
         check(&core, &out, "resumed");
+    }
+
+    /// The spans a call's ring would evict before the call ends are counted,
+    /// not built, and no reader can tell: a ring of 8 holds the last 8
+    /// spans of a ring larger than the run, `seq` included, with the same
+    /// `recorded`; every output is still recorded in the per-query
+    /// observations; and a recorder that is off, or keeps no spans, records
+    /// no span.
+    #[test]
+    fn a_small_ring_holds_the_last_spans_of_a_large_one() {
+        let reg = registry();
+        let items = stream(&reg);
+        let run = |obs: ObsConfig| {
+            let mut core = EngineCore::new(CoreConfig {
+                obs,
+                ..cfg(&reg, None)
+            });
+            core.subscribe(Q_AB).unwrap();
+            core.subscribe(Q_BA).unwrap();
+            // small calls push fewer spans than the ring holds, the last
+            // call many more
+            let (head, tail) = items.split_at(30);
+            for chunk in head.chunks(7) {
+                core.ingest_batch(chunk);
+            }
+            core.ingest_batch(tail);
+            core.finish();
+            let emitted: Vec<u64> = core.obs.query_obs().iter().map(|q| q.emitted).collect();
+            (core.obs.trace().clone(), emitted)
+        };
+        let ring = |trace_capacity| {
+            run(ObsConfig {
+                trace_capacity,
+                ..ObsConfig::default()
+            })
+        };
+        let ((small, emitted), (large, all_emitted)) = (ring(8), ring(1 << 20));
+        assert!(large.dropped() == 0 && large.recorded() > 80, "{large:?}");
+        assert_eq!(small.recorded(), large.recorded());
+        assert_eq!(small.dropped(), small.recorded() - 8);
+        let last: Vec<&Span> = large.spans().skip(large.len() - 8).collect();
+        assert_eq!(small.spans().collect::<Vec<_>>(), last);
+        assert_eq!(emitted, all_emitted);
+        let (none, emitted) = ring(0);
+        assert!(none.is_empty() && none.recorded() == 0 && none.dropped() == 0);
+        assert_eq!(emitted, all_emitted, "outputs are observed without a ring");
+        let (off, emitted) = run(ObsConfig::disabled());
+        assert!(off.is_empty() && off.recorded() == 0 && emitted.is_empty());
     }
 
     #[test]

@@ -542,11 +542,11 @@ impl Decode for Event {
         if n > r.remaining() as u64 {
             return Err(CodecError::BadLength);
         }
-        let mut b = Event::builder(ty, ts).id(id);
+        let mut attrs = Vec::with_capacity(n as usize);
         for _ in 0..n {
-            b = b.attr(Value::decode(r)?);
+            attrs.push(Value::decode(r)?);
         }
-        Ok(b.build().with_arrival(seq))
+        Ok(Event::decoded(id, ty, ts, seq, attrs))
     }
 }
 

@@ -80,6 +80,23 @@ impl Event {
         }
     }
 
+    /// Every field as the codec read it.
+    pub(crate) fn decoded(
+        id: EventId,
+        event_type: EventTypeId,
+        ts: Timestamp,
+        seq: ArrivalSeq,
+        attrs: Vec<Value>,
+    ) -> Event {
+        Event {
+            id,
+            event_type,
+            ts,
+            seq,
+            attrs,
+        }
+    }
+
     /// Returns a copy stamped with an arrival sequence number.
     pub fn with_arrival(&self, seq: ArrivalSeq) -> Event {
         let mut e = self.clone();

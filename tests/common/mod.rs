@@ -208,3 +208,24 @@ pub fn host_of(engine: Box<dyn Engine>) -> MultiEngine {
 pub fn untag(out: Vec<(QueryId, OutputItem)>) -> impl Iterator<Item = OutputItem> {
     out.into_iter().map(|(_, o)| o)
 }
+
+/// Over the 16-type synthetic schema: 64 prefix siblings `SEQ(T0 a, T1 b,
+/// T{2..15} c)` banded on `c.x`, one more whose predicate spans from its
+/// prefix into its final slot (the same group, with a bind check), a query
+/// with two slots of one type and one with a multi-type slot — every shape
+/// whose counters a shared plan node owes its readers.
+pub fn banded_family() -> Vec<String> {
+    let mut texts: Vec<String> = (0..64)
+        .map(|i| {
+            let (ty, band) = (2 + i % 14, (i / 14) * 20);
+            format!(
+                "PATTERN SEQ(T0 a, T1 b, T{ty} c) WHERE c.x >= {band} AND c.x < {} WITHIN 100",
+                band + 20
+            )
+        })
+        .collect();
+    texts.push("PATTERN SEQ(T0 a, T1 b, T2 c) WHERE a.x < c.x WITHIN 100".into());
+    texts.push("PATTERN SEQ(T3 a, T3 b, T4 c) WHERE b.x > 20 WITHIN 100".into());
+    texts.push("PATTERN SEQ(T5|T6 a, T6 b) WITHIN 100".into());
+    texts
+}

@@ -5,18 +5,39 @@
 //! commit) — a moved `predicate_evals` or `dfs_steps` is a changed
 //! algorithm, not a faster one.
 
+mod common;
+
 use std::sync::Arc;
 
-use sequin::engine::{DisorderPolicy, EngineConfig, MultiEngine, Strategy};
+use sequin::engine::{
+    DisorderPolicy, EngineConfig, MultiEngine, QueryId, SharedMultiEngine, Strategy,
+};
 use sequin::netsim::delay_shuffle;
 use sequin::query::{parse, Query};
 use sequin::runtime::RuntimeStats;
-use sequin::types::Duration;
+use sequin::types::codec::fnv1a64;
+use sequin::types::{Duration, Encode, Writer};
 use sequin::workload::{Synthetic, SyntheticConfig};
 
 /// `[insertions, ooo_insertions, dfs_steps, predicate_evals,
 /// matches_constructed, negated_matches, purged]`, summed over queries.
 type Counts = [u64; 7];
+
+fn sums(stats: &[RuntimeStats]) -> Counts {
+    let mut sum = RuntimeStats::default();
+    for s in stats {
+        sum += *s;
+    }
+    [
+        sum.insertions,
+        sum.ooo_insertions,
+        sum.dfs_steps,
+        sum.predicate_evals,
+        sum.matches_constructed,
+        sum.negated_matches,
+        sum.purged,
+    ]
+}
 
 fn counts(
     types: usize,
@@ -42,19 +63,7 @@ fn counts(
         engine.ingest_batch(chunk);
     }
     engine.finish();
-    let mut sum = RuntimeStats::default();
-    for s in engine.stats() {
-        sum += s;
-    }
-    [
-        sum.insertions,
-        sum.ooo_insertions,
-        sum.dfs_steps,
-        sum.predicate_evals,
-        sum.matches_constructed,
-        sum.negated_matches,
-        sum.purged,
-    ]
+    sums(&engine.stats())
 }
 
 /// One deep unpartitioned stack: `a.tag + 0` defeats the equality chain,
@@ -104,7 +113,66 @@ fn speculative_negation() {
     assert_eq!(got, NEGATION);
 }
 
+/// Every owner of a shared counter at once, through every change of plan:
+/// the banded family (`common::banded_family`), its second part registered
+/// mid-stream (a second epoch, a second group), the unregistration of a
+/// group member, a snapshot restored into a fresh engine. Pinned: the seven sums, and a hash of every query's whole
+/// counter vector, taken on PR 22's evaluator, which counted every shared
+/// step for each query as it happened.
+#[test]
+fn shared_counters_through_every_change_of_plan() {
+    let w = Synthetic::new(SyntheticConfig {
+        num_types: 16,
+        ..SyntheticConfig::default()
+    });
+    let stream = delay_shuffle(&w.generate(8000, 42), 0.3, 100, 43);
+    let queries: Vec<Arc<Query>> = common::banded_family()
+        .iter()
+        .map(|t| parse(t, w.registry()).unwrap())
+        .collect();
+    let config = EngineConfig::with_k(Duration::new(100));
+    let (second_batch, unregister_at, restore_at) = (3000, 5000, 6000);
+    let (first, member) = (40, 7);
+
+    let mut engine = SharedMultiEngine::new(config);
+    let ids: Vec<QueryId> = queries[..first]
+        .iter()
+        .map(|q| engine.register(Arc::clone(q)))
+        .collect();
+    let gone = ids[member];
+    for (ix, item) in stream.iter().enumerate() {
+        if ix == second_batch {
+            for q in &queries[first..] {
+                engine.register(Arc::clone(q));
+            }
+        }
+        if ix == unregister_at {
+            engine.unregister(gone);
+        }
+        if ix == restore_at {
+            let snap = engine.snapshot().unwrap();
+            engine = SharedMultiEngine::new(config);
+            let ids: Vec<QueryId> = queries
+                .iter()
+                .map(|q| engine.register(Arc::clone(q)))
+                .collect();
+            engine.unregister(ids[member]);
+            engine.restore(&snap).unwrap();
+        }
+        engine.ingest(item);
+    }
+    engine.finish();
+    let stats = engine.stats();
+    let mut w = Writer::new();
+    stats.iter().for_each(|s| s.encode(&mut w));
+    assert_eq!((sums(&stats), fnv1a64(&w.into_bytes())), EVERY_CHANGE);
+}
+
 const DEEP: Counts = [3000, 1825, 634_543, 637_543, 12_497, 0, 2031];
 const SEQ3: Counts = [15_064, 384, 2552, 23_951, 158, 0, 14_972];
 const FAMILY: Counts = [52_690, 9033, 107_720, 58_019, 22_283, 0, 51_469];
 const NEGATION: Counts = [15_064, 2720, 62_802, 305_101, 62_802, 7282, 14_960];
+const EVERY_CHANGE: (Counts, u64) = (
+    [64_542, 11_525, 142_631, 72_462, 31_844, 0, 63_744],
+    7_399_820_516_286_691_320,
+);

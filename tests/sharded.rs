@@ -25,6 +25,7 @@ use sequin::server::{CoreConfig, EngineCore};
 use sequin::types::{
     Duration, Event, EventId, EventRef, StreamItem, Timestamp, TypeRegistry, Value, ValueKind,
 };
+use sequin::workload::{Synthetic, SyntheticConfig};
 use std::sync::Arc;
 
 const CASES: u64 = 32;
@@ -218,6 +219,51 @@ fn a_holding_family_on_two_workers_equals_one_item_by_item() {
             "keyed work spreads"
         );
     }
+}
+
+/// The banded family of `tests/logical_counts.rs`, its second part
+/// registered mid-stream, beside a keyed query so both workers hold
+/// instances: on two workers, item by item, the outputs of one, and every
+/// query's counters too — each worker counts once per node of its own
+/// slice, and the pool's sum is one worker's count.
+#[test]
+fn a_banded_family_on_two_workers_equals_one_with_its_counters() {
+    let w = Synthetic::new(SyntheticConfig {
+        num_types: 16,
+        ..SyntheticConfig::default()
+    });
+    let stream = delay_shuffle(&w.generate(8000, 42), 0.3, 100, 43);
+    let mut texts = common::banded_family();
+    texts.push(
+        "PATTERN SEQ(T0 a, T1 b, T2 c) WHERE a.tag == b.tag AND b.tag == c.tag WITHIN 100".into(),
+    );
+    let parsed = |t: &String| parse(t, w.registry()).unwrap();
+    let queries: Vec<_> = texts.iter().map(parsed).collect();
+    let cfg = EngineConfig::with_k(Duration::new(100));
+    let host = |shards| MultiEngine::new(EngineStrategy::Native, cfg, shards);
+    let (mut one, mut two) = (host(1), host(2));
+    let (mut outputs, mut ids) = (0, Vec::new());
+    for (ix, chunk) in stream.chunks(17).enumerate() {
+        let joining = match ix {
+            0 => &queries[..40],
+            150 => &queries[40..],
+            _ => &[],
+        };
+        for q in joining {
+            one.register(Arc::clone(q), cfg.policy);
+            ids.push(two.register(Arc::clone(q), cfg.policy));
+        }
+        let want = one.ingest_batch(chunk);
+        outputs += want.iter().map(Vec::len).sum::<usize>();
+        assert_eq!(two.ingest_batch(chunk), want, "batch {ix}");
+    }
+    assert_eq!(two.finish(), one.finish(), "finish");
+    assert!(outputs > 1000, "the family fires: {outputs}");
+    let mut stats = two.stats();
+    stats.iter_mut().for_each(|s| s.merge_buffer_peak = 0);
+    assert_eq!(stats, one.stats());
+    let keyed = two.per_shard_stats(*ids.last().expect("registered"));
+    assert!(keyed.iter().all(|s| s.insertions > 0), "keyed work spreads");
 }
 
 /// Adversarial key skew: a prefix in which *every* event carries the
