@@ -2,10 +2,9 @@
 //!
 //! One layout — fingerprint, watermark, arrival sequence, counters,
 //! stacks, settle tail — for one logical query, whatever physically holds
-//! it: the plan's pooled stacks, a plan of one behind
-//! [`crate::NativeEngine`], or the key-sliced workers of a pool of
-//! several. The one evaluator ([`crate::SharedMultiEngine`]) is its only
-//! writer and reader.
+//! it: the plan's pooled stacks, or a plan of one behind
+//! [`crate::NativeEngine`]. The one evaluator
+//! ([`crate::SharedMultiEngine`]) is its only writer and reader.
 
 use std::collections::BTreeMap;
 
@@ -20,7 +19,7 @@ use crate::watermark::WatermarkTracker;
 
 /// One logical query's decoded checkpoint state. Every hosting writes
 /// the one layout, whatever its physical one, so a checkpoint restores
-/// into a lone engine or the shared plan on a pool of any worker count.
+/// into a lone engine or the shared plan alike.
 pub(crate) struct QueryBlob {
     pub(crate) wm: WatermarkTracker,
     pub(crate) seq: ArrivalSeq,
@@ -45,24 +44,25 @@ fn fingerprint(query: &Query, config: &EngineConfig) -> u64 {
 
 impl QueryBlob {
     /// Seals one query's state. `stacks` names, per positive slot, the
-    /// physical stacks holding that slot's instances (a pool's workers
-    /// own disjoint keys, and only its primary holds unkeyed state; none
-    /// for a query that holds nothing); `settles` are the parts its settle
-    /// state is spread over (see [`Settle::encode`]). The stacks are
-    /// written one set per slot (tag `0`), or, when the query shards, one
-    /// such set per partition key in key order (tag `1`), so identical
-    /// state always yields identical bytes.
+    /// physical stack holding that slot's instances (none at all for a
+    /// query that holds nothing). The stacks are written one per slot
+    /// (tag `0`), or, when the query is partitioned, one set of slots per
+    /// partition key in key order (tag `1`), so identical state always
+    /// yields identical bytes.
     pub(crate) fn encode(
         query: &Query,
         config: &EngineConfig,
         wm: &WatermarkTracker,
         seq: ArrivalSeq,
         stats: &RuntimeStats,
-        stacks: &[Vec<&KeyedStack>],
-        settles: &[&Settle],
+        stacks: &[&KeyedStack],
+        settle: &Settle,
     ) -> Vec<u8> {
         let m = query.positive_len();
-        assert_eq!(stacks.len(), m, "one list of stacks per positive slot");
+        assert!(
+            stacks.is_empty() || stacks.len() == m,
+            "one stack per positive slot"
+        );
         let empty = AisStack::new();
         let mut w = Writer::new();
         w.put_u64(fingerprint(query, config));
@@ -71,9 +71,9 @@ impl QueryBlob {
         stats.encode(&mut w);
         if config.partitioned && query.partition().is_some() {
             let mut by_key: BTreeMap<&PartitionKey, Vec<&AisStack>> = BTreeMap::new();
-            for (slot, parts) in stacks.iter().enumerate() {
-                for (key, stack) in parts.iter().flat_map(|p| p.iter_keys()) {
-                    by_key.entry(key).or_insert_with(|| vec![&empty; m])[slot] = stack;
+            for (slot, stack) in stacks.iter().enumerate() {
+                for (key, keyed) in stack.iter_keys() {
+                    by_key.entry(key).or_insert_with(|| vec![&empty; m])[slot] = keyed;
                 }
             }
             w.put_u8(1);
@@ -86,11 +86,11 @@ impl QueryBlob {
         } else {
             w.put_u8(0);
             w.put_u64(m as u64);
-            for parts in stacks {
-                parts.first().map_or(&empty, |p| p.all()).encode(&mut w);
+            for slot in 0..m {
+                stacks.get(slot).map_or(&empty, |s| s.all()).encode(&mut w);
             }
         }
-        Settle::encode(settles, &mut w);
+        settle.encode(&mut w);
         seal_envelope(&w.into_bytes())
     }
 

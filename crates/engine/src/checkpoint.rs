@@ -445,8 +445,7 @@ impl Checkpointer {
         self.ingest_batch(std::slice::from_ref(item))
     }
 
-    /// Ingests a run of arrivals through [`MultiEngine::ingest_batch`] —
-    /// the entry point that lets sharded pools use their worker threads.
+    /// Ingests a run of arrivals through [`MultiEngine::ingest_batch`].
     ///
     /// Outputs, log records, and checkpoints are identical to item-by-item
     /// [`Checkpointer::ingest`] calls: the run is split at checkpoint
@@ -573,23 +572,18 @@ mod tests {
     }
 
     const Q_AB: &str = "PATTERN SEQ(A a, B b) WITHIN 8";
-    /// With a key to spread over a pool's workers, and negating `N`...
+    /// With a partition key, and negating `N`...
     const Q_PART: &str = "PATTERN SEQ(A a, !N n, B b) WHERE a.x == b.x WITHIN 8";
     /// ...which is this one's keyed positive slot.
     const Q_NB: &str = "PATTERN SEQ(N n, B b) WHERE n.x == b.x WITHIN 8";
 
-    fn host_at(reg: &TypeRegistry, shards: usize, texts: &[&str]) -> MultiEngine {
+    fn host_of(reg: &TypeRegistry, texts: &[&str]) -> MultiEngine {
         let config = EngineConfig::with_k(Duration::new(10));
-        let mut host = MultiEngine::new(Strategy::Native, config, shards);
+        let mut host = MultiEngine::new(Strategy::Native, config);
         for text in texts {
             host.register(parse(text, reg).unwrap(), config.policy);
         }
         host
-    }
-
-    /// A two-worker host.
-    fn host_of(reg: &TypeRegistry, texts: &[&str]) -> MultiEngine {
-        host_at(reg, 2, texts)
     }
 
     fn fresh(reg: &TypeRegistry) -> MultiEngine {
@@ -633,56 +627,38 @@ mod tests {
     }
 
     #[test]
-    fn batches_split_at_checkpoint_boundaries_and_reach_the_pool() {
+    fn batches_split_at_checkpoint_boundaries() {
         let reg = registry();
         let items = stream(&reg);
-        let mut stores = Vec::new();
-        for shards in 1..=3 {
-            let fresh = || host_at(&reg, shards, &[Q_AB, Q_PART, Q_NB]);
-            let mut per_item = Checkpointer::new(fresh(), CheckpointPolicy::every(10));
-            let mut want = Vec::new();
-            for item in &items {
-                want.extend(per_item.ingest(item));
-            }
-            want.extend(per_item.finish());
-            assert_eq!(per_item.stats().checkpoints_written, 6);
-
-            // ragged batch sizes that straddle the checkpoint cadence
-            let mut batched = Checkpointer::new(fresh(), CheckpointPolicy::every(10));
-            let mut got = Vec::new();
-            let mut rest = &items[..];
-            for size in [1usize, 10, 3, 17, 9].iter().cycle() {
-                if rest.is_empty() {
-                    break;
-                }
-                let (chunk, tail) = rest.split_at((*size).min(rest.len()));
-                got.extend(batched.ingest_batch(chunk));
-                rest = tail;
-            }
-            got.extend(batched.finish());
-            assert_eq!(got, want, "same outputs in the same order");
-            assert_eq!(batched.position(), per_item.position());
-            assert_eq!(batched.stats().checkpoints_written, 6, "same cadence");
-            assert_eq!(
-                batched.store().to_bytes(),
-                per_item.store().to_bytes(),
-                "every checkpoint sits at the position it records"
-            );
-            // a pool of several was handed whole runs, not one item at a
-            // time; a pool of one has no queue to hand them over
-            let peak = |ck: &Checkpointer| ck.host().route_stats().map(|rs| rs.queue_depth_peak);
-            match shards {
-                1 => assert_eq!((peak(&per_item), peak(&batched)), (None, None)),
-                _ => {
-                    assert_eq!(peak(&per_item), Some(1));
-                    assert!(peak(&batched) > Some(1), "peak {:?}", peak(&batched));
-                }
-            }
-            stores.push(batched.store().to_bytes());
+        let fresh = || host_of(&reg, &[Q_AB, Q_PART, Q_NB]);
+        let mut per_item = Checkpointer::new(fresh(), CheckpointPolicy::every(10));
+        let mut want = Vec::new();
+        for item in &items {
+            want.extend(per_item.ingest(item));
         }
-        assert!(
-            stores.iter().all(|s| *s == stores[0]),
-            "whatever the shards"
+        want.extend(per_item.finish());
+        assert_eq!(per_item.stats().checkpoints_written, 6);
+
+        // ragged batch sizes that straddle the checkpoint cadence
+        let mut batched = Checkpointer::new(fresh(), CheckpointPolicy::every(10));
+        let mut got = Vec::new();
+        let mut rest = &items[..];
+        for size in [1usize, 10, 3, 17, 9].iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (chunk, tail) = rest.split_at((*size).min(rest.len()));
+            got.extend(batched.ingest_batch(chunk));
+            rest = tail;
+        }
+        got.extend(batched.finish());
+        assert_eq!(got, want, "same outputs in the same order");
+        assert_eq!(batched.position(), per_item.position());
+        assert_eq!(batched.stats().checkpoints_written, 6, "same cadence");
+        assert_eq!(
+            batched.store().to_bytes(),
+            per_item.store().to_bytes(),
+            "every checkpoint sits at the position it records"
         );
     }
 

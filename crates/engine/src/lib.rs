@@ -21,11 +21,8 @@
 //! crate, and every way of hosting a native query is an instance of it.
 //! Many queries run in a [`MultiEngine`], the one multi-query host, which
 //! runs all of them on one plan (pooling stacks and prefix walks across
-//! queries) evaluated by a pool of `shards ≥ 1` workers, each holding the
-//! whole plan over a slice of the partition-key space. A plan is a pool of
-//! one: a single worker owns every key and runs inline. [`NativeEngine`]
-//! is a plan of one registration and [`ShardedEngine`] a pool with one
-//! registration. All of them walk stacks with
+//! queries), evaluated inline on the caller's thread. [`NativeEngine`] is
+//! a plan of one registration. Both walk stacks with
 //! `sequin_runtime::Constructor`, hand every match to the `settle`
 //! module — the one place that decides when a match is emitted, held,
 //! retracted or dropped under a [`DisorderPolicy`] — and write the same
@@ -73,7 +70,6 @@ mod multi;
 mod native;
 mod output;
 mod settle;
-mod sharded;
 mod shared;
 mod traits;
 mod watermark;
@@ -85,7 +81,6 @@ pub use inorder::InOrderEngine;
 pub use multi::{MultiEngine, QueryId};
 pub use native::NativeEngine;
 pub use output::{OutputItem, OutputKind};
-pub use sharded::{RouteStats, ShardedEngine};
 pub use shared::{PlanMetrics, SharedMultiEngine};
 pub use traits::{run_to_end, Engine, Strategy};
 

@@ -2,23 +2,22 @@
 //!
 //! A [`MultiEngine`] is the one container every multi-query caller uses —
 //! the server core, `sequin run`, the simulator's references. It holds
-//! *either* the pool — `shards ≥ 1` workers, each a [`SharedMultiEngine`]
-//! evaluating the plan `sequin-plan` compiles from *every* registered
-//! query (pooled AIS stacks, one partial-match walk per common SEQ prefix,
-//! an event-type routing index) over its slice of the partition-key space
-//! — *or* a list of engines, one per query: what the control strategies
-//! (`Buffered`, `InOrder`) get, because the plan compiler does not cover
-//! them, and what tests build as the independent reference a plan of many
-//! is checked against ([`MultiEngine::from_engines`]). Never both: where a
-//! query runs depends on the strategy alone, and `shards` only sets how
-//! many workers run the plan. A plan is a pool of one — a single worker
-//! runs inline, with no thread and no router.
+//! *either* the plan — one [`SharedMultiEngine`] evaluating the plan
+//! `sequin-plan` compiles from *every* registered query (pooled AIS
+//! stacks, one partial-match walk per common SEQ prefix, an event-type
+//! routing index) — *or* a list of engines, one per query: what the
+//! control strategies (`Buffered`, `InOrder`) get, because the plan
+//! compiler does not cover them, and what tests build as the independent
+//! reference a plan of many is checked against
+//! ([`MultiEngine::from_engines`]). Never both: where a query runs depends
+//! on the strategy alone. Either way evaluation runs inline, on the
+//! caller's thread.
 //!
 //! Outputs carry [`QueryId`]s in registration order per arrival. Every
 //! hosting of a native query is the same evaluator, so they produce
 //! byte-identical per-query output and write the same per-logical-query
-//! checkpoint blob, and a snapshot taken under one shard count — or by a
-//! list of [`crate::NativeEngine`]s — restores under any other.
+//! checkpoint blob, and a snapshot taken by the plan restores into a list
+//! of [`crate::NativeEngine`]s and back.
 
 use std::sync::Arc;
 
@@ -29,8 +28,7 @@ use sequin_types::{CodecError, Duration, Reader, StreamItem, Timestamp, Writer};
 
 use crate::config::{DisorderPolicy, EngineConfig};
 use crate::output::OutputItem;
-use crate::sharded::{Pool, RouteStats};
-use crate::shared::PlanMetrics;
+use crate::shared::{PlanMetrics, SharedMultiEngine};
 use crate::traits::{Engine, Strategy};
 
 /// A registered query's handle within a [`MultiEngine`].
@@ -76,8 +74,8 @@ pub(crate) fn read_envelope(bytes: &[u8], queries: usize) -> Result<Vec<&[u8]>, 
 
 /// Where a [`MultiEngine`]'s queries run.
 enum Host {
-    /// Every query on the plan, on `shards ≥ 1` workers.
-    Pool(Pool),
+    /// Every query on the plan.
+    Plan(Box<SharedMultiEngine>),
     /// Every query on an engine of its own, in registration order.
     Engines(Vec<Box<dyn Engine>>),
 }
@@ -93,7 +91,7 @@ enum Host {
 /// let mut reg = TypeRegistry::new();
 /// reg.declare("A", &[("x", ValueKind::Int)])?;
 /// reg.declare("B", &[("x", ValueKind::Int)])?;
-/// let mut multi = MultiEngine::new(Strategy::Native, EngineConfig::default(), 1);
+/// let mut multi = MultiEngine::new(Strategy::Native, EngineConfig::default());
 /// let q1 = multi.register(
 ///     parse("PATTERN SEQ(A a, B b) WITHIN 10", &reg)?,
 ///     DisorderPolicy::Conservative,
@@ -123,12 +121,11 @@ impl std::fmt::Debug for MultiEngine {
 
 impl MultiEngine {
     /// An empty host: queries registered later run `strategy` under
-    /// `config` — Native ones on the plan, evaluated by `shards` workers;
-    /// the control strategies on an engine each, which `shards` does not
-    /// reach (they are inherently sequential).
-    pub fn new(strategy: Strategy, config: EngineConfig, shards: usize) -> MultiEngine {
+    /// `config` — Native ones on the plan, the control strategies on an
+    /// engine each.
+    pub fn new(strategy: Strategy, config: EngineConfig) -> MultiEngine {
         let host = match strategy {
-            Strategy::Native => Host::Pool(Pool::new(config, shards)),
+            Strategy::Native => Host::Plan(Box::new(SharedMultiEngine::new(config))),
             Strategy::Buffered | Strategy::InOrder => Host::Engines(Vec::new()),
         };
         MultiEngine {
@@ -154,7 +151,7 @@ impl MultiEngine {
     /// Registers a query under `policy`.
     pub fn register(&mut self, query: Arc<Query>, policy: DisorderPolicy) -> QueryId {
         match &mut self.host {
-            Host::Pool(pool) => pool.register(query, policy),
+            Host::Plan(plan) => plan.register_with_policy(query, policy),
             Host::Engines(engines) => {
                 let mut config = self.config;
                 config.policy = policy;
@@ -167,7 +164,7 @@ impl MultiEngine {
     /// Number of registered queries.
     pub fn len(&self) -> usize {
         match &self.host {
-            Host::Pool(pool) => pool.len(),
+            Host::Plan(plan) => plan.len(),
             Host::Engines(engines) => engines.len(),
         }
     }
@@ -186,19 +183,18 @@ impl MultiEngine {
 
     /// Ingests a run of arrivals, returning one output vector per input
     /// item with the same tagging and order as item-by-item
-    /// [`MultiEngine::ingest`] calls. A pool of several workers gets its
-    /// parallelism from this entry point.
+    /// [`MultiEngine::ingest`] calls.
     pub fn ingest_batch(&mut self, items: &[StreamItem]) -> Vec<Vec<(QueryId, OutputItem)>> {
         let engines = match &mut self.host {
-            Host::Pool(pool) => return pool.ingest_batch(items),
+            Host::Plan(plan) => return plan.ingest_batch(items),
             Host::Engines(engines) => engines,
         };
-        // an engine's outputs arrive grouped by item already; engines are
-        // visited in registration order, so each item's vector is too
+        // engines are visited in registration order, so each item's vector
+        // is tagged in it too
         let mut out: Vec<Vec<(QueryId, OutputItem)>> = items.iter().map(|_| Vec::new()).collect();
         for (qix, engine) in engines.iter_mut().enumerate() {
-            for (item_ix, o) in engine.ingest_batch(items) {
-                out[item_ix].push((QueryId(qix), o));
+            for (item, per_item) in items.iter().zip(&mut out) {
+                per_item.extend(engine.ingest(item).into_iter().map(|o| (QueryId(qix), o)));
             }
         }
         out
@@ -207,7 +203,7 @@ impl MultiEngine {
     /// Finishes every query (see [`Engine::finish`]).
     pub fn finish(&mut self) -> Vec<(QueryId, OutputItem)> {
         match &mut self.host {
-            Host::Pool(pool) => pool.finish(),
+            Host::Plan(plan) => plan.finish(),
             Host::Engines(engines) => {
                 let of = |(qix, e): (usize, &mut Box<dyn Engine>)| {
                     e.finish().into_iter().map(move |o| (QueryId(qix), o))
@@ -220,7 +216,7 @@ impl MultiEngine {
     /// Per-query operator statistics, in registration order.
     pub fn stats(&self) -> Vec<RuntimeStats> {
         match &self.host {
-            Host::Pool(pool) => pool.stats(),
+            Host::Plan(plan) => plan.stats(),
             Host::Engines(engines) => engines.iter().map(|e| e.stats()).collect(),
         }
     }
@@ -228,7 +224,7 @@ impl MultiEngine {
     /// Total state held across all queries (pooled stacks counted once).
     pub fn state_size(&self) -> usize {
         match &self.host {
-            Host::Pool(pool) => pool.state_size(),
+            Host::Plan(plan) => plan.state_size(),
             Host::Engines(engines) => engines.iter().map(|e| e.state_size()).sum(),
         }
     }
@@ -238,30 +234,30 @@ impl MultiEngine {
     /// [`crate::Checkpointer`]'s watermark-advance cadence triggers on it.
     pub fn watermark(&self) -> Option<Timestamp> {
         match &self.host {
-            Host::Pool(pool) => pool.primary().watermark(),
+            Host::Plan(plan) => plan.watermark(),
             Host::Engines(engines) => engines.iter().filter_map(|e| e.watermark()).min(),
         }
     }
 
-    /// Shared-plan structural gauges and sharing counters: the same
-    /// gauges at every shard count, all zero for a list of engines.
+    /// Shared-plan structural gauges and sharing counters, all zero for a
+    /// list of engines.
     pub fn plan_metrics(&self) -> PlanMetrics {
         match &self.host {
-            Host::Pool(pool) => pool.plan_metrics(),
+            Host::Plan(plan) => plan.plan_metrics(),
             Host::Engines(_) => PlanMetrics::default(),
         }
     }
 
-    /// Asks about one query: the pool's per-query attribution, or the
+    /// Asks about one query: the plan's per-query attribution, or the
     /// query's own engine.
     fn ask<'a, T>(
         &'a self,
         id: QueryId,
-        pool: impl FnOnce(&'a Pool) -> T,
+        plan: impl FnOnce(&'a SharedMultiEngine) -> T,
         own: impl FnOnce(&'a dyn Engine) -> T,
     ) -> T {
         match &self.host {
-            Host::Pool(p) => pool(p),
+            Host::Plan(p) => plan(p),
             Host::Engines(engines) => own(engines[id.0].as_ref()),
         }
     }
@@ -273,36 +269,23 @@ impl MultiEngine {
 
     /// One query's stream clock, when its host tracks one.
     pub fn query_clock(&self, id: QueryId) -> Option<Timestamp> {
-        self.ask(id, |p| Some(p.primary().query_clock(id)), |e| e.clock())
+        self.ask(id, |p| Some(p.query_clock(id)), |e| e.clock())
     }
 
     /// One query's low-watermark, when its host tracks one.
     pub fn query_watermark(&self, id: QueryId) -> Option<Timestamp> {
-        let pool = |p: &Pool| Some(p.primary().query_watermark(id));
-        self.ask(id, pool, |e| e.watermark())
+        self.ask(id, |p| Some(p.query_watermark(id)), |e| e.watermark())
     }
 
     /// Every query's `(stream clock, low-watermark)`, in registration
     /// order: what [`MultiEngine::query_clock`] and
-    /// [`MultiEngine::query_watermark`] answer one query at a time, read
-    /// under one hold of the pool's lock — for a caller that wants them of
-    /// many queries after every batch.
+    /// [`MultiEngine::query_watermark`] answer one query at a time.
     pub fn query_positions(&self) -> Vec<(Option<Timestamp>, Option<Timestamp>)> {
-        match &self.host {
-            Host::Pool(pool) => {
-                let primary = pool.primary();
-                let of = |q| {
-                    let id = QueryId(q);
-                    let (clock, wm) = (primary.query_clock(id), primary.query_watermark(id));
-                    (Some(clock), Some(wm))
-                };
-                (0..pool.len()).map(of).collect()
-            }
-            Host::Engines(engines) => {
-                let positions = engines.iter().map(|e| (e.clock(), e.watermark()));
-                positions.collect()
-            }
-        }
+        let of = |q| {
+            let id = QueryId(q);
+            (self.query_clock(id), self.query_watermark(id))
+        };
+        (0..self.len()).map(of).collect()
     }
 
     /// One query's live disorder slack bound `k̂` — fixed for the
@@ -310,8 +293,7 @@ impl MultiEngine {
     /// estimate under adaptive slack. `None` when the hosting engine does
     /// not expose one.
     pub fn query_slack(&self, id: QueryId) -> Option<Duration> {
-        let pool = |p: &Pool| Some(p.primary().query_slack(id));
-        self.ask(id, pool, |e| e.slack_bound())
+        self.ask(id, |p| Some(p.query_slack(id)), |e| e.slack_bound())
     }
 
     /// One query's logical state size — what its isolated engine reports.
@@ -325,37 +307,18 @@ impl MultiEngine {
         self.ask(id, |p| p.query_partition_keys(id), |e| e.partition_keys())
     }
 
-    /// One query's counters per pool worker — `shards` entries, whether or
-    /// not the query has a key to spread (without one its work sits on
-    /// worker 0) — or the one entry of its own engine.
-    pub fn per_shard_stats(&self, id: QueryId) -> Vec<RuntimeStats> {
-        self.ask(id, |p| p.per_shard_stats(id), |e| vec![e.stats()])
-    }
-
-    /// The host's ingest-edge routing counters: one router serves every
-    /// query. `None` when nothing routes — a list of engines, or a pool of
-    /// one.
-    pub fn route_stats(&self) -> Option<RouteStats> {
-        match &self.host {
-            Host::Pool(pool) => pool.route_stats(),
-            Host::Engines(_) => None,
-        }
-    }
-
     /// Serializes every query's state as one checksummed envelope of
     /// per-logical-query blobs (fails if an engine lacks snapshot support).
     pub fn snapshot(&self) -> Result<Vec<u8>, CodecError> {
         match &self.host {
-            Host::Pool(pool) => {
-                write_envelope((0..pool.len()).map(|q| Ok(pool.query_blob(QueryId(q)))))
-            }
+            Host::Plan(plan) => plan.snapshot(),
             Host::Engines(engines) => write_envelope(engines.iter().map(|e| e.snapshot())),
         }
     }
 
     /// Restores every query from a [`MultiEngine::snapshot`] taken with
-    /// the same queries registered in the same order, under any shard
-    /// count or by any list of engines that write the native blob.
+    /// the same queries registered in the same order, by the plan or by
+    /// any list of engines that write the native blob.
     ///
     /// Not all-or-nothing for a list of engines: those restored before a
     /// failure keep their restored state, so the caller discards the
@@ -363,7 +326,7 @@ impl MultiEngine {
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
         let blobs = read_envelope(bytes, self.len())?;
         match &mut self.host {
-            Host::Pool(pool) => pool.restore_blobs(&blobs),
+            Host::Plan(plan) => plan.restore_blobs(&blobs),
             Host::Engines(engines) => {
                 let mut both = engines.iter_mut().zip(blobs);
                 both.try_for_each(|(engine, blob)| engine.restore(blob))
@@ -380,8 +343,7 @@ mod tests {
 
     const Q_AB: &str = "PATTERN SEQ(A a, B b) WITHIN 100";
     const Q_BA: &str = "PATTERN SEQ(B b, A a) WITHIN 100";
-    /// A query with a key to spread over a pool's workers (an equality
-    /// chain), negating `N`...
+    /// A query with a partition key (an equality chain), negating `N`...
     const Q_PART: &str = "PATTERN SEQ(A a, !N n, B b) WHERE a.x == b.x WITHIN 100";
     /// ...and one where `N` is a keyed positive slot.
     const Q_NB: &str = "PATTERN SEQ(N n, B b) WHERE n.x == b.x WITHIN 100";
@@ -398,9 +360,9 @@ mod tests {
         EngineConfig::with_k(Duration::new(50))
     }
 
-    /// A host at `shards` with `texts` registered.
-    fn host(reg: &TypeRegistry, shards: usize, texts: &[&str]) -> MultiEngine {
-        let mut multi = MultiEngine::new(Strategy::Native, config(), shards);
+    /// A plan host with `texts` registered.
+    fn host(reg: &TypeRegistry, texts: &[&str]) -> MultiEngine {
+        let mut multi = MultiEngine::new(Strategy::Native, config());
         for text in texts {
             multi.register(parse(text, reg).unwrap(), config().policy);
         }
@@ -450,7 +412,7 @@ mod tests {
     #[test]
     fn outputs_are_tagged_per_query() {
         let reg = registry();
-        let mut multi = host(&reg, 1, &[Q_AB, Q_BA]);
+        let mut multi = host(&reg, &[Q_AB, Q_BA]);
         let mut out = Vec::new();
         // A@10, B@20 matches q_ab; B@20, A@30 matches q_ba
         out.extend(multi.ingest(&item(&reg, "A", 1, 10)));
@@ -466,7 +428,7 @@ mod tests {
     #[test]
     fn per_query_stats_and_state() {
         let reg = registry();
-        let mut multi = host(&reg, 1, &[Q_AB, Q_BA]);
+        let mut multi = host(&reg, &[Q_AB, Q_BA]);
         multi.ingest(&item(&reg, "A", 1, 10));
         assert_eq!(multi.stats().len(), 2);
         assert!(multi.state_size() >= 1);
@@ -477,28 +439,24 @@ mod tests {
     }
 
     #[test]
-    fn a_control_strategy_gets_an_engine_per_query_whatever_the_shards() {
+    fn a_control_strategy_gets_an_engine_per_query() {
         let reg = registry();
-        let mut multi = MultiEngine::new(Strategy::InOrder, EngineConfig::default(), 3);
+        let mut multi = MultiEngine::new(Strategy::InOrder, EngineConfig::default());
         let q = parse("PATTERN SEQ(A a) WITHIN 5", &reg).unwrap();
         let id = multi.register(q, DisorderPolicy::Conservative);
         let out = multi.ingest(&item(&reg, "A", 9, 5));
         assert!(out.iter().any(|(qid, _)| *qid == id));
-        assert_eq!(multi.per_shard_stats(id).len(), 1);
-        assert!(multi.route_stats().is_none());
         assert_eq!(multi.plan_metrics(), PlanMetrics::default());
     }
 
     #[test]
     fn empty_multi_engine_is_harmless() {
-        for shards in 1..=2 {
-            let mut multi = host(&registry(), shards, &[]);
-            assert!(multi.is_empty());
-            assert!(multi.ingest(&item(&registry(), "A", 1, 1)).is_empty());
-            assert!(multi.finish().is_empty());
-            assert_eq!(multi.state_size(), 0);
-            assert_eq!(multi.watermark(), None);
-        }
+        let mut multi = host(&registry(), &[]);
+        assert!(multi.is_empty());
+        assert!(multi.ingest(&item(&registry(), "A", 1, 1)).is_empty());
+        assert!(multi.finish().is_empty());
+        assert_eq!(multi.state_size(), 0);
+        assert_eq!(multi.watermark(), None);
     }
 
     #[test]
@@ -523,48 +481,18 @@ mod tests {
         per_item.extend(seq.finish());
         assert_eq!(per_item, want);
 
-        // one plan on 1, 2 and 3 workers: the same bytes, the same plan
-        // shape and the same per-query counters, whether or not a query
-        // has a key to spread — only `merge_buffer_peak` describes the
-        // hosting, not the query: it gauges the cross-worker merge
-        let mut one = host(&reg, 1, &texts);
-        assert_eq!(run(&mut one, &items), want, "a pool of one");
-        let pm = one.plan_metrics();
+        // one plan: the same bytes
+        let mut plan = host(&reg, &texts);
+        assert_eq!(run(&mut plan, &items), want, "the plan");
+        let pm = plan.plan_metrics();
         assert!(pm.prefix_groups >= 1, "AB prefix should group: {pm:?}");
         assert!(pm.routed_events > 0 && pm.routing_misses == 0, "{pm:?}");
-        assert!(one.route_stats().is_none(), "a pool of one has no router");
-        for shards in 2..=3 {
-            let mut pool = host(&reg, shards, &texts);
-            assert_eq!(run(&mut pool, &items), want, "{shards} workers");
-            assert_eq!(pool.plan_metrics(), pm, "{shards} workers");
-            let mut stats = pool.stats();
-            stats.iter_mut().for_each(|s| s.merge_buffer_peak = 0);
-            assert_eq!(stats, one.stats(), "{shards} workers");
-            let events = items.len() as u64;
-            let rs = pool.route_stats().expect("one router for the host");
-            assert_eq!(rs.broadcast_events, 5, "Q_PART negates N: {rs:?}");
-            for shard in 0..shards {
-                assert_eq!(rs.full_events[shard] + rs.advances[shard], events);
-            }
-            for (qx, text) in texts.iter().enumerate() {
-                let per = pool.per_shard_stats(QueryId(qx));
-                assert_eq!(per.len(), shards);
-                let elsewhere: u64 = per[1..].iter().map(|s| s.insertions).sum();
-                let keyed = [Q_PART, Q_NB].contains(text);
-                assert_eq!(
-                    elsewhere > 0,
-                    keyed,
-                    "{text}: unkeyed work sits on worker 0"
-                );
-            }
-        }
 
-        // the facades are exactly a plan of one: each query alone — behind
-        // `NativeEngine`, registered on a host, or behind `ShardedEngine`
-        // on 1, 2 or 3 workers — gives the same outputs *and* the same
-        // counters, `ooo_insertions` and `max_stack_depth` included (an
-        // insert reports its position in the arrival's key stack
-        // everywhere)
+        // the facade is exactly a plan of one: each query alone — behind
+        // `NativeEngine`, or registered on a host — gives the same outputs
+        // *and* the same counters, `ooo_insertions` and `max_stack_depth`
+        // included (an insert reports its position in the arrival's key
+        // stack everywhere)
         for (qx, text) in texts.iter().enumerate() {
             let q = parse(text, &reg).unwrap();
             let mut lone = crate::NativeEngine::new(Arc::clone(&q), config());
@@ -575,20 +503,10 @@ mod tests {
             assert_eq!(want, from_plan_of_six, "{text}");
             assert!(lone.stats().insertions > 0, "{text}");
 
-            let mut registered = host(&reg, 1, &[text]);
+            let mut registered = host(&reg, &[text]);
             let got = run(&mut registered, &items).into_iter().map(|(_, o)| o);
             assert_eq!(got.collect::<Vec<_>>(), want, "{text} registered");
             assert_eq!(registered.stats()[0], lone.stats(), "{text} registered");
-
-            for shards in 1..=3 {
-                let mut pool = crate::ShardedEngine::new(Arc::clone(&q), config(), shards);
-                let mut got: Vec<_> = items.iter().flat_map(|it| pool.ingest(it)).collect();
-                got.extend(pool.finish());
-                assert_eq!(got, want, "{text} on {shards} worker(s)");
-                let mut stats = pool.stats();
-                stats.merge_buffer_peak = 0;
-                assert_eq!(stats, lone.stats(), "{text} on {shards} worker(s)");
-            }
         }
     }
 
@@ -600,12 +518,7 @@ mod tests {
         let want = run(&mut independent(&reg, &texts), &items);
 
         type Build = fn(&TypeRegistry, &[&str]) -> MultiEngine;
-        let builds: [Build; 4] = [
-            independent,
-            |r, t| host(r, 1, t),
-            |r, t| host(r, 2, t),
-            |r, t| host(r, 3, t),
-        ];
+        let builds: [Build; 2] = [independent, host];
         let mut envelopes = Vec::new();
         for (fx, from) in builds.into_iter().enumerate() {
             let mut writer = from(&reg, &texts);
@@ -628,9 +541,7 @@ mod tests {
         // the envelope is the same bytes whoever wrote it
         assert!(envelopes.iter().all(|e| *e == envelopes[0]));
         // a different query count is rejected before anything restores
-        let err = host(&reg, 2, &texts[..2])
-            .restore(&envelopes[2])
-            .unwrap_err();
+        let err = host(&reg, &texts[..2]).restore(&envelopes[1]).unwrap_err();
         assert!(matches!(err, CodecError::SnapshotMismatch(_)), "{err:?}");
     }
 }

@@ -44,7 +44,7 @@ pub struct NativeEngine {
 }
 
 /// The outputs of a host of one query, without its tag.
-pub(crate) fn untagged(out: Vec<(QueryId, OutputItem)>) -> Vec<OutputItem> {
+fn untagged(out: Vec<(QueryId, OutputItem)>) -> Vec<OutputItem> {
     out.into_iter().map(|(_, o)| o).collect()
 }
 
@@ -83,13 +83,6 @@ impl NativeEngine {
     #[doc(hidden)]
     pub fn oldest_stack_ts(&self) -> Option<Timestamp> {
         self.plan.oldest_stack_ts()
-    }
-
-    /// Number of entries in the negative index. Inspection hook for the
-    /// broadcast property tests; not part of the stable API.
-    #[doc(hidden)]
-    pub fn negative_index_len(&self) -> usize {
-        self.plan.query_negatives_len(Q)
     }
 }
 

@@ -63,7 +63,7 @@ impl OutputItem {
     /// match-key encoding. Kind-independent, so an insert and its later
     /// retraction share an id (that shared id *is* the parent link
     /// between them), and derived purely from the output itself, so it is
-    /// identical across backends and shard counts. Never 0 — lineage
+    /// identical across backends. Never 0 — lineage
     /// consumers use 0 as "no provenance".
     pub fn provenance_id(&self, stable_query: u64) -> u64 {
         let mut w = Writer::new();

@@ -33,8 +33,7 @@ pub(crate) struct Stamp {
     pub(crate) watermark: Timestamp,
 }
 
-/// One arrival's outputs, separated by emission phase so a deterministic
-/// cross-shard merge can reproduce the single-threaded order exactly:
+/// One query's outputs for one arrival, separated by emission phase:
 /// retractions first, then construction-time emissions (by slot), then
 /// seal-time emissions (by deadline, then match identity).
 #[derive(Debug, Default)]
@@ -56,42 +55,22 @@ impl PhasedOutput {
         self.retracts.len() + self.constructed.len() + self.sealed.len()
     }
 
-    /// Merges per-shard phases for one arrival into the canonical output
-    /// order, handing each item to `emit`; returns how many items were
-    /// buffered (the merge-buffer size for this arrival). One worker's
-    /// phases — a pool of one — are ordered where they lie.
-    ///
-    /// Within a phase the order is fully determined by data, not by shard
-    /// count: retractions and sealed emissions sort by (deadline, event
-    /// ids) — exactly the order the single-threaded engine's seal heap
-    /// pops them — and construction-time emissions sort by slot, where
-    /// each slot's matches come from exactly one shard (the one owning
-    /// the arriving event's key for that slot) in DFS order.
-    pub(crate) fn merge_into(
-        phases: impl IntoIterator<Item = PhasedOutput>,
-        emit: impl FnMut(OutputItem),
-    ) -> usize {
-        let mut phases = phases.into_iter();
-        let Some(mut all) = phases.next() else {
-            return 0;
-        };
-        for mut p in phases {
-            all.retracts.append(&mut p.retracts);
-            all.constructed.append(&mut p.constructed);
-            all.sealed.append(&mut p.sealed);
-        }
-        let buffered = all.len();
+    /// Hands each item to `emit` in the canonical output order. Within a
+    /// phase the order is fully determined by data: retractions and sealed
+    /// emissions sort by (deadline, event ids) — exactly the order the seal
+    /// heap pops them — and construction-time emissions sort (stably) by
+    /// slot, each slot's matches in DFS order.
+    pub(crate) fn merge_into(mut self, emit: impl FnMut(OutputItem)) {
         let by_deadline = |a: &(Timestamp, OutputItem), b: &(Timestamp, OutputItem)| {
             (a.0.cmp(&b.0)).then_with(|| id_order(a.1.m.events(), b.1.m.events()))
         };
-        all.retracts.sort_by(by_deadline);
-        all.constructed.sort_by_key(|(slot, _)| *slot);
-        all.sealed.sort_by(by_deadline);
-        let retracts = all.retracts.into_iter().map(|(_, o)| o);
-        let constructed = all.constructed.into_iter().map(|(_, o)| o);
-        let sealed = all.sealed.into_iter().map(|(_, o)| o);
+        self.retracts.sort_by(by_deadline);
+        self.constructed.sort_by_key(|(slot, _)| *slot);
+        self.sealed.sort_by(by_deadline);
+        let retracts = self.retracts.into_iter().map(|(_, o)| o);
+        let constructed = self.constructed.into_iter().map(|(_, o)| o);
+        let sealed = self.sealed.into_iter().map(|(_, o)| o);
         retracts.chain(constructed).chain(sealed).for_each(emit);
-        buffered
     }
 }
 
@@ -139,9 +118,8 @@ impl Ord for Pending {
 
 /// One query's settle state (see the module docs). The caller supplies
 /// the [`Stamp`] (the query's epoch has it), the [`RuntimeStats`] to
-/// charge (a pool's non-primary worker charges lockstep work to nobody)
-/// and the [`PhasedOutput`] to write into; the rules depend on none of
-/// them.
+/// charge and the [`PhasedOutput`] to write into; the rules depend on none
+/// of them.
 #[derive(Debug)]
 pub(crate) struct Settle {
     query: Arc<Query>,
@@ -166,12 +144,6 @@ impl Settle {
         self.policy
     }
 
-    /// Entries in the negative index (which a sharded pool replicates on
-    /// every worker and must count once).
-    pub(crate) fn negatives_len(&self) -> usize {
-        self.negatives.len()
-    }
-
     /// Everything held: negatives, pending and unsealed matches.
     pub(crate) fn len(&self) -> usize {
         self.negatives.len() + self.pending.len() + self.emitted_unsealed.len()
@@ -180,14 +152,8 @@ impl Settle {
     /// Forgets all held state (the query was unregistered).
     pub(crate) fn clear(&mut self) {
         self.negatives = NegationIndex::new(Arc::clone(&self.query));
-        self.retain_matches(|_| false);
-    }
-
-    /// Keeps only the held matches `keep` accepts (a restored pool worker
-    /// drops the ones other workers own, but still mirrors the negatives).
-    pub(crate) fn retain_matches(&mut self, keep: impl Fn(&[EventRef]) -> bool) {
-        self.pending.retain(|Reverse(p)| keep(&p.events));
-        self.emitted_unsealed.retain(|rec| keep(&rec.events));
+        self.pending.clear();
+        self.emitted_unsealed.clear();
     }
 
     /// Indexes an event of a negated type. Call before routing the same
@@ -216,7 +182,7 @@ impl Settle {
     /// Decides what to do with a freshly constructed match: emit now,
     /// hold until its negation regions seal, defer wholesale (lazy), or
     /// emit optimistically (speculative). `slot` is the arriving event's
-    /// positive slot, the construction-phase merge key; `trigger` is the
+    /// positive slot, the construction-phase order key; `trigger` is the
     /// arriving event, recorded as the cause of an immediate emission.
     /// Returns the match's seal deadline when a record of it is *held* —
     /// pending, or emitted but still retractable — which is when
@@ -370,21 +336,18 @@ impl Settle {
         self.negatives.purge_before(threshold, stats);
     }
 
-    /// Writes the settle tail of a checkpoint blob for a query whose
-    /// state is spread over `parts` (the workers of a pool; one element
-    /// otherwise): the negative index, which every part mirrors, from the
-    /// first; pending and unsealed matches as sorted unions, so identical
-    /// state yields identical bytes whatever its history or worker count.
-    pub(crate) fn encode(parts: &[&Settle], w: &mut Writer) {
-        parts[0].negatives.snapshot_into(w);
+    /// Writes the settle tail of a checkpoint blob: the negative index,
+    /// then pending and unsealed matches, each sorted, so identical state
+    /// yields identical bytes whatever its history.
+    pub(crate) fn encode(&self, w: &mut Writer) {
+        self.negatives.snapshot_into(w);
         let sorted = |mut records: Vec<&Pending>, w: &mut Writer| {
             records.sort();
             w.put_u64(records.len() as u64);
             records.iter().for_each(|p| p.encode(w));
         };
-        let pending = parts.iter().flat_map(|s| &s.pending);
-        sorted(pending.map(|Reverse(p)| p).collect(), w);
-        sorted(parts.iter().flat_map(|s| &s.emitted_unsealed).collect(), w);
+        sorted(self.pending.iter().map(|Reverse(p)| p).collect(), w);
+        sorted(self.emitted_unsealed.iter().collect(), w);
     }
 
     /// Reads a settle tail written by [`Settle::encode`] into a fresh
@@ -547,7 +510,7 @@ mod tests {
                 .settle
                 .drain_sealed(stamp(1000), &mut self.stats, &mut self.out);
             assert_eq!(left, None);
-            assert_eq!(self.settle.len(), self.settle.negatives_len());
+            assert_eq!(self.settle.len(), self.settle.negatives.len());
         }
 
         /// Inserts minus retracts: 1 when the match stands.

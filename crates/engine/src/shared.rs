@@ -14,16 +14,12 @@
 //! insert-time predicate evaluation, queries with a common prefix share
 //! one partial-match enumeration forked to every member's final slot, and
 //! an event-type routing index means an arrival touches only the plan
-//! nodes of interested queries. Every hosting is an instance of it, and a
-//! plan is a pool of one:
+//! nodes of interested queries. Every hosting is an instance of it, run
+//! inline on the caller's thread:
 //!
-//! * a [`crate::MultiEngine`]'s queries run on `shards ≥ 1` of these, each
-//!   holding *every* registered query over its [`ShardSlice`] of the
-//!   partition-key space (see "Key slices" below); at one shard the slice
-//!   is everything and the evaluator runs inline;
+//! * a [`crate::MultiEngine`]'s native queries all run on one of these;
 //! * one query — [`crate::NativeEngine`] is a plan of one registration,
-//!   where pooling and prefix sharing have nothing to share, and
-//!   [`crate::ShardedEngine`] is a pool with one registration.
+//!   where pooling and prefix sharing have nothing to share.
 //!
 //! ## Equivalence contract
 //!
@@ -41,7 +37,7 @@
 //! strictly more of those out-of-contract matches. Per-query
 //! [`RuntimeStats`] are faithful for the routing, insertion, emission,
 //! and lateness counters — an insert reports its position and depth in
-//! the arrival's own key stack, which pooling and sharding do not move;
+//! the arrival's own key stack, which pooling does not move;
 //! the pure cost counters `purged` and `max_stack_depth` describe the
 //! shared physical layout, since the pooled purge threshold retains more
 //! state than any single query needs.
@@ -85,23 +81,6 @@
 //! changes, not the queries that share them: a partial is forked only to
 //! the group's *live* members, whose final stack holds an instance, and a
 //! purge round visits only its epoch's non-empty stacks.
-//!
-//! ## Key slices
-//!
-//! A worker of a pool of several runs the same loop over the same plan
-//! with three differences, which are all of the slice-aware code: it
-//! inserts (and so constructs) only for the partition keys that hash to
-//! its [`ShardSlice`] ([`owner_of`], which the pool's router reads the
-//! same way); work every worker performs in lockstep — late-arrival
-//! accounting, negative indexing, purge rounds — is attributed by the
-//! primary worker alone; and outputs leave unmerged, as per-query
-//! [`PhasedOutput`]s the pool merges across workers. Every worker sees
-//! every arrival exactly once — in full, or as a [`RoutedMsg::Advance`] —
-//! so each numbers arrivals itself and their per-epoch sequences agree,
-//! which is also what lets a mid-stream subscription open the same epoch
-//! in every worker. Restore keeps the slice of a blob the worker owns, and
-//! a pool's blob is the union of its workers'
-//! ([`SharedMultiEngine::merged_blob`]).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -112,10 +91,7 @@ use sequin_plan::{
 };
 use sequin_query::{with_binding, Query};
 use sequin_runtime::{purge, ConstructOpts, Constructor, KeyedStack, PartitionKey, RuntimeStats};
-use sequin_types::codec::fnv1a64;
-use sequin_types::{
-    ArrivalSeq, CodecError, Duration, Encode, EventRef, StreamItem, Timestamp, Writer,
-};
+use sequin_types::{ArrivalSeq, CodecError, Duration, EventRef, StreamItem, Timestamp, Writer};
 
 use crate::blob::QueryBlob;
 use crate::config::{DisorderPolicy, EngineConfig};
@@ -176,68 +152,6 @@ impl WmClass {
         }
     }
 }
-
-/// Which slice of the partition-key space an evaluator owns as one worker
-/// of a pool of several. Without one it owns everything (a pool of one).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ShardSlice {
-    /// This worker's index in `0..of`.
-    pub(crate) index: u32,
-    /// Total number of workers.
-    pub(crate) of: u32,
-}
-
-impl ShardSlice {
-    fn owns_event(&self, stack: &KeyedStack, event: &EventRef) -> bool {
-        owner_of(stack, event, self.of) == self.index
-    }
-
-    /// The primary worker (index 0) owns everything that cannot be
-    /// keyed — the overflow shard — and is the one that accounts for
-    /// work every worker performs in lockstep (watermarks, negatives).
-    fn primary(&self) -> bool {
-        self.index == 0
-    }
-}
-
-/// The worker, of a pool of `of`, that holds `event` in `stack`: the one
-/// its key hashes to, or the primary when there is no key — the slot is
-/// unkeyed, or the event is unkeyable and every engine drops it — which
-/// performs (and accounts) that work for the pool. The pool's router and
-/// the worker's ownership test are both this function, so they can never
-/// disagree.
-///
-/// The hash is FNV-1a over the key's wire encoding, so placement is stable
-/// across processes, platforms, and hash-map seeds (the same
-/// fingerprint-stable construction snapshots use).
-pub(crate) fn owner_of(stack: &KeyedStack, event: &EventRef, of: u32) -> u32 {
-    stack.key_of(event).map_or(0, |key| {
-        let mut w = Writer::new();
-        key.encode(&mut w);
-        (fnv1a64(&w.into_bytes()) % u64::from(of)) as u32
-    })
-}
-
-/// One pre-routed ingest message, as a pool's router delivers it to a
-/// sliced worker: the full event when the worker owns one of its slots (or
-/// some query negates its type, which broadcasts it), otherwise a
-/// watermark-only advance mirroring the arrival so the worker's sequence
-/// numbers, clock, disorder estimate, and purge cadence stay lockstep with
-/// a pool of one.
-#[derive(Debug, Clone)]
-pub(crate) enum RoutedMsg {
-    /// Full event (one `Arc` shared by every owner).
-    Event(EventRef),
-    /// An event whose state belongs to other workers: its occurrence
-    /// timestamp, the watermark and clock input.
-    Advance(Timestamp),
-    /// Stream punctuation, broadcast to every worker.
-    Punctuation(Timestamp),
-}
-
-/// One query's unmerged output for one arrival of a routed run: `(item
-/// index, query index, phases)`. A worker returns them in that order.
-pub(crate) type Phases = (u32, u32, PhasedOutput);
 
 /// Per-registration-epoch stream state: one watermark tracker and one
 /// arrival sequence shared by every query registered at that position
@@ -365,8 +279,8 @@ impl QueryState {
 /// What a pooled stack counts once for every (query, slot) reading it.
 #[derive(Debug, Default, Clone, Copy)]
 struct StackOwed {
-    /// Arrivals offered to the stack (past a worker's slice check), each
-    /// an `events_routed` of the readers.
+    /// Arrivals offered to the stack, each an `events_routed` of the
+    /// readers.
     offered: u64,
     /// The pre-filter's `predicate_evals`.
     predicate_evals: u64,
@@ -480,9 +394,8 @@ fn writing<T>(
 
 /// The evaluator of one shared plan (see module docs).
 ///
-/// Each worker of the pool a [`crate::MultiEngine`] runs its native
-/// queries on (a plan is a pool of one); the whole of a
-/// [`crate::NativeEngine`]; and usable on its own when every query runs
+/// What a [`crate::MultiEngine`] runs its native queries on; the whole of
+/// a [`crate::NativeEngine`]; and usable on its own when every query runs
 /// the native strategy under one shared [`EngineConfig`] (with an
 /// optional per-query [`DisorderPolicy`] override). Outputs carry the
 /// same tags in the same order as the same queries on plans of their own,
@@ -518,9 +431,6 @@ pub struct SharedMultiEngine {
     /// The queries this arrival gave output, in the order it first did
     /// (see [`writing`]); drained, sorted, when the outputs are collected.
     dirty: Vec<usize>,
-    /// The key range this evaluator holds as one worker of a pool of
-    /// several; `None` everywhere else.
-    slice: Option<ShardSlice>,
 }
 
 impl std::fmt::Debug for SharedMultiEngine {
@@ -534,23 +444,13 @@ impl std::fmt::Debug for SharedMultiEngine {
 }
 
 impl SharedMultiEngine {
-    /// The only query of a plan of one: how [`crate::NativeEngine`] and
-    /// [`crate::ShardedEngine`] address theirs.
+    /// The only query of a plan of one: how [`crate::NativeEngine`]
+    /// addresses it.
     pub(crate) const ONLY: QueryId = QueryId::new(0);
 
     /// Creates an empty shared evaluator; every registered query runs
     /// under `config`.
     pub fn new(config: EngineConfig) -> SharedMultiEngine {
-        SharedMultiEngine::sliced(config, None)
-    }
-
-    /// One worker of a pool: an empty evaluator that will hold, of every
-    /// query registered with it, only the partition keys that hash to
-    /// `slice` (everything without one). A sliced worker still observes
-    /// every stream item (watermarks, sequence numbers, and the negative
-    /// index advance in lockstep with a pool of one) but inserts and
-    /// constructs only for its own keys.
-    pub(crate) fn sliced(config: EngineConfig, slice: Option<ShardSlice>) -> SharedMultiEngine {
         SharedMultiEngine {
             config,
             specs: Vec::new(),
@@ -568,14 +468,7 @@ impl SharedMultiEngine {
             scratch_tallies: Default::default(),
             scratch_forked: Vec::new(),
             dirty: Vec::new(),
-            slice,
         }
-    }
-
-    /// True unless this is a pool's non-primary worker: the evaluator
-    /// that attributes the work a pool performs in lockstep.
-    fn primary(&self) -> bool {
-        self.slice.is_none_or(|s| s.primary())
     }
 
     /// The shared configuration.
@@ -782,7 +675,7 @@ impl SharedMultiEngine {
     /// order, exactly as [`crate::MultiEngine::ingest`] tags them.
     pub fn ingest(&mut self, item: &StreamItem) -> Vec<(QueryId, OutputItem)> {
         match item {
-            StreamItem::Event(event) => self.on_event(event.ts(), Some(event)),
+            StreamItem::Event(event) => self.on_event(event),
             StreamItem::Punctuation(t) => self.on_punctuation(*t),
         }
         self.collect_outputs()
@@ -794,59 +687,14 @@ impl SharedMultiEngine {
         items.iter().map(|it| self.ingest(it)).collect()
     }
 
-    /// Applies a run of messages from a pool's router to this worker: the
-    /// same arrivals, their outputs left unmerged for the pool.
-    /// [`RoutedMsg::Advance`] is precisely what a full event does to a
-    /// worker that owns none of its slots.
-    pub(crate) fn apply_routed(&mut self, lane: &[RoutedMsg]) -> Vec<Phases> {
-        let mut out = Vec::new();
-        for (ix, msg) in lane.iter().enumerate() {
-            match msg {
-                RoutedMsg::Event(event) => self.on_event(event.ts(), Some(event)),
-                RoutedMsg::Advance(ts) => self.on_event(*ts, None),
-                RoutedMsg::Punctuation(t) => self.on_punctuation(*t),
-            }
-            self.take_phased(ix as u32, &mut out);
-        }
-        out
-    }
-
-    /// Moves every query's unmerged output for arrival `item` into `out`,
-    /// in registration order.
-    fn take_phased(&mut self, item: u32, out: &mut Vec<Phases>) {
-        self.drain_dirty(|qix, phased| out.push((item, qix as u32, phased)));
-    }
-
-    /// Hands `take` this arrival's output, query by query in registration
-    /// order: the [`SharedMultiEngine::dirty`] list, sorted.
-    fn drain_dirty(&mut self, mut take: impl FnMut(usize, PhasedOutput)) {
-        self.dirty.sort_unstable();
-        for qix in self.dirty.drain(..) {
-            take(qix, std::mem::take(&mut self.states[qix].phased));
-        }
-    }
-
     /// End-of-stream: seals every epoch's watermark and flushes pending
     /// matches.
     pub fn finish(&mut self) -> Vec<(QueryId, OutputItem)> {
-        self.seal();
-        self.collect_outputs()
-    }
-
-    /// [`SharedMultiEngine::finish`] for a pool's worker, in merge-ready
-    /// form.
-    pub(crate) fn finish_phased(&mut self) -> Vec<Phases> {
-        self.seal();
-        let mut out = Vec::new();
-        self.take_phased(0, &mut out);
-        out
-    }
-
-    fn seal(&mut self) {
         for ep in &mut self.epochs {
             ep.wm.seal();
         }
         self.drain_seals();
+        self.collect_outputs()
     }
 
     /// Per-query operator statistics, in registration order.
@@ -924,21 +772,6 @@ impl SharedMultiEngine {
         self.epochs[self.states[id.index()].epoch].wm.lag()
     }
 
-    /// Entries in one query's negative index (which a pool replicates on
-    /// every worker and must count once).
-    pub(crate) fn query_negatives_len(&self, id: QueryId) -> usize {
-        self.states[id.index()].settle.negatives_len()
-    }
-
-    /// What the plan's routing index holds for `event`'s type — the
-    /// queries negating it, the stacks it can enter — and the stacks those
-    /// indices name: what a pool's router reads an arrival's owner set
-    /// from. `None` when no registered query listens to the type.
-    pub(crate) fn routing(&self, event: &EventRef) -> Option<(&RouteEntry, &[KeyedStack])> {
-        let entry = self.plan.routing.get(&event.event_type())?;
-        Some((entry, &self.stacks))
-    }
-
     /// Minimum occurrence timestamp across every live stack entry, or
     /// `None` when all stacks are empty. Inspection hook for the
     /// purge-invariant property tests; not part of the stable API.
@@ -952,31 +785,24 @@ impl SharedMultiEngine {
     // ingestion
     // ------------------------------------------------------------------
 
-    /// The one ingest loop, for an event arrival at `ts`. Every epoch
-    /// numbers the arrival itself, counting only items since its
-    /// registration moment. `event` is `None` for a [`RoutedMsg::Advance`]:
-    /// the arrival belongs to other workers and only moves this one's
-    /// sequences and watermarks.
-    fn on_event(&mut self, ts: Timestamp, event: Option<&EventRef>) {
+    /// The one ingest loop, for an event arrival. Every epoch numbers the
+    /// arrival itself, counting only items since its registration moment.
+    fn on_event(&mut self, event: &EventRef) {
         self.open_epochs.clear();
         // a disorder-bound violation — state the event needed may already
-        // be purged, so it is processed best-effort and recorded — is seen
-        // by every worker of a pool; the primary records it
-        let primary = self.primary();
+        // be purged — is processed best-effort and recorded
         for ep in &mut self.epochs {
             ep.seq = ep.seq.next();
-            if ep.wm.observe_event(ts) && primary {
+            if ep.wm.observe_event(event.ts()) {
                 ep.late_drops += 1;
             }
         }
-        if let Some(event) = event {
-            let plan = std::mem::take(&mut self.plan);
-            match plan.routing.get(&event.event_type()) {
-                Some(entry) => self.route_event(&plan, entry, event),
-                None => self.counters.routing_misses += 1,
-            }
-            self.plan = plan;
+        let plan = std::mem::take(&mut self.plan);
+        match plan.routing.get(&event.event_type()) {
+            Some(entry) => self.route_event(&plan, entry, event),
+            None => self.counters.routing_misses += 1,
         }
+        self.plan = plan;
         self.settle_and_purge();
     }
 
@@ -1011,18 +837,11 @@ impl SharedMultiEngine {
         stamped.extend(self.epochs.iter().map(stamp));
 
         // negatives first: a negative at the same timestamp as a positive
-        // arrival must be visible to validation during this call. Every
-        // worker of a pool keeps the full negative index (negatives filter
-        // at check time); the primary accounts for indexing it.
-        let primary = self.primary();
+        // arrival must be visible to validation during this call
         for &qix in &entry.neg_queries {
             let st = &mut self.states[qix];
             let (ev, stamp) = (&stamped[st.epoch], self.epochs[st.epoch].stamp());
-            if primary {
-                st.settle.offer_negative(ev, &mut st.stats);
-            } else {
-                st.settle.offer_negative(ev, &mut RuntimeStats::default());
-            }
+            st.settle.offer_negative(ev, &mut st.stats);
             let swallow = &mut self.retraction_drop;
             writing(st, qix, &mut self.dirty, |st| {
                 st.settle
@@ -1033,9 +852,6 @@ impl SharedMultiEngine {
         for &six in &entry.stacks {
             let node = &plan.stacks[six];
             let ev = &stamped[node.sig.epoch];
-            if !self.offered(six, ev) {
-                continue;
-            }
             // an arrival that reaches a query's stack counts as routed for
             // that query even if pre-filters reject it. The stack counts
             // for every (query, slot) reading it, and so does predicate
@@ -1073,19 +889,10 @@ impl SharedMultiEngine {
             }
         }
         for (qix, stacks) in &entry.multi_slot {
-            let offers = stacks.iter().filter(|&&six| self.offered(six, event));
-            self.states[*qix].repeat_offers += (offers.count() as u64).saturating_sub(1);
+            self.states[*qix].repeat_offers += (stacks.len() as u64).saturating_sub(1);
         }
         stamped.clear();
         self.scratch_stamped = stamped;
-    }
-
-    /// Whether this evaluator is offered `event` for pooled stack `six`:
-    /// always, unless it is a pool's worker and another owns the event's
-    /// key there.
-    fn offered(&self, six: usize, event: &EventRef) -> bool {
-        self.slice
-            .is_none_or(|slice| slice.owns_event(&self.stacks[six], event))
     }
 
     /// Per-query construction for anchors outside any shared prefix walk:
@@ -1229,17 +1036,9 @@ impl SharedMultiEngine {
     /// in-bound streams, since every query's scan ranges stay above its
     /// own threshold. A stack the purge empties leaves the epoch's list
     /// and its final-slot members' groups' live sets.
-    ///
-    /// Every worker of a pool purges on the same cadence: the round itself
-    /// and the (replicated) negative-index purge are attributed by the
-    /// primary only, while the stacks' purges are disjoint and counted
-    /// where they happen.
     fn run_purge(&mut self, eix: usize) {
-        let primary = self.primary();
         let ep = &mut self.epochs[eix];
-        if primary {
-            ep.purge_runs += 1;
-        }
+        ep.purge_runs += 1;
         let wm = ep.wm.current();
         let skew = Duration::new(self.config.purge_horizon_skew);
         let (plan, stacks, owed, groups) = (
@@ -1265,22 +1064,21 @@ impl SharedMultiEngine {
         });
         for &qix in &ep.negating {
             let st = &mut self.states[qix];
-            match primary {
-                true => st.settle.purge_negatives(wm, skew, &mut st.stats),
-                false => st
-                    .settle
-                    .purge_negatives(wm, skew, &mut RuntimeStats::default()),
-            }
+            st.settle.purge_negatives(wm, skew, &mut st.stats);
         }
     }
 
-    /// Drains per-query phase buffers into the canonical output order,
-    /// tagged in registration order (the `MultiEngine` contract).
+    /// Drains this arrival's per-query phase buffers — the queries on the
+    /// [`SharedMultiEngine::dirty`] list, sorted — into the canonical
+    /// output order, tagged in registration order (the `MultiEngine`
+    /// contract).
     fn collect_outputs(&mut self) -> Vec<(QueryId, OutputItem)> {
         let mut out = Vec::new();
-        self.drain_dirty(|qix, phased| {
-            PhasedOutput::merge_into([phased], |o| out.push((QueryId::new(qix), o)));
-        });
+        self.dirty.sort_unstable();
+        for qix in self.dirty.drain(..) {
+            let phased = std::mem::take(&mut self.states[qix].phased);
+            phased.merge_into(|o| out.push((QueryId::new(qix), o)));
+        }
         out
     }
 
@@ -1291,8 +1089,8 @@ impl SharedMultiEngine {
     /// Serializes the evaluation as a [`crate::MultiEngine`] envelope of
     /// per-query blobs: plan-shape-agnostic by construction (each blob
     /// describes one logical query, not the pooled layout), so it restores
-    /// into plans of one, into pools — or into an evaluator compiled from
-    /// a different registration history.
+    /// into plans of one — or into an evaluator compiled from a different
+    /// registration history.
     pub fn snapshot(&self) -> Result<Vec<u8>, CodecError> {
         write_envelope((0..self.specs.len()).map(|qix| Ok(self.query_blob(qix))))
     }
@@ -1301,41 +1099,19 @@ impl SharedMultiEngine {
     /// the stacks it would hold as a plan of one (identical content,
     /// modulo the pooled purge superset).
     pub(crate) fn query_blob(&self, qix: usize) -> Vec<u8> {
-        SharedMultiEngine::merged_blob(&[self], qix)
-    }
-
-    /// One query's [`QueryBlob`] when its state is spread over the
-    /// workers of a pool (`parts`, primary first; a lone evaluator is a
-    /// pool of one): restoring it into a single evaluator — or a pool with
-    /// a *different* worker count — reproduces the same evaluation state.
-    /// Lockstep state (watermark, arrival sequence, negative index) comes
-    /// from the primary; the workers' keys are disjoint by construction
-    /// and written as one sorted map; counters are summed; pending and
-    /// unsealed matches are the sorted union.
-    pub(crate) fn merged_blob(parts: &[&SharedMultiEngine], qix: usize) -> Vec<u8> {
-        let primary = parts[0];
-        assert!(primary.primary(), "worker 0 is the pool's primary");
-        let st = &primary.states[qix];
-        let ep = &primary.epochs[st.epoch];
-        let mut stats = RuntimeStats::default();
+        let st = &self.states[qix];
+        let ep = &self.epochs[st.epoch];
         // an unregistered query owns no plan nodes and holds nothing
-        let mut stacks: Vec<Vec<&KeyedStack>> = vec![Vec::new(); st.query.positive_len()];
-        for p in parts {
-            stats += p.fold(qix);
-            let pooled = &p.plan.queries[qix].stack_of_slot;
-            for (slot, &six) in stacks.iter_mut().zip(pooled) {
-                slot.push(&p.stacks[six]);
-            }
-        }
-        let settles: Vec<&Settle> = parts.iter().map(|p| &p.states[qix].settle).collect();
+        let pooled = &self.plan.queries[qix].stack_of_slot;
+        let stacks: Vec<&KeyedStack> = pooled.iter().map(|&six| &self.stacks[six]).collect();
         QueryBlob::encode(
             &st.query,
-            &primary.config,
+            &self.config,
             &ep.wm,
             ep.seq,
-            &stats,
+            &self.fold(qix),
             &stacks,
-            &settles,
+            &st.settle,
         )
     }
 
@@ -1391,31 +1167,10 @@ impl SharedMultiEngine {
         self.open_epochs.clear();
         self.plan = SharedPlan::default();
         self.recompile();
-        for (qix, mut rq) in restored.into_iter().enumerate() {
+        for (qix, rq) in restored.into_iter().enumerate() {
             let pooled = &self.plan.queries[qix].stack_of_slot;
-            if let Some(slice) = self.slice {
-                // a pool's worker keeps what it owns of the positive state
-                // — stack instances below, pending / unsealed matches by
-                // their first event — and all of the lockstep state
-                // (watermark, sequence, negatives). The snapshot's aggregate
-                // counters stay with the primary; the other workers restart
-                // their disjoint ones from zero so the pool's sum does not
-                // double-count.
-                let first = pooled.first().map(|&six| &self.stacks[six]);
-                rq.settle.retain_matches(|events| {
-                    let owned = first.zip(events.first());
-                    owned.map_or(slice.primary(), |(stack, e)| slice.owns_event(stack, e))
-                });
-                if !slice.primary() {
-                    rq.stats.reset();
-                }
-            }
-            for (mut events, &six) in rq.stacks.into_iter().zip(pooled) {
-                let stack = &mut self.stacks[six];
-                if let Some(slice) = self.slice {
-                    events.retain(|e| slice.owns_event(stack, e));
-                }
-                stack.insert_all(events);
+            for (events, &six) in rq.stacks.into_iter().zip(pooled) {
+                self.stacks[six].insert_all(events);
             }
             let st = &mut self.states[qix];
             st.epoch = epoch_of[qix];
@@ -1705,10 +1460,10 @@ mod tests {
         run_differential(cfg, 5);
     }
 
-    /// Per-query policies in one shared plan, on 1, 2 and 3 workers: every
-    /// query's output stays byte-identical to its own independent engine
-    /// running the same policy, and fixed-bound queries still pool while
-    /// adaptive ones get their own watermark epoch.
+    /// Per-query policies in one shared plan: every query's output stays
+    /// byte-identical to its own independent engine running the same
+    /// policy, and fixed-bound queries still pool while adaptive ones get
+    /// their own watermark epoch.
     #[test]
     fn mixed_policies_match_independent_evaluation() {
         let reg = registry();
@@ -1722,27 +1477,24 @@ mod tests {
         ];
         let policy = |ix: usize| policies[ix % policies.len()];
         let items = gen_stream(&reg, 12, 400, 90);
-        for shards in 1..=3 {
-            let mut shared = MultiEngine::new(Strategy::Native, base, shards);
-            for (ix, q) in queries.iter().enumerate() {
-                shared.register(Arc::clone(q), policy(ix));
-            }
-            let alone = |ix| EngineConfig {
-                policy: policy(ix),
-                ..base
-            };
-            let mut multi = independent(&queries, alone);
-            assert_eq!(
-                shared.plan_metrics().epochs,
-                2,
-                "one fixed-bound epoch, one adaptive epoch"
-            );
-            for (ix, it) in items.iter().enumerate() {
-                let context = format!("item {ix} on {shards} worker(s)");
-                outputs_eq(&shared.ingest(it), &multi.ingest(it), &context);
-            }
-            outputs_eq(&shared.finish(), &multi.finish(), "finish");
+        let mut shared = MultiEngine::new(Strategy::Native, base);
+        for (ix, q) in queries.iter().enumerate() {
+            shared.register(Arc::clone(q), policy(ix));
         }
+        let alone = |ix| EngineConfig {
+            policy: policy(ix),
+            ..base
+        };
+        let mut multi = independent(&queries, alone);
+        assert_eq!(
+            shared.plan_metrics().epochs,
+            2,
+            "one fixed-bound epoch, one adaptive epoch"
+        );
+        for (ix, it) in items.iter().enumerate() {
+            outputs_eq(&shared.ingest(it), &multi.ingest(it), &format!("item {ix}"));
+        }
+        outputs_eq(&shared.finish(), &multi.finish(), "finish");
     }
 
     #[test]
@@ -1860,27 +1612,23 @@ mod tests {
         ];
         let items = gen_stream(&reg, 11, 300, 60);
         let (head, tail) = items.split_at(150);
-        for shards in 1..=3 {
-            // a fresh independent engine per query sees only the arrivals
-            // after its subscription; the host, on any number of workers,
-            // must agree byte-for-byte
-            let mut host = MultiEngine::new(Strategy::Native, config, shards);
-            let mut alone = MultiEngine::from_engines(Vec::new());
-            for (texts, items) in [(&early[..], head), (&late[..], tail)] {
-                for text in texts {
-                    let q = parse(text, &reg).unwrap();
-                    host.register(Arc::clone(&q), config.policy);
-                    alone.register(q, config.policy);
-                }
-                for (ix, it) in items.iter().enumerate() {
-                    let context = format!("item {ix} on {shards} worker(s)");
-                    outputs_eq(&host.ingest(it), &alone.ingest(it), &context);
-                }
+        // a fresh independent engine per query sees only the arrivals after
+        // its subscription; the host must agree byte-for-byte
+        let mut host = MultiEngine::new(Strategy::Native, config);
+        let mut alone = MultiEngine::from_engines(Vec::new());
+        for (texts, items) in [(&early[..], head), (&late[..], tail)] {
+            for text in texts {
+                let q = parse(text, &reg).unwrap();
+                host.register(Arc::clone(&q), config.policy);
+                alone.register(q, config.policy);
             }
-            outputs_eq(&host.finish(), &alone.finish(), "finish");
-            assert_eq!(host.plan_metrics().epochs, 2, "mid-stream epoch split");
-            assert_eq!(host.stats().len(), 5);
+            for (ix, it) in items.iter().enumerate() {
+                outputs_eq(&host.ingest(it), &alone.ingest(it), &format!("item {ix}"));
+            }
         }
+        outputs_eq(&host.finish(), &alone.finish(), "finish");
+        assert_eq!(host.plan_metrics().epochs, 2, "mid-stream epoch split");
+        assert_eq!(host.stats().len(), 5);
     }
 
     /// 64 prefix siblings `SEQ(A a, !N n, B b, C|D|E c)`, each with a floor

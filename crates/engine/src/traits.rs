@@ -50,19 +50,6 @@ pub trait Engine: Send {
     /// triggered.
     fn ingest(&mut self, item: &StreamItem) -> Vec<OutputItem>;
 
-    /// Ingests a run of arrivals, returning `(item_index, output)` pairs
-    /// in emission order. Semantically identical to calling
-    /// [`Engine::ingest`] per item (the default does exactly that); a
-    /// pool of several workers overrides it to fan one batch out across
-    /// its threads.
-    fn ingest_batch(&mut self, items: &[StreamItem]) -> Vec<(usize, OutputItem)> {
-        let mut out = Vec::new();
-        for (ix, item) in items.iter().enumerate() {
-            out.extend(self.ingest(item).into_iter().map(|o| (ix, o)));
-        }
-        out
-    }
-
     /// Signals end-of-stream: releases everything still held (reorder
     /// buffers drain; pending negation matches are sealed as if a final
     /// punctuation at `Timestamp::MAX` arrived).

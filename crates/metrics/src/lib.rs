@@ -24,4 +24,4 @@ mod table;
 pub use compare::{compare_outputs, net_inserts, Accuracy};
 pub use histogram::Histogram;
 pub use runner::{run_engine, run_engine_batched, RunReport};
-pub use table::{f1, pairs_table, shard_table, stats_table, Table};
+pub use table::{f1, pairs_table, stats_table, Table};

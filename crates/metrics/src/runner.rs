@@ -131,8 +131,7 @@ pub fn run_engine(
 /// Like [`run_engine`], for the stack `sequin run` evaluates through — a
 /// [`Checkpointer`] around its [`sequin_engine::MultiEngine`] host — fed
 /// in chunks of `batch` items, sampling state once per chunk. Outputs are
-/// identical to an item-by-item run; throughput differs because batched
-/// ingestion is what lets a sharded pool use its worker threads.
+/// identical to an item-by-item run.
 ///
 /// # Panics
 ///
@@ -200,15 +199,13 @@ mod tests {
         let cfg = EngineConfig::with_k(Duration::new(60));
         let mut seq = NativeEngine::new(std::sync::Arc::clone(&q), cfg);
         let per_item = run_engine(&mut seq, &stream, 16);
-        for shards in [1, 2] {
-            let mut host = MultiEngine::new(Strategy::Native, cfg, shards);
-            host.register(std::sync::Arc::clone(&q), cfg.policy);
-            let mut stack = Checkpointer::new(host, CheckpointPolicy::every(100));
-            let batched = run_engine_batched(&mut stack, &stream, 64);
-            assert_eq!(batched.outputs, per_item.outputs);
-            assert_eq!(batched.events, per_item.events);
-            assert_eq!(batched.stats.checkpoints_written, stream.len() as u64 / 100);
-        }
+        let mut host = MultiEngine::new(Strategy::Native, cfg);
+        host.register(std::sync::Arc::clone(&q), cfg.policy);
+        let mut stack = Checkpointer::new(host, CheckpointPolicy::every(100));
+        let batched = run_engine_batched(&mut stack, &stream, 64);
+        assert_eq!(batched.outputs, per_item.outputs);
+        assert_eq!(batched.events, per_item.events);
+        assert_eq!(batched.stats.checkpoints_written, stream.len() as u64 / 100);
     }
 
     #[test]

@@ -98,36 +98,9 @@ pub fn pairs_table<'a>(pairs: impl IntoIterator<Item = (&'a str, u64)>) -> Table
 }
 
 /// Renders every [`RuntimeStats`](sequin_runtime::RuntimeStats) counter —
-/// including the checkpoint/recovery and sharding counters — as a
-/// two-column table.
+/// including the checkpoint/recovery counters — as a two-column table.
 pub fn stats_table(stats: &sequin_runtime::RuntimeStats) -> Table {
     pairs_table(stats.as_pairs())
-}
-
-/// Renders per-shard counters (one row per worker of a sharded pool):
-/// events routed, insertions, purged instances, and deepest stack. Shard
-/// 0 additionally carries the lockstep costs every worker pays
-/// (watermarks, negative index), so its rows naturally read higher.
-pub fn shard_table(per_shard: &[sequin_runtime::RuntimeStats]) -> Table {
-    let mut t = Table::new(&[
-        "shard",
-        "events_routed",
-        "insertions",
-        "matches",
-        "purged",
-        "max_stack_depth",
-    ]);
-    for (ix, s) in per_shard.iter().enumerate() {
-        t.row(&[
-            ix.to_string(),
-            s.events_routed.to_string(),
-            s.insertions.to_string(),
-            s.matches_constructed.to_string(),
-            s.purged.to_string(),
-            s.max_stack_depth.to_string(),
-        ]);
-    }
-    t
 }
 
 #[cfg(test)]
@@ -206,26 +179,5 @@ mod tests {
             assert!(s.contains(name), "missing {name} row");
         }
         assert!(s.contains('9'));
-    }
-
-    #[test]
-    fn shard_table_one_row_per_worker() {
-        let per = vec![
-            sequin_runtime::RuntimeStats {
-                events_routed: 10,
-                insertions: 8,
-                ..Default::default()
-            },
-            sequin_runtime::RuntimeStats {
-                events_routed: 7,
-                max_stack_depth: 3,
-                ..Default::default()
-            },
-        ];
-        let t = shard_table(&per);
-        assert_eq!(t.len(), 2);
-        let s = t.to_string();
-        assert!(s.contains("events_routed"));
-        assert!(s.contains("max_stack_depth"));
     }
 }

@@ -4,7 +4,7 @@
 //! went wrong — a sim mismatch or a crash-recovery fallback. It packages
 //! the trace-ring lineage slice, a rendered metrics
 //! snapshot, a human-readable config description, and machine-readable
-//! replay parameters (seed, case index, shard counts, sabotage knobs,
+//! replay parameters (seed, case index, sabotage knobs,
 //! replay cursor) so the failure can be re-driven and rendered later with
 //! `sequin trace --bundle <path>` — on a different machine, with nothing
 //! but the file.
@@ -32,7 +32,7 @@ pub struct Bundle {
     /// failure occurred (query texts, policy, backend).
     pub config: String,
     /// Machine-readable replay parameters, in insertion order: `seed`,
-    /// `case`, `shards`, sabotage knobs, `cursor` (events ingested at
+    /// `case`, sabotage knobs, `cursor` (events ingested at
     /// capture), … Whatever the capturing site needs to re-drive the run.
     pub params: Vec<(String, u64)>,
     /// Rendered JSON metrics snapshot at capture time.
@@ -285,7 +285,7 @@ mod tests {
             params: vec![
                 ("seed".to_string(), 0xC0FFEE),
                 ("case".to_string(), 17),
-                ("shards".to_string(), 2),
+                ("purge_skew".to_string(), 2),
                 ("cursor".to_string(), 421),
             ],
             metrics_json: "{\"series\":[]}".to_string(),

@@ -3,8 +3,8 @@
 //! Unlike `sequin_metrics::Histogram` (which keeps every sample for exact
 //! quantiles in offline reports), [`FixedHistogram`] is built for *live*
 //! exposition: constant memory, O(buckets) record/merge, and a bucket
-//! layout that is identical everywhere so that merging across queries,
-//! shards, or processes is well defined.
+//! layout that is identical everywhere so that merging across queries or
+//! processes is well defined.
 
 use std::fmt;
 

@@ -10,10 +10,7 @@
 //! 1. **Determinism.** Every recorded quantity is *logical* — arrival
 //!    sequence numbers, event-time ticks, operator counters — never wall
 //!    clocks. A fixed-seed workload therefore produces byte-identical
-//!    snapshots run after run, and the output-derived series (detection
-//!    latency, deferral time, emitted/retracted counts) are additionally
-//!    byte-identical between single-shard and sharded evaluation, because
-//!    sharded output itself is (see `sequin-engine`).
+//!    snapshots run after run.
 //! 2. **Zero overhead when off.** [`Recorder`] methods early-return behind a
 //!    single branch when the recorder is disabled; no allocation, no
 //!    formatting, no hashing happens on the hot path. The ledger

@@ -10,8 +10,8 @@
 //! The rendering deliberately omits the ring-global `seq` and numbers
 //! outputs ordinally instead: chunk-granular pipeline spans interleave
 //! differently between the shared-plan and independent backends, but the
-//! output spans themselves are byte-identical across backends and shard
-//! counts (they are derived from the outputs, which are). Dropping `seq`
+//! output spans themselves are byte-identical across backends (they are
+//! derived from the outputs, which are). Dropping `seq`
 //! makes the rendered lineage byte-identical too — the property the
 //! determinism tests pin.
 

@@ -5,7 +5,7 @@
 //! empty) label set. Snapshots are *canonical*: series are sorted by
 //! `(name, labels)` at build time, so rendering the same logical state
 //! always yields byte-identical text. That property is what the
-//! determinism tests (single-shard vs sharded byte-identity) lean on.
+//! fixed-seed determinism tests lean on.
 
 use crate::hist::{FixedHistogram, BUCKET_BOUNDS};
 use crate::json_escape;

@@ -118,8 +118,8 @@ impl KeyedStack {
     /// stack and in its key's stack, and returns `(position, depth after
     /// the insert)` in *the stack a walk anchored on it scans* — its key's,
     /// or the time-ordered one without a key field. That pair is the same
-    /// whether the slot's keys share this stack with every other key, with
-    /// other queries, or with only the keys one worker of a pool owns.
+    /// whether the slot's keys share this stack with every other key or
+    /// with other queries.
     /// `None` when nothing was inserted: a duplicate `(ts, id)`, or an
     /// instance a keyed slot cannot key.
     pub fn insert(&mut self, event: EventRef) -> Option<(usize, usize)> {

@@ -102,15 +102,6 @@ impl<T> PartitionMap<T> {
         self.shards.retain(|_, t| !dead(t));
         before - self.shards.len()
     }
-
-    /// Keeps only the shards whose *key* satisfies `keep`, returning how
-    /// many were dropped. Used when a restored snapshot is pruned down to
-    /// the key range a worker owns.
-    pub fn retain_keys(&mut self, mut keep: impl FnMut(&PartitionKey) -> bool) -> usize {
-        let before = self.shards.len();
-        self.shards.retain(|k, _| keep(k));
-        before - self.shards.len()
-    }
 }
 
 impl<T> Default for PartitionMap<T> {
@@ -192,18 +183,6 @@ mod tests {
         m.shard_mut(PartitionKey::Int(2), Vec::new);
         assert_eq!(m.retain_live(|v| v.is_empty()), 1);
         assert_eq!(m.len(), 1);
-    }
-
-    #[test]
-    fn retain_keys_prunes_by_key() {
-        let mut m: PartitionMap<u32> = PartitionMap::new();
-        *m.shard_mut(PartitionKey::Int(1), || 0) = 1;
-        *m.shard_mut(PartitionKey::Int(2), || 0) = 2;
-        *m.shard_mut(PartitionKey::Int(3), || 0) = 3;
-        assert_eq!(m.retain_keys(|k| *k != PartitionKey::Int(2)), 1);
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.shard(&PartitionKey::Int(2)), None);
-        assert_eq!(m.shard(&PartitionKey::Int(3)), Some(&3));
     }
 
     #[test]

@@ -36,24 +36,15 @@ pub struct RuntimeStats {
     /// Outputs suppressed during post-restore replay because the dedup
     /// log showed they were already delivered (exactly-once recovery).
     pub replayed_suppressed: u64,
-    /// Events accepted for positive-pattern processing by this evaluator
-    /// (after shard routing; a sharded run sums the disjoint per-shard
-    /// values).
+    /// Events accepted for positive-pattern processing by this evaluator.
     pub events_routed: u64,
     /// Deepest AIS stack observed after any insertion. Merged with `max`,
-    /// not `+`, by [`AddAssign`]: depths from different shards or queries
-    /// do not add up.
+    /// not `+`, by [`AddAssign`]: depths from different queries do not add
+    /// up.
     pub max_stack_depth: u64,
-    /// High-water mark of the sharded merge buffer (outputs held while
-    /// aligning per-shard phases of a single arrival). Merged with `max`.
+    /// Always 0: the slot of a retired gauge, kept because the checkpoint
+    /// codec writes every field. Merged with `max`.
     pub merge_buffer_peak: u64,
-}
-
-impl RuntimeStats {
-    /// Resets every counter to zero.
-    pub fn reset(&mut self) {
-        *self = RuntimeStats::default();
-    }
 }
 
 impl AddAssign for RuntimeStats {
@@ -219,53 +210,53 @@ mod tests {
     fn random_stats(rng: &mut sequin_prng::Rng) -> RuntimeStats {
         let mut w = Writer::new();
         for _ in 0..15 {
-            // small enough that sums over 8 shards cannot overflow
+            // small enough that sums over 8 parts cannot overflow
             w.put_u64(rng.gen_range(0..1u64 << 40));
         }
         let bytes = w.into_bytes();
         RuntimeStats::decode(&mut Reader::new(&bytes)).unwrap()
     }
 
-    /// Property: merging per-shard stats via `+=` sums every flow counter
-    /// and max-merges every peak gauge, independent of merge order and of
-    /// how the shards are grouped (associativity) — the guarantees the
-    /// sharded engine and the metrics registry rely on when they fold
-    /// worker stats into one aggregate.
+    /// Property: merging stats via `+=` sums every flow counter and
+    /// max-merges every peak gauge, independent of merge order and of how
+    /// the parts are grouped (associativity) — the guarantees the plan's
+    /// owed counters and the metrics registry rely on when they fold parts
+    /// into one aggregate.
     #[test]
-    fn add_assign_merge_properties_hold_for_random_shard_sets() {
+    fn add_assign_merge_properties_hold_for_random_part_sets() {
         let mut rng = sequin_prng::Rng::seed_from_u64(0x5e9_0b5);
         for round in 0..200 {
-            let shards: Vec<RuntimeStats> = (0..rng.gen_range(1..=8usize))
+            let parts: Vec<RuntimeStats> = (0..rng.gen_range(1..=8usize))
                 .map(|_| random_stats(&mut rng))
                 .collect();
 
             // left fold
             let mut merged = RuntimeStats::default();
-            for s in &shards {
+            for s in &parts {
                 merged += *s;
             }
 
             // field-by-field oracle over the pair view
             for (ix, (name, got)) in merged.as_pairs().iter().enumerate() {
                 let want = if GAUGES.contains(name) {
-                    shards.iter().map(|s| s.as_pairs()[ix].1).max().unwrap()
+                    parts.iter().map(|s| s.as_pairs()[ix].1).max().unwrap()
                 } else {
-                    shards.iter().map(|s| s.as_pairs()[ix].1).sum()
+                    parts.iter().map(|s| s.as_pairs()[ix].1).sum()
                 };
                 assert_eq!(*got, want, "round {round}: field {name}");
             }
 
             // order independence: reversed fold agrees
             let mut rev = RuntimeStats::default();
-            for s in shards.iter().rev() {
+            for s in parts.iter().rev() {
                 rev += *s;
             }
             assert_eq!(rev, merged, "round {round}: merge is order-independent");
 
             // associativity: split at a random point, merge halves, then
-            // merge the partials — regrouping shards must not change totals
-            let cut = rng.gen_range(0..=shards.len());
-            let (left, right) = shards.split_at(cut);
+            // merge the partials — regrouping parts must not change totals
+            let cut = rng.gen_range(0..=parts.len());
+            let (left, right) = parts.split_at(cut);
             let mut a = RuntimeStats::default();
             for s in left {
                 a += *s;
@@ -282,15 +273,5 @@ mod tests {
             with_zero += RuntimeStats::default();
             assert_eq!(with_zero, merged, "round {round}: zero is the identity");
         }
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let mut a = RuntimeStats {
-            late_drops: 3,
-            ..Default::default()
-        };
-        a.reset();
-        assert_eq!(a, RuntimeStats::default());
     }
 }

@@ -19,8 +19,7 @@
 //! the texts makes a restart self-contained: resume re-parses and
 //! re-registers the same queries in the same order (ids are dense
 //! registration indices, so they are stable) before the host snapshot
-//! restores into them — under whatever shard count the restarted server
-//! is configured with.
+//! restores into them.
 //!
 //! Only canonical texts are persisted: a text that deduplicated onto an
 //! existing logical query (see [`EngineCore::subscribe`]) is an alias and
@@ -57,10 +56,9 @@ pub struct CoreConfig {
     /// the emission log for exactly-once restarts; `None` disables
     /// durability entirely (no log, no suppression).
     pub checkpoint_every: Option<u64>,
-    /// How many workers run the plan of Native queries, each over a slice
-    /// of the partition-key space (1 = inline, single-threaded). Snapshots
-    /// are shard-count-agnostic, so a restart may resume with a different
-    /// value.
+    /// Read by nothing: the plan runs on the engine thread. Kept so
+    /// callers that still set it keep building.
+    #[doc(hidden)]
     pub shards: usize,
     /// Observability: latency/deferral recording and the structured trace
     /// ring. [`ObsConfig::disabled`] turns all recording off (a single
@@ -240,7 +238,7 @@ impl std::fmt::Debug for EngineCore {
 
 impl EngineCore {
     fn host(cfg: &CoreConfig) -> MultiEngine {
-        MultiEngine::new(cfg.strategy, cfg.engine, cfg.shards)
+        MultiEngine::new(cfg.strategy, cfg.engine)
     }
 
     fn policy(cfg: &CoreConfig) -> CheckpointPolicy {
@@ -359,7 +357,7 @@ impl EngineCore {
 
     /// Ingests a run of arrivals through [`Checkpointer::ingest_batch`]:
     /// outputs, log records, and checkpoints are identical to item-by-item
-    /// [`EngineCore::ingest`] calls, and sharded pools get whole batches.
+    /// [`EngineCore::ingest`] calls.
     pub fn ingest_batch(&mut self, items: &[StreamItem]) -> Vec<(QueryId, OutputItem)> {
         if self.drained {
             return Vec::new();
@@ -424,11 +422,6 @@ impl EngineCore {
     /// Stream items ingested so far (the clients' replay cursor).
     pub fn position(&self) -> u64 {
         self.ck.position()
-    }
-
-    /// Worker shards each Native query engine evaluates on.
-    pub fn shards(&self) -> u64 {
-        self.cfg.shards.max(1) as u64
     }
 
     /// Number of registered queries.
@@ -555,7 +548,7 @@ impl EngineCore {
             }
             // Full causal provenance. Every field below is derived from
             // the output itself (or from the query text), so the recorded
-            // span is byte-identical across backends and shard counts —
+            // span is byte-identical across backends —
             // only the ring-global `seq` may differ, and the lineage
             // renderers drop it.
             let pid = o.provenance_id(self.subs[i].stable);
@@ -602,7 +595,7 @@ impl EngineCore {
     /// filtered by query index and/or provenance id. `json` selects the
     /// machine rendering; text otherwise. Both renderings omit the
     /// ring-global span `seq`, so a fixed-seed run renders byte-identically
-    /// across backends and shard counts.
+    /// across backends.
     pub fn lineage(&self, query: Option<u64>, pid: Option<u64>, json: bool) -> String {
         let spans = sequin_obs::filter_outputs(self.obs.trace().spans(), query, pid);
         if json {
@@ -615,7 +608,7 @@ impl EngineCore {
     /// Captures a self-contained postmortem [`Bundle`]: the current
     /// lineage slice, the rendered metrics snapshot, a description of the
     /// registered queries/policies, and replay parameters (the stream
-    /// cursor, shard count, query count) merged with whatever
+    /// cursor, query count) merged with whatever
     /// caller-specific `params` the capturing site supplies (sim seed,
     /// case index, sabotage knobs, …).
     pub fn postmortem_bundle(&self, reason: &str, params: Vec<(String, u64)>) -> Bundle {
@@ -625,12 +618,11 @@ impl EngineCore {
             config.push_str(&format!("q{i}: {text} policy={policy:?}\n"));
         }
         config.push_str(&format!(
-            "strategy={:?} shards={} checkpoint_every={:?}",
-            self.cfg.strategy, self.cfg.shards, self.cfg.checkpoint_every
+            "strategy={:?} checkpoint_every={:?}",
+            self.cfg.strategy, self.cfg.checkpoint_every
         ));
         let mut all_params = vec![
             ("cursor".to_string(), self.position()),
-            ("shards".to_string(), self.shards()),
             ("queries".to_string(), self.query_count()),
         ];
         all_params.extend(params);
@@ -652,16 +644,13 @@ impl EngineCore {
 
     /// Assembles the full telemetry snapshot: per-query operator counters,
     /// watermark/clock/lag and state-size gauges, purge reclamation, the
-    /// recorder's detection-latency and deferral-time histograms, per-shard
-    /// worker counters and the router's (`shards > 1` only), engine-wide
-    /// totals, and — when
-    /// the caller passes them — server counters plus the live ingest-queue
-    /// depth.
+    /// recorder's detection-latency and deferral-time histograms,
+    /// engine-wide totals, and — when the caller passes them — server
+    /// counters plus the live ingest-queue depth.
     ///
     /// Everything recorded is a logical quantity, so a fixed-seed workload
-    /// yields a byte-identical rendering, and the output-derived series
-    /// (histograms, emitted/retracted counts) are additionally identical
-    /// across shard counts. `sequin_purge_reclaimed_bytes` is an estimate:
+    /// yields a byte-identical rendering. `sequin_purge_reclaimed_bytes` is
+    /// an estimate:
     /// purged stack instances × the in-memory size of an `Event` record
     /// (attribute payloads not counted).
     pub fn metrics_snapshot(&self, server: Option<(&ServerStats, u64)>) -> MetricsSnapshot {
@@ -726,20 +715,6 @@ impl EngineCore {
             if let Some(k) = host.query_slack(qid) {
                 b.gauge("sequin_slack_bound", &labels, k.ticks());
             }
-            let shards = host.per_shard_stats(qid);
-            if shards.len() > 1 {
-                for (s_ix, s) in shards.iter().enumerate() {
-                    let labels = [("query", i.to_string()), ("shard", s_ix.to_string())];
-                    for (name, v) in s.as_pairs() {
-                        let full = format!("sequin_shard_{name}");
-                        if STAT_GAUGES.contains(&name) {
-                            b.gauge(&full, &labels, v);
-                        } else {
-                            b.counter(&full, &labels, v);
-                        }
-                    }
-                }
-            }
             if self.obs.enabled() {
                 let qo = self.obs.query_obs().get(i).unwrap_or(&empty);
                 let keyed = [("qid", stable), ("query", i.to_string())];
@@ -750,20 +725,6 @@ impl EngineCore {
             }
         }
 
-        // ingest-edge routing, once per host (one router serves every
-        // query): full deliveries vs watermark-only advances per shard,
-        // plus the pool-wide broadcast counters and the per-shard queue's
-        // high-water mark
-        if let Some(rs) = host.route_stats() {
-            for (s_ix, (full, adv)) in rs.full_events.iter().zip(&rs.advances).enumerate() {
-                let labels = [("shard", s_ix.to_string())];
-                b.counter("sequin_route_full_events", &labels, *full);
-                b.counter("sequin_route_advances", &labels, *adv);
-            }
-            b.counter("sequin_route_broadcast_events", &[], rs.broadcast_events);
-            b.counter("sequin_route_punctuations", &[], rs.punctuations);
-            b.gauge("sequin_route_queue_depth_peak", &[], rs.queue_depth_peak);
-        }
         for (name, v) in self.stats().as_pairs() {
             let full = format!("sequin_engine_{name}_total");
             if STAT_GAUGES.contains(&name) {
@@ -960,11 +921,16 @@ pub(crate) mod tests {
     fn crash_and_resume_is_exactly_once_across_queries() {
         let reg = registry();
         let items = stream(&reg);
+        let q_part = "PATTERN SEQ(A a, B b) WHERE a.x == b.x WITHIN 8";
+        let subscribe = |core: &mut EngineCore| {
+            for text in [Q_AB, Q_BA, q_part] {
+                core.subscribe(text).unwrap();
+            }
+        };
 
         // oracle: one uninterrupted run
         let mut oracle = EngineCore::new(cfg(&reg, None));
-        oracle.subscribe(Q_AB).unwrap();
-        oracle.subscribe(Q_BA).unwrap();
+        subscribe(&mut oracle);
         let mut baseline = Vec::new();
         for it in &items {
             baseline.extend(oracle.ingest(it));
@@ -973,8 +939,7 @@ pub(crate) mod tests {
 
         // durable run, crash after 40 items
         let mut core = EngineCore::new(cfg(&reg, Some(25)));
-        core.subscribe(Q_AB).unwrap();
-        core.subscribe(Q_BA).unwrap();
+        subscribe(&mut core);
         let mut delivered = Vec::new();
         for it in &items[..40] {
             delivered.extend(core.ingest(it));
@@ -984,7 +949,7 @@ pub(crate) mod tests {
 
         let (mut core, replay_from) = EngineCore::resume(cfg(&reg, Some(25)), saved);
         assert!(replay_from > 0, "a checkpoint was accepted");
-        assert_eq!(core.query_count(), 2, "queries rebuilt from the snapshot");
+        assert_eq!(core.query_count(), 3, "queries rebuilt from the snapshot");
         for it in &items[replay_from as usize..] {
             delivered.extend(core.ingest(it));
         }
@@ -1084,108 +1049,6 @@ pub(crate) mod tests {
             seq.stats().checkpoints_written,
             "batch splitting preserves the checkpoint cadence"
         );
-    }
-
-    #[test]
-    fn crash_resume_with_different_shard_count_is_exactly_once() {
-        let reg = registry();
-        let items = stream(&reg);
-
-        let mut oracle = EngineCore::new(cfg(&reg, None));
-        oracle.subscribe(Q_AB).unwrap();
-        oracle.subscribe(Q_BA).unwrap();
-        let mut baseline = Vec::new();
-        for it in &items {
-            baseline.extend(oracle.ingest(it));
-        }
-        baseline.extend(oracle.finish());
-
-        let mut two = cfg(&reg, Some(25));
-        two.shards = 2;
-        let mut core = EngineCore::new(two);
-        core.subscribe(Q_AB).unwrap();
-        core.subscribe(Q_BA).unwrap();
-        assert_eq!(core.shards(), 2);
-        let mut delivered = Vec::new();
-        delivered.extend(core.ingest_batch(&items[..40]));
-        let saved = core.store().clone();
-        drop(core); // crash
-
-        // resume on a *different* shard count: snapshots are agnostic
-        let mut four = cfg(&reg, Some(25));
-        four.shards = 4;
-        let (mut core, replay_from) = EngineCore::resume(four, saved);
-        assert!(replay_from > 0, "a checkpoint was accepted");
-        assert_eq!(core.query_count(), 2);
-        delivered.extend(core.ingest_batch(&items[replay_from as usize..]));
-        delivered.extend(core.finish());
-        assert_eq!(net(&delivered), net(&baseline));
-        assert!(core.stats().replayed_suppressed > 0);
-        assert_eq!(core.pending_suppressions(), 0);
-    }
-
-    #[test]
-    fn checkpoints_interchange_across_shard_counts() {
-        let reg = registry();
-        let items = stream(&reg);
-        let q_part = "PATTERN SEQ(A a, B b) WHERE a.x == b.x WITHIN 8";
-
-        let mut oracle = EngineCore::new(cfg(&reg, None));
-        oracle.subscribe(Q_AB).unwrap();
-        oracle.subscribe(q_part).unwrap();
-        let mut baseline = Vec::new();
-        for it in &items {
-            baseline.extend(oracle.ingest(it));
-        }
-        baseline.extend(oracle.finish());
-
-        // a two-worker core writes the checkpoints...
-        let mut two = cfg(&reg, Some(25));
-        two.shards = 2;
-        let mut core = EngineCore::new(two);
-        core.subscribe(Q_AB).unwrap();
-        core.subscribe(q_part).unwrap();
-        // (workers running both queries, and the one router, by their series)
-        let shape = |core: &EngineCore| {
-            let series = core.metrics_snapshot(None).to_prometheus();
-            let shard = |q| format!("sequin_shard_insertions{{query=\"{q}\",shard=\"");
-            let workers = |q| series.matches(&shard(q)).count();
-            let routers = series.matches("\nsequin_route_punctuations ").count();
-            (workers(0), workers(1), routers)
-        };
-        assert_eq!(shape(&core), (2, 2, 1), "both queries on both workers");
-        let mut delivered = Vec::new();
-        delivered.extend(core.ingest_batch(&items[..40]));
-        let saved = core.store().clone();
-        drop(core); // crash
-
-        // ...and a single-worker core resumes them exactly-once
-        let (mut core, replay_from) = EngineCore::resume(cfg(&reg, Some(25)), saved);
-        assert!(replay_from > 0, "a checkpoint was accepted");
-        assert_eq!(shape(&core), (0, 0, 0), "a pool of one does not route");
-        delivered.extend(core.ingest_batch(&items[replay_from as usize..]));
-        delivered.extend(core.finish());
-        assert_eq!(net(&delivered), net(&baseline));
-        assert_eq!(core.pending_suppressions(), 0);
-
-        // reverse: a single-worker checkpoint resumes on a wider core
-        let mut core = EngineCore::new(cfg(&reg, Some(25)));
-        core.subscribe(Q_AB).unwrap();
-        core.subscribe(q_part).unwrap();
-        let mut delivered = Vec::new();
-        delivered.extend(core.ingest_batch(&items[..40]));
-        let saved = core.store().clone();
-        drop(core); // crash
-
-        let mut four = cfg(&reg, Some(25));
-        four.shards = 4;
-        let (mut core, replay_from) = EngineCore::resume(four, saved);
-        assert!(replay_from > 0);
-        assert_eq!(shape(&core), (4, 4, 1));
-        delivered.extend(core.ingest_batch(&items[replay_from as usize..]));
-        delivered.extend(core.finish());
-        assert_eq!(net(&delivered), net(&baseline));
-        assert_eq!(core.pending_suppressions(), 0);
     }
 
     /// A subscription's cached stable id is what the query's own

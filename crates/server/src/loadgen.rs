@@ -46,7 +46,6 @@ fn oracle_frames(
 ) -> Result<Vec<Vec<u8>>, String> {
     let mut cfg = core.clone();
     cfg.checkpoint_every = None; // durability must not affect output
-    cfg.shards = 1; // the oracle is single-threaded by construction
     let mut oracle = EngineCore::new(cfg);
     for (q, policy) in queries {
         oracle

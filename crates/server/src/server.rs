@@ -210,7 +210,7 @@ impl Server {
             tx,
             depth: AtomicUsize::new(0),
             stats: Mutex::new(ServerStats {
-                engine_shards: core.shards(),
+                engine_shards: 1,
                 ..ServerStats::default()
             }),
             resume_from: AtomicU64::new(core.position()),
@@ -467,8 +467,8 @@ fn engine_loop(
         match msg {
             EngineMsg::Ingest(item) => {
                 // Coalesce the run of Ingest messages already queued into
-                // one batch: sharded engines only parallelize across a
-                // batch, and delivering per-batch amortizes queue wakeups.
+                // one batch: delivering per-batch amortizes queue wakeups
+                // and egress writes.
                 let mut batch = vec![item];
                 while batch.len() < MAX_ENGINE_BATCH {
                     match rx.try_recv() {

@@ -34,7 +34,8 @@ pub struct ServerStats {
     pub backpressure_stalls: u64,
     /// DRAIN requests honored.
     pub drains: u64,
-    /// Worker shards the engine evaluates on (1 = single-threaded).
+    /// Always 1: the plan runs on the engine thread. Kept for its pinned
+    /// wire slot.
     pub engine_shards: u64,
     /// Ingest batches the engine thread coalesced off the queue.
     pub engine_batches: u64,

@@ -1,6 +1,6 @@
 //! End-to-end observability tests: METRICS exposition over the wire, the
-//! fingerprint-0 observer wildcard, fixed-seed determinism, shard
-//! invariance of output-derived series, and the configured-off path.
+//! fingerprint-0 observer wildcard, fixed-seed determinism, and the
+//! configured-off path.
 
 use std::sync::Arc;
 
@@ -26,12 +26,11 @@ fn core_config(reg: &Arc<TypeRegistry>) -> CoreConfig {
 }
 
 /// Runs the fixed workload through an in-process core with the given
-/// sharding/observability settings and a fixed chunk size, returning the
-/// drained core for snapshot/trace inspection.
-fn run_core(shards: usize, obs: ObsConfig) -> EngineCore {
+/// observability settings and a fixed chunk size, returning the drained
+/// core for snapshot/trace inspection.
+fn run_core(obs: ObsConfig) -> EngineCore {
     let (reg, stream) = workload(600, 11);
     let mut cfg = core_config(&reg);
-    cfg.shards = shards;
     cfg.obs = obs;
     let mut core = EngineCore::new(cfg);
     core.subscribe(Q01).unwrap();
@@ -153,8 +152,8 @@ fn observer_wildcard_skips_schema_negotiation_but_mismatch_is_refused() {
 
 #[test]
 fn fixed_seed_snapshots_are_byte_identical() {
-    let a = run_core(1, ObsConfig::default());
-    let b = run_core(1, ObsConfig::default());
+    let a = run_core(ObsConfig::default());
+    let b = run_core(ObsConfig::default());
     assert_eq!(
         a.metrics_snapshot(None).to_prometheus(),
         b.metrics_snapshot(None).to_prometheus()
@@ -166,51 +165,9 @@ fn fixed_seed_snapshots_are_byte_identical() {
     assert_eq!(a.trace_json(), b.trace_json());
 }
 
-/// The series derived purely from the output stream (latency histograms,
-/// emit counts) and from the lockstep watermark must not depend on how
-/// many worker shards evaluated the query, because sharded output is
-/// byte-identical to single-shard output. Operator counters (insertions,
-/// dfs steps, purge runs) legitimately differ per shard layout and are
-/// not compared.
-#[test]
-fn output_derived_series_are_shard_invariant() {
-    let shard_free = |prom: &str| -> String {
-        prom.lines()
-            .filter(|l| {
-                [
-                    "sequin_detection_latency",
-                    "sequin_deferral_time",
-                    "sequin_outputs_emitted",
-                    "sequin_outputs_retracted",
-                    "sequin_stream_clock",
-                    "sequin_watermark",
-                ]
-                .iter()
-                .any(|p| l.contains(p))
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    let one = shard_free(
-        &run_core(1, ObsConfig::default())
-            .metrics_snapshot(None)
-            .to_prometheus(),
-    );
-    let four = shard_free(
-        &run_core(4, ObsConfig::default())
-            .metrics_snapshot(None)
-            .to_prometheus(),
-    );
-    assert!(
-        one.contains("sequin_detection_latency_bucket"),
-        "filter selected nothing:\n{one}"
-    );
-    assert_eq!(one, four, "output-derived series diverged across shards");
-}
-
 #[test]
 fn disabled_obs_drops_recorder_series_but_keeps_operator_counters() {
-    let core = run_core(1, ObsConfig::disabled());
+    let core = run_core(ObsConfig::disabled());
     assert!(!core.obs_enabled());
     let prom = core.metrics_snapshot(None).to_prometheus();
     assert!(!prom.contains("sequin_detection_latency"), "{prom}");
@@ -226,58 +183,6 @@ fn disabled_obs_drops_recorder_series_but_keeps_operator_counters() {
         "{}",
         core.trace_json()
     );
-}
-
-#[test]
-fn sharded_server_serves_shard_labelled_series() {
-    let (reg, stream) = workload(400, 3);
-    let mut cfg = core_config(&reg);
-    cfg.shards = 3;
-    let mut server = Server::start(ServerConfig::new(cfg)).unwrap();
-    let addr = server.listen("127.0.0.1:0").unwrap().to_string();
-
-    let mut client = Client::connect(&addr).unwrap();
-    client.hello(reg.fingerprint(), "shard-feeder").unwrap();
-    // one with a key to spread (tag equality chain) and one without: the
-    // plan holding both runs on all three workers, behind one router
-    client
-        .subscribe("PATTERN SEQ(T0 a, T1 b) WHERE a.tag == b.tag WITHIN 20")
-        .unwrap();
-    client
-        .subscribe("PATTERN SEQ(T0 a, T2 c) WITHIN 20")
-        .unwrap();
-    for item in &stream {
-        client.send_item(item).unwrap();
-    }
-    client.drain().unwrap();
-    let prom = client.metrics(MetricsFormat::Prometheus).unwrap();
-    let count = |needle: &str| prom.lines().filter(|l| l.starts_with(needle)).count();
-    for shard in 0..3 {
-        // worker counters stay per (query, shard) — an unkeyed query's
-        // work visibly sits on worker 0...
-        for query in 0..2 {
-            let series = format!("sequin_shard_insertions{{query=\"{query}\",shard=\"{shard}\"}}");
-            assert_eq!(count(&series), 1, "`{series}` in:\n{prom}");
-        }
-        let idle = format!("sequin_shard_insertions{{query=\"1\",shard=\"{shard}\"}} 0");
-        assert_eq!(count(&idle), usize::from(shard > 0), "`{idle}` in:\n{prom}");
-        // ...and ingest-edge routing telemetry is per shard, once for the
-        // host whatever the query count
-        for name in ["sequin_route_full_events", "sequin_route_advances"] {
-            let series = format!("{name}{{shard=\"{shard}\"}}");
-            assert_eq!(count(&series), 1, "`{series}` in:\n{prom}");
-        }
-    }
-    for name in [
-        "sequin_route_broadcast_events",
-        "sequin_route_punctuations",
-        "sequin_route_queue_depth_peak",
-    ] {
-        assert_eq!(count(&format!("{name} ")), 1, "`{name}` in:\n{prom}");
-    }
-    assert_prometheus_parses(&prom);
-    client.bye();
-    server.shutdown();
 }
 
 /// Pins the disorder-policy metric names: `sequin_retraction_emitted`

@@ -243,8 +243,6 @@ pub struct CaseConfig {
     pub crash_at: u64,
     /// Run the networked loopback path for this case.
     pub loopback: bool,
-    /// Worker count for the loopback server engine.
-    pub loopback_shards: usize,
 }
 
 /// One query of a case: its plan and the disorder policy it runs under.
@@ -364,7 +362,6 @@ fn gen_config(
         ckpt_every: rng.gen_range(3..=17u64),
         crash_at,
         loopback: rng.gen_bool(0.25),
-        loopback_shards: if rng.gen_bool(0.5) { 1 } else { 2 },
     };
     (config, policy)
 }
@@ -384,9 +381,15 @@ fn gen_policy(rng: &mut Rng) -> DisorderPolicy {
     }
 }
 
-/// Mixes `(seed, case_ix)` into one SplitMix64 seed.
+/// Mixes `(seed, case_ix)` into one generator seed. The mix goes through
+/// one SplitMix64 finalisation: the generator itself steps its state by
+/// the same constant the mix multiplies by, so without it case `N + 1`
+/// would replay case `N`'s stream shifted by one draw.
 pub fn case_seed(seed: u64, case_ix: u64) -> u64 {
-    seed ^ case_ix.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    let mut z = seed ^ case_ix.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// Materializes a plain-data item list against the simulation schema.

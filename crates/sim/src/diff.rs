@@ -16,13 +16,10 @@
 //!   algorithm is right" is anchored (comparing a plan of N with N plans
 //!   of one only shows pooling and prefix sharing are invisible);
 //! * the plan, batched ingestion — identical output;
-//! * the host at every pinned shard count (every query of the case in
-//!   one pool: prefix sharing under key slicing, unpartitionable queries
-//!   on worker 0, negated types broadcast) — identical output;
 //! * a durable [`EngineCore`] crashed at the configured point and resumed
-//!   at a *different* shard count — the union of pre- and post-crash
-//!   deliveries equals the reference exactly once per query (a multiset
-//!   of `(kind, ids)`), and every query's policy survives the restart;
+//!   — the union of pre- and post-crash deliveries equals the reference
+//!   exactly once per query (a multiset of `(kind, ids)`), and every
+//!   query's policy survives the restart;
 //! * the networked server loopback with each query's policy requested at
 //!   SUBSCRIBE — byte-identical frames, verified by
 //!   [`sequin_server::loopback_run`] itself.
@@ -52,11 +49,9 @@ pub enum Path {
     Plan,
     /// Batched ingestion output != reference.
     Batched,
-    /// The host at this worker count != reference.
-    Sharded(usize),
-    /// Durable crash + resume with a shard-count change (`from` → `to`
-    /// workers) != reference (exactly-once, policies restored).
-    CrashResume(usize, usize),
+    /// Durable crash + resume != reference (exactly-once, policies
+    /// restored).
+    CrashResume,
     /// Networked loopback frames != in-process frames.
     Loopback,
 }
@@ -68,8 +63,7 @@ impl std::fmt::Display for Path {
             Path::Oracle => write!(f, "oracle"),
             Path::Plan => write!(f, "plan"),
             Path::Batched => write!(f, "batched"),
-            Path::Sharded(n) => write!(f, "sharded({n})"),
-            Path::CrashResume(a, b) => write!(f, "crash-resume({a}->{b})"),
+            Path::CrashResume => write!(f, "crash-resume"),
             Path::Loopback => write!(f, "loopback"),
         }
     }
@@ -205,30 +199,11 @@ fn oracle_diff(query: &Query, events: &[EventRef], out: &[OutputItem]) -> Option
     ))
 }
 
-/// Worker counts the sharded paths run at when none are pinned: one even
-/// and one prime count, so slicing artifacts that depend on divisibility
-/// surface.
-pub const DEFAULT_SHARD_COUNTS: &[usize] = &[2, 7];
-
-/// Runs every production path for `case` at the default shard counts,
-/// returning all disagreements (empty = the case is clean).
-/// `purge_skew > 0` sabotages purge in every engine under test (but never
-/// the reference or the oracle), which a correct harness must report as
-/// mismatches.
-pub fn check_case(case: &CaseData, purge_skew: u64) -> Vec<Mismatch> {
-    check_case_sharded(case, Sabotage::purge_skew(purge_skew), DEFAULT_SHARD_COUNTS)
-}
-
-/// [`check_case`] with the full [`Sabotage`] bundle and the host pinned
-/// to `shard_counts` workers (the `sequin sim --shards` knob). The
-/// crash+resume path checkpoints at the first count and resumes at the
-/// last (bumped when they coincide, so the shard count always *changes*
-/// across the crash).
-pub fn check_case_sharded(
-    case: &CaseData,
-    sabotage: Sabotage,
-    shard_counts: &[usize],
-) -> Vec<Mismatch> {
+/// Runs every production path for `case`, returning all disagreements
+/// (empty = the case is clean). A non-zero [`Sabotage`] knob plants its
+/// defect in every engine under test (but never the reference or the
+/// oracle), which a correct harness must report as mismatches.
+pub fn check_case(case: &CaseData, sabotage: Sabotage) -> Vec<Mismatch> {
     let registry = sim_registry();
     let honest = engine_config(case, Sabotage::default());
     let sut = engine_config(case, sabotage);
@@ -300,10 +275,9 @@ pub fn check_case_sharded(
     };
 
     // the host under test, as the server builds it: every query of the
-    // case on one plan, run by a pool of `shards` workers; fed in chunks
-    // of `batch` items (1 = item by item)
-    let host = |shards: usize, batch: usize| {
-        let mut host = MultiEngine::new(Strategy::Native, sut, shards);
+    // case on one plan, fed in chunks of `batch` items (1 = item by item)
+    let host = |batch: usize| {
+        let mut host = MultiEngine::new(Strategy::Native, sut);
         for (q, spec) in queries.iter().zip(&case.queries) {
             host.register(Arc::clone(q), spec.policy);
         }
@@ -318,25 +292,15 @@ pub fn check_case_sharded(
     // the plan of N, item by item: identical per-query output — and each
     // query's net settled set against the oracle
     let found = &mut mismatches;
-    let plan = compare(found, Path::Plan, host(1, 1), exact_diff, "");
+    let plan = compare(found, Path::Plan, host(1), exact_diff, "");
     let events = case.unique_events(&registry);
     for qx in 0..nq {
         if let Some(detail) = oracle_diff(&queries[qx], &events, &plan[qx]) {
             found.push(at(Path::Oracle, qx, detail));
         }
     }
-    let batched = host(1, case.config.batch.max(1));
+    let batched = host(case.config.batch.max(1));
     compare(found, Path::Batched, batched, exact_diff, "");
-    for &shards in shard_counts {
-        let shards = shards.max(1);
-        compare(
-            found,
-            Path::Sharded(shards),
-            host(shards, 1),
-            exact_diff,
-            "",
-        );
-    }
 
     // subscribe order == query order, so ids line up with the reference;
     // the first query takes the host default instead of naming its policy
@@ -346,19 +310,13 @@ pub fn check_case_sharded(
         .map(|(request, text)| (text.clone(), request))
         .collect();
 
-    // durable core, crashed mid-stream, resumed at another shard count:
-    // exactly-once deliveries per query, and each query's policy back
-    // (policies ride the checkpoint envelope)
+    // durable core, crashed mid-stream and resumed: exactly-once
+    // deliveries per query, and each query's policy back (policies ride
+    // the checkpoint envelope)
     {
-        let from = shard_counts.first().copied().unwrap_or(2).max(1);
-        let mut to = shard_counts.last().copied().unwrap_or(7).max(1);
-        if to == from {
-            to = from + 3; // always actually change the count
-        }
-        let path = Path::CrashResume(from, to);
+        let path = Path::CrashResume;
         let mut cfg = CoreConfig::new(Arc::clone(&registry), Strategy::Native, sut);
         cfg.checkpoint_every = Some(case.config.ckpt_every.max(1));
-        cfg.shards = from;
         let mut core = EngineCore::new(cfg.clone());
         for (qx, (text, request)) in subs.iter().enumerate() {
             let want = Ok(case.queries[qx].policy);
@@ -374,7 +332,6 @@ pub fn check_case_sharded(
         }
         let saved = core.store().clone();
         drop(core); // crash: only the persisted store survives
-        cfg.shards = to;
         let (mut core, replay_from) = EngineCore::resume(cfg, saved);
         for (qx, (text, _)) in subs.iter().enumerate() {
             // a restored text is a table hit: nothing is registered
@@ -395,8 +352,7 @@ pub fn check_case_sharded(
     // networked loopback: byte-identical frames (verified inside
     // loopback_run); gated per case because it boots a real TCP server
     if case.config.loopback {
-        let mut core = CoreConfig::new(Arc::clone(&registry), Strategy::Native, sut);
-        core.shards = case.config.loopback_shards;
+        let core = CoreConfig::new(Arc::clone(&registry), Strategy::Native, sut);
         if let Err(detail) = loopback_run(core, &subs, &items, case.config.batch) {
             let path = Path::Loopback;
             mismatches.push(Mismatch { path, detail });

@@ -9,8 +9,7 @@
 //! configuration. The reference is each query alone on an honest
 //! single-threaded engine; every production path is compared with it per
 //! query — the plan of N item by item (also held against a naive
-//! `O(n^k)` oracle), batched ingestion, the host at each pinned shard
-//! count, a durable crash + resume across a shard-count change, and the
+//! `O(n^k)` oracle), batched ingestion, a durable crash + resume, and the
 //! networked server loopback ([`diff`] has the table).
 //!
 //! On mismatch the case is shrunk to a minimal repro — fewer queries,
@@ -31,9 +30,7 @@ pub mod runner;
 pub mod shrink;
 
 pub use case::{CaseConfig, CaseData, QueryPlan, SimEvent, SimItem, SimQuery};
-pub use diff::{
-    check_case, check_case_sharded, path_names, Mismatch, Path, Sabotage, DEFAULT_SHARD_COUNTS,
-};
+pub use diff::{check_case, path_names, Mismatch, Path, Sabotage};
 pub use oracle::reference_matches;
 pub use postmortem::{capture_bundle, read_bundle, replay_bundle, write_bundle};
 pub use runner::{replay, run, Failure, SimOptions, SimReport};

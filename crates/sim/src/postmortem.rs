@@ -6,7 +6,7 @@
 //! needs into one self-contained [`Bundle`]: the causal lineage of every
 //! output the case produced, a metrics snapshot, the configuration under
 //! test, and the exact replay parameters (seed, case index, sabotage
-//! knobs, policy pin, shard counts). [`replay_bundle`] proves a bundle is
+//! knobs, policy pin). [`replay_bundle`] proves a bundle is
 //! live by reconstructing the run options from those parameters and
 //! re-checking the case — a healthy bundle replays to the same mismatch
 //! with no access to the original process.
@@ -22,7 +22,7 @@ use sequin_obs::{Bundle, ObsConfig};
 use sequin_server::{CoreConfig, EngineCore};
 
 use crate::case::sim_registry;
-use crate::diff::{check_case_sharded, engine_config, Mismatch};
+use crate::diff::{check_case, engine_config, Mismatch};
 use crate::runner::{materialize, SimOptions};
 
 /// Encodes an optional policy pin into one replay parameter. `u64::MAX`
@@ -52,9 +52,9 @@ fn policy_from_code(code: u64) -> Option<DisorderPolicy> {
 
 /// Captures a postmortem bundle for a mismatching `(seed, case)` pair.
 ///
-/// Every query of the case is re-driven on one core (Native strategy,
-/// one shard) with provenance tracing on and a ring large enough to hold
-/// every output span, so the bundle's lineage covers the whole run, not
+/// Every query of the case is re-driven on one core (Native strategy) with
+/// provenance tracing on and a ring large enough to hold every output
+/// span, so the bundle's lineage covers the whole run, not
 /// just its tail. The sabotage knobs from `opts` are applied exactly as
 /// the differential check applied them — the bundle records the *failing*
 /// configuration, not a cleaned-up one.
@@ -86,7 +86,7 @@ pub fn capture_bundle(
         }
         core.finish();
     }
-    let mut params = vec![
+    let params = vec![
         ("seed".to_owned(), seed),
         ("case".to_owned(), case_ix),
         ("purge_skew".to_owned(), opts.purge_skew),
@@ -95,9 +95,6 @@ pub fn capture_bundle(
         ("no_loopback".to_owned(), opts.no_loopback as u64),
         ("mismatch_count".to_owned(), mismatches.len() as u64),
     ];
-    for (i, &n) in opts.shard_counts.iter().enumerate() {
-        params.push((format!("shard_count_{i}"), n as u64));
-    }
     let mut bundle = core.postmortem_bundle("sim-mismatch", params);
     if !bundle.config.is_empty() && !bundle.config.ends_with('\n') {
         bundle.config.push('\n');
@@ -118,13 +115,6 @@ pub fn capture_bundle(
 pub fn replay_bundle(bundle: &Bundle) -> Option<Vec<Mismatch>> {
     let seed = bundle.param("seed")?;
     let case_ix = bundle.param("case")?;
-    let mut shard_counts = Vec::new();
-    while let Some(n) = bundle.param(&format!("shard_count_{}", shard_counts.len())) {
-        shard_counts.push((n as usize).max(1));
-    }
-    if shard_counts.is_empty() {
-        shard_counts = crate::diff::DEFAULT_SHARD_COUNTS.to_vec();
-    }
     let opts = SimOptions {
         seeds: vec![seed],
         cases_per_seed: case_ix + 1,
@@ -133,15 +123,10 @@ pub fn replay_bundle(bundle: &Bundle) -> Option<Vec<Mismatch>> {
         retraction_drop: bundle.param("retraction_drop").unwrap_or(0),
         policy: policy_from_code(bundle.param("policy").unwrap_or(u64::MAX)),
         no_loopback: bundle.param("no_loopback").unwrap_or(0) != 0,
-        shard_counts,
         ..SimOptions::default()
     };
     let case = materialize(seed, case_ix, &opts);
-    Some(check_case_sharded(
-        &case,
-        opts.sabotage(),
-        &opts.shard_counts,
-    ))
+    Some(check_case(&case, opts.sabotage()))
 }
 
 /// The on-disk name for a mismatch bundle.
@@ -213,7 +198,7 @@ mod tests {
         let mut found = None;
         for case_ix in 0..60 {
             let case = materialize(0xC0FFEE, case_ix, &opts);
-            let mismatches = check_case_sharded(&case, opts.sabotage(), &opts.shard_counts);
+            let mismatches = check_case(&case, opts.sabotage());
             if case.queries.len() > 1 && !mismatches.is_empty() {
                 found = Some((case_ix, mismatches));
                 break;

@@ -84,13 +84,9 @@ pub fn emit_test(
     s.push_str(&format!("            ckpt_every: {},\n", c.ckpt_every));
     s.push_str(&format!("            crash_at: {},\n", c.crash_at));
     s.push_str(&format!("            loopback: {},\n", c.loopback));
-    s.push_str(&format!(
-        "            loopback_shards: {},\n",
-        c.loopback_shards
-    ));
     s.push_str("        },\n");
     s.push_str("    };\n");
-    s.push_str("    let mismatches = sequin::sim::diff::check_case(&case, 0);\n");
+    s.push_str("    let mismatches = sequin::sim::diff::check_case(&case, Default::default());\n");
     s.push_str("    assert!(mismatches.is_empty(), \"{mismatches:?}\");\n");
     s.push_str("}\n");
     s

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use sequin_obs::Bundle;
 
 use crate::case::{CaseData, DisorderPolicy};
-use crate::diff::{check_case_sharded, path_names, Mismatch, Sabotage};
+use crate::diff::{check_case, path_names, Mismatch, Sabotage};
 use crate::postmortem::{bundle_filename, capture_bundle, write_bundle};
 use crate::repro::emit_test;
 use crate::shrink::{describe, shrink};
@@ -40,9 +40,6 @@ pub struct SimOptions {
     pub no_loopback: bool,
     /// Stop after this many failures (shrinking is expensive).
     pub max_failures: usize,
-    /// Worker counts the host runs at (the `--shards` knob); the
-    /// crash+resume path checkpoints at the first and resumes at the last.
-    pub shard_counts: Vec<usize>,
     /// Flight recorder: write each failure's postmortem bundle under
     /// this directory (`--bundle-dir`). `None` still captures bundles
     /// in-memory (they ride on [`Failure`]) but writes nothing.
@@ -61,7 +58,6 @@ impl Default for SimOptions {
             policy: None,
             no_loopback: false,
             max_failures: 3,
-            shard_counts: crate::diff::DEFAULT_SHARD_COUNTS.to_vec(),
             bundle_dir: None,
         }
     }
@@ -158,12 +154,12 @@ pub fn replay(seed: u64, case_ix: u64, opts: &SimOptions) -> Option<Failure> {
 }
 
 fn check_generated(seed: u64, case_ix: u64, case: CaseData, opts: &SimOptions) -> Option<Failure> {
-    let original = check_case_sharded(&case, opts.sabotage(), &opts.shard_counts);
+    let original = check_case(&case, opts.sabotage());
     if original.is_empty() {
         return None;
     }
     let (shrunk, mismatches) = if opts.shrink {
-        let s = shrink(&case, opts.sabotage(), &opts.shard_counts);
+        let s = shrink(&case, opts.sabotage());
         (s.case, s.mismatches)
     } else {
         (case, original.clone())

@@ -1,26 +1,34 @@
 //! Failing-case minimization.
 //!
-//! Given a case on which [`check_case`](crate::check_case) reports mismatches, the shrinker
+//! Given a case on which [`check_case`] reports mismatches, the shrinker
 //! searches for a smaller case that *still* mismatches: it drops whole
 //! queries, drops stream items (ddmin-style chunk removal, then singles),
 //! strips each query's terms (predicates, projections, tag joins,
 //! negations, alternation arms), shrinks the window, and simplifies the
-//! configuration — keeping each mutation only if the failure survives.
+//! configuration — keeping each mutation only if the failure survives on
+//! a path the original case failed on (a mutation that trades the bug
+//! for a different one is not a reduction of it).
 //! Every candidate is validated through the analyzer first, so shrinking
 //! never "fails" by producing an ill-formed query.
 //!
 //! All mutations preserve replay validity by construction: removing
 //! events only raises the true suffix-minimum, so existing punctuations
 //! remain safe, and the measured lateness can only decrease, so the
-//! stored `K` stays sufficient. The shrunk case therefore replays
-//! through exactly the same [`check_case`](crate::check_case) entry point as the original.
+//! stored `K` stays sufficient — and `K` itself is only lowered as far as
+//! that lateness (below it the case leaves the disorder contract, where
+//! honest engines and the oracle differ too). The shrunk case therefore replays
+//! through exactly the same [`check_case`] entry point as the original.
 
 use std::collections::BTreeSet;
 
-use crate::case::{sim_registry, CaseData, DisorderPolicy, QueryPlan, SimItem, SimQuery};
-use crate::diff::{check_case_sharded, Mismatch, Sabotage};
+use sequin_netsim::measure_disorder;
 
-/// Hard ceiling on [`check_case`](crate::check_case) invocations per shrink, so shrinking a
+use crate::case::{
+    items_to_stream, sim_registry, CaseData, DisorderPolicy, QueryPlan, SimItem, SimQuery,
+};
+use crate::diff::{check_case, Mismatch, Path, Sabotage};
+
+/// Hard ceiling on [`check_case`] invocations per shrink, so shrinking a
 /// pathological case cannot stall the run.
 const MAX_CHECKS: usize = 500;
 
@@ -31,24 +39,26 @@ pub struct Shrunk {
     pub case: CaseData,
     /// The mismatches the minimized case produces.
     pub mismatches: Vec<Mismatch>,
-    /// How many [`check_case`](crate::check_case) calls the search spent.
+    /// How many [`check_case`] calls the search spent.
     pub checks: usize,
 }
 
 /// The search state: the smallest failing case so far and what it fails.
-struct Shrinker<'a> {
+struct Shrinker {
     sabotage: Sabotage,
-    shard_counts: &'a [usize],
+    /// The paths the unshrunk case failed on.
+    failing: Vec<Path>,
     checks: usize,
     best: CaseData,
     mismatches: Vec<Mismatch>,
 }
 
-impl Shrinker<'_> {
+impl Shrinker {
     /// Applies `mutate` to a copy of the best case and keeps the copy if
     /// it changed, is well formed (every query passes the analyzer, texts
     /// stay distinct — the server core would fold equal ones into one
-    /// subscription), still fails, and the check budget is not exhausted.
+    /// subscription), still fails on one of the [`Shrinker::failing`]
+    /// paths, and the check budget is not exhausted.
     fn attempt(&mut self, mutate: impl FnOnce(&mut CaseData)) -> bool {
         let mut candidate = self.best.clone();
         mutate(&mut candidate);
@@ -64,8 +74,8 @@ impl Shrinker<'_> {
             return false; // ill-formed candidate; not a real reduction
         }
         self.checks += 1;
-        let m = check_case_sharded(&candidate, self.sabotage, self.shard_counts);
-        if m.is_empty() {
+        let m = check_case(&candidate, self.sabotage);
+        if !m.iter().any(|m| self.failing.contains(&m.path)) {
             return false;
         }
         self.best = candidate;
@@ -87,13 +97,14 @@ impl Shrinker<'_> {
 /// smallest still-failing case found within the check budget. If the
 /// input does not actually fail, it is returned unshrunk with its (empty)
 /// mismatch list.
-pub fn shrink(case: &CaseData, sabotage: Sabotage, shard_counts: &[usize]) -> Shrunk {
+pub fn shrink(case: &CaseData, sabotage: Sabotage) -> Shrunk {
+    let mismatches = check_case(case, sabotage);
     let mut sh = Shrinker {
         sabotage,
-        shard_counts,
+        failing: mismatches.iter().map(|m| m.path).collect(),
         checks: 1,
         best: case.clone(),
-        mismatches: check_case_sharded(case, sabotage, shard_counts),
+        mismatches,
     };
     while !sh.mismatches.is_empty() {
         let before = sh.size();
@@ -183,7 +194,8 @@ fn shrink_query(sh: &mut Shrinker, qx: usize) {
 }
 
 /// Simplifies the configuration: no loopback, conservative policies,
-/// single-item batches, eager checkpoints, no crash, a smaller `K`.
+/// single-item batches, eager checkpoints, no crash, a smaller `K` — but
+/// never below the stream's measured lateness.
 fn shrink_config(sh: &mut Shrinker) {
     sh.attempt(|c| c.config.loopback = false);
     for qx in 0..sh.best.queries.len() {
@@ -192,7 +204,10 @@ fn shrink_config(sh: &mut Shrinker) {
     sh.attempt(|c| c.config.batch = 1);
     sh.attempt(|c| c.config.ckpt_every = 1);
     sh.attempt(|c| c.config.crash_at = c.items.len() as u64);
-    while sh.best.config.k > 0 && sh.attempt(|c| c.config.k /= 2) {}
+    let stream = items_to_stream(&sh.best.items, &sim_registry());
+    let lateness = measure_disorder(&stream).max_lateness.ticks();
+    let halved = |k: u64| (k / 2).max(lateness);
+    while sh.best.config.k > lateness && sh.attempt(|c| c.config.k = halved(c.config.k)) {}
 }
 
 /// Removes component `ix`, dropping its predicates and re-pointing the

@@ -44,7 +44,7 @@ const USAGE: &str = "usage:
                   [--case N] [--time-budget SECS] [--shrink yes|no]
                   [--emit-repro DIR] [--purge-skew N] [--retraction-drop N]
                   [--policy NAME|mixed] [--no-loopback]
-                  [--shards 2,7] [--json FILE] [--bundle-dir DIR]
+                  [--json FILE] [--bundle-dir DIR]
 
 options:
   --events N        events to generate (default 50000; networked 10000)
@@ -75,11 +75,6 @@ options:
   --store FILE      serve: checkpoint-store path; needs --checkpoint-every
                     (exactly-once restart: clients replay from the
                     HELLO_ACK resume cursor)
-  --shards N        workers running the native plan, N >= 1 (default 1;
-                    1 only under --strategy buffered|inorder; sim takes a
-                    comma-separated list of counts and runs every
-                    case's host at each, with crash+resume changing
-                    from the first count to the last)
   --cases N         sim: cases generated per seed (default 100)
   --case N          sim: replay one case index and print the verdict
   --time-budget S   sim: stop cleanly after S seconds
@@ -138,7 +133,6 @@ const FLAGS: &[(&str, bool)] = &[
     ("retraction-drop", true),
     ("seed", true),
     ("seeds", true),
-    ("shards", true),
     ("shrink", true),
     ("store", true),
     ("strategy", true),
@@ -211,19 +205,6 @@ fn get_checkpoint_every(flags: &Flags) -> Result<Option<u64>, String> {
         (Some(0), _) => Err("--checkpoint-every expects an integer >= 1, got `0`".to_owned()),
         (None, Some(path)) => Err(format!("--{path} needs --checkpoint-every")),
         (every, _) => Ok(every),
-    }
-}
-
-/// `--shards` for everything but `sim`: how many workers run the plan, so
-/// at least one, and more than one only where there is a plan to run.
-fn get_shards(flags: &Flags, strategy: sequin::engine::Strategy) -> Result<usize, String> {
-    match get_int(flags, "shards")?.unwrap_or(1) {
-        0 => Err("--shards expects an integer >= 1, got `0`".to_owned()),
-        n if n > 1 && strategy != sequin::engine::Strategy::Native => Err(format!(
-            "--shards expects 1 under --strategy buffered|inorder \
-             (only the native plan runs on a pool), got `{n}`"
-        )),
-        n => Ok(n),
     }
 }
 
@@ -401,9 +382,6 @@ fn run(args: &[String]) -> Result<String, String> {
                 };
             }
             s.opts.no_loopback = flags.contains_key("no-loopback");
-            if let Some(counts) = get_list(&flags, "shards")? {
-                s.opts.shard_counts = counts;
-            }
             if let Some(p) = flags.get("json") {
                 s.json_out = Some(p.clone());
             }
@@ -437,17 +415,16 @@ fn run(args: &[String]) -> Result<String, String> {
 }
 
 /// The evaluation flags `run`, `replay` and the networked subcommands
-/// share. Built only by the arms that use them: `sim` reads `--policy` and
-/// `--shards` itself, with values (`mixed`, `2,7`) these parsers reject.
+/// share. Built only by the arms that use them: `sim` reads `--policy`
+/// itself, with a value (`mixed`) these parsers reject.
 fn run_options(flags: &Flags) -> Result<cli::RunOptions, String> {
-    let strategy = cli::parse_strategy(
-        flags
-            .get("strategy")
-            .map(String::as_str)
-            .unwrap_or("native"),
-    )?;
     Ok(cli::RunOptions {
-        strategy,
+        strategy: cli::parse_strategy(
+            flags
+                .get("strategy")
+                .map(String::as_str)
+                .unwrap_or("native"),
+        )?,
         k: get_int(flags, "k")?.unwrap_or(100),
         adaptive: flags
             .get("adaptive")
@@ -467,7 +444,6 @@ fn run_options(flags: &Flags) -> Result<cli::RunOptions, String> {
                 .map(String::as_str)
                 .unwrap_or("conservative"),
         )?,
-        shards: get_shards(flags, strategy)?,
     })
 }
 
@@ -479,7 +455,6 @@ fn net_options(flags: &Flags) -> Result<cli::NetOptions, String> {
         policy: opts.policy,
         batch: get_int(flags, "batch")?.unwrap_or(64),
         punctuate_every: opts.punctuate_every,
-        shards: opts.shards,
         obs: match flags.get("obs").map(String::as_str) {
             None | Some("on") | Some("yes") | Some("true") => sequin_obs::ObsConfig::default(),
             Some("off") | Some("no") | Some("false") => sequin_obs::ObsConfig::disabled(),
@@ -517,6 +492,9 @@ mod tests {
         assert!(sequin(&SMALL_RUN).is_ok());
         let err = sequin(&[&SMALL_RUN[..], &["--shard", "4"]].concat()).unwrap_err();
         assert_eq!(err, "unknown flag --shard");
+        // the plan runs on one thread: the worker-count flag is gone
+        let err = sequin(&[&SMALL_RUN[..], &["--shards", "2"]].concat()).unwrap_err();
+        assert_eq!(err, "unknown flag --shards");
         let err = sequin(&["netbench", "--events", "300", "--polcy", "lazy"]).unwrap_err();
         assert_eq!(err, "unknown flag --polcy");
         // the deleted benchmark took its flags and its subcommand with it
@@ -529,12 +507,9 @@ mod tests {
         assert_eq!(err, "unknown flag --multi");
         // boolean flags still take no value, valued flags still need one
         assert!(sequin(&["sim", "--cases", "1", "--no-loopback"]).is_ok());
-        // sim's own readings of --policy and --shards are not pre-empted
-        // by the run/serve parsers
-        let mixed = [
-            "sim", "--cases", "1", "--policy", "mixed", "--shards", "2,3",
-        ];
-        assert!(sequin(&mixed).is_ok());
+        // sim's own reading of --policy is not pre-empted by the run/serve
+        // parsers
+        assert!(sequin(&["sim", "--cases", "1", "--policy", "mixed"]).is_ok());
         let err = sequin(&["run", "--workload"]).unwrap_err();
         assert_eq!(err, "flag --workload needs a value");
         // a query is positional; --query (trace's integer filter) used to
@@ -548,27 +523,15 @@ mod tests {
     }
 
     #[test]
-    fn sim_runs_every_case_at_the_pinned_shard_counts() {
-        // seed 1 case 10 holds three queries; query sets used to run at
-        // two workers whatever --shards said
-        let three = [
-            "sim",
-            "--seed",
-            "1",
-            "--case",
-            "10",
-            "--shards",
-            "3",
-            "--purge-skew",
-            "50",
-        ];
+    fn sim_replays_one_case_and_names_each_failing_query() {
+        // seed 1 case 7 holds three queries
+        let three = ["sim", "--seed", "1", "--case", "7", "--purge-skew", "50"];
         let report = sequin(&[&three[..], &["--no-loopback", "--shrink", "no"]].concat())
             .expect_err("a 50-tick purge skew must be reported");
         assert!(report.contains("query 2      : "), "{report}");
-        for path in ["sharded(3) — query 1", "crash-resume(3->6) — query 1"] {
+        for path in ["batched — query 1", "crash-resume — query 2"] {
             assert!(report.contains(path), "no `{path}` in {report}");
         }
-        assert!(!report.contains("sharded(2)"), "{report}");
     }
 
     #[test]
@@ -579,7 +542,6 @@ mod tests {
             ("--delay", "2.5"),
             ("--seed", "-1"),
             ("--k", "1.0"),
-            ("--shards", "-2"),
             ("--punctuate", "0.5"),
             ("--checkpoint-every", "-1"),
         ] {
@@ -607,21 +569,14 @@ mod tests {
         // each of these used to reach the run: --ooo outside 0..=1
         // panicked in the disorder generator, a negative or non-finite
         // --adaptive disabled purging, --checkpoint-every 0 wrote a
-        // checkpoint per event, --shards 0 ran single-threaded, --shards 2
-        // under a control strategy ran as if it had not been given
+        // checkpoint per event
         let replay = ["replay", "--types", "A(x:int)", "--trace", "/nonexistent"];
-        let buffered = [&SMALL_RUN[..], &["--strategy", "buffered"]].concat();
-        let inorder = ["netbench", "--events", "300", "--strategy", "inorder"];
-        let cases: [(&[&str], &str, &[&str]); 9] = [
+        let cases: [(&[&str], &str, &[&str]); 5] = [
             (&SMALL_RUN, "--ooo", &["2", "nan", "-0.5", "inf"]),
             (&["netbench", "--events", "300"], "--ooo", &["-0.5", "1.01"]),
             (&SMALL_RUN, "--adaptive", &["-1", "nan", "inf", "x"]),
             (&SMALL_RUN, "--checkpoint-every", &["0"]),
             (&replay, "--checkpoint-every", &["0"]),
-            (&SMALL_RUN, "--shards", &["0"]),
-            (&["netbench", "--events", "300"], "--shards", &["0"]),
-            (&buffered, "--shards", &["2"]),
-            (&inorder, "--shards", &["3"]),
         ];
         for (base, flag, values) in cases {
             for bad in values {
@@ -639,7 +594,6 @@ mod tests {
                 ("--ooo", "2"),
                 ("--adaptive", "-1"),
                 ("--checkpoint-every", "0"),
-                ("--shards", "0"),
             ] {
                 if (command, flag) == ("serve", "--ooo") {
                     continue; // serve generates no stream
@@ -670,7 +624,6 @@ mod tests {
         // the bounds themselves are valid
         let edge = ["--ooo", "1", "--adaptive", "0", "--checkpoint-every", "1"];
         assert!(sequin(&[&SMALL_RUN[..], &edge].concat()).is_ok());
-        assert!(sequin(&[&buffered[..], &["--shards", "1"]].concat()).is_ok());
         assert!(sequin(&[&SMALL_RUN[..], &["--ooo", "0"]].concat()).is_ok());
     }
 }

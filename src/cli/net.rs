@@ -56,9 +56,6 @@ pub struct NetOptions {
     pub batch: usize,
     /// Inject a punctuation every `n` events before shipping.
     pub punctuate_every: Option<usize>,
-    /// Workers running the plan of Native queries on the server side
-    /// (the CLI rejects 0, and more than 1 under a control strategy).
-    pub shards: usize,
     /// Observability recorder settings for the server-side engine core
     /// (`ObsConfig::disabled()` removes all instrumentation overhead).
     pub obs: ObsConfig,
@@ -72,7 +69,6 @@ impl Default for NetOptions {
             policy: DisorderPolicy::Conservative,
             batch: 64,
             punctuate_every: None,
-            shards: 1,
             obs: ObsConfig::default(),
         }
     }
@@ -105,7 +101,6 @@ fn net_core(registry: Arc<TypeRegistry>, net: &NetOptions) -> CoreConfig {
         engine.watermark = sequin_engine::WatermarkSource::Both;
     }
     let mut core = CoreConfig::new(registry, net.strategy, engine);
-    core.shards = net.shards;
     core.obs = net.obs;
     core
 }
@@ -130,11 +125,10 @@ pub fn run_netbench(spec: &StreamSpec, net: &NetOptions) -> Result<String, Strin
         net.batch.max(1)
     ));
     out.push_str(&format!(
-        "evaluation   : {} strategy, {} policy, K={}, {} shard(s)\n",
+        "evaluation   : {} strategy, {} policy, K={}\n",
         net.strategy,
         policy_name(net.policy),
-        net.k,
-        net.shards
+        net.k
     ));
     out.push_str(&format!(
         "outputs      : {} frames, byte-identical to the in-process oracle\n",
@@ -455,22 +449,6 @@ sequin_ingest_latency_ticks_count 5\n";
             assert!(out.contains("byte-identical"), "{out}");
             assert!(out.contains("events_ingested"), "{out}");
         }
-    }
-
-    #[test]
-    fn netbench_with_shards_matches_oracle() {
-        let spec = StreamSpec {
-            events: 600,
-            ..StreamSpec::default()
-        };
-        let net = NetOptions {
-            shards: 4,
-            punctuate_every: Some(100),
-            ..NetOptions::default()
-        };
-        let out = run_netbench(&spec, &net).unwrap();
-        assert!(out.contains("byte-identical"), "{out}");
-        assert!(out.contains("4 shard(s)"), "{out}");
     }
 
     #[test]

@@ -8,7 +8,7 @@ use sequin_engine::{
     CheckpointPolicy, CheckpointStore, Checkpointer, DisorderPolicy, EngineConfig, MultiEngine,
     Strategy,
 };
-use sequin_metrics::{run_engine_batched, shard_table};
+use sequin_metrics::run_engine_batched;
 use sequin_netsim::{delay_shuffle, measure_disorder, punctuate};
 use sequin_query::parse;
 use sequin_types::{Duration, EventRef, StreamItem, TypeRegistry};
@@ -37,9 +37,6 @@ pub struct RunOptions {
     pub resume_from: Option<String>,
     /// Per-query disorder policy (latency vs retraction-noise knob).
     pub policy: DisorderPolicy,
-    /// How many workers run the native plan (1 = inline, single-threaded;
-    /// the CLI rejects 0, and more than 1 under a control strategy).
-    pub shards: usize,
 }
 
 impl Default for RunOptions {
@@ -52,7 +49,6 @@ impl Default for RunOptions {
             checkpoint_every: None,
             resume_from: None,
             policy: DisorderPolicy::default(),
-            shards: 1,
         }
     }
 }
@@ -194,13 +190,12 @@ fn run_stream(
     if opts.punctuate_every.is_some() {
         config.watermark = sequin_engine::WatermarkSource::Both;
     }
-    // one stack whatever the flags: the host runs the query's plan on
-    // `--shards` workers, the exactly-once wrapper around it is volatile
-    // without `--checkpoint-every`, and batches let the workers' threads run
-    let mut query_id = None;
-    let mut host = || {
-        let mut host = MultiEngine::new(opts.strategy, config, opts.shards);
-        query_id = Some(host.register(Arc::clone(&query), opts.policy));
+    // one stack whatever the flags: the host runs the query's plan, and
+    // the exactly-once wrapper around it is volatile without
+    // `--checkpoint-every`
+    let host = || {
+        let mut host = MultiEngine::new(opts.strategy, config);
+        host.register(Arc::clone(&query), opts.policy);
         host
     };
     let policy = opts
@@ -235,7 +230,6 @@ fn run_stream(
             .save(Path::new(path))
             .map_err(|e| format!("cannot save checkpoint `{path}`: {e}"))?;
     }
-    let per_shard = query_id.map_or(Vec::new(), |id| stack.host().per_shard_stats(id));
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -276,15 +270,6 @@ fn run_stream(
         if let Some(note) = resume_note {
             out.push_str(&format!("recovery     : {note}\n"));
         }
-    }
-    if per_shard.len() > 1 {
-        out.push_str(&format!(
-            "shards       : {} workers, {} events routed, merge buffer peak {}\n",
-            per_shard.len(),
-            report.stats.events_routed,
-            report.stats.merge_buffer_peak
-        ));
-        out.push_str(&shard_table(&per_shard).to_string());
     }
     Ok(out)
 }
@@ -355,62 +340,6 @@ mod tests {
         assert!(out2.contains("recovery     : resumed at item"), "{out2}");
         assert!(out2.contains("matches      : 0 (net)"), "{out2}");
         std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn sharded_run_prints_shard_table() {
-        let opts = RunOptions {
-            shards: 3,
-            ..RunOptions::default()
-        };
-        let out = run_workload("synthetic", "", 2000, 0.2, 50, 11, &opts).unwrap();
-        assert!(out.contains("shards       : 3 workers"), "{out}");
-        assert!(out.contains("events_routed"), "{out}");
-
-        // identical matches as single-threaded
-        let single =
-            run_workload("synthetic", "", 2000, 0.2, 50, 11, &RunOptions::default()).unwrap();
-        let matches_line = |s: &str| {
-            s.lines()
-                .find(|l| l.starts_with("matches"))
-                .map(str::to_owned)
-        };
-        assert_eq!(matches_line(&out), matches_line(&single));
-
-        // checkpointing changes neither: the pool still gets batches and
-        // the report still has its per-shard table
-        let checkpointed = RunOptions {
-            checkpoint_every: Some(500),
-            ..opts.clone()
-        };
-        let out = run_workload("synthetic", "", 2000, 0.2, 50, 11, &checkpointed).unwrap();
-        assert!(out.contains("checkpoints  : 4 written"), "{out}");
-        assert!(out.contains("shards       : 3 workers"), "{out}");
-        assert!(out.contains("events_routed"), "{out}");
-        assert_eq!(matches_line(&out), matches_line(&single));
-
-        // a query with no key to spread runs on the same pool: the table
-        // shows its work sitting on worker 0
-        let unkeyed = "PATTERN SEQ(T0 a, T1 b) WITHIN 20";
-        let out = run_workload("synthetic", unkeyed, 2000, 0.2, 50, 11, &opts).unwrap();
-        assert!(out.contains("shards       : 3 workers"), "{out}");
-        let idle = |l: &&&str| l.split_whitespace().nth(2) == Some("0");
-        let rows: Vec<&str> = out
-            .lines()
-            .skip_while(|l| !l.starts_with("shard "))
-            .collect();
-        assert_eq!(rows.len(), 2 + 3, "header, rule, workers: {out}");
-        assert_eq!(rows[2..].iter().filter(idle).count(), 2, "{out}");
-        let single = run_workload(
-            "synthetic",
-            unkeyed,
-            2000,
-            0.2,
-            50,
-            11,
-            &RunOptions::default(),
-        );
-        assert_eq!(matches_line(&out), matches_line(&single.unwrap()));
     }
 
     #[test]

@@ -125,8 +125,7 @@ fn push_knobs(out: &mut String, opts: &sequin_sim::SimOptions) {
 /// policy each) and disorder schedules, each query alone on an honest
 /// engine as the reference, and every production path checked against it
 /// (the plan of N item by item — also against the naive oracle — batched,
-/// the host at each shard count, crash/resume across a shard-count
-/// change, networked loopback). Failures are shrunk to minimal repros and
+/// crash/resume, networked loopback). Failures are shrunk to minimal repros and
 /// reported with their replayable `--seed`/`--case` pair.
 ///
 /// # Errors
@@ -187,22 +186,14 @@ pub fn run_sim(o: &SimCliOptions) -> Result<String, String> {
             ""
         }
     ));
-    let counts = o
-        .opts
-        .shard_counts
-        .iter()
-        .map(|n| n.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
     out.push_str(&format!(
         "queries      : {} case(s) held one query, {} held two to four\n",
         report.cases_run - report.multi_query_cases,
         report.multi_query_cases
     ));
-    out.push_str(&format!(
-        "paths        : builder-vs-parser, plan, oracle, batched, sharded{{{counts}}}, \
-         crash-resume, loopback\n"
-    ));
+    out.push_str(
+        "paths        : builder-vs-parser, plan, oracle, batched, crash-resume, loopback\n",
+    );
     push_knobs(&mut out, &o.opts);
     if !progress.is_empty() {
         out.push_str(&progress);

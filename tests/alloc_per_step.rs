@@ -29,8 +29,8 @@ use sequin::query::{parse, Query};
 use sequin::server::{decode_frame, encode_frame, Frame};
 use sequin::types::{Duration, StreamItem, TypeRegistry, ValueKind};
 
-/// Counts the calling thread's allocations (the evaluator of a one-shard
-/// host runs on the caller's thread; other tests' threads do not count).
+/// Counts the calling thread's allocations (a host's evaluator runs on the
+/// caller's thread; other tests' threads do not count).
 struct Counting;
 
 thread_local! {
@@ -92,7 +92,7 @@ fn measure(
         policy,
         ..EngineConfig::with_k(Duration::new(50_000))
     };
-    let mut engine = MultiEngine::new(Strategy::Native, config, 1);
+    let mut engine = MultiEngine::new(Strategy::Native, config);
     for text in queries {
         engine.register(parse(text, reg).unwrap(), policy);
     }
@@ -314,10 +314,10 @@ fn parsed(reg: &TypeRegistry, texts: &[String]) -> Vec<Arc<Query>> {
     texts.iter().map(|t| parse(t, reg).unwrap()).collect()
 }
 
-/// A one-worker host with `queries` registered, and how long that took.
+/// A plan host with `queries` registered, and how long that took.
 fn registered(queries: &[Arc<Query>]) -> (MultiEngine, Wall) {
     let config = EngineConfig::with_k(Duration::new(100));
-    let mut engine = MultiEngine::new(Strategy::Native, config, 1);
+    let mut engine = MultiEngine::new(Strategy::Native, config);
     let started = Instant::now();
     for q in queries {
         engine.register(Arc::clone(q), config.policy);

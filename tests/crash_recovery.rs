@@ -282,16 +282,15 @@ const PIN_CUT: usize = 242;
 /// a coded version error instead of being misread.
 const PIN_NATIVE_SPECULATIVE: u64 = 0xce52_c27c_e986_09b9;
 const PIN_NATIVE_CONSERVATIVE: u64 = 0x336e_0835_5cef_85bc;
-const PIN_CORE_TWO_SHARDS: u64 = 0xe438_5a3f_4b52_5021;
 /// Re-pinned when a single query became a plan of one, with no layout
-/// change: two counter bytes moved. Until then the one-shard core (the
-/// plan) counted `ooo_insertions` / `max_stack_depth` in a pooled stack's
-/// time-ordered side, and a lone engine and a pool's workers in the
-/// arrival's key stack; now every hosting counts the latter, so this
-/// store is the two-shard one, byte for byte — which
-/// `checkpoint_bytes_are_pinned` asserts blob by blob rather than
-/// trusting the constant.
-const PIN_CORE_ONE_SHARD: u64 = 0xe438_5a3f_4b52_5021;
+/// change: two counter bytes moved. Until then the core (the plan) counted
+/// `ooo_insertions` / `max_stack_depth` in a pooled stack's time-ordered
+/// side, and a lone engine in the arrival's key stack; now every hosting
+/// counts the latter — which `checkpoint_bytes_are_pinned` asserts blob
+/// by blob rather than trusting the constant. A core that ran the plan on
+/// several key-sliced workers wrote these same bytes, so its stores
+/// resume unchanged.
+const PIN_CORE: u64 = 0xe438_5a3f_4b52_5021;
 
 struct Pinned {
     registry: Arc<sequin::types::TypeRegistry>,
@@ -303,17 +302,12 @@ struct Pinned {
     /// the byte-identity contract; asserted below).
     delivered: Vec<OutputItem>,
     native: Vec<u8>,
-    core: [CheckpointStore; 2],
+    core: CheckpointStore,
 }
 
-fn pin_core_cfg(
-    registry: &Arc<sequin::types::TypeRegistry>,
-    config: EngineConfig,
-    shards: usize,
-) -> CoreConfig {
+fn pin_core_cfg(registry: &Arc<sequin::types::TypeRegistry>, config: EngineConfig) -> CoreConfig {
     let mut cfg = CoreConfig::new(Arc::clone(registry), Strategy::Native, config);
     cfg.checkpoint_every = Some(1 << 40);
-    cfg.shards = shards;
     cfg
 }
 
@@ -343,15 +337,13 @@ fn pinned_snapshots(policy: DisorderPolicy) -> Pinned {
     }
     let native = eng.snapshot().unwrap();
 
-    let core = [1usize, 2].map(|shards| {
-        let mut core = EngineCore::new(pin_core_cfg(w.registry(), config, shards));
-        core.subscribe(PIN_QUERY).unwrap();
-        let out = core.ingest_batch(&stream[..PIN_CUT]);
-        let out: Vec<OutputItem> = out.into_iter().map(|(_, o)| o).collect();
-        assert_eq!(out, delivered, "shards = {shards} pre-cut output");
-        core.checkpoint_now();
-        core.store().clone()
-    });
+    let mut core = EngineCore::new(pin_core_cfg(w.registry(), config));
+    core.subscribe(PIN_QUERY).unwrap();
+    let out = core.ingest_batch(&stream[..PIN_CUT]);
+    let out: Vec<OutputItem> = out.into_iter().map(|(_, o)| o).collect();
+    assert_eq!(out, delivered, "the core's pre-cut output");
+    core.checkpoint_now();
+    let core = core.store().clone();
     Pinned {
         registry: Arc::clone(w.registry()),
         stream,
@@ -406,34 +398,24 @@ fn core_store_with_blob(store: &CheckpointStore, blob: &[u8]) -> CheckpointStore
 fn checkpoint_bytes_are_pinned() {
     let spec = pinned_snapshots(DisorderPolicy::Speculative);
     let cons = pinned_snapshots(DisorderPolicy::Conservative);
-    // three hostings, one blob: the plan (one shard), a routed pool (two
-    // shards) and a lone engine write the same bytes for the same query at
-    // the same stream position
+    // two hostings, one blob: the core's plan and a lone engine write the
+    // same bytes for the same query at the same stream position
     for p in [&spec, &cons] {
-        for (shards, store) in p.core.iter().enumerate() {
-            let blob = core_checkpoint_blob(store).1;
-            assert!(
-                blob == p.native,
-                "{:?}: the core's blob at {} shard(s) is not `NativeEngine::snapshot()`",
-                p.config.policy,
-                shards + 1
-            );
-        }
+        let blob = core_checkpoint_blob(&p.core).1;
+        assert!(
+            blob == p.native,
+            "{:?}: the core's blob is not `NativeEngine::snapshot()`",
+            p.config.policy
+        );
     }
     let got = [
         fnv1a64(&spec.native),
         fnv1a64(&cons.native),
-        fnv1a64(&spec.core[0].to_bytes()),
-        fnv1a64(&spec.core[1].to_bytes()),
+        fnv1a64(&spec.core.to_bytes()),
     ];
     assert_eq!(
         got,
-        [
-            PIN_NATIVE_SPECULATIVE,
-            PIN_NATIVE_CONSERVATIVE,
-            PIN_CORE_ONE_SHARD,
-            PIN_CORE_TWO_SHARDS
-        ]
+        [PIN_NATIVE_SPECULATIVE, PIN_NATIVE_CONSERVATIVE, PIN_CORE]
     );
 }
 
@@ -442,11 +424,7 @@ fn pinned_snapshots_interchange_and_settle_on_the_oracle() {
     for policy in [DisorderPolicy::Speculative, DisorderPolicy::Conservative] {
         let p = pinned_snapshots(policy);
         let tail = &p.stream[PIN_CUT..];
-        let blobs = [
-            p.native.clone(),
-            core_checkpoint_blob(&p.core[0]).1,
-            core_checkpoint_blob(&p.core[1]).1,
-        ];
+        let blobs = [p.native.clone(), core_checkpoint_blob(&p.core).1];
         let before_cut: Vec<_> = p.stream[..PIN_CUT]
             .iter()
             .filter_map(|it| match it {
@@ -469,33 +447,26 @@ fn pinned_snapshots_interchange_and_settle_on_the_oracle() {
                 p.oracle,
                 "{policy:?}: blob {from} -> native"
             );
-            // into the core at one and two shards
-            for shards in [1usize, 2] {
-                let store = core_store_with_blob(&p.core[shards - 1], blob);
-                let cfg = pin_core_cfg(&p.registry, p.config, shards);
-                let (mut core, from_item) = EngineCore::resume(cfg, store);
-                assert_eq!(from_item as usize, PIN_CUT, "checkpoint accepted");
-                let mut out = p.delivered.clone();
-                let mut post = core.ingest_batch(tail);
-                post.extend(core.finish());
-                // the cut really split held state: a match complete before
-                // it is retracted (speculative) or sealed (conservative)
-                // after it
-                held_across_the_cut |= post.iter().any(|(_, o)| {
-                    let held = match policy {
-                        DisorderPolicy::Speculative => o.kind == OutputKind::Retract,
-                        _ => o.cause.is_none(),
-                    };
-                    held && o.m.events().iter().all(|e| before_cut.contains(&e.id()))
-                });
-                out.extend(post.into_iter().map(|(_, o)| o));
-                assert_no_duplicate_deliveries(&out, "pinned interchange");
-                assert_eq!(
-                    net_keys(&out),
-                    p.oracle,
-                    "{policy:?}: blob {from} -> core at {shards} shard(s)"
-                );
-            }
+            // into the core
+            let store = core_store_with_blob(&p.core, blob);
+            let (mut core, from_item) =
+                EngineCore::resume(pin_core_cfg(&p.registry, p.config), store);
+            assert_eq!(from_item as usize, PIN_CUT, "checkpoint accepted");
+            let mut out = p.delivered.clone();
+            let mut post = core.ingest_batch(tail);
+            post.extend(core.finish());
+            // the cut really split held state: a match complete before it
+            // is retracted (speculative) or sealed (conservative) after it
+            held_across_the_cut |= post.iter().any(|(_, o)| {
+                let held = match policy {
+                    DisorderPolicy::Speculative => o.kind == OutputKind::Retract,
+                    _ => o.cause.is_none(),
+                };
+                held && o.m.events().iter().all(|e| before_cut.contains(&e.id()))
+            });
+            out.extend(post.into_iter().map(|(_, o)| o));
+            assert_no_duplicate_deliveries(&out, "pinned interchange");
+            assert_eq!(net_keys(&out), p.oracle, "{policy:?}: blob {from} -> core");
         }
         assert!(
             held_across_the_cut,

@@ -55,7 +55,7 @@ fn counts(
         policy,
         ..EngineConfig::with_k(Duration::new(max_delay))
     };
-    let mut engine = MultiEngine::new(Strategy::Native, config, 1);
+    let mut engine = MultiEngine::new(Strategy::Native, config);
     for q in queries(&w) {
         engine.register(q, policy);
     }

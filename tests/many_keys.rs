@@ -1,8 +1,7 @@
-//! Key-indexed stacks end to end, through `EngineCore` on both hosts of a
-//! partitionable query (the shared plan at one shard, a routed pool at
-//! two): thousands of live keys across a crash that swaps the shard
-//! count, and a stream of keys that are never seen twice, whose index
-//! must plateau with the window rather than ramp with the stream.
+//! Key-indexed stacks end to end, through `EngineCore` on the shared plan
+//! of partitionable queries: thousands of live keys across a crash, and a
+//! stream of keys that are never seen twice, whose index must plateau with
+//! the window rather than ramp with the stream.
 
 mod common;
 
@@ -18,11 +17,10 @@ use sequin::server::{CoreConfig, EngineCore};
 use sequin::types::{Duration, StreamItem, TypeRegistry};
 use sequin::workload::{Synthetic, SyntheticConfig};
 
-fn core_cfg(registry: &Arc<TypeRegistry>, engine: EngineConfig, shards: usize) -> CoreConfig {
+fn core_cfg(registry: &Arc<TypeRegistry>, engine: EngineConfig) -> CoreConfig {
     let mut cfg = CoreConfig::new(Arc::clone(registry), Strategy::Native, engine);
     // durable, and checkpointed only where the test says so
     cfg.checkpoint_every = Some(1 << 40);
-    cfg.shards = shards;
     cfg
 }
 
@@ -39,7 +37,7 @@ fn gauge(core: &EngineCore, name: &str) -> u64 {
 }
 
 #[test]
-fn two_thousand_keys_survive_a_crash_that_swaps_the_shard_count() {
+fn two_thousand_keys_survive_a_crash() {
     let w = Synthetic::new(SyntheticConfig {
         num_types: 3,
         tag_cardinality: 2_000,
@@ -77,35 +75,27 @@ fn two_thousand_keys_survive_a_crash_that_swaps_the_shard_count() {
     }
 
     let cut = 7_013;
-    for (before, after) in [(1, 2), (2, 1)] {
-        let mut core = EngineCore::new(core_cfg(w.registry(), engine, before));
-        for text in texts {
-            core.subscribe(text).unwrap();
-        }
-        let mut got = core.ingest_batch(&stream[..cut]);
-        let live = gauge(&core, "sequin_partition_keys");
-        assert!(live > 2_000, "{before} shard(s): {live} live index entries");
-        core.checkpoint_now();
-        let store = core.store().clone();
-        drop(core); // crash
-
-        let (mut core, from) = EngineCore::resume(core_cfg(w.registry(), engine, after), store);
-        assert_eq!(
-            from as usize, cut,
-            "{before} -> {after}: checkpoint accepted"
-        );
-        // every live key comes back (and on the plan, which pools the two
-        // queries' `T0` and `T2` stacks, each query counts the union)
-        let restored = gauge(&core, "sequin_partition_keys");
-        assert!(
-            restored >= live,
-            "{before} -> {after}: {restored} of {live}"
-        );
-        got.extend(core.ingest_batch(&stream[cut..]));
-        got.extend(core.finish());
-        assert_eq!(got.len(), want.len(), "{before} -> {after} shard(s)");
-        assert!(got == want, "{before} -> {after} shard(s): outputs differ");
+    let mut core = EngineCore::new(core_cfg(w.registry(), engine));
+    for text in texts {
+        core.subscribe(text).unwrap();
     }
+    let mut got = core.ingest_batch(&stream[..cut]);
+    let live = gauge(&core, "sequin_partition_keys");
+    assert!(live > 2_000, "{live} live index entries");
+    core.checkpoint_now();
+    let store = core.store().clone();
+    drop(core); // crash
+
+    let (mut core, from) = EngineCore::resume(core_cfg(w.registry(), engine), store);
+    assert_eq!(from as usize, cut, "checkpoint accepted");
+    // every live key comes back (the plan pools the two queries' `T0` and
+    // `T2` stacks, so each query counts the union)
+    let restored = gauge(&core, "sequin_partition_keys");
+    assert!(restored >= live, "{restored} of {live}");
+    got.extend(core.ingest_batch(&stream[cut..]));
+    got.extend(core.finish());
+    assert_eq!(got.len(), want.len());
+    assert!(got == want, "outputs differ");
 }
 
 #[test]
@@ -133,35 +123,30 @@ fn keys_never_seen_twice_plateau_with_the_window() {
     let cadence = u64::from(engine.purge.every_n.expect("the default purges"));
     let bound = (window + k) / gap + cadence + 8;
 
-    for shards in [1, 2] {
-        let mut core = EngineCore::new(core_cfg(w.registry(), engine, shards));
-        core.subscribe(text).unwrap();
-        let mut peak = 0;
-        for chunk in stream.chunks(1_000) {
-            assert!(core.ingest_batch(chunk).is_empty(), "no tag occurs twice");
-            let keys = gauge(&core, "sequin_partition_keys");
-            let state = gauge(&core, "sequin_engine_state_size");
-            assert!(
-                keys <= bound && state <= bound,
-                "{shards} shard(s): {keys} index entries, {state} items, bound {bound}"
-            );
-            assert_eq!(keys, state, "one entry per instance, no emptied ones");
-            peak = peak.max(keys);
-        }
-        assert!(peak > window / gap, "{shards} shard(s): the index was used");
+    let mut core = EngineCore::new(core_cfg(w.registry(), engine));
+    core.subscribe(text).unwrap();
+    let mut peak = 0;
+    for chunk in stream.chunks(1_000) {
+        assert!(core.ingest_batch(chunk).is_empty(), "no tag occurs twice");
+        let keys = gauge(&core, "sequin_partition_keys");
+        let state = gauge(&core, "sequin_engine_state_size");
+        assert!(
+            keys <= bound && state <= bound,
+            "{keys} index entries, {state} items, bound {bound}"
+        );
+        assert_eq!(keys, state, "one entry per instance, no emptied ones");
+        peak = peak.max(keys);
     }
+    assert!(peak > window / gap, "the index was used");
 }
 
 #[test]
 fn an_unpartitioned_query_reports_no_keys() {
     let w = Synthetic::new(SyntheticConfig::default());
     let stream: Vec<StreamItem> = common::stream_of(&w.generate(500, 3));
-    for shards in [1, 2] {
-        let engine = EngineConfig::default();
-        let mut core = EngineCore::new(core_cfg(w.registry(), engine, shards));
-        core.subscribe("PATTERN SEQ(T0 a, T1 b) WITHIN 50").unwrap();
-        core.ingest_batch(&stream);
-        assert!(gauge(&core, "sequin_engine_state_size") > 0);
-        assert_eq!(gauge(&core, "sequin_partition_keys"), 0);
-    }
+    let mut core = EngineCore::new(core_cfg(w.registry(), EngineConfig::default()));
+    core.subscribe("PATTERN SEQ(T0 a, T1 b) WITHIN 50").unwrap();
+    core.ingest_batch(&stream);
+    assert!(gauge(&core, "sequin_engine_state_size") > 0);
+    assert_eq!(gauge(&core, "sequin_partition_keys"), 0);
 }

@@ -43,7 +43,7 @@ fn shared_stream_matches_standalone_evaluation() {
 
     // multi-engine run: both queries on one plan — a plan of two against
     // two plans of one
-    let mut multi = MultiEngine::new(Strategy::Native, cfg, 1);
+    let mut multi = MultiEngine::new(Strategy::Native, cfg);
     let ids: Vec<_> = queries
         .iter()
         .map(|q| multi.register(Arc::clone(q), cfg.policy))
@@ -109,21 +109,11 @@ fn mixed_strategies_and_policies_coexist() {
     assert!(multi.state_size() > 0);
 }
 
-/// Live threads of this process named like a pool's workers. No other
-/// test in this file may host a pool of several, or the counts below race.
-#[cfg(target_os = "linux")]
-fn shard_threads() -> usize {
-    let tasks = std::fs::read_dir("/proc/self/task").unwrap();
-    let names = tasks.filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok());
-    names.filter(|n| n.starts_with("sequin-shard-")).count()
-}
-
-/// `--shards` sets how many workers run the plan, not where a query runs:
-/// 64 prefix siblings, each with a key to spread, stay one plan — the same
-/// pooled stacks and the one prefix group — on 1, 2 and 3 workers, and
-/// cost `shards` threads, not `shards × queries`.
+/// 64 prefix siblings, each with a partition key, stay one plan: the same
+/// pooled stacks and the one prefix group, with every query's counters
+/// live.
 #[test]
-fn a_query_family_stays_one_plan_at_every_shard_count() {
+fn a_query_family_stays_one_plan() {
     use sequin::query::parse;
     use sequin::workload::{Synthetic, SyntheticConfig};
     let w = Synthetic::new(SyntheticConfig {
@@ -149,37 +139,134 @@ fn a_query_family_stays_one_plan_at_every_shard_count() {
         })
         .collect();
 
-    let mut runs = Vec::new();
-    for shards in 1..=3 {
-        #[cfg(target_os = "linux")]
-        let before = shard_threads();
-        let mut host = MultiEngine::new(Strategy::Native, cfg, shards);
-        for query in &family {
-            host.register(Arc::clone(query), cfg.policy);
-        }
-        let mut out: Vec<_> = stream.chunks(256).map(|c| host.ingest_batch(c)).collect();
-        // (counted once every worker has answered, so has named itself)
-        #[cfg(target_os = "linux")]
-        assert_eq!(
-            shard_threads() - before,
-            if shards > 1 { shards } else { 0 },
-            "{shards} shard(s): one thread per worker, none for a pool of one"
-        );
-        out.push(vec![host.finish()]);
-        let mut stats = host.stats();
-        stats.iter_mut().for_each(|s| s.merge_buffer_peak = 0);
-        let pm = host.plan_metrics();
-        runs.push((out, stats, (pm.pooled_stacks, pm.prefix_groups)));
+    let mut host = MultiEngine::new(Strategy::Native, cfg);
+    for query in &family {
+        host.register(Arc::clone(query), cfg.policy);
     }
-    let (out, stats, shape) = &runs[0];
-    let outputs: usize = out.iter().flatten().map(Vec::len).sum();
+    let mut outputs: usize = stream
+        .chunks(256)
+        .map(|c| host.ingest_batch(c).iter().map(Vec::len).sum::<usize>())
+        .sum();
+    outputs += host.finish().len();
     assert!(outputs > 200, "{outputs} outputs");
-    assert_eq!(*shape, (66, 1), "T0, T1 and 64 banded finals; one prefix");
+    let pm = host.plan_metrics();
+    assert_eq!(
+        (pm.pooled_stacks, pm.prefix_groups),
+        (66, 1),
+        "T0, T1 and 64 banded finals; one prefix"
+    );
+    let stats = host.stats();
     assert!(stats.iter().all(|s| s.insertions > 0 && s.purged > 0));
-    for (ix, run) in runs.iter().enumerate().skip(1) {
-        let shards = ix + 1;
-        assert!(run.0 == *out, "{shards} shards: outputs differ or moved");
-        assert_eq!(run.1, *stats, "{shards} shards: per-query counters");
-        assert_eq!(run.2, *shape, "{shards} shards: the plan's shape");
-    }
+}
+
+/// The 64 prefix siblings with a negated middle slot — half keyed by an
+/// equality chain — under all four policies, so every match is held before
+/// it settles: batched ingestion (runs of 17) is item-by-item ingestion on
+/// one host that registers queries mid-stream.
+#[test]
+fn a_holding_family_batched_equals_item_by_item() {
+    use sequin::query::parse;
+    use sequin::types::{Event, EventId, Timestamp, Value};
+    let w = synthetic16();
+    let reg = w.registry();
+    let policies = [
+        DisorderPolicy::Conservative,
+        DisorderPolicy::Speculative,
+        DisorderPolicy::Lazy,
+        DisorderPolicy::AdaptiveSlack { accuracy: 90 },
+    ];
+    let holding: Vec<_> = (0..64)
+        .map(|i| {
+            let chain = ["", "a.tag == b.tag AND b.tag == c.tag AND "][i % 2];
+            let (floor, window) = (i % 5, 30 + 5 * (i / 10));
+            let text = format!(
+                "PATTERN SEQ(T0 a, !T3 n, T1 b, T2 c) WHERE {chain}c.x >= {floor} WITHIN {window}"
+            );
+            (parse(&text, reg).unwrap(), policies[(i / 2) % 4])
+        })
+        .collect();
+    let mut rng = sequin::prng::Rng::seed_from_u64(0x5EED_0015);
+    let mut ts = 0u64;
+    let events: Vec<_> = (0..600u64)
+        .map(|id| {
+            let ty = rng.gen_range(0u8..4);
+            ts += rng.gen_range(1u64..4);
+            let (x, tag) = (rng.gen_range(0i64..5), rng.gen_range(0i64..3));
+            let ty = reg.lookup(&format!("T{ty}")).expect("declared");
+            let e = Event::builder(ty, Timestamp::new(ts))
+                .id(EventId::new(id))
+                .attr(Value::Int(x))
+                .attr(Value::Int(tag))
+                .build();
+            Arc::new(e)
+        })
+        .collect();
+    // Two registration positions, times two watermark classes (adaptive).
+    batched_equals_item_by_item(&holding, &delay_shuffle(&events, 0.35, 40, 7), 18 * 17, 4);
+}
+
+/// The banded family of `tests/logical_counts.rs` beside a keyed query,
+/// whose counters the plan's shared nodes owe their readers: batched
+/// ingestion (runs of 17) is item-by-item ingestion, outputs and per-query
+/// counters alike, on one host that registers queries mid-stream.
+#[test]
+fn a_banded_family_batched_equals_item_by_item_with_its_counters() {
+    use sequin::query::parse;
+    let w = synthetic16();
+    let reg = w.registry();
+    let mut banded: Vec<_> = common::banded_family();
+    banded.push(
+        "PATTERN SEQ(T0 a, T1 b, T2 c) WHERE a.tag == b.tag AND b.tag == c.tag WITHIN 100".into(),
+    );
+    let banded: Vec<_> = banded
+        .iter()
+        .map(|t| (parse(t, reg).unwrap(), DisorderPolicy::Conservative))
+        .collect();
+    let stream = delay_shuffle(&w.generate(8000, 42), 0.3, 100, 43);
+    // Two registration positions.
+    batched_equals_item_by_item(&banded, &stream, 150 * 17, 2);
+}
+
+fn synthetic16() -> sequin::workload::Synthetic {
+    use sequin::workload::{Synthetic, SyntheticConfig};
+    Synthetic::new(SyntheticConfig {
+        num_types: 16,
+        ..SyntheticConfig::default()
+    })
+}
+
+/// Runs `family` over `stream` on one host item by item and in runs of
+/// 17, registering the first 40 queries up front and the rest at item
+/// `second`; outputs, per-query counters and the plan's `epochs` agree.
+fn batched_equals_item_by_item(
+    family: &[(Arc<sequin::query::Query>, DisorderPolicy)],
+    stream: &[sequin::types::StreamItem],
+    second: usize,
+    epochs: u64,
+) {
+    let k = measure_disorder(stream).max_lateness.ticks().max(1);
+    let cfg = EngineConfig::with_k(Duration::new(k));
+    let run = |batch: usize| {
+        let mut host = MultiEngine::new(Strategy::Native, cfg);
+        let mut out = Vec::new();
+        for (ix, chunk) in stream.chunks(batch).enumerate() {
+            let joining = match ix * batch {
+                0 => &family[..40],
+                at if at == second => &family[40..],
+                _ => &[],
+            };
+            for (q, policy) in joining {
+                host.register(Arc::clone(q), *policy);
+            }
+            out.extend(host.ingest_batch(chunk));
+        }
+        out.push(host.finish());
+        (out, host.stats(), host.plan_metrics().epochs)
+    };
+    let (item_by_item, batched) = (run(1), run(17));
+    let outputs: usize = item_by_item.0.iter().map(Vec::len).sum();
+    assert!(outputs > 1000, "the family fires: {outputs}");
+    assert!(batched.0 == item_by_item.0, "outputs differ");
+    assert_eq!(batched.1, item_by_item.1, "per-query counters");
+    assert_eq!((batched.2, item_by_item.2), (epochs, epochs));
 }

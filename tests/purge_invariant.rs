@@ -1,8 +1,7 @@
 //! Purge-invariant property test (tier 1).
 //!
 //! Under eager purging, after every ingested item no positive-stack entry
-//! older than `watermark − window` may survive — in the single-threaded
-//! [`NativeEngine`] or in any worker of a [`ShardedEngine`] pool. The
+//! older than `watermark − window` may survive in [`NativeEngine`]. The
 //! streams come from the simulation generator, so they carry disorder,
 //! duplicates and punctuations; the differential harness proves outputs,
 //! this test proves the *state bound* the paper's purge rules promise.
@@ -10,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use sequin::engine::{DisorderPolicy, Engine, EngineConfig, NativeEngine, ShardedEngine};
+use sequin::engine::{DisorderPolicy, Engine, EngineConfig, NativeEngine};
 use sequin::netsim::delay_shuffle;
 use sequin::sim::case::{sim_registry, CaseData};
 use sequin::sim::diff::{engine_config, Sabotage};
@@ -51,46 +50,6 @@ fn native_engine_never_holds_state_past_the_horizon() {
                      watermark {wm} − window {window}",
                     oldest.ticks()
                 );
-            }
-        }
-    }
-    assert!(
-        nonvacuous > 100,
-        "the horizon was binding only {nonvacuous} times; generator drifted?"
-    );
-}
-
-#[test]
-fn every_sharded_worker_honors_the_horizon() {
-    let registry = sim_registry();
-    let mut nonvacuous = 0u32;
-    for seed in 0..30u64 {
-        let mut case = CaseData::generate(0xFACE, seed);
-        case.config.purge_every = Some(1);
-        let query = case.queries[0]
-            .plan
-            .build(&registry)
-            .expect("generated queries are valid");
-        let mut cfg = engine_config(&case, Sabotage::default());
-        cfg.purge = PurgePolicy::EAGER;
-        let window = query.window().ticks();
-        for shards in [2usize, 5] {
-            let mut pool = ShardedEngine::new(Arc::clone(&query), cfg, shards);
-            for (ix, item) in case.stream(&registry).iter().enumerate() {
-                pool.ingest(item);
-                let wm = pool.watermark().map_or(0, |w| w.ticks());
-                for (worker, oldest) in pool.worker_oldest_stack_ts().iter().enumerate() {
-                    let Some(oldest) = oldest else { continue };
-                    if wm > window {
-                        nonvacuous += 1;
-                    }
-                    assert!(
-                        within_horizon(oldest.ticks(), wm, window),
-                        "seed {seed} shards {shards} worker {worker} item {ix}: \
-                         entry at {} survived watermark {wm} − window {window}",
-                        oldest.ticks()
-                    );
-                }
             }
         }
     }

@@ -14,11 +14,12 @@
 use sequin::engine::DisorderPolicy;
 use sequin::sim::case::*;
 
-/// Shrunk from `sequin sim --seed 1 --cases 174` (case 173), run with
-/// `--purge-skew 1`. The tightest purge boundary: with `WITHIN 25`, the
-/// event at `ts 4` is still needed when the terminator arrives exactly at
-/// the watermark (`ts 29 − 25 = 4`); a horizon off by one tick purges it
-/// and loses the match. The honest engine must keep it.
+/// Shrunk from `sequin sim --seed 1 --cases 174` (case 173 of the
+/// generator before case seeds were finalised), run with `--purge-skew 1`.
+/// The tightest purge boundary: with `WITHIN 25`, the event at `ts 4` is
+/// still needed when the terminator arrives exactly at the watermark
+/// (`ts 29 − 25 = 4`); a horizon off by one tick purges it and loses the
+/// match. The honest engine must keep it.
 #[test]
 fn sim_seed_1_case_173_purge_boundary() {
     let case = CaseData {
@@ -68,17 +69,17 @@ fn sim_seed_1_case_173_purge_boundary() {
             ckpt_every: 1,
             crash_at: 3,
             loopback: false,
-            loopback_shards: 2,
         },
     };
-    let mismatches = sequin::sim::diff::check_case(&case, 0);
+    let mismatches = sequin::sim::diff::check_case(&case, Default::default());
     assert!(mismatches.is_empty(), "{mismatches:?}");
 }
 
-/// Shrunk from `sequin sim --seed 1 --cases 388` (case 387, four prefix
-/// siblings), run with `--purge-skew 1` and the shrinker's query-drop step
-/// held at two — a purge skew never needs a second query to show, so the
-/// shrinker otherwise ends on one. Two queries with different windows pool
+/// Shrunk from `sequin sim --seed 1 --cases 388` (case 387 of the
+/// generator before case seeds were finalised, four prefix siblings), run
+/// with `--purge-skew 1` and the shrinker's query-drop step held at two —
+/// a purge skew never needs a second query to show, so the shrinker
+/// otherwise ends on one. Two queries with different windows pool
 /// one stack, purged at the lower of their thresholds: the event at
 /// `ts 28` is re-delivered right after a punctuation puts the watermark
 /// *at* 28, and only the stacked original tells the duplicate from a new
@@ -141,9 +142,8 @@ fn sim_seed_1_case_387_pooled_duplicate_boundary() {
             ckpt_every: 1,
             crash_at: 3,
             loopback: false,
-            loopback_shards: 2,
         },
     };
-    let mismatches = sequin::sim::diff::check_case(&case, 0);
+    let mismatches = sequin::sim::diff::check_case(&case, Default::default());
     assert!(mismatches.is_empty(), "{mismatches:?}");
 }
