@@ -777,7 +777,7 @@ impl SharedMultiEngine {
     /// purge-invariant property tests; not part of the stable API.
     #[doc(hidden)]
     pub fn oldest_stack_ts(&self) -> Option<Timestamp> {
-        let firsts = self.stacks.iter().filter_map(|s| s.all().events().first());
+        let firsts = self.stacks.iter().filter_map(|s| s.all().first());
         firsts.map(|e| e.ts()).min()
     }
 
@@ -869,11 +869,11 @@ impl SharedMultiEngine {
             // float), enters no stack and completes nothing
             let stack = &mut self.stacks[six];
             let was_empty = stack.is_empty();
-            let Some((pos, depth)) = stack.insert(Arc::clone(ev)) else {
+            let Some((newest, depth)) = stack.insert(Arc::clone(ev)) else {
                 continue;
             };
             owed.insertions += 1;
-            owed.ooo_insertions += u64::from(pos + 1 != depth);
+            owed.ooo_insertions += u64::from(!newest);
             owed.max_stack_depth = owed.max_stack_depth.max(depth as u64);
             if was_empty {
                 self.epochs[node.sig.epoch].nonempty.push(six);
@@ -1265,28 +1265,30 @@ impl GroupWalker<'_> {
                 for p in 0..prefix_len {
                     binding[mq.positive_comp(p)] = Some(chosen(p));
                 }
-                for ev in candidates.iter() {
-                    *dfs += 1;
-                    if !self.opts.window_cutoff && (ev.ts() < lo || ev.ts() >= hi) {
-                        continue;
-                    }
-                    binding[final_comp] = Some(ev);
-                    let mut pass = true;
-                    for pred in mq.predicates() {
-                        if pred.mask().contains(final_comp) {
-                            *evals += 1;
-                            if pred.eval(binding) == Some(false) {
-                                pass = false;
-                                break;
+                for part in candidates.slices() {
+                    for ev in part {
+                        *dfs += 1;
+                        if !self.opts.window_cutoff && (ev.ts() < lo || ev.ts() >= hi) {
+                            continue;
+                        }
+                        binding[final_comp] = Some(ev);
+                        let mut pass = true;
+                        for pred in mq.predicates() {
+                            if pred.mask().contains(final_comp) {
+                                *evals += 1;
+                                if pred.eval(binding) == Some(false) {
+                                    pass = false;
+                                    break;
+                                }
                             }
                         }
-                    }
-                    if pass {
-                        *constructed += 1;
-                        let mut events: Vec<EventRef> =
-                            (0..prefix_len).map(|p| Arc::clone(chosen(p))).collect();
-                        events.push(Arc::clone(ev));
-                        self.forked.push((mx, events));
+                        if pass {
+                            *constructed += 1;
+                            let mut events: Vec<EventRef> =
+                                (0..prefix_len).map(|p| Arc::clone(chosen(p))).collect();
+                            events.push(Arc::clone(ev));
+                            self.forked.push((mx, events));
+                        }
                     }
                 }
             });

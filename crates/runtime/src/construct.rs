@@ -6,7 +6,7 @@ use sequin_query::{with_binding, Binding, Query};
 use sequin_types::{Duration, EventRef, Timestamp};
 
 use crate::keyed::KeyedStack;
-use crate::stack::AisStack;
+use crate::stack::{AisStack, StackRange};
 use crate::stats::RuntimeStats;
 
 /// Tunables for [`Constructor`] (the paper's CPU optimizations, each
@@ -31,7 +31,7 @@ impl ConstructOpts {
     /// One level of a walk's descent below the anchor: the half-open
     /// timestamp range `lo..hi` an event bound just under `next_ts` must
     /// fall in (span `<= W` and last `>= anchor` force `>= anchor − W`)
-    /// and the slice of `stack` to scan newest-first — all of it without
+    /// and the part of `stack` to scan newest-first — all of it without
     /// the cut-off, when the caller applies the range itself.
     fn prefix_level(
         self,
@@ -39,7 +39,7 @@ impl ConstructOpts {
         window: Duration,
         anchor_ts: Timestamp,
         next_ts: Timestamp,
-    ) -> (Timestamp, Timestamp, &[EventRef]) {
+    ) -> (Timestamp, Timestamp, StackRange<'_>) {
         self.level(stack, anchor_ts.saturating_sub(window), next_ts)
     }
 
@@ -52,7 +52,7 @@ impl ConstructOpts {
         window: Duration,
         first_ts: Timestamp,
         prev_ts: Timestamp,
-    ) -> (Timestamp, Timestamp, &[EventRef]) {
+    ) -> (Timestamp, Timestamp, StackRange<'_>) {
         let tick = Duration::new(1);
         let hi = first_ts.saturating_add(window).saturating_add(tick);
         self.level(stack, prev_ts.saturating_add(tick), hi)
@@ -63,11 +63,11 @@ impl ConstructOpts {
         stack: &AisStack,
         lo: Timestamp,
         hi: Timestamp,
-    ) -> (Timestamp, Timestamp, &[EventRef]) {
+    ) -> (Timestamp, Timestamp, StackRange<'_>) {
         let candidates = if self.window_cutoff {
             stack.range(lo, hi)
         } else {
-            stack.events()
+            stack.whole()
         };
         (lo, hi, candidates)
     }
@@ -292,13 +292,15 @@ where
         let (lo, hi, candidates) =
             self.opts
                 .prefix_level((self.stack_of)(slot), window, anchor_ts, next_ts);
-        for ev in candidates.iter().rev() {
-            *self.dfs_steps += 1;
-            if !self.opts.window_cutoff && (ev.ts() < lo || ev.ts() >= hi) {
-                continue;
-            }
-            if self.bind(slot, ev) {
-                self.extend_prefix(slot);
+        for part in candidates.slices().rev() {
+            for ev in part.iter().rev() {
+                *self.dfs_steps += 1;
+                if !self.opts.window_cutoff && (ev.ts() < lo || ev.ts() >= hi) {
+                    continue;
+                }
+                if self.bind(slot, ev) {
+                    self.extend_prefix(slot);
+                }
             }
         }
         self.unbind(slot);
@@ -317,13 +319,15 @@ where
         let (lo, hi, candidates) =
             self.opts
                 .suffix_level((self.stack_of)(slot), window, first_ts, prev_ts);
-        for ev in candidates.iter() {
-            *self.dfs_steps += 1;
-            if !self.opts.window_cutoff && (ev.ts() < lo || ev.ts() >= hi) {
-                continue;
-            }
-            if self.bind(slot, ev) {
-                self.extend_suffix(slot);
+        for part in candidates.slices() {
+            for ev in part {
+                *self.dfs_steps += 1;
+                if !self.opts.window_cutoff && (ev.ts() < lo || ev.ts() >= hi) {
+                    continue;
+                }
+                if self.bind(slot, ev) {
+                    self.extend_suffix(slot);
+                }
             }
         }
         self.unbind(slot);
@@ -542,7 +546,7 @@ mod tests {
         // anchored at slot 1, the only prefix candidate is the earlier A
         assert_eq!(run(&q, &stacks, 1, &a2, true), vec![vec![1, 2]]);
         // anchored at slot 0, the suffix candidate is the later A
-        let a1_again = stacks[0].events()[0].clone();
+        let a1_again = stacks[0].first().unwrap().clone();
         assert_eq!(run(&q, &stacks, 0, &a1_again, true), vec![vec![1, 2]]);
     }
 }

@@ -115,17 +115,17 @@ impl KeyedStack {
     }
 
     /// Inserts an instance at its sorted position in the time-ordered
-    /// stack and in its key's stack, and returns `(position, depth after
-    /// the insert)` in *the stack a walk anchored on it scans* — its key's,
-    /// or the time-ordered one without a key field. That pair is the same
-    /// whether the slot's keys share this stack with every other key or
-    /// with other queries.
+    /// stack and in its key's stack, and returns `(whether it became the
+    /// newest, depth after the insert)` in *the stack a walk anchored on it
+    /// scans* — its key's, or the time-ordered one without a key field.
+    /// That pair is the same whether the slot's keys share this stack with
+    /// every other key or with other queries.
     /// `None` when nothing was inserted: a duplicate `(ts, id)`, or an
     /// instance a keyed slot cannot key.
-    pub fn insert(&mut self, event: EventRef) -> Option<(usize, usize)> {
+    pub fn insert(&mut self, event: EventRef) -> Option<(bool, usize)> {
         let Some(ix) = &mut self.index else {
-            let pos = self.all.insert(event)?;
-            return Some((pos, self.all.len()));
+            let newest = self.all.insert(event)?;
+            return Some((newest, self.all.len()));
         };
         let key = ix.key_of(&event)?;
         self.all.insert(EventRef::clone(&event))?;
@@ -134,8 +134,8 @@ impl KeyedStack {
             .by_key
             .entry(key)
             .or_insert_with(|| spare.pop().unwrap_or_default());
-        let pos = stack.insert(event).expect("the stacks hold the same ids");
-        Some((pos, stack.len()))
+        let newest = stack.insert(event).expect("the stacks hold the same ids");
+        Some((newest, stack.len()))
     }
 
     /// Inserts a batch in `(ts, id)` order, so that loading a snapshot is
@@ -154,8 +154,7 @@ impl KeyedStack {
         let Some(ix) = &mut self.index else {
             return self.all.purge_before(threshold);
         };
-        let k = self.all.first_at_or_after(threshold);
-        for event in &self.all.events()[..k] {
+        for event in self.all.range(Timestamp::MIN, threshold).iter() {
             let key = ix.key_of(event);
             let key = key.expect("keyed slots hold only keyable instances");
             // the key's first purged instance empties or trims its stack;
@@ -272,7 +271,8 @@ mod tests {
         KeyedStack::new(Some(FieldId::from_index(TAG)))
     }
 
-    fn same(a: &[EventRef], b: &[&EventRef]) -> bool {
+    fn same<'a>(a: impl Iterator<Item = &'a EventRef>, b: &[&EventRef]) -> bool {
+        let a: Vec<&EventRef> = a.collect();
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| Arc::ptr_eq(x, y))
     }
 
@@ -287,9 +287,12 @@ mod tests {
         for k in &keys {
             let of_key = |e: &&EventRef| s.key_of(e).as_ref() == Some(k);
             let all: Vec<&EventRef> = s.all().iter().filter(of_key).collect();
-            assert!(same(s.for_key(k).events(), &all), "key {k:?}");
+            assert!(same(s.for_key(k).iter(), &all), "key {k:?}");
             let ranged: Vec<&EventRef> = s.all().range(lo, hi).iter().filter(of_key).collect();
-            assert!(same(s.for_key(k).range(lo, hi), &ranged), "range of {k:?}");
+            assert!(
+                same(s.for_key(k).range(lo, hi).iter(), &ranged),
+                "range of {k:?}"
+            );
             assert!(std::ptr::eq(s.scan(Some(k)), s.for_key(k)));
         }
         assert!(s.for_key(&PartitionKey::Int(-1)).is_empty());
@@ -319,10 +322,12 @@ mod tests {
                     let e = ev(next_id, ts, tag);
                     next_id += 1;
                     let before = s.len();
-                    let (pos, depth) = s.insert(Arc::clone(&e)).expect("a fresh keyable instance");
+                    let (newest, depth) =
+                        s.insert(Arc::clone(&e)).expect("a fresh keyable instance");
                     assert_eq!(s.len(), before + 1);
                     let key = s.key_of(&e).unwrap();
-                    assert!(Arc::ptr_eq(s.for_key(&key).get(pos), &e));
+                    let top = s.for_key(&key).iter().next_back().unwrap();
+                    assert_eq!(newest, Arc::ptr_eq(top, &e));
                     assert_eq!(depth, s.for_key(&key).len());
                     inserted.push(e);
                 } else if op < 87 {
@@ -339,7 +344,7 @@ mod tests {
                     assert_eq!(s.len(), before);
                 } else {
                     floor = floor.max(clock.saturating_sub(rng.gen_range(0..60u64)));
-                    let gone = s.all().first_at_or_after(Timestamp::new(floor));
+                    let gone = s.all().iter().filter(|e| e.ts().ticks() < floor).count();
                     assert_eq!(s.purge_before(Timestamp::new(floor)), gone);
                 }
                 let mid = clock.saturating_sub(rng.gen_range(0..50u64));
@@ -354,8 +359,8 @@ mod tests {
     #[test]
     fn a_stack_without_a_key_field_is_the_flat_case() {
         let mut s = KeyedStack::new(None);
-        assert_eq!(s.insert(ev(1, 10, Value::Float(0.5))), Some((0, 1)));
-        assert_eq!(s.insert(ev(2, 5, Value::Int(7))), Some((0, 2)));
+        assert_eq!(s.insert(ev(1, 10, Value::Float(0.5))), Some((true, 1)));
+        assert_eq!(s.insert(ev(2, 5, Value::Int(7))), Some((false, 2)));
         assert_eq!((s.len(), s.keys()), (2, 0));
         assert!(std::ptr::eq(s.scan(Some(&PartitionKey::Int(7))), s.all()));
         assert!(s.for_key(&PartitionKey::Int(7)).is_empty());

@@ -40,5 +40,5 @@ pub use keyed::KeyedStack;
 pub use negation::{region_of, regions, seal_deadline, NegationIndex, Region};
 pub use partition::{PartitionKey, PartitionMap};
 pub use r#match::{Match, MatchKey};
-pub use stack::AisStack;
+pub use stack::{AisStack, StackRange};
 pub use stats::RuntimeStats;

@@ -144,15 +144,17 @@ impl NegationIndex {
                 if region.is_empty() {
                     continue;
                 }
-                for candidate in stack.range(region.start, region.end) {
-                    binding[neg.comp] = Some(candidate);
-                    let all_hold = neg.predicates.iter().all(|p| {
-                        stats.predicate_evals += 1;
-                        p.eval(binding) == Some(true)
-                    });
-                    if all_hold {
-                        stats.negated_matches += 1;
-                        return true;
+                for part in stack.range(region.start, region.end).slices() {
+                    for candidate in part {
+                        binding[neg.comp] = Some(candidate);
+                        let all_hold = neg.predicates.iter().all(|p| {
+                            stats.predicate_evals += 1;
+                            p.eval(binding) == Some(true)
+                        });
+                        if all_hold {
+                            stats.negated_matches += 1;
+                            return true;
+                        }
                     }
                 }
                 binding[neg.comp] = None;

@@ -15,6 +15,10 @@
 //!
 //! And the wire's decoder: an event is decoded straight into the record
 //! the engine keeps.
+//!
+//! And the stack layer: a late insert costs what one chunk holds, not how
+//! far below the top it lands (release builds), and neither a purge nor an
+//! insert among the newest instances allocates.
 
 mod common;
 
@@ -26,8 +30,11 @@ use std::time::{Duration as Wall, Instant};
 use common::ev;
 use sequin::engine::{DisorderPolicy, EngineConfig, MultiEngine, OutputKind, Strategy};
 use sequin::query::{parse, Query};
+use sequin::runtime::AisStack;
 use sequin::server::{decode_frame, encode_frame, Frame};
-use sequin::types::{Duration, StreamItem, TypeRegistry, ValueKind};
+use sequin::types::{
+    Duration, Event, EventId, EventRef, StreamItem, Timestamp, TypeRegistry, ValueKind,
+};
 
 /// Counts the calling thread's allocations (a host's evaluator runs on the
 /// caller's thread; other tests' threads do not count).
@@ -401,4 +408,100 @@ fn registration_time_is_linear_in_the_siblings() {
         all <= 3 * half,
         "512 siblings registered in {half:?}, 1,024 in {all:?}"
     );
+}
+
+/// `depth` in-order instances at the even ticks `0, 2, …`, id = position.
+fn in_order(reg: &TypeRegistry, depth: u64) -> Vec<EventRef> {
+    let ty = reg.lookup("T0").unwrap();
+    let at = |i: u64| Event::builder(ty, Timestamp::new(2 * i)).id(EventId::new(i));
+    (0..depth).map(|i| Arc::new(at(i).build())).collect()
+}
+
+/// A stack holding `events`, inserted in order.
+fn stacked(events: &[EventRef]) -> AisStack {
+    let mut stack = AisStack::new();
+    for e in events {
+        stack.insert(Arc::clone(e));
+    }
+    stack
+}
+
+/// Late instances at odd ticks: the `j`-th lands `displaced + step·j`
+/// positions below the top of `in_order(depth)`.
+fn late(reg: &TypeRegistry, depth: u64, displaced: u64, step: u64, n: u64) -> Vec<EventRef> {
+    let ty = reg.lookup("T0").unwrap();
+    let at = |j: u64| {
+        let ts = 2 * (depth - displaced - step * j) - 1;
+        Event::builder(ty, Timestamp::new(ts)).id(EventId::new(1_000_000 + j))
+    };
+    (0..n).map(|j| Arc::new(at(j).build())).collect()
+}
+
+/// A late insert costs what its chunk holds: 32 inserts landing ~5,000
+/// positions deep in a 30k-deep stack take at most three times what 32
+/// landing ~50 deep in a 300-deep stack do (under 2.2× on a 2-core x86-64
+/// VM). A stack that moves every younger instance to make room, one flat
+/// sorted vector, pays for the displacement: 5.7× on the same machine.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "a timing: release builds only")]
+fn a_late_insert_costs_the_same_however_deep_it_lands() {
+    let reg = registry();
+    let shallow = (in_order(&reg, 300), late(&reg, 300, 50, 1, 32));
+    let deep = (in_order(&reg, 30_000), late(&reg, 30_000, 5_000, 1, 32));
+    let (few, many) = least_of_five(300, 30_000, |depth| {
+        let (base, late) = if depth == 300 { &shallow } else { &deep };
+        let mut least = Wall::MAX;
+        for _ in 0..20 {
+            let mut stack = stacked(base);
+            let late = late.clone();
+            let started = Instant::now();
+            for e in late {
+                assert!(stack.insert(e).is_some());
+            }
+            least = least.min(started.elapsed());
+        }
+        least
+    });
+    assert!(
+        many <= 3 * few,
+        "32 late inserts took {few:?} ~50 deep in 300, {many:?} ~5,000 deep in 30,000"
+    );
+}
+
+/// Purging a deep stack, part or all of it, allocates nothing; a late
+/// insert among the newest instances allocates nothing either, unless it
+/// overflows them into a new chunk (two buffers, one insert in many).
+#[test]
+fn stack_purge_and_near_top_inserts_allocate_nothing() {
+    let reg = registry();
+    let ty = reg.lookup("T0").unwrap();
+    let mut stack = stacked(&in_order(&reg, 30_000));
+    // the top shares its timestamp with every late instance, which sort
+    // below it by id: each lands one position under the top
+    let top_ts = Timestamp::new(60_000);
+    let top = Event::builder(ty, top_ts).id(EventId::new(u64::MAX));
+    stack.insert(Arc::new(top.build()));
+    let mut spills = 0;
+    for j in 0..1_000u64 {
+        let late = Arc::new(Event::builder(ty, top_ts).id(EventId::new(j)).build());
+        let before = ALLOCATIONS.with(Cell::get);
+        assert_eq!(stack.insert(late), Some(false));
+        match ALLOCATIONS.with(Cell::get) - before {
+            0 => {}
+            2 => spills += 1,
+            n => panic!("a late insert near the top allocated {n} times"),
+        }
+    }
+    assert!(spills <= 10, "{spills} of 1,000 near-top inserts allocated");
+    let len = stack.len();
+    for threshold in [30_000, 45_000, u64::MAX] {
+        let before = ALLOCATIONS.with(Cell::get);
+        stack.purge_before(Timestamp::new(threshold));
+        assert_eq!(
+            ALLOCATIONS.with(Cell::get) - before,
+            0,
+            "purge to {threshold}"
+        );
+    }
+    assert!(len > 30_000 && stack.is_empty());
 }

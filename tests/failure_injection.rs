@@ -1,15 +1,30 @@
 //! Failure-mode integration tests: retransmission bursts, punctuation
-//! watermarks, duplicate delivery, disorder-bound violations, and
-//! end-of-stream flushing.
+//! watermarks, duplicate delivery, disorder-bound violations, end-of-stream
+//! flushing, and mutated or torn wire frames.
 
 mod common;
 
 use common::{drive, ev, net_keys, reference_matches, stream_of};
-use sequin::engine::{make_engine, Engine, EngineConfig, NativeEngine, Strategy, WatermarkSource};
+use sequin::engine::{
+    make_engine, DisorderPolicy, Engine, EngineConfig, NativeEngine, OutputKind, Strategy,
+    WatermarkSource,
+};
 use sequin::netsim::{measure_disorder, punctuate, DelayModel, Network, Outage, Source};
+use sequin::prng::Rng;
 use sequin::query::parse;
-use sequin::types::{Duration, EventRef, StreamItem, Timestamp, TypeRegistry, ValueKind};
+use sequin::runtime::RuntimeStats;
+use sequin::server::frame::read_frame;
+use sequin::server::{
+    decode_frame, encode_frame, ErrorCode, Frame, MetricsFormat, OutputFrame, ServerStats,
+    TraceFormat, MAX_FRAME_LEN,
+};
+use sequin::types::codec::{open_envelope, seal_envelope};
+use sequin::types::{
+    ArrivalSeq, Duration, Event, EventId, EventRef, StreamItem, Timestamp, TypeRegistry, Value,
+    ValueKind,
+};
 use sequin::workload::{Synthetic, SyntheticConfig};
+use std::io::ErrorKind;
 use std::sync::Arc;
 
 fn synthetic() -> Synthetic {
@@ -262,4 +277,162 @@ fn event_refs_are_shared_not_copied() {
         "ingest must not retain the caller's Arc"
     );
     assert_eq!(engine.state_size(), 1);
+}
+
+/// One frame of every kind, tags 0 to 18, carrying every value kind.
+fn every_frame_kind() -> Vec<Frame> {
+    let mut reg = TypeRegistry::new();
+    reg.declare("A", &[("x", ValueKind::Int)]).unwrap();
+    let mixed = Event::builder(reg.lookup("A").unwrap(), Timestamp::new(9))
+        .id(EventId::new(3))
+        .attr(Value::Int(-4))
+        .attr(Value::Float(0.5))
+        .attr(Value::str("tag"))
+        .attr(Value::Bool(true))
+        .build();
+    let events = vec![ev(&reg, "A", 1, 5, &[7]), Arc::new(mixed)];
+    vec![
+        Frame::Hello {
+            fingerprint: 0xFEED,
+            client: "fuzz".into(),
+        },
+        Frame::HelloAck {
+            fingerprint: 0xFEED,
+            resume_from: 12,
+            queries: 2,
+        },
+        Frame::Event(Arc::clone(&events[1])),
+        Frame::EventBatch(events.clone()),
+        Frame::Punctuation(Timestamp::new(40)),
+        Frame::Subscribe {
+            query: "PATTERN SEQ(A a, A b) WITHIN 10".into(),
+            policy: Some(DisorderPolicy::AdaptiveSlack { accuracy: 90 }),
+        },
+        Frame::SubAck {
+            query_id: 1,
+            policy: DisorderPolicy::Speculative,
+        },
+        Frame::Output(OutputFrame {
+            query_id: 1,
+            kind: OutputKind::Retract,
+            events,
+            emit_seq: ArrivalSeq::new(6),
+            emit_clock: Timestamp::new(41),
+        }),
+        Frame::StatsReq,
+        Frame::StatsReply {
+            server: ServerStats {
+                frames_received: 3,
+                ..ServerStats::default()
+            },
+            engine: RuntimeStats {
+                insertions: 2,
+                ..RuntimeStats::default()
+            },
+        },
+        Frame::Drain,
+        Frame::DrainAck,
+        Frame::Busy { queued: 64 },
+        Frame::Error {
+            code: ErrorCode::BadAnalysis,
+            message: "no".into(),
+        },
+        Frame::Bye,
+        Frame::MetricsReq {
+            format: MetricsFormat::TraceJson,
+        },
+        Frame::MetricsReply {
+            format: MetricsFormat::Prometheus,
+            body: "sequin_outputs_emitted 3".into(),
+        },
+        Frame::TraceReq {
+            format: TraceFormat::Json,
+            query: 1,
+            pid: 2,
+        },
+        Frame::TraceReply {
+            format: TraceFormat::Text,
+            body: "output 0".into(),
+        },
+    ]
+}
+
+/// A frame whose payload was damaged before it was sealed — so the
+/// envelope's checksum holds and every byte reaches the decoder — decodes
+/// or is rejected, and never panics: byte flips, truncations and
+/// insertions, on every frame kind.
+#[test]
+fn mutated_frame_payloads_decode_or_reject_without_panicking() {
+    let frames = every_frame_kind();
+    let (mut decoded, mut rejected) = (0, 0);
+    for seed in [1, 2, 3, 4] {
+        let mut rng = Rng::seed_from_u64(0xF0_22 + seed);
+        for frame in &frames {
+            let payload = open_envelope(&encode_frame(frame)).unwrap().to_vec();
+            for _ in 0..100 {
+                let mut bytes = payload.clone();
+                match rng.gen_range(0..3u32) {
+                    0 => {
+                        for _ in 0..rng.gen_range(1..4u32) {
+                            let at = rng.gen_range(0..bytes.len());
+                            bytes[at] ^= rng.gen_range(1..=255u8);
+                        }
+                    }
+                    1 => bytes.truncate(rng.gen_range(0..bytes.len())),
+                    _ => {
+                        let at = rng.gen_range(0..=bytes.len());
+                        let extra: Vec<u8> = (0..rng.gen_range(1..9u32))
+                            .map(|_| rng.gen_range(0..=255u8))
+                            .collect();
+                        bytes.splice(at..at, extra);
+                    }
+                }
+                match decode_frame(&seal_envelope(&bytes)) {
+                    Ok(_) => decoded += 1,
+                    Err(_) => rejected += 1,
+                }
+            }
+        }
+    }
+    assert_eq!(decoded + rejected, 4 * 100 * frames.len());
+    assert!(rejected > decoded, "{rejected} rejected, {decoded} decoded");
+}
+
+/// `read_frame` over a torn stream reports a clean end only at a frame
+/// boundary and an unexpected end anywhere else; a length prefix above
+/// `MAX_FRAME_LEN` is refused before anything is allocated; a prefix that
+/// misstates the length yields frames the decoder rejects.
+#[test]
+fn torn_and_misframed_streams_are_errors_not_panics() {
+    let mut rng = Rng::seed_from_u64(0xF0_23);
+    for frame in every_frame_kind() {
+        let sealed = encode_frame(&frame);
+        let mut wire = (sealed.len() as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(&sealed);
+        assert_eq!(read_frame(&mut &wire[..]).unwrap(), Some(sealed.clone()));
+        assert_eq!(read_frame(&mut &wire[..0]).unwrap(), None);
+        for _ in 0..20 {
+            let cut = rng.gen_range(1..wire.len());
+            let torn = read_frame(&mut &wire[..cut]).unwrap_err();
+            assert_eq!(torn.kind(), ErrorKind::UnexpectedEof, "cut at {cut}");
+        }
+        for _ in 0..5 {
+            let len = rng.gen_range(MAX_FRAME_LEN + 1..=u32::MAX);
+            let mut oversized = wire.clone();
+            oversized[..4].copy_from_slice(&len.to_le_bytes());
+            let refused = read_frame(&mut &oversized[..]).unwrap_err();
+            assert_eq!(refused.kind(), ErrorKind::InvalidData, "length {len}");
+        }
+        for _ in 0..20 {
+            // a wrong length: the frames read from here on are whatever
+            // the bytes say, and each decodes or is rejected
+            let len = rng.gen_range(0..sealed.len() as u32 + 64);
+            let mut misframed = wire.clone();
+            misframed[..4].copy_from_slice(&len.to_le_bytes());
+            let mut rest = &misframed[..];
+            while let Ok(Some(bytes)) = read_frame(&mut rest) {
+                let _ = decode_frame(&bytes);
+            }
+        }
+    }
 }

@@ -9,7 +9,8 @@
 //! 4. speculative policy nets out to conservative emission;
 //! 5. the K-slack reorder buffer releases in timestamp order and loses
 //!    nothing;
-//! 6. stack insertion keeps instances sorted for any insertion order.
+//! 6. stack insertion keeps instances sorted for any insertion order, and a
+//!    stack deep enough to hold many chunks behaves as a sorted set.
 //!
 //! Histories are generated from an explicit seed with the workspace's own
 //! [`sequin::prng::Rng`], so every failing case is reproducible by seed —
@@ -28,9 +29,10 @@ use sequin::query::parse;
 use sequin::runtime::purge::PurgePolicy;
 use sequin::runtime::AisStack;
 use sequin::types::{
-    ArrivalSeq, Duration, Event, EventId, EventRef, Timestamp, TypeRegistry, Value, ValueKind,
+    ArrivalSeq, Decode, Duration, Encode, Event, EventId, EventRef, Reader, Timestamp,
+    TypeRegistry, Value, ValueKind, Writer,
 };
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 const CASES: u64 = 48;
@@ -290,4 +292,135 @@ fn stack_stays_sorted_under_any_insertion_order() {
         assert_eq!(stack.len(), survivors.len(), "case {case}");
         assert_eq!(purged, expected.len() - survivors.len(), "case {case}");
     }
+}
+
+/// Encodes `value` alone.
+fn bytes_of(value: &impl Encode) -> Vec<u8> {
+    let mut w = Writer::new();
+    value.encode(&mut w);
+    w.into_bytes()
+}
+
+/// A stack tens of chunks deep against a sorted model: arrivals late by up
+/// to ~1,600 positions (a dozen chunks and more), a few older than every
+/// instance held, duplicate deliveries, timestamps shared by several
+/// instances (so that equal timestamps straddle chunk edges), and a purge
+/// every 64 arrivals whose threshold is, in turn, the first timestamp of
+/// one of the oldest chunks, one inside such a chunk, or the usual horizon
+/// behind the clock.
+#[test]
+fn deep_stack_behaves_as_a_sorted_set() {
+    let reg = registry();
+    let ty = reg.lookup("T0").unwrap();
+    let mut rng = Rng::seed_from_u64(0x5EED_D0E5);
+    let mut stack = AisStack::new();
+    let mut model: BTreeMap<(Timestamp, EventId), EventRef> = BTreeMap::new();
+    let mut delivered: Vec<EventRef> = Vec::new();
+    let (mut clock, mut next_id) = (0u64, 0u64);
+    let mut straddles = 0;
+    for op in 1..=60_000u32 {
+        // about two arrivals per tick; 40 % late by up to 800 ticks, 5 % a
+        // redelivery of something delivered before
+        let event = if rng.gen_bool(0.05) && !delivered.is_empty() {
+            let back = rng.gen_range(0..delivered.len().min(4_000));
+            Arc::clone(&delivered[delivered.len() - 1 - back])
+        } else {
+            clock += u64::from(rng.gen_bool(0.5));
+            let late = if rng.gen_bool(0.4) {
+                rng.gen_range(1u64..800)
+            } else {
+                0
+            };
+            next_id += 1;
+            let mut ts = Timestamp::new(clock.saturating_sub(late));
+            if rng.gen_bool(0.01) {
+                // beyond the disorder bound: at or below the oldest instance
+                let oldest = model.keys().next().map_or(0, |(ts, _)| ts.ticks());
+                ts = Timestamp::new(oldest.saturating_sub(rng.gen_range(0u64..3)));
+            }
+            let e = Arc::new(Event::builder(ty, ts).id(EventId::new(next_id)).build());
+            delivered.push(Arc::clone(&e));
+            e
+        };
+        let key = (event.ts(), event.id());
+        let newest = model.last_key_value().is_none_or(|(top, _)| *top < key);
+        let fresh = !model.contains_key(&key);
+        let inserted = stack.insert(Arc::clone(&event));
+        assert_eq!(inserted, fresh.then_some(newest), "insert at op {op}");
+        model.entry(key).or_insert(event);
+        assert_eq!(stack.len(), model.len(), "len after insert at op {op}");
+
+        if op % 64 == 0 {
+            let slices = stack.whole().slices().filter(|p| !p.is_empty());
+            let oldest: Vec<&[EventRef]> = slices.take(3).collect();
+            let part = oldest[rng.gen_range(0..oldest.len())];
+            let threshold = match op / 64 % 3 {
+                0 => part[0].ts(),
+                1 => part[rng.gen_range(0..part.len())].ts(),
+                _ => Timestamp::new(clock.saturating_sub(4_000)),
+            };
+            let gone = model.range(..(threshold, EventId::new(0))).count();
+            model.retain(|(ts, _), _| *ts >= threshold);
+            assert_eq!(stack.purge_before(threshold), gone, "purge at op {op}");
+            assert_eq!(stack.len(), model.len(), "len after purge at op {op}");
+        }
+
+        if op % 1_000 == 0 {
+            assert!(stack.is_sorted(), "layout at op {op}");
+            let same = |got: Vec<&EventRef>, want: Vec<&EventRef>| {
+                got.len() == want.len() && got.iter().zip(&want).all(|(a, b)| Arc::ptr_eq(a, b))
+            };
+            assert!(same(stack.iter().collect(), model.values().collect()));
+            assert!(Arc::ptr_eq(
+                stack.first().unwrap(),
+                model.values().next().unwrap()
+            ));
+            let parts: Vec<&[EventRef]> =
+                stack.whole().slices().filter(|p| !p.is_empty()).collect();
+            assert!(
+                parts.len() > 10,
+                "op {op}: {} slices is not deep",
+                parts.len()
+            );
+            // ranges at random bounds and at chunk edges
+            let edges: Vec<u64> = parts[1..].iter().map(|p| p[0].ts().ticks()).collect();
+            straddles += parts
+                .windows(2)
+                .filter(|w| w[0][w[0].len() - 1].ts() == w[1][0].ts())
+                .count();
+            let floor = model.keys().next().unwrap().0.ticks();
+            for _ in 0..20 {
+                let mut bound = || {
+                    if rng.gen_bool(0.5) {
+                        edges[rng.gen_range(0..edges.len())] + rng.gen_range(0u64..2)
+                    } else {
+                        rng.gen_range(floor.saturating_sub(5)..clock + 5)
+                    }
+                };
+                let (lo, hi) = (Timestamp::new(bound()), Timestamp::new(bound()));
+                let range = stack.range(lo, hi);
+                let want: Vec<&EventRef> = model
+                    .range((lo, EventId::new(0))..)
+                    .take_while(|((ts, _), _)| *ts < hi)
+                    .map(|(_, e)| e)
+                    .collect();
+                assert_eq!(range.is_empty(), want.is_empty());
+                assert!(
+                    same(range.iter().collect(), want.clone()),
+                    "range {lo:?}..{hi:?}"
+                );
+                let backwards = range.slices().rev().flat_map(|p| p.iter().rev());
+                assert!(same(backwards.collect(), want.into_iter().rev().collect()));
+            }
+            // a snapshot is the model's `Vec<EventRef>` encoding and decodes
+            // to the same stack
+            let encoded = bytes_of(&stack);
+            let as_vec: Vec<EventRef> = model.values().cloned().collect();
+            assert_eq!(encoded, bytes_of(&as_vec), "snapshot bytes at op {op}");
+            let decoded = AisStack::decode(&mut Reader::new(&encoded)).unwrap();
+            assert!(decoded.is_sorted());
+            assert_eq!(bytes_of(&decoded), encoded);
+        }
+    }
+    assert!(straddles > 0, "no equal timestamps straddled a chunk edge");
 }
