@@ -144,6 +144,12 @@ impl Settle {
         self.policy
     }
 
+    /// The stored negatives, for a query with negation: what construction
+    /// narrows its levels by.
+    pub(crate) fn negatives(&self) -> Option<&NegationIndex> {
+        self.query.has_negation().then_some(&self.negatives)
+    }
+
     /// Everything held: negatives, pending and unsealed matches.
     pub(crate) fn len(&self) -> usize {
         self.negatives.len() + self.pending.len() + self.emitted_unsealed.len()

@@ -90,7 +90,9 @@ use sequin_plan::{
     compile, BindEntry, GroupMember, PrefixGroup, QuerySpec, RouteEntry, SharedPlan, SlotSig,
 };
 use sequin_query::{with_binding, Query};
-use sequin_runtime::{purge, ConstructOpts, Constructor, KeyedStack, PartitionKey, RuntimeStats};
+use sequin_runtime::{
+    purge, suffix_bounds, ConstructOpts, Constructor, KeyedStack, PartitionKey, RuntimeStats,
+};
 use sequin_types::{ArrivalSeq, CodecError, Duration, EventRef, StreamItem, Timestamp, Writer};
 
 use crate::blob::QueryBlob;
@@ -909,6 +911,7 @@ impl SharedMultiEngine {
         st.ctor.matches_pooled(
             &self.stacks,
             &plan.queries[qix].stack_of_slot,
+            st.settle.negatives(),
             anchor_slot,
             anchor,
             &mut st.stats,
@@ -968,6 +971,7 @@ impl SharedMultiEngine {
             anchor_pos,
             anchor,
             |pos| stacks[g.prefix_stacks[pos]].scan(key.as_ref()),
+            None,
             |binding, pos| bind_check(g, binding, pos, &mut bind_tally),
             |binding| walker.fork(binding),
             &mut shared_dfs,
@@ -1254,7 +1258,8 @@ impl GroupWalker<'_> {
             // decide that before the member's query is touched
             let member = &g.members[mx];
             let stack = self.stacks[member.final_stack].scan(self.key);
-            let (lo, hi, candidates) = self.opts.suffix_level(stack, g.window, first_ts, prev_ts);
+            let (lo, hi) = suffix_bounds(g.window, first_ts, prev_ts);
+            let candidates = self.opts.candidates(stack, lo, hi);
             if candidates.is_empty() {
                 continue;
             }

@@ -6,6 +6,7 @@ use sequin_query::{with_binding, Binding, Query};
 use sequin_types::{Duration, EventRef, Timestamp};
 
 use crate::keyed::KeyedStack;
+use crate::negation::NegationIndex;
 use crate::stack::{AisStack, StackRange};
 use crate::stats::RuntimeStats;
 
@@ -28,48 +29,14 @@ impl Default for ConstructOpts {
 }
 
 impl ConstructOpts {
-    /// One level of a walk's descent below the anchor: the half-open
-    /// timestamp range `lo..hi` an event bound just under `next_ts` must
-    /// fall in (span `<= W` and last `>= anchor` force `>= anchor − W`)
-    /// and the part of `stack` to scan newest-first — all of it without
-    /// the cut-off, when the caller applies the range itself.
-    fn prefix_level(
-        self,
-        stack: &AisStack,
-        window: Duration,
-        anchor_ts: Timestamp,
-        next_ts: Timestamp,
-    ) -> (Timestamp, Timestamp, StackRange<'_>) {
-        self.level(stack, anchor_ts.saturating_sub(window), next_ts)
-    }
-
-    /// One level of a walk's ascent above the anchor, once the prefix is
-    /// complete (oldest first): strict sequence order and span `<= W`
-    /// give `prev < ts <= first + W`.
-    pub fn suffix_level(
-        self,
-        stack: &AisStack,
-        window: Duration,
-        first_ts: Timestamp,
-        prev_ts: Timestamp,
-    ) -> (Timestamp, Timestamp, StackRange<'_>) {
-        let tick = Duration::new(1);
-        let hi = first_ts.saturating_add(window).saturating_add(tick);
-        self.level(stack, prev_ts.saturating_add(tick), hi)
-    }
-
-    fn level(
-        self,
-        stack: &AisStack,
-        lo: Timestamp,
-        hi: Timestamp,
-    ) -> (Timestamp, Timestamp, StackRange<'_>) {
-        let candidates = if self.window_cutoff {
+    /// The part of `stack` a level bounded by `lo..hi` scans: that range
+    /// under the cut-off, else all of it (and the scan applies the bound).
+    pub fn candidates(self, stack: &AisStack, lo: Timestamp, hi: Timestamp) -> StackRange<'_> {
+        if self.window_cutoff {
             stack.range(lo, hi)
         } else {
             stack.whole()
-        };
-        (lo, hi, candidates)
+        }
     }
 
     /// The level walk, written once: every assignment of `query`'s
@@ -78,11 +45,14 @@ impl ConstructOpts {
     /// slot's level). Slots below the anchor bind in descending order,
     /// newest candidate first — matches closest to the anchor come out
     /// first, as in the classic engine's most-recent-first DFS — then the
-    /// slots above it ascending, oldest first. `bind(binding, slot)`
-    /// judges each event just bound (the anchor included) and prunes on
-    /// `false`; `complete(binding)` sees each full assignment. `binding`
-    /// is indexed by component of `query` and borrows from the stacks.
-    /// Every candidate visited adds one to `dfs_steps`.
+    /// slots above it ascending, oldest first. Each level's bounds, before
+    /// `negatives` narrows them ([`NegationIndex::narrow`]), come from the
+    /// window and sequence order. `bind(binding, slot)` judges each event
+    /// just bound (the anchor included) and prunes on `false`;
+    /// `complete(binding)` sees each full assignment. `binding` is indexed
+    /// by component of `query` and borrows from the stacks. Every
+    /// candidate visited adds one to `dfs_steps`; returns the predicate
+    /// evaluations the narrowing spent.
     #[allow(clippy::too_many_arguments)]
     pub fn walk_levels<'a>(
         self,
@@ -91,10 +61,11 @@ impl ConstructOpts {
         anchor_slot: usize,
         anchor: &'a EventRef,
         stack_of: impl Fn(usize) -> &'a AisStack,
+        negatives: Option<&'a NegationIndex>,
         bind: impl FnMut(&[Option<&'a EventRef>], usize) -> bool,
         complete: impl FnMut(&[Option<&'a EventRef>]),
         dfs_steps: &mut u64,
-    ) {
+    ) -> u64 {
         assert!(anchor_slot < len, "anchor slot out of range");
         with_binding(query.components().len(), |binding| {
             let mut walk = LevelWalk {
@@ -103,17 +74,32 @@ impl ConstructOpts {
                 len,
                 anchor_slot,
                 stack_of,
+                negatives,
                 bind,
                 complete,
                 binding,
                 dfs_steps,
+                narrow_evals: 0,
             };
             // Judge the anchor before descending.
             if walk.bind(anchor_slot, anchor) {
                 walk.extend_prefix(anchor_slot);
             }
-        });
+            walk.narrow_evals
+        })
     }
+}
+
+/// The bounds of a level above the anchor once the prefix is complete:
+/// strict sequence order and span `<= W` give `prev < ts <= first + W`.
+pub fn suffix_bounds(
+    window: Duration,
+    first_ts: Timestamp,
+    prev_ts: Timestamp,
+) -> (Timestamp, Timestamp) {
+    let tick = Duration::new(1);
+    let hi = first_ts.saturating_add(window).saturating_add(tick);
+    (prev_ts.saturating_add(tick), hi)
 }
 
 /// Enumerates pattern matches from a set of active instance stacks.
@@ -169,7 +155,7 @@ impl Constructor {
     ) {
         let m = self.query.positive_len();
         assert_eq!(stacks.len(), m, "one stack per positive slot");
-        self.walk(|slot| &stacks[slot], anchor_slot, anchor, stats, out);
+        self.walk(|slot| &stacks[slot], None, anchor_slot, anchor, stats, out);
     }
 
     /// [`Constructor::matches_with`] over a pool of stacks shared between
@@ -178,15 +164,19 @@ impl Constructor {
     /// walk scans that key's stack of the level's slot — the candidates a
     /// per-key set of stacks would hold, in the same order, and only those
     /// count as DFS steps. Slots without a key field are scanned whole.
+    /// With the query's `negatives`, no level visits a candidate that a
+    /// stored negative already rules out ([`NegationIndex::narrow`]).
     ///
     /// # Panics
     ///
     /// Panics if `slot_stack.len()` differs from the query's positive
     /// length or `anchor_slot` is out of range.
+    #[allow(clippy::too_many_arguments)]
     pub fn matches_pooled(
         &self,
         pool: &[KeyedStack],
         slot_stack: &[usize],
+        negatives: Option<&NegationIndex>,
         anchor_slot: usize,
         anchor: &EventRef,
         stats: &mut RuntimeStats,
@@ -196,12 +186,13 @@ impl Constructor {
         assert_eq!(slot_stack.len(), m, "one stack per positive slot");
         let key = pool[slot_stack[anchor_slot]].key_of(anchor);
         let stack_of = |slot: usize| pool[slot_stack[slot]].scan(key.as_ref());
-        self.walk(stack_of, anchor_slot, anchor, stats, out);
+        self.walk(stack_of, negatives, anchor_slot, anchor, stats, out);
     }
 
     fn walk<'a>(
         &'a self,
         stack_of: impl Fn(usize) -> &'a AisStack,
+        negatives: Option<&'a NegationIndex>,
         anchor_slot: usize,
         anchor: &'a EventRef,
         stats: &mut RuntimeStats,
@@ -232,16 +223,18 @@ impl Constructor {
             out.push((0..m).map(|p| Arc::clone(bound(p))).collect());
             *matches_constructed += 1;
         };
-        self.opts.walk_levels(
+        let narrow_evals = self.opts.walk_levels(
             query,
             m,
             anchor_slot,
             anchor,
             stack_of,
+            negatives,
             bind,
             complete,
             dfs_steps,
         );
+        *predicate_evals += narrow_evals;
     }
 }
 
@@ -252,11 +245,13 @@ struct LevelWalk<'a, 'c, S, B, C> {
     len: usize,
     anchor_slot: usize,
     stack_of: S,
+    negatives: Option<&'a NegationIndex>,
     bind: B,
     complete: C,
     /// The partial assignment, by component, borrowed from the stacks.
     binding: &'c mut Binding<'a>,
     dfs_steps: &'c mut u64,
+    narrow_evals: u64,
 }
 
 impl<'a, S, B, C> LevelWalk<'a, '_, S, B, C>
@@ -278,8 +273,24 @@ where
         self.binding[self.query.positive_comp(slot)] = None;
     }
 
+    /// One visit of `slot`'s level bounded by `lo..hi`: the bounds narrowed
+    /// by the stored negatives, and the part of the slot's stack to scan.
+    fn level(
+        &mut self,
+        slot: usize,
+        lo: Timestamp,
+        hi: Timestamp,
+    ) -> (Timestamp, Timestamp, StackRange<'a>) {
+        let (lo, hi) = match self.negatives {
+            Some(n) => n.narrow(self.binding, slot, lo, hi, &mut self.narrow_evals),
+            None => (lo, hi),
+        };
+        (lo, hi, self.opts.candidates((self.stack_of)(slot), lo, hi))
+    }
+
     /// Fills slots `anchor_slot-1 .. 0` (descending), then hands off to
-    /// [`LevelWalk::extend_suffix`].
+    /// [`LevelWalk::extend_suffix`]. A slot bound just under `next` must
+    /// fall in `anchor − W .. next` (span `<= W` and last `>= anchor`).
     fn extend_prefix(&mut self, filled_down_to: usize) {
         if filled_down_to == 0 {
             self.extend_suffix(self.anchor_slot);
@@ -288,10 +299,8 @@ where
         let slot = filled_down_to - 1;
         let next_ts = self.bound(slot + 1).ts();
         let anchor_ts = self.bound(self.anchor_slot).ts();
-        let window = self.query.window();
-        let (lo, hi, candidates) =
-            self.opts
-                .prefix_level((self.stack_of)(slot), window, anchor_ts, next_ts);
+        let lo = anchor_ts.saturating_sub(self.query.window());
+        let (lo, hi, candidates) = self.level(slot, lo, next_ts);
         for part in candidates.slices().rev() {
             for ev in part.iter().rev() {
                 *self.dfs_steps += 1;
@@ -315,10 +324,8 @@ where
         let slot = filled_up_to + 1;
         let prev_ts = self.bound(slot - 1).ts();
         let first_ts = self.bound(0).ts();
-        let window = self.query.window();
-        let (lo, hi, candidates) =
-            self.opts
-                .suffix_level((self.stack_of)(slot), window, first_ts, prev_ts);
+        let (lo, hi) = suffix_bounds(self.query.window(), first_ts, prev_ts);
+        let (lo, hi, candidates) = self.level(slot, lo, hi);
         for part in candidates.slices() {
             for ev in part {
                 *self.dfs_steps += 1;

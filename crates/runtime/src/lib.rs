@@ -35,7 +35,7 @@ pub mod purge;
 mod stack;
 mod stats;
 
-pub use construct::{ConstructOpts, Constructor};
+pub use construct::{suffix_bounds, ConstructOpts, Constructor};
 pub use keyed::KeyedStack;
 pub use negation::{region_of, regions, seal_deadline, NegationIndex, Region};
 pub use partition::{PartitionKey, PartitionMap};

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use sequin_query::{with_binding, Negation, Query};
+use sequin_query::{with_binding, Binding, Negation, Query};
 use sequin_types::{Duration, EventRef, Timestamp};
 
 use crate::stack::AisStack;
@@ -163,6 +163,73 @@ impl NegationIndex {
         })
     }
 
+    /// Narrows the range `lo..hi` a construction walk scans for positive
+    /// `slot`, given its partial assignment `binding` (`slot` not yet
+    /// bound), to the candidates no stored negative already rules out.
+    /// Each negation between two positives, one of them `slot` and the
+    /// other bound, whose predicates read nothing else unbound, takes part:
+    /// descending to its left flank `l` below a bound `r`, any `l` older
+    /// than the newest negative in `(lo, r.ts)` that holds would enclose
+    /// it, so `lo` rises to that negative's `ts`; ascending to its right
+    /// flank `r` above a bound `l`, `hi` falls to one past the oldest in
+    /// `(l.ts, hi)`. Leading and trailing negations narrow nothing. What
+    /// is cut, [`NegationIndex::violates`] would reject; the predicate
+    /// evaluations of the scan add to `predicate_evals`.
+    pub fn narrow<'a>(
+        &'a self,
+        binding: &mut Binding<'a>,
+        slot: usize,
+        mut lo: Timestamp,
+        mut hi: Timestamp,
+        predicate_evals: &mut u64,
+    ) -> (Timestamp, Timestamp) {
+        let query: &Query = &self.query;
+        let tick = Duration::new(1);
+        for (neg, stack) in query.negations().iter().zip(&self.stacks) {
+            let (Some(l), Some(r)) = (neg.left, neg.right) else {
+                continue;
+            };
+            if slot != l && slot != r {
+                continue;
+            }
+            let descending = slot == l;
+            let other = if descending { r } else { l };
+            let Some(flank) = binding[query.positive_comp(other)] else {
+                continue;
+            };
+            // a predicate reading another unbound component (`slot`, say)
+            // is undecided for every candidate
+            let unbound = |c: usize| c != neg.comp && binding[c].is_none();
+            if neg
+                .predicates
+                .iter()
+                .any(|p| p.mask().iter_ones().any(unbound))
+            {
+                continue;
+            }
+            let mut holds = |n: &'a EventRef| {
+                binding[neg.comp] = Some(n);
+                neg.predicates.iter().all(|p| {
+                    *predicate_evals += 1;
+                    p.eval(binding) == Some(true)
+                })
+            };
+            if descending {
+                let inside = stack.range(lo.saturating_add(tick), flank.ts());
+                if let Some(n) = inside.iter().rev().find(|&n| holds(n)) {
+                    lo = n.ts();
+                }
+            } else {
+                let inside = stack.range(flank.ts().saturating_add(tick), hi);
+                if let Some(n) = inside.iter().find(|&n| holds(n)) {
+                    hi = n.ts().saturating_add(tick);
+                }
+            }
+            binding[neg.comp] = None;
+        }
+        (lo, hi)
+    }
+
     /// Purges negative events below `threshold` from every stack.
     pub fn purge_before(&mut self, threshold: Timestamp, stats: &mut RuntimeStats) -> usize {
         let purged: usize = self
@@ -219,10 +286,111 @@ mod tests {
 
     fn registry() -> TypeRegistry {
         let mut reg = TypeRegistry::new();
-        for name in ["A", "B", "N"] {
+        for name in ["A", "B", "C", "N", "M"] {
             reg.declare(name, &[("x", ValueKind::Int)]).unwrap();
         }
         reg
+    }
+
+    /// `idx` narrowing `lo..hi` for `slot`, with the positive slots of
+    /// `bound` bound: the bounds and the predicate evaluations spent.
+    fn narrowed(
+        idx: &NegationIndex,
+        slot: usize,
+        bound: &[(usize, &EventRef)],
+        (lo, hi): (u64, u64),
+    ) -> ((u64, u64), u64) {
+        let q = &idx.query;
+        let mut binding = vec![None; q.components().len()];
+        for &(p, e) in bound {
+            binding[q.positive_comp(p)] = Some(e);
+        }
+        let mut evals = 0;
+        let (lo, hi) = idx.narrow(
+            &mut binding,
+            slot,
+            Timestamp::new(lo),
+            Timestamp::new(hi),
+            &mut evals,
+        );
+        ((lo.ticks(), hi.ticks()), evals)
+    }
+
+    fn index_of(reg: &TypeRegistry, text: &str, negatives: &[EventRef]) -> NegationIndex {
+        let mut idx = NegationIndex::new(parse(text, reg).unwrap());
+        for n in negatives {
+            idx.offer(n, &mut RuntimeStats::default());
+        }
+        idx
+    }
+
+    #[test]
+    fn narrow_stops_at_the_negative_strictly_between_the_flanks() {
+        let reg = registry();
+        let q = "PATTERN SEQ(A a, !N n, B b) WITHIN 100";
+        let (a, b) = (ev(&reg, "A", 1, 10, 0), ev(&reg, "B", 2, 30, 0));
+        // descending to `a` below b@30, lo at 30 − W clamped; ascending to
+        // `b` above a@10, from 11 to 10 + W + 1
+        let (below_b, above_a) = ([(1, &b)], [(0, &a)]);
+        let (down, up) = ((0, 30), (11, 111));
+        // a negative at a flank's own timestamp is outside every region
+        // that flank bounds
+        let at_b = index_of(&reg, q, &[ev(&reg, "N", 3, 30, 0)]);
+        assert_eq!(narrowed(&at_b, 0, &below_b, down), (down, 0));
+        let at_a = index_of(&reg, q, &[ev(&reg, "N", 3, 10, 0)]);
+        assert_eq!(narrowed(&at_a, 1, &above_a, up), (up, 0));
+        // N@20 rules out every `a` before it and every `b` after it; an
+        // `a` or a `b` at 20 itself still stands
+        let mid = index_of(&reg, q, &[ev(&reg, "N", 3, 20, 0)]);
+        assert_eq!(narrowed(&mid, 0, &below_b, down), ((20, 30), 0));
+        assert_eq!(narrowed(&mid, 1, &above_a, up), ((11, 21), 0));
+    }
+
+    #[test]
+    fn narrow_decides_only_predicates_on_the_bound_flank() {
+        let reg = registry();
+        let negatives = [ev(&reg, "N", 3, 20, 5), ev(&reg, "N", 4, 25, 7)];
+        let (a, b) = (ev(&reg, "A", 1, 10, 7), ev(&reg, "B", 2, 30, 5));
+        let (below_b, above_a) = ([(1, &b)], [(0, &a)]);
+        // `n.x == b.x` is decided below b: N@25 fails, N@20 holds, one
+        // evaluation each. Above `a` it reads the unbound `b`: nothing is
+        // scanned
+        let on_b = "PATTERN SEQ(A a, !N n, B b) WHERE n.x == b.x WITHIN 100";
+        let idx = index_of(&reg, on_b, &negatives);
+        assert_eq!(narrowed(&idx, 0, &below_b, (0, 30)), ((20, 30), 2));
+        assert_eq!(narrowed(&idx, 1, &above_a, (11, 111)), ((11, 111), 0));
+        // `n.x == a.x` the other way round: N@20 fails, N@25 holds
+        let on_a = "PATTERN SEQ(A a, !N n, B b) WHERE n.x == a.x WITHIN 100";
+        let idx = index_of(&reg, on_a, &negatives);
+        assert_eq!(narrowed(&idx, 0, &below_b, (0, 30)), ((0, 30), 0));
+        assert_eq!(narrowed(&idx, 1, &above_a, (11, 111)), ((11, 26), 2));
+    }
+
+    #[test]
+    fn two_middle_negations_intersect_their_bounds() {
+        let reg = registry();
+        let q = "PATTERN SEQ(A a, !N n, B b, !M m, C c) WITHIN 100";
+        let idx = index_of(&reg, q, &[ev(&reg, "M", 3, 15, 0), ev(&reg, "N", 4, 25, 0)]);
+        let (a, c) = (ev(&reg, "A", 1, 10, 0), ev(&reg, "C", 2, 30, 0));
+        // `b` between a@10 and c@30: N@25 caps it from above (n's right
+        // flank), M@15 from below (m's left flank)
+        let both = [(0, &a), (2, &c)];
+        assert_eq!(narrowed(&idx, 1, &both, (11, 31)).0, (15, 26));
+        // with one flank bound, only the negation it flanks narrows
+        assert_eq!(narrowed(&idx, 1, &both[..1], (11, 31)).0, (11, 26));
+        assert_eq!(narrowed(&idx, 1, &both[1..], (11, 31)).0, (15, 31));
+    }
+
+    #[test]
+    fn leading_and_trailing_negations_narrow_nothing() {
+        let reg = registry();
+        let q = "PATTERN SEQ(!N n1, A a, B b, !N n2) WITHIN 100";
+        let negatives: Vec<EventRef> = (0..5).map(|i| ev(&reg, "N", i, 5 + 10 * i, 0)).collect();
+        let idx = index_of(&reg, q, &negatives);
+        assert_eq!(idx.len(), 10, "each negative stored for both negations");
+        let (a, b) = (ev(&reg, "A", 10, 10, 0), ev(&reg, "B", 11, 30, 0));
+        assert_eq!(narrowed(&idx, 0, &[(1, &b)], (0, 30)), ((0, 30), 0));
+        assert_eq!(narrowed(&idx, 1, &[(0, &a)], (11, 111)), ((11, 111), 0));
     }
 
     fn ev(reg: &TypeRegistry, ty: &str, id: u64, ts: u64, x: i64) -> EventRef {

@@ -14,13 +14,19 @@ pub struct RuntimeStats {
     /// Insertions that landed somewhere other than the stack top (i.e.
     /// physically out-of-order arrivals absorbed by sorted insertion).
     pub ooo_insertions: u64,
-    /// Candidate events visited during construction DFS.
+    /// Candidate events visited during construction DFS — inside each
+    /// level's range, after the stored negatives narrowed it.
     pub dfs_steps: u64,
-    /// Predicate evaluations attempted (including undecided ones).
+    /// Predicate evaluations attempted (including undecided ones), the
+    /// narrowing's scan of stored negatives among them.
     pub predicate_evals: u64,
-    /// Complete matches constructed (before negation filtering).
+    /// Complete matches constructed, before the settle path's negation
+    /// check: a walk that narrows by the stored negatives builds none they
+    /// rule out.
     pub matches_constructed: u64,
-    /// Matches discarded by a negation check.
+    /// Matches discarded by a negation check after construction — dropped
+    /// at once or at the seal, or retracted — by a negative that arrived
+    /// after the walk or that the walk did not narrow by.
     pub negated_matches: u64,
     /// Instances removed by purge.
     pub purged: u64,

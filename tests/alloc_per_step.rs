@@ -19,6 +19,9 @@
 //! And the stack layer: a late insert costs what one chunk holds, not how
 //! far below the top it lands (release builds), and neither a purge nor an
 //! insert among the newest instances allocates.
+//!
+//! And negation: a walk visits no candidate a stored negative already
+//! rules out (exact, any build).
 
 mod common;
 
@@ -213,6 +216,38 @@ fn unsealed_records_a_negative_spares_allocate_nothing() {
     assert_eq!(few.1, (0, 1), "the first negative retracts the tag-9 match");
     assert_eq!(few.1, many.1, "equal retraction count");
     assert_eq!(few.0, many.0, "allocations grew with spared records");
+}
+
+/// What a `T2` arrival visits and constructs for `SEQ(T0 a, !T1 n, T2 c)`,
+/// with `n` `T0`s in its window and one `T1`, newer than every `T0`
+/// (`t1_newest`) or older.
+fn negated_arrival(n: u64, t1_newest: bool) -> (u64, u64) {
+    let reg = registry();
+    let config = EngineConfig::with_k(Duration::new(50_000));
+    let mut engine = MultiEngine::new(Strategy::Native, config);
+    let text = "PATTERN SEQ(T0 a, !T1 n, T2 c) WITHIN 40000";
+    engine.register(parse(text, &reg).unwrap(), DisorderPolicy::Speculative);
+    let t1 = if t1_newest { n + 1 } else { 0 };
+    let mut preload = events(&reg, "T1", t1..t1 + 1, 0);
+    preload.extend(events(&reg, "T0", 1..n + 1, 0));
+    engine.ingest_batch(&preload);
+    let before = engine.stats()[0];
+    engine.ingest_batch(&events(&reg, "T2", n + 2..n + 3, 0));
+    let after = engine.stats()[0];
+    (
+        after.dfs_steps - before.dfs_steps,
+        after.matches_constructed - before.matches_constructed,
+    )
+}
+
+/// A negated match is never built: behind the newest `T1`, a `T2`'s walk
+/// visits none of the `T0`s in its window, however many there are.
+#[test]
+fn a_negated_arrival_visits_nothing() {
+    for n in [10, 1_000] {
+        assert_eq!(negated_arrival(n, false), (n, n), "{n} T0s, the T1 oldest");
+        assert_eq!(negated_arrival(n, true), (0, 0), "{n} T0s, the T1 newest");
+    }
 }
 
 /// The one query the scaling guard's stream completes, and `n` prefix

@@ -276,21 +276,26 @@ const PIN_QUERY: &str = "PATTERN SEQ(T0 a, !T1 b, T2 c) WHERE a.tag == c.tag WIT
 const PIN_SEED: u64 = 50;
 const PIN_CUT: usize = 242;
 
-/// `fnv1a64` of the snapshots [`pinned_snapshots`] takes, computed at the
-/// commit before the per-query blob codec was unified. A change here is a
-/// checkpoint-format change: bump `CODEC_VERSION` so old stores fail with
-/// a coded version error instead of being misread.
-const PIN_NATIVE_SPECULATIVE: u64 = 0xce52_c27c_e986_09b9;
-const PIN_NATIVE_CONSERVATIVE: u64 = 0x336e_0835_5cef_85bc;
-/// Re-pinned when a single query became a plan of one, with no layout
-/// change: two counter bytes moved. Until then the core (the plan) counted
-/// `ooo_insertions` / `max_stack_depth` in a pooled stack's time-ordered
-/// side, and a lone engine in the arrival's key stack; now every hosting
-/// counts the latter — which `checkpoint_bytes_are_pinned` asserts blob
-/// by blob rather than trusting the constant. A core that ran the plan on
-/// several key-sliced workers wrote these same bytes, so its stores
-/// resume unchanged.
-const PIN_CORE: u64 = 0xe438_5a3f_4b52_5021;
+/// `fnv1a64` of the snapshots [`pinned_snapshots`] takes. A change of
+/// layout here is a checkpoint-format change: bump `CODEC_VERSION` so old
+/// stores fail with a coded version error instead of being misread.
+/// Re-pinned, with no layout change, when construction began to narrow
+/// each level past the newest negative between its flanks: the blobs'
+/// `RuntimeStats` count fewer DFS steps and constructed matches, and the
+/// conservative pending heap no longer holds matches a stored negative
+/// already rules out. The snapshots the previous evaluator wrote are kept
+/// under `tests/fixtures/` and still resume
+/// ([`stores_of_the_evaluator_that_built_negated_matches_resume`]).
+const PIN_NATIVE_SPECULATIVE: u64 = 0xa01a_ba35_69e0_49e8;
+const PIN_NATIVE_CONSERVATIVE: u64 = 0xa475_fca8_c1af_161b;
+/// The core's store around the speculative blob: re-pinned with it, and
+/// before that when a single query became a plan of one, with no layout
+/// change: two counter bytes moved. Until then the core (the
+/// plan) counted `ooo_insertions` / `max_stack_depth` in a pooled stack's
+/// time-ordered side, and a lone engine in the arrival's key stack; now
+/// every hosting counts the latter — which `checkpoint_bytes_are_pinned`
+/// asserts blob by blob rather than trusting the constant.
+const PIN_CORE: u64 = 0x9124_f2d7_0390_4026;
 
 struct Pinned {
     registry: Arc<sequin::types::TypeRegistry>,
@@ -475,20 +480,71 @@ fn pinned_snapshots_interchange_and_settle_on_the_oracle() {
     }
 }
 
+/// The snapshots [`pinned_snapshots`] took (speculative, conservative)
+/// before construction narrowed each level past the stored negatives, and
+/// their `fnv1a64`, the pins of that evaluator.
+const NEGATED_MATCHES_BUILT: [(&[u8], u64); 2] = [
+    (
+        include_bytes!("fixtures/pin_native_speculative.blob"),
+        0xce52_c27c_e986_09b9,
+    ),
+    (
+        include_bytes!("fixtures/pin_native_conservative.blob"),
+        0x336e_0835_5cef_85bc,
+    ),
+];
+
+/// A store written when every negated match was built first holds larger
+/// counters and, under conservative, pending matches a stored negative
+/// already rules out; the layout is the same, and today's evaluator
+/// resumes it, lone or in the core, onto the oracle.
+#[test]
+fn stores_of_the_evaluator_that_built_negated_matches_resume() {
+    let policies = [DisorderPolicy::Speculative, DisorderPolicy::Conservative];
+    for (policy, (blob, pin)) in policies.into_iter().zip(NEGATED_MATCHES_BUILT) {
+        assert_eq!(fnv1a64(blob), pin, "{policy:?}: fixture bytes");
+        let p = pinned_snapshots(policy);
+        assert_ne!(p.native, blob, "{policy:?}: the fixture is today's blob");
+        let tail = &p.stream[PIN_CUT..];
+
+        let mut eng = NativeEngine::new(Arc::clone(&p.query), p.config);
+        eng.restore(blob).unwrap();
+        let mut out = p.delivered.clone();
+        for item in tail {
+            out.extend(eng.ingest(item));
+        }
+        out.extend(eng.finish());
+        assert_no_duplicate_deliveries(&out, "old blob -> native");
+        assert_eq!(net_keys(&out), p.oracle, "{policy:?}: old blob -> native");
+
+        let store = core_store_with_blob(&p.core, blob);
+        let (mut core, from_item) = EngineCore::resume(pin_core_cfg(&p.registry, p.config), store);
+        assert_eq!(from_item as usize, PIN_CUT, "checkpoint accepted");
+        let mut out = p.delivered.clone();
+        let mut post = core.ingest_batch(tail);
+        post.extend(core.finish());
+        out.extend(post.into_iter().map(|(_, o)| o));
+        assert_no_duplicate_deliveries(&out, "old blob -> core");
+        assert_eq!(net_keys(&out), p.oracle, "{policy:?}: old blob -> core");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Pinned `run` store layout
 // ---------------------------------------------------------------------
 
 use sequin::types::Encode;
 
-/// `fnv1a64` of the store the 0.10 single-engine `Checkpointer` — what
-/// `sequin run --resume-from` saved — held for the pin stream at the cut
-/// under `CheckpointPolicy::every(64)` (conservative, speculative),
-/// computed at the last commit that had that writer.
-const PIN_RUN_STORE_0_10: [u64; 2] = [0x4fe3_b276_4701_534c, 0xbd67_39e5_974c_8cc7];
+/// `fnv1a64` of the store [`run_store_0_10`] rebuilds in the layout of the
+/// 0.10 single-engine `Checkpointer` — what `sequin run --resume-from`
+/// saved — for the pin stream at the cut under `CheckpointPolicy::every(64)`
+/// (conservative, speculative). Its checkpoints wrap today's engine
+/// snapshots, so it moves with them: re-pinned with the native pins.
+const PIN_RUN_STORE_0_10: [u64; 2] = [0x50b5_adf3_c07b_dde4, 0x6c19_e9b8_08c5_9e1b];
 /// The same run's store as the one exactly-once wrapper writes it now:
 /// a one-blob host envelope per checkpoint, query-tagged log records.
-const PIN_RUN_STORE: [u64; 2] = [0x5f7b_817d_7a01_c70e, 0x4cb1_4146_ded7_8c71];
+/// Re-pinned with the native pins: the snapshots inside moved.
+const PIN_RUN_STORE: [u64; 2] = [0x0c5d_5681_7dd3_18b0, 0x9bae_9746_bacc_dcd2];
 
 fn run_policy() -> CheckpointPolicy {
     CheckpointPolicy::every(64)

@@ -1,16 +1,28 @@
 //! The logical work counters are part of the engine's contract: a change
 //! that claims to be "time only" must leave every one of them where it
 //! was. One fixed-seed stream per construction shape, each pinned to the
-//! counts the evaluator produced when the pins were taken (PR 20's parent
-//! commit) — a moved `predicate_evals` or `dfs_steps` is a changed
-//! algorithm, not a faster one.
+//! counts the evaluator produced when the pins were taken — a moved
+//! `predicate_evals` or `dfs_steps` is a changed algorithm, not a faster
+//! one.
+//!
+//! One such change moved the negation pins on purpose: construction now
+//! starts each level past the newest stored negative between its flanks,
+//! so a match a negative already rules out is never built. On
+//! [`speculative_negation`] only the late-`T0` ascent narrows (`n.tag ==
+//! a.tag` reads the unbound flank on the descent): `dfs_steps` and
+//! `matches_constructed` 62,802 → 62,208, `negated_matches` 7,282 → 6,688,
+//! `predicate_evals` 305,101 → 309,904 (the walk's 1,835 fewer, plus the
+//! 6,638 the narrowing's scan spends). Without predicates
+//! ([`negation_without_predicates`]) every level narrows: `dfs_steps` and
+//! `matches_constructed` 62,802 → 6,106, `negated_matches` 57,871 → 1,175.
 
 mod common;
 
 use std::sync::Arc;
 
 use sequin::engine::{
-    DisorderPolicy, EngineConfig, MultiEngine, QueryId, SharedMultiEngine, Strategy,
+    DisorderPolicy, EngineConfig, MultiEngine, OutputItem, OutputKind, QueryId, SharedMultiEngine,
+    Strategy,
 };
 use sequin::netsim::delay_shuffle;
 use sequin::query::{parse, Query};
@@ -42,10 +54,21 @@ fn sums(stats: &[RuntimeStats]) -> Counts {
 fn counts(
     types: usize,
     events: usize,
-    (ooo, max_delay): (f64, u64),
+    disorder: (f64, u64),
     policy: DisorderPolicy,
     queries: impl Fn(&Synthetic) -> Vec<Arc<Query>>,
 ) -> Counts {
+    counts_and_retractions(types, events, disorder, policy, queries).0
+}
+
+/// [`counts`], and the number of RETRACT outputs.
+fn counts_and_retractions(
+    types: usize,
+    events: usize,
+    (ooo, max_delay): (f64, u64),
+    policy: DisorderPolicy,
+    queries: impl Fn(&Synthetic) -> Vec<Arc<Query>>,
+) -> (Counts, u64) {
     let w = Synthetic::new(SyntheticConfig {
         num_types: types,
         ..SyntheticConfig::default()
@@ -59,11 +82,13 @@ fn counts(
     for q in queries(&w) {
         engine.register(q, policy);
     }
+    let mut out: Vec<(QueryId, OutputItem)> = Vec::new();
     for chunk in stream.chunks(256) {
-        engine.ingest_batch(chunk);
+        out.extend(engine.ingest_batch(chunk).into_iter().flatten());
     }
-    engine.finish();
-    sums(&engine.stats())
+    out.extend(engine.finish());
+    let retractions = out.iter().filter(|(_, o)| o.kind == OutputKind::Retract);
+    (sums(&engine.stats()), retractions.count() as u64)
 }
 
 /// One deep unpartitioned stack: `a.tag + 0` defeats the equality chain,
@@ -111,6 +136,29 @@ fn speculative_negation() {
         vec![parse(text, w.registry()).unwrap()]
     });
     assert_eq!(got, NEGATION);
+}
+
+/// The ledger's negation shape: no predicate, so every level narrows. Under
+/// speculative, every negated match is then a retraction — one a negative
+/// arriving after it retracted — and none is dropped at construction.
+#[test]
+fn negation_without_predicates() {
+    let run = |policy| {
+        counts_and_retractions(4, 20_000, (0.3, 100), policy, |w| {
+            let text = "PATTERN SEQ(T0 a, !T1 b, T2 c) WITHIN 100";
+            vec![parse(text, w.registry()).unwrap()]
+        })
+    };
+    let (speculative, retractions) = run(DisorderPolicy::Speculative);
+    assert_eq!(speculative, BARE_NEGATION_SPECULATIVE);
+    assert_eq!(
+        speculative[5], retractions,
+        "negated_matches == retractions"
+    );
+    assert_eq!(
+        run(DisorderPolicy::Conservative).0,
+        BARE_NEGATION_CONSERVATIVE
+    );
 }
 
 /// Every owner of a shared counter at once, through every change of plan:
@@ -171,7 +219,9 @@ fn shared_counters_through_every_change_of_plan() {
 const DEEP: Counts = [3000, 1825, 634_543, 637_543, 12_497, 0, 2031];
 const SEQ3: Counts = [15_064, 384, 2552, 23_951, 158, 0, 14_972];
 const FAMILY: Counts = [52_690, 9033, 107_720, 58_019, 22_283, 0, 51_469];
-const NEGATION: Counts = [15_064, 2720, 62_802, 305_101, 62_802, 7282, 14_960];
+const NEGATION: Counts = [15_064, 2720, 62_208, 309_904, 62_208, 6688, 14_960];
+const BARE_NEGATION_SPECULATIVE: Counts = [15_064, 2720, 6106, 0, 6106, 1175, 14_960];
+const BARE_NEGATION_CONSERVATIVE: Counts = [15_064, 2720, 6106, 0, 6106, 1175, 14_960];
 const EVERY_CHANGE: (Counts, u64) = (
     [64_542, 11_525, 142_631, 72_462, 31_844, 0, 63_744],
     7_399_820_516_286_691_320,

@@ -195,6 +195,46 @@ fn speculative_nets_to_conservative() {
     }
 }
 
+/// Negations construction narrows by, or must not: one correlated with the
+/// right flank, one reading both flanks (undecided either way, so no
+/// level narrows), and two around one middle positive.
+const NARROWED: &[&str] = &[
+    "PATTERN SEQ(T0 a, !T1 n, T2 c) WHERE n.tag == c.tag WITHIN 30",
+    "PATTERN SEQ(T0 a, !T1 n, T2 c) WHERE n.x > a.x AND n.x < c.x WITHIN 30",
+    "PATTERN SEQ(T0 a, !T1 n, T2 b, !T3 m, T0 c) WITHIN 40",
+];
+
+#[test]
+fn narrowed_negations_match_reference_under_every_policy() {
+    let reg = registry();
+    let policies = [
+        DisorderPolicy::Conservative,
+        DisorderPolicy::Speculative,
+        DisorderPolicy::Lazy,
+        DisorderPolicy::AdaptiveSlack { accuracy: 90 },
+    ];
+    for case in 0..CASES {
+        let mut rng = Rng::seed_from_u64(0x5EED_0008 + case);
+        // gaps of 0..=2: a flank often shares its timestamp with a negative
+        let tie = |(ty, gap, x, tag): (u8, u8, u8, u8)| (ty, gap / 2, x, tag);
+        let raw: Vec<_> = gen_history(&mut rng).into_iter().map(tie).collect();
+        let events = build_events(&reg, &raw);
+        let stream = delay_shuffle(&events, 0.4, 60, rng.gen_range(0u64..1000));
+        let k = measure_disorder(&stream).max_lateness.ticks().max(1);
+        for text in NARROWED {
+            let query = parse(text, &reg).unwrap();
+            let oracle = reference_matches(&query, &events);
+            for policy in policies {
+                let mut cfg = EngineConfig::with_k(Duration::new(k));
+                cfg.policy = policy;
+                let mut engine = make_engine(EngineStrategy::Native, Arc::clone(&query), cfg);
+                let got = net_keys(&drive(engine.as_mut(), &stream));
+                assert_eq!(got, oracle, "case {case}, {policy:?}: query {query}");
+            }
+        }
+    }
+}
+
 #[test]
 fn buffered_equals_native_on_tie_free_histories() {
     let reg = registry();
