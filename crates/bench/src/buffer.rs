@@ -1,18 +1,16 @@
-//! Strategy 2: K-slack reorder buffer in front of the classic engine.
+//! Control 2: K-slack reorder buffer in front of the classic engine.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
+use sequin_engine::{EngineConfig, OutputItem, OutputKind, WatermarkSource};
 use sequin_query::Query;
-use sequin_runtime::classic::ClassicSase;
-use sequin_runtime::{Match, RuntimeStats};
-use sequin_types::{ArrivalSeq, EventId, EventRef, StreamItem, Timestamp};
+use sequin_runtime::{purge, Match, RuntimeStats};
+use sequin_types::{ArrivalSeq, Duration, EventId, EventRef, StreamItem, Timestamp};
 
-use crate::config::EngineConfig;
-use crate::output::{OutputItem, OutputKind};
-use crate::traits::Engine;
-use crate::watermark::WatermarkTracker;
+use crate::classic::ClassicSase;
+use crate::strategy::Engine;
 
 /// A K-slack reorder buffer: holds events until the watermark
 /// (`clock − K`, or a punctuation) passes them, then releases them in
@@ -118,30 +116,44 @@ pub struct BufferedEngine {
     buffer: KSlackBuffer,
     inner: ClassicSase,
     query: Arc<Query>,
-    wm: WatermarkTracker,
+    k: Duration,
+    source: WatermarkSource,
+    /// The largest punctuation seen.
+    punct: Timestamp,
     next_seq: ArrivalSeq,
 }
 
 impl BufferedEngine {
-    /// Creates the engine with the disorder bound and purge settings from
-    /// `config`.
+    /// Creates the engine with the disorder bound `K`, watermark source
+    /// and purge settings from `config` (the bound is always the fixed
+    /// `k_slack`: the buffer has no adaptive estimate).
     pub fn new(query: Arc<Query>, config: EngineConfig) -> BufferedEngine {
         BufferedEngine {
             buffer: KSlackBuffer::new(),
             inner: ClassicSase::new(Arc::clone(&query), config.purge),
-            wm: WatermarkTracker::new(&config),
             query,
+            k: config.k_slack,
+            source: config.watermark,
+            punct: Timestamp::MIN,
             next_seq: ArrivalSeq::default(),
         }
     }
 
-    /// The current (monotone) low-watermark driving buffer release.
+    /// The low-watermark driving buffer release: `clock − K`, the largest
+    /// punctuation, or the larger of the two, per the configured source.
+    /// Both only grow, so it never retreats.
     pub fn watermark(&self) -> Timestamp {
-        self.wm.current()
+        let slack = purge::watermark(self.buffer.clock(), self.k);
+        match self.source {
+            WatermarkSource::KSlack => slack,
+            WatermarkSource::Punctuation => self.punct,
+            WatermarkSource::Both => slack.max(self.punct),
+        }
     }
 
-    fn pump(&mut self) -> Vec<OutputItem> {
-        let watermark = self.watermark();
+    /// Feeds the classic engine every buffered event at or below
+    /// `watermark`, in timestamp order.
+    fn release(&mut self, watermark: Timestamp) -> Vec<OutputItem> {
         let mut out = Vec::new();
         for ev in self.buffer.release(watermark) {
             for events in self.inner.ingest(&ev) {
@@ -165,30 +177,17 @@ impl Engine for BufferedEngine {
             StreamItem::Event(event) => {
                 self.next_seq = self.next_seq.next();
                 let stamped = Arc::new(event.as_ref().clone().with_arrival(self.next_seq));
-                self.wm.observe_event(stamped.ts());
                 self.buffer.push(stamped, self.next_seq);
             }
             StreamItem::Punctuation(t) => {
-                self.wm.observe_punctuation(*t);
+                self.punct = self.punct.max(*t);
             }
         }
-        self.pump()
+        self.release(self.watermark())
     }
 
     fn finish(&mut self) -> Vec<OutputItem> {
-        let mut out = Vec::new();
-        for ev in self.buffer.drain_all() {
-            for events in self.inner.ingest(&ev) {
-                out.push(OutputItem {
-                    kind: OutputKind::Insert,
-                    m: Match::new(&self.query, events),
-                    emit_seq: self.next_seq,
-                    emit_clock: self.buffer.clock(),
-                    cause: None,
-                });
-            }
-        }
-        out
+        self.release(Timestamp::MAX)
     }
 
     fn stats(&self) -> RuntimeStats {
@@ -198,19 +197,14 @@ impl Engine for BufferedEngine {
     fn state_size(&self) -> usize {
         self.inner.state_size() + self.buffer.len()
     }
-
-    fn query(&self) -> &Arc<Query> {
-        &self.query
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::WatermarkSource;
-    use crate::traits::run_to_end;
+    use crate::strategy::run_to_end;
     use sequin_query::parse;
-    use sequin_types::{Duration, Event, TypeRegistry, Value, ValueKind};
+    use sequin_types::{Event, TypeRegistry, Value, ValueKind};
 
     fn setup() -> (TypeRegistry, Arc<Query>) {
         let mut reg = TypeRegistry::new();

@@ -31,9 +31,8 @@ use std::sync::Arc;
 use sequin_query::{with_binding, Query};
 use sequin_types::{EventRef, Timestamp};
 
-use crate::negation::NegationIndex;
-use crate::purge::PurgePolicy;
-use crate::stats::RuntimeStats;
+use sequin_runtime::purge::PurgePolicy;
+use sequin_runtime::{NegationIndex, RuntimeStats};
 
 /// One stack entry: the event plus its RIP pointer into the previous stack.
 #[derive(Debug, Clone)]

@@ -5,17 +5,20 @@
 //! match density stays moderate (the correlated `tag` chain bounds output
 //! size) and sweeps finish in seconds at [`crate::Scale::full`].
 
-use sequin_engine::{DisorderPolicy, EngineConfig, OutputKind, Strategy, WatermarkSource};
-use sequin_metrics::{compare_outputs, Table};
+use std::sync::Arc;
+
+use sequin_engine::{DisorderPolicy, EngineConfig, OutputKind, WatermarkSource};
+use sequin_metrics::{compare_outputs, Accuracy, RunReport, Table};
 use sequin_netsim::{
     delay_shuffle, measure_disorder, punctuate, DelayModel, Network, Outage, Source,
 };
+use sequin_query::Query;
 use sequin_runtime::purge::PurgePolicy;
-use sequin_types::{Duration, Timestamp};
+use sequin_types::{Duration, EventRef, Timestamp};
 use sequin_workload::{Synthetic, SyntheticConfig};
 
 use crate::prelude::{f2, keps, run, run_with, sorted_stream};
-use crate::Scale;
+use crate::{run_engine, Scale, Strategy};
 
 fn workload(num_types: usize) -> Synthetic {
     Synthetic::new(SyntheticConfig {
@@ -30,13 +33,39 @@ const OOO_DELAY: u64 = 200;
 const K: u64 = 200;
 const W: u64 = 400;
 
-/// E1 — correctness failure of the state of the art: precision/recall of
-/// the in-order engine as disorder grows.
-pub fn e1(scale: Scale) -> String {
+/// The history E1, E3 and E4 evaluate — half a scale of events — with
+/// the tag-correlated `SEQ(T0, T1)` and its match set on sorted input,
+/// where the in-order engine is exact (the oracle).
+fn pair_workload(scale: Scale) -> (Vec<EventRef>, Arc<Query>, RunReport) {
     let w = workload(4);
     let events = w.generate(scale.events / 2, scale.seed);
     let q = w.partitioned_query(2, W);
     let oracle = run(Strategy::InOrder, &q, 0, &sorted_stream(&events));
+    (events, q, oracle)
+}
+
+/// E1's lateness: up to 2W, so late events genuinely cross window
+/// boundaries.
+const E1_DELAY: u64 = 2 * W;
+
+/// E1's rows: per out-of-order percentage, the in-order engine's run and
+/// its accuracy against the oracle.
+fn e1_rows(scale: Scale) -> (RunReport, Vec<(u32, RunReport, Accuracy)>) {
+    let (events, q, oracle) = pair_workload(scale);
+    let row = |pct: u32| {
+        let stream = delay_shuffle(&events, f64::from(pct) / 100.0, E1_DELAY, scale.seed);
+        let observed = run(Strategy::InOrder, &q, 0, &stream);
+        let acc = compare_outputs(&observed.outputs, &oracle.outputs);
+        (pct, observed, acc)
+    };
+    let rows = [0, 10, 20, 30, 40, 50].map(row).into();
+    (oracle, rows)
+}
+
+/// E1 — correctness failure of the state of the art: precision/recall of
+/// the in-order engine as disorder grows.
+pub fn e1(scale: Scale) -> String {
+    let (oracle, rows) = e1_rows(scale);
     let mut t = Table::new(&[
         "ooo %",
         "oracle",
@@ -46,12 +75,7 @@ pub fn e1(scale: Scale) -> String {
         "precision",
         "recall",
     ]);
-    // lateness up to 2W: late events genuinely cross window boundaries
-    let delay = 2 * W;
-    for pct in [0, 10, 20, 30, 40, 50] {
-        let stream = delay_shuffle(&events, pct as f64 / 100.0, delay, scale.seed);
-        let observed = run(Strategy::InOrder, &q, 0, &stream);
-        let acc = compare_outputs(&observed.outputs, &oracle.outputs);
+    for (pct, observed, acc) in rows {
         t.row(&[
             pct.to_string(),
             oracle.net_matches().to_string(),
@@ -64,7 +88,7 @@ pub fn e1(scale: Scale) -> String {
     }
     format!(
         "E1  in-order (classic SASE) output quality vs. out-of-order rate\n\
-         query: SEQ(T0,T1) tag-correlated, W={W}, delay <= {delay}\n\n{t}\n\
+         query: SEQ(T0,T1) tag-correlated, W={W}, delay <= {E1_DELAY}\n\n{t}\n\
          shape: recall degrades steeply with disorder; phantoms appear\n\
          because the stack discipline implies rather than checks order.\n"
     )
@@ -95,11 +119,21 @@ pub fn e2(scale: Scale) -> String {
     )
 }
 
+/// E3's and E4's runs: per disorder bound `K`, the buffered and the
+/// native engine over E1's history with 10 % of it late by up to `K`.
+fn buffered_vs_native(scale: Scale) -> Vec<(u64, RunReport, RunReport)> {
+    let (events, q, _) = pair_workload(scale);
+    let row = |k: u64| {
+        let stream = delay_shuffle(&events, 0.1, k, scale.seed);
+        let kb = run(Strategy::Buffered, &q, k, &stream);
+        let no = run(Strategy::Native, &q, k, &stream);
+        (k, kb, no)
+    };
+    [50, 100, 200, 400, 800].map(row).into()
+}
+
 /// E3 — result latency vs. the disorder bound K (buffered vs. native).
 pub fn e3(scale: Scale) -> String {
-    let w = workload(4);
-    let events = w.generate(scale.events / 2, scale.seed);
-    let q = w.partitioned_query(2, W);
     let mut t = Table::new(&[
         "K",
         "kb mean(arr)",
@@ -109,10 +143,7 @@ pub fn e3(scale: Scale) -> String {
         "no p99(arr)",
         "no mean(ticks)",
     ]);
-    for k in [50u64, 100, 200, 400, 800] {
-        let stream = delay_shuffle(&events, 0.1, k, scale.seed);
-        let kb = run(Strategy::Buffered, &q, k, &stream);
-        let no = run(Strategy::Native, &q, k, &stream);
+    for (k, kb, no) in buffered_vs_native(scale) {
         t.row(&[
             k.to_string(),
             f2(kb.arrival_latency.mean()),
@@ -133,14 +164,8 @@ pub fn e3(scale: Scale) -> String {
 
 /// E4 — engine state (memory) vs. K (buffered vs. native).
 pub fn e4(scale: Scale) -> String {
-    let w = workload(4);
-    let events = w.generate(scale.events / 2, scale.seed);
-    let q = w.partitioned_query(2, W);
     let mut t = Table::new(&["K", "kb peak", "kb mean", "no peak", "no mean"]);
-    for k in [50u64, 100, 200, 400, 800] {
-        let stream = delay_shuffle(&events, 0.1, k, scale.seed);
-        let kb = run(Strategy::Buffered, &q, k, &stream);
-        let no = run(Strategy::Native, &q, k, &stream);
+    for (k, kb, no) in buffered_vs_native(scale) {
         t.row(&[
             k.to_string(),
             kb.peak_state.to_string(),
@@ -525,7 +550,7 @@ pub fn e13(scale: Scale) -> String {
         "mean state",
         "beyond-k arrivals",
     ]);
-    let mut row = |name: String, r: &sequin_metrics::RunReport, k_final: String| {
+    let mut row = |name: String, r: &RunReport, k_final: String| {
         let acc = compare_outputs(&r.outputs, &oracle.outputs);
         t.row(&[
             name,
@@ -547,8 +572,8 @@ pub fn e13(scale: Scale) -> String {
 
     for safety in [1.0f64, 2.0] {
         let cfg = EngineConfig::with_adaptive_k(Duration::new(small_k), safety);
-        let mut engine = sequin_engine::NativeEngine::new(std::sync::Arc::clone(&q), cfg);
-        let r = sequin_metrics::run_engine(&mut engine, &stream, 64);
+        let mut engine = sequin_engine::NativeEngine::new(Arc::clone(&q), cfg);
+        let r = run_engine(&mut engine, &stream, 64);
         row(
             format!("adaptive (floor {small_k}, safety {safety})"),
             &r,
@@ -590,6 +615,7 @@ pub fn all(scale: Scale) -> Vec<(&'static str, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sequin_metrics::net_inserts;
 
     fn tiny() -> Scale {
         Scale {
@@ -598,10 +624,31 @@ mod tests {
         }
     }
 
+    /// The controls' reason to exist, as numbers: the in-order engine is
+    /// exact on sorted input and loses recall under disorder; within `K`
+    /// the buffered and the native engine both find exactly the oracle's
+    /// matches, and the buffer pays for it in latency and state.
     #[test]
-    fn e1_reports_degrading_recall() {
-        let s = e1(tiny());
-        assert!(s.contains("recall"));
+    fn the_controls_show_what_native_fixes() {
+        let scale = Scale::ci();
+        let (oracle, rows) = e1_rows(scale);
+        let recall = |pct| rows.iter().find(|r| r.0 == pct).unwrap().2.recall();
+        assert!(oracle.net_matches() > 50, "{}", oracle.net_matches());
+        assert_eq!(recall(0), 1.0, "in-order on sorted input");
+        assert!(
+            recall(50) < 1.0,
+            "in-order at 50 % disorder: {}",
+            recall(50)
+        );
+
+        let want = net_inserts(&oracle.outputs);
+        for (k, kb, no) in buffered_vs_native(scale) {
+            assert!(net_inserts(&kb.outputs) == want, "buffered, K = {k}");
+            assert!(net_inserts(&no.outputs) == want, "native, K = {k}");
+            let latency = |r: &RunReport| r.event_time_latency.mean();
+            assert!(latency(&kb) >= latency(&no), "latency, K = {k}");
+            assert!(kb.peak_state >= no.peak_state, "peak state, K = {k}");
+        }
     }
 
     #[test]

@@ -1,15 +1,14 @@
-//! Strategy 1: the classic engine fed raw arrivals.
+//! Control 1: the classic engine fed raw arrivals.
 
 use std::sync::Arc;
 
+use sequin_engine::{EngineConfig, OutputItem, OutputKind};
 use sequin_query::Query;
-use sequin_runtime::classic::ClassicSase;
 use sequin_runtime::{Match, RuntimeStats};
 use sequin_types::{ArrivalSeq, StreamItem, Timestamp};
 
-use crate::config::EngineConfig;
-use crate::output::{OutputItem, OutputKind};
-use crate::traits::Engine;
+use crate::classic::ClassicSase;
+use crate::strategy::Engine;
 
 /// The state-of-the-art baseline: arrivals go straight into the classic
 /// SASE pipeline, which *assumes* they are timestamp-ordered.
@@ -72,16 +71,12 @@ impl Engine for InOrderEngine {
     fn state_size(&self) -> usize {
         self.inner.state_size()
     }
-
-    fn query(&self) -> &Arc<Query> {
-        &self.query
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::run_to_end;
+    use crate::strategy::run_to_end;
     use sequin_query::parse;
     use sequin_types::{Event, EventId, TypeRegistry, Value, ValueKind};
 

@@ -2,10 +2,12 @@
 
 use std::sync::Arc;
 
-use sequin_engine::{make_engine, EngineConfig, Strategy};
-use sequin_metrics::{run_engine, RunReport};
+use sequin_engine::EngineConfig;
+use sequin_metrics::RunReport;
 use sequin_query::Query;
 use sequin_types::{Duration, EventRef, StreamItem};
+
+use crate::strategy::{make_engine, run_engine, Strategy};
 
 /// Builds an engine for `strategy` with disorder bound `k` and the default
 /// remaining configuration, runs it over `stream`, and reports.

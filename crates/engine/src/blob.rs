@@ -4,7 +4,7 @@
 //! stacks, settle tail — for one logical query, whatever physically holds
 //! it: the plan's pooled stacks, or a plan of one behind
 //! [`crate::NativeEngine`]. The one evaluator
-//! ([`crate::SharedMultiEngine`]) is its only writer and reader.
+//! ([`crate::MultiEngine`]) is its only writer and reader.
 
 use std::collections::BTreeMap;
 

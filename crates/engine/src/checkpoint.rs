@@ -33,8 +33,8 @@ use sequin_runtime::{MatchKey, RuntimeStats};
 use sequin_types::codec::{open_envelope, seal_envelope};
 use sequin_types::{CodecError, Decode, Encode, Reader, StreamItem, Timestamp, Writer};
 
-use crate::multi::{MultiEngine, QueryId};
 use crate::output::{OutputItem, OutputKind};
+use crate::shared::{MultiEngine, QueryId};
 
 /// When a [`Checkpointer`] takes a checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,8 +42,8 @@ pub struct CheckpointPolicy {
     /// Checkpoint whenever this many events have been ingested since the
     /// last checkpoint.
     pub every_n_events: Option<u64>,
-    /// Checkpoint whenever the host's low-watermark advances (a host whose
-    /// queries expose no watermark never triggers this).
+    /// Checkpoint whenever the host's low-watermark advances (a host with
+    /// no query registered never triggers this).
     pub on_watermark_advance: bool,
 }
 
@@ -302,9 +302,8 @@ impl Checkpointer {
     ///
     /// The fallback ladder: for each checkpoint, newest first, `fresh`
     /// reads the checkpoint's header and builds a *new* host with the
-    /// checkpointed queries registered ([`MultiEngine::restore`] is not
-    /// all-or-nothing, so a failed candidate's host is dropped whole). The
-    /// first candidate whose envelope, log mark, header and snapshot all
+    /// checkpointed queries registered, dropped whole if the candidate
+    /// fails. The first candidate whose envelope, log mark, header and snapshot all
     /// validate wins; the others are counted in
     /// [`RuntimeStats::checkpoints_rejected`] and skipped; if none
     /// survives, `fresh(None)` builds the cold-start host (replay from
@@ -377,15 +376,11 @@ impl Checkpointer {
     }
 
     /// Takes a checkpoint immediately (also used by the policy triggers).
-    /// A host with an engine lacking snapshot support makes this a no-op.
     pub fn checkpoint_now(&mut self) {
-        let Ok(snapshot) = self.host.snapshot() else {
-            return;
-        };
         let (mut head, mut tail) = (Writer::new(), Writer::new());
         head.put_u64(self.position);
         head.put_u64(self.store.log_len() as u64);
-        tail.put_bytes(&snapshot);
+        tail.put_bytes(&self.host.snapshot());
         let payload = [head.into_bytes(), self.header.clone(), tail.into_bytes()].concat();
         self.store.push_checkpoint(seal_envelope(&payload));
         self.extra.checkpoints_written += 1;
@@ -532,8 +527,7 @@ impl Checkpointer {
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
-    use crate::multi::{read_envelope, write_envelope};
-    use crate::traits::Strategy;
+    use crate::shared::{read_envelope, write_envelope};
     use sequin_query::parse;
     use sequin_types::{Duration, Event, EventId, TypeRegistry, Value, ValueKind};
     use std::sync::Arc;
@@ -579,7 +573,7 @@ mod tests {
 
     fn host_of(reg: &TypeRegistry, texts: &[&str]) -> MultiEngine {
         let config = EngineConfig::with_k(Duration::new(10));
-        let mut host = MultiEngine::new(Strategy::Native, config);
+        let mut host = MultiEngine::new(config);
         for text in texts {
             host.register(parse(text, reg).unwrap(), config.policy);
         }
@@ -709,7 +703,7 @@ mod tests {
         let mut w = Writer::new();
         w.put_u64(position);
         w.put_u64(mark);
-        w.put_bytes(&write_envelope(blobs.into_iter().map(Ok)).unwrap());
+        w.put_bytes(&write_envelope(blobs.into_iter()));
         seal_envelope(&w.into_bytes())
     }
 

@@ -86,6 +86,15 @@ pub enum WatermarkSource {
     Both,
 }
 
+/// The evaluation strategy: the paper's native out-of-order engine, the
+/// one the product runs. (The in-order and K-slack-buffer baselines its
+/// evaluation argues against live in the `sequin-bench` harness.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Strategy {
+    /// The paper's native out-of-order engine.
+    Native,
+}
+
 /// Adaptive disorder-bound estimation (extension; the direction later
 /// formalized by quality-driven K-slack work). Instead of trusting an
 /// a-priori `K`, the engine tracks the maximum lateness observed so far
@@ -108,7 +117,7 @@ impl Default for AdaptiveK {
     }
 }
 
-/// Tunables shared by every strategy.
+/// Tunables shared by every query of an engine.
 ///
 /// The defaults are the paper's recommended configuration: K-slack
 /// watermarking, batched purge, early window cut-off, conservative

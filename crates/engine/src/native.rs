@@ -1,25 +1,23 @@
-//! Strategy 3: the paper's native out-of-order engine, for one query.
+//! The paper's native out-of-order engine, for one query.
 //!
-//! [`NativeEngine`] is a [`SharedMultiEngine`] with exactly one query
+//! [`NativeEngine`] is a [`MultiEngine`] with exactly one query
 //! registered: a single query is a plan of one. Everything the paper
 //! describes — positional insert into sorted stacks, construction anchored
 //! at the arrival, negation settled against the watermark, purge behind
 //! it — happens in that evaluator's one ingest loop; this type only gives
-//! the one query the [`Engine`] trait and untagged outputs.
+//! the one query untagged outputs.
 
 use std::sync::Arc;
 
 use sequin_query::Query;
 use sequin_runtime::RuntimeStats;
-use sequin_types::{CodecError, StreamItem, Timestamp};
+use sequin_types::{CodecError, Duration, StreamItem, Timestamp};
 
 use crate::config::EngineConfig;
-use crate::multi::QueryId;
 use crate::output::OutputItem;
-use crate::shared::SharedMultiEngine;
-use crate::traits::Engine;
+use crate::shared::{MultiEngine, QueryId};
 
-const Q: QueryId = SharedMultiEngine::ONLY;
+const Q: QueryId = MultiEngine::ONLY;
 
 /// The paper's engine: order-insensitive active instance stacks,
 /// arrival-driven construction with out-of-order compensation, and
@@ -40,20 +38,53 @@ const Q: QueryId = SharedMultiEngine::ONLY;
 ///   global (negatives filter by predicate at check time).
 #[derive(Debug)]
 pub struct NativeEngine {
-    plan: SharedMultiEngine,
+    plan: MultiEngine,
 }
 
-/// The outputs of a host of one query, without its tag.
+/// The outputs of a plan of one, without their tag.
 fn untagged(out: Vec<(QueryId, OutputItem)>) -> Vec<OutputItem> {
     out.into_iter().map(|(_, o)| o).collect()
 }
 
 impl NativeEngine {
-    /// Creates the engine.
+    /// Creates the engine; the query runs under `config`'s policy.
     pub fn new(query: Arc<Query>, config: EngineConfig) -> NativeEngine {
-        let mut plan = SharedMultiEngine::new(config);
-        plan.register(query);
+        let mut plan = MultiEngine::new(config);
+        plan.register(query, config.policy);
         NativeEngine { plan }
+    }
+
+    /// Ingests one arrival (event or punctuation); returns the output it
+    /// triggered.
+    pub fn ingest(&mut self, item: &StreamItem) -> Vec<OutputItem> {
+        untagged(self.plan.ingest(item))
+    }
+
+    /// Signals end-of-stream: pending matches are sealed as if a final
+    /// punctuation at `Timestamp::MAX` arrived.
+    pub fn finish(&mut self) -> Vec<OutputItem> {
+        untagged(self.plan.finish())
+    }
+
+    /// Operator cost counters accumulated so far.
+    pub fn stats(&self) -> RuntimeStats {
+        self.plan.query_stats(Q)
+    }
+
+    /// Events/instances currently held (stacks + pending), the evaluation's
+    /// memory metric.
+    pub fn state_size(&self) -> usize {
+        self.plan.query_state_size(Q)
+    }
+
+    /// The query under evaluation.
+    pub fn query(&self) -> &Arc<Query> {
+        self.plan.query(Q)
+    }
+
+    /// Live partition-key index entries, summed over the query's slots.
+    pub fn partition_keys(&self) -> usize {
+        self.plan.query_partition_keys(Q)
     }
 
     /// The current (monotone) low-watermark.
@@ -62,7 +93,7 @@ impl NativeEngine {
     }
 
     /// The current disorder-bound estimate (`K`, or the adaptive `K̂`).
-    pub fn k_hat(&self) -> sequin_types::Duration {
+    pub fn k_hat(&self) -> Duration {
         self.plan.query_slack(Q)
     }
 
@@ -72,8 +103,8 @@ impl NativeEngine {
     }
 
     /// Watermark lag: how far the published watermark trails the stream
-    /// clock (see [`Engine::clock`]).
-    pub fn watermark_lag(&self) -> sequin_types::Duration {
+    /// clock.
+    pub fn watermark_lag(&self) -> Duration {
         self.plan.query_watermark_lag(Q)
     }
 
@@ -84,50 +115,17 @@ impl NativeEngine {
     pub fn oldest_stack_ts(&self) -> Option<Timestamp> {
         self.plan.oldest_stack_ts()
     }
-}
 
-impl Engine for NativeEngine {
-    fn ingest(&mut self, item: &StreamItem) -> Vec<OutputItem> {
-        untagged(self.plan.ingest(item))
+    /// The query's checkpoint blob: what its entry in any
+    /// [`MultiEngine::snapshot`] envelope holding it would be.
+    pub fn snapshot(&self) -> Vec<u8> {
+        self.plan.query_blob(Q.index())
     }
 
-    fn finish(&mut self) -> Vec<OutputItem> {
-        untagged(self.plan.finish())
-    }
-
-    fn stats(&self) -> RuntimeStats {
-        self.plan.query_stats(Q)
-    }
-
-    fn state_size(&self) -> usize {
-        self.plan.query_state_size(Q)
-    }
-
-    fn query(&self) -> &Arc<Query> {
-        self.plan.query(Q)
-    }
-
-    fn partition_keys(&self) -> usize {
-        self.plan.query_partition_keys(Q)
-    }
-
-    fn watermark(&self) -> Option<Timestamp> {
-        Some(NativeEngine::watermark(self))
-    }
-
-    fn clock(&self) -> Option<Timestamp> {
-        Some(NativeEngine::clock(self))
-    }
-
-    fn slack_bound(&self) -> Option<sequin_types::Duration> {
-        Some(self.k_hat())
-    }
-
-    fn snapshot(&self) -> Result<Vec<u8>, CodecError> {
-        Ok(self.plan.query_blob(Q.index()))
-    }
-
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
+    /// Replaces the engine's state with a [`NativeEngine::snapshot`] blob
+    /// taken by an identically configured engine, or the query's blob out
+    /// of a plan's envelope. On error the previous state is left untouched.
+    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
         self.plan.restore_blobs(&[bytes])
     }
 }
@@ -137,10 +135,9 @@ mod tests {
     use super::*;
     use crate::config::{DisorderPolicy, WatermarkSource};
     use crate::output::OutputKind;
-    use crate::traits::run_to_end;
     use sequin_query::parse;
     use sequin_runtime::purge::PurgePolicy;
-    use sequin_types::{Duration, Event, EventId, TypeRegistry, Value, ValueKind};
+    use sequin_types::{Event, EventId, TypeRegistry, Value, ValueKind};
 
     fn registry() -> TypeRegistry {
         let mut reg = TypeRegistry::new();
@@ -159,6 +156,12 @@ mod tests {
                 .attr(Value::Int(x))
                 .build(),
         ))
+    }
+
+    fn run_to_end(engine: &mut NativeEngine, items: &[StreamItem]) -> Vec<OutputItem> {
+        let mut out: Vec<_> = items.iter().flat_map(|it| engine.ingest(it)).collect();
+        out.extend(engine.finish());
+        out
     }
 
     fn keys(out: &[OutputItem]) -> Vec<(bool, Vec<u64>)> {
@@ -507,7 +510,7 @@ mod tests {
             out.extend(spec.ingest(it));
         }
         assert_eq!(keys(&out), vec![(true, vec![1, 2])], "emitted unsealed");
-        let snap = spec.snapshot().unwrap();
+        let snap = spec.snapshot();
         // resume the same state under every other policy: the inherited
         // unsealed record must still be retracted by the late negative
         for policy in [

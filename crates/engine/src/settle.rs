@@ -1,7 +1,7 @@
 //! The settle path: what happens to a match between construction and
 //! delivery.
 //!
-//! The evaluator ([`crate::SharedMultiEngine`], whatever it hosts)
+//! The evaluator ([`crate::MultiEngine`], whatever it hosts)
 //! constructs matches and hands them to one [`Settle`] per query. This
 //! module alone decides
 //! *when* a match leaves: immediately, after its negation regions seal,

@@ -1,6 +1,6 @@
 //! The evaluator: one ingest loop over a compiled plan.
 //!
-//! [`SharedMultiEngine`] is the only place in this crate that ingests an
+//! [`MultiEngine`] is the only place in this crate that ingests an
 //! arrival. Per arrival it does what the paper describes, once: number
 //! the arrival and observe its timestamp, offer it to the negative index
 //! of every query that negates its type, insert it at its sorted position
@@ -17,9 +17,14 @@
 //! nodes of interested queries. Every hosting is an instance of it, run
 //! inline on the caller's thread:
 //!
-//! * a [`crate::MultiEngine`]'s native queries all run on one of these;
+//! * many queries — the server core, `sequin run`, the simulator's plan
+//!   path — run on one of these;
 //! * one query — [`crate::NativeEngine`] is a plan of one registration,
 //!   where pooling and prefix sharing have nothing to share.
+//!
+//! Outputs carry [`QueryId`]s, in registration order per arrival, and a
+//! snapshot is an envelope of per-query blobs, so a query's blob written by
+//! a plan of many restores into a plan of one and back.
 //!
 //! ## Equivalence contract
 //!
@@ -74,7 +79,7 @@
 //! stack owes each (query, slot) reading it its offers, pre-filter
 //! evaluations, insertions and purges; a prefix group owes each member the
 //! steps of its shared walk; an epoch owes each of its queries its purge
-//! rounds and late arrivals. [`SharedMultiEngine::fold`] is the one place
+//! rounds and late arrivals. [`MultiEngine::fold`] is the one place
 //! they meet a query's own [`RuntimeStats`]. What a group walk counts per
 //! member — bind checks, a fork's candidates — is tallied for the members
 //! it touched and added once per walk. So an arrival costs the nodes it
@@ -93,14 +98,55 @@ use sequin_query::{with_binding, Query};
 use sequin_runtime::{
     purge, suffix_bounds, ConstructOpts, Constructor, KeyedStack, PartitionKey, RuntimeStats,
 };
-use sequin_types::{ArrivalSeq, CodecError, Duration, EventRef, StreamItem, Timestamp, Writer};
+use sequin_types::codec::{open_envelope, seal_envelope};
+use sequin_types::{
+    ArrivalSeq, CodecError, Duration, EventRef, Reader, StreamItem, Timestamp, Writer,
+};
 
 use crate::blob::QueryBlob;
 use crate::config::{DisorderPolicy, EngineConfig};
-use crate::multi::{read_envelope, write_envelope, QueryId};
 use crate::output::OutputItem;
 use crate::settle::{PhasedOutput, Settle, Stamp};
 use crate::watermark::WatermarkTracker;
+
+/// A registered query's handle within a [`MultiEngine`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct QueryId(usize);
+
+impl QueryId {
+    pub(crate) const fn new(ix: usize) -> QueryId {
+        QueryId(ix)
+    }
+
+    /// The dense registration index.
+    pub fn index(self) -> usize {
+        self.0
+    }
+}
+
+/// Seals per-query blobs, in registration order, as the snapshot
+/// envelope: `count`, then each blob length-prefixed.
+pub(crate) fn write_envelope(blobs: impl ExactSizeIterator<Item = Vec<u8>>) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.put_u64(blobs.len() as u64);
+    for blob in blobs {
+        w.put_bytes(&blob);
+    }
+    seal_envelope(&w.into_bytes())
+}
+
+/// The per-query blobs of a [`write_envelope`] envelope holding exactly
+/// `queries` of them, borrowed from it.
+pub(crate) fn read_envelope(bytes: &[u8], queries: usize) -> Result<Vec<&[u8]>, CodecError> {
+    let mut r = Reader::new(open_envelope(bytes)?);
+    if r.get_u64()? != queries as u64 {
+        return Err(CodecError::SnapshotMismatch("registered query count"));
+    }
+    let blobs = (0..queries).map(|_| r.get_len().and_then(|len| r.take(len)));
+    let blobs = blobs.collect::<Result<Vec<_>, _>>()?;
+    r.finish()?;
+    Ok(blobs)
+}
 
 /// Plan-level evaluation metrics exposed for observability: structural
 /// gauges describe the current compiled plan, counters accumulate over
@@ -394,16 +440,39 @@ fn writing<T>(
     result
 }
 
-/// The evaluator of one shared plan (see module docs).
+/// The evaluator of one shared plan (see module docs): fans one arrival
+/// stream out to many queries under one shared [`EngineConfig`], each
+/// with its own [`DisorderPolicy`], and tags outputs with the originating
+/// [`QueryId`].
 ///
-/// What a [`crate::MultiEngine`] runs its native queries on; the whole of
-/// a [`crate::NativeEngine`]; and usable on its own when every query runs
-/// the native strategy under one shared [`EngineConfig`] (with an
-/// optional per-query [`DisorderPolicy`] override). Outputs carry the
-/// same tags in the same order as the same queries on plans of their own,
-/// and snapshots are the same envelope of per-query blobs — a checkpoint
-/// taken by any hosting restores into any other.
-pub struct SharedMultiEngine {
+/// The whole of a [`crate::NativeEngine`], and what the server core and
+/// `sequin run` evaluate on. Outputs carry the same tags in the same order
+/// as the same queries on plans of their own, and snapshots are the same
+/// envelope of per-query blobs — a checkpoint taken by any hosting
+/// restores into any other.
+///
+/// ```
+/// use sequin_engine::{DisorderPolicy, EngineConfig, MultiEngine};
+/// use sequin_query::parse;
+/// use sequin_types::{TypeRegistry, ValueKind};
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut reg = TypeRegistry::new();
+/// reg.declare("A", &[("x", ValueKind::Int)])?;
+/// reg.declare("B", &[("x", ValueKind::Int)])?;
+/// let mut multi = MultiEngine::new(EngineConfig::default());
+/// let q1 = multi.register(
+///     parse("PATTERN SEQ(A a, B b) WITHIN 10", &reg)?,
+///     DisorderPolicy::Conservative,
+/// );
+/// let q2 = multi.register(
+///     parse("PATTERN SEQ(B b, A a) WITHIN 10", &reg)?,
+///     DisorderPolicy::Speculative,
+/// );
+/// assert_ne!(q1, q2);
+/// # Ok(())
+/// # }
+/// ```
+pub struct MultiEngine {
     config: EngineConfig,
     specs: Vec<QuerySpec>,
     plan: SharedPlan,
@@ -435,9 +504,9 @@ pub struct SharedMultiEngine {
     dirty: Vec<usize>,
 }
 
-impl std::fmt::Debug for SharedMultiEngine {
+impl std::fmt::Debug for MultiEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SharedMultiEngine")
+        f.debug_struct("MultiEngine")
             .field("queries", &self.specs.len())
             .field("pooled_stacks", &self.plan.stacks.len())
             .field("groups", &self.plan.groups.len())
@@ -445,15 +514,15 @@ impl std::fmt::Debug for SharedMultiEngine {
     }
 }
 
-impl SharedMultiEngine {
+impl MultiEngine {
     /// The only query of a plan of one: how [`crate::NativeEngine`]
     /// addresses it.
     pub(crate) const ONLY: QueryId = QueryId::new(0);
 
-    /// Creates an empty shared evaluator; every registered query runs
-    /// under `config`.
-    pub fn new(config: EngineConfig) -> SharedMultiEngine {
-        SharedMultiEngine {
+    /// An empty evaluator: every query registered later runs under
+    /// `config`, with its own disorder policy.
+    pub fn new(config: EngineConfig) -> MultiEngine {
+        MultiEngine {
             config,
             specs: Vec::new(),
             plan: SharedPlan::new(config.partitioned),
@@ -494,21 +563,14 @@ impl SharedMultiEngine {
         &self.states[id.index()].query
     }
 
-    /// Registers a query under the shared configuration's policy, at a cost
-    /// independent of how many are registered: its nodes are attached to
-    /// the plan ([`SharedPlan::attach`]), which moves no existing stack.
-    /// Queries registered at the same stream position
-    /// with a compatible watermark class share an epoch; a query
+    /// Registers a query under `policy`, which overrides the shared
+    /// configuration's, at a cost independent of how many are registered:
+    /// its nodes are attached to the plan ([`SharedPlan::attach`]), which
+    /// moves no existing stack. Queries registered at the same stream
+    /// position with a compatible watermark class share an epoch; a query
     /// registered after any ingestion starts a fresh one (it must not see
     /// earlier arrivals).
-    pub fn register(&mut self, query: Arc<Query>) -> QueryId {
-        let policy = self.config.policy;
-        self.register_with_policy(query, policy)
-    }
-
-    /// Like [`SharedMultiEngine::register`], with a per-query
-    /// [`DisorderPolicy`] overriding the shared configuration's.
-    pub fn register_with_policy(&mut self, query: Arc<Query>, policy: DisorderPolicy) -> QueryId {
+    pub fn register(&mut self, query: Arc<Query>, policy: DisorderPolicy) -> QueryId {
         let class = WmClass::of(policy);
         let epoch = match self.open_epochs.iter().find(|(c, _)| *c == class) {
             Some(&(_, e)) => e,
@@ -673,8 +735,8 @@ impl SharedMultiEngine {
         stats
     }
 
-    /// Ingests one arrival; outputs are tagged per query in registration
-    /// order, exactly as [`crate::MultiEngine::ingest`] tags them.
+    /// Ingests one arrival into every query; outputs are tagged with the
+    /// query that produced them, in registration order.
     pub fn ingest(&mut self, item: &StreamItem) -> Vec<(QueryId, OutputItem)> {
         match item {
             StreamItem::Event(event) => self.on_event(event),
@@ -683,8 +745,9 @@ impl SharedMultiEngine {
         self.collect_outputs()
     }
 
-    /// Ingests a run of arrivals, returning one output vector per item
-    /// (same contract as [`crate::MultiEngine::ingest_batch`]).
+    /// Ingests a run of arrivals, returning one output vector per input
+    /// item with the same tagging and order as item-by-item
+    /// [`MultiEngine::ingest`] calls.
     pub fn ingest_batch(&mut self, items: &[StreamItem]) -> Vec<Vec<(QueryId, OutputItem)>> {
         items.iter().map(|it| self.ingest(it)).collect()
     }
@@ -745,14 +808,17 @@ impl SharedMultiEngine {
     }
 
     /// One query's live partition-key index entries, summed over its
-    /// slots' pooled stacks (see [`crate::Engine::partition_keys`]).
+    /// slots' pooled stacks: how many per-key stacks it reads right now (0
+    /// for an unpartitioned query). Exposed as the `sequin_partition_keys`
+    /// gauge.
     pub fn query_partition_keys(&self, id: QueryId) -> usize {
         let pooled = &self.plan.queries[id.index()].stack_of_slot;
         pooled.iter().map(|&six| self.stacks[six].keys()).sum()
     }
 
-    /// The minimum watermark across all (active) queries, mirroring
-    /// [`crate::MultiEngine::watermark`].
+    /// The low-watermark the *whole* evaluation has reached: the minimum
+    /// over active queries (`None` when there is none).
+    /// [`crate::Checkpointer`]'s watermark-advance cadence triggers on it.
     pub fn watermark(&self) -> Option<Timestamp> {
         let live = self.epochs.iter().filter(|ep| !ep.queries.is_empty());
         live.map(|ep| ep.wm.current()).min()
@@ -764,9 +830,21 @@ impl SharedMultiEngine {
     }
 
     /// One query's stream clock (max occurrence timestamp observed since
-    /// its registration).
+    /// its registration). `clock − watermark` is the **watermark lag**:
+    /// how far behind event time the query's safe horizon sits.
     pub fn query_clock(&self, id: QueryId) -> Timestamp {
         self.epochs[self.states[id.index()].epoch].wm.clock()
+    }
+
+    /// Every query's `(stream clock, low-watermark)`, in registration
+    /// order: what [`MultiEngine::query_clock`] and
+    /// [`MultiEngine::query_watermark`] answer one query at a time.
+    pub fn query_positions(&self) -> Vec<(Timestamp, Timestamp)> {
+        let of = |st: &QueryState| {
+            let wm = &self.epochs[st.epoch].wm;
+            (wm.clock(), wm.current())
+        };
+        self.states.iter().map(of).collect()
     }
 
     /// How far one query's watermark trails its stream clock.
@@ -1073,7 +1151,7 @@ impl SharedMultiEngine {
     }
 
     /// Drains this arrival's per-query phase buffers — the queries on the
-    /// [`SharedMultiEngine::dirty`] list, sorted — into the canonical
+    /// [`MultiEngine::dirty`] list, sorted — into the canonical
     /// output order, tagged in registration order (the `MultiEngine`
     /// contract).
     fn collect_outputs(&mut self) -> Vec<(QueryId, OutputItem)> {
@@ -1090,13 +1168,13 @@ impl SharedMultiEngine {
     // snapshots
     // ------------------------------------------------------------------
 
-    /// Serializes the evaluation as a [`crate::MultiEngine`] envelope of
-    /// per-query blobs: plan-shape-agnostic by construction (each blob
-    /// describes one logical query, not the pooled layout), so it restores
-    /// into plans of one — or into an evaluator compiled from a different
-    /// registration history.
-    pub fn snapshot(&self) -> Result<Vec<u8>, CodecError> {
-        write_envelope((0..self.specs.len()).map(|qix| Ok(self.query_blob(qix))))
+    /// Serializes the evaluation as one checksummed envelope of per-query
+    /// blobs: plan-shape-agnostic by construction (each blob describes one
+    /// logical query, not the pooled layout), so it restores into plans of
+    /// one — or into an evaluator compiled from a different registration
+    /// history.
+    pub fn snapshot(&self) -> Vec<u8> {
+        write_envelope((0..self.specs.len()).map(|qix| self.query_blob(qix)))
     }
 
     /// One query's [`QueryBlob`]: its slots' pooled stacks, written as
@@ -1119,17 +1197,17 @@ impl SharedMultiEngine {
         )
     }
 
-    /// Restores from a snapshot written by [`SharedMultiEngine::snapshot`]
-    /// **or** by a [`crate::MultiEngine`] hosting the same queries in the
-    /// same registration order under this configuration, wherever it
-    /// hosted them. All-or-nothing: on error the current state is
-    /// untouched. Epochs are re-derived by grouping queries with
-    /// identical restored (watermark, sequence) stream positions.
+    /// Restores from a [`MultiEngine::snapshot`] taken with the same
+    /// queries registered in the same order under this configuration,
+    /// whatever plan they were pooled in. All-or-nothing: on error the
+    /// current state is untouched. Epochs are re-derived by grouping
+    /// queries with identical restored (watermark, sequence) stream
+    /// positions.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
         self.restore_blobs(&read_envelope(bytes, self.specs.len())?)
     }
 
-    /// [`SharedMultiEngine::restore`] from the envelope's per-query blobs,
+    /// [`MultiEngine::restore`] from the envelope's per-query blobs,
     /// one per registered query in registration order.
     pub(crate) fn restore_blobs(&mut self, blobs: &[&[u8]]) -> Result<(), CodecError> {
         let mut restored: Vec<QueryBlob> = Vec::with_capacity(self.specs.len());
@@ -1304,8 +1382,7 @@ impl GroupWalker<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multi::MultiEngine;
-    use crate::traits::Strategy;
+    use crate::NativeEngine;
     use sequin_prng::Rng;
     use sequin_query::parse;
     use sequin_types::{Event, EventId, TypeRegistry, Value, ValueKind};
@@ -1329,11 +1406,67 @@ mod tests {
         ))
     }
 
-    /// The independent reference: every query on a plan of one of its
-    /// own, each under its own configuration.
-    fn independent(queries: &[Arc<Query>], config: impl Fn(usize) -> EngineConfig) -> MultiEngine {
-        let alone = |(ix, q)| crate::make_engine(Strategy::Native, Arc::clone(q), config(ix));
-        MultiEngine::from_engines(queries.iter().enumerate().map(alone).collect())
+    /// The independent reference: every query on a plan of one of its own
+    /// — a [`NativeEngine`] — with outputs tagged by its position, and
+    /// snapshots the envelope of the engines' blobs.
+    #[derive(Default)]
+    struct Alone(Vec<NativeEngine>);
+
+    impl Alone {
+        fn register(&mut self, query: Arc<Query>, config: EngineConfig) {
+            self.0.push(NativeEngine::new(query, config));
+        }
+
+        fn tagged(
+            &mut self,
+            mut of: impl FnMut(&mut NativeEngine) -> Vec<OutputItem>,
+        ) -> Vec<(QueryId, OutputItem)> {
+            let mut out = Vec::new();
+            for (qix, engine) in self.0.iter_mut().enumerate() {
+                out.extend(of(engine).into_iter().map(|o| (QueryId(qix), o)));
+            }
+            out
+        }
+
+        fn ingest(&mut self, item: &StreamItem) -> Vec<(QueryId, OutputItem)> {
+            self.tagged(|e| e.ingest(item))
+        }
+
+        fn finish(&mut self) -> Vec<(QueryId, OutputItem)> {
+            self.tagged(NativeEngine::finish)
+        }
+
+        fn stats(&self) -> Vec<RuntimeStats> {
+            self.0.iter().map(NativeEngine::stats).collect()
+        }
+
+        fn snapshot(&self) -> Vec<u8> {
+            write_envelope(self.0.iter().map(NativeEngine::snapshot))
+        }
+
+        fn restore(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
+            let blobs = read_envelope(bytes, self.0.len())?;
+            let mut both = self.0.iter_mut().zip(blobs);
+            both.try_for_each(|(engine, blob)| engine.restore(blob))
+        }
+    }
+
+    /// Every query alone, each under its own configuration.
+    fn independent(queries: &[Arc<Query>], config: impl Fn(usize) -> EngineConfig) -> Alone {
+        let mut alone = Alone::default();
+        for (ix, q) in queries.iter().enumerate() {
+            alone.register(Arc::clone(q), config(ix));
+        }
+        alone
+    }
+
+    /// Every query on one plan, under `config`'s policy.
+    fn plan_of(queries: &[Arc<Query>], config: EngineConfig) -> MultiEngine {
+        let mut plan = MultiEngine::new(config);
+        for q in queries {
+            plan.register(Arc::clone(q), config.policy);
+        }
+        plan
     }
 
     /// A mixed query set exercising prefix sharing, stack pooling, local
@@ -1392,11 +1525,8 @@ mod tests {
     fn run_differential(config: EngineConfig, seed: u64) -> Vec<RuntimeStats> {
         let reg = registry();
         let queries = query_set(&reg);
-        let mut shared = SharedMultiEngine::new(config);
+        let mut shared = plan_of(&queries, config);
         let mut multi = independent(&queries, |_| config);
-        for q in &queries {
-            shared.register(Arc::clone(q));
-        }
         // K = 100 (default) covers max_delay = 90: in-bound stream
         let items = gen_stream(&reg, seed, 400, 90);
         for (ix, it) in items.iter().enumerate() {
@@ -1484,7 +1614,7 @@ mod tests {
         ];
         let policy = |ix: usize| policies[ix % policies.len()];
         let items = gen_stream(&reg, 12, 400, 90);
-        let mut shared = MultiEngine::new(Strategy::Native, base);
+        let mut shared = MultiEngine::new(base);
         for (ix, q) in queries.iter().enumerate() {
             shared.register(Arc::clone(q), policy(ix));
         }
@@ -1534,10 +1664,7 @@ mod tests {
     fn plan_actually_shares_state() {
         let reg = registry();
         let queries = query_set(&reg);
-        let mut shared = SharedMultiEngine::new(EngineConfig::default());
-        for q in &queries {
-            shared.register(Arc::clone(q));
-        }
+        let mut shared = plan_of(&queries, EngineConfig::default());
         let pm = shared.plan_metrics();
         assert!(pm.prefix_groups >= 1, "common prefixes form groups");
         assert!(pm.grouped_queries >= 4, "AB-prefixed queries share");
@@ -1554,16 +1681,15 @@ mod tests {
         assert!(pm.fanout_outputs > 0, "partials forked to members");
     }
 
+    /// Each query's blob in a plan's envelope restores into a plan of one
+    /// of its own, and the plans of one's blobs back into a plan.
     #[test]
-    fn snapshot_interchanges_with_multi_engine() {
+    fn snapshots_interchange_with_plans_of_one() {
         let reg = registry();
         let queries = query_set(&reg);
         let config = EngineConfig::default();
-        let mut shared = SharedMultiEngine::new(config);
+        let mut shared = plan_of(&queries, config);
         let mut multi = independent(&queries, |_| config);
-        for q in &queries {
-            shared.register(Arc::clone(q));
-        }
         let items = gen_stream(&reg, 10, 300, 90);
         let (head, tail) = items.split_at(200);
         for it in head {
@@ -1571,16 +1697,12 @@ mod tests {
         }
 
         // shared -> independent
-        let snap = shared.snapshot().unwrap();
+        let snap = shared.snapshot();
         let mut multi2 = independent(&queries, |_| config);
         multi2.restore(&snap).unwrap();
         // independent -> shared
-        let msnap = multi.snapshot().unwrap();
-        let mut shared2 = SharedMultiEngine::new(config);
-        for q in &queries {
-            shared2.register(Arc::clone(q));
-        }
-        shared2.restore(&msnap).unwrap();
+        let mut shared2 = plan_of(&queries, config);
+        shared2.restore(&multi.snapshot()).unwrap();
 
         for (ix, it) in tail.iter().enumerate() {
             let want = multi.ingest(it);
@@ -1621,13 +1743,13 @@ mod tests {
         let (head, tail) = items.split_at(150);
         // a fresh independent engine per query sees only the arrivals after
         // its subscription; the host must agree byte-for-byte
-        let mut host = MultiEngine::new(Strategy::Native, config);
-        let mut alone = MultiEngine::from_engines(Vec::new());
+        let mut host = MultiEngine::new(config);
+        let mut alone = Alone::default();
         for (texts, items) in [(&early[..], head), (&late[..], tail)] {
             for text in texts {
                 let q = parse(text, &reg).unwrap();
                 host.register(Arc::clone(&q), config.policy);
-                alone.register(q, config.policy);
+                alone.register(q, config);
             }
             for (ix, it) in items.iter().enumerate() {
                 outputs_eq(&host.ingest(it), &alone.ingest(it), &format!("item {ix}"));
@@ -1677,8 +1799,8 @@ mod tests {
         let (restore_at, unregister_at) = (items.len() * 3 / 4, items.len() * 5 / 8);
         let second_batch = (40, items.len() / 2);
 
-        let mut shared = SharedMultiEngine::new(base);
-        let mut alone = MultiEngine::from_engines(Vec::new());
+        let mut shared = MultiEngine::new(base);
+        let mut alone = Alone::default();
         let mut gone: Option<QueryId> = None;
         let mut kinds = [0usize; 3]; // construction-time, sealed, retracted
         for (ix, it) in items.iter().enumerate() {
@@ -1688,8 +1810,12 @@ mod tests {
                 _ => 0..0,
             };
             for qx in batch {
-                shared.register_with_policy(Arc::clone(&queries[qx]), policy(qx));
-                alone.register(Arc::clone(&queries[qx]), policy(qx));
+                shared.register(Arc::clone(&queries[qx]), policy(qx));
+                let config = EngineConfig {
+                    policy: policy(qx),
+                    ..base
+                };
+                alone.register(Arc::clone(&queries[qx]), config);
             }
             if ix == unregister_at {
                 let holding = |st: &QueryState| st.due.is_some() && st.settle.len() > 0;
@@ -1700,10 +1826,10 @@ mod tests {
             if ix == restore_at {
                 // every query registered at one position, then regrouped
                 // into the snapshot's epochs by the restore
-                let snap = shared.snapshot().unwrap();
-                shared = SharedMultiEngine::new(base);
+                let snap = shared.snapshot();
+                shared = MultiEngine::new(base);
                 for (qx, q) in queries.iter().enumerate() {
-                    shared.register_with_policy(Arc::clone(q), policy(qx));
+                    shared.register(Arc::clone(q), policy(qx));
                 }
                 shared.unregister(gone.expect("unregistered before the restore"));
                 shared.restore(&snap).unwrap();
@@ -1743,10 +1869,10 @@ mod tests {
         let reg = registry();
         let q1 = parse("PATTERN SEQ(A a, B b) WITHIN 40", &reg).unwrap();
         let q2 = parse("PATTERN SEQ(A a, C c) WITHIN 40", &reg).unwrap();
-        let mut shared = SharedMultiEngine::new(EngineConfig::default());
-        let id1 = shared.register(q1);
-        let id2 = shared.register_with_policy(q2, DisorderPolicy::Speculative);
-        assert_eq!(shared.query_policy(id1), EngineConfig::default().policy);
+        let mut shared = MultiEngine::new(EngineConfig::default());
+        let id1 = shared.register(q1, DisorderPolicy::Conservative);
+        let id2 = shared.register(q2, DisorderPolicy::Speculative);
+        assert_eq!(shared.query_policy(id1), DisorderPolicy::Conservative);
         assert_eq!(shared.query_policy(id2), DisorderPolicy::Speculative);
         shared.ingest(&item(&reg, "A", 1, 10, 0, 0));
         shared.unregister(id1);
@@ -1763,14 +1889,157 @@ mod tests {
         let q1 = parse("PATTERN SEQ(A a, B b) WITHIN 40", &reg).unwrap();
         let q2 = parse("PATTERN SEQ(A a, C c) WITHIN 40", &reg).unwrap();
         let config = EngineConfig::default();
-        let mut shared = SharedMultiEngine::new(config);
-        shared.register(q1);
-        let snap = shared.snapshot().unwrap();
-        let mut other = SharedMultiEngine::new(config);
-        other.register(q2);
+        let snap = plan_of(&[q1], config).snapshot();
         assert!(matches!(
-            other.restore(&snap),
+            plan_of(&[q2], config).restore(&snap),
             Err(CodecError::SnapshotMismatch(_))
         ));
+    }
+
+    const Q_AB: &str = "PATTERN SEQ(A a, B b) WITHIN 100";
+    const Q_BA: &str = "PATTERN SEQ(B b, A a) WITHIN 100";
+    /// A query with a partition key (an equality chain), negating `N`...
+    const Q_PART: &str = "PATTERN SEQ(A a, !N n, B b) WHERE a.x == b.x WITHIN 100";
+    /// ...and one where `N` is a keyed positive slot.
+    const Q_NB: &str = "PATTERN SEQ(N n, B b) WHERE n.x == b.x WITHIN 100";
+
+    fn parsed(reg: &TypeRegistry, texts: &[&str]) -> Vec<Arc<Query>> {
+        texts.iter().map(|t| parse(t, reg).unwrap()).collect()
+    }
+
+    fn k50() -> EngineConfig {
+        EngineConfig::with_k(Duration::new(50))
+    }
+
+    /// 60 lightly disordered arrivals of `A`, `B` and `N`.
+    fn short_stream(reg: &TypeRegistry) -> Vec<StreamItem> {
+        (0..60u64)
+            .map(|t| {
+                let ty = match t % 11 {
+                    7 => "N",
+                    m if m % 3 == 0 => "B",
+                    _ => "A",
+                };
+                let ts = if t % 5 == 2 { t.saturating_sub(3) } else { t };
+                item(reg, ty, t + 1, ts * 2, (t as i64 + 1) % 2, 0)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn outputs_are_tagged_per_query() {
+        let reg = registry();
+        let mut multi = plan_of(&parsed(&reg, &[Q_AB, Q_BA]), k50());
+        let mut out = Vec::new();
+        // A@10, B@20 matches q_ab; B@20, A@30 matches q_ba
+        out.extend(multi.ingest(&item(&reg, "A", 1, 10, 0, 0)));
+        out.extend(multi.ingest(&item(&reg, "B", 2, 20, 0, 0)));
+        out.extend(multi.ingest(&item(&reg, "A", 3, 30, 0, 0)));
+        out.extend(multi.finish());
+        let of = |ix: usize| out.iter().filter(|(q, _)| q.index() == ix).count();
+        assert_eq!((of(0), of(1)), (1, 1));
+        assert_eq!(multi.len(), 2);
+        assert!(!multi.is_empty());
+    }
+
+    #[test]
+    fn per_query_stats_and_state() {
+        let reg = registry();
+        let mut multi = plan_of(&parsed(&reg, &[Q_AB, Q_BA]), k50());
+        multi.ingest(&item(&reg, "A", 1, 10, 0, 0));
+        assert_eq!(multi.stats().len(), 2);
+        assert!(multi.state_size() >= 1);
+        assert_eq!(multi.query(QueryId(0)).positive_len(), 2);
+        // both queries share K = 50, so the minimum watermark sits at 450
+        multi.ingest(&item(&reg, "A", 2, 500, 0, 0));
+        assert_eq!(multi.watermark(), Some(Timestamp::new(450)));
+        let at = (Timestamp::new(500), Timestamp::new(450));
+        assert_eq!(multi.query_positions(), [at, at]);
+    }
+
+    #[test]
+    fn empty_multi_engine_is_harmless() {
+        let reg = registry();
+        let mut multi = MultiEngine::new(k50());
+        assert!(multi.is_empty());
+        assert!(multi.ingest(&item(&reg, "A", 1, 1, 0, 0)).is_empty());
+        assert!(multi.finish().is_empty());
+        assert_eq!(multi.state_size(), 0);
+        assert_eq!(multi.watermark(), None);
+    }
+
+    /// Batched on one plan, item by item on plans of one: the same tagged
+    /// outputs, and the same counters as each query registered alone.
+    #[test]
+    fn a_batched_plan_agrees_with_plans_of_one() {
+        let reg = registry();
+        let items = short_stream(&reg);
+        // two queries with the same (A, B) prefix and window but different
+        // final components force actual prefix sharing on the plan
+        let q_abb = "PATTERN SEQ(A a, B b, B c) WITHIN 12";
+        let q_aba = "PATTERN SEQ(A a, B b, A c) WITHIN 12";
+        let queries = parsed(&reg, &[Q_AB, Q_PART, Q_BA, q_abb, q_aba, Q_NB]);
+
+        let mut alone = independent(&queries, |_| k50());
+        let mut want: Vec<_> = items.iter().flat_map(|it| alone.ingest(it)).collect();
+        want.extend(alone.finish());
+        for qx in 0..queries.len() {
+            assert!(want.iter().any(|(q, _)| q.0 == qx), "query {qx} is idle");
+        }
+        let mut plan = plan_of(&queries, k50());
+        let mut got: Vec<_> = items
+            .chunks(13)
+            .flat_map(|c| plan.ingest_batch(c))
+            .flatten()
+            .collect();
+        got.extend(plan.finish());
+        outputs_eq(&got, &want, "the plan");
+        let pm = plan.plan_metrics();
+        assert!(pm.prefix_groups >= 1, "AB prefix should group: {pm:?}");
+        assert!(pm.routed_events > 0 && pm.routing_misses == 0, "{pm:?}");
+        for (q, lone) in queries.iter().zip(alone.stats()) {
+            let mut registered = plan_of(&[Arc::clone(q)], k50());
+            registered.ingest_batch(&items);
+            registered.finish();
+            assert!(lone.insertions > 0);
+            assert_eq!(registered.stats()[0], lone, "{q:?}");
+        }
+    }
+
+    /// Short enough that no pooled stack purges more than its queries
+    /// would alone: the envelope a plan writes is, byte for byte, the one
+    /// its queries' plans of one write, and either restores into the other.
+    #[test]
+    fn a_plan_writes_the_envelope_of_its_plans_of_one() {
+        let reg = registry();
+        let items = short_stream(&reg);
+        let queries = parsed(&reg, &[Q_AB, Q_PART, Q_BA, Q_NB]);
+        let mut alone = independent(&queries, |_| k50());
+        let mut want: Vec<_> = items.iter().flat_map(|it| alone.ingest(it)).collect();
+        want.extend(alone.finish());
+
+        let (head, tail) = items.split_at(40);
+        let mut plan = plan_of(&queries, k50());
+        let mut lone = independent(&queries, |_| k50());
+        let mut got: Vec<_> = head.iter().flat_map(|it| plan.ingest(it)).collect();
+        for it in head {
+            lone.ingest(it);
+        }
+        let snap = plan.snapshot();
+        assert!(snap == lone.snapshot(), "the envelope differs");
+
+        let (mut plan, mut lone) = (plan_of(&queries, k50()), independent(&queries, |_| k50()));
+        plan.restore(&snap).unwrap();
+        lone.restore(&snap).unwrap();
+        let mut from_lone = got.clone();
+        got.extend(tail.iter().flat_map(|it| plan.ingest(it)));
+        got.extend(plan.finish());
+        from_lone.extend(tail.iter().flat_map(|it| lone.ingest(it)));
+        from_lone.extend(lone.finish());
+        outputs_eq(&got, &want, "restored plan");
+        outputs_eq(&from_lone, &want, "restored plans of one");
+        // a different query count is rejected before anything restores
+        let err = plan_of(&queries[..2], k50()).restore(&snap).unwrap_err();
+        assert!(matches!(err, CodecError::SnapshotMismatch(_)), "{err:?}");
     }
 }

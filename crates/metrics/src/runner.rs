@@ -2,7 +2,7 @@
 
 use std::time::Instant;
 
-use sequin_engine::{Checkpointer, Engine, OutputItem};
+use sequin_engine::{Checkpointer, OutputItem};
 use sequin_runtime::RuntimeStats;
 use sequin_types::StreamItem;
 
@@ -34,6 +34,45 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// The report of one run over `stream` that took `elapsed_secs`,
+    /// produced `outputs`, sampled its state into `state` and ended on
+    /// the operator counters `stats`.
+    pub fn new(
+        stream: &[StreamItem],
+        elapsed_secs: f64,
+        outputs: Vec<OutputItem>,
+        state: StateSamples,
+        stats: RuntimeStats,
+    ) -> RunReport {
+        let mut arrival_latency = Histogram::new();
+        let mut event_time_latency = Histogram::new();
+        for o in &outputs {
+            arrival_latency.record(o.arrival_latency());
+            event_time_latency.record(o.event_time_latency());
+        }
+        let is_event = |i: &&StreamItem| matches!(i, StreamItem::Event(_));
+        let events = stream.iter().filter(is_event).count();
+        RunReport {
+            events,
+            elapsed_secs,
+            throughput_eps: if elapsed_secs > 0.0 {
+                events as f64 / elapsed_secs
+            } else {
+                0.0
+            },
+            outputs,
+            arrival_latency,
+            event_time_latency,
+            peak_state: state.peak,
+            mean_state: if state.count == 0 {
+                0.0
+            } else {
+                state.sum as f64 / state.count as f64
+            },
+            stats,
+        }
+    }
+
     /// Net inserted matches (inserts minus retractions).
     pub fn net_matches(&self) -> usize {
         crate::compare::net_inserts(&self.outputs).len()
@@ -41,97 +80,31 @@ impl RunReport {
 }
 
 /// State-size samples taken during a run.
-#[derive(Default)]
-struct StateSamples {
+#[derive(Debug, Default)]
+pub struct StateSamples {
     peak: usize,
     sum: u128,
     count: u64,
 }
 
 impl StateSamples {
-    fn record(&mut self, size: usize) {
+    /// Records one sample.
+    pub fn record(&mut self, size: usize) {
         self.peak = self.peak.max(size);
         self.sum += size as u128;
         self.count += 1;
     }
-}
 
-fn report(
-    events: usize,
-    elapsed_secs: f64,
-    outputs: Vec<OutputItem>,
-    state: StateSamples,
-    stats: RuntimeStats,
-) -> RunReport {
-    let mut arrival_latency = Histogram::new();
-    let mut event_time_latency = Histogram::new();
-    for o in &outputs {
-        arrival_latency.record(o.arrival_latency());
-        event_time_latency.record(o.event_time_latency());
-    }
-    RunReport {
-        events,
-        elapsed_secs,
-        throughput_eps: if elapsed_secs > 0.0 {
-            events as f64 / elapsed_secs
-        } else {
-            0.0
-        },
-        outputs,
-        arrival_latency,
-        event_time_latency,
-        peak_state: state.peak,
-        mean_state: if state.count == 0 {
-            0.0
-        } else {
-            state.sum as f64 / state.count as f64
-        },
-        stats,
+    /// Counts `size` toward the peak only, not the mean.
+    pub fn raise_peak(&mut self, size: usize) {
+        self.peak = self.peak.max(size);
     }
 }
 
-fn count_events(stream: &[StreamItem]) -> usize {
-    let is_event = |i: &&StreamItem| matches!(i, StreamItem::Event(_));
-    stream.iter().filter(is_event).count()
-}
-
-/// Runs `engine` over `stream` (then finishes it), sampling state size
-/// every `sample_every` items.
-///
-/// # Panics
-///
-/// Panics if `sample_every` is zero.
-pub fn run_engine(
-    engine: &mut dyn Engine,
-    stream: &[StreamItem],
-    sample_every: usize,
-) -> RunReport {
-    assert!(sample_every > 0, "sampling cadence must be positive");
-    let mut outputs = Vec::new();
-    let mut state = StateSamples::default();
-    let start = Instant::now();
-    for (i, item) in stream.iter().enumerate() {
-        outputs.extend(engine.ingest(item));
-        if i % sample_every == 0 {
-            state.record(engine.state_size());
-        }
-    }
-    outputs.extend(engine.finish());
-    let elapsed_secs = start.elapsed().as_secs_f64();
-    state.peak = state.peak.max(engine.state_size());
-    report(
-        count_events(stream),
-        elapsed_secs,
-        outputs,
-        state,
-        engine.stats(),
-    )
-}
-
-/// Like [`run_engine`], for the stack `sequin run` evaluates through — a
-/// [`Checkpointer`] around its [`sequin_engine::MultiEngine`] host — fed
-/// in chunks of `batch` items, sampling state once per chunk. Outputs are
-/// identical to an item-by-item run.
+/// Runs the stack `sequin run` evaluates through — a [`Checkpointer`]
+/// around its [`sequin_engine::MultiEngine`] — over `stream` (then
+/// finishes it), fed in chunks of `batch` items, sampling state once per
+/// chunk. Outputs are identical to an item-by-item run.
 ///
 /// # Panics
 ///
@@ -151,69 +124,35 @@ pub fn run_engine_batched(
     }
     outputs.extend(stack.finish().into_iter().map(|(_, o)| o));
     let elapsed_secs = start.elapsed().as_secs_f64();
-    report(
-        count_events(stream),
-        elapsed_secs,
-        outputs,
-        state,
-        stack.stats(),
-    )
+    RunReport::new(stream, elapsed_secs, outputs, state, stack.stats())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sequin_engine::{EngineConfig, NativeEngine};
+    use sequin_engine::{CheckpointPolicy, EngineConfig, MultiEngine, NativeEngine};
     use sequin_netsim::delay_shuffle;
     use sequin_types::Duration;
     use sequin_workload::{Synthetic, SyntheticConfig};
-
-    #[test]
-    fn report_counts_and_latencies() {
-        let w = Synthetic::new(SyntheticConfig::default());
-        let events = w.generate(2000, 1);
-        let stream = delay_shuffle(&events, 0.2, 50, 7);
-        let q = w.seq_query(3, 60);
-        let mut engine = NativeEngine::new(q, EngineConfig::with_k(Duration::new(60)));
-        let report = run_engine(&mut engine, &stream, 16);
-        assert_eq!(report.events, 2000);
-        assert!(report.throughput_eps > 0.0);
-        assert!(report.net_matches() > 0);
-        assert!(report.peak_state > 0);
-        assert!(report.mean_state > 0.0);
-        assert_eq!(report.outputs.len(), report.arrival_latency.len());
-        // negation-free native emission is immediate
-        assert_eq!(report.arrival_latency.max(), 0);
-        // only events of the three queried types enter stacks
-        assert!(report.stats.insertions > 0);
-        assert!(report.stats.insertions <= 2000);
-    }
+    use std::sync::Arc;
 
     #[test]
     fn batched_run_produces_identical_outputs() {
-        use sequin_engine::{CheckpointPolicy, MultiEngine, Strategy};
         let w = Synthetic::new(SyntheticConfig::default());
         let events = w.generate(1500, 3);
         let stream = delay_shuffle(&events, 0.25, 40, 11);
         let q = w.seq_query(3, 60);
         let cfg = EngineConfig::with_k(Duration::new(60));
-        let mut seq = NativeEngine::new(std::sync::Arc::clone(&q), cfg);
-        let per_item = run_engine(&mut seq, &stream, 16);
-        let mut host = MultiEngine::new(Strategy::Native, cfg);
-        host.register(std::sync::Arc::clone(&q), cfg.policy);
+        let mut seq = NativeEngine::new(Arc::clone(&q), cfg);
+        let mut per_item: Vec<_> = stream.iter().flat_map(|it| seq.ingest(it)).collect();
+        per_item.extend(seq.finish());
+        let mut host = MultiEngine::new(cfg);
+        host.register(Arc::clone(&q), cfg.policy);
         let mut stack = Checkpointer::new(host, CheckpointPolicy::every(100));
         let batched = run_engine_batched(&mut stack, &stream, 64);
-        assert_eq!(batched.outputs, per_item.outputs);
-        assert_eq!(batched.events, per_item.events);
+        assert_eq!(batched.outputs, per_item);
+        assert_eq!(batched.events, events.len());
         assert_eq!(batched.stats.checkpoints_written, stream.len() as u64 / 100);
-    }
-
-    #[test]
-    #[should_panic(expected = "sampling cadence must be positive")]
-    fn zero_cadence_panics() {
-        let w = Synthetic::new(SyntheticConfig::default());
-        let q = w.seq_query(2, 10);
-        let mut engine = NativeEngine::new(q, EngineConfig::default());
-        run_engine(&mut engine, &[], 0);
+        assert!(batched.peak_state > 0 && batched.mean_state > 0.0);
     }
 }

@@ -20,8 +20,8 @@
 //!   it is still unsealed (`e > watermark`), which implies
 //!   `t ≥ s > watermark − 2W − 1`; purge when `t < watermark − 2W − 1`.
 //!
-//! The in-order classic engine uses the same formulas with `K = 0`
-//! (`watermark = clock`).
+//! (The in-order baseline in `sequin-bench` purges on arrival with
+//! `K = 0`, i.e. `watermark = clock`.)
 
 use sequin_types::{Duration, Timestamp};
 

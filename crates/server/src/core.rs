@@ -2,8 +2,8 @@
 //!
 //! [`EngineCore`] owns everything the engine thread touches, in three
 //! layers of which only the outermost is the server's own. Evaluation is a
-//! [`MultiEngine`] — the multi-query host that decides where each query
-//! runs. Durability is a [`Checkpointer`] around that host: position,
+//! [`MultiEngine`] — every registered query on one shared plan. Durability
+//! is a [`Checkpointer`] around it: position,
 //! emission log, the checkpoint cadence, the recovery ladder and replay
 //! suppression. The core adds what only a server has: the text→id
 //! subscription table with its aliases and per-query disorder policies,
@@ -48,8 +48,6 @@ pub struct CoreConfig {
     /// Schema the server negotiates with clients (fingerprint) and parses
     /// query texts against.
     pub registry: Arc<TypeRegistry>,
-    /// Engine strategy used for every registered query.
-    pub strategy: Strategy,
     /// Per-engine configuration (disorder bound, emission policy, ...).
     pub engine: EngineConfig,
     /// `Some(n)` checkpoints every `n` ingested stream items and maintains
@@ -69,15 +67,10 @@ pub struct CoreConfig {
 
 impl CoreConfig {
     /// A volatile (non-durable) core over `registry` with the given
-    /// strategy and engine settings.
-    pub fn new(
-        registry: Arc<TypeRegistry>,
-        strategy: Strategy,
-        engine: EngineConfig,
-    ) -> CoreConfig {
+    /// engine settings, evaluated by the one [`Strategy`].
+    pub fn new(registry: Arc<TypeRegistry>, _: Strategy, engine: EngineConfig) -> CoreConfig {
         CoreConfig {
             registry,
-            strategy,
             engine,
             checkpoint_every: None,
             shards: 1,
@@ -238,7 +231,7 @@ impl std::fmt::Debug for EngineCore {
 
 impl EngineCore {
     fn host(cfg: &CoreConfig) -> MultiEngine {
-        MultiEngine::new(cfg.strategy, cfg.engine)
+        MultiEngine::new(cfg.engine)
     }
 
     fn policy(cfg: &CoreConfig) -> CheckpointPolicy {
@@ -295,8 +288,7 @@ impl EngineCore {
     /// — same pattern, predicates, window, and projection, however the
     /// text was spelled — the existing logical query's id is returned and
     /// the new spelling is remembered as an alias. Only genuinely new
-    /// queries reach the evaluation (and, under the native strategy,
-    /// trigger an incremental recompile of the plan).
+    /// queries reach the evaluation, attaching their nodes to the plan.
     ///
     /// # Errors
     ///
@@ -402,8 +394,7 @@ impl EngineCore {
         }
     }
 
-    /// Takes a checkpoint immediately (no-op when any engine lacks
-    /// snapshot support).
+    /// Takes a checkpoint immediately.
     pub fn checkpoint_now(&mut self) {
         self.ck.checkpoint_now();
     }
@@ -444,10 +435,10 @@ impl EngineCore {
         self.ck.host().watermark()
     }
 
-    /// Shared-plan structural gauges and sharing counters; `None` under
-    /// the control strategies, which have no plan.
+    /// Shared-plan structural gauges and sharing counters. Always `Some`:
+    /// every query runs on the plan.
     pub fn plan_metrics(&self) -> Option<PlanMetrics> {
-        (self.cfg.strategy == Strategy::Native).then(|| self.ck.host().plan_metrics())
+        Some(self.ck.host().plan_metrics())
     }
 
     /// Aggregate operator counters across every query, plus this process's
@@ -477,14 +468,13 @@ impl EngineCore {
     ) {
         let host = self.ck.host();
         let after = host.stats();
-        // every query's clock and watermark stand for the whole call: read
-        // together, under one hold of the pool's lock. The stream clock is
-        // the maximum occurrence timestamp any query has observed (0 before
-        // the first event), the core's watermark the minimum over queries
+        // every query's clock and watermark stand for the whole call, read
+        // together. The stream clock is the maximum occurrence timestamp
+        // any query has observed (0 before the first event), the core's
+        // watermark the minimum over queries
         let positions = host.query_positions();
-        let ticks = |t: Option<Timestamp>| t.map(|t| t.ticks());
-        let clocks = positions.iter().filter_map(|p| ticks(p.0));
-        let watermarks = positions.iter().filter_map(|p| ticks(p.1));
+        let clocks = positions.iter().map(|p| p.0.ticks());
+        let watermarks = positions.iter().map(|p| p.1.ticks());
         let (core_clock, core_wm) = (clocks.max().unwrap_or(0), watermarks.min().unwrap_or(0));
         let steps = |i: usize| {
             let prev = before.get(i).copied().unwrap_or_default();
@@ -515,10 +505,10 @@ impl EngineCore {
         if ingested > 0 && kept() {
             self.obs.ingest_span(ingested, core_clock, core_wm);
         }
-        let watermark = |qid: QueryId| ticks(positions[qid.index()].1).unwrap_or(core_wm);
+        let watermark = |qid: QueryId| positions[qid.index()].1.ticks();
         for (i, qid) in self.subs.iter().map(|s| s.id).enumerate() {
             let Some(steps) = steps(i) else { continue };
-            let clock = ticks(positions[qid.index()].0).unwrap_or(core_clock);
+            let clock = positions[qid.index()].0.ticks();
             let wm = watermark(qid);
             for (kind, delta) in steps {
                 if delta > 0 && kept() {
@@ -617,10 +607,7 @@ impl EngineCore {
             let (i, text, policy) = (s.id.index(), &s.text, s.policy);
             config.push_str(&format!("q{i}: {text} policy={policy:?}\n"));
         }
-        config.push_str(&format!(
-            "strategy={:?} checkpoint_every={:?}",
-            self.cfg.strategy, self.cfg.checkpoint_every
-        ));
+        config.push_str(&format!("checkpoint_every={:?}", self.cfg.checkpoint_every));
         let mut all_params = vec![
             ("cursor".to_string(), self.position()),
             ("queries".to_string(), self.query_count()),
@@ -682,12 +669,13 @@ impl EngineCore {
                 &[("query", i.to_string()), ("qid", stable.clone())],
                 1,
             );
-            if let (Some(clock), Some(wm)) = (host.query_clock(qid), host.query_watermark(qid)) {
-                let (c, w) = (clock.ticks(), wm.ticks());
-                b.gauge("sequin_stream_clock", &labels, c);
-                b.gauge("sequin_watermark", &labels, w);
-                b.gauge("sequin_watermark_lag", &labels, c.saturating_sub(w));
-            }
+            let (c, w) = (
+                host.query_clock(qid).ticks(),
+                host.query_watermark(qid).ticks(),
+            );
+            b.gauge("sequin_stream_clock", &labels, c);
+            b.gauge("sequin_watermark", &labels, w);
+            b.gauge("sequin_watermark_lag", &labels, c.saturating_sub(w));
             b.gauge(
                 "sequin_engine_state_size",
                 &labels,
@@ -712,9 +700,7 @@ impl EngineCore {
                 &labels,
                 self.subs[i].retractions,
             );
-            if let Some(k) = host.query_slack(qid) {
-                b.gauge("sequin_slack_bound", &labels, k.ticks());
-            }
+            b.gauge("sequin_slack_bound", &labels, host.query_slack(qid).ticks());
             if self.obs.enabled() {
                 let qo = self.obs.query_obs().get(i).unwrap_or(&empty);
                 let keyed = [("qid", stable), ("query", i.to_string())];
@@ -804,7 +790,6 @@ pub(crate) mod tests {
     pub(crate) fn cfg(reg: &Arc<TypeRegistry>, every: Option<u64>) -> CoreConfig {
         CoreConfig {
             registry: reg.clone(),
-            strategy: Strategy::Native,
             engine: EngineConfig::with_k(Duration::new(10)),
             checkpoint_every: every,
             shards: 1,

@@ -63,7 +63,7 @@ use crate::transport::{FrameSink, TcpTransport, Transport};
 
 /// Server deployment settings.
 pub struct ServerConfig {
-    /// Schema, strategy, per-engine settings, durability cadence.
+    /// Schema, per-engine settings, durability cadence.
     pub core: CoreConfig,
     /// Queries registered before the first connection is accepted (clients
     /// may SUBSCRIBE more at runtime).

@@ -28,8 +28,8 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use sequin_engine::{
-    DisorderPolicy, Engine, EngineConfig, MultiEngine, NativeEngine, OutputItem, OutputKind,
-    QueryId, Strategy, WatermarkSource,
+    DisorderPolicy, EngineConfig, MultiEngine, NativeEngine, OutputItem, OutputKind, QueryId,
+    Strategy, WatermarkSource,
 };
 use sequin_query::{parse, Query};
 use sequin_server::{loopback_run, CoreConfig, EngineCore};
@@ -277,7 +277,7 @@ pub fn check_case(case: &CaseData, sabotage: Sabotage) -> Vec<Mismatch> {
     // the host under test, as the server builds it: every query of the
     // case on one plan, fed in chunks of `batch` items (1 = item by item)
     let host = |batch: usize| {
-        let mut host = MultiEngine::new(Strategy::Native, sut);
+        let mut host = MultiEngine::new(sut);
         for (q, spec) in queries.iter().zip(&case.queries) {
             host.register(Arc::clone(q), spec.policy);
         }

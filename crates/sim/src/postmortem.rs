@@ -52,7 +52,7 @@ fn policy_from_code(code: u64) -> Option<DisorderPolicy> {
 
 /// Captures a postmortem bundle for a mismatching `(seed, case)` pair.
 ///
-/// Every query of the case is re-driven on one core (Native strategy) with
+/// Every query of the case is re-driven on one core's plan with
 /// provenance tracing on and a ring large enough to hold every output
 /// span, so the bundle's lineage covers the whole run, not
 /// just its tail. The sabotage knobs from `opts` are applied exactly as

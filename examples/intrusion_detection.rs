@@ -10,11 +10,11 @@
 //! cargo run --example intrusion_detection
 //! ```
 
-use sequin::engine::{make_engine, EngineConfig, Strategy};
-use sequin::metrics::run_engine;
+use sequin::engine::EngineConfig;
 use sequin::netsim::{delay_shuffle, measure_disorder};
 use sequin::types::Duration;
 use sequin::workload::Intrusion;
+use sequin_bench::{make_engine, run_engine, Strategy};
 
 fn main() {
     let telemetry = Intrusion::new();

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use sequin::engine::{Engine, EngineConfig, NativeEngine};
+use sequin::engine::{EngineConfig, NativeEngine};
 use sequin::query::parse;
 use sequin::types::{
     Duration, Event, EventId, StreamItem, Timestamp, TypeRegistry, Value, ValueKind,

@@ -10,11 +10,12 @@
 //! cargo run --example rfid_supply_chain
 //! ```
 
-use sequin::engine::{make_engine, EngineConfig, Strategy};
-use sequin::metrics::{compare_outputs, run_engine};
+use sequin::engine::EngineConfig;
+use sequin::metrics::compare_outputs;
 use sequin::netsim::{measure_disorder, DelayModel, Network, Source};
 use sequin::types::{sort_by_timestamp, Duration, StreamItem};
 use sequin::workload::Rfid;
+use sequin_bench::{make_engine, run_engine, Strategy};
 
 fn main() {
     let rfid = Rfid::new();

@@ -17,9 +17,7 @@
 //! cargo run --example stock_monitoring
 //! ```
 
-use sequin::engine::{
-    DisorderPolicy, Engine, EngineConfig, NativeEngine, OutputKind, WatermarkSource,
-};
+use sequin::engine::{DisorderPolicy, EngineConfig, NativeEngine, OutputKind, WatermarkSource};
 use sequin::netsim::{delay_shuffle, punctuate};
 use sequin::types::Duration;
 use sequin::workload::Stock;
@@ -107,7 +105,7 @@ fn main() {
     println!(
         "spike alerts (adaptive):     {alerts} alerts held behind a learned slack \
          bound of {} ticks",
-        engine.slack_bound().map_or(0, |d| d.ticks())
+        engine.k_hat().ticks()
     );
     println!(
         "\nengine state stayed at {} events ({} purge passes)",

@@ -3,7 +3,7 @@
 //! ```text
 //! sequin explain --types 'A(x:int) B(x:int)' 'PATTERN SEQ(A a, B b) WITHIN 10'
 //! sequin run --workload rfid --events 50000 --ooo 0.2 --delay 100
-//! sequin run --workload stock --strategy buffered --k 200
+//! sequin run --workload stock --policy speculative --k 200
 //! sequin replay --types 'A(x:int) B(x:int)' --trace events.txt 'PATTERN SEQ(A a, B b) WITHIN 10'
 //! sequin serve --addr 127.0.0.1:7070 --workload synthetic --checkpoint-every 500 --store srv.ckpt
 //! sequin send --addr 127.0.0.1:7070 --events 10000 --ooo 0.3
@@ -51,7 +51,6 @@ options:
   --ooo F           out-of-order fraction 0..1 (default 0.2)
   --delay D         max lateness in ticks (default 100)
   --seed S          workload/disorder seed (default 42)
-  --strategy NAME   native|buffered|inorder (default native)
   --k K             disorder bound / adaptive floor (default 100)
   --adaptive F      estimate K from observed lateness, safety factor F
   --punctuate N     inject a punctuation every N events
@@ -135,7 +134,6 @@ const FLAGS: &[(&str, bool)] = &[
     ("seeds", true),
     ("shrink", true),
     ("store", true),
-    ("strategy", true),
     ("time-budget", true),
     ("trace", true),
     ("types", true),
@@ -419,12 +417,6 @@ fn run(args: &[String]) -> Result<String, String> {
 /// itself, with a value (`mixed`) these parsers reject.
 fn run_options(flags: &Flags) -> Result<cli::RunOptions, String> {
     Ok(cli::RunOptions {
-        strategy: cli::parse_strategy(
-            flags
-                .get("strategy")
-                .map(String::as_str)
-                .unwrap_or("native"),
-        )?,
         k: get_int(flags, "k")?.unwrap_or(100),
         adaptive: flags
             .get("adaptive")
@@ -451,7 +443,6 @@ fn net_options(flags: &Flags) -> Result<cli::NetOptions, String> {
     let opts = run_options(flags)?;
     Ok(cli::NetOptions {
         k: opts.k,
-        strategy: opts.strategy,
         policy: opts.policy,
         batch: get_int(flags, "batch")?.unwrap_or(64),
         punctuate_every: opts.punctuate_every,

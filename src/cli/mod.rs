@@ -17,7 +17,7 @@ pub use run::{build_workload, run_trace_text, run_workload, RunOptions};
 pub use sim::{run_sim, SimCliOptions};
 pub use trace::{parse_pid, render_bundle, run_trace, TraceOptions};
 
-use sequin_engine::{DisorderPolicy, Strategy};
+use sequin_engine::DisorderPolicy;
 use sequin_query::parse;
 use sequin_types::{TypeRegistry, ValueKind};
 
@@ -213,22 +213,6 @@ fn policy_name(policy: DisorderPolicy) -> String {
     }
 }
 
-/// Parses a strategy name.
-///
-/// # Errors
-///
-/// Lists the accepted names when `name` matches none.
-pub fn parse_strategy(name: &str) -> Result<Strategy, String> {
-    match name {
-        "native" | "native-ooo" => Ok(Strategy::Native),
-        "buffered" | "k-slack" | "k-slack-buffer" => Ok(Strategy::Buffered),
-        "inorder" | "in-order" => Ok(Strategy::InOrder),
-        other => Err(format!(
-            "unknown strategy `{other}` (native|buffered|inorder)"
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,14 +274,6 @@ mod tests {
     fn explain_reports_query_errors() {
         let err = explain("A(x:int)", "PATTERN SEQ(B b) WITHIN 5").unwrap_err();
         assert!(err.contains("unknown event type"));
-    }
-
-    #[test]
-    fn strategy_names() {
-        assert_eq!(parse_strategy("native").unwrap(), Strategy::Native);
-        assert_eq!(parse_strategy("k-slack").unwrap(), Strategy::Buffered);
-        assert_eq!(parse_strategy("in-order").unwrap(), Strategy::InOrder);
-        assert!(parse_strategy("quantum").is_err());
     }
 
     #[test]

@@ -48,8 +48,6 @@ impl Default for StreamSpec {
 pub struct NetOptions {
     /// Disorder bound `K`.
     pub k: u64,
-    /// Evaluation strategy.
-    pub strategy: Strategy,
     /// Disorder-handling policy for server-side evaluation.
     pub policy: DisorderPolicy,
     /// Events per EVENT_BATCH frame (`<= 1` sends singletons).
@@ -65,7 +63,6 @@ impl Default for NetOptions {
     fn default() -> Self {
         NetOptions {
             k: 100,
-            strategy: Strategy::Native,
             policy: DisorderPolicy::Conservative,
             batch: 64,
             punctuate_every: None,
@@ -100,7 +97,7 @@ fn net_core(registry: Arc<TypeRegistry>, net: &NetOptions) -> CoreConfig {
     if net.punctuate_every.is_some() {
         engine.watermark = sequin_engine::WatermarkSource::Both;
     }
-    let mut core = CoreConfig::new(registry, net.strategy, engine);
+    let mut core = CoreConfig::new(registry, Strategy::Native, engine);
     core.obs = net.obs;
     core
 }
@@ -125,8 +122,7 @@ pub fn run_netbench(spec: &StreamSpec, net: &NetOptions) -> Result<String, Strin
         net.batch.max(1)
     ));
     out.push_str(&format!(
-        "evaluation   : {} strategy, {} policy, K={}\n",
-        net.strategy,
+        "evaluation   : {} policy, K={}\n",
         policy_name(net.policy),
         net.k
     ));
@@ -224,8 +220,7 @@ pub fn start_server(
     banner.push_str(&format!("listening    : {addr}\n"));
     banner.push_str(&format!("schema       : fingerprint {fingerprint:#018x}\n"));
     banner.push_str(&format!(
-        "evaluation   : {} strategy, {} policy, K={}\n",
-        opts.net.strategy,
+        "evaluation   : {} policy, K={}\n",
         policy_name(opts.net.policy),
         opts.net.k
     ));

@@ -6,7 +6,6 @@ use std::sync::Arc;
 
 use sequin_engine::{
     CheckpointPolicy, CheckpointStore, Checkpointer, DisorderPolicy, EngineConfig, MultiEngine,
-    Strategy,
 };
 use sequin_metrics::run_engine_batched;
 use sequin_netsim::{delay_shuffle, measure_disorder, punctuate};
@@ -19,8 +18,6 @@ use super::parse_schema;
 /// Options shared by the `run` and `replay` subcommands.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
-    /// Evaluation strategy.
-    pub strategy: Strategy,
     /// Disorder bound `K` (or adaptive floor).
     pub k: u64,
     /// Use adaptive K̂ estimation with this safety factor.
@@ -42,7 +39,6 @@ pub struct RunOptions {
 impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
-            strategy: Strategy::Native,
             k: 100,
             adaptive: None,
             punctuate_every: None,
@@ -194,7 +190,7 @@ fn run_stream(
     // the exactly-once wrapper around it is volatile without
     // `--checkpoint-every`
     let host = || {
-        let mut host = MultiEngine::new(opts.strategy, config);
+        let mut host = MultiEngine::new(config);
         host.register(Arc::clone(&query), opts.policy);
         host
     };
@@ -238,7 +234,6 @@ fn run_stream(
         disorder.late_fraction * 100.0,
         disorder.max_lateness
     ));
-    out.push_str(&format!("strategy     : {}\n", opts.strategy));
     out.push_str(&format!("matches      : {} (net)\n", report.net_matches()));
     out.push_str(&format!(
         "throughput   : {:.0} events/s\n",
@@ -307,7 +302,6 @@ mod tests {
     #[test]
     fn punctuated_and_adaptive_options() {
         let opts = RunOptions {
-            strategy: Strategy::Native,
             k: 50,
             adaptive: Some(2.0),
             punctuate_every: Some(100),

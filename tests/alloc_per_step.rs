@@ -31,7 +31,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration as Wall, Instant};
 
 use common::ev;
-use sequin::engine::{DisorderPolicy, EngineConfig, MultiEngine, OutputKind, Strategy};
+use sequin::engine::{DisorderPolicy, EngineConfig, MultiEngine, OutputKind};
 use sequin::query::{parse, Query};
 use sequin::runtime::AisStack;
 use sequin::server::{decode_frame, encode_frame, Frame};
@@ -102,7 +102,7 @@ fn measure(
         policy,
         ..EngineConfig::with_k(Duration::new(50_000))
     };
-    let mut engine = MultiEngine::new(Strategy::Native, config);
+    let mut engine = MultiEngine::new(config);
     for text in queries {
         engine.register(parse(text, reg).unwrap(), policy);
     }
@@ -224,7 +224,7 @@ fn unsealed_records_a_negative_spares_allocate_nothing() {
 fn negated_arrival(n: u64, t1_newest: bool) -> (u64, u64) {
     let reg = registry();
     let config = EngineConfig::with_k(Duration::new(50_000));
-    let mut engine = MultiEngine::new(Strategy::Native, config);
+    let mut engine = MultiEngine::new(config);
     let text = "PATTERN SEQ(T0 a, !T1 n, T2 c) WITHIN 40000";
     engine.register(parse(text, &reg).unwrap(), DisorderPolicy::Speculative);
     let t1 = if t1_newest { n + 1 } else { 0 };
@@ -359,7 +359,7 @@ fn parsed(reg: &TypeRegistry, texts: &[String]) -> Vec<Arc<Query>> {
 /// A plan host with `queries` registered, and how long that took.
 fn registered(queries: &[Arc<Query>]) -> (MultiEngine, Wall) {
     let config = EngineConfig::with_k(Duration::new(100));
-    let mut engine = MultiEngine::new(Strategy::Native, config);
+    let mut engine = MultiEngine::new(config);
     let started = Instant::now();
     for q in queries {
         engine.register(Arc::clone(q), config.policy);

@@ -5,7 +5,7 @@
 
 mod common;
 
-use sequin::engine::{Engine, EngineConfig, NativeEngine};
+use sequin::engine::{EngineConfig, NativeEngine};
 use sequin::netsim::delay_shuffle;
 use sequin::runtime::purge::PurgePolicy;
 use sequin::types::{Duration, StreamItem};

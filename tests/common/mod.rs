@@ -12,7 +12,7 @@ use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use sequin::engine::{Engine, MultiEngine, OutputItem, QueryId};
+use sequin::engine::{EngineConfig, MultiEngine, OutputItem, QueryId};
 use sequin::query::{BinaryOp, Binding, Expr, Predicate, Query, UnaryOp};
 use sequin::runtime::{regions, Region};
 use sequin::types::{Event, EventId, EventRef, StreamItem, Timestamp, TypeRegistry, Value};
@@ -174,14 +174,8 @@ pub fn net_keys(outputs: &[OutputItem]) -> BTreeSet<Key> {
 }
 
 /// Feeds `items` through `engine` (then finishes), returning all outputs.
-pub fn drive(engine: &mut dyn Engine, items: &[StreamItem]) -> Vec<OutputItem> {
-    let mut out = Vec::new();
-    for item in items {
-        out.extend(engine.ingest(item));
-    }
-    out.extend(engine.finish());
-    out
-}
+#[allow(unused_imports)] // not every test binary drives an engine
+pub use sequin_bench::run_to_end as drive;
 
 /// Builds an event with integer attributes `attrs` for `ty`.
 pub fn ev(reg: &TypeRegistry, ty: &str, id: u64, ts: u64, attrs: &[i64]) -> EventRef {
@@ -198,10 +192,12 @@ pub fn stream_of(events: &[EventRef]) -> Vec<StreamItem> {
     events.iter().cloned().map(StreamItem::Event).collect()
 }
 
-/// A one-query host around a pre-built engine — what a
-/// `sequin::engine::Checkpointer` wraps.
-pub fn host_of(engine: Box<dyn Engine>) -> MultiEngine {
-    MultiEngine::from_engines(vec![engine])
+/// A plan of one under `config` — what a `sequin::engine::Checkpointer`
+/// wraps.
+pub fn host_of(query: &Arc<Query>, config: EngineConfig) -> MultiEngine {
+    let mut host = MultiEngine::new(config);
+    host.register(Arc::clone(query), config.policy);
+    host
 }
 
 /// A one-query host's outputs without their query tags.

@@ -11,8 +11,8 @@ mod common;
 
 use common::{host_of, net_keys, reference_matches, untag};
 use sequin::engine::{
-    make_engine, CheckpointPolicy, CheckpointStore, Checkpointer, DisorderPolicy, Engine,
-    EngineConfig, OutputItem, OutputKind, Strategy,
+    CheckpointPolicy, CheckpointStore, Checkpointer, DisorderPolicy, EngineConfig, MultiEngine,
+    OutputItem, OutputKind, Strategy,
 };
 use sequin::netsim::fault::{bit_flip, truncate};
 use sequin::netsim::{delay_shuffle, measure_disorder, Crash};
@@ -63,8 +63,8 @@ fn scenario(policy: DisorderPolicy, seed: u64) -> Scenario {
     }
 }
 
-fn fresh(s: &Scenario) -> Box<dyn Engine> {
-    make_engine(Strategy::Native, Arc::clone(&s.query), s.config)
+fn fresh(s: &Scenario) -> MultiEngine {
+    host_of(&s.query, s.config)
 }
 
 /// Every `(kind, match)` pair may be delivered at most once across the
@@ -90,7 +90,7 @@ fn assert_no_duplicate_deliveries(delivered: &[OutputItem], ctx: &str) {
 /// The checkpoints a full run writes, as crash points: the stream index
 /// right after each watermark advance the policy checkpointed on.
 fn watermark_advance_points(s: &Scenario) -> Vec<u64> {
-    let mut probe = Checkpointer::new(host_of(fresh(s)), CheckpointPolicy::default());
+    let mut probe = Checkpointer::new(fresh(s), CheckpointPolicy::default());
     let mut points = Vec::new();
     let mut written = 0;
     for (ix, item) in s.stream.iter().enumerate() {
@@ -112,7 +112,7 @@ fn crash_and_recover(
     sabotage: impl FnOnce(&mut CheckpointStore),
 ) -> (Vec<OutputItem>, sequin::runtime::RuntimeStats) {
     let (pre_items, crash_ix) = crash.split(&s.stream);
-    let mut ck = Checkpointer::new(host_of(fresh(s)), CheckpointPolicy::default());
+    let mut ck = Checkpointer::new(fresh(s), CheckpointPolicy::default());
     let mut delivered = Vec::new();
     for item in pre_items {
         delivered.extend(untag(ck.ingest(item)));
@@ -121,9 +121,8 @@ fn crash_and_recover(
     drop(ck); // the crash: only `saved` survives
     sabotage(&mut saved);
 
-    let (mut ck, replay_from) = Checkpointer::resume(CheckpointPolicy::default(), saved, |_| {
-        Ok(host_of(fresh(s)))
-    });
+    let (mut ck, replay_from) =
+        Checkpointer::resume(CheckpointPolicy::default(), saved, |_| Ok(fresh(s)));
     assert!(replay_from <= crash_ix, "resume cannot skip unseen input");
     for item in &s.stream[replay_from as usize..] {
         delivered.extend(untag(ck.ingest(item)));
@@ -234,7 +233,7 @@ fn checkpoint_file_survives_a_process_boundary() {
     let s = scenario(DisorderPolicy::Conservative, 48);
     let crash = Crash::AfterEvents(80);
     let (pre_items, _) = crash.split(&s.stream);
-    let mut ck = Checkpointer::new(host_of(fresh(&s)), CheckpointPolicy::default());
+    let mut ck = Checkpointer::new(fresh(&s), CheckpointPolicy::default());
     let mut delivered = Vec::new();
     for item in pre_items {
         delivered.extend(untag(ck.ingest(item)));
@@ -244,9 +243,8 @@ fn checkpoint_file_survives_a_process_boundary() {
     drop(ck);
 
     let loaded = CheckpointStore::load(&path).unwrap();
-    let (mut ck, replay_from) = Checkpointer::resume(CheckpointPolicy::default(), loaded, |_| {
-        Ok(host_of(fresh(&s)))
-    });
+    let (mut ck, replay_from) =
+        Checkpointer::resume(CheckpointPolicy::default(), loaded, |_| Ok(fresh(&s)));
     for item in &s.stream[replay_from as usize..] {
         delivered.extend(untag(ck.ingest(item)));
     }
@@ -340,7 +338,7 @@ fn pinned_snapshots(policy: DisorderPolicy) -> Pinned {
     for item in &stream[..PIN_CUT] {
         delivered.extend(eng.ingest(item));
     }
-    let native = eng.snapshot().unwrap();
+    let native = eng.snapshot();
 
     let mut core = EngineCore::new(pin_core_cfg(w.registry(), config));
     core.subscribe(PIN_QUERY).unwrap();
@@ -554,7 +552,7 @@ fn run_policy() -> CheckpointPolicy {
 /// writer produced: checkpoints of `position, log mark, bytes(engine
 /// snapshot)` and untagged `(kind, match key)` log records.
 fn run_store_0_10(p: &Pinned) -> CheckpointStore {
-    let mut eng = make_engine(Strategy::Native, Arc::clone(&p.query), p.config);
+    let mut eng = NativeEngine::new(Arc::clone(&p.query), p.config);
     let mut store = CheckpointStore::new();
     for (ix, item) in p.stream[..PIN_CUT].iter().enumerate() {
         for o in eng.ingest(item) {
@@ -567,7 +565,7 @@ fn run_store_0_10(p: &Pinned) -> CheckpointStore {
             let mut w = Writer::new();
             w.put_u64(ix as u64 + 1);
             w.put_u64(store.log_len() as u64);
-            w.put_bytes(&eng.snapshot().unwrap());
+            w.put_bytes(&eng.snapshot());
             store.push_checkpoint(seal_envelope(&w.into_bytes()));
         }
     }
@@ -579,13 +577,7 @@ fn a_0_10_run_store_is_rejected_whole_and_todays_resumes_exactly_once() {
     let policies = [DisorderPolicy::Conservative, DisorderPolicy::Speculative];
     for (px, policy) in policies.into_iter().enumerate() {
         let p = pinned_snapshots(policy);
-        let host = || {
-            host_of(make_engine(
-                Strategy::Native,
-                Arc::clone(&p.query),
-                p.config,
-            ))
-        };
+        let host = || host_of(&p.query, p.config);
 
         // the old format: every artifact fails its decode and is counted,
         // nothing is half-read, and the run is a cold start

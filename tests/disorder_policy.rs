@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use common::{host_of, net_keys, reference_matches, untag};
 use sequin::engine::{
-    make_engine, CheckpointPolicy, Checkpointer, DisorderPolicy, Engine, EngineConfig, OutputItem,
+    CheckpointPolicy, Checkpointer, DisorderPolicy, EngineConfig, NativeEngine, OutputItem,
     OutputKind, Strategy,
 };
 use sequin::netsim::{delay_shuffle, measure_disorder, Crash};
@@ -72,14 +72,11 @@ fn learned_bound(stream: &[StreamItem], accuracy: u8) -> u64 {
     let query = w.negation_query(40);
     let mut cfg = EngineConfig::with_k(Duration::new(1));
     cfg.policy = DisorderPolicy::AdaptiveSlack { accuracy };
-    let mut engine = make_engine(Strategy::Native, query, cfg);
+    let mut engine = NativeEngine::new(query, cfg);
     for item in stream {
         engine.ingest(item);
     }
-    engine
-        .slack_bound()
-        .expect("adaptive engines track a bound")
-        .ticks()
+    engine.k_hat().ticks()
 }
 
 #[test]
@@ -177,10 +174,10 @@ fn policy_change_across_checkpoint_resume_stays_exactly_once() {
         let stream = delay_shuffle(&events, 0.3, 30, seed ^ 0x5A5A);
         let k = measure_disorder(&stream).max_lateness.ticks().max(1);
 
-        let engine_with = |policy: DisorderPolicy| -> Box<dyn Engine> {
+        let host_with = |policy: DisorderPolicy| {
             let mut cfg = EngineConfig::with_k(Duration::new(k));
             cfg.policy = policy;
-            make_engine(Strategy::Native, Arc::clone(&query), cfg)
+            host_of(&query, cfg)
         };
 
         // crash at two different depths so the switch lands both before
@@ -190,8 +187,7 @@ fn policy_change_across_checkpoint_resume_stays_exactly_once() {
             let crash = Crash::AfterEvents(stream.len() as u64 / frac);
             let (pre_items, crash_ix) = crash.split(&stream);
 
-            let mut ck =
-                Checkpointer::new(host_of(engine_with(before)), CheckpointPolicy::default());
+            let mut ck = Checkpointer::new(host_with(before), CheckpointPolicy::default());
             let mut delivered = Vec::new();
             for item in pre_items {
                 delivered.extend(untag(ck.ingest(item)));
@@ -201,9 +197,7 @@ fn policy_change_across_checkpoint_resume_stays_exactly_once() {
 
             // resume the persisted state under the *other* policy
             let (mut ck, replay_from) =
-                Checkpointer::resume(CheckpointPolicy::default(), saved, |_| {
-                    Ok(host_of(engine_with(after)))
-                });
+                Checkpointer::resume(CheckpointPolicy::default(), saved, |_| Ok(host_with(after)));
             assert!(replay_from <= crash_ix, "{ctx}: resume skipped input");
             for item in &stream[replay_from as usize..] {
                 delivered.extend(untag(ck.ingest(item)));

@@ -4,7 +4,7 @@
 mod common;
 
 use common::{drive, ev, net_keys, reference_matches, stream_of};
-use sequin::engine::{make_engine, Engine, EngineConfig, NativeEngine, Strategy as EngineStrategy};
+use sequin::engine::{EngineConfig, NativeEngine};
 use sequin::prng::Rng;
 use sequin::query::{parse, QueryBuilder};
 use sequin::types::{Duration, StreamItem, Timestamp, TypeRegistry, ValueKind};
@@ -26,12 +26,8 @@ fn window_of_one_tick_only_adjacent_timestamps() {
         ev(&reg, "B", 2, 11, &[0]), // span 1: ok
         ev(&reg, "B", 3, 12, &[0]), // span 2: out
     ];
-    let mut engine = make_engine(
-        EngineStrategy::Native,
-        q,
-        EngineConfig::with_k(Duration::new(5)),
-    );
-    let keys = net_keys(&drive(engine.as_mut(), &stream_of(&events)));
+    let mut engine = NativeEngine::new(q, EngineConfig::with_k(Duration::new(5)));
+    let keys = net_keys(&drive(&mut engine, &stream_of(&events)));
     assert_eq!(keys.len(), 1);
     assert!(keys.contains(&vec![1, 2]));
 }
@@ -45,12 +41,8 @@ fn timestamps_near_u64_max_do_not_overflow() {
         ev(&reg, "A", 1, huge, &[0]),
         ev(&reg, "B", 2, huge + 10, &[0]),
     ];
-    let mut engine = make_engine(
-        EngineStrategy::Native,
-        q,
-        EngineConfig::with_k(Duration::new(1_000)),
-    );
-    let out = drive(engine.as_mut(), &stream_of(&events));
+    let mut engine = NativeEngine::new(q, EngineConfig::with_k(Duration::new(1_000)));
+    let out = drive(&mut engine, &stream_of(&events));
     assert_eq!(out.len(), 1);
 }
 
@@ -61,15 +53,8 @@ fn timestamp_zero_events_are_legal() {
     // leading negation region clamps at t0
     let events = vec![ev(&reg, "A", 1, 0, &[0]), ev(&reg, "A", 2, 5, &[0])];
     let oracle = reference_matches(&q, &events);
-    let mut engine = make_engine(
-        EngineStrategy::Native,
-        q,
-        EngineConfig::with_k(Duration::new(10)),
-    );
-    assert_eq!(
-        net_keys(&drive(engine.as_mut(), &stream_of(&events))),
-        oracle
-    );
+    let mut engine = NativeEngine::new(q, EngineConfig::with_k(Duration::new(10)));
+    assert_eq!(net_keys(&drive(&mut engine, &stream_of(&events))), oracle);
     assert_eq!(oracle.len(), 2);
 }
 
@@ -102,15 +87,8 @@ fn zero_k_equals_classic_assumption() {
         ev(&reg, "B", 4, 40, &[0]),
     ];
     let oracle = reference_matches(&q, &events);
-    let mut engine = make_engine(
-        EngineStrategy::Native,
-        q,
-        EngineConfig::with_k(Duration::ZERO),
-    );
-    assert_eq!(
-        net_keys(&drive(engine.as_mut(), &stream_of(&events))),
-        oracle
-    );
+    let mut engine = NativeEngine::new(q, EngineConfig::with_k(Duration::ZERO));
+    assert_eq!(net_keys(&drive(&mut engine, &stream_of(&events))), oracle);
 }
 
 #[test]
@@ -125,12 +103,8 @@ fn single_positive_with_both_flank_negations() {
         ev(&reg, "A", 5, 200, &[0]), // clean
     ];
     let oracle = reference_matches(&q, &events);
-    let mut engine = make_engine(
-        EngineStrategy::Native,
-        q,
-        EngineConfig::with_k(Duration::new(50)),
-    );
-    let got = net_keys(&drive(engine.as_mut(), &stream_of(&events)));
+    let mut engine = NativeEngine::new(q, EngineConfig::with_k(Duration::new(50)));
+    let got = net_keys(&drive(&mut engine, &stream_of(&events)));
     assert_eq!(got, oracle);
     assert_eq!(oracle.len(), 2);
 }
@@ -153,7 +127,7 @@ fn engine_survives_interleaved_finish_free_streams() {
     // ingesting nothing but punctuations, then finishing twice
     let reg = registry();
     let q = parse("PATTERN SEQ(A a, !N n, B b) WITHIN 10", &reg).unwrap();
-    let mut engine = make_engine(EngineStrategy::Native, q, EngineConfig::default());
+    let mut engine = NativeEngine::new(q, EngineConfig::default());
     for t in [5u64, 10, 15] {
         assert!(engine
             .ingest(&StreamItem::Punctuation(Timestamp::new(t)))

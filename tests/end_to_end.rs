@@ -4,11 +4,12 @@
 mod common;
 
 use common::{drive, net_keys, reference_matches};
-use sequin::engine::{make_engine, EngineConfig, OutputKind, Strategy};
-use sequin::metrics::{compare_outputs, run_engine, Histogram};
+use sequin::engine::{EngineConfig, OutputKind};
+use sequin::metrics::{compare_outputs, Histogram};
 use sequin::netsim::{delay_shuffle, measure_disorder};
 use sequin::types::{sort_by_timestamp, Duration, StreamItem, Value};
 use sequin::workload::{Intrusion, Rfid, Stock, Synthetic, SyntheticConfig};
+use sequin_bench::{make_engine, run_engine, Strategy};
 use std::sync::Arc;
 
 #[test]

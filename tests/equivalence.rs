@@ -7,11 +7,12 @@
 mod common;
 
 use common::{drive, net_keys, reference_matches, stream_of};
-use sequin::engine::{make_engine, DisorderPolicy, EngineConfig, Strategy};
+use sequin::engine::{DisorderPolicy, EngineConfig};
 use sequin::netsim::{delay_shuffle, measure_disorder};
 use sequin::query::Query;
 use sequin::types::{sort_by_timestamp, Duration, EventRef};
 use sequin::workload::{Intrusion, Rfid, Stock, Synthetic, SyntheticConfig};
+use sequin_bench::{make_engine, Strategy};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 

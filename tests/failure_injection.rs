@@ -5,10 +5,7 @@
 mod common;
 
 use common::{drive, ev, net_keys, reference_matches, stream_of};
-use sequin::engine::{
-    make_engine, DisorderPolicy, Engine, EngineConfig, NativeEngine, OutputKind, Strategy,
-    WatermarkSource,
-};
+use sequin::engine::{DisorderPolicy, EngineConfig, NativeEngine, OutputKind, WatermarkSource};
 use sequin::netsim::{measure_disorder, punctuate, DelayModel, Network, Outage, Source};
 use sequin::prng::Rng;
 use sequin::query::parse;
@@ -24,6 +21,7 @@ use sequin::types::{
     ValueKind,
 };
 use sequin::workload::{Synthetic, SyntheticConfig};
+use sequin_bench::{make_engine, Strategy};
 use std::io::ErrorKind;
 use std::sync::Arc;
 

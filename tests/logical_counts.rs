@@ -20,10 +20,7 @@ mod common;
 
 use std::sync::Arc;
 
-use sequin::engine::{
-    DisorderPolicy, EngineConfig, MultiEngine, OutputItem, OutputKind, QueryId, SharedMultiEngine,
-    Strategy,
-};
+use sequin::engine::{DisorderPolicy, EngineConfig, MultiEngine, OutputItem, OutputKind, QueryId};
 use sequin::netsim::delay_shuffle;
 use sequin::query::{parse, Query};
 use sequin::runtime::RuntimeStats;
@@ -78,7 +75,7 @@ fn counts_and_retractions(
         policy,
         ..EngineConfig::with_k(Duration::new(max_delay))
     };
-    let mut engine = MultiEngine::new(Strategy::Native, config);
+    let mut engine = MultiEngine::new(config);
     for q in queries(&w) {
         engine.register(q, policy);
     }
@@ -182,27 +179,27 @@ fn shared_counters_through_every_change_of_plan() {
     let (second_batch, unregister_at, restore_at) = (3000, 5000, 6000);
     let (first, member) = (40, 7);
 
-    let mut engine = SharedMultiEngine::new(config);
+    let mut engine = MultiEngine::new(config);
     let ids: Vec<QueryId> = queries[..first]
         .iter()
-        .map(|q| engine.register(Arc::clone(q)))
+        .map(|q| engine.register(Arc::clone(q), config.policy))
         .collect();
     let gone = ids[member];
     for (ix, item) in stream.iter().enumerate() {
         if ix == second_batch {
             for q in &queries[first..] {
-                engine.register(Arc::clone(q));
+                engine.register(Arc::clone(q), config.policy);
             }
         }
         if ix == unregister_at {
             engine.unregister(gone);
         }
         if ix == restore_at {
-            let snap = engine.snapshot().unwrap();
-            engine = SharedMultiEngine::new(config);
+            let snap = engine.snapshot();
+            engine = MultiEngine::new(config);
             let ids: Vec<QueryId> = queries
                 .iter()
-                .map(|q| engine.register(Arc::clone(q)))
+                .map(|q| engine.register(Arc::clone(q), config.policy))
                 .collect();
             engine.unregister(ids[member]);
             engine.restore(&snap).unwrap();

@@ -7,9 +7,7 @@ mod common;
 
 use std::sync::Arc;
 
-use sequin::engine::{
-    Engine, EngineConfig, MultiEngine, NativeEngine, OutputItem, QueryId, Strategy,
-};
+use sequin::engine::{EngineConfig, NativeEngine, OutputItem, Strategy};
 use sequin::netsim::{delay_shuffle, measure_disorder};
 use sequin::obs::SeriesValue;
 use sequin::query::parse;
@@ -56,21 +54,27 @@ fn two_thousand_keys_survive_a_crash() {
     assert!(disorder.late_events > 3_000, "{disorder:?}");
     let engine = EngineConfig::with_k(Duration::new(disorder.max_lateness.ticks()));
 
-    // the independent reference: every query on a native engine of its own
-    let alone = |text| -> Box<dyn Engine> {
+    // the independent reference: every query on a native engine of its
+    // own, outputs tagged per arrival in registration order as a plan
+    // tags them
+    let alone = |text| {
         let query = parse(text, w.registry()).unwrap();
         assert!(query.partition().is_some());
-        Box::new(NativeEngine::new(query, engine))
+        NativeEngine::new(query, engine)
     };
-    let mut reference = MultiEngine::from_engines(texts.map(alone).into());
-    let mut want: Vec<(QueryId, OutputItem)> = reference
-        .ingest_batch(&stream)
-        .into_iter()
-        .flatten()
-        .collect();
-    want.extend(reference.finish());
+    let mut reference = texts.map(alone);
+    let mut want: Vec<(usize, OutputItem)> = Vec::new();
+    let mut tagged = |of: &mut dyn FnMut(&mut NativeEngine) -> Vec<OutputItem>| {
+        for (q, e) in reference.iter_mut().enumerate() {
+            want.extend(of(e).into_iter().map(|o| (q, o)));
+        }
+    };
+    for item in &stream {
+        tagged(&mut |e| e.ingest(item));
+    }
+    tagged(&mut NativeEngine::finish);
     for q in 0..texts.len() {
-        let of_q = want.iter().filter(|(id, _)| id.index() == q).count();
+        let of_q = want.iter().filter(|(id, _)| *id == q).count();
         assert!(of_q > 100, "query {q} matched {of_q} times");
     }
 
@@ -94,6 +98,7 @@ fn two_thousand_keys_survive_a_crash() {
     assert!(restored >= live, "{restored} of {live}");
     got.extend(core.ingest_batch(&stream[cut..]));
     got.extend(core.finish());
+    let got: Vec<_> = got.into_iter().map(|(id, o)| (id.index(), o)).collect();
     assert_eq!(got.len(), want.len());
     assert!(got == want, "outputs differ");
 }

@@ -4,7 +4,7 @@
 mod common;
 
 use common::{drive, net_keys, reference_matches};
-use sequin::engine::{make_engine, DisorderPolicy, EngineConfig, MultiEngine, Strategy};
+use sequin::engine::{DisorderPolicy, EngineConfig, MultiEngine, NativeEngine};
 use sequin::netsim::{delay_shuffle, measure_disorder};
 use sequin::types::Duration;
 use sequin::workload::Rfid;
@@ -26,8 +26,8 @@ fn shared_stream_matches_standalone_evaluation() {
     let standalone: Vec<BTreeSet<Vec<u64>>> = queries
         .iter()
         .map(|q| {
-            let mut engine = make_engine(Strategy::Native, Arc::clone(q), cfg);
-            net_keys(&drive(engine.as_mut(), &stream))
+            let mut engine = NativeEngine::new(Arc::clone(q), cfg);
+            net_keys(&drive(&mut engine, &stream))
         })
         .collect();
     assert!(standalone.iter().all(|s| !s.is_empty()));
@@ -43,7 +43,7 @@ fn shared_stream_matches_standalone_evaluation() {
 
     // multi-engine run: both queries on one plan — a plan of two against
     // two plans of one
-    let mut multi = MultiEngine::new(Strategy::Native, cfg);
+    let mut multi = MultiEngine::new(cfg);
     let ids: Vec<_> = queries
         .iter()
         .map(|q| multi.register(Arc::clone(q), cfg.policy))
@@ -75,18 +75,10 @@ fn mixed_strategies_and_policies_coexist() {
     let stream = delay_shuffle(&history, 0.2, 30, 3);
     let k = measure_disorder(&stream).max_lateness.ticks().max(1);
 
-    let config = EngineConfig::with_k(Duration::new(k));
-    let speculating = EngineConfig {
-        policy: DisorderPolicy::Speculative,
-        ..config
-    };
-    let mut multi = MultiEngine::from_engines(vec![
-        make_engine(Strategy::Native, rfid.skipped_scan_query(100), config),
-        make_engine(Strategy::Native, rfid.skipped_scan_query(100), speculating),
-        make_engine(Strategy::Buffered, rfid.lifecycle_query(100), config),
-    ]);
-    // ids are dense, in the order given
-    let (conservative, speculative, buffered) = (0, 1, 2);
+    // the same query twice on one plan, under two disorder policies
+    let mut multi = MultiEngine::new(EngineConfig::with_k(Duration::new(k)));
+    let policies = [DisorderPolicy::Conservative, DisorderPolicy::Speculative];
+    let ids = policies.map(|p| multi.register(rfid.skipped_scan_query(100), p));
 
     let mut tagged = Vec::new();
     for item in &stream {
@@ -94,18 +86,18 @@ fn mixed_strategies_and_policies_coexist() {
     }
     tagged.extend(multi.finish());
 
-    let per = |qx: usize| {
+    let [conservative, speculative] = ids.map(|qid| {
         let outputs: Vec<_> = tagged
             .iter()
-            .filter(|(id, _)| id.index() == qx)
+            .filter(|(id, _)| *id == qid)
             .map(|(_, o)| o.clone())
             .collect();
         net_keys(&outputs)
-    };
+    });
     // both disorder policies agree on the net skipped-scan alerts
-    assert_eq!(per(conservative), per(speculative));
-    assert!(!per(buffered).is_empty());
-    assert_eq!(multi.stats().len(), 3);
+    assert!(!conservative.is_empty());
+    assert_eq!(conservative, speculative);
+    assert_eq!(multi.stats().len(), 2);
     assert!(multi.state_size() > 0);
 }
 
@@ -139,7 +131,7 @@ fn a_query_family_stays_one_plan() {
         })
         .collect();
 
-    let mut host = MultiEngine::new(Strategy::Native, cfg);
+    let mut host = MultiEngine::new(cfg);
     for query in &family {
         host.register(Arc::clone(query), cfg.policy);
     }
@@ -247,7 +239,7 @@ fn batched_equals_item_by_item(
     let k = measure_disorder(stream).max_lateness.ticks().max(1);
     let cfg = EngineConfig::with_k(Duration::new(k));
     let run = |batch: usize| {
-        let mut host = MultiEngine::new(Strategy::Native, cfg);
+        let mut host = MultiEngine::new(cfg);
         let mut out = Vec::new();
         for (ix, chunk) in stream.chunks(batch).enumerate() {
             let joining = match ix * batch {

@@ -20,9 +20,7 @@
 mod common;
 
 use common::{drive, net_keys, reference_matches};
-use sequin::engine::{
-    make_engine, DisorderPolicy, EngineConfig, KSlackBuffer, Strategy as EngineStrategy,
-};
+use sequin::engine::{DisorderPolicy, EngineConfig};
 use sequin::netsim::{delay_shuffle, measure_disorder};
 use sequin::prng::Rng;
 use sequin::query::parse;
@@ -32,6 +30,7 @@ use sequin::types::{
     ArrivalSeq, Decode, Duration, Encode, Event, EventId, EventRef, Reader, Timestamp,
     TypeRegistry, Value, ValueKind, Writer,
 };
+use sequin_bench::{make_engine, KSlackBuffer, Strategy as EngineStrategy};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use sequin::engine::{DisorderPolicy, Engine, EngineConfig, NativeEngine};
+use sequin::engine::{DisorderPolicy, EngineConfig, NativeEngine};
 use sequin::netsim::delay_shuffle;
 use sequin::sim::case::{sim_registry, CaseData};
 use sequin::sim::diff::{engine_config, Sabotage};
@@ -152,13 +152,13 @@ fn shrinking_adaptive_bound_never_evicts_unsettled_state() {
         for item in &stream {
             eager_out.extend(eager.ingest(item));
             unbounded_out.extend(unbounded.ingest(item));
-            let bound = eager.slack_bound().expect("adaptive bound").ticks();
+            let bound = eager.k_hat().ticks();
             peak_bound = peak_bound.max(bound);
             let wm = eager.watermark().ticks();
             assert!(wm >= last_wm, "seed {seed}: watermark retreated");
             last_wm = wm;
         }
-        let final_bound = eager.slack_bound().expect("adaptive bound").ticks();
+        let final_bound = eager.k_hat().ticks();
         assert!(
             final_bound < peak_bound,
             "seed {seed}: the bound never shrank (peak {peak_bound}, final \

@@ -9,7 +9,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use sequin::engine::{DisorderPolicy, MultiEngine, Strategy};
+use sequin::engine::{DisorderPolicy, MultiEngine};
 use sequin::sim::case::{sim_registry, CaseData, SimItem};
 use sequin::sim::diff::engine_config;
 use sequin::sim::{check_case, replay, run, Sabotage, SimOptions};
@@ -93,7 +93,7 @@ fn generation_is_deterministic() {
             .collect();
         mixed += u32::from(policies.len() >= 2);
         let cfg = engine_config(&case, Sabotage::default());
-        let mut host = MultiEngine::new(Strategy::Native, cfg);
+        let mut host = MultiEngine::new(cfg);
         for q in &case.queries {
             let query = q
                 .plan
