@@ -1,4 +1,4 @@
-//! The reconstructed evaluation, one function per experiment (`E1`–`E12`).
+//! The reconstructed evaluation, one function per experiment (`E1`–`E13`).
 //!
 //! See `DESIGN.md` §5 for the experiment index and `EXPERIMENTS.md` for the
 //! recorded results and shape claims. Workload parameters are chosen so
@@ -10,7 +10,7 @@ use std::sync::Arc;
 use sequin_engine::{DisorderPolicy, EngineConfig, OutputKind, WatermarkSource};
 use sequin_metrics::{compare_outputs, Accuracy, RunReport, Table};
 use sequin_netsim::{
-    delay_shuffle, measure_disorder, punctuate, DelayModel, Network, Outage, Source,
+    delay_shuffle, measure_disorder, punctuate, DelayModel, DisorderReport, Network, Outage, Source,
 };
 use sequin_query::Query;
 use sequin_runtime::purge::PurgePolicy;
@@ -520,9 +520,14 @@ pub fn e12(scale: Scale) -> String {
     )
 }
 
-/// E13 (extension) — adaptive disorder-bound estimation vs. fixed K under
-/// heavy-tailed (Pareto) delays where the true bound is unknown a priori.
-pub fn e13(scale: Scale) -> String {
+/// One E13 bound: its label, its run, its final `K`, and its accuracy
+/// against fixed `K` = the true maximum lateness.
+type E13Row = (String, RunReport, u64, Accuracy);
+
+/// E13's stream disorder, its under-sized fixed `K` (the adaptive rows'
+/// floor), and its rows: the true-max bound first, then the under-sized
+/// one, then adaptive at safeties 1 and 2.
+fn e13_rows(scale: Scale) -> (DisorderReport, u64, Vec<E13Row>) {
     let w = workload(4);
     let events = w.generate(scale.events / 2, scale.seed);
     let net = Network::new(
@@ -542,7 +547,31 @@ pub fn e13(scale: Scale) -> String {
 
     // ground truth: fixed K equal to the true bound
     let oracle = run(Strategy::Native, &q, true_k, &stream);
+    let mut rows = Vec::new();
+    let mut row = |name: String, r: RunReport, k_final: u64| {
+        let acc = compare_outputs(&r.outputs, &oracle.outputs);
+        rows.push((name, r, k_final, acc));
+    };
+    row("fixed K = true max".into(), oracle.clone(), true_k);
 
+    let small_k = (report.mean_lateness * 3.0).ceil() as u64 + 1;
+    let under = run(Strategy::Native, &q, small_k, &stream);
+    row(format!("fixed K = 3x mean ({small_k})"), under, small_k);
+
+    for safety in [1.0f64, 2.0] {
+        let cfg = EngineConfig::with_adaptive_k(Duration::new(small_k), safety);
+        let mut engine = sequin_engine::NativeEngine::new(Arc::clone(&q), cfg);
+        let r = run_engine(&mut engine, &stream, 64);
+        let name = format!("adaptive (floor {small_k}, safety {safety})");
+        row(name, r, engine.k_hat().ticks());
+    }
+    (report, small_k, rows)
+}
+
+/// E13 (extension) — adaptive disorder-bound estimation vs. fixed K under
+/// heavy-tailed (Pareto) delays where the true bound is unknown a priori.
+pub fn e13(scale: Scale) -> String {
+    let (report, _, rows) = e13_rows(scale);
     let mut t = Table::new(&[
         "bound",
         "k final",
@@ -550,35 +579,14 @@ pub fn e13(scale: Scale) -> String {
         "mean state",
         "beyond-k arrivals",
     ]);
-    let mut row = |name: String, r: &RunReport, k_final: String| {
-        let acc = compare_outputs(&r.outputs, &oracle.outputs);
+    for (name, r, k_final, acc) in rows {
         t.row(&[
             name,
-            k_final,
+            k_final.to_string(),
             f2(acc.recall()),
             f2(r.mean_state),
             r.stats.late_drops.to_string(),
         ]);
-    };
-    row("fixed K = true max".into(), &oracle, true_k.to_string());
-
-    let small_k = (report.mean_lateness * 3.0).ceil() as u64 + 1;
-    let under = run(Strategy::Native, &q, small_k, &stream);
-    row(
-        format!("fixed K = 3x mean ({small_k})"),
-        &under,
-        small_k.to_string(),
-    );
-
-    for safety in [1.0f64, 2.0] {
-        let cfg = EngineConfig::with_adaptive_k(Duration::new(small_k), safety);
-        let mut engine = sequin_engine::NativeEngine::new(Arc::clone(&q), cfg);
-        let r = run_engine(&mut engine, &stream, 64);
-        row(
-            format!("adaptive (floor {small_k}, safety {safety})"),
-            &r,
-            engine.k_hat().ticks().to_string(),
-        );
     }
     format!(
         "E13  adaptive K̂ vs. fixed K under Pareto delays (extension)\n\
@@ -649,6 +657,27 @@ mod tests {
             assert!(latency(&kb) >= latency(&no), "latency, K = {k}");
             assert!(kb.peak_state >= no.peak_state, "peak state, K = {k}");
         }
+    }
+
+    /// E13's shape: the true-max bound is exact, an under-sized one loses
+    /// matches, and the adaptive bound recovers them from that floor, with
+    /// less state than the true max at safety 1.
+    #[test]
+    fn adaptive_k_recovers_what_an_undersized_k_loses() {
+        let (_, floor, rows) = e13_rows(Scale::ci());
+        let [exact, under, adaptive @ ..] = &rows[..] else {
+            panic!("{} rows", rows.len())
+        };
+        assert_eq!(exact.3.recall(), 1.0, "{}", exact.0);
+        assert!(under.3.recall() < 1.0, "{}: {}", under.0, under.3.recall());
+        for (name, r, k_final, acc) in adaptive {
+            assert!(acc.recall() >= under.3.recall(), "{name}: {}", acc.recall());
+            assert!(r.stats.late_drops < under.1.stats.late_drops, "{name}");
+            assert!(*k_final >= floor, "{name}: K̂ {k_final} below {floor}");
+        }
+        let safety_1 = &adaptive[0];
+        assert!(safety_1.0.contains("safety 1)"), "{}", safety_1.0);
+        assert!(safety_1.1.mean_state < exact.1.mean_state, "{}", safety_1.0);
     }
 
     #[test]

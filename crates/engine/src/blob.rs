@@ -95,8 +95,10 @@ impl QueryBlob {
     }
 
     /// Opens a blob written by [`QueryBlob::encode`] for `query` under
-    /// `config`; `settle` supplies the query's policy (see
-    /// [`Settle::decode`]). Fails without side effects.
+    /// `config`; `settle` supplies the query's *current* policy, which the
+    /// restored tracker's bound and the settle tail follow (see
+    /// [`Settle::decode`]), so a policy change across a checkpoint takes
+    /// effect on restore. Fails without side effects.
     pub(crate) fn decode(
         query: &Query,
         config: &EngineConfig,
@@ -109,7 +111,7 @@ impl QueryBlob {
                 "query/configuration fingerprint",
             ));
         }
-        let wm = WatermarkTracker::restore_from(config, &mut r)?;
+        let wm = WatermarkTracker::restore_from(config, settle.policy(), &mut r)?;
         let seq = ArrivalSeq::decode(&mut r)?;
         let stats = RuntimeStats::decode(&mut r)?;
         let mut stacks: Vec<Vec<EventRef>> = vec![Vec::new(); query.positive_len()];

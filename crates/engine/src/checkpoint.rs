@@ -243,6 +243,18 @@ impl CheckpointStore {
         CheckpointStore::from_bytes(&bytes)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
+
+    /// The store at `path` to resume from, or an empty one when there is
+    /// none. A file that cannot be read or fails its checksum — a kill
+    /// mid-save leaves one — also gives an empty store, plus the reason:
+    /// every resume cold-starts on it rather than refusing to run.
+    pub fn load_or_empty(path: &Path) -> (CheckpointStore, Option<std::io::Error>) {
+        match CheckpointStore::load(path) {
+            Ok(store) => (store, None),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => (CheckpointStore::new(), None),
+            Err(e) => (CheckpointStore::new(), Some(e)),
+        }
+    }
 }
 
 /// Crash-consistent checkpoints and exactly-once replay around a

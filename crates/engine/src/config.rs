@@ -25,52 +25,27 @@ pub enum DisorderPolicy {
     /// must handle retractions. (The direction the authors' follow-up
     /// ICDE'09 work formalized as the *aggressive* strategy.)
     Speculative,
-    /// Defer every match — negation or not — until its window closes under
-    /// the watermark or a consumer drains. Cheapest possible consumer
-    /// contract: output arrives late but coalesced and never retracted.
+    /// Build each match on arrival, like every policy, but hold it —
+    /// negation or not — until the watermark passes its seal deadline (for
+    /// a query without negation, the match's newest event), then emit it
+    /// in the seal drain. Output arrives later, in deadline order, and is
+    /// never retracted.
     Lazy,
     /// Conservative emission under a slack bound that is a control loop
     /// over *observed* disorder instead of a fixed `K`: the engine keeps a
     /// decayed power-of-two histogram of arrival lateness and sets
     /// `K̂ = max(k_slack, quantile(q) · safety)`, where `q` and `safety`
-    /// are derived from `accuracy`.
+    /// are derived from `accuracy` when the query's watermark is built.
     ///
     /// `accuracy` is the per-query latency-vs-accuracy knob (`0..=100`,
-    /// negotiated at SUBSCRIBE time): higher values track a higher
-    /// lateness quantile with more safety margin — fewer late drops, more
-    /// buffering latency. `accuracy >= 90` tracks at least the p99.
+    /// negotiated at SUBSCRIBE time; larger values act as 100): higher
+    /// values track a higher lateness quantile with more safety margin —
+    /// fewer late drops, more buffering latency. `accuracy >= 90` tracks at
+    /// least the p99.
     AdaptiveSlack {
         /// Latency-vs-accuracy knob, `0..=100`.
         accuracy: u8,
     },
-}
-
-impl DisorderPolicy {
-    /// Whether this policy can emit [`crate::OutputKind::Retract`] items
-    /// for its *own* speculatively-emitted matches. (Any policy will still
-    /// retract matches inherited unsealed across a policy-changing
-    /// checkpoint resume.)
-    pub fn speculates(self) -> bool {
-        self == DisorderPolicy::Speculative
-    }
-
-    /// The accuracy knob, when the policy is adaptive.
-    pub fn adaptive_accuracy(self) -> Option<u8> {
-        match self {
-            DisorderPolicy::AdaptiveSlack { accuracy } => Some(accuracy),
-            _ => None,
-        }
-    }
-
-    /// The quantile of observed lateness the adaptive bound tracks, and
-    /// the safety multiplier applied on top. `accuracy = 0` → (p90, 1.0);
-    /// `accuracy = 100` → (max, 2.0); linear in between.
-    pub fn adaptive_params(self) -> Option<(f64, f64)> {
-        self.adaptive_accuracy().map(|a| {
-            let a = f64::from(a.min(100));
-            (0.90 + 0.001 * a, 1.0 + a / 100.0)
-        })
-    }
 }
 
 /// Where the stream's low-watermark comes from.
@@ -95,28 +70,6 @@ pub enum Strategy {
     Native,
 }
 
-/// Adaptive disorder-bound estimation (extension; the direction later
-/// formalized by quality-driven K-slack work). Instead of trusting an
-/// a-priori `K`, the engine tracks the maximum lateness observed so far
-/// and uses `K̂ = max(floor, ceil(observed_max · safety))`.
-///
-/// The watermark stays **monotone** (it never retreats when `K̂` grows),
-/// so already-purged state and already-sealed regions remain valid; the
-/// price is that events later than the current estimate may be lost
-/// (counted in [`sequin_runtime::RuntimeStats::late_drops`]). A `safety`
-/// factor above 1 buys headroom against that.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveK {
-    /// Multiplier applied to the observed maximum lateness.
-    pub safety: f64,
-}
-
-impl Default for AdaptiveK {
-    fn default() -> Self {
-        AdaptiveK { safety: 2.0 }
-    }
-}
-
 /// Tunables shared by every query of an engine.
 ///
 /// The defaults are the paper's recommended configuration: K-slack
@@ -128,8 +81,14 @@ pub struct EngineConfig {
     /// the maximum timestamp seen. With [`EngineConfig::adaptive_k`] set,
     /// this is the *floor* of the adaptive estimate instead.
     pub k_slack: Duration,
-    /// Estimate `K` from observed disorder instead of trusting `k_slack`.
-    pub adaptive_k: Option<AdaptiveK>,
+    /// Estimate `K` from observed disorder instead of trusting `k_slack`:
+    /// `K̂ = max(k_slack, ceil(observed_max_lateness · safety))` for this
+    /// `safety` (extension; the direction later formalized by
+    /// quality-driven K-slack work). The watermark stays **monotone**, so
+    /// events later than the current estimate may be lost (counted in
+    /// [`sequin_runtime::RuntimeStats::late_drops`]); a safety above 1 buys
+    /// headroom against that.
+    pub adaptive_k: Option<f64>,
     /// Purge cadence.
     pub purge: PurgePolicy,
     /// Construction optimizations.
@@ -169,7 +128,7 @@ impl EngineConfig {
     pub fn with_adaptive_k(floor: Duration, safety: f64) -> EngineConfig {
         EngineConfig {
             k_slack: floor,
-            adaptive_k: Some(AdaptiveK { safety }),
+            adaptive_k: Some(safety),
             ..EngineConfig::default()
         }
     }
@@ -207,38 +166,11 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_params_scale_with_accuracy() {
-        assert_eq!(DisorderPolicy::Conservative.adaptive_params(), None);
-        assert_eq!(DisorderPolicy::Speculative.adaptive_accuracy(), None);
-        let (q0, s0) = DisorderPolicy::AdaptiveSlack { accuracy: 0 }
-            .adaptive_params()
-            .unwrap();
-        let (q90, s90) = DisorderPolicy::AdaptiveSlack { accuracy: 90 }
-            .adaptive_params()
-            .unwrap();
-        let (q100, s100) = DisorderPolicy::AdaptiveSlack { accuracy: 100 }
-            .adaptive_params()
-            .unwrap();
-        assert!((q0 - 0.90).abs() < 1e-9 && (s0 - 1.0).abs() < 1e-9);
-        assert!(q90 >= 0.99, "accuracy 90 must track at least the p99");
-        assert!((q100 - 1.0).abs() < 1e-9 && (s100 - 2.0).abs() < 1e-9);
-        assert!(q0 < q90 && q90 < q100 && s0 < s90 && s90 < s100);
-        // out-of-range knobs clamp instead of overshooting
-        let (qbig, _) = DisorderPolicy::AdaptiveSlack { accuracy: 255 }
-            .adaptive_params()
-            .unwrap();
-        assert!((qbig - 1.0).abs() < 1e-9);
-        assert!(DisorderPolicy::Speculative.speculates());
-        assert!(!DisorderPolicy::Lazy.speculates());
-    }
-
-    #[test]
     fn adaptive_config() {
         let c = EngineConfig::with_adaptive_k(Duration::new(5), 1.5);
         assert_eq!(c.k_slack, Duration::new(5));
-        assert_eq!(c.adaptive_k, Some(AdaptiveK { safety: 1.5 }));
+        assert_eq!(c.adaptive_k, Some(1.5));
         assert_eq!(EngineConfig::default().adaptive_k, None);
-        assert_eq!(AdaptiveK::default().safety, 2.0);
     }
 
     #[test]

@@ -60,7 +60,7 @@ mod shared;
 mod watermark;
 
 pub use checkpoint::{CheckpointPolicy, CheckpointStore, Checkpointer};
-pub use config::{AdaptiveK, DisorderPolicy, EngineConfig, Strategy, WatermarkSource};
+pub use config::{DisorderPolicy, EngineConfig, Strategy, WatermarkSource};
 pub use native::NativeEngine;
 pub use output::{OutputItem, OutputKind};
 pub use shared::{MultiEngine, PlanMetrics, QueryId};

@@ -97,17 +97,6 @@ impl NativeEngine {
         self.plan.query_slack(Q)
     }
 
-    /// The stream clock: maximum occurrence timestamp observed so far.
-    pub fn clock(&self) -> Timestamp {
-        self.plan.query_clock(Q)
-    }
-
-    /// Watermark lag: how far the published watermark trails the stream
-    /// clock.
-    pub fn watermark_lag(&self) -> Duration {
-        self.plan.query_watermark_lag(Q)
-    }
-
     /// Minimum occurrence timestamp across every live positive-stack
     /// entry, or `None` when all stacks are empty. Inspection hook for the
     /// purge-invariant property tests; not part of the stable API.

@@ -55,12 +55,12 @@
 //! a newly constructed evaluator would — stacks never pool across epochs
 //! (the epoch is part of the plan's slot signature).
 //!
-//! Epochs are additionally split by *watermark class*: queries under a
-//! fixed disorder bound (conservative, speculative, lazy) pool freely,
-//! while each [`DisorderPolicy::AdaptiveSlack`] accuracy level gets its
-//! own epoch — an adaptive query's watermark is driven by its lateness
-//! sketch and must never be shared with a fixed-bound query (the pooling
-//! compatibility rule).
+//! Epochs are additionally split by the *bound* of the watermark tracker a
+//! query's [`DisorderPolicy`] builds: queries under a fixed disorder bound
+//! (conservative, speculative, lazy) pool freely, while each
+//! [`DisorderPolicy::AdaptiveSlack`] accuracy level gets its own epoch — an
+//! adaptive query's watermark is driven by its lateness sketch and must
+//! never be shared with a query bounded otherwise.
 //!
 //! ## The tail
 //!
@@ -107,7 +107,7 @@ use crate::blob::QueryBlob;
 use crate::config::{DisorderPolicy, EngineConfig};
 use crate::output::OutputItem;
 use crate::settle::{PhasedOutput, Settle, Stamp};
-use crate::watermark::WatermarkTracker;
+use crate::watermark::{Bound, WatermarkTracker};
 
 /// A registered query's handle within a [`MultiEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -173,37 +173,9 @@ pub struct PlanMetrics {
     pub fanout_outputs: u64,
 }
 
-/// The watermark-compatibility class of a [`DisorderPolicy`]: fixed-bound
-/// policies share one tracker per registration position; each adaptive
-/// accuracy level tracks its own (the sketch-driven bound must not leak
-/// between queries with different knobs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WmClass {
-    Fixed,
-    Adaptive(u8),
-}
-
-impl WmClass {
-    fn of(policy: DisorderPolicy) -> WmClass {
-        match policy.adaptive_accuracy() {
-            Some(accuracy) => WmClass::Adaptive(accuracy),
-            None => WmClass::Fixed,
-        }
-    }
-
-    /// A representative policy for constructing this class's watermark
-    /// tracker (the tracker only consults [`DisorderPolicy::adaptive_params`]).
-    fn tracker_policy(self) -> DisorderPolicy {
-        match self {
-            WmClass::Fixed => DisorderPolicy::Conservative,
-            WmClass::Adaptive(accuracy) => DisorderPolicy::AdaptiveSlack { accuracy },
-        }
-    }
-}
-
 /// Per-registration-epoch stream state: one watermark tracker and one
 /// arrival sequence shared by every query registered at that position
-/// with a compatible watermark class.
+/// whose tracker has the same bound.
 struct EpochState {
     wm: WatermarkTracker,
     seq: ArrivalSeq,
@@ -231,12 +203,6 @@ struct EpochState {
 }
 
 impl EpochState {
-    fn new(config: &EngineConfig, class: WmClass) -> EpochState {
-        let mut c = *config;
-        c.policy = class.tracker_policy();
-        EpochState::at(WatermarkTracker::new(&c), ArrivalSeq::default())
-    }
-
     /// An epoch at a given stream position, with no query in it yet.
     fn at(wm: WatermarkTracker, seq: ArrivalSeq) -> EpochState {
         EpochState {
@@ -288,7 +254,7 @@ struct QueryState {
     /// walk, run over the pooled stacks.
     ctor: Constructor,
     /// Emission timing under this query's disorder policy (the watermark
-    /// side lives in the epoch's class).
+    /// side lives in the epoch's tracker).
     settle: Settle,
     stats: RuntimeStats,
     /// This arrival's outputs so far; written only through [`writing`].
@@ -485,11 +451,11 @@ pub struct MultiEngine {
     groups: Vec<GroupState>,
     states: Vec<QueryState>,
     epochs: Vec<EpochState>,
-    /// Epochs accepting same-position registrations, one per watermark
-    /// class (cleared once an item has been ingested since the last
+    /// Epochs accepting same-position registrations, one per tracker
+    /// bound (cleared once an item has been ingested since the last
     /// registration). Nothing has been inserted into, or owed by, their
     /// stacks and groups yet.
-    open_epochs: Vec<(WmClass, usize)>,
+    open_epochs: Vec<usize>,
     /// Unspent [`EngineConfig::retraction_drop`] sabotage, across all
     /// queries; not snapshotted.
     retraction_drop: u64,
@@ -567,18 +533,18 @@ impl MultiEngine {
     /// configuration's, at a cost independent of how many are registered:
     /// its nodes are attached to the plan ([`SharedPlan::attach`]), which
     /// moves no existing stack. Queries registered at the same stream
-    /// position with a compatible watermark class share an epoch; a query
-    /// registered after any ingestion starts a fresh one (it must not see
-    /// earlier arrivals).
+    /// position whose watermark trackers have the same bound share an
+    /// epoch; a query registered after any ingestion starts a fresh one (it
+    /// must not see earlier arrivals).
     pub fn register(&mut self, query: Arc<Query>, policy: DisorderPolicy) -> QueryId {
-        let class = WmClass::of(policy);
-        let epoch = match self.open_epochs.iter().find(|(c, _)| *c == class) {
-            Some(&(_, e)) => e,
+        let wm = WatermarkTracker::new(&self.config, policy);
+        let same_bound = |&e: &usize| self.epochs[e].wm.bound() == wm.bound();
+        let epoch = match self.open_epochs.iter().copied().find(same_bound) {
+            Some(e) => e,
             None => {
-                self.epochs.push(EpochState::new(&self.config, class));
-                let e = self.epochs.len() - 1;
-                self.open_epochs.push((class, e));
-                e
+                self.epochs.push(EpochState::at(wm, ArrivalSeq::default()));
+                self.open_epochs.push(self.epochs.len() - 1);
+                self.epochs.len() - 1
             }
         };
         let spec = QuerySpec {
@@ -829,27 +795,16 @@ impl MultiEngine {
         self.epochs[self.states[id.index()].epoch].wm.current()
     }
 
-    /// One query's stream clock (max occurrence timestamp observed since
-    /// its registration). `clock − watermark` is the **watermark lag**:
-    /// how far behind event time the query's safe horizon sits.
-    pub fn query_clock(&self, id: QueryId) -> Timestamp {
-        self.epochs[self.states[id.index()].epoch].wm.clock()
-    }
-
     /// Every query's `(stream clock, low-watermark)`, in registration
-    /// order: what [`MultiEngine::query_clock`] and
-    /// [`MultiEngine::query_watermark`] answer one query at a time.
+    /// order. The stream clock is the max occurrence timestamp observed
+    /// since the query's registration; `clock − watermark` is its
+    /// **watermark lag**, how far behind event time its safe horizon sits.
     pub fn query_positions(&self) -> Vec<(Timestamp, Timestamp)> {
         let of = |st: &QueryState| {
             let wm = &self.epochs[st.epoch].wm;
             (wm.clock(), wm.current())
         };
         self.states.iter().map(of).collect()
-    }
-
-    /// How far one query's watermark trails its stream clock.
-    pub fn query_watermark_lag(&self, id: QueryId) -> Duration {
-        self.epochs[self.states[id.index()].epoch].wm.lag()
     }
 
     /// Minimum occurrence timestamp across every live stack entry, or
@@ -1210,28 +1165,24 @@ impl MultiEngine {
     /// [`MultiEngine::restore`] from the envelope's per-query blobs,
     /// one per registered query in registration order.
     pub(crate) fn restore_blobs(&mut self, blobs: &[&[u8]]) -> Result<(), CodecError> {
-        let mut restored: Vec<QueryBlob> = Vec::with_capacity(self.specs.len());
-        for (st, blob) in self.states.iter().zip(blobs) {
-            // the tracker's slack parameters derive from the query's
-            // *current* policy, not the snapshot (policy changes across a
-            // checkpoint take effect on restore)
-            let mut qconfig = self.config;
-            qconfig.policy = st.settle.policy();
-            restored.push(QueryBlob::decode(&st.query, &qconfig, &st.settle, blob)?);
-        }
-        // regroup epochs: queries at identical stream positions with a
-        // compatible watermark class share one
-        let mut keys: Vec<(Vec<u8>, u64, WmClass)> = Vec::new();
+        let decode = |(st, blob): (&QueryState, &&[u8])| {
+            QueryBlob::decode(&st.query, &self.config, &st.settle, blob)
+        };
+        let restored: Vec<QueryBlob> = self
+            .states
+            .iter()
+            .zip(blobs)
+            .map(decode)
+            .collect::<Result<_, _>>()?;
+        // regroup epochs: queries at identical stream positions whose
+        // trackers have the same bound share one
+        let mut keys: Vec<(Vec<u8>, u64, Bound)> = Vec::new();
         let mut epochs: Vec<EpochState> = Vec::new();
         let mut epoch_of: Vec<usize> = Vec::with_capacity(restored.len());
-        for (rq, st) in restored.iter().zip(&self.states) {
+        for rq in &restored {
             let mut w = Writer::new();
             rq.wm.snapshot_into(&mut w);
-            let key = (
-                w.into_bytes(),
-                rq.seq.get(),
-                WmClass::of(st.settle.policy()),
-            );
+            let key = (w.into_bytes(), rq.seq.get(), rq.wm.bound());
             let eix = keys.iter().position(|k| *k == key).unwrap_or(keys.len());
             if eix == keys.len() {
                 keys.push(key);
@@ -1632,6 +1583,50 @@ mod tests {
             outputs_eq(&shared.ingest(it), &multi.ingest(it), &format!("item {ix}"));
         }
         outputs_eq(&shared.finish(), &multi.finish(), "finish");
+    }
+
+    /// Before any arrival every tracker writes the same bytes at the same
+    /// sequence, so only the tracker's bound keeps a restore from folding
+    /// the fixed-bound epoch and both adaptive ones into one.
+    #[test]
+    fn restore_keys_epochs_by_the_tracker_bound() {
+        let reg = registry();
+        let q = parse("PATTERN SEQ(A a, !N n, B b) WITHIN 50", &reg).unwrap();
+        let policies = [
+            DisorderPolicy::Conservative,
+            DisorderPolicy::Speculative,
+            DisorderPolicy::AdaptiveSlack { accuracy: 90 },
+            DisorderPolicy::AdaptiveSlack { accuracy: 95 },
+        ];
+        let plan = || {
+            let mut plan = MultiEngine::new(EngineConfig::default());
+            for policy in policies {
+                plan.register(Arc::clone(&q), policy);
+            }
+            plan
+        };
+        let (mut reference, mut restored) = (plan(), plan());
+        restored.restore(&reference.snapshot()).unwrap();
+        for p in [&reference, &restored] {
+            assert_eq!(
+                p.plan_metrics().epochs,
+                3,
+                "fixed, adaptive:90, adaptive:95"
+            );
+        }
+        // lateness up to 3× the default K: the adaptive bounds grow apart
+        for (ix, it) in gen_stream(&reg, 13, 400, 300).iter().enumerate() {
+            outputs_eq(
+                &restored.ingest(it),
+                &reference.ingest(it),
+                &format!("item {ix}"),
+            );
+        }
+        outputs_eq(&restored.finish(), &reference.finish(), "finish");
+        assert_ne!(
+            restored.query_slack(QueryId(2)),
+            restored.query_slack(QueryId(3))
+        );
     }
 
     #[test]

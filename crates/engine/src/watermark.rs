@@ -3,7 +3,7 @@
 use sequin_runtime::purge;
 use sequin_types::{Duration, Timestamp};
 
-use crate::config::{EngineConfig, WatermarkSource};
+use crate::config::{DisorderPolicy, EngineConfig, WatermarkSource};
 
 /// Number of power-of-two lateness buckets: bucket `0` holds in-order
 /// arrivals (lateness 0), bucket `i` holds lateness in `[2^(i-1), 2^i)`.
@@ -116,10 +116,11 @@ impl LatenessSketch {
 /// assertions, the disorder-bound estimate `K̂`, and the resulting
 /// **monotone** low-watermark.
 ///
-/// With a fixed bound, `K̂ = K` always. With [`crate::AdaptiveK`],
-/// `K̂ = max(floor, ceil(observed_max_lateness · safety))`. With
-/// [`crate::DisorderPolicy::AdaptiveSlack`], `K̂` additionally tracks a
-/// decayed lateness quantile: `max(floor, ceil(quantile(q) · safety))`.
+/// With a fixed bound, `K̂ = K` always. With
+/// [`EngineConfig::adaptive_k`]'s safety `s`,
+/// `K̂ = max(floor, ceil(observed_max_lateness · s))`. Under
+/// [`DisorderPolicy::AdaptiveSlack`], `K̂` additionally tracks a decayed
+/// lateness quantile: `max(floor, ceil(quantile(q) · safety))`.
 ///
 /// **Shrink safety (purge audit):** the adaptive estimates can *shrink* —
 /// decay forgets an old disorder burst, so `clock − K̂` can jump forward,
@@ -133,9 +134,7 @@ impl LatenessSketch {
 #[derive(Debug, Clone)]
 pub(crate) struct WatermarkTracker {
     source: WatermarkSource,
-    k_floor: Duration,
-    safety: Option<f64>,
-    slack: Option<(f64, f64)>,
+    bound: Bound,
     clock: Timestamp,
     punct: Timestamp,
     observed_max_lateness: Duration,
@@ -143,13 +142,39 @@ pub(crate) struct WatermarkTracker {
     sketch: LatenessSketch,
 }
 
+/// What a tracker's `K̂` is computed from. Two trackers with equal bounds
+/// publish the same watermark for the same arrivals, so this is what
+/// decides whether two queries can share one.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Bound {
+    k_floor: Duration,
+    /// The multiplier on the observed maximum lateness.
+    safety: Option<f64>,
+    /// The lateness quantile tracked, and the multiplier on it.
+    slack: Option<(f64, f64)>,
+}
+
 impl WatermarkTracker {
-    pub fn new(config: &EngineConfig) -> WatermarkTracker {
+    /// The tracker of a query running under `policy` in `config`: the one
+    /// place a lateness bound is derived. An adaptive `accuracy` (clamped
+    /// to `0..=100`) maps linearly from tracking the p90 with no margin to
+    /// tracking the maximum with a 2× margin, so `accuracy >= 90` tracks at
+    /// least the p99.
+    pub fn new(config: &EngineConfig, policy: DisorderPolicy) -> WatermarkTracker {
+        let slack = match policy {
+            DisorderPolicy::AdaptiveSlack { accuracy } => {
+                let a = f64::from(accuracy.min(100));
+                Some((0.90 + 0.001 * a, 1.0 + a / 100.0))
+            }
+            _ => None,
+        };
         WatermarkTracker {
             source: config.watermark,
-            k_floor: config.k_slack,
-            safety: config.adaptive_k.map(|a| a.safety),
-            slack: config.policy.adaptive_params(),
+            bound: Bound {
+                k_floor: config.k_slack,
+                safety: config.adaptive_k,
+                slack,
+            },
             clock: Timestamp::MIN,
             punct: Timestamp::MIN,
             observed_max_lateness: Duration::ZERO,
@@ -163,15 +188,23 @@ impl WatermarkTracker {
         self.clock
     }
 
+    /// What this tracker's `K̂` is computed from.
+    pub fn bound(&self) -> Bound {
+        self.bound
+    }
+
     /// The current disorder-bound estimate.
     pub fn k_hat(&self) -> Duration {
-        let mut k = match self.safety {
-            None => self.k_floor,
-            Some(safety) => self
-                .k_floor
-                .max(scale_ticks(self.observed_max_lateness, safety)),
+        let Bound {
+            k_floor,
+            safety,
+            slack,
+        } = self.bound;
+        let mut k = match safety {
+            None => k_floor,
+            Some(safety) => k_floor.max(scale_ticks(self.observed_max_lateness, safety)),
         };
-        if let Some((q, safety)) = self.slack {
+        if let Some((q, safety)) = slack {
             k = k.max(scale_ticks(self.sketch.quantile(q), safety));
         }
         k
@@ -209,22 +242,11 @@ impl WatermarkTracker {
         self.high = Timestamp::MAX;
     }
 
-    /// Watermark lag: how far the published watermark trails the stream
-    /// clock. Zero when a punctuation (or seal) has pushed the watermark
-    /// at or past the clock.
-    pub fn lag(&self) -> Duration {
-        if self.high >= self.clock {
-            Duration::new(0)
-        } else {
-            self.clock - self.high
-        }
-    }
-
-    /// Serializes the mutable scalars plus the lateness sketch (the
-    /// config-derived fields are reconstructed from the [`EngineConfig`]
-    /// at restore time). The sketch is written unconditionally so the
-    /// format — and the disorder history it carries — is the same no
-    /// matter which [`crate::DisorderPolicy`] took the checkpoint.
+    /// Serializes the mutable scalars plus the lateness sketch (the bound
+    /// is rebuilt from the configuration and policy at restore time). The
+    /// sketch is written unconditionally so the format — and the disorder
+    /// history it carries — is the same no matter which
+    /// [`DisorderPolicy`] took the checkpoint.
     pub fn snapshot_into(&self, w: &mut sequin_types::Writer) {
         use sequin_types::Encode as _;
         self.clock.encode(w);
@@ -234,14 +256,16 @@ impl WatermarkTracker {
         self.sketch.snapshot_into(w);
     }
 
-    /// Rebuilds a tracker from `config` plus the scalars written by
+    /// Rebuilds a tracker from `config` and `policy`, as
+    /// [`WatermarkTracker::new`] does, plus the scalars written by
     /// [`WatermarkTracker::snapshot_into`].
     pub fn restore_from(
         config: &EngineConfig,
+        policy: DisorderPolicy,
         r: &mut sequin_types::Reader<'_>,
     ) -> Result<WatermarkTracker, sequin_types::CodecError> {
         use sequin_types::Decode as _;
-        let mut wm = WatermarkTracker::new(config);
+        let mut wm = WatermarkTracker::new(config, policy);
         wm.clock = Timestamp::decode(r)?;
         wm.punct = Timestamp::decode(r)?;
         wm.observed_max_lateness = Duration::decode(r)?;
@@ -277,8 +301,12 @@ fn scale_ticks(d: Duration, f: f64) -> Duration {
 mod tests {
     use super::*;
 
+    fn tracker(cfg: &EngineConfig) -> WatermarkTracker {
+        WatermarkTracker::new(cfg, DisorderPolicy::Conservative)
+    }
+
     fn fixed(k: u64) -> WatermarkTracker {
-        WatermarkTracker::new(&EngineConfig::with_k(Duration::new(k)))
+        tracker(&EngineConfig::with_k(Duration::new(k)))
     }
 
     #[test]
@@ -288,25 +316,6 @@ mod tests {
         assert_eq!(w.current(), Timestamp::new(90));
         assert_eq!(w.clock(), Timestamp::new(100));
         assert_eq!(w.k_hat(), Duration::new(10));
-    }
-
-    #[test]
-    fn lag_is_clock_minus_watermark_floored_at_zero() {
-        let mut cfg = EngineConfig::with_k(Duration::new(10));
-        cfg.watermark = WatermarkSource::Both;
-        let mut w = WatermarkTracker::new(&cfg);
-        assert_eq!(w.lag(), Duration::new(0), "empty tracker has no lag");
-        w.observe_event(Timestamp::new(100));
-        assert_eq!(w.lag(), Duration::new(10), "fixed K lags by K");
-        // punctuation at the clock closes the gap entirely
-        w.observe_punctuation(Timestamp::new(100));
-        assert_eq!(w.lag(), Duration::new(0));
-        // punctuation past the clock must not underflow
-        w.observe_punctuation(Timestamp::new(500));
-        assert_eq!(w.lag(), Duration::new(0));
-        // sealing pins lag at zero too
-        w.seal();
-        assert_eq!(w.lag(), Duration::new(0));
     }
 
     #[test]
@@ -322,7 +331,7 @@ mod tests {
 
     #[test]
     fn adaptive_k_grows_with_observed_lateness() {
-        let mut w = WatermarkTracker::new(&EngineConfig::with_adaptive_k(Duration::new(5), 2.0));
+        let mut w = tracker(&EngineConfig::with_adaptive_k(Duration::new(5), 2.0));
         w.observe_event(Timestamp::new(100));
         assert_eq!(w.k_hat(), Duration::new(5), "floor before any lateness");
         w.observe_event(Timestamp::new(80)); // 20 late
@@ -338,7 +347,7 @@ mod tests {
     fn punctuation_sources() {
         let mut cfg = EngineConfig::with_k(Duration::new(1_000));
         cfg.watermark = WatermarkSource::Punctuation;
-        let mut w = WatermarkTracker::new(&cfg);
+        let mut w = tracker(&cfg);
         w.observe_event(Timestamp::new(500));
         assert_eq!(w.current(), Timestamp::MIN, "k-slack ignored");
         w.observe_punctuation(Timestamp::new(300));
@@ -346,7 +355,7 @@ mod tests {
 
         let mut cfg = EngineConfig::with_k(Duration::new(100));
         cfg.watermark = WatermarkSource::Both;
-        let mut w = WatermarkTracker::new(&cfg);
+        let mut w = tracker(&cfg);
         w.observe_event(Timestamp::new(500));
         w.observe_punctuation(Timestamp::new(450));
         assert_eq!(w.current(), Timestamp::new(450), "max of both");
@@ -355,7 +364,7 @@ mod tests {
     #[test]
     fn snapshot_round_trips_all_scalars() {
         let cfg = EngineConfig::with_adaptive_k(Duration::new(5), 2.0);
-        let mut w = WatermarkTracker::new(&cfg);
+        let mut w = tracker(&cfg);
         w.observe_event(Timestamp::new(100));
         w.observe_event(Timestamp::new(80));
         w.observe_punctuation(Timestamp::new(60));
@@ -363,7 +372,8 @@ mod tests {
         w.snapshot_into(&mut buf);
         let bytes = buf.into_bytes();
         let mut r = sequin_types::Reader::new(&bytes);
-        let restored = WatermarkTracker::restore_from(&cfg, &mut r).unwrap();
+        let restored =
+            WatermarkTracker::restore_from(&cfg, DisorderPolicy::Conservative, &mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(restored.clock(), w.clock());
         assert_eq!(restored.current(), w.current());
@@ -380,9 +390,28 @@ mod tests {
     }
 
     fn adaptive_slack(k_floor: u64, accuracy: u8) -> WatermarkTracker {
-        let mut cfg = EngineConfig::with_k(Duration::new(k_floor));
-        cfg.policy = crate::DisorderPolicy::AdaptiveSlack { accuracy };
-        WatermarkTracker::new(&cfg)
+        let cfg = EngineConfig::with_k(Duration::new(k_floor));
+        WatermarkTracker::new(&cfg, DisorderPolicy::AdaptiveSlack { accuracy })
+    }
+
+    #[test]
+    fn adaptive_accuracy_is_clamped_and_keys_the_bound() {
+        let cfg = EngineConfig::with_k(Duration::new(5));
+        let bound = |policy| WatermarkTracker::new(&cfg, policy).bound();
+        let adaptive = |accuracy| bound(DisorderPolicy::AdaptiveSlack { accuracy });
+        assert_eq!(
+            bound(DisorderPolicy::Speculative),
+            bound(DisorderPolicy::Lazy)
+        );
+        assert_ne!(adaptive(90), bound(DisorderPolicy::Conservative));
+        assert_ne!(adaptive(90), adaptive(95));
+        assert_eq!(adaptive(255), adaptive(100), "out-of-range knobs clamp");
+        let near = |accuracy, (q, s): (f64, f64)| {
+            let (got_q, got_s) = adaptive(accuracy).slack.unwrap();
+            (got_q - q).abs() < 1e-9 && (got_s - s).abs() < 1e-9
+        };
+        assert!(near(0, (0.90, 1.0)) && near(100, (1.0, 2.0)));
+        assert!(adaptive(90).slack.unwrap().0 >= 0.99, "90 tracks the p99");
     }
 
     #[test]
@@ -454,9 +483,9 @@ mod tests {
 
     #[test]
     fn sketch_survives_snapshot_round_trip() {
-        let mut cfg = EngineConfig::with_k(Duration::new(3));
-        cfg.policy = crate::DisorderPolicy::AdaptiveSlack { accuracy: 90 };
-        let mut w = WatermarkTracker::new(&cfg);
+        let cfg = EngineConfig::with_k(Duration::new(3));
+        let adaptive = DisorderPolicy::AdaptiveSlack { accuracy: 90 };
+        let mut w = WatermarkTracker::new(&cfg, adaptive);
         w.observe_event(Timestamp::new(500));
         for late in [10u64, 20, 30, 40, 450] {
             w.observe_event(Timestamp::new(500 - late));
@@ -465,15 +494,15 @@ mod tests {
         w.snapshot_into(&mut buf);
         let bytes = buf.into_bytes();
         let mut r = sequin_types::Reader::new(&bytes);
-        let restored = WatermarkTracker::restore_from(&cfg, &mut r).unwrap();
+        let restored = WatermarkTracker::restore_from(&cfg, adaptive, &mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(restored.k_hat(), w.k_hat());
         assert_eq!(restored.current(), w.current());
         // a fixed-policy restore of the same bytes also succeeds (the
         // sketch is policy-agnostic in the format)
-        let fixed_cfg = EngineConfig::with_k(Duration::new(3));
         let mut r = sequin_types::Reader::new(&bytes);
-        let fixed = WatermarkTracker::restore_from(&fixed_cfg, &mut r).unwrap();
+        let fixed =
+            WatermarkTracker::restore_from(&cfg, DisorderPolicy::Conservative, &mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(fixed.k_hat(), Duration::new(3));
     }

@@ -647,6 +647,7 @@ impl EngineCore {
 
         let host = self.ck.host();
         let per_query = host.stats();
+        let positions = host.query_positions();
         let empty = sequin_obs::QueryObs::default();
         for (i, qid) in self.subs.iter().map(|s| s.id).enumerate() {
             let labels = [("query", i.to_string())];
@@ -669,10 +670,8 @@ impl EngineCore {
                 &[("query", i.to_string()), ("qid", stable.clone())],
                 1,
             );
-            let (c, w) = (
-                host.query_clock(qid).ticks(),
-                host.query_watermark(qid).ticks(),
-            );
+            let (c, w) = positions[qid.index()];
+            let (c, w) = (c.ticks(), w.ticks());
             b.gauge("sequin_stream_clock", &labels, c);
             b.gauge("sequin_watermark", &labels, w);
             b.gauge("sequin_watermark_lag", &labels, c.saturating_sub(w));

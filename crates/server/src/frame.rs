@@ -388,10 +388,11 @@ pub(crate) fn policy_to_wire(policy: Option<DisorderPolicy>) -> (u8, u8) {
 }
 
 /// Inverse of [`policy_to_wire`]. A knob byte is only meaningful on the
-/// adaptive mode; anywhere else a nonzero knob is a typed rejection, so
-/// every wire byte stays fully validated.
+/// adaptive mode, where it is an accuracy `0..=100`; a nonzero knob
+/// anywhere else, or one above 100, is a typed rejection, so every wire
+/// byte stays fully validated.
 pub(crate) fn policy_from_wire(mode: u8, knob: u8) -> Result<Option<DisorderPolicy>, CodecError> {
-    if mode != 4 && knob != 0 {
+    if (mode != 4 && knob != 0) || knob > 100 {
         return Err(CodecError::InvalidTag {
             what: "DisorderPolicy knob",
             tag: knob,
@@ -1008,19 +1009,22 @@ mod tests {
             want.push(knob);
             assert_eq!(payload, &want[..], "SUBSCRIBE bytes for {policy:?}");
         }
-        // a nonzero knob outside adaptive mode is a typed rejection
-        let mut w = Writer::new();
-        w.put_u8(5);
-        w.put_str(query);
-        w.put_u8(2);
-        w.put_u8(7);
-        assert!(matches!(
-            decode_frame(&seal_envelope(&w.into_bytes())),
-            Err(CodecError::InvalidTag {
-                what: "DisorderPolicy knob",
-                ..
-            })
-        ));
+        // a nonzero knob outside adaptive mode, or an accuracy above 100,
+        // is a typed rejection
+        for (mode, knob) in [(2, 7), (4, 101)] {
+            let mut w = Writer::new();
+            w.put_u8(5);
+            w.put_str(query);
+            w.put_u8(mode);
+            w.put_u8(knob);
+            assert!(matches!(
+                decode_frame(&seal_envelope(&w.into_bytes())),
+                Err(CodecError::InvalidTag {
+                    what: "DisorderPolicy knob",
+                    ..
+                })
+            ));
+        }
     }
 
     /// Pins the SUB_ACK wire layout: frame tag 6, the `u64` query id,

@@ -78,8 +78,9 @@ pub struct ServerConfig {
     pub store_path: Option<PathBuf>,
     /// Flight recorder: when a startup resume has to reject checkpoints
     /// (corrupt or version-skewed snapshots — the recovery fallback
-    /// ladder), a `recovery-fallback.sqpm` postmortem bundle is written
-    /// here, best-effort. `None` disables the capture.
+    /// ladder) or the whole store file, a `recovery-fallback.sqpm`
+    /// postmortem bundle is written here, best-effort. `None` disables the
+    /// capture.
     pub bundle_dir: Option<PathBuf>,
 }
 
@@ -172,26 +173,33 @@ pub struct Server {
 impl Server {
     /// Starts the engine thread. If [`ServerConfig::store_path`] names an
     /// existing store, the core resumes from it (replaying clients see the
-    /// resulting position in HELLO_ACK); otherwise it starts cold and
-    /// registers [`ServerConfig::queries`].
+    /// resulting position in HELLO_ACK); otherwise — or when the file is
+    /// unreadable, which is logged to stderr — it starts cold. Either way
+    /// it then registers [`ServerConfig::queries`].
     pub fn start(config: ServerConfig) -> Result<Server, String> {
         let (tx, rx) = mpsc::sync_channel::<EngineMsg>(config.queue_capacity.max(1));
         let fingerprint = config.core.registry.fingerprint();
 
         let mut core = match &config.store_path {
-            Some(path) if path.exists() => {
-                let store = CheckpointStore::load(path).map_err(|e| e.to_string())?;
+            Some(path) => {
+                let (store, unreadable) = CheckpointStore::load_or_empty(path);
+                if let Some(e) = &unreadable {
+                    eprintln!("store {} unreadable ({e}): cold start", path.display());
+                }
                 let (core, _replay_from) = EngineCore::resume(config.core.clone(), store);
-                // flight recorder: a resume that rejected checkpoints took
-                // the recovery fallback ladder — freeze what the degraded
-                // core knows into a postmortem bundle (never fail startup
-                // over it)
+                // flight recorder: a resume that rejected checkpoints, or
+                // the whole store, took the recovery fallback ladder —
+                // freeze what the degraded core knows into a postmortem
+                // bundle (never fail startup over it)
                 let rejected = core.stats().checkpoints_rejected;
-                if rejected > 0 {
+                if rejected > 0 || unreadable.is_some() {
                     if let Some(dir) = &config.bundle_dir {
                         let bundle = core.postmortem_bundle(
                             "recovery-fallback",
-                            vec![("checkpoints_rejected".to_owned(), rejected)],
+                            vec![
+                                ("checkpoints_rejected".to_owned(), rejected),
+                                ("store_unreadable".to_owned(), unreadable.is_some().into()),
+                            ],
                         );
                         let _ = std::fs::create_dir_all(dir).and_then(|_| {
                             std::fs::write(dir.join("recovery-fallback.sqpm"), bundle.encode())
@@ -200,7 +208,7 @@ impl Server {
                 }
                 core
             }
-            _ => EngineCore::new(config.core.clone()),
+            None => EngineCore::new(config.core.clone()),
         };
         for q in &config.queries {
             core.subscribe(q).map_err(|e| format!("query {q:?}: {e}"))?;

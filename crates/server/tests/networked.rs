@@ -399,6 +399,69 @@ fn recovery_fallback_drops_a_postmortem_bundle() {
 }
 
 #[test]
+fn a_torn_store_file_cold_starts_the_server() {
+    let (reg, stream) = workload(300, 61);
+    let store = temp_store("torn-store");
+    let bundle_dir = std::env::temp_dir().join(format!("sequin-torn-{}", std::process::id()));
+    let mk_core = || CoreConfig {
+        checkpoint_every: Some(25),
+        ..core_config(&reg, DisorderPolicy::Conservative)
+    };
+    let mk_config = || {
+        let mut c = ServerConfig::new(mk_core());
+        c.queries = vec![Q01.to_owned()];
+        c.store_path = Some(store.clone());
+        c.bundle_dir = Some(bundle_dir.clone());
+        c
+    };
+    let expected = oracle_net(mk_core(), &[Q01], &stream);
+
+    // incarnation 1 persists a whole store, then dies
+    let mut server = Server::start(mk_config()).unwrap();
+    let addr = server.listen("127.0.0.1:0").unwrap().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+    client.hello(reg.fingerprint(), "torn-phase-1").unwrap();
+    client.subscribe(Q01).unwrap();
+    for item in &stream[..160] {
+        client.send_item(item).unwrap();
+    }
+    client.stats().unwrap(); // flush the FIFO so checkpoints land
+    drop(client);
+    server.crash();
+    let whole = std::fs::read(&store).unwrap();
+
+    // a kill mid-save leaves a prefix of the file: each one cold-starts
+    for cut in [0, whole.len() / 2, whole.len() - 1] {
+        std::fs::write(&store, &whole[..cut]).unwrap();
+        let _ = std::fs::remove_dir_all(&bundle_dir);
+        let mut server = Server::start(mk_config())
+            .unwrap_or_else(|e| panic!("store cut at {cut} bytes refused startup: {e}"));
+        let bundle = std::fs::read(bundle_dir.join("recovery-fallback.sqpm")).unwrap();
+        let bundle = sequin_obs::Bundle::decode(&bundle).unwrap();
+        assert_eq!(bundle.param("store_unreadable"), Some(1));
+        let addr = server.listen("127.0.0.1:0").unwrap().to_string();
+        let mut client = Client::connect(&addr).unwrap();
+        let hello = client.hello(reg.fingerprint(), "torn-phase-2").unwrap();
+        assert_eq!(
+            hello,
+            (0, 1),
+            "cut at {cut}: cold start with the configured query"
+        );
+        client.subscribe(Q01).unwrap();
+        for item in &stream {
+            client.send_item(item).unwrap();
+        }
+        client.drain().unwrap();
+        let delivered = client.take_outputs();
+        client.bye();
+        server.shutdown();
+        assert_eq!(net(&delivered), expected, "cut at {cut}");
+    }
+    let _ = std::fs::remove_file(&store);
+    let _ = std::fs::remove_dir_all(&bundle_dir);
+}
+
+#[test]
 fn mixed_per_query_policies_negotiate_and_verify_over_loopback() {
     let (reg, stream) = workload(400, 59);
     let stream = punctuate(&stream, 50);

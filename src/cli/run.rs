@@ -199,16 +199,13 @@ fn run_stream(
         .map_or(CheckpointPolicy::never(), CheckpointPolicy::every);
     let mut resume_note = None;
     let (mut stack, replay_from) = match opts.resume_from.as_deref().map(Path::new) {
-        Some(path) if path.exists() => match CheckpointStore::load(path) {
-            Ok(store) => Checkpointer::resume(policy, store, |_| Ok(host())),
-            Err(e) => {
-                // graceful degradation: a rotted store file means cold
-                // start, never a crash or silently wrong state
-                resume_note = Some(format!("checkpoint file unreadable ({e}): cold start"));
-                (Checkpointer::new(host(), policy), 0)
-            }
-        },
-        _ => (Checkpointer::new(host(), policy), 0),
+        Some(path) => {
+            let (store, unreadable) = CheckpointStore::load_or_empty(path);
+            resume_note =
+                unreadable.map(|e| format!("checkpoint file unreadable ({e}): cold start"));
+            Checkpointer::resume(policy, store, |_| Ok(host()))
+        }
+        None => (Checkpointer::new(host(), policy), 0),
     };
     let suffix = &stream[(replay_from as usize).min(stream.len())..];
     let report = run_engine_batched(&mut stack, suffix, 256);

@@ -193,7 +193,7 @@ fn a_holding_family_batched_equals_item_by_item() {
             Arc::new(e)
         })
         .collect();
-    // Two registration positions, times two watermark classes (adaptive).
+    // Two registration positions, times two tracker bounds (adaptive).
     batched_equals_item_by_item(&holding, &delay_shuffle(&events, 0.35, 40, 7), 18 * 17, 4);
 }
 
