@@ -1,7 +1,7 @@
 //! Checkpoint/restore with exactly-once replay — the one implementation.
 //!
-//! A [`Checkpointer`] wraps a [`MultiEngine`] host and, under a durable
-//! [`CheckpointPolicy`], periodically serializes the host's complete state
+//! A [`Checkpointer`] wraps a [`MultiEngine`] host and, given a period of
+//! `n` ingested items, periodically serializes the host's complete state
 //! (via [`MultiEngine::snapshot`]) into a [`CheckpointStore`], alongside an
 //! append-only **emission log** recording `(query, kind, match key)` for
 //! every output the wrapper has delivered downstream. After a crash,
@@ -23,61 +23,18 @@
 //! Every artifact (checkpoints, log records, the store file) is wrapped in
 //! the checksummed envelope from [`sequin_types::codec`]; a corrupted or
 //! version-skewed artifact is *detected and rejected*, never silently
-//! restored. Under [`CheckpointPolicy::never`] the wrapper is a
-//! pass-through: no match key is built and no record encoded.
+//! restored. Without a period the wrapper is a pass-through: no match key
+//! is built and no record encoded.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
 use sequin_runtime::{MatchKey, RuntimeStats};
 use sequin_types::codec::{open_envelope, seal_envelope};
-use sequin_types::{CodecError, Decode, Encode, Reader, StreamItem, Timestamp, Writer};
+use sequin_types::{CodecError, Decode, Encode, Reader, StreamItem, Writer};
 
 use crate::output::{OutputItem, OutputKind};
 use crate::shared::{MultiEngine, QueryId};
-
-/// When a [`Checkpointer`] takes a checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CheckpointPolicy {
-    /// Checkpoint whenever this many events have been ingested since the
-    /// last checkpoint.
-    pub every_n_events: Option<u64>,
-    /// Checkpoint whenever the host's low-watermark advances (a host with
-    /// no query registered never triggers this).
-    pub on_watermark_advance: bool,
-}
-
-impl Default for CheckpointPolicy {
-    fn default() -> Self {
-        CheckpointPolicy {
-            every_n_events: None,
-            on_watermark_advance: true,
-        }
-    }
-}
-
-impl CheckpointPolicy {
-    /// Checkpoint every `n` ingested events only.
-    pub fn every(n: u64) -> CheckpointPolicy {
-        CheckpointPolicy {
-            every_n_events: Some(n),
-            on_watermark_advance: false,
-        }
-    }
-
-    /// No cadence at all: a volatile wrapper that keeps no emission log
-    /// and suppresses nothing.
-    pub fn never() -> CheckpointPolicy {
-        CheckpointPolicy {
-            every_n_events: None,
-            on_watermark_advance: false,
-        }
-    }
-
-    fn durable(self) -> bool {
-        self.every_n_events.is_some() || self.on_watermark_advance
-    }
-}
 
 /// What the emission log remembers of a delivered output.
 type LogKey = (u64, u8, MatchKey);
@@ -261,7 +218,9 @@ impl CheckpointStore {
 /// [`MultiEngine`] (see the module docs for the recovery model).
 pub struct Checkpointer {
     host: MultiEngine,
-    policy: CheckpointPolicy,
+    /// Checkpoint whenever this many items were ingested since the last
+    /// checkpoint; `None` is volatile: no emission log, no suppression.
+    every: Option<u64>,
     store: CheckpointStore,
     /// Written into every checkpoint between the log mark and the
     /// snapshot; [`Checkpointer::resume`] lets the caller read it back.
@@ -269,7 +228,6 @@ pub struct Checkpointer {
     /// Stream items ingested so far (the replay cursor).
     position: u64,
     last_ckpt_position: u64,
-    last_ckpt_wm: Option<Timestamp>,
     /// Multiset of outputs the pre-crash process already delivered that
     /// deterministic replay will regenerate; each is dropped once.
     suppress: BTreeMap<LogKey, u64>,
@@ -292,12 +250,12 @@ impl std::fmt::Debug for Checkpointer {
 }
 
 impl Checkpointer {
-    /// Wraps `host` with a fresh (empty) store and an empty header.
-    pub fn new(host: MultiEngine, policy: CheckpointPolicy) -> Checkpointer {
+    /// Wraps `host` with a fresh (empty) store and an empty header,
+    /// checkpointing every `every` ingested items (never when `None`).
+    pub fn new(host: MultiEngine, every: Option<u64>) -> Checkpointer {
         Checkpointer {
-            last_ckpt_wm: host.watermark(),
             host,
-            policy,
+            every,
             store: CheckpointStore::new(),
             header: Vec::new(),
             position: 0,
@@ -328,7 +286,7 @@ impl Checkpointer {
     ///
     /// If `fresh(None)` fails: a cold host depends on nothing persisted.
     pub fn resume(
-        policy: CheckpointPolicy,
+        every: Option<u64>,
         store: CheckpointStore,
         mut fresh: impl FnMut(Option<&mut Reader<'_>>) -> Result<MultiEngine, CodecError>,
     ) -> (Checkpointer, u64) {
@@ -352,7 +310,7 @@ impl Checkpointer {
                 Err(_) => rejected += 1,
             }
         }
-        let mut ckptr = Checkpointer::new(host, policy);
+        let mut ckptr = Checkpointer::new(host, every);
         ckptr.store = store;
         ckptr.position = position;
         ckptr.last_ckpt_position = position;
@@ -387,7 +345,7 @@ impl Checkpointer {
         &mut self.header
     }
 
-    /// Takes a checkpoint immediately (also used by the policy triggers).
+    /// Takes a checkpoint immediately (also used by the cadence).
     pub fn checkpoint_now(&mut self) {
         let (mut head, mut tail) = (Writer::new(), Writer::new());
         head.put_u64(self.position);
@@ -397,24 +355,7 @@ impl Checkpointer {
         self.store.push_checkpoint(seal_envelope(&payload));
         self.extra.checkpoints_written += 1;
         self.last_ckpt_position = self.position;
-        self.last_ckpt_wm = self.host.watermark();
         self.dirty = true;
-    }
-
-    fn maybe_checkpoint(&mut self) {
-        let wm_advanced = self.policy.on_watermark_advance
-            && match (self.host.watermark(), self.last_ckpt_wm) {
-                (Some(wm), Some(prev)) => wm > prev,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-        let n_due = self
-            .policy
-            .every_n_events
-            .is_some_and(|n| self.position.saturating_sub(self.last_ckpt_position) >= n);
-        if wm_advanced || n_due {
-            self.checkpoint_now();
-        }
     }
 
     /// Appends `raw` to `out`, logging newly delivered outputs and
@@ -424,7 +365,7 @@ impl Checkpointer {
         raw: Vec<(QueryId, OutputItem)>,
         out: &mut Vec<(QueryId, OutputItem)>,
     ) {
-        if !self.policy.durable() {
+        if self.every.is_none() {
             out.extend(raw);
             return;
         }
@@ -457,19 +398,15 @@ impl Checkpointer {
     /// Outputs, log records, and checkpoints are identical to item-by-item
     /// [`Checkpointer::ingest`] calls: the run is split at checkpoint
     /// boundaries so every checkpoint captures the host state at exactly
-    /// the position it records, never mid-cadence. The watermark-advance
-    /// cadence can fall after any item, so it ingests one at a time.
+    /// the position it records, never mid-cadence. A volatile wrapper
+    /// passes the run through as one chunk.
     pub fn ingest_batch(&mut self, items: &[StreamItem]) -> Vec<(QueryId, OutputItem)> {
         let mut out = Vec::new();
         let mut rest = items;
         while !rest.is_empty() {
-            let until_due = |n: u64| {
-                let since = self.position.saturating_sub(self.last_ckpt_position);
-                n.saturating_sub(since).max(1) as usize
-            };
-            let take = match self.policy.every_n_events {
-                _ if self.policy.on_watermark_advance => 1,
-                Some(n) => until_due(n).min(rest.len()),
+            let since = self.position - self.last_ckpt_position;
+            let take = match self.every {
+                Some(n) => (n.saturating_sub(since).max(1) as usize).min(rest.len()),
                 None => rest.len(),
             };
             let (chunk, tail) = rest.split_at(take);
@@ -478,7 +415,12 @@ impl Checkpointer {
                 self.position += 1;
                 self.filter_and_log(raw, &mut out);
             }
-            self.maybe_checkpoint();
+            if self
+                .every
+                .is_some_and(|n| self.position - self.last_ckpt_position >= n)
+            {
+                self.checkpoint_now();
+            }
         }
         out
     }
@@ -541,7 +483,7 @@ mod tests {
     use crate::config::EngineConfig;
     use crate::shared::{read_envelope, write_envelope};
     use sequin_query::parse;
-    use sequin_types::{Duration, Event, EventId, TypeRegistry, Value, ValueKind};
+    use sequin_types::{Duration, Event, EventId, Timestamp, TypeRegistry, Value, ValueKind};
     use std::sync::Arc;
 
     fn registry() -> TypeRegistry {
@@ -614,7 +556,7 @@ mod tests {
     }
 
     fn baseline(reg: &TypeRegistry, items: &[StreamItem]) -> Vec<Delivery> {
-        let mut ck = Checkpointer::new(fresh(reg), CheckpointPolicy::never());
+        let mut ck = Checkpointer::new(fresh(reg), None);
         let mut out = ck.ingest_batch(items);
         out.extend(ck.finish());
         assert_eq!(ck.store().log_len(), 0, "a volatile wrapper keeps no log");
@@ -623,13 +565,12 @@ mod tests {
     }
 
     #[test]
-    fn checkpoints_are_written_on_watermark_advance() {
+    fn checkpoints_are_written_every_n_items() {
         let reg = registry();
-        let mut ck = Checkpointer::new(fresh(&reg), CheckpointPolicy::default());
+        let mut ck = Checkpointer::new(fresh(&reg), Some(7));
         ck.ingest_batch(&stream(&reg));
-        assert!(ck.stats().checkpoints_written > 0);
-        assert!(ck.store().checkpoint_count() >= 1);
-        assert!(ck.store().checkpoint_count() <= 2, "keep bound respected");
+        assert_eq!(ck.stats().checkpoints_written, 60 / 7);
+        assert_eq!(ck.store().checkpoint_count(), 2, "keep bound respected");
     }
 
     #[test]
@@ -637,7 +578,7 @@ mod tests {
         let reg = registry();
         let items = stream(&reg);
         let fresh = || host_of(&reg, &[Q_AB, Q_PART, Q_NB]);
-        let mut per_item = Checkpointer::new(fresh(), CheckpointPolicy::every(10));
+        let mut per_item = Checkpointer::new(fresh(), Some(10));
         let mut want = Vec::new();
         for item in &items {
             want.extend(per_item.ingest(item));
@@ -646,7 +587,7 @@ mod tests {
         assert_eq!(per_item.stats().checkpoints_written, 6);
 
         // ragged batch sizes that straddle the checkpoint cadence
-        let mut batched = Checkpointer::new(fresh(), CheckpointPolicy::every(10));
+        let mut batched = Checkpointer::new(fresh(), Some(10));
         let mut got = Vec::new();
         let mut rest = &items[..];
         for size in [1usize, 10, 3, 17, 9].iter().cycle() {
@@ -676,14 +617,14 @@ mod tests {
 
         // sparse checkpoints guarantee the replay suffix overlaps output
         // that was already delivered before the crash
-        let policy = CheckpointPolicy::every(25);
-        let mut ck = Checkpointer::new(fresh(&reg), policy);
+        let every = Some(25);
+        let mut ck = Checkpointer::new(fresh(&reg), every);
         let mut delivered = ck.ingest_batch(&items[..40]);
         assert!(ck.take_dirty() && !ck.take_dirty());
         let saved = ck.store().clone();
         drop(ck); // crash
 
-        let (mut ck, replay_from) = Checkpointer::resume(policy, saved, |_| Ok(fresh(&reg)));
+        let (mut ck, replay_from) = Checkpointer::resume(every, saved, |_| Ok(fresh(&reg)));
         assert_eq!(replay_from, 25);
         delivered.extend(ck.ingest_batch(&items[replay_from as usize..]));
         delivered.extend(ck.finish());
@@ -725,8 +666,8 @@ mod tests {
         let reg = registry();
         let items = stream(&reg);
         let baseline = baseline(&reg, &items);
-        let policy = CheckpointPolicy::every(15);
-        let mut ck = Checkpointer::new(fresh(&reg), policy);
+        let every = Some(15);
+        let mut ck = Checkpointer::new(fresh(&reg), every);
         let pre_crash = ck.ingest_batch(&items[..40]);
         let intact = ck.store().clone();
         assert_eq!(intact.checkpoint_count(), 2, "at items 15 and 30");
@@ -822,7 +763,7 @@ mod tests {
             let mut saved = intact.clone();
             (row.damage)(&mut saved);
             let (mut built, log_len) = (0, saved.log_len());
-            let (mut ck, replay_from) = Checkpointer::resume(policy, saved, |_| {
+            let (mut ck, replay_from) = Checkpointer::resume(every, saved, |_| {
                 built += 1;
                 Ok(fresh(&reg))
             });
@@ -858,7 +799,7 @@ mod tests {
     #[test]
     fn store_file_round_trip_and_corruption_detection() {
         let reg = registry();
-        let mut ck = Checkpointer::new(fresh(&reg), CheckpointPolicy::default());
+        let mut ck = Checkpointer::new(fresh(&reg), Some(5));
         ck.ingest_batch(&stream(&reg)[..30]);
         let bytes = ck.store().to_bytes();
         let parsed = CheckpointStore::from_bytes(&bytes).unwrap();
@@ -874,15 +815,14 @@ mod tests {
     #[test]
     fn fingerprint_mismatch_is_rejected() {
         let reg = registry();
-        let mut ck = Checkpointer::new(fresh(&reg), CheckpointPolicy::default());
+        let mut ck = Checkpointer::new(fresh(&reg), Some(5));
         ck.ingest_batch(&stream(&reg)[..30]);
         let saved = ck.store().clone();
         let rejected_all = saved.checkpoint_count() as u64;
         // resume into a host evaluating *different* queries
         let other = ["PATTERN SEQ(B b, A a) WITHIN 8", Q_PART];
-        let (ck2, replay_from) = Checkpointer::resume(CheckpointPolicy::default(), saved, |_| {
-            Ok(host_of(&reg, &other))
-        });
+        let (ck2, replay_from) =
+            Checkpointer::resume(Some(5), saved, |_| Ok(host_of(&reg, &other)));
         assert_eq!(replay_from, 0, "no checkpoint accepted");
         assert!(ck2.stats().checkpoints_rejected >= rejected_all);
     }

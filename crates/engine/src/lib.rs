@@ -59,7 +59,7 @@ mod settle;
 mod shared;
 mod watermark;
 
-pub use checkpoint::{CheckpointPolicy, CheckpointStore, Checkpointer};
+pub use checkpoint::{CheckpointStore, Checkpointer};
 pub use config::{DisorderPolicy, EngineConfig, Strategy, WatermarkSource};
 pub use native::NativeEngine;
 pub use output::{OutputItem, OutputKind};

@@ -782,14 +782,6 @@ impl MultiEngine {
         pooled.iter().map(|&six| self.stacks[six].keys()).sum()
     }
 
-    /// The low-watermark the *whole* evaluation has reached: the minimum
-    /// over active queries (`None` when there is none).
-    /// [`crate::Checkpointer`]'s watermark-advance cadence triggers on it.
-    pub fn watermark(&self) -> Option<Timestamp> {
-        let live = self.epochs.iter().filter(|ep| !ep.queries.is_empty());
-        live.map(|ep| ep.wm.current()).min()
-    }
-
     /// One query's watermark.
     pub fn query_watermark(&self, id: QueryId) -> Timestamp {
         self.epochs[self.states[id.index()].epoch].wm.current()
@@ -1947,7 +1939,6 @@ mod tests {
         assert_eq!(multi.query(QueryId(0)).positive_len(), 2);
         // both queries share K = 50, so the minimum watermark sits at 450
         multi.ingest(&item(&reg, "A", 2, 500, 0, 0));
-        assert_eq!(multi.watermark(), Some(Timestamp::new(450)));
         let at = (Timestamp::new(500), Timestamp::new(450));
         assert_eq!(multi.query_positions(), [at, at]);
     }
@@ -1960,7 +1951,7 @@ mod tests {
         assert!(multi.ingest(&item(&reg, "A", 1, 1, 0, 0)).is_empty());
         assert!(multi.finish().is_empty());
         assert_eq!(multi.state_size(), 0);
-        assert_eq!(multi.watermark(), None);
+        assert!(multi.query_positions().is_empty());
     }
 
     /// Batched on one plan, item by item on plans of one: the same tagged

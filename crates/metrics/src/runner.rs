@@ -130,7 +130,7 @@ pub fn run_engine_batched(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sequin_engine::{CheckpointPolicy, EngineConfig, MultiEngine, NativeEngine};
+    use sequin_engine::{EngineConfig, MultiEngine, NativeEngine};
     use sequin_netsim::delay_shuffle;
     use sequin_types::Duration;
     use sequin_workload::{Synthetic, SyntheticConfig};
@@ -148,7 +148,7 @@ mod tests {
         per_item.extend(seq.finish());
         let mut host = MultiEngine::new(cfg);
         host.register(Arc::clone(&q), cfg.policy);
-        let mut stack = Checkpointer::new(host, CheckpointPolicy::every(100));
+        let mut stack = Checkpointer::new(host, Some(100));
         let batched = run_engine_batched(&mut stack, &stream, 64);
         assert_eq!(batched.outputs, per_item);
         assert_eq!(batched.events, events.len());

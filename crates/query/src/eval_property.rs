@@ -14,8 +14,9 @@ use crate::{BinaryOp, Binding, Expr, Predicate, UnaryOp};
 /// The reference evaluator: the expression semantics written the plain
 /// way — recurse, clone every operand, rediscover the referenced
 /// components from the tree — as `Expr::eval` was before it borrowed its
-/// operands. The oracles in `sequin-sim` and `tests/common` carry the same
-/// text, so what is proved equal here is what they judge the engines by.
+/// operands. The oracle in `sequin-sim` (`crates/sim/src/oracle.rs`)
+/// carries the same text, so what is proved equal here is what it judges
+/// the engines by.
 fn reference_eval(expr: &Expr, binding: &Binding<'_>) -> Option<Value> {
     let bound = |comp: &usize| binding.get(*comp).copied().flatten();
     match expr {

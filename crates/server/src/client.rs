@@ -221,6 +221,35 @@ impl Client {
         Ok(())
     }
 
+    /// Sends `items` in order: consecutive events ride in EVENT_BATCH
+    /// frames of up to `batch` (`batch <= 1` sends each alone), and a
+    /// punctuation first flushes the events before it.
+    pub fn send_stream(&mut self, items: &[StreamItem], batch: usize) -> Result<(), ClientError> {
+        let mut pending = Vec::new();
+        for item in items {
+            match item {
+                StreamItem::Event(e) if batch > 1 => {
+                    pending.push(e.clone());
+                    if pending.len() >= batch {
+                        self.send_batch(&pending)?;
+                        pending.clear();
+                    }
+                }
+                other => {
+                    if !pending.is_empty() {
+                        self.send_batch(&pending)?;
+                        pending.clear();
+                    }
+                    self.send_item(other)?;
+                }
+            }
+        }
+        if !pending.is_empty() {
+            self.send_batch(&pending)?;
+        }
+        Ok(())
+    }
+
     /// Sends a punctuation (source-asserted low-watermark).
     pub fn punctuate(&mut self, ts: Timestamp) -> Result<(), ClientError> {
         self.send(&Frame::Punctuation(ts))?;

@@ -31,13 +31,13 @@
 use std::sync::Arc;
 
 use sequin_engine::{
-    stable_query_id, CheckpointPolicy, CheckpointStore, Checkpointer, DisorderPolicy, EngineConfig,
-    MultiEngine, OutputItem, OutputKind, PlanMetrics, QueryId, Strategy,
+    stable_query_id, CheckpointStore, Checkpointer, DisorderPolicy, EngineConfig, MultiEngine,
+    OutputItem, OutputKind, PlanMetrics, QueryId, Strategy,
 };
 use sequin_obs::{Bundle, MetricsSnapshot, ObsConfig, Recorder, Span, SpanKind};
 use sequin_query::{parse, Query, QueryError};
 use sequin_runtime::{seal_deadline, RuntimeStats};
-use sequin_types::{CodecError, Reader, StreamItem, Timestamp, TypeRegistry, Writer};
+use sequin_types::{CodecError, Reader, StreamItem, TypeRegistry, Writer};
 
 use crate::frame::{policy_from_wire, policy_to_wire, ErrorCode};
 use crate::stats::ServerStats;
@@ -234,11 +234,6 @@ impl EngineCore {
         MultiEngine::new(cfg.engine)
     }
 
-    fn policy(cfg: &CoreConfig) -> CheckpointPolicy {
-        cfg.checkpoint_every
-            .map_or(CheckpointPolicy::never(), CheckpointPolicy::every)
-    }
-
     fn around(cfg: CoreConfig, mut ck: Checkpointer, subs: Vec<Subscription>) -> EngineCore {
         *ck.header_mut() = write_header(&subs);
         EngineCore {
@@ -253,7 +248,7 @@ impl EngineCore {
 
     /// A fresh core with no queries and an empty store.
     pub fn new(cfg: CoreConfig) -> EngineCore {
-        let ck = Checkpointer::new(Self::host(&cfg), Self::policy(&cfg));
+        let ck = Checkpointer::new(Self::host(&cfg), cfg.checkpoint_every);
         EngineCore::around(cfg, ck, Vec::new())
     }
 
@@ -264,7 +259,7 @@ impl EngineCore {
     /// cold start, which also has no queries yet).
     pub fn resume(cfg: CoreConfig, store: CheckpointStore) -> (EngineCore, u64) {
         let mut subs = Vec::new();
-        let (ck, position) = Checkpointer::resume(Self::policy(&cfg), store, |header| {
+        let (ck, position) = Checkpointer::resume(cfg.checkpoint_every, store, |header| {
             let mut host = Self::host(&cfg);
             subs = match header {
                 Some(r) => read_header(&cfg, r, &mut host)?,
@@ -428,11 +423,6 @@ impl EngineCore {
     /// The schema fingerprint this core negotiates sessions against.
     pub fn fingerprint(&self) -> u64 {
         self.cfg.registry.fingerprint()
-    }
-
-    /// The minimum low-watermark across registered queries.
-    pub fn watermark(&self) -> Option<Timestamp> {
-        self.ck.host().watermark()
     }
 
     /// Shared-plan structural gauges and sharing counters. Always `Some`:
@@ -776,7 +766,7 @@ impl EngineCore {
 pub(crate) mod tests {
     use super::*;
     use sequin_engine::OutputKind;
-    use sequin_types::{Duration, Event, EventId, Value, ValueKind};
+    use sequin_types::{Duration, Event, EventId, Timestamp, Value, ValueKind};
 
     pub(crate) fn registry() -> Arc<TypeRegistry> {
         let mut reg = TypeRegistry::new();

@@ -108,28 +108,9 @@ pub fn loopback_run(
         }
 
         let started = Instant::now();
-        let mut pending = Vec::new();
-        for item in stream {
-            match item {
-                StreamItem::Event(e) if batch > 1 => {
-                    pending.push(e.clone());
-                    if pending.len() >= batch {
-                        client.send_batch(&pending).map_err(|e| e.to_string())?;
-                        pending.clear();
-                    }
-                }
-                other => {
-                    if !pending.is_empty() {
-                        client.send_batch(&pending).map_err(|e| e.to_string())?;
-                        pending.clear();
-                    }
-                    client.send_item(other).map_err(|e| e.to_string())?;
-                }
-            }
-        }
-        if !pending.is_empty() {
-            client.send_batch(&pending).map_err(|e| e.to_string())?;
-        }
+        client
+            .send_stream(stream, batch)
+            .map_err(|e| e.to_string())?;
         client.drain().map_err(|e| e.to_string())?;
         let elapsed = started.elapsed().as_secs_f64();
         let eps = if elapsed > 0.0 {

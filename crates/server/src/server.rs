@@ -168,6 +168,7 @@ pub struct Server {
     engine: Option<JoinHandle<()>>,
     acceptor: Option<JoinHandle<()>>,
     local_addr: Option<SocketAddr>,
+    resumed_at: Option<u64>,
 }
 
 impl Server {
@@ -180,18 +181,21 @@ impl Server {
         let (tx, rx) = mpsc::sync_channel::<EngineMsg>(config.queue_capacity.max(1));
         let fingerprint = config.core.registry.fingerprint();
 
+        let mut resumed_at = None;
         let mut core = match &config.store_path {
             Some(path) => {
                 let (store, unreadable) = CheckpointStore::load_or_empty(path);
                 if let Some(e) = &unreadable {
                     eprintln!("store {} unreadable ({e}): cold start", path.display());
                 }
-                let (core, _replay_from) = EngineCore::resume(config.core.clone(), store);
+                let stored = store.checkpoint_count() as u64;
+                let (core, replay_from) = EngineCore::resume(config.core.clone(), store);
                 // flight recorder: a resume that rejected checkpoints, or
                 // the whole store, took the recovery fallback ladder —
                 // freeze what the degraded core knows into a postmortem
                 // bundle (never fail startup over it)
                 let rejected = core.stats().checkpoints_rejected;
+                resumed_at = (stored > rejected).then_some(replay_from);
                 if rejected > 0 || unreadable.is_some() {
                     if let Some(dir) = &config.bundle_dir {
                         let bundle = core.postmortem_bundle(
@@ -243,7 +247,14 @@ impl Server {
             engine: Some(engine),
             acceptor: None,
             local_addr: None,
+            resumed_at,
         })
+    }
+
+    /// The stream position a startup resume restored, or `None` for a
+    /// cold start: no store, or none of its checkpoints accepted.
+    pub fn resumed_at(&self) -> Option<u64> {
+        self.resumed_at
     }
 
     /// Binds `addr` (e.g. `"127.0.0.1:0"`) and accepts TCP sessions until

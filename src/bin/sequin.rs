@@ -29,13 +29,16 @@ fn main() {
 
 const USAGE: &str = "usage:
   sequin explain  --types '<schema>' '<query>'
-  sequin run      --workload synthetic|rfid|intrusion|stock [options] ['<query>']
-  sequin replay   --types '<schema>' --trace <file> [options] '<query>'
+  sequin run      --workload synthetic|rfid|intrusion|stock [stream] [eval]
+                  [--checkpoint-every N] [--resume-from FILE] ['<query>']
+  sequin replay   --types '<schema>' --trace <file> [eval]
+                  [--checkpoint-every N] [--resume-from FILE] '<query>'
   sequin serve    --addr HOST:PORT [--types '<schema>' | --workload NAME]
-                  [--store FILE] [options] ['<query>' ...]
-  sequin send     --addr HOST:PORT [--workload NAME] [--drain yes|no]
-                  [options] ['<query>']
-  sequin netbench [--workload NAME] [options] ['<query>']
+                  [eval] [--obs on|off] [--checkpoint-every N] [--store FILE]
+                  [--bundle-dir DIR] ['<query>' ...]
+  sequin send     --addr HOST:PORT [stream] [--policy NAME] [--punctuate N]
+                  [--batch N] [--drain yes|no] ['<query>']
+  sequin netbench [stream] [eval] [--batch N] [--obs on|off] ['<query>']
   sequin stats    --addr HOST:PORT [--format prom|json|trace]
                   [--watch] [--interval SECS]
   sequin trace    (--addr HOST:PORT | --bundle FILE) [--query N]
@@ -45,6 +48,10 @@ const USAGE: &str = "usage:
                   [--emit-repro DIR] [--purge-skew N] [--retraction-drop N]
                   [--policy NAME|mixed] [--no-loopback]
                   [--json FILE] [--bundle-dir DIR]
+
+  stream = [--workload NAME] [--events N] [--ooo F] [--delay D] [--seed S]
+  eval   = [--k K] [--adaptive F] [--policy NAME] [--punctuate N]
+  A flag a subcommand does not list is an error.
 
 options:
   --events N        events to generate (default 50000; networked 10000)
@@ -57,7 +64,8 @@ options:
   --policy NAME     disorder policy: conservative|speculative|lazy|
                     adaptive[:ACCURACY] (accuracy 0-100, default 90;
                     `aggressive` is kept as an alias for speculative;
-                    sim also accepts `mixed` to draw one per query)
+                    sim also accepts `mixed` to draw one per query;
+                    send requests it at SUBSCRIBE, default the server's)
   --batch N         events per EVENT_BATCH frame (default 64)
   --obs on|off      serve/netbench: engine observability recorder
                     (default on; off removes all instrumentation cost)
@@ -141,6 +149,47 @@ const FLAGS: &[(&str, bool)] = &[
     ("workload", true),
 ];
 
+/// The flags of the usage text's `stream` and `eval`.
+const STREAM: &str = "workload events ooo delay seed";
+const EVAL: &str = "k adaptive policy punctuate";
+
+/// Each subcommand and the flags it reads, in space-separated groups. Any
+/// other flag is an error before a file or socket is touched, so none is
+/// accepted and then ignored.
+const COMMANDS: &[(&str, &[&str])] = &[
+    ("explain", &["types"]),
+    ("run", &[STREAM, EVAL, "checkpoint-every resume-from"]),
+    (
+        "replay",
+        &["types trace", EVAL, "checkpoint-every resume-from"],
+    ),
+    (
+        "serve",
+        &[
+            "addr types workload bundle-dir obs",
+            EVAL,
+            "checkpoint-every store",
+        ],
+    ),
+    ("send", &["addr drain policy punctuate batch", STREAM]),
+    ("netbench", &[STREAM, EVAL, "batch obs"]),
+    ("stats", &["addr format watch interval"]),
+    ("trace", &["addr bundle query pid format"]),
+    (
+        "sim",
+        &[
+            "ci seeds seed cases case time-budget shrink purge-skew",
+            "retraction-drop policy no-loopback json emit-repro bundle-dir",
+        ],
+    ),
+];
+
+/// The flags `command` reads, or `None` for an unknown subcommand.
+fn flags_of(command: &str) -> Option<Vec<&'static str>> {
+    let (_, groups) = COMMANDS.iter().find(|(name, _)| *name == command)?;
+    Some(groups.iter().flat_map(|g| g.split(' ')).collect())
+}
+
 /// An integer flag, parsed as the unsigned type it feeds: negatives and
 /// fractions are errors, and a seed above 2^53 keeps every bit.
 fn get_int<T: std::str::FromStr>(flags: &Flags, name: &str) -> Result<Option<T>, String> {
@@ -194,7 +243,7 @@ fn get_ooo(flags: &Flags) -> Result<f64, String> {
 
 /// `--checkpoint-every`: a period in events, so at least 1. A store path
 /// (`--resume-from`, `--store`) needs one: without a period nothing would
-/// ever be written to it, or everything on every event.
+/// ever be written to it.
 fn get_checkpoint_every(flags: &Flags) -> Result<Option<u64>, String> {
     let store = ["resume-from", "store"]
         .into_iter()
@@ -206,13 +255,13 @@ fn get_checkpoint_every(flags: &Flags) -> Result<Option<u64>, String> {
     }
 }
 
-fn run(args: &[String]) -> Result<String, String> {
-    let mut it = args.iter();
-    let command = it.next().ok_or("missing subcommand")?;
-
-    // collect flags and positionals
+/// Splits `command`'s arguments into flags and positionals, refusing a
+/// flag outside the subcommand's row of [`COMMANDS`].
+fn parse(command: &str, args: &[String]) -> Result<(Flags, Vec<String>), String> {
+    let reads = flags_of(command).ok_or_else(|| format!("unknown subcommand `{command}`"))?;
     let mut flags = Flags::new();
-    let mut positional: Vec<String> = Vec::new();
+    let mut positional = Vec::new();
+    let mut it = args.iter();
     while let Some(a) = it.next() {
         let Some(name) = a.strip_prefix("--") else {
             positional.push(a.clone());
@@ -222,6 +271,9 @@ fn run(args: &[String]) -> Result<String, String> {
             .iter()
             .find(|(known, _)| *known == name)
             .ok_or_else(|| format!("unknown flag --{name}"))?;
+        if !reads.contains(&name) {
+            return Err(format!("--{name} is not a flag of `{command}`"));
+        }
         let value = if takes_value {
             it.next()
                 .ok_or_else(|| format!("flag --{name} needs a value"))?
@@ -231,16 +283,15 @@ fn run(args: &[String]) -> Result<String, String> {
         };
         flags.insert(name.to_owned(), value);
     }
-    // the flag table is one for every subcommand, and this one name reads
-    // like the way to pass a query: the text was dropped and the default
-    // query ran
-    if command != "trace" && flags.contains_key("query") {
-        return Err(format!(
-            "--query is `trace`'s query-id filter; `{command}` takes the query \
-             text as an argument: sequin {command} [options] '<query>'"
-        ));
-    }
+    Ok((flags, positional))
+}
 
+fn run(args: &[String]) -> Result<String, String> {
+    let (command, args) = args.split_first().ok_or("missing subcommand")?;
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        return Ok(format!("{USAGE}\n"));
+    }
+    let (flags, positional) = parse(command, args)?;
     match command.as_str() {
         "explain" => {
             let schema = flags
@@ -250,17 +301,9 @@ fn run(args: &[String]) -> Result<String, String> {
             cli::explain(schema, query)
         }
         "run" => {
-            let workload = flags.get("workload").ok_or("run needs --workload <name>")?;
-            let query = positional.first().map(String::as_str).unwrap_or("");
-            cli::run_workload(
-                workload,
-                query,
-                get_int(&flags, "events")?.unwrap_or(50_000),
-                get_ooo(&flags)?,
-                get_int(&flags, "delay")?.unwrap_or(100),
-                get_int(&flags, "seed")?.unwrap_or(42),
-                &run_options(&flags)?,
-            )
+            flags.get("workload").ok_or("run needs --workload <name>")?;
+            let spec = stream_spec(&flags, &positional, 50_000)?;
+            cli::evaluate(&spec, &eval_options(&flags)?)
         }
         "replay" => {
             let schema = flags
@@ -268,10 +311,15 @@ fn run(args: &[String]) -> Result<String, String> {
                 .ok_or("replay needs --types '<schema>'")?;
             let path = flags.get("trace").ok_or("replay needs --trace <file>")?;
             let query = positional.first().ok_or("replay needs a query argument")?;
-            let opts = run_options(&flags)?;
+            let opts = eval_options(&flags)?;
             let text = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read trace `{path}`: {e}"))?;
-            cli::run_trace_text(schema, query, &text, &opts)
+            let spec = cli::StreamSpec {
+                trace: Some((schema.clone(), text)),
+                query: query.clone(),
+                ..cli::StreamSpec::default()
+            };
+            cli::evaluate(&spec, &opts)
         }
         "serve" => {
             let registry = cli::serve_registry(
@@ -283,11 +331,9 @@ fn run(args: &[String]) -> Result<String, String> {
                     .get("addr")
                     .cloned()
                     .ok_or("serve needs --addr <host:port>")?,
-                queries: positional.clone(),
-                checkpoint_every: get_checkpoint_every(&flags)?,
-                store: flags.get("store").cloned(),
+                queries: positional,
                 bundle_dir: flags.get("bundle-dir").cloned(),
-                net: net_options(&flags)?,
+                eval: eval_options(&flags)?,
             };
             let (_server, _addr, banner) = cli::start_server(registry, &serve_opts)?;
             print!("{banner}");
@@ -304,12 +350,8 @@ fn run(args: &[String]) -> Result<String, String> {
                 Some("no") | Some("false") => false,
                 Some(other) => return Err(format!("--drain expects yes|no, got `{other}`")),
             };
-            cli::send(
-                addr,
-                &stream_spec(&flags, &positional)?,
-                &net_options(&flags)?,
-                drain,
-            )
+            let spec = stream_spec(&flags, &positional, 10_000)?;
+            cli::send(addr, &spec, &eval_options(&flags)?, drain)
         }
         "stats" => {
             let addr = flags.get("addr").ok_or("stats needs --addr <host:port>")?;
@@ -339,7 +381,10 @@ fn run(args: &[String]) -> Result<String, String> {
             }
             cli::fetch_stats(addr, format)
         }
-        "netbench" => cli::run_netbench(&stream_spec(&flags, &positional)?, &net_options(&flags)?),
+        "netbench" => {
+            let spec = stream_spec(&flags, &positional, 10_000)?;
+            cli::run_netbench(&spec, &eval_options(&flags)?)
+        }
         "sim" => {
             let mut s = if flags.contains_key("ci") {
                 cli::SimCliOptions::ci()
@@ -407,16 +452,16 @@ fn run(args: &[String]) -> Result<String, String> {
             };
             cli::run_trace(&t)
         }
-        "help" | "--help" | "-h" => Ok(format!("{USAGE}\n")),
-        other => Err(format!("unknown subcommand `{other}`")),
+        other => unreachable!("`{other}` is not a row of COMMANDS"),
     }
 }
 
-/// The evaluation flags `run`, `replay` and the networked subcommands
-/// share. Built only by the arms that use them: `sim` reads `--policy`
-/// itself, with a value (`mixed`) these parsers reject.
-fn run_options(flags: &Flags) -> Result<cli::RunOptions, String> {
-    Ok(cli::RunOptions {
+/// The evaluation settings, each read from its flag once; a flag the
+/// subcommand does not read was refused by [`parse`] and keeps its
+/// default. `sim` reads `--policy` itself, with a value (`mixed`) this
+/// parser rejects.
+fn eval_options(flags: &Flags) -> Result<cli::EvalOptions, String> {
+    Ok(cli::EvalOptions {
         k: get_int(flags, "k")?.unwrap_or(100),
         adaptive: flags
             .get("adaptive")
@@ -427,25 +472,14 @@ fn run_options(flags: &Flags) -> Result<cli::RunOptions, String> {
                 )),
             })
             .transpose()?,
+        policy: flags
+            .get("policy")
+            .map(|name| cli::parse_policy(name))
+            .transpose()?,
         punctuate_every: get_int(flags, "punctuate")?,
         checkpoint_every: get_checkpoint_every(flags)?,
-        resume_from: flags.get("resume-from").cloned(),
-        policy: cli::parse_policy(
-            flags
-                .get("policy")
-                .map(String::as_str)
-                .unwrap_or("conservative"),
-        )?,
-    })
-}
-
-fn net_options(flags: &Flags) -> Result<cli::NetOptions, String> {
-    let opts = run_options(flags)?;
-    Ok(cli::NetOptions {
-        k: opts.k,
-        policy: opts.policy,
+        store: flags.get("resume-from").or(flags.get("store")).cloned(),
         batch: get_int(flags, "batch")?.unwrap_or(64),
-        punctuate_every: opts.punctuate_every,
         obs: match flags.get("obs").map(String::as_str) {
             None | Some("on") | Some("yes") | Some("true") => sequin_obs::ObsConfig::default(),
             Some("off") | Some("no") | Some("false") => sequin_obs::ObsConfig::disabled(),
@@ -454,14 +488,21 @@ fn net_options(flags: &Flags) -> Result<cli::NetOptions, String> {
     })
 }
 
-fn stream_spec(flags: &Flags, positional: &[String]) -> Result<cli::StreamSpec, String> {
+/// The generated stream of `run`, `send` and `netbench`; `events` is the
+/// subcommand's default length.
+fn stream_spec(
+    flags: &Flags,
+    positional: &[String],
+    events: usize,
+) -> Result<cli::StreamSpec, String> {
     Ok(cli::StreamSpec {
         workload: flags
             .get("workload")
             .cloned()
             .unwrap_or_else(|| "synthetic".to_owned()),
+        trace: None,
         query: positional.first().cloned().unwrap_or_default(),
-        events: get_int(flags, "events")?.unwrap_or(10_000),
+        events: get_int(flags, "events")?.unwrap_or(events),
         ooo: get_ooo(flags)?,
         max_delay: get_int(flags, "delay")?.unwrap_or(100),
         seed: get_int(flags, "seed")?.unwrap_or(42),
@@ -470,7 +511,7 @@ fn stream_spec(flags: &Flags, positional: &[String]) -> Result<cli::StreamSpec, 
 
 #[cfg(test)]
 mod tests {
-    use super::run;
+    use super::{eval_options, flags_of, parse, run, COMMANDS, FLAGS};
 
     fn sequin(args: &[&str]) -> Result<String, String> {
         run(&args.iter().map(|a| (*a).to_owned()).collect::<Vec<_>>())
@@ -507,10 +548,57 @@ mod tests {
         // be swallowed and the flagship query run in its place
         let query = ["--query", "PATTERN SEQ(T0 a, T1 b) WITHIN 5"];
         let err = sequin(&[&["netbench", "--events", "300"], &query[..]].concat()).unwrap_err();
-        assert!(
-            err.starts_with("--query ") && err.contains("netbench [options] '<query>'"),
-            "{err}"
-        );
+        assert_eq!(err, "--query is not a flag of `netbench`");
+    }
+
+    /// Every (subcommand, flag) pair: a flag in the subcommand's row
+    /// parses, any other is refused by name before a file or socket is
+    /// touched.
+    #[test]
+    fn a_flag_a_subcommand_does_not_read_is_an_error() {
+        let probe = "target/flag-contract-probe";
+        for &(command, _) in COMMANDS {
+            let reads = flags_of(command).unwrap();
+            for &(flag, takes_value) in FLAGS {
+                let mut args = vec![command.to_owned(), format!("--{flag}")];
+                if takes_value {
+                    args.push(probe.to_owned());
+                }
+                if reads.contains(&flag) {
+                    let parsed = parse(command, &args[1..]);
+                    assert!(parsed.is_ok(), "{command} --{flag}: {parsed:?}");
+                } else {
+                    let want = format!("--{flag} is not a flag of `{command}`");
+                    assert_eq!(run(&args), Err(want));
+                    assert!(!std::path::Path::new(probe).exists(), "{command} --{flag}");
+                }
+            }
+            // a row names only flags of the usage text
+            for flag in reads {
+                let known = FLAGS.iter().any(|&(f, _)| f == flag);
+                assert!(known, "{command} reads --{flag}, which is not in FLAGS");
+            }
+        }
+        for (flag, _) in FLAGS {
+            let read = COMMANDS
+                .iter()
+                .any(|(c, _)| flags_of(c).unwrap().contains(flag));
+            assert!(read, "--{flag} is read by no subcommand");
+        }
+        assert_eq!(FLAGS.len(), 36);
+    }
+
+    #[test]
+    fn serve_and_netbench_evaluate_under_the_adaptive_bound() {
+        for command in ["serve", "netbench"] {
+            let args = ["--adaptive".to_owned(), "2.5".to_owned()];
+            let (flags, _) = parse(command, &args).unwrap();
+            let config = eval_options(&flags).unwrap().engine_config();
+            assert_eq!(config.adaptive_k, Some(2.5), "{command}");
+        }
+        // and the loopback server still streams the oracle's bytes
+        let out = sequin(&["netbench", "--events", "600", "--adaptive", "2"]).unwrap();
+        assert!(out.contains("byte-identical"), "{out}");
     }
 
     #[test]
@@ -580,22 +668,17 @@ mod tests {
             }
         }
         // the networked subcommands validate before they open a socket
-        for command in ["serve", "send"] {
-            for (flag, bad) in [
-                ("--ooo", "2"),
-                ("--adaptive", "-1"),
-                ("--checkpoint-every", "0"),
-            ] {
-                if (command, flag) == ("serve", "--ooo") {
-                    continue; // serve generates no stream
-                }
-                let args = [command, "--addr", "127.0.0.1:1", "--workload", "synthetic"];
-                let err = sequin(&[&args[..], &[flag, bad]].concat()).unwrap_err();
-                assert!(
-                    err.starts_with(&format!("{flag} expects")),
-                    "{command} {flag}: {err}"
-                );
-            }
+        for (command, flag, bad) in [
+            ("serve", "--adaptive", "-1"),
+            ("serve", "--checkpoint-every", "0"),
+            ("send", "--ooo", "2"),
+        ] {
+            let args = [command, "--addr", "127.0.0.1:1", "--workload", "synthetic"];
+            let err = sequin(&[&args[..], &[flag, bad]].concat()).unwrap_err();
+            assert!(
+                err.starts_with(&format!("{flag} expects")),
+                "{command} {flag}: {err}"
+            );
         }
         // a store path without a period: `run`/`replay` used to checkpoint
         // on every watermark advance, `serve` never wrote the file

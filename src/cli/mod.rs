@@ -11,15 +11,165 @@ mod trace;
 
 pub use net::{
     fetch_stats, parse_metrics_format, run_netbench, send, serve_registry, start_server,
-    watch_table, NetOptions, ServeOptions, StreamSpec,
+    watch_table, ServeOptions,
 };
-pub use run::{build_workload, run_trace_text, run_workload, RunOptions};
+pub use run::{build_workload, evaluate};
 pub use sim::{run_sim, SimCliOptions};
 pub use trace::{parse_pid, render_bundle, run_trace, TraceOptions};
 
-use sequin_engine::DisorderPolicy;
+use std::sync::Arc;
+
+use sequin_engine::{DisorderPolicy, EngineConfig, Strategy, WatermarkSource};
+use sequin_netsim::{delay_shuffle, punctuate};
+use sequin_obs::ObsConfig;
 use sequin_query::parse;
-use sequin_types::{TypeRegistry, ValueKind};
+use sequin_server::CoreConfig;
+use sequin_types::{Duration, StreamItem, TypeRegistry, ValueKind};
+use sequin_workload::read_trace;
+
+/// The evaluation settings of `run`, `replay`, `serve`, `send` and
+/// `netbench`, each read once from its flag. A subcommand gets the
+/// default of every flag it does not read.
+#[derive(Debug, Clone)]
+pub struct EvalOptions {
+    /// Disorder bound `K` (or adaptive floor).
+    pub k: u64,
+    /// Estimate `K` from observed lateness with this safety factor.
+    pub adaptive: Option<f64>,
+    /// Disorder policy. `None` is conservative, except that `send` then
+    /// requests nothing and takes the server's default.
+    pub policy: Option<DisorderPolicy>,
+    /// Inject a punctuation every `n` events; the watermark then also
+    /// follows punctuation.
+    pub punctuate_every: Option<usize>,
+    /// Checkpoint every `n` ingested items and keep the emission log
+    /// (volatile without).
+    pub checkpoint_every: Option<u64>,
+    /// Checkpoint-store file (`--resume-from` of `run`/`replay`, `--store`
+    /// of `serve`): resumed from at start, saved with new checkpoints.
+    /// Needs `checkpoint_every` (the CLI rejects the path alone); a resume
+    /// replays the regenerated stream, so the same seed/workload must be
+    /// used.
+    pub store: Option<String>,
+    /// Events per EVENT_BATCH frame (`<= 1` sends singletons).
+    pub batch: usize,
+    /// Observability recorder of the server-side engine core
+    /// (`ObsConfig::disabled()` removes all instrumentation overhead).
+    pub obs: ObsConfig,
+}
+
+impl Default for EvalOptions {
+    fn default() -> Self {
+        EvalOptions {
+            k: 100,
+            adaptive: None,
+            policy: None,
+            punctuate_every: None,
+            checkpoint_every: None,
+            store: None,
+            batch: 64,
+            obs: ObsConfig::default(),
+        }
+    }
+}
+
+impl EvalOptions {
+    /// The engine configuration these settings describe.
+    pub fn engine_config(&self) -> EngineConfig {
+        let k = Duration::new(self.k);
+        let mut config = match self.adaptive {
+            Some(safety) => EngineConfig::with_adaptive_k(k, safety),
+            None => EngineConfig::with_k(k),
+        };
+        config.policy = self.policy.unwrap_or_default();
+        if self.punctuate_every.is_some() {
+            config.watermark = WatermarkSource::Both;
+        }
+        config
+    }
+
+    /// A server core over `registry` evaluating under these settings.
+    fn core_config(&self, registry: Arc<TypeRegistry>) -> CoreConfig {
+        let mut core = CoreConfig::new(registry, Strategy::Native, self.engine_config());
+        core.checkpoint_every = self.checkpoint_every;
+        core.obs = self.obs;
+        core
+    }
+}
+
+/// The arrival stream a subcommand evaluates or ships: a built-in workload
+/// under synthetic disorder, or a recorded trace as it arrived.
+#[derive(Debug, Clone)]
+pub struct StreamSpec {
+    /// Built-in workload name (`synthetic`, `rfid`, `intrusion`, `stock`).
+    pub workload: String,
+    /// A recorded trace replayed instead of the workload: its schema DSL
+    /// and its text (see [`sequin_workload::read_trace`]).
+    pub trace: Option<(String, String)>,
+    /// Query text; empty selects the workload's flagship query.
+    pub query: String,
+    /// Events to generate before disorder is applied.
+    pub events: usize,
+    /// Out-of-order fraction in `0..=1`.
+    pub ooo: f64,
+    /// Maximum lateness in ticks.
+    pub max_delay: u64,
+    /// Workload/disorder seed.
+    pub seed: u64,
+}
+
+impl Default for StreamSpec {
+    fn default() -> Self {
+        StreamSpec {
+            workload: "synthetic".to_owned(),
+            trace: None,
+            query: String::new(),
+            events: 10_000,
+            ooo: 0.2,
+            max_delay: 100,
+            seed: 42,
+        }
+    }
+}
+
+impl StreamSpec {
+    /// The schema, the arrival stream (with a punctuation every
+    /// `punctuate_every` events when given) and the query text.
+    ///
+    /// # Errors
+    ///
+    /// Reports unknown workloads and schema or trace errors as display
+    /// strings.
+    pub fn prepare(
+        &self,
+        punctuate_every: Option<usize>,
+    ) -> Result<(Arc<TypeRegistry>, Vec<StreamItem>, String), String> {
+        let (registry, stream, text) = match &self.trace {
+            Some((schema, trace)) => {
+                let registry = Arc::new(parse_schema(schema)?);
+                let events = read_trace(trace.as_bytes(), &registry).map_err(|e| e.to_string())?;
+                let stream = events.into_iter().map(StreamItem::Event).collect();
+                (registry, stream, self.query.clone())
+            }
+            None => {
+                let (registry, history, flagship) =
+                    build_workload(&self.workload, self.events, self.seed)?;
+                let stream = delay_shuffle(&history, self.ooo, self.max_delay.max(1), self.seed);
+                let text = if self.query.trim().is_empty() {
+                    flagship
+                } else {
+                    self.query.clone()
+                };
+                (registry, stream, text)
+            }
+        };
+        let stream = match punctuate_every {
+            Some(n) => punctuate(&stream, n.max(1)),
+            None => stream,
+        };
+        Ok((registry, stream, text))
+    }
+}
 
 /// Parses the schema DSL: type declarations `Name(field:kind, ...)`, kinds
 /// `int|float|str|bool`, separated by whitespace and at most one `,` or

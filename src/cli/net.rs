@@ -3,104 +3,11 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use sequin_engine::{DisorderPolicy, EngineConfig, Strategy};
 use sequin_metrics::pairs_table;
-use sequin_netsim::{delay_shuffle, punctuate};
-use sequin_obs::ObsConfig;
-use sequin_server::{loopback_run, Client, CoreConfig, MetricsFormat, Server, ServerConfig};
-use sequin_types::{Duration, EventRef, StreamItem, TypeRegistry};
+use sequin_server::{loopback_run, Client, MetricsFormat, Server, ServerConfig};
+use sequin_types::TypeRegistry;
 
-use super::{build_workload, parse_schema, policy_name};
-
-/// How the networked subcommands (`netbench`, `send`) synthesize the
-/// arrival stream they ship over the wire.
-#[derive(Debug, Clone)]
-pub struct StreamSpec {
-    /// Built-in workload name (`synthetic`, `rfid`, `intrusion`, `stock`).
-    pub workload: String,
-    /// Query text; empty selects the workload's flagship query.
-    pub query: String,
-    /// Events to generate before disorder is applied.
-    pub events: usize,
-    /// Out-of-order fraction in `0..1`.
-    pub ooo: f64,
-    /// Maximum lateness in ticks.
-    pub max_delay: u64,
-    /// Workload/disorder seed.
-    pub seed: u64,
-}
-
-impl Default for StreamSpec {
-    fn default() -> Self {
-        StreamSpec {
-            workload: "synthetic".to_owned(),
-            query: String::new(),
-            events: 10_000,
-            ooo: 0.2,
-            max_delay: 100,
-            seed: 42,
-        }
-    }
-}
-
-/// Evaluation settings for the networked subcommands.
-#[derive(Debug, Clone)]
-pub struct NetOptions {
-    /// Disorder bound `K`.
-    pub k: u64,
-    /// Disorder-handling policy for server-side evaluation.
-    pub policy: DisorderPolicy,
-    /// Events per EVENT_BATCH frame (`<= 1` sends singletons).
-    pub batch: usize,
-    /// Inject a punctuation every `n` events before shipping.
-    pub punctuate_every: Option<usize>,
-    /// Observability recorder settings for the server-side engine core
-    /// (`ObsConfig::disabled()` removes all instrumentation overhead).
-    pub obs: ObsConfig,
-}
-
-impl Default for NetOptions {
-    fn default() -> Self {
-        NetOptions {
-            k: 100,
-            policy: DisorderPolicy::Conservative,
-            batch: 64,
-            punctuate_every: None,
-            obs: ObsConfig::default(),
-        }
-    }
-}
-
-/// Builds the disordered (and optionally punctuated) stream a networked
-/// subcommand replays, plus the schema and effective query text.
-fn prepared_stream(
-    spec: &StreamSpec,
-    net: &NetOptions,
-) -> Result<(Arc<TypeRegistry>, Vec<StreamItem>, String), String> {
-    let (registry, history, default_query) =
-        build_workload(&spec.workload, spec.events, spec.seed)?;
-    let text = if spec.query.trim().is_empty() {
-        default_query
-    } else {
-        spec.query.clone()
-    };
-    let mut stream = delay_shuffle(&history, spec.ooo, spec.max_delay.max(1), spec.seed);
-    if let Some(n) = net.punctuate_every {
-        stream = punctuate(&stream, n.max(1));
-    }
-    Ok((registry, stream, text))
-}
-
-fn net_core(registry: Arc<TypeRegistry>, net: &NetOptions) -> CoreConfig {
-    let mut engine = EngineConfig::with_k(Duration::new(net.k));
-    engine.policy = net.policy;
-    if net.punctuate_every.is_some() {
-        engine.watermark = sequin_engine::WatermarkSource::Both;
-    }
-    let mut core = CoreConfig::new(registry, Strategy::Native, engine);
-    core.obs = net.obs;
-    core
-}
+use super::{build_workload, parse_schema, policy_name, EvalOptions, StreamSpec};
 
 /// `sequin netbench`: replays a disordered workload through a loopback
 /// TCP server and verifies the streamed outputs byte-for-byte against the
@@ -111,20 +18,21 @@ fn net_core(registry: Arc<TypeRegistry>, net: &NetOptions) -> CoreConfig {
 ///
 /// Reports workload/query errors, transport failures, and any oracle
 /// divergence as display strings.
-pub fn run_netbench(spec: &StreamSpec, net: &NetOptions) -> Result<String, String> {
-    let (registry, stream, text) = prepared_stream(spec, net)?;
-    let core = net_core(registry, net);
-    let report = loopback_run(core, &[(text, None)], &stream, net.batch.max(1))?;
+pub fn run_netbench(spec: &StreamSpec, opts: &EvalOptions) -> Result<String, String> {
+    let (registry, stream, text) = spec.prepare(opts.punctuate_every)?;
+    let core = opts.core_config(registry);
+    let policy = core.engine.policy;
+    let batch = opts.batch.max(1);
+    let report = loopback_run(core, &[(text, None)], &stream, batch)?;
     let mut out = String::new();
     out.push_str(&format!(
-        "stream       : {} items over loopback TCP, batches of {}\n",
-        report.items,
-        net.batch.max(1)
+        "stream       : {} items over loopback TCP, batches of {batch}\n",
+        report.items
     ));
     out.push_str(&format!(
         "evaluation   : {} policy, K={}\n",
-        policy_name(net.policy),
-        net.k
+        policy_name(policy),
+        opts.k
     ));
     out.push_str(&format!(
         "outputs      : {} frames, byte-identical to the in-process oracle\n",
@@ -150,20 +58,15 @@ pub struct ServeOptions {
     /// Queries registered before the first connection (clients may
     /// SUBSCRIBE more).
     pub queries: Vec<String>,
-    /// Checkpoint every `n` ingested items (enables exactly-once restart
-    /// when `store` is also set).
-    pub checkpoint_every: Option<u64>,
-    /// Checkpoint-store file: loaded at startup to resume a previous
-    /// incarnation, saved on every dirty message. Needs
-    /// `checkpoint_every` (the CLI rejects the path alone).
-    pub store: Option<String>,
     /// Flight recorder directory (`--bundle-dir`): where a
     /// `recovery-fallback.sqpm` postmortem bundle lands when a startup
     /// resume rejects checkpoints. Defaults to the store file's directory
     /// when durability is on.
     pub bundle_dir: Option<String>,
-    /// Evaluation settings shared by every registered query.
-    pub net: NetOptions,
+    /// Evaluation settings shared by every registered query, and the
+    /// durability ones: `eval.store` is loaded at startup to resume a
+    /// previous incarnation and saved on every dirty message.
+    pub eval: EvalOptions,
 }
 
 /// Resolves the schema a server negotiates: an explicit `--types` DSL
@@ -196,13 +99,11 @@ pub fn start_server(
     opts: &ServeOptions,
 ) -> Result<(Server, std::net::SocketAddr, String), String> {
     let fingerprint = registry.fingerprint();
-    let mut core = net_core(registry, &opts.net);
-    core.checkpoint_every = opts.checkpoint_every;
-    let resuming = opts.store.as_deref().is_some_and(|p| Path::new(p).exists());
-    let mut config = ServerConfig::new(core);
+    let eval = &opts.eval;
+    let mut config = ServerConfig::new(eval.core_config(registry));
     config.queries = opts.queries.clone();
-    config.store_path = opts.store.as_ref().map(PathBuf::from);
-    config.bundle_dir = match (&opts.bundle_dir, &opts.store) {
+    config.store_path = eval.store.as_ref().map(PathBuf::from);
+    config.bundle_dir = match (&opts.bundle_dir, &eval.store) {
         (Some(dir), _) => Some(PathBuf::from(dir)),
         // durable servers default the flight recorder next to the store
         (None, Some(store)) => Some(
@@ -214,6 +115,7 @@ pub fn start_server(
         ),
         (None, None) => None,
     };
+    let policy = config.core.engine.policy;
     let mut server = Server::start(config)?;
     let addr = server.listen(&opts.addr).map_err(|e| e.to_string())?;
     let mut banner = String::new();
@@ -221,13 +123,16 @@ pub fn start_server(
     banner.push_str(&format!("schema       : fingerprint {fingerprint:#018x}\n"));
     banner.push_str(&format!(
         "evaluation   : {} policy, K={}\n",
-        policy_name(opts.net.policy),
-        opts.net.k
+        policy_name(policy),
+        eval.k
     ));
-    match (&opts.store, opts.checkpoint_every) {
+    match (&eval.store, eval.checkpoint_every) {
         (Some(store), Some(n)) => banner.push_str(&format!(
-            "durability   : checkpoint every {n} items to `{store}`{}\n",
-            if resuming { " (resumed)" } else { "" }
+            "durability   : checkpoint every {n} items to `{store}` ({})\n",
+            match server.resumed_at() {
+                Some(item) => format!("resumed at item {item}"),
+                None => "cold start".to_owned(),
+            }
         )),
         _ => banner.push_str("durability   : off (volatile)\n"),
     }
@@ -238,7 +143,8 @@ pub fn start_server(
     Ok((server, addr, banner))
 }
 
-/// `sequin send`: connects to a running server, subscribes the query,
+/// `sequin send`: connects to a running server, subscribes the query
+/// (requesting `opts.policy` when set, else taking the server's default),
 /// replays the generated stream (honoring the server's `resume_from`
 /// replay cursor), and reports what came back. `drain` asks the server to
 /// flush end-of-stream state afterwards — leave it off when other senders
@@ -251,42 +157,24 @@ pub fn start_server(
 pub fn send(
     addr: &str,
     spec: &StreamSpec,
-    net: &NetOptions,
+    opts: &EvalOptions,
     drain: bool,
 ) -> Result<String, String> {
-    let (registry, stream, text) = prepared_stream(spec, net)?;
+    let (registry, stream, text) = spec.prepare(opts.punctuate_every)?;
     let fingerprint = registry.fingerprint();
 
     let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
     let (resume_from, preregistered) = client
         .hello(fingerprint, "sequin-send")
         .map_err(|e| e.to_string())?;
-    let query_id = client.subscribe(&text).map_err(|e| e.to_string())?;
+    let (query_id, policy) = client
+        .subscribe_with_policy(&text, opts.policy)
+        .map_err(|e| e.to_string())?;
 
     let suffix = &stream[(resume_from as usize).min(stream.len())..];
-    let batch = net.batch.max(1);
-    let mut pending: Vec<EventRef> = Vec::new();
-    for item in suffix {
-        match item {
-            StreamItem::Event(e) if batch > 1 => {
-                pending.push(e.clone());
-                if pending.len() >= batch {
-                    client.send_batch(&pending).map_err(|e| e.to_string())?;
-                    pending.clear();
-                }
-            }
-            other => {
-                if !pending.is_empty() {
-                    client.send_batch(&pending).map_err(|e| e.to_string())?;
-                    pending.clear();
-                }
-                client.send_item(other).map_err(|e| e.to_string())?;
-            }
-        }
-    }
-    if !pending.is_empty() {
-        client.send_batch(&pending).map_err(|e| e.to_string())?;
-    }
+    client
+        .send_stream(suffix, opts.batch)
+        .map_err(|e| e.to_string())?;
     if drain {
         client.drain().map_err(|e| e.to_string())?;
     }
@@ -304,6 +192,7 @@ pub fn send(
     out.push_str(&format!(
         "query        : id {query_id} ({preregistered} registered before this session)\n"
     ));
+    out.push_str(&format!("policy       : {}\n", policy_name(policy)));
     if resume_from > 0 {
         out.push_str(&format!(
             "recovery     : server resumed at item {resume_from}; sent only the suffix\n"
@@ -398,6 +287,7 @@ pub fn watch_table(prom: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sequin_engine::DisorderPolicy;
 
     #[test]
     fn watch_table_surfaces_retraction_and_slack_series() {
@@ -435,41 +325,96 @@ sequin_ingest_latency_ticks_count 5\n";
                 events: 600,
                 ..StreamSpec::default()
             };
-            let net = NetOptions {
-                policy,
+            let opts = EvalOptions {
+                policy: Some(policy),
                 punctuate_every: Some(100),
-                ..NetOptions::default()
+                ..EvalOptions::default()
             };
-            let out = run_netbench(&spec, &net).unwrap();
+            let out = run_netbench(&spec, &opts).unwrap();
             assert!(out.contains("byte-identical"), "{out}");
             assert!(out.contains("events_ingested"), "{out}");
         }
     }
 
-    #[test]
-    fn serve_and_send_round_trip_over_tcp() {
+    fn serve(eval: EvalOptions) -> (Server, String, String) {
         let registry = serve_registry(Some("synthetic"), None).unwrap();
-        let serve_opts = ServeOptions {
+        let opts = ServeOptions {
             addr: "127.0.0.1:0".to_owned(),
             queries: Vec::new(),
-            checkpoint_every: None,
-            store: None,
             bundle_dir: None,
-            net: NetOptions::default(),
+            eval,
         };
-        let (mut server, addr, banner) = start_server(registry, &serve_opts).unwrap();
+        let (server, addr, banner) = start_server(registry, &opts).unwrap();
+        (server, addr.to_string(), banner)
+    }
+
+    fn small() -> StreamSpec {
+        StreamSpec {
+            events: 400,
+            ..StreamSpec::default()
+        }
+    }
+
+    #[test]
+    fn serve_and_send_round_trip_over_tcp() {
+        let (mut server, addr, banner) = serve(EvalOptions::default());
         assert!(banner.contains("listening"), "{banner}");
         assert!(banner.contains("volatile"), "{banner}");
 
-        let spec = StreamSpec {
-            events: 400,
-            ..StreamSpec::default()
-        };
-        let out = send(&addr.to_string(), &spec, &NetOptions::default(), true).unwrap();
+        let out = send(&addr, &small(), &EvalOptions::default(), true).unwrap();
         assert!(out.contains("sent         : 400 of 400 items"), "{out}");
+        assert!(out.contains("policy       : conservative"), "{out}");
         assert!(out.contains("outputs"), "{out}");
         assert!(out.contains("connections_opened"), "{out}");
         server.shutdown();
+    }
+
+    #[test]
+    fn send_requests_its_policy_and_reports_the_effective_one() {
+        let (mut server, addr, banner) = serve(EvalOptions::default());
+        assert!(banner.contains("conservative policy"), "{banner}");
+        let speculative = EvalOptions {
+            policy: Some(DisorderPolicy::Speculative),
+            ..EvalOptions::default()
+        };
+        let out = send(&addr, &small(), &speculative, false).unwrap();
+        assert!(out.contains("policy       : speculative"), "{out}");
+        // the query is registered now: its policy wins over a new request
+        let lazy = EvalOptions {
+            policy: Some(DisorderPolicy::Lazy),
+            ..EvalOptions::default()
+        };
+        let out = send(&addr, &small(), &lazy, true).unwrap();
+        assert!(out.contains("policy       : speculative"), "{out}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn the_serve_banner_says_what_resume_did() {
+        let dir = Path::new("target/test-serve-resume");
+        let _ = std::fs::remove_dir_all(dir);
+        std::fs::create_dir_all(dir).unwrap();
+        let store = dir.join("srv.ckpt");
+        let durable = || EvalOptions {
+            checkpoint_every: Some(50),
+            store: Some(store.to_string_lossy().into_owned()),
+            ..EvalOptions::default()
+        };
+        let (mut server, addr, banner) = serve(durable());
+        assert!(banner.contains("(cold start)"), "no store yet: {banner}");
+        send(&addr, &small(), &EvalOptions::default(), false).unwrap();
+        server.shutdown();
+
+        let (mut server, _, banner) = serve(durable());
+        assert!(banner.contains("(resumed at item 400)"), "{banner}");
+        server.shutdown();
+
+        // a store file that exists but holds nothing usable is a cold start
+        std::fs::write(&store, b"not a checkpoint store").unwrap();
+        let (mut server, _, banner) = serve(durable());
+        assert!(banner.contains("(cold start)"), "{banner}");
+        server.shutdown();
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]

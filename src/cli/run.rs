@@ -4,79 +4,14 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use sequin_engine::{
-    CheckpointPolicy, CheckpointStore, Checkpointer, DisorderPolicy, EngineConfig, MultiEngine,
-};
+use sequin_engine::{CheckpointStore, Checkpointer, MultiEngine};
 use sequin_metrics::run_engine_batched;
-use sequin_netsim::{delay_shuffle, measure_disorder, punctuate};
+use sequin_netsim::measure_disorder;
 use sequin_query::parse;
-use sequin_types::{Duration, EventRef, StreamItem, TypeRegistry};
-use sequin_workload::{read_trace, Intrusion, Rfid, Stock, Synthetic, SyntheticConfig};
+use sequin_types::{EventRef, TypeRegistry};
+use sequin_workload::{Intrusion, Rfid, Stock, Synthetic, SyntheticConfig};
 
-use super::parse_schema;
-
-/// Options shared by the `run` and `replay` subcommands.
-#[derive(Debug, Clone)]
-pub struct RunOptions {
-    /// Disorder bound `K` (or adaptive floor).
-    pub k: u64,
-    /// Use adaptive K̂ estimation with this safety factor.
-    pub adaptive: Option<f64>,
-    /// Inject a punctuation every `n` events (simulator-omniscient).
-    pub punctuate_every: Option<usize>,
-    /// Checkpoint the evaluation every `n` events and keep the emission
-    /// log (a durable [`Checkpointer`]; volatile without it).
-    pub checkpoint_every: Option<u64>,
-    /// Path of a checkpoint-store file to resume from and to save new
-    /// checkpoints into; needs `checkpoint_every` (the CLI rejects the
-    /// path alone). Resuming replays the regenerated stream suffix with
-    /// exactly-once dedup, so the same seed/workload must be used.
-    pub resume_from: Option<String>,
-    /// Per-query disorder policy (latency vs retraction-noise knob).
-    pub policy: DisorderPolicy,
-}
-
-impl Default for RunOptions {
-    fn default() -> Self {
-        RunOptions {
-            k: 100,
-            adaptive: None,
-            punctuate_every: None,
-            checkpoint_every: None,
-            resume_from: None,
-            policy: DisorderPolicy::default(),
-        }
-    }
-}
-
-/// Runs `query_text` over a named built-in workload with synthetic
-/// disorder, returning a human-readable report.
-///
-/// `workload` is one of `synthetic`, `rfid`, `intrusion`, `stock`;
-/// an empty `query_text` selects the workload's flagship query.
-///
-/// # Errors
-///
-/// Reports unknown workloads and schema/query errors as display strings.
-pub fn run_workload(
-    workload: &str,
-    query_text: &str,
-    events: usize,
-    ooo: f64,
-    max_delay: u64,
-    seed: u64,
-    opts: &RunOptions,
-) -> Result<String, String> {
-    let (registry, history, default_query) = build_workload(workload, events, seed)?;
-    let text = if query_text.trim().is_empty() {
-        &default_query
-    } else {
-        query_text
-    };
-    let query = parse(text, &registry).map_err(|e| e.to_string())?;
-    let stream = delay_shuffle(&history, ooo, max_delay.max(1), seed);
-    run_stream(&stream, query, opts)
-}
+use super::{EvalOptions, StreamSpec};
 
 /// Instantiates a named built-in workload: its schema, an in-order event
 /// history, and the workload's flagship query.
@@ -146,66 +81,35 @@ pub fn build_workload(
     Ok((registry, history, default_query))
 }
 
-/// Replays a text trace (see [`sequin_workload::read_trace`]) through a
-/// query.
+/// `sequin run` and `sequin replay`: evaluates `spec`'s query over its
+/// stream in process and returns a human-readable report.
 ///
 /// # Errors
 ///
-/// Reports schema, query, and trace parse failures as display strings.
-pub fn run_trace_text(
-    schema: &str,
-    query_text: &str,
-    trace_text: &str,
-    opts: &RunOptions,
-) -> Result<String, String> {
-    let registry = parse_schema(schema)?;
-    let query = parse(query_text, &registry).map_err(|e| e.to_string())?;
-    let events = read_trace(trace_text.as_bytes(), &registry).map_err(|e| e.to_string())?;
-    let stream: Vec<StreamItem> = events.into_iter().map(StreamItem::Event).collect();
-    run_stream(&stream, query, opts)
-}
-
-fn run_stream(
-    stream: &[StreamItem],
-    query: Arc<sequin_query::Query>,
-    opts: &RunOptions,
-) -> Result<String, String> {
-    let disorder = measure_disorder(stream);
-    let stream_owned;
-    let stream = if let Some(n) = opts.punctuate_every {
-        stream_owned = punctuate(stream, n.max(1));
-        &stream_owned[..]
-    } else {
-        stream
-    };
-    let mut config = match opts.adaptive {
-        Some(safety) => EngineConfig::with_adaptive_k(Duration::new(opts.k), safety),
-        None => EngineConfig::with_k(Duration::new(opts.k)),
-    };
-    config.policy = opts.policy;
-    if opts.punctuate_every.is_some() {
-        config.watermark = sequin_engine::WatermarkSource::Both;
-    }
+/// Reports unknown workloads, schema/query/trace errors and an unsavable
+/// store as display strings.
+pub fn evaluate(spec: &StreamSpec, opts: &EvalOptions) -> Result<String, String> {
+    let (registry, stream, text) = spec.prepare(opts.punctuate_every)?;
+    let query = parse(&text, &registry).map_err(|e| e.to_string())?;
+    let disorder = measure_disorder(&stream);
+    let config = opts.engine_config();
     // one stack whatever the flags: the host runs the query's plan, and
     // the exactly-once wrapper around it is volatile without
     // `--checkpoint-every`
     let host = || {
         let mut host = MultiEngine::new(config);
-        host.register(Arc::clone(&query), opts.policy);
+        host.register(Arc::clone(&query), config.policy);
         host
     };
-    let policy = opts
-        .checkpoint_every
-        .map_or(CheckpointPolicy::never(), CheckpointPolicy::every);
     let mut resume_note = None;
-    let (mut stack, replay_from) = match opts.resume_from.as_deref().map(Path::new) {
+    let (mut stack, replay_from) = match opts.store.as_deref().map(Path::new) {
         Some(path) => {
             let (store, unreadable) = CheckpointStore::load_or_empty(path);
             resume_note =
                 unreadable.map(|e| format!("checkpoint file unreadable ({e}): cold start"));
-            Checkpointer::resume(policy, store, |_| Ok(host()))
+            Checkpointer::resume(opts.checkpoint_every, store, |_| Ok(host()))
         }
-        None => (Checkpointer::new(host(), policy), 0),
+        None => (Checkpointer::new(host(), opts.checkpoint_every), 0),
     };
     let suffix = &stream[(replay_from as usize).min(stream.len())..];
     let report = run_engine_batched(&mut stack, suffix, 256);
@@ -217,7 +121,7 @@ fn run_stream(
         let n = report.stats.checkpoints_rejected;
         resume_note = Some(format!("{n} stored artifacts rejected: cold start"));
     }
-    if let Some(path) = opts.resume_from.as_deref() {
+    if let Some(path) = opts.store.as_deref() {
         stack
             .store()
             .save(Path::new(path))
@@ -270,41 +174,53 @@ fn run_stream(
 mod tests {
     use super::*;
 
+    /// `workload`'s stream of `events` at 20 % late by up to 50 ticks.
+    fn spec(workload: &str, query: &str, events: usize, seed: u64) -> StreamSpec {
+        StreamSpec {
+            workload: workload.to_owned(),
+            query: query.to_owned(),
+            events,
+            max_delay: 50,
+            seed,
+            ..StreamSpec::default()
+        }
+    }
+
     #[test]
     fn run_workload_produces_report() {
-        let out = run_workload("rfid", "", 3000, 0.2, 50, 7, &RunOptions::default()).unwrap();
+        let out = evaluate(&spec("rfid", "", 3000, 7), &EvalOptions::default()).unwrap();
         assert!(out.contains("matches"));
         assert!(out.contains("throughput"));
     }
 
     #[test]
     fn run_workload_rejects_unknown_name() {
-        assert!(run_workload("nope", "", 10, 0.0, 1, 1, &RunOptions::default()).is_err());
+        assert!(evaluate(&spec("nope", "", 10, 1), &EvalOptions::default()).is_err());
     }
 
     #[test]
     fn trace_replay_end_to_end() {
-        let schema = "A(x:int) B(x:int)";
-        let trace = "10 A 1\n30 B 1\n20 A 2\n";
-        let out = run_trace_text(
-            schema,
-            "PATTERN SEQ(A a, B b) WITHIN 100",
-            trace,
-            &RunOptions::default(),
-        )
-        .unwrap();
+        let spec = StreamSpec {
+            trace: Some((
+                "A(x:int) B(x:int)".into(),
+                "10 A 1\n30 B 1\n20 A 2\n".into(),
+            )),
+            query: "PATTERN SEQ(A a, B b) WITHIN 100".into(),
+            ..StreamSpec::default()
+        };
+        let out = evaluate(&spec, &EvalOptions::default()).unwrap();
         assert!(out.contains("matches      : 2"), "{out}");
     }
 
     #[test]
     fn punctuated_and_adaptive_options() {
-        let opts = RunOptions {
+        let opts = EvalOptions {
             k: 50,
             adaptive: Some(2.0),
             punctuate_every: Some(100),
-            ..RunOptions::default()
+            ..EvalOptions::default()
         };
-        let out = run_workload("synthetic", "", 2000, 0.2, 50, 3, &opts).unwrap();
+        let out = evaluate(&spec("synthetic", "", 2000, 3), &opts).unwrap();
         assert!(out.contains("state"));
     }
 
@@ -312,12 +228,13 @@ mod tests {
     fn checkpointed_run_reports_counters_and_resumes() {
         let path = "target/test-cli-resume.ckpt";
         let _ = std::fs::remove_file(path);
-        let opts = RunOptions {
+        let opts = EvalOptions {
             checkpoint_every: Some(500),
-            resume_from: Some(path.to_owned()),
-            ..RunOptions::default()
+            store: Some(path.to_owned()),
+            ..EvalOptions::default()
         };
-        let out = run_workload("synthetic", "", 2000, 0.2, 50, 9, &opts).unwrap();
+        let spec = spec("synthetic", "", 2000, 9);
+        let out = evaluate(&spec, &opts).unwrap();
         assert!(out.contains("checkpoints  :"), "{out}");
         assert!(!out.contains("0 written"), "{out}");
         assert!(
@@ -327,7 +244,7 @@ mod tests {
 
         // second run with the identical workload resumes from the store
         // and re-delivers nothing that was already delivered
-        let out2 = run_workload("synthetic", "", 2000, 0.2, 50, 9, &opts).unwrap();
+        let out2 = evaluate(&spec, &opts).unwrap();
         assert!(out2.contains("recovery     : resumed at item"), "{out2}");
         assert!(out2.contains("matches      : 0 (net)"), "{out2}");
         std::fs::remove_file(path).ok();
@@ -337,12 +254,12 @@ mod tests {
     fn corrupt_checkpoint_file_degrades_to_cold_start() {
         let path = "target/test-cli-corrupt.ckpt";
         std::fs::write(path, b"not a checkpoint store").unwrap();
-        let opts = RunOptions {
+        let opts = EvalOptions {
             checkpoint_every: Some(500),
-            resume_from: Some(path.to_owned()),
-            ..RunOptions::default()
+            store: Some(path.to_owned()),
+            ..EvalOptions::default()
         };
-        let out = run_workload("synthetic", "", 1000, 0.2, 50, 5, &opts).unwrap();
+        let out = evaluate(&spec("synthetic", "", 1000, 5), &opts).unwrap();
         assert!(out.contains("cold start"), "{out}");
         assert!(
             out.contains("matches"),
@@ -351,7 +268,7 @@ mod tests {
         // the run saved a good store over the bad one; a different query
         // can read the file but must use nothing in it
         let other = "PATTERN SEQ(T0 a, T1 b) WHERE a.tag == b.tag WITHIN 50";
-        let out = run_workload("synthetic", other, 1000, 0.2, 50, 5, &opts).unwrap();
+        let out = evaluate(&spec("synthetic", other, 1000, 5), &opts).unwrap();
         assert!(
             out.contains("stored artifacts rejected: cold start"),
             "{out}"

@@ -1,5 +1,5 @@
-//! Checkpoint/restore property tests: crash the engine at **every**
-//! watermark advance of a disordered synthetic stream, resume from the
+//! Checkpoint/restore property tests: crash the engine after **every**
+//! item of a disordered synthetic stream, resume from the
 //! persisted [`CheckpointStore`], and require that the union of pre- and
 //! post-crash deliveries equals the in-order oracle *exactly once* — no
 //! lost matches, no duplicates — under every disorder policy. Plus
@@ -11,8 +11,8 @@ mod common;
 
 use common::{host_of, net_keys, reference_matches, untag};
 use sequin::engine::{
-    CheckpointPolicy, CheckpointStore, Checkpointer, DisorderPolicy, EngineConfig, MultiEngine,
-    OutputItem, OutputKind, Strategy,
+    CheckpointStore, Checkpointer, DisorderPolicy, EngineConfig, MultiEngine, OutputItem,
+    OutputKind, Strategy,
 };
 use sequin::netsim::fault::{bit_flip, truncate};
 use sequin::netsim::{delay_shuffle, measure_disorder, Crash};
@@ -87,22 +87,9 @@ fn assert_no_duplicate_deliveries(delivered: &[OutputItem], ctx: &str) {
     }
 }
 
-/// The checkpoints a full run writes, as crash points: the stream index
-/// right after each watermark advance the policy checkpointed on.
-fn watermark_advance_points(s: &Scenario) -> Vec<u64> {
-    let mut probe = Checkpointer::new(fresh(s), CheckpointPolicy::default());
-    let mut points = Vec::new();
-    let mut written = 0;
-    for (ix, item) in s.stream.iter().enumerate() {
-        probe.ingest(item);
-        let now = probe.stats().checkpoints_written;
-        if now > written {
-            written = now;
-            points.push(ix as u64 + 1);
-        }
-    }
-    points
-}
+/// The checkpoint period: short, so a crash lands on a checkpoint or one
+/// or two items past it, where replay must suppress what was delivered.
+const EVERY: Option<u64> = Some(3);
 
 /// Run to the crash point, persist, die, resume, replay the suffix, and
 /// return everything that was ever delivered downstream.
@@ -112,7 +99,7 @@ fn crash_and_recover(
     sabotage: impl FnOnce(&mut CheckpointStore),
 ) -> (Vec<OutputItem>, sequin::runtime::RuntimeStats) {
     let (pre_items, crash_ix) = crash.split(&s.stream);
-    let mut ck = Checkpointer::new(fresh(s), CheckpointPolicy::default());
+    let mut ck = Checkpointer::new(fresh(s), EVERY);
     let mut delivered = Vec::new();
     for item in pre_items {
         delivered.extend(untag(ck.ingest(item)));
@@ -121,8 +108,7 @@ fn crash_and_recover(
     drop(ck); // the crash: only `saved` survives
     sabotage(&mut saved);
 
-    let (mut ck, replay_from) =
-        Checkpointer::resume(CheckpointPolicy::default(), saved, |_| Ok(fresh(s)));
+    let (mut ck, replay_from) = Checkpointer::resume(EVERY, saved, |_| Ok(fresh(s)));
     assert!(replay_from <= crash_ix, "resume cannot skip unseen input");
     for item in &s.stream[replay_from as usize..] {
         delivered.extend(untag(ck.ingest(item)));
@@ -131,15 +117,9 @@ fn crash_and_recover(
     (delivered, ck.stats())
 }
 
-fn crash_at_every_watermark_advance(policy: DisorderPolicy, seed: u64) {
+fn crash_after_every_item(policy: DisorderPolicy, seed: u64) {
     let s = scenario(policy, seed);
-    let points = watermark_advance_points(&s);
-    assert!(
-        points.len() > 10,
-        "expected many watermark advances, got {}",
-        points.len()
-    );
-    for &p in &points {
+    for p in 1..=s.stream.len() as u64 {
         let ctx = format!("{policy:?} seed {seed} crash after item {p}");
         let (delivered, _) = crash_and_recover(&s, Crash::AfterEvents(p), |_| {});
         assert_no_duplicate_deliveries(&delivered, &ctx);
@@ -158,16 +138,16 @@ fn crash_at_every_watermark_advance(policy: DisorderPolicy, seed: u64) {
 }
 
 #[test]
-fn crash_at_every_watermark_advance_is_exactly_once_conservative() {
+fn crash_after_every_item_is_exactly_once_conservative() {
     for seed in [41, 42] {
-        crash_at_every_watermark_advance(DisorderPolicy::Conservative, seed);
+        crash_after_every_item(DisorderPolicy::Conservative, seed);
     }
 }
 
 #[test]
-fn crash_at_every_watermark_advance_is_exactly_once_speculative() {
+fn crash_after_every_item_is_exactly_once_speculative() {
     for seed in [43, 44] {
-        crash_at_every_watermark_advance(DisorderPolicy::Speculative, seed);
+        crash_after_every_item(DisorderPolicy::Speculative, seed);
     }
 }
 
@@ -233,7 +213,7 @@ fn checkpoint_file_survives_a_process_boundary() {
     let s = scenario(DisorderPolicy::Conservative, 48);
     let crash = Crash::AfterEvents(80);
     let (pre_items, _) = crash.split(&s.stream);
-    let mut ck = Checkpointer::new(fresh(&s), CheckpointPolicy::default());
+    let mut ck = Checkpointer::new(fresh(&s), EVERY);
     let mut delivered = Vec::new();
     for item in pre_items {
         delivered.extend(untag(ck.ingest(item)));
@@ -243,8 +223,7 @@ fn checkpoint_file_survives_a_process_boundary() {
     drop(ck);
 
     let loaded = CheckpointStore::load(&path).unwrap();
-    let (mut ck, replay_from) =
-        Checkpointer::resume(CheckpointPolicy::default(), loaded, |_| Ok(fresh(&s)));
+    let (mut ck, replay_from) = Checkpointer::resume(EVERY, loaded, |_| Ok(fresh(&s)));
     for item in &s.stream[replay_from as usize..] {
         delivered.extend(untag(ck.ingest(item)));
     }
@@ -535,7 +514,7 @@ use sequin::types::Encode;
 
 /// `fnv1a64` of the store [`run_store_0_10`] rebuilds in the layout of the
 /// 0.10 single-engine `Checkpointer` — what `sequin run --resume-from`
-/// saved — for the pin stream at the cut under `CheckpointPolicy::every(64)`
+/// saved — for the pin stream at the cut, checkpointing every 64 items
 /// (conservative, speculative). Its checkpoints wrap today's engine
 /// snapshots, so it moves with them: re-pinned with the native pins.
 const PIN_RUN_STORE_0_10: [u64; 2] = [0x50b5_adf3_c07b_dde4, 0x6c19_e9b8_08c5_9e1b];
@@ -544,9 +523,7 @@ const PIN_RUN_STORE_0_10: [u64; 2] = [0x50b5_adf3_c07b_dde4, 0x6c19_e9b8_08c5_9e
 /// Re-pinned with the native pins: the snapshots inside moved.
 const PIN_RUN_STORE: [u64; 2] = [0x0c5d_5681_7dd3_18b0, 0x9bae_9746_bacc_dcd2];
 
-fn run_policy() -> CheckpointPolicy {
-    CheckpointPolicy::every(64)
-}
+const RUN_EVERY: Option<u64> = Some(64);
 
 /// Rebuilds, from the documented 0.10 layout, the store that version's
 /// writer produced: checkpoints of `position, log mark, bytes(engine
@@ -588,7 +565,7 @@ fn a_0_10_run_store_is_rejected_whole_and_todays_resumes_exactly_once() {
             "{policy:?}: not the bytes 0.10 wrote"
         );
         let artifacts = (old.checkpoint_count() + old.log_len()) as u64;
-        let (mut ck, replay_from) = Checkpointer::resume(run_policy(), old, |_| Ok(host()));
+        let (mut ck, replay_from) = Checkpointer::resume(RUN_EVERY, old, |_| Ok(host()));
         assert_eq!(replay_from, 0, "{policy:?}: cold start");
         assert_eq!(ck.stats().checkpoints_rejected, artifacts, "{policy:?}");
         assert_eq!(
@@ -606,12 +583,12 @@ fn a_0_10_run_store_is_rejected_whole_and_todays_resumes_exactly_once() {
         assert_eq!(net_keys(&untag(out).collect::<Vec<_>>()), p.oracle);
 
         // today's format: pinned, and resumed exactly-once
-        let mut ck = Checkpointer::new(host(), run_policy());
+        let mut ck = Checkpointer::new(host(), RUN_EVERY);
         let mut delivered = ck.ingest_batch(&p.stream[..PIN_CUT]);
         let saved = ck.store().clone();
         drop(ck); // crash
         assert_eq!(fnv1a64(&saved.to_bytes()), PIN_RUN_STORE[px], "{policy:?}");
-        let (mut ck, replay_from) = Checkpointer::resume(run_policy(), saved, |_| Ok(host()));
+        let (mut ck, replay_from) = Checkpointer::resume(RUN_EVERY, saved, |_| Ok(host()));
         assert_eq!(replay_from, 192, "{policy:?}: the newest checkpoint");
         assert_eq!(ck.stats().checkpoints_rejected, 0, "{policy:?}");
         delivered.extend(ck.ingest_batch(&p.stream[replay_from as usize..]));

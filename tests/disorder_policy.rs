@@ -25,8 +25,7 @@ use std::sync::Arc;
 
 use common::{host_of, net_keys, reference_matches, untag};
 use sequin::engine::{
-    CheckpointPolicy, Checkpointer, DisorderPolicy, EngineConfig, NativeEngine, OutputItem,
-    OutputKind, Strategy,
+    Checkpointer, DisorderPolicy, EngineConfig, NativeEngine, OutputItem, OutputKind, Strategy,
 };
 use sequin::netsim::{delay_shuffle, measure_disorder, Crash};
 use sequin::server::{CoreConfig, EngineCore};
@@ -187,7 +186,7 @@ fn policy_change_across_checkpoint_resume_stays_exactly_once() {
             let crash = Crash::AfterEvents(stream.len() as u64 / frac);
             let (pre_items, crash_ix) = crash.split(&stream);
 
-            let mut ck = Checkpointer::new(host_with(before), CheckpointPolicy::default());
+            let mut ck = Checkpointer::new(host_with(before), Some(3));
             let mut delivered = Vec::new();
             for item in pre_items {
                 delivered.extend(untag(ck.ingest(item)));
@@ -197,7 +196,7 @@ fn policy_change_across_checkpoint_resume_stays_exactly_once() {
 
             // resume the persisted state under the *other* policy
             let (mut ck, replay_from) =
-                Checkpointer::resume(CheckpointPolicy::default(), saved, |_| Ok(host_with(after)));
+                Checkpointer::resume(Some(3), saved, |_| Ok(host_with(after)));
             assert!(replay_from <= crash_ix, "{ctx}: resume skipped input");
             for item in &stream[replay_from as usize..] {
                 delivered.extend(untag(ck.ingest(item)));
