@@ -63,6 +63,6 @@ pub use checkpoint::{CheckpointStore, Checkpointer};
 pub use config::{DisorderPolicy, EngineConfig, Strategy, WatermarkSource};
 pub use native::NativeEngine;
 pub use output::{OutputItem, OutputKind};
-pub use shared::{MultiEngine, PlanMetrics, QueryId};
+pub use shared::{MultiEngine, PlanMetrics, PlanWork, QueryId};
 
 pub use sequin_plan::stable_query_id;

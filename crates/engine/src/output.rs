@@ -3,7 +3,7 @@
 use std::fmt;
 
 use sequin_runtime::Match;
-use sequin_types::codec::{fnv1a64, Encode, Writer};
+use sequin_types::codec::{fnv1a64, fnv1a64_extend};
 use sequin_types::{ArrivalSeq, EventId, Timestamp};
 
 /// Whether an output item asserts or withdraws a match.
@@ -60,16 +60,18 @@ impl OutputItem {
     }
 
     /// Stable provenance id: FNV-1a over the query's stable id and the
-    /// match-key encoding. Kind-independent, so an insert and its later
-    /// retraction share an id (that shared id *is* the parent link
-    /// between them), and derived purely from the output itself, so it is
-    /// identical across backends. Never 0 — lineage
-    /// consumers use 0 as "no provenance".
+    /// match-key encoding (`stable ‖ len ‖ ids`, each a little-endian
+    /// `u64`), hashed as it is read, without building either.
+    /// Kind-independent, so an insert and its later retraction share an
+    /// id (that shared id *is* the parent link between them), and derived
+    /// purely from the output itself, so it is identical across backends.
+    /// Never 0 — lineage consumers use 0 as "no provenance".
     pub fn provenance_id(&self, stable_query: u64) -> u64 {
-        let mut w = Writer::new();
-        w.put_u64(stable_query);
-        self.m.key().encode(&mut w);
-        fnv1a64(&w.into_bytes()).max(1)
+        let events = self.m.events();
+        let ids = events.iter().map(|e| e.id().get());
+        let words = [stable_query, events.len() as u64].into_iter().chain(ids);
+        let hash = |h, word: u64| fnv1a64_extend(h, &word.to_le_bytes());
+        words.fold(fnv1a64(&[]), hash).max(1)
     }
 }
 
@@ -119,5 +121,57 @@ mod tests {
         assert_eq!(item.provenance_id(7), retract.provenance_id(7));
         assert_ne!(item.provenance_id(7), item.provenance_id(8));
         assert_ne!(item.provenance_id(7), 0);
+    }
+
+    /// Provenance ids are pinned: bundles already written and pid filters
+    /// already shared keep naming the same outputs. The pins are the ids
+    /// of matches of 1–4 events under two stable query ids, as hashed from
+    /// the encoded `stable ‖ match key` bytes.
+    #[test]
+    fn provenance_ids_are_pinned() {
+        const PINS: [[u64; 4]; 2] = [
+            [
+                0xc91d_c700_8063_1d84,
+                0x8e82_397e_1ee3_c9bc,
+                0x073d_c1be_f797_9332,
+                0xd1b0_c60a_bca3_2c77,
+            ],
+            [
+                0xc0a0_c3dd_6a78_a145,
+                0x6630_a8fe_473e_00b1,
+                0x5352_063d_60c7_2f5f,
+                0x1b6e_bab9_55e1_f00a,
+            ],
+        ];
+        let mut reg = TypeRegistry::new();
+        let a = reg.declare("A", &[("x", ValueKind::Int)]).unwrap();
+        let ids = [7, 1 << 40, 3, 12_345_678_901];
+        let events: Vec<_> = (0..4)
+            .map(|i| {
+                let at = Timestamp::new(10 * (i as u64 + 1));
+                let ev = Event::builder(a, at).id(EventId::new(ids[i]));
+                Arc::new(ev.attr(Value::Int(0)).build())
+            })
+            .collect();
+        let components = ["A a", "A a, A b", "A a, A b, A c", "A a, A b, A c, A d"];
+        for (stable, pins) in [0x5EED, 0xDEAD_BEEF_0123_4567].into_iter().zip(PINS) {
+            for (n, pin) in pins.into_iter().enumerate() {
+                let text = format!("PATTERN SEQ({}) WITHIN 100", components[n]);
+                let q = parse(&text, &reg).unwrap();
+                let item = OutputItem {
+                    kind: OutputKind::Insert,
+                    m: Match::new(&q, events[..=n].to_vec()),
+                    emit_seq: ArrivalSeq::new(0),
+                    emit_clock: Timestamp::new(0),
+                    cause: None,
+                };
+                assert_eq!(
+                    item.provenance_id(stable),
+                    pin,
+                    "{stable:x}, {} events",
+                    n + 1
+                );
+            }
+        }
     }
 }

@@ -85,7 +85,10 @@
 //! it touched and added once per walk. So an arrival costs the nodes it
 //! changes, not the queries that share them: a partial is forked only to
 //! the group's *live* members, whose final stack holds an instance, and a
-//! purge round visits only its epoch's non-empty stacks.
+//! purge round visits only its epoch's non-empty stacks. Beside them, a
+//! [`PlanWork`] totals what the nodes did for the whole plan, bumped at
+//! the same sites, so the recorder reads one value per call, not every
+//! query's fold.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -171,6 +174,60 @@ pub struct PlanMetrics {
     pub shared_partials: u64,
     /// Member matches forked out of shared partials.
     pub fanout_outputs: u64,
+}
+
+/// What the evaluator's nodes have done since it was built, summed over
+/// the whole plan: a pooled stack's offers, inserts and purged instances
+/// once however many queries read it, and each query's own work — its
+/// negative index's inserts and purges, its constructed and negated
+/// matches — once. Kept as the work is done, so reading it costs nothing
+/// per query; what each query's share is, [`MultiEngine::stats`] folds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlanWork {
+    /// Arrivals offered to a stack, once per stack.
+    pub routed: u64,
+    /// Instances inserted into a stack or a negative index.
+    pub inserted: u64,
+    /// Complete matches constructed.
+    pub constructed: u64,
+    /// Matches discarded by a negation check.
+    pub negated: u64,
+    /// Instances purged from a stack or a negative index.
+    pub purged: u64,
+}
+
+impl PlanWork {
+    /// The work a query counts itself, out of its own counters (what the
+    /// nodes it reads owe it is counted by the nodes).
+    fn own(stats: &RuntimeStats) -> PlanWork {
+        PlanWork {
+            routed: 0,
+            inserted: stats.insertions,
+            constructed: stats.matches_constructed,
+            negated: stats.negated_matches,
+            purged: stats.purged,
+        }
+    }
+
+    /// What was done between `earlier` and `self`, field by field.
+    pub fn since(self, earlier: PlanWork) -> PlanWork {
+        PlanWork {
+            routed: self.routed - earlier.routed,
+            inserted: self.inserted - earlier.inserted,
+            constructed: self.constructed - earlier.constructed,
+            negated: self.negated - earlier.negated,
+            purged: self.purged - earlier.purged,
+        }
+    }
+
+    /// Adds what `st`'s own counters moved since they read `before`.
+    fn add_own(&mut self, before: PlanWork, st: &QueryState) {
+        let moved = PlanWork::own(&st.stats).since(before);
+        self.inserted += moved.inserted;
+        self.constructed += moved.constructed;
+        self.negated += moved.negated;
+        self.purged += moved.purged;
+    }
 }
 
 /// Per-registration-epoch stream state: one watermark tracker and one
@@ -377,13 +434,19 @@ impl Tally {
         &mut self.counts[mx]
     }
 
-    fn drain_into(&mut self, members: &[GroupMember], states: &mut [QueryState]) {
+    fn drain_into(
+        &mut self,
+        members: &[GroupMember],
+        states: &mut [QueryState],
+        work: &mut PlanWork,
+    ) {
         for mx in self.touched.drain(..) {
             let [evals, dfs, constructed] = std::mem::take(&mut self.counts[mx]);
             let stats = &mut states[members[mx].query].stats;
             stats.predicate_evals += evals;
             stats.dfs_steps += dfs;
             stats.matches_constructed += constructed;
+            work.constructed += constructed;
         }
     }
 }
@@ -460,6 +523,7 @@ pub struct MultiEngine {
     /// queries; not snapshotted.
     retraction_drop: u64,
     counters: PlanMetrics,
+    work: PlanWork,
     scratch_stamped: Vec<EventRef>,
     scratch_raw: Vec<Vec<EventRef>>,
     /// A group walk's bind-check and fork tallies (see `group_construct`).
@@ -500,6 +564,7 @@ impl MultiEngine {
             open_epochs: Vec::new(),
             retraction_drop: config.retraction_drop,
             counters: PlanMetrics::default(),
+            work: PlanWork::default(),
             scratch_stamped: Vec::new(),
             scratch_raw: Vec::new(),
             scratch_tallies: Default::default(),
@@ -738,6 +803,12 @@ impl MultiEngine {
         self.fold(id.index())
     }
 
+    /// What the plan's nodes have done so far (see [`PlanWork`]): one read,
+    /// however many queries are registered.
+    pub fn work(&self) -> PlanWork {
+        self.work
+    }
+
     /// Plan metrics (see [`PlanMetrics`]).
     pub fn plan_metrics(&self) -> PlanMetrics {
         PlanMetrics {
@@ -797,6 +868,15 @@ impl MultiEngine {
             (wm.clock(), wm.current())
         };
         self.states.iter().map(of).collect()
+    }
+
+    /// The whole plan's `(stream clock, low-watermark)`: the largest clock
+    /// and the smallest watermark of [`MultiEngine::query_positions`],
+    /// read off the epochs the queries share; `None` with no query.
+    pub fn position(&self) -> Option<(Timestamp, Timestamp)> {
+        let clock = self.epochs.iter().map(|ep| ep.wm.clock()).max()?;
+        let watermark = self.epochs.iter().map(|ep| ep.wm.current()).min()?;
+        Some((clock, watermark))
     }
 
     /// Minimum occurrence timestamp across every live stack entry, or
@@ -868,12 +948,14 @@ impl MultiEngine {
         for &qix in &entry.neg_queries {
             let st = &mut self.states[qix];
             let (ev, stamp) = (&stamped[st.epoch], self.epochs[st.epoch].stamp());
+            let own = PlanWork::own(&st.stats);
             st.settle.offer_negative(ev, &mut st.stats);
             let swallow = &mut self.retraction_drop;
             writing(st, qix, &mut self.dirty, |st| {
                 st.settle
                     .retract_invalidated(stamp, ev, swallow, &mut st.stats, &mut st.phased)
             });
+            self.work.add_own(own, st);
         }
 
         for &six in &entry.stacks {
@@ -885,6 +967,7 @@ impl MultiEngine {
             // pushdown: the slot's local predicates run once
             let owed = &mut self.owed[six];
             owed.offered += 1;
+            self.work.routed += 1;
             if !node.local_preds.is_empty() {
                 let failed = node.first_failing(ev);
                 owed.predicate_evals += failed.map_or(node.local_preds.len(), |ix| ix + 1) as u64;
@@ -900,6 +983,7 @@ impl MultiEngine {
                 continue;
             };
             owed.insertions += 1;
+            self.work.inserted += 1;
             owed.ooo_insertions += u64::from(!newest);
             owed.max_stack_depth = owed.max_stack_depth.max(depth as u64);
             if was_empty {
@@ -932,6 +1016,7 @@ impl MultiEngine {
         anchor: &EventRef,
     ) {
         let st = &mut self.states[qix];
+        let own = PlanWork::own(&st.stats);
         let mut raw = std::mem::take(&mut self.scratch_raw);
         st.ctor.matches_pooled(
             &self.stacks,
@@ -958,6 +1043,7 @@ impl MultiEngine {
                 ep.hold(qix, st, deadline);
             }
         }
+        self.work.add_own(own, st);
         self.scratch_raw = raw;
     }
 
@@ -1010,11 +1096,12 @@ impl MultiEngine {
         self.counters.shared_partials += partials;
         self.counters.fanout_outputs += forked.len() as u64;
         self.groups[gix].dfs_steps += shared_dfs;
-        bind_tally.drain_into(&g.members, &mut self.states);
-        tally.drain_into(&g.members, &mut self.states);
+        bind_tally.drain_into(&g.members, &mut self.states, &mut self.work);
+        tally.drain_into(&g.members, &mut self.states, &mut self.work);
         for (mx, events) in forked.drain(..) {
             let qix = g.members[mx].query;
             let st = &mut self.states[qix];
+            let own = PlanWork::own(&st.stats);
             let ep = &mut self.epochs[st.epoch];
             let (stamp, trigger) = (ep.stamp(), anchor.id());
             let held = writing(st, qix, &mut self.dirty, |st| {
@@ -1025,6 +1112,7 @@ impl MultiEngine {
             if let Some(deadline) = held {
                 ep.hold(qix, st, deadline);
             }
+            self.work.add_own(own, st);
         }
         self.scratch_forked = forked;
         self.scratch_tallies = [bind_tally, tally];
@@ -1048,10 +1136,11 @@ impl MultiEngine {
                 }
                 // what is left is due after this watermark: pushed back, it
                 // is not popped again by this loop
-                let stamp = ep.stamp();
+                let (stamp, own) = (ep.stamp(), PlanWork::own(&st.stats));
                 st.due = writing(st, qix, &mut self.dirty, |st| {
                     st.settle.drain_sealed(stamp, &mut st.stats, &mut st.phased)
                 });
+                self.work.add_own(own, st);
                 ep.due.extend(st.due.map(|next| Reverse((next, qix))));
             }
         }
@@ -1070,11 +1159,12 @@ impl MultiEngine {
         ep.purge_runs += 1;
         let wm = ep.wm.current();
         let skew = Duration::new(self.config.purge_horizon_skew);
-        let (plan, stacks, owed, groups) = (
+        let (plan, stacks, owed, groups, work) = (
             &self.plan,
             &mut self.stacks,
             &mut self.owed,
             &mut self.groups,
+            &mut self.work,
         );
         ep.nonempty.retain(|&six| {
             let node = &plan.stacks[six];
@@ -1083,7 +1173,9 @@ impl MultiEngine {
                 None => purge::final_threshold(wm),
             };
             let stack = &mut stacks[six];
-            owed[six].purged += stack.purge_before(threshold.saturating_add(skew)) as u64;
+            let purged = stack.purge_before(threshold.saturating_add(skew)) as u64;
+            owed[six].purged += purged;
+            work.purged += purged;
             if stack.is_empty() {
                 for &(gix, mx) in &node.finals {
                     groups[gix].live.remove(mx);
@@ -1093,7 +1185,9 @@ impl MultiEngine {
         });
         for &qix in &ep.negating {
             let st = &mut self.states[qix];
+            let own = PlanWork::own(&st.stats);
             st.settle.purge_negatives(wm, skew, &mut st.stats);
+            work.add_own(own, st);
         }
     }
 

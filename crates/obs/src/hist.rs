@@ -2,7 +2,7 @@
 //!
 //! Unlike `sequin_metrics::Histogram` (which keeps every sample for exact
 //! quantiles in offline reports), [`FixedHistogram`] is built for *live*
-//! exposition: constant memory, O(buckets) record/merge, and a bucket
+//! exposition: constant memory, O(1) record, O(buckets) merge, and a bucket
 //! layout that is identical everywhere so that merging across queries or
 //! processes is well defined.
 
@@ -17,6 +17,15 @@ use std::fmt;
 pub const BUCKET_BOUNDS: [u64; 17] = [
     1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536,
 ];
+
+/// The bucket `sample` lands in: the first bound `2^i` at or above it, so
+/// `i = ⌈log2 sample⌉` — the bit length of `sample − 1` — or the `+Inf`
+/// slot past the last bound.
+#[inline]
+fn bucket_of(sample: u64) -> usize {
+    let bits = u64::BITS - sample.saturating_sub(1).leading_zeros();
+    (bits as usize).min(BUCKET_BOUNDS.len())
+}
 
 /// A fixed-bucket histogram with cumulative-friendly bookkeeping
 /// (count/sum/min/max), recording `u64` samples.
@@ -54,11 +63,7 @@ impl FixedHistogram {
     /// Records one sample.
     #[inline]
     pub fn record(&mut self, sample: u64) {
-        let ix = BUCKET_BOUNDS
-            .iter()
-            .position(|&b| sample <= b)
-            .unwrap_or(BUCKET_BOUNDS.len());
-        self.counts[ix] += 1;
+        self.counts[bucket_of(sample)] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(sample);
         self.min = self.min.min(sample);
@@ -165,6 +170,22 @@ mod tests {
         assert_eq!(h.sum(), 70_006);
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 70_000);
+    }
+
+    /// The bucket taken by arithmetic is the one the scan over the bounds
+    /// finds, for every sample up to two past the last bound and the
+    /// largest.
+    #[test]
+    fn the_bucket_is_the_first_bound_at_or_above_the_sample() {
+        let scan = |sample: u64| {
+            BUCKET_BOUNDS
+                .iter()
+                .position(|&b| sample <= b)
+                .unwrap_or(BUCKET_BOUNDS.len())
+        };
+        for sample in (0..=131_073).chain([u64::MAX - 1, u64::MAX]) {
+            assert_eq!(bucket_of(sample), scan(sample), "{sample}");
+        }
     }
 
     #[test]

@@ -144,69 +144,33 @@ impl Recorder {
         skip
     }
 
-    /// Records a pipeline-step span attributed to `query` (or
+    /// Records a pipeline-step span of the whole core (query
     /// [`NO_QUERY`]). No-op when disabled or `count == 0`.
     #[inline]
-    pub fn span(&mut self, kind: SpanKind, query: u64, count: u64, clock: u64, watermark: u64) {
-        if !self.cfg.enabled || count == 0 {
-            return;
+    pub fn span(&mut self, kind: SpanKind, count: u64, clock: u64, watermark: u64) {
+        if self.cfg.enabled && count > 0 {
+            self.ring.record(kind, NO_QUERY, count, clock, watermark);
         }
-        self.ring.push(Span {
-            seq: 0,
-            kind,
-            query,
-            count,
-            clock,
-            watermark,
-            events: Vec::new(),
-            held: 0,
-            pid: 0,
-            cause: 0,
-            bound: 0,
-            arrivals: Vec::new(),
-        });
     }
 
-    /// Records an `Emit` span with per-match provenance: the matched event
-    /// ids (positive order) and how long the match was held due to
-    /// disorder.
+    /// Records an output span (`Emit`/`Seal`/`Retract`) of `query` and
+    /// hands it back for the caller to write its provenance into — the
+    /// matched event ids, hold time, and with causal provenance on their
+    /// arrival seqs, `pid`, `cause` and `bound` — in place, into a slot
+    /// whose vectors a full ring reuses ([`TraceRing::record`]). `None`
+    /// when disabled or keeping no spans.
     #[inline]
-    pub fn emit_span(
+    pub fn output_span(
         &mut self,
+        kind: SpanKind,
         query: u64,
-        events: Vec<u64>,
-        held: u64,
         clock: u64,
         watermark: u64,
-    ) {
+    ) -> Option<&mut Span> {
         if !self.cfg.enabled {
-            return;
+            return None;
         }
-        self.ring.push(Span {
-            seq: 0,
-            kind: SpanKind::Emit,
-            query,
-            count: 1,
-            clock,
-            watermark,
-            events,
-            held,
-            pid: 0,
-            cause: 0,
-            bound: 0,
-            arrivals: Vec::new(),
-        });
-    }
-
-    /// Records a fully-populated output span (`Emit`/`Seal`/`Retract`)
-    /// carrying causal provenance. The caller builds the [`Span`]; the
-    /// ring assigns `seq`.
-    #[inline]
-    pub fn output_span(&mut self, span: Span) {
-        if !self.cfg.enabled {
-            return;
-        }
-        self.ring.push(span);
+        self.ring.record(kind, query, 1, clock, watermark)
     }
 
     /// Per-query observations recorded so far (index = query registration
@@ -225,12 +189,6 @@ impl Recorder {
     pub fn trace_json(&self) -> String {
         self.ring.to_json()
     }
-
-    /// An ingest span helper for whole-core steps.
-    #[inline]
-    pub fn ingest_span(&mut self, count: u64, clock: u64, watermark: u64) {
-        self.span(SpanKind::Ingest, NO_QUERY, count, clock, watermark);
-    }
 }
 
 #[cfg(test)]
@@ -241,8 +199,8 @@ mod tests {
     fn disabled_recorder_records_nothing() {
         let mut r = Recorder::new(ObsConfig::disabled());
         r.record_output(0, true, 5, 9);
-        r.span(SpanKind::Route, 0, 3, 10, 4);
-        r.emit_span(0, vec![1, 2], 6, 10, 4);
+        r.span(SpanKind::Route, 3, 10, 4);
+        assert!(r.output_span(SpanKind::Emit, 0, 10, 4).is_none());
         assert!(r.query_obs().is_empty());
         assert!(r.trace().is_empty());
         assert_eq!(r.trace().recorded(), 0);
@@ -265,9 +223,9 @@ mod tests {
     #[test]
     fn zero_count_spans_are_suppressed() {
         let mut r = Recorder::new(ObsConfig::default());
-        r.span(SpanKind::Purge, 0, 0, 10, 4);
+        r.span(SpanKind::Purge, 0, 10, 4);
         assert!(r.trace().is_empty());
-        r.span(SpanKind::Purge, 0, 2, 10, 4);
+        r.span(SpanKind::Purge, 2, 10, 4);
         assert_eq!(r.trace().len(), 1);
     }
 
@@ -278,7 +236,7 @@ mod tests {
             ..ObsConfig::default()
         });
         r.record_output(0, true, 1, 1);
-        r.span(SpanKind::Route, 0, 1, 1, 0);
+        r.span(SpanKind::Route, 1, 1, 0);
         assert_eq!(r.query_obs()[0].emitted, 1);
         assert!(r.trace().is_empty());
     }

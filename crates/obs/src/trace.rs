@@ -174,19 +174,47 @@ impl TraceRing {
         }
     }
 
-    /// Appends a span, evicting the oldest if the ring is full. The span's
-    /// `seq` field is overwritten with the ring's monotone counter.
-    pub fn push(&mut self, mut span: Span) {
+    /// Appends a span with the given head, the ring's next `seq` and every
+    /// output field zero or empty, and hands it back for the caller to
+    /// fill in; `None` when the ring keeps nothing. A full ring evicts its
+    /// oldest span and writes the new one into its slot: the evicted
+    /// span's `events` and `arrivals` are cleared with their capacity
+    /// kept, so recording into a full ring allocates nothing.
+    pub fn record(
+        &mut self,
+        kind: SpanKind,
+        query: u64,
+        count: u64,
+        clock: u64,
+        watermark: u64,
+    ) -> Option<&mut Span> {
         if self.capacity == 0 {
-            return;
+            return None;
         }
-        span.seq = self.next_seq;
-        self.next_seq += 1;
+        let (mut events, mut arrivals) = (Vec::new(), Vec::new());
         if self.buf.len() == self.capacity {
-            self.buf.pop_front();
+            let evicted = self.buf.pop_front().expect("a full ring holds a span");
             self.dropped += 1;
+            (events, arrivals) = (evicted.events, evicted.arrivals);
+            events.clear();
+            arrivals.clear();
         }
-        self.buf.push_back(span);
+        self.buf.push_back(Span {
+            seq: self.next_seq,
+            kind,
+            query,
+            count,
+            clock,
+            watermark,
+            events,
+            held: 0,
+            pid: 0,
+            cause: 0,
+            bound: 0,
+            arrivals,
+        });
+        self.next_seq += 1;
+        self.buf.back_mut()
     }
 
     /// Accounts for `n` spans that would be pushed and then evicted before
@@ -254,28 +282,15 @@ impl TraceRing {
 mod tests {
     use super::*;
 
-    fn span(kind: SpanKind, count: u64) -> Span {
-        Span {
-            seq: 0,
-            kind,
-            query: 0,
-            count,
-            clock: 10,
-            watermark: 5,
-            events: Vec::new(),
-            held: 0,
-            pid: 0,
-            cause: 0,
-            bound: 0,
-            arrivals: Vec::new(),
-        }
+    fn push(ring: &mut TraceRing, kind: SpanKind, count: u64) -> Option<&mut Span> {
+        ring.record(kind, 0, count, 10, 5)
     }
 
     #[test]
     fn ring_keeps_the_most_recent_spans() {
         let mut ring = TraceRing::new(3);
         for i in 0..5 {
-            ring.push(span(SpanKind::Route, i));
+            push(&mut ring, SpanKind::Route, i);
         }
         assert_eq!(ring.len(), 3);
         assert_eq!(ring.dropped(), 2);
@@ -293,15 +308,15 @@ mod tests {
         for (held, run) in [(0u64, 5u64), (2, 3), (3, 4), (1, 9)] {
             let (mut pushed, mut skipped) = (TraceRing::new(3), TraceRing::new(3));
             for i in 0..held {
-                pushed.push(span(SpanKind::Route, i));
-                skipped.push(span(SpanKind::Route, i));
+                push(&mut pushed, SpanKind::Route, i);
+                push(&mut skipped, SpanKind::Route, i);
             }
             let skip = run.saturating_sub(3);
             skipped.skip(skip);
             for i in held..held + run {
-                pushed.push(span(SpanKind::Route, i));
+                push(&mut pushed, SpanKind::Route, i);
                 if i >= held + skip {
-                    skipped.push(span(SpanKind::Route, i));
+                    push(&mut skipped, SpanKind::Route, i);
                 }
             }
             assert_eq!(
@@ -312,10 +327,34 @@ mod tests {
         }
     }
 
+    /// A span written into the slot of an evicted output span shows
+    /// nothing of it: a plain emit after a seal with provenance renders
+    /// no `pid`, `cause`, `bound` or `arrivals`, and its events are its
+    /// own.
+    #[test]
+    fn a_reused_slot_keeps_nothing_of_the_span_it_held() {
+        let mut ring = TraceRing::new(1);
+        let seal = ring.record(SpanKind::Seal, 3, 1, 40, 30).unwrap();
+        seal.events.extend([3, 7, 9]);
+        seal.arrivals.extend([1, 4, 6]);
+        (seal.held, seal.pid, seal.cause, seal.bound) = (12, 0xABCD, 7, 35);
+        let emit = ring.record(SpanKind::Emit, 2, 1, 50, 45).unwrap();
+        emit.events.push(11);
+        emit.held = 5;
+        assert_eq!(
+            ring.to_json(),
+            "{\"capacity\":1,\"recorded\":2,\"dropped\":1,\"spans\":[\
+             {\"seq\":1,\"kind\":\"emit\",\"query\":2,\"count\":1,\"clock\":50,\
+             \"watermark\":45,\"events\":[11],\"held\":5}]}"
+        );
+        let emitted = ring.spans().next().unwrap();
+        assert!(emitted.arrivals.is_empty() && emitted.arrivals.capacity() >= 3);
+    }
+
     #[test]
     fn zero_capacity_records_nothing() {
         let mut ring = TraceRing::new(0);
-        ring.push(span(SpanKind::Ingest, 1));
+        assert!(push(&mut ring, SpanKind::Ingest, 1).is_none());
         ring.skip(4);
         assert!(ring.is_empty());
         assert_eq!(ring.recorded(), 0);
@@ -328,20 +367,10 @@ mod tests {
     #[test]
     fn emit_spans_dump_provenance() {
         let mut ring = TraceRing::new(8);
-        ring.push(Span {
-            seq: 0,
-            kind: SpanKind::Emit,
-            query: 2,
-            count: 1,
-            clock: 40,
-            watermark: 30,
-            events: vec![3, 7, 9],
-            held: 12,
-            pid: 0xABCD,
-            cause: 7,
-            bound: 0,
-            arrivals: vec![1, 4, 6],
-        });
+        let emit = ring.record(SpanKind::Emit, 2, 1, 40, 30).unwrap();
+        emit.events.extend([3, 7, 9]);
+        emit.arrivals.extend([1, 4, 6]);
+        (emit.held, emit.pid, emit.cause) = (12, 0xABCD, 7);
         let json = ring.to_json();
         assert!(json.contains("\"kind\":\"emit\""));
         assert!(json.contains("\"events\":[3,7,9]"));
@@ -355,15 +384,10 @@ mod tests {
     #[test]
     fn seal_and_retract_spans_carry_decision_context() {
         let mut ring = TraceRing::new(8);
-        let mut seal = span(SpanKind::Seal, 1);
-        seal.bound = 42;
-        seal.watermark = 45;
-        seal.pid = 1;
-        ring.push(seal);
-        let mut retract = span(SpanKind::Retract, 1);
-        retract.cause = 99;
-        retract.pid = 1;
-        ring.push(retract);
+        let seal = push(&mut ring, SpanKind::Seal, 1).unwrap();
+        (seal.bound, seal.watermark, seal.pid) = (42, 45, 1);
+        let retract = push(&mut ring, SpanKind::Retract, 1).unwrap();
+        (retract.cause, retract.pid) = (99, 1);
         let json = ring.to_json();
         assert!(json.contains("\"kind\":\"seal\""));
         assert!(json.contains("\"bound\":42"));
@@ -377,9 +401,7 @@ mod tests {
     #[test]
     fn whole_core_spans_serialize_query_null() {
         let mut ring = TraceRing::new(2);
-        let mut s = span(SpanKind::Ingest, 64);
-        s.query = NO_QUERY;
-        ring.push(s);
+        ring.record(SpanKind::Ingest, NO_QUERY, 64, 10, 5);
         assert!(ring.to_json().contains("\"query\":null"));
     }
 }

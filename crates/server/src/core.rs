@@ -32,9 +32,9 @@ use std::sync::Arc;
 
 use sequin_engine::{
     stable_query_id, CheckpointStore, Checkpointer, DisorderPolicy, EngineConfig, MultiEngine,
-    OutputItem, OutputKind, PlanMetrics, QueryId, Strategy,
+    OutputItem, OutputKind, PlanMetrics, PlanWork, QueryId, Strategy,
 };
-use sequin_obs::{Bundle, MetricsSnapshot, ObsConfig, Recorder, Span, SpanKind};
+use sequin_obs::{Bundle, MetricsSnapshot, ObsConfig, Recorder, SpanKind};
 use sequin_query::{parse, Query, QueryError};
 use sequin_runtime::{seal_deadline, RuntimeStats};
 use sequin_types::{CodecError, Reader, StreamItem, TypeRegistry, Writer};
@@ -349,7 +349,7 @@ impl EngineCore {
         if self.drained {
             return Vec::new();
         }
-        let before = self.obs.enabled().then(|| self.ck.host().stats());
+        let before = self.ck.host().work();
         let out = self.ck.ingest_batch(items);
         self.account(items.len() as u64, before, &out);
         out
@@ -361,7 +361,7 @@ impl EngineCore {
         if self.drained {
             return Vec::new();
         }
-        let before = self.obs.enabled().then(|| self.ck.host().stats());
+        let before = self.ck.host().work();
         let out = self.ck.finish();
         self.account(0, before, &out);
         self.drained = true;
@@ -372,20 +372,15 @@ impl EngineCore {
     }
 
     /// Counts delivered retractions and, when recording (`before` is the
-    /// per-query counters from before the call), traces the call.
-    fn account(
-        &mut self,
-        ingested: u64,
-        before: Option<Vec<RuntimeStats>>,
-        out: &[(QueryId, OutputItem)],
-    ) {
+    /// plan's work from before the call), traces the call.
+    fn account(&mut self, ingested: u64, before: PlanWork, out: &[(QueryId, OutputItem)]) {
         for (qid, o) in out {
             if o.kind == OutputKind::Retract {
                 self.subs[qid.index()].retractions += 1;
             }
         }
-        if let Some(before) = before {
-            self.record_chunk_spans(ingested, &before, out);
+        if self.obs.enabled() {
+            self.record_chunk_spans(ingested, before, out);
         }
     }
 
@@ -442,49 +437,41 @@ impl EngineCore {
         self.ck.pending_suppressions()
     }
 
-    /// Records trace spans for one ingested chunk: an `Ingest` span, then
-    /// per-query `Route`/`StackInsert`/`Construct`/`Negate`/`Purge` spans
-    /// derived from operator-counter deltas (`before` → now), then one
-    /// `Emit` span per delivered output with its event-id provenance and
-    /// disorder hold time. Spans are chunk-granular by design: the trace
-    /// shows what each batch *did*, not a per-event firehose, which keeps
-    /// recording cost a handful of counter reads per batch. The spans the
-    /// ring would evict before the call ends are counted, not built.
+    /// Records trace spans for one engine call: an `Ingest` span, then one
+    /// `Route`/`StackInsert`/`Construct`/`Negate`/`Purge` span each for the
+    /// whole core (`query: null`) from the plan's work during the call
+    /// (`before` → now), then one output span per delivered output with
+    /// its event-id provenance and disorder hold time, written in place
+    /// into the ring. Spans are call-granular by design: the trace shows
+    /// what each batch *did*, not a per-event firehose, and what a query
+    /// did is in its `sequin_engine_*` counters. So the cost per call is a
+    /// read of the plan's work and of each epoch's position, whatever the
+    /// number of queries, plus the outputs. The spans the ring would evict
+    /// before the call ends are counted, not built.
     fn record_chunk_spans(
         &mut self,
         ingested: u64,
-        before: &[RuntimeStats],
+        before: PlanWork,
         outputs: &[(QueryId, OutputItem)],
     ) {
         let host = self.ck.host();
-        let after = host.stats();
-        // every query's clock and watermark stand for the whole call, read
-        // together. The stream clock is the maximum occurrence timestamp
-        // any query has observed (0 before the first event), the core's
-        // watermark the minimum over queries
-        let positions = host.query_positions();
-        let clocks = positions.iter().map(|p| p.0.ticks());
-        let watermarks = positions.iter().map(|p| p.1.ticks());
-        let (core_clock, core_wm) = (clocks.max().unwrap_or(0), watermarks.min().unwrap_or(0));
-        let steps = |i: usize| {
-            let prev = before.get(i).copied().unwrap_or_default();
-            let now = after.get(i)?;
-            Some([
-                (SpanKind::Route, now.events_routed - prev.events_routed),
-                (SpanKind::StackInsert, now.insertions - prev.insertions),
-                (
-                    SpanKind::Construct,
-                    now.matches_constructed - prev.matches_constructed,
-                ),
-                (SpanKind::Negate, now.negated_matches - prev.negated_matches),
-                (SpanKind::Purge, now.purged - prev.purged),
-            ])
-        };
+        let work = host.work().since(before);
+        // the stream clock is the largest occurrence timestamp any query
+        // has observed, the core's watermark the smallest of the queries'
+        let (clock, watermark) = host
+            .position()
+            .map_or((0, 0), |(c, w)| (c.ticks(), w.ticks()));
+        let steps = [
+            (SpanKind::Route, work.routed),
+            (SpanKind::StackInsert, work.inserted),
+            (SpanKind::Construct, work.constructed),
+            (SpanKind::Negate, work.negated),
+            (SpanKind::Purge, work.purged),
+        ];
         // what this call records, in order: the ingest span, every
         // non-zero step, one span per output
-        let deltas = (0..self.subs.len()).filter_map(steps).flatten();
         let recorded = u64::from(ingested > 0)
-            + deltas.filter(|(_, delta)| *delta > 0).count() as u64
+            + steps.iter().filter(|(_, n)| *n > 0).count() as u64
             + outputs.len() as u64;
         let mut skip = self.obs.skip_spans(recorded);
         let mut kept = || {
@@ -493,47 +480,28 @@ impl EngineCore {
             kept
         };
         if ingested > 0 && kept() {
-            self.obs.ingest_span(ingested, core_clock, core_wm);
+            self.obs.span(SpanKind::Ingest, ingested, clock, watermark);
         }
-        let watermark = |qid: QueryId| positions[qid.index()].1.ticks();
-        for (i, qid) in self.subs.iter().map(|s| s.id).enumerate() {
-            let Some(steps) = steps(i) else { continue };
-            let clock = positions[qid.index()].0.ticks();
-            let wm = watermark(qid);
-            for (kind, delta) in steps {
-                if delta > 0 && kept() {
-                    self.obs.span(kind, i as u64, delta, clock, wm);
-                }
+        for (kind, n) in steps {
+            if n > 0 && kept() {
+                self.obs.span(kind, n, clock, watermark);
             }
         }
+        let provenance = self.obs.provenance();
         for (qid, o) in outputs {
             let i = qid.index();
             let insert = o.kind == OutputKind::Insert;
-            self.obs
-                .record_output(i, insert, o.arrival_latency(), o.event_time_latency());
+            let held = o.event_time_latency();
+            self.obs.record_output(i, insert, o.arrival_latency(), held);
             if !kept() {
                 continue;
             }
-            let events: Vec<u64> = o.m.events().iter().map(|e| e.id().get()).collect();
-            let wm = watermark(*qid);
-            if !self.obs.provenance() {
-                self.obs.emit_span(
-                    i as u64,
-                    events,
-                    o.event_time_latency(),
-                    o.emit_clock.ticks(),
-                    wm,
-                );
-                continue;
-            }
-            // Full causal provenance. Every field below is derived from
-            // the output itself (or from the query text), so the recorded
-            // span is byte-identical across backends —
-            // only the ring-global `seq` may differ, and the lineage
-            // renderers drop it.
-            let pid = o.provenance_id(self.subs[i].stable);
-            let arrivals: Vec<u64> = o.m.events().iter().map(|e| e.arrival().get()).collect();
+            // With causal provenance, every field is derived from the
+            // output itself (or from the query text), so the recorded span
+            // is byte-identical across backends — only the ring-global
+            // `seq` may differ, and the lineage renderers drop it.
             let (kind, cause, bound) = match (o.kind, o.cause) {
+                _ if !provenance => (SpanKind::Emit, 0, 0),
                 (OutputKind::Retract, c) => {
                     (SpanKind::Retract, c.map(|id| id.get()).unwrap_or(0), 0)
                 }
@@ -548,20 +516,19 @@ impl EngineCore {
                     (SpanKind::Seal, 0, deadline.ticks())
                 }
             };
-            self.obs.output_span(Span {
-                seq: 0,
-                kind,
-                query: i as u64,
-                count: 1,
-                clock: o.emit_clock.ticks(),
-                watermark: wm,
-                events,
-                held: o.event_time_latency(),
-                pid,
-                cause,
-                bound,
-                arrivals,
-            });
+            let (emitted, wm) = (o.emit_clock.ticks(), host.query_watermark(*qid).ticks());
+            let Some(span) = self.obs.output_span(kind, i as u64, emitted, wm) else {
+                continue;
+            };
+            let events = o.m.events();
+            span.events.extend(events.iter().map(|e| e.id().get()));
+            span.held = held;
+            if provenance {
+                span.arrivals
+                    .extend(events.iter().map(|e| e.arrival().get()));
+                span.pid = o.provenance_id(self.subs[i].stable);
+                (span.cause, span.bound) = (cause, bound);
+            }
         }
     }
 
@@ -766,6 +733,7 @@ impl EngineCore {
 pub(crate) mod tests {
     use super::*;
     use sequin_engine::OutputKind;
+    use sequin_obs::Span;
     use sequin_types::{Duration, Event, EventId, Timestamp, Value, ValueKind};
 
     pub(crate) fn registry() -> Arc<TypeRegistry> {
@@ -1146,6 +1114,155 @@ pub(crate) mod tests {
         assert_eq!(emitted, all_emitted, "outputs are observed without a ring");
         let (off, emitted) = run(ObsConfig::disabled());
         assert!(off.is_empty() && off.recorded() == 0 && emitted.is_empty());
+    }
+
+    /// `n` events over `types`, each with an `x` in `0..100`, about a
+    /// quarter of them up to 9 ticks late: inside the tests' `K` of 10.
+    fn disordered(reg: &TypeRegistry, types: &[&str], n: u64) -> Vec<StreamItem> {
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let event = |id: u64| {
+            // xorshift64
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let ty = reg.lookup(types[(state % types.len() as u64) as usize]);
+            let late = if (state >> 8) % 4 == 0 {
+                (state >> 16) % 10
+            } else {
+                0
+            };
+            let event = Event::builder(ty.unwrap(), Timestamp::new(2 * id - late))
+                .id(EventId::new(id))
+                .attr(Value::Int(((state >> 24) % 100) as i64));
+            StreamItem::Event(Arc::new(event.build()))
+        };
+        (1..=n).map(event).collect()
+    }
+
+    const OPERATOR_SPANS: [SpanKind; 5] = [
+        SpanKind::Route,
+        SpanKind::StackInsert,
+        SpanKind::Construct,
+        SpanKind::Negate,
+        SpanKind::Purge,
+    ];
+
+    /// Per call of `core` — an `ingest_batch` per chunk of `items`, then
+    /// `finish` — the counts of its core-wide operator spans, in
+    /// [`OPERATOR_SPANS`] order, beside every query's own counters moved
+    /// by the same call, in the same order. A call records at most one
+    /// span of each kind.
+    fn spans_beside_stats(
+        core: &mut EngineCore,
+        items: &[StreamItem],
+    ) -> Vec<([u64; 5], Vec<[u64; 5]>)> {
+        let counted = |s: &RuntimeStats| {
+            let n = [s.events_routed, s.insertions, s.matches_constructed];
+            [n[0], n[1], n[2], s.negated_matches, s.purged]
+        };
+        let mut calls = Vec::new();
+        for chunk in items.chunks(64).map(Some).chain([None]) {
+            let (before, from) = (core.ck.host().stats(), core.obs.trace().recorded());
+            match chunk {
+                Some(chunk) => core.ingest_batch(chunk),
+                None => core.finish(),
+            };
+            assert!(core.obs.trace().dropped() == 0, "the ring holds the call");
+            let mut spans = [0; 5];
+            let new = core.obs.trace().spans().filter(|s| s.seq >= from);
+            for span in new.filter(|s| s.query == sequin_obs::NO_QUERY) {
+                if let Some(k) = OPERATOR_SPANS.iter().position(|&k| k == span.kind) {
+                    assert!(spans[k] == 0 && span.count > 0, "{span:?}");
+                    spans[k] = span.count;
+                }
+            }
+            let after = core.ck.host().stats();
+            let moved = after.iter().zip(&before).map(|(now, then)| {
+                let (now, then) = (counted(now), counted(then));
+                std::array::from_fn(|k| now[k] - then[k])
+            });
+            calls.push((spans, moved.collect()));
+        }
+        calls
+    }
+
+    fn traced_core(reg: &Arc<TypeRegistry>) -> EngineCore {
+        EngineCore::new(CoreConfig {
+            obs: ObsConfig {
+                trace_capacity: 1 << 20,
+                ..ObsConfig::default()
+            },
+            ..cfg(reg, None)
+        })
+    }
+
+    fn family_registry() -> Arc<TypeRegistry> {
+        let mut reg = TypeRegistry::new();
+        for name in ["T0", "T1", "T2", "T3", "T4", "T5", "N"] {
+            reg.declare(name, &[("x", ValueKind::Int)]).unwrap();
+        }
+        Arc::new(reg)
+    }
+
+    /// A plan of one counts what its query counts: per call, each
+    /// core-wide operator span equals the query's counter delta — under
+    /// the conservative policy (with a negation, so matches are negated at
+    /// their seal) and speculative (so retractions negate them), on a
+    /// pattern with no repeated event type.
+    #[test]
+    fn a_plan_of_ones_operator_spans_are_its_querys_counters() {
+        let reg = family_registry();
+        let items = disordered(&reg, &["T0", "T1", "N"], 3_000);
+        let text = "PATTERN SEQ(T0 a, !N n, T1 b) WITHIN 20";
+        for policy in [DisorderPolicy::Conservative, DisorderPolicy::Speculative] {
+            let mut core = traced_core(&reg);
+            core.subscribe_with_policy(text, Some(policy)).unwrap();
+            let mut total = [0; 5];
+            for (spans, moved) in spans_beside_stats(&mut core, &items) {
+                assert_eq!(spans, moved[0], "{policy:?}");
+                (0..5).for_each(|k| total[k] += spans[k]);
+            }
+            assert!(total.iter().all(|&n| n > 0), "{policy:?}: {total:?}");
+        }
+    }
+
+    /// On a 512-query prefix family, some of it speculative with a
+    /// negation: per call, the core-wide `construct` and `negate` spans
+    /// are the sum of the queries' own counts, and `stack_insert` — an
+    /// insert into a shared stack counted once — lies between the most
+    /// one query saw and the sum.
+    #[test]
+    fn a_familys_operator_spans_count_shared_work_once() {
+        let reg = family_registry();
+        let items = disordered(&reg, &["T0", "T1", "T2", "T3", "T4", "T5", "N"], 3_000);
+        let mut core = traced_core(&reg);
+        for i in 0..512 {
+            let (band, last) = ((i / 4) % 100, 2 + i % 4);
+            let (negated, policy) = match i % 8 {
+                0 => ("!N n, ", DisorderPolicy::Speculative),
+                _ => ("", DisorderPolicy::Conservative),
+            };
+            let text = format!(
+                "PATTERN SEQ(T0 a, {negated}T1 b, T{last} c) \
+                 WHERE c.x >= {band} AND c.x < {} WITHIN 20",
+                band + 1
+            );
+            core.subscribe_with_policy(&text, Some(policy)).unwrap();
+        }
+        let plan = core.plan_metrics().unwrap();
+        assert!(
+            plan.prefix_groups > 0 && plan.pooled_stacks < 512,
+            "{plan:?}"
+        );
+        let mut total = [0; 5];
+        for (spans, moved) in spans_beside_stats(&mut core, &items) {
+            let sum = |k: usize| moved.iter().map(|m| m[k]).sum::<u64>();
+            let most = |k: usize| moved.iter().map(|m| m[k]).max().unwrap_or(0);
+            assert_eq!((spans[2], spans[3]), (sum(2), sum(3)));
+            assert!(most(1) <= spans[1] && spans[1] <= sum(1), "{spans:?}");
+            (0..5).for_each(|k| total[k] += spans[k]);
+        }
+        assert!(total.iter().all(|&n| n > 0), "{total:?}");
     }
 
     #[test]

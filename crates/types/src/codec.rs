@@ -108,7 +108,13 @@ impl std::error::Error for CodecError {}
 /// FNV-1a 64-bit hash — the envelope checksum. Not cryptographic; it
 /// exists to catch truncation and bit rot, not adversaries.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an [`fnv1a64`] state over more bytes: `fnv1a64(a ‖ b)` is
+/// `fnv1a64_extend(fnv1a64(a), b)`, so a caller hashes what it would
+/// encode, piece by piece, without building the encoding.
+pub fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);

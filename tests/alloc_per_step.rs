@@ -11,7 +11,11 @@
 //! whose shared prefix walk every arrival runs but whose final stacks stay
 //! empty, add no allocation to an arrival (exact, any build) and next to no
 //! time (release builds: the time is only meaningful there), and
-//! registering them costs each the same.
+//! registering them costs each the same. The timings hold on the server's
+//! core too, recorder on, as `sequin serve` runs it.
+//!
+//! And the recorder: once its trace ring is full, what it adds to a batch
+//! does not grow with the batch's outputs.
 //!
 //! And the wire's decoder: an event is decoded straight into the record
 //! the engine keeps.
@@ -31,10 +35,11 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration as Wall, Instant};
 
 use common::ev;
-use sequin::engine::{DisorderPolicy, EngineConfig, MultiEngine, OutputKind};
+use sequin::engine::{DisorderPolicy, EngineConfig, MultiEngine, OutputKind, Strategy};
+use sequin::obs::ObsConfig;
 use sequin::query::{parse, Query};
 use sequin::runtime::AisStack;
-use sequin::server::{decode_frame, encode_frame, Frame};
+use sequin::server::{decode_frame, encode_frame, CoreConfig, EngineCore, Frame};
 use sequin::types::{
     Duration, Event, EventId, EventRef, StreamItem, Timestamp, TypeRegistry, ValueKind,
 };
@@ -384,22 +389,55 @@ fn least_of_five(few: usize, many: usize, mut run: impl FnMut(usize) -> Wall) ->
     least
 }
 
-/// The least of five timings of 50k keyed arrivals beside 64 and beside
-/// 1,024 of `siblings`.
-fn arrival_time_beside(siblings: fn(usize) -> Vec<String>) -> (Wall, Wall) {
+/// The least of five timings of 50k keyed arrivals, in calls of 256,
+/// beside 64 and beside 1,024 of `siblings`: on the host `build` makes
+/// of the reached query and that many of them, which `ingest` feeds a
+/// call and answers how many outputs it gave.
+fn arrival_time_beside<H>(
+    siblings: fn(usize) -> Vec<String>,
+    build: impl Fn(&TypeRegistry, &[String]) -> H,
+    ingest: impl Fn(&mut H, &[StreamItem]) -> usize,
+) -> (Wall, Wall) {
     let reg = registry();
     let stream = keyed_stream(&reg, 1, 50_000);
-    let queries = parsed(&reg, &siblings(1_024));
+    let texts = siblings(1_024);
     least_of_five(64, 1_024, |siblings| {
-        let (mut engine, _) = registered(&queries[..=siblings]);
+        let mut host = build(&reg, &texts[..=siblings]);
         let started = Instant::now();
-        let outputs = stream.chunks(256).map(|chunk| {
-            let per_item = engine.ingest_batch(chunk);
-            per_item.iter().map(Vec::len).sum::<usize>()
-        });
+        let outputs = stream.chunks(256).map(|chunk| ingest(&mut host, chunk));
         assert!(outputs.sum::<usize>() > 10_000, "the reached query fires");
         started.elapsed()
     })
+}
+
+/// [`arrival_time_beside`] on a plan host.
+fn engine_arrival_time_beside(siblings: fn(usize) -> Vec<String>) -> (Wall, Wall) {
+    arrival_time_beside(
+        siblings,
+        |reg, texts| registered(&parsed(reg, texts)).0,
+        |engine, chunk| engine.ingest_batch(chunk).iter().map(Vec::len).sum(),
+    )
+}
+
+/// A server core over `queries` with the disorder bound of [`registered`]
+/// and the recorder as configured.
+fn core(reg: &TypeRegistry, queries: &[String], obs: ObsConfig) -> EngineCore {
+    let engine = EngineConfig::with_k(Duration::new(100));
+    let cfg = CoreConfig::new(Arc::new(reg.clone()), Strategy::Native, engine);
+    let mut core = EngineCore::new(CoreConfig { obs, ..cfg });
+    for text in queries {
+        core.subscribe(text).unwrap();
+    }
+    core
+}
+
+/// [`arrival_time_beside`] on the server's core, recorder on by default.
+fn core_arrival_time_beside(siblings: fn(usize) -> Vec<String>) -> (Wall, Wall) {
+    arrival_time_beside(
+        siblings,
+        |reg, texts| core(reg, texts, ObsConfig::default()),
+        |core, chunk| core.ingest_batch(chunk).len(),
+    )
 }
 
 /// Queries an arrival does not touch add next to nothing to its time: the
@@ -409,7 +447,7 @@ fn arrival_time_beside(siblings: fn(usize) -> Vec<String>) -> (Wall, Wall) {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "a timing: release builds only")]
 fn idle_siblings_cost_an_arrival_next_to_nothing() {
-    let (few, many) = arrival_time_beside(with_idle_siblings);
+    let (few, many) = engine_arrival_time_beside(with_idle_siblings);
     assert!(
         many.as_secs_f64() <= 1.3 * few.as_secs_f64(),
         "50k arrivals took {few:?} beside 64 siblings, {many:?} beside 1,024"
@@ -423,10 +461,70 @@ fn idle_siblings_cost_an_arrival_next_to_nothing() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "a timing: release builds only")]
 fn forked_siblings_cost_an_arrival_next_to_nothing() {
-    let (few, many) = arrival_time_beside(with_forked_siblings);
+    let (few, many) = engine_arrival_time_beside(with_forked_siblings);
     assert!(
         many.as_secs_f64() <= 1.3 * few.as_secs_f64(),
         "50k arrivals took {few:?} beside 64 siblings, {many:?} beside 1,024"
+    );
+}
+
+/// Idle siblings cost the server's core, recorder on, next to nothing
+/// either: what the recorder reads per call is the plan's work and its
+/// epochs' positions, not every query's counters.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "a timing: release builds only")]
+fn idle_siblings_cost_a_recorded_arrival_next_to_nothing() {
+    let (few, many) = core_arrival_time_beside(with_idle_siblings);
+    assert!(
+        many.as_secs_f64() <= 1.3 * few.as_secs_f64(),
+        "50k arrivals took {few:?} beside 64 siblings, {many:?} beside 1,024"
+    );
+}
+
+/// Forked siblings cost the server's core, recorder on, next to nothing.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "a timing: release builds only")]
+fn forked_siblings_cost_a_recorded_arrival_next_to_nothing() {
+    let (few, many) = core_arrival_time_beside(with_forked_siblings);
+    assert!(
+        many.as_secs_f64() <= 1.3 * few.as_secs_f64(),
+        "50k arrivals took {few:?} beside 64 siblings, {many:?} beside 1,024"
+    );
+}
+
+/// Once the trace ring is full, the recorder adds the same allocations to
+/// a call however many outputs it traces: each output span is written
+/// into the slot it evicts, whose vectors keep their capacity, and its
+/// provenance id is hashed without an encoding. Checked on two calls
+/// whose outputs differ more than fourfold, both fewer than the ring
+/// holds, so every one of them is traced.
+#[test]
+fn recording_an_output_allocates_nothing() {
+    let reg = registry();
+    let query = with_idle_siblings(0);
+    let preload = keyed_stream(&reg, 1, 3_000);
+    let allocations = |obs: ObsConfig, measured: &[StreamItem]| {
+        let mut core = core(&reg, &query, obs);
+        core.ingest_batch(&preload);
+        let before = ALLOCATIONS.with(Cell::get);
+        let outputs = core.ingest_batch(measured).len();
+        (ALLOCATIONS.with(Cell::get) - before, outputs)
+    };
+    let added = [60, 300].map(|n| {
+        let measured = keyed_stream(&reg, 3_001, n);
+        let (on, outputs) = allocations(ObsConfig::default(), &measured);
+        let (off, same) = allocations(ObsConfig::disabled(), &measured);
+        assert_eq!(outputs, same);
+        (on as i64 - off as i64, outputs)
+    });
+    let [(few_added, few), (many_added, many)] = added;
+    assert!(
+        few > 0 && many >= 4 * few && many < 200,
+        "outputs {few} and {many}"
+    );
+    assert_eq!(
+        few_added, many_added,
+        "the recorder added {few_added} allocations to {few} outputs, {many_added} to {many}"
     );
 }
 
