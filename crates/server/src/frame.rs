@@ -3,12 +3,15 @@
 //! Every message on a connection is one **frame**: a little-endian `u32`
 //! length prefix followed by that many bytes of a sealed envelope from
 //! [`sequin_types::codec`] (`magic ‖ version ‖ length ‖ payload ‖
-//! fnv1a-64`). The envelope payload is a one-byte frame tag plus the
-//! frame body. Reusing the checkpoint codec means the protocol inherits
-//! its corruption guarantees for free: any truncation or bit flip in
-//! flight is detected before a single payload byte is interpreted, and a
-//! corrupted frame is *rejected with a typed error*, never decoded into
-//! silently wrong events.
+//! checksum`). Frames are sealed at envelope version 2 and version 1 is
+//! still read, so an older client's frames are accepted; an older peer
+//! cannot read this build's replies, so client and server ship together.
+//! The envelope payload is a one-byte frame tag plus the frame body.
+//! Reusing the checkpoint codec means the protocol inherits its corruption
+//! guarantees for free: any truncation or bit flip in flight is detected
+//! before a single payload byte is interpreted, and a corrupted frame is
+//! *rejected with a typed error*, never decoded into silently wrong
+//! events.
 //!
 //! ## Conversation shape
 //!

@@ -12,8 +12,9 @@ use sequin_netsim::{delay_shuffle, punctuate, FramePlan};
 use sequin_server::frame::{read_frame, write_frame};
 use sequin_server::{
     decode_frame, encode_frame, loopback_run, mem_pair, Client, ClientError, CoreConfig,
-    EngineCore, ErrorCode, Frame, OutputFrame, Server, ServerConfig,
+    EngineCore, ErrorCode, Frame, MemTransport, OutputFrame, Server, ServerConfig, Transport,
 };
+use sequin_types::codec::{fnv1a64, open_envelope};
 use sequin_types::{Duration, StreamItem, TypeRegistry};
 use sequin_workload::{Synthetic, SyntheticConfig};
 
@@ -220,6 +221,116 @@ fn corrupted_frame_is_rejected_and_kills_only_that_session() {
         client.send_item(item).unwrap();
     }
     client.drain().unwrap();
+}
+
+/// `frame` as a client built before envelope version 2 sealed it, by hand
+/// per the documented layout: `"SQCK" ‖ 1u16 ‖ len u64 ‖ payload ‖
+/// fnv1a64(everything before)`.
+fn encode_frame_v1(frame: &Frame) -> Vec<u8> {
+    let sealed = encode_frame(frame);
+    let payload = open_envelope(&sealed).unwrap();
+    let mut v1 = b"SQCK".to_vec();
+    v1.extend_from_slice(&1u16.to_le_bytes());
+    v1.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    v1.extend_from_slice(payload);
+    let sum = fnv1a64(&v1);
+    v1.extend_from_slice(&sum.to_le_bytes());
+    v1
+}
+
+/// The next frame the server sent on `t`, decoded.
+fn next_frame(t: &mut MemTransport) -> Frame {
+    decode_frame(&t.recv_frame().unwrap().expect("a frame")).unwrap()
+}
+
+/// A raw session on `server` whose HELLO, sealed by `seal`, was accepted.
+fn raw_session(server: &Server, reg: &TypeRegistry, seal: fn(&Frame) -> Vec<u8>) -> MemTransport {
+    let (mut client_side, server_side) = mem_pair(FramePlan::clean(), FramePlan::clean());
+    server.attach(Box::new(server_side));
+    let hello = Frame::Hello {
+        fingerprint: reg.fingerprint(),
+        client: "raw".to_owned(),
+    };
+    client_side.sink().send_frame(&seal(&hello)).unwrap();
+    assert!(matches!(
+        next_frame(&mut client_side),
+        Frame::HelloAck { .. }
+    ));
+    client_side
+}
+
+#[test]
+fn an_old_clients_v1_frames_are_ingested() {
+    let (reg, stream) = workload(200, 5);
+    let core = core_config(&reg, DisorderPolicy::Conservative);
+    let expected = oracle_net(core.clone(), &[Q01], &stream);
+    let server = Server::start(ServerConfig::new(core)).unwrap();
+    let mut t = raw_session(&server, &reg, encode_frame_v1);
+    let send = |f: &Frame| t.sink().send_frame(&encode_frame_v1(f)).unwrap();
+    send(&Frame::Subscribe {
+        query: Q01.to_owned(),
+        policy: None,
+    });
+    let events: Vec<_> = stream
+        .iter()
+        .map(|it| match it {
+            StreamItem::Event(e) => e.clone(),
+            StreamItem::Punctuation(_) => panic!("an unpunctuated stream"),
+        })
+        .collect();
+    for batch in events.chunks(32) {
+        send(&Frame::EventBatch(batch.to_vec()));
+    }
+    send(&Frame::Drain);
+    let (mut sub_acks, mut outputs) = (0, Vec::new());
+    loop {
+        match next_frame(&mut t) {
+            Frame::SubAck { .. } => sub_acks += 1,
+            Frame::Output(o) => outputs.push(o),
+            Frame::Busy { .. } => {}
+            Frame::DrainAck => break,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    assert_eq!(sub_acks, 1);
+    assert!(!outputs.is_empty());
+    assert_eq!(net(&outputs), expected);
+    assert_eq!(server.stats().events_ingested, events.len() as u64);
+    assert_eq!(server.stats().rejected_frames, 0);
+}
+
+#[test]
+fn a_length_field_that_is_not_the_payloads_is_a_bad_frame() {
+    let (reg, _) = workload(1, 1);
+    let server = Server::start(ServerConfig::new(core_config(
+        &reg,
+        DisorderPolicy::Conservative,
+    )))
+    .unwrap();
+    let sealers: [fn(&Frame) -> Vec<u8>; 2] = [encode_frame, encode_frame_v1];
+    let mut refused = 0;
+    for seal in sealers {
+        let sealed = seal(&Frame::StatsReq);
+        let len = (sealed.len() - 22) as u64;
+        for field in [u64::MAX, u64::MAX - 21, 1 << 63, len + 1, len - 1] {
+            let mut t = raw_session(&server, &reg, seal);
+            let mut bad = sealed.clone();
+            bad[6..14].copy_from_slice(&field.to_le_bytes());
+            t.sink().send_frame(&bad).unwrap();
+            match next_frame(&mut t) {
+                Frame::Error { code, message } => {
+                    assert_eq!(code, ErrorCode::BadFrame, "{field:#x}: {message}")
+                }
+                other => panic!("{field:#x}: expected ERROR[bad-frame], got {other:?}"),
+            }
+            assert_eq!(t.recv_frame().unwrap(), None, "{field:#x}: session closed");
+            refused += 1;
+        }
+    }
+    assert_eq!(server.stats().rejected_frames, refused);
+    // the server survives: a clean session still answers
+    let mut client = Client::over(Box::new(raw_session(&server, &reg, encode_frame)));
+    assert!(client.stats().is_ok());
 }
 
 #[test]

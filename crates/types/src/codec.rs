@@ -10,17 +10,23 @@
 //!   ([`Value`], [`Event`], timestamps, ids, `Vec<T>`, `Option<T>`), and
 //!   by the runtime/engine crates for their stateful structures;
 //! * a checksummed **envelope** ([`seal_envelope`] / [`open_envelope`]):
-//!   `magic ‖ version ‖ payload-length ‖ payload ‖ fnv1a-64` — any
-//!   truncation or bit flip is detected before a single payload byte is
-//!   interpreted, so a corrupted checkpoint is *rejected*, never restored
-//!   into silently wrong state.
+//!   `magic ‖ version ‖ payload-length ‖ payload ‖ checksum`, the
+//!   checksum taken over everything before it — any truncation or bit
+//!   flip is detected before a single payload byte is interpreted, so a
+//!   corrupted checkpoint is *rejected*, never restored into silently
+//!   wrong state.
 //!
 //! ## Versioning
 //!
-//! [`CODEC_VERSION`] is bumped on any layout change. [`open_envelope`]
-//! rejects both unknown versions and checksum mismatches with a typed
-//! [`CodecError`], which the restore path maps onto its fallback ladder
-//! (previous good checkpoint, then cold start).
+//! [`CODEC_VERSION`] is bumped on any envelope or layout change, and it is
+//! the only version written. Version 2 sums the envelope a word at a time
+//! (`sum64`); version 1, whose payload layouts are the same, summed it a
+//! byte at a time ([`fnv1a64`]) and is still read, so stores written
+//! before the bump load. Each sum rejects every 1-bit and 2-bit flip of
+//! the envelopes its tests seal and every 3-bit flip within two words.
+//! [`open_envelope`] rejects unknown versions and checksum mismatches
+//! with a typed [`CodecError`], which the restore path maps onto its
+//! fallback ladder (previous good checkpoint, then cold start).
 
 use std::fmt;
 use std::sync::Arc;
@@ -30,8 +36,11 @@ use crate::schema::{EventTypeId, FieldId};
 use crate::time::{ArrivalSeq, Duration, Timestamp};
 use crate::value::Value;
 
-/// Current checkpoint wire-format version.
-pub const CODEC_VERSION: u16 = 1;
+/// The envelope version every writer seals: the `sum64` trailer.
+pub const CODEC_VERSION: u16 = 2;
+
+/// The first envelope version, still read: the [`fnv1a64`] trailer.
+const FNV_VERSION: u16 = 1;
 
 /// Envelope magic: "SQCK" (sequin checkpoint).
 pub const MAGIC: [u8; 4] = *b"SQCK";
@@ -83,7 +92,7 @@ impl fmt::Display for CodecError {
             CodecError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported checkpoint version {v} (this build reads {CODEC_VERSION})"
+                    "unsupported checkpoint version {v} (this build reads {FNV_VERSION} and {CODEC_VERSION})"
                 )
             }
             CodecError::ChecksumMismatch { stored, computed } => write!(
@@ -105,8 +114,8 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// FNV-1a 64-bit hash — the envelope checksum. Not cryptographic; it
-/// exists to catch truncation and bit rot, not adversaries.
+/// FNV-1a 64-bit hash: schema fingerprints, plan and provenance ids, and
+/// the checksum of version-1 envelopes. Not cryptographic.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     fnv1a64_extend(0xcbf2_9ce4_8422_2325, bytes)
 }
@@ -120,6 +129,50 @@ pub fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// The checksum of version-2 envelopes: four independent lanes over the
+/// bytes' little-endian words (word `i` feeds lane `i % 4`, the last word
+/// zero-padded), folded with the byte length. Each step is a bijection of
+/// its lane for a fixed word and of the word for a fixed lane, so a change
+/// confined to one word always changes the sum. Not cryptographic; it
+/// catches truncation and bit rot, not adversaries.
+fn sum64(bytes: &[u8]) -> u64 {
+    fn step(lane: u64, word: u64) -> u64 {
+        let mut x = (lane ^ word).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x ^= x >> 29;
+        x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^ (x >> 32)
+    }
+    // murmur3's finalizer
+    fn fmix64(mut h: u64) -> u64 {
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("len 8"));
+    let mut lanes: [u64; 4] = [
+        0x243f_6a88_85a3_08d3,
+        0x1319_8a2e_0370_7344,
+        0xa409_3822_299f_31d0,
+        0x082e_fa98_ec4e_6c89,
+    ];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = step(*lane, word(w));
+        }
+    }
+    for (lane, w) in lanes.iter_mut().zip(blocks.remainder().chunks(8)) {
+        let mut padded = [0u8; 8];
+        padded[..w.len()].copy_from_slice(w);
+        *lane = step(*lane, u64::from_le_bytes(padded));
+    }
+    lanes
+        .iter()
+        .fold(bytes.len() as u64, |h, &lane| fmix64(h ^ lane))
 }
 
 /// Append-only byte sink for encoding.
@@ -216,12 +269,12 @@ impl Writer {
     }
 
     /// Closes the envelope opened at `mark`: patches the payload length
-    /// into the header and appends the checksum.
+    /// into the header and appends the `sum64` checksum.
     pub fn finish_envelope(&mut self, mark: usize) {
         let payload = mark + ENVELOPE_HEADER;
         let len = (self.buf.len() - payload) as u64;
         self.buf[mark + 6..payload].copy_from_slice(&len.to_le_bytes());
-        let sum = fnv1a64(&self.buf[mark..]);
+        let sum = sum64(&self.buf[mark..]);
         self.buf.extend_from_slice(&sum.to_le_bytes());
     }
 }
@@ -579,9 +632,10 @@ pub fn seal_envelope(payload: &[u8]) -> Vec<u8> {
 
 /// Validates an envelope and returns its payload slice.
 ///
-/// Rejects (in order): short header, wrong magic, unknown version,
-/// truncated payload, and checksum mismatch. Only after all five checks
-/// pass is a single payload byte handed to a decoder.
+/// Rejects (in order): short header, wrong magic, unknown version, a
+/// length field that is not the payload's length, and checksum mismatch —
+/// `sum64` for [`CODEC_VERSION`], [`fnv1a64`] for version 1. Only after
+/// all five checks pass is a single payload byte handed to a decoder.
 pub fn open_envelope(bytes: &[u8]) -> Result<&[u8], CodecError> {
     if bytes.len() < ENVELOPE_HEADER + 8 {
         return Err(CodecError::UnexpectedEof);
@@ -590,17 +644,19 @@ pub fn open_envelope(bytes: &[u8]) -> Result<&[u8], CodecError> {
         return Err(CodecError::BadMagic);
     }
     let version = u16::from_le_bytes(bytes[4..6].try_into().expect("len 2"));
-    if version != CODEC_VERSION {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
+    let sum = match version {
+        CODEC_VERSION => sum64,
+        FNV_VERSION => fnv1a64,
+        v => return Err(CodecError::UnsupportedVersion(v)),
+    };
+    // compared, not added to: no length field can overflow
+    let body_end = bytes.len() - 8;
     let len = u64::from_le_bytes(bytes[6..ENVELOPE_HEADER].try_into().expect("len 8"));
-    let expected_total = ENVELOPE_HEADER as u64 + len + 8;
-    if bytes.len() as u64 != expected_total {
+    if len != (body_end - ENVELOPE_HEADER) as u64 {
         return Err(CodecError::BadLength);
     }
-    let body_end = ENVELOPE_HEADER + len as usize;
     let stored = u64::from_le_bytes(bytes[body_end..].try_into().expect("len 8"));
-    let computed = fnv1a64(&bytes[..body_end]);
+    let computed = sum(&bytes[..body_end]);
     if stored != computed {
         return Err(CodecError::ChecksumMismatch { stored, computed });
     }
@@ -725,40 +781,169 @@ mod tests {
         }
     }
 
+    /// Seals `payload` as version 1 by hand, per the documented layout:
+    /// `"SQCK" ‖ 1u16 ‖ len u64 ‖ payload ‖ fnv1a64(everything before)`.
+    fn seal_v1(payload: &[u8]) -> Vec<u8> {
+        let mut b = MAGIC.to_vec();
+        b.extend_from_slice(&1u16.to_le_bytes());
+        b.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        b.extend_from_slice(payload);
+        let sum = fnv1a64(&b);
+        b.extend_from_slice(&sum.to_le_bytes());
+        b
+    }
+
+    type Seal = fn(&[u8]) -> Vec<u8>;
+
+    /// Both readable versions' sealers: the one every writer uses, and
+    /// version 1 by hand.
+    const SEALERS: [(&str, Seal); 2] = [("v2", seal_envelope), ("v1", seal_v1)];
+
+    /// A payload of `n` bytes that is not all one value.
+    fn payload(n: usize) -> Vec<u8> {
+        (0..n).map(|i| (i as u8).wrapping_mul(37) ^ 0x5a).collect()
+    }
+
+    #[test]
+    fn a_hand_sealed_v1_envelope_opens_and_writers_seal_v2() {
+        assert_eq!(open_envelope(&seal_v1(b"payload")).unwrap(), b"payload");
+        assert_eq!(open_envelope(&seal_v1(&[])).unwrap(), b"");
+        let sealed = seal_envelope(b"payload");
+        assert_eq!(sealed[4..6], CODEC_VERSION.to_le_bytes());
+        assert_eq!(CODEC_VERSION, 2);
+        // one layout, two trailers
+        let mut v1 = seal_v1(b"payload");
+        v1[4] = 2;
+        assert_eq!(sealed[..sealed.len() - 8], v1[..v1.len() - 8]);
+        assert_ne!(sealed[sealed.len() - 8..], v1[v1.len() - 8..]);
+    }
+
     #[test]
     fn envelope_rejects_every_single_bit_flip() {
-        let sealed = seal_envelope(b"some checkpoint payload");
-        for byte in 0..sealed.len() {
-            for bit in 0..8 {
-                let mut bad = sealed.clone();
-                bad[byte] ^= 1 << bit;
-                assert!(
-                    open_envelope(&bad).is_err(),
-                    "flip at byte {byte} bit {bit} must be rejected"
-                );
+        for (v, seal) in SEALERS {
+            let sealed = seal(b"some checkpoint payload");
+            for byte in 0..sealed.len() {
+                for bit in 0..8 {
+                    let mut bad = sealed.clone();
+                    bad[byte] ^= 1 << bit;
+                    assert!(
+                        open_envelope(&bad).is_err(),
+                        "{v}: flip at byte {byte} bit {bit} must be rejected"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Flips every pair of bits of `sealed`, counting the flips it opens.
+    fn two_bit_misses(sealed: &mut [u8]) -> usize {
+        let bits = sealed.len() * 8;
+        let mut misses = 0;
+        for a in 0..bits {
+            sealed[a / 8] ^= 1 << (a % 8);
+            for b in a + 1..bits {
+                sealed[b / 8] ^= 1 << (b % 8);
+                misses += usize::from(open_envelope(sealed).is_ok());
+                sealed[b / 8] ^= 1 << (b % 8);
+            }
+            sealed[a / 8] ^= 1 << (a % 8);
+        }
+        misses
+    }
+
+    #[test]
+    fn envelope_rejects_every_two_bit_flip() {
+        for (v, seal) in SEALERS {
+            for n in [64, 168] {
+                let mut sealed = seal(&payload(n));
+                assert_eq!(two_bit_misses(&mut sealed), 0, "{v}: {n}-byte payload");
+            }
+        }
+    }
+
+    /// Flips every three bits confined to the summed words `w1` and `w2`
+    /// (8-byte words from the envelope's start, the checksum excluded),
+    /// counting the flips it opens.
+    fn three_bit_misses(sealed: &mut [u8], w1: usize, w2: usize) -> usize {
+        let body = (sealed.len() - 8) * 8;
+        let bits: Vec<usize> = [w1, w2]
+            .iter()
+            .flat_map(|w| w * 64..((w + 1) * 64).min(body))
+            .collect();
+        let flip = |s: &mut [u8], bit: usize| s[bit / 8] ^= 1 << (bit % 8);
+        let mut misses = 0;
+        for (i, &a) in bits.iter().enumerate() {
+            flip(sealed, a);
+            for (j, &b) in bits.iter().enumerate().skip(i + 1) {
+                flip(sealed, b);
+                for &c in &bits[j + 1..] {
+                    flip(sealed, c);
+                    misses += usize::from(open_envelope(sealed).is_ok());
+                    flip(sealed, c);
+                }
+                flip(sealed, b);
+            }
+            flip(sealed, a);
+        }
+        misses
+    }
+
+    #[test]
+    fn envelope_rejects_every_three_bit_flip_within_two_words() {
+        for (v, seal) in SEALERS {
+            let mut sealed = seal(&payload(64));
+            let words = (sealed.len() - 8).div_ceil(8);
+            for w1 in 0..words {
+                for w2 in w1 + 1..words {
+                    let misses = three_bit_misses(&mut sealed, w1, w2);
+                    assert_eq!(misses, 0, "{v}: words {w1} and {w2}");
+                }
             }
         }
     }
 
     #[test]
     fn envelope_rejects_every_truncation() {
-        let sealed = seal_envelope(b"some checkpoint payload");
-        for keep in 0..sealed.len() {
-            assert!(
-                open_envelope(&sealed[..keep]).is_err(),
-                "truncation to {keep} bytes"
-            );
+        for (v, seal) in SEALERS {
+            let sealed = seal(b"some checkpoint payload");
+            for keep in 0..sealed.len() {
+                assert!(
+                    open_envelope(&sealed[..keep]).is_err(),
+                    "{v}: truncation to {keep} bytes"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn envelope_rejects_a_length_field_that_is_not_the_payloads() {
+        for (v, seal) in SEALERS {
+            let sealed = seal(b"some checkpoint payload");
+            let len = (sealed.len() - ENVELOPE_HEADER - 8) as u64;
+            for field in [u64::MAX, u64::MAX - 21, 1 << 63, len + 1, len - 1] {
+                let mut bad = sealed.clone();
+                bad[6..ENVELOPE_HEADER].copy_from_slice(&field.to_le_bytes());
+                assert_eq!(
+                    open_envelope(&bad),
+                    Err(CodecError::BadLength),
+                    "{v}: length field {field:#x}"
+                );
+            }
         }
     }
 
     #[test]
     fn envelope_rejects_wrong_version_and_magic() {
-        let mut sealed = seal_envelope(b"x");
-        sealed[4] = 0xFF; // version byte
-        assert!(matches!(
-            open_envelope(&sealed),
-            Err(CodecError::UnsupportedVersion(_))
-        ));
+        for version in [0u16, 3, 0xFF] {
+            let mut sealed = seal_envelope(b"x");
+            sealed[4..6].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                open_envelope(&sealed),
+                Err(CodecError::UnsupportedVersion(version))
+            );
+        }
+        let message = CodecError::UnsupportedVersion(3).to_string();
+        assert!(message.contains("reads 1 and 2"), "{message}");
         let mut sealed = seal_envelope(b"x");
         sealed[0] = b'Z';
         assert!(matches!(open_envelope(&sealed), Err(CodecError::BadMagic)));

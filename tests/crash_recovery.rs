@@ -263,16 +263,24 @@ const PIN_CUT: usize = 242;
 /// already rules out. The snapshots the previous evaluator wrote are kept
 /// under `tests/fixtures/` and still resume
 /// ([`stores_of_the_evaluator_that_built_negated_matches_resume`]).
-const PIN_NATIVE_SPECULATIVE: u64 = 0xa01a_ba35_69e0_49e8;
-const PIN_NATIVE_CONSERVATIVE: u64 = 0xa475_fca8_c1af_161b;
+/// Re-pinned again when every writer began to seal envelope version 2:
+/// the trailer moved, the payloads did not ([`PIN_NATIVE_PAYLOADS`]).
+const PIN_NATIVE_SPECULATIVE: u64 = 0xebfa_3fc3_eff0_8de6;
+const PIN_NATIVE_CONSERVATIVE: u64 = 0xe231_41d3_afa4_95fd;
 /// The core's store around the speculative blob: re-pinned with it, and
 /// before that when a single query became a plan of one, with no layout
 /// change: two counter bytes moved. Until then the core (the
 /// plan) counted `ooo_insertions` / `max_stack_depth` in a pooled stack's
 /// time-ordered side, and a lone engine in the arrival's key stack; now
 /// every hosting counts the latter — which `checkpoint_bytes_are_pinned`
-/// asserts blob by blob rather than trusting the constant.
-const PIN_CORE: u64 = 0x9124_f2d7_0390_4026;
+/// asserts blob by blob rather than trusting the constant. Re-pinned with
+/// them for envelope version 2.
+const PIN_CORE: u64 = 0x9811_459b_4f3a_9811;
+/// `fnv1a64` of the native blobs' payloads (speculative, conservative),
+/// the bytes inside the seal. Pinned at the last version-1 build and held
+/// through the move to version 2, which re-pinned the three above: only
+/// the seal moved.
+const PIN_NATIVE_PAYLOADS: [u64; 2] = [0x0e3f_e007_f0e1_68e7, 0xea5d_2c94_3ed6_03c7];
 
 struct Pinned {
     registry: Arc<sequin::types::TypeRegistry>,
@@ -390,6 +398,11 @@ fn checkpoint_bytes_are_pinned() {
             p.config.policy
         );
     }
+    let payload = |blob: &[u8]| fnv1a64(open_envelope(blob).unwrap());
+    assert_eq!(
+        [payload(&spec.native), payload(&cons.native)],
+        PIN_NATIVE_PAYLOADS
+    );
     let got = [
         fnv1a64(&spec.native),
         fnv1a64(&cons.native),
@@ -516,12 +529,13 @@ use sequin::types::Encode;
 /// 0.10 single-engine `Checkpointer` — what `sequin run --resume-from`
 /// saved — for the pin stream at the cut, checkpointing every 64 items
 /// (conservative, speculative). Its checkpoints wrap today's engine
-/// snapshots, so it moves with them: re-pinned with the native pins.
-const PIN_RUN_STORE_0_10: [u64; 2] = [0x50b5_adf3_c07b_dde4, 0x6c19_e9b8_08c5_9e1b];
+/// snapshots and are sealed by today's writer, so it moves with them:
+/// re-pinned with the native pins.
+const PIN_RUN_STORE_0_10: [u64; 2] = [0x252c_b381_bd79_ccd0, 0x5af5_2574_562a_40ee];
 /// The same run's store as the one exactly-once wrapper writes it now:
 /// a one-blob host envelope per checkpoint, query-tagged log records.
 /// Re-pinned with the native pins: the snapshots inside moved.
-const PIN_RUN_STORE: [u64; 2] = [0x0c5d_5681_7dd3_18b0, 0x9bae_9746_bacc_dcd2];
+const PIN_RUN_STORE: [u64; 2] = [0xfe3e_1259_1ca9_444b, 0x5cc6_8cb8_617d_38ac];
 
 const RUN_EVERY: Option<u64> = Some(64);
 
@@ -598,4 +612,127 @@ fn a_0_10_run_store_is_rejected_whole_and_todays_resumes_exactly_once() {
         assert_eq!(net_keys(&delivered), p.oracle, "{policy:?}");
         assert_eq!(ck.pending_suppressions(), 0, "{policy:?}");
     }
+}
+
+// ---------------------------------------------------------------------
+// Stores sealed at envelope version 1
+// ---------------------------------------------------------------------
+
+use sequin::cli::{build_workload, EvalOptions, StreamSpec};
+
+/// What `sequin run --workload synthetic --events 1000 --seed 7
+/// --checkpoint-every 300 --resume-from F` saved in `F` at the last build
+/// that sealed envelope version 1.
+const V1_RUN_STORE: &[u8] = include_bytes!("fixtures/v1_run.store");
+/// What `sequin serve --workload synthetic --checkpoint-every 100 --store
+/// F` of that build held in `F` when it was killed (`kill -9`) after
+/// `sequin send --events 1000 --seed 11 --drain no` returned.
+const V1_SERVE_STORE: &[u8] = include_bytes!("fixtures/v1_serve.store");
+
+fn envelope_version(sealed: &[u8]) -> u16 {
+    u16::from_le_bytes([sealed[4], sealed[5]])
+}
+
+/// `sequin`'s synthetic stream of `events` at `seed`, its query and the
+/// query's oracle.
+struct CliStream {
+    registry: Arc<sequin::types::TypeRegistry>,
+    stream: Vec<StreamItem>,
+    text: String,
+    query: Arc<Query>,
+    oracle: std::collections::BTreeSet<Vec<u64>>,
+}
+
+fn cli_stream(events: usize, seed: u64) -> CliStream {
+    let spec = StreamSpec {
+        events,
+        seed,
+        ..StreamSpec::default()
+    };
+    let (registry, stream, text) = spec.prepare(None).unwrap();
+    let query = parse(&text, &registry).unwrap();
+    let (_, history, _) = build_workload(&spec.workload, events, seed).unwrap();
+    let oracle = reference_matches(&query, &history);
+    assert!(!oracle.is_empty());
+    CliStream {
+        registry,
+        stream,
+        text,
+        query,
+        oracle,
+    }
+}
+
+#[test]
+fn a_v1_run_store_resumes_exactly_once_and_is_saved_as_v2() {
+    assert_eq!(envelope_version(V1_RUN_STORE), 1);
+    let CliStream {
+        stream,
+        query,
+        oracle,
+        ..
+    } = cli_stream(1000, 7);
+    let config = EvalOptions::default().engine_config();
+    let every = Some(300);
+    let host = || host_of(&query, config);
+    // what the run delivered before it saved: the whole stream, finished
+    let mut ck = Checkpointer::new(host(), every);
+    let mut delivered = ck.ingest_batch(&stream);
+    delivered.extend(ck.finish());
+
+    let mut store = CheckpointStore::from_bytes(V1_RUN_STORE).unwrap();
+    for round in ["v1 store", "v2 store of v1 entries"] {
+        let (mut ck, replay_from) = Checkpointer::resume(every, store, |_| Ok(host()));
+        assert_eq!(replay_from, 900, "{round}: the newest checkpoint");
+        let mut out = delivered.clone();
+        out.extend(ck.ingest_batch(&stream[replay_from as usize..]));
+        out.extend(ck.finish());
+        assert_eq!(ck.stats().checkpoints_rejected, 0, "{round}");
+        assert_eq!(ck.pending_suppressions(), 0, "{round}");
+        let out: Vec<OutputItem> = untag(out).collect();
+        assert_no_duplicate_deliveries(&out, round);
+        assert_eq!(net_keys(&out), oracle, "{round}");
+        // the next persist is sealed by today's writer
+        let saved = ck.store().to_bytes();
+        assert_eq!(envelope_version(&saved), 2, "{round}");
+        store = CheckpointStore::from_bytes(&saved).unwrap();
+    }
+}
+
+#[test]
+fn a_v1_server_store_resumes_exactly_once_and_is_saved_as_v2() {
+    assert_eq!(envelope_version(V1_SERVE_STORE), 1);
+    let CliStream {
+        registry,
+        stream,
+        text,
+        oracle,
+        ..
+    } = cli_stream(1000, 11);
+    let mut cfg = CoreConfig::new(
+        registry,
+        Strategy::Native,
+        EvalOptions::default().engine_config(),
+    );
+    cfg.checkpoint_every = Some(100);
+    // what the killed server had delivered: all it ingested, unfinished
+    let mut live = EngineCore::new(cfg.clone());
+    live.subscribe(&text).unwrap();
+    let mut delivered: Vec<OutputItem> = untag(live.ingest_batch(&stream)).collect();
+
+    let store = CheckpointStore::from_bytes(V1_SERVE_STORE).unwrap();
+    let (mut core, from_item) = EngineCore::resume(cfg, store);
+    assert!(from_item > 0, "a checkpoint was accepted");
+    assert_eq!(core.query_count(), 1);
+    delivered.extend(untag(core.ingest_batch(&stream[from_item as usize..])));
+    delivered.extend(untag(core.finish()));
+    assert_eq!(core.stats().checkpoints_rejected, 0);
+    assert_eq!(core.pending_suppressions(), 0);
+    assert_no_duplicate_deliveries(&delivered, "v1 server store");
+    assert_eq!(net_keys(&delivered), oracle);
+    core.checkpoint_now();
+    let saved = core.store().to_bytes();
+    assert_eq!(envelope_version(&saved), 2);
+    let newest = core.store().checkpoints_newest_first().next().unwrap();
+    assert_eq!(envelope_version(newest), 2);
 }
