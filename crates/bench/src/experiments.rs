@@ -146,12 +146,12 @@ pub fn e3(scale: Scale) -> String {
     for (k, kb, no) in buffered_vs_native(scale) {
         t.row(&[
             k.to_string(),
-            f2(kb.arrival_latency.mean()),
-            kb.arrival_latency.p99().to_string(),
-            f2(kb.event_time_latency.mean()),
-            f2(no.arrival_latency.mean()),
-            no.arrival_latency.p99().to_string(),
-            f2(no.event_time_latency.mean()),
+            f2(kb.arrival_latency.mean),
+            kb.arrival_latency.p99.to_string(),
+            f2(kb.event_time_latency.mean),
+            f2(no.arrival_latency.mean),
+            no.arrival_latency.p99.to_string(),
+            f2(no.event_time_latency.mean),
         ]);
     }
     format!(
@@ -303,8 +303,8 @@ pub fn e8(scale: Scale) -> String {
             inserts.to_string(),
             retracts.to_string(),
             r.net_matches().to_string(),
-            f2(r.arrival_latency.mean()),
-            r.arrival_latency.p99().to_string(),
+            f2(r.arrival_latency.mean),
+            r.arrival_latency.p99.to_string(),
         ]);
     }
     let agree = if nets.windows(2).all(|p| p[0] == p[1]) {
@@ -653,7 +653,7 @@ mod tests {
         for (k, kb, no) in buffered_vs_native(scale) {
             assert!(net_inserts(&kb.outputs) == want, "buffered, K = {k}");
             assert!(net_inserts(&no.outputs) == want, "native, K = {k}");
-            let latency = |r: &RunReport| r.event_time_latency.mean();
+            let latency = |r: &RunReport| r.event_time_latency.mean;
             assert!(latency(&kb) >= latency(&no), "latency, K = {k}");
             assert!(kb.peak_state >= no.peak_state, "peak state, K = {k}");
         }

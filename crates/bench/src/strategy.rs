@@ -144,9 +144,8 @@ mod tests {
         assert!(report.net_matches() > 0);
         assert!(report.peak_state > 0);
         assert!(report.mean_state > 0.0);
-        assert_eq!(report.outputs.len(), report.arrival_latency.len());
         // negation-free native emission is immediate
-        assert_eq!(report.arrival_latency.max(), 0);
+        assert_eq!(report.arrival_latency.max, 0);
         // only events of the three queried types enter stacks
         assert!(report.stats.insertions > 0);
         assert!(report.stats.insertions <= 2000);

@@ -71,40 +71,31 @@ fn decode_log_record(bytes: &[u8]) -> Result<LogKey, CodecError> {
     Ok((qid, tag, key))
 }
 
-/// Durable checkpoint artifacts: up to `keep` engine checkpoints (oldest
-/// first) plus the append-only emission log. Every entry is a sealed,
-/// checksummed envelope, so corruption of any single artifact is detected
-/// independently of the others.
+/// Durable checkpoint artifacts: the newest [`CheckpointStore::KEEP`]
+/// engine checkpoints (oldest first) plus the append-only emission log.
+/// Every entry is a sealed, checksummed envelope, so corruption of any
+/// single artifact is detected independently of the others.
 #[derive(Debug, Clone, Default)]
 pub struct CheckpointStore {
-    keep: usize,
     checkpoints: Vec<Vec<u8>>,
     log: Vec<Vec<u8>>,
 }
 
 impl CheckpointStore {
-    /// An empty store retaining the default two checkpoints (latest plus
-    /// one fallback).
+    /// Checkpoints retained: the latest plus one fallback.
+    pub const KEEP: usize = 2;
+
+    /// An empty store.
     pub fn new() -> CheckpointStore {
-        CheckpointStore::with_keep(2)
+        CheckpointStore::default()
     }
 
-    /// An empty store retaining up to `keep` checkpoints (minimum 1).
-    pub fn with_keep(keep: usize) -> CheckpointStore {
-        CheckpointStore {
-            keep: keep.max(1),
-            checkpoints: Vec::new(),
-            log: Vec::new(),
-        }
-    }
-
-    /// Appends a sealed checkpoint, evicting the oldest beyond `keep`.
+    /// Appends a sealed checkpoint, evicting the oldest beyond
+    /// [`CheckpointStore::KEEP`].
     pub fn push_checkpoint(&mut self, bytes: Vec<u8>) {
         self.checkpoints.push(bytes);
-        if self.checkpoints.len() > self.keep {
-            let excess = self.checkpoints.len() - self.keep;
-            self.checkpoints.drain(..excess);
-        }
+        let excess = self.checkpoints.len().saturating_sub(Self::KEEP);
+        self.checkpoints.drain(..excess);
     }
 
     /// Number of retained checkpoints.
@@ -144,10 +135,11 @@ impl CheckpointStore {
             .map(|ix| &mut self.checkpoints[ix])
     }
 
-    /// Serializes the whole store into one sealed envelope.
+    /// Serializes the whole store into one sealed envelope. Its first
+    /// slot holds [`CheckpointStore::KEEP`]; readers ignore it.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        w.put_u64(self.keep as u64);
+        w.put_u64(Self::KEEP as u64);
         w.put_u64(self.checkpoints.len() as u64);
         for c in &self.checkpoints {
             w.put_bytes(c);
@@ -163,7 +155,7 @@ impl CheckpointStore {
     pub fn from_bytes(bytes: &[u8]) -> Result<CheckpointStore, CodecError> {
         let payload = open_envelope(bytes)?;
         let mut r = Reader::new(payload);
-        let keep = (r.get_u64()? as usize).max(1);
+        r.get_u64()?; // the retention slot
         let n = r.get_u64()?;
         if n > r.remaining() as u64 {
             return Err(CodecError::BadLength);
@@ -181,16 +173,18 @@ impl CheckpointStore {
             log.push(r.get_bytes()?);
         }
         r.finish()?;
-        Ok(CheckpointStore {
-            keep,
-            checkpoints,
-            log,
-        })
+        Ok(CheckpointStore { checkpoints, log })
     }
 
-    /// Writes the store to `path`.
+    /// Writes the store to `path` whole or not at all: the bytes go to the
+    /// sibling `<path>.tmp`, which is then renamed over `path`. A kill
+    /// mid-save tears only the temp file, which the next save overwrites.
+    /// Not `fsync`ed, so a power loss may still lose the write.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_bytes())
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        std::fs::write(&tmp, self.to_bytes())?;
+        std::fs::rename(&tmp, path)
     }
 
     /// Reads a store from `path`; decode failures surface as
@@ -202,9 +196,9 @@ impl CheckpointStore {
     }
 
     /// The store at `path` to resume from, or an empty one when there is
-    /// none. A file that cannot be read or fails its checksum — a kill
-    /// mid-save leaves one — also gives an empty store, plus the reason:
-    /// every resume cold-starts on it rather than refusing to run.
+    /// none. A file that cannot be read or fails its checksum also gives
+    /// an empty store, plus the reason: every resume cold-starts on it
+    /// rather than refusing to run.
     pub fn load_or_empty(path: &Path) -> (CheckpointStore, Option<std::io::Error>) {
         match CheckpointStore::load(path) {
             Ok(store) => (store, None),
@@ -810,6 +804,32 @@ mod tests {
         bad[bytes.len() / 2] ^= 0x01;
         assert!(CheckpointStore::from_bytes(&bad).is_err());
         assert!(CheckpointStore::from_bytes(&bytes[..bytes.len() - 1]).is_err());
+    }
+
+    #[test]
+    fn a_default_store_keeps_the_newest_two_checkpoints() {
+        let mut store = CheckpointStore::default();
+        for c in 1..=3u8 {
+            store.push_checkpoint(vec![c]);
+        }
+        let kept: Vec<&[u8]> = store.checkpoints_newest_first().collect();
+        assert_eq!(kept, [&[3u8][..], &[2u8][..]]);
+    }
+
+    #[test]
+    fn the_retention_slot_is_read_and_ignored() {
+        let mut store = CheckpointStore::new();
+        store.push_checkpoint(vec![7]);
+        store.append_log(vec![9]);
+        let bytes = store.to_bytes();
+        let payload = open_envelope(&bytes).unwrap();
+        assert_eq!(payload[..8], 2u64.to_le_bytes(), "KEEP is written");
+        for keep in [0u64, 1, 5] {
+            let mut other = payload.to_vec();
+            other[..8].copy_from_slice(&keep.to_le_bytes());
+            let loaded = CheckpointStore::from_bytes(&seal_envelope(&other)).unwrap();
+            assert_eq!(loaded.to_bytes(), bytes, "keep slot {keep}");
+        }
     }
 
     #[test]

@@ -85,9 +85,10 @@ pub struct EngineConfig {
     /// `K̂ = max(k_slack, ceil(observed_max_lateness · safety))` for this
     /// `safety` (extension; the direction later formalized by
     /// quality-driven K-slack work). The watermark stays **monotone**, so
-    /// events later than the current estimate may be lost (counted in
-    /// [`sequin_runtime::RuntimeStats::late_drops`]); a safety above 1 buys
-    /// headroom against that.
+    /// an event later than the current estimate is beyond the bound:
+    /// counted in [`sequin_runtime::RuntimeStats::late_drops`] and
+    /// processed best-effort, its matches not guaranteed; a safety above
+    /// 1 buys headroom against that.
     pub adaptive_k: Option<f64>,
     /// Purge cadence.
     pub purge: PurgePolicy,

@@ -82,11 +82,6 @@ impl NativeEngine {
         self.plan.query(Q)
     }
 
-    /// Live partition-key index entries, summed over the query's slots.
-    pub fn partition_keys(&self) -> usize {
-        self.plan.query_partition_keys(Q)
-    }
-
     /// The current (monotone) low-watermark.
     pub fn watermark(&self) -> Timestamp {
         self.plan.query_watermark(Q)

@@ -36,22 +36,6 @@ impl Accuracy {
             self.true_positives as f64 / denom as f64
         }
     }
-
-    /// Harmonic mean of precision and recall.
-    pub fn f1(&self) -> f64 {
-        let p = self.precision();
-        let r = self.recall();
-        if p + r == 0.0 {
-            0.0
-        } else {
-            2.0 * p * r / (p + r)
-        }
-    }
-
-    /// True when observed and oracle sets agree exactly.
-    pub fn is_exact(&self) -> bool {
-        self.false_positives == 0 && self.false_negatives == 0
-    }
 }
 
 /// Reduces an output stream to its **net** inserted match keys: every
@@ -158,10 +142,9 @@ mod tests {
             &[OutputKind::Insert, OutputKind::Insert],
         );
         let acc = compare_outputs(&a, &a);
-        assert!(acc.is_exact());
+        assert_eq!((acc.false_positives, acc.false_negatives), (0, 0));
         assert_eq!(acc.precision(), 1.0);
         assert_eq!(acc.recall(), 1.0);
-        assert_eq!(acc.f1(), 1.0);
     }
 
     #[test]
@@ -191,15 +174,15 @@ mod tests {
         let keys = net_inserts(&observed);
         assert_eq!(keys.len(), 1);
         let oracle = outputs(&[&[3, 4]], &[OutputKind::Insert]);
-        assert!(compare_outputs(&observed, &oracle).is_exact());
+        let acc = compare_outputs(&observed, &oracle);
+        assert_eq!((acc.false_positives, acc.false_negatives), (0, 0));
     }
 
     #[test]
     fn empty_sets() {
         let acc = compare_outputs(&[], &[]);
-        assert!(acc.is_exact());
+        assert_eq!((acc.false_positives, acc.false_negatives), (0, 0));
         assert_eq!(acc.precision(), 1.0);
         assert_eq!(acc.recall(), 1.0);
-        assert_eq!(acc.f1(), 1.0);
     }
 }

@@ -6,7 +6,41 @@ use sequin_engine::{Checkpointer, OutputItem};
 use sequin_runtime::RuntimeStats;
 use sequin_types::StreamItem;
 
-use crate::histogram::Histogram;
+/// The order statistics a report prints of one per-result latency:
+/// nearest-rank quantiles, the maximum and the mean, all 0 without
+/// samples.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Latency {
+    /// Arithmetic mean.
+    pub mean: f64,
+    /// Median.
+    pub p50: u64,
+    /// 95th percentile.
+    pub p95: u64,
+    /// 99th percentile.
+    pub p99: u64,
+    /// Largest sample.
+    pub max: u64,
+}
+
+impl Latency {
+    /// Summarizes `samples`, in any order.
+    pub fn of(mut samples: Vec<u64>) -> Latency {
+        samples.sort_unstable();
+        let n = samples.len();
+        if n == 0 {
+            return Latency::default();
+        }
+        let rank = |q: f64| samples[((q * n as f64).ceil() as usize).clamp(1, n) - 1];
+        Latency {
+            mean: samples.iter().map(|&v| u128::from(v)).sum::<u128>() as f64 / n as f64,
+            p50: rank(0.50),
+            p95: rank(0.95),
+            p99: rank(0.99),
+            max: samples[n - 1],
+        }
+    }
+}
 
 /// Everything measured during one engine run over one stream.
 #[derive(Debug, Clone)]
@@ -21,10 +55,10 @@ pub struct RunReport {
     pub outputs: Vec<OutputItem>,
     /// Per-result arrival latency (ingested items between a match becoming
     /// constructible and its emission).
-    pub arrival_latency: Histogram,
+    pub arrival_latency: Latency,
     /// Per-result event-time latency (ticks the clock had advanced past
     /// the match's last timestamp at emission).
-    pub event_time_latency: Histogram,
+    pub event_time_latency: Latency,
     /// Largest state size observed at the sampling cadence.
     pub peak_state: usize,
     /// Mean of the sampled state sizes.
@@ -44,12 +78,10 @@ impl RunReport {
         state: StateSamples,
         stats: RuntimeStats,
     ) -> RunReport {
-        let mut arrival_latency = Histogram::new();
-        let mut event_time_latency = Histogram::new();
-        for o in &outputs {
-            arrival_latency.record(o.arrival_latency());
-            event_time_latency.record(o.event_time_latency());
-        }
+        let arrival_latency =
+            Latency::of(outputs.iter().map(OutputItem::arrival_latency).collect());
+        let event_time_latency =
+            Latency::of(outputs.iter().map(OutputItem::event_time_latency).collect());
         let is_event = |i: &&StreamItem| matches!(i, StreamItem::Event(_));
         let events = stream.iter().filter(is_event).count();
         RunReport {
@@ -135,6 +167,19 @@ mod tests {
     use sequin_types::Duration;
     use sequin_workload::{Synthetic, SyntheticConfig};
     use std::sync::Arc;
+
+    #[test]
+    fn latency_takes_nearest_rank_quantiles_and_the_mean() {
+        assert_eq!(Latency::of(Vec::new()), Latency::default());
+        let l = Latency::of((1..=100).rev().collect());
+        assert_eq!((l.p50, l.p95, l.p99, l.max), (50, 95, 99, 100));
+        assert!((l.mean - 50.5).abs() < 1e-9);
+        // nearest rank of 0.50 over two samples is the lower one
+        let two = Latency::of(vec![9, 1]);
+        assert_eq!((two.p50, two.p95, two.p99, two.max), (1, 9, 9, 9));
+        let one = Latency::of(vec![7]);
+        assert_eq!((one.p50, one.p99, one.max, one.mean), (7, 7, 7, 7.0));
+    }
 
     #[test]
     fn batched_run_produces_identical_outputs() {

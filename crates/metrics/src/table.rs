@@ -81,26 +81,14 @@ impl fmt::Display for Table {
     }
 }
 
-/// Formats a float with 1 decimal place (experiment tables).
-pub fn f1(v: f64) -> String {
-    format!("{v:.1}")
-}
-
-/// Renders any named-counter list as a two-column `counter`/`value` table.
-/// Used for [`RuntimeStats`](sequin_runtime::RuntimeStats) and for the
-/// server crate's connection/frame counters.
+/// Renders a named-counter list (the server's connection/frame counters)
+/// as a two-column `counter`/`value` table.
 pub fn pairs_table<'a>(pairs: impl IntoIterator<Item = (&'a str, u64)>) -> Table {
     let mut t = Table::new(&["counter", "value"]);
     for (name, value) in pairs {
         t.row(&[name.to_owned(), value.to_string()]);
     }
     t
-}
-
-/// Renders every [`RuntimeStats`](sequin_runtime::RuntimeStats) counter —
-/// including the checkpoint/recovery counters — as a two-column table.
-pub fn stats_table(stats: &sequin_runtime::RuntimeStats) -> Table {
-    pairs_table(stats.as_pairs())
 }
 
 #[cfg(test)]
@@ -133,12 +121,6 @@ mod tests {
     }
 
     #[test]
-    fn f1_formats_one_decimal() {
-        assert_eq!(f1(1.25), "1.2");
-        assert_eq!(f1(3.0), "3.0");
-    }
-
-    #[test]
     #[should_panic(expected = "row width mismatch")]
     fn mismatched_row_panics() {
         Table::new(&["a", "b"]).row(&["only-one".into()]);
@@ -151,33 +133,5 @@ mod tests {
         let s = t.to_string();
         assert!(s.contains("frames_received"));
         assert!(s.contains("busy_frames_sent"));
-    }
-
-    #[test]
-    fn stats_table_surfaces_every_counter() {
-        let stats = sequin_runtime::RuntimeStats {
-            insertions: 7,
-            checkpoints_written: 3,
-            checkpoints_rejected: 1,
-            replayed_suppressed: 9,
-            events_routed: 21,
-            max_stack_depth: 4,
-            merge_buffer_peak: 2,
-            ..Default::default()
-        };
-        let t = stats_table(&stats);
-        assert_eq!(t.len(), stats.as_pairs().len());
-        let s = t.to_string();
-        for name in [
-            "checkpoints_written",
-            "checkpoints_rejected",
-            "replayed_suppressed",
-            "events_routed",
-            "max_stack_depth",
-            "merge_buffer_peak",
-        ] {
-            assert!(s.contains(name), "missing {name} row");
-        }
-        assert!(s.contains('9'));
     }
 }

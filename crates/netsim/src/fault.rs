@@ -119,11 +119,6 @@ impl FramePlan {
             .max()
             .unwrap_or(0)
     }
-
-    /// True when the plan injects no faults at all.
-    pub fn is_clean(&self) -> bool {
-        self.bit_flips.is_empty() && self.truncations.is_empty() && self.delays.is_empty()
-    }
 }
 
 /// Truncated write: keeps only the first `keep` bytes.
@@ -189,8 +184,6 @@ mod tests {
             truncations: vec![(3, 1)],
             delays: vec![(1, 4)],
         };
-        assert!(!plan.is_clean());
-        assert!(FramePlan::clean().is_clean());
 
         let mut frame0 = vec![0xAAu8, 0xBB];
         plan.corrupt(0, &mut frame0);

@@ -1,7 +1,6 @@
 //! Fixed-bucket histograms.
 //!
-//! Unlike `sequin_metrics::Histogram` (which keeps every sample for exact
-//! quantiles in offline reports), [`FixedHistogram`] is built for *live*
+//! [`FixedHistogram`] is the workspace's one histogram, built for *live*
 //! exposition: constant memory, O(1) record, O(buckets) merge, and a bucket
 //! layout that is identical everywhere so that merging across queries or
 //! processes is well defined.

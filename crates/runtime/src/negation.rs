@@ -33,13 +33,6 @@ impl Region {
     pub fn is_empty(&self) -> bool {
         self.start >= self.end
     }
-
-    /// True once no event that could land in this region is still in
-    /// flight, given the stream's low-watermark (every future event has
-    /// `ts >= watermark`).
-    pub fn sealed_by(&self, watermark: Timestamp) -> bool {
-        watermark >= self.end
-    }
 }
 
 /// Computes the negation regions of a match (positive-order `events`),
@@ -459,13 +452,11 @@ mod tests {
     }
 
     #[test]
-    fn region_sealing() {
+    fn a_region_is_empty_when_it_ends_at_its_start() {
         let r = Region {
             start: Timestamp::new(10),
             end: Timestamp::new(20),
         };
-        assert!(!r.sealed_by(Timestamp::new(19)));
-        assert!(r.sealed_by(Timestamp::new(20)));
         assert!(!r.is_empty());
         assert!(Region {
             start: Timestamp::new(5),

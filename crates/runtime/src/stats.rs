@@ -32,8 +32,9 @@ pub struct RuntimeStats {
     pub purged: u64,
     /// Purge passes executed.
     pub purge_runs: u64,
-    /// Events dropped because they violated the disorder bound (arrived
-    /// after state they needed was already purged).
+    /// Arrivals beyond the disorder bound (older than the watermark
+    /// published before them). Not dropped: they are processed best-effort,
+    /// but state they needed may already be purged.
     pub late_drops: u64,
     /// Checkpoints successfully written by a `Checkpointer`.
     pub checkpoints_written: u64,
@@ -48,9 +49,6 @@ pub struct RuntimeStats {
     /// not `+`, by [`AddAssign`]: depths from different queries do not add
     /// up.
     pub max_stack_depth: u64,
-    /// Always 0: the slot of a retired gauge, kept because the checkpoint
-    /// codec writes every field. Merged with `max`.
-    pub merge_buffer_peak: u64,
 }
 
 impl AddAssign for RuntimeStats {
@@ -68,16 +66,15 @@ impl AddAssign for RuntimeStats {
         self.checkpoints_rejected += rhs.checkpoints_rejected;
         self.replayed_suppressed += rhs.replayed_suppressed;
         self.events_routed += rhs.events_routed;
-        // gauges, not flows: combining two evaluators keeps the larger peak
+        // a gauge, not a flow: combining two evaluators keeps the larger peak
         self.max_stack_depth = self.max_stack_depth.max(rhs.max_stack_depth);
-        self.merge_buffer_peak = self.merge_buffer_peak.max(rhs.merge_buffer_peak);
     }
 }
 
 impl RuntimeStats {
-    /// Field-order list used by the codec and the metrics tables; keep in
+    /// Field-order list used by the codec and the metrics series; keep in
     /// sync with the struct definition.
-    pub fn as_pairs(&self) -> [(&'static str, u64); 15] {
+    pub fn as_pairs(&self) -> [(&'static str, u64); 14] {
         [
             ("insertions", self.insertions),
             ("ooo_insertions", self.ooo_insertions),
@@ -93,22 +90,24 @@ impl RuntimeStats {
             ("replayed_suppressed", self.replayed_suppressed),
             ("events_routed", self.events_routed),
             ("max_stack_depth", self.max_stack_depth),
-            ("merge_buffer_peak", self.merge_buffer_peak),
         ]
     }
 }
 
+/// The codec writes the fields, then one reserved zero: the slot of a
+/// retired gauge. Blobs carry no version, so checkpoints keep the slot.
 impl Encode for RuntimeStats {
     fn encode(&self, w: &mut Writer) {
         for (_, v) in self.as_pairs() {
             w.put_u64(v);
         }
+        w.put_u64(0);
     }
 }
 
 impl Decode for RuntimeStats {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(RuntimeStats {
+        let stats = RuntimeStats {
             insertions: r.get_u64()?,
             ooo_insertions: r.get_u64()?,
             dfs_steps: r.get_u64()?,
@@ -123,8 +122,9 @@ impl Decode for RuntimeStats {
             replayed_suppressed: r.get_u64()?,
             events_routed: r.get_u64()?,
             max_stack_depth: r.get_u64()?,
-            merge_buffer_peak: r.get_u64()?,
-        })
+        };
+        r.get_u64()?; // the reserved slot
+        Ok(stats)
     }
 }
 
@@ -162,16 +162,13 @@ mod tests {
     fn add_assign_takes_max_of_gauges() {
         let mut a = RuntimeStats {
             max_stack_depth: 7,
-            merge_buffer_peak: 2,
             ..Default::default()
         };
         a += RuntimeStats {
             max_stack_depth: 3,
-            merge_buffer_peak: 9,
             ..Default::default()
         };
         assert_eq!(a.max_stack_depth, 7);
-        assert_eq!(a.merge_buffer_peak, 9);
     }
 
     #[test]
@@ -193,25 +190,30 @@ mod tests {
             replayed_suppressed: 12,
             events_routed: 13,
             max_stack_depth: 14,
-            merge_buffer_peak: 15,
         };
         let mut w = Writer::new();
         s.encode(&mut w);
-        let bytes = w.into_bytes();
+        let mut bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(RuntimeStats::decode(&mut r).unwrap(), s);
         r.finish().unwrap();
-        // the pair view must agree with the struct values 1..=15
+        // the pair view must agree with the struct values 1..=14
         let pairs = s.as_pairs();
-        assert_eq!(pairs.len(), 15);
+        assert_eq!(pairs.len(), 14);
         for (i, (_, v)) in pairs.iter().enumerate() {
             assert_eq!(*v, i as u64 + 1);
         }
+        // the fields, then the retired gauge's slot: written as 0, and
+        // whatever an older blob holds there is read and dropped
+        assert_eq!(bytes.len(), 15 * 8);
+        assert_eq!(bytes[14 * 8..], [0; 8]);
+        bytes[14 * 8] = 2;
+        assert_eq!(RuntimeStats::decode(&mut Reader::new(&bytes)).unwrap(), s);
     }
 
     /// Which `as_pairs` entries are peak gauges (max-merged); everything
     /// else is a flow counter (summed).
-    const GAUGES: [&str; 2] = ["max_stack_depth", "merge_buffer_peak"];
+    const GAUGES: [&str; 1] = ["max_stack_depth"];
 
     fn random_stats(rng: &mut sequin_prng::Rng) -> RuntimeStats {
         let mut w = Writer::new();

@@ -598,8 +598,8 @@ impl EngineCore {
     /// purged stack instances × the in-memory size of an `Event` record
     /// (attribute payloads not counted).
     pub fn metrics_snapshot(&self, server: Option<(&ServerStats, u64)>) -> MetricsSnapshot {
-        const STAT_GAUGES: [&str; 2] = ["max_stack_depth", "merge_buffer_peak"];
-        const SERVER_GAUGES: [&str; 3] = ["subscriptions", "engine_shards", "max_engine_batch"];
+        const STAT_GAUGES: [&str; 1] = ["max_stack_depth"];
+        const SERVER_GAUGES: [&str; 2] = ["subscriptions", "max_engine_batch"];
         let mut b = MetricsSnapshot::builder();
 
         let host = self.ck.host();
@@ -706,11 +706,6 @@ impl EngineCore {
             );
             b.counter(
                 "sequin_trace_spans_dropped",
-                &[],
-                self.obs.trace().dropped(),
-            );
-            b.counter(
-                "sequin_trace_evicted_total",
                 &[],
                 self.obs.trace().dropped(),
             );

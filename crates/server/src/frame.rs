@@ -901,16 +901,16 @@ mod tests {
         ));
     }
 
-    /// Pins the STATS_REPLY wire layout: frame tag 9, then exactly 15
-    /// `ServerStats` fields and 15 `RuntimeStats` fields as little-endian
-    /// `u64`s, in declaration order. The METRICS frames added alongside
-    /// this test must never change what existing STATS clients decode —
-    /// if this test fails, the change is wire-breaking and needs a
-    /// protocol version bump, not a test update.
+    /// Pins the STATS_REPLY wire layout: frame tag 9, then exactly 14
+    /// `ServerStats` fields and 15 `RuntimeStats` slots (14 fields and a
+    /// reserved zero) as little-endian `u64`s, in declaration order. A
+    /// client must never misread a reply: if this test fails, the change
+    /// is wire-breaking, and a reply of the other layout must fail to
+    /// decode, as `an_old_stats_reply_is_rejected_not_misread` checks.
     #[test]
     fn stats_reply_wire_layout_is_pinned() {
-        let server_vals: [u64; 15] = core::array::from_fn(|i| 1 + i as u64);
-        let engine_vals: [u64; 15] = core::array::from_fn(|i| 101 + i as u64);
+        let server_vals: [u64; 14] = core::array::from_fn(|i| 1 + i as u64);
+        let engine_vals: [u64; 14] = core::array::from_fn(|i| 101 + i as u64);
 
         let mut w = Writer::new();
         for v in server_vals {
@@ -922,21 +922,23 @@ mod tests {
         for v in engine_vals {
             w.put_u64(v);
         }
+        w.put_u64(0);
         let bytes = w.into_bytes();
         let engine = RuntimeStats::decode(&mut Reader::new(&bytes)).unwrap();
 
         let sealed = encode_frame(&Frame::StatsReply { server, engine });
         let payload = open_envelope(&sealed).unwrap();
 
-        // tag byte + 30 raw u64s, nothing else
-        assert_eq!(payload.len(), 1 + 30 * 8, "STATS_REPLY payload size");
+        // tag byte + 29 raw u64s, nothing else
+        assert_eq!(payload.len(), 1 + 29 * 8, "STATS_REPLY payload size");
         assert_eq!(payload[0], 9, "STATS_REPLY frame tag");
-        let mut decoded = Vec::with_capacity(30);
+        let mut decoded = Vec::with_capacity(29);
         for chunk in payload[1..].chunks_exact(8) {
             decoded.push(u64::from_le_bytes(chunk.try_into().unwrap()));
         }
-        assert_eq!(&decoded[..15], &server_vals, "ServerStats field order");
-        assert_eq!(&decoded[15..], &engine_vals, "RuntimeStats field order");
+        assert_eq!(&decoded[..14], &server_vals, "ServerStats field order");
+        assert_eq!(&decoded[14..28], &engine_vals, "RuntimeStats field order");
+        assert_eq!(decoded[28], 0, "RuntimeStats reserved slot");
 
         // the pinned field names, in wire order
         let server_names: Vec<&str> = server.as_pairs().iter().map(|(n, _)| *n).collect();
@@ -955,7 +957,6 @@ mod tests {
                 "busy_frames_sent",
                 "backpressure_stalls",
                 "drains",
-                "engine_shards",
                 "engine_batches",
                 "max_engine_batch",
             ]
@@ -978,9 +979,24 @@ mod tests {
                 "replayed_suppressed",
                 "events_routed",
                 "max_stack_depth",
-                "merge_buffer_peak",
             ]
         );
+    }
+
+    /// A STATS_REPLY of the older 30-slot layout (15 server slots, the
+    /// 13th `engine_shards`) is a decode error, not a misread: the codec
+    /// demands an exact payload length. So is a reply one slot short.
+    #[test]
+    fn an_old_stats_reply_is_rejected_not_misread() {
+        for slots in [30u64, 28] {
+            let mut w = Writer::new();
+            w.put_u8(9);
+            for v in 1..=slots {
+                w.put_u64(v);
+            }
+            let sealed = seal_envelope(&w.into_bytes());
+            assert!(decode_frame(&sealed).is_err(), "{slots} slots decoded");
+        }
     }
 
     /// Pins the SUBSCRIBE wire layout: frame tag 5, a length-prefixed

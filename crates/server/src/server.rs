@@ -221,10 +221,7 @@ impl Server {
         let shared = Arc::new(Shared {
             tx,
             depth: AtomicUsize::new(0),
-            stats: Mutex::new(ServerStats {
-                engine_shards: 1,
-                ..ServerStats::default()
-            }),
+            stats: Mutex::new(ServerStats::default()),
             resume_from: AtomicU64::new(core.position()),
             query_count: AtomicU64::new(core.query_count()),
             fingerprint,
@@ -343,7 +340,9 @@ impl Drop for Server {
 fn persist_if_dirty(core: &mut EngineCore, store_path: &Option<PathBuf>) {
     if core.take_dirty() {
         if let Some(path) = store_path {
-            let _ = core.store().save(path);
+            if let Err(e) = core.store().save(path) {
+                eprintln!("store {} not saved ({e})", path.display());
+            }
         }
     }
 }

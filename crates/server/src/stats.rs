@@ -34,9 +34,6 @@ pub struct ServerStats {
     pub backpressure_stalls: u64,
     /// DRAIN requests honored.
     pub drains: u64,
-    /// Always 1: the plan runs on the engine thread. Kept for its pinned
-    /// wire slot.
-    pub engine_shards: u64,
     /// Ingest batches the engine thread coalesced off the queue.
     pub engine_batches: u64,
     /// Largest single coalesced ingest batch.
@@ -45,7 +42,7 @@ pub struct ServerStats {
 
 impl ServerStats {
     /// Named-counter view, in struct order, for tables and assertions.
-    pub fn as_pairs(&self) -> [(&'static str, u64); 15] {
+    pub fn as_pairs(&self) -> [(&'static str, u64); 14] {
         [
             ("connections_opened", self.connections_opened),
             ("connections_closed", self.connections_closed),
@@ -59,7 +56,6 @@ impl ServerStats {
             ("busy_frames_sent", self.busy_frames_sent),
             ("backpressure_stalls", self.backpressure_stalls),
             ("drains", self.drains),
-            ("engine_shards", self.engine_shards),
             ("engine_batches", self.engine_batches),
             ("max_engine_batch", self.max_engine_batch),
         ]
@@ -89,7 +85,6 @@ impl Decode for ServerStats {
             busy_frames_sent: r.get_u64()?,
             backpressure_stalls: r.get_u64()?,
             drains: r.get_u64()?,
-            engine_shards: r.get_u64()?,
             engine_batches: r.get_u64()?,
             max_engine_batch: r.get_u64()?,
         })
@@ -116,9 +111,8 @@ mod tests {
             busy_frames_sent: 10,
             backpressure_stalls: 11,
             drains: 12,
-            engine_shards: 13,
-            engine_batches: 14,
-            max_engine_batch: 15,
+            engine_batches: 13,
+            max_engine_batch: 14,
         };
         let mut w = Writer::new();
         s.encode(&mut w);
@@ -127,7 +121,7 @@ mod tests {
         assert_eq!(ServerStats::decode(&mut r).unwrap(), s);
         r.finish().unwrap();
         let pairs = s.as_pairs();
-        assert_eq!(pairs.len(), 15);
+        assert_eq!(pairs.len(), 14);
         for (i, (_, v)) in pairs.iter().enumerate() {
             assert_eq!(*v, i as u64 + 1);
         }

@@ -154,15 +154,6 @@ impl TypeRegistry {
         Ok(id)
     }
 
-    /// Convenience: declares a set of attribute-less marker types.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`TypeError::DuplicateType`] for repeated names.
-    pub fn declare_markers(&mut self, names: &[&str]) -> Result<Vec<EventTypeId>, TypeError> {
-        names.iter().map(|n| self.declare(n, &[])).collect()
-    }
-
     /// Resolves a type name to its id.
     pub fn lookup(&self, name: &str) -> Option<EventTypeId> {
         self.by_name.get(name).copied()
@@ -281,18 +272,10 @@ mod tests {
     }
 
     #[test]
-    fn declare_markers_assigns_dense_ids() {
-        let mut reg = TypeRegistry::new();
-        let ids = reg.declare_markers(&["A", "B", "C"]).unwrap();
-        assert_eq!(ids.len(), 3);
-        assert_eq!(ids[0].index(), 0);
-        assert_eq!(ids[2].index(), 2);
-    }
-
-    #[test]
     fn iter_walks_declaration_order() {
         let mut reg = TypeRegistry::new();
-        reg.declare_markers(&["A", "B"]).unwrap();
+        reg.declare("A", &[]).unwrap();
+        reg.declare("B", &[]).unwrap();
         let names: Vec<_> = reg.iter().map(|(_, s)| s.name().to_owned()).collect();
         assert_eq!(names, ["A", "B"]);
     }

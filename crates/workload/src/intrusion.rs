@@ -126,18 +126,6 @@ impl Intrusion {
         );
         parse(&text, &self.registry).expect("well-formed query")
     }
-
-    /// A negation variant: escalation with **no** successful login before
-    /// it (session hijacking): `SEQ(LOGIN_FAIL f, !LOGIN_OK k, PRIV_ESC p)`
-    /// for one user.
-    pub fn hijack_query(&self, window: u64) -> Arc<Query> {
-        let text = format!(
-            "PATTERN SEQ(LOGIN_FAIL f, !LOGIN_OK k, PRIV_ESC p) \
-             WHERE f.user == p.user AND k.user == f.user WITHIN {window} \
-             RETURN p.user"
-        );
-        parse(&text, &self.registry).expect("well-formed query")
-    }
 }
 
 impl Default for Intrusion {
@@ -167,7 +155,6 @@ mod tests {
         let q = w.brute_force_query(50);
         assert_eq!(q.positive_len(), 4);
         assert!(q.partition().is_some());
-        assert!(w.hijack_query(50).has_negation());
     }
 
     #[test]

@@ -52,8 +52,8 @@ fn main() {
             "{:>16}  {:>7}  {:>10.1} evs  {:>9} evs  {:>10.0}",
             strategy.to_string(),
             report.net_matches(),
-            report.arrival_latency.mean(),
-            report.arrival_latency.p99(),
+            report.arrival_latency.mean,
+            report.arrival_latency.p99,
             report.throughput_eps,
         );
     }

@@ -256,7 +256,7 @@ pub fn fetch_stats(addr: &str, format: MetricsFormat) -> Result<String, String> 
 /// folded away (their `_sum`/`_count` rows stay). Because it is built
 /// from the full snapshot rather than a hand-picked allowlist, every
 /// series the core exports — including `sequin_retraction_emitted`,
-/// `sequin_slack_bound`, and `sequin_trace_evicted_total` — shows up the
+/// `sequin_slack_bound`, and `sequin_trace_spans_dropped` — shows up the
 /// moment the engine starts reporting it.
 pub fn watch_table(prom: &str) -> String {
     let mut table = sequin_metrics::Table::new(&["series", "labels", "value"]);
@@ -296,13 +296,13 @@ mod tests {
 # TYPE sequin_retraction_emitted counter\n\
 sequin_retraction_emitted{query=\"0\"} 3\n\
 sequin_slack_bound{query=\"0\"} 17\n\
-sequin_trace_evicted_total 2\n\
+sequin_trace_spans_dropped 2\n\
 sequin_ingest_latency_ticks_bucket{le=\"1\"} 5\n\
 sequin_ingest_latency_ticks_count 5\n";
         let table = watch_table(prom);
         assert!(table.contains("sequin_retraction_emitted"), "{table}");
         assert!(table.contains("sequin_slack_bound"), "{table}");
-        assert!(table.contains("sequin_trace_evicted_total"), "{table}");
+        assert!(table.contains("sequin_trace_spans_dropped"), "{table}");
         assert!(table.contains("query=\"0\""), "{table}");
         // histogram buckets fold away; their _count rows stay
         assert!(!table.contains("_bucket"), "{table}");

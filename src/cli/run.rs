@@ -142,8 +142,7 @@ pub fn evaluate(spec: &StreamSpec, opts: &EvalOptions) -> Result<String, String>
     ));
     out.push_str(&format!(
         "latency      : mean {:.1} / p99 {} arrivals\n",
-        report.arrival_latency.mean(),
-        report.arrival_latency.p99()
+        report.arrival_latency.mean, report.arrival_latency.p99
     ));
     out.push_str(&format!(
         "state        : peak {} / mean {:.1} events\n",

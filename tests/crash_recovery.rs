@@ -736,3 +736,85 @@ fn a_v1_server_store_resumes_exactly_once_and_is_saved_as_v2() {
     let newest = core.store().checkpoints_newest_first().next().unwrap();
     assert_eq!(envelope_version(newest), 2);
 }
+
+/// A kill in the middle of a save tears only the sibling temp file: the
+/// store it was to replace still loads whole at every offset the kill can
+/// land on, and a server resuming from it is exactly-once against the
+/// oracle. What counts as delivered is what the surviving store recorded;
+/// the server sends a batch's outputs before it saves, so the outputs of
+/// the batch whose save was torn reach a client again, as after a kill
+/// between send and save.
+#[test]
+fn a_save_torn_at_any_offset_leaves_the_previous_store_whole() {
+    let CliStream {
+        registry,
+        stream,
+        text,
+        oracle,
+        ..
+    } = cli_stream(600, 11);
+    let mut cfg = CoreConfig::new(
+        registry,
+        Strategy::Native,
+        EvalOptions::default().engine_config(),
+    );
+    cfg.checkpoint_every = Some(100);
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let path = dir.join("torn_save.store");
+    let tmp = dir.join("torn_save.store.tmp");
+    std::fs::remove_file(&tmp).ok();
+
+    // the server's loop: ingest a batch, deliver it, save if dirty
+    let mut live = EngineCore::new(cfg.clone());
+    live.subscribe(&text).unwrap();
+    let mut delivered = Vec::new();
+    let mut batches = stream.chunks(64);
+    for batch in batches.by_ref().take(5) {
+        delivered.extend(untag(live.ingest_batch(batch)));
+        if live.take_dirty() {
+            live.store().save(&path).unwrap();
+            assert!(!tmp.exists(), "a finished save leaves no temp file");
+        }
+    }
+    let good = std::fs::read(&path).unwrap();
+    // the kill lands in the next save: that of the next batch to change
+    // the store
+    for batch in batches.by_ref() {
+        live.ingest_batch(batch);
+        if live.take_dirty() {
+            break;
+        }
+    }
+    let next = live.store().to_bytes();
+    assert!(next != good, "the torn save had something to write");
+
+    for cut in 0..next.len() {
+        std::fs::write(&tmp, &next[..cut]).unwrap();
+        let (store, err) = CheckpointStore::load_or_empty(&path);
+        assert!(err.is_none(), "cut at {cut}: {err:?}");
+        assert_eq!(store.to_bytes(), good, "cut at {cut}");
+    }
+
+    let (mut core, from_item) = EngineCore::resume(cfg, CheckpointStore::load(&path).unwrap());
+    assert!(from_item > 0, "a checkpoint was accepted");
+    assert_eq!(core.query_count(), 1);
+    delivered.extend(untag(core.ingest_batch(&stream[from_item as usize..])));
+    delivered.extend(untag(core.finish()));
+    assert_eq!(core.stats().checkpoints_rejected, 0);
+    assert_eq!(core.pending_suppressions(), 0);
+    assert_no_duplicate_deliveries(&delivered, "torn save");
+    assert_eq!(net_keys(&delivered), oracle);
+
+    // the next save writes over the torn temp file and renames it away;
+    // it never writes the live file in place, which a hard link to the
+    // old file would show
+    let link = dir.join("torn_save.store.old");
+    std::fs::remove_file(&link).ok();
+    std::fs::hard_link(&path, &link).unwrap();
+    live.store().save(&path).unwrap();
+    assert!(!tmp.exists());
+    assert_eq!(std::fs::read(&path).unwrap(), next);
+    assert_eq!(std::fs::read(&link).unwrap(), good, "saved in place");
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&link).ok();
+}

@@ -191,3 +191,55 @@ fn parser_never_panics_on_near_queries() {
         }
     }
 }
+
+/// What the engine emits for an arrival beyond the disorder bound: K = 10
+/// and a negative `N@50` that arrives when the clock is at 100, after the
+/// matches it would have negated, (1,4) and (3,4), were sealed and
+/// emitted. It is counted and processed best-effort, not dropped: the
+/// sealed matches stand, and it still negates (3,7), which seals after
+/// it. Pinned under both emission policies, so a change to what such an
+/// arrival does (an acceptance rule that drops it, say) must change this
+/// test on purpose.
+#[test]
+fn an_arrival_beyond_the_bound_is_counted_and_processed_best_effort() {
+    use sequin::engine::{DisorderPolicy, OutputKind};
+    let reg = registry();
+    let q = parse("PATTERN SEQ(A a, !N n, B b) WITHIN 100", &reg).unwrap();
+    let events = vec![
+        ev(&reg, "A", 1, 10, &[0]),
+        ev(&reg, "B", 2, 20, &[0]),
+        ev(&reg, "A", 3, 30, &[0]),
+        ev(&reg, "B", 4, 60, &[0]),
+        ev(&reg, "A", 5, 100, &[0]),
+        ev(&reg, "N", 6, 50, &[0]), // 50 ticks behind the clock
+        ev(&reg, "B", 7, 110, &[0]),
+    ];
+    let oracle = reference_matches(&q, &events);
+    assert_eq!(oracle, [vec![1, 2], vec![5, 7]].into());
+    for (policy, pinned) in [
+        (
+            DisorderPolicy::Conservative,
+            [[1, 2], [1, 4], [3, 4], [5, 7]],
+        ),
+        // speculative emits in construction order, conservative in seal order
+        (
+            DisorderPolicy::Speculative,
+            [[1, 2], [3, 4], [1, 4], [5, 7]],
+        ),
+    ] {
+        let mut cfg = EngineConfig::with_k(Duration::new(10));
+        cfg.policy = policy;
+        let mut engine = NativeEngine::new(q.clone(), cfg);
+        let out = drive(&mut engine, &stream_of(&events));
+        let got: Vec<(OutputKind, Vec<u64>)> = out
+            .iter()
+            .map(|o| (o.kind, o.m.events().iter().map(|e| e.id().get()).collect()))
+            .collect();
+        let want: Vec<(OutputKind, Vec<u64>)> = pinned
+            .iter()
+            .map(|ids| (OutputKind::Insert, ids.to_vec()))
+            .collect();
+        assert_eq!(got, want, "{policy:?}");
+        assert_eq!(engine.stats().late_drops, 1, "{policy:?}");
+    }
+}

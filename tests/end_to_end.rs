@@ -5,7 +5,7 @@ mod common;
 
 use common::{drive, net_keys, reference_matches};
 use sequin::engine::{EngineConfig, OutputKind};
-use sequin::metrics::{compare_outputs, Histogram};
+use sequin::metrics::compare_outputs;
 use sequin::netsim::{delay_shuffle, measure_disorder};
 use sequin::types::{sort_by_timestamp, Duration, StreamItem, Value};
 use sequin::workload::{Intrusion, Rfid, Stock, Synthetic, SyntheticConfig};
@@ -115,7 +115,7 @@ fn run_report_latency_is_zero_for_native_and_positive_for_buffered() {
         EngineConfig::with_k(Duration::new(k)),
     );
     let native_report = run_engine(native.as_mut(), &stream, 32);
-    assert_eq!(native_report.arrival_latency.max(), 0);
+    assert_eq!(native_report.arrival_latency.max, 0);
 
     let mut buffered = make_engine(
         Strategy::Buffered,
@@ -123,7 +123,7 @@ fn run_report_latency_is_zero_for_native_and_positive_for_buffered() {
         EngineConfig::with_k(Duration::new(k)),
     );
     let buffered_report = run_engine(buffered.as_mut(), &stream, 32);
-    assert!(buffered_report.arrival_latency.mean() > 0.0);
+    assert!(buffered_report.arrival_latency.mean > 0.0);
     assert_eq!(native_report.net_matches(), buffered_report.net_matches());
 }
 
@@ -195,9 +195,8 @@ fn latency_histogram_quantiles_are_monotonic() {
         EngineConfig::with_k(Duration::new(100)),
     );
     let report = run_engine(engine.as_mut(), &stream, 32);
-    // quantiles take &self now (lazy sort behind a dirty flag)
-    let h: &Histogram = &report.arrival_latency;
-    assert!(h.p50() <= h.p95());
-    assert!(h.p95() <= h.p99());
-    assert!(h.p99() <= h.max());
+    let h = &report.arrival_latency;
+    assert!(h.p50 <= h.p95);
+    assert!(h.p95 <= h.p99);
+    assert!(h.p99 <= h.max);
 }
