@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use sequin_engine::{EngineConfig, OutputItem, OutputKind, WatermarkSource};
 use sequin_query::Query;
-use sequin_runtime::{purge, Match, RuntimeStats};
+use sequin_runtime::{Match, RuntimeStats};
 use sequin_types::{ArrivalSeq, Duration, EventId, EventRef, StreamItem, Timestamp};
 
 use crate::classic::ClassicSase;
@@ -143,12 +143,8 @@ impl BufferedEngine {
     /// punctuation, or the larger of the two, per the configured source.
     /// Both only grow, so it never retreats.
     pub fn watermark(&self) -> Timestamp {
-        let slack = purge::watermark(self.buffer.clock(), self.k);
-        match self.source {
-            WatermarkSource::KSlack => slack,
-            WatermarkSource::Punctuation => self.punct,
-            WatermarkSource::Both => slack.max(self.punct),
-        }
+        self.source
+            .watermark(self.buffer.clock(), self.k, self.punct)
     }
 
     /// Feeds the classic engine every buffered event at or below

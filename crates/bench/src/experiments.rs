@@ -182,16 +182,24 @@ pub fn e4(scale: Scale) -> String {
     )
 }
 
-/// E5 — throughput vs. window size.
-pub fn e5(scale: Scale) -> String {
+/// E5's rows: per window, the buffered and the native run.
+fn e5_rows(scale: Scale) -> Vec<(u64, RunReport, RunReport)> {
     let w = workload(4);
     let events = w.generate(scale.events, scale.seed);
     let stream = delay_shuffle(&events, 0.2, OOO_DELAY, scale.seed);
-    let mut t = Table::new(&["W", "k-slack-buffer", "native-ooo", "no peak state"]);
-    for window in [100u64, 200, 400, 800, 1600] {
+    let row = |window: u64| {
         let q = w.partitioned_query(3, window);
         let kb = run(Strategy::Buffered, &q, K, &stream);
         let no = run(Strategy::Native, &q, K, &stream);
+        (window, kb, no)
+    };
+    [100, 200, 400, 800, 1600].map(row).into()
+}
+
+/// E5 — throughput vs. window size.
+pub fn e5(scale: Scale) -> String {
+    let mut t = Table::new(&["W", "k-slack-buffer", "native-ooo", "no peak state"]);
+    for (window, kb, no) in e5_rows(scale) {
         t.row(&[
             window.to_string(),
             keps(&kb),
@@ -225,12 +233,30 @@ pub fn e6(scale: Scale) -> String {
     )
 }
 
-/// E7 — purge ablation: memory and throughput under different cadences.
-pub fn e7(scale: Scale) -> String {
+/// E7's rows: per purge cadence, the native run on flat stacks.
+fn e7_rows(scale: Scale) -> Vec<(&'static str, RunReport)> {
     let w = workload(4);
     let events = w.generate(scale.events, scale.seed);
     let stream = delay_shuffle(&events, 0.2, OOO_DELAY, scale.seed);
     let q = w.partitioned_query(3, W);
+    let row = |(name, policy)| {
+        let mut cfg = EngineConfig::with_k(Duration::new(K));
+        cfg.purge = policy;
+        cfg.partitioned = false;
+        (name, run_with(Strategy::Native, &q, cfg, &stream))
+    };
+    [
+        ("never", PurgePolicy::NEVER),
+        ("eager (1)", PurgePolicy::EAGER),
+        ("batch 64", PurgePolicy::batched(64)),
+        ("batch 1024", PurgePolicy::batched(1024)),
+    ]
+    .map(row)
+    .into()
+}
+
+/// E7 — purge ablation: memory and throughput under different cadences.
+pub fn e7(scale: Scale) -> String {
     let mut t = Table::new(&[
         "purge",
         "throughput",
@@ -238,16 +264,7 @@ pub fn e7(scale: Scale) -> String {
         "mean state",
         "purge runs",
     ]);
-    for (name, policy) in [
-        ("never", PurgePolicy::NEVER),
-        ("eager (1)", PurgePolicy::EAGER),
-        ("batch 64", PurgePolicy::batched(64)),
-        ("batch 1024", PurgePolicy::batched(1024)),
-    ] {
-        let mut cfg = EngineConfig::with_k(Duration::new(K));
-        cfg.purge = policy;
-        cfg.partitioned = false;
-        let r = run_with(Strategy::Native, &q, cfg, &stream);
+    for (name, r) in e7_rows(scale) {
         t.row(&[
             name.to_owned(),
             keps(&r),
@@ -321,11 +338,22 @@ pub fn e8(scale: Scale) -> String {
     )
 }
 
-/// E9 — SS vs. SC cost split as predicate selectivity varies.
-pub fn e9(scale: Scale) -> String {
+/// E9's rows: per selectivity threshold, the native run on flat stacks.
+fn e9_rows(scale: Scale) -> Vec<(i64, RunReport)> {
     let w = workload(4);
     let events = w.generate(scale.events, scale.seed);
     let stream = delay_shuffle(&events, 0.2, OOO_DELAY, scale.seed);
+    let row = |threshold: i64| {
+        let q = w.selective_query(3, W, threshold);
+        let mut cfg = EngineConfig::with_k(Duration::new(K));
+        cfg.partitioned = false;
+        (threshold, run_with(Strategy::Native, &q, cfg, &stream))
+    };
+    [10, 25, 50, 75, 100].map(row).into()
+}
+
+/// E9 — SS vs. SC cost split as predicate selectivity varies.
+pub fn e9(scale: Scale) -> String {
     let mut t = Table::new(&[
         "sel %",
         "insertions (SS)",
@@ -334,11 +362,7 @@ pub fn e9(scale: Scale) -> String {
         "matches",
         "throughput",
     ]);
-    for threshold in [10i64, 25, 50, 75, 100] {
-        let q = w.selective_query(3, W, threshold);
-        let mut cfg = EngineConfig::with_k(Duration::new(K));
-        cfg.partitioned = false;
-        let r = run_with(Strategy::Native, &q, cfg, &stream);
+    for (threshold, r) in e9_rows(scale) {
         t.row(&[
             threshold.to_string(),
             r.stats.insertions.to_string(),
@@ -357,8 +381,10 @@ pub fn e9(scale: Scale) -> String {
     )
 }
 
-/// E10 — the paper's CPU optimizations, ablated.
-pub fn e10(scale: Scale) -> String {
+/// E10's runs: the classic and the native engine on ordered input, then
+/// the native engine with the construction cut-off on and off under
+/// disorder.
+fn e10_runs(scale: Scale) -> [RunReport; 4] {
     let w = workload(4);
     let events = w.generate(scale.events, scale.seed);
     let q = w.partitioned_query(3, W);
@@ -378,6 +404,12 @@ pub fn e10(scale: Scale) -> String {
     off_cfg.construct.window_cutoff = false;
     let on = run_with(Strategy::Native, &q, on_cfg, &stream);
     let off = run_with(Strategy::Native, &q, off_cfg, &stream);
+    [classic, native, on, off]
+}
+
+/// E10 — the paper's CPU optimizations, ablated.
+pub fn e10(scale: Scale) -> String {
+    let [classic, native, on, off] = e10_runs(scale);
 
     let mut ta = Table::new(&["engine (ordered input)", "throughput", "matches"]);
     ta.row(&[
@@ -678,6 +710,60 @@ mod tests {
         let safety_1 = &adaptive[0];
         assert!(safety_1.0.contains("safety 1)"), "{}", safety_1.0);
         assert!(safety_1.1.mean_state < exact.1.mean_state, "{}", safety_1.0);
+    }
+
+    /// E5's shape: the native engine's peak state rises with the window.
+    #[test]
+    fn e5_native_peak_state_rises_with_the_window() {
+        let rows = e5_rows(Scale::ci());
+        let peaks: Vec<_> = rows.iter().map(|(_, _, no)| no.peak_state).collect();
+        assert!(peaks.windows(2).all(|p| p[0] < p[1]), "{peaks:?}");
+    }
+
+    /// E7's shape: without purge the state grows with the stream, above
+    /// what any cadence keeps; eager purge runs once per event, and a
+    /// larger batch runs fewer.
+    #[test]
+    fn e7_every_purge_cadence_keeps_less_state_than_none() {
+        let scale = Scale::ci();
+        let rows = e7_rows(scale);
+        let [(_, never), purging @ ..] = &rows[..] else {
+            panic!("{} rows", rows.len())
+        };
+        for (name, r) in purging {
+            assert!(never.peak_state > r.peak_state, "{name}: {}", r.peak_state);
+        }
+        let runs: Vec<u64> = rows.iter().map(|(_, r)| r.stats.purge_runs).collect();
+        assert_eq!(runs[..2], [0, scale.events as u64], "{runs:?}");
+        assert!(
+            runs[1] > runs[2] && runs[2] > runs[3] && runs[3] > 0,
+            "{runs:?}"
+        );
+    }
+
+    /// E9's shape: insertions, DFS steps and matches all rise with the
+    /// share of events that pass the local predicates.
+    #[test]
+    fn e9_work_and_matches_rise_with_selectivity() {
+        let rows = e9_rows(Scale::ci());
+        let rising = |of: fn(&RunReport) -> u64| {
+            let values: Vec<u64> = rows.iter().map(|(_, r)| of(r)).collect();
+            assert!(values.windows(2).all(|p| p[0] < p[1]), "{values:?}");
+        };
+        rising(|r| r.stats.insertions);
+        rising(|r| r.stats.dfs_steps);
+        rising(|r| r.stats.matches_constructed);
+    }
+
+    /// E10's shape: on ordered input the classic and the native engine
+    /// find the same matches; under disorder the window cut-off prunes
+    /// DFS steps and loses none.
+    #[test]
+    fn e10_stacks_agree_and_the_cutoff_prunes_without_loss() {
+        let [classic, native, on, off] = e10_runs(Scale::ci());
+        assert_eq!(classic.net_matches(), native.net_matches());
+        assert!(on.stats.dfs_steps < off.stats.dfs_steps);
+        assert_eq!(on.net_matches(), off.net_matches());
     }
 
     #[test]

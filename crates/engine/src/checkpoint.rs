@@ -37,38 +37,29 @@ use crate::output::{OutputItem, OutputKind};
 use crate::shared::{MultiEngine, QueryId};
 
 /// What the emission log remembers of a delivered output.
-type LogKey = (u64, u8, MatchKey);
+type LogKey = (u64, OutputKind, MatchKey);
 
 fn log_key(qid: QueryId, o: &OutputItem) -> LogKey {
-    let tag = match o.kind {
-        OutputKind::Insert => 0,
-        OutputKind::Retract => 1,
-    };
-    (qid.index() as u64, tag, o.m.key())
+    (qid.index() as u64, o.kind, o.m.key())
 }
 
-fn encode_log_record((qid, tag, key): &LogKey) -> Vec<u8> {
+fn encode_log_record((qid, kind, key): &LogKey) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_u64(*qid);
-    w.put_u8(*tag);
+    kind.encode(&mut w);
     key.encode(&mut w);
     seal_envelope(&w.into_bytes())
 }
 
 fn decode_log_record(bytes: &[u8]) -> Result<LogKey, CodecError> {
-    let payload = open_envelope(bytes)?;
-    let mut r = Reader::new(payload);
-    let qid = r.get_u64()?;
-    let tag = r.get_u8()?;
-    if tag > 1 {
-        return Err(CodecError::InvalidTag {
-            what: "OutputKind",
-            tag,
-        });
-    }
-    let key = MatchKey::decode(&mut r)?;
+    let mut r = Reader::new(open_envelope(bytes)?);
+    let record = (
+        r.get_u64()?,
+        OutputKind::decode(&mut r)?,
+        MatchKey::decode(&mut r)?,
+    );
     r.finish()?;
-    Ok((qid, tag, key))
+    Ok(record)
 }
 
 /// Durable checkpoint artifacts: the newest [`CheckpointStore::KEEP`]

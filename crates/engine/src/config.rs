@@ -1,8 +1,8 @@
 //! Engine configuration.
 
-use sequin_runtime::purge::PurgePolicy;
+use sequin_runtime::purge::{self, PurgePolicy};
 use sequin_runtime::ConstructOpts;
-use sequin_types::Duration;
+use sequin_types::{Duration, Timestamp};
 
 /// Per-query disorder-handling policy: when matches leave the engine and
 /// how the slack bound that gates them is chosen.
@@ -59,6 +59,20 @@ pub enum WatermarkSource {
     Punctuation,
     /// `max` of both mechanisms.
     Both,
+}
+
+impl WatermarkSource {
+    /// The low-watermark this source gives an engine whose clock is
+    /// `clock`, under the disorder bound `k`, after the largest
+    /// punctuation `punct`.
+    pub fn watermark(self, clock: Timestamp, k: Duration, punct: Timestamp) -> Timestamp {
+        let slack = purge::watermark(clock, k);
+        match self {
+            WatermarkSource::KSlack => slack,
+            WatermarkSource::Punctuation => punct,
+            WatermarkSource::Both => slack.max(punct),
+        }
+    }
 }
 
 /// The evaluation strategy: the paper's native out-of-order engine, the

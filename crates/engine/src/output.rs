@@ -4,16 +4,30 @@ use std::fmt;
 
 use sequin_runtime::Match;
 use sequin_types::codec::{fnv1a64, fnv1a64_extend};
-use sequin_types::{ArrivalSeq, EventId, Timestamp};
+use sequin_types::{ArrivalSeq, CodecError, Decode, Encode, EventId, Reader, Timestamp, Writer};
 
-/// Whether an output item asserts or withdraws a match.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Whether an output item asserts or withdraws a match. The discriminant
+/// is its tag in an OUTPUT frame and an emission-log record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[repr(u8)]
 pub enum OutputKind {
     /// A (believed-)valid match.
-    Insert,
+    Insert = 0,
     /// Withdrawal of a previously inserted match (speculative negation
     /// emission only).
-    Retract,
+    Retract = 1,
+}
+
+impl Encode for OutputKind {
+    fn encode(&self, w: &mut Writer) {
+        w.put_u8(*self as u8);
+    }
+}
+
+impl Decode for OutputKind {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        r.get_tag(&[OutputKind::Insert, OutputKind::Retract], "OutputKind")
+    }
 }
 
 /// One emitted result, annotated with enough bookkeeping to compute the

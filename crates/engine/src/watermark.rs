@@ -1,6 +1,5 @@
 //! Shared low-watermark tracking (fixed or adaptive K, punctuation).
 
-use sequin_runtime::purge;
 use sequin_types::{Duration, Timestamp};
 
 use crate::config::{DisorderPolicy, EngineConfig, WatermarkSource};
@@ -275,12 +274,7 @@ impl WatermarkTracker {
     }
 
     fn republish(&mut self) {
-        let slack = purge::watermark(self.clock, self.k_hat());
-        let candidate = match self.source {
-            WatermarkSource::KSlack => slack,
-            WatermarkSource::Punctuation => self.punct,
-            WatermarkSource::Both => slack.max(self.punct),
-        };
+        let candidate = self.source.watermark(self.clock, self.k_hat(), self.punct);
         // Running max: `candidate` may move backwards when K̂ grows, and
         // jumps forwards when decay shrinks K̂ — publication absorbs both.
         self.high = self.high.max(candidate);

@@ -36,7 +36,7 @@ mod recorder;
 mod registry;
 mod trace;
 
-pub use bundle::{Bundle, BUNDLE_MAGIC, BUNDLE_VERSION};
+pub use bundle::Bundle;
 pub use hist::{FixedHistogram, BUCKET_BOUNDS};
 pub use lineage::{filter_outputs, lineage_json, lineage_text};
 pub use recorder::{ObsConfig, QueryObs, Recorder};

@@ -13,33 +13,48 @@ use std::collections::VecDeque;
 
 use crate::json_escape;
 
-/// The pipeline step a [`Span`] describes.
+/// The pipeline step a [`Span`] describes. The discriminant is the kind's
+/// tag in a postmortem bundle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum SpanKind {
     /// A chunk of items entered the core (count = items).
-    Ingest,
+    Ingest = 0,
     /// Events were routed to operator stacks (count = routed events).
-    Route,
+    Route = 1,
     /// Events were pushed onto active-instance stacks (count = insertions).
-    StackInsert,
+    StackInsert = 2,
     /// Matches were constructed (count = matches).
-    Construct,
+    Construct = 3,
     /// Matches were invalidated by negation (count = negated matches).
-    Negate,
+    Negate = 4,
     /// One output item left the engine (provenance in `events`).
-    Emit,
+    Emit = 5,
     /// Watermark-safe purge reclaimed state (count = purged instances).
-    Purge,
+    Purge = 6,
     /// A held match was sealed and released once the watermark (or the
     /// adaptive slack bound) passed its deadline (`bound` = the deadline,
     /// `watermark` = the value that released it).
-    Seal,
+    Seal = 7,
     /// A speculative insert was contradicted and retracted (`cause` = the
     /// late event that invalidated it).
-    Retract,
+    Retract = 8,
 }
 
 impl SpanKind {
+    /// Every kind, in tag order: `ALL[kind as usize] == kind`.
+    pub const ALL: [SpanKind; 9] = [
+        SpanKind::Ingest,
+        SpanKind::Route,
+        SpanKind::StackInsert,
+        SpanKind::Construct,
+        SpanKind::Negate,
+        SpanKind::Emit,
+        SpanKind::Purge,
+        SpanKind::Seal,
+        SpanKind::Retract,
+    ];
+
     /// Stable lower-snake name used in JSON dumps.
     pub fn name(self) -> &'static str {
         match self {

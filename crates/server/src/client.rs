@@ -203,15 +203,12 @@ impl Client {
         }
     }
 
-    /// Sends one stream item, fire-and-forget.
+    /// Sends one stream item, fire-and-forget: an event as a batch of one.
     pub fn send_item(&mut self, item: &StreamItem) -> Result<(), ClientError> {
-        let frame = match item {
-            StreamItem::Event(e) => Frame::Event(e.clone()),
-            StreamItem::Punctuation(ts) => Frame::Punctuation(*ts),
-        };
-        self.send(&frame)?;
-        self.pump();
-        Ok(())
+        match item {
+            StreamItem::Event(e) => self.send_batch(std::slice::from_ref(e)),
+            StreamItem::Punctuation(ts) => self.punctuate(*ts),
+        }
     }
 
     /// Sends a batch of events in one frame.
@@ -228,19 +225,19 @@ impl Client {
         let mut pending = Vec::new();
         for item in items {
             match item {
-                StreamItem::Event(e) if batch > 1 => {
+                StreamItem::Event(e) => {
                     pending.push(e.clone());
                     if pending.len() >= batch {
                         self.send_batch(&pending)?;
                         pending.clear();
                     }
                 }
-                other => {
+                StreamItem::Punctuation(ts) => {
                     if !pending.is_empty() {
                         self.send_batch(&pending)?;
                         pending.clear();
                     }
-                    self.send_item(other)?;
+                    self.punctuate(*ts)?;
                 }
             }
         }

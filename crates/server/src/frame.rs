@@ -21,7 +21,7 @@
 //!   | <-- HELLO_ACK(fp, resume_from) ---- |   (or ERROR + close)
 //!   | -- SUBSCRIBE(query text) ---------> |
 //!   | <-- SUB_ACK(query_id) ------------- |
-//!   | -- EVENT / EVENT_BATCH / PUNCT --> |   fire-and-forget ingestion
+//!   | -- EVENT_BATCH / PUNCT ----------> |   fire-and-forget ingestion
 //!   | <-- OUTPUT(query_id, match) ------- |   streamed as produced
 //!   | <-- BUSY(queued) ------------------ |   backpressure advisory
 //!   | -- STATS_REQ ---------------------> |
@@ -32,6 +32,10 @@
 //!   | <-- OUTPUT... <-- DRAIN_ACK ------- |   sealed results, then ack
 //!   | -- BYE ---------------------------> |
 //! ```
+//!
+//! Every arrival rides in an EVENT_BATCH, a lone event in a batch of one.
+//! Tag 2, the retired single-event frame, is an unknown tag, and no other
+//! tag was renumbered.
 //!
 //! `resume_from` in HELLO_ACK is the server's ingest position (stream
 //! items accepted so far); after a reconnect or a server restart from a
@@ -51,58 +55,42 @@ use crate::stats::ServerStats;
 /// a corrupted or hostile length prefix cannot exhaust memory.
 pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 
-/// Machine-readable reason carried by an [`Frame::Error`].
+/// Machine-readable reason carried by an [`Frame::Error`]. Each wire enum
+/// here is `#[repr(u8)]` with its wire tag as the discriminant, and lists
+/// its variants in tag order in `ALL`, which decoding indexes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum ErrorCode {
     /// The frame failed envelope validation or body decoding.
-    BadFrame,
+    BadFrame = 0,
     /// HELLO was malformed, duplicated, or required but missing.
-    BadHello,
+    BadHello = 1,
     /// Client and server [`sequin_types::TypeRegistry`] fingerprints
     /// differ; events would be misinterpreted, so the session is refused.
-    SchemaMismatch,
+    SchemaMismatch = 2,
     /// A SUBSCRIBE query failed to parse on the server.
-    BadQuery,
+    BadQuery = 3,
     /// The frame kind is not valid in this direction or session state.
-    Unexpected,
+    Unexpected = 4,
     /// The server has drained and no longer accepts ingestion.
-    Draining,
+    Draining = 5,
     /// A SUBSCRIBE query parsed but failed semantic analysis; the message
     /// carries the analyzer's diagnostic with its byte offset
     /// (`... (at byte N)`) when the offending construct is localizable.
-    BadAnalysis,
+    BadAnalysis = 6,
 }
 
 impl ErrorCode {
-    fn tag(self) -> u8 {
-        match self {
-            ErrorCode::BadFrame => 0,
-            ErrorCode::BadHello => 1,
-            ErrorCode::SchemaMismatch => 2,
-            ErrorCode::BadQuery => 3,
-            ErrorCode::Unexpected => 4,
-            ErrorCode::Draining => 5,
-            ErrorCode::BadAnalysis => 6,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Result<ErrorCode, CodecError> {
-        Ok(match tag {
-            0 => ErrorCode::BadFrame,
-            1 => ErrorCode::BadHello,
-            2 => ErrorCode::SchemaMismatch,
-            3 => ErrorCode::BadQuery,
-            4 => ErrorCode::Unexpected,
-            5 => ErrorCode::Draining,
-            6 => ErrorCode::BadAnalysis,
-            tag => {
-                return Err(CodecError::InvalidTag {
-                    what: "ErrorCode",
-                    tag,
-                })
-            }
-        })
-    }
+    /// Every code, in tag order.
+    const ALL: [ErrorCode; 7] = [
+        ErrorCode::BadFrame,
+        ErrorCode::BadHello,
+        ErrorCode::SchemaMismatch,
+        ErrorCode::BadQuery,
+        ErrorCode::Unexpected,
+        ErrorCode::Draining,
+        ErrorCode::BadAnalysis,
+    ];
 }
 
 impl std::fmt::Display for ErrorCode {
@@ -122,88 +110,39 @@ impl std::fmt::Display for ErrorCode {
 
 /// Requested exposition format of a [`Frame::MetricsReq`] scrape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum MetricsFormat {
     /// Prometheus text exposition format (version 0.0.4).
-    Prometheus,
+    Prometheus = 0,
     /// JSON array of series objects.
-    Json,
+    Json = 1,
     /// JSON dump of the structured trace ring (pipeline spans with
     /// per-match provenance).
-    TraceJson,
+    TraceJson = 2,
 }
 
 impl MetricsFormat {
-    fn tag(self) -> u8 {
-        match self {
-            MetricsFormat::Prometheus => 0,
-            MetricsFormat::Json => 1,
-            MetricsFormat::TraceJson => 2,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Result<MetricsFormat, CodecError> {
-        Ok(match tag {
-            0 => MetricsFormat::Prometheus,
-            1 => MetricsFormat::Json,
-            2 => MetricsFormat::TraceJson,
-            tag => {
-                return Err(CodecError::InvalidTag {
-                    what: "MetricsFormat",
-                    tag,
-                })
-            }
-        })
-    }
-}
-
-impl std::fmt::Display for MetricsFormat {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            MetricsFormat::Prometheus => "prometheus",
-            MetricsFormat::Json => "json",
-            MetricsFormat::TraceJson => "trace-json",
-        })
-    }
+    /// Every format, in tag order.
+    const ALL: [MetricsFormat; 3] = [
+        MetricsFormat::Prometheus,
+        MetricsFormat::Json,
+        MetricsFormat::TraceJson,
+    ];
 }
 
 /// Rendering of a [`Frame::TraceReq`] lineage query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum TraceFormat {
     /// Human-readable per-output causal timeline.
-    Text,
+    Text = 0,
     /// JSON array of lineage records.
-    Json,
+    Json = 1,
 }
 
 impl TraceFormat {
-    fn tag(self) -> u8 {
-        match self {
-            TraceFormat::Text => 0,
-            TraceFormat::Json => 1,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Result<TraceFormat, CodecError> {
-        Ok(match tag {
-            0 => TraceFormat::Text,
-            1 => TraceFormat::Json,
-            tag => {
-                return Err(CodecError::InvalidTag {
-                    what: "TraceFormat",
-                    tag,
-                })
-            }
-        })
-    }
-}
-
-impl std::fmt::Display for TraceFormat {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            TraceFormat::Text => "text",
-            TraceFormat::Json => "json",
-        })
-    }
+    /// Every format, in tag order.
+    const ALL: [TraceFormat; 2] = [TraceFormat::Text, TraceFormat::Json];
 }
 
 /// "All queries" sentinel for [`Frame::TraceReq`]'s query filter.
@@ -267,9 +206,8 @@ pub enum Frame {
         /// Number of queries currently registered.
         queries: u64,
     },
-    /// One event, fire-and-forget.
-    Event(EventRef),
-    /// A batch of events, fire-and-forget (amortizes framing overhead).
+    /// A batch of events, fire-and-forget: every arrival, one or many
+    /// (tag 3; tag 2 is retired).
     EventBatch(Vec<EventRef>),
     /// A source-asserted low-watermark (see
     /// [`sequin_types::StreamItem::Punctuation`]).
@@ -359,24 +297,6 @@ pub enum Frame {
     },
 }
 
-pub(crate) fn kind_tag(kind: OutputKind) -> u8 {
-    match kind {
-        OutputKind::Insert => 0,
-        OutputKind::Retract => 1,
-    }
-}
-
-fn kind_from_tag(tag: u8) -> Result<OutputKind, CodecError> {
-    match tag {
-        0 => Ok(OutputKind::Insert),
-        1 => Ok(OutputKind::Retract),
-        tag => Err(CodecError::InvalidTag {
-            what: "OutputKind",
-            tag,
-        }),
-    }
-}
-
 /// Wire form of a policy request: a mode byte (0 = server default,
 /// 1 = conservative, 2 = speculative, 3 = lazy, 4 = adaptive) and a knob
 /// byte (the adaptive accuracy, 0 otherwise).
@@ -428,7 +348,7 @@ fn put_output(
 ) {
     w.put_u8(7);
     w.put_u64(query_id);
-    w.put_u8(kind_tag(kind));
+    kind.encode(w);
     events.encode(w);
     emit_seq.encode(w);
     emit_clock.encode(w);
@@ -496,10 +416,6 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             w.put_u64(*resume_from);
             w.put_u64(*queries);
         }
-        Frame::Event(e) => {
-            w.put_u8(2);
-            e.encode(&mut w);
-        }
         Frame::EventBatch(events) => {
             w.put_u8(3);
             events.encode(&mut w);
@@ -550,7 +466,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
         }
         Frame::Error { code, message } => {
             w.put_u8(13);
-            w.put_u8(code.tag());
+            w.put_u8(*code as u8);
             w.put_str(message);
         }
         Frame::Bye => {
@@ -558,22 +474,22 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
         }
         Frame::MetricsReq { format } => {
             w.put_u8(15);
-            w.put_u8(format.tag());
+            w.put_u8(*format as u8);
         }
         Frame::MetricsReply { format, body } => {
             w.put_u8(16);
-            w.put_u8(format.tag());
+            w.put_u8(*format as u8);
             w.put_str(body);
         }
         Frame::TraceReq { format, query, pid } => {
             w.put_u8(17);
-            w.put_u8(format.tag());
+            w.put_u8(*format as u8);
             w.put_u64(*query);
             w.put_u64(*pid);
         }
         Frame::TraceReply { format, body } => {
             w.put_u8(18);
-            w.put_u8(format.tag());
+            w.put_u8(*format as u8);
             w.put_str(body);
         }
     }
@@ -598,7 +514,6 @@ pub fn decode_frame(sealed: &[u8]) -> Result<Frame, CodecError> {
             resume_from: r.get_u64()?,
             queries: r.get_u64()?,
         },
-        2 => Frame::Event(EventRef::decode(&mut r)?),
         3 => Frame::EventBatch(Vec::<EventRef>::decode(&mut r)?),
         4 => Frame::Punctuation(Timestamp::decode(&mut r)?),
         5 => Frame::Subscribe {
@@ -614,7 +529,7 @@ pub fn decode_frame(sealed: &[u8]) -> Result<Frame, CodecError> {
         },
         7 => Frame::Output(OutputFrame {
             query_id: r.get_u64()?,
-            kind: kind_from_tag(r.get_u8()?)?,
+            kind: OutputKind::decode(&mut r)?,
             events: Vec::<EventRef>::decode(&mut r)?,
             emit_seq: ArrivalSeq::decode(&mut r)?,
             emit_clock: Timestamp::decode(&mut r)?,
@@ -630,24 +545,24 @@ pub fn decode_frame(sealed: &[u8]) -> Result<Frame, CodecError> {
             queued: r.get_u64()?,
         },
         13 => Frame::Error {
-            code: ErrorCode::from_tag(r.get_u8()?)?,
+            code: r.get_tag(&ErrorCode::ALL, "ErrorCode")?,
             message: r.get_str()?,
         },
         14 => Frame::Bye,
         15 => Frame::MetricsReq {
-            format: MetricsFormat::from_tag(r.get_u8()?)?,
+            format: r.get_tag(&MetricsFormat::ALL, "MetricsFormat")?,
         },
         16 => Frame::MetricsReply {
-            format: MetricsFormat::from_tag(r.get_u8()?)?,
+            format: r.get_tag(&MetricsFormat::ALL, "MetricsFormat")?,
             body: r.get_str()?,
         },
         17 => Frame::TraceReq {
-            format: TraceFormat::from_tag(r.get_u8()?)?,
+            format: r.get_tag(&TraceFormat::ALL, "TraceFormat")?,
             query: r.get_u64()?,
             pid: r.get_u64()?,
         },
         18 => Frame::TraceReply {
-            format: TraceFormat::from_tag(r.get_u8()?)?,
+            format: r.get_tag(&TraceFormat::ALL, "TraceFormat")?,
             body: r.get_str()?,
         },
         tag => return Err(CodecError::InvalidTag { what: "Frame", tag }),
@@ -731,7 +646,7 @@ mod tests {
                 resume_from: 42,
                 queries: 3,
             },
-            Frame::Event(sample_event(7, 100)),
+            Frame::EventBatch(vec![sample_event(7, 100)]),
             Frame::EventBatch(vec![sample_event(8, 101), sample_event(9, 99)]),
             Frame::Punctuation(Timestamp::new(77)),
             Frame::Subscribe {
@@ -823,15 +738,8 @@ mod tests {
 
     #[test]
     fn every_error_code_round_trips() {
-        for code in [
-            ErrorCode::BadFrame,
-            ErrorCode::BadHello,
-            ErrorCode::SchemaMismatch,
-            ErrorCode::BadQuery,
-            ErrorCode::Unexpected,
-            ErrorCode::Draining,
-            ErrorCode::BadAnalysis,
-        ] {
+        for (tag, code) in ErrorCode::ALL.into_iter().enumerate() {
+            assert_eq!(code as usize, tag, "{code:?}");
             let sealed = encode_frame(&Frame::Error {
                 code,
                 message: code.to_string(),
@@ -876,12 +784,17 @@ mod tests {
     }
 
     #[test]
-    fn every_metrics_format_round_trips() {
-        for format in [
-            MetricsFormat::Prometheus,
-            MetricsFormat::Json,
-            MetricsFormat::TraceJson,
-        ] {
+    fn every_metrics_and_trace_format_round_trips() {
+        for (tag, format) in TraceFormat::ALL.into_iter().enumerate() {
+            assert_eq!(format as usize, tag, "{format:?}");
+            let frame = Frame::TraceReply {
+                format,
+                body: String::new(),
+            };
+            assert_eq!(decode_frame(&encode_frame(&frame)), Ok(frame));
+        }
+        for (tag, format) in MetricsFormat::ALL.into_iter().enumerate() {
+            assert_eq!(format as usize, tag, "{format:?}");
             let sealed = encode_frame(&Frame::MetricsReq { format });
             match decode_frame(&sealed).unwrap() {
                 Frame::MetricsReq { format: back } => assert_eq!(back, format),
@@ -1228,13 +1141,19 @@ mod tests {
         ));
     }
 
+    /// An unknown tag is a typed rejection, and so is tag 2, the retired
+    /// single-event frame, with the body it used to carry.
     #[test]
     fn unknown_frame_tag_is_rejected() {
-        let sealed = seal_envelope(&[200u8]);
-        assert!(matches!(
-            decode_frame(&sealed),
-            Err(CodecError::InvalidTag { what: "Frame", .. })
-        ));
+        let mut retired = Writer::new();
+        retired.put_u8(2);
+        sample_event(7, 100).encode(&mut retired);
+        for payload in [vec![200u8], vec![2], retired.into_bytes()] {
+            assert!(matches!(
+                decode_frame(&seal_envelope(&payload)),
+                Err(CodecError::InvalidTag { what: "Frame", tag }) if tag == payload[0]
+            ));
+        }
     }
 
     #[test]

@@ -26,7 +26,9 @@
 //!   through a real socket and verifies the outputs byte-for-byte against
 //!   an in-process oracle run;
 //! * [`stats`] — [`ServerStats`] connection/frame/backpressure counters,
-//!   served locally and over the wire.
+//!   served locally and over the wire;
+//! * [`bundle`] — postmortem bundles as sealed envelopes, on the same
+//!   codec as frames and stores.
 //!
 //! Telemetry exposition rides the same protocol: a `METRICS_REQ` frame
 //! (Prometheus text, JSON series, or the structured trace ring as JSON)
@@ -37,6 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bundle;
 pub mod client;
 pub mod core;
 pub mod frame;
@@ -45,6 +48,7 @@ pub mod server;
 pub mod stats;
 pub mod transport;
 
+pub use bundle::{decode_bundle, encode_bundle, write_bundle};
 pub use client::{Client, ClientError};
 pub use core::{CoreConfig, EngineCore, SubscribeError};
 pub use frame::{

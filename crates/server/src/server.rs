@@ -35,13 +35,18 @@
 //! ## Durability
 //!
 //! With [`CoreConfig::checkpoint_every`] set and a
-//! [`ServerConfig::store_path`], the engine thread persists the checkpoint
-//! store after processing any message that dirtied it — i.e. after
-//! delivering the outputs. A crash between delivery and persistence can
-//! therefore lose the *log record* of an output that was already sent
-//! (at-least-once for that sliver); everywhere else the restart is
-//! exactly-once, and [`Server::crash`] (the fault-injection kill) lands on
-//! a message boundary where no such window is open.
+//! [`ServerConfig::store_path`], the engine thread saves the checkpoint
+//! store whenever a message dirtied it, and saves *before* it sends
+//! (output commit): an ingest batch's or a drain's OUTPUT frames, and a
+//! SUB_ACK or DRAIN_ACK, leave only once the store file holds their log
+//! records, so no output a client received is re-delivered after a
+//! restart. The window left is the other way round: a crash after the
+//! save and before the send loses that batch's outputs, which the restart
+//! suppresses as delivered (at-most-once for that sliver).
+//! [`Server::crash`] (the fault-injection kill) lands on a message
+//! boundary, where no such window is open. A failed save is reported on
+//! stderr and the frames still go out. A server without checkpointing
+//! never dirties its store, so it saves nothing.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -53,6 +58,7 @@ use std::thread::JoinHandle;
 use sequin_engine::CheckpointStore;
 use sequin_types::StreamItem;
 
+use crate::bundle::write_bundle;
 use crate::core::{CoreConfig, EngineCore};
 use crate::frame::{
     append_output_frame, decode_frame, encode_frame, ErrorCode, Frame, MetricsFormat, TraceFormat,
@@ -205,9 +211,7 @@ impl Server {
                                 ("store_unreadable".to_owned(), unreadable.is_some().into()),
                             ],
                         );
-                        let _ = std::fs::create_dir_all(dir).and_then(|_| {
-                            std::fs::write(dir.join("recovery-fallback.sqpm"), bundle.encode())
-                        });
+                        let _ = write_bundle(dir, "recovery-fallback.sqpm", &bundle);
                     }
                 }
                 core
@@ -501,13 +505,13 @@ fn engine_loop(
                 shared.depth.fetch_sub(batch.len(), Ordering::SeqCst);
                 let outputs = core.ingest_batch(&batch);
                 shared.resume_from.store(core.position(), Ordering::SeqCst);
+                persist_if_dirty(&mut core, &store_path);
                 let sent = egress.deliver(&outputs);
                 shared.with_stats(|s| {
                     s.engine_batches += 1;
                     s.max_engine_batch = s.max_engine_batch.max(batch.len() as u64);
                     s.frames_sent += sent;
                 });
-                persist_if_dirty(&mut core, &store_path);
             }
             EngineMsg::Subscribe {
                 conn,
@@ -521,6 +525,7 @@ fn engine_loop(
                         .store(core.query_count(), Ordering::SeqCst);
                     egress.subscribe(conn, &sink, qid.index());
                     shared.with_stats(|s| s.subscriptions += 1);
+                    persist_if_dirty(&mut core, &store_path);
                     shared.send(
                         &sink,
                         &Frame::SubAck {
@@ -528,7 +533,6 @@ fn engine_loop(
                             policy: effective,
                         },
                     );
-                    persist_if_dirty(&mut core, &store_path);
                 }
                 Err(e) => {
                     shared.with_stats(|s| s.rejected_frames += 1);
@@ -588,8 +592,9 @@ fn engine_loop(
                     );
                     continue;
                 }
-                let sent = egress.deliver(&core.finish());
+                let outputs = core.finish();
                 persist_if_dirty(&mut core, &store_path);
+                let sent = egress.deliver(&outputs);
                 shared.with_stats(|s| {
                     s.frames_sent += sent;
                     s.drains += 1;
@@ -728,12 +733,6 @@ fn run_session(shared: Arc<Shared>, conn: u64, mut transport: Box<dyn Transport>
             Frame::Hello { .. } => {
                 refuse(ErrorCode::BadHello, "duplicate HELLO".into());
                 break;
-            }
-            Frame::Event(e) => {
-                shared.with_stats(|s| s.events_ingested += 1);
-                if !enqueue_ingest(&shared, &sink, &mut busy_advised, StreamItem::Event(e)) {
-                    break;
-                }
             }
             Frame::EventBatch(events) => {
                 shared.with_stats(|s| {

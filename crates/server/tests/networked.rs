@@ -3,16 +3,17 @@
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration as StdDuration, Instant};
 
-use sequin_engine::{DisorderPolicy, EngineConfig, Strategy};
+use sequin_engine::{CheckpointStore, DisorderPolicy, EngineConfig, Strategy};
 use sequin_netsim::{delay_shuffle, punctuate, FramePlan};
 use sequin_server::frame::{read_frame, write_frame};
 use sequin_server::{
     decode_frame, encode_frame, loopback_run, mem_pair, Client, ClientError, CoreConfig,
-    EngineCore, ErrorCode, Frame, MemTransport, OutputFrame, Server, ServerConfig, Transport,
+    EngineCore, ErrorCode, Frame, FrameSink, MemTransport, OutputFrame, Server, ServerConfig,
+    Transport,
 };
 use sequin_types::codec::{fnv1a64, open_envelope};
 use sequin_types::{Duration, StreamItem, TypeRegistry};
@@ -455,6 +456,101 @@ fn crash_restart_resumes_exactly_once_over_tcp() {
     );
 }
 
+/// A session's send half that, handed a run of OUTPUT frames, first
+/// loads the store file and notes its log records beside the OUTPUT
+/// frames delivered so far, this run included.
+struct StoreAtEachRun {
+    inner: Arc<dyn FrameSink>,
+    store: PathBuf,
+    /// `(frames delivered so far, log records in the file)`, per run.
+    runs: Mutex<Vec<(usize, usize)>>,
+}
+
+impl FrameSink for StoreAtEachRun {
+    fn send_frame(&self, sealed: &[u8]) -> std::io::Result<()> {
+        self.inner.send_frame(sealed)
+    }
+
+    fn send_frames(&self, wire: &[u8]) -> std::io::Result<()> {
+        let mut rest = wire;
+        let mut frames = 0;
+        while read_frame(&mut rest)?.is_some() {
+            frames += 1;
+        }
+        let records = CheckpointStore::load(&self.store).map_or(0, |s| s.log_len());
+        let mut runs = self.runs.lock().unwrap();
+        let delivered = runs.last().map_or(0, |r| r.0) + frames;
+        runs.push((delivered, records));
+        drop(runs);
+        self.inner.send_frames(wire)
+    }
+
+    fn close(&self) {
+        self.inner.close()
+    }
+}
+
+struct CheckedTransport {
+    inner: MemTransport,
+    sink: Arc<StoreAtEachRun>,
+}
+
+impl Transport for CheckedTransport {
+    fn recv_frame(&mut self) -> std::io::Result<Option<Vec<u8>>> {
+        self.inner.recv_frame()
+    }
+
+    fn sink(&self) -> Arc<dyn FrameSink> {
+        self.sink.clone()
+    }
+}
+
+/// Output commit: a durable server saves an output's log record before
+/// the output goes out, so each run of OUTPUT frames finds the store file
+/// already holding one record per frame delivered so far, its own
+/// included.
+#[test]
+fn outputs_leave_only_after_their_log_records_are_saved() {
+    let (reg, stream) = workload(400, 59);
+    let store = temp_store("save-before-send");
+    let mut config = ServerConfig::new(CoreConfig {
+        checkpoint_every: Some(25),
+        ..core_config(&reg, DisorderPolicy::Speculative)
+    });
+    config.store_path = Some(store.clone());
+    let mut server = Server::start(config).unwrap();
+    let (client_side, server_side) = mem_pair(FramePlan::clean(), FramePlan::clean());
+    let sink = Arc::new(StoreAtEachRun {
+        inner: server_side.sink(),
+        store: store.clone(),
+        runs: Mutex::new(Vec::new()),
+    });
+    server.attach(Box::new(CheckedTransport {
+        inner: server_side,
+        sink: sink.clone(),
+    }));
+    let mut client = Client::over(Box::new(client_side));
+    client.hello(reg.fingerprint(), "output-commit").unwrap();
+    client.subscribe(Q01).unwrap();
+    for chunk in stream.chunks(40) {
+        client.send_stream(chunk, 16).unwrap();
+        // a stats round-trip flushes the FIFO: one engine call per chunk
+        client.stats().unwrap();
+    }
+    client.drain().unwrap();
+    let received = client.take_outputs().len();
+    client.bye();
+    server.shutdown();
+    let _ = std::fs::remove_file(&store);
+
+    let runs = sink.runs.lock().unwrap().clone();
+    assert!(runs.len() > 5, "{} runs of OUTPUT frames", runs.len());
+    assert_eq!(runs.last().unwrap().0, received);
+    for (delivered, records) in runs {
+        assert_eq!(records, delivered, "log records saved when a run went out");
+    }
+}
+
 #[test]
 fn recovery_fallback_drops_a_postmortem_bundle() {
     let (reg, stream) = workload(300, 53);
@@ -498,7 +594,7 @@ fn recovery_fallback_drops_a_postmortem_bundle() {
     let mut server = Server::start(mk_config()).unwrap();
     let bundle_path = bundle_dir.join("recovery-fallback.sqpm");
     let bytes = std::fs::read(&bundle_path).expect("fallback must freeze a bundle");
-    let bundle = sequin_obs::Bundle::decode(&bytes).unwrap();
+    let bundle = sequin_server::decode_bundle(&bytes).unwrap();
     assert_eq!(bundle.reason, "recovery-fallback");
     assert!(
         bundle.param("checkpoints_rejected").unwrap_or(0) >= 1,
@@ -548,7 +644,7 @@ fn a_torn_store_file_cold_starts_the_server() {
         let mut server = Server::start(mk_config())
             .unwrap_or_else(|e| panic!("store cut at {cut} bytes refused startup: {e}"));
         let bundle = std::fs::read(bundle_dir.join("recovery-fallback.sqpm")).unwrap();
-        let bundle = sequin_obs::Bundle::decode(&bundle).unwrap();
+        let bundle = sequin_server::decode_bundle(&bundle).unwrap();
         assert_eq!(bundle.param("store_unreadable"), Some(1));
         let addr = server.listen("127.0.0.1:0").unwrap().to_string();
         let mut client = Client::connect(&addr).unwrap();

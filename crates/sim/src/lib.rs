@@ -32,6 +32,6 @@ pub mod shrink;
 pub use case::{CaseConfig, CaseData, QueryPlan, SimEvent, SimItem, SimQuery};
 pub use diff::{check_case, path_names, Mismatch, Path, Sabotage};
 pub use oracle::reference_matches;
-pub use postmortem::{capture_bundle, read_bundle, replay_bundle, write_bundle};
+pub use postmortem::{capture_bundle, replay_bundle};
 pub use runner::{replay, run, Failure, SimOptions, SimReport};
 pub use shrink::{shrink, Shrunk};

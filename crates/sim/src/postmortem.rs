@@ -13,8 +13,6 @@
 //!
 //! Bundles render through `sequin trace --bundle <path>`.
 
-use std::io;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use sequin_engine::{DisorderPolicy, Strategy};
@@ -134,24 +132,10 @@ pub fn bundle_filename(seed: u64, case_ix: u64) -> String {
     format!("sim-mismatch-seed{seed}-case{case_ix}.sqpm")
 }
 
-/// Writes an encoded bundle under `dir` (created if absent); returns the
-/// full path.
-pub fn write_bundle(dir: &Path, name: &str, bundle: &Bundle) -> io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(name);
-    std::fs::write(&path, bundle.encode())?;
-    Ok(path)
-}
-
-/// Reads and decodes a bundle from disk.
-pub fn read_bundle(path: &Path) -> io::Result<Bundle> {
-    let bytes = std::fs::read(path)?;
-    Bundle::decode(&bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sequin_server::{decode_bundle, encode_bundle};
 
     #[test]
     fn policy_codes_round_trip() {
@@ -179,7 +163,7 @@ mod tests {
         let bundle = capture_bundle(0xC0FFEE, 0, &opts, &[]);
         assert_eq!(bundle.reason, "sim-mismatch");
         assert_eq!(bundle.param("seed"), Some(0xC0FFEE));
-        let decoded = Bundle::decode(&bundle.encode()).expect("round trip");
+        let decoded = decode_bundle(&encode_bundle(&bundle)).expect("round trip");
         assert_eq!(decoded, bundle);
         assert_eq!(replay_bundle(&decoded), Some(Vec::new()));
     }
@@ -206,7 +190,7 @@ mod tests {
         }
         let (case_ix, mismatches) = found.expect("purge sabotage must break some query set");
         let bundle = capture_bundle(0xC0FFEE, case_ix, &opts, &mismatches);
-        let decoded = Bundle::decode(&bundle.encode()).expect("round trip");
+        let decoded = decode_bundle(&encode_bundle(&bundle)).expect("round trip");
         let replayed = replay_bundle(&decoded).expect("sim bundle has replay params");
         assert_eq!(replayed, mismatches);
         assert!(decoded.config.contains("mismatch plan: query "));

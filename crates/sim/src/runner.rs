@@ -6,10 +6,11 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use sequin_obs::Bundle;
+use sequin_server::write_bundle;
 
 use crate::case::{CaseData, DisorderPolicy};
 use crate::diff::{check_case, path_names, Mismatch, Sabotage};
-use crate::postmortem::{bundle_filename, capture_bundle, write_bundle};
+use crate::postmortem::{bundle_filename, capture_bundle};
 use crate::repro::emit_test;
 use crate::shrink::{describe, shrink};
 

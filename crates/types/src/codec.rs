@@ -56,7 +56,8 @@ const ENVELOPE_HEADER: usize = 4 + 2 + 8;
 pub enum CodecError {
     /// Ran out of bytes mid-field (truncation).
     UnexpectedEof,
-    /// The envelope does not start with [`MAGIC`].
+    /// The envelope does not start with [`MAGIC`], or its payload does not
+    /// start with the mark of the artifact being decoded.
     BadMagic,
     /// The envelope version is not one this build can read.
     UnsupportedVersion(u16),
@@ -88,7 +89,7 @@ impl fmt::Display for CodecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CodecError::UnexpectedEof => write!(f, "unexpected end of checkpoint data"),
-            CodecError::BadMagic => write!(f, "not a sequin checkpoint (bad magic)"),
+            CodecError::BadMagic => write!(f, "bad magic: not a sequin artifact of this kind"),
             CodecError::UnsupportedVersion(v) => {
                 write!(
                     f,
@@ -353,6 +354,15 @@ impl<'a> Reader<'a> {
             1 => Ok(true),
             tag => Err(CodecError::InvalidTag { what: "bool", tag }),
         }
+    }
+
+    /// Reads a tag byte and returns the entry of `all` it indexes: a wire
+    /// enum's `ALL` table, which lists the variants in tag order.
+    pub fn get_tag<T: Copy>(&mut self, all: &[T], what: &'static str) -> Result<T, CodecError> {
+        let tag = self.get_u8()?;
+        all.get(usize::from(tag))
+            .copied()
+            .ok_or(CodecError::InvalidTag { what, tag })
     }
 
     /// Reads a length-prefixed UTF-8 string.

@@ -30,9 +30,9 @@ fn main() {
 const USAGE: &str = "usage:
   sequin explain  --types '<schema>' '<query>'
   sequin run      --workload synthetic|rfid|intrusion|stock [stream] [eval]
-                  [--checkpoint-every N] [--resume-from FILE] ['<query>']
+                  [--checkpoint-every N] [--store FILE] ['<query>']
   sequin replay   --types '<schema>' --trace <file> [eval]
-                  [--checkpoint-every N] [--resume-from FILE] '<query>'
+                  [--checkpoint-every N] [--store FILE] '<query>'
   sequin serve    --addr HOST:PORT [--types '<schema>' | --workload NAME]
                   [eval] [--obs on|off] [--checkpoint-every N] [--store FILE]
                   [--bundle-dir DIR] ['<query>' ...]
@@ -76,12 +76,10 @@ options:
   --interval S      stats: refresh period in seconds for --watch
                     (default 2)
   --checkpoint-every N  checkpoint engine state every N events
-  --resume-from FILE    resume from (and save to) a checkpoint store;
-                        needs --checkpoint-every; rerun with the same
-                        workload/seed for exactly-once continuation
-  --store FILE      serve: checkpoint-store path; needs --checkpoint-every
-                    (exactly-once restart: clients replay from the
-                    HELLO_ACK resume cursor)
+  --store FILE      checkpoint store to resume from and save to; needs
+                    --checkpoint-every. run/replay: rerun with the same
+                    workload/seed for exactly-once continuation; serve:
+                    clients replay from the HELLO_ACK resume cursor
   --cases N         sim: cases generated per seed (default 100)
   --case N          sim: replay one case index and print the verdict
   --time-budget S   sim: stop cleanly after S seconds
@@ -136,7 +134,6 @@ const FLAGS: &[(&str, bool)] = &[
     ("punctuate", true),
     ("purge-skew", true),
     ("query", true),
-    ("resume-from", true),
     ("retraction-drop", true),
     ("seed", true),
     ("seeds", true),
@@ -158,11 +155,8 @@ const EVAL: &str = "k adaptive policy punctuate";
 /// accepted and then ignored.
 const COMMANDS: &[(&str, &[&str])] = &[
     ("explain", &["types"]),
-    ("run", &[STREAM, EVAL, "checkpoint-every resume-from"]),
-    (
-        "replay",
-        &["types trace", EVAL, "checkpoint-every resume-from"],
-    ),
+    ("run", &[STREAM, EVAL, "checkpoint-every store"]),
+    ("replay", &["types trace", EVAL, "checkpoint-every store"]),
     (
         "serve",
         &[
@@ -241,16 +235,15 @@ fn get_ooo(flags: &Flags) -> Result<f64, String> {
     }
 }
 
-/// `--checkpoint-every`: a period in events, so at least 1. A store path
-/// (`--resume-from`, `--store`) needs one: without a period nothing would
-/// ever be written to it.
+/// `--checkpoint-every`: a period in events, so at least 1. A `--store`
+/// path needs one: without a period nothing would ever be written to it.
 fn get_checkpoint_every(flags: &Flags) -> Result<Option<u64>, String> {
-    let store = ["resume-from", "store"]
-        .into_iter()
-        .find(|path| flags.contains_key(*path));
-    match (get_int(flags, "checkpoint-every")?, store) {
+    match (
+        get_int(flags, "checkpoint-every")?,
+        flags.contains_key("store"),
+    ) {
         (Some(0), _) => Err("--checkpoint-every expects an integer >= 1, got `0`".to_owned()),
-        (None, Some(path)) => Err(format!("--{path} needs --checkpoint-every")),
+        (None, true) => Err("--store needs --checkpoint-every".to_owned()),
         (every, _) => Ok(every),
     }
 }
@@ -478,7 +471,7 @@ fn eval_options(flags: &Flags) -> Result<cli::EvalOptions, String> {
             .transpose()?,
         punctuate_every: get_int(flags, "punctuate")?,
         checkpoint_every: get_checkpoint_every(flags)?,
-        store: flags.get("resume-from").or(flags.get("store")).cloned(),
+        store: flags.get("store").cloned(),
         batch: get_int(flags, "batch")?.unwrap_or(64),
         obs: match flags.get("obs").map(String::as_str) {
             None | Some("on") | Some("yes") | Some("true") => sequin_obs::ObsConfig::default(),
@@ -527,6 +520,9 @@ mod tests {
         // the plan runs on one thread: the worker-count flag is gone
         let err = sequin(&[&SMALL_RUN[..], &["--shards", "2"]].concat()).unwrap_err();
         assert_eq!(err, "unknown flag --shards");
+        // one store flag serves run, replay and serve
+        let err = sequin(&[&SMALL_RUN[..], &["--resume-from", "x"]].concat()).unwrap_err();
+        assert_eq!(err, "unknown flag --resume-from");
         let err = sequin(&["netbench", "--events", "300", "--polcy", "lazy"]).unwrap_err();
         assert_eq!(err, "unknown flag --polcy");
         // the deleted benchmark took its flags and its subcommand with it
@@ -585,7 +581,7 @@ mod tests {
                 .any(|(c, _)| flags_of(c).unwrap().contains(flag));
             assert!(read, "--{flag} is read by no subcommand");
         }
-        assert_eq!(FLAGS.len(), 36);
+        assert_eq!(FLAGS.len(), 35);
     }
 
     #[test]
@@ -684,15 +680,10 @@ mod tests {
         // on every watermark advance, `serve` never wrote the file
         let replay = ["replay", "--types", "A(x:int)", "--trace", "/nonexistent"];
         let serve = ["serve", "--addr", "127.0.0.1:1", "--workload", "synthetic"];
-        let cases: [(&[&str], &str); 3] = [
-            (&SMALL_RUN, "--resume-from"),
-            (&replay, "--resume-from"),
-            (&serve, "--store"),
-        ];
-        for (base, flag) in cases {
-            let path = [flag, "target/never-written.ckpt"];
+        for base in [&SMALL_RUN[..], &replay, &serve] {
+            let path = ["--store", "target/never-written.ckpt"];
             let err = sequin(&[base, &path, &["PATTERN SEQ(A a) WITHIN 1"]].concat()).unwrap_err();
-            assert_eq!(err, format!("{flag} needs --checkpoint-every"), "{base:?}");
+            assert_eq!(err, "--store needs --checkpoint-every", "{base:?}");
             assert!(!std::path::Path::new(path[1]).exists());
         }
         // the bounds themselves are valid

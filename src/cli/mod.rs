@@ -45,8 +45,8 @@ pub struct EvalOptions {
     /// Checkpoint every `n` ingested items and keep the emission log
     /// (volatile without).
     pub checkpoint_every: Option<u64>,
-    /// Checkpoint-store file (`--resume-from` of `run`/`replay`, `--store`
-    /// of `serve`): resumed from at start, saved with new checkpoints.
+    /// Checkpoint-store file (`--store` of `run`, `replay` and `serve`):
+    /// resumed from at start, saved with new checkpoints.
     /// Needs `checkpoint_every` (the CLI rejects the path alone); a resume
     /// replays the regenerated stream, so the same seed/workload must be
     /// used.

@@ -2,7 +2,7 @@
 //! bundle.
 
 use sequin_obs::{filter_outputs, lineage_json, lineage_text, Bundle};
-use sequin_server::{Client, TraceFormat, TRACE_ALL_OUTPUTS, TRACE_ALL_QUERIES};
+use sequin_server::{decode_bundle, Client, TraceFormat, TRACE_ALL_OUTPUTS, TRACE_ALL_QUERIES};
 
 /// Settings for `sequin trace`: render causal lineage either live from a
 /// running server (TRACE_REQ/TRACE_REPLY) or from an on-disk postmortem
@@ -90,12 +90,13 @@ pub fn render_bundle(bundle: &Bundle, query: Option<u64>, pid: Option<u64>, json
 ///
 /// # Errors
 ///
-/// Reports missing sources, unreadable/corrupt bundles, and protocol
-/// failures as display strings.
+/// Reports missing sources, unreadable, corrupt and version-1 bundles,
+/// and protocol failures as display strings.
 pub fn run_trace(o: &TraceOptions) -> Result<String, String> {
     if let Some(path) = &o.bundle {
         let bytes = std::fs::read(path).map_err(|e| format!("cannot read bundle `{path}`: {e}"))?;
-        let bundle = Bundle::decode(&bytes).map_err(|e| format!("corrupt bundle `{path}`: {e}"))?;
+        let bundle =
+            decode_bundle(&bytes).map_err(|e| format!("`{path}` is not a readable bundle: {e}"))?;
         return Ok(render_bundle(&bundle, o.query, o.pid, o.json));
     }
     let addr = o

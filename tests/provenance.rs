@@ -14,8 +14,10 @@ use std::sync::Arc;
 use common::{ev, stream_of};
 use sequin::engine::{DisorderPolicy, EngineConfig, Strategy};
 use sequin::netsim::delay_shuffle;
-use sequin::obs::{Bundle, ObsConfig};
-use sequin::server::{Client, CoreConfig, EngineCore, Server, ServerConfig, TraceFormat};
+use sequin::obs::ObsConfig;
+use sequin::server::{
+    decode_bundle, encode_bundle, Client, CoreConfig, EngineCore, Server, ServerConfig, TraceFormat,
+};
 use sequin::types::{Duration, StreamItem, TypeRegistry, ValueKind};
 use sequin::workload::{Synthetic, SyntheticConfig};
 
@@ -185,11 +187,11 @@ fn postmortem_bundle_is_deterministic_and_renders() {
     let a = capture();
     let b = capture();
     assert_eq!(
-        a.encode(),
-        b.encode(),
+        encode_bundle(&a),
+        encode_bundle(&b),
         "bundle capture is not deterministic"
     );
-    let decoded = Bundle::decode(&a.encode()).unwrap();
+    let decoded = decode_bundle(&encode_bundle(&a)).unwrap();
     assert_eq!(decoded, a);
     assert_eq!(decoded.param("seed"), Some(42));
     assert_eq!(decoded.param("cursor"), Some(6), "replay cursor recorded");
@@ -226,7 +228,7 @@ fn sim_mismatch_bundle_replays_to_the_same_mismatch() {
         .failures
         .first()
         .expect("purge sabotage must surface a mismatch");
-    let decoded = Bundle::decode(&failure.bundle.encode()).unwrap();
+    let decoded = decode_bundle(&encode_bundle(&failure.bundle)).unwrap();
     assert_eq!(decoded.reason, "sim-mismatch");
     let replayed = sequin::sim::replay_bundle(&decoded).expect("replay params present");
     assert_eq!(
