@@ -5,8 +5,8 @@
 //! [`MultiEngine`] — every registered query on one shared plan. Durability
 //! is a [`Checkpointer`] around it: position,
 //! emission log, the checkpoint cadence, the recovery ladder and replay
-//! suppression. The core adds what only a server has: the text→id
-//! subscription table with its aliases and per-query disorder policies,
+//! suppression. The core adds what only a server has: the subscription
+//! table with its per-query texts and disorder policies,
 //! per-query retraction counts, the observability recorder and the
 //! metrics snapshot. Keeping all of it free of threads and sockets makes
 //! the recovery semantics testable in isolation; `server.rs` is then only
@@ -21,9 +21,8 @@
 //! registration indices, so they are stable) before the host snapshot
 //! restores into them.
 //!
-//! Only canonical texts are persisted: a text that deduplicated onto an
-//! existing logical query (see [`EngineCore::subscribe`]) is an alias and
-//! is re-derived when its client re-subscribes after a restart.
+//! Only the text a query was first subscribed as is persisted; any other
+//! spelling of it resolves to the same id (see [`EngineCore::subscribe`]).
 //!
 //! Subscribing a *new* query immediately takes a checkpoint (when durable)
 //! so registrations survive a crash even if no event has arrived since.
@@ -125,8 +124,7 @@ struct Subscription {
     policy: DisorderPolicy,
     /// The query's [`stable_query_id`]: what every output's provenance id
     /// is hashed from and what `sequin_query_info` shows. The same for
-    /// every spelling and registration order, so an alias shares it and a
-    /// resume rederives it.
+    /// every spelling and registration order, so a resume rederives it.
     stable: u64,
     /// Retractions delivered by *this* process (replayed duplicates
     /// excluded) — the `sequin_retraction_emitted` series.
@@ -210,9 +208,6 @@ pub struct EngineCore {
     /// One entry per *logical* query in registration order:
     /// `subs[i].id.index() == i`.
     subs: Vec<Subscription>,
-    /// Texts that deduplicated onto an existing logical query. Not
-    /// persisted in checkpoints; rebuilt lazily as clients re-subscribe.
-    aliases: Vec<(String, QueryId)>,
     drained: bool,
     /// Observability recorder: per-query latency/deferral distributions
     /// and the structured trace ring.
@@ -241,7 +236,6 @@ impl EngineCore {
             cfg,
             ck,
             subs,
-            aliases: Vec::new(),
             drained: false,
         }
     }
@@ -281,9 +275,9 @@ impl EngineCore {
     /// Deduplication is *structural*, not textual: the text is parsed and
     /// analyzed, and if the normalized query equals one already registered
     /// — same pattern, predicates, window, and projection, however the
-    /// text was spelled — the existing logical query's id is returned and
-    /// the new spelling is remembered as an alias. Only genuinely new
-    /// queries reach the evaluation, attaching their nodes to the plan.
+    /// text was spelled — the existing logical query's id is returned.
+    /// Only genuinely new queries reach the evaluation, attaching their
+    /// nodes to the plan.
     ///
     /// # Errors
     ///
@@ -297,25 +291,17 @@ impl EngineCore {
     /// [`EngineCore::subscribe`] with an explicit disorder-policy request:
     /// `None` accepts the server's configured default. Returns the id
     /// *and* the effective policy — when the text lands on an already
-    /// registered query (textually, as an alias, or structurally), that
-    /// query's policy wins regardless of what was requested, and the
-    /// caller learns which one it got. Only a genuinely new registration
-    /// binds the requested policy.
+    /// registered query, that query's policy wins regardless of what was
+    /// requested, and the caller learns which one it got. Only a genuinely
+    /// new registration binds the requested policy.
     pub fn subscribe_with_policy(
         &mut self,
         text: &str,
         policy: Option<DisorderPolicy>,
     ) -> Result<(QueryId, DisorderPolicy), SubscribeError> {
-        if let Some(s) = self.subs.iter().find(|s| s.text == text) {
-            return Ok((s.id, s.policy));
-        }
-        if let Some((_, id)) = self.aliases.iter().find(|(t, _)| t == text) {
-            return Ok((*id, self.query_policy(*id)));
-        }
         let q = parse(text, &self.cfg.registry)?;
         let host = self.ck.host();
         if let Some(s) = self.subs.iter().find(|s| **host.query(s.id) == *q) {
-            self.aliases.push((text.to_owned(), s.id));
             return Ok((s.id, s.policy));
         }
         let policy = policy.unwrap_or(self.cfg.engine.policy);
@@ -810,7 +796,7 @@ pub(crate) mod tests {
         let alias = "PATTERN  SEQ( A a ,  B b )  WITHIN 8";
         assert_eq!(core.subscribe(alias).unwrap(), a, "normalized dedup");
         assert_eq!(core.query_count(), 1, "alias registers no new query");
-        // the alias is remembered: re-subscribing it is a table hit
+        // re-subscribing the respelling lands on the same query again
         assert_eq!(core.subscribe(alias).unwrap(), a);
         assert_eq!(core.query_count(), 1);
         // a genuinely different query still gets its own id

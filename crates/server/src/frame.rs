@@ -189,8 +189,8 @@ pub enum Frame {
     Hello {
         /// The client's [`sequin_types::TypeRegistry::fingerprint`], or
         /// **0** for an observer session: a read-only monitoring client
-        /// (e.g. `sequin stats`) that only issues STATS/METRICS requests
-        /// and therefore skips schema negotiation. (A real registry
+        /// (e.g. `sequin stats`) that may only issue STATS/METRICS/TRACE
+        /// requests and therefore skips schema negotiation. (A real registry
         /// fingerprint is an fnv1a-64 hash; 0 is reserved.)
         fingerprint: u64,
         /// Free-form client identification (diagnostics only).

@@ -8,8 +8,19 @@
 //! engine thread is the only code touching [`EngineCore`], so evaluation
 //! needs no locks and output order is globally deterministic: every
 //! subscriber observes outputs in the exact order the engine produced
-//! them, and a `DRAIN_ACK` is written only after every output the drain
-//! triggered.
+//! them.
+//!
+//! ## The request path
+//!
+//! An arrival travels as one `Ingest` message per stream item; every
+//! other frame a client may send (SUBSCRIBE, STATS_REQ, METRICS_REQ,
+//! TRACE_REQ, DRAIN) travels as it was decoded, in one `Request` message.
+//! The engine thread turns each message into the outputs it released and,
+//! for a request, the one reply `answer` builds — a refused SUBSCRIBE or
+//! a second DRAIN is answered by a coded ERROR. Replies therefore come
+//! back in request order, and a reply follows every output its request
+//! released. An observer session (HELLO with fingerprint 0) negotiated no
+//! schema, so it may only ask: STATS_REQ, METRICS_REQ, TRACE_REQ and BYE.
 //!
 //! ## Egress
 //!
@@ -37,8 +48,8 @@
 //! With [`CoreConfig::checkpoint_every`] set and a
 //! [`ServerConfig::store_path`], the engine thread saves the checkpoint
 //! store whenever a message dirtied it, and saves *before* it sends
-//! (output commit): an ingest batch's or a drain's OUTPUT frames, and a
-//! SUB_ACK or DRAIN_ACK, leave only once the store file holds their log
+//! (output commit, at the one site every message passes): its OUTPUT
+//! frames and its reply leave only once the store file holds their log
 //! records, so no output a client received is re-delivered after a
 //! restart. The window left is the other way round: a crash after the
 //! save and before the send loses that batch's outputs, which the restart
@@ -55,7 +66,7 @@ use std::sync::mpsc::{self, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use sequin_engine::CheckpointStore;
+use sequin_engine::{CheckpointStore, OutputItem, QueryId};
 use sequin_types::StreamItem;
 
 use crate::bundle::write_bundle;
@@ -106,26 +117,11 @@ impl ServerConfig {
 
 enum EngineMsg {
     Ingest(StreamItem),
-    Subscribe {
+    /// A request frame of session `conn`, answered on `sink`. Boxed, so
+    /// the per-item `Ingest` message stays small.
+    Request {
         conn: u64,
-        query: String,
-        policy: Option<sequin_engine::DisorderPolicy>,
-        sink: Arc<dyn FrameSink>,
-    },
-    Stats {
-        sink: Arc<dyn FrameSink>,
-    },
-    Metrics {
-        format: MetricsFormat,
-        sink: Arc<dyn FrameSink>,
-    },
-    Trace {
-        format: TraceFormat,
-        query: u64,
-        pid: u64,
-        sink: Arc<dyn FrameSink>,
-    },
-    Drain {
+        frame: Box<Frame>,
         sink: Arc<dyn FrameSink>,
     },
     Disconnect {
@@ -154,9 +150,8 @@ struct Shared {
 }
 
 impl Shared {
-    fn with_stats(&self, f: impl FnOnce(&mut ServerStats)) {
-        let mut s = self.stats.lock().unwrap_or_else(|e| e.into_inner());
-        f(&mut s);
+    fn with_stats<T>(&self, f: impl FnOnce(&mut ServerStats) -> T) -> T {
+        f(&mut self.stats.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// Sends a frame, counting it; delivery failures mean the peer is gone
@@ -297,7 +292,7 @@ impl Server {
 
     /// Snapshot of the connection/frame counters.
     pub fn stats(&self) -> ServerStats {
-        *self.shared.stats.lock().unwrap_or_else(|e| e.into_inner())
+        self.shared.with_stats(|s| *s)
     }
 
     fn stop_acceptor(&mut self) {
@@ -426,7 +421,7 @@ impl Egress {
     /// whose write fails is gone: it is dropped here and now — not when
     /// its session's `Disconnect` comes up behind a full queue of ingests
     /// — and none of its batch counts.
-    fn deliver(&mut self, outputs: &[(sequin_engine::QueryId, sequin_engine::OutputItem)]) -> u64 {
+    fn deliver(&mut self, outputs: &[(QueryId, OutputItem)]) -> u64 {
         for (qid, item) in outputs {
             let receivers = self
                 .by_query
@@ -486,7 +481,9 @@ fn engine_loop(
                 Err(_) => break,
             },
         };
-        match msg {
+        // what the message released, the length of its ingest batch (0
+        // for a request), and the reply its session is owed
+        let (outputs, batched, reply) = match msg {
             EngineMsg::Ingest(item) => {
                 // Coalesce the run of Ingest messages already queued into
                 // one batch: delivering per-batch amortizes queue wakeups
@@ -505,112 +502,103 @@ fn engine_loop(
                 shared.depth.fetch_sub(batch.len(), Ordering::SeqCst);
                 let outputs = core.ingest_batch(&batch);
                 shared.resume_from.store(core.position(), Ordering::SeqCst);
-                persist_if_dirty(&mut core, &store_path);
-                let sent = egress.deliver(&outputs);
-                shared.with_stats(|s| {
-                    s.engine_batches += 1;
-                    s.max_engine_batch = s.max_engine_batch.max(batch.len() as u64);
-                    s.frames_sent += sent;
-                });
+                (outputs, batch.len() as u64, None)
             }
-            EngineMsg::Subscribe {
-                conn,
-                query,
-                policy,
-                sink,
-            } => match core.subscribe_with_policy(&query, policy) {
-                Ok((qid, effective)) => {
-                    shared
-                        .query_count
-                        .store(core.query_count(), Ordering::SeqCst);
-                    egress.subscribe(conn, &sink, qid.index());
-                    shared.with_stats(|s| s.subscriptions += 1);
-                    persist_if_dirty(&mut core, &store_path);
-                    shared.send(
-                        &sink,
-                        &Frame::SubAck {
-                            query_id: qid.index() as u64,
-                            policy: effective,
-                        },
-                    );
-                }
-                Err(e) => {
-                    shared.with_stats(|s| s.rejected_frames += 1);
-                    shared.send(
-                        &sink,
-                        &Frame::Error {
-                            code: e.code,
-                            message: e.message,
-                        },
-                    );
-                }
-            },
-            EngineMsg::Stats { sink } => {
-                let server = *shared.stats.lock().unwrap_or_else(|e| e.into_inner());
-                shared.send(
-                    &sink,
-                    &Frame::StatsReply {
-                        server,
-                        engine: core.stats(),
-                    },
-                );
+            EngineMsg::Request { conn, frame, sink } => {
+                let (outputs, reply) = answer(&mut core, &shared, &mut egress, conn, &sink, *frame);
+                (outputs, 0, Some((sink, reply)))
             }
-            EngineMsg::Metrics { format, sink } => {
-                let body = match format {
-                    MetricsFormat::TraceJson => core.trace_json(),
-                    _ => {
-                        let server = *shared.stats.lock().unwrap_or_else(|e| e.into_inner());
-                        let depth = shared.depth.load(Ordering::SeqCst) as u64;
-                        let snapshot = core.metrics_snapshot(Some((&server, depth)));
-                        match format {
-                            MetricsFormat::Prometheus => snapshot.to_prometheus(),
-                            _ => snapshot.to_json(),
-                        }
-                    }
-                };
-                shared.send(&sink, &Frame::MetricsReply { format, body });
+            EngineMsg::Disconnect { conn } => {
+                egress.remove(conn);
+                continue;
             }
-            EngineMsg::Trace {
-                format,
-                query,
-                pid,
-                sink,
-            } => {
-                let query = (query != TRACE_ALL_QUERIES).then_some(query);
-                let pid = (pid != TRACE_ALL_OUTPUTS).then_some(pid);
-                let body = core.lineage(query, pid, format == TraceFormat::Json);
-                shared.send(&sink, &Frame::TraceReply { format, body });
-            }
-            EngineMsg::Drain { sink } => {
-                if core.drained() {
-                    shared.send(
-                        &sink,
-                        &Frame::Error {
-                            code: ErrorCode::Draining,
-                            message: "already drained".into(),
-                        },
-                    );
-                    continue;
-                }
-                let outputs = core.finish();
-                persist_if_dirty(&mut core, &store_path);
-                let sent = egress.deliver(&outputs);
-                shared.with_stats(|s| {
-                    s.frames_sent += sent;
-                    s.drains += 1;
-                });
-                shared.send(&sink, &Frame::DrainAck);
-            }
-            EngineMsg::Disconnect { conn } => egress.remove(conn),
             EngineMsg::Crash => return,
-            EngineMsg::Shutdown => {
-                persist_if_dirty(&mut core, &store_path);
-                return;
+            EngineMsg::Shutdown => break,
+        };
+        // output commit: the store holds the message's log records before
+        // its outputs or its reply leave
+        persist_if_dirty(&mut core, &store_path);
+        let sent = egress.deliver(&outputs);
+        shared.with_stats(|s| {
+            s.frames_sent += sent;
+            if batched > 0 {
+                s.engine_batches += 1;
+                s.max_engine_batch = s.max_engine_batch.max(batched);
             }
+        });
+        if let Some((sink, reply)) = reply {
+            shared.send(&sink, &reply);
         }
     }
-    // all senders gone (Server dropped without shutdown): persist and exit
+    // shutdown, or every sender gone (Server dropped without shutdown)
     persist_if_dirty(&mut core, &store_path);
+}
+
+/// Answers one request frame of session `conn`: the outputs it released
+/// (a first DRAIN's) and its reply — a coded ERROR for a refused
+/// SUBSCRIBE, a second DRAIN or a frame that is no request.
+fn answer(
+    core: &mut EngineCore,
+    shared: &Shared,
+    egress: &mut Egress,
+    conn: u64,
+    sink: &Arc<dyn FrameSink>,
+    frame: Frame,
+) -> (Vec<(QueryId, OutputItem)>, Frame) {
+    let reply = match frame {
+        Frame::Subscribe { query, policy } => match core.subscribe_with_policy(&query, policy) {
+            Ok((qid, policy)) => {
+                shared
+                    .query_count
+                    .store(core.query_count(), Ordering::SeqCst);
+                egress.subscribe(conn, sink, qid.index());
+                shared.with_stats(|s| s.subscriptions += 1);
+                let query_id = qid.index() as u64;
+                Frame::SubAck { query_id, policy }
+            }
+            Err(e) => {
+                shared.with_stats(|s| s.rejected_frames += 1);
+                Frame::Error {
+                    code: e.code,
+                    message: e.message,
+                }
+            }
+        },
+        Frame::StatsReq => Frame::StatsReply {
+            server: shared.with_stats(|s| *s),
+            engine: core.stats(),
+        },
+        Frame::MetricsReq { format } => {
+            let server = shared.with_stats(|s| *s);
+            let depth = shared.depth.load(Ordering::SeqCst) as u64;
+            let snapshot = || core.metrics_snapshot(Some((&server, depth)));
+            let body = match format {
+                MetricsFormat::Prometheus => snapshot().to_prometheus(),
+                MetricsFormat::Json => snapshot().to_json(),
+                MetricsFormat::TraceJson => core.trace_json(),
+            };
+            Frame::MetricsReply { format, body }
+        }
+        Frame::TraceReq { format, query, pid } => {
+            let query = (query != TRACE_ALL_QUERIES).then_some(query);
+            let pid = (pid != TRACE_ALL_OUTPUTS).then_some(pid);
+            let body = core.lineage(query, pid, format == TraceFormat::Json);
+            Frame::TraceReply { format, body }
+        }
+        Frame::Drain if !core.drained() => {
+            shared.with_stats(|s| s.drains += 1);
+            return (core.finish(), Frame::DrainAck);
+        }
+        Frame::Drain => Frame::Error {
+            code: ErrorCode::Draining,
+            message: "already drained".into(),
+        },
+        other => Frame::Error {
+            code: ErrorCode::Unexpected,
+            message: format!("not a request: {other:?}"),
+        },
+    };
+    (Vec::new(), reply)
 }
 
 fn spawn_session(shared: Arc<Shared>, transport: Box<dyn Transport>) {
@@ -662,7 +650,7 @@ fn run_session(shared: Arc<Shared>, conn: u64, mut transport: Box<dyn Transport>
     let sink = transport.sink();
     shared.with_stats(|s| s.connections_opened += 1);
 
-    let mut hello_done = false;
+    let (mut hello_done, mut observer) = (false, false);
     let mut busy_advised = false;
 
     // closes the session with a terminal protocol error
@@ -707,7 +695,7 @@ fn run_session(shared: Arc<Shared>, conn: u64, mut transport: Box<dyn Transport>
                         );
                         break;
                     }
-                    hello_done = true;
+                    (hello_done, observer) = (true, fingerprint == 0);
                     shared.send(
                         &sink,
                         &Frame::HelloAck {
@@ -729,6 +717,15 @@ fn run_session(shared: Arc<Shared>, conn: u64, mut transport: Box<dyn Transport>
             continue;
         }
 
+        let asks = matches!(
+            frame,
+            Frame::StatsReq | Frame::MetricsReq { .. } | Frame::TraceReq { .. } | Frame::Bye
+        );
+        if observer && !asks {
+            let message = "an observer may only ask for stats, metrics or traces";
+            refuse(ErrorCode::Unexpected, message.into());
+            break;
+        }
         match frame {
             Frame::Hello { .. } => {
                 refuse(ErrorCode::BadHello, "duplicate HELLO".into());
@@ -739,14 +736,8 @@ fn run_session(shared: Arc<Shared>, conn: u64, mut transport: Box<dyn Transport>
                     s.batches_ingested += 1;
                     s.events_ingested += events.len() as u64;
                 });
-                let mut ok = true;
-                for e in events {
-                    if !enqueue_ingest(&shared, &sink, &mut busy_advised, StreamItem::Event(e)) {
-                        ok = false;
-                        break;
-                    }
-                }
-                if !ok {
+                let mut items = events.into_iter().map(StreamItem::Event);
+                if !items.all(|item| enqueue_ingest(&shared, &sink, &mut busy_advised, item)) {
                     break;
                 }
             }
@@ -757,59 +748,15 @@ fn run_session(shared: Arc<Shared>, conn: u64, mut transport: Box<dyn Transport>
                     break;
                 }
             }
-            Frame::Subscribe { query, policy } => {
+            request @ (Frame::Subscribe { .. }
+            | Frame::StatsReq
+            | Frame::MetricsReq { .. }
+            | Frame::TraceReq { .. }
+            | Frame::Drain) => {
+                let (frame, sink) = (Box::new(request), sink.clone());
                 if shared
                     .tx
-                    .send(EngineMsg::Subscribe {
-                        conn,
-                        query,
-                        policy,
-                        sink: sink.clone(),
-                    })
-                    .is_err()
-                {
-                    break;
-                }
-            }
-            Frame::StatsReq => {
-                if shared
-                    .tx
-                    .send(EngineMsg::Stats { sink: sink.clone() })
-                    .is_err()
-                {
-                    break;
-                }
-            }
-            Frame::TraceReq { format, query, pid } => {
-                if shared
-                    .tx
-                    .send(EngineMsg::Trace {
-                        format,
-                        query,
-                        pid,
-                        sink: sink.clone(),
-                    })
-                    .is_err()
-                {
-                    break;
-                }
-            }
-            Frame::MetricsReq { format } => {
-                if shared
-                    .tx
-                    .send(EngineMsg::Metrics {
-                        format,
-                        sink: sink.clone(),
-                    })
-                    .is_err()
-                {
-                    break;
-                }
-            }
-            Frame::Drain => {
-                if shared
-                    .tx
-                    .send(EngineMsg::Drain { sink: sink.clone() })
+                    .send(EngineMsg::Request { conn, frame, sink })
                     .is_err()
                 {
                     break;
@@ -909,6 +856,14 @@ mod tests {
             }
         }
         (wire, frames)
+    }
+
+    /// Every arrival is one message, so its size is hot-path cost: a
+    /// request's frame (hundreds of bytes inline) stays boxed.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn an_engine_message_stays_small() {
+        assert!(std::mem::size_of::<EngineMsg>() <= 56);
     }
 
     #[test]

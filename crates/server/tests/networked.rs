@@ -12,11 +12,11 @@ use sequin_netsim::{delay_shuffle, punctuate, FramePlan};
 use sequin_server::frame::{read_frame, write_frame};
 use sequin_server::{
     decode_frame, encode_frame, loopback_run, mem_pair, Client, ClientError, CoreConfig,
-    EngineCore, ErrorCode, Frame, FrameSink, MemTransport, OutputFrame, Server, ServerConfig,
-    Transport,
+    EngineCore, ErrorCode, Frame, FrameSink, MemTransport, MetricsFormat, OutputFrame, Server,
+    ServerConfig, TraceFormat, Transport, TRACE_ALL_OUTPUTS, TRACE_ALL_QUERIES,
 };
 use sequin_types::codec::{fnv1a64, open_envelope};
-use sequin_types::{Duration, StreamItem, TypeRegistry};
+use sequin_types::{Duration, StreamItem, Timestamp, TypeRegistry};
 use sequin_workload::{Synthetic, SyntheticConfig};
 
 const Q01: &str = "PATTERN SEQ(T0 a, T1 b) WITHIN 20";
@@ -901,4 +901,147 @@ fn a_subscriber_closing_mid_flood_leaves_the_others_stream_whole() {
     assert!(b.take_outputs().is_empty(), "nothing follows the DRAIN_ACK");
     b.bye();
     server.shutdown();
+}
+
+/// An observer session (HELLO with fingerprint 0) negotiated no schema, so
+/// it may only ask: a batch, a punctuation, a SUBSCRIBE or a DRAIN from it
+/// is refused with ERROR[unexpected-frame] and closes the session, and
+/// nothing it sent reaches the engine.
+#[test]
+fn an_observer_session_may_ask_but_never_ingest() {
+    let (reg, stream) = workload(60, 3);
+    let server = Server::start(ServerConfig::new(core_config(
+        &reg,
+        DisorderPolicy::Conservative,
+    )))
+    .unwrap();
+    let events: Vec<_> = stream
+        .iter()
+        .filter_map(StreamItem::as_event)
+        .take(50)
+        .cloned()
+        .collect();
+    assert_eq!(events.len(), 50);
+    let subscribe = Frame::Subscribe {
+        query: Q01.to_owned(),
+        policy: None,
+    };
+    let refused = [
+        ("EVENT_BATCH", Frame::EventBatch(events)),
+        ("PUNCTUATION", Frame::Punctuation(Timestamp::new(10))),
+        ("SUBSCRIBE", subscribe),
+        ("DRAIN", Frame::Drain),
+    ];
+    for (name, frame) in &refused {
+        let (mut t, server_side) = mem_pair(FramePlan::clean(), FramePlan::clean());
+        server.attach(Box::new(server_side));
+        let sink = t.sink();
+        let send = |f: &Frame| sink.send_frame(&encode_frame(f)).unwrap();
+        send(&Frame::Hello {
+            fingerprint: 0,
+            client: "observer".to_owned(),
+        });
+        send(&Frame::StatsReq);
+        assert!(matches!(next_frame(&mut t), Frame::HelloAck { .. }));
+        let asked = next_frame(&mut t);
+        assert!(
+            matches!(asked, Frame::StatsReply { .. }),
+            "{name}: {asked:?}"
+        );
+        send(frame);
+        // the refusal may already have closed the link
+        let _ = sink.send_frame(&encode_frame(&Frame::StatsReq));
+        match next_frame(&mut t) {
+            Frame::Error { code, .. } => assert_eq!(code, ErrorCode::Unexpected, "{name}"),
+            other => panic!("{name} from an observer answered by {other:?}"),
+        }
+        assert_eq!(t.recv_frame().unwrap(), None, "{name}: session closed");
+    }
+    let mut client = Client::over(Box::new(raw_session(&server, &reg, encode_frame)));
+    let (stats, engine) = client.stats().unwrap();
+    assert_eq!(stats.events_ingested, 0);
+    assert_eq!(stats.punctuations_ingested, 0);
+    assert_eq!((stats.subscriptions, stats.drains), (0, 0));
+    assert_eq!(engine.events_routed, 0);
+}
+
+/// Requests sent back to back, none waiting for a reply, are answered
+/// exactly once each and in the order they were sent: a refused SUBSCRIBE
+/// and a second DRAIN by coded ERRORs. Every OUTPUT precedes the
+/// DRAIN_ACK and is the in-process run's, frame for frame.
+#[test]
+fn pipelined_requests_are_answered_once_each_in_order() {
+    let (reg, stream) = workload(400, 67);
+    let core = core_config(&reg, DisorderPolicy::Conservative);
+    let expected = oracle_frames(core.clone(), &[Q01], &stream);
+    assert!(!expected.is_empty(), "vacuous comparison");
+    let server = Server::start(ServerConfig::new(core)).unwrap();
+    let mut t = raw_session(&server, &reg, encode_frame);
+    let events: Vec<_> = stream
+        .iter()
+        .filter_map(StreamItem::as_event)
+        .cloned()
+        .collect();
+    let (head, tail) = events.split_at(events.len() / 2);
+    let subscribe = |query: &str| Frame::Subscribe {
+        query: query.to_owned(),
+        policy: None,
+    };
+    let trace = Frame::TraceReq {
+        format: TraceFormat::Text,
+        query: TRACE_ALL_QUERIES,
+        pid: TRACE_ALL_OUTPUTS,
+    };
+    for frame in [
+        subscribe(Q01),
+        Frame::EventBatch(head.to_vec()),
+        Frame::StatsReq,
+        Frame::MetricsReq {
+            format: MetricsFormat::Prometheus,
+        },
+        trace,
+        subscribe("PATTERN nonsense"),
+        Frame::EventBatch(tail.to_vec()),
+        Frame::Drain,
+        Frame::Drain,
+    ] {
+        t.sink().send_frame(&encode_frame(&frame)).unwrap();
+    }
+    let (mut replies, mut outputs) = (Vec::new(), Vec::new());
+    while replies.len() < 7 {
+        let reply = match next_frame(&mut t) {
+            Frame::Output(o) => {
+                assert!(
+                    !replies.contains(&"DRAIN_ACK".to_owned()),
+                    "OUTPUT after ack"
+                );
+                outputs.push(o);
+                continue;
+            }
+            Frame::Busy { .. } => continue,
+            Frame::SubAck { .. } => "SUB_ACK".to_owned(),
+            Frame::StatsReply { .. } => "STATS_REPLY".to_owned(),
+            Frame::MetricsReply { .. } => "METRICS_REPLY".to_owned(),
+            Frame::TraceReply { .. } => "TRACE_REPLY".to_owned(),
+            Frame::DrainAck => "DRAIN_ACK".to_owned(),
+            Frame::Error { code, .. } => format!("ERROR[{code}]"),
+            other => panic!("unexpected {other:?}"),
+        };
+        replies.push(reply);
+    }
+    assert_eq!(
+        replies,
+        [
+            "SUB_ACK",
+            "STATS_REPLY",
+            "METRICS_REPLY",
+            "TRACE_REPLY",
+            "ERROR[bad-query]",
+            "DRAIN_ACK",
+            "ERROR[draining]"
+        ]
+    );
+    assert!(outputs == expected, "the oracle's OUTPUT frames, in order");
+    t.sink().send_frame(&encode_frame(&Frame::Bye)).unwrap();
+    assert_eq!(t.recv_frame().unwrap(), None, "nothing more was owed");
 }
