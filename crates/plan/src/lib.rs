@@ -1258,8 +1258,26 @@ mod tests {
     /// [`Predicate::eval`]'s short-circuit finds.
     #[test]
     fn a_band_decides_exactly_what_the_predicates_do() {
-        use sequin_query::{pred, QueryBuilder};
+        use sequin_query::ast::{BinaryOpAst, ComponentAst, ExprAst, QueryAst};
         use sequin_types::{Event, Timestamp};
+
+        // built as an AST: text spells no `NaN`, and reads `-5` as `Neg(5)`
+        let component = |ty: &str, var: &str| ComponentAst {
+            negated: false,
+            type_names: vec![ty.to_owned()],
+            var: var.to_owned(),
+            offset: 0,
+        };
+        let attr = |field: &str| ExprAst::Attr {
+            var: "a".to_owned(),
+            field: field.to_owned(),
+            offset: 0,
+        };
+        let binary = |op, lhs, rhs| ExprAst::Binary {
+            op,
+            lhs: Box::new(lhs),
+            rhs: Box::new(rhs),
+        };
 
         let reg = registry();
         let a = reg.lookup("A").unwrap();
@@ -1273,31 +1291,41 @@ mod tests {
         let (mut formed, mut decided) = (0, 0);
         for seed in 1..=400 {
             let mut rng = sequin_prng::Rng::seed_from_u64(seed);
-            let mut builder = QueryBuilder::new().component("A", "a").component("B", "b");
-            let (mut fields, mut all_int) = (Vec::new(), true);
+            let (mut filter, mut fields, mut all_int) = (None, Vec::new(), true);
             for _ in 0..rng.gen_range(1..=3usize) {
                 let field = if rng.gen_bool(0.85) { "x" } else { "tag" };
                 fields.push(field);
                 let constant = if rng.gen_bool(0.15) {
                     all_int = false;
-                    pred::float([0.5, -2.0, 1e300, f64::NAN][rng.gen_range(0..4usize)])
+                    ExprAst::Float([0.5, -2.0, 1e300, f64::NAN][rng.gen_range(0..4usize)])
                 } else {
-                    pred::int(int(&mut rng))
+                    ExprAst::Int(int(&mut rng))
                 };
                 let (l, r) = match rng.gen_bool(0.3) {
-                    true => (constant, pred::attr("a", field)),
-                    false => (pred::attr("a", field), constant),
+                    true => (constant, attr(field)),
+                    false => (attr(field), constant),
                 };
-                builder = builder.filter(match rng.gen_range(0..6u32) {
-                    0 => l.lt(r),
-                    1 => l.le(r),
-                    2 => l.gt(r),
-                    3 => l.ge(r),
-                    4 => l.eq(r),
-                    _ => l.ne(r),
+                let op = match rng.gen_range(0..6u32) {
+                    0 => BinaryOpAst::Lt,
+                    1 => BinaryOpAst::Le,
+                    2 => BinaryOpAst::Gt,
+                    3 => BinaryOpAst::Ge,
+                    4 => BinaryOpAst::Eq,
+                    _ => BinaryOpAst::Ne,
+                };
+                let conjunct = binary(op, l, r);
+                filter = Some(match filter {
+                    Some(acc) => binary(BinaryOpAst::And, acc, conjunct),
+                    None => conjunct,
                 });
             }
-            let query = builder.within(10).build(&reg).unwrap();
+            let ast = QueryAst {
+                components: vec![component("A", "a"), component("B", "b")],
+                filter,
+                within: 10,
+                returns: Vec::new(),
+            };
+            let query = sequin_query::analyze(&ast, &reg).unwrap();
             let preds = query.local_predicates(0);
             let plan = compile(
                 &[QuerySpec {

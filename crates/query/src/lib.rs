@@ -25,9 +25,9 @@
 //!   negation — in `(first.ts − W, first.ts)` (resp. `(last.ts,
 //!   first.ts + W)`).
 //!
-//! The crate provides a text front-end ([`parse`] → [`Query`]) and a
-//! programmatic [`QueryBuilder`]; both produce the same analyzed
-//! representation consumed by `sequin-runtime`.
+//! The crate's one front end is the text parser: [`parse`] reads the text
+//! into an [`ast::QueryAst`], and [`analyze`] resolves that against a
+//! registry into the [`Query`] `sequin-runtime` consumes.
 //!
 //! ```
 //! use sequin_query::parse;
@@ -47,7 +47,6 @@
 
 mod analyze;
 pub mod ast;
-mod builder;
 mod error;
 #[cfg(test)]
 mod eval_property;
@@ -57,7 +56,6 @@ mod parser;
 mod query;
 
 pub use analyze::analyze;
-pub use builder::{pred, QueryBuilder};
 pub use error::{AnalyzeError, AnalyzeErrorKind, ParseError, QueryError};
 pub use expr::{with_binding, BinaryOp, Binding, Expr, UnaryOp};
 pub use query::{Component, Negation, PartitionScheme, Predicate, Projection, Query};

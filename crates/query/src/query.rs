@@ -11,7 +11,7 @@ use crate::expr::{with_binding, Binding, ComponentMask, Expr};
 /// One resolved `SEQ(...)` component.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Component {
-    /// Variable name from the query text (or builder).
+    /// Variable name from the query text.
     pub var: String,
     /// Resolved event types (more than one = alternation `A|B var`).
     pub types: Vec<EventTypeId>,

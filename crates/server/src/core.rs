@@ -273,9 +273,12 @@ impl EngineCore {
     /// reconnect land on their old query and its retained state).
     ///
     /// Deduplication is *structural*, not textual: the text is parsed and
-    /// analyzed, and if the normalized query equals one already registered
-    /// — same pattern, predicates, window, and projection, however the
-    /// text was spelled — the existing logical query's id is returned.
+    /// analyzed, and if the query is [`Query::normalized_eq`] to one
+    /// already registered — same pattern, predicates, window, and
+    /// projection, however the text was spelled and whatever its variables
+    /// are named — the existing logical query's id is returned. That is the
+    /// equality [`stable_query_id`] hashes, so one registration is one
+    /// metrics label.
     /// Only genuinely new queries reach the evaluation, attaching their
     /// nodes to the plan.
     ///
@@ -301,7 +304,11 @@ impl EngineCore {
     ) -> Result<(QueryId, DisorderPolicy), SubscribeError> {
         let q = parse(text, &self.cfg.registry)?;
         let host = self.ck.host();
-        if let Some(s) = self.subs.iter().find(|s| **host.query(s.id) == *q) {
+        if let Some(s) = self
+            .subs
+            .iter()
+            .find(|s| host.query(s.id).normalized_eq(&q))
+        {
             return Ok((s.id, s.policy));
         }
         let policy = policy.unwrap_or(self.cfg.engine.policy);
@@ -802,6 +809,23 @@ pub(crate) mod tests {
         // a genuinely different query still gets its own id
         assert_ne!(core.subscribe(Q_BA).unwrap(), a);
         assert_eq!(core.query_count(), 2);
+    }
+
+    #[test]
+    fn subscribe_dedups_renamed_variables() {
+        let reg = registry();
+        let mut core = EngineCore::new(cfg(&reg, None));
+        let a = core.subscribe(Q_AB).unwrap();
+        // the same query with its variables renamed, in the WHERE clause too
+        let renamed = "PATTERN SEQ(A x, B y) WITHIN 8";
+        assert_eq!(core.subscribe(renamed).unwrap(), a, "renamed variables");
+        let keyed = "PATTERN SEQ(A a, B b) WHERE a.x == b.x WITHIN 8";
+        let k = core.subscribe(keyed).unwrap();
+        let rekeyed = "PATTERN SEQ(A p, B q) WHERE p.x == q.x WITHIN 8";
+        assert_eq!(core.subscribe(rekeyed).unwrap(), k);
+        assert_eq!(core.query_count(), 2, "one registration per query");
+        let stable = |qid: QueryId| stable_query_id(core.ck.host().query(qid));
+        assert_ne!(stable(a), stable(k), "one metrics label per registration");
     }
 
     #[test]

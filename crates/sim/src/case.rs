@@ -1,11 +1,11 @@
 //! Seed-driven generation of (query, stream, configuration) cases.
 //!
 //! A [`CaseData`] is a plain-data description of one differential test
-//! case: a set of N ≥ 1 [`SimQuery`]s (each a [`QueryPlan`], rendered
-//! through both [`QueryBuilder`] and the text parser, plus the
-//! [`DisorderPolicy`] it runs under), an arrival-ordered item list with
-//! disorder, duplicates and punctuations already baked in, and a
-//! [`CaseConfig`] choosing the engine knobs the case exercises. Most
+//! case: a set of N ≥ 1 [`SimQuery`]s (each a [`QueryPlan`], stated both
+//! as an AST and as text for the parser, plus the [`DisorderPolicy`] it
+//! runs under), an arrival-ordered item list with disorder, duplicates
+//! and punctuations already baked in, and a [`CaseConfig`] choosing the
+//! engine knobs the case exercises. Most
 //! cases hold one query; the rest hold two to four, mostly prefix
 //! siblings of an earlier one — differing only in the final component, a
 //! local predicate or the projection — so the plan actually pools stacks
@@ -20,7 +20,8 @@ use std::sync::Arc;
 pub use sequin_engine::DisorderPolicy;
 use sequin_netsim::{delay_shuffle, measure_disorder, punctuate, Crash};
 use sequin_prng::Rng;
-use sequin_query::{pred, AnalyzeError, Query, QueryBuilder};
+use sequin_query::ast::{BinaryOpAst, ComponentAst, ExprAst, ProjectionAst, QueryAst};
+use sequin_query::{analyze, AnalyzeError, Query};
 use sequin_types::{
     Event, EventId, EventRef, StreamItem, Timestamp, TypeRegistry, Value, ValueKind,
 };
@@ -72,9 +73,9 @@ pub struct LocalPred {
 
 /// A generated SEQ query, as plain data.
 ///
-/// The plan renders two ways — through [`QueryBuilder`] and as `PATTERN`
-/// text for the parser — and the harness asserts both front ends produce
-/// the same [`Query`].
+/// The plan states its query twice — as the [`QueryAst`] it means and as
+/// `PATTERN` text — and the harness asserts that parsing the text gives
+/// the same [`Query`] as analyzing the AST.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryPlan {
     /// Components in pattern order (positives and negations).
@@ -98,90 +99,98 @@ impl QueryPlan {
             .collect()
     }
 
+    /// The `tag`-chain pairs of consecutive positives, if the plan joins.
+    fn tag_pairs(&self) -> Vec<(usize, usize)> {
+        if !self.tag_join {
+            return Vec::new();
+        }
+        let pos = self.positive_ixs();
+        pos.windows(2).map(|w| (w[0], w[1])).collect()
+    }
+
+    /// The component whose `x` the plan returns, if any.
+    fn projected(&self) -> Option<usize> {
+        let first = self.positive_ixs().first().copied();
+        first.filter(|_| self.project_first)
+    }
+
     /// The query as `PATTERN` text (parseable by [`sequin_query::parse`]).
     pub fn text(&self) -> String {
+        let var = |ix: usize| &self.comps[ix].var;
         let comps: Vec<String> = self
             .comps
             .iter()
             .map(|c| {
                 let tys: Vec<&str> = c.types.iter().map(|&t| TYPE_NAMES[t]).collect();
-                format!(
-                    "{}{} {}",
-                    if c.negated { "!" } else { "" },
-                    tys.join("|"),
-                    c.var
-                )
+                let bang = if c.negated { "!" } else { "" };
+                format!("{bang}{} {}", tys.join("|"), c.var)
             })
             .collect();
-        let mut conjuncts: Vec<String> = self
-            .preds
-            .iter()
-            .map(|p| {
-                let op = match p.op {
-                    PredOp::Lt => "<",
-                    PredOp::Ge => ">=",
-                };
-                format!("{}.x {} {}", self.comps[p.comp].var, op, p.value)
-            })
+        let preds = self.preds.iter().map(|p| {
+            let op = match p.op {
+                PredOp::Lt => "<",
+                PredOp::Ge => ">=",
+            };
+            format!("{}.x {op} {}", var(p.comp), p.value)
+        });
+        let tags = self.tag_pairs().into_iter();
+        let conjuncts: Vec<String> = preds
+            .chain(tags.map(|(l, r)| format!("{}.tag == {}.tag", var(l), var(r))))
             .collect();
-        if self.tag_join {
-            let pos = self.positive_ixs();
-            for pair in pos.windows(2) {
-                conjuncts.push(format!(
-                    "{}.tag == {}.tag",
-                    self.comps[pair[0]].var, self.comps[pair[1]].var
-                ));
-            }
-        }
         let mut out = format!("PATTERN SEQ({})", comps.join(", "));
         if !conjuncts.is_empty() {
             out.push_str(&format!(" WHERE {}", conjuncts.join(" AND ")));
         }
         out.push_str(&format!(" WITHIN {}", self.window));
-        if self.project_first {
-            if let Some(&first) = self.positive_ixs().first() {
-                out.push_str(&format!(" RETURN {}.x", self.comps[first].var));
-            }
+        if let Some(ix) = self.projected() {
+            out.push_str(&format!(" RETURN {}.x", var(ix)));
         }
         out
     }
 
-    /// Builds the query through [`QueryBuilder`] (the programmatic front
-    /// end the tentpole exercises).
+    /// Analyzes the [`QueryAst`] the plan means, built without the parser:
+    /// the query [`sequin_query::parse`] must produce from
+    /// [`QueryPlan::text`].
     pub fn build(&self, registry: &TypeRegistry) -> Result<Arc<Query>, AnalyzeError> {
-        let mut b = QueryBuilder::new();
-        for c in &self.comps {
-            let tys: Vec<&str> = c.types.iter().map(|&t| TYPE_NAMES[t]).collect();
-            b = if c.negated {
-                b.negated_any(&tys, &c.var)
-            } else {
-                b.component_any(&tys, &c.var)
+        let attr = |ix: usize, field: &str| ExprAst::Attr {
+            var: self.comps[ix].var.clone(),
+            field: field.to_owned(),
+            offset: 0,
+        };
+        let binary = |op, lhs, rhs| ExprAst::Binary {
+            op,
+            lhs: Box::new(lhs),
+            rhs: Box::new(rhs),
+        };
+        let components = self.comps.iter().map(|c| ComponentAst {
+            negated: c.negated,
+            type_names: c.types.iter().map(|&t| TYPE_NAMES[t].to_owned()).collect(),
+            var: c.var.clone(),
+            offset: 0,
+        });
+        let preds = self.preds.iter().map(|p| {
+            let op = match p.op {
+                PredOp::Lt => BinaryOpAst::Lt,
+                PredOp::Ge => BinaryOpAst::Ge,
             };
-        }
-        for p in &self.preds {
-            let lhs = pred::attr(&self.comps[p.comp].var, "x");
-            let rhs = pred::int(p.value);
-            b = b.filter(match p.op {
-                PredOp::Lt => lhs.lt(rhs),
-                PredOp::Ge => lhs.ge(rhs),
-            });
-        }
-        if self.tag_join {
-            let pos = self.positive_ixs();
-            for pair in pos.windows(2) {
-                b = b.filter(
-                    pred::attr(&self.comps[pair[0]].var, "tag")
-                        .eq(pred::attr(&self.comps[pair[1]].var, "tag")),
-                );
-            }
-        }
-        b = b.within(self.window);
-        if self.project_first {
-            if let Some(&first) = self.positive_ixs().first() {
-                b = b.returns(&self.comps[first].var, "x");
-            }
-        }
-        b.build(registry)
+            binary(op, attr(p.comp, "x"), ExprAst::Int(p.value))
+        });
+        let tags = self.tag_pairs().into_iter();
+        let conjuncts =
+            preds.chain(tags.map(|(l, r)| binary(BinaryOpAst::Eq, attr(l, "tag"), attr(r, "tag"))));
+        let returns = self.projected().map(|ix| ProjectionAst {
+            var: self.comps[ix].var.clone(),
+            field: "x".to_owned(),
+            offset: 0,
+        });
+        let ast = QueryAst {
+            components: components.collect(),
+            // `AND` is left-associative
+            filter: conjuncts.reduce(|acc, e| binary(BinaryOpAst::And, acc, e)),
+            within: self.window,
+            returns: returns.into_iter().collect(),
+        };
+        analyze(&ast, registry)
     }
 }
 
@@ -235,7 +244,7 @@ pub struct CaseConfig {
     pub purge_every: Option<u32>,
     /// Watermark source: 0 = K-slack, 1 = punctuation, 2 = both.
     pub watermark: u8,
-    /// Chunk size for the batched-ingestion path.
+    /// Chunk size of the crash/resume and loopback paths' ingestion.
     pub batch: usize,
     /// Checkpoint cadence for the crash/resume path.
     pub ckpt_every: u64,
@@ -425,8 +434,6 @@ fn gen_query(rng: &mut Rng) -> QueryPlan {
 
     // up to two negation flanks (leading / middle / trailing), never
     // adjacent to each other
-    let neg_vars = ["na", "nb"];
-    let mut negs = 0usize;
     let tries = if rng.gen_bool(0.35) {
         1 + usize::from(rng.gen_bool(0.3))
     } else {
@@ -444,10 +451,16 @@ fn gen_query(rng: &mut Rng) -> QueryPlan {
             CompPlan {
                 negated: true,
                 types: vec![rng.gen_range(0..TYPE_NAMES.len())],
-                var: neg_vars[negs].to_owned(),
+                var: String::new(),
             },
         );
-        negs += 1;
+    }
+    // negations are named by their position in `SEQ` order, as positives
+    // are, so two texts differ exactly when their queries are not
+    // normalized-equal (the server folds those into one subscription)
+    let neg_vars = ["na", "nb"];
+    for (c, var) in comps.iter_mut().filter(|c| c.negated).zip(neg_vars) {
+        c.var = var.to_owned();
     }
 
     let mut preds = Vec::new();

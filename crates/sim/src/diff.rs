@@ -7,19 +7,20 @@
 //! [`Sabotage`] knobs applied (all-zero for honest runs) and is compared
 //! with that reference per query:
 //!
-//! * builder vs parser — the same plan rendered both ways must produce
-//!   equal [`sequin_query::Query`] values;
+//! * parse — the plan's text through [`parse`] must equal its AST
+//!   through [`sequin_query::analyze`];
 //! * the plan of N, item by item — output **identical** per query,
 //!   including kinds, order and emission bookkeeping; its net settled set
 //!   per query is also held against the brute-force oracle, the one
 //!   reference that shares no code with the engines, which is where "the
 //!   algorithm is right" is anchored (comparing a plan of N with N plans
 //!   of one only shows pooling and prefix sharing are invisible);
-//! * the plan, batched ingestion — identical output;
-//! * a durable [`EngineCore`] crashed at the configured point and resumed
-//!   — the union of pre- and post-crash deliveries equals the reference
-//!   exactly once per query (a multiset of `(kind, ids)`), and every
-//!   query's policy survives the restart;
+//! * a durable [`EngineCore`] fed in chunks of the case's batch size
+//!   (so [`EngineCore::ingest_batch`] splits runs at checkpoint
+//!   boundaries), crashed at the configured point and resumed — the
+//!   union of pre- and post-crash deliveries equals the reference exactly
+//!   once per query (a multiset of `(kind, ids)`), and every query's
+//!   policy survives the restart;
 //! * the networked server loopback with each query's policy requested at
 //!   SUBSCRIBE — byte-identical frames, verified by
 //!   [`sequin_server::loopback_run`] itself.
@@ -41,14 +42,12 @@ use crate::oracle::reference_matches;
 /// Which production path disagreed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Path {
-    /// Builder-built query != parser-built query.
-    BuilderParser,
+    /// The parsed text != the analyzed AST of the same plan.
+    Parse,
     /// The plan's net settled set for a query != naive oracle match set.
     Oracle,
     /// The plan of N, item by item, != the per-query reference.
     Plan,
-    /// Batched ingestion output != reference.
-    Batched,
     /// Durable crash + resume != reference (exactly-once, policies
     /// restored).
     CrashResume,
@@ -59,10 +58,9 @@ pub enum Path {
 impl std::fmt::Display for Path {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Path::BuilderParser => write!(f, "builder-vs-parser"),
+            Path::Parse => write!(f, "parse"),
             Path::Oracle => write!(f, "oracle"),
             Path::Plan => write!(f, "plan"),
-            Path::Batched => write!(f, "batched"),
             Path::CrashResume => write!(f, "crash-resume"),
             Path::Loopback => write!(f, "loopback"),
         }
@@ -217,7 +215,8 @@ pub fn check_case(case: &CaseData, sabotage: Sabotage) -> Vec<Mismatch> {
         Mismatch { path, detail }
     };
 
-    // front-end cross-check: builder and parser must agree
+    // front-end cross-check: the parser must read each text as the AST
+    // its plan states
     let mut queries: Vec<Arc<Query>> = Vec::with_capacity(nq);
     for (qx, q) in case.queries.iter().enumerate() {
         let built = q.plan.build(&registry).map_err(|e| e.to_string());
@@ -225,13 +224,13 @@ pub fn check_case(case: &CaseData, sabotage: Sabotage) -> Vec<Mismatch> {
         match (built, parsed) {
             (Ok(built), Ok(parsed)) => {
                 if *parsed != *built {
-                    let detail = "builder and parser queries differ".to_owned();
-                    mismatches.push(at(Path::BuilderParser, qx, detail));
+                    let detail = "parsed text and analyzed AST differ".to_owned();
+                    mismatches.push(at(Path::Parse, qx, detail));
                 }
                 queries.push(built);
             }
             (Err(e), _) | (_, Err(e)) => {
-                mismatches.push(at(Path::BuilderParser, qx, format!("rejected: {e}")));
+                mismatches.push(at(Path::Parse, qx, format!("rejected: {e}")));
             }
         }
     }
@@ -274,33 +273,22 @@ pub fn check_case(case: &CaseData, sabotage: Sabotage) -> Vec<Mismatch> {
         per
     };
 
-    // the host under test, as the server builds it: every query of the
-    // case on one plan, fed in chunks of `batch` items (1 = item by item)
-    let host = |batch: usize| {
-        let mut host = MultiEngine::new(sut);
-        for (q, spec) in queries.iter().zip(&case.queries) {
-            host.register(Arc::clone(q), spec.policy);
-        }
-        let mut out = Vec::new();
-        for chunk in items.chunks(batch) {
-            out.extend(host.ingest_batch(chunk).into_iter().flatten());
-        }
-        out.extend(host.finish());
-        out
-    };
-
-    // the plan of N, item by item: identical per-query output — and each
-    // query's net settled set against the oracle
-    let found = &mut mismatches;
-    let plan = compare(found, Path::Plan, host(1), exact_diff, "");
+    // the plan of N as the server builds it, item by item: identical
+    // per-query output — and each query's net settled set against the
+    // oracle
+    let mut host = MultiEngine::new(sut);
+    for (q, spec) in queries.iter().zip(&case.queries) {
+        host.register(Arc::clone(q), spec.policy);
+    }
+    let mut out: Vec<_> = items.iter().flat_map(|item| host.ingest(item)).collect();
+    out.extend(host.finish());
+    let plan = compare(&mut mismatches, Path::Plan, out, exact_diff, "");
     let events = case.unique_events(&registry);
     for qx in 0..nq {
         if let Some(detail) = oracle_diff(&queries[qx], &events, &plan[qx]) {
-            found.push(at(Path::Oracle, qx, detail));
+            mismatches.push(at(Path::Oracle, qx, detail));
         }
     }
-    let batched = host(case.config.batch.max(1));
-    compare(found, Path::Batched, batched, exact_diff, "");
 
     // subscribe order == query order, so ids line up with the reference;
     // the first query takes the host default instead of naming its policy
@@ -325,10 +313,13 @@ pub fn check_case(case: &CaseData, sabotage: Sabotage) -> Vec<Mismatch> {
                 mismatches.push(at(path, qx, format!("subscribed {got:?}, not {want:?}")));
             }
         }
+        // fed in chunks of `batch`, as a session hands the core its
+        // batches, so checkpoints fall inside chunks
+        let batch = case.config.batch.max(1);
         let crash_at = (case.config.crash_at as usize).min(items.len());
         let mut delivered = Vec::new();
-        for item in &items[..crash_at] {
-            delivered.extend(core.ingest(item));
+        for chunk in items[..crash_at].chunks(batch) {
+            delivered.extend(core.ingest_batch(chunk));
         }
         let saved = core.store().clone();
         drop(core); // crash: only the persisted store survives
@@ -341,8 +332,8 @@ pub fn check_case(case: &CaseData, sabotage: Sabotage) -> Vec<Mismatch> {
                 mismatches.push(at(path, qx, format!("resumed with {got:?}, not {want:?}")));
             }
         }
-        for item in &items[(replay_from as usize).min(items.len())..] {
-            delivered.extend(core.ingest(item));
+        for chunk in items[(replay_from as usize).min(items.len())..].chunks(batch) {
+            delivered.extend(core.ingest_batch(chunk));
         }
         delivered.extend(core.finish());
         let context = format!(" (crash at item {crash_at}, resumed from {replay_from})");

@@ -1,15 +1,15 @@
 //! Deterministic differential simulation harness for sequin.
 //!
 //! One `u64` seed drives everything: a set of N ≥ 1 random-but-valid SEQ
-//! queries (each built through [`sequin_query::QueryBuilder`] *and*
-//! re-parsed from text, each with its own disorder policy; N = 1 is the
+//! queries (each stated as a [`sequin_query::ast::QueryAst`] *and* parsed
+//! from text, each with its own disorder policy; N = 1 is the
 //! common case, the rest are mostly prefix siblings the plan can pool),
 //! an event stream with a parameterized disorder schedule (lateness,
 //! duplicates, reversed bursts, punctuation placement), and an engine
 //! configuration. The reference is each query alone on an honest
 //! single-threaded engine; every production path is compared with it per
 //! query — the plan of N item by item (also held against a naive
-//! `O(n^k)` oracle), batched ingestion, a durable crash + resume, and the
+//! `O(n^k)` oracle), a durable crash + resume fed in batches, and the
 //! networked server loopback ([`diff`] has the table).
 //!
 //! On mismatch the case is shrunk to a minimal repro — fewer queries,

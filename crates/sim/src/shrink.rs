@@ -19,9 +19,10 @@
 //! honest engines and the oracle differ too). The shrunk case therefore replays
 //! through exactly the same [`check_case`] entry point as the original.
 
-use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use sequin_netsim::measure_disorder;
+use sequin_query::Query;
 
 use crate::case::{
     items_to_stream, sim_registry, CaseData, DisorderPolicy, QueryPlan, SimItem, SimQuery,
@@ -55,9 +56,9 @@ struct Shrinker {
 
 impl Shrinker {
     /// Applies `mutate` to a copy of the best case and keeps the copy if
-    /// it changed, is well formed (every query passes the analyzer, texts
-    /// stay distinct — the server core would fold equal ones into one
-    /// subscription), still fails on one of the [`Shrinker::failing`]
+    /// it changed, is well formed (every query passes the analyzer, and no
+    /// two are normalized-equal — the server core would fold those into
+    /// one subscription), still fails on one of the [`Shrinker::failing`]
     /// paths, and the check budget is not exhausted.
     fn attempt(&mut self, mutate: impl FnOnce(&mut CaseData)) -> bool {
         let mut candidate = self.best.clone();
@@ -66,11 +67,15 @@ impl Shrinker {
             return false;
         }
         let registry = sim_registry();
-        let plans = candidate.queries.iter().map(|q| &q.plan);
-        let texts: BTreeSet<String> = plans.clone().map(QueryPlan::text).collect();
-        if texts.len() < candidate.queries.len()
-            || plans.clone().any(|p| p.build(&registry).is_err())
-        {
+        let built: Result<Vec<_>, _> = candidate
+            .queries
+            .iter()
+            .map(|q| q.plan.build(&registry))
+            .collect();
+        let folds = |qs: &[Arc<Query>]| {
+            (1..qs.len()).any(|i| qs[..i].iter().any(|q| q.normalized_eq(&qs[i])))
+        };
+        if built.map_or(true, |qs| folds(&qs)) {
             return false; // ill-formed candidate; not a real reduction
         }
         self.checks += 1;

@@ -673,22 +673,6 @@ pub fn open_envelope(bytes: &[u8]) -> Result<&[u8], CodecError> {
     Ok(&bytes[ENVELOPE_HEADER..body_end])
 }
 
-/// Encodes a value and seals it in the envelope in one step.
-pub fn encode_sealed<T: Encode>(value: &T) -> Vec<u8> {
-    let mut w = Writer::new();
-    value.encode(&mut w);
-    seal_envelope(&w.into_bytes())
-}
-
-/// Opens an envelope and decodes exactly one value from its payload.
-pub fn decode_sealed<T: Decode>(bytes: &[u8]) -> Result<T, CodecError> {
-    let payload = open_envelope(bytes)?;
-    let mut r = Reader::new(payload);
-    let v = T::decode(&mut r)?;
-    r.finish()?;
-    Ok(v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -764,8 +748,12 @@ mod tests {
     #[test]
     fn vec_and_option_round_trip() {
         let v: Vec<Option<u64>> = vec![Some(1), None, Some(3)];
-        let bytes = encode_sealed(&v);
-        let back: Vec<Option<u64>> = decode_sealed(&bytes).unwrap();
+        let mut w = Writer::new();
+        v.encode(&mut w);
+        let bytes = seal_envelope(&w.into_bytes());
+        let mut r = Reader::new(open_envelope(&bytes).unwrap());
+        let back = Vec::<Option<u64>>::decode(&mut r).unwrap();
+        r.finish().unwrap();
         assert_eq!(back, v);
     }
 
@@ -982,10 +970,9 @@ mod tests {
         42u64.encode(&mut w);
         w.put_u8(0xAA);
         let sealed = seal_envelope(&w.into_bytes());
-        assert_eq!(
-            decode_sealed::<u64>(&sealed),
-            Err(CodecError::TrailingBytes(1))
-        );
+        let mut r = Reader::new(open_envelope(&sealed).unwrap());
+        assert_eq!(u64::decode(&mut r), Ok(42));
+        assert_eq!(r.finish(), Err(CodecError::TrailingBytes(1)));
     }
 
     #[test]

@@ -604,7 +604,7 @@ mod tests {
         let report = sequin(&[&three[..], &["--no-loopback", "--shrink", "no"]].concat())
             .expect_err("a 50-tick purge skew must be reported");
         assert!(report.contains("query 2      : "), "{report}");
-        for path in ["batched — query 1", "crash-resume — query 2"] {
+        for path in ["plan — query 1", "crash-resume — query 2"] {
             assert!(report.contains(path), "no `{path}` in {report}");
         }
     }

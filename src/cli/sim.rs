@@ -124,8 +124,8 @@ fn push_knobs(out: &mut String, opts: &sequin_sim::SimOptions) {
 /// generated query sets (one query, or a few prefix siblings with a
 /// policy each) and disorder schedules, each query alone on an honest
 /// engine as the reference, and every production path checked against it
-/// (the plan of N item by item — also against the naive oracle — batched,
-/// crash/resume, networked loopback). Failures are shrunk to minimal repros and
+/// (the parser against the plan's AST, the plan of N item by item — also
+/// against the naive oracle — batched crash/resume, networked loopback). Failures are shrunk to minimal repros and
 /// reported with their replayable `--seed`/`--case` pair.
 ///
 /// # Errors
@@ -191,9 +191,7 @@ pub fn run_sim(o: &SimCliOptions) -> Result<String, String> {
         report.cases_run - report.multi_query_cases,
         report.multi_query_cases
     ));
-    out.push_str(
-        "paths        : builder-vs-parser, plan, oracle, batched, crash-resume, loopback\n",
-    );
+    out.push_str("paths        : parse, plan, oracle, crash-resume, loopback\n");
     push_knobs(&mut out, &o.opts);
     if !progress.is_empty() {
         out.push_str(&progress);

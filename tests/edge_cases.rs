@@ -6,7 +6,7 @@ mod common;
 use common::{drive, ev, net_keys, reference_matches, stream_of};
 use sequin::engine::{EngineConfig, NativeEngine};
 use sequin::prng::Rng;
-use sequin::query::{parse, QueryBuilder};
+use sequin::query::parse;
 use sequin::types::{Duration, StreamItem, Timestamp, TypeRegistry, ValueKind};
 
 fn registry() -> TypeRegistry {
@@ -113,12 +113,12 @@ fn single_positive_with_both_flank_negations() {
 fn query_with_max_components_is_accepted_and_beyond_rejected() {
     let mut reg = TypeRegistry::new();
     reg.declare("A", &[]).unwrap();
-    let mut builder = QueryBuilder::new();
-    for i in 0..64 {
-        builder = builder.component("A", &format!("v{i}"));
-    }
-    assert!(builder.clone().within(10).build(&reg).is_ok());
-    let overflow = builder.component("A", "v64").within(10).build(&reg);
+    let seq = |n: usize| {
+        let comps: Vec<String> = (0..n).map(|i| format!("A v{i}")).collect();
+        format!("PATTERN SEQ({}) WITHIN 10", comps.join(", "))
+    };
+    assert!(parse(&seq(64), &reg).is_ok());
+    let overflow = parse(&seq(65), &reg);
     assert!(overflow.is_err());
 }
 

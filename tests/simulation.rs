@@ -8,8 +8,10 @@
 //! `sim-smoke` job runs the full release-mode matrix via `sequin sim --ci`.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
-use sequin::engine::{DisorderPolicy, MultiEngine};
+use sequin::engine::{stable_query_id, DisorderPolicy, MultiEngine};
+use sequin::query::Query;
 use sequin::sim::case::{sim_registry, CaseData, SimItem};
 use sequin::sim::diff::engine_config;
 use sequin::sim::{check_case, replay, run, Sabotage, SimOptions};
@@ -112,6 +114,45 @@ fn generation_is_deterministic() {
         grouped >= 8,
         "only {grouped}/100 cases formed a prefix group"
     );
+}
+
+/// The server core folds normalized-equal queries into one subscription,
+/// and [`stable_query_id`] labels its metrics: over every pair of
+/// generated queries the two agree. A case never holds such a pair, or its
+/// queries would not line up with the subscriptions; across the cases of a
+/// seed the same query recurs, so both directions of the agreement bite.
+#[test]
+fn deduplication_and_the_metrics_label_agree_on_the_same_query() {
+    let registry = sim_registry();
+    let mut folded = 0;
+    for seed in 1..=4 {
+        let mut seen: Vec<(Arc<Query>, u64)> = Vec::new();
+        for case_ix in 0..200 {
+            let first = seen.len();
+            for q in CaseData::generate(seed, case_ix).queries {
+                let query = q
+                    .plan
+                    .build(&registry)
+                    .expect("generated queries are valid");
+                let id = stable_query_id(&query);
+                for (ix, (other, other_id)) in seen.iter().enumerate() {
+                    let same = query.normalized_eq(other);
+                    assert_eq!(
+                        same,
+                        id == *other_id,
+                        "seed {seed} case {case_ix}: {query} / {other}"
+                    );
+                    assert!(
+                        !(same && ix >= first),
+                        "seed {seed} case {case_ix} folds {query}"
+                    );
+                    folded += usize::from(same);
+                }
+                seen.push((query, id));
+            }
+        }
+    }
+    assert!(folded > 0, "no query recurred across cases");
 }
 
 /// The shrinker drops whole queries: a three-query case under a grossly
