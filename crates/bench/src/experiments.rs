@@ -281,12 +281,32 @@ pub fn e7(scale: Scale) -> String {
     )
 }
 
-/// E8 — negation under disorder: the disorder-policy spectrum.
-pub fn e8(scale: Scale) -> String {
+/// E8's rows: per disorder policy, the native run of the negation query.
+fn e8_rows(scale: Scale) -> Vec<(&'static str, RunReport)> {
     let w = workload(4);
     let events = w.generate(scale.events / 2, scale.seed);
     let stream = delay_shuffle(&events, 0.2, OOO_DELAY, scale.seed);
     let q = w.negation_query(W);
+    let row = |(name, policy)| {
+        let mut cfg = EngineConfig::with_k(Duration::new(K));
+        cfg.policy = policy;
+        (name, run_with(Strategy::Native, &q, cfg, &stream))
+    };
+    [
+        ("conservative", DisorderPolicy::Conservative),
+        ("speculative", DisorderPolicy::Speculative),
+        ("lazy", DisorderPolicy::Lazy),
+        (
+            "adaptive:90",
+            DisorderPolicy::AdaptiveSlack { accuracy: 90 },
+        ),
+    ]
+    .map(row)
+    .into()
+}
+
+/// E8 — negation under disorder: the disorder-policy spectrum.
+pub fn e8(scale: Scale) -> String {
     let mut t = Table::new(&[
         "policy",
         "inserts",
@@ -296,18 +316,7 @@ pub fn e8(scale: Scale) -> String {
         "p99 arr lat",
     ]);
     let mut nets = Vec::new();
-    for (name, policy) in [
-        ("conservative", DisorderPolicy::Conservative),
-        ("speculative", DisorderPolicy::Speculative),
-        ("lazy", DisorderPolicy::Lazy),
-        (
-            "adaptive:90",
-            DisorderPolicy::AdaptiveSlack { accuracy: 90 },
-        ),
-    ] {
-        let mut cfg = EngineConfig::with_k(Duration::new(K));
-        cfg.policy = policy;
-        let r = run_with(Strategy::Native, &q, cfg, &stream);
+    for (name, r) in e8_rows(scale) {
         let inserts = r
             .outputs
             .iter()
@@ -764,6 +773,30 @@ mod tests {
         assert_eq!(classic.net_matches(), native.net_matches());
         assert!(on.stats.dfs_steps < off.stats.dfs_steps);
         assert_eq!(on.net_matches(), off.net_matches());
+    }
+
+    /// E8's ordering shape: speculative alone retracts, and buys the
+    /// lowest mean arrival latency with it; the adaptive bound holds a
+    /// result at least as long as conservative sealing does.
+    #[test]
+    fn e8_speculative_alone_retracts_and_emits_first() {
+        let rows = e8_rows(Scale::ci());
+        let retracts = |r: &RunReport| {
+            let retract = r.outputs.iter().filter(|o| o.kind == OutputKind::Retract);
+            retract.count()
+        };
+        let latency = |name: &str| {
+            let (_, r) = rows.iter().find(|(n, _)| *n == name).expect("a row");
+            r.arrival_latency.mean
+        };
+        for (name, r) in &rows {
+            let speculative = *name == "speculative";
+            assert_eq!(retracts(r) > 0, speculative, "{name}: {}", retracts(r));
+            if !speculative {
+                assert!(latency("speculative") < r.arrival_latency.mean, "{name}");
+            }
+        }
+        assert!(latency("adaptive:90") >= latency("conservative"));
     }
 
     #[test]

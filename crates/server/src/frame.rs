@@ -72,7 +72,9 @@ pub enum ErrorCode {
     BadQuery = 3,
     /// The frame kind is not valid in this direction or session state.
     Unexpected = 4,
-    /// The server has drained and no longer accepts ingestion.
+    /// The server has drained and no longer accepts ingestion: a second
+    /// DRAIN, or an EVENT_BATCH or PUNCTUATION sent once a DRAIN was
+    /// handled. Arrivals already queued behind the DRAIN are ignored.
     Draining = 5,
     /// A SUBSCRIBE query parsed but failed semantic analysis; the message
     /// carries the analyzer's diagnostic with its byte offset
@@ -300,7 +302,7 @@ pub enum Frame {
 /// Wire form of a policy request: a mode byte (0 = server default,
 /// 1 = conservative, 2 = speculative, 3 = lazy, 4 = adaptive) and a knob
 /// byte (the adaptive accuracy, 0 otherwise).
-pub(crate) fn policy_to_wire(policy: Option<DisorderPolicy>) -> (u8, u8) {
+pub fn policy_to_wire(policy: Option<DisorderPolicy>) -> (u8, u8) {
     match policy {
         None => (0, 0),
         Some(DisorderPolicy::Conservative) => (1, 0),
@@ -314,7 +316,7 @@ pub(crate) fn policy_to_wire(policy: Option<DisorderPolicy>) -> (u8, u8) {
 /// adaptive mode, where it is an accuracy `0..=100`; a nonzero knob
 /// anywhere else, or one above 100, is a typed rejection, so every wire
 /// byte stays fully validated.
-pub(crate) fn policy_from_wire(mode: u8, knob: u8) -> Result<Option<DisorderPolicy>, CodecError> {
+pub fn policy_from_wire(mode: u8, knob: u8) -> Result<Option<DisorderPolicy>, CodecError> {
     if (mode != 4 && knob != 0) || knob > 100 {
         return Err(CodecError::InvalidTag {
             what: "DisorderPolicy knob",

@@ -19,7 +19,8 @@
 //!   evaluation, subscriptions, and checkpointed exactly-once restarts;
 //! * [`server`] — session reader threads feeding one engine thread over a
 //!   bounded queue (blocking backpressure + BUSY advisories past the
-//!   high-water mark), graceful drain, durable resume;
+//!   high-water mark), graceful drain, durable resume; the engine thread
+//!   drives a [`Step`], which `sequin-sim` drives too;
 //! * [`client`] — a synchronous [`Client`] speaking the same protocol,
 //!   with a background reader so server pushes never deadlock the wire;
 //! * [`loadgen`] — loopback load generator that replays a prepared stream
@@ -56,6 +57,6 @@ pub use frame::{
     MAX_FRAME_LEN, TRACE_ALL_OUTPUTS, TRACE_ALL_QUERIES,
 };
 pub use loadgen::{loopback_run, NetBenchReport};
-pub use server::{Server, ServerConfig};
+pub use server::{Effect, Perform, Server, ServerConfig, Shared, Step};
 pub use stats::ServerStats;
 pub use transport::{mem_pair, FrameSink, MemTransport, TcpTransport, Transport};

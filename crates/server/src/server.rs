@@ -6,21 +6,22 @@
 //! HELLO handshake itself, then decodes frames and forwards work to the
 //! single **engine thread** over one bounded `mpsc::sync_channel`. The
 //! engine thread is the only code touching [`EngineCore`], so evaluation
-//! needs no locks and output order is globally deterministic: every
-//! subscriber observes outputs in the exact order the engine produced
-//! them.
+//! needs no locks and output order is globally deterministic. It is a
+//! driver, `engine_loop`, around a [`Step`]: the step turns each message
+//! into its [`Effect`]s in output-commit order, and the driver coalesces
+//! queued arrivals into batches and performs the effects. `sequin-sim`
+//! drives the same step, and crashes it between two effects.
 //!
 //! ## The request path
 //!
 //! An arrival travels as one `Ingest` message per stream item; every
 //! other frame a client may send (SUBSCRIBE, STATS_REQ, METRICS_REQ,
-//! TRACE_REQ, DRAIN) travels as it was decoded, in one `Request` message.
-//! The engine thread turns each message into the outputs it released and,
-//! for a request, the one reply `answer` builds — a refused SUBSCRIBE or
-//! a second DRAIN is answered by a coded ERROR. Replies therefore come
-//! back in request order, and a reply follows every output its request
-//! released. An observer session (HELLO with fingerprint 0) negotiated no
-//! schema, so it may only ask: STATS_REQ, METRICS_REQ, TRACE_REQ and BYE.
+//! TRACE_REQ, DRAIN) travels as it was decoded, in one `Request` message,
+//! and gets one reply, after every output it released — a refused
+//! SUBSCRIBE or a second DRAIN a coded ERROR. After a DRAIN a session
+//! answers ingestion with `ERROR[draining]` and closes. An observer session
+//! (HELLO with fingerprint 0) negotiated no schema, so it may only ask:
+//! STATS_REQ, METRICS_REQ, TRACE_REQ and BYE.
 //!
 //! ## Egress
 //!
@@ -30,9 +31,9 @@
 //! its sink's lock — a session thread's BUSY or ERROR lands between two
 //! batches, never between two frames of one. The bytes are those of
 //! frame-by-frame sends. [`ServerStats::frames_sent`] counts the frames of
-//! every batch whose write succeeded; a subscriber whose write failed is
-//! dropped on the spot. The write blocks the engine thread: a subscriber
-//! that stops reading still stalls evaluation for everyone.
+//! every run whose write succeeded; a subscriber whose write failed is
+//! dropped. The write blocks the engine thread: a subscriber that stops
+//! reading still stalls evaluation for everyone.
 //!
 //! ## Backpressure
 //!
@@ -46,14 +47,14 @@
 //! ## Durability
 //!
 //! With [`CoreConfig::checkpoint_every`] set and a
-//! [`ServerConfig::store_path`], the engine thread saves the checkpoint
-//! store whenever a message dirtied it, and saves *before* it sends
-//! (output commit, at the one site every message passes): its OUTPUT
-//! frames and its reply leave only once the store file holds their log
-//! records, so no output a client received is re-delivered after a
-//! restart. The window left is the other way round: a crash after the
-//! save and before the send loses that batch's outputs, which the restart
-//! suppresses as delivered (at-most-once for that sliver).
+//! [`ServerConfig::store_path`], the driver saves the checkpoint store
+//! whenever a message dirtied it, and saves *before* it sends (output
+//! commit): its OUTPUT frames and its reply leave only once the store
+//! file holds their log records, so no output a client received is
+//! re-delivered after a restart. The window left is the other way round:
+//! a crash after the save and before the send loses that batch's outputs,
+//! which the restart suppresses as delivered (at-most-once for that
+//! sliver).
 //! [`Server::crash`] (the fault-injection kill) lands on a message
 //! boundary, where no such window is open. A failed save is reported on
 //! stderr and the frames still go out. A server without checkpointing
@@ -133,9 +134,12 @@ enum EngineMsg {
     Shutdown,
 }
 
-struct Shared {
-    tx: SyncSender<EngineMsg>,
-    /// Ingest messages currently queued (readers increment, engine
+/// What the engine thread shares with the session threads, the queue
+/// aside: the [`Step`] reads and bumps it by reference, so a driver
+/// without threads builds a default one of its own.
+#[derive(Default)]
+pub struct Shared {
+    /// Ingest messages currently queued (readers increment, the driver
     /// decrements) — the BUSY advisory's trigger.
     depth: AtomicUsize,
     stats: Mutex<ServerStats>,
@@ -143,6 +147,8 @@ struct Shared {
     resume_from: AtomicU64,
     /// Mirror of the core's query count, served in HELLO_ACK.
     query_count: AtomicU64,
+    /// Set once a DRAIN has been handled: sessions refuse ingestion.
+    drained: AtomicBool,
     fingerprint: u64,
     busy_high_water: usize,
     accepting: AtomicBool,
@@ -166,6 +172,7 @@ impl Shared {
 /// Handle to a running server (engine thread + optional TCP acceptor).
 pub struct Server {
     shared: Arc<Shared>,
+    tx: SyncSender<EngineMsg>,
     engine: Option<JoinHandle<()>>,
     acceptor: Option<JoinHandle<()>>,
     local_addr: Option<SocketAddr>,
@@ -180,7 +187,6 @@ impl Server {
     /// it then registers [`ServerConfig::queries`].
     pub fn start(config: ServerConfig) -> Result<Server, String> {
         let (tx, rx) = mpsc::sync_channel::<EngineMsg>(config.queue_capacity.max(1));
-        let fingerprint = config.core.registry.fingerprint();
 
         let mut resumed_at = None;
         let mut core = match &config.store_path {
@@ -218,15 +224,12 @@ impl Server {
         }
 
         let shared = Arc::new(Shared {
-            tx,
-            depth: AtomicUsize::new(0),
-            stats: Mutex::new(ServerStats::default()),
             resume_from: AtomicU64::new(core.position()),
             query_count: AtomicU64::new(core.query_count()),
-            fingerprint,
+            fingerprint: core.fingerprint(),
             busy_high_water: config.busy_high_water.max(1),
             accepting: AtomicBool::new(true),
-            next_conn: AtomicU64::new(0),
+            ..Shared::default()
         });
 
         let engine = {
@@ -234,12 +237,13 @@ impl Server {
             let store_path = config.store_path.clone();
             std::thread::Builder::new()
                 .name("sequin-engine".into())
-                .spawn(move || engine_loop(core, rx, shared, store_path))
+                .spawn(move || engine_loop(Step::new(core), rx, shared, store_path))
                 .map_err(|e| e.to_string())?
         };
 
         Ok(Server {
             shared,
+            tx,
             engine: Some(engine),
             acceptor: None,
             local_addr: None,
@@ -258,7 +262,7 @@ impl Server {
     pub fn listen(&mut self, addr: &str) -> std::io::Result<SocketAddr> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let shared = self.shared.clone();
+        let (shared, tx) = (self.shared.clone(), self.tx.clone());
         let acceptor = std::thread::Builder::new()
             .name("sequin-accept".into())
             .spawn(move || {
@@ -269,7 +273,7 @@ impl Server {
                     let Ok(stream) = stream else { continue };
                     let _ = stream.set_nodelay(true);
                     match TcpTransport::new(stream) {
-                        Ok(t) => spawn_session(shared.clone(), Box::new(t)),
+                        Ok(t) => spawn_session(shared.clone(), tx.clone(), Box::new(t)),
                         Err(_) => continue,
                     }
                 }
@@ -287,7 +291,7 @@ impl Server {
     /// Serves one pre-established transport (e.g. a
     /// [`crate::transport::MemTransport`]) as a session.
     pub fn attach(&self, transport: Box<dyn Transport>) {
-        spawn_session(self.shared.clone(), transport);
+        spawn_session(self.shared.clone(), self.tx.clone(), transport);
     }
 
     /// Snapshot of the connection/frame counters.
@@ -310,7 +314,7 @@ impl Server {
     /// engine thread. Sessions still open simply find the queue closed.
     pub fn shutdown(&mut self) {
         self.stop_acceptor();
-        let _ = self.shared.tx.send(EngineMsg::Shutdown);
+        let _ = self.tx.send(EngineMsg::Shutdown);
         if let Some(h) = self.engine.take() {
             let _ = h.join();
         }
@@ -321,7 +325,7 @@ impl Server {
     /// held at the last dirty-save is all a restart gets.
     pub fn crash(&mut self) {
         self.stop_acceptor();
-        let _ = self.shared.tx.send(EngineMsg::Crash);
+        let _ = self.tx.send(EngineMsg::Crash);
         if let Some(h) = self.engine.take() {
             let _ = h.join();
         }
@@ -336,16 +340,6 @@ impl Drop for Server {
     }
 }
 
-fn persist_if_dirty(core: &mut EngineCore, store_path: &Option<PathBuf>) {
-    if core.take_dirty() {
-        if let Some(path) = store_path {
-            if let Err(e) = core.store().save(path) {
-                eprintln!("store {} not saved ({e})", path.display());
-            }
-        }
-    }
-}
-
 /// Upper bound on one coalesced ingest batch: keeps delivery latency and
 /// the checkpoint-persist cadence bounded even under a saturated queue.
 const MAX_ENGINE_BATCH: usize = 256;
@@ -356,15 +350,15 @@ struct Subscriber {
     sink: Arc<dyn FrameSink>,
     /// Ids of the queries whose outputs it receives.
     queries: Vec<usize>,
-    /// The current batch's OUTPUT frames for it, as they go on the wire;
-    /// emptied by every [`Egress::deliver`] and kept for its capacity.
+    /// The current message's OUTPUT frames for it, as they go on the
+    /// wire; emptied once sent and kept for its capacity.
     wire: Vec<u8>,
     /// Frames in `wire`.
     frames: u64,
 }
 
 /// The engine thread's outbound side: who receives which query's outputs,
-/// and one batch of OUTPUT frames on its way to them.
+/// and one message's OUTPUT frames on their way to them.
 #[derive(Default)]
 struct Egress {
     subscribers: Vec<Subscriber>,
@@ -415,13 +409,12 @@ impl Egress {
     }
 
     /// Sends one engine call's outputs: each is encoded once and appended
-    /// to the batch of every connection subscribed to its query, then
-    /// every connection gets its batch in one [`FrameSink::send_frames`],
-    /// in engine order. Returns the frames that went out. A connection
-    /// whose write fails is gone: it is dropped here and now — not when
-    /// its session's `Disconnect` comes up behind a full queue of ingests
-    /// — and none of its batch counts.
-    fn deliver(&mut self, outputs: &[(QueryId, OutputItem)]) -> u64 {
+    /// to the run of every connection subscribed to its query, then every
+    /// connection's run is `perform`ed as one [`Effect::Frames`], in
+    /// engine order. A connection whose write fails is gone: it is dropped
+    /// here and now — not when its session's `Disconnect` comes up behind
+    /// a full queue of ingests.
+    fn deliver(&mut self, outputs: &[(QueryId, OutputItem)], perform: &mut Perform<'_>) {
         for (qid, item) in outputs {
             let receivers = self
                 .by_query
@@ -442,15 +435,10 @@ impl Egress {
                 to.frames += 1;
             }
         }
-        let mut sent = 0;
         let mut gone = Vec::new();
         for to in &mut self.subscribers {
-            if to.frames == 0 {
-                continue;
-            }
-            match to.sink.send_frames(&to.wire) {
-                Ok(()) => sent += to.frames,
-                Err(_) => gone.push(to.conn),
+            if to.frames > 0 && !perform(Effect::Frames(&to.sink, &to.wire, to.frames)) {
+                gone.push(to.conn);
             }
             to.wire.clear();
             to.frames = 0;
@@ -458,18 +446,188 @@ impl Egress {
         if !gone.is_empty() {
             self.remove_where(|s| gone.contains(&s.conn));
         }
-        sent
     }
 }
 
+/// One effect of a message, handed to its driver in output-commit order:
+/// the save (when the message dirtied the store), each subscriber's run of
+/// OUTPUT frames, the reply.
+pub enum Effect<'a> {
+    /// Save the store.
+    Save(&'a CheckpointStore),
+    /// Send one subscriber its run of this many frames, as they go on the
+    /// wire.
+    Frames(&'a Arc<dyn FrameSink>, &'a [u8], u64),
+    /// Send a request's reply.
+    Reply(&'a Arc<dyn FrameSink>, &'a Frame),
+}
+
+/// How a driver performs an [`Effect`], returning whether a write
+/// succeeded (a save, the driver's own affair, returns `true`).
+pub type Perform<'p> = dyn FnMut(Effect<'_>) -> bool + 'p;
+
+impl Effect<'_> {
+    /// Sends a run, in one [`FrameSink::send_frames`], or a reply (a
+    /// driver saves itself); its frames count only if the write succeeds.
+    /// Returns whether it did.
+    pub fn send(&self, shared: &Shared) -> bool {
+        let (sent, frames) = match *self {
+            Effect::Save(_) => return true,
+            Effect::Frames(sink, wire, frames) => (sink.send_frames(wire), frames),
+            Effect::Reply(sink, frame) => (sink.send_frame(&encode_frame(frame)), 1),
+        };
+        if sent.is_ok() {
+            shared.with_stats(|s| s.frames_sent += frames);
+        }
+        sent.is_ok()
+    }
+}
+
+/// The engine thread's work, with no channel, thread, socket or file
+/// around it: it owns the [`EngineCore`] and the subscriber table, and
+/// turns each message — an ingest batch, a request frame, a disconnect —
+/// into that message's [`Effect`]s, which the caller's `perform` carries
+/// out in the order given.
+pub struct Step {
+    core: EngineCore,
+    egress: Egress,
+}
+
+impl Step {
+    /// A step around `core`, with no subscriber yet.
+    pub fn new(core: EngineCore) -> Step {
+        let egress = Egress::default();
+        Step { core, egress }
+    }
+
+    /// Ingests a run of arrivals in one engine call.
+    pub fn ingest(&mut self, batch: &[StreamItem], shared: &Shared, perform: &mut Perform<'_>) {
+        let outputs = self.core.ingest_batch(batch);
+        let position = self.core.position();
+        shared.resume_from.store(position, Ordering::SeqCst);
+        shared.with_stats(|s| {
+            s.engine_batches += 1;
+            s.max_engine_batch = s.max_engine_batch.max(batch.len() as u64);
+        });
+        self.commit(&outputs, None, perform);
+    }
+
+    /// Answers a request frame of session `conn`, whose frames go to
+    /// `sink`: a coded ERROR for a refused SUBSCRIBE, a second DRAIN or a
+    /// frame that is no request; a first DRAIN's reply follows the outputs
+    /// it released.
+    pub fn request(
+        &mut self,
+        conn: u64,
+        frame: Frame,
+        sink: &Arc<dyn FrameSink>,
+        shared: &Shared,
+        perform: &mut Perform<'_>,
+    ) {
+        let core = &mut self.core;
+        let mut outputs = Vec::new();
+        let reply = match frame {
+            Frame::Subscribe { query, policy } => {
+                match core.subscribe_with_policy(&query, policy) {
+                    Ok((qid, policy)) => {
+                        let count = core.query_count();
+                        shared.query_count.store(count, Ordering::SeqCst);
+                        self.egress.subscribe(conn, sink, qid.index());
+                        shared.with_stats(|s| s.subscriptions += 1);
+                        let query_id = qid.index() as u64;
+                        Frame::SubAck { query_id, policy }
+                    }
+                    Err(e) => {
+                        shared.with_stats(|s| s.rejected_frames += 1);
+                        Frame::Error {
+                            code: e.code,
+                            message: e.message,
+                        }
+                    }
+                }
+            }
+            Frame::StatsReq => Frame::StatsReply {
+                server: shared.with_stats(|s| *s),
+                engine: core.stats(),
+            },
+            Frame::MetricsReq { format } => {
+                let server = shared.with_stats(|s| *s);
+                let depth = shared.depth.load(Ordering::SeqCst) as u64;
+                let snapshot = || core.metrics_snapshot(Some((&server, depth)));
+                let body = match format {
+                    MetricsFormat::Prometheus => snapshot().to_prometheus(),
+                    MetricsFormat::Json => snapshot().to_json(),
+                    MetricsFormat::TraceJson => core.trace_json(),
+                };
+                Frame::MetricsReply { format, body }
+            }
+            Frame::TraceReq { format, query, pid } => {
+                let query = (query != TRACE_ALL_QUERIES).then_some(query);
+                let pid = (pid != TRACE_ALL_OUTPUTS).then_some(pid);
+                let body = core.lineage(query, pid, format == TraceFormat::Json);
+                Frame::TraceReply { format, body }
+            }
+            Frame::Drain if !core.drained() => {
+                shared.with_stats(|s| s.drains += 1);
+                shared.drained.store(true, Ordering::SeqCst);
+                outputs = core.finish();
+                Frame::DrainAck
+            }
+            Frame::Drain => Frame::Error {
+                code: ErrorCode::Draining,
+                message: "already drained".into(),
+            },
+            other => Frame::Error {
+                code: ErrorCode::Unexpected,
+                message: format!("not a request: {other:?}"),
+            },
+        };
+        self.commit(&outputs, Some((sink, &reply)), perform);
+    }
+
+    /// Session `conn` has ended: it is sent nothing more.
+    pub fn disconnect(&mut self, conn: u64) {
+        self.egress.remove(conn);
+    }
+
+    /// Hands a message's effects to `perform`. Output commit: the store
+    /// holds the message's log records before its outputs or its reply
+    /// leave.
+    fn commit(
+        &mut self,
+        outputs: &[(QueryId, OutputItem)],
+        reply: Option<(&Arc<dyn FrameSink>, &Frame)>,
+        perform: &mut Perform<'_>,
+    ) {
+        if self.core.take_dirty() {
+            perform(Effect::Save(self.core.store()));
+        }
+        self.egress.deliver(outputs, perform);
+        if let Some((sink, frame)) = reply {
+            perform(Effect::Reply(sink, frame));
+        }
+    }
+}
+
+/// The engine thread's driver: coalesces queued arrivals into batches,
+/// hands every message to `step`, and performs its effects —
+/// [`Effect::Save`] as a save of the store file at `store_path`.
 fn engine_loop(
-    mut core: EngineCore,
+    mut step: Step,
     rx: mpsc::Receiver<EngineMsg>,
     shared: Arc<Shared>,
     store_path: Option<PathBuf>,
 ) {
-    let mut egress = Egress::default();
-
+    let mut perform = |effect: Effect<'_>| match (effect, &store_path) {
+        (Effect::Save(store), Some(path)) => {
+            if let Err(e) = store.save(path) {
+                eprintln!("store {} not saved ({e})", path.display());
+            }
+            true
+        }
+        (effect, _) => effect.send(&shared),
+    };
+    let mut batch = Vec::new();
     // A non-Ingest message pulled off the queue while coalescing a batch;
     // handled on the next loop turn so ordering is preserved.
     let mut pending: Option<EngineMsg> = None;
@@ -481,14 +639,13 @@ fn engine_loop(
                 Err(_) => break,
             },
         };
-        // what the message released, the length of its ingest batch (0
-        // for a request), and the reply its session is owed
-        let (outputs, batched, reply) = match msg {
+        match msg {
             EngineMsg::Ingest(item) => {
                 // Coalesce the run of Ingest messages already queued into
                 // one batch: delivering per-batch amortizes queue wakeups
                 // and egress writes.
-                let mut batch = vec![item];
+                batch.clear();
+                batch.push(item);
                 while batch.len() < MAX_ENGINE_BATCH {
                     match rx.try_recv() {
                         Ok(EngineMsg::Ingest(next)) => batch.push(next),
@@ -500,118 +657,35 @@ fn engine_loop(
                     }
                 }
                 shared.depth.fetch_sub(batch.len(), Ordering::SeqCst);
-                let outputs = core.ingest_batch(&batch);
-                shared.resume_from.store(core.position(), Ordering::SeqCst);
-                (outputs, batch.len() as u64, None)
+                step.ingest(&batch, &shared, &mut perform);
             }
             EngineMsg::Request { conn, frame, sink } => {
-                let (outputs, reply) = answer(&mut core, &shared, &mut egress, conn, &sink, *frame);
-                (outputs, 0, Some((sink, reply)))
+                step.request(conn, *frame, &sink, &shared, &mut perform)
             }
-            EngineMsg::Disconnect { conn } => {
-                egress.remove(conn);
-                continue;
-            }
+            EngineMsg::Disconnect { conn } => step.disconnect(conn),
             EngineMsg::Crash => return,
             EngineMsg::Shutdown => break,
-        };
-        // output commit: the store holds the message's log records before
-        // its outputs or its reply leave
-        persist_if_dirty(&mut core, &store_path);
-        let sent = egress.deliver(&outputs);
-        shared.with_stats(|s| {
-            s.frames_sent += sent;
-            if batched > 0 {
-                s.engine_batches += 1;
-                s.max_engine_batch = s.max_engine_batch.max(batched);
-            }
-        });
-        if let Some((sink, reply)) = reply {
-            shared.send(&sink, &reply);
         }
     }
-    // shutdown, or every sender gone (Server dropped without shutdown)
-    persist_if_dirty(&mut core, &store_path);
+    // shutdown, or every sender gone (Server dropped without shutdown):
+    // what startup registered is unsaved until a message saves it
+    if step.core.take_dirty() {
+        perform(Effect::Save(step.core.store()));
+    }
 }
 
-/// Answers one request frame of session `conn`: the outputs it released
-/// (a first DRAIN's) and its reply — a coded ERROR for a refused
-/// SUBSCRIBE, a second DRAIN or a frame that is no request.
-fn answer(
-    core: &mut EngineCore,
-    shared: &Shared,
-    egress: &mut Egress,
-    conn: u64,
-    sink: &Arc<dyn FrameSink>,
-    frame: Frame,
-) -> (Vec<(QueryId, OutputItem)>, Frame) {
-    let reply = match frame {
-        Frame::Subscribe { query, policy } => match core.subscribe_with_policy(&query, policy) {
-            Ok((qid, policy)) => {
-                shared
-                    .query_count
-                    .store(core.query_count(), Ordering::SeqCst);
-                egress.subscribe(conn, sink, qid.index());
-                shared.with_stats(|s| s.subscriptions += 1);
-                let query_id = qid.index() as u64;
-                Frame::SubAck { query_id, policy }
-            }
-            Err(e) => {
-                shared.with_stats(|s| s.rejected_frames += 1);
-                Frame::Error {
-                    code: e.code,
-                    message: e.message,
-                }
-            }
-        },
-        Frame::StatsReq => Frame::StatsReply {
-            server: shared.with_stats(|s| *s),
-            engine: core.stats(),
-        },
-        Frame::MetricsReq { format } => {
-            let server = shared.with_stats(|s| *s);
-            let depth = shared.depth.load(Ordering::SeqCst) as u64;
-            let snapshot = || core.metrics_snapshot(Some((&server, depth)));
-            let body = match format {
-                MetricsFormat::Prometheus => snapshot().to_prometheus(),
-                MetricsFormat::Json => snapshot().to_json(),
-                MetricsFormat::TraceJson => core.trace_json(),
-            };
-            Frame::MetricsReply { format, body }
-        }
-        Frame::TraceReq { format, query, pid } => {
-            let query = (query != TRACE_ALL_QUERIES).then_some(query);
-            let pid = (pid != TRACE_ALL_OUTPUTS).then_some(pid);
-            let body = core.lineage(query, pid, format == TraceFormat::Json);
-            Frame::TraceReply { format, body }
-        }
-        Frame::Drain if !core.drained() => {
-            shared.with_stats(|s| s.drains += 1);
-            return (core.finish(), Frame::DrainAck);
-        }
-        Frame::Drain => Frame::Error {
-            code: ErrorCode::Draining,
-            message: "already drained".into(),
-        },
-        other => Frame::Error {
-            code: ErrorCode::Unexpected,
-            message: format!("not a request: {other:?}"),
-        },
-    };
-    (Vec::new(), reply)
-}
-
-fn spawn_session(shared: Arc<Shared>, transport: Box<dyn Transport>) {
+fn spawn_session(shared: Arc<Shared>, tx: SyncSender<EngineMsg>, transport: Box<dyn Transport>) {
     let conn = shared.next_conn.fetch_add(1, Ordering::SeqCst);
     let _ = std::thread::Builder::new()
         .name(format!("sequin-session-{conn}"))
-        .spawn(move || run_session(shared, conn, transport));
+        .spawn(move || run_session(shared, tx, conn, transport));
 }
 
 /// Enqueues one ingest message with depth accounting and backpressure.
 /// Returns false when the engine is gone.
 fn enqueue_ingest(
     shared: &Shared,
+    tx: &SyncSender<EngineMsg>,
     sink: &Arc<dyn FrameSink>,
     busy_advised: &mut bool,
     item: StreamItem,
@@ -629,11 +703,11 @@ fn enqueue_ingest(
     } else if depth < shared.busy_high_water / 2 {
         *busy_advised = false;
     }
-    match shared.tx.try_send(EngineMsg::Ingest(item)) {
+    match tx.try_send(EngineMsg::Ingest(item)) {
         Ok(()) => true,
         Err(TrySendError::Full(msg)) => {
             shared.with_stats(|s| s.backpressure_stalls += 1);
-            if shared.tx.send(msg).is_err() {
+            if tx.send(msg).is_err() {
                 shared.depth.fetch_sub(1, Ordering::SeqCst);
                 return false;
             }
@@ -646,7 +720,12 @@ fn enqueue_ingest(
     }
 }
 
-fn run_session(shared: Arc<Shared>, conn: u64, mut transport: Box<dyn Transport>) {
+fn run_session(
+    shared: Arc<Shared>,
+    tx: SyncSender<EngineMsg>,
+    conn: u64,
+    mut transport: Box<dyn Transport>,
+) {
     let sink = transport.sink();
     shared.with_stats(|s| s.connections_opened += 1);
 
@@ -731,20 +810,26 @@ fn run_session(shared: Arc<Shared>, conn: u64, mut transport: Box<dyn Transport>
                 refuse(ErrorCode::BadHello, "duplicate HELLO".into());
                 break;
             }
+            Frame::EventBatch(_) | Frame::Punctuation(_)
+                if shared.drained.load(Ordering::SeqCst) =>
+            {
+                refuse(ErrorCode::Draining, "drained: no further ingestion".into());
+                break;
+            }
             Frame::EventBatch(events) => {
                 shared.with_stats(|s| {
                     s.batches_ingested += 1;
                     s.events_ingested += events.len() as u64;
                 });
                 let mut items = events.into_iter().map(StreamItem::Event);
-                if !items.all(|item| enqueue_ingest(&shared, &sink, &mut busy_advised, item)) {
+                if !items.all(|item| enqueue_ingest(&shared, &tx, &sink, &mut busy_advised, item)) {
                     break;
                 }
             }
             Frame::Punctuation(ts) => {
                 shared.with_stats(|s| s.punctuations_ingested += 1);
                 let item = StreamItem::Punctuation(ts);
-                if !enqueue_ingest(&shared, &sink, &mut busy_advised, item) {
+                if !enqueue_ingest(&shared, &tx, &sink, &mut busy_advised, item) {
                     break;
                 }
             }
@@ -754,11 +839,7 @@ fn run_session(shared: Arc<Shared>, conn: u64, mut transport: Box<dyn Transport>
             | Frame::TraceReq { .. }
             | Frame::Drain) => {
                 let (frame, sink) = (Box::new(request), sink.clone());
-                if shared
-                    .tx
-                    .send(EngineMsg::Request { conn, frame, sink })
-                    .is_err()
-                {
+                if tx.send(EngineMsg::Request { conn, frame, sink }).is_err() {
                     break;
                 }
             }
@@ -780,7 +861,7 @@ fn run_session(shared: Arc<Shared>, conn: u64, mut transport: Box<dyn Transport>
         }
     }
 
-    let _ = shared.tx.send(EngineMsg::Disconnect { conn });
+    let _ = tx.send(EngineMsg::Disconnect { conn });
     sink.close();
     shared.with_stats(|s| s.connections_closed += 1);
 }
@@ -858,6 +939,14 @@ mod tests {
         (wire, frames)
     }
 
+    /// One engine call's egress, as the server performs it: the frames
+    /// that went out.
+    fn deliver(egress: &mut Egress, outputs: &[(QueryId, OutputItem)], shared: &Shared) -> u64 {
+        let before = shared.with_stats(|s| s.frames_sent);
+        egress.deliver(outputs, &mut |effect| effect.send(shared));
+        shared.with_stats(|s| s.frames_sent) - before
+    }
+
     /// Every arrival is one message, so its size is hot-path cost: a
     /// request's frame (hundreds of bytes inline) stays boxed.
     #[test]
@@ -873,6 +962,7 @@ mod tests {
             Arc::new(CountingSink::default()),
             Arc::new(CountingSink::default()),
         );
+        let shared = Shared::default();
         let mut egress = Egress::default();
         let sink: Arc<dyn FrameSink> = both.clone();
         egress.subscribe(7, &sink, 0);
@@ -882,7 +972,7 @@ mod tests {
         egress.subscribe(9, &sink, 1);
 
         for (n, call) in calls.iter().enumerate() {
-            let sent = egress.deliver(call);
+            let sent = deliver(&mut egress, call, &shared);
             let (want_both, frames_both) = frame_by_frame(call, &[0, 1]);
             let (want_one, frames_one) = frame_by_frame(call, &[1]);
             assert_eq!(sent, frames_both + frames_one);
@@ -891,7 +981,7 @@ mod tests {
             assert_eq!(one.runs()[n], want_one);
         }
         // a call with nothing for anybody writes nothing
-        assert_eq!(egress.deliver(&[]), 0);
+        assert_eq!(deliver(&mut egress, &[], &shared), 0);
         assert_eq!(both.runs().len(), 2);
         assert_eq!(both.singles.load(Ordering::SeqCst), 0);
         assert_eq!(one.singles.load(Ordering::SeqCst), 0);
@@ -905,6 +995,7 @@ mod tests {
             Arc::new(CountingSink::default()),
         );
         dead.broken.store(true, Ordering::SeqCst);
+        let shared = Shared::default();
         let mut egress = Egress::default();
         let sink: Arc<dyn FrameSink> = dead.clone();
         egress.subscribe(1, &sink, 0);
@@ -913,18 +1004,65 @@ mod tests {
         egress.subscribe(2, &sink, 1);
 
         let (want, frames) = frame_by_frame(&calls[0], &[1]);
-        assert_eq!(egress.deliver(&calls[0]), frames, "only the live one's");
+        let sent = deliver(&mut egress, &calls[0], &shared);
+        assert_eq!(sent, frames, "only the live one's");
         assert_eq!(live.runs(), [want]);
         let left: Vec<u64> = egress.subscribers.iter().map(|s| s.conn).collect();
         assert_eq!(left, [2], "gone after its first failed write");
         assert_eq!(egress.by_query, [vec![], vec![0]], "and out of the index");
 
         let (want, frames) = frame_by_frame(&calls[1], &[1]);
-        assert_eq!(egress.deliver(&calls[1]), frames);
+        assert_eq!(deliver(&mut egress, &calls[1], &shared), frames);
         assert_eq!(live.runs()[1], want);
         assert_eq!(dead.runs().len(), 1, "nothing more is written to it");
         // its session's Disconnect, when it is finally dequeued, finds nothing
         egress.remove(1);
         assert_eq!(egress.subscribers.len(), 1);
+    }
+
+    /// The kinds of the effects `message` hands its `perform`, in order.
+    fn kinds(message: impl FnOnce(&mut Perform<'_>)) -> Vec<&'static str> {
+        let mut kinds = Vec::new();
+        message(&mut |effect| {
+            kinds.push(match effect {
+                Effect::Save(_) => "save",
+                Effect::Frames(..) => "frames",
+                Effect::Reply(..) => "reply",
+            });
+            true
+        });
+        kinds
+    }
+
+    /// Output commit, as the step hands it over: a message that dirtied a
+    /// durable store saves first, then each subscriber's run goes out,
+    /// then the reply; a message that released nothing has no run.
+    #[test]
+    fn a_step_hands_over_the_save_first_and_the_reply_last() {
+        let reg = registry();
+        let mut step = Step::new(EngineCore::new(cfg(&reg, Some(7))));
+        let shared = Shared::default();
+        let sink: Arc<dyn FrameSink> = Arc::new(CountingSink::default());
+        let subscribe = Frame::Subscribe {
+            query: Q_AB.to_owned(),
+            policy: None,
+        };
+        let request = |step: &mut Step, frame: &Frame| {
+            kinds(|p| step.request(3, frame.clone(), &sink, &shared, p))
+        };
+        let registered = request(&mut step, &subscribe);
+        assert_eq!(registered, ["save", "reply"], "a registration is durable");
+        let hit = request(&mut step, &subscribe);
+        assert_eq!(hit, ["reply"], "a table hit changes nothing");
+        let items = stream(&reg);
+        let ingested = kinds(|p| step.ingest(&items, &shared, p));
+        assert_eq!(ingested, ["save", "frames"]);
+        assert_eq!(
+            shared.resume_from.load(Ordering::SeqCst),
+            items.len() as u64
+        );
+        let drained = request(&mut step, &Frame::Drain);
+        assert_eq!((drained[0], drained[drained.len() - 1]), ("save", "reply"));
+        assert!(shared.drained.load(Ordering::SeqCst));
     }
 }

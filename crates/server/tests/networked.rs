@@ -1045,3 +1045,43 @@ fn pipelined_requests_are_answered_once_each_in_order() {
     t.sink().send_frame(&encode_frame(&Frame::Bye)).unwrap();
     assert_eq!(t.recv_frame().unwrap(), None, "nothing more was owed");
 }
+
+/// Once the engine has handled a DRAIN, a session refuses ingestion: a
+/// later EVENT_BATCH is answered by ERROR[draining] and closes the
+/// session, and none of its events counts as ingested.
+#[test]
+fn events_sent_after_a_drain_are_refused() {
+    let (reg, stream) = workload(500, 13);
+    let core = core_config(&reg, DisorderPolicy::Conservative);
+    let server = Server::start(ServerConfig::new(core)).unwrap();
+    let mut t = raw_session(&server, &reg, encode_frame);
+    let sink = t.sink();
+    let send = |f: &Frame| sink.send_frame(&encode_frame(f));
+    let events: Vec<_> = stream
+        .iter()
+        .filter_map(StreamItem::as_event)
+        .cloned()
+        .collect();
+    assert!(events.len() >= 400);
+    send(&Frame::EventBatch(events[..200].to_vec())).unwrap();
+    send(&Frame::Drain).unwrap();
+    loop {
+        match next_frame(&mut t) {
+            Frame::DrainAck => break,
+            Frame::Output(_) | Frame::Busy { .. } => {}
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    send(&Frame::EventBatch(events[200..400].to_vec())).unwrap();
+    // the refusal may already have closed the link
+    let _ = send(&Frame::StatsReq);
+    match next_frame(&mut t) {
+        Frame::Error { code, .. } => assert_eq!(code, ErrorCode::Draining),
+        other => panic!("a batch after the drain answered by {other:?}"),
+    }
+    assert_eq!(t.recv_frame().unwrap(), None, "session closed");
+    let mut client = Client::over(Box::new(raw_session(&server, &reg, encode_frame)));
+    let (stats, _) = client.stats().unwrap();
+    assert_eq!(stats.events_ingested, 200);
+    assert_eq!(stats.rejected_frames, 1);
+}

@@ -244,14 +244,18 @@ pub struct CaseConfig {
     pub purge_every: Option<u32>,
     /// Watermark source: 0 = K-slack, 1 = punctuation, 2 = both.
     pub watermark: u8,
-    /// Chunk size of the crash/resume and loopback paths' ingestion.
+    /// Chunk size of the server path's ingestion.
     pub batch: usize,
-    /// Checkpoint cadence for the crash/resume path.
+    /// Checkpoint cadence for the server path.
     pub ckpt_every: u64,
-    /// Item index the crash/resume path dies at (clamped to the stream).
+    /// Item index the server path crashes at (clamped to the stream).
     pub crash_at: u64,
-    /// Run the networked loopback path for this case.
-    pub loopback: bool,
+    /// The server path subscribes odd-indexed queries on a second
+    /// connection.
+    pub split_sessions: bool,
+    /// The server path crashes between the last message's save and its
+    /// frames, not at a message boundary.
+    pub crash_after_save: bool,
 }
 
 /// One query of a case: its plan and the disorder policy it runs under.
@@ -304,7 +308,7 @@ impl CaseData {
         let mut rng = Rng::seed_from_u64(case_seed(seed, case_ix));
         let plan = gen_query(&mut rng);
         let (items, measured_lateness) = gen_items(&mut rng);
-        let (config, policy) = gen_config(&mut rng, &items, measured_lateness);
+        let (mut config, policy) = gen_config(&mut rng, &items, measured_lateness);
         let mut queries = vec![SimQuery { plan, policy }];
         // the further queries draw last, so the first query, the stream and
         // the knobs of a `(seed, case)` pair do not depend on how many follow
@@ -327,6 +331,8 @@ impl CaseData {
                 queries.push(SimQuery { plan, policy });
             }
         }
+        // drawn last, so every earlier draw of a `(seed, case)` pair stays
+        config.crash_after_save = rng.gen_bool(0.5);
         CaseData {
             queries,
             items,
@@ -370,7 +376,8 @@ fn gen_config(
             .expect("in range"),
         ckpt_every: rng.gen_range(3..=17u64),
         crash_at,
-        loopback: rng.gen_bool(0.25),
+        split_sessions: rng.gen_bool(0.25),
+        crash_after_save: false,
     };
     (config, policy)
 }

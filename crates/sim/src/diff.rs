@@ -15,26 +15,32 @@
 //!   reference that shares no code with the engines, which is where "the
 //!   algorithm is right" is anchored (comparing a plan of N with N plans
 //!   of one only shows pooling and prefix sharing are invisible);
-//! * a durable [`EngineCore`] fed in chunks of the case's batch size
-//!   (so [`EngineCore::ingest_batch`] splits runs at checkpoint
-//!   boundaries), crashed at the configured point and resumed — the
-//!   union of pre- and post-crash deliveries equals the reference exactly
-//!   once per query (a multiset of `(kind, ids)`), and every query's
-//!   policy survives the restart;
-//! * the networked server loopback with each query's policy requested at
-//!   SUBSCRIBE — byte-identical frames, verified by
-//!   [`sequin_server::loopback_run`] itself.
+//! * the server: the engine thread's [`Step`] around a durable core,
+//!   driven over one or two in-memory connections (each query's policy
+//!   requested at SUBSCRIBE), fed in chunks of the case's batch size, and
+//!   crashed at the configured item — at a message boundary, or between
+//!   the last message's save and its frames — then restarted from the
+//!   saved bytes, resubscribed, replayed and drained. Each connection
+//!   gets only its queries' OUTPUT frames; before the crash they are the
+//!   reference exactly; before, lost in the crash and after, they are
+//!   the reference exactly once (a multiset of `(kind, ids)`); and every
+//!   request gets one reply, in order, with each query's policy.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 use sequin_engine::{
-    DisorderPolicy, EngineConfig, MultiEngine, NativeEngine, OutputItem, OutputKind, QueryId,
-    Strategy, WatermarkSource,
+    CheckpointStore, DisorderPolicy, EngineConfig, MultiEngine, NativeEngine, OutputItem,
+    OutputKind, Strategy, WatermarkSource,
 };
 use sequin_query::{parse, Query};
-use sequin_server::{loopback_run, CoreConfig, EngineCore};
-use sequin_types::{Duration, EventRef};
+use sequin_server::frame::read_frame;
+use sequin_server::{
+    decode_frame, CoreConfig, Effect, EngineCore, ErrorCode, Frame, FrameSink, OutputFrame,
+    Perform, Shared, Step,
+};
+use sequin_types::{Duration, EventRef, StreamItem};
 
 use crate::case::{sim_registry, CaseData};
 use crate::oracle::reference_matches;
@@ -48,11 +54,9 @@ pub enum Path {
     Oracle,
     /// The plan of N, item by item, != the per-query reference.
     Plan,
-    /// Durable crash + resume != reference (exactly-once, policies
-    /// restored).
-    CrashResume,
-    /// Networked loopback frames != in-process frames.
-    Loopback,
+    /// The server's step, crashed and restarted: frames or replies !=
+    /// the reference's.
+    Server,
 }
 
 impl std::fmt::Display for Path {
@@ -61,8 +65,7 @@ impl std::fmt::Display for Path {
             Path::Parse => write!(f, "parse"),
             Path::Oracle => write!(f, "oracle"),
             Path::Plan => write!(f, "plan"),
-            Path::CrashResume => write!(f, "crash-resume"),
-            Path::Loopback => write!(f, "loopback"),
+            Path::Server => write!(f, "server"),
         }
     }
 }
@@ -128,17 +131,17 @@ pub fn engine_config(case: &CaseData, sabotage: Sabotage) -> EngineConfig {
     }
 }
 
-/// A stable, comparable rendering of one output item (kind, constituent
+/// A stable, comparable rendering of one output (kind, constituent
 /// `(ts, id)` pairs, emission sequence number, emission clock).
 type OutputRepr = (u8, Vec<(u64, u64)>, u64, u64);
 
-fn repr(o: &OutputItem) -> OutputRepr {
+fn repr(o: &OutputFrame) -> OutputRepr {
     (
         match o.kind {
             OutputKind::Insert => 0,
             OutputKind::Retract => 1,
         },
-        o.m.events()
+        o.events
             .iter()
             .map(|e| (e.ts().ticks(), e.id().get()))
             .collect(),
@@ -147,9 +150,14 @@ fn repr(o: &OutputItem) -> OutputRepr {
     )
 }
 
+/// The OUTPUT frames a subscriber of query `qx` is sent for `out`.
+fn frames(qx: usize, out: &[OutputItem]) -> Vec<OutputFrame> {
+    out.iter().map(|o| OutputFrame::of(qx as u64, o)).collect()
+}
+
 /// How `got` differs from `want` as an exact output sequence — kinds,
 /// order and emission bookkeeping — if it does.
-fn exact_diff(want: &[OutputItem], got: &[OutputItem]) -> Option<String> {
+fn exact_diff(want: &[OutputFrame], got: &[OutputFrame]) -> Option<String> {
     if want.len() != got.len() {
         return Some(format!("{} outputs vs {} reference", got.len(), want.len()));
     }
@@ -160,21 +168,17 @@ fn exact_diff(want: &[OutputItem], got: &[OutputItem]) -> Option<String> {
         .map(|(ix, (w, g))| format!("output {ix}: {g:?} vs reference {w:?}"))
 }
 
-/// How `got` differs from `want` as net deliveries — a sorted multiset of
-/// `(kind, ids)`, the exactly-once identity of the crash/resume path,
-/// where emission sequence numbers legitimately differ across the restart.
-fn delivery_diff(want: &[OutputItem], got: &[OutputItem]) -> Option<String> {
-    let multiset = |out: &[OutputItem]| {
-        let mut v: Vec<(u8, Vec<u64>)> = out
-            .iter()
-            .map(repr)
-            .map(|(kind, events, ..)| (kind, events.into_iter().map(|(_, id)| id).collect()))
-            .collect();
-        v.sort();
-        v
-    };
-    (multiset(want) != multiset(got))
-        .then(|| format!("{} deliveries vs {} reference", got.len(), want.len()))
+/// Net deliveries: a sorted multiset of `(kind, ids)`, the exactly-once
+/// identity across a crash and restart, where emission sequence numbers
+/// legitimately differ.
+fn deliveries<'a>(out: impl IntoIterator<Item = &'a OutputFrame>) -> Vec<(u8, Vec<u64>)> {
+    let mut v: Vec<(u8, Vec<u64>)> = out
+        .into_iter()
+        .map(repr)
+        .map(|(kind, events, ..)| (kind, events.into_iter().map(|(_, id)| id).collect()))
+        .collect();
+    v.sort();
+    v
 }
 
 /// How `out`'s net settled match set differs from the naive oracle's over
@@ -239,8 +243,9 @@ pub fn check_case(case: &CaseData, sabotage: Sabotage) -> Vec<Mismatch> {
     }
 
     // the reference: each query alone on a plan of one, honest
-    // configuration, its own policy, one item at a time
-    let reference: Vec<Vec<OutputItem>> = (0..nq)
+    // configuration, its own policy, one item at a time — as the frames
+    // a subscriber of it is sent
+    let reference: Vec<Vec<OutputFrame>> = (0..nq)
         .map(|qx| {
             let policy = case.queries[qx].policy;
             let cfg = EngineConfig { policy, ..honest };
@@ -250,29 +255,9 @@ pub fn check_case(case: &CaseData, sabotage: Sabotage) -> Vec<Mismatch> {
                 out.extend(engine.ingest(item));
             }
             out.extend(engine.finish());
-            out
+            frames(qx, &out)
         })
         .collect();
-    // splits `out` per query and reports each query `diff` tells apart
-    // from its reference
-    type Diff = fn(&[OutputItem], &[OutputItem]) -> Option<String>;
-    let compare = |mismatches: &mut Vec<Mismatch>,
-                   path: Path,
-                   out: Vec<(QueryId, OutputItem)>,
-                   diff: Diff,
-                   context: &str| {
-        let mut per: Vec<Vec<OutputItem>> = (0..nq).map(|_| Vec::new()).collect();
-        for (qid, o) in out {
-            per[qid.index()].push(o);
-        }
-        for qx in 0..nq {
-            if let Some(detail) = diff(&reference[qx], &per[qx]) {
-                mismatches.push(at(path, qx, detail + context));
-            }
-        }
-        per
-    };
-
     // the plan of N as the server builds it, item by item: identical
     // per-query output — and each query's net settled set against the
     // oracle
@@ -282,7 +267,15 @@ pub fn check_case(case: &CaseData, sabotage: Sabotage) -> Vec<Mismatch> {
     }
     let mut out: Vec<_> = items.iter().flat_map(|item| host.ingest(item)).collect();
     out.extend(host.finish());
-    let plan = compare(&mut mismatches, Path::Plan, out, exact_diff, "");
+    let mut plan: Vec<Vec<OutputItem>> = vec![Vec::new(); nq];
+    for (qid, o) in out {
+        plan[qid.index()].push(o);
+    }
+    for qx in 0..nq {
+        if let Some(detail) = exact_diff(&reference[qx], &frames(qx, &plan[qx])) {
+            mismatches.push(at(Path::Plan, qx, detail));
+        }
+    }
     let events = case.unique_events(&registry);
     for qx in 0..nq {
         if let Some(detail) = oracle_diff(&queries[qx], &events, &plan[qx]) {
@@ -290,65 +283,199 @@ pub fn check_case(case: &CaseData, sabotage: Sabotage) -> Vec<Mismatch> {
         }
     }
 
-    // subscribe order == query order, so ids line up with the reference;
-    // the first query takes the host default instead of naming its policy
-    let subs: Vec<(String, Option<DisorderPolicy>)> = (0..nq)
-        .map(|qx| (qx > 0).then_some(case.queries[qx].policy))
-        .zip(&texts)
-        .map(|(request, text)| (text.clone(), request))
-        .collect();
-
-    // durable core, crashed mid-stream and resumed: exactly-once
-    // deliveries per query, and each query's policy back (policies ride
-    // the checkpoint envelope)
-    {
-        let path = Path::CrashResume;
-        let mut cfg = CoreConfig::new(Arc::clone(&registry), Strategy::Native, sut);
-        cfg.checkpoint_every = Some(case.config.ckpt_every.max(1));
-        let mut core = EngineCore::new(cfg.clone());
-        for (qx, (text, request)) in subs.iter().enumerate() {
-            let want = Ok(case.queries[qx].policy);
-            let got = core.subscribe_with_policy(text, *request).map(|(_, p)| p);
-            if got != want {
-                mismatches.push(at(path, qx, format!("subscribed {got:?}, not {want:?}")));
-            }
-        }
-        // fed in chunks of `batch`, as a session hands the core its
-        // batches, so checkpoints fall inside chunks
-        let batch = case.config.batch.max(1);
-        let crash_at = (case.config.crash_at as usize).min(items.len());
-        let mut delivered = Vec::new();
-        for chunk in items[..crash_at].chunks(batch) {
-            delivered.extend(core.ingest_batch(chunk));
-        }
-        let saved = core.store().clone();
-        drop(core); // crash: only the persisted store survives
-        let (mut core, replay_from) = EngineCore::resume(cfg, saved);
-        for (qx, (text, _)) in subs.iter().enumerate() {
-            // a restored text is a table hit: nothing is registered
-            let want = Ok(case.queries[qx].policy);
-            let got = core.subscribe_with_policy(text, None).map(|(_, p)| p);
-            if got != want {
-                mismatches.push(at(path, qx, format!("resumed with {got:?}, not {want:?}")));
-            }
-        }
-        for chunk in items[(replay_from as usize).min(items.len())..].chunks(batch) {
-            delivered.extend(core.ingest_batch(chunk));
-        }
-        delivered.extend(core.finish());
-        let context = format!(" (crash at item {crash_at}, resumed from {replay_from})");
-        compare(&mut mismatches, path, delivered, delivery_diff, &context);
-    }
-
-    // networked loopback: byte-identical frames (verified inside
-    // loopback_run); gated per case because it boots a real TCP server
-    if case.config.loopback {
-        let core = CoreConfig::new(Arc::clone(&registry), Strategy::Native, sut);
-        if let Err(detail) = loopback_run(core, &subs, &items, case.config.batch) {
-            let path = Path::Loopback;
-            mismatches.push(Mismatch { path, detail });
-        }
-    }
-
+    let mut cfg = CoreConfig::new(Arc::clone(&registry), Strategy::Native, sut);
+    cfg.checkpoint_every = Some(case.config.ckpt_every.max(1));
+    server_path(case, cfg, &items, &reference, &at, &mut mismatches);
     mismatches
+}
+
+/// One in-memory connection of the server path: each frame it was sent,
+/// decoded, with the phase it came in — 0 before the crash, 1 lost in it,
+/// 2 after the restart.
+struct Conn {
+    phase: Arc<AtomicUsize>,
+    got: Mutex<Vec<(usize, Frame)>>,
+}
+
+impl FrameSink for Conn {
+    fn send_frame(&self, sealed: &[u8]) -> std::io::Result<()> {
+        let frame = decode_frame(sealed).unwrap_or_else(|e| Frame::Error {
+            code: ErrorCode::BadFrame,
+            message: e.to_string(),
+        });
+        let phase = self.phase.load(Ordering::SeqCst);
+        self.got.lock().unwrap().push((phase, frame));
+        Ok(())
+    }
+
+    fn send_frames(&self, mut wire: &[u8]) -> std::io::Result<()> {
+        while let Some(sealed) = read_frame(&mut wire)? {
+            self.send_frame(&sealed)?;
+        }
+        Ok(())
+    }
+
+    fn close(&self) {}
+}
+
+/// Hands one message to the step — `message` calls it with a `perform` —
+/// and performs its effects as the server's driver does, saving into
+/// `saved`. With `crash`, the crash lands right after the first effect:
+/// `phase` turns 1, so later runs reach their connections as the sliver
+/// the crash loses, and a later save never happens.
+fn drive(
+    saved: &mut Vec<u8>,
+    shared: &Shared,
+    phase: &AtomicUsize,
+    crash: bool,
+    message: impl FnOnce(&mut Perform<'_>),
+) {
+    let mut performed = 0;
+    message(&mut |effect| {
+        performed += 1;
+        if crash && performed == 2 {
+            phase.store(1, Ordering::SeqCst);
+        }
+        match effect {
+            Effect::Save(store) if phase.load(Ordering::SeqCst) != 1 => {
+                *saved = store.to_bytes();
+                true
+            }
+            effect => effect.send(shared),
+        }
+    });
+}
+
+/// The server path; the module docs list its checks.
+fn server_path(
+    case: &CaseData,
+    cfg: CoreConfig,
+    items: &[StreamItem],
+    reference: &[Vec<OutputFrame>],
+    at: &dyn Fn(Path, usize, String) -> Mismatch,
+    mismatches: &mut Vec<Mismatch>,
+) {
+    let nq = case.queries.len();
+    // odd-indexed queries subscribe on connection 1 when sessions split
+    let conn_of = |qx: usize| usize::from(case.config.split_sessions && qx % 2 == 1);
+    let phase = Arc::new(AtomicUsize::new(0));
+    let conn = || {
+        Arc::new(Conn {
+            phase: phase.clone(),
+            got: Mutex::default(),
+        })
+    };
+    let conns = [conn(), conn()];
+    let batch = case.config.batch.max(1);
+    // one incarnation: subscribe every query in query order (so ids line
+    // up with the reference), ingest `items` in chunks, then crash in the
+    // last one — or, after the restart, drain; returns what it saved
+    let incarnation =
+        |core, policy: &dyn Fn(usize) -> Option<DisorderPolicy>, items: &[StreamItem], crash| {
+            let (mut step, shared, mut saved) = (Step::new(core), Shared::default(), Vec::new());
+            for (qx, q) in case.queries.iter().enumerate() {
+                let frame = Frame::Subscribe {
+                    query: q.plan.text(),
+                    policy: policy(qx),
+                };
+                let c = conn_of(qx);
+                let sink: Arc<dyn FrameSink> = conns[c].clone();
+                drive(&mut saved, &shared, &phase, false, |perform| {
+                    step.request(c as u64, frame, &sink, &shared, perform)
+                });
+            }
+            let chunks: Vec<&[StreamItem]> = items.chunks(batch).collect();
+            for (n, chunk) in chunks.iter().enumerate() {
+                let crash = crash && n + 1 == chunks.len();
+                drive(&mut saved, &shared, &phase, crash, |perform| {
+                    step.ingest(chunk, &shared, perform)
+                });
+            }
+            // after the restart
+            if phase.load(Ordering::SeqCst) == 2 {
+                let sink: Arc<dyn FrameSink> = conns[0].clone();
+                drive(&mut saved, &shared, &phase, false, |perform| {
+                    step.request(0, Frame::Drain, &sink, &shared, perform)
+                });
+            }
+            saved
+        };
+    let crash_at = (case.config.crash_at as usize).min(items.len());
+    let crash = case.config.crash_after_save;
+    // the first query takes the host default instead of naming its policy
+    let requested = |qx: usize| (qx > 0).then_some(case.queries[qx].policy);
+    let saved = incarnation(
+        EngineCore::new(cfg.clone()),
+        &requested,
+        &items[..crash_at],
+        crash,
+    );
+    // the crash: only what was saved survives it (nothing, a cold start)
+    let store = CheckpointStore::from_bytes(&saved).unwrap_or_default();
+    let (core, replay_from) = EngineCore::resume(cfg, store);
+    phase.store(2, Ordering::SeqCst);
+    // a restored text is a table hit, which keeps its policy
+    let replay = &items[(replay_from as usize).min(items.len())..];
+    incarnation(core, &|_| None, replay, false);
+
+    let after_save = if crash { " after its save" } else { "" };
+    let context = format!(" (crash at item {crash_at}{after_save}, resumed from {replay_from})");
+    let server = |detail: String| Mismatch {
+        path: Path::Server,
+        detail: detail + &context,
+    };
+    // each query's OUTPUT frames, by phase
+    let mut got: Vec<[Vec<OutputFrame>; 3]> = (0..nq).map(|_| Default::default()).collect();
+    for (c, conn) in conns.iter().enumerate() {
+        let sent = std::mem::take(&mut *conn.got.lock().unwrap());
+        let ack_last = matches!(sent.last(), Some((_, Frame::DrainAck)));
+        let mut replies = Vec::new();
+        for (phase, frame) in sent {
+            match frame {
+                Frame::Output(o) if (o.query_id as usize) < nq => {
+                    let qx = o.query_id as usize;
+                    if conn_of(qx) != c {
+                        mismatches.push(at(Path::Server, qx, format!("sent on connection {c}")));
+                    }
+                    got[qx][phase].push(o);
+                }
+                reply => replies.push(reply),
+            }
+        }
+        // in each incarnation one SUB_ACK per SUBSCRIBE, with the query's
+        // policy, and on connection 0 a DRAIN_ACK after every OUTPUT
+        let mine = (0..nq).filter(|&qx| conn_of(qx) == c);
+        let acks = mine.map(|qx| Frame::SubAck {
+            query_id: qx as u64,
+            policy: case.queries[qx].policy,
+        });
+        let mut want: Vec<Frame> = acks.clone().chain(acks).collect();
+        want.extend((c == 0).then_some(Frame::DrainAck));
+        if replies != want {
+            mismatches.push(server(format!(
+                "connection {c}: replies {replies:?}, not {want:?}"
+            )));
+        } else if c == 0 && !ack_last {
+            mismatches.push(server("OUTPUT after DRAIN_ACK".to_owned()));
+        }
+    }
+    for (qx, [before, lost, after]) in got.iter().enumerate() {
+        let want = &reference[qx];
+        let prefix = &want[..before.len().min(want.len())];
+        if let Some(detail) = exact_diff(prefix, before) {
+            mismatches.push(at(
+                Path::Server,
+                qx,
+                detail + " before the crash" + &context,
+            ));
+        }
+        let (want, got) = (
+            deliveries(want),
+            deliveries(before.iter().chain(lost).chain(after)),
+        );
+        if want != got {
+            let detail = format!("{} deliveries vs {} reference", got.len(), want.len());
+            mismatches.push(at(Path::Server, qx, detail + &context));
+        }
+    }
 }

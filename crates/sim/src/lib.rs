@@ -9,8 +9,9 @@
 //! configuration. The reference is each query alone on an honest
 //! single-threaded engine; every production path is compared with it per
 //! query — the plan of N item by item (also held against a naive
-//! `O(n^k)` oracle), a durable crash + resume fed in batches, and the
-//! networked server loopback ([`diff`] has the table).
+//! `O(n^k)` oracle), and the server's engine-thread step over in-memory
+//! connections, fed in batches, crashed between two of its effects and
+//! restarted from what it saved ([`diff`] has the table).
 //!
 //! On mismatch the case is shrunk to a minimal repro — fewer queries,
 //! fewer items, simpler terms and knobs — and rendered as a

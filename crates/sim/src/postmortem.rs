@@ -15,38 +15,14 @@
 
 use std::sync::Arc;
 
-use sequin_engine::{DisorderPolicy, Strategy};
+use sequin_engine::Strategy;
 use sequin_obs::{Bundle, ObsConfig};
+use sequin_server::frame::{policy_from_wire, policy_to_wire};
 use sequin_server::{CoreConfig, EngineCore};
 
 use crate::case::sim_registry;
 use crate::diff::{check_case, engine_config, Mismatch};
 use crate::runner::{materialize, SimOptions};
-
-/// Encodes an optional policy pin into one replay parameter. `u64::MAX`
-/// is "no pin" (each case draws its own policy); adaptive pins carry the
-/// accuracy knob in the low byte under bit 8.
-fn policy_code(policy: Option<DisorderPolicy>) -> u64 {
-    match policy {
-        None => u64::MAX,
-        Some(DisorderPolicy::Conservative) => 0,
-        Some(DisorderPolicy::Speculative) => 1,
-        Some(DisorderPolicy::Lazy) => 2,
-        Some(DisorderPolicy::AdaptiveSlack { accuracy }) => 0x100 | accuracy as u64,
-    }
-}
-
-fn policy_from_code(code: u64) -> Option<DisorderPolicy> {
-    match code {
-        0 => Some(DisorderPolicy::Conservative),
-        1 => Some(DisorderPolicy::Speculative),
-        2 => Some(DisorderPolicy::Lazy),
-        c if c != u64::MAX && c & 0x100 != 0 => Some(DisorderPolicy::AdaptiveSlack {
-            accuracy: (c & 0xFF) as u8,
-        }),
-        _ => None,
-    }
-}
 
 /// Captures a postmortem bundle for a mismatching `(seed, case)` pair.
 ///
@@ -84,13 +60,14 @@ pub fn capture_bundle(
         }
         core.finish();
     }
+    // the policy pin as it goes on the wire, `mode << 8 | knob`: 0 is no pin
+    let (mode, knob) = policy_to_wire(opts.policy);
     let params = vec![
         ("seed".to_owned(), seed),
         ("case".to_owned(), case_ix),
         ("purge_skew".to_owned(), opts.purge_skew),
         ("retraction_drop".to_owned(), opts.retraction_drop),
-        ("policy".to_owned(), policy_code(opts.policy)),
-        ("no_loopback".to_owned(), opts.no_loopback as u64),
+        ("policy".to_owned(), u64::from(mode) << 8 | u64::from(knob)),
         ("mismatch_count".to_owned(), mismatches.len() as u64),
     ];
     let mut bundle = core.postmortem_bundle("sim-mismatch", params);
@@ -108,19 +85,20 @@ pub fn capture_bundle(
 /// Replays a captured bundle: reconstructs the run options from its
 /// parameters, regenerates the case, and re-runs the full differential
 /// check. Returns `None` when the bundle lacks replay parameters (it was
-/// not captured by the sim recorder); otherwise the mismatches observed —
-/// for a healthy bundle, the same paths that failed at capture time.
+/// not captured by the sim recorder) or its policy pin does not decode;
+/// otherwise the mismatches observed — for a healthy bundle, the same
+/// paths that failed at capture time.
 pub fn replay_bundle(bundle: &Bundle) -> Option<Vec<Mismatch>> {
     let seed = bundle.param("seed")?;
     let case_ix = bundle.param("case")?;
+    let pin = bundle.param("policy").unwrap_or(0);
     let opts = SimOptions {
         seeds: vec![seed],
         cases_per_seed: case_ix + 1,
         shrink: false,
         purge_skew: bundle.param("purge_skew").unwrap_or(0),
         retraction_drop: bundle.param("retraction_drop").unwrap_or(0),
-        policy: policy_from_code(bundle.param("policy").unwrap_or(u64::MAX)),
-        no_loopback: bundle.param("no_loopback").unwrap_or(0) != 0,
+        policy: policy_from_wire((pin >> 8) as u8, pin as u8).ok()?,
         ..SimOptions::default()
     };
     let case = materialize(seed, case_ix, &opts);
@@ -138,29 +116,11 @@ mod tests {
     use sequin_server::{decode_bundle, encode_bundle};
 
     #[test]
-    fn policy_codes_round_trip() {
-        for policy in [
-            None,
-            Some(DisorderPolicy::Conservative),
-            Some(DisorderPolicy::Speculative),
-            Some(DisorderPolicy::Lazy),
-            Some(DisorderPolicy::AdaptiveSlack { accuracy: 0 }),
-            Some(DisorderPolicy::AdaptiveSlack { accuracy: 97 }),
-        ] {
-            assert_eq!(policy_from_code(policy_code(policy)), policy);
-        }
-    }
-
-    #[test]
     fn clean_case_bundle_replays_clean() {
         // An honest case mismatches nowhere; its bundle replays to the
         // same (empty) verdict, exercising the whole capture → encode →
         // decode → replay loop.
-        let opts = SimOptions {
-            no_loopback: true,
-            ..SimOptions::default()
-        };
-        let bundle = capture_bundle(0xC0FFEE, 0, &opts, &[]);
+        let bundle = capture_bundle(0xC0FFEE, 0, &SimOptions::default(), &[]);
         assert_eq!(bundle.reason, "sim-mismatch");
         assert_eq!(bundle.param("seed"), Some(0xC0FFEE));
         let decoded = decode_bundle(&encode_bundle(&bundle)).expect("round trip");
@@ -175,7 +135,6 @@ mod tests {
         // decoded bytes alone.
         let opts = SimOptions {
             purge_skew: 40,
-            no_loopback: true,
             shrink: false,
             ..SimOptions::default()
         };

@@ -4,7 +4,7 @@
 //! job uploads and what `tests/regressions.rs` promotes; the same case
 //! also replays live via `sequin sim --seed S --case N`.
 
-use crate::case::{CaseData, SimItem};
+use crate::case::CaseData;
 use crate::diff::Mismatch;
 
 /// Renders a failing case as a ready-to-paste regression test.
@@ -66,25 +66,10 @@ pub fn emit_test(
     s.push_str("        ],\n");
     s.push_str("        items: vec![\n");
     for it in &case.items {
-        match it {
-            SimItem::Event(e) => s.push_str(&format!(
-                "            SimItem::Event(SimEvent {{ ty: {}, id: {}, ts: {}, x: {}, tag: {} }}),\n",
-                e.ty, e.id, e.ts, e.x, e.tag
-            )),
-            SimItem::Punct(ts) => s.push_str(&format!("            SimItem::Punct({ts}),\n")),
-        }
+        s.push_str(&format!("            SimItem::{it:?},\n"));
     }
     s.push_str("        ],\n");
-    let c = &case.config;
-    s.push_str("        config: CaseConfig {\n");
-    s.push_str(&format!("            k: {},\n", c.k));
-    s.push_str(&format!("            purge_every: {:?},\n", c.purge_every));
-    s.push_str(&format!("            watermark: {},\n", c.watermark));
-    s.push_str(&format!("            batch: {},\n", c.batch));
-    s.push_str(&format!("            ckpt_every: {},\n", c.ckpt_every));
-    s.push_str(&format!("            crash_at: {},\n", c.crash_at));
-    s.push_str(&format!("            loopback: {},\n", c.loopback));
-    s.push_str("        },\n");
+    s.push_str(&format!("        config: {:?},\n", case.config));
     s.push_str("    };\n");
     s.push_str("    let mismatches = sequin::sim::diff::check_case(&case, Default::default());\n");
     s.push_str("    assert!(mismatches.is_empty(), \"{mismatches:?}\");\n");

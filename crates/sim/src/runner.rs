@@ -36,9 +36,6 @@ pub struct SimOptions {
     /// Pin every query to one [`DisorderPolicy`] (the `--policy` knob);
     /// `None` lets each query draw its own (`--policy mixed`, the default).
     pub policy: Option<DisorderPolicy>,
-    /// Skip the networked loopback path (debug builds, sandboxes
-    /// without TCP).
-    pub no_loopback: bool,
     /// Stop after this many failures (shrinking is expensive).
     pub max_failures: usize,
     /// Flight recorder: write each failure's postmortem bundle under
@@ -57,7 +54,6 @@ impl Default for SimOptions {
             purge_skew: 0,
             retraction_drop: 0,
             policy: None,
-            no_loopback: false,
             max_failures: 3,
             bundle_dir: None,
         }
@@ -137,9 +133,6 @@ impl SimReport {
 /// Generates the case for `(seed, case_ix)` with run options applied.
 pub fn materialize(seed: u64, case_ix: u64, opts: &SimOptions) -> CaseData {
     let mut case = CaseData::generate(seed, case_ix);
-    if opts.no_loopback {
-        case.config.loopback = false;
-    }
     if let Some(policy) = opts.policy {
         for q in &mut case.queries {
             q.policy = policy;

@@ -198,11 +198,13 @@ fn shrink_query(sh: &mut Shrinker, qx: usize) {
     while sh.attempt(|c| c.queries[qx].plan.window = (c.queries[qx].plan.window / 2).max(1)) {}
 }
 
-/// Simplifies the configuration: no loopback, conservative policies,
-/// single-item batches, eager checkpoints, no crash, a smaller `K` — but
-/// never below the stream's measured lateness.
+/// Simplifies the configuration: one session, a crash at a message
+/// boundary, conservative policies, single-item batches, eager
+/// checkpoints, no crash, a smaller `K` — but never below the stream's
+/// measured lateness.
 fn shrink_config(sh: &mut Shrinker) {
-    sh.attempt(|c| c.config.loopback = false);
+    sh.attempt(|c| c.config.split_sessions = false);
+    sh.attempt(|c| c.config.crash_after_save = false);
     for qx in 0..sh.best.queries.len() {
         sh.attempt(|c| c.queries[qx].policy = DisorderPolicy::Conservative);
     }

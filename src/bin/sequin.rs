@@ -46,8 +46,7 @@ const USAGE: &str = "usage:
   sequin sim      [--ci] [--seeds 1,2,3 | --seed S] [--cases N]
                   [--case N] [--time-budget SECS] [--shrink yes|no]
                   [--emit-repro DIR] [--purge-skew N] [--retraction-drop N]
-                  [--policy NAME|mixed] [--no-loopback]
-                  [--json FILE] [--bundle-dir DIR]
+                  [--policy NAME|mixed] [--json FILE] [--bundle-dir DIR]
 
   stream = [--workload NAME] [--events N] [--ooo F] [--delay D] [--seed S]
   eval   = [--k K] [--adaptive F] [--policy NAME] [--punctuate N]
@@ -89,7 +88,6 @@ options:
                     harness must then report mismatches)
   --retraction-drop N  sim: sabotage by silently dropping the Nth
                     speculative retraction (the harness must catch it)
-  --no-loopback     sim: skip the networked loopback path
   --bundle-dir DIR  sim: write each mismatch's postmortem bundle here;
                     serve: where recovery-fallback bundles land (default:
                     the store file's directory)
@@ -126,7 +124,6 @@ const FLAGS: &[(&str, bool)] = &[
     ("interval", true),
     ("json", true),
     ("k", true),
-    ("no-loopback", false),
     ("obs", true),
     ("ooo", true),
     ("pid", true),
@@ -173,7 +170,7 @@ const COMMANDS: &[(&str, &[&str])] = &[
         "sim",
         &[
             "ci seeds seed cases case time-budget shrink purge-skew",
-            "retraction-drop policy no-loopback json emit-repro bundle-dir",
+            "retraction-drop policy json emit-repro bundle-dir",
         ],
     ),
 ];
@@ -417,7 +414,6 @@ fn run(args: &[String]) -> Result<String, String> {
                     other => Some(cli::parse_policy(other)?),
                 };
             }
-            s.opts.no_loopback = flags.contains_key("no-loopback");
             if let Some(p) = flags.get("json") {
                 s.json_out = Some(p.clone());
             }
@@ -534,7 +530,8 @@ mod tests {
         let err = sequin(&["sim", "--multi", "--cases", "1"]).unwrap_err();
         assert_eq!(err, "unknown flag --multi");
         // boolean flags still take no value, valued flags still need one
-        assert!(sequin(&["sim", "--cases", "1", "--no-loopback"]).is_ok());
+        let (flags, _) = parse("stats", &["--watch".to_owned()]).unwrap();
+        assert!(flags.contains_key("watch"));
         // sim's own reading of --policy is not pre-empted by the run/serve
         // parsers
         assert!(sequin(&["sim", "--cases", "1", "--policy", "mixed"]).is_ok());
@@ -581,7 +578,7 @@ mod tests {
                 .any(|(c, _)| flags_of(c).unwrap().contains(flag));
             assert!(read, "--{flag} is read by no subcommand");
         }
-        assert_eq!(FLAGS.len(), 35);
+        assert_eq!(FLAGS.len(), 34);
     }
 
     #[test]
@@ -601,10 +598,10 @@ mod tests {
     fn sim_replays_one_case_and_names_each_failing_query() {
         // seed 1 case 7 holds three queries
         let three = ["sim", "--seed", "1", "--case", "7", "--purge-skew", "50"];
-        let report = sequin(&[&three[..], &["--no-loopback", "--shrink", "no"]].concat())
+        let report = sequin(&[&three[..], &["--shrink", "no"]].concat())
             .expect_err("a 50-tick purge skew must be reported");
         assert!(report.contains("query 2      : "), "{report}");
-        for path in ["plan — query 1", "crash-resume — query 2"] {
+        for path in ["plan — query 1", "server — query 2"] {
             assert!(report.contains(path), "no `{path}` in {report}");
         }
     }

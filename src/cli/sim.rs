@@ -125,7 +125,8 @@ fn push_knobs(out: &mut String, opts: &sequin_sim::SimOptions) {
 /// policy each) and disorder schedules, each query alone on an honest
 /// engine as the reference, and every production path checked against it
 /// (the parser against the plan's AST, the plan of N item by item — also
-/// against the naive oracle — batched crash/resume, networked loopback). Failures are shrunk to minimal repros and
+/// against the naive oracle — and the server's step, crashed and
+/// restarted). Failures are shrunk to minimal repros and
 /// reported with their replayable `--seed`/`--case` pair.
 ///
 /// # Errors
@@ -191,7 +192,7 @@ pub fn run_sim(o: &SimCliOptions) -> Result<String, String> {
         report.cases_run - report.multi_query_cases,
         report.multi_query_cases
     ));
-    out.push_str("paths        : parse, plan, oracle, crash-resume, loopback\n");
+    out.push_str("paths        : parse, plan, oracle, server\n");
     push_knobs(&mut out, &o.opts);
     if !progress.is_empty() {
         out.push_str(&progress);

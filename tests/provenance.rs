@@ -219,7 +219,6 @@ fn sim_mismatch_bundle_replays_to_the_same_mismatch() {
         cases_per_seed: 60,
         shrink: false,
         purge_skew: 40,
-        no_loopback: true,
         max_failures: 1,
         ..sequin::sim::SimOptions::default()
     };

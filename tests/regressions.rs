@@ -68,7 +68,8 @@ fn sim_seed_1_case_173_purge_boundary() {
             batch: 1,
             ckpt_every: 1,
             crash_at: 3,
-            loopback: false,
+            split_sessions: false,
+            crash_after_save: false,
         },
     };
     let mismatches = sequin::sim::diff::check_case(&case, Default::default());
@@ -141,7 +142,8 @@ fn sim_seed_1_case_387_pooled_duplicate_boundary() {
             batch: 1,
             ckpt_every: 1,
             crash_at: 3,
-            loopback: false,
+            split_sessions: false,
+            crash_after_save: false,
         },
     };
     let mismatches = sequin::sim::diff::check_case(&case, Default::default());

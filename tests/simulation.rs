@@ -4,8 +4,8 @@
 //! broken engine (purge horizon skewed by one tick) and shrinks the
 //! failure to a replayable minimal repro.
 //!
-//! The loopback path is exercised sparsely here (debug builds); the CI
-//! `sim-smoke` job runs the full release-mode matrix via `sequin sim --ci`.
+//! The CI `sim-smoke` job runs the full release-mode matrix via
+//! `sequin sim --ci`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -21,7 +21,6 @@ fn generated_cases_are_clean_on_every_path() {
     let opts = SimOptions {
         seeds: vec![21, 22],
         cases_per_seed: 60,
-        no_loopback: true, // debug-mode: skip TCP; CI covers it in release
         ..SimOptions::default()
     };
     let report = run(&opts, |_| {});
@@ -35,17 +34,6 @@ fn generated_cases_are_clean_on_every_path() {
             .map(|f| (f.seed, f.case_ix, &f.mismatches))
             .collect::<Vec<_>>()
     );
-}
-
-#[test]
-fn a_few_loopback_cases_run_even_in_debug() {
-    let opts = SimOptions {
-        seeds: vec![31],
-        cases_per_seed: 16,
-        ..SimOptions::default()
-    };
-    let report = run(&opts, |_| {});
-    assert!(report.clean(), "{:?}", report.failures);
 }
 
 #[test]
@@ -162,7 +150,6 @@ fn deduplication_and_the_metrics_label_agree_on_the_same_query() {
 fn shrinker_drops_queries() {
     let opts = SimOptions {
         purge_skew: 50,
-        no_loopback: true,
         ..SimOptions::default()
     };
     let (seed, case_ix) = (1, 7);
@@ -188,7 +175,6 @@ fn purge_sabotage_is_detected_and_shrunk() {
         seeds: vec![1],
         cases_per_seed: 15, // seed 1 is known to expose skew=1 at case 14
         purge_skew: 1,
-        no_loopback: true,
         max_failures: 1,
         ..SimOptions::default()
     };
@@ -238,7 +224,6 @@ fn retraction_drop_sabotage_is_detected_and_shrunk() {
         cases_per_seed: 60,
         retraction_drop: 1,
         policy: Some(DisorderPolicy::Speculative),
-        no_loopback: true,
         max_failures: 1,
         ..SimOptions::default()
     };
@@ -279,7 +264,6 @@ fn every_ci_sabotage_failure_shrinks_on_a_path_it_failed() {
             cases_per_seed: 60,
             purge_skew: sabotage.purge_skew,
             retraction_drop: sabotage.retraction_drop,
-            no_loopback: true,
             ..SimOptions::default()
         };
         let report = run(&opts, |_| {});
@@ -307,7 +291,6 @@ fn time_budget_stops_the_run_cleanly() {
         seeds: vec![77],
         cases_per_seed: 10_000,
         time_budget: Some(std::time::Duration::from_millis(200)),
-        no_loopback: true,
         ..SimOptions::default()
     };
     let report = run(&opts, |_| {});
