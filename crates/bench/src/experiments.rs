@@ -496,8 +496,9 @@ pub fn e11(scale: Scale) -> String {
     )
 }
 
-/// E12 — punctuation-driven vs. K-slack-driven purge under failure bursts.
-pub fn e12(scale: Scale) -> String {
+/// E12's stream disorder, its `K` (sized to the worst burst), and its two
+/// runs: K-slack alone, then K-slack plus source punctuations.
+fn e12_runs(scale: Scale) -> (DisorderReport, u64, [RunReport; 2]) {
     let w = workload(4);
     let n = scale.events;
     let half = w.generate(n / 2, scale.seed);
@@ -529,7 +530,12 @@ pub fn e12(scale: Scale) -> String {
     let mut punct_cfg = EngineConfig::with_k(Duration::new(k_needed));
     punct_cfg.watermark = WatermarkSource::Both;
     let pu = run_with(Strategy::Native, &q, punct_cfg, &punctuated);
+    (report, k_needed, [ks, pu])
+}
 
+/// E12 — punctuation-driven vs. K-slack-driven purge under failure bursts.
+pub fn e12(scale: Scale) -> String {
+    let (report, k_needed, [ks, pu]) = e12_runs(scale);
     let mut t = Table::new(&["watermark", "peak state", "mean state", "matches"]);
     t.row(&[
         format!("k-slack (K={k_needed})"),
@@ -813,6 +819,28 @@ mod tests {
             seed: 7,
         });
         assert!(s.contains("speedup"));
+    }
+
+    /// E12's ordering: at equal matches, punctuations at least halve the
+    /// mean state a K sized for the worst burst keeps, and never raise its
+    /// peak (during the burst both must hold the same events).
+    #[test]
+    fn e12_punctuation_cuts_mean_state() {
+        let (_, _, [ks, pu]) = e12_runs(Scale::ci());
+        assert_eq!(pu.net_matches(), ks.net_matches());
+        assert!(ks.net_matches() > 0, "a vacuous comparison");
+        assert!(
+            pu.mean_state * 2.0 <= ks.mean_state,
+            "{} vs {}",
+            pu.mean_state,
+            ks.mean_state
+        );
+        assert!(
+            pu.peak_state <= ks.peak_state,
+            "{} vs {}",
+            pu.peak_state,
+            ks.peak_state
+        );
     }
 
     #[test]

@@ -742,7 +742,7 @@ pub(crate) mod tests {
         }
     }
 
-    fn item(reg: &TypeRegistry, ty: &str, id: u64, ts: u64) -> StreamItem {
+    pub(crate) fn item(reg: &TypeRegistry, ty: &str, id: u64, ts: u64) -> StreamItem {
         StreamItem::Event(Arc::new(
             Event::builder(reg.lookup(ty).unwrap(), Timestamp::new(ts))
                 .id(EventId::new(id))

@@ -14,14 +14,23 @@
 //!
 //! ## The request path
 //!
-//! An arrival travels as one `Ingest` message per stream item; every
-//! other frame a client may send (SUBSCRIBE, STATS_REQ, METRICS_REQ,
-//! TRACE_REQ, DRAIN) travels as it was decoded, in one `Request` message,
-//! and gets one reply, after every output it released — a refused
-//! SUBSCRIBE or a second DRAIN a coded ERROR. After a DRAIN a session
-//! answers ingestion with `ERROR[draining]` and closes. An observer session
-//! (HELLO with fingerprint 0) negotiated no schema, so it may only ask:
-//! STATS_REQ, METRICS_REQ, TRACE_REQ and BYE.
+//! An arrival travels as one `Ingest` message per EVENT_BATCH or
+//! PUNCTUATION frame, its items in one `Vec`; every other frame a client
+//! may send (SUBSCRIBE, STATS_REQ, METRICS_REQ, TRACE_REQ, DRAIN) travels
+//! as it was decoded, in one `Request` message, and gets one reply, after
+//! every output it released — a refused SUBSCRIBE or a second DRAIN a
+//! coded ERROR. After a DRAIN a session answers ingestion with
+//! `ERROR[draining]` and closes. An observer session (HELLO with
+//! fingerprint 0) negotiated no schema, so it may only ask: STATS_REQ,
+//! METRICS_REQ, TRACE_REQ and BYE.
+//!
+//! `engine_loop` coalesces queued frames, whole, into one engine call, then
+//! hands each frame's items back to the session that decoded them, in the
+//! `Vec` they came in. That session frees them when it handles its next
+//! frame, and reuses the `Vec`: an event is allocated and freed on its
+//! session's thread, never on the engine thread, which is the one that
+//! saturates. A frame whose session has gone is dropped by the engine
+//! thread.
 //!
 //! ## Egress
 //!
@@ -37,12 +46,14 @@
 //!
 //! ## Backpressure
 //!
-//! The queue is bounded. A reader first `try_send`s; on a full queue it
-//! counts a [`ServerStats::backpressure_stalls`] and falls back to a
-//! *blocking* send — TCP flow control then propagates the stall to the
-//! sender. Independently, when the queue depth crosses the configured
-//! high-water mark the reader sends the client one BUSY advisory (rearmed
-//! once depth falls below half the mark).
+//! The queue is bounded in items, not frames: a session waits until its
+//! frame's items fit under [`ServerConfig::queue_capacity`] — a frame
+//! larger than the whole bound waits for an empty queue — and counts one
+//! [`ServerStats::backpressure_stalls`] per frame that waited. TCP flow
+//! control then propagates the stall to the sender. Independently, when
+//! the queue depth in items crosses the configured high-water mark the
+//! reader sends the client one BUSY advisory (rearmed once depth falls
+//! below half the mark).
 //!
 //! ## Durability
 //!
@@ -62,9 +73,9 @@
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use sequin_engine::{CheckpointStore, OutputItem, QueryId};
@@ -86,9 +97,9 @@ pub struct ServerConfig {
     /// Queries registered before the first connection is accepted (clients
     /// may SUBSCRIBE more at runtime).
     pub queries: Vec<String>,
-    /// Bound of the reader→engine queue.
+    /// Bound of the reader→engine queue, in items.
     pub queue_capacity: usize,
-    /// Queue depth at which readers send a BUSY advisory.
+    /// Queue depth, in items, at which readers send a BUSY advisory.
     pub busy_high_water: usize,
     /// Where the checkpoint store is persisted (and loaded from at
     /// startup, resuming a previous incarnation). `None` keeps durability
@@ -103,7 +114,7 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// Defaults: 1024-deep queue, BUSY at 768, no persistence.
+    /// Defaults: a queue of 1024 items, BUSY at 768, no persistence.
     pub fn new(core: CoreConfig) -> ServerConfig {
         ServerConfig {
             core,
@@ -117,9 +128,14 @@ impl ServerConfig {
 }
 
 enum EngineMsg {
-    Ingest(StreamItem),
+    /// One EVENT_BATCH or PUNCTUATION frame's items, which go back through
+    /// `back` to the session that decoded them once they are ingested.
+    Ingest {
+        items: Vec<StreamItem>,
+        back: Sender<Vec<StreamItem>>,
+    },
     /// A request frame of session `conn`, answered on `sink`. Boxed, so
-    /// the per-item `Ingest` message stays small.
+    /// the per-frame `Ingest` message stays small.
     Request {
         conn: u64,
         frame: Box<Frame>,
@@ -139,9 +155,13 @@ enum EngineMsg {
 /// without threads builds a default one of its own.
 #[derive(Default)]
 pub struct Shared {
-    /// Ingest messages currently queued (readers increment, the driver
-    /// decrements) — the BUSY advisory's trigger.
-    depth: AtomicUsize,
+    /// Items currently queued — the bound sessions wait on and the BUSY
+    /// advisory's trigger.
+    queue: Mutex<Queued>,
+    /// Signalled when the engine thread takes a batch off the queue, or
+    /// stops.
+    room: Condvar,
+    queue_capacity: usize,
     stats: Mutex<ServerStats>,
     /// Mirror of the core's ingest position, served in HELLO_ACK.
     resume_from: AtomicU64,
@@ -155,7 +175,67 @@ pub struct Shared {
     next_conn: AtomicU64,
 }
 
+/// The ingest queue's fill, in items.
+#[derive(Default)]
+struct Queued {
+    /// Items of the queued `Ingest` messages: a session adds a frame's
+    /// before it sends it, the engine thread takes a batch's.
+    items: usize,
+    /// Sessions waiting for room.
+    waiting: usize,
+    /// Set once the engine thread has stopped: nothing more is taken off.
+    closed: bool,
+}
+
 impl Shared {
+    fn queued(&self) -> MutexGuard<'_, Queued> {
+        self.queue.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Counts a frame of `n` items queued — at once if they fit under the
+    /// bound or the queue is empty, else once the engine thread has taken
+    /// enough, which counts a backpressure stall. Returns the depth with
+    /// them, or `None` once the engine thread has stopped.
+    fn admit(&self, n: usize) -> Option<usize> {
+        let fits = |q: &Queued| q.closed || q.items == 0 || q.items + n <= self.queue_capacity;
+        let mut q = self.queued();
+        let stalled = !fits(&q);
+        if stalled {
+            q.waiting += 1;
+            q = self
+                .room
+                .wait_while(q, |q| !fits(q))
+                .unwrap_or_else(|e| e.into_inner());
+            q.waiting -= 1;
+        }
+        let depth = if q.closed {
+            None
+        } else {
+            q.items += n;
+            Some(q.items)
+        };
+        drop(q);
+        if stalled {
+            self.with_stats(|s| s.backpressure_stalls += 1);
+        }
+        depth
+    }
+
+    /// The engine thread took `n` queued items off the queue.
+    fn take(&self, n: usize) {
+        let mut q = self.queued();
+        q.items -= n;
+        if q.waiting > 0 {
+            self.room.notify_all();
+        }
+    }
+
+    /// The engine thread has stopped: a session waiting for room gives up.
+    fn close(&self) {
+        self.queued().closed = true;
+        self.room.notify_all();
+    }
+
     fn with_stats<T>(&self, f: impl FnOnce(&mut ServerStats) -> T) -> T {
         f(&mut self.stats.lock().unwrap_or_else(|e| e.into_inner()))
     }
@@ -227,6 +307,7 @@ impl Server {
             resume_from: AtomicU64::new(core.position()),
             query_count: AtomicU64::new(core.query_count()),
             fingerprint: core.fingerprint(),
+            queue_capacity: config.queue_capacity.max(1),
             busy_high_water: config.busy_high_water.max(1),
             accepting: AtomicBool::new(true),
             ..Shared::default()
@@ -340,9 +421,19 @@ impl Drop for Server {
     }
 }
 
-/// Upper bound on one coalesced ingest batch: keeps delivery latency and
-/// the checkpoint-persist cadence bounded even under a saturated queue.
+/// Upper bound on one coalesced ingest batch, passed only by a frame
+/// larger on its own: keeps delivery latency and the checkpoint-persist
+/// cadence bounded even under a saturated queue.
 const MAX_ENGINE_BATCH: usize = 256;
+
+/// One frame's arrivals while the engine thread holds them.
+struct Arrivals {
+    items: Vec<StreamItem>,
+    /// How many items, kept while they sit in a coalesced batch.
+    len: usize,
+    /// The way back to the session that decoded them.
+    back: Sender<Vec<StreamItem>>,
+}
 
 /// One subscribed connection, as the engine thread sees it.
 struct Subscriber {
@@ -552,7 +643,7 @@ impl Step {
             },
             Frame::MetricsReq { format } => {
                 let server = shared.with_stats(|s| *s);
-                let depth = shared.depth.load(Ordering::SeqCst) as u64;
+                let depth = shared.queued().items as u64;
                 let snapshot = || core.metrics_snapshot(Some((&server, depth)));
                 let body = match format {
                     MetricsFormat::Prometheus => snapshot().to_prometheus(),
@@ -627,9 +718,18 @@ fn engine_loop(
         }
         (effect, _) => effect.send(&shared),
     };
-    let mut batch = Vec::new();
-    // A non-Ingest message pulled off the queue while coalescing a batch;
-    // handled on the next loop turn so ordering is preserved.
+    // Closes the queue however the loop ends, so that no session waits
+    // for room that will never come.
+    struct CloseOnExit<'a>(&'a Shared);
+    impl Drop for CloseOnExit<'_> {
+        fn drop(&mut self) {
+            self.0.close();
+        }
+    }
+    let _close = CloseOnExit(&shared);
+    let (mut frames, mut batch) = (Vec::new(), Vec::new());
+    // A message pulled off the queue while coalescing a batch that did not
+    // join it; handled on the next loop turn so ordering is preserved.
     let mut pending: Option<EngineMsg> = None;
     loop {
         let msg = match pending.take() {
@@ -640,15 +740,24 @@ fn engine_loop(
             },
         };
         match msg {
-            EngineMsg::Ingest(item) => {
-                // Coalesce the run of Ingest messages already queued into
-                // one batch: delivering per-batch amortizes queue wakeups
-                // and egress writes.
-                batch.clear();
-                batch.push(item);
-                while batch.len() < MAX_ENGINE_BATCH {
+            EngineMsg::Ingest { items, back } => {
+                // Coalesce the frames already queued behind this one into
+                // one engine call, whole: delivering per batch amortizes
+                // queue wakeups and egress writes.
+                let mut len = items.len();
+                frames.push(Arrivals { len, items, back });
+                while len < MAX_ENGINE_BATCH {
                     match rx.try_recv() {
-                        Ok(EngineMsg::Ingest(next)) => batch.push(next),
+                        Ok(EngineMsg::Ingest { items, back })
+                            if len + items.len() <= MAX_ENGINE_BATCH =>
+                        {
+                            len += items.len();
+                            frames.push(Arrivals {
+                                len: items.len(),
+                                items,
+                                back,
+                            });
+                        }
                         Ok(other) => {
                             pending = Some(other);
                             break;
@@ -656,8 +765,8 @@ fn engine_loop(
                         Err(_) => break,
                     }
                 }
-                shared.depth.fetch_sub(batch.len(), Ordering::SeqCst);
-                step.ingest(&batch, &shared, &mut perform);
+                shared.take(len);
+                ingest_frames(&mut step, &mut frames, &mut batch, &shared, &mut perform);
             }
             EngineMsg::Request { conn, frame, sink } => {
                 step.request(conn, *frame, &sink, &shared, &mut perform)
@@ -674,6 +783,30 @@ fn engine_loop(
     }
 }
 
+/// Ingests `frames` in one engine call, then hands each frame's items
+/// back through its `back`, in the `Vec` they came in, so that the session
+/// that decoded them frees them. A session that has gone cannot take them:
+/// they are dropped here.
+fn ingest_frames(
+    step: &mut Step,
+    frames: &mut Vec<Arrivals>,
+    batch: &mut Vec<StreamItem>,
+    shared: &Shared,
+    perform: &mut Perform<'_>,
+) {
+    for frame in frames.iter_mut() {
+        batch.append(&mut frame.items);
+    }
+    step.ingest(batch, shared, perform);
+    for frame in frames.iter_mut().rev() {
+        let from = batch.len() - frame.len;
+        frame.items.extend(batch.drain(from..));
+    }
+    for frame in frames.drain(..) {
+        let _ = frame.back.send(frame.items);
+    }
+}
+
 fn spawn_session(shared: Arc<Shared>, tx: SyncSender<EngineMsg>, transport: Box<dyn Transport>) {
     let conn = shared.next_conn.fetch_add(1, Ordering::SeqCst);
     let _ = std::thread::Builder::new()
@@ -681,16 +814,37 @@ fn spawn_session(shared: Arc<Shared>, tx: SyncSender<EngineMsg>, transport: Box<
         .spawn(move || run_session(shared, tx, conn, transport));
 }
 
-/// Enqueues one ingest message with depth accounting and backpressure.
+/// A `Vec` for a frame's items: one the engine thread handed back, once
+/// this thread has freed the items it held, or a new one.
+fn recycled(
+    returned: &Receiver<Vec<StreamItem>>,
+    spare: &mut Vec<Vec<StreamItem>>,
+) -> Vec<StreamItem> {
+    for mut items in returned.try_iter() {
+        items.clear();
+        spare.push(items);
+    }
+    spare.pop().unwrap_or_default()
+}
+
+/// Enqueues one frame's items, counted in the queue's depth, waiting for
+/// room as [`Shared::admit`] does; once ingested they come back on `back`.
 /// Returns false when the engine is gone.
 fn enqueue_ingest(
     shared: &Shared,
     tx: &SyncSender<EngineMsg>,
     sink: &Arc<dyn FrameSink>,
     busy_advised: &mut bool,
-    item: StreamItem,
+    items: Vec<StreamItem>,
+    back: &Sender<Vec<StreamItem>>,
 ) -> bool {
-    let depth = shared.depth.fetch_add(1, Ordering::SeqCst) + 1;
+    let n = items.len();
+    if n == 0 {
+        return true;
+    }
+    let Some(depth) = shared.admit(n) else {
+        return false;
+    };
     if depth >= shared.busy_high_water && !*busy_advised {
         *busy_advised = true;
         shared.with_stats(|s| s.busy_frames_sent += 1);
@@ -703,21 +857,12 @@ fn enqueue_ingest(
     } else if depth < shared.busy_high_water / 2 {
         *busy_advised = false;
     }
-    match tx.try_send(EngineMsg::Ingest(item)) {
-        Ok(()) => true,
-        Err(TrySendError::Full(msg)) => {
-            shared.with_stats(|s| s.backpressure_stalls += 1);
-            if tx.send(msg).is_err() {
-                shared.depth.fetch_sub(1, Ordering::SeqCst);
-                return false;
-            }
-            true
-        }
-        Err(TrySendError::Disconnected(_)) => {
-            shared.depth.fetch_sub(1, Ordering::SeqCst);
-            false
-        }
+    let back = back.clone();
+    if tx.send(EngineMsg::Ingest { items, back }).is_err() {
+        shared.take(n);
+        return false;
     }
+    true
 }
 
 fn run_session(
@@ -731,6 +876,10 @@ fn run_session(
 
     let (mut hello_done, mut observer) = (false, false);
     let mut busy_advised = false;
+    // each frame's items come back here once ingested, to be freed on the
+    // thread that decoded them; their `Vec`s are kept for the next frames
+    let (back, returned) = mpsc::channel();
+    let mut spare = Vec::new();
 
     // closes the session with a terminal protocol error
     let refuse = |code: ErrorCode, message: String| {
@@ -821,15 +970,17 @@ fn run_session(
                     s.batches_ingested += 1;
                     s.events_ingested += events.len() as u64;
                 });
-                let mut items = events.into_iter().map(StreamItem::Event);
-                if !items.all(|item| enqueue_ingest(&shared, &tx, &sink, &mut busy_advised, item)) {
+                let mut items = recycled(&returned, &mut spare);
+                items.extend(events.into_iter().map(StreamItem::Event));
+                if !enqueue_ingest(&shared, &tx, &sink, &mut busy_advised, items, &back) {
                     break;
                 }
             }
             Frame::Punctuation(ts) => {
                 shared.with_stats(|s| s.punctuations_ingested += 1);
-                let item = StreamItem::Punctuation(ts);
-                if !enqueue_ingest(&shared, &tx, &sink, &mut busy_advised, item) {
+                let mut items = recycled(&returned, &mut spare);
+                items.push(StreamItem::Punctuation(ts));
+                if !enqueue_ingest(&shared, &tx, &sink, &mut busy_advised, items, &back) {
                     break;
                 }
             }
@@ -869,7 +1020,7 @@ fn run_session(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::core::tests::{cfg, registry, stream, Q_AB, Q_BA};
+    use crate::core::tests::{cfg, item, registry, stream, Q_AB, Q_BA};
     use crate::frame::{write_frame, OutputFrame};
     use sequin_engine::{OutputItem, QueryId};
 
@@ -947,12 +1098,77 @@ mod tests {
         shared.with_stats(|s| s.frames_sent) - before
     }
 
-    /// Every arrival is one message, so its size is hot-path cost: a
+    /// Every arrival frame is one message, so its size is hot-path cost: a
     /// request's frame (hundreds of bytes inline) stays boxed.
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn an_engine_message_stays_small() {
         assert!(std::mem::size_of::<EngineMsg>() <= 56);
+    }
+
+    /// Frames go through `engine_loop` whole and come back to the session
+    /// that sent them: each sender gets exactly its own items, the same
+    /// events in the same `Vec`s, in order. Coalescing stops short of
+    /// `MAX_ENGINE_BATCH` unless one frame is larger on its own, and a
+    /// sender that has gone stalls nothing.
+    #[test]
+    fn each_frame_comes_back_whole_to_the_session_that_sent_it() {
+        let reg = registry();
+        let mut core = EngineCore::new(cfg(&reg, None));
+        core.subscribe(Q_AB).unwrap();
+        let shared = Arc::new(Shared {
+            queue_capacity: 1024,
+            ..Shared::default()
+        });
+        let (tx, rx) = mpsc::sync_channel(16);
+        let (backs, mut returned): (Vec<_>, Vec<_>) = (0..3).map(|_| mpsc::channel()).unzip();
+        drop(returned.pop());
+        let mut ts = 0;
+        // (sender, frame size) in queue order; sender 2 has gone
+        let mut sent = [Vec::new(), Vec::new(), Vec::new()];
+        for (from, n) in [(0, 100), (1, 100), (2, 50), (0, 100), (1, 300), (0, 50)] {
+            let items: Vec<StreamItem> = (0..n)
+                .map(|_| {
+                    ts += 1;
+                    item(&reg, if ts % 3 == 0 { "B" } else { "A" }, ts, ts)
+                })
+                .collect();
+            sent[from].push((items.as_ptr(), items.clone()));
+            assert_eq!(shared.admit(n as usize), Some(ts as usize));
+            let back = backs[from].clone();
+            tx.send(EngineMsg::Ingest { items, back }).unwrap();
+        }
+        tx.send(EngineMsg::Shutdown).unwrap();
+        engine_loop(Step::new(core), rx, shared.clone(), None);
+
+        for (from, returned) in returned.iter().enumerate() {
+            let got: Vec<Vec<StreamItem>> = returned.try_iter().collect();
+            assert_eq!(
+                got.len(),
+                sent[from].len(),
+                "sender {from}: one Vec per frame"
+            );
+            for (items, (at, want)) in got.iter().zip(&sent[from]) {
+                assert_eq!(items.as_ptr(), *at, "sender {from}: the Vec it sent");
+                assert_eq!(items.len(), want.len());
+                for (a, b) in items.iter().zip(want) {
+                    let (StreamItem::Event(a), StreamItem::Event(b)) = (a, b) else {
+                        unreachable!("events only")
+                    };
+                    assert!(Arc::ptr_eq(a, b), "sender {from}: its own events, in order");
+                }
+            }
+        }
+        assert_eq!(shared.queued().items, 0);
+        assert!(
+            shared.queued().closed,
+            "a stopped engine thread closes the queue"
+        );
+        assert_eq!(shared.admit(1), None);
+        // 100 + 100 + 50, then 100 (the next 300 would pass 256), then the
+        // 300 alone, then 50
+        let stats = shared.with_stats(|s| *s);
+        assert_eq!((stats.engine_batches, stats.max_engine_batch), (4, 300));
     }
 
     #[test]

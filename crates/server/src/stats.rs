@@ -29,8 +29,9 @@ pub struct ServerStats {
     /// BUSY advisories sent when the ingest queue crossed its high-water
     /// mark.
     pub busy_frames_sent: u64,
-    /// Times a session reader blocked because the bounded ingest queue was
-    /// full (the backpressure actually applied, as opposed to advised).
+    /// Frames a session reader held back until their items fitted in the
+    /// bounded ingest queue (the backpressure actually applied, as opposed
+    /// to advised).
     pub backpressure_stalls: u64,
     /// DRAIN requests honored.
     pub drains: u64,

@@ -392,6 +392,43 @@ fn busy_advisory_fires_at_the_high_water_mark() {
     assert!(server.stats().busy_frames_sent >= 1);
 }
 
+/// The queue is bounded in items, and a frame larger than the whole bound
+/// is admitted into an empty queue: it is ingested whole, in one engine
+/// call, and nothing deadlocks.
+#[test]
+fn a_frame_larger_than_the_queue_is_ingested_whole() {
+    let (reg, stream) = workload(3_200, 53);
+    let stream: Vec<StreamItem> = stream
+        .into_iter()
+        .filter(|item| item.as_event().is_some())
+        .take(3_000)
+        .collect();
+    assert_eq!(stream.len(), 3_000);
+    let events: Vec<_> = stream
+        .iter()
+        .filter_map(StreamItem::as_event)
+        .cloned()
+        .collect();
+    let core = core_config(&reg, DisorderPolicy::Conservative);
+    let expected = oracle_net(core.clone(), &[Q01], &stream);
+    assert!(!expected.is_empty(), "a vacuous comparison");
+
+    let mut cfg = ServerConfig::new(core);
+    cfg.queue_capacity = 4;
+    let mut server = Server::start(cfg).unwrap();
+    let addr = server.listen("127.0.0.1:0").unwrap().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+    client.hello(reg.fingerprint(), "one-frame").unwrap();
+    client.subscribe(Q01).unwrap();
+    client.send_batch(&events).unwrap();
+    client.drain().unwrap();
+    assert_eq!(net(&client.take_outputs()), expected);
+    client.bye();
+    server.shutdown();
+    let stats = server.stats();
+    assert_eq!((stats.engine_batches, stats.max_engine_batch), (1, 3_000));
+}
+
 #[test]
 fn crash_restart_resumes_exactly_once_over_tcp() {
     let (reg, stream) = workload(300, 47);
