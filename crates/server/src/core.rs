@@ -583,7 +583,9 @@ impl EngineCore {
     /// watermark/clock/lag and state-size gauges, purge reclamation, the
     /// recorder's detection-latency and deferral-time histograms,
     /// engine-wide totals, and — when the caller passes them — server
-    /// counters plus the live ingest-queue depth.
+    /// counters plus the live depth of the engine thread's inbox
+    /// (`sequin_server_queue_depth`: queued arrivals' items, and one per
+    /// queued request).
     ///
     /// Everything recorded is a logical quantity, so a fixed-seed workload
     /// yields a byte-identical rendering. `sequin_purge_reclaimed_bytes` is

@@ -3,14 +3,16 @@
 //! ## Threading model
 //!
 //! Each accepted connection gets a **reader thread** that performs the
-//! HELLO handshake itself, then decodes frames and forwards work to the
-//! single **engine thread** over one bounded `mpsc::sync_channel`. The
-//! engine thread is the only code touching [`EngineCore`], so evaluation
-//! needs no locks and output order is globally deterministic. It is a
-//! driver, `engine_loop`, around a [`Step`]: the step turns each message
-//! into its [`Effect`]s in output-commit order, and the driver coalesces
-//! queued arrivals into batches and performs the effects. `sequin-sim`
-//! drives the same step, and crashes it between two effects.
+//! HELLO handshake itself, then decodes frames and hands work to the
+//! single **engine thread** through its one inbox, bounded in items: an
+//! arrival counts its items, a request one, and a disconnect or a stop
+//! none, so it never waits. The engine thread is the only code touching
+//! [`EngineCore`], so evaluation needs no locks and output order is
+//! globally deterministic. It is a driver, `engine_loop`, around a
+//! [`Step`]: the step turns each message into its [`Effect`]s in
+//! output-commit order, and the driver takes queued arrivals off the inbox
+//! in batches and performs the effects. `sequin-sim` drives the same step,
+//! and crashes it between two effects.
 //!
 //! ## The request path
 //!
@@ -24,13 +26,13 @@
 //! fingerprint 0) negotiated no schema, so it may only ask: STATS_REQ,
 //! METRICS_REQ, TRACE_REQ and BYE.
 //!
-//! `engine_loop` coalesces queued frames, whole, into one engine call, then
-//! hands each frame's items back to the session that decoded them, in the
-//! `Vec` they came in. That session frees them when it handles its next
-//! frame, and reuses the `Vec`: an event is allocated and freed on its
-//! session's thread, never on the engine thread, which is the one that
-//! saturates. A frame whose session has gone is dropped by the engine
-//! thread.
+//! The engine thread takes a run of queued frames, whole, into one engine
+//! call, then hands each frame's items back to the session that decoded
+//! them, in the `Vec` they came in. That session frees them when it
+//! handles its next frame, and reuses the `Vec`: an event is allocated
+//! and freed on its session's thread, never on the engine thread, which is
+//! the one that saturates. A frame whose session has gone is dropped by
+//! the engine thread.
 //!
 //! ## Egress
 //!
@@ -47,13 +49,15 @@
 //! ## Backpressure
 //!
 //! The queue is bounded in items, not frames: a session waits until its
-//! frame's items fit under [`ServerConfig::queue_capacity`] — a frame
-//! larger than the whole bound waits for an empty queue — and counts one
-//! [`ServerStats::backpressure_stalls`] per frame that waited. TCP flow
-//! control then propagates the stall to the sender. Independently, when
-//! the queue depth in items crosses the configured high-water mark the
-//! reader sends the client one BUSY advisory (rearmed once depth falls
-//! below half the mark).
+//! frame's items, or its request's one, fit under
+//! [`ServerConfig::queue_capacity`] — a frame larger than the whole bound
+//! waits for an empty queue — and counts one
+//! [`ServerStats::backpressure_stalls`] per message that waited. A
+//! disconnect or a stop counts no item and never waits. TCP flow control
+//! then propagates the stall to the sender. Independently, when an
+//! arrival takes the queue depth in items across the configured
+//! high-water mark the reader sends the client one BUSY advisory (rearmed
+//! once depth falls below half the mark).
 //!
 //! ## Durability
 //!
@@ -71,10 +75,11 @@
 //! stderr and the frames still go out. A server without checkpointing
 //! never dirties its store, so it saves nothing.
 
+use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
@@ -97,9 +102,11 @@ pub struct ServerConfig {
     /// Queries registered before the first connection is accepted (clients
     /// may SUBSCRIBE more at runtime).
     pub queries: Vec<String>,
-    /// Bound of the reader→engine queue, in items.
+    /// Bound of the engine thread's inbox, in items: an arrival counts
+    /// its items and a queued request one.
     pub queue_capacity: usize,
-    /// Queue depth, in items, at which readers send a BUSY advisory.
+    /// Queue depth, in items, at which an arrival's reader sends a BUSY
+    /// advisory.
     pub busy_high_water: usize,
     /// Where the checkpoint store is persisted (and loaded from at
     /// startup, resuming a previous incarnation). `None` keeps durability
@@ -150,17 +157,17 @@ enum EngineMsg {
     Shutdown,
 }
 
-/// What the engine thread shares with the session threads, the queue
-/// aside: the [`Step`] reads and bumps it by reference, so a driver
+/// What the engine thread shares with the session threads — its inbox
+/// first: the [`Step`] reads and bumps the rest by reference, so a driver
 /// without threads builds a default one of its own.
 #[derive(Default)]
 pub struct Shared {
-    /// Items currently queued — the bound sessions wait on and the BUSY
-    /// advisory's trigger.
-    queue: Mutex<Queued>,
-    /// Signalled when the engine thread takes a batch off the queue, or
-    /// stops.
+    inbox: Mutex<Inbox>,
+    /// Signalled when the engine thread takes items off the inbox while a
+    /// session waits for room, or stops.
     room: Condvar,
+    /// Signalled when a message is queued while the engine thread waits.
+    work: Condvar,
     queue_capacity: usize,
     stats: Mutex<ServerStats>,
     /// Mirror of the core's ingest position, served in HELLO_ACK.
@@ -175,30 +182,36 @@ pub struct Shared {
     next_conn: AtomicU64,
 }
 
-/// The ingest queue's fill, in items.
+/// The engine thread's inbox: every message for it, in order, each with
+/// the items it counts.
 #[derive(Default)]
-struct Queued {
-    /// Items of the queued `Ingest` messages: a session adds a frame's
-    /// before it sends it, the engine thread takes a batch's.
+struct Inbox {
+    msgs: VecDeque<(EngineMsg, usize)>,
+    /// Items of the queued messages — the bound sessions wait on and the
+    /// BUSY advisory's trigger.
     items: usize,
     /// Sessions waiting for room.
     waiting: usize,
-    /// Set once the engine thread has stopped: nothing more is taken off.
+    /// Set while the engine thread waits for a message: only then does a
+    /// push wake it.
+    idle: bool,
+    /// Set once the engine thread has stopped: nothing more is queued.
     closed: bool,
 }
 
 impl Shared {
-    fn queued(&self) -> MutexGuard<'_, Queued> {
-        self.queue.lock().unwrap_or_else(|e| e.into_inner())
+    fn inbox(&self) -> MutexGuard<'_, Inbox> {
+        self.inbox.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Counts a frame of `n` items queued — at once if they fit under the
-    /// bound or the queue is empty, else once the engine thread has taken
-    /// enough, which counts a backpressure stall. Returns the depth with
-    /// them, or `None` once the engine thread has stopped.
-    fn admit(&self, n: usize) -> Option<usize> {
-        let fits = |q: &Queued| q.closed || q.items == 0 || q.items + n <= self.queue_capacity;
-        let mut q = self.queued();
+    /// Queues `msg`, which counts `n` items — at once if they fit under
+    /// the bound, the queue is empty or `n` is 0, else once the engine
+    /// thread has taken enough, which counts a backpressure stall. Returns
+    /// the depth with them, or `None` once the engine thread has stopped.
+    fn push(&self, msg: EngineMsg, n: usize) -> Option<usize> {
+        let fits =
+            |q: &Inbox| q.closed || n == 0 || q.items == 0 || q.items + n <= self.queue_capacity;
+        let mut q = self.inbox();
         let stalled = !fits(&q);
         if stalled {
             q.waiting += 1;
@@ -208,51 +221,85 @@ impl Shared {
                 .unwrap_or_else(|e| e.into_inner());
             q.waiting -= 1;
         }
-        let depth = if q.closed {
-            None
-        } else {
+        let depth = (!q.closed).then(|| {
+            q.msgs.push_back((msg, n));
             q.items += n;
-            Some(q.items)
-        };
+            q.items
+        });
+        // each wake comes after the unlock, so that the woken thread does
+        // not block at once on the lock this one holds
+        let wake = depth.is_some() && q.idle;
         drop(q);
+        if wake {
+            self.work.notify_one();
+        }
         if stalled {
             self.with_stats(|s| s.backpressure_stalls += 1);
         }
         depth
     }
 
-    /// The engine thread took `n` queued items off the queue.
-    fn take(&self, n: usize) {
-        let mut q = self.queued();
-        q.items -= n;
-        if q.waiting > 0 {
+    /// The engine thread's one wait: the next message, or — returning
+    /// `None` — a run of whole ingest frames put in `frames`, for one
+    /// engine call, which amortises wakeups and egress writes. The run ends
+    /// before the first other message and short of `MAX_ENGINE_BATCH`
+    /// items, unless its first frame is larger on its own.
+    fn next(&self, frames: &mut Vec<Arrivals>) -> Option<EngineMsg> {
+        let mut q = self
+            .work
+            .wait_while(self.inbox(), |q| {
+                q.idle = q.msgs.is_empty();
+                q.idle
+            })
+            .unwrap_or_else(|e| e.into_inner());
+        let mut taken = 0;
+        let other = loop {
+            let Some((msg, len)) = q.msgs.pop_front() else {
+                break None;
+            };
+            match msg {
+                EngineMsg::Ingest { items, back }
+                    if frames.is_empty() || taken + len <= MAX_ENGINE_BATCH =>
+                {
+                    taken += len;
+                    frames.push(Arrivals { items, len, back });
+                }
+                msg if frames.is_empty() => {
+                    taken = len;
+                    break Some(msg);
+                }
+                msg => {
+                    q.msgs.push_front((msg, len));
+                    break None;
+                }
+            }
+        };
+        q.items -= taken;
+        let wake = q.waiting > 0 && taken > 0;
+        drop(q);
+        if wake {
             self.room.notify_all();
         }
+        other
     }
 
-    /// The engine thread has stopped: a session waiting for room gives up.
+    /// The engine thread has stopped: what is queued is dropped, and a
+    /// session waiting for room gives up.
     fn close(&self) {
-        self.queued().closed = true;
+        let mut q = self.inbox();
+        (q.closed, q.items) = (true, 0);
+        q.msgs.clear();
         self.room.notify_all();
     }
 
     fn with_stats<T>(&self, f: impl FnOnce(&mut ServerStats) -> T) -> T {
         f(&mut self.stats.lock().unwrap_or_else(|e| e.into_inner()))
     }
-
-    /// Sends a frame, counting it; delivery failures mean the peer is gone
-    /// and are ignored (the reader observes the close independently).
-    fn send(&self, sink: &Arc<dyn FrameSink>, frame: &Frame) {
-        if sink.send_frame(&encode_frame(frame)).is_ok() {
-            self.with_stats(|s| s.frames_sent += 1);
-        }
-    }
 }
 
 /// Handle to a running server (engine thread + optional TCP acceptor).
 pub struct Server {
     shared: Arc<Shared>,
-    tx: SyncSender<EngineMsg>,
     engine: Option<JoinHandle<()>>,
     acceptor: Option<JoinHandle<()>>,
     local_addr: Option<SocketAddr>,
@@ -266,8 +313,6 @@ impl Server {
     /// unreadable, which is logged to stderr — it starts cold. Either way
     /// it then registers [`ServerConfig::queries`].
     pub fn start(config: ServerConfig) -> Result<Server, String> {
-        let (tx, rx) = mpsc::sync_channel::<EngineMsg>(config.queue_capacity.max(1));
-
         let mut resumed_at = None;
         let mut core = match &config.store_path {
             Some(path) => {
@@ -318,13 +363,12 @@ impl Server {
             let store_path = config.store_path.clone();
             std::thread::Builder::new()
                 .name("sequin-engine".into())
-                .spawn(move || engine_loop(Step::new(core), rx, shared, store_path))
+                .spawn(move || engine_loop(Step::new(core), shared, store_path))
                 .map_err(|e| e.to_string())?
         };
 
         Ok(Server {
             shared,
-            tx,
             engine: Some(engine),
             acceptor: None,
             local_addr: None,
@@ -343,7 +387,7 @@ impl Server {
     pub fn listen(&mut self, addr: &str) -> std::io::Result<SocketAddr> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let (shared, tx) = (self.shared.clone(), self.tx.clone());
+        let shared = self.shared.clone();
         let acceptor = std::thread::Builder::new()
             .name("sequin-accept".into())
             .spawn(move || {
@@ -354,7 +398,7 @@ impl Server {
                     let Ok(stream) = stream else { continue };
                     let _ = stream.set_nodelay(true);
                     match TcpTransport::new(stream) {
-                        Ok(t) => spawn_session(shared.clone(), tx.clone(), Box::new(t)),
+                        Ok(t) => spawn_session(shared.clone(), Box::new(t)),
                         Err(_) => continue,
                     }
                 }
@@ -372,7 +416,7 @@ impl Server {
     /// Serves one pre-established transport (e.g. a
     /// [`crate::transport::MemTransport`]) as a session.
     pub fn attach(&self, transport: Box<dyn Transport>) {
-        spawn_session(self.shared.clone(), self.tx.clone(), transport);
+        spawn_session(self.shared.clone(), transport);
     }
 
     /// Snapshot of the connection/frame counters.
@@ -392,10 +436,11 @@ impl Server {
     }
 
     /// Graceful stop: stops accepting, persists durable state, joins the
-    /// engine thread. Sessions still open simply find the queue closed.
+    /// engine thread. Sessions still open simply find the queue closed;
+    /// what was queued behind the stop is dropped.
     pub fn shutdown(&mut self) {
         self.stop_acceptor();
-        let _ = self.tx.send(EngineMsg::Shutdown);
+        self.shared.push(EngineMsg::Shutdown, 0);
         if let Some(h) = self.engine.take() {
             let _ = h.join();
         }
@@ -406,7 +451,7 @@ impl Server {
     /// held at the last dirty-save is all a restart gets.
     pub fn crash(&mut self) {
         self.stop_acceptor();
-        let _ = self.tx.send(EngineMsg::Crash);
+        self.shared.push(EngineMsg::Crash, 0);
         if let Some(h) = self.engine.take() {
             let _ = h.join();
         }
@@ -643,7 +688,7 @@ impl Step {
             },
             Frame::MetricsReq { format } => {
                 let server = shared.with_stats(|s| *s);
-                let depth = shared.queued().items as u64;
+                let depth = shared.inbox().items as u64;
                 let snapshot = || core.metrics_snapshot(Some((&server, depth)));
                 let body = match format {
                     MetricsFormat::Prometheus => snapshot().to_prometheus(),
@@ -700,15 +745,10 @@ impl Step {
     }
 }
 
-/// The engine thread's driver: coalesces queued arrivals into batches,
-/// hands every message to `step`, and performs its effects —
+/// The engine thread's driver: takes queued arrivals off the inbox in
+/// batches, hands every message to `step`, and performs its effects —
 /// [`Effect::Save`] as a save of the store file at `store_path`.
-fn engine_loop(
-    mut step: Step,
-    rx: mpsc::Receiver<EngineMsg>,
-    shared: Arc<Shared>,
-    store_path: Option<PathBuf>,
-) {
+fn engine_loop(mut step: Step, shared: Arc<Shared>, store_path: Option<PathBuf>) {
     let mut perform = |effect: Effect<'_>| match (effect, &store_path) {
         (Effect::Save(store), Some(path)) => {
             if let Err(e) = store.save(path) {
@@ -728,56 +768,19 @@ fn engine_loop(
     }
     let _close = CloseOnExit(&shared);
     let (mut frames, mut batch) = (Vec::new(), Vec::new());
-    // A message pulled off the queue while coalescing a batch that did not
-    // join it; handled on the next loop turn so ordering is preserved.
-    let mut pending: Option<EngineMsg> = None;
     loop {
-        let msg = match pending.take() {
-            Some(m) => m,
-            None => match rx.recv() {
-                Ok(m) => m,
-                Err(_) => break,
-            },
-        };
-        match msg {
-            EngineMsg::Ingest { items, back } => {
-                // Coalesce the frames already queued behind this one into
-                // one engine call, whole: delivering per batch amortizes
-                // queue wakeups and egress writes.
-                let mut len = items.len();
-                frames.push(Arrivals { len, items, back });
-                while len < MAX_ENGINE_BATCH {
-                    match rx.try_recv() {
-                        Ok(EngineMsg::Ingest { items, back })
-                            if len + items.len() <= MAX_ENGINE_BATCH =>
-                        {
-                            len += items.len();
-                            frames.push(Arrivals {
-                                len: items.len(),
-                                items,
-                                back,
-                            });
-                        }
-                        Ok(other) => {
-                            pending = Some(other);
-                            break;
-                        }
-                        Err(_) => break,
-                    }
-                }
-                shared.take(len);
-                ingest_frames(&mut step, &mut frames, &mut batch, &shared, &mut perform);
-            }
-            EngineMsg::Request { conn, frame, sink } => {
+        match shared.next(&mut frames) {
+            None => ingest_frames(&mut step, &mut frames, &mut batch, &shared, &mut perform),
+            Some(EngineMsg::Ingest { .. }) => unreachable!("arrivals come as a run of frames"),
+            Some(EngineMsg::Request { conn, frame, sink }) => {
                 step.request(conn, *frame, &sink, &shared, &mut perform)
             }
-            EngineMsg::Disconnect { conn } => step.disconnect(conn),
-            EngineMsg::Crash => return,
-            EngineMsg::Shutdown => break,
+            Some(EngineMsg::Disconnect { conn }) => step.disconnect(conn),
+            Some(EngineMsg::Crash) => return,
+            Some(EngineMsg::Shutdown) => break,
         }
     }
-    // shutdown, or every sender gone (Server dropped without shutdown):
-    // what startup registered is unsaved until a message saves it
+    // shutdown: what startup registered is unsaved until a message saves it
     if step.core.take_dirty() {
         perform(Effect::Save(step.core.store()));
     }
@@ -807,11 +810,11 @@ fn ingest_frames(
     }
 }
 
-fn spawn_session(shared: Arc<Shared>, tx: SyncSender<EngineMsg>, transport: Box<dyn Transport>) {
+fn spawn_session(shared: Arc<Shared>, transport: Box<dyn Transport>) {
     let conn = shared.next_conn.fetch_add(1, Ordering::SeqCst);
     let _ = std::thread::Builder::new()
         .name(format!("sequin-session-{conn}"))
-        .spawn(move || run_session(shared, tx, conn, transport));
+        .spawn(move || run_session(shared, conn, transport));
 }
 
 /// A `Vec` for a frame's items: one the engine thread handed back, once
@@ -827,50 +830,7 @@ fn recycled(
     spare.pop().unwrap_or_default()
 }
 
-/// Enqueues one frame's items, counted in the queue's depth, waiting for
-/// room as [`Shared::admit`] does; once ingested they come back on `back`.
-/// Returns false when the engine is gone.
-fn enqueue_ingest(
-    shared: &Shared,
-    tx: &SyncSender<EngineMsg>,
-    sink: &Arc<dyn FrameSink>,
-    busy_advised: &mut bool,
-    items: Vec<StreamItem>,
-    back: &Sender<Vec<StreamItem>>,
-) -> bool {
-    let n = items.len();
-    if n == 0 {
-        return true;
-    }
-    let Some(depth) = shared.admit(n) else {
-        return false;
-    };
-    if depth >= shared.busy_high_water && !*busy_advised {
-        *busy_advised = true;
-        shared.with_stats(|s| s.busy_frames_sent += 1);
-        shared.send(
-            sink,
-            &Frame::Busy {
-                queued: depth as u64,
-            },
-        );
-    } else if depth < shared.busy_high_water / 2 {
-        *busy_advised = false;
-    }
-    let back = back.clone();
-    if tx.send(EngineMsg::Ingest { items, back }).is_err() {
-        shared.take(n);
-        return false;
-    }
-    true
-}
-
-fn run_session(
-    shared: Arc<Shared>,
-    tx: SyncSender<EngineMsg>,
-    conn: u64,
-    mut transport: Box<dyn Transport>,
-) {
+fn run_session(shared: Arc<Shared>, conn: u64, mut transport: Box<dyn Transport>) {
     let sink = transport.sink();
     shared.with_stats(|s| s.connections_opened += 1);
 
@@ -884,7 +844,7 @@ fn run_session(
     // closes the session with a terminal protocol error
     let refuse = |code: ErrorCode, message: String| {
         shared.with_stats(|s| s.rejected_frames += 1);
-        shared.send(&sink, &Frame::Error { code, message });
+        Effect::Reply(&sink, &Frame::Error { code, message }).send(&shared);
     };
 
     loop {
@@ -924,14 +884,12 @@ fn run_session(
                         break;
                     }
                     (hello_done, observer) = (true, fingerprint == 0);
-                    shared.send(
-                        &sink,
-                        &Frame::HelloAck {
-                            fingerprint: shared.fingerprint,
-                            resume_from: shared.resume_from.load(Ordering::SeqCst),
-                            queries: shared.query_count.load(Ordering::SeqCst),
-                        },
-                    );
+                    let ack = Frame::HelloAck {
+                        fingerprint: shared.fingerprint,
+                        resume_from: shared.resume_from.load(Ordering::SeqCst),
+                        queries: shared.query_count.load(Ordering::SeqCst),
+                    };
+                    Effect::Reply(&sink, &ack).send(&shared);
                 }
                 Frame::Bye => break,
                 other => {
@@ -954,7 +912,7 @@ fn run_session(
             refuse(ErrorCode::Unexpected, message.into());
             break;
         }
-        match frame {
+        let msg = match frame {
             Frame::Hello { .. } => {
                 refuse(ErrorCode::BadHello, "duplicate HELLO".into());
                 break;
@@ -970,19 +928,20 @@ fn run_session(
                     s.batches_ingested += 1;
                     s.events_ingested += events.len() as u64;
                 });
+                if events.is_empty() {
+                    continue;
+                }
                 let mut items = recycled(&returned, &mut spare);
                 items.extend(events.into_iter().map(StreamItem::Event));
-                if !enqueue_ingest(&shared, &tx, &sink, &mut busy_advised, items, &back) {
-                    break;
-                }
+                let back = back.clone();
+                EngineMsg::Ingest { items, back }
             }
             Frame::Punctuation(ts) => {
                 shared.with_stats(|s| s.punctuations_ingested += 1);
                 let mut items = recycled(&returned, &mut spare);
                 items.push(StreamItem::Punctuation(ts));
-                if !enqueue_ingest(&shared, &tx, &sink, &mut busy_advised, items, &back) {
-                    break;
-                }
+                let back = back.clone();
+                EngineMsg::Ingest { items, back }
             }
             request @ (Frame::Subscribe { .. }
             | Frame::StatsReq
@@ -990,9 +949,7 @@ fn run_session(
             | Frame::TraceReq { .. }
             | Frame::Drain) => {
                 let (frame, sink) = (Box::new(request), sink.clone());
-                if tx.send(EngineMsg::Request { conn, frame, sink }).is_err() {
-                    break;
-                }
+                EngineMsg::Request { conn, frame, sink }
             }
             Frame::Bye => break,
             // server→client frames arriving at the server are a protocol
@@ -1009,10 +966,29 @@ fn run_session(
                 refuse(ErrorCode::Unexpected, format!("client sent {other:?}"));
                 break;
             }
+        };
+        // an arrival counts its items, a request one; only an arrival can
+        // take the queue across the BUSY high-water mark
+        let arrival = match &msg {
+            EngineMsg::Ingest { items, .. } => Some(items.len()),
+            _ => None,
+        };
+        let Some(depth) = shared.push(msg, arrival.unwrap_or(1)) else {
+            break;
+        };
+        if arrival.is_some() {
+            if depth >= shared.busy_high_water && !busy_advised {
+                busy_advised = true;
+                shared.with_stats(|s| s.busy_frames_sent += 1);
+                let queued = depth as u64;
+                Effect::Reply(&sink, &Frame::Busy { queued }).send(&shared);
+            } else if depth < shared.busy_high_water / 2 {
+                busy_advised = false;
+            }
         }
     }
 
-    let _ = tx.send(EngineMsg::Disconnect { conn });
+    shared.push(EngineMsg::Disconnect { conn }, 0);
     sink.close();
     shared.with_stats(|s| s.connections_closed += 1);
 }
@@ -1028,7 +1004,8 @@ mod tests {
     #[derive(Default)]
     struct CountingSink {
         runs: Mutex<Vec<Vec<u8>>>,
-        singles: AtomicU64,
+        /// Each frame sent alone, sealed.
+        singles: Mutex<Vec<Vec<u8>>>,
         broken: AtomicBool,
     }
 
@@ -1039,8 +1016,8 @@ mod tests {
     }
 
     impl FrameSink for CountingSink {
-        fn send_frame(&self, _sealed: &[u8]) -> std::io::Result<()> {
-            self.singles.fetch_add(1, Ordering::SeqCst);
+        fn send_frame(&self, sealed: &[u8]) -> std::io::Result<()> {
+            self.singles.lock().unwrap().push(sealed.to_vec());
             Ok(())
         }
 
@@ -1108,25 +1085,40 @@ mod tests {
 
     /// Frames go through `engine_loop` whole and come back to the session
     /// that sent them: each sender gets exactly its own items, the same
-    /// events in the same `Vec`s, in order. Coalescing stops short of
-    /// `MAX_ENGINE_BATCH` unless one frame is larger on its own, and a
-    /// sender that has gone stalls nothing.
+    /// events in the same `Vec`s, in order. A run of frames stops short of
+    /// `MAX_ENGINE_BATCH` unless one frame is larger on its own, and before
+    /// the next message that is no arrival, which is handled between the
+    /// runs on either side of it; a sender that has gone stalls nothing. A
+    /// request counts one item and a disconnect or a stop none, so these
+    /// are queued at once into a full queue; a stopped engine thread takes
+    /// nothing more.
     #[test]
     fn each_frame_comes_back_whole_to_the_session_that_sent_it() {
         let reg = registry();
         let mut core = EngineCore::new(cfg(&reg, None));
         core.subscribe(Q_AB).unwrap();
+        // the bound is what is queued below: 700 items and one request
         let shared = Arc::new(Shared {
-            queue_capacity: 1024,
+            queue_capacity: 701,
             ..Shared::default()
         });
-        let (tx, rx) = mpsc::sync_channel(16);
         let (backs, mut returned): (Vec<_>, Vec<_>) = (0..3).map(|_| mpsc::channel()).unzip();
         drop(returned.pop());
+        let asker = Arc::new(CountingSink::default());
+        let stats_req = || EngineMsg::Request {
+            conn: 9,
+            frame: Box::new(Frame::StatsReq),
+            sink: asker.clone(),
+        };
         let mut ts = 0;
-        // (sender, frame size) in queue order; sender 2 has gone
+        // (sender, frame size) in queue order, the request after the
+        // second; sender 2 has gone
         let mut sent = [Vec::new(), Vec::new(), Vec::new()];
-        for (from, n) in [(0, 100), (1, 100), (2, 50), (0, 100), (1, 300), (0, 50)] {
+        let queue = [(0, 100), (1, 100), (2, 50), (0, 100), (1, 300), (0, 50)];
+        for (at, (from, n)) in queue.into_iter().enumerate() {
+            if at == 2 {
+                assert_eq!(shared.push(stats_req(), 1), Some(201));
+            }
             let items: Vec<StreamItem> = (0..n)
                 .map(|_| {
                     ts += 1;
@@ -1134,12 +1126,15 @@ mod tests {
                 })
                 .collect();
             sent[from].push((items.as_ptr(), items.clone()));
-            assert_eq!(shared.admit(n as usize), Some(ts as usize));
             let back = backs[from].clone();
-            tx.send(EngineMsg::Ingest { items, back }).unwrap();
+            let depth = ts as usize + usize::from(at >= 2);
+            let msg = EngineMsg::Ingest { items, back };
+            assert_eq!(shared.push(msg, n as usize), Some(depth));
         }
-        tx.send(EngineMsg::Shutdown).unwrap();
-        engine_loop(Step::new(core), rx, shared.clone(), None);
+        let disconnect = || EngineMsg::Disconnect { conn: 9 };
+        assert_eq!(shared.push(disconnect(), 0), Some(701), "no wait");
+        assert_eq!(shared.push(EngineMsg::Shutdown, 0), Some(701));
+        engine_loop(Step::new(core), shared.clone(), None);
 
         for (from, returned) in returned.iter().enumerate() {
             let got: Vec<Vec<StreamItem>> = returned.try_iter().collect();
@@ -1159,16 +1154,28 @@ mod tests {
                 }
             }
         }
-        assert_eq!(shared.queued().items, 0);
-        assert!(
-            shared.queued().closed,
-            "a stopped engine thread closes the queue"
-        );
-        assert_eq!(shared.admit(1), None);
-        // 100 + 100 + 50, then 100 (the next 300 would pass 256), then the
-        // 300 alone, then 50
+        // 100 + 100, then the request, then 50 + 100 (the next 300 would
+        // pass 256), then the 300 alone, then 50
+        let replies = asker.singles.lock().unwrap().clone();
+        let [reply] = &replies[..] else {
+            panic!("{} replies to one request", replies.len())
+        };
+        let Ok(Frame::StatsReply { server, .. }) = decode_frame(reply) else {
+            panic!("not a STATS_REPLY")
+        };
+        assert_eq!((server.engine_batches, server.max_engine_batch), (1, 200));
         let stats = shared.with_stats(|s| *s);
         assert_eq!((stats.engine_batches, stats.max_engine_batch), (4, 300));
+        let inbox = shared.inbox();
+        assert!(inbox.closed, "a stopped engine thread closes the queue");
+        assert_eq!((inbox.items, inbox.msgs.len()), (0, 0));
+        drop(inbox);
+        let (items, back) = (Vec::new(), backs[0].clone());
+        let ingest = EngineMsg::Ingest { items, back };
+        for (msg, n) in [(ingest, 1), (stats_req(), 1), (disconnect(), 0)] {
+            assert_eq!(shared.push(msg, n), None);
+        }
+        assert_eq!(shared.push(EngineMsg::Shutdown, 0), None);
     }
 
     #[test]
@@ -1199,8 +1206,8 @@ mod tests {
         // a call with nothing for anybody writes nothing
         assert_eq!(deliver(&mut egress, &[], &shared), 0);
         assert_eq!(both.runs().len(), 2);
-        assert_eq!(both.singles.load(Ordering::SeqCst), 0);
-        assert_eq!(one.singles.load(Ordering::SeqCst), 0);
+        assert!(both.singles.lock().unwrap().is_empty());
+        assert!(one.singles.lock().unwrap().is_empty());
     }
 
     #[test]

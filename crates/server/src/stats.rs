@@ -29,9 +29,9 @@ pub struct ServerStats {
     /// BUSY advisories sent when the ingest queue crossed its high-water
     /// mark.
     pub busy_frames_sent: u64,
-    /// Frames a session reader held back until their items fitted in the
-    /// bounded ingest queue (the backpressure actually applied, as opposed
-    /// to advised).
+    /// Arrival frames and requests a session reader held back until their
+    /// items (a request's one) fitted in the engine thread's bounded inbox
+    /// (the backpressure actually applied, as opposed to advised).
     pub backpressure_stalls: u64,
     /// DRAIN requests honored.
     pub drains: u64,

@@ -3,7 +3,7 @@
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration as StdDuration, Instant};
 
@@ -429,6 +429,105 @@ fn a_frame_larger_than_the_queue_is_ingested_whole() {
     assert_eq!((stats.engine_batches, stats.max_engine_batch), (1, 3_000));
 }
 
+/// A session's send half whose runs of OUTPUT frames wait at a gate: each
+/// run first reports that the engine thread has entered it, then waits
+/// until the gate's sender is dropped.
+struct GatedSink {
+    inner: Arc<dyn FrameSink>,
+    entered: mpsc::Sender<()>,
+    gate: Mutex<mpsc::Receiver<()>>,
+}
+
+impl FrameSink for GatedSink {
+    fn send_frame(&self, sealed: &[u8]) -> std::io::Result<()> {
+        self.inner.send_frame(sealed)
+    }
+
+    fn send_frames(&self, wire: &[u8]) -> std::io::Result<()> {
+        let _ = self.entered.send(());
+        let _ = self.gate.lock().unwrap().recv();
+        self.inner.send_frames(wire)
+    }
+
+    fn close(&self) {
+        self.inner.close()
+    }
+}
+
+/// A server's side of an in-memory link whose send half is `sink`.
+struct WithSink<S> {
+    inner: MemTransport,
+    sink: Arc<S>,
+}
+
+impl<S: FrameSink + 'static> Transport for WithSink<S> {
+    fn recv_frame(&mut self) -> std::io::Result<Option<Vec<u8>>> {
+        self.inner.recv_frame()
+    }
+
+    fn sink(&self) -> Arc<dyn FrameSink> {
+        self.sink.clone()
+    }
+}
+
+/// A session that ends while the engine thread is stalled in a
+/// subscriber's write closes at once: its disconnect queues no item, so it
+/// never waits behind a full queue.
+#[test]
+fn a_session_ending_while_the_engine_thread_is_stalled_closes_at_once() {
+    let (reg, stream) = workload(400, 71);
+    let events: Vec<_> = stream
+        .iter()
+        .filter_map(StreamItem::as_event)
+        .cloned()
+        .collect();
+    let mut cfg = ServerConfig::new(core_config(&reg, DisorderPolicy::Speculative));
+    cfg.queue_capacity = 4;
+    let mut server = Server::start(cfg).unwrap();
+    let (client_side, server_side) = mem_pair(FramePlan::clean(), FramePlan::clean());
+    let (entered, in_sink) = mpsc::channel();
+    let (open, gate) = mpsc::channel();
+    server.attach(Box::new(WithSink {
+        sink: Arc::new(GatedSink {
+            inner: server_side.sink(),
+            entered,
+            gate: Mutex::new(gate),
+        }),
+        inner: server_side,
+    }));
+    let mut a = Client::over(Box::new(client_side));
+    a.hello(reg.fingerprint(), "stalled").unwrap();
+    a.subscribe(Q01).unwrap();
+    a.send_batch(&events).unwrap();
+    let deadline = StdDuration::from_secs(3);
+    in_sink
+        .recv_timeout(deadline)
+        .expect("the batch gives A an output, whose run stalls the engine thread");
+
+    let mut b = raw_session(&server, &reg, encode_frame);
+    for event in &events[..4] {
+        let batch = Frame::EventBatch(vec![event.clone()]);
+        b.sink().send_frame(&encode_frame(&batch)).unwrap();
+    }
+    b.sink().send_frame(&encode_frame(&Frame::Bye)).unwrap();
+    let start = Instant::now();
+    while server.stats().connections_closed < 1 && start.elapsed() < deadline {
+        std::thread::sleep(StdDuration::from_millis(1));
+    }
+    let closed_while_stalled = server.stats().connections_closed;
+    // open the gate before any assertion, so that a failure cannot hang
+    drop(open);
+    assert_eq!(
+        closed_while_stalled, 1,
+        "B's close waited for the engine thread"
+    );
+    assert_eq!(b.recv_frame().unwrap(), None, "B's link is closed");
+    a.drain().unwrap();
+    a.bye();
+    server.shutdown();
+    assert_eq!(server.stats().events_ingested, events.len() as u64 + 4);
+}
+
 #[test]
 fn crash_restart_resumes_exactly_once_over_tcp() {
     let (reg, stream) = workload(300, 47);
@@ -527,21 +626,6 @@ impl FrameSink for StoreAtEachRun {
     }
 }
 
-struct CheckedTransport {
-    inner: MemTransport,
-    sink: Arc<StoreAtEachRun>,
-}
-
-impl Transport for CheckedTransport {
-    fn recv_frame(&mut self) -> std::io::Result<Option<Vec<u8>>> {
-        self.inner.recv_frame()
-    }
-
-    fn sink(&self) -> Arc<dyn FrameSink> {
-        self.sink.clone()
-    }
-}
-
 /// Output commit: a durable server saves an output's log record before
 /// the output goes out, so each run of OUTPUT frames finds the store file
 /// already holding one record per frame delivered so far, its own
@@ -562,7 +646,7 @@ fn outputs_leave_only_after_their_log_records_are_saved() {
         store: store.clone(),
         runs: Mutex::new(Vec::new()),
     });
-    server.attach(Box::new(CheckedTransport {
+    server.attach(Box::new(WithSink {
         inner: server_side,
         sink: sink.clone(),
     }));
@@ -1005,15 +1089,15 @@ fn an_observer_session_may_ask_but_never_ingest() {
 /// Requests sent back to back, none waiting for a reply, are answered
 /// exactly once each and in the order they were sent: a refused SUBSCRIBE
 /// and a second DRAIN by coded ERRORs. Every OUTPUT precedes the
-/// DRAIN_ACK and is the in-process run's, frame for frame.
+/// DRAIN_ACK and is the in-process run's, frame for frame — at the default
+/// queue bound and at one item, where every message waits for an empty
+/// queue (a request counts one item).
 #[test]
 fn pipelined_requests_are_answered_once_each_in_order() {
     let (reg, stream) = workload(400, 67);
     let core = core_config(&reg, DisorderPolicy::Conservative);
     let expected = oracle_frames(core.clone(), &[Q01], &stream);
     assert!(!expected.is_empty(), "vacuous comparison");
-    let server = Server::start(ServerConfig::new(core)).unwrap();
-    let mut t = raw_session(&server, &reg, encode_frame);
     let events: Vec<_> = stream
         .iter()
         .filter_map(StreamItem::as_event)
@@ -1029,7 +1113,7 @@ fn pipelined_requests_are_answered_once_each_in_order() {
         query: TRACE_ALL_QUERIES,
         pid: TRACE_ALL_OUTPUTS,
     };
-    for frame in [
+    let pipelined = [
         subscribe(Q01),
         Frame::EventBatch(head.to_vec()),
         Frame::StatsReq,
@@ -1041,46 +1125,57 @@ fn pipelined_requests_are_answered_once_each_in_order() {
         Frame::EventBatch(tail.to_vec()),
         Frame::Drain,
         Frame::Drain,
-    ] {
-        t.sink().send_frame(&encode_frame(&frame)).unwrap();
+    ];
+    for queue_capacity in [ServerConfig::new(core.clone()).queue_capacity, 1] {
+        let mut cfg = ServerConfig::new(core.clone());
+        cfg.queue_capacity = queue_capacity;
+        let server = Server::start(cfg).unwrap();
+        let mut t = raw_session(&server, &reg, encode_frame);
+        for frame in &pipelined {
+            t.sink().send_frame(&encode_frame(frame)).unwrap();
+        }
+        let (mut replies, mut outputs) = (Vec::new(), Vec::new());
+        while replies.len() < 7 {
+            let reply = match next_frame(&mut t) {
+                Frame::Output(o) => {
+                    assert!(
+                        !replies.contains(&"DRAIN_ACK".to_owned()),
+                        "OUTPUT after ack"
+                    );
+                    outputs.push(o);
+                    continue;
+                }
+                Frame::Busy { .. } => continue,
+                Frame::SubAck { .. } => "SUB_ACK".to_owned(),
+                Frame::StatsReply { .. } => "STATS_REPLY".to_owned(),
+                Frame::MetricsReply { .. } => "METRICS_REPLY".to_owned(),
+                Frame::TraceReply { .. } => "TRACE_REPLY".to_owned(),
+                Frame::DrainAck => "DRAIN_ACK".to_owned(),
+                Frame::Error { code, .. } => format!("ERROR[{code}]"),
+                other => panic!("unexpected {other:?}"),
+            };
+            replies.push(reply);
+        }
+        assert_eq!(
+            replies,
+            [
+                "SUB_ACK",
+                "STATS_REPLY",
+                "METRICS_REPLY",
+                "TRACE_REPLY",
+                "ERROR[bad-query]",
+                "DRAIN_ACK",
+                "ERROR[draining]"
+            ],
+            "queue bound {queue_capacity}"
+        );
+        assert!(
+            outputs == expected,
+            "queue bound {queue_capacity}: the oracle's OUTPUT frames, in order"
+        );
+        t.sink().send_frame(&encode_frame(&Frame::Bye)).unwrap();
+        assert_eq!(t.recv_frame().unwrap(), None, "nothing more was owed");
     }
-    let (mut replies, mut outputs) = (Vec::new(), Vec::new());
-    while replies.len() < 7 {
-        let reply = match next_frame(&mut t) {
-            Frame::Output(o) => {
-                assert!(
-                    !replies.contains(&"DRAIN_ACK".to_owned()),
-                    "OUTPUT after ack"
-                );
-                outputs.push(o);
-                continue;
-            }
-            Frame::Busy { .. } => continue,
-            Frame::SubAck { .. } => "SUB_ACK".to_owned(),
-            Frame::StatsReply { .. } => "STATS_REPLY".to_owned(),
-            Frame::MetricsReply { .. } => "METRICS_REPLY".to_owned(),
-            Frame::TraceReply { .. } => "TRACE_REPLY".to_owned(),
-            Frame::DrainAck => "DRAIN_ACK".to_owned(),
-            Frame::Error { code, .. } => format!("ERROR[{code}]"),
-            other => panic!("unexpected {other:?}"),
-        };
-        replies.push(reply);
-    }
-    assert_eq!(
-        replies,
-        [
-            "SUB_ACK",
-            "STATS_REPLY",
-            "METRICS_REPLY",
-            "TRACE_REPLY",
-            "ERROR[bad-query]",
-            "DRAIN_ACK",
-            "ERROR[draining]"
-        ]
-    );
-    assert!(outputs == expected, "the oracle's OUTPUT frames, in order");
-    t.sink().send_frame(&encode_frame(&Frame::Bye)).unwrap();
-    assert_eq!(t.recv_frame().unwrap(), None, "nothing more was owed");
 }
 
 /// Once the engine has handled a DRAIN, a session refuses ingestion: a
