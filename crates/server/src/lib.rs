@@ -44,6 +44,7 @@ pub mod bundle;
 pub mod client;
 pub mod core;
 pub mod frame;
+mod inbox;
 pub mod loadgen;
 pub mod server;
 pub mod stats;

@@ -59,6 +59,15 @@
 //! high-water mark the reader sends the client one BUSY advisory (rearmed
 //! once depth falls below half the mark).
 //!
+//! Every rule of the inbox lives in a state machine with no lock and no
+//! thread (`inbox.rs`), which returns each wake as a value; [`Shared`] is
+//! its shell: it locks, calls the machine, unlocks, then wakes. There are
+//! three wake rules: a wake comes after the unlock, so that the woken
+//! thread does not block at once on the waker's lock; the engine thread is
+//! woken only while it is idle; sessions are woken only when some wait and
+//! items were taken. A unit test runs the machine under every interleaving
+//! of a few sessions and the engine thread.
+//!
 //! ## Durability
 //!
 //! With [`CoreConfig::checkpoint_every`] set and a
@@ -75,7 +84,6 @@
 //! stderr and the frames still go out. A server without checkpointing
 //! never dirties its store, so it saves nothing.
 
-use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -92,6 +100,7 @@ use crate::frame::{
     append_output_frame, decode_frame, encode_frame, ErrorCode, Frame, MetricsFormat, TraceFormat,
     TRACE_ALL_OUTPUTS, TRACE_ALL_QUERIES,
 };
+use crate::inbox::{Inbox, Push, Take};
 use crate::stats::ServerStats;
 use crate::transport::{FrameSink, TcpTransport, Transport};
 
@@ -157,18 +166,28 @@ enum EngineMsg {
     Shutdown,
 }
 
+/// An ingest frame's arrivals, which may join a run of frames, or the
+/// message back when it is another.
+fn arrivals(msg: EngineMsg) -> Result<Arrivals, EngineMsg> {
+    match msg {
+        EngineMsg::Ingest { items, back } => Ok((items, back)),
+        other => Err(other),
+    }
+}
+
 /// What the engine thread shares with the session threads — its inbox
 /// first: the [`Step`] reads and bumps the rest by reference, so a driver
 /// without threads builds a default one of its own.
 #[derive(Default)]
 pub struct Shared {
-    inbox: Mutex<Inbox>,
-    /// Signalled when the engine thread takes items off the inbox while a
-    /// session waits for room, or stops.
+    /// The inbox's rules, each wake they call for returned as a value; the
+    /// methods below are the shell that locks, calls them, unlocks, and
+    /// then wakes.
+    inbox: Mutex<Inbox<EngineMsg>>,
+    /// Where sessions wait for room.
     room: Condvar,
-    /// Signalled when a message is queued while the engine thread waits.
+    /// Where the engine thread waits for work.
     work: Condvar,
-    queue_capacity: usize,
     stats: Mutex<ServerStats>,
     /// Mirror of the core's ingest position, served in HELLO_ACK.
     resume_from: AtomicU64,
@@ -182,55 +201,37 @@ pub struct Shared {
     next_conn: AtomicU64,
 }
 
-/// The engine thread's inbox: every message for it, in order, each with
-/// the items it counts.
-#[derive(Default)]
-struct Inbox {
-    msgs: VecDeque<(EngineMsg, usize)>,
-    /// Items of the queued messages — the bound sessions wait on and the
-    /// BUSY advisory's trigger.
-    items: usize,
-    /// Sessions waiting for room.
-    waiting: usize,
-    /// Set while the engine thread waits for a message: only then does a
-    /// push wake it.
-    idle: bool,
-    /// Set once the engine thread has stopped: nothing more is queued.
-    closed: bool,
+impl Default for Inbox<EngineMsg> {
+    /// A bound of one item, for a [`Shared`] whose inbox is not used.
+    fn default() -> Self {
+        Inbox::new(1, MAX_ENGINE_BATCH)
+    }
 }
 
 impl Shared {
-    fn inbox(&self) -> MutexGuard<'_, Inbox> {
+    fn inbox(&self) -> MutexGuard<'_, Inbox<EngineMsg>> {
         self.inbox.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Queues `msg`, which counts `n` items — at once if they fit under
-    /// the bound, the queue is empty or `n` is 0, else once the engine
-    /// thread has taken enough, which counts a backpressure stall. Returns
-    /// the depth with them, or `None` once the engine thread has stopped.
+    /// Queues `msg`, which counts `n` items, waiting for room as long as
+    /// the inbox says so, which counts a backpressure stall. Returns the
+    /// depth with it, or `None` once the engine thread has stopped.
     fn push(&self, msg: EngineMsg, n: usize) -> Option<usize> {
-        let fits =
-            |q: &Inbox| q.closed || n == 0 || q.items == 0 || q.items + n <= self.queue_capacity;
         let mut q = self.inbox();
-        let stalled = !fits(&q);
-        if stalled {
-            q.waiting += 1;
-            q = self
-                .room
-                .wait_while(q, |q| !fits(q))
-                .unwrap_or_else(|e| e.into_inner());
-            q.waiting -= 1;
+        let (mut pushed, mut stalled) = (q.push(msg, n), false);
+        while let Push::Wait(msg) = pushed {
+            stalled = true;
+            q = self.room.wait(q).unwrap_or_else(|e| e.into_inner());
+            pushed = q.retry(msg, n);
         }
-        let depth = (!q.closed).then(|| {
-            q.msgs.push_back((msg, n));
-            q.items += n;
-            q.items
-        });
-        // each wake comes after the unlock, so that the woken thread does
+        // every wake comes after the unlock, so that the woken thread does
         // not block at once on the lock this one holds
-        let wake = depth.is_some() && q.idle;
         drop(q);
-        if wake {
+        let (depth, wake_taker) = match pushed {
+            Push::Queued { depth, wake_taker } => (Some(depth), wake_taker),
+            Push::Wait(_) | Push::Closed => (None, false),
+        };
+        if wake_taker {
             self.work.notify_one();
         }
         if stalled {
@@ -241,54 +242,27 @@ impl Shared {
 
     /// The engine thread's one wait: the next message, or — returning
     /// `None` — a run of whole ingest frames put in `frames`, for one
-    /// engine call, which amortises wakeups and egress writes. The run ends
-    /// before the first other message and short of `MAX_ENGINE_BATCH`
-    /// items, unless its first frame is larger on its own.
-    fn next(&self, frames: &mut Vec<Arrivals>) -> Option<EngineMsg> {
-        let mut q = self
-            .work
-            .wait_while(self.inbox(), |q| {
-                q.idle = q.msgs.is_empty();
-                q.idle
-            })
-            .unwrap_or_else(|e| e.into_inner());
-        let mut taken = 0;
-        let other = loop {
-            let Some((msg, len)) = q.msgs.pop_front() else {
-                break None;
-            };
-            match msg {
-                EngineMsg::Ingest { items, back }
-                    if frames.is_empty() || taken + len <= MAX_ENGINE_BATCH =>
-                {
-                    taken += len;
-                    frames.push(Arrivals { items, len, back });
-                }
-                msg if frames.is_empty() => {
-                    taken = len;
-                    break Some(msg);
-                }
-                msg => {
-                    q.msgs.push_front((msg, len));
-                    break None;
-                }
+    /// engine call, which amortises wakeups and egress writes.
+    fn next(&self, frames: &mut Vec<(Arrivals, usize)>) -> Option<EngineMsg> {
+        let mut q = self.inbox();
+        let (msg, wake_room) = loop {
+            match q.take(frames, arrivals) {
+                Take::Run { wake_room } => break (None, wake_room),
+                Take::Msg { msg, wake_room } => break (Some(msg), wake_room),
+                Take::Idle => q = self.work.wait(q).unwrap_or_else(|e| e.into_inner()),
             }
         };
-        q.items -= taken;
-        let wake = q.waiting > 0 && taken > 0;
         drop(q);
-        if wake {
+        if wake_room {
             self.room.notify_all();
         }
-        other
+        msg
     }
 
     /// The engine thread has stopped: what is queued is dropped, and a
     /// session waiting for room gives up.
     fn close(&self) {
-        let mut q = self.inbox();
-        (q.closed, q.items) = (true, 0);
-        q.msgs.clear();
+        self.inbox().close();
         self.room.notify_all();
     }
 
@@ -352,7 +326,7 @@ impl Server {
             resume_from: AtomicU64::new(core.position()),
             query_count: AtomicU64::new(core.query_count()),
             fingerprint: core.fingerprint(),
-            queue_capacity: config.queue_capacity.max(1),
+            inbox: Mutex::new(Inbox::new(config.queue_capacity.max(1), MAX_ENGINE_BATCH)),
             busy_high_water: config.busy_high_water.max(1),
             accepting: AtomicBool::new(true),
             ..Shared::default()
@@ -424,7 +398,8 @@ impl Server {
         self.shared.with_stats(|s| *s)
     }
 
-    fn stop_acceptor(&mut self) {
+    /// Stops accepting, queues `last` for the engine thread and joins it.
+    fn stop(&mut self, last: EngineMsg) {
         self.shared.accepting.store(false, Ordering::SeqCst);
         if let Some(addr) = self.local_addr {
             // wake the blocking accept() so the thread observes the flag
@@ -433,28 +408,24 @@ impl Server {
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
         }
+        self.shared.push(last, 0);
+        if let Some(h) = self.engine.take() {
+            let _ = h.join();
+        }
     }
 
     /// Graceful stop: stops accepting, persists durable state, joins the
     /// engine thread. Sessions still open simply find the queue closed;
     /// what was queued behind the stop is dropped.
     pub fn shutdown(&mut self) {
-        self.stop_acceptor();
-        self.shared.push(EngineMsg::Shutdown, 0);
-        if let Some(h) = self.engine.take() {
-            let _ = h.join();
-        }
+        self.stop(EngineMsg::Shutdown);
     }
 
     /// Fault injection: kill the engine thread *without* any final
     /// persistence, simulating a process crash. Whatever the store file
     /// held at the last dirty-save is all a restart gets.
     pub fn crash(&mut self) {
-        self.stop_acceptor();
-        self.shared.push(EngineMsg::Crash, 0);
-        if let Some(h) = self.engine.take() {
-            let _ = h.join();
-        }
+        self.stop(EngineMsg::Crash);
     }
 }
 
@@ -471,14 +442,9 @@ impl Drop for Server {
 /// cadence bounded even under a saturated queue.
 const MAX_ENGINE_BATCH: usize = 256;
 
-/// One frame's arrivals while the engine thread holds them.
-struct Arrivals {
-    items: Vec<StreamItem>,
-    /// How many items, kept while they sit in a coalesced batch.
-    len: usize,
-    /// The way back to the session that decoded them.
-    back: Sender<Vec<StreamItem>>,
-}
+/// One frame's arrivals while the engine thread holds them, and the way
+/// back to the session that decoded them.
+type Arrivals = (Vec<StreamItem>, Sender<Vec<StreamItem>>);
 
 /// One subscribed connection, as the engine thread sees it.
 struct Subscriber {
@@ -688,7 +654,7 @@ impl Step {
             },
             Frame::MetricsReq { format } => {
                 let server = shared.with_stats(|s| *s);
-                let depth = shared.inbox().items as u64;
+                let depth = shared.inbox().depth() as u64;
                 let snapshot = || core.metrics_snapshot(Some((&server, depth)));
                 let body = match format {
                     MetricsFormat::Prometheus => snapshot().to_prometheus(),
@@ -792,21 +758,20 @@ fn engine_loop(mut step: Step, shared: Arc<Shared>, store_path: Option<PathBuf>)
 /// they are dropped here.
 fn ingest_frames(
     step: &mut Step,
-    frames: &mut Vec<Arrivals>,
+    frames: &mut Vec<(Arrivals, usize)>,
     batch: &mut Vec<StreamItem>,
     shared: &Shared,
     perform: &mut Perform<'_>,
 ) {
-    for frame in frames.iter_mut() {
-        batch.append(&mut frame.items);
+    for ((items, _), _) in frames.iter_mut() {
+        batch.append(items);
     }
     step.ingest(batch, shared, perform);
-    for frame in frames.iter_mut().rev() {
-        let from = batch.len() - frame.len;
-        frame.items.extend(batch.drain(from..));
+    for ((items, _), len) in frames.iter_mut().rev() {
+        items.extend(batch.drain(batch.len() - *len..));
     }
-    for frame in frames.drain(..) {
-        let _ = frame.back.send(frame.items);
+    for ((items, back), _) in frames.drain(..) {
+        let _ = back.send(items);
     }
 }
 
@@ -1099,7 +1064,7 @@ mod tests {
         core.subscribe(Q_AB).unwrap();
         // the bound is what is queued below: 700 items and one request
         let shared = Arc::new(Shared {
-            queue_capacity: 701,
+            inbox: Mutex::new(Inbox::new(701, MAX_ENGINE_BATCH)),
             ..Shared::default()
         });
         let (backs, mut returned): (Vec<_>, Vec<_>) = (0..3).map(|_| mpsc::channel()).unzip();
@@ -1166,10 +1131,11 @@ mod tests {
         assert_eq!((server.engine_batches, server.max_engine_batch), (1, 200));
         let stats = shared.with_stats(|s| *s);
         assert_eq!((stats.engine_batches, stats.max_engine_batch), (4, 300));
-        let inbox = shared.inbox();
-        assert!(inbox.closed, "a stopped engine thread closes the queue");
-        assert_eq!((inbox.items, inbox.msgs.len()), (0, 0));
-        drop(inbox);
+        assert_eq!(
+            shared.inbox().depth(),
+            0,
+            "a stopped engine thread closes the queue"
+        );
         let (items, back) = (Vec::new(), backs[0].clone());
         let ingest = EngineMsg::Ingest { items, back };
         for (msg, n) in [(ingest, 1), (stats_req(), 1), (disconnect(), 0)] {

@@ -38,8 +38,8 @@ pub trait FrameSink: Send + Sync {
     /// turn, and no other sender's frame lands between two of them.
     fn send_frames(&self, wire: &[u8]) -> io::Result<()>;
 
-    /// Tears the connection down; subsequent sends fail and the peer's
-    /// receive side observes end-of-stream.
+    /// Tears the connection down, both ways: subsequent sends fail, and
+    /// the receive sides of both ends observe end-of-stream.
     fn close(&self);
 }
 
@@ -51,11 +51,6 @@ pub trait Transport: Send {
 
     /// A shareable handle to the send half of the same connection.
     fn sink(&self) -> Arc<dyn FrameSink>;
-
-    /// Peer description for diagnostics.
-    fn peer(&self) -> String {
-        "?".to_owned()
-    }
 }
 
 fn lock_ignoring_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -90,23 +85,17 @@ impl FrameSink for TcpSink {
 pub struct TcpTransport {
     reader: BufReader<TcpStream>,
     sink: Arc<TcpSink>,
-    peer: String,
 }
 
 impl TcpTransport {
     /// Wraps a connected stream; clones the descriptor for the send half.
     pub fn new(stream: TcpStream) -> io::Result<TcpTransport> {
-        let peer = stream
-            .peer_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| "?".to_owned());
         let writer = stream.try_clone()?;
         Ok(TcpTransport {
             reader: BufReader::new(stream),
             sink: Arc::new(TcpSink {
                 stream: Mutex::new(writer),
             }),
-            peer,
         })
     }
 }
@@ -119,64 +108,56 @@ impl Transport for TcpTransport {
     fn sink(&self) -> Arc<dyn FrameSink> {
         self.sink.clone()
     }
-
-    fn peer(&self) -> String {
-        self.peer.clone()
-    }
 }
 
 // ---------------------------------------------------------- in-memory --
 
 /// One direction of an in-memory link: a queue of delivered frames plus
 /// frames the fault plan is holding back to force reordering.
+#[derive(Default)]
 struct ChanState {
     ready: VecDeque<Vec<u8>>,
-    /// `(release_at, original_index, frame)` — eligible once the sender's
-    /// `sent` counter reaches `release_at`.
-    held: Vec<(u64, u64, Vec<u8>)>,
+    /// `(release_at, frame)`, in the order sent — eligible once the
+    /// sender's `sent` counter reaches `release_at`.
+    held: Vec<(u64, Vec<u8>)>,
     sent: u64,
     closed: bool,
 }
 
+#[derive(Default)]
 struct Channel {
     state: Mutex<ChanState>,
     cv: Condvar,
 }
 
 impl Channel {
-    fn new() -> Arc<Channel> {
-        Arc::new(Channel {
-            state: Mutex::new(ChanState {
-                ready: VecDeque::new(),
-                held: Vec::new(),
-                sent: 0,
-                closed: false,
-            }),
-            cv: Condvar::new(),
-        })
+    /// Ends this direction: sends fail, and the reader sees end-of-stream
+    /// once it has read what was sent — frames still held too, so that a
+    /// graceful close loses none.
+    fn close(&self) {
+        let mut state = lock_ignoring_poison(&self.state);
+        state.closed = true;
+        state.sent = u64::MAX;
+        release_due(&mut state);
+        drop(state);
+        self.cv.notify_all();
     }
 }
 
+/// Delivers the held frames that are due, in the order they were sent.
 fn release_due(state: &mut ChanState) {
     let sent = state.sent;
-    let mut due: Vec<(u64, u64, Vec<u8>)> = Vec::new();
-    state.held.retain_mut(|entry| {
-        if entry.0 <= sent {
-            due.push((entry.0, entry.1, std::mem::take(&mut entry.2)));
-            false
-        } else {
-            true
-        }
-    });
-    // deterministic delivery order among simultaneously-due frames
-    due.sort_by_key(|(_, ix, _)| *ix);
-    for (_, _, frame) in due {
-        state.ready.push_back(frame);
-    }
+    let held = std::mem::take(&mut state.held);
+    let (due, held): (Vec<_>, _) = held.into_iter().partition(|(at, _)| *at <= sent);
+    state.held = held;
+    state.ready.extend(due.into_iter().map(|(_, frame)| frame));
 }
 
 struct MemSink {
+    /// The direction this side sends on.
     peer: Arc<Channel>,
+    /// The direction this side receives on.
+    incoming: Arc<Channel>,
     plan: FramePlan,
 }
 
@@ -195,7 +176,7 @@ impl MemSink {
         let hold = self.plan.hold_for(ix);
         if hold > 0 {
             let release_at = ix + 1 + hold as u64;
-            state.held.push((release_at, ix, bytes));
+            state.held.push((release_at, bytes));
         } else {
             state.ready.push_back(bytes);
         }
@@ -227,15 +208,11 @@ impl FrameSink for MemSink {
         pushed
     }
 
+    /// Ends both directions, as a socket's shutdown does: the peer's
+    /// sends fail too, and this side's reader sees end-of-stream.
     fn close(&self) {
-        let mut state = lock_ignoring_poison(&self.peer.state);
-        state.closed = true;
-        // flush anything still held so delayed frames are not lost on a
-        // graceful close
-        state.sent = u64::MAX;
-        release_due(&mut state);
-        drop(state);
-        self.peer.cv.notify_all();
+        self.peer.close();
+        self.incoming.close();
     }
 }
 
@@ -243,14 +220,13 @@ impl FrameSink for MemSink {
 /// other sends, after that direction's [`FramePlan`] has had its way with
 /// the bytes.
 pub struct MemTransport {
-    incoming: Arc<Channel>,
     sink: Arc<MemSink>,
-    peer: String,
 }
 
 impl Transport for MemTransport {
     fn recv_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
-        let mut state = lock_ignoring_poison(&self.incoming.state);
+        let incoming = &self.sink.incoming;
+        let mut state = lock_ignoring_poison(&incoming.state);
         loop {
             if let Some(frame) = state.ready.pop_front() {
                 return Ok(Some(frame));
@@ -258,32 +234,18 @@ impl Transport for MemTransport {
             if state.closed {
                 return Ok(None);
             }
-            state = self
-                .incoming
-                .cv
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
+            state = incoming.cv.wait(state).unwrap_or_else(|e| e.into_inner());
         }
     }
 
     fn sink(&self) -> Arc<dyn FrameSink> {
         self.sink.clone()
     }
-
-    fn peer(&self) -> String {
-        self.peer.clone()
-    }
 }
 
 impl Drop for MemTransport {
     fn drop(&mut self) {
-        // dropping the receive side ends the conversation both ways, like
-        // a socket close: the peer's sends fail and its reads see EOF
         self.sink.close();
-        let mut state = lock_ignoring_poison(&self.incoming.state);
-        state.closed = true;
-        drop(state);
-        self.incoming.cv.notify_all();
     }
 }
 
@@ -291,25 +253,18 @@ impl Drop for MemTransport {
 /// the first transport sends; `b_to_a` faults the reverse direction. Use
 /// [`FramePlan::clean`] for an undisturbed link.
 pub fn mem_pair(a_to_b: FramePlan, b_to_a: FramePlan) -> (MemTransport, MemTransport) {
-    let to_b = Channel::new();
-    let to_a = Channel::new();
-    let a = MemTransport {
-        incoming: to_a.clone(),
+    let (to_b, to_a) = (Arc::<Channel>::default(), Arc::<Channel>::default());
+    let end = |peer, incoming, plan| MemTransport {
         sink: Arc::new(MemSink {
-            peer: to_b.clone(),
-            plan: a_to_b,
+            peer,
+            incoming,
+            plan,
         }),
-        peer: "mem:b".to_owned(),
     };
-    let b = MemTransport {
-        incoming: to_b,
-        sink: Arc::new(MemSink {
-            peer: to_a,
-            plan: b_to_a,
-        }),
-        peer: "mem:a".to_owned(),
-    };
-    (a, b)
+    (
+        end(to_b.clone(), to_a.clone(), a_to_b),
+        end(to_a, to_b, b_to_a),
+    )
 }
 
 #[cfg(test)]

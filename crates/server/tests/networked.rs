@@ -514,18 +514,35 @@ fn a_session_ending_while_the_engine_thread_is_stalled_closes_at_once() {
     while server.stats().connections_closed < 1 && start.elapsed() < deadline {
         std::thread::sleep(StdDuration::from_millis(1));
     }
-    let closed_while_stalled = server.stats().connections_closed;
-    // open the gate before any assertion, so that a failure cannot hang
-    drop(open);
     assert_eq!(
-        closed_while_stalled, 1,
+        server.stats().connections_closed,
+        1,
         "B's close waited for the engine thread"
     );
     assert_eq!(b.recv_frame().unwrap(), None, "B's link is closed");
+    drop(open);
     a.drain().unwrap();
     a.bye();
     server.shutdown();
     assert_eq!(server.stats().events_ingested, events.len() as u64 + 4);
+}
+
+/// Closing either end of an in-memory link ends both directions, as a
+/// socket's shutdown does: a client over one end drops at once, though the
+/// other end is still open and never closes.
+#[test]
+fn a_client_over_an_open_mem_link_drops_at_once() {
+    let (client_side, other_end) = mem_pair(FramePlan::clean(), FramePlan::clean());
+    let (dropped, done) = mpsc::channel();
+    let client = std::thread::spawn(move || {
+        drop(Client::over(Box::new(client_side)));
+        let _ = dropped.send(());
+    });
+    let returned = done.recv_timeout(StdDuration::from_secs(3));
+    // closing the other end releases a drop that hung, so the thread joins
+    drop(other_end);
+    client.join().unwrap();
+    assert!(returned.is_ok(), "the drop waited for the other end");
 }
 
 #[test]
