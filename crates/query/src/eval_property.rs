@@ -7,7 +7,9 @@ use std::cmp::Ordering;
 use std::sync::Arc;
 
 use sequin_prng::Rng;
-use sequin_types::{Event, EventId, EventRef, EventTypeId, FieldId, Timestamp, Value};
+use sequin_types::{
+    Event, EventId, EventRef, EventTypeId, FieldId, Timestamp, TypeRegistry, Value, ValueKind,
+};
 
 use crate::{BinaryOp, Binding, Expr, Predicate, UnaryOp};
 
@@ -192,6 +194,162 @@ fn eval_agrees_with_the_reference_on_random_trees_and_partial_bindings() {
         held > 1_000 && failed_to_evaluate > 5_000,
         "{held} / {failed_to_evaluate}"
     );
+}
+
+const COMPARISONS: [BinaryOp; 6] = [
+    BinaryOp::Eq,
+    BinaryOp::Ne,
+    BinaryOp::Lt,
+    BinaryOp::Le,
+    BinaryOp::Gt,
+    BinaryOp::Ge,
+];
+
+/// An `Int` constant from the corners an offset overflows at, written
+/// `-k` now and then, as the parser reads a negative literal.
+fn int_const(rng: &mut Rng) -> Expr {
+    const CORNERS: [i64; 7] = [0, 1, -1, 2, 3, i64::MAX, i64::MIN];
+    let k = CORNERS[rng.gen_range(0..CORNERS.len())];
+    if rng.gen_bool(0.2) {
+        Expr::Unary {
+            op: UnaryOp::Neg,
+            expr: Box::new(Expr::Const(Value::Int(k))),
+        }
+    } else {
+        Expr::Const(Value::Int(k))
+    }
+}
+
+/// A comparison of the shape [`Predicate`]'s integer kernel takes: two
+/// terms, each an attribute, an `Int` constant, or an attribute `±` an
+/// `Int` constant.
+fn kernel_shaped(rng: &mut Rng) -> Expr {
+    let term = |rng: &mut Rng| {
+        let attr = Expr::Attr {
+            comp: rng.gen_range(0..COMPONENTS),
+            field: FieldId::from_index(rng.gen_range(0..5usize)),
+        };
+        let op = match rng.gen_range(0..4) {
+            0 => return int_const(rng),
+            1 => return attr,
+            2 => BinaryOp::Add,
+            _ => BinaryOp::Sub,
+        };
+        Expr::Binary {
+            op,
+            lhs: Box::new(attr),
+            rhs: Box::new(int_const(rng)),
+        }
+    };
+    Expr::Binary {
+        op: COMPARISONS[rng.gen_range(0..COMPARISONS.len())],
+        lhs: Box::new(term(rng)),
+        rhs: Box::new(term(rng)),
+    }
+}
+
+/// An event whose attributes are mostly integers at the corners, the
+/// rest of another kind; field 3 is often absent, field 4 always.
+fn int_event(rng: &mut Rng) -> EventRef {
+    const INTS: [i64; 8] = [0, 1, -1, 2, 3, i64::MAX, i64::MIN, i64::MAX - 1];
+    let attr = |rng: &mut Rng| match rng.gen_range(0..10) {
+        0 | 1 => value(rng),
+        _ => Value::Int(INTS[rng.gen_range(0..INTS.len())]),
+    };
+    let attrs: Vec<Value> = (0..rng.gen_range(3..=4)).map(|_| attr(rng)).collect();
+    let builder = Event::builder(EventTypeId::from_index(0), Timestamp::new(1));
+    Arc::new(builder.id(EventId::new(1)).attrs(attrs).build())
+}
+
+/// Over comparisons of the kernel's shape, at the integer corners, with
+/// attributes of another kind or absent: [`Predicate::eval`] agrees with
+/// the reference, and the kernel decides a set share of them itself — an
+/// overflow, another kind or an absent field is left to [`Expr::eval`].
+#[test]
+fn kernel_shaped_comparisons_agree_with_the_reference() {
+    let (mut with_kernel, mut by_kernel, mut held, mut handed_on) = (0, 0, 0, 0);
+    let cases = 20_000;
+    for seed in [4, 5, 6, 0x6b_e43e1] {
+        let mut rng = Rng::seed_from_u64(seed);
+        for case in 0..cases {
+            let e = kernel_shaped(&mut rng);
+            let events: Vec<EventRef> = (0..COMPONENTS).map(|_| int_event(&mut rng)).collect();
+            let full = case % 4 != 0;
+            let binding: Vec<Option<&EventRef>> = events
+                .iter()
+                .map(|ev| (full || rng.gen_bool(0.5)).then_some(ev))
+                .collect();
+            let ctx = format!("seed {seed} case {case}: {e:?} over {binding:?}");
+            let pred = Predicate::new(e);
+            let (got, want) = (pred.eval(&binding), reference_holds(&pred, &binding));
+            assert_eq!(got, want, "{ctx}");
+            with_kernel += u32::from(pred.has_kernel());
+            if got.is_some() && pred.has_kernel() {
+                match pred.kernel_decides(&binding) {
+                    Some(holds) => {
+                        by_kernel += 1;
+                        held += u32::from(holds);
+                    }
+                    None => handed_on += 1,
+                }
+            }
+        }
+    }
+    // every draw has a kernel but `x - i64::MIN` and `-i64::MIN`, whose
+    // negation overflows (90 % have one); the kernel decides a third of
+    // the draws itself (34 %), holds on half of those, and hands a
+    // decided draw on about as often (44 %)
+    let drawn = 4 * cases;
+    assert!(with_kernel > drawn * 85 / 100, "{with_kernel} of {drawn}");
+    assert!(by_kernel > drawn / 4, "{by_kernel} of {drawn}");
+    assert!(held > by_kernel / 4, "{held} of {by_kernel}");
+    assert!(handed_on > drawn / 10, "{handed_on} of {drawn}");
+}
+
+/// Every predicate of the ledger's eight workloads and of the pinned
+/// shapes in `tests/logical_counts.rs` gets a kernel: losing it would
+/// leave their counts where they are and their time behind.
+#[test]
+fn every_ledger_and_pinned_predicate_has_a_kernel() {
+    let mut registry = TypeRegistry::new();
+    for t in 0..16 {
+        let fields = [("x", ValueKind::Int), ("tag", ValueKind::Int)];
+        registry.declare(&format!("T{t}"), &fields).unwrap();
+    }
+    let family = |n: usize, width: usize| {
+        (0..n).map(move |i| {
+            let (ty, band) = (2 + i % 14, (i / 14) * width % 100);
+            let to = band + width;
+            format!(
+                "PATTERN SEQ(T0 a, T1 b, T{ty} c) WHERE c.x >= {band} AND c.x < {to} WITHIN 100"
+            )
+        })
+    };
+    let texts = [
+        "PATTERN SEQ(T0 a, T1 b, T2 c) WHERE a.tag == b.tag AND b.tag == c.tag WITHIN 100",
+        "PATTERN SEQ(T0 a, T1 b, T2 c) WHERE a.tag == b.tag AND b.tag == c.tag WITHIN 20000",
+        "PATTERN SEQ(T0 a, T1 b) WHERE a.tag + 0 == b.tag WITHIN 40000",
+        "PATTERN SEQ(T0 a, T1 b) WHERE a.tag == b.tag WITHIN 100",
+        "PATTERN SEQ(T0 a, T1 b) WHERE a.tag + 0 == b.tag WITHIN 2000",
+        "PATTERN SEQ(T0 a, !T1 n, T2 c) WHERE n.tag == a.tag WITHIN 100",
+        "PATTERN SEQ(T0 a, T1 b, T2 c) WHERE a.x < c.x WITHIN 100",
+        "PATTERN SEQ(T3 a, T3 b, T4 c) WHERE b.x > 20 WITHIN 100",
+    ];
+    let texts = texts
+        .into_iter()
+        .map(str::to_owned)
+        .chain(family(512, 1))
+        .chain(family(64, 20));
+    let mut predicates = 0;
+    for text in texts {
+        let query = crate::parse(&text, &registry).unwrap();
+        let negated = query.negations().iter().flat_map(|n| &n.predicates);
+        for pred in query.predicates().iter().chain(negated) {
+            assert!(pred.has_kernel(), "{text}: {:?}", pred.expr());
+            predicates += 1;
+        }
+    }
+    assert!(predicates > 1_000, "{predicates}");
 }
 
 /// The cases the issue names, one by one, so a failure reads as a rule.

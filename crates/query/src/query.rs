@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use sequin_types::{Duration, EventRef, EventTypeId, FieldId, Value};
 
-use crate::expr::{with_binding, Binding, ComponentMask, Expr};
+use crate::expr::{with_binding, BinaryOp, Binding, ComponentMask, Expr, UnaryOp};
 
 /// One resolved `SEQ(...)` component.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,16 +27,39 @@ impl Component {
 }
 
 /// A conjunct of the `WHERE` clause, with its referenced-component mask.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Predicate {
     expr: Expr,
     mask: ComponentMask,
+    /// The comparison of two integer terms `expr` is, if it is one;
+    /// derived from `expr`, so equality ignores it.
+    kernel: Option<Kernel>,
+}
+
+impl PartialEq for Predicate {
+    fn eq(&self, other: &Predicate) -> bool {
+        self.expr == other.expr && self.mask == other.mask
+    }
 }
 
 impl Predicate {
     pub(crate) fn new(expr: Expr) -> Predicate {
         let mask = expr.components();
-        Predicate { expr, mask }
+        let kernel = Kernel::of(&expr);
+        Predicate { expr, mask, kernel }
+    }
+
+    /// Whether [`Predicate::eval`] has an integer kernel to try first.
+    #[cfg(test)]
+    pub(crate) fn has_kernel(&self) -> bool {
+        self.kernel.is_some()
+    }
+
+    /// What the kernel alone decides on a fully bound `binding`: `None`
+    /// without a kernel, or where [`Expr::eval`] decides instead.
+    #[cfg(test)]
+    pub(crate) fn kernel_decides(&self, binding: &Binding<'_>) -> Option<bool> {
+        self.kernel.as_ref()?.decide(binding)
     }
 
     /// The underlying expression.
@@ -55,13 +78,21 @@ impl Predicate {
     /// `None` while undecided.
     ///
     /// Whether it is decidable is read off the cached mask, one step per
-    /// referenced component; the expression is walked once, only when it
-    /// is. A fully bound expression that fails to evaluate (a missing
-    /// field, `Str < Int`, division by zero) is `Some(false)`.
+    /// referenced component. A predicate that compares two integer terms
+    /// (`a.x`, an `Int` constant, `a.x ± k`) with `==`, `!=`, `<`, `<=`,
+    /// `>` or `>=` is then decided from two `i64` reads; anything else —
+    /// and such a predicate whose terms do not both read as `Int` (a
+    /// missing field, another kind, an overflowing offset) — walks the
+    /// expression once, through [`Expr::eval`]. A fully bound expression
+    /// that fails to evaluate (a missing field, `Str < Int`, division by
+    /// zero, an overflow) is `Some(false)`.
     pub fn eval(&self, binding: &Binding<'_>) -> Option<bool> {
         let bound = |c: usize| binding.get(c).is_some_and(Option::is_some);
         if !self.mask.iter_ones().all(bound) {
             return None;
+        }
+        if let Some(holds) = self.kernel.as_ref().and_then(|k| k.decide(binding)) {
+            return Some(holds);
         }
         Some(matches!(
             self.expr.eval(binding).as_deref(),
@@ -75,6 +106,119 @@ impl Predicate {
         let mut solo = ComponentMask::default();
         solo.insert(comp);
         !self.mask.is_empty() && self.mask.subset_of(solo)
+    }
+}
+
+/// A comparison of two integer terms, decided from two `i64` reads: the
+/// predicate shape construction walks evaluate on every candidate.
+#[derive(Debug, Clone, Copy)]
+struct Kernel {
+    op: BinaryOp,
+    lhs: Term,
+    rhs: Term,
+}
+
+/// One side of a [`Kernel`]: an `Int` constant, or an attribute plus an
+/// `Int` offset (`a.x` is `a.x + 0`, `a.x - 3` is `a.x + -3`).
+#[derive(Debug, Clone, Copy)]
+enum Term {
+    Int(i64),
+    Attr {
+        comp: usize,
+        field: FieldId,
+        offset: i64,
+    },
+}
+
+impl Kernel {
+    /// The kernel of `expr`, when it compares two integer terms.
+    fn of(expr: &Expr) -> Option<Kernel> {
+        use BinaryOp::{Eq, Ge, Gt, Le, Lt, Ne};
+        match expr {
+            Expr::Binary { op, lhs, rhs } if matches!(op, Eq | Ne | Lt | Le | Gt | Ge) => {
+                Some(Kernel {
+                    op: *op,
+                    lhs: Term::of(lhs)?,
+                    rhs: Term::of(rhs)?,
+                })
+            }
+            _ => None,
+        }
+    }
+
+    /// Whether the comparison holds, or `None` when a term does not read
+    /// as an `Int` — the expression then decides.
+    #[inline]
+    fn decide(&self, binding: &Binding<'_>) -> Option<bool> {
+        let (a, b) = (self.lhs.int(binding)?, self.rhs.int(binding)?);
+        Some(match self.op {
+            BinaryOp::Eq => a == b,
+            BinaryOp::Ne => a != b,
+            BinaryOp::Lt => a < b,
+            BinaryOp::Le => a <= b,
+            BinaryOp::Gt => a > b,
+            // `Ge`: `Kernel::of` takes comparisons only
+            _ => a >= b,
+        })
+    }
+}
+
+impl Term {
+    fn of(expr: &Expr) -> Option<Term> {
+        let attr = |e: &Expr, offset| match *e {
+            Expr::Attr { comp, field } => Some(Term::Attr {
+                comp,
+                field,
+                offset,
+            }),
+            _ => None,
+        };
+        match expr {
+            Expr::Binary {
+                op: BinaryOp::Add,
+                lhs,
+                rhs,
+            } => attr(lhs, int_const(rhs)?),
+            // `x - k` overflows exactly when `x + -k` does
+            Expr::Binary {
+                op: BinaryOp::Sub,
+                lhs,
+                rhs,
+            } => attr(lhs, int_const(rhs)?.checked_neg()?),
+            _ => attr(expr, 0).or_else(|| int_const(expr).map(Term::Int)),
+        }
+    }
+
+    /// The term's value, or `None` when its attribute is absent, is not
+    /// an `Int`, or overflows with the offset.
+    #[inline]
+    fn int(&self, binding: &Binding<'_>) -> Option<i64> {
+        match *self {
+            Term::Int(k) => Some(k),
+            Term::Attr {
+                comp,
+                field,
+                offset,
+            } => match binding.get(comp).copied().flatten()?.field(field)? {
+                Value::Int(v) => v.checked_add(offset),
+                _ => None,
+            },
+        }
+    }
+}
+
+/// The value of an `Int` constant, written `k` or `-k`.
+fn int_const(expr: &Expr) -> Option<i64> {
+    match expr {
+        Expr::Const(Value::Int(k)) => Some(*k),
+        Expr::Unary {
+            op: UnaryOp::Neg,
+            expr,
+        } => match **expr {
+            Expr::Const(Value::Int(k)) => k.checked_neg(),
+            _ => None,
+        },
+        _ => None,
     }
 }
 

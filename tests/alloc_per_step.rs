@@ -12,7 +12,10 @@
 //! empty, add no allocation to an arrival (exact, any build) and next to no
 //! time (release builds: the time is only meaningful there), and
 //! registering them costs each the same. The timings hold on the server's
-//! core too, recorder on, as `sequin serve` runs it.
+//! core too, recorder on, as `sequin serve` runs it. Beside each timing, a
+//! count asks the same exactly, in any build: the plan's counted work, its
+//! sharing counters and the recorder's trace are equal beside 64 and 1,024
+//! siblings. A count sees only counted work, so the timings stay.
 //!
 //! And the recorder: once its trace ring is full, what it adds to a batch
 //! does not grow with the batch's outputs.
@@ -35,7 +38,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration as Wall, Instant};
 
 use common::ev;
-use sequin::engine::{DisorderPolicy, EngineConfig, MultiEngine, OutputKind, Strategy};
+use sequin::engine::{DisorderPolicy, EngineConfig, MultiEngine, OutputKind, PlanWork, Strategy};
 use sequin::obs::ObsConfig;
 use sequin::query::{parse, Query};
 use sequin::runtime::AisStack;
@@ -419,6 +422,49 @@ fn engine_arrival_time_beside(siblings: fn(usize) -> Vec<String>) -> (Wall, Wall
     )
 }
 
+/// What `read` counts of the host `build` makes, after the arrivals
+/// [`arrival_time_beside`] times, beside 64 and beside 1,024 of
+/// `siblings`: the logical twin of that timing, exact in any build.
+fn counted_beside<H, C>(
+    siblings: fn(usize) -> Vec<String>,
+    build: impl Fn(&TypeRegistry, &[String]) -> H,
+    ingest: impl Fn(&mut H, &[StreamItem]) -> usize,
+    read: impl Fn(&H) -> C,
+) -> [C; 2] {
+    let reg = registry();
+    let stream = keyed_stream(&reg, 1, 50_000);
+    let texts = siblings(1_024);
+    [64, 1_024].map(|siblings| {
+        let mut host = build(&reg, &texts[..=siblings]);
+        let outputs = stream.chunks(256).map(|chunk| ingest(&mut host, chunk));
+        assert!(outputs.sum::<usize>() > 10_000, "the reached query fires");
+        read(&host)
+    })
+}
+
+/// The plan's work a plan host did over those arrivals, beside 64 and
+/// 1,024 of `siblings`: each node's offers, inserts, constructed and
+/// purged instances once, however many queries read it, and the sharing
+/// counters (arrivals routed and missed, prefix partials walked once for
+/// a group, member matches forked out of them).
+fn engine_work_beside(siblings: fn(usize) -> Vec<String>) -> [(PlanWork, [u64; 4]); 2] {
+    counted_beside(
+        siblings,
+        |reg, texts| registered(&parsed(reg, texts)).0,
+        |engine, chunk| engine.ingest_batch(chunk).iter().map(Vec::len).sum(),
+        |engine| {
+            let pm = engine.plan_metrics();
+            let shared = [
+                pm.routed_events,
+                pm.routing_misses,
+                pm.shared_partials,
+                pm.fanout_outputs,
+            ];
+            (engine.work(), shared)
+        },
+    )
+}
+
 /// A server core over `queries` with the disorder bound of [`registered`]
 /// and the recorder as configured.
 fn core(reg: &TypeRegistry, queries: &[String], obs: ObsConfig) -> EngineCore {
@@ -438,6 +484,70 @@ fn core_arrival_time_beside(siblings: fn(usize) -> Vec<String>) -> (Wall, Wall) 
         |reg, texts| core(reg, texts, ObsConfig::default()),
         |core, chunk| core.ingest_batch(chunk).len(),
     )
+}
+
+/// What the recorder traced over those arrivals on the server's core,
+/// beside 64 and 1,024 of `siblings`: the spans of the ring (each call's
+/// route, insert, construct and purge counts, each output) and how many
+/// it recorded in all, and the plan's sharing counters.
+fn core_trace_beside(siblings: fn(usize) -> Vec<String>) -> [(String, String); 2] {
+    counted_beside(
+        siblings,
+        |reg, texts| core(reg, texts, ObsConfig::default()),
+        |core, chunk| core.ingest_batch(chunk).len(),
+        |core| {
+            const COUNTED: [&str; 5] = [
+                "sequin_trace_spans_recorded ",
+                "sequin_plan_routed_events ",
+                "sequin_plan_routing_misses ",
+                "sequin_plan_shared_partials ",
+                "sequin_plan_fanout_outputs ",
+            ];
+            let prom = core.metrics_snapshot(None).to_prometheus();
+            let counted = |line: &&str| COUNTED.iter().any(|name| line.starts_with(name));
+            let counts: Vec<&str> = prom.lines().filter(counted).collect();
+            assert_eq!(counts.len(), COUNTED.len(), "{prom}");
+            (core.trace_json(), counts.join("\n"))
+        },
+    )
+}
+
+/// Queries an arrival does not touch add nothing to the work it does:
+/// the count beside [`idle_siblings_cost_an_arrival_next_to_nothing`].
+#[test]
+fn idle_siblings_add_no_work_to_an_arrival() {
+    let [few, many] = engine_work_beside(with_idle_siblings);
+    assert!(few.0.inserted == 50_000 && few.1[2] == 0, "{few:?}");
+    assert_eq!(few, many, "the plan's work grew with idle siblings");
+}
+
+/// Members of a shared prefix walk add nothing to the work an arrival
+/// does: the count beside [`forked_siblings_cost_an_arrival_next_to_nothing`].
+#[test]
+fn forked_siblings_add_no_work_to_an_arrival() {
+    let [few, many] = engine_work_beside(with_forked_siblings);
+    assert!(few.1[2] > 100_000 && few.1[3] == 0, "{few:?}");
+    assert_eq!(few, many, "the plan's work grew with forked siblings");
+}
+
+/// Idle siblings add nothing to what the server's core, recorder on,
+/// traces: the count beside
+/// [`idle_siblings_cost_a_recorded_arrival_next_to_nothing`].
+#[test]
+fn idle_siblings_add_nothing_to_a_recorded_arrival() {
+    let [few, many] = core_trace_beside(with_idle_siblings);
+    assert!(few.0.contains(r#""kind":"route""#), "{}", few.1);
+    assert_eq!(few, many, "the trace grew with idle siblings");
+}
+
+/// Forked siblings add nothing to what the server's core, recorder on,
+/// traces: the count beside
+/// [`forked_siblings_cost_a_recorded_arrival_next_to_nothing`].
+#[test]
+fn forked_siblings_add_nothing_to_a_recorded_arrival() {
+    let [few, many] = core_trace_beside(with_forked_siblings);
+    assert!(few.0.contains(r#""kind":"route""#), "{}", few.1);
+    assert_eq!(few, many, "the trace grew with forked siblings");
 }
 
 /// Queries an arrival does not touch add next to nothing to its time: the

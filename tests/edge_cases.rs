@@ -46,6 +46,25 @@ fn timestamps_near_u64_max_do_not_overflow() {
     assert_eq!(out.len(), 1);
 }
 
+/// An offset that overflows fails its comparison rather than wrapping:
+/// `i64::MAX + 1` would wrap to `i64::MIN`, below every `b.x`.
+#[test]
+fn an_overflowing_offset_matches_nothing() {
+    let reg = registry();
+    let q = parse("PATTERN SEQ(A a, B b) WHERE a.x + 1 < b.x WITHIN 100", &reg).unwrap();
+    let events = vec![
+        ev(&reg, "B", 2, 20, &[0]),
+        ev(&reg, "A", 1, 10, &[i64::MAX]), // late: anchors the walk too
+        ev(&reg, "A", 3, 30, &[0]),
+        ev(&reg, "B", 4, 40, &[5]),
+        ev(&reg, "B", 5, 50, &[i64::MAX]),
+    ];
+    let oracle = reference_matches(&q, &events);
+    assert_eq!(oracle, [vec![3, 4], vec![3, 5]].into());
+    let mut engine = NativeEngine::new(q, EngineConfig::with_k(Duration::new(20)));
+    assert_eq!(net_keys(&drive(&mut engine, &stream_of(&events))), oracle);
+}
+
 #[test]
 fn timestamp_zero_events_are_legal() {
     let reg = registry();

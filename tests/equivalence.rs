@@ -110,6 +110,28 @@ fn correlated_query_partitions() {
     assert_eq!(net_keys(&drive(engine.as_mut(), &stream)), oracle);
 }
 
+/// Comparisons with an integer offset on one side: shapes the evaluator
+/// decides from two integer reads, and the simulator never generates.
+#[test]
+fn offset_comparisons() {
+    let w = synthetic();
+    let events = w.generate(80, 19);
+    let unfiltered = reference_matches(&w.seq_query(2, 40), &events).len();
+    for text in [
+        "PATTERN SEQ(T0 a, T1 b) WHERE a.tag + 0 == b.tag WITHIN 40",
+        "PATTERN SEQ(T0 a, T1 b) WHERE a.x - 3 < b.x WITHIN 40",
+        "PATTERN SEQ(T0 a, T1 b) WHERE a.x + 2 >= b.x WITHIN 40",
+    ] {
+        let q = sequin::query::parse(text, w.registry()).unwrap();
+        let matches = reference_matches(&q, &events).len();
+        assert!(
+            matches > 0 && matches < unfiltered,
+            "{text}: {matches} of {unfiltered} pairs pass"
+        );
+        check_equivalence(&q, &events, text);
+    }
+}
+
 #[test]
 fn negation_middle() {
     let w = synthetic();
