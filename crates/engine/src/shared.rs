@@ -75,12 +75,15 @@
 //! ## Owed counters
 //!
 //! A per-query counter of work a plan node does once for all the queries
-//! sharing it is counted once, by the node, and *owed* to them: a pooled
-//! stack owes each (query, slot) reading it its offers, pre-filter
-//! evaluations, insertions and purges; a prefix group owes each member the
-//! steps of its shared walk; an epoch owes each of its queries its purge
-//! rounds and late arrivals. [`MultiEngine::fold`] is the one place
-//! they meet a query's own [`RuntimeStats`]. What a group walk counts per
+//! sharing it is counted once, by the node, in the [`RuntimeStats`] it
+//! *owes* them (its `owed`): a pooled stack owes each (query, slot)
+//! reading it its offers, pre-filter evaluations, insertions and purges; a
+//! prefix group owes each member the steps of its shared walk; an epoch
+//! owes each of its queries its purge rounds and late arrivals.
+//! [`MultiEngine::fold`] is a sum, the one place they meet: a query's own
+//! `RuntimeStats`, plus what every node it reads owes, less its repeat
+//! offers. A node's counter is the field the query's would be, so a new
+//! counter is one field of `RuntimeStats`. What a group walk counts per
 //! member — bind checks, a fork's candidates — is tallied for the members
 //! it touched and added once per walk. So an arrival costs the nodes it
 //! changes, not the queries that share them: a partial is forked only to
@@ -245,11 +248,9 @@ struct EpochState {
     /// This epoch's pooled stacks that hold an instance, in no particular
     /// order: what a purge round visits.
     nonempty: Vec<usize>,
-    /// Purge rounds, owed to every query of the epoch.
-    purge_runs: u64,
-    /// Arrivals beyond the disorder bound, owed to every query of the
-    /// epoch.
-    late_drops: u64,
+    /// What the epoch owes every query of it: its purge rounds and late
+    /// arrivals.
+    owed: RuntimeStats,
     /// The seal-deadline index: a min-heap of `(deadline, query)`, in which
     /// every query of this epoch that holds a record — a pending match, or
     /// an emitted one still open to retraction — has one *live* entry, at
@@ -268,8 +269,7 @@ impl EpochState {
             queries: Vec::new(),
             negating: Vec::new(),
             nonempty: Vec::new(),
-            purge_runs: 0,
-            late_drops: 0,
+            owed: RuntimeStats::default(),
             due: BinaryHeap::new(),
         }
     }
@@ -347,28 +347,14 @@ impl QueryState {
     }
 }
 
-/// What a pooled stack counts once for every (query, slot) reading it.
-#[derive(Debug, Default, Clone, Copy)]
-struct StackOwed {
-    /// Arrivals offered to the stack, each an `events_routed` of the
-    /// readers.
-    offered: u64,
-    /// The pre-filter's `predicate_evals`.
-    predicate_evals: u64,
-    insertions: u64,
-    ooo_insertions: u64,
-    max_stack_depth: u64,
-    purged: u64,
-}
-
 /// A prefix group's run-time state beside its plan node.
 #[derive(Debug, Default)]
 struct GroupState {
     /// The members whose final stack holds an instance: the only ones a
     /// partial can complete, so the only ones it is forked to.
     live: MemberSet,
-    /// The shared walk's `dfs_steps`, owed to every member.
-    dfs_steps: u64,
+    /// What the shared walk owes every member: its `dfs_steps`.
+    owed: RuntimeStats,
 }
 
 /// A set of group member indices, one bit each, iterated ascending.
@@ -508,8 +494,10 @@ pub struct MultiEngine {
     /// Physical stacks, parallel to `plan.stacks`, each indexed by its
     /// signature's partition field.
     stacks: Vec<KeyedStack>,
-    /// What each of `stacks` owes every (query, slot) reading it.
-    owed: Vec<StackOwed>,
+    /// What each of `stacks` owes every (query, slot) reading it: its
+    /// offers (`events_routed`), pre-filter evaluations, insertions, depth
+    /// and purged instances.
+    owed: Vec<RuntimeStats>,
     /// Parallel to `plan.groups`.
     groups: Vec<GroupState>,
     states: Vec<QueryState>,
@@ -623,7 +611,7 @@ impl MultiEngine {
         self.stacks
             .extend(fresh.map(|node| KeyedStack::new(node.sig.partition)));
         self.owed
-            .resize(self.plan.stacks.len(), StackOwed::default());
+            .resize(self.plan.stacks.len(), RuntimeStats::default());
         self.groups
             .resize_with(self.plan.groups.len(), GroupState::default);
         // the epoch is open, so its stacks are empty and the member joins
@@ -713,7 +701,7 @@ impl MultiEngine {
     /// beside the plan's nodes — each epoch's non-empty stacks, each
     /// group's live members — with nothing owed by any node.
     fn sync_nodes(&mut self) {
-        self.owed = vec![StackOwed::default(); self.plan.stacks.len()];
+        self.owed = vec![RuntimeStats::default(); self.plan.stacks.len()];
         let fresh = |g: &PrefixGroup| {
             let mut state = GroupState::default();
             state.live.fit(g.members.len());
@@ -725,7 +713,7 @@ impl MultiEngine {
         }
         for ep in &mut self.epochs {
             ep.nonempty.clear();
-            (ep.purge_runs, ep.late_drops) = (0, 0);
+            ep.owed = RuntimeStats::default();
         }
         for (six, node) in self.plan.stacks.iter().enumerate() {
             if !self.stacks[six].is_empty() {
@@ -748,21 +736,13 @@ impl MultiEngine {
             return stats;
         }
         for &six in &node.stack_of_slot {
-            let owed = &self.owed[six];
-            stats.events_routed += owed.offered;
-            stats.predicate_evals += owed.predicate_evals;
-            stats.insertions += owed.insertions;
-            stats.ooo_insertions += owed.ooo_insertions;
-            stats.max_stack_depth = stats.max_stack_depth.max(owed.max_stack_depth);
-            stats.purged += owed.purged;
+            stats += self.owed[six];
         }
-        stats.events_routed -= st.repeat_offers;
         if let Some(gix) = node.group {
-            stats.dfs_steps += self.groups[gix].dfs_steps;
+            stats += self.groups[gix].owed;
         }
-        let ep = &self.epochs[st.epoch];
-        stats.purge_runs += ep.purge_runs;
-        stats.late_drops += ep.late_drops;
+        stats += self.epochs[st.epoch].owed;
+        stats.events_routed -= st.repeat_offers;
         stats
     }
 
@@ -901,7 +881,7 @@ impl MultiEngine {
         for ep in &mut self.epochs {
             ep.seq = ep.seq.next();
             if ep.wm.observe_event(event.ts()) {
-                ep.late_drops += 1;
+                ep.owed.late_drops += 1;
             }
         }
         let plan = std::mem::take(&mut self.plan);
@@ -966,7 +946,7 @@ impl MultiEngine {
             // for every (query, slot) reading it, and so does predicate
             // pushdown: the slot's local predicates run once
             let owed = &mut self.owed[six];
-            owed.offered += 1;
+            owed.events_routed += 1;
             self.work.routed += 1;
             if !node.local_preds.is_empty() {
                 let failed = node.first_failing(ev);
@@ -1095,7 +1075,7 @@ impl MultiEngine {
         } = walker;
         self.counters.shared_partials += partials;
         self.counters.fanout_outputs += forked.len() as u64;
-        self.groups[gix].dfs_steps += shared_dfs;
+        self.groups[gix].owed.dfs_steps += shared_dfs;
         bind_tally.drain_into(&g.members, &mut self.states, &mut self.work);
         tally.drain_into(&g.members, &mut self.states, &mut self.work);
         for (mx, events) in forked.drain(..) {
@@ -1156,7 +1136,7 @@ impl MultiEngine {
     /// and its final-slot members' groups' live sets.
     fn run_purge(&mut self, eix: usize) {
         let ep = &mut self.epochs[eix];
-        ep.purge_runs += 1;
+        ep.owed.purge_runs += 1;
         let wm = ep.wm.current();
         let skew = Duration::new(self.config.purge_horizon_skew);
         let (plan, stacks, owed, groups, work) = (

@@ -851,6 +851,24 @@ mod tests {
     }
 
     #[test]
+    fn a_query_with_two_chains_gets_one_scheme_and_one_id() {
+        // both `x` and `tag` chain every positive; the first chain in the
+        // text keys the query, whatever order a parse meets them in
+        let reg = registry();
+        let text = "PATTERN SEQ(A a, B b) WHERE a.x == b.x AND a.tag == b.tag WITHIN 10";
+        let first = parse(text, &reg).unwrap();
+        let (x, _) = reg.schema(reg.lookup("A").unwrap()).field("x").unwrap();
+        let scheme = first.partition().expect("an equality chain keys it");
+        assert_eq!(scheme.fields, [x; 2], "keyed by the first chain");
+        for _ in 0..64 {
+            let again = parse(text, &reg).unwrap();
+            assert_eq!(again.partition(), first.partition());
+            assert!(again.normalized_eq(&first));
+            assert_eq!(stable_query_id(&again), stable_query_id(&first));
+        }
+    }
+
+    #[test]
     fn spanning_predicates_do_not_block_grouping() {
         let reg = registry();
         let specs = [

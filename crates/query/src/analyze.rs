@@ -295,7 +295,10 @@ impl Resolver<'_> {
 
 /// Finds an equality-join chain covering every positive component, if any:
 /// a set of `a.f == b.g` conjuncts whose union-find closure places at least
-/// one field of each positive component in one equivalence class.
+/// one field of each positive component in one equivalence class. When two
+/// classes do, the one whose first attribute ref comes first — in the
+/// `WHERE` clause's predicates, then the negations' — keys the query, so a
+/// text always gets the same scheme (and so the same identity).
 pub(crate) fn detect_partition(
     registry: &TypeRegistry,
     components: &[Component],
@@ -309,18 +312,15 @@ pub(crate) fn detect_partition(
             registry.schema(ty).field_kind(field) != Some(sequin_types::ValueKind::Float)
         })
     };
-    // collect equality edges between plain attribute refs
+    // collect equality edges between plain attribute refs, each ref
+    // numbered in order of its first appearance in the predicates
     let mut nodes: Vec<(usize, FieldId)> = Vec::new();
     let mut parent: Vec<usize> = Vec::new();
-    let mut index: HashMap<(usize, FieldId), usize> = HashMap::new();
-    let intern = |nodes: &mut Vec<(usize, FieldId)>,
-                  parent: &mut Vec<usize>,
-                  index: &mut HashMap<(usize, FieldId), usize>,
-                  key: (usize, FieldId)| {
-        *index.entry(key).or_insert_with(|| {
+    let mut intern = |key: (usize, FieldId), parent: &mut Vec<usize>| {
+        nodes.iter().position(|&n| n == key).unwrap_or_else(|| {
             nodes.push(key);
-            parent.push(nodes.len() - 1);
-            nodes.len() - 1
+            parent.push(parent.len());
+            parent.len() - 1
         })
     };
     fn find(parent: &mut [usize], mut x: usize) -> usize {
@@ -353,8 +353,8 @@ pub(crate) fn detect_partition(
                 },
             ) = (lhs.as_ref(), rhs.as_ref())
             {
-                let a = intern(&mut nodes, &mut parent, &mut index, (*ca, *fa));
-                let b = intern(&mut nodes, &mut parent, &mut index, (*cb, *fb));
+                let a = intern((*ca, *fa), &mut parent);
+                let b = intern((*cb, *fb), &mut parent);
                 let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
                 if ra != rb {
                     parent[ra] = rb;
@@ -366,18 +366,22 @@ pub(crate) fn detect_partition(
         return None;
     }
 
-    // group nodes by root; look for a class covering all positives
-    let mut classes: HashMap<usize, Vec<(usize, FieldId)>> = HashMap::new();
-    for (i, &node) in nodes.iter().enumerate() {
-        let root = find(&mut parent, i);
-        classes.entry(root).or_default().push(node);
-    }
-    for members in classes.values() {
+    // look for a class covering all positives, in order of each class's
+    // first ref: two may (`a.x == b.x AND a.tag == b.tag`)
+    let roots: Vec<usize> = (0..nodes.len()).map(|i| find(&mut parent, i)).collect();
+    for (first, &root) in roots.iter().enumerate() {
+        if roots[..first].contains(&root) {
+            continue; // not this class's first ref
+        }
+        let members: Vec<(usize, FieldId)> = (first..nodes.len())
+            .filter(|&i| roots[i] == root)
+            .map(|i| nodes[i])
+            .collect();
         if members.iter().any(|&(c, f)| !keyable(c, f)) {
             continue;
         }
         let mut fields: Vec<Option<FieldId>> = vec![None; positives.len()];
-        for &(comp, field) in members {
+        for &(comp, field) in &members {
             if let Some(p) = positives.iter().position(|&c| c == comp) {
                 if fields[p].is_none() {
                     fields[p] = Some(field);
@@ -385,7 +389,6 @@ pub(crate) fn detect_partition(
             }
         }
         if fields.iter().all(Option::is_some) {
-            let _ = &components;
             let negation_fields = negations
                 .iter()
                 .map(|n| members.iter().find(|(c, _)| *c == n.comp).map(|&(_, f)| f))

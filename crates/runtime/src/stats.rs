@@ -53,44 +53,45 @@ pub struct RuntimeStats {
 
 impl AddAssign for RuntimeStats {
     fn add_assign(&mut self, rhs: RuntimeStats) {
-        self.insertions += rhs.insertions;
-        self.ooo_insertions += rhs.ooo_insertions;
-        self.dfs_steps += rhs.dfs_steps;
-        self.predicate_evals += rhs.predicate_evals;
-        self.matches_constructed += rhs.matches_constructed;
-        self.negated_matches += rhs.negated_matches;
-        self.purged += rhs.purged;
-        self.purge_runs += rhs.purge_runs;
-        self.late_drops += rhs.late_drops;
-        self.checkpoints_written += rhs.checkpoints_written;
-        self.checkpoints_rejected += rhs.checkpoints_rejected;
-        self.replayed_suppressed += rhs.replayed_suppressed;
-        self.events_routed += rhs.events_routed;
         // a gauge, not a flow: combining two evaluators keeps the larger peak
-        self.max_stack_depth = self.max_stack_depth.max(rhs.max_stack_depth);
+        let depth = self.max_stack_depth.max(rhs.max_stack_depth);
+        for ((_, mine), (_, theirs)) in self.fields_mut().into_iter().zip(rhs.as_pairs()) {
+            *mine += theirs;
+        }
+        self.max_stack_depth = depth;
     }
 }
 
 impl RuntimeStats {
-    /// Field-order list used by the codec and the metrics series; keep in
-    /// sync with the struct definition.
-    pub fn as_pairs(&self) -> [(&'static str, u64); 14] {
+    /// The fields that are peak gauges, merged with `max` by
+    /// [`AddAssign`]; every other field is a flow counter, summed.
+    pub const GAUGES: [&'static str; 1] = ["max_stack_depth"];
+
+    /// The one field list, in slot order: the codec's, the metrics
+    /// series', and the merge's.
+    fn fields_mut(&mut self) -> [(&'static str, &mut u64); 14] {
         [
-            ("insertions", self.insertions),
-            ("ooo_insertions", self.ooo_insertions),
-            ("dfs_steps", self.dfs_steps),
-            ("predicate_evals", self.predicate_evals),
-            ("matches_constructed", self.matches_constructed),
-            ("negated_matches", self.negated_matches),
-            ("purged", self.purged),
-            ("purge_runs", self.purge_runs),
-            ("late_drops", self.late_drops),
-            ("checkpoints_written", self.checkpoints_written),
-            ("checkpoints_rejected", self.checkpoints_rejected),
-            ("replayed_suppressed", self.replayed_suppressed),
-            ("events_routed", self.events_routed),
-            ("max_stack_depth", self.max_stack_depth),
+            ("insertions", &mut self.insertions),
+            ("ooo_insertions", &mut self.ooo_insertions),
+            ("dfs_steps", &mut self.dfs_steps),
+            ("predicate_evals", &mut self.predicate_evals),
+            ("matches_constructed", &mut self.matches_constructed),
+            ("negated_matches", &mut self.negated_matches),
+            ("purged", &mut self.purged),
+            ("purge_runs", &mut self.purge_runs),
+            ("late_drops", &mut self.late_drops),
+            ("checkpoints_written", &mut self.checkpoints_written),
+            ("checkpoints_rejected", &mut self.checkpoints_rejected),
+            ("replayed_suppressed", &mut self.replayed_suppressed),
+            ("events_routed", &mut self.events_routed),
+            ("max_stack_depth", &mut self.max_stack_depth),
         ]
+    }
+
+    /// Every field with its name, in slot order.
+    pub fn as_pairs(&self) -> [(&'static str, u64); 14] {
+        let mut copy = *self;
+        copy.fields_mut().map(|(name, v)| (name, *v))
     }
 }
 
@@ -107,22 +108,10 @@ impl Encode for RuntimeStats {
 
 impl Decode for RuntimeStats {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let stats = RuntimeStats {
-            insertions: r.get_u64()?,
-            ooo_insertions: r.get_u64()?,
-            dfs_steps: r.get_u64()?,
-            predicate_evals: r.get_u64()?,
-            matches_constructed: r.get_u64()?,
-            negated_matches: r.get_u64()?,
-            purged: r.get_u64()?,
-            purge_runs: r.get_u64()?,
-            late_drops: r.get_u64()?,
-            checkpoints_written: r.get_u64()?,
-            checkpoints_rejected: r.get_u64()?,
-            replayed_suppressed: r.get_u64()?,
-            events_routed: r.get_u64()?,
-            max_stack_depth: r.get_u64()?,
-        };
+        let mut stats = RuntimeStats::default();
+        for (_, v) in stats.fields_mut() {
+            *v = r.get_u64()?;
+        }
         r.get_u64()?; // the reserved slot
         Ok(stats)
     }
@@ -132,30 +121,32 @@ impl Decode for RuntimeStats {
 mod tests {
     use super::*;
 
+    /// Stats whose field in slot `i` holds `scale * (i + 1)`.
+    fn numbered(scale: u64) -> RuntimeStats {
+        let mut w = Writer::new();
+        for slot in 1..=15 {
+            w.put_u64(scale * slot);
+        }
+        RuntimeStats::decode(&mut Reader::new(&w.into_bytes())).unwrap()
+    }
+
     #[test]
     fn add_assign_sums_fields() {
-        let mut a = RuntimeStats {
-            insertions: 1,
-            dfs_steps: 2,
-            ..Default::default()
-        };
-        let b = RuntimeStats {
-            insertions: 10,
-            purged: 5,
-            checkpoints_written: 2,
-            checkpoints_rejected: 1,
-            replayed_suppressed: 4,
-            events_routed: 6,
-            ..Default::default()
-        };
-        a += b;
-        assert_eq!(a.insertions, 11);
-        assert_eq!(a.dfs_steps, 2);
-        assert_eq!(a.purged, 5);
-        assert_eq!(a.checkpoints_written, 2);
-        assert_eq!(a.checkpoints_rejected, 1);
-        assert_eq!(a.replayed_suppressed, 4);
-        assert_eq!(a.events_routed, 6);
+        // distinct values in every field, so a row the table adds to the
+        // wrong field, or forgets, shows
+        for (left, right) in [(1, 100), (100, 1)] {
+            let mut sum = numbered(left);
+            sum += numbered(right);
+            for (ix, (name, got)) in sum.as_pairs().into_iter().enumerate() {
+                let slot = ix as u64 + 1;
+                let want = if RuntimeStats::GAUGES.contains(&name) {
+                    left.max(right) * slot
+                } else {
+                    (left + right) * slot
+                };
+                assert_eq!(got, want, "{name}, {left} += {right}");
+            }
+        }
     }
 
     #[test]
@@ -169,6 +160,12 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(a.max_stack_depth, 7);
+        // the one gauge is the field the merge maxes, and a field at all
+        assert_eq!(RuntimeStats::GAUGES, ["max_stack_depth"]);
+        let names = RuntimeStats::default().as_pairs().map(|(name, _)| name);
+        for gauge in RuntimeStats::GAUGES {
+            assert!(names.contains(&gauge), "{gauge} is not a field");
+        }
     }
 
     #[test]
@@ -203,6 +200,10 @@ mod tests {
         for (i, (_, v)) in pairs.iter().enumerate() {
             assert_eq!(*v, i as u64 + 1);
         }
+        // each field in its own slot, in slot order
+        for (slot, word) in bytes.chunks(8).take(14).enumerate() {
+            assert_eq!(word, (slot as u64 + 1).to_le_bytes(), "slot {slot}");
+        }
         // the fields, then the retired gauge's slot: written as 0, and
         // whatever an older blob holds there is read and dropped
         assert_eq!(bytes.len(), 15 * 8);
@@ -210,10 +211,6 @@ mod tests {
         bytes[14 * 8] = 2;
         assert_eq!(RuntimeStats::decode(&mut Reader::new(&bytes)).unwrap(), s);
     }
-
-    /// Which `as_pairs` entries are peak gauges (max-merged); everything
-    /// else is a flow counter (summed).
-    const GAUGES: [&str; 1] = ["max_stack_depth"];
 
     fn random_stats(rng: &mut sequin_prng::Rng) -> RuntimeStats {
         let mut w = Writer::new();
@@ -246,7 +243,7 @@ mod tests {
 
             // field-by-field oracle over the pair view
             for (ix, (name, got)) in merged.as_pairs().iter().enumerate() {
-                let want = if GAUGES.contains(name) {
+                let want = if RuntimeStats::GAUGES.contains(name) {
                     parts.iter().map(|s| s.as_pairs()[ix].1).max().unwrap()
                 } else {
                     parts.iter().map(|s| s.as_pairs()[ix].1).sum()

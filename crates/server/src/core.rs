@@ -593,8 +593,6 @@ impl EngineCore {
     /// purged stack instances × the in-memory size of an `Event` record
     /// (attribute payloads not counted).
     pub fn metrics_snapshot(&self, server: Option<(&ServerStats, u64)>) -> MetricsSnapshot {
-        const STAT_GAUGES: [&str; 1] = ["max_stack_depth"];
-        const SERVER_GAUGES: [&str; 2] = ["subscriptions", "max_engine_batch"];
         let mut b = MetricsSnapshot::builder();
 
         let host = self.ck.host();
@@ -608,7 +606,7 @@ impl EngineCore {
             };
             for (name, v) in stats.as_pairs() {
                 let full = format!("sequin_engine_{name}");
-                if STAT_GAUGES.contains(&name) {
+                if RuntimeStats::GAUGES.contains(&name) {
                     b.gauge(&full, &labels, v);
                 } else {
                     b.counter(&full, &labels, v);
@@ -664,7 +662,7 @@ impl EngineCore {
 
         for (name, v) in self.stats().as_pairs() {
             let full = format!("sequin_engine_{name}_total");
-            if STAT_GAUGES.contains(&name) {
+            if RuntimeStats::GAUGES.contains(&name) {
                 b.gauge(&full, &[], v);
             } else {
                 b.counter(&full, &[], v);
@@ -708,7 +706,7 @@ impl EngineCore {
         if let Some((stats, queue_depth)) = server {
             for (name, v) in stats.as_pairs() {
                 let full = format!("sequin_server_{name}");
-                if SERVER_GAUGES.contains(&name) {
+                if ServerStats::GAUGES.contains(&name) {
                     b.gauge(&full, &[], v);
                 } else {
                     b.counter(&full, &[], v);
@@ -785,15 +783,28 @@ pub(crate) mod tests {
 
     #[test]
     fn subscribe_dedups_identical_text() {
-        let reg = registry();
+        let mut reg = TypeRegistry::new();
+        for name in ["A", "B"] {
+            reg.declare(name, &[("x", ValueKind::Int), ("tag", ValueKind::Int)])
+                .unwrap();
+        }
+        let reg = Arc::new(reg);
         let mut core = EngineCore::new(cfg(&reg, None));
         let a = core.subscribe(Q_AB).unwrap();
         let b = core.subscribe(Q_BA).unwrap();
         assert_ne!(a, b);
         assert_eq!(core.subscribe(Q_AB).unwrap(), a, "same text, same id");
         assert_eq!(core.query_count(), 2);
+        // either chain could key this query, and its key is part of its
+        // identity: each parse must pick the same one
+        let chains = "PATTERN SEQ(A a, B b) WHERE a.x == b.x AND a.tag == b.tag WITHIN 10";
+        let c = core.subscribe(chains).unwrap();
+        for _ in 0..16 {
+            assert_eq!(core.subscribe(chains).unwrap(), c, "two chains, same id");
+        }
+        assert_eq!(core.query_count(), 3);
         assert!(core.subscribe("PATTERN nonsense").is_err());
-        assert_eq!(core.query_count(), 2, "failed parse registers nothing");
+        assert_eq!(core.query_count(), 3, "failed parse registers nothing");
     }
 
     #[test]

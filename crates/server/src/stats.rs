@@ -42,24 +42,34 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
+    /// The fields that are gauges, not counts since start.
+    pub const GAUGES: [&'static str; 2] = ["subscriptions", "max_engine_batch"];
+
+    /// The one field list, in wire order: the codec's and the metrics
+    /// series'.
+    fn fields_mut(&mut self) -> [(&'static str, &mut u64); 14] {
+        [
+            ("connections_opened", &mut self.connections_opened),
+            ("connections_closed", &mut self.connections_closed),
+            ("frames_received", &mut self.frames_received),
+            ("frames_sent", &mut self.frames_sent),
+            ("events_ingested", &mut self.events_ingested),
+            ("batches_ingested", &mut self.batches_ingested),
+            ("punctuations_ingested", &mut self.punctuations_ingested),
+            ("subscriptions", &mut self.subscriptions),
+            ("rejected_frames", &mut self.rejected_frames),
+            ("busy_frames_sent", &mut self.busy_frames_sent),
+            ("backpressure_stalls", &mut self.backpressure_stalls),
+            ("drains", &mut self.drains),
+            ("engine_batches", &mut self.engine_batches),
+            ("max_engine_batch", &mut self.max_engine_batch),
+        ]
+    }
+
     /// Named-counter view, in struct order, for tables and assertions.
     pub fn as_pairs(&self) -> [(&'static str, u64); 14] {
-        [
-            ("connections_opened", self.connections_opened),
-            ("connections_closed", self.connections_closed),
-            ("frames_received", self.frames_received),
-            ("frames_sent", self.frames_sent),
-            ("events_ingested", self.events_ingested),
-            ("batches_ingested", self.batches_ingested),
-            ("punctuations_ingested", self.punctuations_ingested),
-            ("subscriptions", self.subscriptions),
-            ("rejected_frames", self.rejected_frames),
-            ("busy_frames_sent", self.busy_frames_sent),
-            ("backpressure_stalls", self.backpressure_stalls),
-            ("drains", self.drains),
-            ("engine_batches", self.engine_batches),
-            ("max_engine_batch", self.max_engine_batch),
-        ]
+        let mut copy = *self;
+        copy.fields_mut().map(|(name, v)| (name, *v))
     }
 }
 
@@ -73,22 +83,11 @@ impl Encode for ServerStats {
 
 impl Decode for ServerStats {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(ServerStats {
-            connections_opened: r.get_u64()?,
-            connections_closed: r.get_u64()?,
-            frames_received: r.get_u64()?,
-            frames_sent: r.get_u64()?,
-            events_ingested: r.get_u64()?,
-            batches_ingested: r.get_u64()?,
-            punctuations_ingested: r.get_u64()?,
-            subscriptions: r.get_u64()?,
-            rejected_frames: r.get_u64()?,
-            busy_frames_sent: r.get_u64()?,
-            backpressure_stalls: r.get_u64()?,
-            drains: r.get_u64()?,
-            engine_batches: r.get_u64()?,
-            max_engine_batch: r.get_u64()?,
-        })
+        let mut stats = ServerStats::default();
+        for (_, v) in stats.fields_mut() {
+            *v = r.get_u64()?;
+        }
+        Ok(stats)
     }
 }
 
@@ -121,10 +120,20 @@ mod tests {
         let mut r = Reader::new(&bytes);
         assert_eq!(ServerStats::decode(&mut r).unwrap(), s);
         r.finish().unwrap();
+        // each field in its own slot, in slot order, and nothing after
+        assert_eq!(bytes.len(), 14 * 8);
+        for (slot, word) in bytes.chunks(8).enumerate() {
+            assert_eq!(word, (slot as u64 + 1).to_le_bytes(), "slot {slot}");
+        }
         let pairs = s.as_pairs();
         assert_eq!(pairs.len(), 14);
         for (i, (_, v)) in pairs.iter().enumerate() {
             assert_eq!(*v, i as u64 + 1);
+        }
+        // the gauges are fields
+        let names = pairs.map(|(name, _)| name);
+        for gauge in ServerStats::GAUGES {
+            assert!(names.contains(&gauge), "{gauge} is not a field");
         }
     }
 }

@@ -21,15 +21,21 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use sequin_netsim::FramePlan;
 
-use crate::frame::read_frame;
+use crate::frame::{read_frame, write_frame};
 
-/// The send half of a connection: accepts one sealed frame at a time.
+/// The send half of a connection: accepts sealed frames, one or a run at
+/// a time.
 ///
 /// Implementations serialize concurrent senders internally, so an
 /// `Arc<dyn FrameSink>` may be shared freely across threads.
 pub trait FrameSink: Send + Sync {
-    /// Writes one sealed frame (length-prefixing is the sink's job).
-    fn send_frame(&self, sealed: &[u8]) -> io::Result<()>;
+    /// Writes one sealed frame: length-prefixed, then sent as a run of
+    /// one.
+    fn send_frame(&self, sealed: &[u8]) -> io::Result<()> {
+        let mut wire = Vec::with_capacity(4 + sealed.len());
+        write_frame(&mut wire, sealed)?;
+        self.send_frames(&wire)
+    }
 
     /// Writes a run of frames as one unit. `wire` is the frames as they
     /// go on the wire, each already behind its `u32` length prefix (what
@@ -64,11 +70,6 @@ struct TcpSink {
 }
 
 impl FrameSink for TcpSink {
-    fn send_frame(&self, sealed: &[u8]) -> io::Result<()> {
-        let mut s = lock_ignoring_poison(&self.stream);
-        crate::frame::write_frame(&mut *s, sealed)
-    }
-
     fn send_frames(&self, wire: &[u8]) -> io::Result<()> {
         // one write under one hold of the lock; a `TcpStream` has no
         // buffer of its own to flush
@@ -186,12 +187,6 @@ impl MemSink {
 }
 
 impl FrameSink for MemSink {
-    fn send_frame(&self, sealed: &[u8]) -> io::Result<()> {
-        let pushed = self.push(&mut lock_ignoring_poison(&self.peer.state), sealed.to_vec());
-        self.peer.cv.notify_all();
-        pushed
-    }
-
     fn send_frames(&self, wire: &[u8]) -> io::Result<()> {
         // the plan names frames by index, so the run is split back into
         // its frames and each takes the index a lone send would have had

@@ -298,19 +298,14 @@ struct Conn {
 }
 
 impl FrameSink for Conn {
-    fn send_frame(&self, sealed: &[u8]) -> std::io::Result<()> {
-        let frame = decode_frame(sealed).unwrap_or_else(|e| Frame::Error {
-            code: ErrorCode::BadFrame,
-            message: e.to_string(),
-        });
-        let phase = self.phase.load(Ordering::SeqCst);
-        self.got.lock().unwrap().push((phase, frame));
-        Ok(())
-    }
-
     fn send_frames(&self, mut wire: &[u8]) -> std::io::Result<()> {
         while let Some(sealed) = read_frame(&mut wire)? {
-            self.send_frame(&sealed)?;
+            let frame = decode_frame(&sealed).unwrap_or_else(|e| Frame::Error {
+                code: ErrorCode::BadFrame,
+                message: e.to_string(),
+            });
+            let phase = self.phase.load(Ordering::SeqCst);
+            self.got.lock().unwrap().push((phase, frame));
         }
         Ok(())
     }
