@@ -8,12 +8,13 @@
 
 use std::collections::BTreeMap;
 
+use sequin_plan::stable_query_id;
 use sequin_query::Query;
 use sequin_runtime::{AisStack, KeyedStack, PartitionKey, RuntimeStats};
 use sequin_types::codec::{fnv1a64, open_envelope, seal_envelope};
 use sequin_types::{ArrivalSeq, CodecError, Decode, Encode, EventRef, Reader, Writer};
 
-use crate::config::EngineConfig;
+use crate::config::{EngineConfig, WatermarkSource};
 use crate::settle::Settle;
 use crate::watermark::WatermarkTracker;
 
@@ -33,13 +34,61 @@ pub(crate) struct QueryBlob {
 /// A fingerprint of the query and the semantics-relevant configuration,
 /// embedded in blobs so state is never restored into an engine evaluating
 /// a different query (or the same query under incompatible settings). The
-/// disorder policy is deliberately *not* part of it: blobs are
-/// policy-portable, so a subscription can change policy across a
-/// checkpoint resume (the carried pending/unsealed records drain
-/// correctly under any policy).
+/// query enters as its [`stable_query_id`]: every clause, but not the
+/// variables' spelling, so a blob restores into a query that is
+/// [`Query::normalized_eq`] to its own and into no other. The disorder
+/// policy is deliberately *not* part of it: blobs are policy-portable, so
+/// a subscription can change policy across a checkpoint resume (the
+/// carried pending/unsealed records drain correctly under any policy).
 fn fingerprint(query: &Query, config: &EngineConfig) -> u64 {
+    let desc = format!(
+        "{:016x}|{:?}|{}",
+        stable_query_id(query),
+        config.watermark,
+        config.partitioned
+    );
+    fnv1a64(desc.as_bytes())
+}
+
+/// What [`QueryBlob::decode`] returns for a blob of another query, under
+/// any configuration.
+pub(crate) const ANOTHER_QUERY: CodecError = CodecError::SnapshotMismatch("query fingerprint");
+
+/// The fingerprint blobs carried before [`fingerprint`]: over `Query`'s
+/// `Display`, which names the components, their variables and the window
+/// but no `WHERE` or `RETURN` clause. Still accepted on read, so stores
+/// written then resume.
+fn legacy_fingerprint(query: &Query, config: &EngineConfig) -> u64 {
     let desc = format!("{}|{:?}|{}", query, config.watermark, config.partitioned);
     fnv1a64(desc.as_bytes())
+}
+
+/// Whether `print` is a fingerprint a blob of `query` under `config`
+/// carries, today's or the legacy one.
+fn is_print_of(print: u64, query: &Query, config: &EngineConfig) -> bool {
+    print == fingerprint(query, config) || print == legacy_fingerprint(query, config)
+}
+
+/// The error for a blob whose fingerprint `print` is not `query`'s under
+/// `config`: [`ANOTHER_QUERY`] unless it is `query`'s under another
+/// watermark source or partitioning flag.
+fn mismatch(print: u64, query: &Query, config: &EngineConfig) -> CodecError {
+    use WatermarkSource::{Both, KSlack, Punctuation};
+    let reconfigured = [KSlack, Punctuation, Both].into_iter().any(|watermark| {
+        [false, true].into_iter().any(|partitioned| {
+            let other = EngineConfig {
+                watermark,
+                partitioned,
+                ..*config
+            };
+            is_print_of(print, query, &other)
+        })
+    });
+    if reconfigured {
+        CodecError::SnapshotMismatch("configuration fingerprint")
+    } else {
+        ANOTHER_QUERY
+    }
 }
 
 impl QueryBlob {
@@ -106,10 +155,9 @@ impl QueryBlob {
         bytes: &[u8],
     ) -> Result<QueryBlob, CodecError> {
         let mut r = Reader::new(open_envelope(bytes)?);
-        if r.get_u64()? != fingerprint(query, config) {
-            return Err(CodecError::SnapshotMismatch(
-                "query/configuration fingerprint",
-            ));
+        let print = r.get_u64()?;
+        if !is_print_of(print, query, config) {
+            return Err(mismatch(print, query, config));
         }
         let wm = WatermarkTracker::restore_from(config, settle.policy(), &mut r)?;
         let seq = ArrivalSeq::decode(&mut r)?;

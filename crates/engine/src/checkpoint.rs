@@ -33,6 +33,7 @@ use sequin_runtime::{MatchKey, RuntimeStats};
 use sequin_types::codec::{open_envelope, seal_envelope};
 use sequin_types::{CodecError, Decode, Encode, Reader, StreamItem, Writer};
 
+use crate::blob::ANOTHER_QUERY;
 use crate::output::{OutputItem, OutputKind};
 use crate::shared::{MultiEngine, QueryId};
 
@@ -264,27 +265,41 @@ impl Checkpointer {
     /// survives, `fresh(None)` builds the cold-start host (replay from
     /// item 0). The emission-log suffix past the accepted checkpoint's
     /// mark then seeds the replay-suppression multiset — a corrupt record
-    /// cannot dedup anything and is counted as rejected too. The caller
-    /// sets the header for later checkpoints ([`Checkpointer::header_mut`]).
+    /// cannot dedup anything and is counted as rejected too. When no
+    /// checkpoint is accepted and one was refused as another query's
+    /// (under any configuration), the store is that query's: the cold
+    /// start drops it whole, counts its log records as rejected, and
+    /// suppresses nothing. The caller sets the header for later
+    /// checkpoints ([`Checkpointer::header_mut`]).
     ///
     /// # Panics
     ///
     /// If `fresh(None)` fails: a cold host depends on nothing persisted.
     pub fn resume(
         every: Option<u64>,
-        store: CheckpointStore,
+        mut store: CheckpointStore,
         mut fresh: impl FnMut(Option<&mut Reader<'_>>) -> Result<MultiEngine, CodecError>,
     ) -> (Checkpointer, u64) {
         let mut rejected = 0u64;
         let mut accepted = None;
+        let mut foreign = false;
         for ckpt in store.checkpoints_newest_first() {
             match Self::open_checkpoint(ckpt, store.log_len(), &mut fresh) {
                 Ok(ok) => {
                     accepted = Some(ok);
                     break;
                 }
-                Err(_) => rejected += 1,
+                Err(e) => {
+                    rejected += 1;
+                    foreign |= e == ANOTHER_QUERY;
+                }
             }
+        }
+        if accepted.is_none() && foreign {
+            // the store is another query's: its log holds outputs this
+            // one never delivered, so the cold start drops it whole
+            rejected += store.log_len() as u64;
+            store = CheckpointStore::new();
         }
         let (position, log_mark, host) =
             accepted.unwrap_or_else(|| (0, 0, fresh(None).expect("cold-start host")));
@@ -830,11 +845,32 @@ mod tests {
         ck.ingest_batch(&stream(&reg)[..30]);
         let saved = ck.store().clone();
         let rejected_all = saved.checkpoint_count() as u64;
+        let logged = saved.log_len() as u64;
+        assert!(logged > 0, "the run delivered outputs");
+        // the same queries under another watermark source: a cold start
+        // whose log still suppresses what was delivered
+        let reconfigured = || {
+            let mut config = EngineConfig::with_k(Duration::new(10));
+            config.watermark = crate::WatermarkSource::Both;
+            let mut host = MultiEngine::new(config);
+            for text in [Q_AB, Q_PART] {
+                host.register(parse(text, &reg).unwrap(), config.policy);
+            }
+            host
+        };
+        let (ck2, replay_from) =
+            Checkpointer::resume(Some(5), saved.clone(), |_| Ok(reconfigured()));
+        assert_eq!(replay_from, 0, "no checkpoint accepted");
+        assert_eq!(ck2.stats().checkpoints_rejected, rejected_all);
+        assert_eq!(ck2.pending_suppressions() as u64, logged);
         // resume into a host evaluating *different* queries
         let other = ["PATTERN SEQ(B b, A a) WITHIN 8", Q_PART];
         let (ck2, replay_from) =
             Checkpointer::resume(Some(5), saved, |_| Ok(host_of(&reg, &other)));
         assert_eq!(replay_from, 0, "no checkpoint accepted");
-        assert!(ck2.stats().checkpoints_rejected >= rejected_all);
+        // the log is the other queries' too: dropped, not a dedup filter
+        assert_eq!(ck2.stats().checkpoints_rejected, rejected_all + logged);
+        assert_eq!(ck2.pending_suppressions(), 0);
+        assert_eq!(ck2.store().log_len(), 0);
     }
 }

@@ -1955,6 +1955,39 @@ mod tests {
             plan_of(&[q2], config).restore(&snap),
             Err(CodecError::SnapshotMismatch(_))
         ));
+
+        // a blob names its query by every clause, not by its variables:
+        // another `WHERE` or `RETURN` is refused, renamed variables are not
+        let text = "PATTERN SEQ(A a, !N n, B b) WHERE a.x > 5 WITHIN 100";
+        let mut eng = NativeEngine::new(parse(text, &reg).unwrap(), config);
+        for (ix, ty) in ["A", "N", "B", "A"].into_iter().enumerate() {
+            let ix = ix as u64 + 1;
+            eng.ingest(&item(&reg, ty, ix, ix * 10, 7, 0));
+        }
+        let blob = eng.snapshot();
+        let restore =
+            |text: &str| NativeEngine::new(parse(text, &reg).unwrap(), config).restore(&blob);
+        let edited = "PATTERN SEQ(A a, !N n, B b) WHERE a.x > 6 AND n.x == 1 WITHIN 100 RETURN a.x";
+        assert_eq!(
+            restore(edited),
+            Err(crate::blob::ANOTHER_QUERY),
+            "restored into another WHERE"
+        );
+        let renamed = "PATTERN SEQ(A first, !N gap, B last) WHERE first.x > 5 WITHIN 100";
+        assert!(restore(renamed).is_ok(), "refused renamed variables");
+        assert!(restore(text).is_ok());
+        // the same query under another configuration: refused, but not as
+        // another query's
+        let punctuated = EngineConfig {
+            watermark: crate::WatermarkSource::Both,
+            ..config
+        };
+        let err = NativeEngine::new(parse(text, &reg).unwrap(), punctuated).restore(&blob);
+        assert!(
+            matches!(err, Err(CodecError::SnapshotMismatch(_))),
+            "{err:?}"
+        );
+        assert_ne!(err, Err(crate::blob::ANOTHER_QUERY));
     }
 
     const Q_AB: &str = "PATTERN SEQ(A a, B b) WITHIN 100";

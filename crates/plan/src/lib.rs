@@ -180,13 +180,13 @@ impl Band {
             };
             let (attr, op, c) = match (&**lhs, &**rhs) {
                 (attr, Expr::Const(Value::Int(c))) => (attr, *op, *c),
-                (Expr::Const(Value::Int(c)), attr) => (attr, mirrored(*op), *c),
+                (Expr::Const(Value::Int(c)), attr) => (attr, op.mirrored(), *c),
                 _ => return None,
             };
             let Expr::Attr { comp, field } = *attr else {
                 return None;
             };
-            if !is_comparison(op) || read.is_some_and(|r| r != (comp, field)) {
+            if !op.is_comparison() || read.is_some_and(|r| r != (comp, field)) {
                 return None;
             }
             read = Some((comp, field));
@@ -199,30 +199,7 @@ impl Band {
     /// The index of the first test `v` fails, or `None` when it passes
     /// them all.
     pub(crate) fn first_failing(&self, v: i64) -> Option<usize> {
-        self.tests.iter().position(|&(op, c)| !match op {
-            BinaryOp::Eq => v == c,
-            BinaryOp::Ne => v != c,
-            BinaryOp::Lt => v < c,
-            BinaryOp::Le => v <= c,
-            BinaryOp::Gt => v > c,
-            _ => v >= c,
-        })
-    }
-}
-
-fn is_comparison(op: BinaryOp) -> bool {
-    use BinaryOp::*;
-    matches!(op, Eq | Ne | Lt | Le | Gt | Ge)
-}
-
-/// `c op x` as `x op' c`.
-fn mirrored(op: BinaryOp) -> BinaryOp {
-    match op {
-        BinaryOp::Lt => BinaryOp::Gt,
-        BinaryOp::Le => BinaryOp::Ge,
-        BinaryOp::Gt => BinaryOp::Lt,
-        BinaryOp::Ge => BinaryOp::Le,
-        other => other,
+        self.tests.iter().position(|&(op, c)| !op.compare(v, c))
     }
 }
 
@@ -1276,7 +1253,7 @@ mod tests {
     /// [`Predicate::eval`]'s short-circuit finds.
     #[test]
     fn a_band_decides_exactly_what_the_predicates_do() {
-        use sequin_query::ast::{BinaryOpAst, ComponentAst, ExprAst, QueryAst};
+        use sequin_query::ast::{ComponentAst, ExprAst, QueryAst};
         use sequin_types::{Event, Timestamp};
 
         // built as an AST: text spells no `NaN`, and reads `-5` as `Neg(5)`
@@ -1315,25 +1292,27 @@ mod tests {
                 fields.push(field);
                 let constant = if rng.gen_bool(0.15) {
                     all_int = false;
-                    ExprAst::Float([0.5, -2.0, 1e300, f64::NAN][rng.gen_range(0..4usize)])
+                    ExprAst::Const(Value::Float(
+                        [0.5, -2.0, 1e300, f64::NAN][rng.gen_range(0..4usize)],
+                    ))
                 } else {
-                    ExprAst::Int(int(&mut rng))
+                    ExprAst::Const(Value::Int(int(&mut rng)))
                 };
                 let (l, r) = match rng.gen_bool(0.3) {
                     true => (constant, attr(field)),
                     false => (attr(field), constant),
                 };
                 let op = match rng.gen_range(0..6u32) {
-                    0 => BinaryOpAst::Lt,
-                    1 => BinaryOpAst::Le,
-                    2 => BinaryOpAst::Gt,
-                    3 => BinaryOpAst::Ge,
-                    4 => BinaryOpAst::Eq,
-                    _ => BinaryOpAst::Ne,
+                    0 => BinaryOp::Lt,
+                    1 => BinaryOp::Le,
+                    2 => BinaryOp::Gt,
+                    3 => BinaryOp::Ge,
+                    4 => BinaryOp::Eq,
+                    _ => BinaryOp::Ne,
                 };
                 let conjunct = binary(op, l, r);
                 filter = Some(match filter {
-                    Some(acc) => binary(BinaryOpAst::And, acc, conjunct),
+                    Some(acc) => binary(BinaryOp::And, acc, conjunct),
                     None => conjunct,
                 });
             }

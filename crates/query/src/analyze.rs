@@ -3,12 +3,12 @@
 
 use std::collections::HashMap;
 
-use sequin_types::{Duration, FieldId, TypeRegistry, Value};
+use sequin_types::{Duration, FieldId, TypeRegistry};
 
-use crate::ast::{BinaryOpAst, ExprAst, QueryAst, UnaryOpAst};
+use crate::ast::{ExprAst, QueryAst};
 use crate::error::{AnalyzeError, AnalyzeErrorKind};
-use crate::expr::{BinaryOp, ComponentMask, Expr, UnaryOp};
-use crate::query::{Component, Negation, PartitionScheme, Predicate, Projection, Query};
+use crate::expr::{BinaryOp, ComponentMask, Expr};
+use crate::query::{Component, Negation, PartitionScheme, Predicate, Query};
 
 use std::sync::Arc;
 
@@ -119,23 +119,16 @@ pub fn analyze(ast: &QueryAst, registry: &TypeRegistry) -> Result<Arc<Query>, An
         });
     }
 
-    // projections
-    let mut projections = Vec::new();
+    // projections: attribute references, resolved as in `WHERE`
+    let mut projections = Vec::with_capacity(ast.returns.len());
     for p in &ast.returns {
-        let &comp = var_to_comp
+        if var_to_comp
             .get(&p.var)
-            .ok_or_else(|| AnalyzeErrorKind::UnknownVariable(p.var.clone()).at(p.offset))?;
-        if components[comp].negated {
+            .is_some_and(|&c| components[c].negated)
+        {
             return Err(AnalyzeErrorKind::ProjectsNegated(p.var.clone()).at(p.offset));
         }
-        projections.push(resolve_projection(
-            registry,
-            &components,
-            comp,
-            &p.var,
-            &p.field,
-            p.offset,
-        )?);
+        projections.push(resolver.attr(&p.var, &p.field, p.offset)?);
     }
 
     let partition = detect_partition(registry, &components, &positives, &negations, &predicates);
@@ -149,24 +142,6 @@ pub fn analyze(ast: &QueryAst, registry: &TypeRegistry) -> Result<Arc<Query>, An
         projections,
         partition,
     ))
-}
-
-fn resolve_projection(
-    registry: &TypeRegistry,
-    components: &[Component],
-    comp: usize,
-    var: &str,
-    field: &str,
-    offset: usize,
-) -> Result<Projection, AnalyzeError> {
-    match field {
-        "ts" => Ok(Projection::Ts(comp)),
-        "id" => Ok(Projection::Id(comp)),
-        _ => {
-            let fid = resolve_common_field(registry, &components[comp], var, field, offset)?;
-            Ok(Projection::Attr { comp, field: fid })
-        }
-    }
 }
 
 /// Resolves `var.field` for a (possibly alternation) component: the field
@@ -220,7 +195,7 @@ fn first_attr_offset(e: &ExprAst) -> Option<usize> {
 fn split_conjuncts<'a>(e: &'a ExprAst, out: &mut Vec<&'a ExprAst>) {
     match e {
         ExprAst::Binary {
-            op: BinaryOpAst::And,
+            op: BinaryOp::And,
             lhs,
             rhs,
         } => {
@@ -240,55 +215,40 @@ struct Resolver<'a> {
 impl Resolver<'_> {
     fn resolve(&self, e: &ExprAst) -> Result<Expr, AnalyzeError> {
         Ok(match e {
-            ExprAst::Int(n) => Expr::Const(Value::Int(*n)),
-            ExprAst::Float(x) => Expr::Const(Value::Float(*x)),
-            ExprAst::Str(s) => Expr::Const(Value::str(s.as_str())),
-            ExprAst::Bool(b) => Expr::Const(Value::Bool(*b)),
-            ExprAst::Attr { var, field, offset } => {
-                let &comp = self
-                    .var_to_comp
-                    .get(var)
-                    .ok_or_else(|| AnalyzeErrorKind::UnknownVariable(var.clone()).at(*offset))?;
-                match field.as_str() {
-                    "ts" => Expr::Ts(comp),
-                    "id" => Expr::Id(comp),
-                    _ => {
-                        let fid = resolve_common_field(
-                            self.registry,
-                            &self.components[comp],
-                            var,
-                            field,
-                            *offset,
-                        )?;
-                        Expr::Attr { comp, field: fid }
-                    }
-                }
-            }
+            ExprAst::Const(v) => Expr::Const(v.clone()),
+            ExprAst::Attr { var, field, offset } => self.attr(var, field, *offset)?,
             ExprAst::Unary { op, expr } => Expr::Unary {
-                op: match op {
-                    UnaryOpAst::Not => UnaryOp::Not,
-                    UnaryOpAst::Neg => UnaryOp::Neg,
-                },
+                op: *op,
                 expr: Box::new(self.resolve(expr)?),
             },
             ExprAst::Binary { op, lhs, rhs } => Expr::Binary {
-                op: match op {
-                    BinaryOpAst::Add => BinaryOp::Add,
-                    BinaryOpAst::Sub => BinaryOp::Sub,
-                    BinaryOpAst::Mul => BinaryOp::Mul,
-                    BinaryOpAst::Div => BinaryOp::Div,
-                    BinaryOpAst::Eq => BinaryOp::Eq,
-                    BinaryOpAst::Ne => BinaryOp::Ne,
-                    BinaryOpAst::Lt => BinaryOp::Lt,
-                    BinaryOpAst::Le => BinaryOp::Le,
-                    BinaryOpAst::Gt => BinaryOp::Gt,
-                    BinaryOpAst::Ge => BinaryOp::Ge,
-                    BinaryOpAst::And => BinaryOp::And,
-                    BinaryOpAst::Or => BinaryOp::Or,
-                },
+                op: *op,
                 lhs: Box::new(self.resolve(lhs)?),
                 rhs: Box::new(self.resolve(rhs)?),
             },
+        })
+    }
+
+    /// Resolves the reference `var.field` (`var.ts` and `var.id` are the
+    /// event's timestamp and id).
+    fn attr(&self, var: &str, field: &str, offset: usize) -> Result<Expr, AnalyzeError> {
+        let &comp = self
+            .var_to_comp
+            .get(var)
+            .ok_or_else(|| AnalyzeErrorKind::UnknownVariable(var.to_owned()).at(offset))?;
+        Ok(match field {
+            "ts" => Expr::Ts(comp),
+            "id" => Expr::Id(comp),
+            _ => {
+                let fid = resolve_common_field(
+                    self.registry,
+                    &self.components[comp],
+                    var,
+                    field,
+                    offset,
+                )?;
+                Expr::Attr { comp, field: fid }
+            }
         })
     }
 }
@@ -632,7 +592,7 @@ mod tests {
     fn ts_and_id_pseudo_fields_resolve() {
         let query = q("PATTERN SEQ(A a, B b) WHERE b.ts - a.ts < 5 WITHIN 10 RETURN a.id").unwrap();
         assert_eq!(query.predicates().len(), 1);
-        assert_eq!(query.projections(), &[Projection::Id(0)]);
+        assert_eq!(query.projections(), &[Expr::Id(0)]);
     }
 
     #[test]

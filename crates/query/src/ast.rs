@@ -2,6 +2,15 @@
 //!
 //! Names are still strings here; [`crate::analyze`] resolves them against a
 //! [`sequin_types::TypeRegistry`] to produce an executable [`crate::Query`].
+//! Operators and literals are already those of the resolved [`Expr`]
+//! ([`BinaryOp`], [`UnaryOp`], [`Value`]): resolving a tree renames
+//! nothing but its attribute references.
+//!
+//! [`Expr`]: crate::Expr
+
+use sequin_types::Value;
+
+use crate::expr::{BinaryOp, UnaryOp};
 
 /// A complete parsed query.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,14 +52,8 @@ pub struct ProjectionAst {
 /// Unresolved expression tree for `WHERE` clauses.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExprAst {
-    /// Integer literal.
-    Int(i64),
-    /// Float literal.
-    Float(f64),
-    /// String literal.
-    Str(String),
-    /// Boolean literal.
-    Bool(bool),
+    /// Literal constant.
+    Const(Value),
     /// Attribute reference `var.field` (also `var.ts` / `var.id`).
     Attr {
         /// Variable name.
@@ -63,55 +66,17 @@ pub enum ExprAst {
     /// Unary operation.
     Unary {
         /// Operator.
-        op: UnaryOpAst,
+        op: UnaryOp,
         /// Operand.
         expr: Box<ExprAst>,
     },
     /// Binary operation.
     Binary {
         /// Operator.
-        op: BinaryOpAst,
+        op: BinaryOp,
         /// Left operand.
         lhs: Box<ExprAst>,
         /// Right operand.
         rhs: Box<ExprAst>,
     },
-}
-
-/// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnaryOpAst {
-    /// Logical negation (`NOT` / `!`).
-    Not,
-    /// Arithmetic negation (`-`).
-    Neg,
-}
-
-/// Binary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BinaryOpAst {
-    /// `+`
-    Add,
-    /// `-`
-    Sub,
-    /// `*`
-    Mul,
-    /// `/`
-    Div,
-    /// `==`
-    Eq,
-    /// `!=`
-    Ne,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-    /// `AND`
-    And,
-    /// `OR`
-    Or,
 }

@@ -6,6 +6,8 @@ use std::fmt;
 
 use sequin_types::{EventRef, FieldId, Value};
 
+use crate::lexer::{spelling, TokenKind};
+
 /// A partial assignment of events to query components, indexed by the
 /// component's position in the full `SEQ(...)` list.
 ///
@@ -65,23 +67,45 @@ pub enum BinaryOp {
     Or,
 }
 
+impl BinaryOp {
+    /// Whether the operator compares two values (`== != < <= > >=`).
+    pub fn is_comparison(self) -> bool {
+        use BinaryOp::{Eq, Ge, Gt, Le, Lt, Ne};
+        matches!(self, Eq | Ne | Lt | Le | Gt | Ge)
+    }
+
+    /// The comparison that reads `c op x` as `x op' c`; any other
+    /// operator is its own mirror.
+    pub fn mirrored(self) -> BinaryOp {
+        match self {
+            BinaryOp::Lt => BinaryOp::Gt,
+            BinaryOp::Le => BinaryOp::Ge,
+            BinaryOp::Gt => BinaryOp::Lt,
+            BinaryOp::Ge => BinaryOp::Le,
+            other => other,
+        }
+    }
+
+    /// Whether `a op b` holds for a comparison `op` (any other operator
+    /// reads as `>=`): over two `i64`s, or over an [`Ordering`] against
+    /// `Ordering::Equal`. Its `==` is plain equality, not the loose
+    /// equality [`Expr::eval`] gives `Eq` and `Ne`.
+    #[inline]
+    pub fn compare<T: PartialOrd>(self, a: T, b: T) -> bool {
+        match self {
+            BinaryOp::Eq => a == b,
+            BinaryOp::Ne => a != b,
+            BinaryOp::Lt => a < b,
+            BinaryOp::Le => a <= b,
+            BinaryOp::Gt => a > b,
+            _ => a >= b,
+        }
+    }
+}
+
 impl fmt::Display for BinaryOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            BinaryOp::Add => "+",
-            BinaryOp::Sub => "-",
-            BinaryOp::Mul => "*",
-            BinaryOp::Div => "/",
-            BinaryOp::Eq => "==",
-            BinaryOp::Ne => "!=",
-            BinaryOp::Lt => "<",
-            BinaryOp::Le => "<=",
-            BinaryOp::Gt => ">",
-            BinaryOp::Ge => ">=",
-            BinaryOp::And => "AND",
-            BinaryOp::Or => "OR",
-        };
-        f.write_str(s)
+        f.write_str(spelling(&TokenKind::Op(*self)))
     }
 }
 
@@ -169,10 +193,9 @@ impl Expr {
                         Some(ord) => ord != Ordering::Equal,
                         None => a != b,
                     },
-                    BinaryOp::Lt => a.compare(b)? == Ordering::Less,
-                    BinaryOp::Le => a.compare(b)? != Ordering::Greater,
-                    BinaryOp::Gt => a.compare(b)? == Ordering::Greater,
-                    BinaryOp::Ge => a.compare(b)? != Ordering::Less,
+                    BinaryOp::Lt | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge => {
+                        op.compare(a.compare(b)?, Ordering::Equal)
+                    }
                     // the right side's kind is only looked at when the
                     // left does not already decide
                     BinaryOp::And => a.as_bool()? && b.as_bool()?,

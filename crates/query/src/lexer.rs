@@ -1,6 +1,11 @@
 //! Hand-rolled lexer for the query language.
+//!
+//! [`SYMBOLS`] and [`KEYWORDS`] are the language's one list of what it
+//! spells: [`tokenize`] reads the source against them and
+//! [`TokenKind::describe`] prints from them.
 
 use crate::error::ParseError;
+use crate::expr::BinaryOp;
 
 /// A lexical token with its byte offset in the source.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,8 +24,6 @@ pub(crate) enum TokenKind {
     Where,
     Within,
     Return,
-    And,
-    Or,
     Not,
     True,
     False,
@@ -35,18 +38,56 @@ pub(crate) enum TokenKind {
     Comma,
     Dot,
     Bang,
-    Plus,
-    Minus,
-    Star,
-    Slash,
     Pipe,
-    EqEq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
+    /// A binary operator: a symbol, or the keyword `AND` / `OR`.
+    Op(BinaryOp),
     Eof,
+}
+
+/// Every symbol, longest first, so `<=` lexes as one token and not as
+/// `<` then `=`.
+static SYMBOLS: [(&str, TokenKind); 16] = [
+    ("==", TokenKind::Op(BinaryOp::Eq)),
+    ("!=", TokenKind::Op(BinaryOp::Ne)),
+    ("<=", TokenKind::Op(BinaryOp::Le)),
+    (">=", TokenKind::Op(BinaryOp::Ge)),
+    ("<", TokenKind::Op(BinaryOp::Lt)),
+    (">", TokenKind::Op(BinaryOp::Gt)),
+    ("+", TokenKind::Op(BinaryOp::Add)),
+    ("-", TokenKind::Op(BinaryOp::Sub)),
+    ("*", TokenKind::Op(BinaryOp::Mul)),
+    ("/", TokenKind::Op(BinaryOp::Div)),
+    ("!", TokenKind::Bang),
+    ("(", TokenKind::LParen),
+    (")", TokenKind::RParen),
+    (",", TokenKind::Comma),
+    (".", TokenKind::Dot),
+    ("|", TokenKind::Pipe),
+];
+
+/// Every keyword, as error messages print it; the source may spell it in
+/// any case.
+static KEYWORDS: [(&str, TokenKind); 10] = [
+    ("PATTERN", TokenKind::Pattern),
+    ("SEQ", TokenKind::Seq),
+    ("WHERE", TokenKind::Where),
+    ("WITHIN", TokenKind::Within),
+    ("RETURN", TokenKind::Return),
+    ("AND", TokenKind::Op(BinaryOp::And)),
+    ("OR", TokenKind::Op(BinaryOp::Or)),
+    ("NOT", TokenKind::Not),
+    ("true", TokenKind::True),
+    ("false", TokenKind::False),
+];
+
+/// The text [`SYMBOLS`] or [`KEYWORDS`] gives `kind`; empty for a kind
+/// that carries its own text (a name, a literal, the end).
+pub(crate) fn spelling(kind: &TokenKind) -> &'static str {
+    SYMBOLS
+        .iter()
+        .chain(&KEYWORDS)
+        .find(|(_, k)| k == kind)
+        .map_or("", |&(text, _)| text)
 }
 
 impl TokenKind {
@@ -58,39 +99,7 @@ impl TokenKind {
             TokenKind::Float(x) => format!("float `{x}`"),
             TokenKind::Str(s) => format!("string {s:?}"),
             TokenKind::Eof => "end of input".to_owned(),
-            other => format!("`{}`", other.lexeme()),
-        }
-    }
-
-    fn lexeme(&self) -> &'static str {
-        match self {
-            TokenKind::Pattern => "PATTERN",
-            TokenKind::Seq => "SEQ",
-            TokenKind::Where => "WHERE",
-            TokenKind::Within => "WITHIN",
-            TokenKind::Return => "RETURN",
-            TokenKind::And => "AND",
-            TokenKind::Or => "OR",
-            TokenKind::Not => "NOT",
-            TokenKind::True => "true",
-            TokenKind::False => "false",
-            TokenKind::LParen => "(",
-            TokenKind::RParen => ")",
-            TokenKind::Comma => ",",
-            TokenKind::Dot => ".",
-            TokenKind::Bang => "!",
-            TokenKind::Plus => "+",
-            TokenKind::Minus => "-",
-            TokenKind::Star => "*",
-            TokenKind::Slash => "/",
-            TokenKind::Pipe => "|",
-            TokenKind::EqEq => "==",
-            TokenKind::Ne => "!=",
-            TokenKind::Lt => "<",
-            TokenKind::Le => "<=",
-            TokenKind::Gt => ">",
-            TokenKind::Ge => ">=",
-            _ => "",
+            other => format!("`{}`", spelling(other)),
         }
     }
 }
@@ -106,90 +115,29 @@ pub(crate) fn tokenize(src: &str) -> Result<Vec<Token>, ParseError> {
             i += 1;
             continue;
         }
+        let rest = &bytes[i..];
         // line comments: `-- ...` and `// ...`
-        if (c == '-' && bytes.get(i + 1) == Some(&b'-'))
-            || (c == '/' && bytes.get(i + 1) == Some(&b'/'))
-        {
+        if rest.starts_with(b"--") || rest.starts_with(b"//") {
             while i < bytes.len() && bytes[i] != b'\n' {
                 i += 1;
             }
             continue;
         }
         let start = i;
+        if let Some((text, kind)) = SYMBOLS.iter().find(|(t, _)| rest.starts_with(t.as_bytes())) {
+            out.push(Token {
+                kind: kind.clone(),
+                offset: start,
+            });
+            i += text.len();
+            continue;
+        }
         let kind = match c {
-            '(' => {
-                i += 1;
-                TokenKind::LParen
-            }
-            ')' => {
-                i += 1;
-                TokenKind::RParen
-            }
-            ',' => {
-                i += 1;
-                TokenKind::Comma
-            }
-            '.' => {
-                i += 1;
-                TokenKind::Dot
-            }
-            '+' => {
-                i += 1;
-                TokenKind::Plus
-            }
-            '-' => {
-                i += 1;
-                TokenKind::Minus
-            }
-            '*' => {
-                i += 1;
-                TokenKind::Star
-            }
-            '|' => {
-                i += 1;
-                TokenKind::Pipe
-            }
-            '/' => {
-                i += 1;
-                TokenKind::Slash
-            }
-            '!' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    i += 2;
-                    TokenKind::Ne
-                } else {
-                    i += 1;
-                    TokenKind::Bang
-                }
-            }
             '=' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    i += 2;
-                    TokenKind::EqEq
-                } else {
-                    return Err(ParseError::new(
-                        start,
-                        "expected `==` (single `=` is not an operator)",
-                    ));
-                }
-            }
-            '<' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    i += 2;
-                    TokenKind::Le
-                } else {
-                    i += 1;
-                    TokenKind::Lt
-                }
-            }
-            '>' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    i += 2;
-                    TokenKind::Ge
-                } else {
-                    i += 1;
-                    TokenKind::Gt
-                }
+                return Err(ParseError::new(
+                    start,
+                    "expected `==` (single `=` is not an operator)",
+                ));
             }
             '\'' | '"' => {
                 let quote = bytes[i];
@@ -238,19 +186,10 @@ pub(crate) fn tokenize(src: &str) -> Result<Vec<Token>, ParseError> {
                     i += 1;
                 }
                 let word = &src[start..i];
-                match word.to_ascii_uppercase().as_str() {
-                    "PATTERN" => TokenKind::Pattern,
-                    "SEQ" => TokenKind::Seq,
-                    "WHERE" => TokenKind::Where,
-                    "WITHIN" => TokenKind::Within,
-                    "RETURN" => TokenKind::Return,
-                    "AND" => TokenKind::And,
-                    "OR" => TokenKind::Or,
-                    "NOT" => TokenKind::Not,
-                    "TRUE" => TokenKind::True,
-                    "FALSE" => TokenKind::False,
-                    _ => TokenKind::Ident(word.to_owned()),
-                }
+                KEYWORDS
+                    .iter()
+                    .find(|(text, _)| text.eq_ignore_ascii_case(word))
+                    .map_or_else(|| TokenKind::Ident(word.to_owned()), |(_, k)| k.clone())
             }
             other => {
                 return Err(ParseError::new(
@@ -285,6 +224,27 @@ mod tests {
             kinds("pattern SeQ wHeRe")[..3],
             [TokenKind::Pattern, TokenKind::Seq, TokenKind::Where]
         );
+        // the table holds every keyword, and each lexes alone in any case
+        // and describes itself as the table spells it
+        let spelled: Vec<&str> = KEYWORDS.iter().map(|&(text, _)| text).collect();
+        assert_eq!(
+            spelled.join(" "),
+            "PATTERN SEQ WHERE WITHIN RETURN AND OR NOT true false"
+        );
+        for (text, kind) in &KEYWORDS {
+            let mixed: String = text
+                .chars()
+                .enumerate()
+                .map(|(i, c)| match i % 2 {
+                    0 => c.to_ascii_uppercase(),
+                    _ => c.to_ascii_lowercase(),
+                })
+                .collect();
+            for word in [text.to_ascii_lowercase(), text.to_ascii_uppercase(), mixed] {
+                assert_eq!(kinds(&word), [kind.clone(), TokenKind::Eof], "{word}");
+            }
+            assert_eq!(kind.describe(), format!("`{text}`"));
+        }
     }
 
     #[test]
@@ -309,29 +269,40 @@ mod tests {
 
     #[test]
     fn operators() {
+        use BinaryOp::{Add, Div, Eq, Ge, Gt, Le, Lt, Mul, Ne, Sub};
         assert_eq!(
-            kinds("== != <= >= < > + - * / ! ( ) , .")
+            kinds("== != <= >= < > + - * / ! ( ) , . |")
                 .into_iter()
-                .take(15)
+                .take(16)
                 .collect::<Vec<_>>(),
             vec![
-                TokenKind::EqEq,
-                TokenKind::Ne,
-                TokenKind::Le,
-                TokenKind::Ge,
-                TokenKind::Lt,
-                TokenKind::Gt,
-                TokenKind::Plus,
-                TokenKind::Minus,
-                TokenKind::Star,
-                TokenKind::Slash,
+                TokenKind::Op(Eq),
+                TokenKind::Op(Ne),
+                TokenKind::Op(Le),
+                TokenKind::Op(Ge),
+                TokenKind::Op(Lt),
+                TokenKind::Op(Gt),
+                TokenKind::Op(Add),
+                TokenKind::Op(Sub),
+                TokenKind::Op(Mul),
+                TokenKind::Op(Div),
                 TokenKind::Bang,
                 TokenKind::LParen,
                 TokenKind::RParen,
                 TokenKind::Comma,
                 TokenKind::Dot,
+                TokenKind::Pipe,
             ]
         );
+        // the table holds every symbol above, and each lexes alone as one
+        // token (`<=` is not `<` then `=`) and describes itself as the
+        // table spells it
+        let spelled: Vec<&str> = SYMBOLS.iter().map(|&(text, _)| text).collect();
+        assert_eq!(spelled.join(" "), "== != <= >= < > + - * / ! ( ) , . |");
+        for (text, kind) in &SYMBOLS {
+            assert_eq!(kinds(text), [kind.clone(), TokenKind::Eof], "{text}");
+            assert_eq!(kind.describe(), format!("`{text}`"));
+        }
     }
 
     #[test]

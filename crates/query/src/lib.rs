@@ -58,7 +58,7 @@ mod query;
 pub use analyze::analyze;
 pub use error::{AnalyzeError, AnalyzeErrorKind, ParseError, QueryError};
 pub use expr::{with_binding, BinaryOp, Binding, Expr, UnaryOp};
-pub use query::{Component, Negation, PartitionScheme, Predicate, Projection, Query};
+pub use query::{Component, Negation, PartitionScheme, Predicate, Query};
 
 use sequin_types::TypeRegistry;
 

@@ -18,9 +18,16 @@
 //! primary := INT | FLOAT | STR | true | false
 //!          | IDENT '.' IDENT | '(' expr ')'
 //! ```
+//!
+//! `or`, `and`, `add` and `mul` are one left-associative loop
+//! (`Parser::level`) over their operators; a comparison takes one
+//! operator and does not chain.
 
-use crate::ast::{BinaryOpAst, ComponentAst, ExprAst, ProjectionAst, QueryAst, UnaryOpAst};
+use sequin_types::Value;
+
+use crate::ast::{ComponentAst, ExprAst, ProjectionAst, QueryAst};
 use crate::error::ParseError;
+use crate::expr::{BinaryOp, UnaryOp};
 use crate::lexer::{tokenize, Token, TokenKind};
 
 /// Parses query text into the raw AST.
@@ -155,31 +162,25 @@ impl Parser {
     }
 
     fn expr(&mut self) -> Result<ExprAst, ParseError> {
-        self.or_expr()
+        self.level(&[BinaryOp::Or], |p| {
+            p.level(&[BinaryOp::And], Parser::not_expr)
+        })
     }
 
-    fn or_expr(&mut self) -> Result<ExprAst, ParseError> {
-        let mut lhs = self.and_expr()?;
-        while self.eat(&TokenKind::Or) {
-            let rhs = self.and_expr()?;
-            lhs = ExprAst::Binary {
-                op: BinaryOpAst::Or,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> Result<ExprAst, ParseError> {
-        let mut lhs = self.not_expr()?;
-        while self.eat(&TokenKind::And) {
-            let rhs = self.not_expr()?;
-            lhs = ExprAst::Binary {
-                op: BinaryOpAst::And,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+    /// One left-associative precedence level: `next (op next)*` for the
+    /// operators `ops`.
+    fn level(
+        &mut self,
+        ops: &[BinaryOp],
+        next: impl Fn(&mut Parser) -> Result<ExprAst, ParseError>,
+    ) -> Result<ExprAst, ParseError> {
+        let mut lhs = next(self)?;
+        while let TokenKind::Op(op) = self.peek().kind {
+            if !ops.contains(&op) {
+                break;
+            }
+            self.advance();
+            lhs = binary(op, lhs, next(self)?);
         }
         Ok(lhs)
     }
@@ -188,7 +189,7 @@ impl Parser {
         if self.eat(&TokenKind::Not) || self.eat(&TokenKind::Bang) {
             let inner = self.not_expr()?;
             Ok(ExprAst::Unary {
-                op: UnaryOpAst::Not,
+                op: UnaryOp::Not,
                 expr: Box::new(inner),
             })
         } else {
@@ -198,67 +199,26 @@ impl Parser {
 
     fn cmp_expr(&mut self) -> Result<ExprAst, ParseError> {
         let lhs = self.add_expr()?;
-        let op = match self.peek().kind {
-            TokenKind::EqEq => BinaryOpAst::Eq,
-            TokenKind::Ne => BinaryOpAst::Ne,
-            TokenKind::Lt => BinaryOpAst::Lt,
-            TokenKind::Le => BinaryOpAst::Le,
-            TokenKind::Gt => BinaryOpAst::Gt,
-            TokenKind::Ge => BinaryOpAst::Ge,
-            _ => return Ok(lhs),
-        };
-        self.advance();
-        let rhs = self.add_expr()?;
-        Ok(ExprAst::Binary {
-            op,
-            lhs: Box::new(lhs),
-            rhs: Box::new(rhs),
-        })
+        match self.peek().kind {
+            TokenKind::Op(op) if op.is_comparison() => {
+                self.advance();
+                Ok(binary(op, lhs, self.add_expr()?))
+            }
+            _ => Ok(lhs),
+        }
     }
 
     fn add_expr(&mut self) -> Result<ExprAst, ParseError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Plus => BinaryOpAst::Add,
-                TokenKind::Minus => BinaryOpAst::Sub,
-                _ => break,
-            };
-            self.advance();
-            let rhs = self.mul_expr()?;
-            lhs = ExprAst::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn mul_expr(&mut self) -> Result<ExprAst, ParseError> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Star => BinaryOpAst::Mul,
-                TokenKind::Slash => BinaryOpAst::Div,
-                _ => break,
-            };
-            self.advance();
-            let rhs = self.unary_expr()?;
-            lhs = ExprAst::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
+        self.level(&[BinaryOp::Add, BinaryOp::Sub], |p| {
+            p.level(&[BinaryOp::Mul, BinaryOp::Div], Parser::unary_expr)
+        })
     }
 
     fn unary_expr(&mut self) -> Result<ExprAst, ParseError> {
-        if self.eat(&TokenKind::Minus) {
+        if self.eat(&TokenKind::Op(BinaryOp::Sub)) {
             let inner = self.unary_expr()?;
             Ok(ExprAst::Unary {
-                op: UnaryOpAst::Neg,
+                op: UnaryOp::Neg,
                 expr: Box::new(inner),
             })
         } else {
@@ -267,46 +227,36 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<ExprAst, ParseError> {
-        let t = self.peek().clone();
-        match t.kind {
-            TokenKind::Int(n) => {
-                self.advance();
-                Ok(ExprAst::Int(n))
-            }
-            TokenKind::Float(x) => {
-                self.advance();
-                Ok(ExprAst::Float(x))
-            }
-            TokenKind::Str(s) => {
-                self.advance();
-                Ok(ExprAst::Str(s))
-            }
-            TokenKind::True => {
-                self.advance();
-                Ok(ExprAst::Bool(true))
-            }
-            TokenKind::False => {
-                self.advance();
-                Ok(ExprAst::Bool(false))
-            }
+        let value = match self.peek().kind {
+            TokenKind::Int(n) => Value::Int(n),
+            TokenKind::Float(x) => Value::Float(x),
+            TokenKind::Str(ref s) => Value::str(s.as_str()),
+            TokenKind::True => Value::Bool(true),
+            TokenKind::False => Value::Bool(false),
             TokenKind::LParen => {
                 self.advance();
                 let inner = self.expr()?;
                 self.expect(TokenKind::RParen)?;
-                Ok(inner)
+                return Ok(inner);
             }
-            TokenKind::Ident(var) => {
-                self.advance();
+            TokenKind::Ident(_) => {
+                let (var, offset) = self.expect_ident("a variable name")?;
                 self.expect(TokenKind::Dot)?;
                 let (field, _) = self.expect_ident("a field name")?;
-                Ok(ExprAst::Attr {
-                    var,
-                    field,
-                    offset: t.offset,
-                })
+                return Ok(ExprAst::Attr { var, field, offset });
             }
-            _ => Err(self.unexpected("expected an expression")),
-        }
+            _ => return Err(self.unexpected("expected an expression")),
+        };
+        self.advance();
+        Ok(ExprAst::Const(value))
+    }
+}
+
+fn binary(op: BinaryOp, lhs: ExprAst, rhs: ExprAst) -> ExprAst {
+    ExprAst::Binary {
+        op,
+        lhs: Box::new(lhs),
+        rhs: Box::new(rhs),
     }
 }
 
@@ -358,21 +308,21 @@ mod tests {
         // top level must be OR
         match q.filter.unwrap() {
             ExprAst::Binary {
-                op: BinaryOpAst::Or,
+                op: BinaryOp::Or,
                 lhs,
                 rhs,
             } => {
                 assert!(matches!(
                     *lhs,
                     ExprAst::Binary {
-                        op: BinaryOpAst::And,
+                        op: BinaryOp::And,
                         ..
                     }
                 ));
                 assert!(matches!(
                     *rhs,
                     ExprAst::Unary {
-                        op: UnaryOpAst::Not,
+                        op: UnaryOp::Not,
                         ..
                     }
                 ));
@@ -386,19 +336,19 @@ mod tests {
         let q = parse_text("PATTERN SEQ(A a) WHERE a.x + a.y * a.z == 0 WITHIN 5").unwrap();
         match q.filter.unwrap() {
             ExprAst::Binary {
-                op: BinaryOpAst::Eq,
+                op: BinaryOp::Eq,
                 lhs,
                 ..
             } => match *lhs {
                 ExprAst::Binary {
-                    op: BinaryOpAst::Add,
+                    op: BinaryOp::Add,
                     rhs,
                     ..
                 } => {
                     assert!(matches!(
                         *rhs,
                         ExprAst::Binary {
-                            op: BinaryOpAst::Mul,
+                            op: BinaryOp::Mul,
                             ..
                         }
                     ));
@@ -422,14 +372,14 @@ mod tests {
         let q = parse_text("PATTERN SEQ(A a) WHERE (a.x + 1) * 2 == 4 WITHIN 5").unwrap();
         match q.filter.unwrap() {
             ExprAst::Binary {
-                op: BinaryOpAst::Eq,
+                op: BinaryOp::Eq,
                 lhs,
                 ..
             } => {
                 assert!(matches!(
                     *lhs,
                     ExprAst::Binary {
-                        op: BinaryOpAst::Mul,
+                        op: BinaryOp::Mul,
                         ..
                     }
                 ));
@@ -443,14 +393,14 @@ mod tests {
         let q = parse_text("PATTERN SEQ(A a) WHERE a.x > -5 WITHIN 5").unwrap();
         match q.filter.unwrap() {
             ExprAst::Binary {
-                op: BinaryOpAst::Gt,
+                op: BinaryOp::Gt,
                 rhs,
                 ..
             } => {
                 assert!(matches!(
                     *rhs,
                     ExprAst::Unary {
-                        op: UnaryOpAst::Neg,
+                        op: UnaryOp::Neg,
                         ..
                     }
                 ));

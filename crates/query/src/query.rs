@@ -133,15 +133,12 @@ enum Term {
 impl Kernel {
     /// The kernel of `expr`, when it compares two integer terms.
     fn of(expr: &Expr) -> Option<Kernel> {
-        use BinaryOp::{Eq, Ge, Gt, Le, Lt, Ne};
         match expr {
-            Expr::Binary { op, lhs, rhs } if matches!(op, Eq | Ne | Lt | Le | Gt | Ge) => {
-                Some(Kernel {
-                    op: *op,
-                    lhs: Term::of(lhs)?,
-                    rhs: Term::of(rhs)?,
-                })
-            }
+            Expr::Binary { op, lhs, rhs } if op.is_comparison() => Some(Kernel {
+                op: *op,
+                lhs: Term::of(lhs)?,
+                rhs: Term::of(rhs)?,
+            }),
             _ => None,
         }
     }
@@ -151,15 +148,7 @@ impl Kernel {
     #[inline]
     fn decide(&self, binding: &Binding<'_>) -> Option<bool> {
         let (a, b) = (self.lhs.int(binding)?, self.rhs.int(binding)?);
-        Some(match self.op {
-            BinaryOp::Eq => a == b,
-            BinaryOp::Ne => a != b,
-            BinaryOp::Lt => a < b,
-            BinaryOp::Le => a <= b,
-            BinaryOp::Gt => a > b,
-            // `Ge`: `Kernel::of` takes comparisons only
-            _ => a >= b,
-        })
+        Some(self.op.compare(a, b))
     }
 }
 
@@ -222,28 +211,6 @@ fn int_const(expr: &Expr) -> Option<i64> {
     }
 }
 
-/// A `RETURN` item, resolved to a component slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Projection {
-    /// `var.field`
-    Attr {
-        /// Full-list component index.
-        comp: usize,
-        /// Resolved field.
-        field: FieldId,
-    },
-    /// `var.ts`
-    Ts(
-        /// Full-list component index.
-        usize,
-    ),
-    /// `var.id`
-    Id(
-        /// Full-list component index.
-        usize,
-    ),
-}
-
 /// A negated component with its flanks and filter predicates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Negation {
@@ -288,7 +255,7 @@ pub struct Query {
     window: Duration,
     predicates: Vec<Predicate>,
     negations: Vec<Negation>,
-    projections: Vec<Projection>,
+    projections: Vec<Expr>,
     partition: Option<PartitionScheme>,
 }
 
@@ -300,7 +267,7 @@ impl Query {
         window: Duration,
         predicates: Vec<Predicate>,
         negations: Vec<Negation>,
-        projections: Vec<Projection>,
+        projections: Vec<Expr>,
         partition: Option<PartitionScheme>,
     ) -> Arc<Query> {
         Arc::new(Query {
@@ -351,8 +318,10 @@ impl Query {
         &self.negations
     }
 
-    /// `RETURN` projections (empty = return event ids of positives).
-    pub fn projections(&self) -> &[Projection] {
+    /// `RETURN` projections, each an attribute reference (`Attr`, `Ts` or
+    /// `Id`) resolved as the `WHERE` clause's are; empty = return the
+    /// event ids of the positives.
+    pub fn projections(&self) -> &[Expr] {
         &self.projections
     }
 
@@ -420,12 +389,7 @@ impl Query {
         self.projections
             .iter()
             .map(|p| {
-                let expr = match *p {
-                    Projection::Attr { comp, field } => Expr::Attr { comp, field },
-                    Projection::Ts(comp) => Expr::Ts(comp),
-                    Projection::Id(comp) => Expr::Id(comp),
-                };
-                let value = expr.eval(binding).map(Cow::into_owned);
+                let value = p.eval(binding).map(Cow::into_owned);
                 value.unwrap_or(Value::Bool(false))
             })
             .collect()

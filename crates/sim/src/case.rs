@@ -20,8 +20,8 @@ use std::sync::Arc;
 pub use sequin_engine::DisorderPolicy;
 use sequin_netsim::{delay_shuffle, measure_disorder, punctuate, Crash};
 use sequin_prng::Rng;
-use sequin_query::ast::{BinaryOpAst, ComponentAst, ExprAst, ProjectionAst, QueryAst};
-use sequin_query::{analyze, AnalyzeError, Query};
+use sequin_query::ast::{ComponentAst, ExprAst, ProjectionAst, QueryAst};
+use sequin_query::{analyze, AnalyzeError, BinaryOp, Query};
 use sequin_types::{
     Event, EventId, EventRef, StreamItem, Timestamp, TypeRegistry, Value, ValueKind,
 };
@@ -170,14 +170,14 @@ impl QueryPlan {
         });
         let preds = self.preds.iter().map(|p| {
             let op = match p.op {
-                PredOp::Lt => BinaryOpAst::Lt,
-                PredOp::Ge => BinaryOpAst::Ge,
+                PredOp::Lt => BinaryOp::Lt,
+                PredOp::Ge => BinaryOp::Ge,
             };
-            binary(op, attr(p.comp, "x"), ExprAst::Int(p.value))
+            binary(op, attr(p.comp, "x"), ExprAst::Const(Value::Int(p.value)))
         });
         let tags = self.tag_pairs().into_iter();
         let conjuncts =
-            preds.chain(tags.map(|(l, r)| binary(BinaryOpAst::Eq, attr(l, "tag"), attr(r, "tag"))));
+            preds.chain(tags.map(|(l, r)| binary(BinaryOp::Eq, attr(l, "tag"), attr(r, "tag"))));
         let returns = self.projected().map(|ix| ProjectionAst {
             var: self.comps[ix].var.clone(),
             field: "x".to_owned(),
@@ -186,7 +186,7 @@ impl QueryPlan {
         let ast = QueryAst {
             components: components.collect(),
             // `AND` is left-associative
-            filter: conjuncts.reduce(|acc, e| binary(BinaryOpAst::And, acc, e)),
+            filter: conjuncts.reduce(|acc, e| binary(BinaryOp::And, acc, e)),
             within: self.window,
             returns: returns.into_iter().collect(),
         };

@@ -249,6 +249,42 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
+    /// A store resumes only the query that wrote it: the same query with
+    /// one more `WHERE` conjunct cold-starts on it and nets what a run
+    /// without a store does.
+    #[test]
+    fn an_edited_where_clause_cold_starts_on_the_store() {
+        let path = "target/test-cli-edited.ckpt";
+        let _ = std::fs::remove_file(path);
+        let fresh = EvalOptions {
+            checkpoint_every: Some(500),
+            ..EvalOptions::default()
+        };
+        let stored = EvalOptions {
+            store: Some(path.to_owned()),
+            ..fresh.clone()
+        };
+        let first = "PATTERN SEQ(T0 a, T1 b, T2 c) WHERE a.tag == b.tag AND b.tag == c.tag \
+                     WITHIN 100";
+        let edited = "PATTERN SEQ(T0 a, T1 b, T2 c) WHERE a.tag == b.tag AND b.tag == c.tag \
+                      AND a.x < c.x WITHIN 100";
+        evaluate(&spec("synthetic", first, 3000, 7), &stored).unwrap();
+        let out = evaluate(&spec("synthetic", edited, 3000, 7), &stored).unwrap();
+        let want = evaluate(&spec("synthetic", edited, 3000, 7), &fresh).unwrap();
+        let matches = |out: &str| {
+            out.lines()
+                .find(|l| l.starts_with("matches"))
+                .map(str::to_owned)
+        };
+        assert!(
+            out.contains("stored artifacts rejected: cold start"),
+            "{out}"
+        );
+        assert_eq!(matches(&out), matches(&want), "{out}");
+        assert!(!want.contains("matches      : 0 (net)"), "{want}");
+        std::fs::remove_file(path).ok();
+    }
+
     #[test]
     fn corrupt_checkpoint_file_degrades_to_cold_start() {
         let path = "target/test-cli-corrupt.ckpt";

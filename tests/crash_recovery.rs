@@ -265,8 +265,12 @@ const PIN_CUT: usize = 242;
 /// ([`stores_of_the_evaluator_that_built_negated_matches_resume`]).
 /// Re-pinned again when every writer began to seal envelope version 2:
 /// the trailer moved, the payloads did not ([`PIN_NATIVE_PAYLOADS`]).
-const PIN_NATIVE_SPECULATIVE: u64 = 0xebfa_3fc3_eff0_8de6;
-const PIN_NATIVE_CONSERVATIVE: u64 = 0xe231_41d3_afa4_95fd;
+/// Re-pinned when the blob fingerprint began to hash the query's
+/// `stable_query_id` (every clause) in place of its rendering (no `WHERE`
+/// clause): each payload's first eight bytes moved, its length and every
+/// byte after them did not.
+const PIN_NATIVE_SPECULATIVE: u64 = 0x74d9_b224_e8a4_3703;
+const PIN_NATIVE_CONSERVATIVE: u64 = 0xf041_406d_4b74_25d6;
 /// The core's store around the speculative blob: re-pinned with it, and
 /// before that when a single query became a plan of one, with no layout
 /// change: two counter bytes moved. Until then the core (the
@@ -274,13 +278,14 @@ const PIN_NATIVE_CONSERVATIVE: u64 = 0xe231_41d3_afa4_95fd;
 /// time-ordered side, and a lone engine in the arrival's key stack; now
 /// every hosting counts the latter — which `checkpoint_bytes_are_pinned`
 /// asserts blob by blob rather than trusting the constant. Re-pinned with
-/// them for envelope version 2.
-const PIN_CORE: u64 = 0x9811_459b_4f3a_9811;
+/// them for envelope version 2, and with them for the fingerprint.
+const PIN_CORE: u64 = 0xbf8b_d2c4_06c9_a643;
 /// `fnv1a64` of the native blobs' payloads (speculative, conservative),
 /// the bytes inside the seal. Pinned at the last version-1 build and held
 /// through the move to version 2, which re-pinned the three above: only
-/// the seal moved.
-const PIN_NATIVE_PAYLOADS: [u64; 2] = [0x0e3f_e007_f0e1_68e7, 0xea5d_2c94_3ed6_03c7];
+/// the seal moved. Re-pinned for the fingerprint, the payloads' first
+/// eight bytes.
+const PIN_NATIVE_PAYLOADS: [u64; 2] = [0xce3c_58ea_7723_825a, 0x14c9_fb9c_d58b_01fa];
 
 struct Pinned {
     registry: Arc<sequin::types::TypeRegistry>,
@@ -531,11 +536,11 @@ use sequin::types::Encode;
 /// (conservative, speculative). Its checkpoints wrap today's engine
 /// snapshots and are sealed by today's writer, so it moves with them:
 /// re-pinned with the native pins.
-const PIN_RUN_STORE_0_10: [u64; 2] = [0x252c_b381_bd79_ccd0, 0x5af5_2574_562a_40ee];
+const PIN_RUN_STORE_0_10: [u64; 2] = [0xf060_5146_4465_52d3, 0xc8c2_3900_01ab_754e];
 /// The same run's store as the one exactly-once wrapper writes it now:
 /// a one-blob host envelope per checkpoint, query-tagged log records.
 /// Re-pinned with the native pins: the snapshots inside moved.
-const PIN_RUN_STORE: [u64; 2] = [0xfe3e_1259_1ca9_444b, 0x5cc6_8cb8_617d_38ac];
+const PIN_RUN_STORE: [u64; 2] = [0x1e1e_f3e3_539f_21e3, 0xfbf1_ec23_373e_6dac];
 
 const RUN_EVERY: Option<u64> = Some(64);
 
