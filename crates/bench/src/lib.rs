@@ -22,6 +22,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod ab;
 mod buffer;
 mod classic;
 pub mod experiments;

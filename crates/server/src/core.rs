@@ -41,6 +41,11 @@ use sequin_types::{CodecError, Reader, StreamItem, TypeRegistry, Writer};
 use crate::frame::{policy_from_wire, policy_to_wire, ErrorCode};
 use crate::stats::ServerStats;
 
+/// The one block a stacked instance is: an `Arc`'s two counts and the
+/// `Event` with its attributes inline.
+const INSTANCE_BYTES: u64 =
+    (2 * std::mem::size_of::<usize>() + std::mem::size_of::<sequin_types::Event>()) as u64;
+
 /// Evaluation settings shared by every query the core registers.
 #[derive(Clone)]
 pub struct CoreConfig {
@@ -589,9 +594,9 @@ impl EngineCore {
     ///
     /// Everything recorded is a logical quantity, so a fixed-seed workload
     /// yields a byte-identical rendering. `sequin_purge_reclaimed_bytes` is
-    /// an estimate:
-    /// purged stack instances × the in-memory size of an `Event` record
-    /// (attribute payloads not counted).
+    /// an estimate: purged stack instances × one `Arc<Event>` block, the
+    /// record with its attributes inline. Attributes a type with more than
+    /// three spills, and string payloads, are not counted.
     pub fn metrics_snapshot(&self, server: Option<(&ServerStats, u64)>) -> MetricsSnapshot {
         let mut b = MetricsSnapshot::builder();
 
@@ -638,7 +643,7 @@ impl EngineCore {
             b.counter(
                 "sequin_purge_reclaimed_bytes",
                 &labels,
-                stats.purged * std::mem::size_of::<sequin_types::Event>() as u64,
+                stats.purged * INSTANCE_BYTES,
             );
             // disorder-policy series: retractions this process delivered
             // and the live slack bound k̂ (fixed for conservative /

@@ -1048,6 +1048,15 @@ mod tests {
         assert!(std::mem::size_of::<EngineMsg>() <= 56);
     }
 
+    /// A stacked instance is one block, `Arc` header plus `Event` with its
+    /// attributes inline: no larger than the event and attribute blocks
+    /// it replaced (80 + 64 bytes).
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn an_event_with_its_attributes_stays_small() {
+        assert!(std::mem::size_of::<sequin_types::Event>() <= 112);
+    }
+
     /// Frames go through `engine_loop` whole and come back to the session
     /// that sent them: each sender gets exactly its own items, the same
     /// events in the same `Vec`s, in order. A run of frames stops short of

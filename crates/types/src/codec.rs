@@ -611,10 +611,7 @@ impl Decode for Event {
         if n > r.remaining() as u64 {
             return Err(CodecError::BadLength);
         }
-        let mut attrs = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            attrs.push(Value::decode(r)?);
-        }
+        let attrs = crate::event::read_attrs(n as usize, || Value::decode(r))?;
         Ok(Event::decoded(id, ty, ts, seq, attrs))
     }
 }

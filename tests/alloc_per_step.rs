@@ -20,8 +20,9 @@
 //! And the recorder: once its trace ring is full, what it adds to a batch
 //! does not grow with the batch's outputs.
 //!
-//! And the wire's decoder: an event is decoded straight into the record
-//! the engine keeps.
+//! And the event's one block: the wire's decoder reads an event straight
+//! into the record the engine keeps, and a routed arrival's stamped copy
+//! is one allocation.
 //!
 //! And the stack layer: a late insert costs what one chunk holds, not how
 //! far below the top it lands (release builds), and neither a purge nor an
@@ -337,7 +338,8 @@ fn forked_siblings_allocate_nothing_per_arrival() {
 }
 
 /// An `EVENT_BATCH` decodes each event once, into the record the engine
-/// keeps: its attribute vector and its `Arc`, and one vector for the batch.
+/// keeps: one `Arc` per event, its attributes inline, and one vector for
+/// the batch.
 #[test]
 fn an_event_batch_decodes_each_event_once() {
     let reg = registry();
@@ -357,7 +359,33 @@ fn an_event_batch_decodes_each_event_once() {
     let decoded = decode_frame(&wire).unwrap();
     let allocations = ALLOCATIONS.with(Cell::get) - before;
     assert_eq!(decoded, Frame::EventBatch(batch));
-    assert_eq!(allocations, 64 * 2 + 1);
+    assert_eq!(allocations, 64 + 1);
+}
+
+/// A routed arrival is stamped into one block, attributes inline: on a
+/// warm engine, `2n` arrivals that complete nothing allocate exactly `n`
+/// more than `n` do, and the difference is the stamped records.
+#[test]
+fn a_routed_arrival_allocates_one_stamped_record() {
+    let reg = registry();
+    let run = |n: u64| {
+        let config = EngineConfig::with_k(Duration::new(10));
+        let mut engine = MultiEngine::new(config);
+        let query = parse("PATTERN SEQ(T0 a, T1 b) WITHIN 20", &reg).unwrap();
+        engine.register(query, config.policy);
+        // warm: the stack has held a window's worth and purged the rest
+        engine.ingest_batch(&events(&reg, "T0", 1..2_001, 0));
+        let measured = events(&reg, "T0", 2_001..2_001 + n, 0);
+        let routed = engine.work().routed;
+        let before = ALLOCATIONS.with(Cell::get);
+        let out = engine.ingest_batch(&measured);
+        let allocations = ALLOCATIONS.with(Cell::get) - before;
+        assert_eq!(out.iter().flatten().count(), 0, "a T0 completes nothing");
+        assert_eq!(engine.work().routed - routed, n, "every T0 is routed");
+        allocations
+    };
+    let n = 256;
+    assert_eq!(run(2 * n) - run(n), n);
 }
 
 fn parsed(reg: &TypeRegistry, texts: &[String]) -> Vec<Arc<Query>> {
