@@ -12,10 +12,11 @@
 //! The stacks it inserts into are those of a [`sequin_plan::SharedPlan`]:
 //! slots with identical signatures share one physical stack and one
 //! insert-time predicate evaluation, queries with a common prefix share
-//! one partial-match enumeration forked to every member's final slot, and
-//! an event-type routing index means an arrival touches only the plan
-//! nodes of interested queries. Every hosting is an instance of it, run
-//! inline on the caller's thread:
+//! one partial-match enumeration forked to every member's final slot, an
+//! event-type routing index means an arrival touches only the plan nodes
+//! of interested queries, and a type's band index, of its banded stacks,
+//! only those the arrival's value passes. Every hosting is an instance of
+//! it, run inline on the caller's thread:
 //!
 //! * many queries — the server core, `sequin run`, the simulator's plan
 //!   path — run on one of these;
@@ -79,10 +80,11 @@
 //! *owes* them (its `owed`): a pooled stack owes each (query, slot)
 //! reading it its offers, pre-filter evaluations, insertions and purges; a
 //! prefix group owes each member the steps of its shared walk; an epoch
-//! owes each of its queries its purge rounds and late arrivals.
-//! [`MultiEngine::fold`] is a sum, the one place they meet: a query's own
-//! `RuntimeStats`, plus what every node it reads owes, less its repeat
-//! offers. A node's counter is the field the query's would be, so a new
+//! owes each of its queries its purge rounds and late arrivals; a band
+//! index owes the stacks it decides the offers and band evaluations it
+//! spared them, per cell hit. [`MultiEngine::fold`] is a sum, the one
+//! place they meet: a query's own `RuntimeStats`, plus what every node it
+//! reads owes, less its repeat offers. A node's counter is the field the query's would be, so a new
 //! counter is one field of `RuntimeStats`. What a group walk counts per
 //! member — bind checks, a fork's candidates — is tallied for the members
 //! it touched and added once per walk. So an arrival costs the nodes it
@@ -98,7 +100,8 @@ use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 use sequin_plan::{
-    compile, BindEntry, GroupMember, PrefixGroup, QuerySpec, RouteEntry, SharedPlan, SlotSig,
+    compile, BandIndex, BindEntry, GroupMember, PrefixGroup, QuerySpec, RouteEntry, SharedPlan,
+    SlotSig, StackNode,
 };
 use sequin_query::{with_binding, Query};
 use sequin_runtime::{
@@ -106,7 +109,7 @@ use sequin_runtime::{
 };
 use sequin_types::codec::{open_envelope, seal_envelope};
 use sequin_types::{
-    ArrivalSeq, CodecError, Duration, EventRef, Reader, StreamItem, Timestamp, Writer,
+    ArrivalSeq, CodecError, Duration, EventRef, Reader, StreamItem, Timestamp, Value, Writer,
 };
 
 use crate::blob::QueryBlob;
@@ -357,6 +360,69 @@ struct GroupState {
     owed: RuntimeStats,
 }
 
+/// One event type's [`BandIndex`] beside its route entry, and the arrivals
+/// it decided: an indexed stack is neither offered an arrival nor runs its
+/// band on it, so what that would have counted is owed lazily, per cell
+/// hit (see [`MultiEngine::owed_by`]).
+#[derive(Debug, Default)]
+struct BandRoute {
+    /// Whether `index` is built for the entry as it stands; the first
+    /// arrival of the type after the plan changed there builds it.
+    built: bool,
+    index: Option<BandIndex>,
+    /// `Int` arrivals per cell of `index` since what they owe was paid.
+    hits: Vec<u64>,
+}
+
+impl BandRoute {
+    /// The band index of `entry`, built now, with no arrival counted.
+    fn build(entry: &RouteEntry, nodes: &[StackNode]) -> BandRoute {
+        let index = BandIndex::build(&entry.stacks, nodes);
+        BandRoute {
+            built: true,
+            hits: vec![0; index.as_ref().map_or(0, BandIndex::cells)],
+            index,
+        }
+    }
+
+    /// What the counted arrivals owe indexed stack `node`: its offers and
+    /// its band's predicate evaluations.
+    fn debt(&self, node: &StackNode) -> (u64, u64) {
+        let index = self.index.as_ref().expect("owed by a built index");
+        index.debt(node, &self.hits)
+    }
+}
+
+/// The positions of `loose` and `passing`, two ascending lists of route
+/// entry positions, as one ascending run, each flagged whether it is loose
+/// (its stack's band still has to run).
+fn in_entry_order<'a>(
+    mut loose: &'a [u32],
+    mut passing: &'a [u32],
+) -> impl Iterator<Item = (usize, bool)> + 'a {
+    std::iter::from_fn(move || {
+        let is_loose = match (loose.first(), passing.first()) {
+            (Some(l), Some(p)) => l < p,
+            (l, _) => l.is_some(),
+        };
+        let list = if is_loose { &mut loose } else { &mut passing };
+        let (&pos, rest) = list.split_first()?;
+        *list = rest;
+        Some((pos as usize, is_loose))
+    })
+}
+
+/// Epoch `eix`'s stamped copy of `event`, made the first time something
+/// takes it: an arrival every node rejects is never copied.
+fn stamped<'s>(
+    stamped: &'s mut [Option<EventRef>],
+    epochs: &[EpochState],
+    eix: usize,
+    event: &EventRef,
+) -> &'s EventRef {
+    stamped[eix].get_or_insert_with(|| Arc::new(event.with_arrival(epochs[eix].seq)))
+}
+
 /// A set of group member indices, one bit each, iterated ascending.
 #[derive(Debug, Default)]
 struct MemberSet {
@@ -496,8 +562,13 @@ pub struct MultiEngine {
     stacks: Vec<KeyedStack>,
     /// What each of `stacks` owes every (query, slot) reading it: its
     /// offers (`events_routed`), pre-filter evaluations, insertions, depth
-    /// and purged instances.
+    /// and purged instances — but for what a band index owes it.
     owed: Vec<RuntimeStats>,
+    /// Parallel to `plan.routing`: each event type's band index.
+    bands: Vec<BandRoute>,
+    /// Parallel to `stacks`: the types whose built band index decides the
+    /// stack, so owes it what the arrivals it decided would have counted.
+    banded_in: Vec<Vec<usize>>,
     /// Parallel to `plan.groups`.
     groups: Vec<GroupState>,
     states: Vec<QueryState>,
@@ -512,7 +583,8 @@ pub struct MultiEngine {
     retraction_drop: u64,
     counters: PlanMetrics,
     work: PlanWork,
-    scratch_stamped: Vec<EventRef>,
+    /// Per epoch, this arrival's stamped copy, once something took it.
+    scratch_stamped: Vec<Option<EventRef>>,
     scratch_raw: Vec<Vec<EventRef>>,
     /// A group walk's bind-check and fork tallies (see `group_construct`).
     scratch_tallies: [Tally; 2],
@@ -546,6 +618,8 @@ impl MultiEngine {
             plan: SharedPlan::new(config.partitioned),
             stacks: Vec::new(),
             owed: Vec::new(),
+            bands: Vec::new(),
+            banded_in: Vec::new(),
             groups: Vec::new(),
             states: Vec::new(),
             epochs: Vec::new(),
@@ -612,6 +686,16 @@ impl MultiEngine {
             .extend(fresh.map(|node| KeyedStack::new(node.sig.partition)));
         self.owed
             .resize(self.plan.stacks.len(), RuntimeStats::default());
+        self.banded_in.resize(self.plan.stacks.len(), Vec::new());
+        self.bands
+            .resize_with(self.plan.routing.len(), BandRoute::default);
+        // a new stack joins its types' entries: what their band indexes
+        // counted is paid, and the next arrival of each builds it anew
+        let fresh = self.plan.stacks[pooled..].iter();
+        let joined: Vec<usize> = fresh
+            .flat_map(|node| node.sig.types.iter().map(|ty| ty.index()))
+            .collect();
+        joined.into_iter().for_each(|ty| self.unindex(ty));
         self.groups
             .resize_with(self.plan.groups.len(), GroupState::default);
         // the epoch is open, so its stacks are empty and the member joins
@@ -702,6 +786,10 @@ impl MultiEngine {
     /// group's live members — with nothing owed by any node.
     fn sync_nodes(&mut self) {
         self.owed = vec![RuntimeStats::default(); self.plan.stacks.len()];
+        self.banded_in = vec![Vec::new(); self.plan.stacks.len()];
+        self.bands.clear();
+        self.bands
+            .resize_with(self.plan.routing.len(), BandRoute::default);
         let fresh = |g: &PrefixGroup| {
             let mut state = GroupState::default();
             state.live.fit(g.members.len());
@@ -736,7 +824,7 @@ impl MultiEngine {
             return stats;
         }
         for &six in &node.stack_of_slot {
-            stats += self.owed[six];
+            stats += self.owed_by(six);
         }
         if let Some(gix) = node.group {
             stats += self.groups[gix].owed;
@@ -744,6 +832,37 @@ impl MultiEngine {
         stats += self.epochs[st.epoch].owed;
         stats.events_routed -= st.repeat_offers;
         stats
+    }
+
+    /// What pooled stack `six` owes each (query, slot) reading it: its
+    /// `owed`, plus, per band index deciding it, the offers and band
+    /// evaluations of the arrivals that index counted — each cell's hits
+    /// times what the stack's band evaluates on a value of the cell.
+    fn owed_by(&self, six: usize) -> RuntimeStats {
+        let mut owed = self.owed[six];
+        for &ty in &self.banded_in[six] {
+            let (offers, evals) = self.bands[ty].debt(&self.plan.stacks[six]);
+            owed.events_routed += offers;
+            owed.predicate_evals += evals;
+        }
+        owed
+    }
+
+    /// Pays what type `ty`'s band index owes its stacks into their `owed`
+    /// and drops it, to be built again at the type's next arrival: what a
+    /// registration whose stack joins the type's entry does first.
+    fn unindex(&mut self, ty: usize) {
+        let band = std::mem::take(&mut self.bands[ty]);
+        let Some(index) = &band.index else {
+            return;
+        };
+        for &pos in index.indexed() {
+            let six = self.plan.routing[ty].stacks[pos as usize];
+            let (offers, evals) = band.debt(&self.plan.stacks[six]);
+            self.owed[six].events_routed += offers;
+            self.owed[six].predicate_evals += evals;
+            self.banded_in[six].retain(|&t| t != ty);
+        }
     }
 
     /// Ingests one arrival into every query; outputs are tagged with the
@@ -885,7 +1004,7 @@ impl MultiEngine {
             }
         }
         let plan = std::mem::take(&mut self.plan);
-        match plan.routing.get(&event.event_type()) {
+        match plan.route(event.event_type()) {
             Some(entry) => self.route_event(&plan, entry, event),
             None => self.counters.routing_misses += 1,
         }
@@ -915,19 +1034,21 @@ impl MultiEngine {
     /// Offers `event`, whose type `entry` says some plan node listens to,
     /// to those nodes: negative indexes first, then each accepting stack —
     /// pre-filter, positional insert, construction anchored at the new
-    /// instance.
+    /// instance. A stack the type's band index decides is not offered the
+    /// arrival: an `Int` in the indexed field finds its cell, and of the
+    /// indexed stacks only those passing there are visited, between the
+    /// loose ones, in entry order.
     fn route_event(&mut self, plan: &SharedPlan, entry: &RouteEntry, event: &EventRef) {
         self.counters.routed_events += 1;
-        // one stamped copy per epoch, made only now that the type is routed
         let mut stamped = std::mem::take(&mut self.scratch_stamped);
-        let stamp = |ep: &EpochState| Arc::new(event.with_arrival(ep.seq));
-        stamped.extend(self.epochs.iter().map(stamp));
+        stamped.resize(self.epochs.len(), None);
 
         // negatives first: a negative at the same timestamp as a positive
         // arrival must be visible to validation during this call
         for &qix in &entry.neg_queries {
             let st = &mut self.states[qix];
-            let (ev, stamp) = (&stamped[st.epoch], self.epochs[st.epoch].stamp());
+            let ev = self::stamped(&mut stamped, &self.epochs, st.epoch, event);
+            let stamp = self.epochs[st.epoch].stamp();
             let own = PlanWork::own(&st.stats);
             st.settle.offer_negative(ev, &mut st.stats);
             let swallow = &mut self.retraction_drop;
@@ -938,52 +1059,96 @@ impl MultiEngine {
             self.work.add_own(own, st);
         }
 
-        for &six in &entry.stacks {
-            let node = &plan.stacks[six];
-            let ev = &stamped[node.sig.epoch];
-            // an arrival that reaches a query's stack counts as routed for
-            // that query even if pre-filters reject it. The stack counts
-            // for every (query, slot) reading it, and so does predicate
-            // pushdown: the slot's local predicates run once
-            let owed = &mut self.owed[six];
-            owed.events_routed += 1;
-            self.work.routed += 1;
-            if !node.local_preds.is_empty() {
-                let failed = node.first_failing(ev);
-                owed.predicate_evals += failed.map_or(node.local_preds.len(), |ix| ix + 1) as u64;
-                if failed.is_some() {
-                    continue;
-                }
-            }
-            // a duplicate delivery, or an event a keyed slot cannot key (a
-            // float), enters no stack and completes nothing
-            let stack = &mut self.stacks[six];
-            let was_empty = stack.is_empty();
-            let Some((newest, depth)) = stack.insert(Arc::clone(ev)) else {
-                continue;
-            };
-            owed.insertions += 1;
-            self.work.inserted += 1;
-            owed.ooo_insertions += u64::from(!newest);
-            owed.max_stack_depth = owed.max_stack_depth.max(depth as u64);
-            if was_empty {
-                self.epochs[node.sig.epoch].nonempty.push(six);
-                for &(gix, mx) in &node.finals {
-                    self.groups[gix].live.insert(mx);
-                }
-            }
-            for &(gix, pos) in &node.shared_anchors {
-                self.group_construct(plan, gix, pos, ev);
-            }
-            for r in &node.plain_refs {
-                self.plain_construct(plan, r.query, r.slot, ev);
+        let ty = event.event_type().index();
+        let mut band = std::mem::take(&mut self.bands[ty]);
+        if !band.built {
+            band = BandRoute::build(entry, &plan.stacks);
+            let indexed = band.index.iter().flat_map(BandIndex::indexed);
+            for &pos in indexed {
+                self.banded_in[entry.stacks[pos as usize]].push(ty);
             }
         }
+        let decided = band.index.as_ref().and_then(|index| {
+            let &Value::Int(v) = event.field(index.field())? else {
+                return None;
+            };
+            Some((index, index.cell(v)))
+        });
+        match decided {
+            Some((index, cell)) => {
+                band.hits[cell] += 1;
+                self.work.routed += index.indexed().len() as u64;
+                for (pos, loose) in in_entry_order(index.loose(), index.passing(cell)) {
+                    self.offer(plan, entry.stacks[pos], event, &mut stamped, loose);
+                }
+            }
+            None => {
+                for &six in &entry.stacks {
+                    self.offer(plan, six, event, &mut stamped, true);
+                }
+            }
+        }
+        self.bands[ty] = band;
         for (qix, stacks) in &entry.multi_slot {
             self.states[*qix].repeat_offers += (stacks.len() as u64).saturating_sub(1);
         }
         stamped.clear();
         self.scratch_stamped = stamped;
+    }
+
+    /// Offers `event` to pooled stack `six`: its pre-filter, unless a band
+    /// index already found that `event` passes it (`filter` false, and
+    /// the offer is owed by the index), then the positional insert of its
+    /// epoch's stamped copy and the construction anchored at it.
+    fn offer(
+        &mut self,
+        plan: &SharedPlan,
+        six: usize,
+        event: &EventRef,
+        stamped: &mut [Option<EventRef>],
+        filter: bool,
+    ) {
+        let node = &plan.stacks[six];
+        // an arrival that reaches a query's stack counts as routed for that
+        // query even if pre-filters reject it. The stack counts for every
+        // (query, slot) reading it, and so does predicate pushdown: the
+        // slot's local predicates run once
+        let owed = &mut self.owed[six];
+        if filter {
+            owed.events_routed += 1;
+            self.work.routed += 1;
+            if !node.local_preds.is_empty() {
+                let failed = node.first_failing(event);
+                owed.predicate_evals += failed.map_or(node.local_preds.len(), |ix| ix + 1) as u64;
+                if failed.is_some() {
+                    return;
+                }
+            }
+        }
+        // a duplicate delivery, or an event a keyed slot cannot key (a
+        // float), enters no stack and completes nothing
+        let ev = self::stamped(stamped, &self.epochs, node.sig.epoch, event);
+        let stack = &mut self.stacks[six];
+        let was_empty = stack.is_empty();
+        let Some((newest, depth)) = stack.insert(Arc::clone(ev)) else {
+            return;
+        };
+        owed.insertions += 1;
+        self.work.inserted += 1;
+        owed.ooo_insertions += u64::from(!newest);
+        owed.max_stack_depth = owed.max_stack_depth.max(depth as u64);
+        if was_empty {
+            self.epochs[node.sig.epoch].nonempty.push(six);
+            for &(gix, mx) in &node.finals {
+                self.groups[gix].live.insert(mx);
+            }
+        }
+        for &(gix, pos) in &node.shared_anchors {
+            self.group_construct(plan, gix, pos, ev);
+        }
+        for r in &node.plain_refs {
+            self.plain_construct(plan, r.query, r.slot, ev);
+        }
     }
 
     /// Per-query construction for anchors outside any shared prefix walk:
@@ -1552,8 +1717,15 @@ mod tests {
             outputs_eq(&got, &want, &format!("item {ix}"));
         }
         outputs_eq(&shared.finish(), &multi.finish(), "finish");
-        // emission-relevant stats must agree exactly
-        for (qx, (s, m)) in shared.stats().iter().zip(multi.stats()).enumerate() {
+        counters_eq(&shared.stats(), &multi.stats(), config);
+        shared.stats()
+    }
+
+    /// A plan's per-query counters against each query alone: every
+    /// emission-relevant one exactly.
+    fn counters_eq(got: &[RuntimeStats], want: &[RuntimeStats], config: EngineConfig) {
+        assert_eq!(got.len(), want.len());
+        for (qx, (s, m)) in got.iter().zip(want).enumerate() {
             assert_eq!(s.events_routed, m.events_routed, "events_routed q{qx}");
             assert_eq!(s.insertions, m.insertions, "insertions q{qx}");
             assert_eq!(s.ooo_insertions, m.ooo_insertions, "ooo_insertions q{qx}");
@@ -1575,7 +1747,138 @@ mod tests {
             // for the same reason
             assert!(s.max_stack_depth >= m.max_stack_depth, "max_stack_depth");
         }
-        shared.stats()
+    }
+
+    /// A family of siblings on one final-slot type, `C`, banded every way
+    /// the band index meets: disjoint, nested, a point, one-sided, empty,
+    /// two queries on one stack, two slots of one query, two stacks that
+    /// `B`'s index decides too — and, left to the loop, a `!=`, an
+    /// unbanded sibling, one banded on `tag`, and `C` as a negation. Each
+    /// of `bands` is a sibling `SEQ(A a, B b, C c) WHERE {band}`.
+    fn banded_siblings(reg: &TypeRegistry, bands: &[&str]) -> Vec<Arc<Query>> {
+        let sibling = |band: &&str| match band.is_empty() {
+            true => "PATTERN SEQ(A a, B b, C c) WITHIN 60".to_owned(),
+            false => format!("PATTERN SEQ(A a, B b, C c) WHERE {band} WITHIN 60"),
+        };
+        let texts = bands.iter().map(sibling).chain([
+            "PATTERN SEQ(C a, C b) WHERE a.x < 200 AND b.x >= 100 WITHIN 40".to_owned(),
+            "PATTERN SEQ(A a, !C n, B b) WHERE n.x == 150 WITHIN 50".to_owned(),
+            "PATTERN SEQ(A a, B|C c) WHERE c.x >= 100 AND c.x < 200 WITHIN 60".to_owned(),
+            "PATTERN SEQ(A a, B|C c) WHERE c.x == 150 WITHIN 60".to_owned(),
+        ]);
+        texts.map(|t| parse(&t, reg).unwrap()).collect()
+    }
+
+    /// `n` arrivals of `A`, `B` and `C` within the default bound, a `C`'s
+    /// `x` now and then on a band's edge, and now and then no `Int`.
+    fn banded_stream(reg: &TypeRegistry, seed: u64, n: usize) -> Vec<StreamItem> {
+        const EDGES: [i64; 13] = [0, 30, 50, 100, 140, 150, 160, 200, 300, 400, 450, 500, 700];
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut items = Vec::new();
+        for i in 0..n {
+            let ty = ["A", "B", "C", "C"][rng.gen_range(0..4usize)];
+            let ts = (i as u64 * 3).saturating_sub(rng.gen_range(0..90u64));
+            let x = match rng.gen_range(0..10u32) {
+                0..=3 => rng.gen_range(-10..1000i64),
+                _ => EDGES[rng.gen_range(0..EDGES.len())] + rng.gen_range(-1..=1i64),
+            };
+            let x = match rng.gen_range(0..20u32) {
+                0 => Value::Float(x as f64),
+                1 => Value::Float(x as f64 + 0.5),
+                _ => Value::Int(x),
+            };
+            let event = Event::builder(reg.lookup(ty).unwrap(), Timestamp::new(ts))
+                .id(EventId::new(i as u64 + 1))
+                .attr(x)
+                .attr(Value::Int(rng.gen_range(0..4i64)))
+                .build();
+            items.push(StreamItem::Event(Arc::new(event)));
+        }
+        items
+    }
+
+    /// A banded sibling family on one plan against each query alone,
+    /// outputs and every query's counters, through a registration into the
+    /// indexed entry mid-stream, an unregistration and a snapshot restored
+    /// into a fresh plan: what the band index decides, and what it leaves
+    /// owed, is what each band would have decided and counted.
+    #[test]
+    fn a_band_index_decides_and_counts_what_the_bands_do() {
+        let reg = registry();
+        let config = EngineConfig::default();
+        let early = banded_siblings(
+            &reg,
+            &[
+                "c.x >= 0 AND c.x < 100",
+                "c.x >= 100 AND c.x < 200",
+                "c.x >= 50 AND c.x <= 450",
+                "c.x == 150",
+                "700 < c.x AND c.x >= 0",
+                "c.x < 30",
+                "c.x > 500 AND c.x < 400",
+                "c.x >= 100 AND c.x < 200",
+                "c.x != 150 AND c.x < 300",
+                "",
+                "c.tag >= 1 AND c.tag < 3",
+            ],
+        );
+        let late = banded_siblings(&reg, &["c.x >= 140 AND c.x < 160", "c.x == 150"]);
+        let (register_at, unregister_at, restore_at) = (200, 350, 450);
+        let gone = QueryId(2);
+        let [b, c] = ["B", "C"].map(|ty| reg.lookup(ty).unwrap().index());
+        let mut plan = plan_of(&early, config);
+        let mut alone = independent(&early, |_| config);
+        let indexed = |plan: &MultiEngine, ty: usize| {
+            let index = plan.bands[ty].index.as_ref().expect("the entry is indexed");
+            (index.indexed().len(), index.loose().len())
+        };
+        // the unregistered query's engine alone is fed no further
+        let fed = |alone: &mut Alone, ix: usize, it: &StreamItem| {
+            let mut out = Vec::new();
+            for (qix, engine) in alone.0.iter_mut().enumerate() {
+                if qix != gone.0 || ix < unregister_at {
+                    out.extend(engine.ingest(it).into_iter().map(|o| (QueryId(qix), o)));
+                }
+            }
+            out
+        };
+        let (items, mut fired) = (banded_stream(&reg, 21, 600), 0);
+        for (ix, it) in items.iter().enumerate() {
+            if ix == register_at {
+                assert_eq!(
+                    indexed(&plan, c),
+                    (11, 3),
+                    "seven bands, `C a`, `C b`, `B|C`"
+                );
+                assert_eq!(indexed(&plan, b), (2, 1), "`B|C`, and `B b` loose");
+                for q in &late {
+                    plan.register(Arc::clone(q), config.policy);
+                    alone.register(Arc::clone(q), config);
+                }
+            }
+            if ix == unregister_at {
+                assert_eq!(indexed(&plan, c), (17, 3), "six more, in a second epoch");
+                plan.unregister(gone);
+            }
+            if ix == restore_at {
+                let snap = plan.snapshot();
+                plan = plan_of(&early, config);
+                for q in &late {
+                    plan.register(Arc::clone(q), config.policy);
+                }
+                plan.unregister(gone);
+                plan.restore(&snap).unwrap();
+            }
+            let want = fed(&mut alone, ix, it);
+            outputs_eq(&plan.ingest(it), &want, &format!("item {ix}"));
+            fired += want.len();
+        }
+        assert!(fired > 1_000, "the family fires: {fired} outputs");
+        assert_eq!(indexed(&plan, c), (16, 3), "the unregistered band is gone");
+        let want = alone.tagged(|e| e.finish());
+        let want: Vec<_> = want.into_iter().filter(|(q, _)| *q != gone).collect();
+        outputs_eq(&plan.finish(), &want, "finish");
+        counters_eq(&plan.stats(), &alone.stats(), config);
     }
 
     #[test]

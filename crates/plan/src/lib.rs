@@ -25,10 +25,11 @@
 //!   [`PrefixGroup`]: the evaluator enumerates partial matches over the
 //!   shared prefix once and *forks* each partial out to every member's
 //!   final-slot scan.
-//! * **Event-type routing.** [`SharedPlan::routing`] maps each event
-//!   type to exactly the pooled stacks and negation-holding queries that
+//! * **Event-type routing.** [`SharedPlan::routing`] lists, per event
+//!   type, exactly the pooled stacks and negation-holding queries that
 //!   care about it, so an arrival touches plan nodes proportional to the
-//!   *interested* queries, not the registered ones.
+//!   *interested* queries, not the registered ones; a [`BandIndex`] over
+//!   an entry's banded stacks narrows that to the stacks its value passes.
 //!
 //! The compiler is pure: it never holds event state. A plan grows one
 //! query at a time ([`SharedPlan::attach`], which appends and never moves
@@ -49,6 +50,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod band_index;
+
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -56,6 +59,8 @@ use std::sync::Arc;
 use sequin_query::{with_binding, BinaryOp, Expr, Predicate, Query};
 use sequin_types::codec::fnv1a64;
 use sequin_types::{Duration, EventRef, EventTypeId, FieldId, Value};
+
+pub use band_index::BandIndex;
 
 /// One query as seen by the compiler.
 #[derive(Debug, Clone)]
@@ -309,8 +314,9 @@ pub struct SharedPlan {
     pub stacks: Vec<StackNode>,
     /// Common-prefix groups.
     pub groups: Vec<PrefixGroup>,
-    /// Event-type → interested plan nodes.
-    pub routing: HashMap<EventTypeId, RouteEntry>,
+    /// Interested plan nodes per event type, by [`EventTypeId::index`]
+    /// (a type no node listens to has an empty entry, or none).
+    pub routing: Vec<RouteEntry>,
     /// Whether keyed slots carry their partition field (see
     /// [`SharedPlan::new`]).
     partitioned: bool,
@@ -339,6 +345,21 @@ impl SharedPlan {
     /// at least one other query.
     pub fn grouped_queries(&self) -> usize {
         self.groups.iter().map(|g| g.members.len()).sum()
+    }
+
+    /// The routing entry of `ty`, unless no plan node listens to it.
+    pub fn route(&self, ty: EventTypeId) -> Option<&RouteEntry> {
+        let entry = self.routing.get(ty.index())?;
+        (!entry.stacks.is_empty() || !entry.neg_queries.is_empty()).then_some(entry)
+    }
+
+    /// The routing entry of `ty`, made when it is the first of its index.
+    fn route_mut(&mut self, ty: EventTypeId) -> &mut RouteEntry {
+        if self.routing.len() <= ty.index() {
+            self.routing
+                .resize_with(ty.index() + 1, RouteEntry::default);
+        }
+        &mut self.routing[ty.index()]
     }
 }
 
@@ -510,7 +531,7 @@ impl SharedPlan {
             return;
         }
         for &ty in q.negations().iter().flat_map(|neg| &neg.types) {
-            let negating = &mut self.routing.entry(ty).or_default().neg_queries;
+            let negating = &mut self.route_mut(ty).neg_queries;
             if negating.last() != Some(&qix) {
                 negating.push(qix);
             }
@@ -520,8 +541,7 @@ impl SharedPlan {
             if slots.len() > 1 {
                 let stack_of_slot = &self.queries[qix].stack_of_slot;
                 let stacks = slots.iter().map(|&slot| stack_of_slot[slot]).collect();
-                let entry = self.routing.entry(ty).or_default();
-                entry.multi_slot.push((qix, stacks));
+                self.route_mut(ty).multi_slot.push((qix, stacks));
             }
         }
         // construction anchors: a grouped query's prefix slots are walked
@@ -544,7 +564,7 @@ impl SharedPlan {
         }
         let six = self.stacks.len();
         for &ty in &sig.types {
-            self.routing.entry(ty).or_default().stacks.push(six);
+            self.route_mut(ty).stacks.push(six);
         }
         self.stack_of_sig.insert(sig.clone(), six);
         self.stacks.push(StackNode::new(sig, q, slot));
@@ -768,13 +788,13 @@ mod tests {
         let a = reg.lookup("A").unwrap();
         let n = reg.lookup("N").unwrap();
         let c = reg.lookup("C").unwrap();
-        assert_eq!(plan.routing[&a].stacks.len(), 1);
-        assert!(plan.routing[&a].neg_queries.is_empty());
-        assert_eq!(plan.routing[&n].neg_queries, vec![1]);
-        assert!(plan.routing[&n].stacks.is_empty());
-        assert_eq!(plan.routing[&c].stacks.len(), 1);
+        assert_eq!(plan.routing[a.index()].stacks.len(), 1);
+        assert!(plan.routing[a.index()].neg_queries.is_empty());
+        assert_eq!(plan.routing[n.index()].neg_queries, vec![1]);
+        assert!(plan.routing[n.index()].stacks.is_empty());
+        assert_eq!(plan.routing[c.index()].stacks.len(), 1);
         let b_unused = reg.lookup("N").unwrap();
-        assert!(plan.routing.contains_key(&b_unused));
+        assert!(plan.route(b_unused).is_some());
     }
 
     #[test]
@@ -1088,13 +1108,16 @@ mod tests {
             }
         }
 
-        SharedPlan {
+        let mut plan = SharedPlan {
             queries,
             stacks,
             groups,
-            routing,
             ..SharedPlan::default()
+        };
+        for (ty, entry) in routing {
+            *plan.route_mut(ty) = entry;
         }
+        plan
     }
 
     /// What the evaluator reads of a plan, with every group named by its
@@ -1162,9 +1185,10 @@ mod tests {
                 g.common.len()
             );
         }
-        let mut routing: Vec<_> = plan.routing.iter().collect();
-        routing.sort_by_key(|(ty, _)| **ty);
-        for (ty, entry) in routing {
+        for ty in (0..plan.routing.len()).map(EventTypeId::from_index) {
+            let Some(entry) = plan.route(ty) else {
+                continue;
+            };
             let _ = writeln!(
                 out,
                 "r {ty:?} {:?} {:?} {:?}",

@@ -27,6 +27,7 @@
 //! Subscribing a *new* query immediately takes a checkpoint (when durable)
 //! so registrations survive a crash even if no event has arrived since.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use sequin_engine::{
@@ -137,14 +138,15 @@ struct Subscription {
 }
 
 impl Subscription {
-    /// Registers `query` on `host` under `policy`, as the text it came in.
+    /// Registers `query`, whose [`stable_query_id`] is `stable`, on `host`
+    /// under `policy`, as the text it came in.
     fn register(
         host: &mut MultiEngine,
         text: String,
         query: Arc<Query>,
+        stable: u64,
         policy: DisorderPolicy,
     ) -> Subscription {
-        let stable = stable_query_id(&query);
         Subscription {
             text,
             id: host.register(query, policy),
@@ -198,7 +200,8 @@ fn read_header(
             .ok_or(CodecError::SnapshotMismatch("persisted query policy"))?;
         let q = parse(&text, &cfg.registry)
             .map_err(|_| CodecError::SnapshotMismatch("persisted query text"))?;
-        subs.push(Subscription::register(host, text, q, policy));
+        let stable = stable_query_id(&q);
+        subs.push(Subscription::register(host, text, q, stable, policy));
     }
     Ok(subs)
 }
@@ -213,6 +216,10 @@ pub struct EngineCore {
     /// One entry per *logical* query in registration order:
     /// `subs[i].id.index() == i`.
     subs: Vec<Subscription>,
+    /// The indices into `subs` of each [`stable_query_id`]: where a
+    /// SUBSCRIBE looks for its query, confirming with
+    /// [`Query::normalized_eq`] (two queries may share the hash).
+    by_stable: HashMap<u64, Vec<usize>>,
     drained: bool,
     /// Observability recorder: per-query latency/deferral distributions
     /// and the structured trace ring.
@@ -236,11 +243,16 @@ impl EngineCore {
 
     fn around(cfg: CoreConfig, mut ck: Checkpointer, subs: Vec<Subscription>) -> EngineCore {
         *ck.header_mut() = write_header(&subs);
+        let mut by_stable: HashMap<u64, Vec<usize>> = HashMap::new();
+        for (i, s) in subs.iter().enumerate() {
+            by_stable.entry(s.stable).or_default().push(i);
+        }
         EngineCore {
             obs: Recorder::new(cfg.obs),
             cfg,
             ck,
             subs,
+            by_stable,
             drained: false,
         }
     }
@@ -283,7 +295,8 @@ impl EngineCore {
     /// projection, however the text was spelled and whatever its variables
     /// are named — the existing logical query's id is returned. That is the
     /// equality [`stable_query_id`] hashes, so one registration is one
-    /// metrics label.
+    /// metrics label, and the text is compared only with the queries that
+    /// have its id, however many others are registered.
     /// Only genuinely new queries reach the evaluation, attaching their
     /// nodes to the plan.
     ///
@@ -308,18 +321,24 @@ impl EngineCore {
         policy: Option<DisorderPolicy>,
     ) -> Result<(QueryId, DisorderPolicy), SubscribeError> {
         let q = parse(text, &self.cfg.registry)?;
+        let stable = stable_query_id(&q);
         let host = self.ck.host();
-        if let Some(s) = self
-            .subs
-            .iter()
+        let same_id = self.by_stable.get(&stable).into_iter().flatten();
+        if let Some(s) = same_id
+            .map(|&i| &self.subs[i])
             .find(|s| host.query(s.id).normalized_eq(&q))
         {
             return Ok((s.id, s.policy));
         }
         let policy = policy.unwrap_or(self.cfg.engine.policy);
-        let sub = Subscription::register(self.ck.host_mut(), text.to_owned(), q, policy);
+        let host = self.ck.host_mut();
+        let sub = Subscription::register(host, text.to_owned(), q, stable, policy);
         let id = sub.id;
         append_to_header(self.ck.header_mut(), &sub);
+        self.by_stable
+            .entry(stable)
+            .or_default()
+            .push(self.subs.len());
         self.subs.push(sub);
         if self.durable() {
             // make the registration itself crash-safe

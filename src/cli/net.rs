@@ -391,7 +391,8 @@ sequin_ingest_latency_ticks_count 5\n";
 
     #[test]
     fn the_serve_banner_says_what_resume_did() {
-        let dir = Path::new("target/test-serve-resume");
+        let name = format!("sequin-serve-resume-{}", std::process::id());
+        let dir = &std::env::temp_dir().join(name);
         let _ = std::fs::remove_dir_all(dir);
         std::fs::create_dir_all(dir).unwrap();
         let store = dir.join("srv.ckpt");

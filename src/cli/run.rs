@@ -173,6 +173,15 @@ pub fn evaluate(spec: &StreamSpec, opts: &EvalOptions) -> Result<String, String>
 mod tests {
     use super::*;
 
+    /// A store path of this process's own, so concurrent test runs do not
+    /// share one.
+    fn temp_store(tag: &str) -> String {
+        let name = format!("sequin-cli-{tag}-{}.ckpt", std::process::id());
+        let path = std::env::temp_dir().join(name);
+        let _ = std::fs::remove_file(&path);
+        path.to_string_lossy().into_owned()
+    }
+
     /// `workload`'s stream of `events` at 20 % late by up to 50 ticks.
     fn spec(workload: &str, query: &str, events: usize, seed: u64) -> StreamSpec {
         StreamSpec {
@@ -225,8 +234,7 @@ mod tests {
 
     #[test]
     fn checkpointed_run_reports_counters_and_resumes() {
-        let path = "target/test-cli-resume.ckpt";
-        let _ = std::fs::remove_file(path);
+        let path = &temp_store("resume");
         let opts = EvalOptions {
             checkpoint_every: Some(500),
             store: Some(path.to_owned()),
@@ -254,8 +262,7 @@ mod tests {
     /// without a store does.
     #[test]
     fn an_edited_where_clause_cold_starts_on_the_store() {
-        let path = "target/test-cli-edited.ckpt";
-        let _ = std::fs::remove_file(path);
+        let path = &temp_store("edited");
         let fresh = EvalOptions {
             checkpoint_every: Some(500),
             ..EvalOptions::default()
@@ -287,7 +294,7 @@ mod tests {
 
     #[test]
     fn corrupt_checkpoint_file_degrades_to_cold_start() {
-        let path = "target/test-cli-corrupt.ckpt";
+        let path = &temp_store("corrupt");
         std::fs::write(path, b"not a checkpoint store").unwrap();
         let opts = EvalOptions {
             checkpoint_every: Some(500),

@@ -11,7 +11,8 @@
 //! whose shared prefix walk every arrival runs but whose final stacks stay
 //! empty, add no allocation to an arrival (exact, any build) and next to no
 //! time (release builds: the time is only meaningful there), and
-//! registering them costs each the same. The timings hold on the server's
+//! registering them costs each the same. So do siblings whose bands reject
+//! every arrival of their final slot's type: its band index visits none. The timings hold on the server's
 //! core too, recorder on, as `sequin serve` runs it. Beside each timing, a
 //! count asks the same exactly, in any build: the plan's counted work, its
 //! sharing counters and the recorder's trace are equal beside 64 and 1,024
@@ -21,8 +22,8 @@
 //! does not grow with the batch's outputs.
 //!
 //! And the event's one block: the wire's decoder reads an event straight
-//! into the record the engine keeps, and a routed arrival's stamped copy
-//! is one allocation.
+//! into the record the engine keeps, a routed arrival's stamped copy is one
+//! allocation, and an arrival no stack or negation takes is not copied.
 //!
 //! And the stack layer: a late insert costs what one chunk holds, not how
 //! far below the top it lands (release builds), and neither a purge nor an
@@ -278,6 +279,21 @@ fn with_siblings(prefix: &str, n: usize) -> Vec<String> {
         .collect()
 }
 
+/// The query the scaling guard's stream completes, and `n` siblings
+/// `SEQ(U0 a, U1 b, T2 c)` whose bands on `c.x` reject every `T2` of the
+/// stream (its `x` is 0): each a banded pooled stack more on `T2`.
+fn with_rejecting_siblings(n: usize) -> Vec<String> {
+    let band = |i: usize| {
+        format!(
+            "PATTERN SEQ(U0 a, U1 b, T2 c) WHERE c.x >= {i} AND c.x < {} WITHIN 100",
+            i + 1
+        )
+    };
+    let mut queries = with_siblings("U0 a, U1 b", 0);
+    queries.extend((1..=n).map(band));
+    queries
+}
+
 /// Siblings no arrival reaches.
 fn with_idle_siblings(n: usize) -> Vec<String> {
     with_siblings("U0 a, U1 b", n)
@@ -386,6 +402,33 @@ fn a_routed_arrival_allocates_one_stamped_record() {
     };
     let n = 256;
     assert_eq!(run(2 * n) - run(n), n);
+}
+
+/// An arrival no stack takes is not stamped: on a warm engine, `T2`s that
+/// every sibling's band rejects allocate nothing, whether one band runs on
+/// each or the band index of eight finds that none passes.
+#[test]
+fn an_arrival_every_band_rejects_allocates_nothing() {
+    let reg = registry();
+    for siblings in [1, 8] {
+        let run = |n: u64| {
+            let config = EngineConfig::with_k(Duration::new(10));
+            let mut engine = MultiEngine::new(config);
+            for i in 1..=siblings {
+                let text = format!("PATTERN SEQ(T0 a, T1 b, T2 c) WHERE c.x >= {i} WITHIN 20");
+                engine.register(parse(&text, &reg).unwrap(), config.policy);
+            }
+            engine.ingest_batch(&events(&reg, "T2", 1..2_001, 0));
+            let measured = events(&reg, "T2", 2_001..2_001 + n, 0);
+            let before = ALLOCATIONS.with(Cell::get);
+            let out = engine.ingest_batch(&measured);
+            let allocations = ALLOCATIONS.with(Cell::get) - before;
+            assert_eq!(out.iter().flatten().count(), 0, "no band passes x = 0");
+            assert_eq!(engine.state_size(), 0, "no stack holds a T2");
+            allocations
+        };
+        assert_eq!(run(512), run(256), "{siblings} rejecting bands");
+    }
 }
 
 fn parsed(reg: &TypeRegistry, texts: &[String]) -> Vec<Arc<Query>> {
@@ -600,6 +643,19 @@ fn idle_siblings_cost_an_arrival_next_to_nothing() {
 #[cfg_attr(debug_assertions, ignore = "a timing: release builds only")]
 fn forked_siblings_cost_an_arrival_next_to_nothing() {
     let (few, many) = engine_arrival_time_beside(with_forked_siblings);
+    assert!(
+        many.as_secs_f64() <= 1.3 * few.as_secs_f64(),
+        "50k arrivals took {few:?} beside 64 siblings, {many:?} beside 1,024"
+    );
+}
+
+/// Siblings whose bands reject an arrival add next to nothing to its
+/// time: the band index of their type finds the value's cell with one
+/// binary search, and no rejecting stack is visited.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "a timing: release builds only")]
+fn rejecting_siblings_cost_an_arrival_next_to_nothing() {
+    let (few, many) = engine_arrival_time_beside(with_rejecting_siblings);
     assert!(
         many.as_secs_f64() <= 1.3 * few.as_secs_f64(),
         "50k arrivals took {few:?} beside 64 siblings, {many:?} beside 1,024"
